@@ -256,7 +256,6 @@ func runSearch(ctx context.Context, args []string) error {
 		k         = fs.Int("k", 5, "cross-validation folds")
 		server    = fs.String("server", "", "DARR server URL for cooperative search")
 		clientID  = fs.String("client", "cli", "client id for DARR claims")
-		noBatch   = fs.Bool("no-batch", false, "disable batched DARR cooperation (per-unit lookup/claim/publish round trips)")
 		pubBatch  = fs.Int("publish-batch", httpapi.DefaultPublishBatchSize, "queued publishes per coalesced batch upload")
 		pubFlush  = fs.Duration("publish-flush", httpapi.DefaultPublishFlushInterval, "max age of a queued publish before an async flush")
 		seed      = fs.Int64("seed", 1, "search seed")
@@ -267,7 +266,6 @@ func runSearch(ctx context.Context, args []string) error {
 		cacheMB   = fs.Int("prefix-cache-mb", core.DefaultPrefixCacheMB, "shared-prefix cache capacity in MiB")
 		noCache   = fs.Bool("no-prefix-cache", false, "disable the shared-prefix cache (re-fit every transformer prefix per unit, for A/B runs)")
 	)
-	fs.IntVar(parallel, "parallel", 0, "deprecated alias for -parallelism")
 	ft := addFaultFlags(fs)
 	lf := addLogFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -344,17 +342,13 @@ func runSearch(ctx context.Context, args []string) error {
 	if *server != "" {
 		hc := ft.client(*server, *clientID)
 		hc.Metric = *metric
-		if *noBatch {
-			opts.Store = httpapi.PerUnitStore{C: hc}
-		} else {
-			hc.EnablePublishQueue(*pubBatch, *pubFlush)
-			defer hc.Close()
-			opts.Store = hc
-		}
+		hc.EnablePublishQueue(*pubBatch, *pubFlush)
+		defer hc.Close()
+		opts.Store = hc
 		opts.SkipClaimed = true
 		slog.Info("cooperative search starting",
 			"request_id", requestID, "server", *server, "client", *clientID,
-			"metric", *metric, "batched", !*noBatch)
+			"metric", *metric)
 	}
 
 	res, err := core.Search(ctx, g, ds, opts)

@@ -7,13 +7,13 @@
 //	coda-server -addr :8080 -claim-ttl 1m -retain 4
 //
 // The data tier is pluggable through persistence DSNs (scheme:dir?params):
-// -store-backend and -darr-backend each accept mem:, log:<dir> (append-only
-// segment log, fsync on every write, snapshot-then-truncate compaction) or
-// bolt:<dir> (B-tree-indexed, background auto-compaction). The bare words
-// "mem" and "log" keep working — "log" resolves against -store-dir /
-// -darr-dir. A durable -darr-backend is what makes cooperative results
-// survive restarts; -persist-compact runs periodic compaction so boots
-// replay live state, not full history:
+// -store-backend and -darr-backend each accept mem: (the default),
+// log:<dir> (write-ahead segment log, fsync on every write,
+// snapshot-then-truncate compaction) or bolt:<dir> (the same log, which
+// also compacts itself in the background once it outgrows ?wal=<bytes>).
+// A durable -darr-backend is what makes cooperative results survive
+// restarts; -persist-compact runs periodic compaction so boots replay
+// live state, not full history:
 //
 //	coda-server -addr :8080 -store-backend log:/var/lib/coda/store \
 //	    -darr-backend bolt:/var/lib/coda/darr -persist-compact 5m -store-shards 32
@@ -68,19 +68,6 @@ import (
 	"coda/internal/store"
 )
 
-// resolveDSN keeps the pre-DSN flag values working: bare "mem" is the
-// memory backend, bare "log"/"bolt" resolve against the legacy directory
-// flag, and anything with a scheme separator passes through untouched.
-func resolveDSN(v, legacyDir string) string {
-	switch v {
-	case "mem":
-		return "mem:"
-	case "log", "bolt":
-		return v + ":" + legacyDir
-	}
-	return v
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
@@ -90,12 +77,10 @@ func main() {
 		fullFrac = flag.Float64("full-fraction", 0.5, "send delta only when smaller than this fraction of the full object")
 		batchMax = flag.Int("batch-max-keys", httpapi.DefaultMaxBatchKeys, "max keys/records per batched DARR request")
 
-		storeBackend = flag.String("store-backend", "mem", "object-store persistence DSN: mem:, log:<dir> or bolt:<dir> (bare mem/log resolve against -store-dir)")
-		storeDir     = flag.String("store-dir", "coda-store", "directory a bare -store-backend log or bolt resolves to")
+		storeBackend = flag.String("store-backend", "mem:", "object-store persistence DSN: mem:, log:<dir> or bolt:<dir>")
 		storeShards  = flag.Int("store-shards", 0, "lock shards in the object store (0 = default 16)")
 
-		darrBackend    = flag.String("darr-backend", "mem", "DARR persistence DSN: mem:, log:<dir> or bolt:<dir> (bare mem/log resolve against -darr-dir); durable backends replay records and claims at boot")
-		darrDir        = flag.String("darr-dir", "coda-darr", "directory a bare -darr-backend log or bolt resolves to")
+		darrBackend    = flag.String("darr-backend", "mem:", "DARR persistence DSN: mem:, log:<dir> or bolt:<dir>; durable backends replay records and claims at boot")
 		persistCompact = flag.Duration("persist-compact", 0, "run backend compaction this often (0 disables; durable backends only)")
 
 		fanoutWorkers  = flag.Int("fanout-workers", 8, "lease fanout worker pool size (0 disables the push serving tier)")
@@ -134,7 +119,7 @@ func main() {
 	}
 
 	var repo *darr.Repo
-	if dsn := resolveDSN(*darrBackend, *darrDir); dsn == "mem:" {
+	if dsn := *darrBackend; dsn == "mem:" {
 		repo = darr.NewRepo(nil, *claimTTL)
 	} else {
 		var err error
@@ -149,13 +134,12 @@ func main() {
 	defer repo.Close()
 
 	storeOpts := store.Options{Retain: *retain, BlockSize: *block, FullFraction: *fullFrac, Shards: *storeShards}
-	storeDSN := resolveDSN(*storeBackend, *storeDir)
-	st, err := store.OpenDSN(storeDSN, storeOpts)
+	st, err := store.OpenDSN(*storeBackend, storeOpts)
 	if err != nil {
-		logger.Error("opening object store", "dsn", storeDSN, "err", err)
+		logger.Error("opening object store", "dsn", *storeBackend, "err", err)
 		os.Exit(1)
 	}
-	if storeDSN != "mem:" {
+	if *storeBackend != "mem:" {
 		objects := 0
 		st.Each(func(string) bool { objects++; return true })
 		logger.Info("object store recovered", "backend", st.Backend(), "objects", objects)

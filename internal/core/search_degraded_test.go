@@ -94,6 +94,9 @@ func TestSearchDegradesOnMidSearchStoreErrors(t *testing.T) {
 		Splitter: crossval.KFold{K: 3, Shuffle: true},
 		Scorer:   scorer,
 		Seed:     7,
+		// The blackout below is counted in store calls, so units must
+		// reach the store one after another.
+		Parallelism: 1,
 	}
 
 	baseline, err := core.Search(context.Background(), degradedGraph(), ds, base)

@@ -88,7 +88,7 @@ func TestBatchedSearchRoundTrips(t *testing.T) {
 	ds := benchDataset(t)
 
 	perUnit := benchClient(ts.URL, "per-unit")
-	res, err := core.Search(context.Background(), benchGraph(), ds, benchSearchOpts(PerUnitStore{C: perUnit}))
+	res, err := core.Search(context.Background(), benchGraph(), ds, benchSearchOpts(perUnitStore{C: perUnit}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func BenchmarkCooperativeSearch(b *testing.B) {
 				b.StopTimer()
 				proxy.reset() // fresh repo: every unit is a miss
 				c := benchClient(ts.URL, "bench")
-				var store core.ResultStore = PerUnitStore{C: c}
+				var store core.ResultStore = perUnitStore{C: c}
 				if bc.batched {
 					c.EnablePublishQueue(DefaultPublishBatchSize, time.Hour)
 					store = c

@@ -19,19 +19,41 @@ func clientFor(t *testing.T, srv *Server) (*Client, *httptest.Server) {
 	return NewClient(ts.URL, "test-client"), ts
 }
 
+// perUnitStore restricts a Client to the per-unit cooperation protocol,
+// hiding the batch methods so core.Search issues one Lookup/Claim/
+// Publish round trip per unit — the reference the batched protocol is
+// tested and benchmarked against. Claims are still released on failure.
+type perUnitStore struct{ C *Client }
+
+func (p perUnitStore) Lookup(ctx context.Context, key string) (float64, bool, error) {
+	return p.C.Lookup(ctx, key)
+}
+
+func (p perUnitStore) Claim(ctx context.Context, key string) (bool, error) {
+	return p.C.Claim(ctx, key)
+}
+
+func (p perUnitStore) Publish(ctx context.Context, key string, score float64, explanation string) error {
+	return p.C.Publish(ctx, key, score, explanation)
+}
+
+func (p perUnitStore) Release(ctx context.Context, key string) error {
+	return p.C.Release(ctx, key)
+}
+
 var (
 	_ core.BatchResultStore = (*Client)(nil)
 	_ core.Flusher          = (*Client)(nil)
-	_ core.ResultStore      = PerUnitStore{}
-	_ core.ClaimReleaser    = PerUnitStore{}
+	_ core.ResultStore      = perUnitStore{}
+	_ core.ClaimReleaser    = perUnitStore{}
 )
 
-// PerUnitStore must NOT satisfy the batch interface, or the A/B baseline
+// perUnitStore must NOT satisfy the batch interface, or the A/B baseline
 // silently becomes the batched protocol.
 var _ = func() bool {
-	var s any = PerUnitStore{}
+	var s any = perUnitStore{}
 	if _, ok := s.(core.BatchResultStore); ok {
-		panic("PerUnitStore must not implement BatchResultStore")
+		panic("perUnitStore must not implement BatchResultStore")
 	}
 	return true
 }()

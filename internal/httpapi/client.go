@@ -348,28 +348,6 @@ func (c *Client) PublishBatch(ctx context.Context, recs []darr.Record) error {
 	return nil
 }
 
-// PerUnitStore restricts a Client to the per-unit cooperation protocol,
-// hiding the batch methods so core.Search issues one Lookup/Claim/
-// Publish round trip per unit — the A/B baseline for benchmarks and the
-// -no-batch escape hatch. Claims are still released on failure.
-type PerUnitStore struct{ C *Client }
-
-func (p PerUnitStore) Lookup(ctx context.Context, key string) (float64, bool, error) {
-	return p.C.Lookup(ctx, key)
-}
-
-func (p PerUnitStore) Claim(ctx context.Context, key string) (bool, error) {
-	return p.C.Claim(ctx, key)
-}
-
-func (p PerUnitStore) Publish(ctx context.Context, key string, score float64, explanation string) error {
-	return p.C.Publish(ctx, key, score, explanation)
-}
-
-func (p PerUnitStore) Release(ctx context.Context, key string) error {
-	return p.C.Release(ctx, key)
-}
-
 // QueryByDataset lists the remote DARR's records for a dataset fingerprint.
 func (c *Client) QueryByDataset(ctx context.Context, fp string) ([]darr.Record, error) {
 	var recs []darr.Record

@@ -15,34 +15,52 @@ import (
 )
 
 func init() {
-	Register("log", func(dir string, params url.Values) (KV, error) {
-		return openLogKV(dir, params)
-	})
+	for _, scheme := range []string{"log", "bolt"} {
+		Register(scheme, func(dir string, params url.Values) (KV, error) {
+			return openWAL(scheme, dir, params)
+		})
+	}
 }
 
-const defaultSegLimit = 4 << 20
+// defaultSegLimit is the ?segment= default, the size at which the active
+// segment rolls; defaultAutoCompact is bolt:'s ?wal= default.
+const (
+	defaultSegLimit    = 4 << 20
+	defaultAutoCompact = 4 << 20
+)
 
-// logKV is the segmented append-only backend: every batch is one
-// CRC-framed, fsynced append to the active seg-%08d.log file, and
-// Compact writes a snap-%08d.snap checkpoint of the live table then
+// walKV is the one durable engine, a segmented write-ahead log: every
+// batch is one CRC-framed, fsynced append to the active seg-%08d.log file,
+// and Compact writes a snap-%08d.snap checkpoint of the live table then
 // drops the segments it covers, so open cost tracks live keys rather
 // than total history. The snapshot is written in place (no tmp+rename):
 // a crash mid-snapshot leaves a torn file that fails its commit-trailer
 // check at open and falls back to the previous snapshot or full replay.
-type logKV struct {
-	mu       sync.Mutex
-	dir      string
-	segLimit int64
+//
+// Both durable schemes open it. log: leaves compaction to the caller;
+// bolt: is log: plus auto-compaction — a background Compact once the
+// segment bytes no snapshot covers outgrow ?wal=<bytes>.
+type walKV struct {
+	mu          sync.Mutex
+	scheme      string
+	dir         string
+	segLimit    int64
+	autoCompact int64
 
 	tab      *table
 	seq      uint64   // active segment sequence number
 	f        *os.File // active segment
 	size     int64    // bytes in the active segment
 	lastGood int64    // size at the last committed batch — the truncation point for recovery
+	logBytes int64    // segment bytes no snapshot covers yet
 
 	broken    bool
 	brokenErr error
 	closed    bool
+
+	// kick wakes the bolt: compactor and closing it stops it; nil for log:.
+	kick    chan struct{}
+	stopped chan struct{}
 
 	st  Stats
 	m   *backendMetrics
@@ -59,27 +77,42 @@ func parseSeq(name, prefix, ext string) (uint64, bool) {
 	return n, err == nil
 }
 
-func openLogKV(dir string, params url.Values) (*logKV, error) {
+// sizeParam reads a byte-count DSN parameter.
+func sizeParam(params url.Values, name string, def int64) (int64, error) {
+	s := params.Get(name)
+	if s == "" {
+		return def, nil
+	}
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || n < walHeader {
+		return 0, fmt.Errorf("bad %s size %q", name, s)
+	}
+	return n, nil
+}
+
+func openWAL(scheme, dir string, params url.Values) (*walKV, error) {
 	if dir == "" {
-		return nil, fmt.Errorf("log backend needs a directory (log:<dir>)")
+		return nil, fmt.Errorf("%s backend needs a directory (%s:<dir>)", scheme, scheme)
 	}
-	segLimit := int64(defaultSegLimit)
-	if s := params.Get("segment"); s != "" {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil || n < walHeader {
-			return nil, fmt.Errorf("bad segment size %q", s)
-		}
-		segLimit = n
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	segLimit, err := sizeParam(params, "segment", defaultSegLimit)
+	if err != nil {
 		return nil, err
 	}
-	b := &logKV{
+	b := &walKV{
+		scheme:   scheme,
 		dir:      dir,
 		segLimit: segLimit,
 		tab:      newTable(),
-		st:       Stats{Backend: "log", Healthy: true},
-		m:        metricsFor("log"),
+		st:       Stats{Backend: scheme, Healthy: true},
+		m:        metricsFor(scheme),
+	}
+	if scheme == "bolt" {
+		if b.autoCompact, err = sizeParam(params, "wal", defaultAutoCompact); err != nil {
+			return nil, err
+		}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 
@@ -93,6 +126,9 @@ func openLogKV(dir string, params url.Values) (*logKV, error) {
 			segs = append(segs, n)
 		} else if n, ok := parseSeq(e.Name(), "snap-", ".snap"); ok {
 			snaps = append(snaps, n)
+		} else if _, ok := parseSeq(e.Name(), "wal-", ".log"); ok || e.Name() == "index.db" {
+			// Opening would start empty beside data it cannot see.
+			return nil, fmt.Errorf("%s holds the retired bolt layout (index.db + wal-*.log), which this version cannot read: found %s", dir, e.Name())
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
@@ -109,17 +145,20 @@ func openLogKV(dir string, params url.Values) (*logKV, error) {
 		}
 	}
 
+	// The snapshot covers every segment below its watermark. A torn tail
+	// is a crash mid-write only on the newest segment; lastGood ends up at
+	// that segment's intact prefix.
+	segs = segs[sort.Search(len(segs), func(i int) bool { return segs[i] >= watermark }):]
 	for i, seq := range segs {
-		if seq < watermark {
-			continue
-		}
-		last := i == len(segs)-1
-		n, err := replayFile(filepath.Join(dir, segName(seq)), last, func(op byte, key string, val []byte) error {
+		var n int64
+		n, b.lastGood, err = replayFile(filepath.Join(dir, segName(seq)), i == len(segs)-1, func(op byte, key string, val []byte) error {
 			switch op {
 			case opPut:
 				b.tab.put(key, val)
 			case opDel:
 				b.tab.del(key)
+			default:
+				return errBadRec
 			}
 			return nil
 		})
@@ -127,48 +166,42 @@ func openLogKV(dir string, params url.Values) (*logKV, error) {
 		if err != nil {
 			return nil, err
 		}
+		b.logBytes += b.lastGood
 	}
 
-	// Reopen the newest segment for appends, truncating any torn tail a
-	// crash mid-write left behind; with no segments (fresh dir, or all
-	// compacted away) start a new one above the watermark.
-	b.seq = watermark
-	if b.seq == 0 {
-		b.seq = 1
-	}
+	// Reopen the newest segment for appends, truncating its torn tail;
+	// with no segments (fresh dir, or all compacted away) start a new one
+	// at the watermark.
 	if len(segs) > 0 {
 		b.seq = segs[len(segs)-1]
-		path := filepath.Join(dir, segName(b.seq))
-		valid, err := validWALPrefix(path)
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if _, err := f.Seek(valid, 0); err != nil {
-			f.Close()
-			return nil, err
-		}
-		b.f, b.size, b.lastGood = f, valid, valid
+		err = b.reopenLocked()
 	} else {
-		if err := b.newSegmentLocked(b.seq); err != nil {
-			return nil, err
-		}
+		err = b.newSegmentLocked(max(watermark, 1))
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	b.st.OpenSeconds = time.Since(start).Seconds()
 	b.m.openReplay.ObserveSince(start)
 	b.m.liveKeys.Set(float64(b.tab.len()))
+
+	if b.autoCompact > 0 {
+		b.kick = make(chan struct{}, 1)
+		b.stopped = make(chan struct{})
+		go func() {
+			defer close(b.stopped)
+			for range b.kick {
+				// A failed compaction loses nothing; the next commit
+				// over the threshold kicks another.
+				_ = b.Compact()
+			}
+		}()
+	}
 	return b, nil
 }
 
-func (b *logKV) newSegmentLocked(seq uint64) error {
+func (b *walKV) newSegmentLocked(seq uint64) error {
 	f, err := os.OpenFile(filepath.Join(b.dir, segName(seq)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -179,7 +212,7 @@ func (b *logKV) newSegmentLocked(seq uint64) error {
 }
 
 // rollLocked seals the active segment and starts the next one.
-func (b *logKV) rollLocked() error {
+func (b *walKV) rollLocked() error {
 	if b.f != nil {
 		if err := b.f.Sync(); err != nil {
 			return err
@@ -192,27 +225,35 @@ func (b *logKV) rollLocked() error {
 	return b.newSegmentLocked(b.seq + 1)
 }
 
-// recoverLocked clears a latched write failure: reopen the active segment
-// by path and truncate it back to the last committed batch, so a torn
-// half-written record never precedes good data. Success resets the latch;
-// failure keeps it and returns the original error context.
-func (b *logKV) recoverLocked() error {
+// reopenLocked opens the active segment by path and truncates it back to
+// lastGood, so a torn half-written record never precedes good data.
+func (b *walKV) reopenLocked() error {
 	f, err := os.OpenFile(filepath.Join(b.dir, segName(b.seq)), os.O_WRONLY|os.O_CREATE, 0o644)
 	if err != nil {
-		return fmt.Errorf("persist: log backend latched (%v); recovery failed: %w", b.brokenErr, err)
+		return err
 	}
 	if err := f.Truncate(b.lastGood); err != nil {
 		f.Close()
-		return fmt.Errorf("persist: log backend latched (%v); recovery failed: %w", b.brokenErr, err)
+		return err
 	}
 	if _, err := f.Seek(b.lastGood, 0); err != nil {
 		f.Close()
-		return fmt.Errorf("persist: log backend latched (%v); recovery failed: %w", b.brokenErr, err)
+		return err
 	}
 	if b.f != nil {
 		b.f.Close()
 	}
 	b.f, b.size = f, b.lastGood
+	return nil
+}
+
+// recoverLocked clears a latched write failure by reopening the active
+// segment at the last committed batch. Success resets the latch; failure
+// keeps it and returns the original error context.
+func (b *walKV) recoverLocked() error {
+	if err := b.reopenLocked(); err != nil {
+		return fmt.Errorf("persist: %s backend latched (%v); recovery failed: %w", b.scheme, b.brokenErr, err)
+	}
 	b.broken, b.brokenErr = false, nil
 	return nil
 }
@@ -221,7 +262,7 @@ func (b *logKV) recoverLocked() error {
 // failure first, roll full segments, write, fsync. Any failure latches the
 // backend so no further append lands after a possibly-torn record until
 // recovery truncates it away.
-func (b *logKV) commitLocked() error {
+func (b *walKV) commitLocked() error {
 	if b.broken {
 		if err := b.recoverLocked(); err != nil {
 			return err
@@ -243,14 +284,21 @@ func (b *logKV) commitLocked() error {
 	}
 	b.size += int64(len(b.buf))
 	b.lastGood = b.size
+	b.logBytes += int64(len(b.buf))
+	if b.kick != nil && b.logBytes > b.autoCompact {
+		select {
+		case b.kick <- struct{}{}:
+		default: // a compaction is already pending
+		}
+	}
 	return nil
 }
 
 // Name implements KV.
-func (b *logKV) Name() string { return "log" }
+func (b *walKV) Name() string { return b.scheme }
 
 // PutBatch implements KV.
-func (b *logKV) PutBatch(items []Item) error {
+func (b *walKV) PutBatch(items []Item) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -273,7 +321,7 @@ func (b *logKV) PutBatch(items []Item) error {
 }
 
 // GetBatch implements KV.
-func (b *logKV) GetBatch(keys []string) (map[string][]byte, error) {
+func (b *walKV) GetBatch(keys []string) (map[string][]byte, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -289,7 +337,7 @@ func (b *logKV) GetBatch(keys []string) (map[string][]byte, error) {
 }
 
 // Delete implements KV.
-func (b *logKV) Delete(keys ...string) error {
+func (b *walKV) Delete(keys ...string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -315,7 +363,7 @@ func (b *logKV) Delete(keys ...string) error {
 }
 
 // Cursor implements KV.
-func (b *logKV) Cursor(prefix string) (Cursor, error) {
+func (b *walKV) Cursor(prefix string) (Cursor, error) {
 	b.mu.Lock()
 	closed := b.closed
 	b.st.CursorScans++
@@ -330,8 +378,8 @@ func (b *logKV) Cursor(prefix string) (Cursor, error) {
 // snapshotLocked rolls the active segment and checkpoints the live table
 // into snap-<watermark>.snap, where the watermark is the fresh segment: a
 // later open loads the snapshot and replays only segments at or above it.
-func (b *logKV) snapshotLocked() (watermark uint64, err error) {
-	_, sp := trace.Start(context.Background(), "persist.snapshot", trace.String("backend", "log"))
+func (b *walKV) snapshotLocked() (watermark uint64, err error) {
+	_, sp := trace.Start(context.Background(), "persist.snapshot", trace.String("backend", b.scheme))
 	sp.SetComponent(trace.CompStoreWait)
 	defer sp.End()
 	start := time.Now()
@@ -355,7 +403,7 @@ func (b *logKV) snapshotLocked() (watermark uint64, err error) {
 }
 
 // Snapshot implements KV.
-func (b *logKV) Snapshot() error {
+func (b *walKV) Snapshot() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -367,13 +415,13 @@ func (b *logKV) Snapshot() error {
 
 // Compact implements KV: snapshot, then drop the segments (and older
 // snapshots) the new snapshot covers.
-func (b *logKV) Compact() error {
+func (b *walKV) Compact() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return ErrClosed
 	}
-	_, sp := trace.Start(context.Background(), "persist.compact", trace.String("backend", "log"))
+	_, sp := trace.Start(context.Background(), "persist.compact", trace.String("backend", b.scheme))
 	sp.SetComponent(trace.CompStoreWait)
 	defer sp.End()
 	start := time.Now()
@@ -393,6 +441,7 @@ func (b *logKV) Compact() error {
 		}
 	}
 	syncDir(b.dir)
+	b.logBytes = b.size
 	b.st.Compactions++
 	b.st.LastCompactSeconds = time.Since(start).Seconds()
 	b.m.compactions.Inc()
@@ -400,7 +449,7 @@ func (b *logKV) Compact() error {
 }
 
 // Stats implements KV.
-func (b *logKV) Stats() Stats {
+func (b *walKV) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := b.st
@@ -412,14 +461,22 @@ func (b *logKV) Stats() Stats {
 	return st
 }
 
-// Close implements KV.
-func (b *logKV) Close() error {
+// Close implements KV: stop the compactor, then flush and close the
+// active segment.
+func (b *walKV) Close() error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if b.closed {
+		b.mu.Unlock()
 		return nil
 	}
-	b.closed = true
+	b.closed = true // no commit sends on kick from here on
+	b.mu.Unlock()
+	if b.kick != nil {
+		close(b.kick)
+		<-b.stopped // it may be mid-Compact, which needs mu
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.f != nil {
 		err := b.f.Sync()
 		if cerr := b.f.Close(); err == nil {

@@ -1,14 +1,25 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// forEachDurable runs fn once per DSN scheme the one WAL engine serves.
+func forEachDurable(t *testing.T, fn func(t *testing.T, scheme string)) {
+	for _, scheme := range []string{"log", "bolt"} {
+		t.Run(scheme, func(t *testing.T) { fn(t, scheme) })
+	}
+}
 
 func listNames(t *testing.T, dir string) []string {
 	t.Helper()
@@ -36,8 +47,12 @@ func fillLog(t *testing.T, kv KV, n int, liveKeys int) {
 // TestLogCompactionDropsHistory: after Compact, old segments and snapshots
 // are gone and a reopen loads the snapshot instead of replaying history.
 func TestLogCompactionDropsHistory(t *testing.T) {
+	forEachDurable(t, testLogCompactionDropsHistory)
+}
+
+func testLogCompactionDropsHistory(t *testing.T, scheme string) {
 	dir := t.TempDir()
-	kv, err := Open("log:" + dir + "?segment=1024")
+	kv, err := Open(scheme + ":" + dir + "?segment=1024")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +82,7 @@ func TestLogCompactionDropsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kv2, err := Open("log:" + dir)
+	kv2, err := Open(scheme + ":" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +101,12 @@ func TestLogCompactionDropsHistory(t *testing.T) {
 // its commit-trailer check and the open replays the full segment history
 // instead — no data loss, because Snapshot alone never deletes segments.
 func TestLogTornSnapshotFallsBack(t *testing.T) {
+	forEachDurable(t, testLogTornSnapshotFallsBack)
+}
+
+func testLogTornSnapshotFallsBack(t *testing.T, scheme string) {
 	dir := t.TempDir()
-	kv, err := Open("log:" + dir)
+	kv, err := Open(scheme + ":" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +136,7 @@ func TestLogTornSnapshotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kv2, err := Open("log:" + dir)
+	kv2, err := Open(scheme + ":" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +158,12 @@ func TestLogTornSnapshotFallsBack(t *testing.T) {
 // crash mid-append) is truncated at open and subsequent appends extend
 // valid data.
 func TestLogTornTailTruncated(t *testing.T) {
+	forEachDurable(t, testLogTornTailTruncated)
+}
+
+func testLogTornTailTruncated(t *testing.T, scheme string) {
 	dir := t.TempDir()
-	kv, err := Open("log:" + dir)
+	kv, err := Open(scheme + ":" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +181,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 	}
 	f.Close()
 
-	kv2, err := Open("log:" + dir)
+	kv2, err := Open(scheme + ":" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +194,7 @@ func TestLogTornTailTruncated(t *testing.T) {
 	if err := kv2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	kv3, err := Open("log:" + dir)
+	kv3, err := Open(scheme + ":" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +207,14 @@ func TestLogTornTailTruncated(t *testing.T) {
 
 // TestLogLatchRecovery: a transient write failure latches the backend
 // (surfaced in Stats), and the next write recovers instead of requiring a
-// process restart — the LogBackend broken-latch bug, fixed at this layer.
+// process restart.
 func TestLogLatchRecovery(t *testing.T) {
+	forEachDurable(t, testLogLatchRecovery)
+}
+
+func testLogLatchRecovery(t *testing.T, scheme string) {
 	dir := t.TempDir()
-	b, err := openLogKV(dir, url.Values{})
+	b, err := openWAL(scheme, dir, url.Values{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +242,7 @@ func TestLogLatchRecovery(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	kv, err := Open("log:" + dir)
+	kv, err := Open(scheme + ":" + dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +256,9 @@ func TestLogLatchRecovery(t *testing.T) {
 	}
 }
 
-// TestBoltAutoCompaction: once the WAL outgrows its threshold the
-// background compactor rewrites index.db and drops the WAL, and a reopen
-// bulk-loads the index instead of replaying history.
+// TestBoltAutoCompaction: once the uncovered log outgrows ?wal= the
+// background compactor snapshots and drops it, and a reopen loads the
+// snapshot instead of replaying history.
 func TestBoltAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	kv, err := Open("bolt:" + dir + "?wal=2048")
@@ -249,16 +276,6 @@ func TestBoltAutoCompaction(t *testing.T) {
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, n := range listNames(t, dir) {
-		if n == "index.db" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no index.db after auto-compaction: %v", listNames(t, dir))
-	}
-
 	kv2, err := Open("bolt:" + dir)
 	if err != nil {
 		t.Fatal(err)
@@ -266,14 +283,54 @@ func TestBoltAutoCompaction(t *testing.T) {
 	defer kv2.Close()
 	st := kv2.Stats()
 	if st.OpenSnapshotKeys != 10 {
-		t.Fatalf("reopen loaded %d index keys, want 10", st.OpenSnapshotKeys)
+		t.Fatalf("reopen loaded %d snapshot keys, want 10", st.OpenSnapshotKeys)
 	}
 	if st.OpenReplayedRecords > 200 {
-		t.Fatalf("reopen replayed %d records; index should cover most history", st.OpenReplayedRecords)
+		t.Fatalf("reopen replayed %d records; the snapshot should cover most history", st.OpenReplayedRecords)
 	}
 	got, _ := kv2.GetBatch([]string{"k/0009"})
 	if string(got["k/0009"]) != "199" {
 		t.Fatalf("k/0009 = %q after bolt reopen, want 199", got["k/0009"])
+	}
+}
+
+// TestBoltCloseDuringAutoCompaction: writers keep the compactor kicked
+// until the moment of Close, which must wait out an in-flight compaction
+// and lose nothing.
+func TestBoltCloseDuringAutoCompaction(t *testing.T) {
+	dir := t.TempDir()
+	kv := mustOpen(t, "bolt:"+dir+"?wal=512")
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				k := fmt.Sprintf("w%d/%02d", w, i%7)
+				if err := kv.PutBatch([]Item{{Key: k, Value: []byte(fmt.Sprint(i))}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if kv.Stats().Compactions == 0 {
+		t.Fatal("auto-compaction never ran")
+	}
+	kv2 := mustOpen(t, "bolt:"+dir)
+	defer kv2.Close()
+	got := dump(t, kv2)
+	for w := 0; w < 4; w++ {
+		for j := 0; j < 7; j++ {
+			want := fmt.Sprint(99 - (99-j)%7) // the last i < 100 with i%7 == j
+			if k := fmt.Sprintf("w%d/%02d", w, j); got[k] != want {
+				t.Fatalf("%s = %q after close mid-compaction, want %s", k, got[k], want)
+			}
+		}
 	}
 }
 
@@ -294,5 +351,209 @@ func TestOpenErrors(t *testing.T) {
 	}
 	if _, err := Open("log:" + t.TempDir() + "?segment=bogus"); err == nil {
 		t.Fatal("bad segment param accepted")
+	}
+	if _, err := Open("bolt:" + t.TempDir() + "?wal=bogus"); err == nil {
+		t.Fatal("bad wal param accepted")
+	}
+}
+
+// dump reads the whole keyspace through a cursor.
+func dump(t *testing.T, kv KV) map[string]string {
+	t.Helper()
+	cur, err := kv.Cursor("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	out := map[string]string{}
+	for cur.Next() {
+		out[cur.Key()] = string(cur.Value())
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// copyFixture copies testdata/<name> somewhere writable: opening a
+// directory creates or truncates files in it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, n := range listNames(t, filepath.Join("testdata", name)) {
+		raw, err := os.ReadFile(filepath.Join("testdata", name, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, n), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestParentLogDirectoryOpens: testdata/parent-log was written by the
+// commit before the engines were folded together (37 puts over 10 keys
+// with ?segment=256, a delete and a Compact after the 25th, a second
+// delete at the end). Both schemes must open it to the same contents.
+func TestParentLogDirectoryOpens(t *testing.T) {
+	want := map[string]string{}
+	for i := 0; i < 37; i++ {
+		want[fmt.Sprintf("k/%04d", i%10)] = fmt.Sprintf("value-%03d", i)
+	}
+	delete(want, "k/0008")
+	forEachDurable(t, func(t *testing.T, scheme string) {
+		kv, err := Open(scheme + ":" + copyFixture(t, "parent-log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kv.Close()
+		if got := dump(t, kv); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("parent log: directory opened as\n%v\nwant\n%v", got, want)
+		}
+		if st := kv.Stats(); st.OpenSnapshotKeys != 9 || st.OpenReplayedRecords != 13 {
+			t.Fatalf("opened from %d snapshot keys + %d records, want 9 + 13", st.OpenSnapshotKeys, st.OpenReplayedRecords)
+		}
+	})
+}
+
+// TestOldBoltLayoutRefused: testdata/parent-bolt is the same stream
+// written by the parent's bolt: backend (index.db + wal-*.log). The
+// engine cannot read that layout, so it must say so — naming it — rather
+// than open an empty store beside the old data, and must leave the
+// directory as it found it.
+func TestOldBoltLayoutRefused(t *testing.T) {
+	forEachDurable(t, func(t *testing.T, scheme string) {
+		dir := copyFixture(t, "parent-bolt")
+		before := listNames(t, dir)
+		kv, err := Open(scheme + ":" + dir)
+		if err == nil {
+			kv.Close()
+			t.Fatal("old bolt layout opened")
+		}
+		if !strings.Contains(err.Error(), "index.db") || !strings.Contains(err.Error(), "bolt layout") {
+			t.Fatalf("error does not name the layout: %v", err)
+		}
+		if after := listNames(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("refused open changed the directory: %v -> %v", before, after)
+		}
+	})
+}
+
+// TestSchemesShareOneDirectoryFormat: log: and bolt: are one engine, so
+// either opens what the other wrote.
+func TestSchemesShareOneDirectoryFormat(t *testing.T) {
+	dir := t.TempDir()
+	kv := mustOpen(t, "log:"+dir+"?segment=512")
+	fillLog(t, kv, 60, 12)
+	if err := kv.Delete("k/0004"); err != nil {
+		t.Fatal(err)
+	}
+	want := dump(t, kv)
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kv = mustOpen(t, "bolt:"+dir)
+	if got := dump(t, kv); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("bolt: sees %v in a log: directory, want %v", got, want)
+	}
+	if err := kv.PutBatch([]Item{{Key: "from/bolt", Value: []byte("b")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := kv.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want["from/bolt"] = "b"
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	kv = mustOpen(t, "log:"+dir)
+	defer kv.Close()
+	if got := dump(t, kv); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("log: sees %v after bolt: wrote and compacted, want %v", got, want)
+	}
+}
+
+// legacyStoreRecord frames one record the way the retired store.LogBackend
+// did: the same u32 length | u32 crc outer frame as this package, but a
+// payload of u16 key length | key | u64 version | data — so the byte this
+// package reads as the op is the low byte of the key length.
+func legacyStoreRecord(key string, version uint64, data []byte) []byte {
+	payload := binary.LittleEndian.AppendUint16(nil, uint16(len(key)))
+	payload = append(payload, key...)
+	payload = binary.LittleEndian.AppendUint64(payload, version)
+	payload = append(payload, data...)
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	return append(rec, payload...)
+}
+
+// TestForeignRecordIsCorruption: a checksum-valid record this format
+// cannot interpret (here, a legacy store segment left in the directory)
+// fails the open with an error naming the file. It used to be skipped —
+// or, parsed as an overlong key, truncated away as a torn tail — and the
+// store opened "successfully" with the data missing.
+func TestForeignRecordIsCorruption(t *testing.T) {
+	for name, key := range map[string]string{
+		"unknown op":         "obj/5", // key length 5 reads as op 5
+		"commit in segment":  "obj",   // reads as opCommit
+		"key overruns value": "x",     // reads as opPut with a 30 KiB key
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg := filepath.Join(dir, "seg-00000001.log")
+			raw := legacyStoreRecord(key, 1, []byte("legacy payload"))
+			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			kv, err := Open("log:" + dir)
+			if err == nil {
+				kv.Close()
+				t.Fatal("segment of foreign records opened")
+			}
+			if !strings.Contains(err.Error(), seg) {
+				t.Fatalf("error does not name the file: %v", err)
+			}
+			if fi, err := os.Stat(seg); err != nil || fi.Size() != int64(len(raw)) {
+				t.Fatalf("refused open altered the segment: %v, %v", fi, err)
+			}
+		})
+	}
+}
+
+// TestTornHeaderAllocatesNothing: a torn header whose length field claims
+// 2 GiB is a torn tail like any other — truncated at open — and the
+// reader must see that from the file size, not by allocating the claim.
+func TestTornHeaderAllocatesNothing(t *testing.T) {
+	dir := t.TempDir()
+	kv := mustOpen(t, "log:"+dir)
+	fillLog(t, kv, 5, 5)
+	if err := kv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "seg-00000001.log")
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := binary.LittleEndian.AppendUint32(nil, 1<<31)
+	hdr = append(hdr, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3)
+	if _, err := f.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	kv = mustOpen(t, "log:"+dir)
+	runtime.ReadMemStats(&after)
+	defer kv.Close()
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("open allocated %d MiB reading a torn header", grew>>20)
+	}
+	if kv.Stats().LiveKeys != 5 {
+		t.Fatalf("live keys = %d after torn header, want 5", kv.Stats().LiveKeys)
 	}
 }

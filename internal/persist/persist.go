@@ -10,9 +10,11 @@
 // Snapshot/Compact hooks so append-only history stops replaying from byte
 // zero at every open.
 //
-// Backends are selected by DSN through Open (mem:, log:<dir>, bolt:<dir>);
-// consumers outside this package must never name a concrete backend type —
-// a CI grep gate enforces that only the SPI identifiers escape.
+// Backends are selected by DSN through Open: mem:, and one write-ahead-log
+// engine (walKV) behind both durable schemes — log:<dir>, and bolt:<dir>,
+// which is log: plus background auto-compaction. Consumers outside this
+// package must never name a concrete backend type — TestLayeringSeams in
+// the root package enforces that only the SPI identifiers escape.
 package persist
 
 import (

@@ -10,7 +10,7 @@ import (
 	"os"
 )
 
-// Shared write-ahead-log framing for the durable backends. One record:
+// Write-ahead-log framing for the one durable engine (walKV). One record:
 //
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //	payload = u8 op | u16 key length | key | value
@@ -26,8 +26,15 @@ const (
 	walHeader = 8 // u32 length + u32 crc
 )
 
-// errTornRec marks a partial or corrupt record: the readable data ends here.
-var errTornRec = errors.New("persist: torn log record")
+// errTornRec marks a partial or checksum-failing record: the readable data
+// ends here, which on the newest file is the footprint of a crash
+// mid-write. errBadRec marks a record whose checksum holds but which this
+// format cannot interpret — another format's file, never a crash — so no
+// caller may treat it as a tail to truncate.
+var (
+	errTornRec = errors.New("persist: torn log record")
+	errBadRec  = errors.New("persist: intact record of an unknown format")
+)
 
 // appendRecord frames one record onto buf.
 func appendRecord(buf []byte, op byte, key string, val []byte) []byte {
@@ -44,9 +51,10 @@ func appendRecord(buf []byte, op byte, key string, val []byte) []byte {
 	return buf
 }
 
-// readRecord decodes one record. io.EOF means a clean end, errTornRec a
-// partial or corrupt tail.
-func readRecord(r *bufio.Reader) (op byte, key string, val []byte, n int64, err error) {
+// readRecord decodes one record from a file with remaining unread bytes;
+// a header claiming more than that is torn, so a damaged length never
+// sizes an allocation. io.EOF means a clean end.
+func readRecord(r *bufio.Reader, remaining int64) (op byte, key string, val []byte, n int64, err error) {
 	var hdr [walHeader]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err == io.EOF {
 		return 0, "", nil, 0, io.EOF
@@ -58,7 +66,7 @@ func readRecord(r *bufio.Reader) (op byte, key string, val []byte, n int64, err 
 	}
 	length := binary.LittleEndian.Uint32(hdr[:4])
 	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if length < 3 || length > 1<<31 {
+	if length < 3 || int64(length) > remaining-walHeader {
 		return 0, "", nil, 0, errTornRec
 	}
 	payload := make([]byte, length)
@@ -71,58 +79,42 @@ func readRecord(r *bufio.Reader) (op byte, key string, val []byte, n int64, err 
 	op = payload[0]
 	keyLen := int(binary.LittleEndian.Uint16(payload[1:3]))
 	if 3+keyLen > len(payload) {
-		return 0, "", nil, 0, errTornRec
+		return 0, "", nil, 0, errBadRec
 	}
 	key = string(payload[3 : 3+keyLen])
 	val = payload[3+keyLen:]
 	return op, key, val, walHeader + int64(length), nil
 }
 
-// validWALPrefix returns how many bytes of the file hold intact records —
-// the truncation point for a torn tail after a crash mid-write.
-func validWALPrefix(path string) (int64, error) {
+// replayFile streams every intact record of one log file into fn and
+// reports how many bytes they span — the truncation point for a torn
+// tail. tolerateTail controls what a torn record means: the footprint of
+// a crash mid-write on the newest file (stop cleanly), or real corruption
+// on an older one (error). A record fn rejects is corruption either way.
+func replayFile(path string, tolerateTail bool, fn func(op byte, key string, val []byte) error) (records, valid int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("persist: opening wal: %w", err)
+		return 0, 0, fmt.Errorf("persist: opening %s: %w", path, err)
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	var off int64
-	for {
-		_, _, _, n, err := readRecord(r)
-		if err != nil {
-			return off, nil // io.EOF or errTornRec: valid data ends here
-		}
-		off += n
-	}
-}
-
-// replayFile streams every intact record of one log file into fn.
-// tolerateTail controls what a torn record means: the footprint of a crash
-// mid-write on the newest file (stop cleanly), or real corruption on an
-// older one (error).
-func replayFile(path string, tolerateTail bool, fn func(op byte, key string, val []byte) error) (records int64, err error) {
-	f, err := os.Open(path)
+	fi, err := f.Stat()
 	if err != nil {
-		return 0, fmt.Errorf("persist: opening %s: %w", path, err)
+		return 0, 0, fmt.Errorf("persist: opening %s: %w", path, err)
 	}
-	defer f.Close()
 	r := bufio.NewReader(f)
 	for {
-		op, key, val, _, err := readRecord(r)
-		if err == io.EOF {
-			return records, nil
+		op, key, val, n, err := readRecord(r, fi.Size()-valid)
+		if err == io.EOF || (err == errTornRec && tolerateTail) {
+			return records, valid, nil
+		}
+		if err == nil {
+			err = fn(op, key, val)
 		}
 		if err != nil {
-			if tolerateTail {
-				return records, nil
-			}
-			return records, fmt.Errorf("persist: %s corrupt: %w", path, err)
+			return records, valid, fmt.Errorf("persist: %s corrupt at byte %d: %w", path, valid, err)
 		}
 		records++
-		if err := fn(op, key, val); err != nil {
-			return records, err
-		}
+		valid += n
 	}
 }
 
@@ -183,7 +175,7 @@ func loadSnapshotFile(path string, tab *table) (pairs int64, watermark uint64, o
 	staged := newTable()
 	var committed, count int64
 	sealed := false
-	_, err := replayFile(path, true, func(op byte, key string, val []byte) error {
+	_, _, err := replayFile(path, true, func(op byte, key string, val []byte) error {
 		switch op {
 		case opPut:
 			staged.put(key, val)
@@ -194,6 +186,8 @@ func loadSnapshotFile(path string, tab *table) (pairs int64, watermark uint64, o
 				watermark = binary.LittleEndian.Uint64(val[8:])
 				sealed = true
 			}
+		default:
+			return errBadRec
 		}
 		return nil
 	})

@@ -9,7 +9,7 @@ package store
 // Implementations must be safe for concurrent Append calls on different
 // keys (the store serializes per key, not globally).
 type VersionBackend interface {
-	// Name identifies the backend ("mem", "log") for flags and health.
+	// Name identifies the backend ("mem", "log", "bolt") for flags and health.
 	Name() string
 	// Append durably records one version of key.
 	Append(key string, v Version) error
@@ -17,24 +17,19 @@ type VersionBackend interface {
 	// uses it to rebuild the in-memory state after a restart or crash.
 	// Versions of one key arrive in ascending order.
 	Replay(fn func(key string, v Version) error) error
+	// Trim tells the backend that retention evicted these versions of
+	// key, so its durable state stays proportional to what the store
+	// still serves. Best-effort: a failure leaves stale version keys
+	// behind, which replay tolerates (they reload and get trimmed again).
+	Trim(key string, dropped []uint64) error
+	// Healthy returns a non-nil error while the backend is latched after
+	// a write failure (appends will attempt recovery). Stats and /healthz
+	// surface it.
+	Healthy() error
+	// Compact drops durable history the live state no longer needs.
+	Compact() error
 	// Close releases underlying resources; Append fails afterwards.
 	Close() error
-}
-
-// VersionTrimmer is an optional VersionBackend capability: backends that
-// retain history are told when retention evicts versions, so their durable
-// state stays proportional to what the store still serves. Trim is
-// best-effort — a failure leaves stale version keys behind, which replay
-// tolerates (they reload and get trimmed again).
-type VersionTrimmer interface {
-	Trim(key string, dropped []uint64) error
-}
-
-// HealthReporter is an optional VersionBackend capability: a non-nil
-// error means the backend is latched after a write failure and appends
-// will attempt recovery. Stats and /healthz surface it.
-type HealthReporter interface {
-	Healthy() error
 }
 
 // MemBackend is the in-memory backend: versions live only in the store's
@@ -54,6 +49,15 @@ func (*MemBackend) Append(string, Version) error { return nil }
 
 // Replay implements VersionBackend; there is never anything to recover.
 func (*MemBackend) Replay(func(key string, v Version) error) error { return nil }
+
+// Trim implements VersionBackend; the shards already dropped them.
+func (*MemBackend) Trim(string, []uint64) error { return nil }
+
+// Healthy implements VersionBackend; nothing can latch.
+func (*MemBackend) Healthy() error { return nil }
+
+// Compact implements VersionBackend; there is no history to drop.
+func (*MemBackend) Compact() error { return nil }
 
 // Close implements VersionBackend.
 func (*MemBackend) Close() error { return nil }

@@ -31,7 +31,7 @@ func NewKVBackend(kv persist.KV) VersionBackend { return &kvBackend{kv: kv} }
 // in-memory backend: the shards are already the only copy, so a second
 // in-memory table underneath would be pure duplication.
 func OpenDSN(dsn string, opts Options) (*HomeStore, error) {
-	if strings.TrimRight(dsn, ":") == "mem" {
+	if dsn == "mem:" {
 		return Open(opts, NewMemBackend())
 	}
 	kv, err := persist.Open(dsn)
@@ -102,7 +102,7 @@ func (b *kvBackend) Replay(fn func(key string, v Version) error) error {
 	return cur.Err()
 }
 
-// Trim implements VersionTrimmer: retention-evicted versions leave the
+// Trim implements VersionBackend: retention-evicted versions leave the
 // backend too, keeping snapshots and compacted state proportional to the
 // versions actually retained.
 func (b *kvBackend) Trim(key string, dropped []uint64) error {
@@ -113,7 +113,7 @@ func (b *kvBackend) Trim(key string, dropped []uint64) error {
 	return b.kv.Delete(keys...)
 }
 
-// Healthy implements HealthReporter, surfacing a latched write failure.
+// Healthy implements VersionBackend, surfacing a latched write failure.
 func (b *kvBackend) Healthy() error {
 	st := b.kv.Stats()
 	if !st.Healthy {
@@ -122,11 +122,9 @@ func (b *kvBackend) Healthy() error {
 	return nil
 }
 
-// Compact forwards to the shared layer's snapshot-then-truncate cycle.
+// Compact implements VersionBackend with the shared layer's
+// snapshot-then-truncate cycle.
 func (b *kvBackend) Compact() error { return b.kv.Compact() }
-
-// PersistStats exposes the underlying backend accounting.
-func (b *kvBackend) PersistStats() persist.Stats { return b.kv.Stats() }
 
 // Close implements VersionBackend.
 func (b *kvBackend) Close() error { return b.kv.Close() }

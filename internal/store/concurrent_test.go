@@ -18,7 +18,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			return NewHomeStore(Options{Retain: 4, BlockSize: 64, Shards: 8})
 		},
 		"log": func(t *testing.T) *HomeStore {
-			return openLogStore(t, t.TempDir(), Options{Retain: 4, BlockSize: 64, Shards: 8})
+			return mustOpenDSN(t, "log:"+t.TempDir(), Options{Retain: 4, BlockSize: 64, Shards: 8})
 		},
 	}
 	for name, open := range backends {
@@ -263,22 +263,13 @@ func BenchmarkStoreConcurrent(b *testing.B) {
 		run(b, NewHomeStore(opts(8)))
 	})
 	b.Run("log-shards-1", func(b *testing.B) {
-		s := openLogBenchStore(b, opts(1))
+		s := mustOpenDSN(b, "log:"+b.TempDir(), opts(1))
 		defer s.Close()
 		run(b, s)
 	})
 	b.Run("log-shards-8", func(b *testing.B) {
-		s := openLogBenchStore(b, opts(8))
+		s := mustOpenDSN(b, "log:"+b.TempDir(), opts(8))
 		defer s.Close()
 		run(b, s)
 	})
-}
-
-func openLogBenchStore(b *testing.B, opts Options) *HomeStore {
-	b.Helper()
-	s, err := OpenLog(b.TempDir(), opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
 }

@@ -77,7 +77,7 @@ func NewHomeStore(opts Options) *HomeStore {
 }
 
 // Open builds a store over the given backend, replaying whatever the
-// backend recorded before (crash recovery for the log backend).
+// backend recorded before (crash recovery for the durable backends).
 func Open(opts Options, backend VersionBackend) (*HomeStore, error) {
 	opts.setDefaults()
 	s := &HomeStore{opts: opts, backend: backend, shards: make([]*shard, opts.Shards)}
@@ -95,21 +95,6 @@ func Open(opts Options, backend VersionBackend) (*HomeStore, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("store: replaying %s backend: %w", backend.Name(), err)
-	}
-	return s, nil
-}
-
-// OpenLog is the log-backend convenience constructor: segment files under
-// dir, fsync on every Put, state recovered by replaying the log.
-func OpenLog(dir string, opts Options) (*HomeStore, error) {
-	b, err := OpenLogBackend(dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Open(opts, b)
-	if err != nil {
-		_ = b.Close()
-		return nil, err
 	}
 	return s, nil
 }
@@ -207,9 +192,7 @@ func (s *HomeStore) Put(key string, data []byte) (uint64, error) {
 	}
 	obj.versions = append(obj.versions, v)
 	if dropped := obj.trimRetention(s.opts.Retain); len(dropped) > 0 {
-		if t, ok := s.backend.(VersionTrimmer); ok {
-			_ = t.Trim(key, dropped) // best-effort; stale keys are garbage, not corruption
-		}
+		_ = s.backend.Trim(key, dropped) // best-effort; stale keys are garbage, not corruption
 	}
 	// The latest version changed, so all cached deltas are stale.
 	obj.clearDeltaCache()
@@ -368,11 +351,9 @@ func (s *HomeStore) Stats() Stats {
 		Backend:        s.backend.Name(),
 		BackendHealthy: true,
 	}
-	if hr, ok := s.backend.(HealthReporter); ok {
-		if err := hr.Healthy(); err != nil {
-			st.BackendHealthy = false
-			st.BackendErr = err.Error()
-		}
+	if err := s.backend.Healthy(); err != nil {
+		st.BackendHealthy = false
+		st.BackendErr = err.Error()
 	}
 	return st
 }
@@ -406,14 +387,8 @@ func (s *HomeStore) Keys() []string {
 	return out
 }
 
-// CompactBackend runs the backend's compaction cycle when it has one (the
-// shared persistence backends); a no-op otherwise.
-func (s *HomeStore) CompactBackend() error {
-	if c, ok := s.backend.(interface{ Compact() error }); ok {
-		return c.Compact()
-	}
-	return nil
-}
+// CompactBackend runs the backend's compaction cycle (a no-op on mem).
+func (s *HomeStore) CompactBackend() error { return s.backend.Compact() }
 
 // deltaCacheLen reports the cached-delta count for a key (test hook).
 func (s *HomeStore) deltaCacheLen(key string) int {

@@ -2,34 +2,52 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func openLogStore(t *testing.T, dir string, opts Options) *HomeStore {
+func mustOpenDSN(t testing.TB, dsn string, opts Options) *HomeStore {
 	t.Helper()
-	s, err := OpenLog(dir, opts)
+	s, err := OpenDSN(dsn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-// TestLogBackendReopenRecoversState: Put through the log backend, close,
+// forEachDurable runs fn against each durable DSN scheme; open opens (or
+// reopens) the scheme's store on one directory for the whole subtest.
+func forEachDurable(t *testing.T, fn func(t *testing.T, dir string, open func(opts Options) *HomeStore)) {
+	for _, scheme := range []string{"log", "bolt"} {
+		t.Run(scheme, func(t *testing.T) {
+			dir := t.TempDir()
+			fn(t, dir, func(opts Options) *HomeStore {
+				t.Helper()
+				return mustOpenDSN(t, scheme+":"+dir+"?segment=512", opts) // roll after ~half a KiB
+			})
+		})
+	}
+}
+
+// TestDurableReopenRecoversState: Put through a durable backend, close,
 // reopen — versions, retention, and delta replies all survive.
-func TestLogBackendReopenRecoversState(t *testing.T) {
-	dir := t.TempDir()
+func TestDurableReopenRecoversState(t *testing.T) {
+	forEachDurable(t, testDurableReopenRecoversState)
+}
+
+func testDurableReopenRecoversState(t *testing.T, dir string, open func(Options) *HomeStore) {
 	opts := Options{Retain: 3, BlockSize: 32}
 
-	s := openLogStore(t, dir, opts)
+	s := open(opts)
 	data := putVersions(t, s, "o", 5, 4096) // versions 1..5, retain keeps 2..5
 	mustPut(t, s, "other", []byte("second key"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re := openLogStore(t, dir, opts)
+	re := open(opts)
 	defer re.Close()
 	cur, err := re.Current("o")
 	if err != nil {
@@ -62,15 +80,18 @@ func TestLogBackendReopenRecoversState(t *testing.T) {
 	}
 }
 
-// TestLogBackendCrashMidPut simulates a kill mid-Put: a torn, partially
+// TestDurableCrashMidPut simulates a kill mid-Put: a torn, partially
 // written record at the log tail. Reopening must truncate the torn tail
 // and serve the pre-crash latest versions, with delta replies that still
 // validate against replicas.
-func TestLogBackendCrashMidPut(t *testing.T) {
-	dir := t.TempDir()
+func TestDurableCrashMidPut(t *testing.T) {
+	forEachDurable(t, testDurableCrashMidPut)
+}
+
+func testDurableCrashMidPut(t *testing.T, dir string, open func(Options) *HomeStore) {
 	opts := Options{Retain: 4, BlockSize: 32}
 
-	s := openLogStore(t, dir, opts)
+	s := open(opts)
 	rep := NewReplica()
 	data := putVersions(t, s, "o", 3, 4096)
 	if err := rep.Pull(s, "o"); err != nil { // replica at version 3
@@ -86,19 +107,22 @@ func TestLogBackendCrashMidPut(t *testing.T) {
 		t.Fatalf("no segments: %v", err)
 	}
 	last := segs[len(segs)-1]
-	torn := encodeRecord("o", Version{Num: 4, Data: bytes.Repeat([]byte("q"), 4096)})
+	// A record header promising 4 KiB, then only half of it.
+	torn := binary.LittleEndian.AppendUint32(nil, 4096)
+	torn = append(torn, 0xde, 0xad, 0xbe, 0xef)
+	torn = append(torn, bytes.Repeat([]byte("q"), 2048)...)
 	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
+	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	re := openLogStore(t, dir, opts)
+	re := open(opts)
 	defer re.Close()
 	cur, err := re.Current("o")
 	if err != nil {
@@ -127,25 +151,18 @@ func TestLogBackendCrashMidPut(t *testing.T) {
 	}
 }
 
-// TestLogBackendSegmentRoll forces tiny segments and verifies the log
+// TestDurableSegmentRoll forces tiny segments and verifies the log
 // rolls to new files while replay still reconstructs everything in order.
-func TestLogBackendSegmentRoll(t *testing.T) {
-	dir := t.TempDir()
-	b, err := OpenLogBackend(dir, 512) // roll after ~half a KiB
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(Options{Retain: 8}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestDurableSegmentRoll(t *testing.T) {
+	forEachDurable(t, testDurableSegmentRoll)
+}
+
+func testDurableSegmentRoll(t *testing.T, dir string, open func(Options) *HomeStore) {
+	s := open(Options{Retain: 8})
 	var want []byte
 	for i := 0; i < 6; i++ {
 		want = bytes.Repeat([]byte{byte('a' + i)}, 256)
 		mustPut(t, s, "o", want)
-	}
-	if b.Latest("o") != 6 {
-		t.Fatalf("index lost track: latest %d", b.Latest("o"))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -158,7 +175,7 @@ func TestLogBackendSegmentRoll(t *testing.T) {
 		t.Fatalf("expected multiple segments, found %d", len(segs))
 	}
 
-	re := openLogStore(t, dir, Options{Retain: 8})
+	re := open(Options{Retain: 8})
 	defer re.Close()
 	cur, err := re.Current("o")
 	if err != nil {
@@ -176,17 +193,20 @@ func TestLogBackendSegmentRoll(t *testing.T) {
 	}
 }
 
-// TestLogBackendRejectsAfterClose: Puts must surface the backend error and
+// TestDurableRejectsAfterClose: Puts must surface the backend error and
 // leave the in-memory state unchanged.
-func TestLogBackendRejectsAfterClose(t *testing.T) {
-	dir := t.TempDir()
-	s := openLogStore(t, dir, Options{})
+func TestDurableRejectsAfterClose(t *testing.T) {
+	forEachDurable(t, testDurableRejectsAfterClose)
+}
+
+func testDurableRejectsAfterClose(t *testing.T, dir string, open func(Options) *HomeStore) {
+	s := open(Options{})
 	mustPut(t, s, "o", []byte("v1"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Put("o", []byte("v2")); err == nil {
-		t.Fatal("Put after Close must fail on the log backend")
+		t.Fatal("Put after Close must fail on a durable backend")
 	}
 	// The failed Put must not have advanced the in-memory version either.
 	cur, err := s.Current("o")

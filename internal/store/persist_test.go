@@ -3,9 +3,10 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
+
+	"coda/internal/persist"
 )
 
 // TestOpenDSNCrashRecovery: the store over the shared persistence layer
@@ -123,57 +124,30 @@ func TestStatsBackendHealth(t *testing.T) {
 	if st := s2.Stats(); st.Backend != "log" || !st.BackendHealthy {
 		t.Fatalf("log stats = %+v", st)
 	}
+
+	// A latched KV (persist's TestLogLatchRecovery drives the real latch)
+	// reaches Stats with its error.
+	kv, err := persist.Open("mem:")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(Options{}, NewKVBackend(latchedKV{kv}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if st := s3.Stats(); st.BackendHealthy || !strings.Contains(st.BackendErr, "disk on fire") {
+		t.Fatalf("latched stats = %+v", st)
+	}
 }
 
-// TestLogBackendLatchRecovers: the satellite regression — a transient
-// write failure used to latch LogBackend until a process restart; now the
-// next Append truncates the torn tail and recovers, and Healthy surfaces
-// the latched window.
-func TestLogBackendLatchRecovers(t *testing.T) {
-	dir := t.TempDir()
-	b, err := OpenLogBackend(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Append("k", Version{Num: 1, Data: []byte("one")}); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a transient I/O failure by sabotaging the file handle.
-	b.mu.Lock()
-	b.f.Close()
-	b.mu.Unlock()
-	if err := b.Append("k", Version{Num: 2, Data: []byte("two")}); err == nil {
-		t.Fatal("append on sabotaged handle succeeded")
-	}
-	if err := b.Healthy(); err == nil {
-		t.Fatal("latched backend reports healthy")
-	}
-	if err := b.Append("k", Version{Num: 2, Data: []byte("two")}); err != nil {
-		t.Fatalf("append after latch did not recover: %v", err)
-	}
-	if err := b.Healthy(); err != nil {
-		t.Fatalf("recovered backend still unhealthy: %v", err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Replay sees both committed versions and nothing torn.
-	b2, err := OpenLogBackend(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b2.Close()
-	var got []uint64
-	if err := b2.Replay(func(key string, v Version) error {
-		got = append(got, v.Num)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint([]uint64{1, 2}) {
-		t.Fatalf("replayed versions %v, want [1 2]", got)
-	}
+// latchedKV reports the accounting of a KV whose last write failed.
+type latchedKV struct{ persist.KV }
+
+func (k latchedKV) Stats() persist.Stats {
+	st := k.KV.Stats()
+	st.Healthy, st.Err = false, "disk on fire"
+	return st
 }
 
 // TestEachStreamsKeys: Each visits every key exactly once and stops early
@@ -266,35 +240,5 @@ func TestVersionKeyCodec(t *testing.T) {
 	}
 	if encodeVersionKey("k", 255) >= encodeVersionKey("k", 4096) {
 		t.Fatal("hex padding broken: 255 does not sort before 4096")
-	}
-}
-
-// TestLegacyLogBackendFilesUntouched: the pre-SPI LogBackend format still
-// opens byte-for-byte — crash-recovery fixtures from before the refactor
-// must keep replaying.
-func TestLegacyLogBackendFilesUntouched(t *testing.T) {
-	dir := t.TempDir()
-	b, err := OpenLogBackend(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Append("x", Version{Num: 1, Data: []byte("legacy")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "seg-00000001.log"))
-	if err != nil || len(raw) == 0 {
-		t.Fatalf("legacy segment missing: %v", err)
-	}
-	s, err := OpenLog(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	cur, err := s.Current("x")
-	if err != nil || string(cur.Data) != "legacy" {
-		t.Fatalf("legacy replay: %v %q", err, cur.Data)
 	}
 }

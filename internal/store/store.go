@@ -12,10 +12,11 @@
 //   - HomeStore is the concrete engine behind it: key-hash sharded locking
 //     with per-object mutexes, delta computation OUT of the critical
 //     section behind a singleflight, and a capped per-object delta cache.
-//   - VersionBackend is the persistence SPI underneath HomeStore. The
-//     in-memory backend (MemBackend) persists nothing — today's original
-//     behavior; the append-only log backend (LogBackend) fsyncs every Put
-//     into segment files and replays them at open for crash recovery.
+//   - VersionBackend is the persistence SPI underneath HomeStore, with two
+//     implementers. MemBackend persists nothing: the shards are the only
+//     copy. NewKVBackend rides a persist.KV (OpenDSN with log:<dir> or
+//     bolt:<dir>), whose write-ahead log fsyncs every Put and is replayed
+//     at open for crash recovery.
 package store
 
 import (
