@@ -1,7 +1,7 @@
 package httpapi
 
 import (
-	"encoding/base64"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -105,53 +105,55 @@ type ackRequest struct {
 	Version uint64 `json:"version"`
 }
 
-// modeFromWire parses the wire name of a push mode.
+// modeToWire names a push mode on the wire: replication's name for it
+// without the "push-" prefix.
+func modeToWire(m replication.PushMode) string { return strings.TrimPrefix(m.String(), "push-") }
+
+// modeFromWire parses the wire name of a push mode; empty means notify.
 func modeFromWire(s string) (replication.PushMode, error) {
-	switch s {
-	case "value":
-		return replication.PushValue, nil
-	case "delta":
-		return replication.PushDelta, nil
-	case "notify", "":
-		return replication.PushNotify, nil
-	default:
-		return 0, fmt.Errorf("unknown push mode %q (want value, delta, or notify)", s)
-	}
-}
-
-// modeToWire names a push mode on the wire.
-func modeToWire(m replication.PushMode) string {
-	switch m {
-	case replication.PushValue:
-		return "value"
-	case replication.PushDelta:
-		return "delta"
-	default:
-		return "notify"
-	}
-}
-
-// notificationFrom flattens one replication.Update into its wire frame.
-func notificationFrom(leaseID string, mode replication.PushMode, u replication.Update) Notification {
-	n := Notification{
-		LeaseID: leaseID, Key: u.Key, Version: u.Version,
-		Mode: modeToWire(mode), Coalesced: u.Coalesced, ChangedBytes: u.ChangedBytes,
-	}
-	if n.Coalesced < 1 {
-		n.Coalesced = 1
-	}
-	if u.Reply != nil {
-		n.BaseVersion = u.Reply.BaseVersion
-		n.Unchanged = u.Reply.Unchanged
-		switch {
-		case u.Reply.Unchanged:
-		case u.Reply.IsDelta():
-			n.Delta = base64.StdEncoding.EncodeToString(u.Reply.Delta.Marshal())
-		default:
-			n.Full = base64.StdEncoding.EncodeToString(u.Reply.Full)
+	for _, m := range []replication.PushMode{replication.PushNotify, replication.PushDelta, replication.PushValue} {
+		if s == modeToWire(m) || (s == "" && m == replication.PushNotify) {
+			return m, nil
 		}
 	}
-	return n
+	return 0, fmt.Errorf("unknown push mode %q (want value, delta, or notify)", s)
+}
+
+// encodeShared renders the part of a frame every lease of its group has in
+// common — key, version and payload, in the pull API's JSON form. It runs
+// once per group build (replication.Update.Encoded), however many mailboxes
+// the frame lands in.
+func encodeShared(u replication.Update) []byte {
+	body, err := json.Marshal(replyToWire(u.Key, u.Version, u.Reply))
+	if err != nil {
+		panic(fmt.Sprintf("httpapi: encoding frame: %v", err)) // strings and integers only
+	}
+	return body
+}
+
+// frame is one pending push for one lease: a reference to the group's
+// shared encoding plus this lease's own counters.
+type frame struct {
+	shared       []byte // encodeShared's JSON object; read-only
+	version      uint64
+	coalesced    int
+	changedBytes int
+}
+
+// writeTo writes the frame as a Notification JSON object between prefix and
+// suffix (the SSE event framing, or nothing): the per-lease fields around
+// the shared bytes, with no intermediate copy of the payload. Lease ids are
+// hex, so quoting needs no JSON-specific escaping.
+func (f frame) writeTo(w io.Writer, prefix, suffix, leaseID string, mode replication.PushMode) error {
+	_, err := fmt.Fprintf(w, `%s{"lease_id":%q,"mode":%q,"coalesced":%d,"changed_bytes":%d,`,
+		prefix, leaseID, modeToWire(mode), f.coalesced, f.changedBytes)
+	if err == nil {
+		_, err = w.Write(f.shared[1:]) // the shared object minus its opening brace
+	}
+	if err == nil {
+		_, err = io.WriteString(w, suffix)
+	}
+	return err
 }
 
 // leaseMailbox is the Subscriber bridging the fanout workers to one
@@ -160,13 +162,13 @@ func notificationFrom(leaseID string, mode replication.PushMode, u replication.U
 // handler is waiting, so a stalled or absent HTTP client costs the
 // fanout nothing. Frames that land while the previous one is unread
 // coalesce exactly like the manager's own slot — latest version, summed
-// publish counts.
+// publish counts. The handler that takes a frame stamps the lease id it
+// was asked for, so the mailbox needs no identity of its own.
 type leaseMailbox struct {
-	leaseID string
-	mode    replication.PushMode
+	mode replication.PushMode
 
 	mu      sync.Mutex
-	pending *Notification
+	pending frame         // empty while shared == nil
 	signal  chan struct{} // cap 1: "the slot is non-empty"
 	done    chan struct{} // closed when the lease leaves the registry
 	closed  bool
@@ -178,23 +180,23 @@ func newLeaseMailbox(mode replication.PushMode) *leaseMailbox {
 
 // Deliver implements replication.Subscriber.
 func (mb *leaseMailbox) Deliver(u replication.Update) {
-	n := notificationFrom(mb.leaseID, mb.mode, u)
+	f := frame{shared: u.Encoded(encodeShared), version: u.Version,
+		coalesced: max(u.Coalesced, 1), changedBytes: u.ChangedBytes}
 	mb.mu.Lock()
 	if mb.closed {
 		mb.mu.Unlock()
 		return
 	}
-	if p := mb.pending; p != nil && n.Version >= p.Version {
-		n.Coalesced += p.Coalesced
-		n.ChangedBytes += p.ChangedBytes
-	} else if p != nil {
-		// Out-of-order frame (possible across a renewed delivery race):
-		// keep the newer payload, still count the publishes.
-		p.Coalesced += n.Coalesced
-		p.ChangedBytes += n.ChangedBytes
-		n = *p
+	if p := mb.pending; p.shared != nil {
+		f.coalesced += p.coalesced
+		f.changedBytes += p.changedBytes
+		if p.version > f.version {
+			// Out-of-order frame (possible across a renewed delivery race):
+			// keep the newer payload, still count the publishes.
+			f.shared, f.version = p.shared, p.version
+		}
 	}
-	mb.pending = &n
+	mb.pending = f
 	mb.mu.Unlock()
 	select {
 	case mb.signal <- struct{}{}:
@@ -203,15 +205,12 @@ func (mb *leaseMailbox) Deliver(u replication.Update) {
 }
 
 // take pops the pending frame, if any.
-func (mb *leaseMailbox) take() (Notification, bool) {
+func (mb *leaseMailbox) take() (frame, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	if mb.pending == nil {
-		return Notification{}, false
-	}
-	n := *mb.pending
-	mb.pending = nil
-	return n, true
+	f := mb.pending
+	mb.pending = frame{}
+	return f, f.shared != nil
 }
 
 // close marks the mailbox released and wakes any waiting handler.
@@ -245,20 +244,6 @@ func (s *Server) releaseMailbox(id string) {
 	}
 }
 
-func (s *Server) maxLeaseTTL() time.Duration {
-	if s.MaxLeaseTTL > 0 {
-		return s.MaxLeaseTTL
-	}
-	return DefaultMaxLeaseTTL
-}
-
-func (s *Server) heartbeat() time.Duration {
-	if s.StreamHeartbeat > 0 {
-		return s.StreamHeartbeat
-	}
-	return DefaultStreamHeartbeat
-}
-
 // leaseTTL normalizes a requested TTL in seconds against the server's
 // default and ceiling.
 func (s *Server) leaseTTL(seconds float64) time.Duration {
@@ -266,7 +251,7 @@ func (s *Server) leaseTTL(seconds float64) time.Duration {
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	if limit := s.maxLeaseTTL(); ttl > limit {
+	if limit := cmp.Or(max(s.MaxLeaseTTL, 0), DefaultMaxLeaseTTL); ttl > limit {
 		ttl = limit
 	}
 	return ttl
@@ -321,7 +306,6 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	mb.leaseID = l.ID
 	if req.HaveVersion > 0 {
 		l.AckVersion(req.HaveVersion)
 	}
@@ -337,7 +321,9 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.leaseInfo(l, ttl))
 }
 
-// handleLeaseByID routes /leases/{id}[/stream|/poll|/renew|/ack].
+// handleLeaseByID routes /leases/{id}[/stream|/poll|/renew|/ack]. It
+// resolves the lease and its mailbox once for every route: unknown ids are
+// 404, expired leases 410 Gone (re-subscribe, don't retry).
 func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/leases/")
 	id, action, _ := strings.Cut(rest, "/")
@@ -345,27 +331,41 @@ func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("missing lease id"))
 		return
 	}
+	l, ok := s.Leases.LeaseByID(id)
+	mb, hasBox := s.mailbox(id)
+	if !ok || !hasBox {
+		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("%w: %q", replication.ErrLeaseNotFound, id))
+		return
+	}
 	switch {
 	case action == "stream" && r.Method == http.MethodGet:
-		s.handleLeaseStream(w, r, id)
+		s.handleLeaseStream(w, r, l, mb)
 	case action == "poll" && r.Method == http.MethodGet:
-		s.handleLeasePoll(w, r, id)
+		s.handleLeasePoll(w, r, l, mb)
 	case action == "renew" && r.Method == http.MethodPost:
-		s.handleLeaseRenew(w, r, id)
-	case action == "ack" && r.Method == http.MethodPost:
-		s.handleLeaseAck(w, r, id)
-	case action == "" && r.Method == http.MethodDelete:
-		if err := s.Leases.CancelByID(id); err != nil {
-			s.writeLeaseError(w, r, err)
+		var req renewRequest
+		if err := decodeJSONBody(r, &req); err != nil {
+			s.writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
+		ttl := s.leaseTTL(req.TTLSeconds)
+		if err := s.Leases.Renew(l, ttl); err != nil {
+			s.writeError(w, r, http.StatusGone, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, s.leaseInfo(l, ttl))
+	case action == "ack" && r.Method == http.MethodPost:
+		var req ackRequest
+		if err := decodeJSONBody(r, &req); err != nil {
+			s.writeError(w, r, http.StatusBadRequest, err)
+			return
+		}
+		l.AckVersion(req.Version)
+		writeJSON(w, http.StatusOK, map[string]string{"status": "acked"})
+	case action == "" && r.Method == http.MethodDelete:
+		s.Leases.Cancel(l)
 		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
 	case action == "" && r.Method == http.MethodGet:
-		l, ok := s.Leases.LeaseByID(id)
-		if !ok {
-			s.writeLeaseError(w, r, replication.ErrLeaseNotFound)
-			return
-		}
 		writeJSON(w, http.StatusOK, s.leaseInfo(l, time.Until(l.Expires())))
 	default:
 		s.writeError(w, r, http.StatusMethodNotAllowed,
@@ -373,63 +373,12 @@ func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeLeaseError maps lease lifecycle errors onto statuses: unknown ids
-// are 404, expired leases are 410 Gone (re-subscribe, don't retry).
-func (s *Server) writeLeaseError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, replication.ErrLeaseNotFound):
-		s.writeError(w, r, http.StatusNotFound, err)
-	case errors.Is(err, replication.ErrLeaseExpired):
-		s.writeError(w, r, http.StatusGone, err)
-	default:
-		s.writeError(w, r, http.StatusInternalServerError, err)
-	}
-}
-
-func (s *Server) handleLeaseRenew(w http.ResponseWriter, r *http.Request, id string) {
-	var req renewRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	ttl := s.leaseTTL(req.TTLSeconds)
-	l, err := s.Leases.RenewByID(id, ttl)
-	if err != nil {
-		s.writeLeaseError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.leaseInfo(l, ttl))
-}
-
-func (s *Server) handleLeaseAck(w http.ResponseWriter, r *http.Request, id string) {
-	var req ackRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.Leases.AckByID(id, req.Version); err != nil {
-		s.writeLeaseError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "acked"})
-}
-
 // handleLeaseStream serves GET /leases/{id}/stream as Server-Sent
 // Events: a `lease` event with the grant, then one `update` event per
 // coalesced frame, heartbeat comments while idle, and an `end` event
 // when the lease leaves the registry. The write deadline is cleared so
 // a server-wide WriteTimeout cannot kill long-lived streams.
-func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, id string) {
-	l, ok := s.Leases.LeaseByID(id)
-	if !ok {
-		s.writeLeaseError(w, r, replication.ErrLeaseNotFound)
-		return
-	}
-	mb, ok := s.mailbox(id)
-	if !ok {
-		s.writeLeaseError(w, r, replication.ErrLeaseNotFound)
-		return
-	}
+func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *replication.Lease, mb *leaseMailbox) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		s.writeError(w, r, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
@@ -447,13 +396,13 @@ func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, id st
 	}
 	flusher.Flush()
 
-	beat := time.NewTicker(s.heartbeat())
+	beat := time.NewTicker(cmp.Or(max(s.StreamHeartbeat, 0), DefaultStreamHeartbeat))
 	defer beat.Stop()
 	for {
 		// Drain the slot before sleeping: a frame may have landed between
 		// the last write and re-arming the signal.
-		if n, ok := mb.take(); ok {
-			if err := writeSSE(w, "update", n); err != nil {
+		if f, ok := mb.take(); ok {
+			if err := f.writeTo(w, "event: update\ndata: ", "\n\n", l.ID, mb.mode); err != nil {
 				return
 			}
 			flusher.Flush()
@@ -463,7 +412,7 @@ func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, id st
 		case <-r.Context().Done():
 			return
 		case <-mb.done:
-			_ = writeSSE(w, "end", map[string]string{"lease_id": id})
+			_ = writeSSE(w, "end", map[string]string{"lease_id": l.ID})
 			flusher.Flush()
 			return
 		case <-mb.signal:
@@ -490,16 +439,7 @@ func writeSSE(w http.ResponseWriter, event string, v any) error {
 // flavor of the stream. An available frame returns immediately; otherwise
 // the request parks until a frame lands, the wait elapses (204), or the
 // lease is released (410).
-func (s *Server) handleLeasePoll(w http.ResponseWriter, r *http.Request, id string) {
-	if _, ok := s.Leases.LeaseByID(id); !ok {
-		s.writeLeaseError(w, r, replication.ErrLeaseNotFound)
-		return
-	}
-	mb, ok := s.mailbox(id)
-	if !ok {
-		s.writeLeaseError(w, r, replication.ErrLeaseNotFound)
-		return
-	}
+func (s *Server) handleLeasePoll(w http.ResponseWriter, r *http.Request, l *replication.Lease, mb *leaseMailbox) {
 	wait := DefaultLongPollWait
 	if ws := r.URL.Query().Get("wait"); ws != "" {
 		d, err := time.ParseDuration(ws)
@@ -516,15 +456,17 @@ func (s *Server) handleLeasePoll(w http.ResponseWriter, r *http.Request, id stri
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	for {
-		if n, ok := mb.take(); ok {
-			writeJSON(w, http.StatusOK, n)
+		if f, ok := mb.take(); ok {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			_ = f.writeTo(w, "", "", l.ID, mb.mode) // a failed write is the client hanging up
 			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-mb.done:
-			s.writeError(w, r, http.StatusGone, fmt.Errorf("%w: %q", replication.ErrLeaseExpired, id))
+			s.writeError(w, r, http.StatusGone, fmt.Errorf("%w: %q", replication.ErrLeaseExpired, l.ID))
 			return
 		case <-deadline.C:
 			w.WriteHeader(http.StatusNoContent)

@@ -3,13 +3,16 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"coda/internal/darr"
 	"coda/internal/replication"
@@ -298,5 +301,110 @@ func TestLeaseManyStreamsConcurrentPublish(t *testing.T) {
 	wg.Wait()
 	if st := m.Stats(); st.ActiveLeases != 0 {
 		t.Fatalf("%d leases active after cancelling all", st.ActiveLeases)
+	}
+}
+
+// Regression (PR 16): the mailbox used to learn its lease id after
+// Subscribe had already made the lease visible to Publish, so a PUT landing
+// in between was a data race and a frame with an empty lease_id. Publish in
+// a tight loop while leases are created over HTTP; every frame any of them
+// receives must carry its own id. Run under -race.
+func TestLeaseFramesCarryOwnIDUnderPublishRace(t *testing.T) {
+	// A synchronous manager delivers on the publisher's goroutine, the
+	// tightest interleaving with the handler that is creating the lease.
+	c, m, _, _ := newLeaseServer(t, replication.Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	stop := make(chan struct{})
+	var publishers sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		publishers.Add(1)
+		go func(p int) {
+			defer publishers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := m.Publish("hot", []byte(fmt.Sprintf("p%d-v%d", p, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p)
+	}
+	modes := []string{"notify", "delta", "value"}
+	for i := 0; i < 150; i++ {
+		info, err := c.Subscribe(ctx, "hot", modes[i%3], time.Minute, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// With the publishers still running the lease has a frame coming —
+		// most likely one delivered while the grant was still in flight.
+		n, ok, err := c.PollLease(ctx, info.LeaseID, 5*time.Second)
+		if err != nil || !ok {
+			t.Fatalf("lease %d: poll ok=%v err=%v", i, ok, err)
+		}
+		if n.LeaseID != info.LeaseID {
+			t.Fatalf("lease %d (%s) received a frame stamped %q", i, info.LeaseID, n.LeaseID)
+		}
+		if n.Mode != modes[i%3] || n.Key != "hot" || n.Version == 0 || n.Coalesced < 1 {
+			t.Fatalf("lease %d: frame %+v", i, n)
+		}
+		if err := c.CancelLease(ctx, info.LeaseID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	publishers.Wait()
+}
+
+// Deterministic cost ceiling (ROADMAP 7a): a frame that lands in 64
+// mailboxes is serialized once — every mailbox holds a reference to the same
+// bytes — and what each lease's handler writes is still its own complete
+// Notification around them.
+func TestFrameEncodedOncePerGroup(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 64})
+	m := replication.NewManager(hs, nil)
+	payload := bytes.Repeat([]byte("push-tier "), 400)
+	boxes := make([]*leaseMailbox, 64)
+	for i := range boxes {
+		boxes[i] = newLeaseMailbox(replication.PushValue)
+		if _, err := m.Subscribe("doc", fmt.Sprintf("c%d", i), replication.PushValue, time.Minute, boxes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Publish("doc", payload); err != nil {
+		t.Fatal(err)
+	}
+	var shared *byte
+	for i, mb := range boxes {
+		f, ok := mb.take()
+		if !ok {
+			t.Fatalf("mailbox %d is empty", i)
+		}
+		if p := unsafe.SliceData(f.shared); i == 0 {
+			shared = p
+		} else if p != shared {
+			t.Fatalf("mailbox %d holds its own encoding of the frame; want the one mailbox 0 holds", i)
+		}
+		var out strings.Builder
+		id := fmt.Sprintf("lease-%d", i)
+		if err := f.writeTo(&out, "", "", id, mb.mode); err != nil {
+			t.Fatal(err)
+		}
+		var n Notification
+		if err := json.Unmarshal([]byte(out.String()), &n); err != nil {
+			t.Fatalf("mailbox %d wrote invalid JSON: %v\n%s", i, err, out.String())
+		}
+		reply, err := n.Reply()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.LeaseID != id || n.Mode != "value" || n.Coalesced != 1 || n.Version != 1 || !bytes.Equal(reply.Full, payload) {
+			t.Fatalf("mailbox %d wrote %+v", i, n)
+		}
 	}
 }

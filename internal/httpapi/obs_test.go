@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"coda/internal/mlmodels"
 	"coda/internal/obs"
 	"coda/internal/preprocess"
+	"coda/internal/replication"
 	"coda/internal/store"
 )
 
@@ -106,7 +108,7 @@ func TestRequestIDInBothLogs(t *testing.T) {
 // TestMetricsEndpoint exercises the server scrape after real traffic and
 // checks the exposition covers the families the dashboards rely on.
 func TestMetricsEndpoint(t *testing.T) {
-	client, _, _, ts := newTestServer(t)
+	client, leases, _, ts := newLeaseServer(t, replication.Config{Workers: 2})
 	ctx := context.Background()
 
 	key := core.UnitKey("fpm", "spec", "eval")
@@ -125,20 +127,54 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := client.PullObject(ctx, store.NewReplica(), "obj"); err != nil {
 		t.Fatal(err)
 	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
+	// A leased PUT: three leases in two (mode, acked version) groups, so
+	// the scrape shows three pushes from two update builds.
+	for _, mode := range []string{"delta", "delta", "notify"} {
+		if _, err := client.Subscribe(ctx, "obj", mode, time.Minute, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("content type %q", ct)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	// series sums the samples of one family (all label sets) in a scrape.
+	series := func(body, family string) (sum float64) {
+		for _, line := range strings.Split(body, "\n") {
+			if name, value, ok := strings.Cut(line, " "); ok && (name == family || strings.HasPrefix(name, family+"{")) {
+				v, err := strconv.ParseFloat(value, 64)
+				if err != nil {
+					t.Fatalf("sample %q: %v", line, err)
+				}
+				sum += v
+			}
+		}
+		return sum
+	}
+	before := scrape()
+	if _, err := client.PutObject(ctx, "obj", bytes.Repeat([]byte("z"), 4096)); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q", ct)
+	leases.Flush()
+	body := scrape()
+	if got := series(body, "coda_replication_pushes_total") - series(before, "coda_replication_pushes_total"); got != 3 {
+		t.Errorf("coda_replication_pushes_total moved by %v over a PUT to 3 leases, want 3", got)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	if got := series(body, "coda_replication_update_builds_total") - series(before, "coda_replication_update_builds_total"); got != 2 {
+		t.Errorf("coda_replication_update_builds_total moved by %v for 2 groups, want 2", got)
 	}
-	body := string(raw)
 	for _, family := range []string{
 		"coda_darr_lookups_total",
 		`coda_darr_hits_total`,
@@ -150,6 +186,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"coda_breaker_transitions_total",
 		`coda_http_requests_total{route="darr-records"`,
 		"coda_uptime_seconds",
+		"coda_replication_update_builds_total",
+		"coda_replication_fanout_queue_depth",
+		"coda_replication_fanout_seconds_bucket",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("scrape missing %s", family)

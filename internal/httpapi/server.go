@@ -515,19 +515,29 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 		// bandwidth question the paper's data tier exists to answer.
 		sp.SetAttr(trace.String("kind", reply.Kind()), trace.Int("wire_bytes", reply.WireBytes()))
 		sp.End()
-		out := objectReply{Key: reply.Key, Version: reply.Version, BaseVersion: reply.BaseVersion, Unchanged: reply.Unchanged}
-		switch {
-		case reply.Unchanged:
-			// no payload
-		case reply.IsDelta():
-			out.Delta = base64.StdEncoding.EncodeToString(reply.Delta.Marshal())
-		default:
-			out.Full = base64.StdEncoding.EncodeToString(reply.Full)
-		}
-		writeJSON(w, http.StatusOK, out)
+		writeJSON(w, http.StatusOK, replyToWire(reply.Key, reply.Version, reply))
 	default:
 		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
+}
+
+// replyToWire puts a reply (nil for a payload-free push notification) into
+// its wire form — the one encoding the pull API and pushed frames share.
+func replyToWire(key string, version uint64, r *store.Reply) objectReply {
+	out := objectReply{Key: key, Version: version}
+	if r == nil {
+		return out
+	}
+	out.BaseVersion, out.Unchanged = r.BaseVersion, r.Unchanged
+	switch {
+	case r.Unchanged:
+		// no payload
+	case r.IsDelta():
+		out.Delta = base64.StdEncoding.EncodeToString(r.Delta.Marshal())
+	default:
+		out.Full = base64.StdEncoding.EncodeToString(r.Full)
+	}
+	return out
 }
 
 // decodeReply converts the wire form back into a store.Reply.

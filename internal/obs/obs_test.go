@@ -102,6 +102,28 @@ func TestLabeledHistogramBuckets(t *testing.T) {
 	}
 }
 
+// ObserveAll is Observe over a batch: same buckets, same sum, whatever the
+// order of the values, and nothing at all for an empty batch.
+func TestObserveAllMatchesObserve(t *testing.T) {
+	r := NewRegistry()
+	one := r.Histogram("one_seconds", []float64{0.001, 0.01, 0.1})
+	all := r.Histogram("all_seconds", []float64{0.001, 0.01, 0.1})
+	vs := []float64{0.0005, 0.0007, 0.05, 0.05, 0.002, 7, 0.0001, 0.1}
+	for _, v := range vs {
+		one.Observe(v)
+	}
+	all.ObserveAll(vs)
+	all.ObserveAll(nil)
+	if one.Count() != all.Count() || one.Sum() != all.Sum() {
+		t.Fatalf("count %d vs %d, sum %v vs %v", one.Count(), all.Count(), one.Sum(), all.Sum())
+	}
+	for i := range one.counts {
+		if a, b := one.counts[i].Load(), all.counts[i].Load(); a != b {
+			t.Fatalf("bucket %d: Observe %d, ObserveAll %d", i, a, b)
+		}
+	}
+}
+
 func TestGetOrCreateReturnsSameMetric(t *testing.T) {
 	r := NewRegistry()
 	if r.Counter("x_total") != r.Counter("x_total") {

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"coda/internal/store"
@@ -59,7 +60,7 @@ func (m *Manager) async() bool { return m.cfg.Workers > 0 }
 // ManagerStats is a point-in-time snapshot of the serving tier.
 type ManagerStats struct {
 	ActiveLeases int `json:"active_leases"`
-	QueueDepth   int `json:"queue_depth"`
+	QueueDepth   int `json:"queue_depth"` // leases holding a frame not yet handed over
 	Workers      int `json:"workers"`
 }
 
@@ -68,10 +69,7 @@ func (m *Manager) Stats() ManagerStats {
 	m.mu.Lock()
 	active := len(m.byID)
 	m.mu.Unlock()
-	m.qmu.Lock()
-	depth := len(m.queue)
-	m.qmu.Unlock()
-	return ManagerStats{ActiveLeases: active, QueueDepth: depth, Workers: m.cfg.Workers}
+	return ManagerStats{ActiveLeases: active, QueueDepth: int(m.inflight.Load()), Workers: m.cfg.Workers}
 }
 
 // Close stops the worker pool and the sweeper after draining already
@@ -98,20 +96,61 @@ func (m *Manager) Close() {
 // a quiesced fanout.
 func (m *Manager) Flush() {
 	m.qmu.Lock()
-	for m.inflight > 0 {
+	for m.inflight.Load() > 0 {
 		m.qcond.Wait()
 	}
 	m.qmu.Unlock()
 }
 
-// enqueuePending merges one publish into the lease's coalescing slot and
-// schedules a delivery when the lease is idle. Called with no locks held.
-func (m *Manager) enqueuePending(l *Lease, version uint64, now time.Time) {
-	l.mu.Lock()
-	if l.cancelled {
-		l.mu.Unlock()
-		return
+// fanoutJob is one publish's share of the fanout: the leases it moved from
+// idle to queued, the cursor workers claim them through one at a time (so a
+// blocked Deliver holds one worker and one lease, never the rest), and the
+// memo of group builds they share. Synchronous managers use only the memo.
+type fanoutJob struct {
+	leases []*Lease
+	next   atomic.Int64
+
+	mu     sync.Mutex
+	frames map[frameKey]*sharedFrame
+	last   atomic.Pointer[sharedFrame] // the latest build, readable without mu
+}
+
+// tally is a worker's own ledger: its latest clock reading and what its run
+// of deliveries owes the state all workers share. It is posted once per pass,
+// so two workers on one job trade only the job's cursor between their CPUs;
+// posted per lease, the counters' cache lines cost more than the deliveries.
+type tally struct {
+	now    time.Time
+	n      int64 // leases through the pipeline (async only)
+	pushes [PushNotify + 1]int64
+	bytes  int64
+	lat    []float64 // publish-to-delivery seconds (async only)
+}
+
+// post adds the tally to the shared counters, retires its leases from the
+// pipeline — waking Flush on the last one — and empties it.
+func (m *Manager) post(t *tally) {
+	for mode := PushValue; mode <= PushNotify; mode++ {
+		mPushes[mode].Add(t.pushes[mode])
 	}
+	mPushBytes.Add(t.bytes)
+	mFanoutSeconds.ObserveAll(t.lat)
+	if t.n > 0 {
+		left := m.inflight.Add(-t.n)
+		mQueueDepth.Set(float64(left))
+		if left == 0 {
+			m.qmu.Lock()
+			m.qcond.Broadcast()
+			m.qmu.Unlock()
+		}
+	}
+	*t = tally{lat: t.lat[:0]}
+}
+
+// merge folds one publish into the lease's coalescing slot (l.mu held) and
+// reports whether the lease went idle→queued and so needs a place in the
+// publish's job, after delay when the coalescing window demands spacing.
+func (m *Manager) merge(l *Lease, version uint64, now time.Time) (queued bool, delay time.Duration) {
 	if l.pendCount == 0 {
 		l.pendSince = now
 	} else {
@@ -122,88 +161,91 @@ func (m *Manager) enqueuePending(l *Lease, version uint64, now time.Time) {
 		l.pendVersion = version
 	}
 	if l.state != leaseIdle {
-		// Already queued or being delivered; the pending slot will be
-		// picked up by the worker's post-delivery check.
-		l.mu.Unlock()
-		return
+		return false, 0
 	}
 	l.state = leaseQueued
-	var delay time.Duration
 	if w := m.cfg.CoalesceWindow; w > 0 && !l.lastDeliver.IsZero() {
 		delay = w - now.Sub(l.lastDeliver)
 	}
-	l.mu.Unlock()
-	m.push(l, delay)
+	return true, delay
 }
 
-// push hands a queued lease to the worker pool, after delay when the
+// enqueue hands queued leases to the worker pool as one job — one lock
+// acquisition and one wake however many there are — after delay when the
 // coalescing window demands spacing.
-func (m *Manager) push(l *Lease, delay time.Duration) {
-	m.qmu.Lock()
-	m.inflight++
-	m.qmu.Unlock()
-	if delay > 0 {
-		time.AfterFunc(delay, func() { m.pushNow(l) })
+func (m *Manager) enqueue(leases []*Lease, delay time.Duration) {
+	if len(leases) == 0 {
 		return
 	}
-	m.pushNow(l)
+	j := &fanoutJob{leases: leases}
+	mQueueDepth.Set(float64(m.inflight.Add(int64(len(leases)))))
+	if delay > 0 {
+		time.AfterFunc(delay, func() { m.enqueueNow(j) })
+		return
+	}
+	m.enqueueNow(j)
 }
 
-func (m *Manager) pushNow(l *Lease) {
+func (m *Manager) enqueueNow(j *fanoutJob) {
 	m.qmu.Lock()
 	if m.closed {
-		m.inflight--
-		m.qcond.Broadcast()
 		m.qmu.Unlock()
-		l.mu.Lock()
-		l.state = leaseIdle
-		l.pendCount, l.pendVersion = 0, 0
-		l.mu.Unlock()
+		for _, l := range j.leases {
+			l.mu.Lock()
+			l.state = leaseIdle
+			l.pendCount, l.pendVersion = 0, 0
+			l.mu.Unlock()
+		}
+		m.post(&tally{n: int64(len(j.leases))})
 		return
 	}
-	m.queue = append(m.queue, l)
-	mQueueDepth.Set(float64(len(m.queue)))
+	m.jobs = append(m.jobs, j)
 	m.qcond.Broadcast()
 	m.qmu.Unlock()
 }
 
-// worker drains the fanout queue: take a lease, deliver its coalesced
-// frame, re-queue it if more publishes arrived meanwhile.
+// worker drains the fanout queue: take the head job, claim its leases one
+// by one alongside the other workers, and retire the job once its cursor
+// runs out. The queue lock is taken once per job, not per lease.
 func (m *Manager) worker() {
 	defer m.workers.Done()
+	var spent *fanoutJob // the job this worker last found exhausted
+	var t tally
 	for {
 		m.qmu.Lock()
-		for len(m.queue) == 0 && !m.closed {
+		if len(m.jobs) > 0 && m.jobs[0] == spent {
+			m.jobs[0] = nil
+			m.jobs = m.jobs[1:]
+		}
+		for len(m.jobs) == 0 && !m.closed {
 			m.qcond.Wait()
 		}
-		if len(m.queue) == 0 {
+		if len(m.jobs) == 0 {
 			m.qmu.Unlock()
 			return
 		}
-		l := m.queue[0]
-		m.queue = m.queue[1:]
-		mQueueDepth.Set(float64(len(m.queue)))
+		j := m.jobs[0]
 		m.qmu.Unlock()
 
-		m.deliverPending(l)
-
-		m.qmu.Lock()
-		m.inflight--
-		if m.inflight == 0 {
-			m.qcond.Broadcast()
+		t.now = m.now()
+		for i := j.next.Add(1); i <= int64(len(j.leases)); i = j.next.Add(1) {
+			m.deliverPending(j, j.leases[i-1], &t)
+			t.n++
 		}
-		m.qmu.Unlock()
+		if t.n > 0 {
+			m.post(&t)
+		}
+		spent = j
 	}
 }
 
-// deliverPending swaps out the lease's coalescing slot, builds the update
-// against the store's current state, and delivers it. Failures and panics
-// are counted and isolated to this lease; other leases' frames ride other
-// queue entries.
-func (m *Manager) deliverPending(l *Lease) {
-	now := m.now()
+// deliverPending swaps out the lease's coalescing slot and pushes it as one
+// frame, built against the store's current state by the first lease of the
+// group to get here. The clock is read once per lease, after the delivery
+// comes back, and kept in the tally for the next lease's expiry check.
+func (m *Manager) deliverPending(j *fanoutJob, l *Lease, t *tally) {
 	l.mu.Lock()
-	if l.cancelled || now.After(l.expires) {
+	if l.cancelled || t.now.After(l.expires) {
 		expired := !l.cancelled
 		l.state = leaseIdle
 		l.pendCount, l.pendVersion = 0, 0
@@ -214,35 +256,29 @@ func (m *Manager) deliverPending(l *Lease) {
 		}
 		return
 	}
-	count := l.pendCount
-	version := l.pendVersion
-	since := l.pendSince
+	count, version, since := l.pendCount, l.pendVersion, l.pendSince
+	k, sub := l.groupLocked(), l.sub
 	l.pendCount, l.pendVersion = 0, 0
 	l.state = leaseDelivering
 	l.mu.Unlock()
 
-	u, err := m.buildUpdate(l, l.Key, version)
-	if err != nil {
-		mPushErrors.Inc()
-		m.logger().Warn("building push update failed",
-			"key", l.Key, "client", l.ClientID, "lease", l.ID, "err", err)
-	} else {
-		u.Coalesced = count
-		if derr := m.deliverOne(l, u); derr == nil {
-			mFanoutSeconds.Observe(m.now().Sub(since).Seconds())
-		}
-	}
+	wire, err := m.push(j, l, k, sub, version, count)
+	t.now = m.now()
 
 	l.mu.Lock()
-	l.lastDeliver = m.now()
-	if l.pendCount > 0 && !l.cancelled {
-		l.state = leaseQueued
-		l.mu.Unlock()
-		m.push(l, m.cfg.CoalesceWindow)
-		return
+	if err == nil {
+		l.book(count, wire, t)
+		t.lat = append(t.lat, t.now.Sub(since).Seconds())
 	}
-	l.state = leaseIdle
+	l.lastDeliver, l.state = t.now, leaseIdle
+	again := l.pendCount > 0 && !l.cancelled
+	if again {
+		l.state = leaseQueued
+	}
 	l.mu.Unlock()
+	if again {
+		m.enqueue([]*Lease{l}, m.cfg.CoalesceWindow)
+	}
 }
 
 // sweeper periodically prunes expired leases on idle keys.

@@ -13,7 +13,7 @@ import (
 )
 
 // flakyStore wraps an ObjectStore and fails Get while armed — the lever
-// for forcing buildUpdate errors against specific leases.
+// for forcing update-build errors against specific leases.
 type flakyStore struct {
 	store.ObjectStore
 	mu       sync.Mutex
@@ -39,7 +39,15 @@ func (f *flakyStore) arm(n int) {
 	f.mu.Unlock()
 }
 
-// Regression (PR 8): a buildUpdate error for one lease must not starve the
+// registered reports how many leases the registry holds for key,
+// regardless of expiry — the memory-accounting view Sweep maintains.
+func (m *Manager) registered(key string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.leases[key])
+}
+
+// Regression (PR 8): an update-build error for one lease must not starve the
 // remaining subscribers — PublishCtx used to return on the first failure.
 func TestPublishContinuesPastFailingSubscriber(t *testing.T) {
 	fs := &flakyStore{ObjectStore: store.NewHomeStore(store.Options{BlockSize: 32})}
@@ -248,7 +256,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // Tentpole: with the worker pool, Publish enqueues and returns — a
 // stalled subscriber occupies one worker, every other lease still gets
-// its frame, and the publisher never blocks.
+// its frame, and the publisher never blocks. All three leases ride one
+// fanout job: the stalled one holds its own claim, not the job.
 func TestAsyncPublishNotBlockedBySlowSubscriber(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 32})
 	m := NewManagerWith(hs, nil, Config{Workers: 2})
@@ -260,6 +269,10 @@ func TestAsyncPublishNotBlockedBySlowSubscriber(t *testing.T) {
 	fast := &collector{}
 	fastLease, err := m.Subscribe("o1", "fast", PushValue, time.Hour, fast)
 	if err != nil {
+		t.Fatal(err)
+	}
+	behind := &collector{}
+	if _, err := m.Subscribe("o1", "behind", PushValue, time.Hour, behind); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
@@ -276,6 +289,10 @@ func TestAsyncPublishNotBlockedBySlowSubscriber(t *testing.T) {
 	}
 	<-slow.entered // the stalled delivery is in flight...
 	waitFor(t, "fast subscriber's frame", func() bool { return fast.count() == 1 })
+	waitFor(t, "the frame of the lease queued behind both", func() bool { return behind.count() == 1 })
+	if fast.last().Reply != behind.last().Reply {
+		t.Fatal("two leases of one group and one job got different Reply objects")
+	}
 	if fastLease.Deliveries() != 1 {
 		t.Fatal("fast lease delivery not accounted")
 	}
@@ -393,41 +410,21 @@ func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
 	}
 }
 
-func TestByIDOperations(t *testing.T) {
-	_, m, clock := setup()
-	col := &collector{}
-	l, err := m.Subscribe("o1", "c1", PushDelta, time.Minute, col)
+func TestLeaseByID(t *testing.T) {
+	_, m, _ := setup()
+	l, err := m.Subscribe("o1", "c1", PushDelta, time.Minute, &collector{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := m.LeaseByID(l.ID); !ok || got != l {
 		t.Fatal("LeaseByID lost the lease")
 	}
-	clock.Advance(30 * time.Second)
-	if _, err := m.RenewByID(l.ID, time.Minute); err != nil {
-		t.Fatal(err)
+	if _, ok := m.LeaseByID("no-such-id"); ok {
+		t.Fatal("LeaseByID resolved an unknown id")
 	}
-	clock.Advance(45 * time.Second)
-	if l.Expired(clock.Now()) {
-		t.Fatal("renewal by id did not extend the lease")
-	}
-	if err := m.AckByID(l.ID, 7); err != nil {
-		t.Fatal(err)
-	}
-	l.mu.Lock()
-	ack := l.ackVersion
-	l.mu.Unlock()
-	if ack != 7 {
-		t.Fatalf("ack by id recorded %d, want 7", ack)
-	}
-	if err := m.CancelByID(l.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CancelByID(l.ID); !errors.Is(err, ErrLeaseNotFound) {
-		t.Fatalf("cancel of a released id: %v, want ErrLeaseNotFound", err)
-	}
-	if _, err := m.RenewByID("no-such-id", time.Minute); !errors.Is(err, ErrLeaseNotFound) {
-		t.Fatalf("renew unknown id: %v", err)
+	m.Cancel(l)
+	if _, ok := m.LeaseByID(l.ID); ok {
+		t.Fatal("cancelled lease still resolvable by id")
 	}
 }
 
@@ -509,6 +506,7 @@ func TestLeaseChurnStressRace(t *testing.T) {
 	}
 	wg.Wait()
 	m.Flush()
+	assertHotKeyScanHoldsNoRegistryLock(t, m)
 	clock.Advance(2 * time.Minute)
 	m.Sweep()
 	if st := m.Stats(); st.ActiveLeases != 0 {
@@ -519,6 +517,70 @@ func TestLeaseChurnStressRace(t *testing.T) {
 			t.Fatalf("key k%d still holds %d leases", k, n)
 		}
 	}
+}
+
+// assertHotKeyScanHoldsNoRegistryLock parks a publish storm in the middle
+// of a 10k-lease key's expiry scan — by holding one of its leases' locks —
+// and requires every registry operation on a cold key to complete while the
+// storm is parked. The bound is structural, not a wall-clock threshold: a
+// Publish that scanned under the registry lock would hold it until the
+// lease lock is released, which happens only after the cold-key calls
+// return. (The timeout below only turns that deadlock into a failure.) The
+// watchers' leases are left to lapse with the caller's next clock advance.
+func assertHotKeyScanHoldsNoRegistryLock(t *testing.T, m *Manager) {
+	t.Helper()
+	const hot, watchers, publishers = "hot", 10_000, 4
+	var parked *Lease
+	for i := 0; i < watchers; i++ {
+		l, err := m.Subscribe(hot, "watcher", PushNotify, 30*time.Second, &collector{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == watchers/2 {
+			parked = l
+		}
+	}
+	parked.mu.Lock()
+	var storm sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		storm.Add(1)
+		go func(p int) {
+			defer storm.Done()
+			if _, err := m.Publish(hot, []byte(fmt.Sprintf("storm-%d", p))); err != nil {
+				t.Error(err)
+			}
+		}(p)
+	}
+	// Every publisher has committed its write, so each is in (or about to
+	// enter) the scan that stops at the parked lease.
+	waitFor(t, "the storm's store writes", func() bool {
+		v, err := m.store.Current(hot)
+		return err == nil && v.Num == publishers
+	})
+	cold := make(chan error, 1)
+	go func() {
+		l, err := m.Subscribe("cold", "bystander", PushNotify, time.Minute, &collector{})
+		if err == nil {
+			if _, ok := m.LeaseByID(l.ID); !ok {
+				err = fmt.Errorf("cold-key lease not resolvable by id")
+			}
+		}
+		if err == nil {
+			m.Cancel(l)
+		}
+		cold <- err
+	}()
+	select {
+	case err := <-cold:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Subscribe/LeaseByID/Cancel on a cold key waited behind a hot key's publish scan")
+	}
+	parked.mu.Unlock()
+	storm.Wait()
+	m.Flush()
 }
 
 func TestMonitorObserveUpdate(t *testing.T) {
@@ -535,5 +597,49 @@ func TestMonitorObserveUpdate(t *testing.T) {
 	mon.ObserveUpdate(Update{Notify: true, Coalesced: 3})
 	if !mon.Check() {
 		t.Fatal("trigger should fire at 11 > 10 updates")
+	}
+}
+
+// Workers book their deliveries into a private tally and post it when their
+// pass ends, so the shared counters lag a pass that is stuck — but the queue
+// depth never under-counts (every lease of the job is still in the pipeline
+// while one Deliver blocks), and by the time Flush returns everything a pass
+// delivered has been posted: pushes, bytes, latency observations, and a
+// depth of zero.
+func TestTallyPostedBeforeFlushReturns(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 32})
+	m := NewManagerWith(hs, nil, Config{Workers: 1})
+	defer m.Close()
+	slow := newBlockingSubscriber()
+	if _, err := m.Subscribe("k", "slow", PushNotify, time.Hour, slow); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := m.Subscribe("k", fmt.Sprintf("c%d", i), PushValue, time.Hour, &collector{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pushes := func() int64 { return mPushes[PushValue].Value() + mPushes[PushNotify].Value() }
+	pushes0, bytes0, lat0 := pushes(), mPushBytes.Value(), mFanoutSeconds.Count()
+	if _, err := m.Publish("k", []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	<-slow.entered
+	if got := m.Stats().QueueDepth; got != 5 {
+		t.Fatalf("queue depth %d with one delivery stuck and four behind it, want 5", got)
+	}
+	close(slow.release)
+	m.Flush()
+	if got := m.Stats().QueueDepth; got != 0 {
+		t.Fatalf("queue depth %d after Flush, want 0", got)
+	}
+	if got := pushes() - pushes0; got != 5 {
+		t.Fatalf("pushes_total moved by %d over 5 deliveries", got)
+	}
+	if got, want := mPushBytes.Value()-bytes0, int64(notifyWireBytes+4*len("payload")); got != want {
+		t.Fatalf("push_bytes_total moved by %d, want %d", got, want)
+	}
+	if got := mFanoutSeconds.Count() - lat0; got != 5 {
+		t.Fatalf("fanout_seconds gained %d observations over 5 deliveries", got)
 	}
 }

@@ -14,25 +14,31 @@
 // re-running analytics is warranted: update count, update bytes, or an
 // application-specific predicate.
 //
-// A Manager fans out in one of two modes. The default (Config.Workers == 0)
-// delivers synchronously inside Publish — simple, and right for in-process
-// consumers like the experiments. With Config.Workers > 0 the manager runs
-// a bounded worker pool over per-lease coalescing slots: Publish merges the
-// update into each lease's pending slot and returns immediately, so a slow,
-// failing, or panicking subscriber never stalls the publisher or any other
-// lease, and a burst of updates to a hot object collapses into one frame
-// per lease carrying the latest version and the accumulated change size.
-// That is the serving tier behind httpapi's SSE/long-poll lease endpoints.
+// A Manager turns each publish into one fanout job: the key's live leases,
+// plus a memo of updates keyed by (mode, acknowledged version). Leases that
+// share a group share one build — one store read — and are handed the same
+// immutable Update, so a hot object costs one delta per distinct base, not
+// one per watcher. The default (Config.Workers == 0) runs the job inline
+// inside Publish, which suits in-process consumers like the experiments.
+// With Config.Workers > 0 Publish merges the update into each lease's
+// coalescing slot, enqueues the job and returns; a bounded worker pool claims
+// leases from it one at a time, so a slow, failing, or panicking subscriber
+// never stalls the publisher or any other lease, and a burst of updates
+// collapses into one frame per lease carrying the latest version. That is
+// the serving tier behind httpapi's SSE/long-poll lease endpoints.
 package replication
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"coda/internal/obs"
@@ -43,9 +49,11 @@ import (
 // Replication telemetry: fan-out volume and wire cost per push mode, the
 // lease population, and the async fanout pipeline.
 var (
-	mPushValue     = obs.GetCounter(`coda_replication_pushes_total{mode="push-value"}`)
-	mPushDelta     = obs.GetCounter(`coda_replication_pushes_total{mode="push-delta"}`)
-	mPushNotify    = obs.GetCounter(`coda_replication_pushes_total{mode="push-notify"}`)
+	mPushes = [...]*obs.Counter{
+		PushValue:  obs.GetCounter(`coda_replication_pushes_total{mode="push-value"}`),
+		PushDelta:  obs.GetCounter(`coda_replication_pushes_total{mode="push-delta"}`),
+		PushNotify: obs.GetCounter(`coda_replication_pushes_total{mode="push-notify"}`),
+	}
 	mPushBytes     = obs.GetCounter("coda_replication_push_bytes_total")
 	mLeasesExpired = obs.GetCounter("coda_replication_leases_pruned_total")
 
@@ -56,6 +64,7 @@ var (
 	mCancels       = obs.GetCounter("coda_replication_cancels_total")
 	mRenewals      = obs.GetCounter("coda_replication_renewals_total")
 	mCoalesced     = obs.GetCounter("coda_replication_coalesced_updates_total")
+	mUpdateBuilds  = obs.GetCounter("coda_replication_update_builds_total")
 	mQueueDepth    = obs.GetGauge("coda_replication_fanout_queue_depth")
 	mFanoutSeconds = obs.GetHistogram("coda_replication_fanout_seconds", nil)
 )
@@ -75,25 +84,22 @@ const (
 	PushNotify
 )
 
+var modeNames = [...]string{PushValue: "push-value", PushDelta: "push-delta", PushNotify: "push-notify"}
+
 // String names the mode.
 func (m PushMode) String() string {
-	switch m {
-	case PushValue:
-		return "push-value"
-	case PushDelta:
-		return "push-delta"
-	case PushNotify:
-		return "push-notify"
-	default:
+	if m < PushValue || m > PushNotify {
 		return fmt.Sprintf("pushmode(%d)", int(m))
 	}
+	return modeNames[m]
 }
 
 // Update is what a subscriber receives.
 type Update struct {
 	Key     string
 	Version uint64
-	// Reply carries the value or delta for PushValue/PushDelta.
+	// Reply carries the value or delta for PushValue/PushDelta. Every
+	// subscriber of the (mode, acknowledged version) group shares it: read-only.
 	Reply *store.Reply
 	// Notify is set for PushNotify: no payload, just metadata.
 	Notify bool
@@ -104,15 +110,29 @@ type Update struct {
 	// synchronous path, possibly more when the async fanout merged a
 	// burst into one frame carrying only the latest version.
 	Coalesced int
+
+	shared *sharedFrame // set on updates a Manager built; nil on hand-made ones
+}
+
+// sharedFrame is one group build: the update every lease of the group is
+// handed (Coalesced aside), its wire size, and one serving-tier encoding.
+type sharedFrame struct {
+	key  frameKey
+	u    Update
+	wire int
+	once sync.Once
+	enc  []byte
 }
 
 // WireBytes estimates the network payload of this update; notifications
 // cost a small fixed header.
 func (u *Update) WireBytes() int {
-	if u.Notify {
+	switch {
+	case u.shared != nil:
+		return u.shared.wire
+	case u.Notify:
 		return notifyWireBytes
-	}
-	if u.Reply != nil {
+	case u.Reply != nil:
 		return u.Reply.WireBytes()
 	}
 	return 0
@@ -120,11 +140,25 @@ func (u *Update) WireBytes() int {
 
 const notifyWireBytes = 24 // key hash + version + change size
 
+// Encoded returns encode(u), computed once per group build, so a serving
+// tier serializes a frame once however many leases receive it. encode sees
+// Coalesced == 0 and must not depend on per-lease state; the result is
+// read-only. A hand-made Update is encoded on every call.
+func (u Update) Encoded(encode func(Update) []byte) []byte {
+	u.Coalesced = 0
+	if u.shared == nil {
+		return encode(u)
+	}
+	u.shared.once.Do(func() { u.shared.enc = encode(u) })
+	return u.shared.enc
+}
+
 // Subscriber consumes pushed updates. Deliver runs on the publisher's
 // goroutine (synchronous managers) or on a fanout worker (async managers)
 // and must not block; a blocking Deliver occupies one fanout worker until
 // it returns. A panic in Deliver is recovered and counted — it costs that
-// lease one frame, never the fanout.
+// lease one frame, never the fanout. Update.Reply is shared between
+// subscribers and read-only: copy before modifying.
 type Subscriber interface {
 	Deliver(u Update)
 }
@@ -255,19 +289,14 @@ type Manager struct {
 	// Async fanout pipeline; see fanout.go.
 	qmu       sync.Mutex
 	qcond     *sync.Cond
-	queue     []*Lease
-	inflight  int // leases in state queued or delivering
+	jobs      []*fanoutJob
 	closed    bool
+	inflight  atomic.Int64 // leases in state queued or delivering: the queue depth
 	workers   sync.WaitGroup
 	sweepStop chan struct{}
 }
 
-func (m *Manager) logger() *slog.Logger {
-	if m.Logger != nil {
-		return m.Logger
-	}
-	return slog.Default()
-}
+func (m *Manager) logger() *slog.Logger { return cmp.Or(m.Logger, slog.Default()) }
 
 // NewManager wraps a home store with synchronous fanout. nowFn may be nil
 // (wall clock); tests and simulations inject virtual clocks.
@@ -283,9 +312,7 @@ func (m *Manager) Subscribe(key, clientID string, mode PushMode, ttl time.Durati
 	if ttl <= 0 {
 		return nil, fmt.Errorf("replication: lease duration %v must be positive", ttl)
 	}
-	switch mode {
-	case PushValue, PushDelta, PushNotify:
-	default:
+	if mode < PushValue || mode > PushNotify {
 		return nil, fmt.Errorf("replication: unknown push mode %v", mode)
 	}
 	l := &Lease{ID: newLeaseID(), Key: key, ClientID: clientID, Mode: mode, expires: m.now().Add(ttl), sub: sub}
@@ -335,57 +362,17 @@ func (m *Manager) LeaseByID(id string) (*Lease, bool) {
 	return l, ok
 }
 
-// RenewByID renews the lease named by id.
-func (m *Manager) RenewByID(id string, ttl time.Duration) (*Lease, error) {
-	l, ok := m.LeaseByID(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrLeaseNotFound, id)
-	}
-	if err := m.Renew(l, ttl); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// CancelByID cancels the lease named by id.
-func (m *Manager) CancelByID(id string) error {
-	l, ok := m.LeaseByID(id)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrLeaseNotFound, id)
-	}
-	m.Cancel(l)
-	return nil
-}
-
-// AckByID records the version held by the subscriber of lease id.
-func (m *Manager) AckByID(id string, version uint64) error {
-	l, ok := m.LeaseByID(id)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrLeaseNotFound, id)
-	}
-	l.AckVersion(version)
-	return nil
-}
-
 // unregister removes l from the key index and the id registry, firing
 // OnRelease exactly once per lease.
 func (m *Manager) unregister(l *Lease) {
 	m.mu.Lock()
-	removed := false
-	if _, ok := m.byID[l.ID]; ok {
+	_, removed := m.byID[l.ID]
+	if removed {
 		delete(m.byID, l.ID)
-		removed = true
-		ls := m.leases[l.Key]
-		for i, x := range ls {
-			if x == l {
-				ls = append(ls[:i], ls[i+1:]...)
-				break
-			}
-		}
-		if len(ls) == 0 {
-			delete(m.leases, l.Key)
-		} else {
+		if ls := slices.DeleteFunc(m.leases[l.Key], func(x *Lease) bool { return x == l }); len(ls) > 0 {
 			m.leases[l.Key] = ls
+		} else {
+			delete(m.leases, l.Key)
 		}
 	}
 	m.mu.Unlock()
@@ -409,14 +396,6 @@ func (m *Manager) ActiveLeases(key string) int {
 		}
 	}
 	return n
-}
-
-// registered reports how many leases the registry holds for key,
-// regardless of expiry — the memory-accounting view Sweep maintains.
-func (m *Manager) registered(key string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.leases[key])
 }
 
 // Sweep prunes every expired lease across all keys — including keys that
@@ -469,70 +448,101 @@ func (m *Manager) PublishCtx(ctx context.Context, key string, data []byte) (uint
 		return 0, fmt.Errorf("replication: publishing %q: %w", key, err)
 	}
 
-	now := m.now()
+	// The registry lock covers only the copy: expiry is decided lease by
+	// lease below, so a hot key's scan never delays other keys' lease calls.
 	m.mu.Lock()
-	leases := m.leases[key]
-	active := leases[:0]
-	var pruned []*Lease
-	for _, l := range leases {
-		if l.Expired(now) {
-			pruned = append(pruned, l)
-		} else {
-			active = append(active, l)
-		}
-	}
-	if len(active) == 0 {
-		delete(m.leases, key)
-	} else {
-		m.leases[key] = active
-	}
-	snapshot := append([]*Lease(nil), active...)
+	snapshot := append([]*Lease(nil), m.leases[key]...)
 	m.mu.Unlock()
-	for _, l := range pruned {
-		mLeasesExpired.Inc()
-		m.unregister(l)
-	}
-
+	var subscribers, groups int
 	var fanoutErr error
-	if m.async() {
-		for _, l := range snapshot {
-			m.enqueuePending(l, version, now)
-		}
-	} else {
-		fanoutErr = m.fanoutSync(snapshot, key, version)
+	if len(snapshot) > 0 {
+		subscribers, groups, fanoutErr = m.fanout(snapshot, version)
 	}
-	sp.SetAttr(trace.Int64("version", int64(version)), trace.Int("subscribers", len(snapshot)))
+	sp.SetAttr(trace.Int64("version", int64(version)), trace.Int("subscribers", subscribers), trace.Int("groups", groups))
 	if lg := m.logger(); lg.Enabled(context.Background(), slog.LevelDebug) {
 		lg.Debug("published object version",
-			"key", key, "version", version, "subscribers", len(snapshot), "async", m.async())
+			"key", key, "version", version, "subscribers", subscribers, "groups", groups, "async", m.async())
 	}
 	return version, fanoutErr
 }
 
-// fanoutSync delivers one update per lease inline. A lease whose update
-// cannot be built, or whose subscriber panics, is recorded and skipped —
-// every remaining lease still gets its delivery.
-func (m *Manager) fanoutSync(snapshot []*Lease, key string, version uint64) error {
+// fanout turns one publish into its job: it prunes the expired leases of
+// the snapshot (which it owns), counts the distinct (mode, ack) groups among
+// the live ones, and either delivers inline (synchronous managers; a lease
+// whose build fails or whose subscriber panics is recorded and skipped) or
+// merges the publish into every coalescing slot and enqueues the leases that
+// went idle→queued: at most two jobs, the second for leases the coalescing
+// window holds back.
+func (m *Manager) fanout(snapshot []*Lease, version uint64) (subscribers, groups int, err error) {
+	now := m.now()
+	ready, late := snapshot[:0], []*Lease(nil)
+	var lateBy time.Duration
+	seen := map[frameKey]struct{}{}
+	var last frameKey
+	var inline fanoutJob // the synchronous manager's job: only the memo is used
+	var t tally
 	var errs []error
 	for _, l := range snapshot {
-		u, err := m.buildUpdate(l, key, version)
-		if err != nil {
-			mPushErrors.Inc()
-			errs = append(errs, fmt.Errorf("replication: building update for %s: %w", l.ClientID, err))
+		l.mu.Lock()
+		if l.cancelled || now.After(l.expires) {
+			l.mu.Unlock()
+			mLeasesExpired.Inc()
+			m.unregister(l)
 			continue
 		}
-		u.Coalesced = 1
-		if err := m.deliverOne(l, u); err != nil {
-			errs = append(errs, err)
+		k, sub := l.groupLocked(), l.sub
+		queued, delay := false, time.Duration(0)
+		if m.async() {
+			queued, delay = m.merge(l, version, now)
+		}
+		l.mu.Unlock()
+		subscribers++
+		if k != last || len(seen) == 0 {
+			seen[k], last = struct{}{}, k
+		}
+		switch {
+		case !m.async():
+			wire, err := m.push(&inline, l, k, sub, version, 1)
+			if err != nil {
+				errs = append(errs, err)
+				continue
+			}
+			l.mu.Lock()
+			l.book(1, wire, &t)
+			l.mu.Unlock()
+		case !queued: // the worker's post-delivery check picks the slot up
+		case delay > 0:
+			late = append(late, l)
+			lateBy = max(lateBy, delay)
+		default:
+			ready = append(ready, l)
 		}
 	}
-	return errors.Join(errs...)
+	if !m.async() {
+		m.post(&t)
+		return subscribers, len(seen), errors.Join(errs...)
+	}
+	m.enqueue(ready, 0)
+	m.enqueue(late, lateBy)
+	return subscribers, len(seen), nil
 }
 
-// deliverOne hands one update to the lease's subscriber, isolating panics
-// and moving the delivery accounting after the handoff so a failed
-// delivery is never counted as delivered.
-func (m *Manager) deliverOne(l *Lease, u Update) (err error) {
+// book records one delivered frame standing for count publishes on the lease
+// (l.mu held) and in the caller's tally.
+func (l *Lease) book(count int, wire int64, t *tally) {
+	l.deliveries++
+	l.coalesced += int64(count - 1)
+	l.bytesPushed += wire
+	t.pushes[l.Mode]++
+	t.bytes += wire
+}
+
+// push resolves the update of l's group at version (or newer) through the
+// job's memo and hands it to the subscriber as one frame standing for count
+// publishes, returning its wire size. Build failures and subscriber panics
+// are counted, logged and returned, and cost this lease only; the caller
+// books the delivery after the handoff, so a failed one is never counted.
+func (m *Manager) push(j *fanoutJob, l *Lease, k frameKey, sub Subscriber, version uint64, count int) (wire int64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			mPushPanics.Inc()
@@ -542,58 +552,70 @@ func (m *Manager) deliverOne(l *Lease, u Update) (err error) {
 				"key", l.Key, "client", l.ClientID, "lease", l.ID, "panic", fmt.Sprint(p))
 		}
 	}()
-	l.mu.Lock()
-	sub := l.sub
-	l.mu.Unlock()
+	u, err := m.frame(j, l.Key, k, version)
+	if err != nil {
+		mPushErrors.Inc()
+		m.logger().Warn("building push update failed",
+			"key", l.Key, "client", l.ClientID, "lease", l.ID, "err", err)
+		return 0, fmt.Errorf("replication: building update for %s: %w", l.ClientID, err)
+	}
+	u.Coalesced = count
 	sub.Deliver(u)
-	l.mu.Lock()
-	l.deliveries++
-	if u.Coalesced > 1 {
-		l.coalesced += int64(u.Coalesced - 1)
-	}
-	l.bytesPushed += int64(u.WireBytes())
-	l.mu.Unlock()
-	switch l.Mode {
-	case PushValue:
-		mPushValue.Inc()
-	case PushDelta:
-		mPushDelta.Inc()
-	case PushNotify:
-		mPushNotify.Inc()
-	}
-	mPushBytes.Add(int64(u.WireBytes()))
-	return nil
+	return int64(u.WireBytes()), nil
 }
 
-func (m *Manager) buildUpdate(l *Lease, key string, version uint64) (Update, error) {
-	switch l.Mode {
-	case PushValue:
-		reply, err := m.store.Get(key, 0) // force full value
-		if err != nil {
-			return Update{}, err
-		}
-		return Update{Key: key, Version: reply.Version, Reply: reply}, nil
-	case PushDelta:
-		l.mu.Lock()
-		ack := l.ackVersion
-		l.mu.Unlock()
-		reply, err := m.store.Get(key, ack)
-		if err != nil {
-			return Update{}, err
-		}
-		return Update{Key: key, Version: reply.Version, Reply: reply}, nil
-	case PushNotify:
-		l.mu.Lock()
-		ack := l.ackVersion
-		l.mu.Unlock()
-		changed := 0
-		if ack != 0 {
-			if reply, err := m.store.Get(key, ack); err == nil && reply.IsDelta() {
-				changed = reply.Delta.WireSize()
-			}
-		}
-		return Update{Key: key, Version: version, Notify: true, ChangedBytes: changed}, nil
-	default:
-		return Update{}, fmt.Errorf("replication: lease has invalid mode %v", l.Mode)
+// frameKey names a group of leases one update serves: same payload mode,
+// same acknowledged base version (always 0 for PushValue).
+type frameKey struct {
+	mode PushMode
+	ack  uint64
+}
+
+// groupLocked returns the lease's group; l.mu must be held.
+func (l *Lease) groupLocked() frameKey {
+	if l.Mode == PushValue {
+		return frameKey{mode: PushValue}
 	}
+	return frameKey{mode: l.Mode, ack: l.ackVersion}
+}
+
+// frame resolves group k's update at version or newer through the job's
+// memo, so the store is read once per group and every lease in it gets the
+// same Update. The latest build is checked without the job lock: a key
+// usually has one group, and every lease after the first stops there. A
+// memoized frame older than version (a later publish merged into the slot
+// after the job's first build) is rebuilt. Failed builds are not memoized:
+// the error costs the lease that hit it and the next one retries.
+func (m *Manager) frame(j *fanoutJob, key string, k frameKey, version uint64) (Update, error) {
+	if f := j.last.Load(); f != nil && f.key == k && f.u.Version >= version {
+		return f.u, nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if f := j.frames[k]; f != nil && f.u.Version >= version {
+		j.last.Store(f)
+		return f.u, nil
+	}
+	f := &sharedFrame{key: k, u: Update{Key: key, Version: version, Notify: k.mode == PushNotify}}
+	if !f.u.Notify || k.ack != 0 {
+		reply, err := m.store.Get(key, k.ack) // ack 0 forces the full value
+		switch {
+		case f.u.Notify:
+			if err == nil && reply.IsDelta() {
+				f.u.ChangedBytes = reply.Delta.WireSize()
+			}
+		case err != nil:
+			return Update{}, err
+		default:
+			f.u.Version, f.u.Reply = reply.Version, reply
+		}
+	}
+	f.wire, f.u.shared = f.u.WireBytes(), f
+	mUpdateBuilds.Inc()
+	if j.frames == nil {
+		j.frames = map[frameKey]*sharedFrame{}
+	}
+	j.frames[k] = f
+	j.last.Store(f)
+	return f.u, nil
 }
