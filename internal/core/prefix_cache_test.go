@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"coda/internal/core"
@@ -242,6 +243,81 @@ func TestPrefixCacheStats(t *testing.T) {
 	}
 	if disabled.Prefix != (core.PrefixCacheStats{}) {
 		t.Fatalf("disabled cache reported stats: %+v", disabled.Prefix)
+	}
+}
+
+// headerSpy is a pass-through transformer that records every dataset it is
+// handed; headerSink is an estimator that records what it is fitted on.
+type headerSpy struct {
+	mu   *sync.Mutex
+	seen map[*dataset.Dataset]bool
+}
+
+func (s headerSpy) Name() string                   { return "spy" }
+func (s headerSpy) SetParam(string, float64) error { return nil }
+func (s headerSpy) Params() map[string]float64     { return nil }
+func (s headerSpy) Clone() core.Transformer        { return s }
+func (s headerSpy) Fit(*dataset.Dataset) error     { return nil }
+func (s headerSpy) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seen[ds] = true
+	return ds, nil
+}
+
+type headerSink struct{ headerSpy }
+
+func (s headerSink) Name() string          { return "sink" }
+func (s headerSink) Clone() core.Estimator { return s }
+func (s headerSink) Predict(ds *dataset.Dataset) ([]float64, error) {
+	return make([]float64, ds.NumSamples()), nil
+}
+func (s headerSink) Fit(ds *dataset.Dataset) error {
+	_, err := s.Transform(ds)
+	return err
+}
+
+// TestPassThroughEntryOwnsItsHeader is the deterministic face of a race
+// the detector found: a cache entry whose node returns its input used to
+// BE the fold dataset other workers were reading, and got a mirror written
+// into it. An entry must be a Dataset header nobody else holds, over the
+// same matrix and the same (fold-level) mirror.
+func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
+	var mu sync.Mutex
+	folds, fitted := map[*dataset.Dataset]bool{}, map[*dataset.Dataset]bool{}
+	g := core.NewGraph()
+	g.AddTransformerStage("pass", headerSpy{&mu, folds})
+	g.AddEstimatorStage("model", headerSink{headerSpy{&mu, fitted}})
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	scorer, _ := metrics.ScorerByName("rmse")
+	full := regDS(t, 40)
+	if _, err := core.Search(context.Background(), g, full, core.SearchOptions{
+		Splitter: crossval.KFold{K: 2}, Scorer: scorer, Parallelism: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	delete(fitted, full) // the final refit of the winner, outside the cache
+	if len(fitted) != 2 {
+		t.Fatalf("estimator fitted on %d fold datasets, want one per fold", len(fitted))
+	}
+	for got := range fitted {
+		if folds[got] {
+			t.Fatal("a pass-through entry shares its Dataset header with the fold data")
+		}
+		var src *dataset.Dataset
+		for f := range folds {
+			if f.X == got.X {
+				src = f
+			}
+		}
+		if src == nil {
+			t.Fatal("a pass-through entry copied the fold's matrix instead of aliasing it")
+		}
+		if got.Mirror == nil || got.Mirror != src.Mirror {
+			t.Fatal("a pass-through entry does not share the fold's float32 mirror")
+		}
 	}
 }
 

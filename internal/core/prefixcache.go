@@ -77,11 +77,18 @@ type foldData struct {
 }
 
 // materializeFolds subsets the dataset once per split. The results are
-// shared read-only across all worker goroutines.
-func materializeFolds(ds *dataset.Dataset, splits []crossval.Split) []foldData {
+// shared read-only across all worker goroutines, so whatever hangs off them
+// is hung here, before any worker starts: with a cache, each gets the
+// float32 mirror that pass-through prefixes (NoOp) and prefix-less
+// pipelines then share.
+func materializeFolds(ds *dataset.Dataset, splits []crossval.Split, cache *prefixCache) []foldData {
 	folds := make([]foldData, len(splits))
 	for i, sp := range splits {
 		folds[i] = foldData{train: ds.Subset(sp.Train), test: ds.Subset(sp.Test)}
+		if cache != nil {
+			cache.installMirror(nil, folds[i].train)
+			cache.installMirror(nil, folds[i].test)
+		}
 		mFoldsBuilt.Add(2)
 	}
 	return folds
@@ -170,7 +177,8 @@ func (c *prefixCache) resolve(ctx context.Context, fold int, p *Pipeline, prefix
 		node := p.Nodes[d]
 		prevTrain, prevTest := train, test
 		train, test, err = c.getOrCompute(ctx, prefixKey{fold: fold, spec: spec}, func() (*dataset.Dataset, *dataset.Dataset, error) {
-			return fitPrefixNode(node, prevTrain, prevTest)
+			tr, te, err := fitPrefixNode(node, prevTrain, prevTest)
+			return ownHeader(tr, prevTrain), ownHeader(te, prevTest), err
 		})
 		if err != nil {
 			return nil, nil, 0, err
@@ -178,6 +186,19 @@ func (c *prefixCache) resolve(ctx context.Context, fold int, p *Pipeline, prefix
 		depth = d + 1
 	}
 	return train, test, depth, nil
+}
+
+// ownHeader gives a cache entry a Dataset header nobody else holds. A
+// pass-through node (NoOp) hands its input back, and other workers are
+// already reading that; with a header of its own, nothing done to an entry's
+// datasets is ever a write to one that was reachable before. The copy keeps
+// the input's mirror, so aliased data is still converted once.
+func ownHeader(out, in *dataset.Dataset) *dataset.Dataset {
+	if out != in {
+		return out
+	}
+	cp := *out
+	return &cp
 }
 
 // getOrCompute returns the cached datasets for key, joining an in-flight
@@ -231,11 +252,14 @@ func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, compute f
 	return train, test, err
 }
 
-// installMirror hangs a lazy float32 mirror off a cached dataset so
-// reduced-precision estimators sharing the entry convert X/Y once instead
-// of per fit. The mirror's build callback charges its 4-byte-per-element
-// footprint to the entry (and the cap) the moment it materializes. Caller
-// holds c.mu; aliased datasets (NoOp pass-through) keep their first mirror.
+// installMirror hangs a lazy float32 mirror off a dataset no other
+// goroutine can reach yet (an entry's, before its done closes; a fold's,
+// before workers start) so reduced-precision estimators sharing it convert
+// X/Y once instead of per fit. The mirror's build callback charges its
+// 4-byte-per-element footprint to the entry (and the cap) the moment it
+// materializes; a fold's mirror (e nil) is charged to the cache alone and
+// held until release. Aliased datasets (NoOp pass-through) keep their first
+// mirror.
 func (c *prefixCache) installMirror(e *prefixEntry, ds *dataset.Dataset) {
 	if ds == nil || ds.X == nil || ds.Mirror != nil {
 		return
@@ -243,10 +267,12 @@ func (c *prefixCache) installMirror(e *prefixEntry, ds *dataset.Dataset) {
 	ds.Mirror = dataset.NewF32Mirror(func(b int64) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		e.size += b
-		e.size32 += b
-		if e.evicted {
-			return
+		if e != nil {
+			e.size += b
+			e.size32 += b
+			if e.evicted {
+				return
+			}
 		}
 		c.bytes += b
 		c.bytes32 += b

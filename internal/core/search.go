@@ -249,12 +249,12 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 
 	// The fold plan: every unit shares one materialized train/test pair
 	// per split instead of re-subsetting the full dataset per unit x fold.
-	folds := materializeFolds(ds, splits)
 	var cache *prefixCache
 	if !opts.DisablePrefixCache {
 		cache = newPrefixCache(opts.capBytes())
 		defer cache.release()
 	}
+	folds := materializeFolds(ds, splits, cache)
 
 	fp := ds.Fingerprint()
 	evalSpec := fmt.Sprintf("%s|%s|seed=%d", opts.Splitter.Spec(), opts.Scorer.Name, opts.Seed)

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// Kernel A/B benchmarks. BenchmarkKernelMulNaive256 is the pre-blocking
-// reference kernel; the CI bench-kernels job asserts MulBlocked256 and
-// MulParallel256 beat it on the same machine (README "Kernel performance"
-// shows how to run the comparison locally).
+// Kernel A/B benchmarks. BenchmarkKernelMulNaive256 is the plain triple
+// loop; MulSerial256 and MulParallel256 are MulInto (the row micro-kernel)
+// on one goroutine and on the worker budget. The CI bench-kernels job
+// asserts MulParallel256 beats the naive loop on the same machine (README
+// "Kernel performance" shows how to run the comparison locally).
 
 func benchMat(rows, cols int, seed int64) *Matrix {
 	rng := rand.New(rand.NewSource(seed))
@@ -31,9 +32,9 @@ func BenchmarkKernelMulNaive256(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelMulBlocked256(b *testing.B) {
+func BenchmarkKernelMulSerial256(b *testing.B) {
 	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
-	SetMaxWorkers(1) // isolate cache blocking from parallelism
+	SetMaxWorkers(1) // the kernel alone, without row parallelism
 	a := benchMat(256, 256, 1)
 	c := benchMat(256, 256, 2)
 	var dst *Matrix
@@ -96,9 +97,9 @@ func benchMat32(rows, cols int, seed int64) *Mat[float32] {
 	return m
 }
 
-// Precision A/B at 256^3: identical seeds and blocking, only the element
-// width (and the f32 kernel's unrolled accumulation) differs. The CI
-// bench-kernels job asserts the f32 kernel beats the f64 one on the same
+// Precision A/B at 256^3: identical seeds and summation order, only the
+// element width differs (8 lanes per vector against 4, half the bytes). The
+// CI bench-kernels job asserts the f32 kernel beats the f64 one on the same
 // machine; README "Kernel performance" documents the expected ratio.
 
 func BenchmarkPrecisionMulF64_256(b *testing.B) {

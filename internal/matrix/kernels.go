@@ -3,153 +3,95 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
-// Cache-blocked, goroutine-tiled compute kernels.
+// Matmul kernels.
 //
-// Every float64 kernel here is bit-compatible with the straightforward
-// serial loop it replaces: tiling only reorders WHICH (i,j) cell is worked
-// on when, never the order of the floating-point additions that accumulate
-// into a given cell (k ascending, exactly like the naive triple loop). Row
-// parallelism assigns each output row to exactly one goroutine, so results
-// are bitwise identical at any worker count — a property the determinism
-// tests (kernels_test.go) and the search-level equivalence benchmark rely
-// on.
+// One contract for both element widths, on either code path, at any worker
+// count: every output cell is the sum of its a*b terms added one at a time
+// in ascending k, each multiply and each add rounded once — bit for bit what
+// the naive triple loop (naiveMulInto) produces. Nothing is re-associated:
+// no FMA (it would skip the product's rounding), no k-direction
+// vectorisation, no partial sums. The determinism tests (kernels_test.go)
+// and the search-level equivalence suites rest on this.
 //
-// The float32 kernels have a weaker — but still deterministic — contract:
-// each output cell is produced by exactly one goroutine with a fixed
-// summation order, so results never depend on the worker budget, but the
-// hot kernels (MulInto, MulTransposeBInto) unroll the k loop four-way and
-// reassociate the four partial products. That reassociation is what buys
-// f32 its speedup on scalar hardware (instruction-level parallelism plus
-// halved memory traffic); it means the f32 product is not bit-equal to a
-// naive f32 triple loop, only to itself.
+// All matmul forms are thin drivers over one primitive, mulRows: for each
+// row i, c[i][0:n] += Σ_k a[i*ars+k*aks] * b[k][0:n]. On amd64 with AVX2 it
+// is an assembly micro-kernel vectorised across the output columns j, so a
+// SIMD lane is a cell and keeps the cell's scalar order (mulrows_amd64.s);
+// elsewhere it is mulRowsGeneric below. Row parallelism gives each output
+// row to exactly one goroutine.
 
 const (
-	// mulBlockK is the k-tile: how many rows of b are streamed per tile.
-	// 128 rows x mulBlockJ cols x 8 bytes = 256 KiB, sized for L2.
-	mulBlockK = 128
-	// mulBlockJ is the j-tile: the c/b row segment written per inner loop.
-	// 256 float64s = 2 KiB, so the c segment stays in L1 across the k-tile.
-	mulBlockJ = 256
-	// mulParMinFlops is the flop cutoff (2*m*n*k) below which Mul stays
-	// serial; goroutine startup dominates under ~64^3.
-	mulParMinFlops = 2 * 64 * 64 * 64
+	// parMinFlops is the flop cutoff (2*m*n*k) below which every form stays
+	// on the calling goroutine, whatever the worker budget. Measured with the
+	// AVX2 kernel on the 2-vCPU box this was tuned on (min of 7 runs, one
+	// goroutine vs parallelRows with a budget of 2): 64^3 19 us vs 23 us,
+	// 128^3 (4.2 Mflop) 190 vs 201, 144^3 (6.0) 261 vs 295, 160^3 (8.2)
+	// 370 vs 319, 192^3 (14) 760 vs 617, 256^3 (34) 1653 vs 996 — the split
+	// first pays near 8 Mflop (a second vCPU here adds 1.66x at best and the
+	// handoff costs 4-6 us). Every product of the Fig 11 search, the largest
+	// being 464x12x48 = 0.5 Mflop, is below it.
+	parMinFlops = 8_000_000
 	// parMinRows is the smallest row chunk handed to a parallel worker.
 	parMinRows = 16
 )
 
+// mulRowsGeneric is the portable form of the package's inner primitive:
+//
+//	for i in [0, m):  c[i*n + j] += Σ_kk a[i*ars + kk*aks] * b[kk*n + j],  j in [0, n)
+//
+// with kk ascending for every cell. skipZero drops the terms whose a element
+// is +-0 (which differs from adding them when b holds Inf or NaN, or c holds
+// -0). The inner statement is naiveMulInto's, so wherever the compiler
+// treats one a certain way (fusing the multiply into the add, on some
+// architectures) it treats the other the same.
+func mulRowsGeneric[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero bool) {
+	for i := 0; i < m; i++ {
+		crow := c[i*n : (i+1)*n]
+		for kk := 0; kk < k; kk++ {
+			av := a[i*ars+kk*aks]
+			if skipZero && av == 0 {
+				continue
+			}
+			for j, bv := range b[kk*n : (kk+1)*n] {
+				crow[j] += av * bv
+			}
+		}
+	}
+}
+
+// mulAccum adds the m x n product described by mulRows's formula into c,
+// splitting rows across the worker budget above parMinFlops.
+func mulAccum[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero bool) {
+	if m == 0 || k == 0 || n == 0 {
+		return
+	}
+	if 2*m*k*n < parMinFlops {
+		mulRows(c, a, ars, aks, b, m, k, n, skipZero)
+		return
+	}
+	parallelRows(m, parMinRows, func(lo, hi int) {
+		mulRows(c[lo*n:], a[lo*ars:], ars, aks, b, hi-lo, k, n, skipZero)
+	})
+}
+
 // MulInto computes dst = a*b, reusing dst's backing array when it has
 // capacity (dst may be nil or any shape) and returning the result matrix.
-// The float64 product is bitwise identical to the naive triple-loop
-// product; the float32 product uses the unrolled kernel (deterministic,
-// see the package comment).
+// Terms whose a element is zero are skipped, as in naiveMulInto.
 func MulInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	if a.cols != b.rows {
 		return nil, shapeErr("mul", a, b)
 	}
-	dst = RecycleNoClear(dst, a.rows, b.cols)
-	flops := 2 * a.rows * a.cols * b.cols
-	if flops < mulParMinFlops {
-		mulBlockedRange(dst, a, b, 0, a.rows)
-		return dst, nil
-	}
-	parallelRows(a.rows, parMinRows, func(lo, hi int) {
-		mulBlockedRange(dst, a, b, lo, hi)
-	})
+	dst = Recycle(dst, a.rows, b.cols)
+	mulAccum(dst.data, a.data, a.cols, 1, b.data, a.rows, a.cols, b.cols, true)
 	return dst, nil
 }
 
-// mulBlockedRange computes rows [lo, hi) of dst = a*b with k/j tiling,
-// dispatching float32 operands to the unrolled kernel. In the float64
-// kernel the per-cell additions run in ascending k order with the same
-// skip-zero test as the naive kernel, so the result is bitwise identical.
-func mulBlockedRange[T Float](dst, a, b *Mat[T], lo, hi int) {
-	if d32, ok := any(dst).(*Mat[float32]); ok {
-		mulBlockedRange32(d32, any(a).(*Mat[float32]), any(b).(*Mat[float32]), lo, hi)
-		return
-	}
-	k, n := a.cols, b.cols
-	for i := lo; i < hi; i++ {
-		clear(dst.data[i*n : (i+1)*n])
-	}
-	if n == 0 {
-		return
-	}
-	for k0 := 0; k0 < k; k0 += mulBlockK {
-		k1 := min(k0+mulBlockK, k)
-		for j0 := 0; j0 < n; j0 += mulBlockJ {
-			j1 := min(j0+mulBlockJ, n)
-			for i := lo; i < hi; i++ {
-				arow := a.data[i*k : (i+1)*k]
-				crow := dst.data[i*n+j0 : i*n+j1]
-				for kk := k0; kk < k1; kk++ {
-					av := arow[kk]
-					if av == 0 {
-						continue
-					}
-					brow := b.data[kk*n+j0 : kk*n+j1]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-}
-
-// mulBlockedRange32 is the float32 matmul kernel: same k/j tiling as the
-// float64 kernel but with the k loop unrolled four-way, accumulating
-// (a0*b0 + a1*b1) + (a2*b2 + a3*b3) into each cell per step. The four
-// independent products give the scalar pipeline real ILP — float32 gains
-// nothing per-ALU-op over float64, so unrolling plus halved memory traffic
-// is where the speedup comes from. Summation order is fixed and
-// row-partitioned, so results are identical at any worker count.
-func mulBlockedRange32(dst, a, b *Mat[float32], lo, hi int) {
-	k, n := a.cols, b.cols
-	for i := lo; i < hi; i++ {
-		clear(dst.data[i*n : (i+1)*n])
-	}
-	if n == 0 {
-		return
-	}
-	for k0 := 0; k0 < k; k0 += mulBlockK {
-		k1 := min(k0+mulBlockK, k)
-		for j0 := 0; j0 < n; j0 += mulBlockJ {
-			j1 := min(j0+mulBlockJ, n)
-			for i := lo; i < hi; i++ {
-				arow := a.data[i*k : (i+1)*k]
-				crow := dst.data[i*n+j0 : i*n+j1]
-				kk := k0
-				for ; kk+4 <= k1; kk += 4 {
-					a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-					b0 := b.data[kk*n+j0 : kk*n+j1][:len(crow)]
-					b1 := b.data[(kk+1)*n+j0 : (kk+1)*n+j1][:len(crow)]
-					b2 := b.data[(kk+2)*n+j0 : (kk+2)*n+j1][:len(crow)]
-					b3 := b.data[(kk+3)*n+j0 : (kk+3)*n+j1][:len(crow)]
-					for j := range crow {
-						crow[j] += (a0*b0[j] + a1*b1[j]) + (a2*b2[j] + a3*b3[j])
-					}
-				}
-				for ; kk < k1; kk++ {
-					av := arow[kk]
-					if av == 0 {
-						continue
-					}
-					brow := b.data[kk*n+j0 : kk*n+j1]
-					for j, bv := range brow {
-						crow[j] += av * bv
-					}
-				}
-			}
-		}
-	}
-}
-
-// naiveMulInto is the pre-blocking reference kernel (single goroutine,
-// no tiling). It is kept as the benchmark baseline the CI bench-kernels
-// job compares the blocked kernel against, and as the bit-exactness oracle
-// in tests (float64 only; the float32 kernel reassociates, see above).
+// naiveMulInto is the reference kernel: the plain triple loop on one
+// goroutine. It is the bit-exactness oracle in tests and the baseline the
+// CI bench-kernels job compares the micro-kernel against.
 func naiveMulInto[T Float](dst, a, b *Mat[T]) *Mat[T] {
 	dst = Recycle(dst, a.rows, b.cols)
 	for i := 0; i < a.rows; i++ {
@@ -169,60 +111,53 @@ func naiveMulInto[T Float](dst, a, b *Mat[T]) *Mat[T] {
 }
 
 // MulVecInto computes dst = m*v, reusing dst when cap(dst) >= m.rows.
-// Each output element is an ascending-index dot product — identical
-// order to the serial kernel — parallelised across rows.
+// Each output element is an ascending-index dot product with no term
+// skipped.
 func MulVecInto[T Float](dst []T, m *Mat[T], v []T) ([]T, error) {
 	if m.cols != len(v) {
 		return nil, shapeErrVec("mulvec", m, len(v))
 	}
-	if cap(dst) >= m.rows {
-		dst = dst[:m.rows]
-	} else {
-		dst = make([]T, m.rows)
-	}
-	parallelRows(m.rows, 4*parMinRows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.data[i*m.cols : (i+1)*m.cols]
-			var s T
-			for j, a := range row {
-				s += a * v[j]
-			}
-			dst[i] = s
-		}
-	})
+	dst = RecycleVec(dst, m.rows)
+	clear(dst)
+	mulAccum(dst, m.data, m.cols, 1, v, m.rows, m.cols, 1, false)
 	return dst, nil
 }
 
-// TInto writes m's transpose into dst (reused when capacity allows) using
-// square tiles so both source and destination are walked cache-friendly.
+// TInto writes m's transpose into dst (reused when capacity allows). It
+// takes four rows of m at a time, so each row of dst gets four adjacent
+// elements per visit and the reads are four sequential streams.
 func TInto[T Float](dst, m *Mat[T]) *Mat[T] {
 	dst = RecycleNoClear(dst, m.cols, m.rows)
-	const tile = 32 // 32x32 float64 tile = 8 KiB working set
 	r, c := m.rows, m.cols
-	for i0 := 0; i0 < r; i0 += tile {
-		i1 := min(i0+tile, r)
-		for j0 := 0; j0 < c; j0 += tile {
-			j1 := min(j0+tile, c)
-			for i := i0; i < i1; i++ {
-				row := m.data[i*c : (i+1)*c]
-				for j := j0; j < j1; j++ {
-					dst.data[j*r+i] = row[j]
-				}
-			}
+	i := 0
+	for ; i+4 <= r; i += 4 {
+		r0 := m.data[i*c : (i+1)*c]
+		r1 := m.data[(i+1)*c : (i+2)*c][:len(r0)]
+		r2 := m.data[(i+2)*c : (i+3)*c][:len(r0)]
+		r3 := m.data[(i+3)*c : (i+4)*c][:len(r0)]
+		for j := range r0 {
+			q := dst.data[j*r+i:][:4]
+			q[0], q[1], q[2], q[3] = r0[j], r1[j], r2[j], r3[j]
+		}
+	}
+	for ; i < r; i++ {
+		for j, v := range m.data[i*c : (i+1)*c] {
+			dst.data[j*r+i] = v
 		}
 	}
 	return dst
 }
 
 // MulTransposeAInto computes dst = aᵀ*b without materialising aᵀ.
-// a is n x p, b is n x q, dst is p x q. Per output cell the additions run
-// in ascending-k order, bitwise identical to naive aᵀ then Mul.
+// a is n x p, b is n x q, dst is p x q; zero a elements are skipped, so the
+// result is bitwise naive aᵀ then Mul.
 func MulTransposeAInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	if a.rows != b.rows {
 		return nil, shapeErr("mulTa", a, b)
 	}
 	dst = Recycle(dst, a.cols, b.cols)
-	return dst, mulTransposeAAccum(dst, a, b)
+	mulAccum(dst.data, a.data, 1, a.cols, b.data, a.cols, a.rows, b.cols, true)
+	return dst, nil
 }
 
 // MulTransposeAAccum computes dst += aᵀ*b (dst must already be p x q).
@@ -234,93 +169,31 @@ func MulTransposeAAccum[T Float](dst, a, b *Mat[T]) error {
 	if dst.rows != a.cols || dst.cols != b.cols {
 		return shapeErr("mulTa dst", dst, b)
 	}
-	return mulTransposeAAccum(dst, a, b)
-}
-
-func mulTransposeAAccum[T Float](dst, a, b *Mat[T]) error {
-	n, p, q := a.rows, a.cols, b.cols
-	if q == 0 || p == 0 {
-		return nil
-	}
-	// Parallel over dst rows (= columns of a): worker for [lo,hi) reads
-	// a[k][lo:hi] and all of b; k ascends so per-cell order matches the
-	// serial kernel exactly.
-	parallelRows(p, parMinRows/2, func(lo, hi int) {
-		for k := 0; k < n; k++ {
-			arow := a.data[k*p : (k+1)*p]
-			brow := b.data[k*q : (k+1)*q]
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				crow := dst.data[i*q : (i+1)*q]
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
-			}
-		}
-	})
+	mulAccum(dst.data, a.data, 1, a.cols, b.data, a.cols, a.rows, b.cols, true)
 	return nil
 }
 
-// MulTransposeBInto computes dst = a*bᵀ without materialising bᵀ.
-// a is m x k, b is n x k, dst is m x n: dst[i][j] = dot(a.Row(i), b.Row(j)).
-// The float64 dots run in ascending-index order (bitwise identical to naive
-// a*(bᵀ)); float32 dots use the unrolled four-accumulator form.
+// packPool64 and packPool32 recycle the bᵀ scratch of MulTransposeBInto.
+var packPool64, packPool32 sync.Pool
+
+// MulTransposeBInto computes dst = a*bᵀ. a is m x k, b is n x k, dst is
+// m x n: dst[i][j] = dot(a.Row(i), b.Row(j)), an ascending-index dot with no
+// term skipped. bᵀ is packed once per call into pooled scratch (k*n copies
+// against m*k*n multiply-adds) so the product runs as MulInto does.
 func MulTransposeBInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	if a.cols != b.cols {
 		return nil, shapeErr("mulTb", a, b)
 	}
-	dst = RecycleNoClear(dst, a.rows, b.rows)
-	if d32, ok := any(dst).(*Mat[float32]); ok {
-		mulTransposeB32(d32, any(a).(*Mat[float32]), any(b).(*Mat[float32]))
-		return dst, nil
+	pool := &packPool64
+	if _, ok := any(b).(*Mat[float32]); ok {
+		pool = &packPool32
 	}
-	k, n := a.cols, b.rows
-	parallelRows(a.rows, parMinRows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			crow := dst.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.data[j*k : (j+1)*k]
-				var s T
-				for kk, av := range arow {
-					s += av * brow[kk]
-				}
-				crow[j] = s
-			}
-		}
-	})
+	bt, _ := pool.Get().(*Mat[T])
+	bt = TInto(bt, b)
+	dst = Recycle(dst, a.rows, b.rows)
+	mulAccum(dst.data, a.data, a.cols, 1, bt.data, a.rows, a.cols, b.rows, false)
+	pool.Put(bt)
 	return dst, nil
-}
-
-// mulTransposeB32 is the float32 a*bᵀ kernel: each dot product runs with
-// four independent accumulators folded pairwise at the end — deterministic,
-// worker-count independent, but reassociated relative to a serial dot.
-func mulTransposeB32(dst, a, b *Mat[float32]) {
-	k, n := a.cols, b.rows
-	parallelRows(a.rows, parMinRows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.data[i*k : (i+1)*k]
-			crow := dst.data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				brow := b.data[j*k : (j+1)*k][:len(arow)]
-				var s0, s1, s2, s3 float32
-				kk := 0
-				for ; kk+4 <= len(arow); kk += 4 {
-					s0 += arow[kk] * brow[kk]
-					s1 += arow[kk+1] * brow[kk+1]
-					s2 += arow[kk+2] * brow[kk+2]
-					s3 += arow[kk+3] * brow[kk+3]
-				}
-				for ; kk < len(arow); kk++ {
-					s0 += arow[kk] * brow[kk]
-				}
-				crow[j] = (s0 + s1) + (s2 + s3)
-			}
-		}
-	})
 }
 
 // AddInto computes dst = a + b elementwise, reusing dst when capacity

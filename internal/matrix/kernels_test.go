@@ -20,22 +20,19 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
-// bitsEqual reports whether two matrices are bitwise identical.
-func bitsEqual(t *testing.T, name string, got, want *Matrix) {
+// bitsEqual fails the test unless two matrices have the same shape and are
+// bitwise identical (sameBits, mulrows_test.go, compares the elements).
+func bitsEqual[T Float](t *testing.T, name string, got, want *Mat[T]) {
 	t.Helper()
 	if got.rows != want.rows || got.cols != want.cols {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.rows, got.cols, want.rows, want.cols)
 	}
-	for i := range want.data {
-		if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
-			t.Fatalf("%s: element %d = %v, want %v (bitwise)", name, i, got.data[i], want.data[i])
-		}
-	}
+	sameBits(t, name, got.data, want.data)
 }
 
-func TestMulBlockedMatchesNaiveBitwise(t *testing.T) {
+func TestMulMatchesNaiveBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Sizes straddle the tile boundaries and the parallel cutoff.
+	// Sizes straddle the column-panel widths and the parallel cutoff.
 	for _, dims := range [][3]int{{3, 4, 5}, {17, 33, 9}, {64, 64, 64}, {130, 257, 70}, {100, 300, 259}} {
 		a := randMat(rng, dims[0], dims[1])
 		b := randMat(rng, dims[1], dims[2])
@@ -44,16 +41,19 @@ func TestMulBlockedMatchesNaiveBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := naiveMulInto(nil, a, b)
-		bitsEqual(t, "blocked mul", got, want)
+		bitsEqual(t, "mul", got, want)
 	}
 }
 
 func TestMulParallelMatchesSerialBitwise(t *testing.T) {
 	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(2))
+	// 2*211*97*420 flops: above parMinFlops, so the rows really are split.
 	a := randMat(rng, 211, 97)
-	b := randMat(rng, 97, 180)
-	v := make([]float64, 97)
+	b := randMat(rng, 97, 420)
+	// MulVec crosses the same cutoff only at 2*rows*cols flops.
+	tall := randMat(rng, 2100, 2000)
+	v := make([]float64, 2000)
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
@@ -63,7 +63,7 @@ func TestMulParallelMatchesSerialBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialVec, err := MulVecInto(nil, a.SliceRows(0, 97), v)
+	serialVec, err := MulVecInto(nil, tall, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +75,11 @@ func TestMulParallelMatchesSerialBitwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		bitsEqual(t, "parallel mul", par, serial)
-		parVec, err := MulVecInto(nil, a.SliceRows(0, 97), v)
+		parVec, err := MulVecInto(nil, tall, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range serialVec {
-			if math.Float64bits(parVec[i]) != math.Float64bits(serialVec[i]) {
-				t.Fatalf("mulvec workers=%d element %d = %v, want %v", workers, i, parVec[i], serialVec[i])
-			}
-		}
+		sameBits(t, "parallel mulvec", parVec, serialVec)
 	}
 }
 

@@ -9,11 +9,11 @@
 //
 // Matrix (= Mat[float64]) is the default element type across the repo; the
 // float32 instantiation backs the reduced-precision NN training path (see
-// internal/nn). The float64 kernels keep their historical bitwise contract
-// (identical to the naive serial loops at any worker count); the float32
-// kernels are deterministic — fixed summation order, independent of the
-// worker budget — but use a reassociated, unrolled accumulation order chosen
-// for speed (see kernels.go).
+// internal/nn). Both widths keep one bitwise contract: every product cell is
+// summed in ascending k with one rounding per multiply and per add, so a
+// result equals the naive serial triple loop's bit for bit at any worker
+// count, whether the AVX2 row micro-kernel or its portable twin computed it
+// (see kernels.go).
 package matrix
 
 import (
@@ -214,16 +214,14 @@ func (m *Mat[T]) Scale(s T) *Mat[T] {
 	return out
 }
 
-// Mul returns the matrix product m*b. The kernel is cache-blocked and
-// parallel above a size cutoff (see kernels.go); the float64 kernel is
-// bitwise identical to the naive triple loop at any worker count.
+// Mul returns the matrix product m*b, bitwise identical to the naive triple
+// loop at any worker count (see MulInto).
 func (m *Mat[T]) Mul(b *Mat[T]) (*Mat[T], error) {
 	return MulInto(nil, m, b)
 }
 
 // MulVec returns the matrix-vector product m*v. Each element is an
-// ascending-index dot product; rows are computed in parallel above a
-// size cutoff with bitwise-identical results.
+// ascending-index dot product (see MulVecInto).
 func (m *Mat[T]) MulVec(v []T) ([]T, error) {
 	return MulVecInto(nil, m, v)
 }

@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package matrix
+
+// useAVX2 exists on every architecture so that tests which flip it build
+// everywhere; off amd64 there is one path and the flag selects nothing.
+var useAVX2 = false
+
+func mulRows[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero bool) {
+	mulRowsGeneric(c, a, ars, aks, b, m, k, n, skipZero)
+}

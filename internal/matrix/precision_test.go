@@ -12,27 +12,18 @@ func randMat32(rng *rand.Rand, rows, cols int) *Mat[float32] {
 	return ConvertInto[float32](nil, randMat(rng, rows, cols))
 }
 
-func bits32Equal(t *testing.T, name string, got, want *Mat[float32]) {
-	t.Helper()
-	if got.rows != want.rows || got.cols != want.cols {
-		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.rows, got.cols, want.rows, want.cols)
-	}
-	for i := range want.data {
-		if math.Float32bits(got.data[i]) != math.Float32bits(want.data[i]) {
-			t.Fatalf("%s: element %d = %v, want %v (bitwise)", name, i, got.data[i], want.data[i])
-		}
-	}
-}
-
-// TestF32KernelsWorkerCountIndependent pins the float32 kernels'
-// determinism contract: the unrolled f32 summation order is fixed per
-// element, so results must be bitwise identical at any worker budget.
+// TestF32KernelsWorkerCountIndependent pins the float32 half of the
+// contract: every cell is summed by one goroutine in ascending k, so results
+// must be bitwise identical at any worker budget. All three products are
+// above parMinFlops, so the rows really are split.
 func TestF32KernelsWorkerCountIndependent(t *testing.T) {
 	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(2))
 	a := randMat32(rng, 211, 97)
-	b := randMat32(rng, 97, 180)
-	v := make([]float32, 97)
+	b := randMat32(rng, 97, 420)
+	c := randMat32(rng, 211, 420)
+	tall := randMat32(rng, 2100, 2000) // MulVec crosses the cutoff at 2*rows*cols flops
+	v := make([]float32, 2000)
 	for i := range v {
 		v[i] = float32(rng.NormFloat64())
 	}
@@ -42,7 +33,7 @@ func TestF32KernelsWorkerCountIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialTA, err := MulTransposeAInto(nil, a.SliceRows(0, 97), b)
+	serialTA, err := MulTransposeAInto(nil, a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +41,7 @@ func TestF32KernelsWorkerCountIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialVec, err := MulVecInto(nil, a.SliceRows(0, 97), v)
+	serialVec, err := MulVecInto(nil, tall, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,26 +52,22 @@ func TestF32KernelsWorkerCountIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits32Equal(t, "f32 mul", par, serial)
-		parTA, err := MulTransposeAInto(nil, a.SliceRows(0, 97), b)
+		bitsEqual(t, "f32 mul", par, serial)
+		parTA, err := MulTransposeAInto(nil, a, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits32Equal(t, "f32 mulTA", parTA, serialTA)
+		bitsEqual(t, "f32 mulTA", parTA, serialTA)
 		parTB, err := MulTransposeBInto(nil, a, b.T())
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits32Equal(t, "f32 mulTB", parTB, serialTB)
-		parVec, err := MulVecInto(nil, a.SliceRows(0, 97), v)
+		bitsEqual(t, "f32 mulTB", parTB, serialTB)
+		parVec, err := MulVecInto(nil, tall, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range serialVec {
-			if math.Float32bits(parVec[i]) != math.Float32bits(serialVec[i]) {
-				t.Fatalf("f32 mulvec workers=%d element %d = %v, want %v", workers, i, parVec[i], serialVec[i])
-			}
-		}
+		sameBits(t, "f32 mulvec", parVec, serialVec)
 	}
 }
 
@@ -99,8 +86,7 @@ func TestF32MulTracksF64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ~k*eps32 worst case with k=128; the blocked/unrolled accumulation
-	// keeps the observed error far below this bound.
+	// ~k*eps32 worst case with k=128; the observed error is far below it.
 	const tol = 128 * 1.2e-7 * 8
 	for i := 0; i < want.Rows(); i++ {
 		for j := 0; j < want.Cols(); j++ {

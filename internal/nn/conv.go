@@ -18,7 +18,7 @@ import (
 // (sample, output step) pair becomes a row holding its Kernel*InChannels
 // receptive field (zeros where a causal tap falls into the padding), so the
 // convolution is one (batch*outLen) x (K*IC) by (K*IC) x Filters product
-// through the blocked kernels. Output values can differ from the previous
+// through the matrix kernels. Output values can differ from the previous
 // scalar loops in the last bits (the bias is now added after the taps);
 // gradients follow the same im2col/col2im structure.
 //

@@ -41,6 +41,10 @@ type LSTMOf[T matrix.Float] struct {
 	hs    []*matrix.Mat[T] // hidden states, hs[t] is batch x Hidden (t = -1 stored at index 0)
 	cs    []*matrix.Mat[T] // cell states, same indexing
 	gates []*matrix.Mat[T] // post-activation gates, batch x 4*Hidden
+	// tanhC[t] is tanh(cs[t+1]) as Forward computed it, in the float64 the
+	// activations run in for either T, so Backward reads it back bit for bit
+	// instead of taking the tanh again.
+	tanhC []*matrix.Mat[float64]
 
 	// Scratch buffers (see LayerOf contract).
 	xw         *matrix.Mat[T] // (batch*SeqLen) x 4H input projections
@@ -121,6 +125,7 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 	l.hs = recycleStates(l.hs, l.SeqLen+1)
 	l.cs = recycleStates(l.cs, l.SeqLen+1)
 	l.gates = recycleStates(l.gates, l.SeqLen)
+	l.tanhC = recycleStates(l.tanhC, l.SeqLen)
 	l.hs[0] = matrix.Recycle(l.hs[0], batch, l.Hidden)
 	l.cs[0] = matrix.Recycle(l.cs[0], batch, l.Hidden)
 
@@ -135,6 +140,7 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 		g := matrix.RecycleNoClear(l.gates[t], batch, h4)
 		hNew := matrix.RecycleNoClear(l.hs[t+1], batch, l.Hidden)
 		cNew := matrix.RecycleNoClear(l.cs[t+1], batch, l.Hidden)
+		l.tanhC[t] = matrix.RecycleNoClear(l.tanhC[t], batch, l.Hidden)
 		for i := 0; i < batch; i++ {
 			grow := g.Row(i)
 			xwrow := l.xw.Row(i*l.SeqLen + t)
@@ -146,6 +152,7 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 			crow := cNew.Row(i)
 			cprow := cPrev.Row(i)
 			hnrow := hNew.Row(i)
+			tcrow := l.tanhC[t].Row(i)
 			for j := 0; j < l.Hidden; j++ {
 				ig := sigmoidNN(float64(grow[j]))
 				fg := sigmoidNN(float64(grow[l.Hidden+j]))
@@ -153,7 +160,8 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 				og := sigmoidNN(float64(grow[3*l.Hidden+j]))
 				grow[j], grow[l.Hidden+j], grow[2*l.Hidden+j], grow[3*l.Hidden+j] = T(ig), T(fg), T(cg), T(og)
 				crow[j] = T(fg*float64(cprow[j]) + ig*cg)
-				hnrow[j] = T(og * math.Tanh(float64(crow[j])))
+				tcrow[j] = math.Tanh(float64(crow[j]))
+				hnrow[j] = T(og * tcrow[j])
 			}
 		}
 		l.gates[t] = g
@@ -216,13 +224,12 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 		}
 		g := l.gates[t]
 		cPrev := l.cs[t]
-		c := l.cs[t+1]
 		hPrev := l.hs[t]
 		dGt := matrix.RecycleNoClear(l.dGt, batch, h4)
 		l.dGt = dGt
 		for i := 0; i < batch; i++ {
 			grow := g.Row(i)
-			crow := c.Row(i)
+			tcrow := l.tanhC[t].Row(i)
 			cprow := cPrev.Row(i)
 			dhrow := dh.Row(i)
 			dcrow := dc.Row(i)
@@ -232,7 +239,7 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 				fg := float64(grow[l.Hidden+j])
 				cg := float64(grow[2*l.Hidden+j])
 				og := float64(grow[3*l.Hidden+j])
-				tc := math.Tanh(float64(crow[j]))
+				tc := tcrow[j]
 				dct := float64(dcrow[j]) + float64(dhrow[j])*og*(1-tc*tc)
 				dgrow[j] = T(dct * cg * ig * (1 - ig))
 				dgrow[l.Hidden+j] = T(dct * float64(cprow[j]) * fg * (1 - fg))

@@ -444,3 +444,80 @@ func TestLSTMReturnSeqShape(t *testing.T) {
 		}
 	}
 }
+
+// testLSTMTanhCacheMatchesRecompute pins the cached tanh(c_t) to the form
+// that recomputes it: after every Forward — including one on a smaller
+// batch, which recycles the buffers — the cache holds math.Tanh of the
+// stored cell state bit for bit and the hidden state is built from it, and
+// Backward returns the same bits when the cache is overwritten with freshly
+// taken tanhs.
+func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const seq, in, hidden = 5, 3, 4
+	l := NewLSTMOf[T](seq, in, hidden, rng)
+	l.ReturnSeq = true
+	bitsOf := func(ms ...*matrix.Mat[T]) []uint64 {
+		var out []uint64
+		for _, m := range ms {
+			for _, v := range m.Data() {
+				out = append(out, math.Float64bits(float64(v)))
+			}
+		}
+		return out
+	}
+	for _, batch := range []int{6, 2, 7} {
+		x := matrix.NewOf[T](batch, seq*in)
+		grad := matrix.NewOf[T](batch, seq*hidden)
+		for _, m := range []*matrix.Mat[T]{x, grad} {
+			for i := range m.Data() {
+				m.Data()[i] = T(2 * rng.NormFloat64())
+			}
+		}
+		if _, err := l.Forward(x, true); err != nil {
+			t.Fatal(err)
+		}
+		for ts := 0; ts < seq; ts++ {
+			for i := 0; i < batch; i++ {
+				for j := 0; j < hidden; j++ {
+					want := math.Tanh(float64(l.cs[ts+1].At(i, j)))
+					if got := l.tanhC[ts].At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("batch %d t=%d (%d,%d): cached tanh %v, recomputed %v", batch, ts, i, j, got, want)
+					}
+					// The stored output gate is the one Forward multiplied by
+					// only when T is float64 (it is rounded to T on store).
+					h := T(float64(l.gates[ts].At(i, 3*hidden+j)) * want)
+					if _, exact := any(h).(float64); exact && l.hs[ts+1].At(i, j) != h {
+						t.Fatalf("batch %d t=%d (%d,%d): hidden %v, recomputed %v", batch, ts, i, j, l.hs[ts+1].At(i, j), h)
+					}
+				}
+			}
+		}
+		backward := func() []uint64 {
+			for _, p := range l.Parameters() {
+				p.zeroGrad()
+			}
+			dx, err := l.Backward(grad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bitsOf(dx, l.wx.Grad, l.wh.Grad, l.b.Grad)
+		}
+		cached := backward()
+		for ts := 0; ts < seq; ts++ {
+			for i, c := range l.cs[ts+1].Data() {
+				l.tanhC[ts].Data()[i] = math.Tanh(float64(c))
+			}
+		}
+		recomputed := backward()
+		for i := range cached {
+			if cached[i] != recomputed[i] {
+				t.Fatalf("batch %d: backward output %d differs between cached and recomputed tanh", batch, i)
+			}
+		}
+	}
+}
+
+func TestLSTMTanhCacheMatchesRecompute(t *testing.T) {
+	t.Run("f64", testLSTMTanhCacheMatchesRecompute[float64])
+	t.Run("f32", testLSTMTanhCacheMatchesRecompute[float32])
+}
