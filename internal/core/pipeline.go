@@ -7,54 +7,18 @@ import (
 	"coda/internal/dataset"
 )
 
-// AffineSource is implemented by fitted transformers whose Transform is a
-// pure per-column affine map: out[j] = x[j] - sub[j], then divided by
-// div[j] when div[j] != 0, or forced to exactly 0 when div[j] == 0 (the
-// constant-column MinMax case). All of the preprocess scalers satisfy this.
-// AffineColumns must return ok = false before Fit.
-type AffineSource interface {
-	Transformer
-	AffineColumns() (sub, div []float64, ok bool)
-}
-
-// AffineFuser is implemented by transformers that can apply a pending
-// upstream affine map while building their output, skipping the
-// materialisation of the scaled intermediate dataset (the tswindow
-// preprocessors). TransformAffine(ds, sub, div) must be bit-identical to
-// Transform applied to the affine-scaled copy of ds — including derived
-// targets and affine metadata — and the implementer's Fit must not depend
-// on input values (windowing is configuration-only), since under fusion
-// Fit observes the pre-scaling dataset.
-type AffineFuser interface {
-	Transformer
-	TransformAffine(ds *dataset.Dataset, sub, div []float64) (*dataset.Dataset, error)
-}
-
-// ViewFuser is implemented by windowing transformers that can emit a
-// zero-copy window view (dataset.Win) over the source series — with an
-// optional pending upstream affine applied per gathered element — instead
-// of materialising the window matrix. TransformWindowView(ds, sub, div)
-// must yield windows whose gathered values, derived targets and affine
-// metadata are bit-identical to TransformAffine (or Transform, when
-// sub/div are nil). Only CascadedWindows implements it today.
-type ViewFuser interface {
-	Transformer
-	TransformWindowView(ds *dataset.Dataset, sub, div []float64) (*dataset.Dataset, error)
-}
-
-// WindowViewConsumer is implemented by estimators whose Fit/Predict accept
-// a dataset carrying a window view (dataset.Win with nil X). The pipeline
-// only takes the ViewFuser path when the terminal estimator opts in via
-// this marker; everything else receives materialized windows as before.
-type WindowViewConsumer interface {
-	ConsumesWindowView() bool
-}
-
 // Pipeline is one concrete root-to-leaf path instantiated with its own
 // (unshared) component copies: a sequence of transformer nodes ending in an
 // estimator node. Fit implements Figure 5's training semantics — internal
 // nodes run "fit & transform", the final node runs "fit" — and Predict the
 // prediction semantics — internal nodes run "transform" only.
+//
+// There is one way through a pipeline. An internal node is run by
+// Node.fitTransform when training and Node.transform when predicting, here
+// and in the search engine alike, and both reach a component through the
+// Transformer interface and nothing else: no lookahead across nodes, no
+// capability probed by type assertion. What a component is — bare,
+// decorated, a remote service — cannot change how it is executed.
 type Pipeline struct {
 	Nodes []*Node
 
@@ -82,16 +46,8 @@ func NewPipeline(path Path) (*Pipeline, error) {
 
 // Clone returns an unfitted copy carrying all current parameters.
 func (p *Pipeline) Clone() *Pipeline {
-	return p.CloneFrom(0)
-}
-
-// CloneFrom returns an unfitted pipeline holding clones of Nodes[start:]
-// only. The search engine uses it to evaluate just the suffix below a
-// prefix-cache hit without paying to clone transformer nodes it will
-// never fit; CloneFrom(0) is Clone.
-func (p *Pipeline) CloneFrom(start int) *Pipeline {
-	out := &Pipeline{Nodes: make([]*Node, len(p.Nodes)-start)}
-	for i, n := range p.Nodes[start:] {
+	out := &Pipeline{Nodes: make([]*Node, len(p.Nodes))}
+	for i, n := range p.Nodes {
 		out.Nodes[i] = n.clone()
 	}
 	return out
@@ -140,23 +96,58 @@ func (p *Pipeline) HasNode(name string) bool {
 	return false
 }
 
+// fitTransform is the one per-node step, Figure 5's "fit & transform": each
+// transformer of the node is fitted on the training data as the node's
+// earlier transformers left it and then applied to it; test, when non-nil,
+// is pushed through the fitted node afterwards. Every fit in the package —
+// Pipeline.Fit, a search's fold walk with or without the prefix cache, the
+// refit of the winner — is this function, so they cannot disagree.
+func (n *Node) fitTransform(train, test *dataset.Dataset) (trainOut, testOut *dataset.Dataset, err error) {
+	trainOut = train
+	for _, t := range n.Transformers {
+		if err := t.Fit(trainOut); err != nil {
+			return nil, nil, fmt.Errorf("core: fitting node %q: %w", n.Name, err)
+		}
+		next, err := t.Transform(trainOut)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: transforming through node %q: %w", n.Name, err)
+		}
+		trainOut = next
+	}
+	if test != nil {
+		if testOut, err = n.transform(test); err != nil {
+			return nil, nil, err
+		}
+	}
+	return trainOut, testOut, nil
+}
+
+// transform is fitTransform's transform-only twin (Figure 5's prediction
+// operation for an internal node): ds pushed through the fitted node.
+func (n *Node) transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
+	for _, t := range n.Transformers {
+		next, err := t.Transform(ds)
+		if err != nil {
+			return nil, fmt.Errorf("core: transforming through node %q: %w", n.Name, err)
+		}
+		ds = next
+	}
+	return ds, nil
+}
+
+// transformerNodes returns the internal nodes: everything but the estimator.
+func (p *Pipeline) transformerNodes() []*Node { return p.Nodes[:len(p.Nodes)-1] }
+
 // Fit trains the pipeline per Figure 5: every internal transformer node is
 // fitted then applied to refresh the data for subsequent modelling, and the
 // final estimator is fitted on the fully transformed data.
-func (p *Pipeline) Fit(ds *dataset.Dataset) error { return p.FitFrom(0, ds) }
-
-// FitFrom trains the pipeline suffix Nodes[start:], treating ds as data
-// already transformed through Nodes[:start]. The search engine uses it to
-// resume below the deepest prefix-cache hit; FitFrom(0, ds) is Fit. The
-// skipped prefix nodes stay unfitted in this pipeline — prediction must
-// likewise enter through PredictWithTruthFrom(start, ...).
-func (p *Pipeline) FitFrom(start int, ds *dataset.Dataset) error {
-	if start < 0 || start >= len(p.Nodes) {
-		return fmt.Errorf("core: FitFrom start %d outside pipeline of %d nodes", start, len(p.Nodes))
-	}
-	cur, err := p.runTransformers(start, ds, true)
-	if err != nil {
-		return err
+func (p *Pipeline) Fit(ds *dataset.Dataset) error {
+	cur := ds
+	for _, n := range p.transformerNodes() {
+		var err error
+		if cur, _, err = n.fitTransform(cur, nil); err != nil {
+			return err
+		}
 	}
 	if err := p.Estimator().Fit(cur); err != nil {
 		return fmt.Errorf("core: fitting estimator %q: %w", p.Nodes[len(p.Nodes)-1].Name, err)
@@ -165,134 +156,35 @@ func (p *Pipeline) FitFrom(start int, ds *dataset.Dataset) error {
 	return nil
 }
 
-// transformOnly pushes a dataset through the fitted internal nodes.
-func (p *Pipeline) transformOnly(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	return p.transformOnlyFrom(0, ds)
-}
-
-// transformOnlyFrom pushes ds through the fitted internal nodes starting
-// at node index start (ds must already be transformed through the nodes
-// before it).
-func (p *Pipeline) transformOnlyFrom(start int, ds *dataset.Dataset) (*dataset.Dataset, error) {
-	return p.runTransformers(start, ds, false)
-}
-
-// pipeStep is one transformer with the node it belongs to, flattened so
-// fusion can look across node boundaries (scalers and windowers live in
-// separate graph stages).
-type pipeStep struct {
-	node string
-	t    Transformer
-}
-
-// runTransformers pushes ds through the transformer chain of Nodes[start:],
-// fitting each transformer first when fit is set. Adjacent
-// AffineSource -> AffineFuser pairs are fused: the scaler's per-column
-// affine map is applied inside the windower's own copy, so the scaled
-// intermediate dataset is never materialised. Fusion is bit-identical to
-// the unfused chain (see AffineFuser), which the prefix cache's equivalence
-// guarantee relies on — cached search paths materialise per-node
-// intermediates (that is what makes them shareable, see prefixcache.go) and
-// must score identically to this fused path.
-func (p *Pipeline) runTransformers(start int, ds *dataset.Dataset, fit bool) (*dataset.Dataset, error) {
-	var steps []pipeStep
-	for _, n := range p.Nodes[start : len(p.Nodes)-1] {
-		for _, t := range n.Transformers {
-			steps = append(steps, pipeStep{node: n.Name, t: t})
+// predict runs Figure 5's prediction operation: transform-only through the
+// internal nodes, then the trained model generates predictions. It returns
+// the transformed dataset with the predictions mapped back to original
+// units.
+func (p *Pipeline) predict(ds *dataset.Dataset) (cur *dataset.Dataset, yhat []float64, err error) {
+	if !p.fitted {
+		return nil, nil, fmt.Errorf("core: pipeline %s not fitted", p.Spec())
+	}
+	cur = ds
+	for _, n := range p.transformerNodes() {
+		if cur, err = n.transform(cur); err != nil {
+			return nil, nil, err
 		}
 	}
-	// Window→conv fusion eligibility: the terminal transformer step can
-	// emit a zero-copy window view instead of the window matrix, but only
-	// when the estimator declares it consumes views.
-	viewOK := false
-	if wc, ok := p.Estimator().(WindowViewConsumer); ok {
-		viewOK = wc.ConsumesWindowView()
+	yhat, err = p.Estimator().Predict(cur)
+	if err != nil {
+		return nil, nil, err
 	}
-	cur := ds
-	for i := 0; i < len(steps); i++ {
-		st := steps[i]
-		if fit {
-			if err := st.t.Fit(cur); err != nil {
-				return nil, fmt.Errorf("core: fitting node %q: %w", st.node, err)
-			}
-		}
-		if i+1 < len(steps) {
-			if src, okSrc := st.t.(AffineSource); okSrc {
-				if fuser, okFuse := steps[i+1].t.(AffineFuser); okFuse {
-					if sub, div, fitted := src.AffineColumns(); fitted {
-						if fit {
-							// Windower Fit is input-value-independent
-							// (AffineFuser contract), so fitting on the
-							// pre-scaling data is equivalent.
-							if err := fuser.Fit(cur); err != nil {
-								return nil, fmt.Errorf("core: fitting node %q: %w", steps[i+1].node, err)
-							}
-						}
-						// Three-way scaler×windower×conv fusion: when the
-						// windower ends the chain and the estimator takes
-						// views, skip materializing the windows too.
-						if viewOK && i+1 == len(steps)-1 {
-							if vf, okView := steps[i+1].t.(ViewFuser); okView {
-								next, err := vf.TransformWindowView(cur, sub, div)
-								if err != nil {
-									return nil, fmt.Errorf("core: fused transform %q -> %q: %w", st.node, steps[i+1].node, err)
-								}
-								cur = next
-								i++
-								continue
-							}
-						}
-						next, err := fuser.TransformAffine(cur, sub, div)
-						if err != nil {
-							return nil, fmt.Errorf("core: fused transform %q -> %q: %w", st.node, steps[i+1].node, err)
-						}
-						cur = next
-						i++
-						continue
-					}
-				}
-			}
-		}
-		// A terminal windower with no pending scaler affine still fuses
-		// with a view-consuming estimator (identity affine is exact).
-		if viewOK && i == len(steps)-1 {
-			if vf, okView := st.t.(ViewFuser); okView {
-				next, err := vf.TransformWindowView(cur, nil, nil)
-				if err != nil {
-					return nil, fmt.Errorf("core: fused transform %q: %w", st.node, err)
-				}
-				cur = next
-				continue
-			}
-		}
-		next, err := st.t.Transform(cur)
-		if err != nil {
-			return nil, fmt.Errorf("core: transforming through node %q: %w", st.node, err)
-		}
-		cur = next
-	}
-	return cur, nil
+	return cur, cur.DenormY(yhat), nil
 }
 
-// Predict runs Figure 5's prediction operation: transform-only through the
-// internal nodes, then the trained model generates predictions. When
-// scaling transformers rescaled the quantity being predicted (time-series
+// Predict returns the fitted pipeline's predictions for ds. When scaling
+// transformers rescaled the quantity being predicted (time-series
 // pipelines derive targets from scaled series), predictions are mapped back
 // to original units, so outputs — and scores — are comparable across
 // scaling options.
 func (p *Pipeline) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if !p.fitted {
-		return nil, fmt.Errorf("core: pipeline %s not fitted", p.Spec())
-	}
-	cur, err := p.transformOnly(ds)
-	if err != nil {
-		return nil, err
-	}
-	yhat, err := p.Estimator().Predict(cur)
-	if err != nil {
-		return nil, err
-	}
-	return cur.DenormY(yhat), nil
+	_, yhat, err := p.predict(ds)
+	return yhat, err
 }
 
 // PredictWithTruth predicts and also returns the ground-truth targets after
@@ -301,25 +193,11 @@ func (p *Pipeline) Predict(ds *dataset.Dataset) ([]float64, error) {
 // only known post-transform. Both predictions and truth are mapped back to
 // original units (see Predict).
 func (p *Pipeline) PredictWithTruth(ds *dataset.Dataset) (yhat, ytrue []float64, err error) {
-	return p.PredictWithTruthFrom(0, ds)
-}
-
-// PredictWithTruthFrom is PredictWithTruth for a pipeline fitted with
-// FitFrom(start, ...): ds must already be transformed through
-// Nodes[:start] (the prefix-cache's transformed test dataset).
-func (p *Pipeline) PredictWithTruthFrom(start int, ds *dataset.Dataset) (yhat, ytrue []float64, err error) {
-	if !p.fitted {
-		return nil, nil, fmt.Errorf("core: pipeline %s not fitted", p.Spec())
-	}
-	cur, err := p.transformOnlyFrom(start, ds)
+	cur, yhat, err := p.predict(ds)
 	if err != nil {
 		return nil, nil, err
 	}
-	yhat, err = p.Estimator().Predict(cur)
-	if err != nil {
-		return nil, nil, err
-	}
-	return cur.DenormY(yhat), cur.DenormY(cur.Y), nil
+	return yhat, cur.DenormY(cur.Y), nil
 }
 
 // PrefixSpecs returns the canonical spec of every transformer prefix of
@@ -335,7 +213,7 @@ func (p *Pipeline) PrefixSpecs() []string {
 	}
 	specs := make([]string, 0, len(p.Nodes)-1)
 	acc := "input"
-	for _, n := range p.Nodes[:len(p.Nodes)-1] {
+	for _, n := range p.transformerNodes() {
 		acc += " -> " + n.spec()
 		specs = append(specs, acc)
 	}

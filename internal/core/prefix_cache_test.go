@@ -321,21 +321,26 @@ func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
 	}
 }
 
-// TestPrefixCacheEvictionStress forces constant evictions with a byte cap
-// far below the working set at Parallelism=8; results must still match
+// TestPrefixCacheEvictionStress forces constant evictions with the
+// smallest cap the option can express, 1 MiB, under a working set several
+// times that (the Figure 3 graph's 80 (fold, prefix) entries, the 40
+// full-width ones ~62 KB each) at Parallelism=8; results must still match
 // the naive path exactly. Run under -race this also exercises the
 // singleflight and LRU paths concurrently.
 func TestPrefixCacheEvictionStress(t *testing.T) {
 	scorer, _ := metrics.ScorerByName("rmse")
-	ds := regDS(t, 100)
-	opts := core.SearchOptions{
-		Splitter:         crossval.KFold{K: 5, Shuffle: true},
-		Scorer:           scorer,
-		Parallelism:      8,
-		Seed:             11,
-		PrefixCacheBytes: 8 << 10, // a couple of fold-sized datasets at most
+	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 480, Features: 16, Informative: 6, Noise: 1}, rand.New(rand.NewSource(17)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	on, err := core.Search(context.Background(), fig3Graph(t), ds, opts)
+	opts := core.SearchOptions{
+		Splitter:      crossval.KFold{K: 5, Shuffle: true},
+		Scorer:        scorer,
+		Parallelism:   8,
+		Seed:          11,
+		PrefixCacheMB: 1,
+	}
+	on, err := core.Search(context.Background(), searchGraphs()["fig3"](), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +348,7 @@ func TestPrefixCacheEvictionStress(t *testing.T) {
 		t.Fatalf("tiny cap produced no evictions: %+v", on.Prefix)
 	}
 	opts.DisablePrefixCache = true
-	off, err := core.Search(context.Background(), fig3Graph(t), ds, opts)
+	off, err := core.Search(context.Background(), searchGraphs()["fig3"](), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

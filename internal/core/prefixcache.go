@@ -3,7 +3,6 @@ package core
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"sync"
 
 	"coda/internal/crossval"
@@ -20,13 +19,19 @@ import (
 // materializes each CV split's train/test datasets once per search, and
 // the prefix cache memoizes (fold, canonical prefix spec) -> transformed
 // train/test datasets behind a byte-bounded LRU with singleflight
-// deduplication, so concurrent workers never fit the same prefix twice
-// and each unit fits only the suffix below its deepest cache hit.
+// deduplication, so concurrent workers never fit the same prefix twice.
 //
-// The cached path is bit-identical to the naive path: entries hold the
-// exact datasets the per-unit fit chain would have produced (fitting is
-// deterministic), and datasets are immutable once built — transformers
-// clone matrices before writing and estimators copy what they keep.
+// The cache is a memo around the one per-node step (Node.fitTransform) and
+// nothing more: a fold walk asks it for each level of the unit's prefix in
+// turn and gets that step's outputs, computed now or by an earlier unit.
+// It holds each node's materialized output, not a composition of several
+// nodes, because the node boundary is where pipelines diverge — one scaled
+// fold feeds every selector and windower below it — so a per-node entry is
+// the unit that gets reused. A search without the cache runs the same step
+// with no memo, which is why the two score bit-identically: entries hold
+// the exact datasets the step produces (fitting is deterministic), and
+// datasets are immutable once built — transformers clone matrices before
+// writing and estimators copy what they keep.
 
 // Prefix-cache telemetry: the scoreboard for the within-client reuse
 // claim, mirroring the DARR counters for the cross-client one.
@@ -45,7 +50,7 @@ var (
 )
 
 // DefaultPrefixCacheMB is the prefix-cache capacity used when
-// SearchOptions leaves PrefixCacheMB and PrefixCacheBytes zero.
+// SearchOptions leaves PrefixCacheMB zero.
 const DefaultPrefixCacheMB = 64
 
 // PrefixCacheStats reports how one search's shared-prefix cache behaved.
@@ -154,40 +159,6 @@ func newPrefixCache(maxBytes int64) *prefixCache {
 	}
 }
 
-// capBytes resolves the configured prefix-cache capacity.
-func (o SearchOptions) capBytes() int64 {
-	if o.PrefixCacheBytes > 0 {
-		return o.PrefixCacheBytes
-	}
-	if o.PrefixCacheMB > 0 {
-		return int64(o.PrefixCacheMB) << 20
-	}
-	return int64(DefaultPrefixCacheMB) << 20
-}
-
-// resolve walks the pipeline's transformer prefixes from the fold's raw
-// datasets down to the deepest level, getting or computing each level
-// from the previous one. It returns the transformed train/test datasets
-// and the node index evaluation should resume from (the full transformer
-// depth on success). An error fitting or transforming any prefix level is
-// the same error the naive per-unit chain would have hit.
-func (c *prefixCache) resolve(ctx context.Context, fold int, p *Pipeline, prefixes []string, fd foldData) (train, test *dataset.Dataset, depth int, err error) {
-	train, test = fd.train, fd.test
-	for d, spec := range prefixes {
-		node := p.Nodes[d]
-		prevTrain, prevTest := train, test
-		train, test, err = c.getOrCompute(ctx, prefixKey{fold: fold, spec: spec}, func() (*dataset.Dataset, *dataset.Dataset, error) {
-			tr, te, err := fitPrefixNode(node, prevTrain, prevTest)
-			return ownHeader(tr, prevTrain), ownHeader(te, prevTest), err
-		})
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		depth = d + 1
-	}
-	return train, test, depth, nil
-}
-
 // ownHeader gives a cache entry a Dataset header nobody else holds. A
 // pass-through node (NoOp) hands its input back, and other workers are
 // already reading that; with a header of its own, nothing done to an entry's
@@ -202,9 +173,11 @@ func ownHeader(out, in *dataset.Dataset) *dataset.Dataset {
 }
 
 // getOrCompute returns the cached datasets for key, joining an in-flight
-// computation when one exists, or computes and caches them. Waiting
+// computation when one exists, or computes them — step applied to the level
+// above, (train, test) — and caches them; served reports which (true: from
+// the cache or a peer's in-flight fit, false: step ran here). Waiting
 // respects ctx so a cancelled search never blocks on a peer's fit.
-func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, compute func() (*dataset.Dataset, *dataset.Dataset, error)) (*dataset.Dataset, *dataset.Dataset, error) {
+func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, train, test *dataset.Dataset, step func(train, test *dataset.Dataset) (*dataset.Dataset, *dataset.Dataset, error)) (trainOut, testOut *dataset.Dataset, served bool, err error) {
 	c.mu.Lock()
 	c.seen[key] = struct{}{}
 	if el, ok := c.entries[key]; ok {
@@ -215,9 +188,9 @@ func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, compute f
 		mPrefixHits.Inc()
 		select {
 		case <-e.done:
-			return e.train, e.test, e.err
+			return e.train, e.test, true, e.err
 		case <-ctx.Done():
-			return nil, nil, ctx.Err()
+			return nil, nil, true, ctx.Err()
 		}
 	}
 	e := &prefixEntry{key: key, done: make(chan struct{})}
@@ -229,17 +202,18 @@ func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, compute f
 	mPrefixMisses.Inc()
 	mPrefixFits.Inc()
 
-	train, test, err := compute()
+	trainOut, testOut, err = step(train, test)
+	trainOut, testOut = ownHeader(trainOut, train), ownHeader(testOut, test)
 
 	c.mu.Lock()
-	e.train, e.test, e.err = train, test, err
+	e.train, e.test, e.err = trainOut, testOut, err
 	if err == nil {
 		// Conservative estimate: pass-through nodes (NoOp) alias their
 		// input datasets, so an aliased entry is charged again; that only
 		// makes eviction earlier, never correctness-relevant.
-		e.size = datasetBytes(train) + datasetBytes(test)
-		c.installMirror(e, train)
-		c.installMirror(e, test)
+		e.size = datasetBytes(trainOut) + datasetBytes(testOut)
+		c.installMirror(e, trainOut)
+		c.installMirror(e, testOut)
 	}
 	e.ready = true
 	if !e.evicted {
@@ -249,7 +223,7 @@ func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, compute f
 	}
 	c.mu.Unlock()
 	close(e.done)
-	return train, test, err
+	return trainOut, testOut, false, err
 }
 
 // installMirror hangs a lazy float32 mirror off a dataset no other
@@ -261,7 +235,7 @@ func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, compute f
 // held until release. Aliased datasets (NoOp pass-through) keep their first
 // mirror.
 func (c *prefixCache) installMirror(e *prefixEntry, ds *dataset.Dataset) {
-	if ds == nil || ds.X == nil || ds.Mirror != nil {
+	if ds == nil || ds.Mirror != nil {
 		return
 	}
 	ds.Mirror = dataset.NewF32Mirror(func(b int64) {
@@ -282,19 +256,13 @@ func (c *prefixCache) installMirror(e *prefixEntry, ds *dataset.Dataset) {
 }
 
 // datasetBytes estimates a dataset's retained memory at its actual element
-// width: float64 payloads at 8 bytes per element. A fused window view (X
-// nil) aliases the source series, so only its affine vectors are charged;
-// float32 mirror bytes are charged separately when a mirror materializes.
+// width: float64 payloads at 8 bytes per element; float32 mirror bytes are
+// charged separately when a mirror materializes.
 func datasetBytes(ds *dataset.Dataset) int64 {
 	if ds == nil {
 		return 0
 	}
-	n := int64(len(ds.Y)+len(ds.ColScale)+len(ds.ColOffset)) * 8
-	if ds.X != nil {
-		n += int64(len(ds.X.Data())) * 8
-	} else if ds.Win != nil {
-		n += int64(len(ds.Win.Sub)+len(ds.Win.Div)) * 8
-	}
+	n := int64(len(ds.X.Data())+len(ds.Y)+len(ds.ColScale)+len(ds.ColOffset)) * 8
 	for _, s := range ds.ColNames {
 		n += int64(len(s))
 	}
@@ -354,37 +322,4 @@ func (c *prefixCache) stats(folds int) PrefixCacheStats {
 		DistinctPrefixes: int64(len(c.seen)),
 		Folds:            folds,
 	}
-}
-
-// fitPrefixNode extends a cached prefix by one level: it fits a fresh
-// clone of node on the (already prefix-transformed) training data and
-// pushes both train and test through it — the same per-node work
-// Pipeline.Fit and transformOnly would do, producing bit-identical
-// datasets. It deliberately does NOT use the AffineSource/AffineFuser
-// fusion from runTransformers: the cache's whole purpose is to
-// materialise and share per-node intermediates across pipelines, and
-// fusion is bit-identical to the unfused chain by contract, so cached
-// and fused paths still score identically.
-func fitPrefixNode(node *Node, train, test *dataset.Dataset) (trainOut, testOut *dataset.Dataset, err error) {
-	n := node.clone()
-	trainOut = train
-	for _, t := range n.Transformers {
-		if err := t.Fit(trainOut); err != nil {
-			return nil, nil, fmt.Errorf("core: fitting node %q: %w", n.Name, err)
-		}
-		next, err := t.Transform(trainOut)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: transforming through node %q: %w", n.Name, err)
-		}
-		trainOut = next
-	}
-	testOut = test
-	for _, t := range n.Transformers {
-		next, err := t.Transform(testOut)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: transforming through node %q: %w", n.Name, err)
-		}
-		testOut = next
-	}
-	return trainOut, testOut, nil
 }

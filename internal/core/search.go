@@ -122,18 +122,15 @@ type SearchOptions struct {
 	// at high Parallelism the search-level workers soak up the budget and
 	// kernels run serially; at Parallelism 1 a large matmul fans out.
 	Parallelism int
-	// DisablePrefixCache turns off the shared-prefix computation cache,
-	// restoring the naive path that re-fits every pipeline's full
-	// transformer chain per fold. Mainly for A/B measurement; results are
-	// bit-identical either way.
+	// DisablePrefixCache turns off the shared-prefix computation cache:
+	// every unit then re-fits its full transformer chain per fold, by the
+	// same per-node step with no memo around it. Mainly for A/B
+	// measurement; results are bit-identical either way.
 	DisablePrefixCache bool
 	// PrefixCacheMB caps the prefix cache's estimated memory in MiB
 	// (0 = DefaultPrefixCacheMB). Least-recently-used fitted prefixes are
 	// evicted past the cap and transparently refitted on demand.
 	PrefixCacheMB int
-	// PrefixCacheBytes, when positive, overrides PrefixCacheMB with a
-	// byte-level cap — for tests and fine tuning.
-	PrefixCacheBytes int64
 	// Seed drives fold shuffling, shared across clients so cooperating
 	// searches agree on the evaluation (part of the DARR key).
 	Seed int64
@@ -251,7 +248,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	// per split instead of re-subsetting the full dataset per unit x fold.
 	var cache *prefixCache
 	if !opts.DisablePrefixCache {
-		cache = newPrefixCache(opts.capBytes())
+		cache = newPrefixCache(int64(opts.PrefixCacheMB) << 20)
 		defer cache.release()
 	}
 	folds := materializeFolds(ds, splits, cache)
@@ -642,11 +639,10 @@ func evaluateUnit(ctx context.Context, u searchUnit, folds []foldData, cache *pr
 }
 
 // computeUnitScores runs the unit's pipeline over every materialized
-// fold. With a prefix cache, each fold resolves the deepest shared
-// transformer prefix (computing and caching missing levels) and fits only
-// the pipeline suffix below it; without one it fits the full chain. Both
-// paths perform the same deterministic operations on the same data, so
-// scores are bit-identical — the cache only removes repetition.
+// fold. With a prefix cache, each level of the unit's transformer prefix is
+// fetched from it (computed and cached when missing); without one every
+// level is computed in place. Both run the same per-node step on the same
+// data, so scores are bit-identical — the cache only removes repetition.
 func computeUnitScores(ctx context.Context, u searchUnit, folds []foldData, cache *prefixCache, opts SearchOptions) ([]float64, error) {
 	var prefixes []string
 	if cache != nil {
@@ -667,7 +663,12 @@ func computeUnitScores(ctx context.Context, u searchUnit, folds []foldData, cach
 }
 
 // scoreFold fits and scores the unit's pipeline on one fold, under a
-// compute-tagged span recording how deep the prefix cache reached.
+// compute-tagged span recording how many prefix levels the cache served
+// (prefix_hits) and how many this span had to fit (prefix_misses). It walks
+// the unit's transformer nodes once, each level the per-node step applied to
+// the level above — through the cache's memo when there is one — and then
+// fits a clone of the estimator on the result. The unit's own components
+// are never fitted: they stay the template the winner's refit clones.
 func scoreFold(ctx context.Context, u searchUnit, fi int, fd foldData, cache *prefixCache, prefixes []string, opts SearchOptions) (float64, error) {
 	_, fsp := trace.Start(ctx, "search.fold_fit")
 	if fsp != nil {
@@ -676,28 +677,44 @@ func scoreFold(ctx context.Context, u searchUnit, fi int, fd foldData, cache *pr
 	}
 	defer fsp.End()
 
-	train, test, depth := fd.train, fd.test, 0
-	if cache != nil {
+	train, test := fd.train, fd.test
+	hits, misses := 0, 0
+	if fsp != nil && cache != nil {
+		defer func() {
+			fsp.SetAttr(trace.Int("prefix_hits", hits), trace.Int("prefix_misses", misses))
+		}()
+	}
+	for d, node := range u.pipeline.transformerNodes() {
+		step := func(train, test *dataset.Dataset) (*dataset.Dataset, *dataset.Dataset, error) {
+			return node.clone().fitTransform(train, test)
+		}
 		var err error
-		train, test, depth, err = cache.resolve(ctx, fi, u.pipeline, prefixes, fd)
+		if cache == nil {
+			train, test, err = step(train, test)
+		} else {
+			var served bool
+			train, test, served, err = cache.getOrCompute(ctx, prefixKey{fold: fi, spec: prefixes[d]}, train, test, step)
+			if served {
+				hits++
+			} else {
+				misses++
+			}
+		}
 		if err != nil {
 			return 0, err
 		}
-		if fsp != nil {
-			fsp.SetAttr(trace.Int("prefix_depth", depth), trace.Bool("prefix_hit", depth > 0))
-		}
 	}
-	// Only the suffix below the deepest cache hit is cloned and fitted;
-	// the cached prefix nodes would never be touched.
-	p := u.pipeline.CloneFrom(depth)
-	if err := p.Fit(train); err != nil {
-		return 0, err
+
+	last := u.pipeline.Nodes[len(u.pipeline.Nodes)-1]
+	est := last.Estimator.Clone()
+	if err := est.Fit(train); err != nil {
+		return 0, fmt.Errorf("core: fitting estimator %q: %w", last.Name, err)
 	}
-	yhat, ytrue, err := p.PredictWithTruth(test)
+	yhat, err := est.Predict(test)
 	if err != nil {
 		return 0, err
 	}
-	return opts.Scorer.Fn(ytrue, yhat)
+	return opts.Scorer.Fn(test.DenormY(test.Y), test.DenormY(yhat))
 }
 
 // unitOutcome names how a unit was satisfied, for the unit span's

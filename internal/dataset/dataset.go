@@ -45,13 +45,6 @@ type Dataset struct {
 	YScale  float64
 	YOffset float64
 
-	// Win, when non-nil, replaces X with a zero-copy affine-scaled window
-	// view over the raw series (window→conv fusion): X is nil and window
-	// rows are gathered on demand. Only produced when the consuming
-	// estimator opts in (core.WindowViewConsumer); Y and the affine
-	// metadata above are materialized as usual.
-	Win *WindowView
-
 	// Mirror, when non-nil, lazily caches a float32 conversion of X/Y for
 	// the reduced-precision NN path (see F32). Shared by shallow copies;
 	// dropped whenever X is replaced.
@@ -67,36 +60,21 @@ func New(x *matrix.Matrix, y []float64) (*Dataset, error) {
 	return &Dataset{X: x, Y: y}, nil
 }
 
-// NumSamples returns the number of rows (windows, for a fused window view).
-func (d *Dataset) NumSamples() int {
-	if d.X == nil && d.Win != nil {
-		return d.Win.Windows()
-	}
-	return d.X.Rows()
-}
+// NumSamples returns the number of rows.
+func (d *Dataset) NumSamples() int { return d.X.Rows() }
 
-// NumFeatures returns the number of feature columns (flattened window
-// width, for a fused window view).
-func (d *Dataset) NumFeatures() int {
-	if d.X == nil && d.Win != nil {
-		return d.Win.WindowLen() * d.Win.Vars()
-	}
-	return d.X.Cols()
-}
+// NumFeatures returns the number of feature columns.
+func (d *Dataset) NumFeatures() int { return d.X.Cols() }
 
-// Clone deep-copies the dataset. A fused window view (Win) is shared, not
-// copied — views are immutable.
+// Clone deep-copies the dataset.
 func (d *Dataset) Clone() *Dataset {
 	out := &Dataset{
-		Win:        d.Win,
+		X:          d.X.Clone(),
 		TargetName: d.TargetName,
 		WindowLen:  d.WindowLen,
 		NumVars:    d.NumVars,
 		YScale:     d.YScale,
 		YOffset:    d.YOffset,
-	}
-	if d.X != nil {
-		out.X = d.X.Clone()
 	}
 	if d.Y != nil {
 		out.Y = append([]float64(nil), d.Y...)
@@ -121,7 +99,6 @@ func (d *Dataset) WithX(x *matrix.Matrix) *Dataset {
 	out.ColNames = nil
 	out.ColScale = nil
 	out.ColOffset = nil
-	out.Win = nil
 	out.Mirror = nil
 	return &out
 }

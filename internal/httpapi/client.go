@@ -201,10 +201,16 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body any, out 
 		if err != nil {
 			return fmt.Errorf("httpapi: %s %s: %w", method, path, err)
 		}
-		defer resp.Body.Close()
+		// Whatever the attempt leaves unread — a reply nobody decodes, a
+		// non-2xx body, the bytes after the JSON value — is drained (up to
+		// a bound) before the close: net/http only returns a connection to
+		// the pool once its body has been read to EOF.
+		defer func() {
+			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
+			resp.Body.Close()
+		}()
 		trace.Annotate(ctx, trace.Int("status", resp.StatusCode))
 		if retry.RetryableStatus(resp.StatusCode) {
-			_, _ = io.Copy(io.Discard, resp.Body)
 			return &retry.StatusError{Status: resp.StatusCode, Method: method, Path: path}
 		}
 		if out != nil && resp.StatusCode < 300 {

@@ -69,77 +69,3 @@ func benchFitNet[T matrix.Float](b *testing.B) {
 
 func BenchmarkNetworkFitF64(b *testing.B) { benchFitNet[float64](b) }
 func BenchmarkNetworkFitF32(b *testing.B) { benchFitNet[float32](b) }
-
-// benchSeries is a fixed-size WindowSource for the window→conv fusion A/B.
-type benchSeries struct {
-	data *matrix.Matrix
-	hist int
-}
-
-func (s *benchSeries) Windows() int   { return s.data.Rows() - s.hist }
-func (s *benchSeries) WindowLen() int { return s.hist }
-func (s *benchSeries) Vars() int      { return s.data.Cols() }
-func (s *benchSeries) CopyStep(dst []float64, w, t int) {
-	copy(dst, s.data.Row(w+t))
-}
-func (s *benchSeries) CopyStep32(dst []float32, w, t int) {
-	for j, v := range s.data.Row(w + t) {
-		dst[j] = float32(v)
-	}
-}
-
-func windowBenchSetup() (*benchSeries, []float64) {
-	rng := rand.New(rand.NewSource(8))
-	src := &benchSeries{data: randInput(rng, 220, 2), hist: 16}
-	y := make([]float64, src.Windows())
-	for i := range y {
-		y[i] = rng.NormFloat64()
-	}
-	return src, y
-}
-
-func windowBenchNet(rngSeed int64) *Network {
-	rng := rand.New(rand.NewSource(rngSeed))
-	return NewNetwork(NewAdam(0.01),
-		NewConv1D(16, 2, 8, 3, 1, false, rng),
-		NewReLU(),
-		NewLastTimestep(14, 8),
-		NewDense(8, 1, rng),
-	)
-}
-
-// Window→conv fusion A/B: the materialized variant re-gathers the full
-// (windows × hist*vars) matrix every epoch before training, the fused
-// variant trains straight off the window source. The CI bench-kernels job
-// gates on the fused variant allocating less per op.
-
-func BenchmarkWindowConvMaterialized(b *testing.B) {
-	src, y := windowBenchSetup()
-	net := windowBenchNet(5)
-	cfg := FitConfig{Epochs: 1, BatchSize: 32, Seed: 1}
-	idx := make([]int, src.Windows())
-	for i := range idx {
-		idx[i] = i
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x := gatherWindows[float64](nil, src, idx)
-		if err := net.Fit(x, y, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWindowConvFused(b *testing.B) {
-	src, y := windowBenchSetup()
-	net := windowBenchNet(5)
-	cfg := FitConfig{Epochs: 1, BatchSize: 32, Seed: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := net.FitWindowed(src, y, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -21,10 +21,6 @@ import (
 // through the matrix kernels. Output values can differ from the previous
 // scalar loops in the last bits (the bias is now added after the taps);
 // gradients follow the same im2col/col2im structure.
-//
-// As the first layer of a network, the im2col gather can also read straight
-// from a WindowSource (ForwardWindows) — the fused window→conv path — in
-// which case the materialized windowed input matrix never exists.
 type Conv1DOf[T matrix.Float] struct {
 	SeqLen     int // input timesteps
 	InChannels int
@@ -35,13 +31,6 @@ type Conv1DOf[T matrix.Float] struct {
 
 	w, b  *ParamOf[T] // w is (Kernel*InChannels) x Filters
 	lastX *matrix.Mat[T]
-
-	// Windowed-forward state: when winMode is set the layer's last Forward
-	// was a ForwardWindows gather of winBatch windows, lastX is nil, and
-	// Backward skips the dcols/col2im input-gradient stage (the source
-	// series is not a trainable input).
-	winMode  bool
-	winBatch int
 
 	cols  *matrix.Mat[T] // (batch*outLen) x (Kernel*InChannels) im2col
 	out   *matrix.Mat[T]
@@ -107,7 +96,6 @@ func (c *Conv1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) 
 		return nil, fmt.Errorf("%w: conv1d kernel %d dilation %d too large for %d steps", ErrShape, c.Kernel, c.Dilation, c.SeqLen)
 	}
 	c.lastX = x
-	c.winMode = false
 	batch := x.Rows()
 	ic := c.InChannels
 	cols := matrix.Recycle(c.cols, batch*outLen, c.Kernel*ic) // zeros feed causal padding
@@ -125,70 +113,6 @@ func (c *Conv1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) 
 			}
 		}
 	}
-	return c.matmulCols(batch, outLen)
-}
-
-// ForwardWindows is the fused window→conv forward: it builds the im2col
-// buffer by gathering (affine-scaled) timesteps of the windows idx directly
-// from src, so the (len(idx) x SeqLen*InChannels) windowed input matrix is
-// never materialized. Each gathered element passes through the same affine
-// scaling a materializing windower would apply, making the im2col buffer —
-// and hence the output — bitwise identical to Forward on the materialized
-// windows (f64; for f32 both paths round identically too, as the gather is
-// elementwise).
-//
-// Only valid as the first layer of a network: Backward after a windowed
-// forward accumulates weight/bias gradients but returns a nil input
-// gradient (the source series is not trainable).
-func (c *Conv1DOf[T]) ForwardWindows(src WindowSource, idx []int, _ bool) (*matrix.Mat[T], error) {
-	if src.WindowLen() != c.SeqLen || src.Vars() != c.InChannels {
-		return nil, fmt.Errorf("%w: conv1d expects %dx%d windows, source has %dx%d", ErrShape, c.SeqLen, c.InChannels, src.WindowLen(), src.Vars())
-	}
-	outLen := c.OutLen()
-	if outLen < 1 {
-		return nil, fmt.Errorf("%w: conv1d kernel %d dilation %d too large for %d steps", ErrShape, c.Kernel, c.Dilation, c.SeqLen)
-	}
-	c.lastX = nil
-	c.winMode = true
-	c.winBatch = len(idx)
-	batch := len(idx)
-	ic := c.InChannels
-	cols := matrix.Recycle(c.cols, batch*outLen, c.Kernel*ic)
-	c.cols = cols
-	switch cw := any(cols).(type) {
-	case *matrix.Mat[float64]:
-		for i, w := range idx {
-			for t := 0; t < outLen; t++ {
-				dst := cw.Row(i*outLen + t)
-				for k := 0; k < c.Kernel; k++ {
-					tin := c.inTime(t, k)
-					if tin < 0 {
-						continue
-					}
-					src.CopyStep(dst[k*ic:(k+1)*ic], w, tin)
-				}
-			}
-		}
-	case *matrix.Mat[float32]:
-		for i, w := range idx {
-			for t := 0; t < outLen; t++ {
-				dst := cw.Row(i*outLen + t)
-				for k := 0; k < c.Kernel; k++ {
-					tin := c.inTime(t, k)
-					if tin < 0 {
-						continue
-					}
-					src.CopyStep32(dst[k*ic:(k+1)*ic], w, tin)
-				}
-			}
-		}
-	}
-	return c.matmulCols(batch, outLen)
-}
-
-// matmulCols multiplies the populated im2col buffer by the filter bank and
-// adds the bias, shared by both forward entry points.
-func (c *Conv1DOf[T]) matmulCols(batch, outLen int) (*matrix.Mat[T], error) {
 	out := matrix.RecycleNoClear(c.out, batch, outLen*c.Filters)
 	c.out = out
 	outView, err := matrix.FromSlice(batch*outLen, c.Filters, out.Data())
@@ -208,18 +132,12 @@ func (c *Conv1DOf[T]) matmulCols(batch, outLen int) (*matrix.Mat[T], error) {
 	return out, nil
 }
 
-// Backward accumulates weight/bias gradients and returns the input gradient
-// (nil after a windowed forward — see ForwardWindows).
+// Backward accumulates weight/bias gradients and returns the input gradient.
 func (c *Conv1DOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
-	var batch int
-	switch {
-	case c.winMode:
-		batch = c.winBatch
-	case c.lastX != nil:
-		batch = c.lastX.Rows()
-	default:
+	if c.lastX == nil {
 		return nil, fmt.Errorf("nn: conv1d backward before forward")
 	}
+	batch := c.lastX.Rows()
 	outLen := c.OutLen()
 	if grad.Cols() != outLen*c.Filters || grad.Rows() != batch {
 		return nil, fmt.Errorf("%w: conv1d backward grad %dx%d", ErrShape, grad.Rows(), grad.Cols())
@@ -237,12 +155,6 @@ func (c *Conv1DOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 	// dW += colsᵀ * grad over every (sample, step) row at once.
 	if err := matrix.MulTransposeAAccum(c.w.Grad, c.cols, gview); err != nil {
 		return nil, fmt.Errorf("nn: conv1d backward dW: %w", err)
-	}
-	if c.winMode {
-		// Fused first layer: the input is the raw source series, which has
-		// no gradient consumer, so dcols and the col2im scatter are skipped
-		// entirely — the second allocation/bandwidth win of the fusion.
-		return nil, nil
 	}
 	dcols, err := matrix.MulTransposeBInto(c.dcols, gview, c.w.W)
 	if err != nil {

@@ -18,12 +18,6 @@
 // nn.Precision). Layer weight initialization consumes the seeded rng stream
 // identically at either precision, so f32 results track f64 within the
 // documented tolerance.
-//
-// The convolutional estimators (CNN/WaveNet/SeriesNet) also opt into
-// window→conv fusion (core.WindowViewConsumer): when the pipeline hands
-// them a dataset carrying a window view instead of a materialized window
-// matrix, the first Conv1D gathers its im2col input straight from the
-// source series.
 package nnmodels
 
 import (
@@ -154,18 +148,11 @@ func (r *runner[T]) inputs(ds *dataset.Dataset) (*matrix.Mat[T], []T) {
 
 func (r *runner[T]) fit(ds *dataset.Dataset, cfg netConfig) error {
 	fc := nn.FitConfig{Epochs: cfg.Epochs, BatchSize: cfg.Batch, Seed: cfg.Seed}
-	if ds.Win != nil {
-		r.y = matrix.ConvertVec(r.y, ds.Y)
-		return r.net.FitWindowed(ds.Win, r.y, fc)
-	}
 	x, y := r.inputs(ds)
 	return r.net.Fit(x, y, fc)
 }
 
 func (r *runner[T]) predict(ds *dataset.Dataset) ([]float64, error) {
-	if ds.Win != nil {
-		return r.net.PredictWindowed(ds.Win)
-	}
 	x, _ := r.inputs(ds)
 	return r.net.Predict(x)
 }
@@ -369,10 +356,6 @@ func (c *CNNRegressor) Params() map[string]float64 { return c.cfg.params() }
 // Clone implements core.Estimator.
 func (c *CNNRegressor) Clone() coreEstimator { return &CNNRegressor{Deep: c.Deep, cfg: c.cfg} }
 
-// ConsumesWindowView implements core.WindowViewConsumer: the first layer is
-// a Conv1D, whose im2col gathers windows straight from the source series.
-func (c *CNNRegressor) ConsumesWindowView() bool { return true }
-
 func buildCNN[T matrix.Float](deep bool, seqLen, channels int, cfg netConfig) *runner[T] {
 	const kernel = 3
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -470,10 +453,6 @@ func (w *WaveNetRegressor) Params() map[string]float64 { return w.cfg.params() }
 // Clone implements core.Estimator.
 func (w *WaveNetRegressor) Clone() coreEstimator { return &WaveNetRegressor{cfg: w.cfg} }
 
-// ConsumesWindowView implements core.WindowViewConsumer (first layer is a
-// 1x1 causal Conv1D).
-func (w *WaveNetRegressor) ConsumesWindowView() bool { return true }
-
 func buildWaveNet[T matrix.Float](seqLen, channels int, cfg netConfig) *runner[T] {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := cfg.Hidden
@@ -549,10 +528,6 @@ func (s *SeriesNetRegressor) Params() map[string]float64 { return s.cfg.params()
 
 // Clone implements core.Estimator.
 func (s *SeriesNetRegressor) Clone() coreEstimator { return &SeriesNetRegressor{cfg: s.cfg} }
-
-// ConsumesWindowView implements core.WindowViewConsumer (first layer is a
-// 1x1 causal Conv1D).
-func (s *SeriesNetRegressor) ConsumesWindowView() bool { return true }
 
 func buildSeriesNet[T matrix.Float](seqLen, channels int, cfg netConfig) *runner[T] {
 	rng := rand.New(rand.NewSource(cfg.Seed))

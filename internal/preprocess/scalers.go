@@ -70,24 +70,6 @@ func (s *StandardScaler) Fit(ds *dataset.Dataset) error {
 	return nil
 }
 
-// AffineColumns implements core.AffineSource: the fitted transform is
-// out = (x - mean) / std, with std replaced by 1 for zero-variance columns
-// (dividing by 1 is exact, so this matches Transform bit for bit).
-func (s *StandardScaler) AffineColumns() (sub, div []float64, ok bool) {
-	if s.means == nil {
-		return nil, nil, false
-	}
-	div = make([]float64, len(s.stds))
-	for j, sd := range s.stds {
-		if sd > 0 {
-			div[j] = sd
-		} else {
-			div[j] = 1
-		}
-	}
-	return s.means, div, true
-}
-
 // Transform standardizes columns; zero-variance columns pass through centred.
 func (s *StandardScaler) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	if s.means == nil {
@@ -146,22 +128,6 @@ func (s *MinMaxScaler) Fit(ds *dataset.Dataset) error {
 	s.mins = ds.X.ColMins()
 	s.maxs = ds.X.ColMaxs()
 	return nil
-}
-
-// AffineColumns implements core.AffineSource: out = (x - min) / span, with
-// span = 0 marking constant columns whose output is exactly 0 (the fused
-// consumer must map div == 0 to a zero output, matching Transform).
-func (s *MinMaxScaler) AffineColumns() (sub, div []float64, ok bool) {
-	if s.mins == nil {
-		return nil, nil, false
-	}
-	div = make([]float64, len(s.mins))
-	for j := range div {
-		if span := s.maxs[j] - s.mins[j]; span > 0 {
-			div[j] = span
-		}
-	}
-	return s.mins, div, true
 }
 
 // Transform rescales into [0,1]; constant columns map to 0.
@@ -233,23 +199,6 @@ func (s *RobustScaler) Fit(ds *dataset.Dataset) error {
 		s.iqrs[j] = quantileSorted(col, 0.75) - quantileSorted(col, 0.25)
 	}
 	return nil
-}
-
-// AffineColumns implements core.AffineSource: out = (x - median) / IQR,
-// with IQR replaced by 1 for zero-IQR columns (exact, matching Transform).
-func (s *RobustScaler) AffineColumns() (sub, div []float64, ok bool) {
-	if s.medians == nil {
-		return nil, nil, false
-	}
-	div = make([]float64, len(s.iqrs))
-	for j, iqr := range s.iqrs {
-		if iqr > 0 {
-			div[j] = iqr
-		} else {
-			div[j] = 1
-		}
-	}
-	return s.medians, div, true
 }
 
 // Transform applies (x - median) / IQR; zero-IQR columns are only centred.

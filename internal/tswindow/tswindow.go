@@ -92,71 +92,12 @@ func (c *CascadedWindows) Fit(*dataset.Dataset) error { return nil }
 
 // Transform builds the cascaded windows.
 func (c *CascadedWindows) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	x, y, v, err := buildWindows(ds, c.History, c.Horizon, c.Target, nil, nil)
+	x, y, v, err := buildWindows(ds, c.History, c.Horizon, c.Target)
 	if err != nil {
 		return nil, fmt.Errorf("tswindow: %s: %w", c.Name(), err)
 	}
 	out := &dataset.Dataset{X: x, Y: y, TargetName: ds.TargetName, WindowLen: c.History, NumVars: v}
 	out.YScale, out.YOffset = ds.ColAffine(c.Target)
-	return out, nil
-}
-
-// TransformAffine implements core.AffineFuser: the upstream scaler's affine
-// map is applied per element while the windows are copied, so the scaled
-// T x v intermediate is never materialised.
-func (c *CascadedWindows) TransformAffine(ds *dataset.Dataset, sub, div []float64) (*dataset.Dataset, error) {
-	x, y, v, err := buildWindows(ds, c.History, c.Horizon, c.Target, sub, div)
-	if err != nil {
-		return nil, fmt.Errorf("tswindow: %s: %w", c.Name(), err)
-	}
-	out := &dataset.Dataset{X: x, Y: y, TargetName: ds.TargetName, WindowLen: c.History, NumVars: v}
-	out.YScale, out.YOffset = composeAffine(ds, c.Target, sub, div)
-	return out, nil
-}
-
-// TransformWindowView implements core.ViewFuser: instead of materialising
-// the L x (History*v) window matrix, it returns a dataset whose X is nil
-// and whose Win is a zero-copy affine-scaled view over the source series.
-// Targets and affine metadata are derived exactly as TransformAffine does
-// (sub/div nil means no pending scaler — the identity affine, which is
-// exact). Only taken when the consuming estimator opts in; window values
-// gathered from the view are bit-identical to the materialised windows
-// because the affine is applied once per element on either path.
-func (c *CascadedWindows) TransformWindowView(ds *dataset.Dataset, sub, div []float64) (*dataset.Dataset, error) {
-	if c.History < 1 {
-		return nil, fmt.Errorf("tswindow: %s: history %d < 1", c.Name(), c.History)
-	}
-	if c.Horizon < 1 {
-		return nil, fmt.Errorf("tswindow: %s: horizon %d < 1", c.Name(), c.Horizon)
-	}
-	if err := validateSeries(ds, c.Target); err != nil {
-		return nil, fmt.Errorf("tswindow: %s: %w", c.Name(), err)
-	}
-	if sub != nil {
-		if err := checkAffine(ds, sub, div); err != nil {
-			return nil, fmt.Errorf("tswindow: %s: %w", c.Name(), err)
-		}
-	}
-	win, err := dataset.NewWindowView(ds.X, c.History, c.Horizon, sub, div)
-	if err != nil {
-		return nil, fmt.Errorf("tswindow: %s: %w", c.Name(), err)
-	}
-	l := win.Windows()
-	y := make([]float64, l)
-	for i := 0; i < l; i++ {
-		raw := ds.X.At(i+c.History+c.Horizon-1, c.Target)
-		if sub == nil {
-			y[i] = raw
-		} else {
-			y[i] = applyAffine(raw, sub[c.Target], div[c.Target])
-		}
-	}
-	out := &dataset.Dataset{Win: win, Y: y, TargetName: ds.TargetName, WindowLen: c.History, NumVars: ds.X.Cols()}
-	if sub == nil {
-		out.YScale, out.YOffset = ds.ColAffine(c.Target)
-	} else {
-		out.YScale, out.YOffset = composeAffine(ds, c.Target, sub, div)
-	}
 	return out, nil
 }
 
@@ -212,24 +153,13 @@ func (f *FlatWindowing) Fit(*dataset.Dataset) error { return nil }
 
 // Transform builds flattened windows.
 func (f *FlatWindowing) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	x, y, _, err := buildWindows(ds, f.History, f.Horizon, f.Target, nil, nil)
+	x, y, _, err := buildWindows(ds, f.History, f.Horizon, f.Target)
 	if err != nil {
 		return nil, fmt.Errorf("tswindow: %s: %w", f.Name(), err)
 	}
 	// WindowLen stays 0: downstream estimators treat rows as flat vectors.
 	out := &dataset.Dataset{X: x, Y: y, TargetName: ds.TargetName}
 	out.YScale, out.YOffset = ds.ColAffine(f.Target)
-	return out, nil
-}
-
-// TransformAffine implements core.AffineFuser (see CascadedWindows).
-func (f *FlatWindowing) TransformAffine(ds *dataset.Dataset, sub, div []float64) (*dataset.Dataset, error) {
-	x, y, _, err := buildWindows(ds, f.History, f.Horizon, f.Target, sub, div)
-	if err != nil {
-		return nil, fmt.Errorf("tswindow: %s: %w", f.Name(), err)
-	}
-	out := &dataset.Dataset{X: x, Y: y, TargetName: ds.TargetName}
-	out.YScale, out.YOffset = composeAffine(ds, f.Target, sub, div)
 	return out, nil
 }
 
@@ -294,19 +224,6 @@ func (t *TSAsIID) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	out := &dataset.Dataset{X: x, Y: y, ColNames: ds.ColNames, TargetName: ds.TargetName,
 		ColScale: ds.ColScale, ColOffset: ds.ColOffset}
 	out.YScale, out.YOffset = ds.ColAffine(t.Target)
-	return out, nil
-}
-
-// TransformAffine implements core.AffineFuser: rows are copied with the
-// upstream scaler's affine map applied in place of the scaled intermediate.
-func (t *TSAsIID) TransformAffine(ds *dataset.Dataset, sub, div []float64) (*dataset.Dataset, error) {
-	x, y, err := sliceSeriesAffine(ds, t.Horizon, t.Target, sub, div, t.Name())
-	if err != nil {
-		return nil, err
-	}
-	out := &dataset.Dataset{X: x, Y: y, ColNames: ds.ColNames, TargetName: ds.TargetName}
-	out.ColScale, out.ColOffset = composeAffineAll(ds, sub, div)
-	out.YScale, out.YOffset = composeAffine(ds, t.Target, sub, div)
 	return out, nil
 }
 
@@ -375,101 +292,10 @@ func (t *TSAsIs) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	return out, nil
 }
 
-// TransformAffine implements core.AffineFuser (see TSAsIID).
-func (t *TSAsIs) TransformAffine(ds *dataset.Dataset, sub, div []float64) (*dataset.Dataset, error) {
-	x, y, err := sliceSeriesAffine(ds, t.Horizon, t.Target, sub, div, t.Name())
-	if err != nil {
-		return nil, err
-	}
-	out := &dataset.Dataset{X: x, Y: y, ColNames: ds.ColNames, TargetName: ds.TargetName, NumVars: ds.X.Cols()}
-	out.ColScale, out.ColOffset = composeAffineAll(ds, sub, div)
-	out.YScale, out.YOffset = composeAffine(ds, t.Target, sub, div)
-	return out, nil
-}
-
-// applyAffine maps one value through the scaler affine: v = x - sub, then
-// divided by div when div != 0, or exactly 0 when div == 0 (the MinMax
-// constant-column sentinel). This matches every scaler Transform bit for bit
-// — Standard/Robust encode degenerate columns as div = 1, and x/1.0 is
-// exact.
-func applyAffine(x, sub, div float64) float64 {
-	v := x - sub
-	if div != 0 {
-		return v / div
-	}
-	return 0
-}
-
-// checkAffine validates a fused affine map against the input width.
-func checkAffine(ds *dataset.Dataset, sub, div []float64) error {
-	if len(sub) != ds.X.Cols() || len(div) != ds.X.Cols() {
-		return fmt.Errorf("affine of %d/%d cols on %d-col series", len(sub), len(div), ds.X.Cols())
-	}
-	return nil
-}
-
-// composeAffine returns the scaled-to-original affine metadata for column j
-// exactly as the unfused path would: the scaler's setAffine composes
-// scale = div (or 1 when div == 0) and offset = sub with the input's
-// existing affine, and the windower then reads ColAffine(j) from that
-// intermediate.
-func composeAffine(ds *dataset.Dataset, j int, sub, div []float64) (scale, offset float64) {
-	inScale, inOffset := ds.ColAffine(j)
-	eff := div[j]
-	if eff == 0 {
-		eff = 1
-	}
-	return eff * inScale, sub[j]*inScale + inOffset
-}
-
-// composeAffineAll is composeAffine over every column.
-func composeAffineAll(ds *dataset.Dataset, sub, div []float64) (scale, offset []float64) {
-	n := len(sub)
-	scale = make([]float64, n)
-	offset = make([]float64, n)
-	for j := 0; j < n; j++ {
-		scale[j], offset[j] = composeAffine(ds, j, sub, div)
-	}
-	return scale, offset
-}
-
-// sliceSeriesAffine is the fused core of TSAsIID/TSAsIs.TransformAffine:
-// the first Rows-Horizon rows copied with the affine applied, plus the
-// affine-scaled h-step-ahead targets.
-func sliceSeriesAffine(ds *dataset.Dataset, horizon, target int, sub, div []float64, name string) (*matrix.Matrix, []float64, error) {
-	if horizon < 1 {
-		return nil, nil, fmt.Errorf("tswindow: %s: horizon %d < 1", name, horizon)
-	}
-	if err := validateSeries(ds, target); err != nil {
-		return nil, nil, fmt.Errorf("tswindow: %s: %w", name, err)
-	}
-	if err := checkAffine(ds, sub, div); err != nil {
-		return nil, nil, fmt.Errorf("tswindow: %s: %w", name, err)
-	}
-	n := ds.X.Rows() - horizon
-	if n < 1 {
-		return nil, nil, fmt.Errorf("tswindow: %s: series of %d too short for horizon %d", name, ds.X.Rows(), horizon)
-	}
-	v := ds.X.Cols()
-	x := matrix.New(n, v)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		src := ds.X.Row(i)
-		dst := x.Row(i)
-		for j := 0; j < v; j++ {
-			dst[j] = applyAffine(src[j], sub[j], div[j])
-		}
-		y[i] = applyAffine(ds.X.At(i+horizon, target), sub[target], div[target])
-	}
-	return x, y, nil
-}
-
 // buildWindows materialises the L x (history*v) window matrix and targets in
 // one backing allocation (the layout the F7 ablation compares against
-// per-window allocation). When sub/div are non-nil the upstream scaler's
-// affine map is applied per element during the copy (the fused path), which
-// is bit-identical to windowing an affine-scaled copy of the series.
-func buildWindows(ds *dataset.Dataset, history, horizon, target int, sub, div []float64) (*matrix.Matrix, []float64, int, error) {
+// per-window allocation).
+func buildWindows(ds *dataset.Dataset, history, horizon, target int) (*matrix.Matrix, []float64, int, error) {
 	if history < 1 {
 		return nil, nil, 0, fmt.Errorf("history %d < 1", history)
 	}
@@ -478,11 +304,6 @@ func buildWindows(ds *dataset.Dataset, history, horizon, target int, sub, div []
 	}
 	if err := validateSeries(ds, target); err != nil {
 		return nil, nil, 0, err
-	}
-	if sub != nil {
-		if err := checkAffine(ds, sub, div); err != nil {
-			return nil, nil, 0, err
-		}
 	}
 	v := ds.X.Cols()
 	total := ds.X.Rows()
@@ -495,22 +316,9 @@ func buildWindows(ds *dataset.Dataset, history, horizon, target int, sub, div []
 	for i := 0; i < l; i++ {
 		dst := x.Row(i)
 		for tIdx := 0; tIdx < history; tIdx++ {
-			src := ds.X.Row(i + tIdx)
-			seg := dst[tIdx*v : (tIdx+1)*v]
-			if sub == nil {
-				copy(seg, src)
-			} else {
-				for j := 0; j < v; j++ {
-					seg[j] = applyAffine(src[j], sub[j], div[j])
-				}
-			}
+			copy(dst[tIdx*v:(tIdx+1)*v], ds.X.Row(i+tIdx))
 		}
-		raw := ds.X.At(i+history+horizon-1, target)
-		if sub == nil {
-			y[i] = raw
-		} else {
-			y[i] = applyAffine(raw, sub[target], div[target])
-		}
+		y[i] = ds.X.At(i+history+horizon-1, target)
 	}
 	return x, y, v, nil
 }
