@@ -198,7 +198,7 @@ func runServe(ctx context.Context, args []string) error {
 		opts.Store = hc
 		opts.SkipClaimed = true
 	}
-	res, err := core.Search(ctx, regressionGraph(), ds, opts)
+	res, _, err := searchToCompletion(ctx, regressionGraph(), ds, opts, httpapi.DefaultPublishFlushInterval)
 	if err != nil {
 		return err
 	}
@@ -217,6 +217,38 @@ func runServe(ctx context.Context, args []string) error {
 	// and threads it into the handler's logs; the recovery layer turns a
 	// scoring panic into a structured 500 instead of a dead connection.
 	return http.ListenAndServe(*addr, obs.Middleware(obs.Recover(mux, nil), nil))
+}
+
+// searchToCompletion runs a search and, while it had to skip units a peer
+// holds claims on, waits one publish-flush interval — as long as a peer's
+// finished result can sit in its queue — and searches again: what is
+// published by then is a cache hit, what a dead peer held is computed once
+// its claim expires. A client that joins a search under way so ends with
+// the whole table, not the best of the part it saw. It returns the last
+// pass's result and the units computed over all passes; a context that
+// ends during a wait returns the last pass as it is.
+func searchToCompletion(ctx context.Context, g *core.Graph, ds *dataset.Dataset, opts core.SearchOptions, wait time.Duration) (*core.SearchResult, int, error) {
+	computed := 0
+	for pass := 1; ; pass++ {
+		res, err := core.Search(ctx, g, ds, opts)
+		if err != nil {
+			return nil, computed, err
+		}
+		computed += res.Computed
+		if opts.Store != nil {
+			slog.Info("cooperative search pass finished",
+				"request_id", obs.RequestID(ctx), "pass", pass, "computed", res.Computed,
+				"cache_hits", res.CacheHits, "skipped", res.Skipped, "degraded", res.Degraded)
+		}
+		if res.Skipped == 0 {
+			return res, computed, nil
+		}
+		select {
+		case <-ctx.Done():
+			return res, computed, nil
+		case <-time.After(wait):
+		}
+	}
 }
 
 // printProfile summarizes the search's critical-path breakdown on stdout.
@@ -351,18 +383,15 @@ func runSearch(ctx context.Context, args []string) error {
 			"metric", *metric)
 	}
 
-	res, err := core.Search(ctx, g, ds, opts)
+	res, computed, err := searchToCompletion(ctx, g, ds, opts, *pubFlush)
 	if err != nil {
 		return err
 	}
-	if *server != "" {
-		slog.Info("cooperative search finished",
-			"request_id", requestID, "computed", res.Computed, "cache_hits", res.CacheHits,
-			"skipped", res.Skipped, "degraded", res.Degraded)
-	}
 	fmt.Printf("dataset fingerprint: %s\n", ds.Fingerprint())
+	// Units this client computed in an earlier pass read as cache hits in
+	// the last one.
 	fmt.Printf("units: %d computed, %d from DARR, %d skipped (claimed elsewhere)\n",
-		res.Computed, res.CacheHits, res.Skipped)
+		computed, res.CacheHits-(computed-res.Computed), res.Skipped)
 	if !*noCache {
 		p := res.Prefix
 		fmt.Printf("prefix cache: %d hits, %d misses, %d evictions (%d prefix fits for %d distinct fold-prefix pairs)\n",

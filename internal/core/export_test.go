@@ -1,0 +1,5 @@
+package core
+
+// ClaimAhead lets the external test package state the claim window's
+// bounds in terms of the constant the search uses.
+const ClaimAhead = claimAhead

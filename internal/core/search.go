@@ -67,12 +67,12 @@ type ResultStore interface {
 
 // BatchResultStore extends ResultStore with bulk operations. A
 // cooperative search over N units costs up to 3N sequential round trips
-// on the per-unit protocol (Lookup, Claim, Publish each); a batch-capable
-// store lets Search resolve every unit's cache and claim state in two
-// bulk calls before spawning workers, and lets the store coalesce
-// Publishes, so the whole search needs a handful of requests. Search
-// uses these methods whenever the configured Store implements them and
-// falls back to the per-unit protocol otherwise.
+// on the per-unit protocol (Lookup, Claim, Publish each); with a
+// batch-capable store Search resolves every unit's cache state in one
+// bulk lookup, claims the misses a window at a time beside its workers
+// (claimWindow), and lets the store coalesce Publishes. Search uses these
+// methods whenever the configured Store implements them and falls back to
+// the per-unit protocol otherwise.
 type BatchResultStore interface {
 	ResultStore
 	// LookupBatch resolves many keys at once; the result holds entries
@@ -205,6 +205,8 @@ type searchUnit struct {
 	index    int
 	pipeline *Pipeline
 	params   map[string]float64
+	spec     string // pipeline.Spec(), set by Search
+	key      string // the unit's DARR key
 }
 
 // Search evaluates every pipeline in the graph under every applicable
@@ -227,6 +229,9 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	}
 	if opts.Parallelism < 1 {
 		opts.Parallelism = 1
+	}
+	if opts.Logger == nil {
+		opts.Logger = slog.Default()
 	}
 	// The root span covers everything from fold materialization to the
 	// final refit; its trace is what /debug/traces shows and what the
@@ -256,28 +261,24 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	fp := ds.Fingerprint()
 	evalSpec := fmt.Sprintf("%s|%s|seed=%d", opts.Splitter.Spec(), opts.Scorer.Name, opts.Seed)
 
-	// Batch-capable stores resolve every unit's cache/claim state up
-	// front in two bulk round trips instead of 2×units sequential ones.
-	var batch *batchState
-	if bs, ok := opts.Store.(BatchResultStore); ok && len(units) > 0 {
-		keys := make([]string, len(units))
-		for i, u := range units {
-			keys[i] = UnitKey(fp, u.pipeline.Spec(), evalSpec)
-		}
-		batch = prefetchBatch(ctx, bs, keys, opts)
+	for i := range units {
+		units[i].spec = units[i].pipeline.Spec()
+		units[i].key = UnitKey(fp, units[i].spec, evalSpec)
 	}
+	var wg sync.WaitGroup
+	win := newClaimWindow(ctx, opts, units, wg.Wait)
 
 	searchSpan.SetAttr(trace.Int("units", len(units)), trace.Int("folds", len(folds)),
 		trace.Int("parallelism", opts.Parallelism))
 
 	results := make([]UnitResult, len(units))
-	var wg sync.WaitGroup
 	sem := make(chan struct{}, opts.Parallelism)
-	for _, u := range units {
-		u := u
-		if ctx.Err() != nil {
+	for ctx.Err() == nil {
+		h, ok := win.next(ctx)
+		if !ok {
 			break
 		}
+		u := units[h.unit]
 		wg.Add(1)
 		// Time spent waiting for a worker slot is queue time on the
 		// critical path — visible saturation, not invisible stalling.
@@ -293,14 +294,12 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[u.index] = evaluateUnit(ctx, u, folds, cache, fp, evalSpec, opts, batch)
+			results[u.index] = evaluateUnit(ctx, u, h, folds, cache, evalSpec, opts)
 		}()
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		// Bulk-acquired claims for units that never ran (or queued
-		// publishes that never flushed) must not leak until TTL.
-		abandonBatch(ctx, opts, batch)
+		win.abandon(ctx)
 		return nil, fmt.Errorf("core: search cancelled: %w", err)
 	}
 
@@ -341,21 +340,8 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 			res.Best = u
 		}
 	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = slog.Default()
-	}
-	if f, ok := opts.Store.(Flusher); ok {
-		fctx, fsp := trace.Start(ctx, "search.flush")
-		fsp.SetComponent(trace.CompDARRWait)
-		if err := f.Flush(fctx); err != nil {
-			fsp.SetAttr(trace.String("error", err.Error()))
-			logger.Warn("search publish flush failed",
-				"request_id", obs.RequestID(ctx), "err", err)
-		}
-		fsp.End()
-	}
-	logger.Debug("search complete",
+	flushPublishes(ctx, opts)
+	opts.Logger.Debug("search complete",
 		"request_id", obs.RequestID(ctx), "dataset_fp", fp, "units", len(results),
 		"parallelism", opts.Parallelism, "kernel_workers", matrix.Parallelism(),
 		"computed", res.Computed, "cache_hits", res.CacheHits,
@@ -363,7 +349,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		"prefix_hits", res.Prefix.Hits, "prefix_misses", res.Prefix.Misses,
 		"prefix_evictions", res.Prefix.Evictions)
 	if res.Degraded > 0 {
-		logger.Warn("search degraded: result store unavailable for some units",
+		opts.Logger.Warn("search degraded: result store unavailable for some units",
 			"request_id", obs.RequestID(ctx), "degraded", res.Degraded, "units", len(results))
 	}
 	if res.Best != nil {
@@ -394,7 +380,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 			for comp, h := range mCritPath {
 				h.Observe(prof.Component(comp).Seconds())
 			}
-			logger.Debug("search critical path",
+			opts.Logger.Debug("search critical path",
 				"request_id", obs.RequestID(ctx), "trace_id", searchSpan.TraceID().String(),
 				"total", res.Profile.Total, "compute", res.Profile.Compute,
 				"darr_wait", res.Profile.DARRWait, "store_wait", res.Profile.StoreWait,
@@ -411,89 +397,22 @@ func UnitKey(datasetFP, pipelineSpec, evalSpec string) string {
 	return datasetFP + "|" + pipelineSpec + "|" + evalSpec
 }
 
-// batchState is the outcome of the bulk Lookup/Claim pass a
-// BatchResultStore enables: every unit's cached score and claim grant,
-// fetched in two round trips before workers spawn.
-type batchState struct {
-	cached  map[string]float64
-	granted map[string]bool
-	// lookupFailed / claimFailed record a failed bulk call; affected
-	// units degrade to local-only computation, matching the per-unit
-	// protocol's fault-tolerance contract.
-	lookupFailed bool
-	claimFailed  bool
-}
-
-// prefetchBatch runs the bulk Lookup and (for the cache misses) the bulk
-// Claim. Bulk-call failures are recorded, not fatal — the search
-// degrades instead of hammering a failing store once per unit.
-func prefetchBatch(ctx context.Context, bs BatchResultStore, keys []string, opts SearchOptions) *batchState {
-	st := &batchState{granted: map[string]bool{}}
-	lctx, lsp := trace.Start(ctx, "search.bulk_lookup", trace.Int("keys", len(keys)))
-	lsp.SetComponent(trace.CompDARRWait)
-	scores, err := bs.LookupBatch(lctx, keys)
-	if err != nil {
-		lsp.SetAttr(trace.String("error", err.Error()))
-		lsp.End()
-		st.lookupFailed = true
-		return st
-	}
-	lsp.SetAttr(trace.Int("hits", len(scores)))
-	lsp.End()
-	st.cached = scores
-	toClaim := keys[:0:0]
-	for _, k := range keys {
-		if _, ok := scores[k]; !ok {
-			toClaim = append(toClaim, k)
-		}
-	}
-	if len(toClaim) == 0 {
-		return st
-	}
-	cctx, csp := trace.Start(ctx, "search.bulk_claim", trace.Int("keys", len(toClaim)))
-	csp.SetComponent(trace.CompDARRWait)
-	granted, err := bs.ClaimBatch(cctx, toClaim)
-	if err != nil {
-		csp.SetAttr(trace.String("error", err.Error()))
-		csp.End()
-		st.claimFailed = true
-		return st
-	}
-	grants := 0
-	for _, g := range granted {
-		if g {
-			grants++
-		}
-	}
-	csp.SetAttr(trace.Int("granted", grants))
-	csp.End()
-	st.granted = granted
-	return st
-}
-
-// abandonBatch cleans up after a search that exits without evaluating
-// every unit (cancellation): queued publishes are flushed so finished
-// work still reaches the repository, then every bulk-granted claim is
-// released — a released-but-published key is a harmless no-op, while an
-// unreleased claim would block peers until TTL. Runs on a detached
-// context because the search's own context is already cancelled.
-func abandonBatch(ctx context.Context, opts SearchOptions, batch *batchState) {
-	if batch == nil {
-		return
-	}
-	dctx := context.WithoutCancel(ctx)
-	if f, ok := opts.Store.(Flusher); ok {
-		_ = f.Flush(dctx)
-	}
-	r, ok := opts.Store.(ClaimReleaser)
+// flushPublishes drains a buffering store's publish queue (Flusher), so
+// every queued record reaches the repository; a failure is logged, not
+// fatal.
+func flushPublishes(ctx context.Context, opts SearchOptions) {
+	f, ok := opts.Store.(Flusher)
 	if !ok {
 		return
 	}
-	for key, granted := range batch.granted {
-		if granted {
-			_ = r.Release(dctx, key)
-		}
+	fctx, fsp := trace.Start(ctx, "search.flush")
+	fsp.SetComponent(trace.CompDARRWait)
+	if err := f.Flush(fctx); err != nil {
+		fsp.SetAttr(trace.String("error", err.Error()))
+		opts.Logger.Warn("search publish flush failed",
+			"request_id", obs.RequestID(ctx), "err", err)
 	}
+	fsp.End()
 }
 
 // releaseClaim frees a held work claim on the claimed-but-unpublished
@@ -508,33 +427,6 @@ func releaseClaim(ctx context.Context, opts SearchOptions, key string, held bool
 	if r, ok := opts.Store.(ClaimReleaser); ok {
 		_ = r.Release(context.WithoutCancel(ctx), key)
 	}
-}
-
-// resolveFromBatch applies the prefetched bulk state to one unit. done
-// means the unit is fully resolved (cache hit or skip); claimHeld means
-// this client holds the key's claim and must publish or release it.
-func resolveFromBatch(out *UnitResult, key string, batch *batchState, opts SearchOptions) (done, claimHeld bool) {
-	if batch.lookupFailed {
-		out.Degraded = true
-		return false, false
-	}
-	if score, ok := batch.cached[key]; ok {
-		out.Mean = score
-		out.FromCache = true
-		return true, false
-	}
-	if batch.claimFailed {
-		out.Degraded = true
-		return false, false
-	}
-	if !batch.granted[key] {
-		if opts.SkipClaimed {
-			out.Skipped = true
-			return true, false
-		}
-		return false, false
-	}
-	return false, true
 }
 
 // resolvePerUnit is the original sequential protocol: one Lookup and one
@@ -561,13 +453,14 @@ func resolvePerUnit(ctx context.Context, out *UnitResult, key string, opts Searc
 	case !claimed && opts.SkipClaimed:
 		out.Skipped = true
 		return true, false
+	case claimed:
+		mClaimsHeld.Add(1)
 	}
 	return false, claimed
 }
 
-func evaluateUnit(ctx context.Context, u searchUnit, folds []foldData, cache *prefixCache, fp, evalSpec string, opts SearchOptions, batch *batchState) (out UnitResult) {
-	out = UnitResult{Index: u.index, Spec: u.pipeline.Spec(), Params: u.params}
-	key := UnitKey(fp, out.Spec, evalSpec)
+func evaluateUnit(ctx context.Context, u searchUnit, h handoff, folds []foldData, cache *prefixCache, evalSpec string, opts SearchOptions) (out UnitResult) {
+	out = UnitResult{Index: u.index, Spec: u.spec, Params: u.params}
 
 	// The unit span is structural (no component): per-fold children carry
 	// compute, and any per-unit store round trips carry their own waits —
@@ -581,17 +474,28 @@ func evaluateUnit(ctx context.Context, u searchUnit, folds []foldData, cache *pr
 		}()
 	}
 
-	claimHeld := false
-	if opts.Store != nil {
-		var done bool
-		if batch != nil {
-			done, claimHeld = resolveFromBatch(&out, key, batch, opts)
-		} else {
-			done, claimHeld = resolvePerUnit(ctx, &out, key, opts)
+	// claimHeld: this client holds the key's claim and must publish or
+	// release it.
+	claimHeld := h.plan == planGranted
+	switch h.plan {
+	case planHit:
+		out.Mean, out.FromCache = h.score, true
+		return out
+	case planSkipped:
+		out.Skipped = true
+		return out
+	case planDegraded:
+		out.Degraded = true
+	case planPerUnit:
+		if opts.Store != nil {
+			var done bool
+			if done, claimHeld = resolvePerUnit(ctx, &out, u.key, opts); done {
+				return out
+			}
 		}
-		if done {
-			return out
-		}
+	}
+	if claimHeld {
+		defer mClaimsHeld.Add(-1)
 	}
 
 	// Every locally evaluated unit is timed — failed and degraded units
@@ -602,7 +506,7 @@ func evaluateUnit(ctx context.Context, u searchUnit, folds []foldData, cache *pr
 	if evalErr != nil {
 		mUnitSecondsErr.ObserveSince(start)
 		out.Err = evalErr.Error()
-		releaseClaim(ctx, opts, key, claimHeld)
+		releaseClaim(ctx, opts, u.key, claimHeld)
 		return out
 	}
 	out.Scores = scores
@@ -620,7 +524,7 @@ func evaluateUnit(ctx context.Context, u searchUnit, folds []foldData, cache *pr
 		// with an unbeatable non-finite "score".
 		mUnitSecondsErr.ObserveSince(start)
 		out.Err = fmt.Sprintf("non-finite mean score %g over %d folds", mean, len(scores))
-		releaseClaim(ctx, opts, key, claimHeld)
+		releaseClaim(ctx, opts, u.key, claimHeld)
 		return out
 	}
 	out.Mean = mean
@@ -630,9 +534,9 @@ func evaluateUnit(ctx context.Context, u searchUnit, folds []foldData, cache *pr
 		explanation := fmt.Sprintf("pipeline=%s cv=%s metric=%s folds=%d", out.Spec, evalSpec, opts.Scorer.Name, len(scores))
 		// Best-effort publish: a store outage must not fail the search,
 		// but the unit is marked degraded because peers won't see it.
-		if err := opts.Store.Publish(ctx, key, out.Mean, explanation); err != nil {
+		if err := opts.Store.Publish(ctx, u.key, out.Mean, explanation); err != nil {
 			out.Degraded = true
-			releaseClaim(ctx, opts, key, claimHeld)
+			releaseClaim(ctx, opts, u.key, claimHeld)
 		}
 	}
 	return out

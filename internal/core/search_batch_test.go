@@ -3,12 +3,19 @@ package core_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coda/internal/core"
 	"coda/internal/crossval"
 	"coda/internal/metrics"
+	"coda/internal/mlmodels"
+	"coda/internal/obs"
+	"coda/internal/obs/trace"
+	"coda/internal/preprocess"
 )
 
 var errBatchDown = errors.New("batch endpoint unreachable")
@@ -27,6 +34,9 @@ type memBatchStore struct {
 	lookupBatches, claimBatches int
 	unitLookups, unitClaims     int
 	pubs, releases, flushes     int
+	// maxHeld is the most claims ever outstanding at once: granted, and
+	// neither published nor released.
+	maxHeld int
 }
 
 func newMemBatchStore(clientID string) *memBatchStore {
@@ -94,6 +104,7 @@ func (m *memBatchStore) ClaimBatch(_ context.Context, keys []string) (map[string
 	for _, k := range keys {
 		out[k] = m.claimLocked(k)
 	}
+	m.maxHeld = max(m.maxHeld, len(m.claimed))
 	return out, nil
 }
 
@@ -126,8 +137,9 @@ func batchOpts(store core.ResultStore) core.SearchOptions {
 }
 
 // TestSearchPrefersBatchProtocol pins the round-trip collapse: a
-// batch-capable store sees exactly one bulk lookup and one bulk claim
-// per search instead of one of each per unit, and is flushed on exit.
+// batch-capable store sees exactly one bulk lookup and a few claim
+// windows per search instead of one lookup and one claim per unit, and
+// is flushed on exit.
 func TestSearchPrefersBatchProtocol(t *testing.T) {
 	ds := regDS(t, 100)
 	st := newMemBatchStore("alice")
@@ -138,8 +150,10 @@ func TestSearchPrefersBatchProtocol(t *testing.T) {
 	if res.Computed != 4 || res.CacheHits != 0 || res.Skipped != 0 {
 		t.Fatalf("first run computed=%d cache=%d skipped=%d", res.Computed, res.CacheHits, res.Skipped)
 	}
-	if st.lookupBatches != 1 || st.claimBatches != 1 {
-		t.Fatalf("bulk calls lookup=%d claim=%d, want exactly 1 each", st.lookupBatches, st.claimBatches)
+	firstClaims := st.claimBatches
+	if st.lookupBatches != 1 || firstClaims < 1 || firstClaims > maxClaimCalls(4, runtime.GOMAXPROCS(0)) {
+		t.Fatalf("bulk calls lookup=%d claim=%d, want 1 lookup and 1..%d claim windows",
+			st.lookupBatches, firstClaims, maxClaimCalls(4, runtime.GOMAXPROCS(0)))
 	}
 	if st.unitLookups != 0 || st.unitClaims != 0 {
 		t.Fatalf("per-unit calls lookup=%d claim=%d, want 0: batch store must not fall back", st.unitLookups, st.unitClaims)
@@ -164,16 +178,18 @@ func TestSearchPrefersBatchProtocol(t *testing.T) {
 	if second.CacheHits != 4 || second.Computed != 0 {
 		t.Fatalf("second run computed=%d cache=%d, want all cached", second.Computed, second.CacheHits)
 	}
-	if st.claimBatches != 1 {
-		t.Fatalf("claimBatches=%d, want no claim batch when every key is cached", st.claimBatches)
+	if st.claimBatches != firstClaims || st.lookupBatches != 2 {
+		t.Fatalf("all-hit search made %d claim and %d lookup calls, want 0 and 1",
+			st.claimBatches-firstClaims, st.lookupBatches-1)
 	}
 	if second.Best == nil || second.Best.Mean != res.Best.Mean {
 		t.Fatal("cached best score differs from computed one")
 	}
 }
 
-// TestSearchBatchSkipClaimed: keys bulk-claimed by a peer are skipped,
-// not recomputed.
+// TestSearchBatchSkipClaimed: keys claimed by a peer are skipped, not
+// recomputed — after one more lookup, because a denial also means
+// "already published".
 func TestSearchBatchSkipClaimed(t *testing.T) {
 	ds := regDS(t, 100)
 	peer := newMemBatchStore("peer")
@@ -191,12 +207,173 @@ func TestSearchBatchSkipClaimed(t *testing.T) {
 	peer.mu.Unlock()
 	st := peer
 	st.clientID = "me"
+	st.lookupBatches = 0
+	rec := trace.NewRecorder(4)
+	defer trace.SetDefaultRecorder(trace.SetDefaultRecorder(rec))
 	res, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(st))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Skipped != 4 || res.Computed != 0 {
 		t.Fatalf("skipped=%d computed=%d, want all units skipped", res.Skipped, res.Computed)
+	}
+	if st.lookupBatches != 2 {
+		t.Fatalf("%d lookups, want the warm lookup and one over the deferred keys", st.lookupBatches)
+	}
+	// The spans the profile and the benchmark read: every window a
+	// darr_wait bulk_claim with its keys/granted/denied, the second lookup
+	// marked deferred.
+	attrs := func(sp trace.SpanData) map[string]string {
+		m := map[string]string{"component": sp.Component}
+		for _, a := range sp.Attrs {
+			m[a.Key] = a.Value
+		}
+		return m
+	}
+	asked, deferredLookups := 0, 0
+	for _, sp := range rec.Traces()[0].Spans {
+		a := attrs(sp)
+		switch sp.Name {
+		case "search.bulk_claim":
+			keys, _ := strconv.Atoi(a["keys"])
+			asked += keys
+			if a["component"] != trace.CompDARRWait || a["granted"] != "0" || a["denied"] != a["keys"] || keys == 0 {
+				t.Errorf("bulk_claim span %v, want darr_wait with every key denied", a)
+			}
+		case "search.bulk_lookup":
+			if a["deferred"] == "true" {
+				deferredLookups++
+			}
+		}
+	}
+	if asked != 4 || deferredLookups != 1 {
+		t.Errorf("claim spans asked for %d keys, %d deferred lookup spans; want 4 and 1", asked, deferredLookups)
+	}
+}
+
+// TestSearchDeferredLookupFindsPublished: a unit a peer held when this
+// client asked for it, and published before this client ran out of other
+// work, is a cache hit — not a skip that costs a whole re-search.
+func TestSearchDeferredLookupFindsPublished(t *testing.T) {
+	ds := regDS(t, 100)
+	st := newMemBatchStore("peer")
+	ref, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold back one result: the peer still has it claimed when "me"
+	// asks, and publishes it while "me" computes the unit it was granted.
+	opts := batchOpts(st)
+	opts.Parallelism = 1
+	held := core.UnitKey(ds.Fingerprint(), ref.Units[0].Spec, "kfold(k=3,shuffle=true)|rmse|seed=5")
+	st.mu.Lock()
+	heldScore, ok := st.scores[held]
+	if !ok {
+		t.Fatalf("no score under %q", held)
+	}
+	delete(st.scores, held)
+	st.claimed[held] = "peer"
+	delete(st.scores, core.UnitKey(ds.Fingerprint(), ref.Units[3].Spec, "kfold(k=3,shuffle=true)|rmse|seed=5"))
+	st.clientID = "me"
+	st.mu.Unlock()
+	base := opts.Scorer.Fn
+	opts.Scorer.Fn = func(y, yhat []float64) (float64, error) {
+		st.mu.Lock()
+		st.scores[held] = heldScore
+		delete(st.claimed, held)
+		st.mu.Unlock()
+		return base(y, yhat)
+	}
+	res, err := core.Search(context.Background(), degradedGraph(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Computed != 1 || res.CacheHits != 3 || res.Skipped != 0 {
+		t.Fatalf("computed=%d cache=%d skipped=%d, want the held unit read back as a hit",
+			res.Computed, res.CacheHits, res.Skipped)
+	}
+	if res.Best == nil || res.Best.Spec != ref.Best.Spec || res.Best.Mean != ref.Best.Mean {
+		t.Fatalf("best %+v, want the peer's %+v", res.Best, ref.Best)
+	}
+}
+
+// maxClaimCalls is the most ClaimBatch round trips a search over units
+// misses may make: one per worker-ful of units, plus one.
+func maxClaimCalls(units, parallelism int) int {
+	return (units+parallelism-1)/parallelism + 1
+}
+
+// windowGraph is 18 cheap units: 3 scalers x (linreg + knn at 5 values of k).
+func windowGraph() (*core.Graph, map[string][]float64) {
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewMinMaxScaler(), preprocess.NewNoOp())
+	g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 5))
+	return g, map[string][]float64{"knn__k": {1, 2, 3, 4, 5}}
+}
+
+// TestSearchClaimWindowBounds: a client never holds more than
+// (claimAhead + 1) x Parallelism claims — the ready window plus the units
+// being computed — however many units it has to go; it looks up once and
+// claims in at most one call per worker-ful of units; and a search that
+// finds every unit published looks up once and claims nothing. The
+// window counter and the held-claims gauge follow.
+func TestSearchClaimWindowBounds(t *testing.T) {
+	ds := regDS(t, 100)
+	windows := obs.GetCounter("coda_search_claim_windows_total")
+	heldGauge := obs.GetGauge("coda_search_claims_held")
+	for _, par := range []int{1, 2, 3} {
+		st := newMemBatchStore("alice")
+		g, grid := windowGraph()
+		opts := batchOpts(st)
+		opts.Parallelism = par
+		opts.ParamGrid = grid
+		// Every publish happens while the claim it retires is still held.
+		var minGauge atomic.Int64
+		minGauge.Store(1)
+		base := opts.Scorer.Fn
+		gauge0 := heldGauge.Value()
+		opts.Scorer.Fn = func(y, yhat []float64) (float64, error) {
+			if heldGauge.Value() < gauge0+1 {
+				minGauge.Store(0)
+			}
+			return base(y, yhat)
+		}
+		windows0 := windows.Value()
+		res, err := core.Search(context.Background(), g, ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := len(res.Units)
+		if units != 18 || res.Computed != units {
+			t.Fatalf("parallelism %d: computed %d of %d units, want all 18", par, res.Computed, units)
+		}
+		if bound := (core.ClaimAhead + 1) * par; st.maxHeld > bound || st.maxHeld < par {
+			t.Errorf("parallelism %d: %d claims held at once, want %d..%d", par, st.maxHeld, par, bound)
+		}
+		if st.lookupBatches != 1 || st.claimBatches > maxClaimCalls(units, par) {
+			t.Errorf("parallelism %d: %d lookups and %d claim calls, want 1 and at most %d",
+				par, st.lookupBatches, st.claimBatches, maxClaimCalls(units, par))
+		}
+		if got := windows.Value() - windows0; got != int64(st.claimBatches) {
+			t.Errorf("parallelism %d: coda_search_claim_windows_total moved by %d over %d claim calls", par, got, st.claimBatches)
+		}
+		if minGauge.Load() == 0 || heldGauge.Value() != gauge0 {
+			t.Errorf("parallelism %d: coda_search_claims_held read below 1 during a fold fit (%v) or did not return to %v (now %v)",
+				par, minGauge.Load() == 0, gauge0, heldGauge.Value())
+		}
+		if len(st.claimed) != 0 {
+			t.Errorf("parallelism %d: %d claims outstanding after a clean search", par, len(st.claimed))
+		}
+
+		g, _ = windowGraph()
+		warm, err := core.Search(context.Background(), g, ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.CacheHits != units || st.lookupBatches != 2 || windows.Value()-windows0 != int64(st.claimBatches) {
+			t.Errorf("parallelism %d: all-hit search: %d hits, %d lookups, %d claim calls; want %d, 1, 0",
+				par, warm.CacheHits, st.lookupBatches-1, windows.Value()-windows0-int64(st.claimBatches), units)
+		}
 	}
 }
 

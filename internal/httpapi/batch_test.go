@@ -2,13 +2,22 @@ package httpapi
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"coda/internal/core"
+	"coda/internal/crossval"
 	"coda/internal/darr"
+	"coda/internal/dataset"
+	"coda/internal/metrics"
+	"coda/internal/mlmodels"
+	"coda/internal/preprocess"
 )
 
 // clientFor serves a hand-built Server (e.g. with a custom MaxBatchKeys)
@@ -125,6 +134,89 @@ func TestBatchEndpointRejectsOversizedAndEmpty(t *testing.T) {
 	anon := NewClient(c.BaseURL, "")
 	if _, err := anon.ClaimBatch(ctx, []string{"a"}); err == nil {
 		t.Fatal("claim batch without client_id must be rejected")
+	}
+}
+
+// TestBatchCallsSplitAtTheServerCap: a batch larger than the server's
+// default cap goes out as several requests and comes back as one answer
+// (it was one request, a 400, and a search that silently stopped
+// cooperating), so a grid of more than 1024 units still runs the
+// cooperation protocol.
+func TestBatchCallsSplitAtTheServerCap(t *testing.T) {
+	repo := darr.NewRepo(nil, time.Minute)
+	var lookups, claims, publishes atomic.Int32
+	api := NewServer(repo, nil)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/darr/batch/lookup":
+			lookups.Add(1)
+		case "/darr/batch/claims":
+			claims.Add(1)
+		case "/darr/batch/records":
+			publishes.Add(1)
+		}
+		api.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL, "big")
+	ctx := context.Background()
+
+	keys := make([]string, 2500)
+	recs := make([]darr.Record, len(keys))
+	for i := range keys {
+		keys[i] = core.UnitKey("fp", fmt.Sprintf("input -> noop -> linreg(alpha=%d)", i), "kfold(k=3)|rmse|seed=1")
+		recs[i] = c.record(keys[i], float64(i), "")
+	}
+	granted, err := c.ClaimBatch(ctx, keys)
+	if err != nil || len(granted) != len(keys) || claims.Load() != 3 {
+		t.Errorf("ClaimBatch over %d keys: %d decisions in %d requests, err %v; want all in 3", len(keys), len(granted), claims.Load(), err)
+	}
+	if err := c.PublishBatch(ctx, recs); err != nil || publishes.Load() != 3 || repo.Len() != len(keys) {
+		t.Errorf("PublishBatch over %d records: %d stored in %d requests, err %v; want all in 3", len(recs), repo.Len(), publishes.Load(), err)
+	}
+	scores, err := c.LookupBatch(ctx, keys)
+	if err != nil || lookups.Load() != 3 {
+		t.Errorf("LookupBatch over %d keys: %d requests, err %v; want 3", len(keys), lookups.Load(), err)
+	}
+	for i, k := range keys {
+		if got, ok := scores[k]; !ok || got != float64(i) {
+			t.Errorf("key %d: score %v present %v, want %d", i, got, ok, i)
+			break
+		}
+	}
+
+	// A 1500-unit grid: the warm lookup alone is over the cap.
+	lenBefore := repo.Len()
+	rng := rand.New(rand.NewSource(4))
+	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 40, Features: 3, Informative: 2, Noise: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewNoOp())
+	g.AddRegressionModels(mlmodels.NewRidge(1))
+	alphas := make([]float64, 1500)
+	for i := range alphas {
+		alphas[i] = float64(i+1) / 100
+	}
+	scorer, _ := metrics.ScorerByName("rmse")
+	c.Metric = "rmse"
+	res, err := core.Search(ctx, g, ds, core.SearchOptions{
+		Splitter:    crossval.KFold{K: 2},
+		Scorer:      scorer,
+		ParamGrid:   map[string][]float64{"ridge__alpha": alphas},
+		Store:       c,
+		SkipClaimed: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Units) != 1500 || res.Degraded != 0 || res.Computed != 1500 {
+		t.Fatalf("%d units: computed %d, degraded %d; want 1500 computed through the DARR, none degraded",
+			len(res.Units), res.Computed, res.Degraded)
+	}
+	if got := repo.Len() - lenBefore; got != 1500 {
+		t.Fatalf("the search published %d of its 1500 units", got)
 	}
 }
 

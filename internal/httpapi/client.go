@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/url"
 	"strings"
@@ -303,55 +304,96 @@ func (c *Client) Publish(ctx context.Context, key string, score float64, explana
 	return nil
 }
 
-// LookupBatch implements core.BatchResultStore: one POST resolves the
-// published scores for every key.
+// batches cuts n keys or records into runs of at most DefaultMaxBatchKeys —
+// what a server at its default cap accepts in one request — and calls do
+// for each run in order, stopping at the first error. With n == 0 it
+// calls do once with the empty run, so the server's refusal of an empty
+// batch still reaches the caller. A server started with a smaller
+// -batch-max-keys refuses runs this size with a 400.
+func batches(n int, do func(lo, hi int) error) error {
+	for lo := 0; ; lo += DefaultMaxBatchKeys {
+		hi := min(lo+DefaultMaxBatchKeys, n)
+		if err := do(lo, hi); err != nil || hi == n {
+			return err
+		}
+	}
+}
+
+// merged adds one run's reply to the answer so far and returns the answer,
+// never nil: the first run's map is the answer itself.
+func merged[V any](answer, reply map[string]V) map[string]V {
+	switch {
+	case answer != nil:
+		maps.Copy(answer, reply)
+		return answer
+	case reply != nil:
+		return reply
+	}
+	return map[string]V{}
+}
+
+// LookupBatch implements core.BatchResultStore: one POST per
+// DefaultMaxBatchKeys keys resolves the published scores for every key.
 func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]float64, error) {
-	var out batchLookupReply
-	status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/lookup", batchLookupRequest{Keys: keys}, &out)
+	var scores map[string]float64
+	err := batches(len(keys), func(lo, hi int) error {
+		var out batchLookupReply
+		status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/lookup", batchLookupRequest{Keys: keys[lo:hi]}, &out)
+		if err != nil {
+			return err
+		}
+		if status != http.StatusOK {
+			return fmt.Errorf("httpapi: batch lookup status %d", status)
+		}
+		scores = merged(scores, out.Scores)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: batch lookup status %d", status)
-	}
-	if out.Scores == nil {
-		out.Scores = map[string]float64{}
-	}
-	return out.Scores, nil
+	return scores, nil
 }
 
-// ClaimBatch implements core.BatchResultStore: one POST claims every
-// key this client wants to compute. Like Claim, it is idempotent per
-// client, so a retried batch whose response was lost is safe.
+// ClaimBatch implements core.BatchResultStore: one POST per
+// DefaultMaxBatchKeys keys claims every key this client wants to compute.
+// Like Claim, it is idempotent per client, so a retried batch whose
+// response was lost is safe.
 func (c *Client) ClaimBatch(ctx context.Context, keys []string) (map[string]bool, error) {
-	var out batchClaimReply
-	status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/claims", batchClaimRequest{Keys: keys, ClientID: c.ClientID}, &out)
+	var granted map[string]bool
+	err := batches(len(keys), func(lo, hi int) error {
+		var out batchClaimReply
+		status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/claims", batchClaimRequest{Keys: keys[lo:hi], ClientID: c.ClientID}, &out)
+		if err != nil {
+			return err
+		}
+		if status != http.StatusOK {
+			return fmt.Errorf("httpapi: batch claim status %d", status)
+		}
+		granted = merged(granted, out.Granted)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: batch claim status %d", status)
-	}
-	if out.Granted == nil {
-		out.Granted = map[string]bool{}
-	}
-	return out.Granted, nil
+	return granted, nil
 }
 
-// PublishBatch uploads many records in one request. Records are keyed,
-// so retries overwrite rather than duplicate.
+// PublishBatch uploads many records, DefaultMaxBatchKeys to a request.
+// Records are keyed, so retries overwrite rather than duplicate.
 func (c *Client) PublishBatch(ctx context.Context, recs []darr.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/records", batchRecordsRequest{Records: recs}, nil)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusCreated {
-		return fmt.Errorf("httpapi: batch publish status %d", status)
-	}
-	return nil
+	return batches(len(recs), func(lo, hi int) error {
+		status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/records", batchRecordsRequest{Records: recs[lo:hi]}, nil)
+		if err != nil {
+			return err
+		}
+		if status != http.StatusCreated {
+			return fmt.Errorf("httpapi: batch publish status %d", status)
+		}
+		return nil
+	})
 }
 
 // QueryByDataset lists the remote DARR's records for a dataset fingerprint.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -132,6 +133,87 @@ func TestSearchUnderFaultInjection(t *testing.T) {
 	// The retry layer should have pushed at least some results through.
 	if repo.Len() == 0 && res.Degraded == 0 {
 		t.Fatal("neither published results nor degraded units — faults never hit the client")
+	}
+}
+
+// TestTwoClientSearchConvergesUnder30PercentLoss: two clients dividing
+// one search through claim windows, each behind its own transport
+// dropping 30% of requests, both end with every unit scored and the
+// fault-free winner — a lost claim reply is re-asked (claims are
+// idempotent per client), a lost window degrades, nothing is left
+// unscored. Each client searches once beside the other and once more
+// after both are done, which picks up whatever its peer held.
+func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 100, Features: 4, Informative: 3, Noise: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *core.Graph {
+		g := core.NewGraph()
+		g.AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewMinMaxScaler(), preprocess.NewNoOp())
+		g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 5))
+		return g
+	}
+	scorer, _ := metrics.ScorerByName("rmse")
+	opts := core.SearchOptions{
+		Splitter:    crossval.KFold{K: 3, Shuffle: true},
+		Scorer:      scorer,
+		Seed:        11,
+		Parallelism: 1,
+		ParamGrid:   map[string][]float64{"knn__k": {2, 3, 4, 5, 6}},
+	}
+	baseline, err := core.Search(context.Background(), build(), ds, opts)
+	if err != nil || baseline.Best == nil {
+		t.Fatalf("baseline search: best=%v err=%v", baseline.Best, err)
+	}
+
+	repo := darr.NewRepo(nil, time.Minute)
+	ts := httptest.NewServer(NewServer(repo, store.NewHomeStore(store.Options{BlockSize: 64})))
+	defer ts.Close()
+	var transports []*faultinject.Transport
+	search := func(id string, seed int64) func() *core.SearchResult {
+		tr := faultinject.NewTransport(nil, faultinject.Config{Seed: seed, DropFraction: 0.3})
+		transports = append(transports, tr)
+		c := NewClient(ts.URL, id)
+		c.Metric = "rmse"
+		c.HTTP = &http.Client{Transport: tr, Timeout: 10 * time.Second}
+		c.Retry = retry.Policy{MaxAttempts: 8, InitialBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}
+		o := opts
+		o.Store = c
+		o.SkipClaimed = true
+		return func() *core.SearchResult {
+			res, err := core.Search(context.Background(), build(), ds, o)
+			if err != nil {
+				t.Errorf("%s: search under 30%% loss must not fail: %v", id, err)
+				return &core.SearchResult{}
+			}
+			return res
+		}
+	}
+	clients := []func() *core.SearchResult{search("c0", 31), search("c1", 32)}
+	var wg sync.WaitGroup
+	for _, run := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+	for i, run := range clients {
+		res := run()
+		if got := res.Computed + res.CacheHits; got != len(baseline.Units) || res.Skipped != 0 {
+			t.Fatalf("client %d: %d of %d units scored, %d skipped (degraded %d)", i, got, len(baseline.Units), res.Skipped, res.Degraded)
+		}
+		if res.Best == nil || res.Best.Spec != baseline.Best.Spec || res.Best.Mean != baseline.Best.Mean {
+			t.Fatalf("client %d: best under faults = %+v, want %+v", i, res.Best, baseline.Best)
+		}
+	}
+	for i, tr := range transports {
+		if tr.Counts().Dropped == 0 {
+			t.Fatalf("client %d: no requests were dropped — test proves nothing", i)
+		}
 	}
 }
 

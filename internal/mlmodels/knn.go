@@ -2,7 +2,7 @@ package mlmodels
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
@@ -95,7 +95,7 @@ func (m *KNN) Predict(ds *dataset.Dataset) ([]float64, error) {
 			}
 			nbs[t] = nb{d, m.trainY[t]}
 		}
-		sort.Slice(nbs, func(a, b int) bool { return nbs[a].dist < nbs[b].dist })
+		slices.SortFunc(nbs, func(a, b nb) int { return cmpLess(a.dist, b.dist) })
 		switch m.Task {
 		case KNNClassification:
 			votes := map[float64]int{}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
@@ -141,7 +141,7 @@ func (t *DecisionTree) bestSplit(ds *dataset.Dataset, idx []int) (feature int, t
 		for k, i := range idx {
 			pairs[k] = pair{ds.X.At(i, j), ds.Y[i]}
 		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].x < pairs[b].x })
+		slices.SortFunc(pairs, func(a, b pair) int { return cmpLess(a.x, b.x) })
 		// Incremental impurity scan over sorted order.
 		switch t.Task {
 		case TreeRegression:
@@ -279,4 +279,17 @@ func depthOf(n *treeNode) int {
 		return l + 1
 	}
 	return r + 1
+}
+
+// cmpLess is the three-way comparator of the strict < the hot-loop sorts
+// always used. Not cmp.Compare: that orders NaN before every number, which
+// < does not, and the sorts must leave ties exactly where they did.
+func cmpLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
