@@ -85,6 +85,35 @@ func BenchmarkAblationDeltaBlockSize(b *testing.B) {
 	}
 }
 
+// BenchmarkDeltaCompute32K is the kernel under the sync-delta workload: one
+// 32 KiB object, four rewritten runs totalling 1% of it (a delta reply) and
+// one run of 60% (a delta the store discards for a full copy).
+func BenchmarkDeltaCompute32K(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	base := make([]byte, 32<<10)
+	rng.Read(base)
+	for _, edit := range []struct {
+		name string
+		runs int
+		frac float64
+	}{{"edit-1pct", 4, 0.01}, {"edit-60pct", 1, 0.60}} {
+		target := append([]byte(nil), base...)
+		n := int(edit.frac * float64(len(target)) / float64(edit.runs))
+		for r := 0; r < edit.runs; r++ {
+			off := rng.Intn(len(target) - n + 1)
+			rng.Read(target[off : off+n])
+		}
+		b.Run(edit.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var wire int
+			for i := 0; i < b.N; i++ {
+				wire = delta.Compute(base, target, 0).WireSize()
+			}
+			b.ReportMetric(float64(wire), "wire-bytes")
+		})
+	}
+}
+
 func bsize(n int) string {
 	switch {
 	case n >= 1024:

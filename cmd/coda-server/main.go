@@ -208,11 +208,14 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:         *addr,
-		Handler:      handler,
-		ReadTimeout:  *readTimeout,
-		WriteTimeout: *writeTimeout,
-		IdleTimeout:  *idleTimeout,
+		Addr:    *addr,
+		Handler: handler,
+		// The header deadline is stated rather than inherited from
+		// ReadTimeout, so it holds if the body's is ever relaxed.
+		ReadHeaderTimeout: *readTimeout,
+		ReadTimeout:       *readTimeout,
+		WriteTimeout:      *writeTimeout,
+		IdleTimeout:       *idleTimeout,
 	}
 	logger.Info("coda-server listening",
 		"addr", *addr, "claim_ttl", *claimTTL, "retain", *retain)

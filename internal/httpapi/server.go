@@ -5,6 +5,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -60,6 +61,8 @@ type Server struct {
 
 	mux    *http.ServeMux
 	health map[string]func() any
+	// maxBody caps a request body in bytes (maxRequestBody; tests lower it).
+	maxBody int64
 
 	mbMu      sync.Mutex
 	mailboxes map[string]*leaseMailbox
@@ -70,10 +73,15 @@ type Server struct {
 // request body bounded.
 const DefaultMaxBatchKeys = 1024
 
+// maxRequestBody is the largest body any route accepts (more is a 413): it
+// bounds what one request can make the server allocate. maxPooledBody is the
+// largest body buffer kept for reuse, so a rare large PUT does not pin one.
+const maxRequestBody, maxPooledBody = 64 << 20, 1 << 20
+
 // NewServer builds the handler; either component may be nil to disable its
 // endpoints.
 func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
-	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}}
+	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxRequestBody}
 	s.mux.Handle("/metrics", obs.MetricsHandler())
 	s.mux.Handle("/healthz", obs.HealthHandler(s.health))
 	s.mux.Handle("/debug/traces", trace.Handler())
@@ -233,7 +241,71 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			"request_id", id, "method", r.Method, "path", r.URL.Path,
 			"code", rec.status, "bytes", rec.bytes, "elapsed", elapsed)
 	}()
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	s.mux.ServeHTTP(rec, r.WithContext(ctx))
+}
+
+// body is a request body read whole into a pooled buffer.
+type body struct{ b []byte }
+
+var bodyPool = sync.Pool{New: func() any { return new(body) }}
+
+// release recycles the buffer; the handler must be done with b, and nothing
+// it called may have kept it (ObjectStore.Put copies, json.Unmarshal copies).
+func (b *body) release() {
+	if cap(b.b) <= maxPooledBody {
+		bodyPool.Put(b)
+	}
+}
+
+// readBody is the one way a handler reads a whole body: a Content-Length over
+// the cap is refused before anything is allocated, otherwise the buffer is the
+// declared size exactly, or, chunked, grows until ServeHTTP's MaxBytesReader
+// stops it. nil: the reply (413, 400 for a short body) is written and counted.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *body {
+	buf := bodyPool.Get().(*body)
+	var err error
+	switch n := r.ContentLength; {
+	case n > s.maxBody:
+		w.Header().Set("Connection", "close") // reply now; net/http would first drain 256 KiB of it
+		err = &http.MaxBytesError{Limit: s.maxBody}
+	case n >= 0:
+		if int64(cap(buf.b)) < n {
+			buf.b = make([]byte, n)
+		}
+		buf.b = buf.b[:n]
+		_, err = io.ReadFull(r.Body, buf.b)
+	default:
+		grown := bytes.NewBuffer(buf.b[:0])
+		_, err = grown.ReadFrom(r.Body)
+		buf.b = grown.Bytes()
+	}
+	if err == nil {
+		return buf
+	}
+	buf.release()
+	status := http.StatusBadRequest
+	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	obs.GetCounter(fmt.Sprintf(`coda_http_request_body_rejected_total{route=%q}`, routeLabel(r.URL.Path))).Inc()
+	s.writeError(w, r, status, fmt.Errorf("reading body: %w", err))
+	return nil
+}
+
+// decodeBody reads a JSON request body into v; false means the error reply
+// has been written.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	b := s.readBody(w, r)
+	if b == nil {
+		return false
+	}
+	defer b.release()
+	if err := json.Unmarshal(b.b, v); err != nil {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding %s: %w", what, err))
+		return false
+	}
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -267,8 +339,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var rec darr.Record
-		if err := json.NewDecoder(r.Body).Decode(&rec); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding record: %w", err))
+		if !s.decodeBody(w, r, "record", &rec) {
 			return
 		}
 		if err := s.Repo.Put(rec); err != nil {
@@ -308,8 +379,7 @@ type claimRequest struct {
 
 func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	var req claimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding claim: %w", err))
+	if !s.decodeBody(w, r, "claim", &req) {
 		return
 	}
 	if req.Key == "" || req.ClientID == "" {
@@ -380,11 +450,8 @@ func (s *Server) checkBatch(w http.ResponseWriter, r *http.Request, n int, what 
 
 func (s *Server) handleBatchLookup(w http.ResponseWriter, r *http.Request) {
 	var req batchLookupRequest
-	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding batch lookup: %w", err))
-			return
-		}
+	if r.Method == http.MethodPost && !s.decodeBody(w, r, "batch lookup", &req) {
+		return
 	}
 	if !s.checkBatch(w, r, len(req.Keys), "key") {
 		return
@@ -402,11 +469,8 @@ func (s *Server) handleBatchLookup(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatchClaims(w http.ResponseWriter, r *http.Request) {
 	var req batchClaimRequest
-	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding batch claim: %w", err))
-			return
-		}
+	if r.Method == http.MethodPost && !s.decodeBody(w, r, "batch claim", &req) {
+		return
 	}
 	if !s.checkBatch(w, r, len(req.Keys), "key") {
 		return
@@ -423,11 +487,8 @@ func (s *Server) handleBatchClaims(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatchRecords(w http.ResponseWriter, r *http.Request) {
 	var req batchRecordsRequest
-	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding batch records: %w", err))
-			return
-		}
+	if r.Method == http.MethodPost && !s.decodeBody(w, r, "batch records", &req) {
+		return
 	}
 	if !s.checkBatch(w, r, len(req.Records), "record") {
 		return
@@ -460,11 +521,13 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPut:
-		data, err := io.ReadAll(r.Body)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		in := s.readBody(w, r)
+		if in == nil {
 			return
 		}
+		defer in.release()
+		data := in.b
+		var err error
 		ctx, sp := trace.Start(r.Context(), "store.put",
 			trace.String("key", key), trace.Int("bytes", len(data)))
 		var version uint64

@@ -132,7 +132,8 @@ type Stats struct {
 type ObjectStore interface {
 	// Put stores data as the next version of key and returns its version
 	// number (starting at 1 for a new object). A persistent backend may
-	// refuse the write, in which case the store state is unchanged.
+	// refuse the write, in which case the store state is unchanged. Put
+	// copies what it keeps: the caller may reuse data once it returns.
 	Put(key string, data []byte) (uint64, error)
 	// Current returns the latest version of the object.
 	Current(key string) (Version, error)
