@@ -100,8 +100,8 @@ func runPrefixBenchSearch(b *testing.B, seed int64, disableCache bool) *core.Sea
 // 3x3x3x5-fold search. The cache-on run must produce the same winner as
 // the naive run bit for bit, hit the cache at least once, and — absent
 // evictions — perform no more prefix fits than there are distinct
-// (fold, prefix) pairs. CI runs this with -benchtime=1x as the
-// redundant-work regression gate.
+// (fold, prefix) pairs. CI runs it with -benchtime=1x, so it is the
+// redundant-work gate.
 func BenchmarkPrefixCacheSearch(b *testing.B) {
 	for _, mode := range []struct {
 		name    string

@@ -1,6 +1,5 @@
 // Command coda-bench regenerates the paper's tables and figures as
-// experiments (see DESIGN.md section 4 and EXPERIMENTS.md for the index),
-// and compares benchmark JSON artifacts for the CI regression gate.
+// experiments (see DESIGN.md section 4 and EXPERIMENTS.md for the index).
 //
 // Usage:
 //
@@ -8,30 +7,19 @@
 //	coda-bench -exp F3            # one experiment
 //	coda-bench -all               # everything (slow: trains neural nets)
 //	coda-bench -all -quick        # reduced sizes
-//	coda-bench compare -baseline BENCH_baseline.json -current BENCH_kernels.json \
-//	    -metrics allocs_op -max-regress 0.25
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"coda/internal/benchcmp"
 	"coda/internal/experiments"
 	"coda/internal/nn"
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		if err := runCompare(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "coda-bench compare:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	var (
 		expID = flag.String("exp", "", "experiment id to run (T1, T2, F1..F12, S1..S4)")
 		all   = flag.Bool("all", false, "run every experiment")
@@ -82,49 +70,5 @@ func run(expID string, all, list, quick bool, seed int64, precision string) erro
 		fmt.Print(tbl.Format())
 		fmt.Printf("(%s in %s)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
-	return nil
-}
-
-// runCompare implements the `compare` subcommand: diff a current benchmark
-// JSON artifact against a baseline and exit nonzero on any regression
-// beyond the threshold. Benchmarks missing from either side are reported
-// but never fatal, so the committed baseline survives bench renames.
-func runCompare(args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
-	var (
-		baseline   = fs.String("baseline", "BENCH_baseline.json", "baseline benchmark JSON")
-		current    = fs.String("current", "", "current benchmark JSON (required)")
-		maxRegress = fs.Float64("max-regress", 0.25, "max allowed fractional growth per metric (0.25 = +25%)")
-		metricsArg = fs.String("metrics", "ns_op,allocs_op", "comma-separated metrics to compare (ns_op, B_op, allocs_op); ns_op is only meaningful between runs on the same machine")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *current == "" {
-		return fmt.Errorf("-current is required")
-	}
-	var metrics []string
-	for _, m := range strings.Split(*metricsArg, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			metrics = append(metrics, m)
-		}
-	}
-	base, err := benchcmp.Load(*baseline)
-	if err != nil {
-		return err
-	}
-	cur, err := benchcmp.Load(*current)
-	if err != nil {
-		return err
-	}
-	rep, err := benchcmp.Compare(base, cur, *maxRegress, metrics)
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Format())
-	if regs := rep.Regressions(); len(regs) > 0 {
-		return fmt.Errorf("%d benchmark regression(s) beyond +%.0f%%", len(regs), *maxRegress*100)
-	}
-	fmt.Printf("no regressions beyond +%.0f%% across %d comparisons\n", *maxRegress*100, len(rep.Results))
 	return nil
 }

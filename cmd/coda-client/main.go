@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -162,6 +163,8 @@ func runServe(ctx context.Context, args []string) error {
 	if err := lf.setup(); err != nil {
 		return err
 	}
+	// As in search: one request id covers the start-up search's DARR calls.
+	ctx, _ = obs.EnsureRequestID(ctx)
 	var ds *dataset.Dataset
 	if *dataPath != "" {
 		f, err := os.Open(*dataPath)
@@ -205,7 +208,11 @@ func runServe(ctx context.Context, args []string) error {
 	if res.BestPipeline == nil {
 		return fmt.Errorf("no pipeline succeeded on the data")
 	}
-	fmt.Printf("serving %s (%s=%.5g) on %s\n", res.Best.Spec, *metric, res.Best.Mean, *addr)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("serving %s (%s=%.5g) on %s\n", res.Best.Spec, *metric, res.Best.Mean, ln.Addr())
 	printProfile(res.Profile)
 	fmt.Println(`POST {"rows": [[...feature values...], ...]} to /score`)
 	mux := http.NewServeMux()
@@ -216,7 +223,18 @@ func runServe(ctx context.Context, args []string) error {
 	// The middleware assigns each scoring request an X-Coda-Request-Id
 	// and threads it into the handler's logs; the recovery layer turns a
 	// scoring panic into a structured 500 instead of a dead connection.
-	return http.ListenAndServe(*addr, obs.Middleware(obs.Recover(mux, nil), nil))
+	srv := &http.Server{Handler: obs.Middleware(obs.Recover(mux, nil), nil)}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.Serve(ln) }()
+	select {
+	case err := <-errCh:
+		return err
+	case <-ctx.Done():
+		// An interrupt is how serve ends: drain in-flight scoring requests.
+		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		return srv.Shutdown(shCtx)
+	}
 }
 
 // searchToCompletion runs a search and, while it had to skip units a peer

@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -208,7 +209,6 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:    *addr,
 		Handler: handler,
 		// The header deadline is stated rather than inherited from
 		// ReadTimeout, so it holds if the body's is ever relaxed.
@@ -217,12 +217,19 @@ func main() {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
+	// Bind first, so the line reports the address actually bound (-addr
+	// 127.0.0.1:0 lets the kernel pick a free port).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("coda-server exiting", "err", err)
+		os.Exit(1)
+	}
 	logger.Info("coda-server listening",
-		"addr", *addr, "claim_ttl", *claimTTL, "retain", *retain)
+		"addr", ln.Addr().String(), "claim_ttl", *claimTTL, "retain", *retain)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
+	go func() { errCh <- srv.Serve(ln) }()
 	select {
 	case err := <-errCh:
 		logger.Error("coda-server exiting", "err", err)

@@ -5,6 +5,8 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"coda/internal/core"
@@ -17,21 +19,20 @@ import (
 	"coda/internal/preprocess"
 )
 
-// benchSearch runs a small but real local search (2 scalers x 2 models =
+// obsSearch returns a small but real local search (2 scalers x 2 models =
 // 4 pipelines over a 120-sample regression set) so per-unit telemetry is
 // a measurable fraction of the work. Parallelism is pinned to 1 so
-// allocation counts are deterministic for the CI regression gate.
-func benchSearch(b *testing.B) {
-	b.Helper()
+// allocation counts are deterministic.
+func obsSearch(tb testing.TB) func() {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(17))
 	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 120, Features: 4, Informative: 3, Noise: 1}, rng)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	scorer, _ := metrics.ScorerByName("rmse")
 	discard := slog.New(slog.NewTextHandler(io.Discard, nil))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		g := core.NewGraph()
 		g.AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewNoOp())
 		g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 5))
@@ -42,16 +43,23 @@ func benchSearch(b *testing.B) {
 			Parallelism: 1,
 			Logger:      discard,
 		}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+	}
+}
+
+func benchSearch(b *testing.B) {
+	search := obsSearch(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search()
 	}
 }
 
 // BenchmarkObsOverhead compares the fully instrumented core.Search hot
 // path (metrics + spans) against the same path with tracing alone off
 // (trace.SetEnabled) and with all telemetry off (obs.SetEnabled). Diff
-// ns/op across the three to price each layer; the allocs/op of all three
-// are gated against BENCH_baseline.json in CI.
+// ns/op across the three to price each layer.
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) {
 		benchSearch(b)
@@ -66,4 +74,40 @@ func BenchmarkObsOverhead(b *testing.B) {
 		defer obs.SetEnabled(true)
 		benchSearch(b)
 	})
+}
+
+// TestDisabledTracerAllocatesNothing: a search with tracing switched off
+// allocates exactly what it does with all telemetry switched off — a
+// disabled tracer that allocates is a regression by definition — and the
+// spans it records when on are what the difference buys.
+func TestDisabledTracerAllocatesNothing(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	// A collection empties every sync.Pool, and refilling them is
+	// allocations that land in whichever measurement is running.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	search := obsSearch(t)
+	instrumented := testing.AllocsPerRun(10, search)
+	trace.SetEnabled(false)
+	untraced := testing.AllocsPerRun(10, search)
+	trace.SetEnabled(true)
+	obs.SetEnabled(false)
+	uninstrumented := testing.AllocsPerRun(10, search)
+	obs.SetEnabled(true)
+	t.Logf("allocations per search: instrumented %v, untraced %v, uninstrumented %v", instrumented, untraced, uninstrumented)
+	if untraced != uninstrumented {
+		t.Errorf("a search with tracing off allocates %v, with all telemetry off %v: the disabled tracer allocates", untraced, uninstrumented)
+	}
+	if instrumented <= untraced {
+		t.Errorf("a traced search allocates %v, an untraced one %v: tracing recorded nothing", instrumented, untraced)
+	}
+}
+
+// raceDetector reports whether this test binary was built with -race. Under
+// the detector sync.Pool sheds a quarter of its Puts on purpose, so
+// steady-state allocation counts stop being exact.
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -2,6 +2,8 @@ package darr
 
 import (
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 )
@@ -261,8 +263,7 @@ func TestMemoryRepoUnchanged(t *testing.T) {
 }
 
 // BenchmarkDarrPutMem / BenchmarkDarrPutDurable measure the durability
-// write-through overhead per published record — the number reported in
-// BENCH_persist.json as durable-vs-mem Put cost.
+// write-through overhead per published record.
 func BenchmarkDarrPutMem(b *testing.B) {
 	r := NewRepo(nil, time.Minute)
 	b.ResetTimer()
@@ -286,4 +287,44 @@ func BenchmarkDarrPutDurable(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestPutAllocationsExact pins what publishing one record allocates in
+// steady state, in memory and written through to a log: backend, so one
+// new allocation per published result fails here.
+func TestPutAllocationsExact(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	durable, err := NewDurableRepo("log:"+t.TempDir(), nil, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	record := rec("k/00001", "alloc", 0.5)
+	for _, c := range []struct {
+		name string
+		repo *Repo
+		want float64
+	}{
+		{"Put mem", NewRepo(nil, time.Minute), 0},
+		{"Put durable", durable, 10},
+	} {
+		got := testing.AllocsPerRun(20, func() {
+			if err := c.repo.Put(record); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: %v allocations in steady state, want exactly %v", c.name, got, c.want)
+		}
+	}
+}
+
+// raceDetector reports whether this test binary was built with -race. Under
+// the detector sync.Pool sheds a quarter of its Puts on purpose, so
+// steady-state allocation counts stop being exact.
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

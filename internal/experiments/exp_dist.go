@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"coda/internal/cluster"
 	"coda/internal/core"
 	"coda/internal/crossval"
 	"coda/internal/darr"
@@ -30,27 +29,18 @@ import (
 // across dataset sizes, exposing the paper's point that crucial data on a
 // weak node plus poor connectivity can favour local computation.
 func RunF1(cfg Config) (*Table, error) {
-	top := cluster.NewTopology(cluster.Link{Latency: time.Millisecond, Bandwidth: 1e9})
-	if err := top.AddNode(cluster.Node{ID: "client", Kind: cluster.ClientNode, Speed: 1}); err != nil {
-		return nil, err
+	// The client computes at baseline speed, the cloud server 8x faster,
+	// across a 60 ms / 2 MB/s WAN in both directions.
+	const (
+		cloudSpeed   = 8.0
+		wanLatency   = 60 * time.Millisecond
+		wanBandwidth = 2e6 // bytes per second
+	)
+	transfer := func(n int) time.Duration {
+		return wanLatency + time.Duration(float64(n)/wanBandwidth*float64(time.Second))
 	}
-	if err := top.AddNode(cluster.Node{ID: "cloud", Kind: cluster.CloudServerNode, Speed: 8}); err != nil {
-		return nil, err
-	}
-	wan := cluster.Link{Latency: 60 * time.Millisecond, Bandwidth: 2e6} // 2 MB/s WAN
-	if err := top.SetLink("client", "cloud", wan); err != nil {
-		return nil, err
-	}
-	if err := top.SetLink("cloud", "client", wan); err != nil {
-		return nil, err
-	}
-	client, err := top.Node("client")
-	if err != nil {
-		return nil, err
-	}
-	cloud, err := top.Node("cloud")
-	if err != nil {
-		return nil, err
+	compute := func(work, speed float64) time.Duration {
+		return time.Duration(work / speed * float64(time.Second))
 	}
 
 	t := &Table{
@@ -68,21 +58,14 @@ func RunF1(cfg Config) (*Table, error) {
 	}
 	for _, size := range sizes {
 		for _, work := range []float64{0.5, 8} {
-			local := client.ComputeTime(work)
+			local := compute(work, 1)
 
-			var meter cluster.Traffic
-			top.Send(&meter, "client", "cloud", size) // ship dataset
-			meter.AddCompute(cloud.ComputeTime(work)) // cloud computes faster
-			top.Send(&meter, "cloud", "client", 4096) // return results
-			remote := meter.Elapsed()
+			// Ship the dataset, compute on the faster cloud, return results.
+			remote := transfer(size) + compute(work, cloudSpeed) + transfer(4096)
 
 			// Web service: ship the feature rows (a tenth of the training
 			// set) per batch; the provider's model is already trained.
-			var ws cluster.Traffic
-			top.Send(&ws, "client", "cloud", size/10)
-			ws.AddCompute(wsLatency)
-			top.Send(&ws, "cloud", "client", 4096)
-			webservice := ws.Elapsed()
+			webservice := transfer(size/10) + wsLatency + transfer(4096)
 
 			winner := "local"
 			best := local

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -168,6 +169,27 @@ func TestS3RetrainingHelpsUnderDrift(t *testing.T) {
 	}
 	if cellFloat(t, tbl, 1, 1) <= cellFloat(t, tbl, 2, 1) {
 		t.Fatalf("count>25 should retrain more often than count>100:\n%s", tbl.Format())
+	}
+}
+
+// TestF1PlacementTable pins Figure 1's table cell for cell: it is pure
+// arithmetic (latency + bytes/bandwidth, work/speed), so any change to a
+// row is a change to a formula.
+func TestF1PlacementTable(t *testing.T) {
+	tbl, err := RunF1(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"65536", "0.5", "500ms", "217.316ms", "245.3245ms", "remote"},
+		{"65536", "8", "8s", "1.154816s", "245.3245ms", "webservice"},
+		{"1048576", "0.5", "500ms", "708.836ms", "294.4765ms", "webservice"},
+		{"1048576", "8", "8s", "1.646336s", "294.4765ms", "webservice"},
+		{"16777216", "0.5", "500ms", "8.573156s", "1.0809085s", "local"},
+		{"16777216", "8", "8s", "9.510656s", "1.0809085s", "webservice"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Fatalf("F1 table moved:\n%s", tbl.Format())
 	}
 }
 

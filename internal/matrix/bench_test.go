@@ -8,9 +8,8 @@ import (
 
 // Kernel A/B benchmarks. BenchmarkKernelMulNaive256 is the plain triple
 // loop; MulSerial256 and MulParallel256 are MulInto (the row micro-kernel)
-// on one goroutine and on the worker budget. The CI bench-kernels job
-// asserts MulParallel256 beats the naive loop on the same machine (README
-// "Kernel performance" shows how to run the comparison locally).
+// on one goroutine and on the worker budget (README "Kernel performance"
+// shows how to run the comparison).
 
 func benchMat(rows, cols int, seed int64) *Matrix {
 	rng := rand.New(rand.NewSource(seed))
@@ -98,9 +97,8 @@ func benchMat32(rows, cols int, seed int64) *Mat[float32] {
 }
 
 // Precision A/B at 256^3: identical seeds and summation order, only the
-// element width differs (8 lanes per vector against 4, half the bytes). The
-// CI bench-kernels job asserts the f32 kernel beats the f64 one on the same
-// machine; README "Kernel performance" documents the expected ratio.
+// element width differs (8 lanes per vector against 4, half the bytes).
+// README "Kernel performance" documents the expected ratio.
 
 func BenchmarkPrecisionMulF64_256(b *testing.B) {
 	a := benchMat(256, 256, 1)

@@ -91,7 +91,7 @@ func MulInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 
 // naiveMulInto is the reference kernel: the plain triple loop on one
 // goroutine. It is the bit-exactness oracle in tests and the baseline the
-// CI bench-kernels job compares the micro-kernel against.
+// kernel benchmarks compare the micro-kernel against.
 func naiveMulInto[T Float](dst, a, b *Mat[T]) *Mat[T] {
 	dst = Recycle(dst, a.rows, b.cols)
 	for i := 0; i < a.rows; i++ {

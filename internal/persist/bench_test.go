@@ -55,8 +55,8 @@ func BenchmarkPersistOpenUncompacted10k(b *testing.B) {
 	}
 }
 
-// BenchmarkPersistOpenCompacted10k loads the 100-key snapshot instead —
-// the number CI gates against the uncompacted open.
+// BenchmarkPersistOpenCompacted10k loads the 100-key snapshot instead;
+// that it replays no records is log_test.go's assertion, not a timing.
 func BenchmarkPersistOpenCompacted10k(b *testing.B) {
 	dir := benchOpenDir(b, true)
 	b.ResetTimer()
@@ -131,6 +131,62 @@ func BenchmarkPersistPutBatchMem(b *testing.B) {
 		}
 		if err := kv.PutBatch(items); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestWriteAndScanAllocationsExact pins what the two hot calls allocate in
+// steady state — overwriting one 16-item batch, and one prefix scan over
+// 1000 live keys — so a new allocation per batch or per key fails here,
+// not as a few per cent of a benchmark mean.
+func TestWriteAndScanAllocationsExact(t *testing.T) {
+	items := make([]Item, 16)
+	for j := range items {
+		items[j] = Item{Key: fmt.Sprintf("k/%06d", j), Value: make([]byte, 256)}
+	}
+	putBatch := func(dsn string) func() error {
+		kv := mustOpen(t, dsn)
+		t.Cleanup(func() { kv.Close() })
+		return func() error { return kv.PutBatch(items) }
+	}
+	scanned := mustOpen(t, "mem:")
+	defer scanned.Close()
+	for i := 0; i < 1000; i++ {
+		if err := scanned.PutBatch([]Item{{Key: fmt.Sprintf("k/%06d", i), Value: []byte("v")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() error {
+		cur, err := scanned.Cursor("k/")
+		if err != nil {
+			return err
+		}
+		defer cur.Close()
+		n := 0
+		for cur.Next() {
+			n++
+		}
+		if n != 1000 {
+			return fmt.Errorf("scan saw %d keys, want 1000", n)
+		}
+		return nil
+	}
+	for _, c := range []struct {
+		name string
+		call func() error
+		want float64
+	}{
+		{"PutBatch mem:", putBatch("mem:"), 16},
+		{"PutBatch log:", putBatch("log:" + t.TempDir()), 16},
+		{"Cursor scan", scan, 12},
+	} {
+		got := testing.AllocsPerRun(20, func() {
+			if err := c.call(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: %v allocations in steady state, want exactly %v", c.name, got, c.want)
 		}
 	}
 }

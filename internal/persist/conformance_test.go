@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// dsnFor builds a DSN for each registered scheme against a fresh temp
+// dsnFor builds a DSN for each scheme Open knows against a fresh temp
 // directory, so the conformance suite runs the identical contract against
-// every backend — a new backend registers itself and inherits the suite.
+// every backend — a scheme added to the list inherits the suite.
 func dsnFor(t *testing.T, scheme string) string {
 	t.Helper()
 	switch scheme {
@@ -29,7 +29,7 @@ func mustOpen(t *testing.T, dsn string) KV {
 }
 
 func TestConformance(t *testing.T) {
-	for _, scheme := range Schemes() {
+	for _, scheme := range schemes {
 		t.Run(scheme, func(t *testing.T) {
 			t.Run("BatchRoundTrip", func(t *testing.T) { testBatchRoundTrip(t, dsnFor(t, scheme)) })
 			t.Run("CursorOrderingAndPrefix", func(t *testing.T) { testCursorOrdering(t, dsnFor(t, scheme)) })

@@ -14,14 +14,6 @@ import (
 	"coda/internal/obs/trace"
 )
 
-func init() {
-	for _, scheme := range []string{"log", "bolt"} {
-		Register(scheme, func(dir string, params url.Values) (KV, error) {
-			return openWAL(scheme, dir, params)
-		})
-	}
-}
-
 // defaultSegLimit is the ?segment= default, the size at which the active
 // segment rolls; defaultAutoCompact is bolt:'s ?wal= default.
 const (

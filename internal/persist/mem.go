@@ -1,19 +1,6 @@
 package persist
 
-import (
-	"fmt"
-	"net/url"
-	"sync"
-)
-
-func init() {
-	Register("mem", func(dir string, _ url.Values) (KV, error) {
-		if dir != "" {
-			return nil, fmt.Errorf("mem backend takes no directory, got %q", dir)
-		}
-		return newMemKV(), nil
-	})
-}
+import "sync"
 
 // memKV is the non-durable backend: the shared table and nothing else.
 // It exists so every consumer runs the same code path in tests and

@@ -3,42 +3,12 @@ package persist
 import (
 	"fmt"
 	"net/url"
-	"sort"
 	"strings"
-	"sync"
 )
 
-// Opener constructs a backend from the DSN's directory part and query
-// parameters. Backends self-register in init; Open dispatches on scheme.
-type Opener func(dir string, params url.Values) (KV, error)
-
-var (
-	regMu    sync.Mutex
-	registry = map[string]Opener{}
-)
-
-// Register installs an opener for a DSN scheme. Registering a scheme twice
-// panics — it is a wiring bug, not a runtime condition.
-func Register(scheme string, fn Opener) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[scheme]; dup {
-		panic("persist: duplicate backend scheme " + scheme)
-	}
-	registry[scheme] = fn
-}
-
-// Schemes lists the registered DSN schemes in sorted order.
-func Schemes() []string {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]string, 0, len(registry))
-	for s := range registry {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
+// schemes are the DSN schemes Open dispatches on, sorted; the error texts
+// and the conformance suite both read this list.
+var schemes = []string{"bolt", "log", "mem"}
 
 // Open constructs the backend a DSN names. The grammar is
 //
@@ -50,20 +20,26 @@ func Schemes() []string {
 func Open(dsn string) (KV, error) {
 	scheme, rest, ok := strings.Cut(dsn, ":")
 	if !ok || scheme == "" {
-		return nil, fmt.Errorf("persist: DSN %q missing scheme (known: %s)", dsn, strings.Join(Schemes(), ", "))
+		return nil, fmt.Errorf("persist: DSN %q missing scheme (known: %s)", dsn, strings.Join(schemes, ", "))
 	}
 	dir, query, _ := strings.Cut(rest, "?")
 	params, err := url.ParseQuery(query)
 	if err != nil {
 		return nil, fmt.Errorf("persist: DSN %q: bad query: %w", dsn, err)
 	}
-	regMu.Lock()
-	opener := registry[scheme]
-	regMu.Unlock()
-	if opener == nil {
-		return nil, fmt.Errorf("persist: unknown backend scheme %q (known: %s)", scheme, strings.Join(Schemes(), ", "))
+	var kv KV
+	switch scheme {
+	case "mem":
+		if dir != "" {
+			err = fmt.Errorf("mem backend takes no directory, got %q", dir)
+		} else {
+			kv = newMemKV()
+		}
+	case "log", "bolt":
+		kv, err = openWAL(scheme, dir, params)
+	default:
+		return nil, fmt.Errorf("persist: unknown backend scheme %q (known: %s)", scheme, strings.Join(schemes, ", "))
 	}
-	kv, err := opener(dir, params)
 	if err != nil {
 		return nil, fmt.Errorf("persist: opening %s backend: %w", scheme, err)
 	}

@@ -105,24 +105,24 @@ func (r *Reply) WireBytes() int {
 
 // Stats tallies what the store has sent, for the bandwidth experiments.
 type Stats struct {
-	FullReplies  int
-	DeltaReplies int
-	FullBytes    int64
-	DeltaBytes   int64
+	FullReplies  int   `json:"full_replies"`
+	DeltaReplies int   `json:"delta_replies"`
+	FullBytes    int64 `json:"full_bytes"`
+	DeltaBytes   int64 `json:"delta_bytes"`
 	// SavedBytes is the difference between what full replies would have
 	// cost and what delta replies actually cost.
-	SavedBytes int64
+	SavedBytes int64 `json:"saved_bytes"`
 	// DeltaComputes counts actual delta.Compute invocations; with the
 	// cache and singleflight it stays below the delta-reply count under
 	// concurrent or repeated pulls of the same (key, base).
-	DeltaComputes int64
+	DeltaComputes int64 `json:"delta_computes"`
 	// Backend names the persistence backend underneath the store, and
 	// BackendHealthy/BackendErr surface a latched write failure (a
 	// durable backend that refused an append and has not yet recovered)
 	// into /healthz.
-	Backend        string
-	BackendHealthy bool
-	BackendErr     string
+	Backend        string `json:"backend"`
+	BackendHealthy bool   `json:"backend_healthy"`
+	BackendErr     string `json:"backend_err,omitempty"`
 }
 
 // ObjectStore is the data-tier seam: the versioned object operations every

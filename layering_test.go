@@ -16,7 +16,7 @@ import (
 // backend, an internal helper — is a leak.
 var persistSPI = map[string]bool{
 	"Open": true, "KV": true, "Item": true, "Cursor": true, "Stats": true,
-	"ErrClosed": true, "Register": true, "Schemes": true,
+	"ErrClosed": true,
 }
 
 // coreStoreCapabilities are the only interfaces internal/core may assert a
