@@ -259,7 +259,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	folds := materializeFolds(ds, splits, cache)
 
 	fp := ds.Fingerprint()
-	evalSpec := fmt.Sprintf("%s|%s|seed=%d", opts.Splitter.Spec(), opts.Scorer.Name, opts.Seed)
+	evalSpec := evalSpecOf(opts)
 
 	for i := range units {
 		units[i].spec = units[i].pipeline.Spec()
@@ -395,6 +395,18 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 // evaluation spec share results.
 func UnitKey(datasetFP, pipelineSpec, evalSpec string) string {
 	return datasetFP + "|" + pipelineSpec + "|" + evalSpec
+}
+
+// numerics names the arithmetic a score was computed under. It is part of
+// every eval spec, so a DARR filled by a build with other numerics returns
+// misses, never scores this build would not reproduce bit for bit. 2 is the
+// matrix.Sigmoid/Tanh activations; the libm ones before them wrote no tag.
+const numerics = 2
+
+// evalSpecOf is the evaluation part of every unit key: the fold plan, the
+// metric, the seed and the numerics.
+func evalSpecOf(opts SearchOptions) string {
+	return fmt.Sprintf("%s|%s|seed=%d|numerics=%d", opts.Splitter.Spec(), opts.Scorer.Name, opts.Seed, numerics)
 }
 
 // flushPublishes drains a buffering store's publish queue (Flusher), so

@@ -11,6 +11,7 @@ import (
 
 	"coda/internal/core"
 	"coda/internal/crossval"
+	"coda/internal/dataset"
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
 	"coda/internal/obs"
@@ -123,6 +124,11 @@ func (m *memBatchStore) Flush(context.Context) error {
 	defer m.mu.Unlock()
 	m.flushes++
 	return nil
+}
+
+// batchKey is the DARR key Search gives the unit spec on ds under batchOpts.
+func batchKey(ds *dataset.Dataset, spec string) string {
+	return core.UnitKey(ds.Fingerprint(), spec, core.EvalSpec(batchOpts(nil)))
 }
 
 func batchOpts(store core.ResultStore) core.SearchOptions {
@@ -265,7 +271,7 @@ func TestSearchDeferredLookupFindsPublished(t *testing.T) {
 	// asks, and publishes it while "me" computes the unit it was granted.
 	opts := batchOpts(st)
 	opts.Parallelism = 1
-	held := core.UnitKey(ds.Fingerprint(), ref.Units[0].Spec, "kfold(k=3,shuffle=true)|rmse|seed=5")
+	held := batchKey(ds, ref.Units[0].Spec)
 	st.mu.Lock()
 	heldScore, ok := st.scores[held]
 	if !ok {
@@ -273,7 +279,7 @@ func TestSearchDeferredLookupFindsPublished(t *testing.T) {
 	}
 	delete(st.scores, held)
 	st.claimed[held] = "peer"
-	delete(st.scores, core.UnitKey(ds.Fingerprint(), ref.Units[3].Spec, "kfold(k=3,shuffle=true)|rmse|seed=5"))
+	delete(st.scores, batchKey(ds, ref.Units[3].Spec))
 	st.clientID = "me"
 	st.mu.Unlock()
 	base := opts.Scorer.Fn
@@ -450,5 +456,37 @@ func TestSearchCancelledReleasesBatchClaims(t *testing.T) {
 	defer st.mu.Unlock()
 	if len(st.claimed) != 0 {
 		t.Fatalf("%d claims leaked by a cancelled search", len(st.claimed))
+	}
+}
+
+// TestSearchMissesUntaggedRecords: a record keyed with the eval spec a build
+// before the numerics tag wrote — same folds, metric and seed, no
+// "|numerics=" — is a miss, so a durable DARR filled under the libm
+// activations is recomputed, never mixed into this build's scores.
+func TestSearchMissesUntaggedRecords(t *testing.T) {
+	ds := regDS(t, 100)
+	st := newMemBatchStore("me")
+	ref, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stale = -1.0
+	st.mu.Lock()
+	clear(st.scores)
+	for _, u := range ref.Units {
+		st.scores[core.UnitKey(ds.Fingerprint(), u.Spec, "kfold(k=3,shuffle=true)|rmse|seed=5")] = stale
+	}
+	st.mu.Unlock()
+	res, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHits != 0 || res.Computed != len(ref.Units) {
+		t.Fatalf("computed=%d cache=%d, want all %d units computed", res.Computed, res.CacheHits, len(ref.Units))
+	}
+	for _, u := range res.Units {
+		if u.Mean == stale {
+			t.Fatalf("%s scored %v: an untagged record was read", u.Spec, u.Mean)
+		}
 	}
 }

@@ -161,3 +161,32 @@ func BenchmarkKernelColStds(b *testing.B) {
 		_ = m.ColStds()
 	}
 }
+
+// Activation A/B over 1024 elements of N(0, 2²), about the spread of LSTM
+// gate pre-activations: the libm loop internal/nn ran before, the portable
+// twin, and the primitive (the AVX2 kernel where the CPU has one).
+func BenchmarkKernelActivations(b *testing.B) {
+	src := benchMat(1, 1024, 10).Row(0)
+	for i := range src {
+		src[i] *= 2
+	}
+	dst := make([]float64, len(src))
+	for _, a := range activations {
+		libm := func(dst, src []float64) {
+			for i, x := range src {
+				dst[i] = a.libm(x)
+			}
+		}
+		for _, path := range []struct {
+			name string
+			fn   func(dst, src []float64)
+		}{{"libm", libm}, {"portable", a.generic}, {"kernel", a.fn}} {
+			b.Run(a.name+"/"+path.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					path.fn(dst, src)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/elem")
+			})
+		}
+	}
+}

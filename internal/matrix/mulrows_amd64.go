@@ -1,7 +1,8 @@
 package matrix
 
-// useAVX2 selects the assembly row kernel; it is decided once, here, and
-// only tests change it afterwards (to run both paths on one machine).
+// useAVX2 selects the assembly kernels — the row kernel and the activations;
+// it is decided once, here, and only tests change it afterwards (to run both
+// paths on one machine).
 var useAVX2 = hasAVX2()
 
 func hasAVX2() bool
@@ -28,4 +29,28 @@ func mulRows[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero bool)
 	case []float32:
 		mulRowsF32(&c[0], &any(a).([]float32)[0], ars, aks, &any(b).([]float32)[0], m, k, n, skipZero)
 	}
+}
+
+//go:noescape
+func sigmoidAVX2(dst, src *float64, n int)
+
+//go:noescape
+func tanhAVX2(dst, src *float64, n int)
+
+// sigmoid and tanh are the twins on the fastest path this CPU has; len(dst)
+// == len(src).
+func sigmoid(dst, src []float64) {
+	if !useAVX2 || len(src) == 0 {
+		sigmoidGeneric(dst, src)
+		return
+	}
+	sigmoidAVX2(&dst[0], &src[0], len(src))
+}
+
+func tanh(dst, src []float64) {
+	if !useAVX2 || len(src) == 0 {
+		tanhGeneric(dst, src)
+		return
+	}
+	tanhAVX2(&dst[0], &src[0], len(src))
 }

@@ -9,3 +9,7 @@ var useAVX2 = false
 func mulRows[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero bool) {
 	mulRowsGeneric(c, a, ars, aks, b, m, k, n, skipZero)
 }
+
+func sigmoid(dst, src []float64) { sigmoidGeneric(dst, src) }
+
+func tanh(dst, src []float64) { tanhGeneric(dst, src) }

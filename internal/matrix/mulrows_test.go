@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// onBothPaths runs fn with the row kernel on the portable path and, where
-// the CPU has one, on the assembly path.
+// onBothPaths runs fn with the kernels on their portable paths and, where
+// the CPU has them, on the assembly paths.
 func onBothPaths(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
 	defer func(v bool) { useAVX2 = v }(useAVX2)

@@ -15,9 +15,10 @@ import (
 )
 
 // TestSearchScoresSameOnBothKernelPaths is the bitwise contract seen from
-// the top: a Slim Fig 11 search (LSTM, CNN and DNN fits, two workers) gives
-// the same bits for every fold score and for Best whether the assembly row
-// kernel or the portable one did the arithmetic.
+// the top: the full Fig 11 search (simple and deep LSTM, CNN and DNN,
+// WaveNet, SeriesNet; two workers) gives the same bits for every fold score
+// and for Best whether the assembly kernels — the row kernel and the
+// activations — or their portable twins did the arithmetic.
 func TestSearchScoresSameOnBothKernelPaths(t *testing.T) {
 	series, err := sim.GenerateSeries(sim.SeriesSpec{Steps: 120, Vars: 2, Regime: sim.RegimeAR}, rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -26,7 +27,7 @@ func TestSearchScoresSameOnBothKernelPaths(t *testing.T) {
 	scorer, _ := metrics.ScorerByName("rmse")
 	n := series.NumSamples()
 	search := func() *core.SearchResult {
-		g, err := tsgraph.New(tsgraph.Config{History: 6, Slim: true, Epochs: 2, Seed: 7})
+		g, err := tsgraph.New(tsgraph.Config{History: 6, Epochs: 2, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +48,8 @@ func TestSearchScoresSameOnBothKernelPaths(t *testing.T) {
 	}
 	portable := search()
 
-	if len(native.Units) != 24 || len(portable.Units) != len(native.Units) {
-		t.Fatalf("%d and %d units, want 24 each", len(native.Units), len(portable.Units))
+	if len(native.Units) != 48 || len(portable.Units) != len(native.Units) {
+		t.Fatalf("%d and %d units, want 48 each", len(native.Units), len(portable.Units))
 	}
 	for i, u := range native.Units {
 		p := portable.Units[i]

@@ -2,10 +2,10 @@ package mlmodels
 
 import (
 	"fmt"
-	"math"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
+	"coda/internal/matrix"
 )
 
 // LogisticRegression is binary logistic regression trained by full-batch
@@ -78,20 +78,15 @@ func (l *LogisticRegression) Fit(ds *dataset.Dataset) error {
 	l.coef = make([]float64, p)
 	l.intercept = 0
 	grad := make([]float64, p)
+	prob := make([]float64, n)
 	for epoch := 0; epoch < l.Epochs; epoch++ {
-		for j := range grad {
-			grad[j] = 0
-		}
+		l.proba(prob, ds)
+		clear(grad)
 		gIntercept := 0.0
-		for i := 0; i < n; i++ {
-			row := ds.X.Row(i)
-			z := l.intercept
-			for j, v := range row {
-				z += v * l.coef[j]
-			}
-			err := sigmoid(z) - ds.Y[i]
+		for i, pr := range prob {
+			err := pr - ds.Y[i]
 			gIntercept += err
-			for j, v := range row {
+			for j, v := range ds.X.Row(i) {
 				grad[j] += err * v
 			}
 		}
@@ -114,14 +109,21 @@ func (l *LogisticRegression) PredictProba(ds *dataset.Dataset) ([]float64, error
 		return nil, fmt.Errorf("mlmodels: %s fitted with %d features, got %d", l.Name(), len(l.coef), ds.NumFeatures())
 	}
 	out := make([]float64, ds.NumSamples())
+	l.proba(out, ds)
+	return out, nil
+}
+
+// proba sets out[i] = P(y=1) for row i under the current coefficients: every
+// row's z first, then one matrix.Sigmoid over them all.
+func (l *LogisticRegression) proba(out []float64, ds *dataset.Dataset) {
 	for i := range out {
 		z := l.intercept
 		for j, v := range ds.X.Row(i) {
 			z += v * l.coef[j]
 		}
-		out[i] = sigmoid(z)
+		out[i] = z
 	}
-	return out, nil
+	matrix.Sigmoid(out, out)
 }
 
 // Predict thresholds PredictProba at 0.5.
@@ -146,12 +148,4 @@ func (l *LogisticRegression) Coefficients() (coef []float64, intercept float64, 
 		return nil, 0, fmt.Errorf("%w: %s", ErrNotFitted, l.Name())
 	}
 	return append([]float64(nil), l.coef...), l.intercept, nil
-}
-
-func sigmoid(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
 }

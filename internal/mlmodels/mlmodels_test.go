@@ -384,6 +384,59 @@ func TestLogisticRegressionSeparableData(t *testing.T) {
 	}
 }
 
+// TestLogisticMatchesLibmSigmoid: training and predicting through
+// matrix.Sigmoid stays within 1e-12 of the per-row libm form it replaced,
+// labels unchanged.
+func TestLogisticMatchesLibmSigmoid(t *testing.T) {
+	ds := clfData(t, 11, 200, 2)
+	lr := NewLogisticRegression()
+	if err := lr.Fit(ds); err != nil {
+		t.Fatal(err)
+	}
+	probs, err := lr.PredictProba(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The loop Fit and PredictProba ran before, sigmoid by sigmoid.
+	sigmoid := func(z float64) float64 {
+		if z >= 0 {
+			return 1 / (1 + math.Exp(-z))
+		}
+		e := math.Exp(z)
+		return e / (1 + e)
+	}
+	n, p := ds.NumSamples(), ds.NumFeatures()
+	coef, intercept := make([]float64, p), 0.0
+	z := func(i int) float64 {
+		s := intercept
+		for j, v := range ds.X.Row(i) {
+			s += v * coef[j]
+		}
+		return s
+	}
+	for epoch := 0; epoch < lr.Epochs; epoch++ {
+		grad, gIntercept := make([]float64, p), 0.0
+		for i := 0; i < n; i++ {
+			e := sigmoid(z(i)) - ds.Y[i]
+			gIntercept += e
+			for j, v := range ds.X.Row(i) {
+				grad[j] += e * v
+			}
+		}
+		inv := 1.0 / float64(n)
+		intercept -= lr.LearningRate * gIntercept * inv
+		for j := range coef {
+			coef[j] -= lr.LearningRate * (grad[j]*inv + lr.Alpha*coef[j])
+		}
+	}
+	for i, got := range probs {
+		want := sigmoid(z(i))
+		if math.Abs(got-want) > 1e-12 || (got >= 0.5) != (want >= 0.5) {
+			t.Fatalf("row %d: P(y=1) %v, libm form %v", i, got, want)
+		}
+	}
+}
+
 func TestLogisticRejectsNonBinaryLabels(t *testing.T) {
 	x := matrix.New(3, 1)
 	ds, _ := dataset.New(x, []float64{0, 1, 2})

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"coda/internal/matrix"
@@ -19,8 +18,11 @@ type GatedResidualBlockOf[T matrix.Float] struct {
 	convF, convG *Conv1DOf[T] // dilated causal convs
 	proj         *Conv1DOf[T] // 1x1 projection
 
-	lastA, lastB *matrix.Mat[T] // pre-activation conv outputs
-	lastGated    *matrix.Mat[T]
+	// tanhA and sigG are tanh(convF(x)) and sigmoid(convG(x)) as Forward
+	// took them, in the float64 the activations run in for either T, so
+	// Backward reads them back instead of taking them again.
+	tanhA, sigG []float64
+	lastGated   *matrix.Mat[T]
 
 	out, da, db, dxSum *matrix.Mat[T] // reused scratch (see LayerOf)
 }
@@ -55,13 +57,20 @@ func (b *GatedResidualBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*mat
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block gate conv: %w", err)
 	}
-	b.lastA, b.lastB = a, g
 	gated := matrix.RecycleNoClear(b.lastGated, a.Rows(), a.Cols())
-	ad, gd, od := a.Data(), g.Data(), gated.Data()
-	for i := range od {
-		od[i] = T(math.Tanh(float64(ad[i])) * sigmoidNN(float64(gd[i])))
-	}
 	b.lastGated = gated
+	ad, gd, od := a.Data(), g.Data(), gated.Data()
+	b.tanhA = matrix.RecycleVec(b.tanhA, len(od))
+	b.sigG = matrix.RecycleVec(b.sigG, len(od))
+	ta, sg := b.tanhA, b.sigG
+	for i := range od {
+		ta[i], sg[i] = float64(ad[i]), float64(gd[i])
+	}
+	matrix.Tanh(ta, ta)
+	matrix.Sigmoid(sg, sg)
+	for i := range od {
+		od[i] = T(ta[i] * sg[i])
+	}
 	r, err := b.proj.Forward(gated, training)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block projection: %w", err)
@@ -76,7 +85,7 @@ func (b *GatedResidualBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*mat
 
 // Backward propagates through the residual sum, gate, and convolutions.
 func (b *GatedResidualBlockOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
-	if b.lastA == nil {
+	if b.lastGated == nil {
 		return nil, fmt.Errorf("nn: gated block backward before forward")
 	}
 	dGated, err := b.proj.Backward(grad)
@@ -86,14 +95,12 @@ func (b *GatedResidualBlockOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T],
 	da := matrix.RecycleNoClear(b.da, dGated.Rows(), dGated.Cols())
 	db := matrix.RecycleNoClear(b.db, dGated.Rows(), dGated.Cols())
 	b.da, b.db = da, db
-	ad, gd := b.lastA.Data(), b.lastB.Data()
 	dgd, dad, dbd := dGated.Data(), da.Data(), db.Data()
-	for i := range dgd {
-		ta := math.Tanh(float64(ad[i]))
-		sg := sigmoidNN(float64(gd[i]))
-		dg := float64(dgd[i])
-		dad[i] = T(dg * sg * (1 - ta*ta))
-		dbd[i] = T(dg * ta * sg * (1 - sg))
+	ta, sg := b.tanhA[:len(dgd)], b.sigG[:len(dgd)]
+	for i, v := range dgd {
+		dg := float64(v)
+		dad[i] = T(dg * sg[i] * (1 - ta[i]*ta[i]))
+		dbd[i] = T(dg * ta[i] * sg[i] * (1 - sg[i]))
 	}
 	dxF, err := b.convF.Backward(da)
 	if err != nil {

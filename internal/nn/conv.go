@@ -239,13 +239,15 @@ func (m *MaxPool1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], erro
 		dst := out.Row(i)
 		for t := 0; t < outLen; t++ {
 			for ch := 0; ch < m.Channels; ch++ {
-				best := T(math.Inf(-1))
-				bestCol := -1
-				for k := 0; k < m.Pool; k++ {
+				// The window's first position holds until a larger value or
+				// a NaN replaces it; a NaN ends the scan, so it propagates
+				// and bestCol always names a position of the window.
+				bestCol := t*m.Pool*m.Channels + ch
+				best := in[bestCol]
+				for k := 1; k < m.Pool && best == best; k++ {
 					col := (t*m.Pool+k)*m.Channels + ch
-					if in[col] > best {
-						best = in[col]
-						bestCol = col
+					if v := in[col]; v > best || v != v {
+						best, bestCol = v, col
 					}
 				}
 				outPos := t*m.Channels + ch

@@ -145,6 +145,7 @@ func (r *ReLUOf[T]) Parameters() []*ParamOf[T] { return nil }
 type TanhOf[T matrix.Float] struct {
 	lastOut *matrix.Mat[T]
 	dx      *matrix.Mat[T]
+	act     []float64 // the input, then its tanh, in float64
 }
 
 // Tanh is the float64 tanh activation.
@@ -161,8 +162,13 @@ func (t *TanhOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 	out := matrix.RecycleNoClear(t.lastOut, x.Rows(), x.Cols())
 	t.lastOut = out
 	src, d := x.Data(), out.Data()
+	t.act = matrix.RecycleVec(t.act, len(src))
 	for i, v := range src {
-		d[i] = T(math.Tanh(float64(v)))
+		t.act[i] = float64(v)
+	}
+	matrix.Tanh(t.act, t.act)
+	for i, v := range t.act {
+		d[i] = T(v)
 	}
 	return out, nil
 }

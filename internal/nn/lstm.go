@@ -46,6 +46,10 @@ type LSTMOf[T matrix.Float] struct {
 	// instead of taking the tanh again.
 	tanhC []*matrix.Mat[float64]
 
+	// act is one row's gates in float64, where the activations run for
+	// either T: pre-activation in, post-activation out.
+	act []float64
+
 	// Scratch buffers (see LayerOf contract).
 	xw         *matrix.Mat[T] // (batch*SeqLen) x 4H input projections
 	hw         *matrix.Mat[T] // batch x 4H recurrent projection
@@ -130,6 +134,8 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 	l.cs[0] = matrix.Recycle(l.cs[0], batch, l.Hidden)
 
 	bias := l.b.W.Row(0)
+	l.act = matrix.RecycleVec(l.act, h4)
+	act := l.act
 	for t := 0; t < l.SeqLen; t++ {
 		hPrev := l.hs[t]
 		cPrev := l.cs[t]
@@ -145,22 +151,28 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 			grow := g.Row(i)
 			xwrow := l.xw.Row(i*l.SeqLen + t)
 			hwrow := l.hw.Row(i)
-			for j := 0; j < h4; j++ {
-				grow[j] = xwrow[j] + hwrow[j] + bias[j]
+			for j := range act {
+				act[j] = float64(xwrow[j] + hwrow[j] + bias[j])
 			}
 			// Activations: i, f -> sigmoid; g (cell candidate) -> tanh; o -> sigmoid.
+			matrix.Sigmoid(act[:2*l.Hidden], act[:2*l.Hidden])
+			matrix.Tanh(act[2*l.Hidden:3*l.Hidden], act[2*l.Hidden:3*l.Hidden])
+			matrix.Sigmoid(act[3*l.Hidden:], act[3*l.Hidden:])
 			crow := cNew.Row(i)
 			cprow := cPrev.Row(i)
 			hnrow := hNew.Row(i)
 			tcrow := l.tanhC[t].Row(i)
 			for j := 0; j < l.Hidden; j++ {
-				ig := sigmoidNN(float64(grow[j]))
-				fg := sigmoidNN(float64(grow[l.Hidden+j]))
-				cg := math.Tanh(float64(grow[2*l.Hidden+j]))
-				og := sigmoidNN(float64(grow[3*l.Hidden+j]))
-				grow[j], grow[l.Hidden+j], grow[2*l.Hidden+j], grow[3*l.Hidden+j] = T(ig), T(fg), T(cg), T(og)
-				crow[j] = T(fg*float64(cprow[j]) + ig*cg)
-				tcrow[j] = math.Tanh(float64(crow[j]))
+				ig, fg, cg := act[j], act[l.Hidden+j], act[2*l.Hidden+j]
+				c := T(fg*float64(cprow[j]) + ig*cg)
+				crow[j] = c
+				tcrow[j] = float64(c)
+			}
+			matrix.Tanh(tcrow, tcrow)
+			for j, a := range act {
+				grow[j] = T(a)
+			}
+			for j, og := range act[3*l.Hidden:] {
 				hnrow[j] = T(og * tcrow[j])
 			}
 		}
@@ -295,11 +307,3 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 
 // Parameters implements LayerOf.
 func (l *LSTMOf[T]) Parameters() []*ParamOf[T] { return []*ParamOf[T]{l.wx, l.wh, l.b} }
-
-func sigmoidNN(z float64) float64 {
-	if z >= 0 {
-		return 1 / (1 + math.Exp(-z))
-	}
-	e := math.Exp(z)
-	return e / (1 + e)
-}

@@ -175,6 +175,42 @@ func TestMaxPool1D(t *testing.T) {
 	}
 }
 
+// TestMaxPool1DPropagatesNaN: a window of NaNs (or of -Infs) used to pool
+// to -Inf with no argmax, and Backward then indexed position -1 and
+// panicked — which, with no recover in core.Search, killed the process.
+// A NaN now propagates from the first position that holds one, and every
+// window's gradient lands inside it.
+func TestMaxPool1DPropagatesNaN(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(-1)
+	layer := NewMaxPool1D(6, 2, 3)
+	// Column s*2+c is step s of channel c; windows are steps 0-2 and 3-5.
+	in, err := matrix.NewFromRows([][]float64{{
+		nan, 1, nan, nan, nan, 7,
+		inf, 2, inf, 9, inf, 9,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := layer.Forward(in, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grad, _ := matrix.NewFromRows([][]float64{{1, 1, 1, 1}})
+	dx, err := layer.Backward(grad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := out.Row(0); !math.IsNaN(o[0]) || !math.IsNaN(o[1]) || o[2] != inf || o[3] != 9 {
+		t.Fatalf("pooled %v, want [NaN NaN -Inf 9]", o)
+	}
+	wantDx := []float64{1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0}
+	for j, w := range wantDx {
+		if dx.At(0, j) != w {
+			t.Fatalf("pool dx = %v, want %v", dx.Row(0), wantDx)
+		}
+	}
+}
+
 func TestLastTimestep(t *testing.T) {
 	layer := NewLastTimestep(3, 2)
 	in, _ := matrix.NewFromRows([][]float64{{1, 2, 3, 4, 5, 6}})
@@ -445,9 +481,27 @@ func TestLSTMReturnSeqShape(t *testing.T) {
 	}
 }
 
+// tanhOf is matrix.Tanh of one value.
+func tanhOf(x float64) float64 {
+	out := []float64{x}
+	matrix.Tanh(out, out)
+	return out[0]
+}
+
+// bitsOf is the bits of every element of ms, in order.
+func bitsOf[T matrix.Float](ms ...*matrix.Mat[T]) []uint64 {
+	var out []uint64
+	for _, m := range ms {
+		for _, v := range m.Data() {
+			out = append(out, math.Float64bits(float64(v)))
+		}
+	}
+	return out
+}
+
 // testLSTMTanhCacheMatchesRecompute pins the cached tanh(c_t) to the form
 // that recomputes it: after every Forward — including one on a smaller
-// batch, which recycles the buffers — the cache holds math.Tanh of the
+// batch, which recycles the buffers — the cache holds matrix.Tanh of the
 // stored cell state bit for bit and the hidden state is built from it, and
 // Backward returns the same bits when the cache is overwritten with freshly
 // taken tanhs.
@@ -456,15 +510,6 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 	const seq, in, hidden = 5, 3, 4
 	l := NewLSTMOf[T](seq, in, hidden, rng)
 	l.ReturnSeq = true
-	bitsOf := func(ms ...*matrix.Mat[T]) []uint64 {
-		var out []uint64
-		for _, m := range ms {
-			for _, v := range m.Data() {
-				out = append(out, math.Float64bits(float64(v)))
-			}
-		}
-		return out
-	}
 	for _, batch := range []int{6, 2, 7} {
 		x := matrix.NewOf[T](batch, seq*in)
 		grad := matrix.NewOf[T](batch, seq*hidden)
@@ -479,7 +524,7 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 		for ts := 0; ts < seq; ts++ {
 			for i := 0; i < batch; i++ {
 				for j := 0; j < hidden; j++ {
-					want := math.Tanh(float64(l.cs[ts+1].At(i, j)))
+					want := tanhOf(float64(l.cs[ts+1].At(i, j)))
 					if got := l.tanhC[ts].At(i, j); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("batch %d t=%d (%d,%d): cached tanh %v, recomputed %v", batch, ts, i, j, got, want)
 					}
@@ -505,7 +550,7 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 		cached := backward()
 		for ts := 0; ts < seq; ts++ {
 			for i, c := range l.cs[ts+1].Data() {
-				l.tanhC[ts].Data()[i] = math.Tanh(float64(c))
+				l.tanhC[ts].Data()[i] = tanhOf(float64(c))
 			}
 		}
 		recomputed := backward()
@@ -520,4 +565,76 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 func TestLSTMTanhCacheMatchesRecompute(t *testing.T) {
 	t.Run("f64", testLSTMTanhCacheMatchesRecompute[float64])
 	t.Run("f32", testLSTMTanhCacheMatchesRecompute[float32])
+}
+
+// testGatedActivationCacheMatchesRecompute is the gated block's twin of the
+// test above: after every Forward — including one on a smaller batch — the
+// kept tanh(convF(x)) and sigmoid(convG(x)) are matrix.Tanh and
+// matrix.Sigmoid of the conv outputs bit for bit, and Backward, which takes
+// no activation of its own, returns the same bits when they are overwritten
+// with freshly taken ones.
+func testGatedActivationCacheMatchesRecompute[T matrix.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const seq, ch = 8, 3
+	b := NewGatedResidualBlockOf[T](seq, ch, 2, 2, rng)
+	for _, batch := range []int{5, 2, 6} {
+		x := matrix.NewOf[T](batch, seq*ch)
+		grad := matrix.NewOf[T](batch, seq*ch)
+		for _, m := range []*matrix.Mat[T]{x, grad} {
+			for i := range m.Data() {
+				m.Data()[i] = T(2 * rng.NormFloat64())
+			}
+		}
+		if _, err := b.Forward(x, true); err != nil {
+			t.Fatal(err)
+		}
+		// The convs are deterministic in x: running them again gives the
+		// outputs Forward activated and leaves their caches as they were.
+		fresh := func(conv *Conv1DOf[T], act func(dst, src []float64)) []float64 {
+			out, err := conv.Forward(x, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := make([]float64, len(out.Data()))
+			for i, e := range out.Data() {
+				v[i] = float64(e)
+			}
+			act(v, v)
+			return v
+		}
+		tanhA, sigG := fresh(b.convF, matrix.Tanh), fresh(b.convG, matrix.Sigmoid)
+		for i := range tanhA {
+			if math.Float64bits(b.tanhA[i]) != math.Float64bits(tanhA[i]) || math.Float64bits(b.sigG[i]) != math.Float64bits(sigG[i]) {
+				t.Fatalf("batch %d element %d: kept tanh %v sigmoid %v, recomputed %v %v", batch, i, b.tanhA[i], b.sigG[i], tanhA[i], sigG[i])
+			}
+		}
+		backward := func() []uint64 {
+			for _, p := range b.Parameters() {
+				p.zeroGrad()
+			}
+			dx, err := b.Backward(grad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := bitsOf(dx)
+			for _, p := range b.Parameters() {
+				out = append(out, bitsOf(p.Grad)...)
+			}
+			return out
+		}
+		cached := backward()
+		copy(b.tanhA, tanhA)
+		copy(b.sigG, sigG)
+		recomputed := backward()
+		for i := range cached {
+			if cached[i] != recomputed[i] {
+				t.Fatalf("batch %d: backward output %d differs between kept and recomputed activations", batch, i)
+			}
+		}
+	}
+}
+
+func TestGatedActivationCacheMatchesRecompute(t *testing.T) {
+	t.Run("f64", testGatedActivationCacheMatchesRecompute[float64])
+	t.Run("f32", testGatedActivationCacheMatchesRecompute[float32])
 }
