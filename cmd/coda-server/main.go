@@ -119,16 +119,14 @@ func main() {
 		trace.SetDefaultRecorder(trace.NewRecorder(*traceRing))
 	}
 
-	var repo *darr.Repo
-	if dsn := *darrBackend; dsn == "mem:" {
-		repo = darr.NewRepo(nil, *claimTTL)
-	} else {
-		var err error
-		repo, err = darr.NewDurableRepo(dsn, nil, *claimTTL)
-		if err != nil {
-			logger.Error("opening durable DARR", "dsn", dsn, "err", err)
-			os.Exit(1)
-		}
+	// "mem:" opens no KV, so the repo and store are memory-only and there
+	// is nothing to report as recovered.
+	repo, err := darr.NewDurableRepo(*darrBackend, nil, *claimTTL)
+	if err != nil {
+		logger.Error("opening durable DARR", "dsn", *darrBackend, "err", err)
+		os.Exit(1)
+	}
+	if repo.Backend() != "mem" {
 		logger.Info("durable DARR recovered",
 			"backend", repo.Backend(), "records", repo.Len(), "active_claims", repo.ActiveClaims())
 	}
@@ -140,7 +138,7 @@ func main() {
 		logger.Error("opening object store", "dsn", *storeBackend, "err", err)
 		os.Exit(1)
 	}
-	if *storeBackend != "mem:" {
+	if st.Backend() != "mem" {
 		objects := 0
 		st.Each(func(string) bool { objects++; return true })
 		logger.Info("object store recovered", "backend", st.Backend(), "objects", objects)

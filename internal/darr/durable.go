@@ -30,14 +30,18 @@ type claimRec struct {
 
 // NewDurableRepo builds a repository whose records and claims are written
 // through to the persistence backend a DSN names (see persist.Open) and
-// replayed at open — cooperative results survive restarts. "mem:" works
-// but adds nothing over NewRepo. nowFn and claimTTL behave as in NewRepo.
+// replayed at open — cooperative results survive restarts. "mem:" names
+// no KV, so the repo is memory-only, as from NewRepo. nowFn and claimTTL
+// behave as in NewRepo.
 func NewDurableRepo(dsn string, nowFn func() time.Time, claimTTL time.Duration) (*Repo, error) {
 	kv, err := persist.Open(dsn)
 	if err != nil {
 		return nil, err
 	}
 	r := NewRepo(nowFn, claimTTL)
+	if kv == nil {
+		return r, nil
+	}
 	r.kv = kv
 	if err := r.load(); err != nil {
 		_ = kv.Close()

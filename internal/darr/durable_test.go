@@ -80,6 +80,27 @@ func TestDurableRestartSurvival(t *testing.T) {
 	}
 }
 
+// TestDurableRepoOnMemIsMemoryOnly: "mem:" opens no KV, so the repo is the
+// memory-only one NewRepo builds.
+func TestDurableRepoOnMemIsMemoryOnly(t *testing.T) {
+	r, err := NewDurableRepo("mem:", nil, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Put(rec("k1", "c1", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, durable := r.PersistStats(); durable || r.Backend() != "mem" || r.Len() != 1 {
+		t.Fatalf("backend %q, durable %v, %d records; want a memory-only repo holding 1", r.Backend(), durable, r.Len())
+	}
+	if err := r.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestClaimReleasedOnPublish is the regression for the claim-lingering
 // bug: once the holder publishes, the claim must be gone immediately — in
 // memory AND across a restart — so a second client gets the cached result

@@ -69,14 +69,26 @@ func BenchmarkPersistOpenCompacted10k(b *testing.B) {
 	}
 }
 
+// fillLive writes n distinct keys k/000000.. in one batch (one fsync).
+func fillLive(tb testing.TB, kv KV, n int, val []byte) {
+	tb.Helper()
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{Key: fmt.Sprintf("k/%06d", i), Value: val}
+	}
+	if err := kv.PutBatch(items); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // BenchmarkPersistCursorScan streams 10k live keys through a prefix cursor.
 func BenchmarkPersistCursorScan(b *testing.B) {
-	kv, err := Open("mem:")
+	kv, err := Open("log:" + b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer kv.Close()
-	benchFill(b, kv, 10000, 10000)
+	fillLive(b, kv, 10000, make([]byte, 256))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cur, err := kv.Cursor("k/")
@@ -94,30 +106,11 @@ func BenchmarkPersistCursorScan(b *testing.B) {
 	}
 }
 
-// BenchmarkPersistPutBatchLog measures the durable batched write path
-// (fsync included) against the in-memory floor below.
+// BenchmarkPersistPutBatchLog measures the durable batched write path,
+// fsync included.
 func BenchmarkPersistPutBatchLog(b *testing.B) {
 	dir := b.TempDir()
 	kv, err := Open("log:" + dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer kv.Close()
-	val := make([]byte, 256)
-	items := make([]Item, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range items {
-			items[j] = Item{Key: fmt.Sprintf("k/%06d", (i*16+j)%1000), Value: val}
-		}
-		if err := kv.PutBatch(items); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPersistPutBatchMem(b *testing.B) {
-	kv, err := Open("mem:")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,18 +137,12 @@ func TestWriteAndScanAllocationsExact(t *testing.T) {
 	for j := range items {
 		items[j] = Item{Key: fmt.Sprintf("k/%06d", j), Value: make([]byte, 256)}
 	}
-	putBatch := func(dsn string) func() error {
-		kv := mustOpen(t, dsn)
-		t.Cleanup(func() { kv.Close() })
-		return func() error { return kv.PutBatch(items) }
-	}
-	scanned := mustOpen(t, "mem:")
+	written := mustOpen(t, "log:"+t.TempDir())
+	defer written.Close()
+	putBatch := func() error { return written.PutBatch(items) }
+	scanned := mustOpen(t, "log:"+t.TempDir())
 	defer scanned.Close()
-	for i := 0; i < 1000; i++ {
-		if err := scanned.PutBatch([]Item{{Key: fmt.Sprintf("k/%06d", i), Value: []byte("v")}}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fillLive(t, scanned, 1000, []byte("v"))
 	scan := func() error {
 		cur, err := scanned.Cursor("k/")
 		if err != nil {
@@ -176,9 +163,8 @@ func TestWriteAndScanAllocationsExact(t *testing.T) {
 		call func() error
 		want float64
 	}{
-		{"PutBatch mem:", putBatch("mem:"), 16},
-		{"PutBatch log:", putBatch("log:" + t.TempDir()), 16},
-		{"Cursor scan", scan, 12},
+		{"PutBatch log:", putBatch, 16},
+		{"Cursor scan log:", scan, 12},
 	} {
 		got := testing.AllocsPerRun(20, func() {
 			if err := c.call(); err != nil {

@@ -6,17 +6,12 @@ import (
 	"testing"
 )
 
-// dsnFor builds a DSN for each scheme Open knows against a fresh temp
-// directory, so the conformance suite runs the identical contract against
-// every backend — a scheme added to the list inherits the suite.
+// dsnFor builds a DSN for a scheme against a fresh temp directory, so the
+// conformance suite runs the identical contract against every backend — a
+// scheme added to the list inherits the suite.
 func dsnFor(t *testing.T, scheme string) string {
 	t.Helper()
-	switch scheme {
-	case "mem":
-		return "mem:"
-	default:
-		return scheme + ":" + t.TempDir()
-	}
+	return scheme + ":" + t.TempDir()
 }
 
 func mustOpen(t *testing.T, dsn string) KV {
@@ -28,18 +23,32 @@ func mustOpen(t *testing.T, dsn string) KV {
 	return kv
 }
 
+// TestConformance runs the contract against every backend; "mem:" opens
+// none (TestMemOpensNoKV).
 func TestConformance(t *testing.T) {
 	for _, scheme := range schemes {
+		if scheme == "mem" {
+			continue
+		}
 		t.Run(scheme, func(t *testing.T) {
 			t.Run("BatchRoundTrip", func(t *testing.T) { testBatchRoundTrip(t, dsnFor(t, scheme)) })
 			t.Run("CursorOrderingAndPrefix", func(t *testing.T) { testCursorOrdering(t, dsnFor(t, scheme)) })
 			t.Run("CompactPreservesState", func(t *testing.T) { testCompactPreserves(t, dsnFor(t, scheme)) })
 			t.Run("ClosedOps", func(t *testing.T) { testClosedOps(t, dsnFor(t, scheme)) })
 			t.Run("ConcurrentStress", func(t *testing.T) { testConcurrentStress(t, dsnFor(t, scheme)) })
-			if scheme != "mem" {
-				t.Run("ReplayAfterRestart", func(t *testing.T) { testReplayAfterRestart(t, dsnFor(t, scheme)) })
-			}
+			t.Run("ReplayAfterRestart", func(t *testing.T) { testReplayAfterRestart(t, dsnFor(t, scheme)) })
 		})
+	}
+}
+
+// TestMemOpensNoKV: "mem:" is a valid DSN that opens no backend, so its
+// consumers run memory-only; a directory after it is still refused.
+func TestMemOpensNoKV(t *testing.T) {
+	if kv, err := Open("mem:"); kv != nil || err != nil {
+		t.Fatalf(`Open("mem:") = (%v, %v), want (nil, nil)`, kv, err)
+	}
+	if _, err := Open("mem:" + t.TempDir()); err == nil {
+		t.Fatal("mem DSN with a directory accepted")
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // schemes are the DSN schemes Open dispatches on, sorted; the error texts
-// and the conformance suite both read this list.
+// read this list, and the conformance suite runs every backend in it.
 var schemes = []string{"bolt", "log", "mem"}
 
 // Open constructs the backend a DSN names. The grammar is
@@ -17,6 +17,9 @@ var schemes = []string{"bolt", "log", "mem"}
 // e.g. "mem:", "log:/var/lib/coda/store", "bolt:data/darr?wal=1048576".
 // The scheme picks the backend; the directory (required for durable
 // backends) is where it keeps its files; query parameters tune it.
+//
+// "mem:" opens no backend: Open returns a nil KV and a nil error, and the
+// consumer's memory is the only copy.
 func Open(dsn string) (KV, error) {
 	scheme, rest, ok := strings.Cut(dsn, ":")
 	if !ok || scheme == "" {
@@ -32,8 +35,6 @@ func Open(dsn string) (KV, error) {
 	case "mem":
 		if dir != "" {
 			err = fmt.Errorf("mem backend takes no directory, got %q", dir)
-		} else {
-			kv = newMemKV()
 		}
 	case "log", "bolt":
 		kv, err = openWAL(scheme, dir, params)

@@ -10,11 +10,13 @@
 // Snapshot/Compact hooks so append-only history stops replaying from byte
 // zero at every open.
 //
-// Backends are selected by DSN through Open: mem:, and one write-ahead-log
-// engine (walKV) behind both durable schemes — log:<dir>, and bolt:<dir>,
-// which is log: plus background auto-compaction. Consumers outside this
-// package must never name a concrete backend type — TestLayeringSeams in
-// the root package enforces that only the SPI identifiers escape.
+// Backends are selected by DSN through Open: one write-ahead-log engine
+// (walKV) behind both durable schemes — log:<dir>, and bolt:<dir>, which
+// is log: plus background auto-compaction. "mem:" is a nil KV: both
+// consumers keep their live state in memory anyway, so no KV means
+// memory-only. Consumers outside this package must never name a concrete
+// backend type — TestLayeringSeams in the root package enforces that only
+// the SPI identifiers escape.
 package persist
 
 import (
@@ -57,7 +59,7 @@ type Cursor interface {
 // Stats is a point-in-time snapshot of one backend's accounting, surfaced
 // through /healthz and the coda_persist_* metrics.
 type Stats struct {
-	// Backend names the DSN scheme ("mem", "log", "bolt").
+	// Backend names the DSN scheme ("log", "bolt").
 	Backend string `json:"backend"`
 	// LiveKeys counts keys currently present (puts minus deletes).
 	LiveKeys int `json:"live_keys"`
@@ -84,7 +86,8 @@ type Stats struct {
 }
 
 // KV is the batch-first storage contract every backend implements. All
-// methods are safe for concurrent use.
+// methods are safe for concurrent use. A nil KV (what Open returns for
+// "mem:") means the consumer's memory is the only copy.
 type KV interface {
 	// Name reports the backend's DSN scheme.
 	Name() string

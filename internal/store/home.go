@@ -3,11 +3,15 @@ package store
 import (
 	"fmt"
 	"hash/fnv"
+	"net/url"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"coda/internal/delta"
+	"coda/internal/persist"
 )
 
 // object is the per-key state: retained versions plus the delta machinery.
@@ -50,11 +54,11 @@ type shard struct {
 
 // HomeStore is the thread-safe versioned object engine behind ObjectStore:
 // key-hash sharded locking, per-object mutexes, out-of-lock singleflighted
-// delta computation, and a pluggable VersionBackend for persistence.
+// delta computation, and a persist.KV underneath for durability.
 type HomeStore struct {
-	opts    Options
-	backend VersionBackend
-	shards  []*shard
+	opts   Options
+	kv     persist.KV // nil: memory-only, the shards are the only copy
+	shards []*shard
 
 	fullReplies   atomic.Int64
 	deltaReplies  atomic.Int64
@@ -66,41 +70,127 @@ type HomeStore struct {
 
 var _ ObjectStore = (*HomeStore)(nil)
 
-// NewHomeStore builds a store on the in-memory backend. It cannot fail:
-// the mem backend has nothing to open or replay.
+// NewHomeStore builds a memory-only store. It cannot fail: there is no KV
+// to replay.
 func NewHomeStore(opts Options) *HomeStore {
-	s, err := Open(opts, NewMemBackend())
-	if err != nil { // unreachable: MemBackend.Replay never errs
-		panic(err)
-	}
+	s, _ := Open(opts, nil)
 	return s
 }
 
-// Open builds a store over the given backend, replaying whatever the
-// backend recorded before (crash recovery for the durable backends).
-func Open(opts Options, backend VersionBackend) (*HomeStore, error) {
+// OpenDSN builds a store on the persistence backend a DSN names (see
+// persist.Open for the grammar); "mem:" names no KV, so the store is
+// memory-only.
+func OpenDSN(dsn string, opts Options) (*HomeStore, error) {
+	kv, err := persist.Open(dsn)
+	if err != nil {
+		return nil, err
+	}
+	s, err := Open(opts, kv)
+	if err != nil && kv != nil {
+		_ = kv.Close()
+	}
+	return s, err
+}
+
+// NewKVBackend returns kv unchanged.
+//
+// Deprecated: pass the KV to Open. Kept only for bench/e2e's traced boot,
+// which calls store.Open(opts, store.NewKVBackend(kv)).
+func NewKVBackend(kv persist.KV) persist.KV { return kv }
+
+// Open builds a store that writes every accepted version through to kv
+// and, at open, replays what kv recorded before (crash recovery). A nil
+// kv keeps the store memory-only.
+//
+// Each version is one KV pair under o/<url.PathEscape(key)>/<%016x
+// version>. PathEscape keeps '/' out of the escaped key, so the last '/'
+// splits key from version, and the fixed-width hex makes byte order
+// numeric order: one cursor pass over "o/" streams each object's versions
+// ascending. Versions the retention window drops on the way are deleted
+// from kv, so they never replay again.
+func Open(opts Options, kv persist.KV) (*HomeStore, error) {
 	opts.setDefaults()
-	s := &HomeStore{opts: opts, backend: backend, shards: make([]*shard, opts.Shards)}
+	s := &HomeStore{opts: opts, kv: kv, shards: make([]*shard, opts.Shards)}
 	for i := range s.shards {
 		s.shards[i] = &shard{objects: map[string]*object{}}
 	}
-	err := backend.Replay(func(key string, v Version) error {
-		obj := s.object(key, true)
-		if n := len(obj.versions); n > 0 && v.Num <= obj.versions[n-1].Num {
-			return fmt.Errorf("store: replayed version %d of %q out of order (have %d)", v.Num, key, obj.versions[n-1].Num)
-		}
-		obj.versions = append(obj.versions, v)
-		obj.trimRetention(opts.Retain)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("store: replaying %s backend: %w", backend.Name(), err)
+	if kv == nil {
+		return s, nil
+	}
+	if err := s.replay(); err != nil {
+		return nil, fmt.Errorf("store: replaying %s backend: %w", kv.Name(), err)
 	}
 	return s, nil
 }
 
-// Backend names the backend this store runs on.
-func (s *HomeStore) Backend() string { return s.backend.Name() }
+func (s *HomeStore) replay() error {
+	cur, err := s.kv.Cursor(objPrefix)
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	var trimmed []string
+	for cur.Next() {
+		key, num, err := decodeVersionKey(cur.Key())
+		if err != nil {
+			return err
+		}
+		obj := s.object(key, true)
+		if n := len(obj.versions); n > 0 && num <= obj.versions[n-1].Num {
+			return fmt.Errorf("store: replayed version %d of %q out of order (have %d)", num, key, obj.versions[n-1].Num)
+		}
+		obj.versions = append(obj.versions, Version{Num: num, Data: append([]byte(nil), cur.Value()...)})
+		trimmed = append(trimmed, versionKeys(key, obj.trimRetention(s.opts.Retain))...)
+	}
+	if err := cur.Err(); err != nil || len(trimmed) == 0 {
+		return err
+	}
+	return s.kv.Delete(trimmed...)
+}
+
+const objPrefix = "o/"
+
+func encodeVersionKey(key string, num uint64) string {
+	return objPrefix + url.PathEscape(key) + "/" + fmt.Sprintf("%016x", num)
+}
+
+// versionKeys encodes the KV keys of versions nums of key.
+func versionKeys(key string, nums []uint64) []string {
+	keys := make([]string, len(nums))
+	for i, num := range nums {
+		keys[i] = encodeVersionKey(key, num)
+	}
+	return keys
+}
+
+func decodeVersionKey(k string) (key string, num uint64, err error) {
+	rest, ok := strings.CutPrefix(k, objPrefix)
+	if !ok {
+		return "", 0, fmt.Errorf("store: kv key %q outside object prefix", k)
+	}
+	i := strings.LastIndexByte(rest, '/')
+	if i < 0 {
+		return "", 0, fmt.Errorf("store: kv key %q missing version", k)
+	}
+	key, err = url.PathUnescape(rest[:i])
+	if err != nil {
+		return "", 0, fmt.Errorf("store: kv key %q: %w", k, err)
+	}
+	num, err = strconv.ParseUint(rest[i+1:], 16, 64)
+	if err != nil {
+		return "", 0, fmt.Errorf("store: kv key %q: bad version: %w", k, err)
+	}
+	return key, num, nil
+}
+
+// Backend names the KV this store writes through to ("mem" when
+// memory-only).
+func (s *HomeStore) Backend() string {
+	if s.kv == nil {
+		return "mem"
+	}
+	return s.kv.Name()
+}
 
 func (s *HomeStore) shardFor(key string) *shard {
 	h := fnv.New32a()
@@ -128,7 +218,7 @@ func (s *HomeStore) object(key string, create bool) *object {
 }
 
 // trimRetention drops versions beyond the retention window, returning the
-// evicted version numbers so a trimming backend can drop them too. Caller
+// evicted version numbers so they can leave the KV too. Caller
 // holds obj.mu (or has exclusive access during replay). The survivors move
 // to a fresh slice so evicted version data can be collected.
 func (o *object) trimRetention(retain int) []uint64 {
@@ -176,8 +266,8 @@ func (o *object) cacheDelta(base uint64, c cachedDelta, cap int) {
 }
 
 // Put stores a new version of the object and returns its version number
-// (starting at 1 for a new object). The write reaches the backend before
-// it becomes visible; a backend refusal leaves the store unchanged.
+// (starting at 1 for a new object). The write reaches the KV before it
+// becomes visible; a KV refusal leaves the store unchanged.
 func (s *HomeStore) Put(key string, data []byte) (uint64, error) {
 	obj := s.object(key, true)
 	obj.mu.Lock()
@@ -187,12 +277,16 @@ func (s *HomeStore) Put(key string, data []byte) (uint64, error) {
 		next = obj.versions[n-1].Num + 1
 	}
 	v := Version{Num: next, Data: append([]byte(nil), data...)}
-	if err := s.backend.Append(key, v); err != nil {
-		return 0, fmt.Errorf("store: persisting %q version %d: %w", key, next, err)
+	if s.kv != nil {
+		if err := s.kv.PutBatch([]persist.Item{{Key: encodeVersionKey(key, next), Value: v.Data}}); err != nil {
+			return 0, fmt.Errorf("store: persisting %q version %d: %w", key, next, err)
+		}
 	}
 	obj.versions = append(obj.versions, v)
-	if dropped := obj.trimRetention(s.opts.Retain); len(dropped) > 0 {
-		_ = s.backend.Trim(key, dropped) // best-effort; stale keys are garbage, not corruption
+	if dropped := obj.trimRetention(s.opts.Retain); len(dropped) > 0 && s.kv != nil {
+		// Best-effort: a version key left behind is deleted by the next
+		// Open, whose replay trims it again.
+		_ = s.kv.Delete(versionKeys(key, dropped)...)
 	}
 	// The latest version changed, so all cached deltas are stale.
 	obj.clearDeltaCache()
@@ -338,8 +432,8 @@ func (s *HomeStore) RetainedVersions(key string) ([]uint64, error) {
 	return out, nil
 }
 
-// Stats returns a snapshot of the reply accounting, including the
-// backend's health (latched write failures surface here and in /healthz).
+// Stats returns a snapshot of the reply accounting, including the KV's
+// health (latched write failures surface here and in /healthz).
 func (s *HomeStore) Stats() Stats {
 	st := Stats{
 		FullReplies:    int(s.fullReplies.Load()),
@@ -348,12 +442,14 @@ func (s *HomeStore) Stats() Stats {
 		DeltaBytes:     s.deltaBytes.Load(),
 		SavedBytes:     s.savedBytes.Load(),
 		DeltaComputes:  s.deltaComputes.Load(),
-		Backend:        s.backend.Name(),
+		Backend:        s.Backend(),
 		BackendHealthy: true,
 	}
-	if err := s.backend.Healthy(); err != nil {
-		st.BackendHealthy = false
-		st.BackendErr = err.Error()
+	if s.kv != nil {
+		if ks := s.kv.Stats(); !ks.Healthy {
+			st.BackendHealthy = false
+			st.BackendErr = fmt.Sprintf("store: %s backend unhealthy: %s", ks.Backend, ks.Err)
+		}
 	}
 	return st
 }
@@ -387,8 +483,14 @@ func (s *HomeStore) Keys() []string {
 	return out
 }
 
-// CompactBackend runs the backend's compaction cycle (a no-op on mem).
-func (s *HomeStore) CompactBackend() error { return s.backend.Compact() }
+// CompactBackend runs the KV's compaction cycle (a no-op when
+// memory-only).
+func (s *HomeStore) CompactBackend() error {
+	if s.kv == nil {
+		return nil
+	}
+	return s.kv.Compact()
+}
 
 // deltaCacheLen reports the cached-delta count for a key (test hook).
 func (s *HomeStore) deltaCacheLen(key string) int {
@@ -401,8 +503,8 @@ func (s *HomeStore) deltaCacheLen(key string) int {
 	return len(obj.deltaCache)
 }
 
-// Close drops the cached deltas from the entries gauge and closes the
-// backend; further Puts fail on a persistent backend.
+// Close drops the cached deltas from the entries gauge and closes the KV;
+// further Puts fail unless the store is memory-only.
 func (s *HomeStore) Close() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -413,5 +515,8 @@ func (s *HomeStore) Close() error {
 		}
 		sh.mu.Unlock()
 	}
-	return s.backend.Close()
+	if s.kv == nil {
+		return nil
+	}
+	return s.kv.Close()
 }

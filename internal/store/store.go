@@ -12,11 +12,11 @@
 //   - HomeStore is the concrete engine behind it: key-hash sharded locking
 //     with per-object mutexes, delta computation OUT of the critical
 //     section behind a singleflight, and a capped per-object delta cache.
-//   - VersionBackend is the persistence SPI underneath HomeStore, with two
-//     implementers. MemBackend persists nothing: the shards are the only
-//     copy. NewKVBackend rides a persist.KV (OpenDSN with log:<dir> or
-//     bolt:<dir>), whose write-ahead log fsyncs every Put and is replayed
-//     at open for crash recovery.
+//   - Durability is a persist.KV underneath HomeStore (Open, or OpenDSN
+//     with log:<dir> or bolt:<dir>): every Put is one fsynced PutBatch,
+//     every retention trim one Delete, and open replays one cursor pass.
+//     A nil KV (NewHomeStore, or OpenDSN("mem:")) keeps the store
+//     memory-only: the shards are the only copy.
 package store
 
 import (
@@ -127,8 +127,8 @@ type Stats struct {
 
 // ObjectStore is the data-tier seam: the versioned object operations every
 // consumer outside this package programs against. HomeStore implements it
-// over a pluggable VersionBackend; no caller should name the concrete
-// engine except at construction.
+// over an optional persist.KV; no caller should name the concrete engine
+// except at construction.
 type ObjectStore interface {
 	// Put stores data as the next version of key and returns its version
 	// number (starting at 1 for a new object). A persistent backend may
@@ -153,7 +153,7 @@ type ObjectStore interface {
 	// Stats returns a snapshot of the reply accounting.
 	Stats() Stats
 	// Close releases the backend (flushes/closes segment files for the
-	// log backend; a no-op for the in-memory backend).
+	// log backend; a no-op when memory-only).
 	Close() error
 }
 

@@ -9,7 +9,7 @@ import (
 	"testing/quick"
 )
 
-// mustPut is the test shorthand for Puts that cannot fail (mem backend).
+// mustPut is the test shorthand for Puts that must succeed.
 func mustPut(t testing.TB, s ObjectStore, key string, data []byte) uint64 {
 	t.Helper()
 	v, err := s.Put(key, data)
