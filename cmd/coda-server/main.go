@@ -1,6 +1,6 @@
 // Command coda-server runs a cloud analytics server node (Figure 1): it
 // hosts the Data Analytics Results Repository (Figure 2) and a versioned
-// home data store with delta-encoded replies (Section III) over JSON/HTTP.
+// home data store with delta-encoded replies (Section III) over HTTP.
 //
 // Usage:
 //

@@ -170,10 +170,8 @@ func callLabel(method, path string) string {
 	return method + " " + path
 }
 
-// doJSON performs one JSON round-trip with retries. Retryable statuses
-// (5xx, 429) are surfaced as errors so the retry layer re-issues the
-// request; other statuses are returned to the caller for interpretation.
-// The request body is marshalled once and replayed on every attempt.
+// doJSON performs one JSON round-trip with retries, decoding a 2xx reply
+// into out when it is non-nil. The request body is marshalled once.
 func (c *Client) doJSON(ctx context.Context, method, path string, body any, out any) (int, error) {
 	var raw []byte
 	if body != nil {
@@ -183,6 +181,27 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body any, out 
 			return 0, fmt.Errorf("httpapi: encoding request: %w", err)
 		}
 	}
+	var read func(*http.Response) error
+	if out != nil {
+		read = func(resp *http.Response) error {
+			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+				// A truncated body reads as io.ErrUnexpectedEOF, which the
+				// retry layer classifies as transient.
+				return fmt.Errorf("httpapi: decoding response: %w", err)
+			}
+			return nil
+		}
+	}
+	return c.do(ctx, method, path, raw, "application/json", read)
+}
+
+// do performs one round trip with retries, replaying raw (nil: no body) as
+// the request body of every attempt. Retryable statuses (5xx, 429) are
+// surfaced as errors so the retry layer re-issues the request; other
+// statuses are returned to the caller for interpretation. read, when
+// non-nil, interprets a 2xx reply; its error fails the attempt, and a
+// transient one (a truncated body) is retried.
+func (c *Client) do(ctx context.Context, method, path string, raw []byte, contentType string, read func(*http.Response) error) (int, error) {
 	var status int
 	err := c.exec(ctx, callLabel(method, path), func(ctx context.Context) error {
 		var rdr io.Reader
@@ -196,7 +215,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body any, out 
 		req.Header.Set(obs.RequestIDHeader, obs.RequestID(ctx))
 		trace.Inject(ctx, req.Header)
 		if raw != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		resp, err := c.httpClient().Do(req)
 		if err != nil {
@@ -214,11 +233,9 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body any, out 
 		if retry.RetryableStatus(resp.StatusCode) {
 			return &retry.StatusError{Status: resp.StatusCode, Method: method, Path: path}
 		}
-		if out != nil && resp.StatusCode < 300 {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-				// A truncated body reads as io.ErrUnexpectedEOF, which the
-				// retry layer classifies as transient.
-				return fmt.Errorf("httpapi: decoding response: %w", err)
+		if read != nil && resp.StatusCode < 300 {
+			if err := read(resp); err != nil {
+				return err
 			}
 		}
 		status = resp.StatusCode
@@ -414,53 +431,40 @@ func (c *Client) QueryByDataset(ctx context.Context, fp string) ([]darr.Record, 
 // (identical-content) version; readers converge either way.
 func (c *Client) PutObject(ctx context.Context, key string, data []byte) (uint64, error) {
 	var version uint64
-	err := c.exec(ctx, "PUT /store/objects/"+key, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.BaseURL+"/store/objects/"+url.PathEscape(key), bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("httpapi: building put: %w", err)
-		}
-		req.Header.Set(obs.RequestIDHeader, obs.RequestID(ctx))
-		trace.Inject(ctx, req.Header)
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return fmt.Errorf("httpapi: put object: %w", err)
-		}
-		defer resp.Body.Close()
-		if retry.RetryableStatus(resp.StatusCode) {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			return &retry.StatusError{Status: resp.StatusCode, Method: http.MethodPut, Path: "/store/objects/" + key}
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("httpapi: put status %d", resp.StatusCode)
-		}
-		var out struct {
-			Version uint64 `json:"version"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return fmt.Errorf("httpapi: decoding put response: %w", err)
-		}
-		version = out.Version
-		return nil
-	})
+	status, err := c.do(ctx, http.MethodPut, "/store/objects/"+url.PathEscape(key), data, "application/octet-stream",
+		func(resp *http.Response) (err error) {
+			version, err = versionIn(resp.Header, versionHeader)
+			return err
+		})
 	if err != nil {
 		return 0, err
+	}
+	if status != http.StatusOK {
+		return 0, fmt.Errorf("httpapi: put status %d", status)
 	}
 	return version, nil
 }
 
 // PullObject synchronizes one object into the replica, sending the
-// replica's current version so the server can answer with a delta. Each
-// attempt re-reads the replica version, so a retry after a partially
-// applied pull still converges.
+// replica's current version so the server can answer with a delta. The
+// version is read once: every attempt asks for the same reply, and nothing
+// is applied until one of them has read its body whole.
 func (c *Client) PullObject(ctx context.Context, rep *store.Replica, key string) error {
 	have := rep.VersionOf(key)
 	ctx, sp := trace.Start(ctx, "store.pull",
 		trace.String("key", key), trace.Int64("have", int64(have)))
 	sp.SetComponent(trace.CompStoreWait)
 	defer sp.End()
-	var or objectReply
+	var reply *store.Reply
 	path := fmt.Sprintf("/store/objects/%s?have=%d", url.PathEscape(key), have)
-	status, err := c.doJSON(ctx, http.MethodGet, path, nil, &or)
+	status, err := c.do(ctx, http.MethodGet, path, nil, "", func(resp *http.Response) error {
+		body, err := readSized(resp.Body, resp.ContentLength, maxBodyBytes, nil)
+		if err != nil {
+			return fmt.Errorf("httpapi: reading pull reply: %w", err)
+		}
+		reply, err = readReply(key, resp.Header, body)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -469,10 +473,6 @@ func (c *Client) PullObject(ctx context.Context, rep *store.Replica, key string)
 	}
 	if status != http.StatusOK {
 		return fmt.Errorf("httpapi: pull status %d", status)
-	}
-	reply, err := decodeReply(or)
-	if err != nil {
-		return err
 	}
 	// The delta-vs-full split is the data tier's whole bandwidth story;
 	// surface it on every pull span.

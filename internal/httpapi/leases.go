@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"cmp"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,8 +12,10 @@ import (
 	"sync"
 	"time"
 
+	"coda/internal/delta"
 	"coda/internal/obs/trace"
 	"coda/internal/replication"
+	"coda/internal/store"
 )
 
 // Lease serving-tier defaults: subscription TTLs, the long-poll wait
@@ -79,9 +82,9 @@ type LeaseInfo struct {
 }
 
 // Notification is one pushed frame: the coalesced result of one or more
-// publishes to the leased object. Value and delta leases carry a payload
-// in the same base64 encoding as the pull API; notify leases carry only
-// the version and a change-size estimate.
+// publishes to the leased object. Value and delta leases carry the payload
+// a pull would, in base64 because SSE is a text protocol; notify leases
+// carry only the version and a change-size estimate.
 type Notification struct {
 	LeaseID      string `json:"lease_id"`
 	Key          string `json:"key"`
@@ -119,10 +122,66 @@ func modeFromWire(s string) (replication.PushMode, error) {
 	return 0, fmt.Errorf("unknown push mode %q (want value, delta, or notify)", s)
 }
 
+// objectReply is a pushed frame's form of a store.Reply. SSE is a text
+// protocol, so the payload travels in base64 inside the frame's JSON.
+type objectReply struct {
+	Key         string `json:"key"`
+	Version     uint64 `json:"version"`
+	Unchanged   bool   `json:"unchanged,omitempty"`
+	Full        string `json:"full,omitempty"`  // base64
+	Delta       string `json:"delta,omitempty"` // base64 of delta wire format
+	BaseVersion uint64 `json:"base_version,omitempty"`
+}
+
+// replyToWire puts a reply (nil for a payload-free push notification) into
+// its pushed-frame form.
+func replyToWire(key string, version uint64, r *store.Reply) objectReply {
+	out := objectReply{Key: key, Version: version}
+	if r == nil {
+		return out
+	}
+	out.BaseVersion, out.Unchanged = r.BaseVersion, r.Unchanged
+	switch {
+	case r.Unchanged:
+		// no payload
+	case r.IsDelta():
+		out.Delta = base64.StdEncoding.EncodeToString(r.Delta.Marshal())
+	default:
+		out.Full = base64.StdEncoding.EncodeToString(r.Full)
+	}
+	return out
+}
+
+// decodeReply converts the pushed-frame form back into a store.Reply.
+func decodeReply(or objectReply) (*store.Reply, error) {
+	reply := &store.Reply{Key: or.Key, Version: or.Version, BaseVersion: or.BaseVersion, Unchanged: or.Unchanged}
+	if or.Unchanged {
+		return reply, nil
+	}
+	if or.Delta != "" {
+		raw, err := base64.StdEncoding.DecodeString(or.Delta)
+		if err != nil {
+			return nil, fmt.Errorf("httpapi: decoding delta: %w", err)
+		}
+		d, err := delta.Unmarshal(raw)
+		if err != nil {
+			return nil, fmt.Errorf("httpapi: parsing delta: %w", err)
+		}
+		reply.Delta = d
+		return reply, nil
+	}
+	raw, err := base64.StdEncoding.DecodeString(or.Full)
+	if err != nil {
+		return nil, fmt.Errorf("httpapi: decoding full value: %w", err)
+	}
+	reply.Full = raw
+	return reply, nil
+}
+
 // encodeShared renders the part of a frame every lease of its group has in
-// common — key, version and payload, in the pull API's JSON form. It runs
-// once per group build (replication.Update.Encoded), however many mailboxes
-// the frame lands in.
+// common — key, version and payload, as an objectReply. It runs once per
+// group build (replication.Update.Encoded), however many mailboxes the
+// frame lands in.
 func encodeShared(u replication.Update) []byte {
 	body, err := json.Marshal(replyToWire(u.Key, u.Version, u.Reply))
 	if err != nil {

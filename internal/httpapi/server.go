@@ -1,12 +1,14 @@
 // Package httpapi exposes the DARR and the versioned home data store over
-// JSON/HTTP — the wire tier connecting Figure 1's client nodes to the cloud
+// HTTP — the wire tier connecting Figure 1's client nodes to the cloud
 // analytics servers — and provides the matching client, which implements
-// core.ResultStore so a remote DARR plugs straight into core.Search.
+// core.ResultStore so a remote DARR plugs straight into core.Search. The
+// DARR and lease routes speak JSON; the object routes carry an object's
+// bytes (or a delta's) as the body and the reply's metadata in X-Coda-*
+// headers.
 package httpapi
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,7 +63,7 @@ type Server struct {
 
 	mux    *http.ServeMux
 	health map[string]func() any
-	// maxBody caps a request body in bytes (maxRequestBody; tests lower it).
+	// maxBody caps a request body in bytes (maxBodyBytes; tests lower it).
 	maxBody int64
 
 	mbMu      sync.Mutex
@@ -73,15 +75,16 @@ type Server struct {
 // request body bounded.
 const DefaultMaxBatchKeys = 1024
 
-// maxRequestBody is the largest body any route accepts (more is a 413): it
-// bounds what one request can make the server allocate. maxPooledBody is the
-// largest body buffer kept for reuse, so a rare large PUT does not pin one.
-const maxRequestBody, maxPooledBody = 64 << 20, 1 << 20
+// maxBodyBytes is the largest body any route accepts (more is a 413) and the
+// largest object reply a client reads: it bounds what one message can make
+// either side allocate. maxPooledBody is the largest body buffer kept for
+// reuse, so a rare large PUT does not pin one.
+const maxBodyBytes, maxPooledBody = 64 << 20, 1 << 20
 
 // NewServer builds the handler; either component may be nil to disable its
 // endpoints.
 func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
-	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxRequestBody}
+	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxBodyBytes}
 	s.mux.Handle("/metrics", obs.MetricsHandler())
 	s.mux.Handle("/healthz", obs.HealthHandler(s.health))
 	s.mux.Handle("/debug/traces", trace.Handler())
@@ -258,29 +261,43 @@ func (b *body) release() {
 	}
 }
 
-// readBody is the one way a handler reads a whole body: a Content-Length over
-// the cap is refused before anything is allocated, otherwise the buffer is the
-// declared size exactly, or, chunked, grows until ServeHTTP's MaxBytesReader
-// stops it. nil: the reply (413, 400 for a short body) is written and counted.
+// readSized is the one way either side reads a whole body, of declared length
+// n (-1: unknown), into buf's storage: a length over limit is refused before
+// anything is allocated; a declared length is read into exactly that many
+// bytes, a short body failing with io.ErrUnexpectedEOF (io.EOF if none of it
+// came), both transient to the retry layer; an unknown one grows until it
+// passes limit.
+func readSized(r io.Reader, n, limit int64, buf []byte) ([]byte, error) {
+	switch {
+	case n > limit:
+		return buf, &http.MaxBytesError{Limit: limit}
+	case n >= 0:
+		if int64(cap(buf)) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	default:
+		grown := bytes.NewBuffer(buf[:0])
+		_, err := grown.ReadFrom(io.LimitReader(r, limit+1))
+		if err == nil && int64(grown.Len()) > limit {
+			err = &http.MaxBytesError{Limit: limit}
+		}
+		return grown.Bytes(), err
+	}
+}
+
+// readBody is the one way a handler reads a whole request body, through
+// readSized into a pooled buffer. nil: the reply (413, 400 for a short body)
+// is written and counted.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *body {
+	if r.ContentLength > s.maxBody {
+		w.Header().Set("Connection", "close") // reply now; net/http would first drain 256 KiB of it
+	}
 	buf := bodyPool.Get().(*body)
 	var err error
-	switch n := r.ContentLength; {
-	case n > s.maxBody:
-		w.Header().Set("Connection", "close") // reply now; net/http would first drain 256 KiB of it
-		err = &http.MaxBytesError{Limit: s.maxBody}
-	case n >= 0:
-		if int64(cap(buf.b)) < n {
-			buf.b = make([]byte, n)
-		}
-		buf.b = buf.b[:n]
-		_, err = io.ReadFull(r.Body, buf.b)
-	default:
-		grown := bytes.NewBuffer(buf.b[:0])
-		_, err = grown.ReadFrom(r.Body)
-		buf.b = grown.Bytes()
-	}
-	if err == nil {
+	if buf.b, err = readSized(r.Body, r.ContentLength, s.maxBody, buf.b); err == nil {
 		return buf
 	}
 	buf.release()
@@ -503,15 +520,15 @@ func (s *Server) handleBatchRecords(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]int{"stored": len(req.Records)})
 }
 
-// objectReply is the JSON wire form of a store.Reply.
-type objectReply struct {
-	Key         string `json:"key"`
-	Version     uint64 `json:"version"`
-	Unchanged   bool   `json:"unchanged,omitempty"`
-	Full        string `json:"full,omitempty"`  // base64
-	Delta       string `json:"delta,omitempty"` // base64 of delta wire format
-	BaseVersion uint64 `json:"base_version,omitempty"`
-}
+// The object routes' wire form. A pull's 200 carries the payload raw — the
+// object's bytes (full), Delta.Marshal's (delta) or nothing (unchanged) —
+// and the reply's metadata in these headers; a PUT's 200 carries the new
+// version in versionHeader and no body. Errors stay JSON errorReply bodies.
+const (
+	versionHeader     = "X-Coda-Version"
+	replyHeader       = "X-Coda-Reply"        // store.Reply.Kind: full, delta or unchanged
+	baseVersionHeader = "X-Coda-Base-Version" // on a delta only
+)
 
 func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.URL.Path, "/store/objects/")
@@ -551,7 +568,8 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]uint64{"version": version})
+		w.Header().Set(versionHeader, strconv.FormatUint(version, 10))
+		w.WriteHeader(http.StatusOK)
 	case http.MethodGet:
 		var have uint64
 		if hs := r.URL.Query().Get("have"); hs != "" {
@@ -578,53 +596,65 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 		// bandwidth question the paper's data tier exists to answer.
 		sp.SetAttr(trace.String("kind", reply.Kind()), trace.Int("wire_bytes", reply.WireBytes()))
 		sp.End()
-		writeJSON(w, http.StatusOK, replyToWire(reply.Key, reply.Version, reply))
+		writeReply(w, reply)
 	default:
 		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
 }
 
-// replyToWire puts a reply (nil for a payload-free push notification) into
-// its wire form — the one encoding the pull API and pushed frames share.
-func replyToWire(key string, version uint64, r *store.Reply) objectReply {
-	out := objectReply{Key: key, Version: version}
-	if r == nil {
-		return out
-	}
-	out.BaseVersion, out.Unchanged = r.BaseVersion, r.Unchanged
+// writeReply answers a pull with reply in the object routes' wire form.
+func writeReply(w http.ResponseWriter, r *store.Reply) {
+	h := w.Header()
+	var payload []byte
 	switch {
 	case r.Unchanged:
-		// no payload
 	case r.IsDelta():
-		out.Delta = base64.StdEncoding.EncodeToString(r.Delta.Marshal())
+		payload = r.Delta.Marshal()
+		h.Set(baseVersionHeader, strconv.FormatUint(r.BaseVersion, 10))
 	default:
-		out.Full = base64.StdEncoding.EncodeToString(r.Full)
+		payload = r.Full
 	}
-	return out
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(payload)))
+	h.Set(versionHeader, strconv.FormatUint(r.Version, 10))
+	h.Set(replyHeader, r.Kind())
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(payload) // a failed write is the client hanging up
 }
 
-// decodeReply converts the wire form back into a store.Reply.
-func decodeReply(or objectReply) (*store.Reply, error) {
-	reply := &store.Reply{Key: or.Key, Version: or.Version, BaseVersion: or.BaseVersion, Unchanged: or.Unchanged}
-	if or.Unchanged {
-		return reply, nil
-	}
-	if or.Delta != "" {
-		raw, err := base64.StdEncoding.DecodeString(or.Delta)
-		if err != nil {
-			return nil, fmt.Errorf("httpapi: decoding delta: %w", err)
+// readReply is writeReply's inverse on the client: the store.Reply for key
+// that a 200 pull's headers h and body describe. A missing or unknown
+// reply kind, or a version header that does not parse, is an error naming
+// the header; a delta that does not decode wraps delta.ErrCorrupt.
+func readReply(key string, h http.Header, body []byte) (*store.Reply, error) {
+	reply := &store.Reply{Key: key}
+	var err error
+	switch kind := h.Get(replyHeader); kind {
+	case "unchanged":
+		reply.Unchanged = true
+	case "full":
+		reply.Full = body
+	case "delta":
+		if reply.BaseVersion, err = versionIn(h, baseVersionHeader); err != nil {
+			return nil, err
 		}
-		d, err := delta.Unmarshal(raw)
-		if err != nil {
+		if reply.Delta, err = delta.Unmarshal(body); err != nil {
 			return nil, fmt.Errorf("httpapi: parsing delta: %w", err)
 		}
-		reply.Delta = d
-		return reply, nil
+	default:
+		return nil, fmt.Errorf("httpapi: %s header %q is not full, delta or unchanged", replyHeader, kind)
 	}
-	raw, err := base64.StdEncoding.DecodeString(or.Full)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: decoding full value: %w", err)
+	if reply.Version, err = versionIn(h, versionHeader); err != nil {
+		return nil, err
 	}
-	reply.Full = raw
 	return reply, nil
+}
+
+// versionIn parses the version a header carries.
+func versionIn(h http.Header, name string) (uint64, error) {
+	v, err := strconv.ParseUint(h.Get(name), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("httpapi: %s header: %w", name, err)
+	}
+	return v, nil
 }
