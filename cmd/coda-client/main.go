@@ -199,7 +199,6 @@ func runServe(ctx context.Context, args []string) error {
 		hc.EnablePublishQueue(httpapi.DefaultPublishBatchSize, httpapi.DefaultPublishFlushInterval)
 		defer hc.Close()
 		opts.Store = hc
-		opts.SkipClaimed = true
 	}
 	res, _, err := searchToCompletion(ctx, regressionGraph(), ds, opts, httpapi.DefaultPublishFlushInterval)
 	if err != nil {
@@ -238,8 +237,9 @@ func runServe(ctx context.Context, args []string) error {
 }
 
 // searchToCompletion runs a search and, while it had to skip units a peer
-// holds claims on, waits one publish-flush interval — as long as a peer's
-// finished result can sit in its queue — and searches again: what is
+// holds claims on, waits for wait — search and serve pass the publish
+// queue's flush interval, as long as a peer's finished result can sit in
+// its queue — and searches again: what is
 // published by then is a cache hit, what a dead peer held is computed once
 // its claim expires. A client that joins a search under way so ends with
 // the whole table, not the best of the part it saw. It returns the last
@@ -306,8 +306,6 @@ func runSearch(ctx context.Context, args []string) error {
 		k         = fs.Int("k", 5, "cross-validation folds")
 		server    = fs.String("server", "", "DARR server URL for cooperative search")
 		clientID  = fs.String("client", "cli", "client id for DARR claims")
-		pubBatch  = fs.Int("publish-batch", httpapi.DefaultPublishBatchSize, "queued publishes per coalesced batch upload")
-		pubFlush  = fs.Duration("publish-flush", httpapi.DefaultPublishFlushInterval, "max age of a queued publish before an async flush")
 		seed      = fs.Int64("seed", 1, "search seed")
 		parallel  = fs.Int("parallelism", 0, "concurrent pipeline evaluations (0 = one per CPU)")
 		epochs    = fs.Int("epochs", 20, "network epochs (timeseries graph)")
@@ -392,16 +390,15 @@ func runSearch(ctx context.Context, args []string) error {
 	if *server != "" {
 		hc := ft.client(*server, *clientID)
 		hc.Metric = *metric
-		hc.EnablePublishQueue(*pubBatch, *pubFlush)
+		hc.EnablePublishQueue(httpapi.DefaultPublishBatchSize, httpapi.DefaultPublishFlushInterval)
 		defer hc.Close()
 		opts.Store = hc
-		opts.SkipClaimed = true
 		slog.Info("cooperative search starting",
 			"request_id", requestID, "server", *server, "client", *clientID,
 			"metric", *metric)
 	}
 
-	res, computed, err := searchToCompletion(ctx, g, ds, opts, *pubFlush)
+	res, computed, err := searchToCompletion(ctx, g, ds, opts, httpapi.DefaultPublishFlushInterval)
 	if err != nil {
 		return err
 	}

@@ -57,7 +57,7 @@ func TestSearchToCompletionFinishesWhatItJoined(t *testing.T) {
 	opts := func(store core.ResultStore) core.SearchOptions {
 		return core.SearchOptions{
 			Splitter: crossval.KFold{K: 3, Shuffle: true}, Scorer: scorer, Seed: 3,
-			Parallelism: 1, Store: store, SkipClaimed: true,
+			Parallelism: 1, Store: store,
 		}
 	}
 

@@ -25,14 +25,13 @@ const claimAhead = 2
 type unitPlan uint8
 
 const (
-	planOpen      unitPlan = iota // a miss no claim has been asked for yet
-	planDeferred                  // claim denied: a peer holds the key or has published it
-	planPerUnit                   // no batch store: the worker runs the per-unit protocol, if there is a store
-	planHit                       // a bulk lookup returned the score
-	planGranted                   // this client holds the claim: compute, then publish or release
-	planUnclaimed                 // deferred, SkipClaimed off: compute and publish without a claim
-	planSkipped                   // deferred, SkipClaimed on
-	planDegraded                  // a bulk call failed: compute locally, leave the store alone
+	planOpen     unitPlan = iota // a miss no claim has been asked for yet
+	planDeferred                 // claim denied: a peer holds the key or has published it
+	planLocal                    // no store: compute
+	planHit                      // a bulk lookup returned the score
+	planGranted                  // this client holds the claim: compute, then publish or release
+	planSkipped                  // deferred, and the peer had not published it by the deferred lookup
+	planDegraded                 // a bulk call failed: compute locally, leave the store alone
 )
 
 // handoff is one unit on its way from the dispatcher to a worker.
@@ -43,13 +42,12 @@ type handoff struct {
 }
 
 // claimWindow decides, on the dispatch goroutine, which unit a worker
-// runs next. Against a BatchResultStore it looks every key up once, then
-// claims the misses a window at a time as workers drain it, not all of
-// them before the first one starts: a peer that joins finds unclaimed
-// work, and a claim lives for one window's drain, not for the search.
-// Without a batch store every unit is handed out in order.
+// runs next. Against a store it looks every key up once, then claims the
+// misses a window at a time as workers drain it, not all of them before
+// the first one starts: a peer that joins finds unclaimed work, and a
+// claim lives for one window's drain, not for the search. Without a store
+// every unit is handed out in order.
 type claimWindow struct {
-	bs    BatchResultStore // nil: no batch protocol
 	opts  SearchOptions
 	units []searchUnit
 	size  int    // most granted-but-unstarted units held
@@ -68,13 +66,13 @@ type claimWindow struct {
 func newClaimWindow(ctx context.Context, opts SearchOptions, units []searchUnit, drain func()) *claimWindow {
 	w := &claimWindow{opts: opts, units: units, size: claimAhead * opts.Parallelism, drain: drain,
 		plan: make([]unitPlan, len(units)), dir: 1}
-	if bs, ok := opts.Store.(BatchResultStore); ok && len(units) > 0 {
-		w.bs, w.nOpen = bs, len(units)
+	if opts.Store != nil && len(units) > 0 {
+		w.nOpen = len(units)
 		w.look(ctx, false)
 		return w
 	}
 	for u := range units {
-		w.settle(u, planPerUnit, 0)
+		w.settle(u, planLocal, 0)
 	}
 	return w
 }
@@ -130,7 +128,7 @@ func (w *claimWindow) look(ctx context.Context, deferred bool) {
 	if deferred {
 		sp.SetAttr(trace.Bool("deferred", true))
 	}
-	scores, err := w.bs.LookupBatch(lctx, keys)
+	scores, err := w.opts.Store.LookupBatch(lctx, keys)
 	if err != nil {
 		sp.SetAttr(trace.String("error", err.Error()))
 		sp.End()
@@ -171,7 +169,7 @@ func (w *claimWindow) claim(ctx context.Context) {
 	cctx, sp := trace.Start(ctx, "search.bulk_claim", trace.Int("keys", len(keys)))
 	sp.SetComponent(trace.CompDARRWait)
 	mClaimWindows.Inc()
-	granted, err := w.bs.ClaimBatch(cctx, keys)
+	granted, err := w.opts.Store.ClaimBatch(cctx, keys)
 	if err != nil {
 		sp.SetAttr(trace.String("error", err.Error()))
 		sp.End()
@@ -228,16 +226,12 @@ func (w *claimWindow) moveAway(ctx context.Context) {
 // the workers finish — the peer gets that long to publish — and flushes
 // the client's own publishes (a peer finishing beside it reads them the
 // same way); one lookup then turns what the peer has published into cache
-// hits, and the rest are skipped or, without SkipClaimed, computed unclaimed.
+// hits, and the rest are skipped.
 func (w *claimWindow) settleDeferred(ctx context.Context) {
 	w.drain()
 	flushPublishes(ctx, w.opts)
 	w.look(ctx, true)
-	plan := planUnclaimed
-	if w.opts.SkipClaimed {
-		plan = planSkipped
-	}
-	w.settleRest(plan)
+	w.settleRest(planSkipped)
 }
 
 // settleRest settles every undecided unit. After one failed bulk call

@@ -2,10 +2,8 @@ package core_test
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -390,56 +388,6 @@ func TestSearchCancellation(t *testing.T) {
 	}
 }
 
-// memStore is a ResultStore double recording interactions. It is
-// mutex-guarded because searches default to one worker per CPU.
-type memStore struct {
-	mu      sync.Mutex
-	scores  map[string]float64
-	claims  map[string]bool
-	lookups int
-	pubs    int
-}
-
-func newMemStore() *memStore {
-	return &memStore{scores: map[string]float64{}, claims: map[string]bool{}}
-}
-
-func (m *memStore) Lookup(_ context.Context, key string) (float64, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lookups++
-	s, ok := m.scores[key]
-	return s, ok, nil
-}
-
-func (m *memStore) Claim(_ context.Context, key string) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.claims[key] {
-		return false, nil
-	}
-	m.claims[key] = true
-	return true, nil
-}
-
-func (m *memStore) Publish(_ context.Context, key string, score float64, _ string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pubs++
-	m.scores[key] = score
-	return nil
-}
-
-func (m *memStore) snapshotScores() map[string]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]float64, len(m.scores))
-	for k, v := range m.scores {
-		out[k] = v
-	}
-	return out
-}
-
 func TestSearchCooperationAvoidsRedundantWork(t *testing.T) {
 	ds := regDS(t, 100)
 	build := func() *core.Graph {
@@ -449,7 +397,7 @@ func TestSearchCooperationAvoidsRedundantWork(t *testing.T) {
 		return g
 	}
 	scorer, _ := metrics.ScorerByName("rmse")
-	store := newMemStore()
+	store := newMemBatchStore("alice")
 	opts := core.SearchOptions{
 		Splitter: crossval.KFold{K: 3, Shuffle: true},
 		Scorer:   scorer,
@@ -464,6 +412,7 @@ func TestSearchCooperationAvoidsRedundantWork(t *testing.T) {
 		t.Fatalf("first run computed=%d cache=%d", first.Computed, first.CacheHits)
 	}
 	// Second client, same data and eval spec: everything is a cache hit.
+	store.clientID = "bob"
 	second, err := core.Search(context.Background(), build(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -577,19 +526,6 @@ func TestPipelineCountProductProperty(t *testing.T) {
 	}
 }
 
-// flakyStore fails every operation, simulating a DARR outage.
-type flakyStore struct{}
-
-func (flakyStore) Lookup(context.Context, string) (float64, bool, error) {
-	return 0, false, errBlackout
-}
-func (flakyStore) Claim(context.Context, string) (bool, error) { return false, errBlackout }
-func (flakyStore) Publish(context.Context, string, float64, string) error {
-	return errBlackout
-}
-
-var errBlackout = errors.New("darr unreachable")
-
 // TestSearchSurvivesStoreOutage pins graceful degradation: when the DARR is
 // down, the search computes everything locally and still succeeds.
 func TestSearchSurvivesStoreOutage(t *testing.T) {
@@ -598,11 +534,12 @@ func TestSearchSurvivesStoreOutage(t *testing.T) {
 	g.AddFeatureScalers(preprocess.NewNoOp())
 	g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 5))
 	scorer, _ := metrics.ScorerByName("rmse")
+	down := newMemBatchStore("alice")
+	down.failLookupBatch, down.failClaimBatch, down.failPublish = true, true, true
 	res, err := core.Search(context.Background(), g, ds, core.SearchOptions{
-		Splitter:    crossval.KFold{K: 3, Shuffle: true},
-		Scorer:      scorer,
-		Store:       flakyStore{},
-		SkipClaimed: true,
+		Splitter: crossval.KFold{K: 3, Shuffle: true},
+		Scorer:   scorer,
+		Store:    down,
 	})
 	if err != nil {
 		t.Fatalf("search must survive a DARR outage: %v", err)

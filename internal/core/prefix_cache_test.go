@@ -166,7 +166,7 @@ func TestPrefixCacheEquivalence(t *testing.T) {
 			// scores. Which duplicate-spec unit borrows a published score
 			// vs computes it is timing-dependent under parallel workers,
 			// so this pass pins Parallelism to 1.
-			storeOn, storeOff := newMemStore(), newMemStore()
+			storeOn, storeOff := newMemBatchStore("on"), newMemBatchStore("off")
 			opts.Parallelism = 1
 			opts.DisablePrefixCache = false
 			opts.Store = storeOn

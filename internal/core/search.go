@@ -47,52 +47,43 @@ var mCritPath = map[string]*obs.Histogram{
 	trace.CompOther:     obs.GetHistogram(`coda_search_critical_path_seconds{component="other"}`, nil),
 }
 
-// ResultStore is the cooperation hook the search engine uses to avoid
-// redundant computations across clients (Section III, Figure 2). The DARR
-// client implements it; a nil store means every unit is computed locally.
+// ResultStore is the cooperation contract the search engine uses to avoid
+// redundant computations across clients (Section III, Figure 2): the
+// batched DARR protocol. The DARR clients implement it; a nil store means
+// every unit is computed locally.
 //
-// Every method takes the search's context so a cancelled Search cancels
-// in-flight DARR traffic. Implementations may fail transiently (a remote
-// DARR over a WAN); Search treats any error as "store unavailable for
-// this unit" and degrades to local computation rather than aborting.
+// Search resolves every unit's cache state in one bulk lookup, claims the
+// misses a window at a time beside its workers (claimWindow), publishes
+// each unit it computes — a store may coalesce those (Flusher) — and
+// releases a claim it cannot publish. Every method takes the search's
+// context so a cancelled Search cancels in-flight DARR traffic.
+// Implementations may fail transiently (a remote DARR over a WAN); Search
+// treats any error as "store unavailable" for the units the call covered
+// and degrades them to local computation rather than aborting.
 type ResultStore interface {
-	// Lookup returns a previously published mean score for the key.
-	Lookup(ctx context.Context, key string) (score float64, ok bool, err error)
-	// Claim atomically reserves the key for this client; false means
-	// another client is already computing it.
-	Claim(ctx context.Context, key string) (bool, error)
-	// Publish stores a finished result with its explanation.
-	Publish(ctx context.Context, key string, score float64, explanation string) error
-}
-
-// BatchResultStore extends ResultStore with bulk operations. A
-// cooperative search over N units costs up to 3N sequential round trips
-// on the per-unit protocol (Lookup, Claim, Publish each); with a
-// batch-capable store Search resolves every unit's cache state in one
-// bulk lookup, claims the misses a window at a time beside its workers
-// (claimWindow), and lets the store coalesce Publishes. Search uses these
-// methods whenever the configured Store implements them and falls back to
-// the per-unit protocol otherwise.
-type BatchResultStore interface {
-	ResultStore
 	// LookupBatch resolves many keys at once; the result holds entries
 	// only for keys with published scores.
 	LookupBatch(ctx context.Context, keys []string) (map[string]float64, error)
 	// ClaimBatch attempts to reserve every key for this client and
-	// reports the per-key grant decisions.
+	// reports the per-key grant decisions; false means a peer holds the
+	// key or has published it.
 	ClaimBatch(ctx context.Context, keys []string) (map[string]bool, error)
+	// Publish stores a finished result with its explanation.
+	Publish(ctx context.Context, key string, score float64, explanation string) error
 	// Release drops this client's claim on key so a claimed-but-failed
 	// unit becomes immediately re-claimable by peers instead of blocking
 	// them until the claim TTL expires.
 	Release(ctx context.Context, key string) error
 }
 
-// ClaimReleaser is the optional Release hook Search uses (via type
-// assertion) on claimed-but-unpublished exit paths — unit failure,
-// non-finite scores, cancellation. Plain ResultStore implementations
-// without it keep working; their claims simply age out by TTL.
-type ClaimReleaser interface {
-	Release(ctx context.Context, key string) error
+// BatchResultStore is a ResultStore that also answers one key at a time.
+// Search never calls Lookup or Claim.
+//
+// Deprecated: use ResultStore.
+type BatchResultStore interface {
+	ResultStore
+	Lookup(ctx context.Context, key string) (score float64, ok bool, err error)
+	Claim(ctx context.Context, key string) (bool, error)
 }
 
 // Flusher is implemented by stores that buffer Publishes (the batched
@@ -136,8 +127,10 @@ type SearchOptions struct {
 	Seed int64
 	// Store enables cooperative deduplication via the DARR.
 	Store ResultStore
-	// SkipClaimed, with a Store, skips units another client has claimed
-	// instead of computing them redundantly.
+	// SkipClaimed is ignored: a search with a Store always skips the units
+	// a peer still holds after its deferred lookup.
+	//
+	// Deprecated: ignored.
 	SkipClaimed bool
 	// Logger receives structured search telemetry (completion summary at
 	// debug, degradation warnings). Nil uses slog.Default().
@@ -433,50 +426,17 @@ func flushPublishes(ctx context.Context, opts SearchOptions) {
 // out the TTL. Best-effort on a detached context: the store may be the
 // thing that failed, and a cancelled search must still free its claims.
 func releaseClaim(ctx context.Context, opts SearchOptions, key string, held bool) {
-	if !held {
-		return
+	if held {
+		_ = opts.Store.Release(context.WithoutCancel(ctx), key)
 	}
-	if r, ok := opts.Store.(ClaimReleaser); ok {
-		_ = r.Release(context.WithoutCancel(ctx), key)
-	}
-}
-
-// resolvePerUnit is the original sequential protocol: one Lookup and one
-// Claim round trip for this unit.
-func resolvePerUnit(ctx context.Context, out *UnitResult, key string, opts SearchOptions) (done, claimHeld bool) {
-	score, ok, err := opts.Store.Lookup(ctx, key)
-	switch {
-	case err != nil:
-		// The store is failing (WAN fault, circuit open, outage):
-		// degrade this unit to local-only computation instead of
-		// erroring out mid-search.
-		out.Degraded = true
-		return false, false
-	case ok:
-		out.Mean = score
-		out.FromCache = true
-		return true, false
-	}
-	claimed, err := opts.Store.Claim(ctx, key)
-	switch {
-	case err != nil:
-		out.Degraded = true
-		return false, false
-	case !claimed && opts.SkipClaimed:
-		out.Skipped = true
-		return true, false
-	case claimed:
-		mClaimsHeld.Add(1)
-	}
-	return false, claimed
 }
 
 func evaluateUnit(ctx context.Context, u searchUnit, h handoff, folds []foldData, cache *prefixCache, evalSpec string, opts SearchOptions) (out UnitResult) {
 	out = UnitResult{Index: u.index, Spec: u.spec, Params: u.params}
 
 	// The unit span is structural (no component): per-fold children carry
-	// compute, and any per-unit store round trips carry their own waits —
-	// tagging the whole unit as compute would mask them.
+	// compute, and the publish round trip carries its own wait — tagging
+	// the whole unit as compute would mask it.
 	ctx, usp := trace.Start(ctx, "search.unit")
 	if usp != nil {
 		usp.SetAttr(trace.Int("unit", u.index), trace.String("spec", out.Spec))
@@ -498,13 +458,6 @@ func evaluateUnit(ctx context.Context, u searchUnit, h handoff, folds []foldData
 		return out
 	case planDegraded:
 		out.Degraded = true
-	case planPerUnit:
-		if opts.Store != nil {
-			var done bool
-			if done, claimHeld = resolvePerUnit(ctx, &out, u.key, opts); done {
-				return out
-			}
-		}
 	}
 	if claimHeld {
 		defer mClaimsHeld.Add(-1)

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"maps"
 	"runtime"
 	"strconv"
 	"sync"
@@ -21,8 +22,8 @@ import (
 
 var errBatchDown = errors.New("batch endpoint unreachable")
 
-// memBatchStore is a BatchResultStore + Flusher double recording which
-// protocol the search used and how often each entry point ran.
+// memBatchStore is a ResultStore + Flusher double recording how often
+// each entry point ran, with switches that make its calls fail.
 type memBatchStore struct {
 	mu      sync.Mutex
 	scores  map[string]float64
@@ -30,10 +31,13 @@ type memBatchStore struct {
 
 	clientID string
 	failLookupBatch,
-	failClaimBatch bool
+	failClaimBatch,
+	failPublish bool
+	// blackoutAt, when positive, is the publish (counting from 1) at which
+	// every call starts failing: a DARR that dies under a running search.
+	blackoutAt int
 
 	lookupBatches, claimBatches int
-	unitLookups, unitClaims     int
 	pubs, releases, flushes     int
 	// maxHeld is the most claims ever outstanding at once: granted, and
 	// neither published nor released.
@@ -44,21 +48,6 @@ func newMemBatchStore(clientID string) *memBatchStore {
 	return &memBatchStore{
 		scores: map[string]float64{}, claimed: map[string]string{}, clientID: clientID,
 	}
-}
-
-func (m *memBatchStore) Lookup(_ context.Context, key string) (float64, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.unitLookups++
-	s, ok := m.scores[key]
-	return s, ok, nil
-}
-
-func (m *memBatchStore) Claim(_ context.Context, key string) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.unitClaims++
-	return m.claimLocked(key), nil
 }
 
 func (m *memBatchStore) claimLocked(key string) bool {
@@ -72,10 +61,22 @@ func (m *memBatchStore) claimLocked(key string) bool {
 func (m *memBatchStore) Publish(_ context.Context, key string, score float64, _ string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.pubs+1 == m.blackoutAt {
+		m.failLookupBatch, m.failClaimBatch, m.failPublish = true, true, true
+	}
+	if m.failPublish {
+		return errBatchDown
+	}
 	m.pubs++
 	m.scores[key] = score
 	delete(m.claimed, key)
 	return nil
+}
+
+func (m *memBatchStore) snapshotScores() map[string]float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return maps.Clone(m.scores)
 }
 
 func (m *memBatchStore) LookupBatch(_ context.Context, keys []string) (map[string]float64, error) {
@@ -134,18 +135,17 @@ func batchKey(ds *dataset.Dataset, spec string) string {
 func batchOpts(store core.ResultStore) core.SearchOptions {
 	scorer, _ := metrics.ScorerByName("rmse")
 	return core.SearchOptions{
-		Splitter:    crossval.KFold{K: 3, Shuffle: true},
-		Scorer:      scorer,
-		Seed:        5,
-		Store:       store,
-		SkipClaimed: true,
+		Splitter: crossval.KFold{K: 3, Shuffle: true},
+		Scorer:   scorer,
+		Seed:     5,
+		Store:    store,
 	}
 }
 
-// TestSearchPrefersBatchProtocol pins the round-trip collapse: a
-// batch-capable store sees exactly one bulk lookup and a few claim
-// windows per search instead of one lookup and one claim per unit, and
-// is flushed on exit.
+// TestSearchPrefersBatchProtocol pins the round trips of a cooperative
+// search: the store sees exactly one bulk lookup and a few claim windows
+// per search, not one lookup and one claim per unit, and is flushed on
+// exit.
 func TestSearchPrefersBatchProtocol(t *testing.T) {
 	ds := regDS(t, 100)
 	st := newMemBatchStore("alice")
@@ -160,9 +160,6 @@ func TestSearchPrefersBatchProtocol(t *testing.T) {
 	if st.lookupBatches != 1 || firstClaims < 1 || firstClaims > maxClaimCalls(4, runtime.GOMAXPROCS(0)) {
 		t.Fatalf("bulk calls lookup=%d claim=%d, want 1 lookup and 1..%d claim windows",
 			st.lookupBatches, firstClaims, maxClaimCalls(4, runtime.GOMAXPROCS(0)))
-	}
-	if st.unitLookups != 0 || st.unitClaims != 0 {
-		t.Fatalf("per-unit calls lookup=%d claim=%d, want 0: batch store must not fall back", st.unitLookups, st.unitClaims)
 	}
 	if st.pubs != 4 {
 		t.Fatalf("pubs=%d, want one per computed unit", st.pubs)
@@ -396,9 +393,9 @@ func TestSearchBatchLookupFailureDegrades(t *testing.T) {
 	if res.Computed != 4 || res.Degraded != 4 || res.Best == nil {
 		t.Fatalf("computed=%d degraded=%d best=%v, want full local degradation", res.Computed, res.Degraded, res.Best)
 	}
-	if st.lookupBatches != 1 || st.claimBatches != 0 || st.unitLookups != 0 {
-		t.Fatalf("calls lookupBatch=%d claimBatch=%d unitLookup=%d, want one failed bulk call total",
-			st.lookupBatches, st.claimBatches, st.unitLookups)
+	if st.lookupBatches != 1 || st.claimBatches != 0 {
+		t.Fatalf("calls lookupBatch=%d claimBatch=%d, want one failed bulk call total",
+			st.lookupBatches, st.claimBatches)
 	}
 	if st.pubs != 0 {
 		t.Fatalf("pubs=%d, degraded units must not publish", st.pubs)

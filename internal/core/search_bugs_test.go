@@ -17,79 +17,49 @@ import (
 	"coda/internal/preprocess"
 )
 
-// perUnitOnly hides a darr.Client's batch methods so the search takes
-// the per-unit protocol while claim release stays available.
-type perUnitOnly struct{ c *darr.Client }
-
-func (p perUnitOnly) Lookup(ctx context.Context, key string) (float64, bool, error) {
-	return p.c.Lookup(ctx, key)
-}
-func (p perUnitOnly) Claim(ctx context.Context, key string) (bool, error) {
-	return p.c.Claim(ctx, key)
-}
-func (p perUnitOnly) Publish(ctx context.Context, key string, score float64, explanation string) error {
-	return p.c.Publish(ctx, key, score, explanation)
-}
-func (p perUnitOnly) Release(ctx context.Context, key string) error {
-	return p.c.Release(ctx, key)
-}
-
 var errBadScorer = errors.New("scorer exploded")
 
-// TestFailedUnitReleasesClaim pins the claim-leak fix on both protocols:
-// a unit that claims its key and then fails must release the claim so a
-// second client can take the work immediately — not after the TTL.
+// TestFailedUnitReleasesClaim pins the claim-leak fix: a unit that claims
+// its key and then fails must release the claim so a second client can
+// take the work immediately — not after the TTL.
 func TestFailedUnitReleasesClaim(t *testing.T) {
 	failing := metrics.Scorer{Name: "rmse", Lower: true,
 		Fn: func(y, yhat []float64) (float64, error) { return 0, errBadScorer }}
 
-	for _, tc := range []struct {
-		name  string
-		store func(repo *darr.Repo, id string) core.ResultStore
-	}{
-		{"batched", func(repo *darr.Repo, id string) core.ResultStore {
-			return &darr.Client{Repo: repo, ClientID: id, Metric: "rmse"}
-		}},
-		{"per-unit", func(repo *darr.Repo, id string) core.ResultStore {
-			return perUnitOnly{&darr.Client{Repo: repo, ClientID: id, Metric: "rmse"}}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ds := regDS(t, 80)
-			repo := darr.NewRepo(nil, time.Hour) // TTL long enough to expose any leak
-			opts := core.SearchOptions{
-				Splitter:    crossval.KFold{K: 3, Shuffle: true},
-				Scorer:      failing,
-				Seed:        2,
-				Store:       tc.store(repo, "alice"),
-				SkipClaimed: true,
+	t.Run("batched", func(t *testing.T) {
+		ds := regDS(t, 80)
+		repo := darr.NewRepo(nil, time.Hour) // TTL long enough to expose any leak
+		opts := core.SearchOptions{
+			Splitter: crossval.KFold{K: 3, Shuffle: true},
+			Scorer:   failing,
+			Seed:     2,
+			Store:    &darr.Client{Repo: repo, ClientID: "alice", Metric: "rmse"},
+		}
+		res, err := core.Search(context.Background(), degradedGraph(), ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range res.Units {
+			if u.Err == "" || u.Skipped {
+				t.Fatalf("unit %s err=%q skipped=%v, want every unit failed", u.Spec, u.Err, u.Skipped)
 			}
-			res, err := core.Search(context.Background(), degradedGraph(), ds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, u := range res.Units {
-				if u.Err == "" || u.Skipped {
-					t.Fatalf("unit %s err=%q skipped=%v, want every unit failed", u.Spec, u.Err, u.Skipped)
-				}
-			}
-			if n := repo.ActiveClaims(); n != 0 {
-				t.Fatalf("%d claims leaked by failed units", n)
-			}
-			// A second client gets the work immediately: nothing skipped.
-			opts.Store = tc.store(repo, "bob")
-			second, err := core.Search(context.Background(), degradedGraph(), ds, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if second.Skipped != 0 {
-				t.Fatalf("second client skipped %d units: failed claims were not released", second.Skipped)
-			}
-			if n := repo.ActiveClaims(); n != 0 {
-				t.Fatalf("%d claims leaked by the second client", n)
-			}
-		})
-	}
+		}
+		if n := repo.ActiveClaims(); n != 0 {
+			t.Fatalf("%d claims leaked by failed units", n)
+		}
+		// A second client gets the work immediately: nothing skipped.
+		opts.Store = &darr.Client{Repo: repo, ClientID: "bob", Metric: "rmse"}
+		second, err := core.Search(context.Background(), degradedGraph(), ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.Skipped != 0 {
+			t.Fatalf("second client skipped %d units: failed claims were not released", second.Skipped)
+		}
+		if n := repo.ActiveClaims(); n != 0 {
+			t.Fatalf("%d claims leaked by the second client", n)
+		}
+	})
 }
 
 // TestNaNScorerNeverBest pins the non-finite guard: a scorer that
@@ -99,7 +69,7 @@ func TestNaNScorerNeverBest(t *testing.T) {
 	nan := metrics.Scorer{Name: "rmse", Lower: true,
 		Fn: func(y, yhat []float64) (float64, error) { return math.NaN(), nil }}
 	ds := regDS(t, 80)
-	store := newMemStore()
+	store := newMemBatchStore("me")
 	res, err := core.Search(context.Background(), degradedGraph(), ds, core.SearchOptions{
 		Splitter: crossval.KFold{K: 3, Shuffle: true},
 		Scorer:   nan,
@@ -126,7 +96,7 @@ func TestNaNScorerNeverBest(t *testing.T) {
 func TestCachedNaNNeverBest(t *testing.T) {
 	ds := regDS(t, 80)
 	scorer, _ := metrics.ScorerByName("rmse")
-	store := newMemStore()
+	store := newMemBatchStore("me")
 	opts := core.SearchOptions{
 		Splitter: crossval.KFold{K: 3, Shuffle: true},
 		Scorer:   scorer,

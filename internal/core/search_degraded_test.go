@@ -2,8 +2,6 @@ package core_test
 
 import (
 	"context"
-	"errors"
-	"sync"
 	"testing"
 
 	"coda/internal/core"
@@ -12,68 +10,6 @@ import (
 	"coda/internal/mlmodels"
 	"coda/internal/preprocess"
 )
-
-var errMidSearch = errors.New("darr flaked mid-search")
-
-// intermittentStore works for the first `healthyCalls` operations, then
-// fails every one — a DARR that dies while a search is in flight.
-type intermittentStore struct {
-	mu           sync.Mutex
-	healthyCalls int
-	calls        int
-	scores       map[string]float64
-	claimed      map[string]bool
-	pubs         int
-}
-
-func newIntermittentStore(healthyCalls int) *intermittentStore {
-	return &intermittentStore{
-		healthyCalls: healthyCalls,
-		scores:       map[string]float64{},
-		claimed:      map[string]bool{},
-	}
-}
-
-func (s *intermittentStore) failing() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.calls++
-	return s.calls > s.healthyCalls
-}
-
-func (s *intermittentStore) Lookup(_ context.Context, key string) (float64, bool, error) {
-	if s.failing() {
-		return 0, false, errMidSearch
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.scores[key]
-	return v, ok, nil
-}
-
-func (s *intermittentStore) Claim(_ context.Context, key string) (bool, error) {
-	if s.failing() {
-		return false, errMidSearch
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.claimed[key] {
-		return false, nil
-	}
-	s.claimed[key] = true
-	return true, nil
-}
-
-func (s *intermittentStore) Publish(_ context.Context, key string, score float64, _ string) error {
-	if s.failing() {
-		return errMidSearch
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pubs++
-	s.scores[key] = score
-	return nil
-}
 
 func degradedGraph() *core.Graph {
 	g := core.NewGraph()
@@ -94,8 +30,8 @@ func TestSearchDegradesOnMidSearchStoreErrors(t *testing.T) {
 		Splitter: crossval.KFold{K: 3, Shuffle: true},
 		Scorer:   scorer,
 		Seed:     7,
-		// The blackout below is counted in store calls, so units must
-		// reach the store one after another.
+		// The blackout below starts at the second publish, so units must
+		// publish one after another.
 		Parallelism: 1,
 	}
 
@@ -104,10 +40,11 @@ func TestSearchDegradesOnMidSearchStoreErrors(t *testing.T) {
 		t.Fatalf("baseline: best=%v err=%v", baseline.Best, err)
 	}
 
-	// The store survives the first unit (lookup+claim+publish = 3 calls)
-	// then blacks out for the remaining three units.
+	// The store publishes the first unit, then blacks out: the second
+	// unit's publish fails, and so does every claim window after it.
 	opts := base
-	store := newIntermittentStore(3)
+	store := newMemBatchStore("alice")
+	store.blackoutAt = 2
 	opts.Store = store
 	res, err := core.Search(context.Background(), degradedGraph(), ds, opts)
 	if err != nil {
@@ -142,8 +79,10 @@ func TestSearchDegradesOnMidSearchStoreErrors(t *testing.T) {
 func TestSearchDegradesOnPublishFailure(t *testing.T) {
 	ds := regDS(t, 80)
 	scorer, _ := metrics.ScorerByName("rmse")
-	// Healthy for unit 1's lookup+claim, fails at its publish and after.
-	store := newIntermittentStore(2)
+	// Healthy for the lookup and the first claim window, fails at the
+	// first publish and after.
+	store := newMemBatchStore("alice")
+	store.blackoutAt = 1
 	res, err := core.Search(context.Background(), degradedGraph(), ds, core.SearchOptions{
 		Splitter: crossval.KFold{K: 3, Shuffle: true},
 		Scorer:   scorer,

@@ -33,11 +33,10 @@ var (
 	mClaimsGranted = obs.GetCounter(`coda_darr_claims_total{granted="true"}`)
 	mClaimsDenied  = obs.GetCounter(`coda_darr_claims_total{granted="false"}`)
 
-	// Batched-protocol telemetry: one batch call replaces many per-unit
-	// round trips, so the interesting numbers are how many batch calls
-	// arrive and how many keys each carries. The per-key counters above
-	// still tick inside batches, so hit/miss ratios see through both
-	// protocols.
+	// Batched-protocol telemetry: one batch call covers many units, so
+	// the interesting numbers are how many batch calls arrive and how
+	// many keys each carries. The per-key counters above tick inside
+	// batches, so hit/miss ratios count keys, not calls.
 	mBatchLookups = obs.GetCounter("coda_darr_batch_lookups_total")
 	mBatchClaims  = obs.GetCounter("coda_darr_batch_claims_total")
 	mBatchPuts    = obs.GetCounter("coda_darr_batch_puts_total")
@@ -159,24 +158,6 @@ func (r *Repo) QueryByDataset(fp string) []Record {
 	return out
 }
 
-// Claim atomically reserves a key for clientID. It returns false when
-// another client holds an unexpired claim or the result already exists.
-// Re-claiming one's own key refreshes the TTL and returns true.
-func (r *Repo) Claim(key, clientID string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	granted := r.claimLocked(key, clientID, r.now())
-	if granted && r.kv != nil {
-		if err := r.persistClaimsLocked(key); err != nil {
-			// A claim that would not survive a restart is worse than a
-			// denial: the client would compute while peers re-claim.
-			delete(r.claims, key)
-			return false
-		}
-	}
-	return granted
-}
-
 func (r *Repo) claimLocked(key, clientID string, now time.Time) bool {
 	if _, done := r.records[key]; done {
 		mClaimsDenied.Inc()
@@ -194,7 +175,7 @@ func (r *Repo) claimLocked(key, clientID string, now time.Time) bool {
 
 // GetBatch resolves many keys under one lock acquisition, returning
 // records only for the keys that exist. Backs the batched lookup
-// endpoint and the in-process batch client.
+// endpoint and the in-process client.
 func (r *Repo) GetBatch(keys []string) map[string]Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -218,7 +199,9 @@ func (r *Repo) GetBatch(keys []string) map[string]Record {
 
 // ClaimBatch attempts to reserve every key for clientID atomically —
 // all decisions are made under one lock against one clock reading — and
-// reports the per-key grants with Claim's exact semantics.
+// reports the per-key grants. A key is denied while another client holds
+// an unexpired claim on it or its result exists; re-claiming one's own
+// key refreshes the TTL.
 func (r *Repo) ClaimBatch(keys []string, clientID string) map[string]bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -227,18 +210,27 @@ func (r *Repo) ClaimBatch(keys []string, clientID string) map[string]bool {
 	now := r.now()
 	out := make(map[string]bool, len(keys))
 	var granted []string
+	var prev []claim // the claim each grant replaced; a zero expiry if none
 	for _, k := range keys {
-		out[k] = r.claimLocked(k, clientID, now)
-		if out[k] {
-			granted = append(granted, k)
+		before := r.claims[k]
+		if out[k] = r.claimLocked(k, clientID, now); out[k] {
+			granted, prev = append(granted, k), append(prev, before)
 		}
 	}
-	if len(granted) > 0 && r.kv != nil {
-		if err := r.persistClaimsLocked(granted...); err != nil {
-			for _, k := range granted {
+	if len(granted) > 0 && r.persistClaimsLocked(granted...) != nil {
+		// A grant that would not survive a restart is worse than a denial:
+		// the client would compute while peers re-claim. Memory goes back
+		// to what the backend still holds, so a key the caller already
+		// held stays granted until its durable expiry. Last grant first:
+		// a key asked for twice ends as it was before the call.
+		for i := len(granted) - 1; i >= 0; i-- {
+			k := granted[i]
+			if prev[i].expires.IsZero() {
 				delete(r.claims, k)
-				out[k] = false
+			} else {
+				r.claims[k] = prev[i]
 			}
+			out[k] = prev[i].clientID == clientID && now.Before(prev[i].expires)
 		}
 	}
 	return out
@@ -327,25 +319,8 @@ type Client struct {
 	Metric   string
 }
 
-// Lookup implements core.ResultStore. The context is unused: the repo is
-// in-process and cannot block.
-func (c *Client) Lookup(_ context.Context, key string) (float64, bool, error) {
-	rec, err := c.Repo.Get(key)
-	if errors.Is(err, ErrNotFound) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return rec.Score, true, nil
-}
-
-// Claim implements core.ResultStore.
-func (c *Client) Claim(_ context.Context, key string) (bool, error) {
-	return c.Repo.Claim(key, c.ClientID), nil
-}
-
-// LookupBatch implements core.BatchResultStore.
+// LookupBatch implements core.ResultStore. The context is unused here and
+// in every method below: the repo is in-process and cannot block.
 func (c *Client) LookupBatch(_ context.Context, keys []string) (map[string]float64, error) {
 	recs := c.Repo.GetBatch(keys)
 	out := make(map[string]float64, len(recs))
@@ -355,13 +330,13 @@ func (c *Client) LookupBatch(_ context.Context, keys []string) (map[string]float
 	return out, nil
 }
 
-// ClaimBatch implements core.BatchResultStore.
+// ClaimBatch implements core.ResultStore.
 func (c *Client) ClaimBatch(_ context.Context, keys []string) (map[string]bool, error) {
 	return c.Repo.ClaimBatch(keys, c.ClientID), nil
 }
 
-// Release implements core.BatchResultStore: a claimed-but-failed unit
-// frees its key immediately instead of blocking peers until TTL.
+// Release implements core.ResultStore: a claimed-but-failed unit frees
+// its key immediately instead of blocking peers until TTL.
 func (c *Client) Release(_ context.Context, key string) error {
 	c.Repo.Release(key, c.ClientID)
 	return nil

@@ -30,6 +30,11 @@ func (c *clock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
+// claimOne asks r for one key on clientID's behalf.
+func claimOne(r *Repo, key, clientID string) bool {
+	return r.ClaimBatch([]string{key}, clientID)[key]
+}
+
 func TestPutGetAndQuery(t *testing.T) {
 	r := NewRepo(nil, 0)
 	rec := Record{
@@ -87,45 +92,45 @@ func TestPutGetAndQuery(t *testing.T) {
 func TestClaimSemantics(t *testing.T) {
 	ck := newClock()
 	r := NewRepo(ck.Now, time.Minute)
-	if !r.Claim("k1", "alice") {
+	if !claimOne(r, "k1", "alice") {
 		t.Fatal("first claim should succeed")
 	}
-	if r.Claim("k1", "bob") {
+	if claimOne(r, "k1", "bob") {
 		t.Fatal("second client must not steal an active claim")
 	}
-	if !r.Claim("k1", "alice") {
+	if !claimOne(r, "k1", "alice") {
 		t.Fatal("re-claim by owner should refresh")
 	}
 	// Claims expire so crashed clients don't block work forever.
 	ck.Advance(2 * time.Minute)
-	if !r.Claim("k1", "bob") {
+	if !claimOne(r, "k1", "bob") {
 		t.Fatal("expired claim should be reclaimable")
 	}
 	// Completed work cannot be claimed.
 	if err := r.Put(Record{Key: "k2", DatasetFP: "fp"}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Claim("k2", "alice") {
+	if claimOne(r, "k2", "alice") {
 		t.Fatal("existing record must not be claimable")
 	}
 }
 
 func TestReleaseClaim(t *testing.T) {
 	r := NewRepo(nil, time.Hour)
-	r.Claim("k", "alice")
+	claimOne(r, "k", "alice")
 	r.Release("k", "bob") // not the owner: no-op
-	if r.Claim("k", "bob") {
+	if claimOne(r, "k", "bob") {
 		t.Fatal("release by non-owner must not free the claim")
 	}
 	r.Release("k", "alice")
-	if !r.Claim("k", "bob") {
+	if !claimOne(r, "k", "bob") {
 		t.Fatal("released claim should be available")
 	}
 }
 
 func TestPutReleasesClaim(t *testing.T) {
 	r := NewRepo(nil, time.Hour)
-	r.Claim("k", "alice")
+	claimOne(r, "k", "alice")
 	if err := r.Put(Record{Key: "k"}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +145,20 @@ func TestClientAdapterImplementsResultStore(t *testing.T) {
 	c := &Client{Repo: repo, ClientID: "c1", Metric: "rmse"}
 
 	key := core.UnitKey("fpX", "input -> noop -> knn(k=3)", "kfold(k=3,shuffle=true)|rmse|seed=7")
-	if _, ok, err := c.Lookup(context.Background(), key); err != nil || ok {
-		t.Fatalf("lookup empty repo: ok=%v err=%v", ok, err)
+	ctx := context.Background()
+	if scores, err := c.LookupBatch(ctx, []string{key}); err != nil || len(scores) != 0 {
+		t.Fatalf("lookup empty repo: %v %v", scores, err)
 	}
-	claimed, err := c.Claim(context.Background(), key)
-	if err != nil || !claimed {
+	claimed, err := c.ClaimBatch(ctx, []string{key})
+	if err != nil || !claimed[key] {
 		t.Fatalf("claim: %v %v", claimed, err)
 	}
-	if err := c.Publish(context.Background(), key, 2.25, "explanation here"); err != nil {
+	if err := c.Publish(ctx, key, 2.25, "explanation here"); err != nil {
 		t.Fatal(err)
 	}
-	score, ok, err := c.Lookup(context.Background(), key)
-	if err != nil || !ok || score != 2.25 {
-		t.Fatalf("lookup after publish: %v %v %v", score, ok, err)
+	scores, err := c.LookupBatch(ctx, []string{key})
+	if err != nil || scores[key] != 2.25 {
+		t.Fatalf("lookup after publish: %v %v", scores, err)
 	}
 	// The record carries the parsed structure.
 	rec, err := repo.Get(key)
@@ -207,20 +213,20 @@ func TestSplitKey(t *testing.T) {
 func TestClaimExpiryBoundary(t *testing.T) {
 	ck := newClock()
 	r := NewRepo(ck.Now, time.Minute)
-	if !r.Claim("k", "alice") {
+	if !claimOne(r, "k", "alice") {
 		t.Fatal("first claim should succeed")
 	}
 	ck.Advance(time.Minute - time.Nanosecond)
-	if r.Claim("k", "bob") {
+	if claimOne(r, "k", "bob") {
 		t.Fatal("claim stolen one nanosecond before expiry")
 	}
 	ck.Advance(time.Nanosecond)
-	if !r.Claim("k", "bob") {
+	if !claimOne(r, "k", "bob") {
 		t.Fatal("claim not reclaimable exactly at expiry")
 	}
 	// Bob's fresh claim restarts the TTL from his grant time.
 	ck.Advance(time.Minute - time.Nanosecond)
-	if r.Claim("k", "carol") {
+	if claimOne(r, "k", "carol") {
 		t.Fatal("refreshed claim expired too early")
 	}
 	if r.ActiveClaims() != 1 {
@@ -233,14 +239,14 @@ func TestClaimExpiryBoundary(t *testing.T) {
 func TestOwnerReclaimRefreshesTTL(t *testing.T) {
 	ck := newClock()
 	r := NewRepo(ck.Now, time.Minute)
-	r.Claim("k", "alice")
+	claimOne(r, "k", "alice")
 	ck.Advance(45 * time.Second)
-	if !r.Claim("k", "alice") {
+	if !claimOne(r, "k", "alice") {
 		t.Fatal("owner re-claim must succeed")
 	}
 	// 30s later the original TTL would have lapsed; the refresh holds.
 	ck.Advance(30 * time.Second)
-	if r.Claim("k", "bob") {
+	if claimOne(r, "k", "bob") {
 		t.Fatal("refreshed claim lost before its new expiry")
 	}
 }
@@ -268,7 +274,7 @@ func TestRepoBatchOps(t *testing.T) {
 
 	// Claims: existing records are denied, fresh keys granted, and a
 	// peer's unexpired claim blocks.
-	r.Claim("held", "peer")
+	claimOne(r, "held", "peer")
 	granted := r.ClaimBatch([]string{"a", "new1", "new2", "held"}, "alice")
 	want := map[string]bool{"a": false, "new1": true, "new2": true, "held": false}
 	for k, w := range want {
@@ -280,10 +286,10 @@ func TestRepoBatchOps(t *testing.T) {
 	if err := r.PutBatch([]Record{{Key: "new1", Score: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Claim("new1", "bob") {
+	if claimOne(r, "new1", "bob") {
 		t.Fatal("published key must not be claimable")
 	}
-	if !r.Claim("new2", "alice") {
+	if !claimOne(r, "new2", "alice") {
 		t.Fatal("alice still owns new2")
 	}
 
@@ -297,7 +303,6 @@ func TestRepoBatchOps(t *testing.T) {
 }
 
 func TestClientBatchAdapter(t *testing.T) {
-	var _ core.BatchResultStore = (*Client)(nil)
 	repo := NewRepo(nil, time.Minute)
 	alice := &Client{Repo: repo, ClientID: "alice", Metric: "rmse"}
 	bob := &Client{Repo: repo, ClientID: "bob", Metric: "rmse"}
@@ -339,7 +344,7 @@ func TestConcurrentClaims(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if r.Claim("contested", string(rune('a'+w))) {
+			if claimOne(r, "contested", string(rune('a'+w))) {
 				winners <- string(rune('a' + w))
 			}
 		}()

@@ -51,7 +51,7 @@ func NewDurableRepo(dsn string, nowFn func() time.Time, claimTTL time.Duration) 
 }
 
 // load rebuilds records and claims from the backend. Replayed claims pass
-// the same liveness rules a fresh Claim would: a claim whose record was
+// the same liveness rules a fresh claim would: a claim whose record was
 // published is gone (the publish released it, even if the claim-delete
 // itself did not land before a crash), and a claim past its absolute
 // expiry is gone (the TTL does not restart). Both kinds are also deleted
@@ -136,7 +136,7 @@ func (r *Repo) persistRecordsLocked(recs []Record) error {
 }
 
 // persistClaimsLocked writes the current claim state of keys through to
-// the backend; a refusal means the grant must not stand (the caller rolls
+// the backend; a refusal means the grant must not stand (ClaimBatch rolls
 // the map back), because a claim that would vanish at restart is worse
 // than a denial. Caller holds r.mu.
 func (r *Repo) persistClaimsLocked(keys ...string) error {

@@ -1,11 +1,14 @@
 package darr
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
+
+	"coda/internal/persist"
 )
 
 func rec(key, client string, score float64) Record {
@@ -41,7 +44,7 @@ func TestDurableRestartSurvival(t *testing.T) {
 			if err := r.Put(rec("k2", "c1", 0.84)); err != nil {
 				t.Fatal(err)
 			}
-			if !r.Claim("pending", "c1") {
+			if !claimOne(r, "pending", "c1") {
 				t.Fatal("fresh claim denied")
 			}
 			if err := r.Close(); err != nil {
@@ -65,12 +68,12 @@ func TestDurableRestartSurvival(t *testing.T) {
 				t.Fatalf("active claims after restart = %d, want 1", r2.ActiveClaims())
 			}
 			// The replayed claim still blocks other clients...
-			if r2.Claim("pending", "c2") {
+			if claimOne(r2, "pending", "c2") {
 				t.Fatal("replayed claim did not block a second client")
 			}
 			// ...but expires at the ORIGINAL absolute time, not restart+TTL.
 			clk.Advance(31 * time.Second) // 61s after grant
-			if !r2.Claim("pending", "c2") {
+			if !claimOne(r2, "pending", "c2") {
 				t.Fatal("claim survived past its original expiry after restart")
 			}
 			if err := r2.Close(); err != nil {
@@ -114,7 +117,7 @@ func TestClaimReleasedOnPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Claim("job", "c1") {
+	if !claimOne(r, "job", "c1") {
 		t.Fatal("c1 claim denied")
 	}
 	if err := r.Put(rec("job", "c1", 0.77)); err != nil {
@@ -156,7 +159,7 @@ func TestExpiredClaimsDroppedAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Claim("stale", "c1") {
+	if !claimOne(r, "stale", "c1") {
 		t.Fatal("claim denied")
 	}
 	if err := r.Close(); err != nil {
@@ -172,8 +175,76 @@ func TestExpiredClaimsDroppedAtLoad(t *testing.T) {
 	if r2.ActiveClaims() != 0 {
 		t.Fatalf("expired claim replayed: %d active", r2.ActiveClaims())
 	}
-	if !r2.Claim("stale", "c2") {
+	if !claimOne(r2, "stale", "c2") {
 		t.Fatal("key not claimable after expired claim dropped")
+	}
+}
+
+// refusingKV is a persist.KV whose PutBatch fails while refuse is set, as
+// on a full disk.
+type refusingKV struct {
+	persist.KV
+	refuse bool
+}
+
+func (k *refusingKV) PutBatch(items []persist.Item) error {
+	if k.refuse {
+		return errors.New("disk full")
+	}
+	return k.KV.PutBatch(items)
+}
+
+// TestRefusedClaimRollsBack: a claim grant the backend refuses does not
+// stand, and memory goes back to what the backend still holds. A fresh
+// grant is denied and leaves the key free, even when the batch asks for
+// the key twice (as duplicate-spec units do). A holder's re-claim stays
+// granted until the expiry already on disk: it must not drop the claim
+// from memory while the backend keeps it, which let a peer take the key
+// and brought the claim back at restart.
+func TestRefusedClaimRollsBack(t *testing.T) {
+	dsn := "log:" + t.TempDir()
+	clk := newClock()
+	granted := clk.Now()
+	r, err := NewDurableRepo(dsn, clk.Now, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv := &refusingKV{KV: r.kv}
+	r.kv = kv
+	if !claimOne(r, "held", "alice") {
+		t.Fatal("fresh claim denied")
+	}
+	clk.Advance(30 * time.Second)
+	kv.refuse = true
+	got := r.ClaimBatch([]string{"fresh", "held", "fresh"}, "alice")
+	if got["fresh"] || !got["held"] {
+		t.Fatalf("refused grants = %v, want fresh denied and held still granted", got)
+	}
+	if c := r.claims["held"]; c.clientID != "alice" || !c.expires.Equal(granted.Add(time.Minute)) {
+		t.Fatalf("held claim in memory = %+v, want alice's until %v, as on disk", c, granted.Add(time.Minute))
+	}
+	kv.refuse = false
+	if !claimOne(r, "fresh", "bob") {
+		t.Fatal("a refused fresh grant left its key held")
+	}
+	if claimOne(r, "held", "bob") {
+		t.Fatal("a refused re-claim freed a key the backend still holds")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, err := NewDurableRepo(dsn, clk.Now, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if n := r2.ActiveClaims(); n != 2 || claimOne(r2, "held", "bob") {
+		t.Fatalf("after restart: %d claims, held free for bob; want 2 and alice still holding it", n)
+	}
+	clk.Advance(30 * time.Second)
+	if !claimOne(r2, "held", "bob") {
+		t.Fatal("alice's claim outlived its durable expiry")
 	}
 }
 
@@ -230,7 +301,7 @@ func TestDurableReleaseAndCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Claim("x", "c1") {
+	if !claimOne(r, "x", "c1") {
 		t.Fatal("claim denied")
 	}
 	r.Release("x", "c1")

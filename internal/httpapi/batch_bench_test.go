@@ -2,9 +2,13 @@ package httpapi
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,27 +22,40 @@ import (
 	"coda/internal/preprocess"
 )
 
-// countingProxy fronts a Server, counting requests and injecting a fixed
+// countingProxy fronts a Server, logging requests and injecting a fixed
 // per-request latency — a stand-in for the WAN between edge and cloud.
 type countingProxy struct {
-	requests atomic.Int64
-	latency  time.Duration
-	next     atomic.Pointer[Server]
+	latency time.Duration
+	next    atomic.Pointer[Server]
+
+	mu    sync.Mutex
+	calls []string // "METHOD /path" of every request since the last reset
 }
 
 func (p *countingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	p.requests.Add(1)
+	p.mu.Lock()
+	p.calls = append(p.calls, r.Method+" "+r.URL.Path)
+	p.mu.Unlock()
 	if p.latency > 0 {
 		time.Sleep(p.latency)
 	}
 	p.next.Load().ServeHTTP(w, r)
 }
 
-// reset installs a fresh repository behind the proxy and zeroes the
-// request counter.
+// reset installs a fresh repository behind the proxy and clears the
+// request log.
 func (p *countingProxy) reset() {
 	p.next.Store(NewServer(darr.NewRepo(nil, time.Minute), nil))
-	p.requests.Store(0)
+	p.mu.Lock()
+	p.calls = nil
+	p.mu.Unlock()
+}
+
+// log returns the requests made since the last reset.
+func (p *countingProxy) log() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.calls)
 }
 
 func benchGraph() *core.Graph {
@@ -76,97 +93,91 @@ func benchSearchOpts(store core.ResultStore) core.SearchOptions {
 	}
 }
 
-// TestBatchedSearchRoundTrips pins the tentpole's win: a 4-unit batched
-// cooperative search costs at most 5 HTTP requests (bulk lookup, bulk
-// claim, coalesced publish), where the per-unit protocol costs at least
-// 3 per unit (lookup + claim + publish each).
+// TestBatchedSearchRoundTrips pins what a cooperative search costs on the
+// wire: a 4-unit search makes at most 5 HTTP requests (bulk lookup, claim
+// windows, coalesced publish), a claim on a unit that fails is released,
+// and every request is a batch route or a claim release — no per-key
+// lookup, claim or publish reaches the server.
 func TestBatchedSearchRoundTrips(t *testing.T) {
 	proxy := &countingProxy{}
 	proxy.reset()
 	ts := httptest.NewServer(proxy)
 	defer ts.Close()
 	ds := benchDataset(t)
-
-	perUnit := benchClient(ts.URL, "per-unit")
-	res, err := core.Search(context.Background(), benchGraph(), ds, benchSearchOpts(perUnitStore{C: perUnit}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Computed != 4 {
-		t.Fatalf("per-unit search computed %d units", res.Computed)
-	}
-	perUnitReqs := proxy.requests.Load()
-	if perUnitReqs < int64(3*len(res.Units)) {
-		t.Fatalf("per-unit search issued %d requests, want >= 3 per unit (%d)", perUnitReqs, 3*len(res.Units))
-	}
-
-	proxy.reset()
-	batched := benchClient(ts.URL, "batched")
+	c := benchClient(ts.URL, "batched")
 	// A long interval and large size threshold leave the search-exit
 	// Flush as the only trigger — worst case for the request count.
-	batched.EnablePublishQueue(DefaultPublishBatchSize, time.Hour)
-	defer batched.Close()
-	res, err = core.Search(context.Background(), benchGraph(), ds, benchSearchOpts(batched))
+	c.EnablePublishQueue(DefaultPublishBatchSize, time.Hour)
+	defer c.Close()
+	res, err := core.Search(context.Background(), benchGraph(), ds, benchSearchOpts(c))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Computed != 4 {
-		t.Fatalf("batched search computed %d units", res.Computed)
+		t.Fatalf("search computed %d units", res.Computed)
 	}
-	if got := proxy.requests.Load(); got > 5 {
-		t.Fatalf("batched search issued %d requests, want <= 5 (per-unit path cost %d)", got, perUnitReqs)
+	calls := proxy.log()
+	if len(calls) > 5 {
+		t.Fatalf("search issued %d requests, want <= 5: %v", len(calls), calls)
+	}
+
+	// The same graph on other data, with a scorer that fails: every unit
+	// is claimed, fails and is released.
+	opts := benchSearchOpts(c)
+	opts.Scorer.Fn = func(y, yhat []float64) (float64, error) { return 0, errors.New("scorer failed") }
+	rng := rand.New(rand.NewSource(8))
+	other, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 100, Features: 4, Informative: 3, Noise: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Search(context.Background(), benchGraph(), other, opts); err != nil {
+		t.Fatal(err)
+	}
+	calls = proxy.log()
+	releases := 0
+	for _, call := range calls {
+		switch {
+		case call == "DELETE /darr/claims":
+			releases++
+		case !strings.HasPrefix(call, "POST /darr/batch/"):
+			t.Errorf("a cooperative search sent %s, want only POST /darr/batch/* and DELETE /darr/claims", call)
+		}
+	}
+	if releases != 4 {
+		t.Errorf("%d claim releases for 4 failed units: %v", releases, calls)
 	}
 }
 
-// BenchmarkCooperativeSearch compares the per-unit and batched protocols
-// under injected per-request latency. With a 10ms WAN, the batched
-// search's 3 round trips beat the per-unit path's 3×units sequential
-// calls on wall time; requests/op is reported alongside.
+// BenchmarkCooperativeSearch times a 4-unit cooperative search with 10 ms
+// of latency injected per request; requests/op is reported alongside.
 func BenchmarkCooperativeSearch(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		latency time.Duration
-		batched bool
-	}{
-		{"per-unit/latency=10ms", 10 * time.Millisecond, false},
-		{"batched/latency=10ms", 10 * time.Millisecond, true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			proxy := &countingProxy{latency: bc.latency}
-			proxy.reset()
-			ts := httptest.NewServer(proxy)
-			defer ts.Close()
-			ds := benchDataset(b)
+	proxy := &countingProxy{latency: 10 * time.Millisecond}
+	proxy.reset()
+	ts := httptest.NewServer(proxy)
+	defer ts.Close()
+	ds := benchDataset(b)
 
-			var totalReqs int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				proxy.reset() // fresh repo: every unit is a miss
-				c := benchClient(ts.URL, "bench")
-				var store core.ResultStore = perUnitStore{C: c}
-				if bc.batched {
-					c.EnablePublishQueue(DefaultPublishBatchSize, time.Hour)
-					store = c
-				}
-				b.StartTimer()
+	requests := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		proxy.reset() // fresh repo: every unit is a miss
+		c := benchClient(ts.URL, "bench")
+		c.EnablePublishQueue(DefaultPublishBatchSize, time.Hour)
+		b.StartTimer()
 
-				res, err := core.Search(context.Background(), benchGraph(), ds, benchSearchOpts(store))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Computed != 4 {
-					b.Fatalf("computed %d units", res.Computed)
-				}
+		res, err := core.Search(context.Background(), benchGraph(), ds, benchSearchOpts(c))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Computed != 4 {
+			b.Fatalf("computed %d units", res.Computed)
+		}
 
-				b.StopTimer()
-				totalReqs += proxy.requests.Load()
-				if bc.batched {
-					c.Close()
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(totalReqs)/float64(b.N), "requests/op")
-		})
+		b.StopTimer()
+		requests += len(proxy.log())
+		c.Close()
+		b.StartTimer()
 	}
+	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
 }

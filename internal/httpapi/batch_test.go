@@ -1,11 +1,16 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -28,44 +33,12 @@ func clientFor(t *testing.T, srv *Server) (*Client, *httptest.Server) {
 	return NewClient(ts.URL, "test-client"), ts
 }
 
-// perUnitStore restricts a Client to the per-unit cooperation protocol,
-// hiding the batch methods so core.Search issues one Lookup/Claim/
-// Publish round trip per unit — the reference the batched protocol is
-// tested and benchmarked against. Claims are still released on failure.
-type perUnitStore struct{ C *Client }
-
-func (p perUnitStore) Lookup(ctx context.Context, key string) (float64, bool, error) {
-	return p.C.Lookup(ctx, key)
-}
-
-func (p perUnitStore) Claim(ctx context.Context, key string) (bool, error) {
-	return p.C.Claim(ctx, key)
-}
-
-func (p perUnitStore) Publish(ctx context.Context, key string, score float64, explanation string) error {
-	return p.C.Publish(ctx, key, score, explanation)
-}
-
-func (p perUnitStore) Release(ctx context.Context, key string) error {
-	return p.C.Release(ctx, key)
-}
-
+// The deprecated one-key Lookup and Claim keep Client a
+// core.BatchResultStore, which bench/e2e's store decorators still name.
 var (
 	_ core.BatchResultStore = (*Client)(nil)
 	_ core.Flusher          = (*Client)(nil)
-	_ core.ResultStore      = perUnitStore{}
-	_ core.ClaimReleaser    = perUnitStore{}
 )
-
-// perUnitStore must NOT satisfy the batch interface, or the A/B baseline
-// silently becomes the batched protocol.
-var _ = func() bool {
-	var s any = perUnitStore{}
-	if _, ok := s.(core.BatchResultStore); ok {
-		panic("perUnitStore must not implement BatchResultStore")
-	}
-	return true
-}()
 
 func TestBatchEndpointsRoundTrip(t *testing.T) {
 	c, repo, _, _ := newTestServer(t)
@@ -202,11 +175,10 @@ func TestBatchCallsSplitAtTheServerCap(t *testing.T) {
 	scorer, _ := metrics.ScorerByName("rmse")
 	c.Metric = "rmse"
 	res, err := core.Search(ctx, g, ds, core.SearchOptions{
-		Splitter:    crossval.KFold{K: 2},
-		Scorer:      scorer,
-		ParamGrid:   map[string][]float64{"ridge__alpha": alphas},
-		Store:       c,
-		SkipClaimed: true,
+		Splitter:  crossval.KFold{K: 2},
+		Scorer:    scorer,
+		ParamGrid: map[string][]float64{"ridge__alpha": alphas},
+		Store:     c,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,8 +253,8 @@ func TestPublishQueueIntervalFlush(t *testing.T) {
 	}
 }
 
-// TestPublishWithoutQueueIsSynchronous: a queue-less client keeps the
-// per-record POST semantics.
+// TestPublishWithoutQueueIsSynchronous: a queue-less client's record has
+// landed by the time Publish returns.
 func TestPublishWithoutQueueIsSynchronous(t *testing.T) {
 	c, repo, _, _ := newTestServer(t)
 	if err := c.Publish(context.Background(), "fp|sync|e", 1, "x"); err != nil {
@@ -311,4 +283,63 @@ func TestReleaseOverHTTP(t *testing.T) {
 	if g, err := rival.Claim(ctx, "fp|r|e"); err != nil || !g {
 		t.Fatalf("released key not re-claimable: %v, %v", g, err)
 	}
+}
+
+// FuzzBatchRoutes: whatever body reaches a cooperation route, the server
+// answers without a panic or a 5xx, every non-2xx reply is a JSON
+// errorReply carrying its status, and a 200 lookup names only keys it was
+// asked for. Each input meets a fresh repo holding two records and one
+// peer's claim, behind a server that takes at most four keys a batch.
+func FuzzBatchRoutes(f *testing.F) {
+	// The requests a cooperative search makes, by the route selector drawn.
+	cooperationRoutes := []struct{ method, path string }{
+		{http.MethodPost, "/darr/batch/lookup"},
+		{http.MethodPost, "/darr/batch/claims"},
+		{http.MethodPost, "/darr/batch/records"},
+		{http.MethodDelete, "/darr/claims"},
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
+		repo := darr.NewRepo(nil, time.Minute)
+		if err := repo.PutBatch([]darr.Record{{Key: "fp|a|e", Score: 1}, {Key: "fp|b|e", Score: 2}}); err != nil {
+			t.Fatal(err)
+		}
+		repo.ClaimBatch([]string{"fp|c|e"}, "peer")
+		srv := NewServer(repo, nil)
+		srv.Logger, srv.MaxBatchKeys = quiet, 4
+		rt := cooperationRoutes[int(route)%len(cooperationRoutes)]
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(rt.method, rt.path, bytes.NewReader(body)))
+
+		code := w.Code
+		if code >= 500 {
+			t.Fatalf("%s %s answered %d: %s", rt.method, rt.path, code, w.Body)
+		}
+		if code >= 300 {
+			var e errorReply
+			if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("%d reply has content type %q", code, ct)
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" || e.Status != code {
+				t.Fatalf("%d reply %q is not an errorReply (%v)", code, w.Body, err)
+			}
+			return
+		}
+		if rt.path != "/darr/batch/lookup" {
+			return
+		}
+		var req batchLookupRequest
+		var reply batchLookupReply
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("a body the server accepted does not decode: %v", err)
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("lookup reply %q: %v", w.Body, err)
+		}
+		for k := range reply.Scores {
+			if !slices.Contains(req.Keys, k) {
+				t.Fatalf("lookup of %q answered key %q", req.Keys, k)
+			}
+		}
+	})
 }

@@ -247,39 +247,24 @@ func (c *Client) do(ctx context.Context, method, path string, raw []byte, conten
 	return status, nil
 }
 
-// Lookup implements core.ResultStore.
+// Lookup is LookupBatch over one key.
+//
+// Deprecated: use LookupBatch; core.Search never calls Lookup.
 func (c *Client) Lookup(ctx context.Context, key string) (float64, bool, error) {
-	var rec darr.Record
-	status, err := c.doJSON(ctx, http.MethodGet, "/darr/records?key="+url.QueryEscape(key), nil, &rec)
-	if err != nil {
-		return 0, false, err
-	}
-	if status == http.StatusNotFound {
-		return 0, false, nil
-	}
-	if status != http.StatusOK {
-		return 0, false, fmt.Errorf("httpapi: lookup status %d", status)
-	}
-	return rec.Score, true, nil
+	scores, err := c.LookupBatch(ctx, []string{key})
+	score, ok := scores[key]
+	return score, ok, err
 }
 
-// Claim implements core.ResultStore. Claims are idempotent per client, so
-// retrying a claim whose response was lost is safe.
+// Claim is ClaimBatch over one key.
+//
+// Deprecated: use ClaimBatch; core.Search never calls Claim.
 func (c *Client) Claim(ctx context.Context, key string) (bool, error) {
-	var out struct {
-		Granted bool `json:"granted"`
-	}
-	status, err := c.doJSON(ctx, http.MethodPost, "/darr/claims", claimRequest{Key: key, ClientID: c.ClientID}, &out)
-	if err != nil {
-		return false, err
-	}
-	if status != http.StatusOK {
-		return false, fmt.Errorf("httpapi: claim status %d", status)
-	}
-	return out.Granted, nil
+	granted, err := c.ClaimBatch(ctx, []string{key})
+	return granted[key], err
 }
 
-// Release drops this client's claim on key.
+// Release implements core.ResultStore: it drops this client's claim on key.
 func (c *Client) Release(ctx context.Context, key string) error {
 	status, err := c.doJSON(ctx, http.MethodDelete, "/darr/claims", claimRequest{Key: key, ClientID: c.ClientID}, nil)
 	if err != nil {
@@ -304,21 +289,15 @@ func (c *Client) record(key string, score float64, explanation string) darr.Reco
 // Publish implements core.ResultStore. Records are keyed, so a retried
 // publish overwrites itself rather than duplicating. With a publish
 // queue enabled (EnablePublishQueue) the record is enqueued for a
-// coalesced POST /darr/batch/records instead of a per-unit round trip.
+// coalesced POST /darr/batch/records; without one it goes out alone, as a
+// batch of one, before Publish returns.
 func (c *Client) Publish(ctx context.Context, key string, score float64, explanation string) error {
 	rec := c.record(key, score, explanation)
 	if q := c.queue.Load(); q != nil {
 		q.enqueue(rec)
 		return nil
 	}
-	status, err := c.doJSON(ctx, http.MethodPost, "/darr/records", rec, nil)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusCreated {
-		return fmt.Errorf("httpapi: publish status %d", status)
-	}
-	return nil
+	return c.PublishBatch(ctx, []darr.Record{rec})
 }
 
 // batches cuts n keys or records into runs of at most DefaultMaxBatchKeys —
@@ -349,7 +328,7 @@ func merged[V any](answer, reply map[string]V) map[string]V {
 	return map[string]V{}
 }
 
-// LookupBatch implements core.BatchResultStore: one POST per
+// LookupBatch implements core.ResultStore: one POST per
 // DefaultMaxBatchKeys keys resolves the published scores for every key.
 func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]float64, error) {
 	var scores map[string]float64
@@ -371,10 +350,10 @@ func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]flo
 	return scores, nil
 }
 
-// ClaimBatch implements core.BatchResultStore: one POST per
+// ClaimBatch implements core.ResultStore: one POST per
 // DefaultMaxBatchKeys keys claims every key this client wants to compute.
-// Like Claim, it is idempotent per client, so a retried batch whose
-// response was lost is safe.
+// Claims are idempotent per client, so a retried batch whose response was
+// lost is safe.
 func (c *Client) ClaimBatch(ctx context.Context, keys []string) (map[string]bool, error) {
 	var granted map[string]bool
 	err := batches(len(keys), func(lo, hi int) error {

@@ -19,8 +19,8 @@ import (
 
 // TestNoReplyCallsReuseTheirConnection: a call whose reply the client does
 // not decode — every method that passes no out, and every non-2xx answer
-// such as a Lookup miss or a refused PUT — must still leave its connection
-// reusable, and so must a pull, whose body the client reads by its
+// such as a refused PUT — must still leave its connection reusable, and so
+// must a lookup that misses and a pull, whose body the client reads by its
 // Content-Length. Each method gets a server of its own (the transport
 // pools per host) that counts the connections opened to it.
 func TestNoReplyCallsReuseTheirConnection(t *testing.T) {

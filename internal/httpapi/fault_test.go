@@ -181,7 +181,6 @@ func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 		c.Retry = retry.Policy{MaxAttempts: 8, InitialBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}
 		o := opts
 		o.Store = c
-		o.SkipClaimed = true
 		return func() *core.SearchResult {
 			res, err := core.Search(context.Background(), build(), ds, o)
 			if err != nil {

@@ -142,14 +142,32 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("records status %d", resp.StatusCode)
 	}
-	// Claim with empty body fields.
-	resp, err = http.Post(ts.URL+"/darr/claims", "application/json", bytes.NewBufferString(`{}`))
+	// Claim release with empty body fields.
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/darr/claims", bytes.NewBufferString(`{}`))
+	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("claims status %d", resp.StatusCode)
+	}
+	// The per-key lookup, claim and publish routes are gone: only the
+	// batched protocol cooperates.
+	for _, gone := range []struct{ method, path string }{
+		{http.MethodGet, "/darr/records?key=fp%7Cs%7Ce"},
+		{http.MethodPost, "/darr/claims"},
+		{http.MethodPost, "/darr/records"},
+	} {
+		req, _ := http.NewRequest(gone.method, ts.URL+gone.path, bytes.NewBufferString(`{"key":"fp|s|e","client_id":"c"}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Errorf("%s %s answered %d, want a 4xx", gone.method, gone.path, resp.StatusCode)
+		}
 	}
 	// Unknown object.
 	resp, err = http.Get(ts.URL + "/store/objects/ghost")
@@ -161,7 +179,7 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("object status %d", resp.StatusCode)
 	}
 	// Bad method.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/darr/records", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/darr/records", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

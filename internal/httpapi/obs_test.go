@@ -184,7 +184,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"coda_search_unit_seconds_bucket",
 		"coda_retry_attempts_total",
 		"coda_breaker_transitions_total",
-		`coda_http_requests_total{route="darr-records"`,
+		`coda_http_requests_total{route="darr-batch-records"`,
 		"coda_uptime_seconds",
 		"coda_replication_update_builds_total",
 		"coda_replication_fanout_queue_depth",

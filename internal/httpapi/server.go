@@ -352,43 +352,30 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	writeJSON(w, status, errorReply{Error: err.Error(), Status: status, RequestID: id})
 }
 
-func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var rec darr.Record
-		if !s.decodeBody(w, r, "record", &rec) {
-			return
-		}
-		if err := s.Repo.Put(rec); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"status": "stored"})
-	case http.MethodGet:
-		if key := r.URL.Query().Get("key"); key != "" {
-			rec, err := s.Repo.Get(key)
-			if errors.Is(err, darr.ErrNotFound) {
-				s.writeError(w, r, http.StatusNotFound, err)
-				return
-			}
-			if err != nil {
-				s.writeError(w, r, http.StatusInternalServerError, err)
-				return
-			}
-			writeJSON(w, http.StatusOK, rec)
-			return
-		}
-		if fp := r.URL.Query().Get("dataset"); fp != "" {
-			writeJSON(w, http.StatusOK, s.Repo.QueryByDataset(fp))
-			return
-		}
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("need key or dataset query parameter"))
-	default:
+// allowMethod answers 405 unless r uses method; it reports whether the
+// request may proceed.
+func (s *Server) allowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method != method {
 		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		return false
 	}
+	return true
 }
 
-// claimRequest is the body of claim POST/DELETE calls.
+// handleRecords lists a dataset's records (GET ?dataset=fp).
+func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
+	if !s.allowMethod(w, r, http.MethodGet) {
+		return
+	}
+	fp := r.URL.Query().Get("dataset")
+	if fp == "" {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("need dataset query parameter"))
+		return
+	}
+	writeJSON(w, http.StatusOK, s.Repo.QueryByDataset(fp))
+}
+
+// claimRequest is the body of a claim release (DELETE /darr/claims).
 type claimRequest struct {
 	Key      string `json:"key"`
 	ClientID string `json:"client_id"`
@@ -396,28 +383,20 @@ type claimRequest struct {
 
 func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	var req claimRequest
-	if !s.decodeBody(w, r, "claim", &req) {
+	if !s.allowMethod(w, r, http.MethodDelete) || !s.decodeBody(w, r, "claim", &req) {
 		return
 	}
 	if req.Key == "" || req.ClientID == "" {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("claim needs key and client_id"))
 		return
 	}
-	switch r.Method {
-	case http.MethodPost:
-		granted := s.Repo.Claim(req.Key, req.ClientID)
-		writeJSON(w, http.StatusOK, map[string]bool{"granted": granted})
-	case http.MethodDelete:
-		s.Repo.Release(req.Key, req.ClientID)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
-	default:
-		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-	}
+	s.Repo.Release(req.Key, req.ClientID)
+	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 }
 
-// Wire types of the batched DARR protocol: one request carries every
-// key (or record) of a cooperative search phase, collapsing up to
-// 3×units sequential round trips into three.
+// Wire types of the batched DARR protocol, the only one a search speaks:
+// one request carries every key (or record) of a cooperative search
+// phase.
 type batchLookupRequest struct {
 	Keys []string `json:"keys"`
 }
@@ -450,8 +429,7 @@ func (s *Server) maxBatchKeys() int {
 // checkBatch enforces the method and batch-size bounds shared by every
 // batch endpoint; it reports whether the request may proceed.
 func (s *Server) checkBatch(w http.ResponseWriter, r *http.Request, n int, what string) bool {
-	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+	if !s.allowMethod(w, r, http.MethodPost) {
 		return false
 	}
 	if n == 0 {

@@ -66,7 +66,6 @@ func TestClaimWindowDividesWork(t *testing.T) {
 			for c := range opts {
 				o := baseOpts(t)
 				o.Parallelism = 1
-				o.SkipClaimed = true
 				o.Store = &grantSignal{
 					Client: &darr.Client{Repo: repo, ClientID: fmt.Sprint("client-", c), Metric: o.Scorer.Name},
 					granted: func() {
@@ -172,7 +171,6 @@ func TestDeadPeerCostsAtMostItsWindow(t *testing.T) {
 				o := baseOpts(t)
 				o.ParamGrid = grid
 				o.Store = store
-				o.SkipClaimed = true
 				if scorer != nil {
 					o.Scorer.Fn = scorer
 				}

@@ -103,12 +103,9 @@ func RunFleet(ctx context.Context, buildGraph func() *core.Graph, ds *dataset.Da
 			}
 			clientID := fmt.Sprintf("client-%d", c)
 			so := opts.Search
+			so.Store = nil
 			if opts.Cooperate {
 				so.Store = &darr.Client{Repo: repo, ClientID: clientID, Metric: so.Scorer.Name}
-				so.SkipClaimed = true
-			} else {
-				so.Store = nil
-				so.SkipClaimed = false
 			}
 			start := time.Now()
 			res, err := core.Search(ctx, buildGraph(), ds, so)

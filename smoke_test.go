@@ -303,6 +303,13 @@ func TestSmoke(t *testing.T) {
 				t.Errorf("server %s = %v after two searches, want > 0", s, metric(sc, s))
 			}
 		}
+		// Both clients spoke only the batched protocol: nothing reached the
+		// record routes, and nothing but releases the claim route.
+		for _, perKey := range []string{`route="darr-records"`, `route="darr-claims",method="POST"`} {
+			if strings.Contains(sc, perKey) {
+				t.Errorf("server counted a %s request from a cooperative search", perKey)
+			}
+		}
 		// Every DARR request left a fragment in the server's ring,
 		// parented on the client's span.
 		var frags []trace.Summary
