@@ -392,9 +392,11 @@ func UnitKey(datasetFP, pipelineSpec, evalSpec string) string {
 
 // numerics names the arithmetic a score was computed under. It is part of
 // every eval spec, so a DARR filled by a build with other numerics returns
-// misses, never scores this build would not reproduce bit for bit. 2 is the
-// matrix.Sigmoid/Tanh activations; the libm ones before them wrote no tag.
-const numerics = 2
+// misses, never scores this build would not reproduce bit for bit. 3 is CART
+// trees grown on presorted columns, whose sums over tied rows run in row
+// order; 2 was the matrix.Sigmoid/Tanh activations; the libm ones before
+// them wrote no tag.
+const numerics = 3
 
 // evalSpecOf is the evaluation part of every unit key: the fold plan, the
 // metric, the seed and the numerics.

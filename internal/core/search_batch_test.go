@@ -458,8 +458,9 @@ func TestSearchCancelledReleasesBatchClaims(t *testing.T) {
 
 // TestSearchMissesUntaggedRecords: a record keyed with the eval spec a build
 // before the numerics tag wrote — same folds, metric and seed, no
-// "|numerics=" — is a miss, so a durable DARR filled under the libm
-// activations is recomputed, never mixed into this build's scores.
+// "|numerics=" — is a miss, so a durable DARR filled by an older build is
+// recomputed, never mixed into this build's scores. So is one tagged with the
+// previous numerics, 2, from before trees grew on presorted columns.
 func TestSearchMissesUntaggedRecords(t *testing.T) {
 	ds := regDS(t, 100)
 	st := newMemBatchStore("me")
@@ -471,7 +472,9 @@ func TestSearchMissesUntaggedRecords(t *testing.T) {
 	st.mu.Lock()
 	clear(st.scores)
 	for _, u := range ref.Units {
-		st.scores[core.UnitKey(ds.Fingerprint(), u.Spec, "kfold(k=3,shuffle=true)|rmse|seed=5")] = stale
+		for _, spec := range []string{"kfold(k=3,shuffle=true)|rmse|seed=5", "kfold(k=3,shuffle=true)|rmse|seed=5|numerics=2"} {
+			st.scores[core.UnitKey(ds.Fingerprint(), u.Spec, spec)] = stale
+		}
 	}
 	st.mu.Unlock()
 	res, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(st))

@@ -76,18 +76,20 @@ func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 	if n == 0 {
 		return fmt.Errorf("mlmodels: %s on empty dataset", f.Name())
 	}
-	rng := rand.New(rand.NewSource(f.Seed))
-	maxFeatures := int(math.Sqrt(float64(ds.NumFeatures())))
-	if maxFeatures < 1 {
-		maxFeatures = 1
+	if f.Task != TreeRegression && f.Task != TreeClassification {
+		return fmt.Errorf("mlmodels: %s unknown task %d", f.Name(), f.Task)
 	}
+	rng := rand.New(rand.NewSource(f.Seed))
+	maxFeatures := max(int(math.Sqrt(float64(ds.NumFeatures()))), 1)
+	// A bootstrap repeats rows of ds, so every tree grows on one presorted
+	// layout of it, taking its draws as row multiplicities.
+	c := newColumns(ds, f.Task)
 	f.trees = make([]*DecisionTree, f.NTrees)
-	idx := make([]int, n)
-	for t := 0; t < f.NTrees; t++ {
-		for i := range idx {
-			idx[i] = rng.Intn(n)
+	for t := range f.trees {
+		draws := make([]int, n)
+		for i := range draws {
+			draws[i] = rng.Intn(n)
 		}
-		boot := ds.Subset(idx)
 		tree := &DecisionTree{
 			Task:        f.Task,
 			MaxDepth:    f.MaxDepth,
@@ -95,9 +97,7 @@ func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 			MaxFeatures: maxFeatures,
 			rng:         rand.New(rand.NewSource(rng.Int63())),
 		}
-		if err := tree.Fit(boot); err != nil {
-			return fmt.Errorf("mlmodels: %s tree %d: %w", f.Name(), t, err)
-		}
+		tree.grow(c, draws)
 		f.trees[t] = tree
 	}
 	return nil

@@ -89,18 +89,16 @@ func (g *GradientBoosting) Fit(ds *dataset.Dataset) error {
 		current[i] = g.base
 	}
 	residual := make([]float64, n)
-	work := ds.Clone()
+	c := newColumns(ds, TreeRegression) // X is fixed across stages; y is each stage's residuals
+	c.y = residual
 	g.trees = make([]*DecisionTree, 0, g.NTrees)
 	for stage := 0; stage < g.NTrees; stage++ {
 		for i := range residual {
 			residual[i] = ds.Y[i] - current[i]
 		}
-		work.Y = residual
 		tree := &DecisionTree{Task: TreeRegression, MaxDepth: g.MaxDepth, MinLeaf: g.MinLeaf}
-		if err := tree.Fit(work); err != nil {
-			return fmt.Errorf("mlmodels: %s stage %d: %w", g.Name(), stage, err)
-		}
-		preds, err := tree.Predict(work)
+		tree.grow(c, nil)
+		preds, err := tree.Predict(ds)
 		if err != nil {
 			return fmt.Errorf("mlmodels: %s stage %d predict: %w", g.Name(), stage, err)
 		}

@@ -1,6 +1,7 @@
 package mlmodels
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -85,48 +86,141 @@ func (t *DecisionTree) Fit(ds *dataset.Dataset) error {
 	if t.Task != TreeRegression && t.Task != TreeClassification {
 		return fmt.Errorf("mlmodels: %s unknown task %d", t.Name(), t.Task)
 	}
-	if t.MinLeaf < 1 {
-		t.MinLeaf = 1
-	}
-	idx := make([]int, ds.NumSamples())
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = t.grow(ds, idx, 0)
+	t.grow(newColumns(ds, t.Task), nil)
 	return nil
 }
 
-func (t *DecisionTree) grow(ds *dataset.Dataset, idx []int, depth int) *treeNode {
-	if len(idx) <= t.MinLeaf || (t.MaxDepth > 0 && depth >= t.MaxDepth) || pure(ds.Y, idx) {
-		return &treeNode{leaf: true, value: t.leafValue(ds.Y, idx)}
+// columns is a dataset laid out for CART: each feature as a contiguous
+// column and its rows sorted once by cmpLess, ties in ascending row order.
+// A forest or boosting Fit builds it once; boosting swaps y per stage.
+type columns struct {
+	x       [][]float64 // x[j][r] is row r's feature j
+	sorted  [][]int     // sorted[j] is every row, ordered by x[j]
+	y       []float64
+	class   []int     // classification: y[r]'s index in classes
+	classes []float64 // classification: the distinct targets, ascending
+}
+
+func newColumns(ds *dataset.Dataset, task TreeTask) *columns {
+	n, p := ds.NumSamples(), ds.NumFeatures()
+	c := &columns{x: make([][]float64, p), sorted: make([][]int, p), y: ds.Y}
+	xs, rows := make([]float64, n*p), make([]int, n*p)
+	for j := range p {
+		x, s := xs[j*n:(j+1)*n:(j+1)*n], rows[j*n:(j+1)*n:(j+1)*n]
+		for r := range x {
+			x[r], s[r] = ds.X.At(r, j), r
+		}
+		slices.SortFunc(s, func(a, b int) int { return cmp.Or(cmpLess(x[a], x[b]), a-b) })
+		c.x[j], c.sorted[j] = x, s
 	}
-	feature, threshold, ok := t.bestSplit(ds, idx)
-	if !ok {
-		return &treeNode{leaf: true, value: t.leafValue(ds.Y, idx)}
-	}
-	var left, right []int
-	for _, i := range idx {
-		if ds.X.At(i, feature) <= threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	if task == TreeClassification {
+		c.classes = slices.Clone(ds.Y)
+		slices.Sort(c.classes)
+		c.classes = slices.Compact(c.classes)
+		c.class = make([]int, n)
+		for r, v := range ds.Y {
+			c.class[r], _ = slices.BinarySearch(c.classes, v)
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return &treeNode{leaf: true, value: t.leafValue(ds.Y, idx)}
+	return c
+}
+
+// grower grows one tree on a columns. A node owns a segment of every sorted
+// list (its distinct rows) and of the draw list (its draws, in draw order);
+// a split stably partitions all of them, so no node sorts.
+type grower struct {
+	t                *DecisionTree
+	c                *columns
+	w                []int   // w[r]: how many times row r was drawn
+	sorted           [][]int // c.sorted filtered to the drawn rows
+	draws            []int
+	goLeft           []bool // the split being applied, by row
+	buf              []int  // partition scratch
+	features         []int
+	countsL, countsR []float64
+}
+
+// grow fits t on the rows of c named by draws, repeats allowed (a bootstrap
+// sample); nil draws every row once. It takes ownership of draws.
+func (t *DecisionTree) grow(c *columns, draws []int) {
+	t.MinLeaf = max(t.MinLeaf, 1)
+	n, p := len(c.y), len(c.x)
+	if draws == nil {
+		draws = make([]int, n)
+		for r := range draws {
+			draws[r] = r
+		}
 	}
-	return &treeNode{
-		feature:   feature,
-		threshold: threshold,
-		left:      t.grow(ds, left, depth+1),
-		right:     t.grow(ds, right, depth+1),
+	g := &grower{t: t, c: c, w: make([]int, n), sorted: make([][]int, p), draws: draws,
+		goLeft: make([]bool, n), buf: make([]int, len(draws)), features: make([]int, p)}
+	for _, r := range draws {
+		g.w[r]++
 	}
+	backing := make([]int, 0, n*p)
+	for j, s := range c.sorted {
+		start := len(backing)
+		for _, r := range s {
+			if g.w[r] > 0 {
+				backing = append(backing, r)
+			}
+		}
+		g.sorted[j] = backing[start:len(backing):len(backing)]
+	}
+	g.countsL, g.countsR = make([]float64, len(c.classes)), make([]float64, len(c.classes))
+	t.root = g.node(0, len(backing)/max(p, 1), 0, len(draws), 0)
+}
+
+// node grows the subtree over sorted segments [lo, hi) and draws [dlo, dhi).
+func (g *grower) node(lo, hi, dlo, dhi, depth int) *treeNode {
+	t, y, draws := g.t, g.c.y, g.draws[dlo:dhi]
+	mixed := func(r int) bool { return y[r] != y[draws[0]] }
+	if len(draws) > t.MinLeaf && (t.MaxDepth <= 0 || depth < t.MaxDepth) && slices.ContainsFunc(draws[1:], mixed) {
+		if feature, threshold, ok := g.bestSplit(lo, hi, len(draws)); ok {
+			x := g.c.x[feature]
+			for _, r := range g.sorted[feature][lo:hi] {
+				g.goLeft[r] = x[r] <= threshold
+			}
+			if nL := g.partition(draws); nL > 0 && nL < len(draws) {
+				mL := 0
+				for _, s := range g.sorted {
+					mL = g.partition(s[lo:hi])
+				}
+				return &treeNode{
+					feature:   feature,
+					threshold: threshold,
+					left:      g.node(lo, lo+mL, dlo, dlo+nL, depth+1),
+					right:     g.node(lo+mL, hi, dlo+nL, dhi, depth+1),
+				}
+			}
+		}
+	}
+	return &treeNode{leaf: true, value: g.leafValue(draws)}
+}
+
+// partition stably moves s's rows that go left ahead of those that go right
+// and returns how many go left.
+func (g *grower) partition(s []int) int {
+	right, k := g.buf[:0], 0
+	for _, r := range s {
+		if g.goLeft[r] {
+			s[k] = r
+			k++
+		} else {
+			right = append(right, r)
+		}
+	}
+	copy(s[k:], right)
+	return k
 }
 
 // bestSplit scans candidate features for the split minimizing weighted
-// impurity (variance or Gini).
-func (t *DecisionTree) bestSplit(ds *dataset.Dataset, idx []int) (feature int, threshold float64, ok bool) {
-	features := make([]int, ds.NumFeatures())
+// impurity (variance or Gini) over the node's n draws. A row drawn c times
+// enters every sum c times, one copy after another, exactly as c adjacent
+// copies of it would.
+func (g *grower) bestSplit(lo, hi, n int) (feature int, threshold float64, ok bool) {
+	t, y, w, class := g.t, g.c.y, g.w, g.c.class
+	clf, countsL, countsR := t.Task == TreeClassification, g.countsL, g.countsR
+	features := g.features
 	for j := range features {
 		features[j] = j
 	}
@@ -135,78 +229,57 @@ func (t *DecisionTree) bestSplit(ds *dataset.Dataset, idx []int) (feature int, t
 		features = features[:t.MaxFeatures]
 	}
 	best := math.Inf(1)
-	type pair struct{ x, y float64 }
-	pairs := make([]pair, len(idx))
 	for _, j := range features {
-		for k, i := range idx {
-			pairs[k] = pair{ds.X.At(i, j), ds.Y[i]}
+		// Incremental impurity scan over sorted order; a split falls only
+		// between two rows with different x.
+		x, rows := g.c.x[j], g.sorted[j][lo:hi]
+		var sumL, sqL, sumR, sqR float64
+		clear(countsL)
+		clear(countsR)
+		for _, r := range rows {
+			for c := w[r]; c > 0; c-- {
+				if clf {
+					countsR[class[r]]++
+				} else {
+					sumR += y[r]
+					sqR += y[r] * y[r]
+				}
+			}
 		}
-		slices.SortFunc(pairs, func(a, b pair) int { return cmpLess(a.x, b.x) })
-		// Incremental impurity scan over sorted order.
-		switch t.Task {
-		case TreeRegression:
-			var sumL, sqL float64
-			sumR, sqR := 0.0, 0.0
-			for _, p := range pairs {
-				sumR += p.y
-				sqR += p.y * p.y
-			}
-			nL, nR := 0.0, float64(len(pairs))
-			for k := 0; k < len(pairs)-1; k++ {
-				y := pairs[k].y
-				sumL += y
-				sqL += y * y
-				sumR -= y
-				sqR -= y * y
+		nL, nR := 0.0, float64(n)
+		for k, r := range rows[:len(rows)-1] {
+			for c := w[r]; c > 0; c-- {
+				if clf {
+					countsL[class[r]]++
+					countsR[class[r]]--
+				} else {
+					sumL += y[r]
+					sqL += y[r] * y[r]
+					sumR -= y[r]
+					sqR -= y[r] * y[r]
+				}
 				nL++
 				nR--
-				if pairs[k].x == pairs[k+1].x {
-					continue
-				}
-				if int(nL) < t.MinLeaf || int(nR) < t.MinLeaf {
-					continue
-				}
-				varL := sqL - sumL*sumL/nL
-				varR := sqR - sumR*sumR/nR
-				if imp := varL + varR; imp < best {
-					best = imp
-					feature = j
-					threshold = (pairs[k].x + pairs[k+1].x) / 2
-					ok = true
-				}
 			}
-		case TreeClassification:
-			countsR := map[float64]float64{}
-			for _, p := range pairs {
-				countsR[p.y]++
+			next := rows[k+1]
+			if x[r] == x[next] || int(nL) < t.MinLeaf || int(nR) < t.MinLeaf {
+				continue
 			}
-			countsL := map[float64]float64{}
-			nL, nR := 0.0, float64(len(pairs))
-			for k := 0; k < len(pairs)-1; k++ {
-				y := pairs[k].y
-				countsL[y]++
-				countsR[y]--
-				nL++
-				nR--
-				if pairs[k].x == pairs[k+1].x {
-					continue
-				}
-				if int(nL) < t.MinLeaf || int(nR) < t.MinLeaf {
-					continue
-				}
-				if imp := nL*gini(countsL, nL) + nR*gini(countsR, nR); imp < best {
-					best = imp
-					feature = j
-					threshold = (pairs[k].x + pairs[k+1].x) / 2
-					ok = true
-				}
+			imp := sqL - sumL*sumL/nL + (sqR - sumR*sumR/nR) // left + right variance
+			if clf {
+				imp = nL*gini(countsL, nL) + nR*gini(countsR, nR)
+			}
+			if imp < best {
+				best, feature, threshold, ok = imp, j, (x[r]+x[next])/2, true
 			}
 		}
 	}
 	return feature, threshold, ok
 }
 
-func gini(counts map[float64]float64, n float64) float64 {
+// gini is 1 - sum p^2 over counts indexed by class, classes ascending, so
+// an impurity's last bits never depend on iteration order.
+func gini(counts []float64, n float64) float64 {
 	g := 1.0
 	for _, c := range counts {
 		p := c / n
@@ -215,36 +288,22 @@ func gini(counts map[float64]float64, n float64) float64 {
 	return g
 }
 
-func pure(y []float64, idx []int) bool {
-	for _, i := range idx[1:] {
-		if y[i] != y[idx[0]] {
-			return false
+// leafValue is the majority class (the smallest on a tie) or the mean
+// target, summed in draw order.
+func (g *grower) leafValue(draws []int) float64 {
+	if g.t.Task == TreeClassification {
+		counts := g.countsL
+		clear(counts)
+		for _, r := range draws {
+			counts[g.c.class[r]]++
 		}
+		return g.c.classes[slices.Index(counts, slices.Max(counts))]
 	}
-	return true
-}
-
-func (t *DecisionTree) leafValue(y []float64, idx []int) float64 {
-	switch t.Task {
-	case TreeClassification:
-		counts := map[float64]int{}
-		for _, i := range idx {
-			counts[y[i]]++
-		}
-		best, bestN := 0.0, -1
-		for v, n := range counts {
-			if n > bestN || (n == bestN && v < best) {
-				best, bestN = v, n
-			}
-		}
-		return best
-	default:
-		s := 0.0
-		for _, i := range idx {
-			s += y[i]
-		}
-		return s / float64(len(idx))
+	s := 0.0
+	for _, r := range draws {
+		s += g.c.y[r]
 	}
+	return s / float64(len(draws))
 }
 
 // Predict routes each row down the tree.
