@@ -21,7 +21,8 @@ var (
 const claimAhead = 2
 
 // unitPlan is what the dispatcher knows about a unit: the first two while
-// it is still deciding, the others what the worker that takes it must do.
+// it is still deciding, the others how it is settled — a hit or a skip on
+// the dispatcher itself, the rest by the worker that computes it.
 type unitPlan uint8
 
 const (
@@ -64,8 +65,9 @@ type claimWindow struct {
 }
 
 func newClaimWindow(ctx context.Context, opts SearchOptions, units []searchUnit, drain func()) *claimWindow {
+	// Every unit is settled once, so out never outgrows len(units).
 	w := &claimWindow{opts: opts, units: units, size: claimAhead * opts.Parallelism, drain: drain,
-		plan: make([]unitPlan, len(units)), dir: 1}
+		plan: make([]unitPlan, len(units)), out: make([]handoff, 0, len(units)), dir: 1}
 	if opts.Store != nil && len(units) > 0 {
 		w.nOpen = len(units)
 		w.look(ctx, false)

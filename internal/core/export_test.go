@@ -6,3 +6,31 @@ const ClaimAhead = claimAhead
 
 // EvalSpec is the eval spec Search keys opts' units with.
 func EvalSpec(opts SearchOptions) string { return evalSpecOf(opts) }
+
+// PlannedUnit is one unit as Search plans it, beside the spec of the
+// pipeline the unit builds when it runs.
+type PlannedUnit struct {
+	Key, Spec, BuiltSpec string
+}
+
+// PlanUnits plans g's units under grid the way Search does and builds
+// every one of them.
+func PlanUnits(g *Graph, grid map[string][]float64, fp, evalSpec string) ([]PlannedUnit, error) {
+	paths, err := g.finalPaths()
+	if err != nil {
+		return nil, err
+	}
+	units, err := planUnits(paths, grid, fp, evalSpec)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PlannedUnit, len(units))
+	for i := range units {
+		p, err := units[i].build()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = PlannedUnit{Key: units[i].key, Spec: units[i].spec, BuiltSpec: p.Spec()}
+	}
+	return out, nil
+}

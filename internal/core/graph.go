@@ -44,6 +44,25 @@ func (n *Node) clone() *Node {
 	return out
 }
 
+// setParam applies the param part of a "node__param" assignment to the
+// node's components. For a chain node, the param goes to the first
+// component in the chain that accepts it (component parameter names are
+// disjoint in practice); with a single transformer it applies directly.
+func (n *Node) setParam(param string, v float64) error {
+	if n.Estimator != nil {
+		return setComponentParam(n.Estimator, param, v)
+	}
+	if len(n.Transformers) == 1 {
+		return setComponentParam(n.Transformers[0], param, v)
+	}
+	for _, t := range n.Transformers {
+		if err := t.SetParam(param, v); err == nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("core: chain node %q: no component accepts parameter %q", n.Name, param)
+}
+
 // Stage is one layer of the graph: a named modelling step with multiple
 // candidate operations (Table I's rows).
 type Stage struct {
@@ -262,19 +281,26 @@ func (g *Graph) Stages() []*Stage { return g.stages }
 // terminal estimator stage, and every node reachable and co-reachable given
 // the explicit edges.
 func (g *Graph) Finalize() error {
+	_, err := g.finalPaths()
+	return err
+}
+
+// finalPaths is Finalize returning the paths it enumerated.
+func (g *Graph) finalPaths() ([]Path, error) {
 	if g.err != nil {
-		return g.err
+		return nil, g.err
 	}
 	if len(g.stages) == 0 {
-		return fmt.Errorf("core: graph has no stages")
+		return nil, fmt.Errorf("core: graph has no stages")
 	}
 	if !g.lastStageIsEstimator() {
-		return fmt.Errorf("core: graph must end with an estimator stage (call AddEstimatorStage)")
+		return nil, fmt.Errorf("core: graph must end with an estimator stage (call AddEstimatorStage)")
 	}
-	if len(g.Paths()) == 0 {
-		return fmt.Errorf("core: graph has no complete root-to-leaf paths; check Connect calls")
+	paths := g.Paths()
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("core: graph has no complete root-to-leaf paths; check Connect calls")
 	}
-	return nil
+	return paths, nil
 }
 
 // allowed reports whether an edge from -> to is in E.

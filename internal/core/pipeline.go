@@ -64,24 +64,9 @@ func (p *Pipeline) SetParam(key string, v float64) error {
 		return fmt.Errorf("core: parameter key %q is not of the form node__param", key)
 	}
 	for _, n := range p.Nodes {
-		if n.Name != node {
-			continue
+		if n.Name == node {
+			return n.setParam(param, v)
 		}
-		if n.Estimator != nil {
-			return setComponentParam(n.Estimator, param, v)
-		}
-		// For a chain node, the param goes to the first component in the
-		// chain that accepts it (component parameter names are disjoint
-		// in practice); with a single transformer it applies directly.
-		if len(n.Transformers) == 1 {
-			return setComponentParam(n.Transformers[0], param, v)
-		}
-		for _, t := range n.Transformers {
-			if err := t.SetParam(param, v); err == nil {
-				return nil
-			}
-		}
-		return fmt.Errorf("core: chain node %q: no component accepts parameter %q", node, param)
 	}
 	return fmt.Errorf("core: no node named %q in pipeline %s", node, p.Spec())
 }

@@ -1,0 +1,281 @@
+package core_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
+	"log/slog"
+	"math"
+	"math/rand"
+	"runtime/debug"
+	"slices"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"coda/internal/core"
+	"coda/internal/crossval"
+	"coda/internal/darr"
+	"coda/internal/dataset"
+	"coda/internal/metrics"
+	"coda/internal/mlmodels"
+	"coda/internal/obs"
+	"coda/internal/obs/trace"
+	"coda/internal/preprocess"
+	"coda/internal/tsgraph"
+)
+
+// keyRecorder is a ResultStore holding a published score for every key: a
+// search against it is all hits, and it keeps the keys it was asked for.
+type keyRecorder struct{ keys []string }
+
+func (r *keyRecorder) LookupBatch(_ context.Context, keys []string) (map[string]float64, error) {
+	out := make(map[string]float64, len(keys))
+	for _, k := range keys {
+		r.keys = append(r.keys, k)
+		out[k] = 1
+	}
+	return out, nil
+}
+
+func (r *keyRecorder) ClaimBatch(context.Context, []string) (map[string]bool, error) {
+	return nil, errors.New("keyRecorder: every key is published")
+}
+
+func (r *keyRecorder) Publish(context.Context, string, float64, string) error { return nil }
+func (r *keyRecorder) Release(context.Context, string) error                  { return nil }
+
+// coopGridGraph is coda-client's regression graph: 4 scalers x 3 selector
+// chains x 4 models.
+func coopGridGraph(t *testing.T) *core.Graph {
+	t.Helper()
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(), preprocess.NewStandardScaler(), preprocess.NewNoOp())
+	g.AddFeatureSelectors(
+		[]core.Transformer{preprocess.NewCovariance(), preprocess.NewPCA(3)},
+		[]core.Transformer{preprocess.NewSelectKBest(3)},
+		[]core.Transformer{preprocess.NewNoOp()},
+	)
+	g.AddRegressionModels(
+		mlmodels.NewRandomForest(mlmodels.TreeRegression, 30),
+		mlmodels.NewKNN(mlmodels.KNNRegression, 5),
+		mlmodels.NewDecisionTree(mlmodels.TreeRegression),
+		mlmodels.NewLinearRegression(),
+	)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// keyCase is a graph, a grid and the data and evaluation its units are
+// keyed under.
+type keyCase struct {
+	name  string
+	graph func(*testing.T) *core.Graph
+	grid  map[string][]float64
+	ds    func(*testing.T) *dataset.Dataset
+	opts  core.SearchOptions
+	units int
+}
+
+func keyCases() []keyCase {
+	rmse, _ := metrics.ScorerByName("rmse")
+	return []keyCase{
+		{
+			name:  "coop-grid",
+			graph: coopGridGraph,
+			grid: map[string][]float64{
+				"randomforest__n_trees":   {10, 20, 30},
+				"randomforest__max_depth": {4, 8},
+				"decisiontree__max_depth": {3, 5, 8},
+			},
+			ds: func(t *testing.T) *dataset.Dataset {
+				ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 400, Features: 6, Informative: 3, Noise: 3}, rand.New(rand.NewSource(3)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ds
+			},
+			opts:  core.SearchOptions{Splitter: crossval.KFold{K: 5, Shuffle: true}, Scorer: rmse, Seed: 1},
+			units: 132,
+		},
+		{
+			// A grid key on a chain node: the value reaches the chain's first
+			// component that accepts it.
+			name:  "fig3",
+			graph: fig3Graph,
+			grid:  map[string][]float64{"covariance+pca__n_components": {2, 3}, "knn__k": {3, 7}},
+			ds:    func(t *testing.T) *dataset.Dataset { return regDS(t, 90) },
+			opts:  core.SearchOptions{Splitter: crossval.KFold{K: 3, Shuffle: true}, Scorer: rmse, Seed: 5},
+			units: 64,
+		},
+		{
+			name: "fig11",
+			graph: func(t *testing.T) *core.Graph {
+				g, err := tsgraph.New(tsgraph.Config{History: 5, Horizon: 1, Target: 3, Epochs: 2, Seed: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			},
+			grid:  map[string][]float64{"cascadedwindows__history": {4, 5}},
+			ds:    func(*testing.T) *dataset.Dataset { return fusionSeries(120) },
+			opts:  core.SearchOptions{Splitter: crossval.SlidingSplit{K: 2, TrainSize: 60, TestSize: 30, Buffer: 1}, Scorer: rmse, Seed: 5},
+			units: 72,
+		},
+	}
+}
+
+// TestUnitKeysPinned: the DARR keys a search asks for are the contract
+// between builds — a DARR filled by an earlier build must still hit. Each
+// digest is the SHA-256 of a search's keys, sorted and newline-joined,
+// recorded before units were planned rather than instantiated.
+func TestUnitKeysPinned(t *testing.T) {
+	want := map[string]string{
+		"coop-grid": "045ccc535d01e6468a8372bb5f3f2088181b625addb4bacf89a35438c280d4ac",
+		"fig3":      "1096fa011f822d67b043ba5faca93f685f70b797a63cfd32a7ec40f249bbf49a",
+		"fig11":     "78197ce4248acfca594c8f3295fa3cd771b64a79f69990d9d38a1d26e148c076",
+	}
+	for _, c := range keyCases() {
+		t.Run(c.name, func(t *testing.T) {
+			st := &keyRecorder{}
+			opts := c.opts
+			opts.ParamGrid, opts.Store, opts.Parallelism = c.grid, st, 1
+			res, err := core.Search(context.Background(), c.graph(t), c.ds(t), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.keys) != c.units || res.CacheHits != c.units {
+				t.Fatalf("%d keys looked up, %d hits; want %d units", len(st.keys), res.CacheHits, c.units)
+			}
+			slices.Sort(st.keys)
+			sum := sha256.Sum256([]byte(strings.Join(st.keys, "\n")))
+			if got := hex.EncodeToString(sum[:]); got != want[c.name] {
+				t.Errorf("keys digest %s, want %s", got, want[c.name])
+			}
+		})
+	}
+}
+
+// TestPlannedSpecIsBuiltSpec: a planned unit's spec is, byte for byte, the
+// Spec of the pipeline it builds, and its key is UnitKey over that spec —
+// on every unit of the three keyed graphs, chain-node grid key included.
+func TestPlannedSpecIsBuiltSpec(t *testing.T) {
+	for _, c := range keyCases() {
+		t.Run(c.name, func(t *testing.T) {
+			units, err := core.PlanUnits(c.graph(t), c.grid, "fp", "eval")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(units) != c.units {
+				t.Fatalf("%d units planned, want %d", len(units), c.units)
+			}
+			for i, u := range units {
+				if u.Spec != u.BuiltSpec || u.Key != core.UnitKey("fp", u.BuiltSpec, "eval") {
+					t.Fatalf("unit %d: planned spec %q key %q, built spec %q", i, u.Spec, u.Key, u.BuiltSpec)
+				}
+			}
+		})
+	}
+}
+
+// TestPlanRejectsBadGridValue: a grid value a component refuses fails the
+// search before anything runs, naming the key and the value.
+func TestPlanRejectsBadGridValue(t *testing.T) {
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewStandardScaler())
+	g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 3))
+	scorer, _ := metrics.ScorerByName("rmse")
+	_, err := core.Search(context.Background(), g, regDS(t, 40), core.SearchOptions{
+		Splitter: crossval.KFold{K: 2}, Scorer: scorer,
+		ParamGrid: map[string][]float64{"knn__bogus": {1}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "applying grid knn__bogus=1") {
+		t.Fatalf("search with a grid value knn refuses: err %v", err)
+	}
+}
+
+// countingScaler is a standard scaler that counts the clones made of it
+// and of its clones.
+type countingScaler struct {
+	core.Transformer
+	clones *atomic.Int64
+}
+
+func (c countingScaler) Clone() core.Transformer {
+	c.clones.Add(1)
+	return countingScaler{Transformer: c.Transformer.Clone(), clones: c.clones}
+}
+
+// TestWarmSearchInstantiatesOnlyTheRefit: against an in-process DARR that
+// holds every unit's score, a search settles each unit from the one lookup.
+// It builds no fold dataset and clones the counting scaler — which sits on
+// every path and carries no grid key — exactly once, for the winner's
+// refit. Its allocations are pinned exactly, so one more per unit fails
+// here.
+func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
+	var clones atomic.Int64
+	graph := func() *core.Graph {
+		g := core.NewGraph()
+		g.AddFeatureScalers(countingScaler{Transformer: preprocess.NewStandardScaler(), clones: &clones})
+		g.AddFeatureSelectors([]core.Transformer{preprocess.NewSelectKBest(2)}, []core.Transformer{preprocess.NewNoOp()})
+		g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 3))
+		return g
+	}
+	ds := regDS(t, 80)
+	repo := darr.NewRepo(nil, time.Minute)
+	opts := batchOpts(&darr.Client{Repo: repo, ClientID: "cold", Metric: "rmse"})
+	opts.ParamGrid = map[string][]float64{"knn__k": {3, 5, 7}}
+	opts.Parallelism = 1
+	opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	cold, err := core.Search(context.Background(), graph(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Computed != 8 || repo.Len() != 8 {
+		t.Fatalf("cold search computed %d units and published %d, want 8", cold.Computed, repo.Len())
+	}
+
+	opts.Store = &darr.Client{Repo: repo, ClientID: "warm", Metric: "rmse"}
+	foldsBuilt := obs.GetCounter("coda_search_fold_datasets_total")
+	folds0 := foldsBuilt.Value()
+	clones.Store(0)
+	warm, err := core.Search(context.Background(), graph(), ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CacheHits != 8 || !sameBestBits(warm, cold) {
+		t.Fatalf("warm search: %d hits, best %+v; want 8 and the cold search's %+v", warm.CacheHits, warm.Best, cold.Best)
+	}
+	if got := foldsBuilt.Value() - folds0; got != 0 {
+		t.Errorf("warm search built %d fold datasets, want 0", got)
+	}
+	if got := clones.Load(); got != 1 {
+		t.Errorf("warm search cloned the scaler %d times, want 1 (the refit)", got)
+	}
+
+	if raceDetector() {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer trace.SetEnabled(true)
+	trace.SetEnabled(false)
+	g := graph()
+	const want = 173
+	if got := testing.AllocsPerRun(10, func() {
+		if _, err := core.Search(context.Background(), g, ds, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); got != want {
+		t.Errorf("warm search of 8 units allocates %v, want exactly %v", got, want)
+	}
+}
+
+func sameBestBits(a, b *core.SearchResult) bool {
+	return a.Best != nil && b.Best != nil && a.Best.Spec == b.Best.Spec &&
+		math.Float64bits(a.Best.Mean) == math.Float64bits(b.Best.Mean)
+}

@@ -7,9 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -193,22 +190,14 @@ type SearchResult struct {
 	Profile SearchProfile
 }
 
-// searchUnit is one pipeline x parameter-assignment work item.
-type searchUnit struct {
-	index    int
-	pipeline *Pipeline
-	params   map[string]float64
-	spec     string // pipeline.Spec(), set by Search
-	key      string // the unit's DARR key
-}
-
 // Search evaluates every pipeline in the graph under every applicable
 // parameter-grid assignment with the configured cross-validation strategy,
 // and returns per-unit scores plus the best pipeline refitted on all data.
 // Individual pipeline failures are recorded, not fatal — the point of a TEG
 // is to try many options, some of which may not suit the data.
 func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptions) (*SearchResult, error) {
-	if err := g.Finalize(); err != nil {
+	paths, err := g.finalPaths()
+	if err != nil {
 		return nil, err
 	}
 	if opts.Splitter == nil {
@@ -237,31 +226,26 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		return nil, fmt.Errorf("core: computing folds: %w", err)
 	}
 
-	units, err := expandUnits(g, opts.ParamGrid)
+	fp := ds.Fingerprint()
+	evalSpec := evalSpecOf(opts)
+	units, err := planUnits(paths, opts.ParamGrid, fp, evalSpec)
 	if err != nil {
 		return nil, err
 	}
 
-	// The fold plan: every unit shares one materialized train/test pair
-	// per split instead of re-subsetting the full dataset per unit x fold.
 	var cache *prefixCache
 	if !opts.DisablePrefixCache {
 		cache = newPrefixCache(int64(opts.PrefixCacheMB) << 20)
 		defer cache.release()
 	}
-	folds := materializeFolds(ds, splits, cache)
+	// The fold plan: every computed unit shares one materialized
+	// train/test pair per split, built when the first one is handed out.
+	var folds []foldData
 
-	fp := ds.Fingerprint()
-	evalSpec := evalSpecOf(opts)
-
-	for i := range units {
-		units[i].spec = units[i].pipeline.Spec()
-		units[i].key = UnitKey(fp, units[i].spec, evalSpec)
-	}
 	var wg sync.WaitGroup
 	win := newClaimWindow(ctx, opts, units, wg.Wait)
 
-	searchSpan.SetAttr(trace.Int("units", len(units)), trace.Int("folds", len(folds)),
+	searchSpan.SetAttr(trace.Int("units", len(units)), trace.Int("folds", len(splits)),
 		trace.Int("parallelism", opts.Parallelism))
 
 	results := make([]UnitResult, len(units))
@@ -271,7 +255,15 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		if !ok {
 			break
 		}
-		u := units[h.unit]
+		u := &units[h.unit]
+		if h.plan == planHit || h.plan == planSkipped {
+			// Settled by the store: nothing to run, so no worker.
+			results[u.index] = settledUnit(ctx, u, h)
+			continue
+		}
+		if folds == nil {
+			folds = materializeFolds(ds, splits, cache)
+		}
 		wg.Add(1)
 		// Time spent waiting for a worker slot is queue time on the
 		// critical path — visible saturation, not invisible stalling.
@@ -298,7 +290,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 
 	res := &SearchResult{Units: results}
 	if cache != nil {
-		res.Prefix = cache.stats(len(folds))
+		res.Prefix = cache.stats(len(splits))
 	}
 	failed := 0
 	for i := range results {
@@ -349,10 +341,12 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		// Each UnitResult carries its own unit index: a spec lookup here
 		// could silently pick (and refit) the wrong pipeline when
 		// duplicate graph paths share a spec.
-		refit := units[res.Best.Index].pipeline.Clone()
 		_, rsp := trace.Start(ctx, "search.refit", trace.String("spec", res.Best.Spec))
 		rsp.SetComponent(trace.CompCompute)
-		err := refit.Fit(ds)
+		refit, err := units[res.Best.Index].build()
+		if err == nil {
+			err = refit.Fit(ds)
+		}
 		rsp.End()
 		if err != nil {
 			return nil, fmt.Errorf("core: refitting best pipeline %s: %w", res.Best.Spec, err)
@@ -433,8 +427,27 @@ func releaseClaim(ctx context.Context, opts SearchOptions, key string, held bool
 	}
 }
 
-func evaluateUnit(ctx context.Context, u searchUnit, h handoff, folds []foldData, cache *prefixCache, evalSpec string, opts SearchOptions) (out UnitResult) {
-	out = UnitResult{Index: u.index, Spec: u.spec, Params: u.params}
+// settledUnit is the result of a unit the store settled on the dispatcher —
+// a published score or a peer's claim — with its unit span when tracing.
+func settledUnit(ctx context.Context, u *searchUnit, h handoff) UnitResult {
+	out := UnitResult{Index: u.index, Spec: u.spec, Params: u.params}
+	if h.plan == planHit {
+		out.Mean, out.FromCache = h.score, true
+	} else {
+		out.Skipped = true
+	}
+	if _, usp := trace.Start(ctx, "search.unit"); usp != nil {
+		usp.SetAttr(trace.Int("unit", u.index), trace.String("spec", out.Spec),
+			trace.String("outcome", unitOutcome(&out)))
+		usp.End()
+	}
+	return out
+}
+
+// evaluateUnit computes a unit a worker was handed: locally, under a claim
+// it then publishes or releases, or degraded past a failing store.
+func evaluateUnit(ctx context.Context, u *searchUnit, h handoff, folds []foldData, cache *prefixCache, evalSpec string, opts SearchOptions) (out UnitResult) {
+	out = UnitResult{Index: u.index, Spec: u.spec, Params: u.params, Degraded: h.plan == planDegraded}
 
 	// The unit span is structural (no component): per-fold children carry
 	// compute, and the publish round trip carries its own wait — tagging
@@ -451,16 +464,6 @@ func evaluateUnit(ctx context.Context, u searchUnit, h handoff, folds []foldData
 	// claimHeld: this client holds the key's claim and must publish or
 	// release it.
 	claimHeld := h.plan == planGranted
-	switch h.plan {
-	case planHit:
-		out.Mean, out.FromCache = h.score, true
-		return out
-	case planSkipped:
-		out.Skipped = true
-		return out
-	case planDegraded:
-		out.Degraded = true
-	}
 	if claimHeld {
 		defer mClaimsHeld.Add(-1)
 	}
@@ -509,22 +512,27 @@ func evaluateUnit(ctx context.Context, u searchUnit, h handoff, folds []foldData
 	return out
 }
 
-// computeUnitScores runs the unit's pipeline over every materialized
-// fold. With a prefix cache, each level of the unit's transformer prefix is
-// fetched from it (computed and cached when missing); without one every
-// level is computed in place. Both run the same per-node step on the same
-// data, so scores are bit-identical — the cache only removes repetition.
-func computeUnitScores(ctx context.Context, u searchUnit, folds []foldData, cache *prefixCache, opts SearchOptions) ([]float64, error) {
+// computeUnitScores builds the unit's pipeline and runs it over every
+// materialized fold. With a prefix cache, each level of the unit's
+// transformer prefix is fetched from it (computed and cached when missing);
+// without one every level is computed in place. Both run the same per-node
+// step on the same data, so scores are bit-identical — the cache only
+// removes repetition.
+func computeUnitScores(ctx context.Context, u *searchUnit, folds []foldData, cache *prefixCache, opts SearchOptions) ([]float64, error) {
+	p, err := u.build()
+	if err != nil {
+		return nil, err
+	}
 	var prefixes []string
 	if cache != nil {
-		prefixes = u.pipeline.PrefixSpecs()
+		prefixes = p.PrefixSpecs()
 	}
 	scores := make([]float64, 0, len(folds))
 	for fi, fd := range folds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		score, err := scoreFold(ctx, u, fi, fd, cache, prefixes, opts)
+		score, err := scoreFold(ctx, p, fi, fd, cache, prefixes, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -533,14 +541,14 @@ func computeUnitScores(ctx context.Context, u searchUnit, folds []foldData, cach
 	return scores, nil
 }
 
-// scoreFold fits and scores the unit's pipeline on one fold, under a
+// scoreFold fits and scores a unit's pipeline p on one fold, under a
 // compute-tagged span recording how many prefix levels the cache served
 // (prefix_hits) and how many this span had to fit (prefix_misses). It walks
 // the unit's transformer nodes once, each level the per-node step applied to
 // the level above — through the cache's memo when there is one — and then
-// fits a clone of the estimator on the result. The unit's own components
-// are never fitted: they stay the template the winner's refit clones.
-func scoreFold(ctx context.Context, u searchUnit, fi int, fd foldData, cache *prefixCache, prefixes []string, opts SearchOptions) (float64, error) {
+// fits a clone of the estimator on the result. p's own components are never
+// fitted: they are the template every fold clones.
+func scoreFold(ctx context.Context, p *Pipeline, fi int, fd foldData, cache *prefixCache, prefixes []string, opts SearchOptions) (float64, error) {
 	_, fsp := trace.Start(ctx, "search.fold_fit")
 	if fsp != nil {
 		fsp.SetComponent(trace.CompCompute)
@@ -555,7 +563,7 @@ func scoreFold(ctx context.Context, u searchUnit, fi int, fd foldData, cache *pr
 			fsp.SetAttr(trace.Int("prefix_hits", hits), trace.Int("prefix_misses", misses))
 		}()
 	}
-	for d, node := range u.pipeline.transformerNodes() {
+	for d, node := range p.transformerNodes() {
 		step := func(train, test *dataset.Dataset) (*dataset.Dataset, *dataset.Dataset, error) {
 			return node.clone().fitTransform(train, test)
 		}
@@ -576,7 +584,7 @@ func scoreFold(ctx context.Context, u searchUnit, fi int, fd foldData, cache *pr
 		}
 	}
 
-	last := u.pipeline.Nodes[len(u.pipeline.Nodes)-1]
+	last := p.Nodes[len(p.Nodes)-1]
 	est := last.Estimator.Clone()
 	if err := est.Fit(train); err != nil {
 		return 0, fmt.Errorf("core: fitting estimator %q: %w", last.Name, err)
@@ -601,67 +609,4 @@ func unitOutcome(u *UnitResult) string {
 	default:
 		return "computed"
 	}
-}
-
-// expandUnits enumerates (path x applicable grid assignment) units, applying
-// grid values via SetParam on fresh pipeline clones.
-func expandUnits(g *Graph, grid map[string][]float64) ([]searchUnit, error) {
-	paths := g.Paths()
-	keys := make([]string, 0, len(grid))
-	for k := range grid {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	var units []searchUnit
-	for _, path := range paths {
-		base, err := NewPipeline(path)
-		if err != nil {
-			return nil, err
-		}
-		// Grid keys that name a node on this path.
-		var applicable []string
-		for _, k := range keys {
-			node, _, ok := strings.Cut(k, "__")
-			if ok && base.HasNode(node) {
-				applicable = append(applicable, k)
-			}
-		}
-		assignments := cartesian(applicable, grid)
-		for _, assign := range assignments {
-			p := base.Clone()
-			for k, v := range assign {
-				if err := p.SetParam(k, v); err != nil {
-					return nil, fmt.Errorf("core: applying grid %s=%s: %w", k, strconv.FormatFloat(v, 'g', -1, 64), err)
-				}
-			}
-			units = append(units, searchUnit{index: len(units), pipeline: p, params: assign})
-		}
-	}
-	return units, nil
-}
-
-// cartesian expands the grid over the given keys; with no keys it returns a
-// single empty assignment.
-func cartesian(keys []string, grid map[string][]float64) []map[string]float64 {
-	out := []map[string]float64{{}}
-	for _, k := range keys {
-		vals := grid[k]
-		if len(vals) == 0 {
-			continue
-		}
-		next := make([]map[string]float64, 0, len(out)*len(vals))
-		for _, assign := range out {
-			for _, v := range vals {
-				na := make(map[string]float64, len(assign)+1)
-				for ak, av := range assign {
-					na[ak] = av
-				}
-				na[k] = v
-				next = append(next, na)
-			}
-		}
-		out = next
-	}
-	return out
 }

@@ -198,21 +198,25 @@ func (d *Dataset) Shuffle(rng *rand.Rand) *Dataset {
 // Fingerprint returns a stable hex digest of the dataset contents. The DARR
 // keys shared analytics results by this fingerprint so that cooperating
 // clients agree on what "the same data" means.
+//
+// The hashed bytes are the row and column counts, then every element of X
+// and Y, each as a little-endian uint64. They are encoded a 4 KiB block at a
+// time, one hash write per block rather than per value.
 func (d *Dataset) Fingerprint() string {
 	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(d.X.Rows()))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(d.X.Cols()))
-	h.Write(buf[:])
-	for _, v := range d.X.Data() {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+	buf := make([]byte, 0, 4<<10)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.X.Rows()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.X.Cols()))
+	for _, vs := range [][]float64{d.X.Data(), d.Y} {
+		for _, v := range vs {
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
 	}
-	for _, v := range d.Y {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 

@@ -120,6 +120,30 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned: the DARR keys every shared result by Fingerprint,
+// so its bytes are part of the wire contract — a durable DARR filled by an
+// earlier build must still hit. The digests are of the 4x2 fixture and of
+// the 400x6 regression set search-coop-grid searches, whose 2 802 floats
+// span several of the hash's encoding blocks.
+func TestFingerprintPinned(t *testing.T) {
+	grid, _, err := MakeRegression(RegressionSpec{Samples: 400, Features: 6, Informative: 3, Noise: 3}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ds   *Dataset
+		want string
+	}{
+		{"4x2", makeDS(t), "8f38e830dda0ea58e873f8bdd0512f7e"},
+		{"400x6", grid, "417b50d9da0ee65db74549b7e76ccd16"},
+	} {
+		if got := c.ds.Fingerprint(); got != c.want {
+			t.Errorf("%s: Fingerprint() = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 func TestTrainTestSplit(t *testing.T) {
 	ds := makeDS(t)
 	rng := rand.New(rand.NewSource(1))

@@ -7,10 +7,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -97,8 +98,16 @@ func TestBatchEndpointRejectsOversizedAndEmpty(t *testing.T) {
 	if _, err := c.LookupBatch(ctx, []string{"a", "b", "c"}); err == nil || !strings.Contains(err.Error(), "status 400") {
 		t.Fatalf("oversized batch error = %v, want 400", err)
 	}
-	if _, err := c.LookupBatch(ctx, nil); err == nil {
-		t.Fatal("empty batch must be rejected")
+	// The server refuses an empty batch; the client never sends one.
+	for _, path := range []string{"/darr/batch/lookup", "/darr/batch/claims"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"keys":[],"client_id":"c"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("empty batch to %s answered %d, want 400", path, resp.StatusCode)
+		}
 	}
 	if _, err := c.ClaimBatch(ctx, []string{"a", "b", "c"}); err == nil {
 		t.Fatal("oversized claim batch must be rejected")
@@ -107,6 +116,73 @@ func TestBatchEndpointRejectsOversizedAndEmpty(t *testing.T) {
 	anon := NewClient(c.BaseURL, "")
 	if _, err := anon.ClaimBatch(ctx, []string{"a"}); err == nil {
 		t.Fatal("claim batch without client_id must be rejected")
+	}
+}
+
+// TestResultStoresAgreeOnBatchSizes: the in-process and the HTTP DARR
+// client give the same answers to the same batches — none, one key, and
+// one key past a request's cap — and the HTTP client answers an empty
+// batch itself, with an empty map and no request.
+func TestResultStoresAgreeOnBatchSizes(t *testing.T) {
+	ctx := context.Background()
+	keyset := func(n int) []string {
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("fp|k%d|e", i)
+		}
+		return keys
+	}
+	for _, keys := range [][]string{nil, keyset(1), keyset(DefaultMaxBatchKeys + 1)} {
+		var answers [2]struct {
+			scores  map[string]float64
+			granted map[string]bool
+		}
+		var requests atomic.Int32
+		for i, name := range []string{"darr.Client", "httpapi.Client"} {
+			repo := darr.NewRepo(nil, time.Minute)
+			// Every other key is published; a peer holds the first one, if
+			// it is not.
+			var recs []darr.Record
+			for j := 1; j < len(keys); j += 2 {
+				recs = append(recs, darr.Record{Key: keys[j], Score: float64(j)})
+			}
+			if err := repo.PutBatch(recs); err != nil {
+				t.Fatal(err)
+			}
+			repo.ClaimBatch(keys[:min(1, len(keys))], "peer")
+			var st core.ResultStore = &darr.Client{Repo: repo, ClientID: "me"}
+			if name == "httpapi.Client" {
+				api := NewServer(repo, nil)
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					requests.Add(1)
+					api.ServeHTTP(w, r)
+				}))
+				defer ts.Close()
+				st = NewClient(ts.URL, "me")
+			}
+			a := &answers[i]
+			var err error
+			if a.scores, err = st.LookupBatch(ctx, keys); err != nil {
+				t.Fatalf("%s: %d keys: LookupBatch: %v", name, len(keys), err)
+			}
+			if a.granted, err = st.ClaimBatch(ctx, keys); err != nil {
+				t.Fatalf("%s: %d keys: ClaimBatch: %v", name, len(keys), err)
+			}
+			if a.scores == nil || a.granted == nil || len(a.scores) != len(recs) || len(a.granted) != len(keys) {
+				t.Fatalf("%s: %d keys: %d scores and %d claim decisions (nil: %v), want %d and %d",
+					name, len(keys), len(a.scores), len(a.granted), a.scores == nil || a.granted == nil, len(recs), len(keys))
+			}
+		}
+		if !maps.Equal(answers[0].scores, answers[1].scores) || !maps.Equal(answers[0].granted, answers[1].granted) {
+			t.Errorf("%d keys: the two clients disagree:\n in-process %+v\n HTTP       %+v", len(keys), answers[0], answers[1])
+		}
+		want := int32(0)
+		if len(keys) > 0 {
+			want = 2 * int32((len(keys)+DefaultMaxBatchKeys-1)/DefaultMaxBatchKeys)
+		}
+		if got := requests.Load(); got != want {
+			t.Errorf("%d keys: the HTTP client sent %d requests, want %d", len(keys), got, want)
+		}
 	}
 }
 
@@ -287,8 +363,9 @@ func TestReleaseOverHTTP(t *testing.T) {
 
 // FuzzBatchRoutes: whatever body reaches a cooperation route, the server
 // answers without a panic or a 5xx, every non-2xx reply is a JSON
-// errorReply carrying its status, and a 200 lookup names only keys it was
-// asked for. Each input meets a fresh repo holding two records and one
+// errorReply carrying its status, and a 200 lookup or claim reply answers
+// the request's keys by position — one entry per key, each the repo's own
+// answer for it. Each input meets a fresh repo holding two records and one
 // peer's claim, behind a server that takes at most four keys a batch.
 func FuzzBatchRoutes(f *testing.F) {
 	// The requests a cooperative search makes, by the route selector drawn.
@@ -298,6 +375,7 @@ func FuzzBatchRoutes(f *testing.F) {
 		{http.MethodPost, "/darr/batch/records"},
 		{http.MethodDelete, "/darr/claims"},
 	}
+	published := map[string]float64{"fp|a|e": 1, "fp|b|e": 2}
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		repo := darr.NewRepo(nil, time.Minute)
@@ -325,20 +403,80 @@ func FuzzBatchRoutes(f *testing.F) {
 			}
 			return
 		}
-		if rt.path != "/darr/batch/lookup" {
-			return
+		var req batchClaimRequest
+		if rt.path == "/darr/batch/lookup" || rt.path == "/darr/batch/claims" {
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("a body the server accepted does not decode: %v", err)
+			}
 		}
-		var req batchLookupRequest
-		var reply batchLookupReply
-		if err := json.Unmarshal(body, &req); err != nil {
-			t.Fatalf("a body the server accepted does not decode: %v", err)
+		switch rt.path {
+		case "/darr/batch/lookup":
+			scores := make([]score, len(req.Keys))
+			if err := readScores(w.Body.Bytes(), scores); err != nil {
+				t.Fatalf("lookup of %q: %v", req.Keys, err)
+			}
+			for i, k := range req.Keys {
+				if want, ok := published[k]; scores[i] != (score{v: want, ok: ok}) {
+					t.Fatalf("lookup of %q answered %+v for %q at %d", req.Keys, scores[i], k, i)
+				}
+			}
+		case "/darr/batch/claims":
+			granted := make([]bool, len(req.Keys))
+			if err := readGrants(w.Body.Bytes(), granted); err != nil {
+				t.Fatalf("claim of %q: %v", req.Keys, err)
+			}
+			for i, k := range req.Keys {
+				_, done := published[k]
+				if want := !done && (k != "fp|c|e" || req.ClientID == "peer"); granted[i] != want {
+					t.Fatalf("claim of %q by %q answered %v for %q at %d", req.Keys, req.ClientID, granted[i], k, i)
+				}
+			}
 		}
-		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
-			t.Fatalf("lookup reply %q: %v", w.Body, err)
+	})
+}
+
+// FuzzBatchReply: whatever reply body a client reads for a batch of n keys,
+// readScores and readGrants never panic, and what they accept is JSON that
+// encoding/json reads as exactly n entries, each the value the client
+// returns. A length mismatch is always an error; so are a non-number, a
+// truncated body and the map-shaped reply of servers before positional
+// replies.
+func FuzzBatchReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n uint8, body []byte) {
+		scores := make([]score, n)
+		serr := readScores(body, scores)
+		var lookup struct {
+			Scores []json.RawMessage `json:"scores"`
 		}
-		for k := range reply.Scores {
-			if !slices.Contains(req.Keys, k) {
-				t.Fatalf("lookup of %q answered key %q", req.Keys, k)
+		switch jerr := json.Unmarshal(body, &lookup); {
+		case jerr == nil && len(lookup.Scores) != int(n) && serr == nil:
+			t.Fatalf("lookup reply %q with %d entries accepted for %d keys", body, len(lookup.Scores), n)
+		case serr == nil && jerr != nil:
+			t.Fatalf("lookup reply %q accepted, but encoding/json refuses it: %v", body, jerr)
+		case serr == nil:
+			for i, raw := range lookup.Scores {
+				v, err := strconv.ParseFloat(string(raw), 64)
+				if want := (score{v: v, ok: err == nil}); string(raw) != "null" && err != nil || scores[i] != want {
+					t.Fatalf("lookup reply %q: entry %d %s read as %+v", body, i, raw, scores[i])
+				}
+			}
+		}
+
+		grants := make([]bool, n)
+		gerr := readGrants(body, grants)
+		var claim struct {
+			Granted []json.RawMessage `json:"granted"`
+		}
+		switch jerr := json.Unmarshal(body, &claim); {
+		case jerr == nil && len(claim.Granted) != int(n) && gerr == nil:
+			t.Fatalf("claim reply %q with %d entries accepted for %d keys", body, len(claim.Granted), n)
+		case gerr == nil && jerr != nil:
+			t.Fatalf("claim reply %q accepted, but encoding/json refuses it: %v", body, jerr)
+		case gerr == nil:
+			for i, raw := range claim.Granted {
+				if grants[i] != (string(raw) == "true") {
+					t.Fatalf("claim reply %q: entry %d %s read as %v", body, i, raw, grants[i])
+				}
 			}
 		}
 	})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"maps"
 	"net/http"
 	"net/url"
 	"strings"
@@ -170,15 +169,27 @@ func callLabel(method, path string) string {
 	return method + " " + path
 }
 
+// encodeJSON marshals a request body. Unit keys are full of " -> ", so
+// '<', '>' and '&' go out as themselves, not as HTML-safe \u escapes that
+// grow every key and that the server must unescape.
+func encodeJSON(body any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(body); err != nil {
+		return nil, fmt.Errorf("httpapi: encoding request: %w", err)
+	}
+	return b.Bytes(), nil
+}
+
 // doJSON performs one JSON round-trip with retries, decoding a 2xx reply
 // into out when it is non-nil. The request body is marshalled once.
 func (c *Client) doJSON(ctx context.Context, method, path string, body any, out any) (int, error) {
 	var raw []byte
 	if body != nil {
 		var err error
-		raw, err = json.Marshal(body)
-		if err != nil {
-			return 0, fmt.Errorf("httpapi: encoding request: %w", err)
+		if raw, err = encodeJSON(body); err != nil {
+			return 0, err
 		}
 	}
 	var read func(*http.Response) error
@@ -302,50 +313,65 @@ func (c *Client) Publish(ctx context.Context, key string, score float64, explana
 
 // batches cuts n keys or records into runs of at most DefaultMaxBatchKeys —
 // what a server at its default cap accepts in one request — and calls do
-// for each run in order, stopping at the first error. With n == 0 it
-// calls do once with the empty run, so the server's refusal of an empty
-// batch still reaches the caller. A server started with a smaller
-// -batch-max-keys refuses runs this size with a 400.
+// for each run in order, stopping at the first error. With n == 0 it makes
+// no call: an empty batch is answered locally, never sent. A server
+// started with a smaller -batch-max-keys refuses runs this size with a 400.
 func batches(n int, do func(lo, hi int) error) error {
-	for lo := 0; ; lo += DefaultMaxBatchKeys {
-		hi := min(lo+DefaultMaxBatchKeys, n)
-		if err := do(lo, hi); err != nil || hi == n {
+	for lo := 0; lo < n; lo += DefaultMaxBatchKeys {
+		if err := do(lo, min(lo+DefaultMaxBatchKeys, n)); err != nil {
 			return err
 		}
 	}
+	return nil
 }
 
-// merged adds one run's reply to the answer so far and returns the answer,
-// never nil: the first run's map is the answer itself.
-func merged[V any](answer, reply map[string]V) map[string]V {
-	switch {
-	case answer != nil:
-		maps.Copy(answer, reply)
-		return answer
-	case reply != nil:
-		return reply
+// postBatch posts one run of a batch to path and hands a 200 reply's body
+// to read; what names the call in a status error.
+func (c *Client) postBatch(ctx context.Context, path, what string, body any, read func([]byte) error) error {
+	raw, err := encodeJSON(body)
+	if err != nil {
+		return err
 	}
-	return map[string]V{}
+	status, err := c.do(ctx, http.MethodPost, path, raw, "application/json", func(resp *http.Response) error {
+		reply, err := readSized(resp.Body, resp.ContentLength, maxBodyBytes, nil)
+		if err != nil {
+			// A short body is io.ErrUnexpectedEOF, which the retry layer
+			// retries.
+			return fmt.Errorf("httpapi: reading batch %s reply: %w", what, err)
+		}
+		return read(reply)
+	})
+	if err != nil {
+		return err
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("httpapi: batch %s status %d", what, status)
+	}
+	return nil
 }
 
 // LookupBatch implements core.ResultStore: one POST per
 // DefaultMaxBatchKeys keys resolves the published scores for every key.
 func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]float64, error) {
-	var scores map[string]float64
+	answers := make([]score, len(keys))
 	err := batches(len(keys), func(lo, hi int) error {
-		var out batchLookupReply
-		status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/lookup", batchLookupRequest{Keys: keys[lo:hi]}, &out)
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("httpapi: batch lookup status %d", status)
-		}
-		scores = merged(scores, out.Scores)
-		return nil
+		return c.postBatch(ctx, "/darr/batch/lookup", "lookup", batchLookupRequest{Keys: keys[lo:hi]},
+			func(reply []byte) error { return readScores(reply, answers[lo:hi]) })
 	})
 	if err != nil {
 		return nil, err
+	}
+	hits := 0
+	for _, a := range answers {
+		if a.ok {
+			hits++
+		}
+	}
+	scores := make(map[string]float64, hits)
+	for i, a := range answers {
+		if a.ok {
+			scores[keys[i]] = a.v
+		}
 	}
 	return scores, nil
 }
@@ -355,21 +381,17 @@ func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]flo
 // Claims are idempotent per client, so a retried batch whose response was
 // lost is safe.
 func (c *Client) ClaimBatch(ctx context.Context, keys []string) (map[string]bool, error) {
-	var granted map[string]bool
+	answers := make([]bool, len(keys))
 	err := batches(len(keys), func(lo, hi int) error {
-		var out batchClaimReply
-		status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/claims", batchClaimRequest{Keys: keys[lo:hi], ClientID: c.ClientID}, &out)
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("httpapi: batch claim status %d", status)
-		}
-		granted = merged(granted, out.Granted)
-		return nil
+		return c.postBatch(ctx, "/darr/batch/claims", "claim", batchClaimRequest{Keys: keys[lo:hi], ClientID: c.ClientID},
+			func(reply []byte) error { return readGrants(reply, answers[lo:hi]) })
 	})
 	if err != nil {
 		return nil, err
+	}
+	granted := make(map[string]bool, len(keys))
+	for i, g := range answers {
+		granted[keys[i]] = g
 	}
 	return granted, nil
 }
@@ -377,9 +399,6 @@ func (c *Client) ClaimBatch(ctx context.Context, keys []string) (map[string]bool
 // PublishBatch uploads many records, DefaultMaxBatchKeys to a request.
 // Records are keyed, so retries overwrite rather than duplicate.
 func (c *Client) PublishBatch(ctx context.Context, recs []darr.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
 	return batches(len(recs), func(lo, hi int) error {
 		status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/records", batchRecordsRequest{Records: recs[lo:hi]}, nil)
 		if err != nil {

@@ -396,14 +396,17 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 
 // Wire types of the batched DARR protocol, the only one a search speaks:
 // one request carries every key (or record) of a cooperative search
-// phase.
+// phase. A lookup or claim reply answers the request's keys by position,
+// one entry per key in request order; it does not echo them.
 type batchLookupRequest struct {
 	Keys []string `json:"keys"`
 }
 
+// batchLookupReply is {"scores":[number|null,…]}: Scores[i] is the
+// published score of the request's Keys[i], or null when it has none. The
+// client reads it as []score (readScores).
 type batchLookupReply struct {
-	// Scores maps only the keys that have published results.
-	Scores map[string]float64 `json:"scores"`
+	Scores []*float64 `json:"scores"`
 }
 
 type batchClaimRequest struct {
@@ -411,8 +414,10 @@ type batchClaimRequest struct {
 	ClientID string   `json:"client_id"`
 }
 
+// batchClaimReply is {"granted":[bool,…]}: Granted[i] is the decision on
+// the request's Keys[i].
 type batchClaimReply struct {
-	Granted map[string]bool `json:"granted"`
+	Granted []bool `json:"granted"`
 }
 
 type batchRecordsRequest struct {
@@ -455,11 +460,15 @@ func (s *Server) handleBatchLookup(w http.ResponseWriter, r *http.Request) {
 	recs := s.Repo.GetBatch(req.Keys)
 	sp.SetAttr(trace.Int("hits", len(recs)))
 	sp.End()
-	scores := make(map[string]float64, len(recs))
-	for k, rec := range recs {
-		scores[k] = rec.Score
+	reply := batchLookupReply{Scores: make([]*float64, len(req.Keys))}
+	scores := make([]float64, len(req.Keys))
+	for i, k := range req.Keys {
+		if rec, ok := recs[k]; ok {
+			scores[i] = rec.Score
+			reply.Scores[i] = &scores[i]
+		}
 	}
-	writeJSON(w, http.StatusOK, batchLookupReply{Scores: scores})
+	writeJSON(w, http.StatusOK, reply)
 }
 
 func (s *Server) handleBatchClaims(w http.ResponseWriter, r *http.Request) {
@@ -477,7 +486,11 @@ func (s *Server) handleBatchClaims(w http.ResponseWriter, r *http.Request) {
 	_, sp := trace.Start(r.Context(), "darr.claim_batch", trace.Int("keys", len(req.Keys)))
 	granted := s.Repo.ClaimBatch(req.Keys, req.ClientID)
 	sp.End()
-	writeJSON(w, http.StatusOK, batchClaimReply{Granted: granted})
+	reply := batchClaimReply{Granted: make([]bool, len(req.Keys))}
+	for i, k := range req.Keys {
+		reply.Granted[i] = granted[k]
+	}
+	writeJSON(w, http.StatusOK, reply)
 }
 
 func (s *Server) handleBatchRecords(w http.ResponseWriter, r *http.Request) {
