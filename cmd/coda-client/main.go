@@ -200,10 +200,11 @@ func runServe(ctx context.Context, args []string) error {
 		defer hc.Close()
 		opts.Store = hc
 	}
-	res, _, err := searchToCompletion(ctx, regressionGraph(), ds, opts, httpapi.DefaultPublishFlushInterval)
+	res, err := core.Search(ctx, regressionGraph(), ds, opts)
 	if err != nil {
 		return err
 	}
+	logCooperation(ctx, opts, res)
 	if res.BestPipeline == nil {
 		return fmt.Errorf("no pipeline succeeded on the data")
 	}
@@ -236,36 +237,13 @@ func runServe(ctx context.Context, args []string) error {
 	}
 }
 
-// searchToCompletion runs a search and, while it had to skip units a peer
-// holds claims on, waits for wait — search and serve pass the publish
-// queue's flush interval, as long as a peer's finished result can sit in
-// its queue — and searches again: what is
-// published by then is a cache hit, what a dead peer held is computed once
-// its claim expires. A client that joins a search under way so ends with
-// the whole table, not the best of the part it saw. It returns the last
-// pass's result and the units computed over all passes; a context that
-// ends during a wait returns the last pass as it is.
-func searchToCompletion(ctx context.Context, g *core.Graph, ds *dataset.Dataset, opts core.SearchOptions, wait time.Duration) (*core.SearchResult, int, error) {
-	computed := 0
-	for pass := 1; ; pass++ {
-		res, err := core.Search(ctx, g, ds, opts)
-		if err != nil {
-			return nil, computed, err
-		}
-		computed += res.Computed
-		if opts.Store != nil {
-			slog.Info("cooperative search pass finished",
-				"request_id", obs.RequestID(ctx), "pass", pass, "computed", res.Computed,
-				"cache_hits", res.CacheHits, "skipped", res.Skipped, "degraded", res.Degraded)
-		}
-		if res.Skipped == 0 {
-			return res, computed, nil
-		}
-		select {
-		case <-ctx.Done():
-			return res, computed, nil
-		case <-time.After(wait):
-		}
+// logCooperation logs how a cooperative search settled its units: one line
+// per search, under the search's request id.
+func logCooperation(ctx context.Context, opts core.SearchOptions, res *core.SearchResult) {
+	if opts.Store != nil {
+		slog.Info("cooperative search finished",
+			"request_id", obs.RequestID(ctx), "computed", res.Computed,
+			"cache_hits", res.CacheHits, "skipped", res.Skipped, "degraded", res.Degraded)
 	}
 }
 
@@ -398,15 +376,14 @@ func runSearch(ctx context.Context, args []string) error {
 			"metric", *metric)
 	}
 
-	res, computed, err := searchToCompletion(ctx, g, ds, opts, httpapi.DefaultPublishFlushInterval)
+	res, err := core.Search(ctx, g, ds, opts)
 	if err != nil {
 		return err
 	}
+	logCooperation(ctx, opts, res)
 	fmt.Printf("dataset fingerprint: %s\n", ds.Fingerprint())
-	// Units this client computed in an earlier pass read as cache hits in
-	// the last one.
 	fmt.Printf("units: %d computed, %d from DARR, %d skipped (claimed elsewhere)\n",
-		computed, res.CacheHits-(computed-res.Computed), res.Skipped)
+		res.Computed, res.CacheHits, res.Skipped)
 	if !*noCache {
 		p := res.Prefix
 		fmt.Printf("prefix cache: %d hits, %d misses, %d evictions (%d prefix fits for %d distinct fold-prefix pairs)\n",

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"sync"
 	"time"
 
 	"coda/internal/core"
@@ -21,7 +22,6 @@ import (
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
 	"coda/internal/preprocess"
-	"coda/internal/scheduler"
 	"coda/internal/store"
 )
 
@@ -92,28 +92,46 @@ func main() {
 		Parallelism: 2,
 	}
 
+	// Four clients, 10 ms apart, each one search: on its own, or through
+	// one shared DARR.
+	const clients = 4
 	for _, cooperate := range []bool{false, true} {
 		repo := darr.NewRepo(nil, time.Minute)
-		res, err := scheduler.RunFleet(context.Background(), build, ds, repo, scheduler.FleetOptions{
-			Clients:   4,
-			Search:    opts,
-			Cooperate: cooperate,
-			Stagger:   10 * time.Millisecond,
-		})
-		if err != nil {
-			log.Fatal(err)
+		results := make([]*core.SearchResult, clients)
+		var wg sync.WaitGroup
+		for c := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				time.Sleep(time.Duration(c) * 10 * time.Millisecond)
+				o := opts
+				if cooperate {
+					o.Store = &darr.Client{Repo: repo, ClientID: fmt.Sprint("client-", c), Metric: scorer.Name}
+				}
+				res, err := core.Search(context.Background(), build(), ds, o)
+				if err != nil {
+					log.Fatal(err)
+				}
+				results[c] = res
+			}()
 		}
+		wg.Wait()
+		computed := 0
+		for _, res := range results {
+			computed += res.Computed
+		}
+		unique := len(results[0].Units)
 		mode := "independent"
 		if cooperate {
 			mode = "cooperative (DARR)"
 		}
-		fmt.Printf("%-18s 4 clients, %2d unique units -> %2d computed (redundancy %.2fx)\n",
-			mode, res.UniqueUnits, res.TotalComputed, res.RedundancyFactor())
+		fmt.Printf("%-18s %d clients, %2d unique units -> %2d computed (redundancy %.2fx)\n",
+			mode, clients, unique, computed, float64(computed)/float64(unique))
 		if cooperate {
 			fmt.Printf("  DARR now holds %d shared results; per-client view:\n", repo.Len())
-			for _, r := range res.Reports {
-				fmt.Printf("    %s: computed %d, reused %d, skipped %d\n",
-					r.ClientID, r.Computed, r.CacheHits, r.Skipped)
+			for c, res := range results {
+				fmt.Printf("    client-%d: computed %d, reused %d, best %s\n",
+					c, res.Computed, res.CacheHits, res.Best.Spec)
 			}
 		}
 	}

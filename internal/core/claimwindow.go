@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"coda/internal/obs"
 	"coda/internal/obs/trace"
@@ -20,6 +21,12 @@ var (
 // also the most a peer that finishes first can be left waiting on.
 const claimAhead = 2
 
+// recheckInterval is how long a search waits on the keys a peer holds when
+// its store cannot say when they change (no Waiter). It is the HTTP
+// client's publish flush interval, so a peer's queued result is visible by
+// the first re-check.
+const recheckInterval = 250 * time.Millisecond
+
 // unitPlan is what the dispatcher knows about a unit: the first two while
 // it is still deciding, the others how it is settled — a hit or a skip on
 // the dispatcher itself, the rest by the worker that computes it.
@@ -31,7 +38,7 @@ const (
 	planLocal                    // no store: compute
 	planHit                      // a bulk lookup returned the score
 	planGranted                  // this client holds the claim: compute, then publish or release
-	planSkipped                  // deferred, and the peer had not published it by the deferred lookup
+	planSkipped                  // deferred, and ctx ended before the peer settled it
 	planDegraded                 // a bulk call failed: compute locally, leave the store alone
 )
 
@@ -46,8 +53,9 @@ type handoff struct {
 // runs next. Against a store it looks every key up once, then claims the
 // misses a window at a time as workers drain it, not all of them before
 // the first one starts: a peer that joins finds unclaimed work, and a
-// claim lives for one window's drain, not for the search. Without a store
-// every unit is handed out in order.
+// claim lives for one window's drain, not for the search. What a peer
+// holds it waits for, so every unit ends settled. Without a store every
+// unit is handed out in order.
 type claimWindow struct {
 	opts  SearchOptions
 	units []searchUnit
@@ -59,9 +67,10 @@ type claimWindow struct {
 	ready int        // the planGranted ones among them
 
 	nOpen, nDeferred int
-	pos, dir         int // next unit to ask for, and which way the cursor walks
-	denials          int // windows whose far edge was denied
-	sinceLookup      int // claims granted since the last lookup
+	pos, dir         int  // next unit to ask for, and which way the cursor walks
+	denials          int  // windows whose far edge was denied
+	sinceLookup      int  // claims granted since the last lookup
+	gaveUp           bool // ctx ended while waiting on a peer, after every worker had finished
 }
 
 func newClaimWindow(ctx context.Context, opts SearchOptions, units []searchUnit, drain func()) *claimWindow {
@@ -227,13 +236,48 @@ func (w *claimWindow) moveAway(ctx context.Context) {
 // settleDeferred runs once nothing but deferred units is left. It lets
 // the workers finish — the peer gets that long to publish — and flushes
 // the client's own publishes (a peer finishing beside it reads them the
-// same way); one lookup then turns what the peer has published into cache
-// hits, and the rest are skipped.
+// same way); a lookup over the deferred keys then turns what peers have
+// published into cache hits. The rest a peer still holds: the search waits
+// until one of them is published, released or expired, and opens them to
+// be claimed again, so a dead peer's units are computed once its claim
+// expires. If ctx ends first, they are skipped.
 func (w *claimWindow) settleDeferred(ctx context.Context) {
 	w.drain()
 	flushPublishes(ctx, w.opts)
 	w.look(ctx, true)
+	if w.nDeferred == 0 {
+		return
+	}
+	units, keys := w.undecided()
+	if ctx.Err() == nil {
+		if w.wait(ctx, keys) {
+			for _, u := range units {
+				w.plan[u] = planOpen
+			}
+			w.nOpen, w.nDeferred = w.nDeferred, 0
+			return
+		}
+		w.gaveUp = true
+	}
 	w.settleRest(planSkipped)
+}
+
+// wait blocks until a peer may have settled one of keys: through the
+// store's Wait, or for recheckInterval. It reports false when ctx ended
+// first.
+func (w *claimWindow) wait(ctx context.Context, keys []string) bool {
+	wctx, sp := trace.Start(ctx, "search.wait", trace.Int("keys", len(keys)))
+	sp.SetComponent(trace.CompDARRWait)
+	defer sp.End()
+	if s, ok := w.opts.Store.(Waiter); ok {
+		return s.Wait(wctx, keys) == nil && ctx.Err() == nil
+	}
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(recheckInterval):
+		return true
+	}
 }
 
 // settleRest settles every undecided unit. After one failed bulk call

@@ -4,6 +4,10 @@ package core
 // bounds in terms of the constant the search uses.
 const ClaimAhead = claimAhead
 
+// RecheckInterval is how long a search waits on a peer's keys when its
+// store has no Wait.
+const RecheckInterval = recheckInterval
+
 // EvalSpec is the eval spec Search keys opts' units with.
 func EvalSpec(opts SearchOptions) string { return evalSpecOf(opts) }
 

@@ -51,8 +51,9 @@ var mCritPath = map[string]*obs.Histogram{
 //
 // Search resolves every unit's cache state in one bulk lookup, claims the
 // misses a window at a time beside its workers (claimWindow), publishes
-// each unit it computes — a store may coalesce those (Flusher) — and
-// releases a claim it cannot publish. Every method takes the search's
+// each unit it computes — a store may coalesce those (Flusher) — releases
+// a claim it cannot publish, and waits on the units a peer holds (Waiter,
+// or a re-check every recheckInterval). Every method takes the search's
 // context so a cancelled Search cancels in-flight DARR traffic.
 // Implementations may fail transiently (a remote DARR over a WAN); Search
 // treats any error as "store unavailable" for the units the call covered
@@ -90,6 +91,15 @@ type Flusher interface {
 	Flush(ctx context.Context) error
 }
 
+// Waiter is implemented by stores that can tell when a peer settles a key
+// (the in-process DARR client). Search waits on the keys a peer still
+// holds once it has nothing else to do.
+type Waiter interface {
+	// Wait returns when any of keys is published, released or past its
+	// claim's expiry, or with ctx's error when ctx ends first.
+	Wait(ctx context.Context, keys []string) error
+}
+
 // SearchOptions configures model validation and selection over a graph
 // (Section IV-B; Listing 2's set_cross_validation / set_accuracy).
 type SearchOptions struct {
@@ -124,8 +134,8 @@ type SearchOptions struct {
 	Seed int64
 	// Store enables cooperative deduplication via the DARR.
 	Store ResultStore
-	// SkipClaimed is ignored: a search with a Store always skips the units
-	// a peer still holds after its deferred lookup.
+	// SkipClaimed is ignored: a search with a Store waits for the units a
+	// peer holds.
 	//
 	// Deprecated: ignored.
 	SkipClaimed bool
@@ -146,7 +156,7 @@ type UnitResult struct {
 	Mean      float64
 	Err       string // non-empty when the pipeline failed on this data
 	FromCache bool   // true when the result came from the ResultStore
-	Skipped   bool   // true when another client had claimed the unit
+	Skipped   bool   // true when ctx ended while a peer still held the unit
 	// Degraded is true when the ResultStore failed for this unit and the
 	// search fell back to purely local computation (no cache, no claim,
 	// no publish) — the wide-area fault-tolerance path.
@@ -195,6 +205,11 @@ type SearchResult struct {
 // and returns per-unit scores plus the best pipeline refitted on all data.
 // Individual pipeline failures are recorded, not fatal — the point of a TEG
 // is to try many options, some of which may not suit the data.
+//
+// With a Store, Search returns once every unit is settled — a hit,
+// computed or failed — waiting for the units a peer holds. If ctx ends
+// during that wait, those units are Skipped and the result is returned as
+// it stands; a ctx that ends while units compute fails the search.
 func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptions) (*SearchResult, error) {
 	paths, err := g.finalPaths()
 	if err != nil {
@@ -250,7 +265,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 
 	results := make([]UnitResult, len(units))
 	sem := make(chan struct{}, opts.Parallelism)
-	for ctx.Err() == nil {
+	for ctx.Err() == nil || win.gaveUp {
 		h, ok := win.next(ctx)
 		if !ok {
 			break
@@ -283,7 +298,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		}()
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil && !win.gaveUp {
 		win.abandon(ctx)
 		return nil, fmt.Errorf("core: search cancelled: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"maps"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -190,9 +191,23 @@ func TestSearchPrefersBatchProtocol(t *testing.T) {
 	}
 }
 
-// TestSearchBatchSkipClaimed: keys claimed by a peer are skipped, not
-// recomputed — after one more lookup, because a denial also means
-// "already published".
+// cancelAtWait is a memBatchStore whose Wait ends the search's context: a
+// client that gives up the first time it would wait on a peer.
+type cancelAtWait struct {
+	*memBatchStore
+	cancel context.CancelFunc
+}
+
+func (c cancelAtWait) Wait(ctx context.Context, _ []string) error {
+	c.cancel()
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+// TestSearchBatchSkipClaimed: keys claimed by a peer are not recomputed —
+// after one more lookup, because a denial also means "already published",
+// the search waits for the peer; a ctx that ends during that wait skips
+// them, and the search returns what it has instead of failing.
 func TestSearchBatchSkipClaimed(t *testing.T) {
 	ds := regDS(t, 100)
 	peer := newMemBatchStore("peer")
@@ -208,14 +223,16 @@ func TestSearchBatchSkipClaimed(t *testing.T) {
 		delete(peer.scores, k)
 	}
 	peer.mu.Unlock()
-	st := peer
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st := cancelAtWait{memBatchStore: peer, cancel: cancel}
 	st.clientID = "me"
 	st.lookupBatches = 0
 	rec := trace.NewRecorder(4)
 	defer trace.SetDefaultRecorder(trace.SetDefaultRecorder(rec))
-	res, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(st))
+	res, err := core.Search(ctx, degradedGraph(), ds, batchOpts(st))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a ctx that ends while the search waits on a peer must not fail it: %v", err)
 	}
 	if res.Skipped != 4 || res.Computed != 0 {
 		t.Fatalf("skipped=%d computed=%d, want all units skipped", res.Skipped, res.Computed)
@@ -254,9 +271,77 @@ func TestSearchBatchSkipClaimed(t *testing.T) {
 	}
 }
 
+// recheckStore is a memBatchStore whose peer publishes what it holds when
+// the search first waits; it records the keys of every wait and lookup.
+// The peer's claims stay: this double grants a published key, where the
+// DARR denies it.
+type recheckStore struct {
+	*memBatchStore
+	peer            map[string]float64
+	waited, lookups [][]string
+}
+
+func (r *recheckStore) LookupBatch(ctx context.Context, keys []string) (map[string]float64, error) {
+	r.lookups = append(r.lookups, slices.Clone(keys))
+	return r.memBatchStore.LookupBatch(ctx, keys)
+}
+
+func (r *recheckStore) Wait(_ context.Context, keys []string) error {
+	r.waited = append(r.waited, slices.Clone(keys))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	maps.Copy(r.scores, r.peer)
+	return nil
+}
+
+// TestSearchRechecksOnlyDeferredKeys: a search whose peer holds one unit
+// computes the others, then waits on that key alone; once the peer has
+// published it, the re-check looks up that key alone, and the search ends
+// with every unit settled, the store-free winner and one refit.
+func TestSearchRechecksOnlyDeferredKeys(t *testing.T) {
+	ds := regDS(t, 100)
+	ref, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := batchKey(ds, ref.Units[0].Spec)
+	st := &recheckStore{memBatchStore: newMemBatchStore("me"), peer: map[string]float64{held: ref.Units[0].Mean}}
+	st.claimed[held] = "peer"
+	rec := trace.NewRecorder(4)
+	defer trace.SetDefaultRecorder(trace.SetDefaultRecorder(rec))
+	res, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Computed != 3 || res.CacheHits != 1 || res.Skipped != 0 || !sameBestBits(res, ref) {
+		t.Fatalf("computed=%d cache=%d skipped=%d best %v; want 3, 1, 0 and %v",
+			res.Computed, res.CacheHits, res.Skipped, res.Best, ref.Best)
+	}
+	if len(st.waited) != 1 || !slices.Equal(st.waited[0], []string{held}) {
+		t.Errorf("waited on %q, want once on the held key", st.waited)
+	}
+	var sizes []int
+	for _, keys := range st.lookups {
+		sizes = append(sizes, len(keys))
+	}
+	if !slices.Equal(sizes, []int{4, 1, 1}) || !slices.Equal(st.lookups[2], []string{held}) {
+		t.Errorf("lookups of %v keys, want every key, then the held one before and after the wait", sizes)
+	}
+	refits := 0
+	for _, sp := range rec.Traces()[0].Spans {
+		if sp.Name == "search.refit" {
+			refits++
+		}
+	}
+	if refits != 1 {
+		t.Errorf("%d refit spans, want one", refits)
+	}
+}
+
 // TestSearchDeferredLookupFindsPublished: a unit a peer held when this
 // client asked for it, and published before this client ran out of other
-// work, is a cache hit — not a skip that costs a whole re-search.
+// work, is a cache hit at the first lookup over the deferred keys, with no
+// wait.
 func TestSearchDeferredLookupFindsPublished(t *testing.T) {
 	ds := regDS(t, 100)
 	st := newMemBatchStore("peer")

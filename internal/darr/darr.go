@@ -81,6 +81,7 @@ type Repo struct {
 	mu      sync.Mutex
 	records map[string]Record
 	claims  map[string]claim
+	changed chan struct{} // closed when a record is stored or a claim released; made by a waiter
 	// accounting for experiments
 	lookups, hits, puts int
 }
@@ -123,6 +124,7 @@ func (r *Repo) Put(rec Record) error {
 	delete(r.claims, rec.Key)
 	r.puts++
 	mPuts.Inc()
+	r.notifyLocked()
 	return nil
 }
 
@@ -266,6 +268,7 @@ func (r *Repo) PutBatch(recs []Record) error {
 		r.puts++
 		mPuts.Inc()
 	}
+	r.notifyLocked()
 	return nil
 }
 
@@ -280,6 +283,55 @@ func (r *Repo) Release(key, clientID string) {
 			// load prunes once it expires or its record appears.
 			_ = r.kv.Delete(claimKey(key))
 		}
+		r.notifyLocked()
+	}
+}
+
+// notifyLocked wakes every Wait: a record was stored or a claim released.
+// Caller holds r.mu.
+func (r *Repo) notifyLocked() {
+	if r.changed != nil {
+		close(r.changed)
+		r.changed = nil
+	}
+}
+
+// Wait blocks until one of keys has a record, no claim, or a claim past its
+// expiry — at once if that is so already — or until ctx ends, returning
+// ctx's error. Publishes and releases wake it; a wall-clock timer covers
+// the earliest expiry among the keys' claims.
+func (r *Repo) Wait(ctx context.Context, keys []string) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	for {
+		r.mu.Lock()
+		now := r.now()
+		var first time.Time // the earliest expiry
+		for _, k := range keys {
+			c, held := r.claims[k]
+			if _, done := r.records[k]; done || !held || !now.Before(c.expires) {
+				r.mu.Unlock()
+				return nil
+			}
+			if first.IsZero() || c.expires.Before(first) {
+				first = c.expires
+			}
+		}
+		if r.changed == nil {
+			r.changed = make(chan struct{})
+		}
+		changed := r.changed
+		r.mu.Unlock()
+		t := time.NewTimer(first.Sub(now))
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-changed:
+		case <-t.C:
+		}
+		t.Stop()
 	}
 }
 
@@ -311,12 +363,18 @@ func (r *Repo) Stats() (lookups, hits, puts int) {
 	return r.lookups, r.hits, r.puts
 }
 
-// Client adapts a Repo to core.ResultStore for one named client, parsing
-// the structured fields out of unit keys when publishing.
+// Client adapts a Repo to core.ResultStore and core.Waiter for one named
+// client, parsing the structured fields out of unit keys when publishing.
 type Client struct {
 	Repo     *Repo
 	ClientID string
 	Metric   string
+}
+
+// Wait implements core.Waiter: it returns when the repo stores, releases or
+// expires one of keys.
+func (c *Client) Wait(ctx context.Context, keys []string) error {
+	return c.Repo.Wait(ctx, keys)
 }
 
 // LookupBatch implements core.ResultStore. The context is unused here and

@@ -373,3 +373,49 @@ func TestStats(t *testing.T) {
 		t.Fatalf("len %d", r.Len())
 	}
 }
+
+// TestWait: Wait returns at once for a key nobody holds; otherwise when a
+// held key is published, released or past its expiry, not when another
+// key changes; and with ctx's error when ctx ends first.
+func TestWait(t *testing.T) {
+	var _ core.Waiter = &Client{}
+	ctx := context.Background()
+	r := NewRepo(nil, time.Hour)
+	if err := r.Wait(ctx, []string{"free"}); err != nil {
+		t.Fatalf("a key nobody holds: %v", err)
+	}
+	for name, settle := range map[string]func(key string){
+		"publish": func(key string) { _ = r.Put(Record{Key: key}) },
+		"release": func(key string) { r.Release(key, "peer") },
+	} {
+		key, other := name+"-key", name+"-other"
+		claimOne(r, key, "peer")
+		claimOne(r, other, "peer")
+		done := make(chan error, 1)
+		go func() { done <- r.Wait(ctx, []string{key}) }()
+		r.Release(other, "peer")
+		select {
+		case err := <-done:
+			t.Fatalf("%s: Wait returned %v before its key changed", name, err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		settle(key)
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	short := NewRepo(nil, 30*time.Millisecond)
+	claimOne(short, "k", "peer")
+	start := time.Now()
+	if err := short.Wait(ctx, []string{"k"}); err != nil || time.Since(start) < 20*time.Millisecond {
+		t.Fatalf("Wait on a 30ms claim returned %v after %v, want nil at its expiry", err, time.Since(start))
+	}
+
+	claimOne(r, "held", "peer")
+	cctx, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer cancel()
+	if err := r.Wait(cctx, []string{"held"}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Wait past its ctx = %v, want the deadline", err)
+	}
+}

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"time"
 
 	"coda/internal/core"
@@ -16,7 +18,6 @@ import (
 	"coda/internal/mlmodels"
 	"coda/internal/preprocess"
 	"coda/internal/replication"
-	"coda/internal/scheduler"
 	"coda/internal/sim"
 	"coda/internal/store"
 	"coda/internal/tswindow"
@@ -137,31 +138,49 @@ func RunF2(cfg Config) (*Table, error) {
 	var oneClient [2]time.Duration // the single client's wall, by cooperate
 	for _, n := range clientCounts {
 		for i, coop := range []bool{false, true} {
+			// The fleet: n clients, 5 ms apart, each one search — on its own,
+			// or through one shared DARR.
 			repo := darr.NewRepo(nil, time.Minute)
-			res, err := scheduler.RunFleet(context.Background(), build, ds, repo, scheduler.FleetOptions{
-				Clients:   n,
-				Search:    opts,
-				Cooperate: coop,
-				Stagger:   5 * time.Millisecond,
-			})
-			if err != nil {
+			results := make([]*core.SearchResult, n)
+			walls := make([]time.Duration, n)
+			errs := make([]error, n)
+			var wg sync.WaitGroup
+			for c := range results {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					time.Sleep(time.Duration(c) * 5 * time.Millisecond)
+					so := opts
+					if coop {
+						so.Store = &darr.Client{Repo: repo, ClientID: fmt.Sprint("client-", c), Metric: scorer.Name}
+					}
+					start := time.Now()
+					results[c], errs[c] = core.Search(context.Background(), build(), ds, so)
+					walls[c] = time.Since(start)
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
 				return nil, err
 			}
-			hits, most := 0, 0
-			for _, r := range res.Reports {
-				hits += r.CacheHits
-				most = max(most, r.Computed)
+			unique := len(results[0].Units)
+			total, hits, most, wall := 0, 0, 0, time.Duration(0)
+			for c, res := range results {
+				total += res.Computed
+				hits += res.CacheHits
+				most = max(most, res.Computed)
+				wall = max(wall, walls[c])
 			}
 			if n == 1 {
-				oneClient[i] = res.Wall
+				oneClient[i] = wall
 			}
-			t.AddRow(d(n), fmt.Sprintf("%t", coop), d(res.UniqueUnits), d(res.TotalComputed),
-				f(res.RedundancyFactor()), d(hits),
-				f(float64(most)/float64(res.TotalComputed)), f(res.Wall.Seconds()/oneClient[i].Seconds()))
+			t.AddRow(d(n), fmt.Sprintf("%t", coop), d(unique), d(total),
+				f(float64(total)/float64(unique)), d(hits),
+				f(float64(most)/float64(total)), f(wall.Seconds()/oneClient[i].Seconds()))
 		}
 	}
-	t.AddNote("without the DARR total work grows linearly in clients; with it the fleet computes each unit ~once")
-	t.AddNote("largest share: the most units one client computed over the fleet's total (1/clients = an even split); wall: the slowest client's, stagger included, on %d CPUs", runtime.GOMAXPROCS(0))
+	t.AddNote("without the DARR total work grows linearly in clients; with it the fleet computes each unit ~once, and every client ends with the whole table")
+	t.AddNote("largest share: the most units one client computed over the fleet's total (1/clients = an even split); wall: the slowest client's search, from its own start, on %d CPUs", runtime.GOMAXPROCS(0))
 	return t, nil
 }
 

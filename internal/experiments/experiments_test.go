@@ -117,6 +117,14 @@ func TestF2CooperationShape(t *testing.T) {
 	if indepRed < 3.9 { // 4 clients in quick mode
 		t.Fatalf("independent redundancy %v, want ~4:\n%s", indepRed, tbl.Format())
 	}
+	// Every cooperating client ends with the whole table: what it did not
+	// compute, it read from the DARR.
+	for r := 1; r < len(tbl.Rows); r += 2 {
+		clients, unique, computed, hits := cellFloat(t, tbl, r, 0), cellFloat(t, tbl, r, 2), cellFloat(t, tbl, r, 3), cellFloat(t, tbl, r, 5)
+		if hits != clients*unique-computed {
+			t.Fatalf("row %d: %v cache hits, want clients x unique units - total computed = %v:\n%s", r, hits, clients*unique-computed, tbl.Format())
+		}
+	}
 }
 
 func TestS1DeltaGrowsWithEditFraction(t *testing.T) {

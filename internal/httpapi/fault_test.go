@@ -141,8 +141,8 @@ func TestSearchUnderFaultInjection(t *testing.T) {
 // dropping 30% of requests, both end with every unit scored and the
 // fault-free winner — a lost claim reply is re-asked (claims are
 // idempotent per client), a lost window degrades, nothing is left
-// unscored. Each client searches once beside the other and once more
-// after both are done, which picks up whatever its peer held.
+// unscored. Each client searches once, beside the other, and waits for
+// whatever its peer held.
 func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 100, Features: 4, Informative: 3, Noise: 1}, rng)
@@ -191,17 +191,17 @@ func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 		}
 	}
 	clients := []func() *core.SearchResult{search("c0", 31), search("c1", 32)}
+	results := make([]*core.SearchResult, len(clients))
 	var wg sync.WaitGroup
-	for _, run := range clients {
+	for i, run := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run()
+			results[i] = run()
 		}()
 	}
 	wg.Wait()
-	for i, run := range clients {
-		res := run()
+	for i, res := range results {
 		if got := res.Computed + res.CacheHits; got != len(baseline.Units) || res.Skipped != 0 {
 			t.Fatalf("client %d: %d of %d units scored, %d skipped (degraded %d)", i, got, len(baseline.Units), res.Skipped, res.Degraded)
 		}

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -349,6 +350,62 @@ func TestAsyncFanoutCoalescesBursts(t *testing.T) {
 	}
 	if lease.CoalescedUpdates() != int64(publishes-frames) {
 		t.Fatalf("lease coalesced %d updates, want %d", lease.CoalescedUpdates(), publishes-frames)
+	}
+}
+
+// A coalescing window spaces each lease's deliveries: a burst of publishes
+// inside it costs a lease a few frames, not one per publish, the frames
+// account for every publish, and every lease — notify or value — ends on
+// the latest version, a value lease holding its bytes.
+func TestCoalesceWindowConvergesEveryLease(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 64})
+	m := NewManagerWith(hs, nil, Config{Workers: 4, CoalesceWindow: 40 * time.Millisecond})
+	defer m.Close()
+	const leases, publishes = 50, 20
+	cols := make([]*collector, leases)
+	for i := range cols {
+		mode := PushNotify
+		if i%2 == 1 {
+			mode = PushValue
+		}
+		cols[i] = &collector{}
+		if _, err := m.Subscribe("hot", fmt.Sprint("c", i), mode, time.Hour, cols[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var last uint64
+	var payload []byte
+	for i := 0; i < publishes; i++ {
+		payload = []byte(fmt.Sprintf("version %d", i))
+		v, err := m.Publish("hot", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = v
+	}
+	m.Flush()
+	frames := 0
+	for i, c := range cols {
+		c.mu.Lock()
+		seen := 0
+		for _, u := range c.updates {
+			seen += u.Coalesced
+		}
+		frames += len(c.updates)
+		c.mu.Unlock()
+		if seen != publishes {
+			t.Fatalf("lease %d: frames account for %d publishes, want %d", i, seen, publishes)
+		}
+		u := c.last()
+		if u.Version != last {
+			t.Fatalf("lease %d stopped at version %d, want %d", i, u.Version, last)
+		}
+		if i%2 == 1 && (u.Reply == nil || !bytes.Equal(u.Reply.Full, payload)) {
+			t.Fatalf("value lease %d ended on %+v, want the latest bytes", i, u.Reply)
+		}
+	}
+	if perLease := float64(frames) / leases; perLease > 10 {
+		t.Fatalf("%.1f frames per lease for %d publishes: the window did not coalesce", perLease, publishes)
 	}
 }
 

@@ -22,7 +22,7 @@ var persistSPI = map[string]bool{
 // coreStoreCapabilities are the only interfaces internal/core may assert a
 // value to: what search.go probes SearchOptions.Store for beyond the
 // ResultStore contract.
-var coreStoreCapabilities = map[string]bool{"Flusher": true}
+var coreStoreCapabilities = map[string]bool{"Flusher": true, "Waiter": true}
 
 // coreContracts are the component contracts; only the last two may embed
 // another of them.

@@ -144,7 +144,7 @@ type smokeBins struct{ server, client string }
 var (
 	serverListening = regexp.MustCompile(`msg="coda-server listening" addr=(\S+)`)
 	serveListening  = regexp.MustCompile(`(?m)^serving .* on (\S+)$`)
-	passFinished    = regexp.MustCompile(`msg="cooperative search pass finished" request_id=(\S+) pass=1 computed=(\d+) cache_hits=(\d+) skipped=0`)
+	searchFinished  = regexp.MustCompile(`msg="cooperative search finished" request_id=(\S+) computed=(\d+) cache_hits=(\d+) skipped=0`)
 	unitsLine       = regexp.MustCompile(`(?m)^units: (\d+) computed, (\d+) from DARR, (\d+) skipped`)
 )
 
@@ -266,9 +266,9 @@ func TestSmoke(t *testing.T) {
 	t.Run("Observability", func(t *testing.T) {
 		server, url := bins.startServer(t)
 		first, firstURL := bins.startServe(t, "-server", url, "-client", "smoke-first")
-		m := first.await(t, &first.stderr, passFinished)
+		m := first.await(t, &first.stderr, searchFinished)
 		if m[1] == `""` || m[2] != strconv.Itoa(smokeUnits) || m[3] != "0" {
-			t.Errorf("first client's pass: request_id=%s computed=%s cache_hits=%s; want an id, %d, 0", m[1], m[2], m[3], smokeUnits)
+			t.Errorf("first client's search: request_id=%s computed=%s cache_hits=%s; want an id, %d, 0", m[1], m[2], m[3], smokeUnits)
 		}
 		row, tree := searchWaterfall(t, firstURL)
 		if row.RootChildren < 3 {
@@ -281,9 +281,9 @@ func TestSmoke(t *testing.T) {
 		}
 
 		second, secondURL := bins.startServe(t, "-server", url, "-client", "smoke-second")
-		m = second.await(t, &second.stderr, passFinished)
+		m = second.await(t, &second.stderr, searchFinished)
 		if m[2] != "0" || m[3] != strconv.Itoa(smokeUnits) {
-			t.Errorf("second client's pass: computed=%s cache_hits=%s; want 0, %d", m[2], m[3], smokeUnits)
+			t.Errorf("second client's search: computed=%s cache_hits=%s; want 0, %d", m[2], m[3], smokeUnits)
 		}
 		_, tree = searchWaterfall(t, secondURL)
 		if !strings.Contains(tree, bulkLookup(smokeUnits)) {
