@@ -133,12 +133,20 @@ func keyCases() []keyCase {
 // TestUnitKeysPinned: the DARR keys a search asks for are the contract
 // between builds — a DARR filled by an earlier build must still hit. Each
 // digest is the SHA-256 of a search's keys, sorted and newline-joined,
-// recorded before units were planned rather than instantiated.
+// recorded before units were planned rather than instantiated. The keys'
+// darr.KeyDigest values are the wire contract of the batch routes: each
+// wantWire is the SHA-256 of the sorted keys' digests, concatenated,
+// computed outside Go with Python's hashlib.
 func TestUnitKeysPinned(t *testing.T) {
 	want := map[string]string{
 		"coop-grid": "045ccc535d01e6468a8372bb5f3f2088181b625addb4bacf89a35438c280d4ac",
 		"fig3":      "1096fa011f822d67b043ba5faca93f685f70b797a63cfd32a7ec40f249bbf49a",
 		"fig11":     "78197ce4248acfca594c8f3295fa3cd771b64a79f69990d9d38a1d26e148c076",
+	}
+	wantWire := map[string]string{
+		"coop-grid": "a9650cb869f8dede7996db32299cef6f32eda7c0cf5d0ba6fd5facfa88ad0ece",
+		"fig3":      "65d1c7035d6ba9a43ab37f3248c8989c730666ac01de1e7841ec9b8dcbe6bb99",
+		"fig11":     "dc47e513f6406d7b2d971dcd61fceb8bd780d89a25fe449a3a951fb1d8ae8f0a",
 	}
 	for _, c := range keyCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -156,6 +164,15 @@ func TestUnitKeysPinned(t *testing.T) {
 			sum := sha256.Sum256([]byte(strings.Join(st.keys, "\n")))
 			if got := hex.EncodeToString(sum[:]); got != want[c.name] {
 				t.Errorf("keys digest %s, want %s", got, want[c.name])
+			}
+			var wire []byte
+			for _, k := range st.keys {
+				d := darr.KeyDigest(k)
+				wire = append(wire, d[:]...)
+			}
+			sum = sha256.Sum256(wire)
+			if got := hex.EncodeToString(sum[:]); got != wantWire[c.name] {
+				t.Errorf("wire digests' digest %s, want %s", got, wantWire[c.name])
 			}
 		})
 	}
@@ -265,7 +282,7 @@ func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
 	defer trace.SetEnabled(true)
 	trace.SetEnabled(false)
 	g := graph()
-	const want = 173
+	const want = 164
 	if got := testing.AllocsPerRun(10, func() {
 		if _, err := core.Search(context.Background(), g, ds, opts); err != nil {
 			t.Fatal(err)

@@ -4,20 +4,25 @@
 // achieved. Clients query the DARR to learn which calculations have already
 // run for a data set, reuse those results, and claim non-overlapping work.
 //
-// Records are keyed by core.UnitKey — dataset fingerprint, pipeline spec
-// (with parameters) and evaluation spec — so clients that agree on the
-// scoring mechanism share results exactly. Claims carry a TTL so a crashed
+// A unit's readable key is core.UnitKey — dataset fingerprint, pipeline
+// spec (with parameters) and evaluation spec — so clients that agree on the
+// scoring mechanism share results exactly. The repository indexes records
+// and claims by the key's Digest, which is also what the batch lookup and
+// claim routes carry; a record keeps its readable key and parts, so queries,
+// logs and traces still print specs. Claims carry a TTL so a crashed
 // client's work is eventually re-issued.
 package darr
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"coda/internal/obs"
 	"coda/internal/persist"
@@ -63,6 +68,25 @@ type Record struct {
 	CreatedAt    time.Time `json:"created_at"`
 }
 
+// Digest is the repository's key for a unit: the SHA-256 of its readable
+// key.
+type Digest [sha256.Size]byte
+
+// KeyDigest is key's Digest. It allocates nothing: SHA-256 only reads its
+// input, so the key's bytes are hashed where they are.
+func KeyDigest(key string) Digest {
+	return sha256.Sum256(unsafe.Slice(unsafe.StringData(key), len(key)))
+}
+
+// digests hashes keys, in order.
+func digests(keys []string) []Digest {
+	ds := make([]Digest, len(keys))
+	for i, k := range keys {
+		ds[i] = KeyDigest(k)
+	}
+	return ds
+}
+
 type claim struct {
 	clientID string
 	expires  time.Time
@@ -79,8 +103,8 @@ type Repo struct {
 	kv       persist.KV // nil = memory-only
 
 	mu      sync.Mutex
-	records map[string]Record
-	claims  map[string]claim
+	records map[Digest]Record
+	claims  map[Digest]claim
 	changed chan struct{} // closed when a record is stored or a claim released; made by a waiter
 	// accounting for experiments
 	lookups, hits, puts int
@@ -98,8 +122,8 @@ func NewRepo(nowFn func() time.Time, claimTTL time.Duration) *Repo {
 	return &Repo{
 		now:      nowFn,
 		claimTTL: claimTTL,
-		records:  map[string]Record{},
-		claims:   map[string]claim{},
+		records:  map[Digest]Record{},
+		claims:   map[Digest]claim{},
 	}
 }
 
@@ -114,27 +138,17 @@ func (r *Repo) Put(rec Record) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rec.CreatedAt.IsZero() {
-		rec.CreatedAt = r.now()
-	}
-	if err := r.persistRecordsLocked([]Record{rec}); err != nil {
-		return err
-	}
-	r.records[rec.Key] = rec
-	delete(r.claims, rec.Key)
-	r.puts++
-	mPuts.Inc()
-	r.notifyLocked()
-	return nil
+	return r.storeLocked([]Record{rec})
 }
 
 // Get returns the record for a key.
 func (r *Repo) Get(key string) (Record, error) {
+	d := KeyDigest(key)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.lookups++
 	mLookups.Inc()
-	rec, ok := r.records[key]
+	rec, ok := r.records[d]
 	if !ok {
 		mMisses.Inc()
 		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -160,80 +174,100 @@ func (r *Repo) QueryByDataset(fp string) []Record {
 	return out
 }
 
-func (r *Repo) claimLocked(key, clientID string, now time.Time) bool {
-	if _, done := r.records[key]; done {
+func (r *Repo) claimLocked(d Digest, clientID string, now time.Time) bool {
+	if _, done := r.records[d]; done {
 		mClaimsDenied.Inc()
 		return false
 	}
-	c, held := r.claims[key]
+	c, held := r.claims[d]
 	if held && c.clientID != clientID && now.Before(c.expires) {
 		mClaimsDenied.Inc()
 		return false
 	}
-	r.claims[key] = claim{clientID: clientID, expires: now.Add(r.claimTTL)}
+	r.claims[d] = claim{clientID: clientID, expires: now.Add(r.claimTTL)}
 	mClaimsGranted.Inc()
 	return true
 }
 
-// GetBatch resolves many keys under one lock acquisition, returning
-// records only for the keys that exist. Backs the batched lookup
-// endpoint and the in-process client.
-func (r *Repo) GetBatch(keys []string) map[string]Record {
+// LookupDigests resolves many digests under one lock acquisition, calling
+// hit, in request order, with the position and record of each digest that
+// has one. hit runs under the repo's lock and must not call back into it.
+// Backs the batched lookup route, GetBatch and the in-process client.
+func (r *Repo) LookupDigests(ds []Digest, hit func(i int, rec Record)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	mBatchLookups.Inc()
-	mBatchKeys.Observe(float64(len(keys)))
-	out := make(map[string]Record, len(keys))
-	for _, k := range keys {
-		r.lookups++
-		mLookups.Inc()
-		rec, ok := r.records[k]
-		if !ok {
-			mMisses.Inc()
-			continue
+	mBatchKeys.Observe(float64(len(ds)))
+	hits := 0
+	for i, d := range ds {
+		if rec, ok := r.records[d]; ok {
+			hits++
+			hit(i, rec)
 		}
-		r.hits++
-		mHits.Inc()
-		out[k] = rec
+	}
+	r.lookups += len(ds)
+	r.hits += hits
+	mLookups.Add(int64(len(ds)))
+	mHits.Add(int64(hits))
+	mMisses.Add(int64(len(ds) - hits))
+}
+
+// GetBatch is LookupDigests over readable keys, returning records only for
+// the keys that exist.
+func (r *Repo) GetBatch(keys []string) map[string]Record {
+	out := make(map[string]Record, len(keys))
+	r.LookupDigests(digests(keys), func(i int, rec Record) { out[keys[i]] = rec })
+	return out
+}
+
+// ClaimDigests attempts to reserve every digest for clientID atomically —
+// all decisions are made under one lock against one clock reading — and
+// reports the grants by position. A digest is denied while another client
+// holds an unexpired claim on it or its result exists; re-claiming one's
+// own refreshes the TTL.
+func (r *Repo) ClaimDigests(ds []Digest, clientID string) []bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	mBatchClaims.Inc()
+	mBatchKeys.Observe(float64(len(ds)))
+	now := r.now()
+	out := make([]bool, len(ds))
+	var granted []Digest
+	var prev []claim // the claim each grant replaced; a zero expiry if none
+	for i, d := range ds {
+		before := r.claims[d]
+		if out[i] = r.claimLocked(d, clientID, now); out[i] {
+			granted, prev = append(granted, d), append(prev, before)
+		}
+	}
+	if len(granted) > 0 && r.persistClaimsLocked(granted) != nil {
+		// A grant that would not survive a restart is worse than a denial:
+		// the client would compute while peers re-claim. Memory goes back
+		// to what the backend still holds, so a digest the caller already
+		// held stays granted until its durable expiry. Last grant first: a
+		// digest asked for twice ends as it was before the call.
+		for j := len(granted) - 1; j >= 0; j-- {
+			if prev[j].expires.IsZero() {
+				delete(r.claims, granted[j])
+			} else {
+				r.claims[granted[j]] = prev[j]
+			}
+		}
+		for i, d := range ds {
+			c, held := r.claims[d]
+			out[i] = out[i] && held && c.clientID == clientID && now.Before(c.expires)
+		}
 	}
 	return out
 }
 
-// ClaimBatch attempts to reserve every key for clientID atomically —
-// all decisions are made under one lock against one clock reading — and
-// reports the per-key grants. A key is denied while another client holds
-// an unexpired claim on it or its result exists; re-claiming one's own
-// key refreshes the TTL.
+// ClaimBatch is ClaimDigests over readable keys, reporting the grants by
+// key.
 func (r *Repo) ClaimBatch(keys []string, clientID string) map[string]bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	mBatchClaims.Inc()
-	mBatchKeys.Observe(float64(len(keys)))
-	now := r.now()
+	granted := r.ClaimDigests(digests(keys), clientID)
 	out := make(map[string]bool, len(keys))
-	var granted []string
-	var prev []claim // the claim each grant replaced; a zero expiry if none
-	for _, k := range keys {
-		before := r.claims[k]
-		if out[k] = r.claimLocked(k, clientID, now); out[k] {
-			granted, prev = append(granted, k), append(prev, before)
-		}
-	}
-	if len(granted) > 0 && r.persistClaimsLocked(granted...) != nil {
-		// A grant that would not survive a restart is worse than a denial:
-		// the client would compute while peers re-claim. Memory goes back
-		// to what the backend still holds, so a key the caller already
-		// held stays granted until its durable expiry. Last grant first:
-		// a key asked for twice ends as it was before the call.
-		for i := len(granted) - 1; i >= 0; i-- {
-			k := granted[i]
-			if prev[i].expires.IsZero() {
-				delete(r.claims, k)
-			} else {
-				r.claims[k] = prev[i]
-			}
-			out[k] = prev[i].clientID == clientID && now.Before(prev[i].expires)
-		}
+	for i, k := range keys {
+		out[k] = granted[i]
 	}
 	return out
 }
@@ -251,37 +285,44 @@ func (r *Repo) PutBatch(recs []Record) error {
 	defer r.mu.Unlock()
 	mBatchPuts.Inc()
 	mBatchKeys.Observe(float64(len(recs)))
+	return r.storeLocked(append([]Record(nil), recs...))
+}
+
+// storeLocked stamps recs (the caller's own copy) with the time, writes
+// them through to the backend, and only then makes them visible and
+// releases their claims. Caller holds r.mu.
+func (r *Repo) storeLocked(recs []Record) error {
 	now := r.now()
-	stamped := make([]Record, len(recs))
-	for i, rec := range recs {
-		if rec.CreatedAt.IsZero() {
-			rec.CreatedAt = now
+	for i := range recs {
+		if recs[i].CreatedAt.IsZero() {
+			recs[i].CreatedAt = now
 		}
-		stamped[i] = rec
 	}
-	if err := r.persistRecordsLocked(stamped); err != nil {
+	if err := r.persistRecordsLocked(recs); err != nil {
 		return err
 	}
-	for _, rec := range stamped {
-		r.records[rec.Key] = rec
-		delete(r.claims, rec.Key)
-		r.puts++
-		mPuts.Inc()
+	for _, rec := range recs {
+		d := KeyDigest(rec.Key)
+		r.records[d] = rec
+		delete(r.claims, d)
 	}
+	r.puts += len(recs)
+	mPuts.Add(int64(len(recs)))
 	r.notifyLocked()
 	return nil
 }
 
 // Release drops clientID's claim on key (a no-op for other clients' claims).
 func (r *Repo) Release(key, clientID string) {
+	d := KeyDigest(key)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.claims[key]; ok && c.clientID == clientID {
-		delete(r.claims, key)
+	if c, ok := r.claims[d]; ok && c.clientID == clientID {
+		delete(r.claims, d)
 		if r.kv != nil {
 			// Best-effort: a failed delete leaves a durable claim that
 			// load prunes once it expires or its record appears.
-			_ = r.kv.Delete(claimKey(key))
+			_ = r.kv.Delete(claimKey(d))
 		}
 		r.notifyLocked()
 	}
@@ -304,13 +345,14 @@ func (r *Repo) Wait(ctx context.Context, keys []string) error {
 	if len(keys) == 0 {
 		return nil
 	}
+	ds := digests(keys)
 	for {
 		r.mu.Lock()
 		now := r.now()
 		var first time.Time // the earliest expiry
-		for _, k := range keys {
-			c, held := r.claims[k]
-			if _, done := r.records[k]; done || !held || !now.Before(c.expires) {
+		for _, d := range ds {
+			c, held := r.claims[d]
+			if _, done := r.records[d]; done || !held || !now.Before(c.expires) {
 				r.mu.Unlock()
 				return nil
 			}
@@ -364,7 +406,8 @@ func (r *Repo) Stats() (lookups, hits, puts int) {
 }
 
 // Client adapts a Repo to core.ResultStore and core.Waiter for one named
-// client, parsing the structured fields out of unit keys when publishing.
+// client: it hashes unit keys at the boundary, and parses the structured
+// fields out of them when publishing.
 type Client struct {
 	Repo     *Repo
 	ClientID string
@@ -380,11 +423,8 @@ func (c *Client) Wait(ctx context.Context, keys []string) error {
 // LookupBatch implements core.ResultStore. The context is unused here and
 // in every method below: the repo is in-process and cannot block.
 func (c *Client) LookupBatch(_ context.Context, keys []string) (map[string]float64, error) {
-	recs := c.Repo.GetBatch(keys)
-	out := make(map[string]float64, len(recs))
-	for k, rec := range recs {
-		out[k] = rec.Score
-	}
+	out := make(map[string]float64, len(keys))
+	c.Repo.LookupDigests(digests(keys), func(i int, rec Record) { out[keys[i]] = rec.Score })
 	return out, nil
 }
 

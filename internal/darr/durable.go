@@ -1,6 +1,8 @@
 package darr
 
 import (
+	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/url"
@@ -10,17 +12,40 @@ import (
 	"coda/internal/persist"
 )
 
-// Durable layout on the shared persistence layer: records under
-// r/<url.PathEscape(key)> and claims under c/<url.PathEscape(key)>, both
-// JSON. Claims store their absolute expiry, so replay re-derives the
-// remaining TTL instead of granting a crashed process a fresh window.
+// Durable layout on the shared persistence layer, both JSON: records under
+// r/<url.PathEscape(readable key)>, claims under c/<hex digest>. A record's
+// value carries its readable key, which load hashes to index it. Claims
+// store their absolute expiry, so replay re-derives the remaining TTL
+// instead of granting a crashed process a fresh window. Builds before
+// digests wrote claims under c/<url.PathEscape(readable key)>; load
+// re-keys those.
 const (
 	recPrefix   = "r/"
 	claimPrefix = "c/"
 )
 
-func recKey(key string) string   { return recPrefix + url.PathEscape(key) }
-func claimKey(key string) string { return claimPrefix + url.PathEscape(key) }
+func recKey(key string) string { return recPrefix + url.PathEscape(key) }
+
+func claimKey(d Digest) string {
+	var b [len(claimPrefix) + 2*len(d)]byte
+	copy(b[:], claimPrefix)
+	hex.Encode(b[len(claimPrefix):], d[:])
+	return string(b[:])
+}
+
+// claimDigest is the digest a claim key names, and whether the key is in
+// the readable form of builds before digests. A unit key always holds a
+// '|', escaped as %7C, so its readable form is never 64 hex digits.
+func claimDigest(name string) (d Digest, readable bool, err error) {
+	s := strings.TrimPrefix(name, claimPrefix)
+	if len(s) == 2*len(d) && strings.ToLower(s) == s {
+		if _, err := hex.Decode(d[:], []byte(s)); err == nil {
+			return d, false, nil
+		}
+	}
+	key, err := url.PathUnescape(s)
+	return KeyDigest(key), true, err
+}
 
 // claimRec is the persisted form of a claim.
 type claimRec struct {
@@ -55,7 +80,8 @@ func NewDurableRepo(dsn string, nowFn func() time.Time, claimTTL time.Duration) 
 // published is gone (the publish released it, even if the claim-delete
 // itself did not land before a crash), and a claim past its absolute
 // expiry is gone (the TTL does not restart). Both kinds are also deleted
-// from the backend so they never replay again.
+// from the backend so they never replay again. A live claim under a
+// readable key is written under its digest before the readable key goes.
 func (r *Repo) load() error {
 	cur, err := r.kv.Cursor(recPrefix)
 	if err != nil {
@@ -67,7 +93,7 @@ func (r *Repo) load() error {
 			cur.Close()
 			return fmt.Errorf("darr: corrupt record %q: %w", cur.Key(), err)
 		}
-		r.records[rec.Key] = rec
+		r.records[KeyDigest(rec.Key)] = rec
 	}
 	if err := cur.Err(); err != nil {
 		cur.Close()
@@ -80,9 +106,10 @@ func (r *Repo) load() error {
 		return err
 	}
 	now := r.now()
-	var stale []string
+	var rekeyed []persist.Item
+	var gone []string
 	for ccur.Next() {
-		key, err := url.PathUnescape(strings.TrimPrefix(ccur.Key(), claimPrefix))
+		d, readable, err := claimDigest(ccur.Key())
 		if err != nil {
 			ccur.Close()
 			return fmt.Errorf("darr: corrupt claim key %q: %w", ccur.Key(), err)
@@ -92,21 +119,30 @@ func (r *Repo) load() error {
 			ccur.Close()
 			return fmt.Errorf("darr: corrupt claim %q: %w", ccur.Key(), err)
 		}
-		if _, done := r.records[key]; done || !now.Before(cr.Expires) {
-			stale = append(stale, ccur.Key())
-			continue
+		_, done := r.records[d]
+		live := !done && now.Before(cr.Expires)
+		if live {
+			r.claims[d] = claim{clientID: cr.ClientID, expires: cr.Expires}
+			if readable {
+				rekeyed = append(rekeyed, persist.Item{Key: claimKey(d), Value: bytes.Clone(ccur.Value())})
+			}
 		}
-		r.claims[key] = claim{clientID: cr.ClientID, expires: cr.Expires}
+		if readable || !live {
+			gone = append(gone, ccur.Key())
+		}
 	}
 	if err := ccur.Err(); err != nil {
 		ccur.Close()
 		return err
 	}
 	ccur.Close()
-	if len(stale) > 0 {
-		if err := r.kv.Delete(stale...); err != nil {
+	if len(rekeyed) > 0 {
+		if err := r.kv.PutBatch(rekeyed); err != nil {
 			return err
 		}
+	}
+	if len(gone) > 0 {
+		return r.kv.Delete(gone...)
 	}
 	return nil
 }
@@ -127,7 +163,7 @@ func (r *Repo) persistRecordsLocked(recs []Record) error {
 			return fmt.Errorf("darr: encoding record %q: %w", rec.Key, err)
 		}
 		items[i] = persist.Item{Key: recKey(rec.Key), Value: v}
-		claimKeys[i] = claimKey(rec.Key)
+		claimKeys[i] = claimKey(KeyDigest(rec.Key))
 	}
 	if err := r.kv.PutBatch(items); err != nil {
 		return fmt.Errorf("darr: persisting records: %w", err)
@@ -135,17 +171,17 @@ func (r *Repo) persistRecordsLocked(recs []Record) error {
 	return r.kv.Delete(claimKeys...)
 }
 
-// persistClaimsLocked writes the current claim state of keys through to
-// the backend; a refusal means the grant must not stand (ClaimBatch rolls
-// the map back), because a claim that would vanish at restart is worse
-// than a denial. Caller holds r.mu.
-func (r *Repo) persistClaimsLocked(keys ...string) error {
+// persistClaimsLocked writes the current claim state of ds through to the
+// backend; a refusal means the grant must not stand (ClaimDigests rolls the
+// map back), because a claim that would vanish at restart is worse than a
+// denial. Caller holds r.mu.
+func (r *Repo) persistClaimsLocked(ds []Digest) error {
 	if r.kv == nil {
 		return nil
 	}
-	items := make([]persist.Item, 0, len(keys))
-	for _, k := range keys {
-		c, ok := r.claims[k]
+	items := make([]persist.Item, 0, len(ds))
+	for _, d := range ds {
+		c, ok := r.claims[d]
 		if !ok {
 			continue
 		}
@@ -153,7 +189,7 @@ func (r *Repo) persistClaimsLocked(keys ...string) error {
 		if err != nil {
 			return err
 		}
-		items = append(items, persist.Item{Key: claimKey(k), Value: v})
+		items = append(items, persist.Item{Key: claimKey(d), Value: v})
 	}
 	return r.kv.PutBatch(items)
 }

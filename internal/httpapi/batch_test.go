@@ -3,15 +3,18 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"maps"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -98,24 +101,45 @@ func TestBatchEndpointRejectsOversizedAndEmpty(t *testing.T) {
 	if _, err := c.LookupBatch(ctx, []string{"a", "b", "c"}); err == nil || !strings.Contains(err.Error(), "status 400") {
 		t.Fatalf("oversized batch error = %v, want 400", err)
 	}
-	// The server refuses an empty batch; the client never sends one.
-	for _, path := range []string{"/darr/batch/lookup", "/darr/batch/claims"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"keys":[],"client_id":"c"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("empty batch to %s answered %d, want 400", path, resp.StatusCode)
-		}
-	}
 	if _, err := c.ClaimBatch(ctx, []string{"a", "b", "c"}); err == nil {
 		t.Fatal("oversized claim batch must be rejected")
 	}
 	// client_id is required for claims.
 	anon := NewClient(c.BaseURL, "")
-	if _, err := anon.ClaimBatch(ctx, []string{"a"}); err == nil {
-		t.Fatal("claim batch without client_id must be rejected")
+	if _, err := anon.ClaimBatch(ctx, []string{"a"}); err == nil || !strings.Contains(err.Error(), "status 400") {
+		t.Fatalf("claim batch without a client id: %v, want 400", err)
+	}
+	// The server refuses an empty batch (the client never sends one), a body
+	// that is not whole digests, and the JSON key lists of clients before
+	// digests, naming the shape it wants.
+	for _, path := range []string{"/darr/batch/lookup", "/darr/batch/claims"} {
+		for _, tc := range []struct {
+			name, contentType, body string
+			status                  int
+		}{
+			{"empty", octetStream, "", http.StatusBadRequest},
+			{"31 bytes", octetStream, strings.Repeat("k", 31), http.StatusBadRequest},
+			{"33 bytes", octetStream, strings.Repeat("k", 33), http.StatusBadRequest},
+			{"JSON", "application/json", `{"keys":["a"],"client_id":"c"}`, http.StatusUnsupportedMediaType},
+		} {
+			req, _ := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(tc.body))
+			req.Header.Set("Content-Type", tc.contentType)
+			req.Header.Set(clientIDHeader, "c")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e errorReply
+			_ = json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				t.Errorf("%s body to %s answered %d, want %d", tc.name, path, resp.StatusCode, tc.status)
+			}
+			if tc.status == http.StatusUnsupportedMediaType &&
+				(!strings.Contains(e.Error, digestsShape) || !strings.Contains(e.Error, "upgrade servers and clients together")) {
+				t.Errorf("JSON body to %s: error %q names neither the shape nor the upgrade", path, e.Error)
+			}
+		}
 	}
 }
 
@@ -341,7 +365,9 @@ func TestPublishWithoutQueueIsSynchronous(t *testing.T) {
 	}
 }
 
-// TestReleaseOverHTTP: the DELETE claim path frees a key for rivals.
+// TestReleaseOverHTTP: a claim granted by digest over the batch route is
+// freed for rivals by a DELETE /darr/claims naming the readable key, which
+// the server hashes.
 func TestReleaseOverHTTP(t *testing.T) {
 	c, _, _, _ := newTestServer(t)
 	ctx := context.Background()
@@ -361,12 +387,85 @@ func TestReleaseOverHTTP(t *testing.T) {
 	}
 }
 
-// FuzzBatchRoutes: whatever body reaches a cooperation route, the server
-// answers without a panic or a 5xx, every non-2xx reply is a JSON
-// errorReply carrying its status, and a 200 lookup or claim reply answers
-// the request's keys by position — one entry per key, each the repo's own
-// answer for it. Each input meets a fresh repo holding two records and one
-// peer's claim, behind a server that takes at most four keys a batch.
+// TestClientRefusesMalformedReplies: a lookup or claim reply of the wrong
+// type, length or padding — a server before digests answering JSON among
+// them — fails the call with an error naming the shape the client wants,
+// and no answer leaks out of it.
+func TestClientRefusesMalformedReplies(t *testing.T) {
+	ctx := context.Background()
+	keys := []string{"fp|a|e", "fp|b|e", "fp|c|e"}
+	for _, tc := range []struct {
+		name, contentType string
+		reply             []byte
+		lookup            bool // the lookup refuses it; otherwise the claim does
+	}{
+		{"old server lookup", "application/json", []byte(`{"scores":[1.5,null,null]}`), true},
+		{"old server claim", "application/json", []byte(`{"granted":[true,false,false]}`), false},
+		{"padding bit", octetStream, []byte{0x08}, false},
+		{"lookup padding bit", octetStream, []byte{0x10}, true},
+		{"bytes past the bitmap", octetStream, []byte{0x01, 0x00}, false},
+		{"popcount disagrees", octetStream, []byte{0x03, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f}, true},
+		{"truncated score", octetStream, []byte{0x01, 0, 0, 0, 0, 0, 0, 0xf8}, true},
+		{"no bitmap", octetStream, nil, true},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", tc.contentType)
+			_, _ = w.Write(tc.reply)
+		}))
+		c := NewClient(ts.URL, "me")
+		var err error
+		var answers int
+		shape := claimReplyShape
+		if tc.lookup {
+			shape = lookupReplyShape
+			var scores map[string]float64
+			scores, err = c.LookupBatch(ctx, keys)
+			answers = len(scores)
+		} else {
+			var granted map[string]bool
+			granted, err = c.ClaimBatch(ctx, keys)
+			answers = len(granted)
+		}
+		ts.Close()
+		if err == nil || !strings.Contains(err.Error(), shape) || answers != 0 {
+			t.Errorf("%s: %d answers, err %v; want none and an error naming %q", tc.name, answers, err, shape)
+		}
+	}
+}
+
+// TestLookupBodyAllocatesNothingPerKey: the body of a 132-key lookup — the
+// warm search of the coop grid — is built in the one buffer it goes out in.
+func TestLookupBodyAllocatesNothingPerKey(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	keys := make([]string, 132)
+	for i := range keys {
+		keys[i] = core.UnitKey("4f1c9a0be27d3c55", fmt.Sprintf("input -> minmaxscaler -> selectkbest(k=3) -> knn(k=%d)", i), "kfold(k=5,shuffle=true)|rmse|seed=1|numerics=3")
+	}
+	body := make([]byte, 0, 32*len(keys))
+	if got := testing.AllocsPerRun(20, func() { body = appendDigests(body[:0], keys) }); got != 0 {
+		t.Fatalf("a %d-key lookup body allocates %v times beyond its buffer, want 0", len(keys), got)
+	}
+	if len(body) != 32*len(keys) || darr.Digest(body[32*131:]) != darr.KeyDigest(keys[131]) {
+		t.Fatalf("body of %d bytes does not end with the last key's digest", len(body))
+	}
+}
+
+// raceDetector reports whether this test binary was built with -race, under
+// which sync.Pool sheds Puts and allocation counts stop being exact.
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// FuzzBatchRoutes: whatever request reaches a cooperation route, the server
+// answers without a panic or a 5xx, and every non-2xx reply is a JSON
+// errorReply carrying its status. A lookup or claim body that is not
+// application/octet-stream is a 415; a 200 lookup or claim reply is the
+// bitmap form answering the request's digests by position, each the repo's
+// own answer for it. Each input meets a fresh repo holding two records and
+// one peer's claim, behind a server that takes at most four keys a batch.
 func FuzzBatchRoutes(f *testing.F) {
 	// The requests a cooperative search makes, by the route selector drawn.
 	cooperationRoutes := []struct{ method, path string }{
@@ -375,9 +474,10 @@ func FuzzBatchRoutes(f *testing.F) {
 		{http.MethodPost, "/darr/batch/records"},
 		{http.MethodDelete, "/darr/claims"},
 	}
-	published := map[string]float64{"fp|a|e": 1, "fp|b|e": 2}
+	published := map[darr.Digest]float64{darr.KeyDigest("fp|a|e"): 1, darr.KeyDigest("fp|b|e"): 2}
+	held := darr.KeyDigest("fp|c|e")
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
+	f.Fuzz(func(t *testing.T, route uint8, contentType, clientID string, body []byte) {
 		repo := darr.NewRepo(nil, time.Minute)
 		if err := repo.PutBatch([]darr.Record{{Key: "fp|a|e", Score: 1}, {Key: "fp|b|e", Score: 2}}); err != nil {
 			t.Fatal(err)
@@ -386,12 +486,19 @@ func FuzzBatchRoutes(f *testing.F) {
 		srv := NewServer(repo, nil)
 		srv.Logger, srv.MaxBatchKeys = quiet, 4
 		rt := cooperationRoutes[int(route)%len(cooperationRoutes)]
+		req := httptest.NewRequest(rt.method, rt.path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", contentType)
+		req.Header.Set(clientIDHeader, clientID)
 		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(rt.method, rt.path, bytes.NewReader(body)))
+		srv.ServeHTTP(w, req)
 
 		code := w.Code
+		digestRoute := rt.path == "/darr/batch/lookup" || rt.path == "/darr/batch/claims"
 		if code >= 500 {
 			t.Fatalf("%s %s answered %d: %s", rt.method, rt.path, code, w.Body)
+		}
+		if digestRoute && contentType != octetStream && code != http.StatusUnsupportedMediaType {
+			t.Fatalf("%s body of type %q answered %d, want 415", rt.path, contentType, code)
 		}
 		if code >= 300 {
 			var e errorReply
@@ -403,81 +510,94 @@ func FuzzBatchRoutes(f *testing.F) {
 			}
 			return
 		}
-		var req batchClaimRequest
-		if rt.path == "/darr/batch/lookup" || rt.path == "/darr/batch/claims" {
-			if err := json.Unmarshal(body, &req); err != nil {
-				t.Fatalf("a body the server accepted does not decode: %v", err)
-			}
+		if !digestRoute {
+			return
 		}
-		switch rt.path {
-		case "/darr/batch/lookup":
-			scores := make([]score, len(req.Keys))
-			if err := readScores(w.Body.Bytes(), scores); err != nil {
-				t.Fatalf("lookup of %q: %v", req.Keys, err)
-			}
-			for i, k := range req.Keys {
-				if want, ok := published[k]; scores[i] != (score{v: want, ok: ok}) {
-					t.Fatalf("lookup of %q answered %+v for %q at %d", req.Keys, scores[i], k, i)
+		n := len(body) / 32
+		if len(body)%32 != 0 || n == 0 || n > 4 || rt.path == "/darr/batch/claims" && clientID == "" {
+			t.Fatalf("%s accepted a body of %d bytes from client %q", rt.path, len(body), clientID)
+		}
+		if ct := w.Header().Get("Content-Type"); ct != octetStream {
+			t.Fatalf("%s 200 reply has content type %q", rt.path, ct)
+		}
+		digestAt := func(i int) darr.Digest { return darr.Digest(body[32*i:]) }
+		answered := 0
+		var err error
+		if rt.path == "/darr/batch/lookup" {
+			err = readScores(w.Body.Bytes(), n, func(i int, score float64) {
+				if want, ok := published[digestAt(i)]; !ok || score != want {
+					t.Fatalf("lookup answered %v at %d, want %v (published %v)", score, i, want, ok)
+				}
+				answered++
+			})
+			for i := 0; i < n; i++ {
+				if _, ok := published[digestAt(i)]; ok {
+					answered--
 				}
 			}
-		case "/darr/batch/claims":
-			granted := make([]bool, len(req.Keys))
-			if err := readGrants(w.Body.Bytes(), granted); err != nil {
-				t.Fatalf("claim of %q: %v", req.Keys, err)
-			}
-			for i, k := range req.Keys {
-				_, done := published[k]
-				if want := !done && (k != "fp|c|e" || req.ClientID == "peer"); granted[i] != want {
-					t.Fatalf("claim of %q by %q answered %v for %q at %d", req.Keys, req.ClientID, granted[i], k, i)
+		} else {
+			err = readGrants(w.Body.Bytes(), n, func(i int, granted bool) {
+				_, done := published[digestAt(i)]
+				if want := !done && (digestAt(i) != held || clientID == "peer"); granted != want {
+					t.Fatalf("claim by %q answered %v at %d, want %v", clientID, granted, i, want)
 				}
-			}
+			})
+		}
+		if err != nil || answered != 0 {
+			t.Fatalf("%s reply %x for %d digests: %v, %d hits unaccounted for", rt.path, w.Body.Bytes(), n, err, answered)
 		}
 	})
 }
 
 // FuzzBatchReply: whatever reply body a client reads for a batch of n keys,
-// readScores and readGrants never panic, and what they accept is JSON that
-// encoding/json reads as exactly n entries, each the value the client
-// returns. A length mismatch is always an error; so are a non-number, a
-// truncated body and the map-shaped reply of servers before positional
-// replies.
+// readScores and readGrants never panic, and they accept exactly the
+// replies of the bitmap form — a lookup's ⌈n/8⌉ bitmap bytes with no bit
+// set past n, then 8 bytes per set bit; a claim's bitmap alone — reading
+// each answer from its position. A JSON reply from a server before digests,
+// set padding bits, a bitmap whose popcount disagrees with the length and a
+// truncated score are all errors.
 func FuzzBatchReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n uint8, body []byte) {
-		scores := make([]score, n)
-		serr := readScores(body, scores)
-		var lookup struct {
-			Scores []json.RawMessage `json:"scores"`
-		}
-		switch jerr := json.Unmarshal(body, &lookup); {
-		case jerr == nil && len(lookup.Scores) != int(n) && serr == nil:
-			t.Fatalf("lookup reply %q with %d entries accepted for %d keys", body, len(lookup.Scores), n)
-		case serr == nil && jerr != nil:
-			t.Fatalf("lookup reply %q accepted, but encoding/json refuses it: %v", body, jerr)
-		case serr == nil:
-			for i, raw := range lookup.Scores {
-				v, err := strconv.ParseFloat(string(raw), 64)
-				if want := (score{v: v, ok: err == nil}); string(raw) != "null" && err != nil || scores[i] != want {
-					t.Fatalf("lookup reply %q: entry %d %s read as %+v", body, i, raw, scores[i])
+		m := (int(n) + 7) / 8
+		padded := len(body) >= m && n%8 != 0 && body[m-1]>>(n%8) != 0
+		set := 0
+		if len(body) >= m {
+			for i := 0; i < int(n); i++ {
+				if body[i/8]>>(i%8)&1 == 1 {
+					set++
 				}
 			}
 		}
 
-		grants := make([]bool, n)
-		gerr := readGrants(body, grants)
-		var claim struct {
-			Granted []json.RawMessage `json:"granted"`
-		}
-		switch jerr := json.Unmarshal(body, &claim); {
-		case jerr == nil && len(claim.Granted) != int(n) && gerr == nil:
-			t.Fatalf("claim reply %q with %d entries accepted for %d keys", body, len(claim.Granted), n)
-		case gerr == nil && jerr != nil:
-			t.Fatalf("claim reply %q accepted, but encoding/json refuses it: %v", body, jerr)
-		case gerr == nil:
-			for i, raw := range claim.Granted {
-				if grants[i] != (string(raw) == "true") {
-					t.Fatalf("claim reply %q: entry %d %s read as %v", body, i, raw, grants[i])
-				}
+		next := 0 // the score bytes read so far
+		serr := readScores(body, int(n), func(i int, score float64) {
+			if body[i/8]>>(i%8)&1 == 0 {
+				t.Fatalf("lookup reply %x: key %d read as a hit, its bit is clear", body, i)
 			}
+			if want := binary.LittleEndian.Uint64(body[m+8*next:]); math.Float64bits(score) != want {
+				t.Fatalf("lookup reply %x: hit %d read as %x, want %x", body, next, math.Float64bits(score), want)
+			}
+			next++
+		})
+		if valid := len(body) >= m && !padded && len(body) == m+8*set; (serr == nil) != valid {
+			t.Fatalf("lookup reply %x for %d keys: err %v, want valid=%v", body, n, serr, valid)
+		}
+		if serr == nil && next != set {
+			t.Fatalf("lookup reply %x: %d hits read of %d", body, next, set)
+		}
+
+		grants := 0
+		gerr := readGrants(body, int(n), func(i int, granted bool) {
+			if granted != (body[i/8]>>(i%8)&1 == 1) || i != grants {
+				t.Fatalf("claim reply %x: key %d read as %v", body, i, granted)
+			}
+			grants++
+		})
+		if valid := len(body) == m && !padded; (gerr == nil) != valid {
+			t.Fatalf("claim reply %x for %d keys: err %v, want valid=%v", body, n, gerr, valid)
+		}
+		if gerr == nil && grants != int(n) {
+			t.Fatalf("claim reply %x: %d of %d keys answered", body, grants, n)
 		}
 	})
 }

@@ -1,160 +1,68 @@
 package httpapi
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strconv"
+	"math"
+	"math/bits"
 )
 
-// The shapes of the positional batch replies (batchLookupReply,
-// batchClaimReply), named by the error a reply of any other shape gets. A
-// server that still answers with a map keyed by unit key gets it too:
-// upgrade servers and clients together.
+// The shapes of the batch lookup and claim replies (see digestsShape), named
+// by the error a reply of any other shape gets. A server before digests
+// answers JSON, which a client refuses the same way: upgrade servers and
+// clients together.
 const (
-	lookupReplyShape = `{"scores":[number|null,...]}`
-	claimReplyShape  = `{"granted":[bool,...]}`
+	lookupReplyShape = "an ⌈n/8⌉-byte presence bitmap, then each hit's score as a little-endian float64"
+	claimReplyShape  = "an ⌈n/8⌉-byte grant bitmap"
 )
 
-// score is one entry of a lookup reply as the client reads it: a number,
-// or null for a key nobody has published.
-type score struct {
-	v  float64
-	ok bool
+func bitmapLen(n int) int { return (n + 7) / 8 }
+
+// readBitmap checks a reply for n keys: an ⌈n/8⌉-byte bitmap with no bit
+// set past n — bit i, least significant first, answers key i — then perHit
+// bytes for each set bit. It returns the bitmap and what follows it; a
+// reply of any other length or padding is an error naming shape.
+func readBitmap(reply []byte, n, perHit int, shape string) (bm, rest []byte, err error) {
+	m := bitmapLen(n)
+	hits := 0
+	for _, b := range reply[:min(m, len(reply))] {
+		hits += bits.OnesCount8(b)
+	}
+	if len(reply) != m+perHit*hits || n%8 != 0 && reply[m-1]>>(n%8) != 0 {
+		return nil, nil, fmt.Errorf("httpapi: batch reply of %d bytes for %d keys is not %s", len(reply), n, shape)
+	}
+	return reply[:m], reply[m:], nil
 }
 
-// readScores reads a lookup reply into dst, which holds one entry per key
-// sent. On error dst holds nothing meaningful.
-func readScores(reply []byte, dst []score) error {
-	return readAligned(reply, "scores", lookupReplyShape, len(dst), func(i int, tok []byte) bool {
-		if string(tok) == "null" {
-			dst[i] = score{}
-			return true
-		}
-		if !jsonNumber(tok) {
-			return false
-		}
-		v, err := strconv.ParseFloat(string(tok), 64)
-		dst[i] = score{v: v, ok: true}
-		return err == nil // a number past float64's range
-	})
-}
+func bitSet(bm []byte, i int) bool { return bm[i/8]>>(i%8)&1 == 1 }
+func setBit(bm []byte, i int)      { bm[i/8] |= 1 << (i % 8) }
 
-// jsonNumber reports whether tok is a JSON number:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func jsonNumber(tok []byte) bool {
-	i := 0
-	digits := func() bool {
-		start := i
-		for i < len(tok) && '0' <= tok[i] && tok[i] <= '9' {
-			i++
+// readScores reads a lookup reply for n keys. Only once the whole reply has
+// checked out does it call hit, in order, with the position and score of
+// each published key.
+func readScores(reply []byte, n int, hit func(i int, score float64)) error {
+	bm, scores, err := readBitmap(reply, n, 8, lookupReplyShape)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if bitSet(bm, i) {
+			hit(i, math.Float64frombits(binary.LittleEndian.Uint64(scores)))
+			scores = scores[8:]
 		}
-		return i > start
-	}
-	if i < len(tok) && tok[i] == '-' {
-		i++
-	}
-	if i < len(tok) && tok[i] == '0' {
-		i++
-	} else if !digits() {
-		return false
-	}
-	if i < len(tok) && tok[i] == '.' {
-		if i++; !digits() {
-			return false
-		}
-	}
-	if i < len(tok) && (tok[i] == 'e' || tok[i] == 'E') {
-		if i++; i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return false
-		}
-	}
-	return i == len(tok)
-}
-
-// readGrants is readScores for a claim reply; null reads as denied.
-func readGrants(reply []byte, dst []bool) error {
-	return readAligned(reply, "granted", claimReplyShape, len(dst), func(i int, tok []byte) bool {
-		dst[i] = string(tok) == "true"
-		return dst[i] || string(tok) == "false" || string(tok) == "null"
-	})
-}
-
-// readAligned parses a positional batch reply, {"<field>":[entry,...]},
-// handing each entry's token to entry with its position. The reply must
-// answer exactly the n keys sent, every entry must be one entry accepts,
-// and nothing but JSON whitespace may come between the tokens: what it
-// accepts is JSON that encoding/json reads the same way. Anything else is
-// an error naming shape, and the search that sent the batch degrades.
-func readAligned(reply []byte, field, shape string, n int, entry func(i int, tok []byte) bool) error {
-	p := replyParser{b: reply}
-	count := 0
-	ok := p.lit("{") && p.lit(`"`+field+`"`) && p.lit(":") && p.lit("[")
-	if ok && !p.lit("]") {
-		for {
-			if count == n {
-				return fmt.Errorf("httpapi: batch reply answers more than the %d keys sent, want %s aligned with the request", n, shape)
-			}
-			if ok = entry(count, p.token()); !ok {
-				break
-			}
-			count++
-			if p.lit("]") {
-				break
-			}
-			if ok = p.lit(","); !ok {
-				break
-			}
-		}
-	}
-	if !ok || !p.lit("}") || !p.end() {
-		return fmt.Errorf("httpapi: batch reply is not %s (at byte %d)", shape, p.i)
-	}
-	if count != n {
-		return fmt.Errorf("httpapi: batch reply answers %d of the %d keys sent, want %s aligned with the request", count, n, shape)
 	}
 	return nil
 }
 
-// replyParser is a cursor over a batch reply.
-type replyParser struct {
-	b []byte
-	i int
-}
-
-func (p *replyParser) space() {
-	for p.i < len(p.b) && (p.b[p.i] == ' ' || p.b[p.i] == '\t' || p.b[p.i] == '\n' || p.b[p.i] == '\r') {
-		p.i++
+// readGrants reads a claim reply for n keys, then calls grant with each
+// key's position and decision.
+func readGrants(reply []byte, n int, grant func(i int, granted bool)) error {
+	bm, _, err := readBitmap(reply, n, 0, claimReplyShape)
+	if err != nil {
+		return err
 	}
-}
-
-// lit consumes s after any whitespace; false, and nothing consumed past the
-// whitespace, when s is not next.
-func (p *replyParser) lit(s string) bool {
-	p.space()
-	if len(p.b)-p.i < len(s) || string(p.b[p.i:p.i+len(s)]) != s {
-		return false
+	for i := 0; i < n; i++ {
+		grant(i, bitSet(bm, i))
 	}
-	p.i += len(s)
-	return true
-}
-
-// token consumes the run of number and literal bytes after any whitespace.
-func (p *replyParser) token() []byte {
-	p.space()
-	start := p.i
-	for ; p.i < len(p.b); p.i++ {
-		c := p.b[p.i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '.' || c == '+' || c == '-') {
-			break
-		}
-	}
-	return p.b[start:p.i]
-}
-
-// end reports whether only whitespace is left.
-func (p *replyParser) end() bool {
-	p.space()
-	return p.i == len(p.b)
+	return nil
 }

@@ -142,18 +142,18 @@ func TestChunkedBodyStopsAtTheCap(t *testing.T) {
 
 // TestBatchBodyOverTheCapIs413: the batch routes read through the same
 // reader, so an oversize body is refused as such, declared or chunked, not
-// handed to the JSON decoder to fail on.
+// handed to the digest or JSON decoder to fail on.
 func TestBatchBodyOverTheCapIs413(t *testing.T) {
 	const limit = 4 << 10
 	_, url := lowCapServer(t, limit)
-	big := `{"keys":["` + strings.Repeat("k", limit) + `"]}`
-	for _, route := range []string{"lookup", "claims", "records"} {
+	big := strings.Repeat("k", limit+32)
+	for route, contentType := range map[string]string{"lookup": octetStream, "claims": octetStream, "records": "application/json"} {
 		rejected := bodyRejected("darr-batch-" + route)
 		for name, body := range map[string]io.Reader{
 			"declared": strings.NewReader(big),
 			"chunked":  struct{ io.Reader }{strings.NewReader(big)},
 		} {
-			resp, err := http.Post(url+"/darr/batch/"+route, "application/json", body)
+			resp, err := http.Post(url+"/darr/batch/"+route, contentType, body)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/url"
 	"strings"
@@ -160,8 +161,8 @@ func callComponent(call string) string {
 	return ""
 }
 
-// callLabel trims query parameters (which carry whole unit keys) so logs
-// stay readable.
+// callLabel trims the query string (a pull's version, a query's dataset
+// fingerprint), so one route logs and traces under one label.
 func callLabel(method, path string) string {
 	if i := strings.IndexByte(path, '?'); i >= 0 {
 		path = path[:i]
@@ -203,16 +204,23 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body any, out 
 			return nil
 		}
 	}
-	return c.do(ctx, method, path, raw, "application/json", read)
+	return c.do(ctx, method, path, raw, jsonBody, read)
 }
 
+// The headers that describe a request body (a claim's also names its
+// client).
+var (
+	jsonBody  = http.Header{"Content-Type": {"application/json"}}
+	octetBody = http.Header{"Content-Type": {octetStream}}
+)
+
 // do performs one round trip with retries, replaying raw (nil: no body) as
-// the request body of every attempt. Retryable statuses (5xx, 429) are
+// the request body of every attempt, described by header. Retryable statuses (5xx, 429) are
 // surfaced as errors so the retry layer re-issues the request; other
 // statuses are returned to the caller for interpretation. read, when
 // non-nil, interprets a 2xx reply; its error fails the attempt, and a
 // transient one (a truncated body) is retried.
-func (c *Client) do(ctx context.Context, method, path string, raw []byte, contentType string, read func(*http.Response) error) (int, error) {
+func (c *Client) do(ctx context.Context, method, path string, raw []byte, header http.Header, read func(*http.Response) error) (int, error) {
 	var status int
 	err := c.exec(ctx, callLabel(method, path), func(ctx context.Context) error {
 		var rdr io.Reader
@@ -226,7 +234,7 @@ func (c *Client) do(ctx context.Context, method, path string, raw []byte, conten
 		req.Header.Set(obs.RequestIDHeader, obs.RequestID(ctx))
 		trace.Inject(ctx, req.Header)
 		if raw != nil {
-			req.Header.Set("Content-Type", contentType)
+			maps.Copy(req.Header, header)
 		}
 		resp, err := c.httpClient().Do(req)
 		if err != nil {
@@ -325,53 +333,53 @@ func batches(n int, do func(lo, hi int) error) error {
 	return nil
 }
 
-// postBatch posts one run of a batch to path and hands a 200 reply's body
-// to read; what names the call in a status error.
-func (c *Client) postBatch(ctx context.Context, path, what string, body any, read func([]byte) error) error {
-	raw, err := encodeJSON(body)
-	if err != nil {
-		return err
+// appendDigests appends each key's darr.Digest to dst: a lookup or claim
+// body.
+func appendDigests(dst []byte, keys []string) []byte {
+	for _, k := range keys {
+		d := darr.KeyDigest(k)
+		dst = append(dst, d[:]...)
 	}
-	status, err := c.do(ctx, http.MethodPost, path, raw, "application/json", func(resp *http.Response) error {
-		reply, err := readSized(resp.Body, resp.ContentLength, maxBodyBytes, nil)
+	return dst
+}
+
+// postDigests posts keys' digests to path with header, DefaultMaxBatchKeys
+// to a request, and hands each 200 reply's body to read with the bounds of
+// the run it answers. what names the call in an error, and shape the reply.
+func (c *Client) postDigests(ctx context.Context, path string, header http.Header, what, shape string, keys []string, read func(reply []byte, lo, hi int) error) error {
+	body := appendDigests(make([]byte, 0, digestSize*len(keys)), keys)
+	return batches(len(keys), func(lo, hi int) error {
+		status, err := c.do(ctx, http.MethodPost, path, body[lo*digestSize:hi*digestSize], header, func(resp *http.Response) error {
+			if ct := resp.Header.Get("Content-Type"); ct != octetStream {
+				return fmt.Errorf("httpapi: batch %s reply of type %q, want %s: %s (upgrade servers and clients together)", what, ct, octetStream, shape)
+			}
+			reply, err := readSized(resp.Body, resp.ContentLength, maxBodyBytes, nil)
+			if err != nil {
+				// A short body is io.ErrUnexpectedEOF, which the retry layer
+				// retries.
+				return fmt.Errorf("httpapi: reading batch %s reply: %w", what, err)
+			}
+			return read(reply, lo, hi)
+		})
 		if err != nil {
-			// A short body is io.ErrUnexpectedEOF, which the retry layer
-			// retries.
-			return fmt.Errorf("httpapi: reading batch %s reply: %w", what, err)
+			return err
 		}
-		return read(reply)
+		if status != http.StatusOK {
+			return fmt.Errorf("httpapi: batch %s status %d", what, status)
+		}
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("httpapi: batch %s status %d", what, status)
-	}
-	return nil
 }
 
 // LookupBatch implements core.ResultStore: one POST per
 // DefaultMaxBatchKeys keys resolves the published scores for every key.
 func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]float64, error) {
-	answers := make([]score, len(keys))
-	err := batches(len(keys), func(lo, hi int) error {
-		return c.postBatch(ctx, "/darr/batch/lookup", "lookup", batchLookupRequest{Keys: keys[lo:hi]},
-			func(reply []byte) error { return readScores(reply, answers[lo:hi]) })
+	scores := make(map[string]float64, len(keys))
+	err := c.postDigests(ctx, "/darr/batch/lookup", octetBody, "lookup", lookupReplyShape, keys, func(reply []byte, lo, hi int) error {
+		return readScores(reply, hi-lo, func(i int, score float64) { scores[keys[lo+i]] = score })
 	})
 	if err != nil {
 		return nil, err
-	}
-	hits := 0
-	for _, a := range answers {
-		if a.ok {
-			hits++
-		}
-	}
-	scores := make(map[string]float64, hits)
-	for i, a := range answers {
-		if a.ok {
-			scores[keys[i]] = a.v
-		}
 	}
 	return scores, nil
 }
@@ -381,17 +389,13 @@ func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]flo
 // Claims are idempotent per client, so a retried batch whose response was
 // lost is safe.
 func (c *Client) ClaimBatch(ctx context.Context, keys []string) (map[string]bool, error) {
-	answers := make([]bool, len(keys))
-	err := batches(len(keys), func(lo, hi int) error {
-		return c.postBatch(ctx, "/darr/batch/claims", "claim", batchClaimRequest{Keys: keys[lo:hi], ClientID: c.ClientID},
-			func(reply []byte) error { return readGrants(reply, answers[lo:hi]) })
+	granted := make(map[string]bool, len(keys))
+	header := http.Header{"Content-Type": {octetStream}, clientIDHeader: {c.ClientID}}
+	err := c.postDigests(ctx, "/darr/batch/claims", header, "claim", claimReplyShape, keys, func(reply []byte, lo, hi int) error {
+		return readGrants(reply, hi-lo, func(i int, g bool) { granted[keys[lo+i]] = g })
 	})
 	if err != nil {
 		return nil, err
-	}
-	granted := make(map[string]bool, len(keys))
-	for i, g := range answers {
-		granted[keys[i]] = g
 	}
 	return granted, nil
 }
@@ -429,7 +433,7 @@ func (c *Client) QueryByDataset(ctx context.Context, fp string) ([]darr.Record, 
 // (identical-content) version; readers converge either way.
 func (c *Client) PutObject(ctx context.Context, key string, data []byte) (uint64, error) {
 	var version uint64
-	status, err := c.do(ctx, http.MethodPut, "/store/objects/"+url.PathEscape(key), data, "application/octet-stream",
+	status, err := c.do(ctx, http.MethodPut, "/store/objects/"+url.PathEscape(key), data, octetBody,
 		func(resp *http.Response) (err error) {
 			version, err = versionIn(resp.Header, versionHeader)
 			return err
@@ -455,7 +459,7 @@ func (c *Client) PullObject(ctx context.Context, rep *store.Replica, key string)
 	defer sp.End()
 	var reply *store.Reply
 	path := fmt.Sprintf("/store/objects/%s?have=%d", url.PathEscape(key), have)
-	status, err := c.do(ctx, http.MethodGet, path, nil, "", func(resp *http.Response) error {
+	status, err := c.do(ctx, http.MethodGet, path, nil, nil, func(resp *http.Response) error {
 		body, err := readSized(resp.Body, resp.ContentLength, maxBodyBytes, nil)
 		if err != nil {
 			return fmt.Errorf("httpapi: reading pull reply: %w", err)

@@ -2,18 +2,21 @@
 // HTTP — the wire tier connecting Figure 1's client nodes to the cloud
 // analytics servers — and provides the matching client, which implements
 // core.ResultStore so a remote DARR plugs straight into core.Search. The
-// DARR and lease routes speak JSON; the object routes carry an object's
-// bytes (or a delta's) as the body and the reply's metadata in X-Coda-*
-// headers.
+// batch lookup and claim routes carry key digests and answer with bitmaps;
+// the other DARR routes and the lease routes speak JSON; the object routes
+// carry an object's bytes (or a delta's) as the body and the reply's
+// metadata in X-Coda-* headers.
 package httpapi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime/debug"
 	"strconv"
@@ -394,111 +397,114 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 }
 
-// Wire types of the batched DARR protocol, the only one a search speaks:
-// one request carries every key (or record) of a cooperative search
-// phase. A lookup or claim reply answers the request's keys by position,
-// one entry per key in request order; it does not echo them.
-type batchLookupRequest struct {
-	Keys []string `json:"keys"`
-}
-
-// batchLookupReply is {"scores":[number|null,…]}: Scores[i] is the
-// published score of the request's Keys[i], or null when it has none. The
-// client reads it as []score (readScores).
-type batchLookupReply struct {
-	Scores []*float64 `json:"scores"`
-}
-
-type batchClaimRequest struct {
-	Keys     []string `json:"keys"`
-	ClientID string   `json:"client_id"`
-}
-
-// batchClaimReply is {"granted":[bool,…]}: Granted[i] is the decision on
-// the request's Keys[i].
-type batchClaimReply struct {
-	Granted []bool `json:"granted"`
-}
+// The batch lookup and claim routes' wire form, the protocol a search
+// speaks. A request body is n concatenated darr.Digest values, 0 < n ≤
+// MaxBatchKeys, of type octetStream (any other type is a 415); a claim
+// names its client in clientIDHeader. A lookup's 200 is lookupReplyShape:
+// bit i of the bitmap, least significant first, answers digest i, and the
+// scores follow in request order. A claim's 200 is claimReplyShape.
+const (
+	octetStream    = "application/octet-stream"
+	digestSize     = len(darr.Digest{})
+	digestsShape   = "n×32-byte SHA-256 unit key digests"
+	clientIDHeader = "X-Coda-Client-Id"
+)
 
 type batchRecordsRequest struct {
 	Records []darr.Record `json:"records"`
 }
 
-func (s *Server) maxBatchKeys() int {
-	if s.MaxBatchKeys > 0 {
-		return s.MaxBatchKeys
-	}
-	return DefaultMaxBatchKeys
-}
-
-// checkBatch enforces the method and batch-size bounds shared by every
-// batch endpoint; it reports whether the request may proceed.
+// checkBatch enforces the batch-size bounds shared by every batch endpoint;
+// it reports whether the request may proceed.
 func (s *Server) checkBatch(w http.ResponseWriter, r *http.Request, n int, what string) bool {
-	if !s.allowMethod(w, r, http.MethodPost) {
-		return false
-	}
 	if n == 0 {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch needs at least one %s", what))
 		return false
 	}
-	if limit := s.maxBatchKeys(); n > limit {
+	limit := s.MaxBatchKeys
+	if limit <= 0 {
+		limit = DefaultMaxBatchKeys
+	}
+	if n > limit {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch of %d %ss exceeds limit %d", n, what, limit))
 		return false
 	}
 	return true
 }
 
+// readDigests reads a lookup or claim body; false means the error reply
+// has been written.
+func (s *Server) readDigests(w http.ResponseWriter, r *http.Request) ([]darr.Digest, bool) {
+	if !s.allowMethod(w, r, http.MethodPost) {
+		return nil, false
+	}
+	if ct := r.Header.Get("Content-Type"); ct != octetStream {
+		s.writeError(w, r, http.StatusUnsupportedMediaType, fmt.Errorf(
+			"body of type %q, want %s: %s (upgrade servers and clients together)", ct, octetStream, digestsShape))
+		return nil, false
+	}
+	b := s.readBody(w, r)
+	if b == nil {
+		return nil, false
+	}
+	defer b.release()
+	if len(b.b)%digestSize != 0 {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("body of %d bytes is not %s", len(b.b), digestsShape))
+		return nil, false
+	}
+	if !s.checkBatch(w, r, len(b.b)/digestSize, "key") {
+		return nil, false
+	}
+	ds := make([]darr.Digest, len(b.b)/digestSize)
+	for i := range ds {
+		ds[i] = darr.Digest(b.b[i*digestSize:])
+	}
+	return ds, true
+}
+
 func (s *Server) handleBatchLookup(w http.ResponseWriter, r *http.Request) {
-	var req batchLookupRequest
-	if r.Method == http.MethodPost && !s.decodeBody(w, r, "batch lookup", &req) {
+	ds, ok := s.readDigests(w, r)
+	if !ok {
 		return
 	}
-	if !s.checkBatch(w, r, len(req.Keys), "key") {
-		return
-	}
-	_, sp := trace.Start(r.Context(), "darr.get_batch", trace.Int("keys", len(req.Keys)))
-	recs := s.Repo.GetBatch(req.Keys)
-	sp.SetAttr(trace.Int("hits", len(recs)))
+	_, sp := trace.Start(r.Context(), "darr.get_batch", trace.Int("keys", len(ds)))
+	m := bitmapLen(len(ds))
+	reply := make([]byte, m, m+8*len(ds))
+	s.Repo.LookupDigests(ds, func(i int, rec darr.Record) {
+		setBit(reply, i)
+		reply = binary.LittleEndian.AppendUint64(reply, math.Float64bits(rec.Score))
+	})
+	sp.SetAttr(trace.Int("hits", (len(reply)-m)/8))
 	sp.End()
-	reply := batchLookupReply{Scores: make([]*float64, len(req.Keys))}
-	scores := make([]float64, len(req.Keys))
-	for i, k := range req.Keys {
-		if rec, ok := recs[k]; ok {
-			scores[i] = rec.Score
-			reply.Scores[i] = &scores[i]
-		}
-	}
-	writeJSON(w, http.StatusOK, reply)
+	writeRaw(w, reply)
 }
 
 func (s *Server) handleBatchClaims(w http.ResponseWriter, r *http.Request) {
-	var req batchClaimRequest
-	if r.Method == http.MethodPost && !s.decodeBody(w, r, "batch claim", &req) {
+	ds, ok := s.readDigests(w, r)
+	if !ok {
 		return
 	}
-	if !s.checkBatch(w, r, len(req.Keys), "key") {
+	clientID := r.Header.Get(clientIDHeader)
+	if clientID == "" {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch claim needs the %s header", clientIDHeader))
 		return
 	}
-	if req.ClientID == "" {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch claim needs client_id"))
-		return
-	}
-	_, sp := trace.Start(r.Context(), "darr.claim_batch", trace.Int("keys", len(req.Keys)))
-	granted := s.Repo.ClaimBatch(req.Keys, req.ClientID)
+	_, sp := trace.Start(r.Context(), "darr.claim_batch", trace.Int("keys", len(ds)))
+	granted := s.Repo.ClaimDigests(ds, clientID)
 	sp.End()
-	reply := batchClaimReply{Granted: make([]bool, len(req.Keys))}
-	for i, k := range req.Keys {
-		reply.Granted[i] = granted[k]
+	reply := make([]byte, bitmapLen(len(ds)))
+	for i, g := range granted {
+		if g {
+			setBit(reply, i)
+		}
 	}
-	writeJSON(w, http.StatusOK, reply)
+	writeRaw(w, reply)
 }
 
 func (s *Server) handleBatchRecords(w http.ResponseWriter, r *http.Request) {
 	var req batchRecordsRequest
-	if r.Method == http.MethodPost && !s.decodeBody(w, r, "batch records", &req) {
-		return
-	}
-	if !s.checkBatch(w, r, len(req.Records), "record") {
+	if !s.allowMethod(w, r, http.MethodPost) || !s.decodeBody(w, r, "batch records", &req) ||
+		!s.checkBatch(w, r, len(req.Records), "record") {
 		return
 	}
 	_, sp := trace.Start(r.Context(), "darr.put_batch", trace.Int("records", len(req.Records)))
@@ -605,10 +611,15 @@ func writeReply(w http.ResponseWriter, r *store.Reply) {
 	default:
 		payload = r.Full
 	}
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	h.Set(versionHeader, strconv.FormatUint(r.Version, 10))
 	h.Set(replyHeader, r.Kind())
+	writeRaw(w, payload)
+}
+
+// writeRaw answers 200 with payload as the whole body.
+func writeRaw(w http.ResponseWriter, payload []byte) {
+	w.Header().Set("Content-Type", octetStream)
+	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(payload) // a failed write is the client hanging up
 }
