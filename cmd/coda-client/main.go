@@ -131,9 +131,7 @@ func (lf *logFlags) setup() error {
 		go func() {
 			slog.Info("debug server listening", "addr", addr,
 				"endpoints", "/debug/pprof/ /metrics /healthz /debug/traces")
-			dmux := obs.DebugMux()
-			dmux.Handle("/debug/traces", trace.Handler())
-			if err := http.ListenAndServe(addr, dmux); err != nil {
+			if err := http.ListenAndServe(addr, httpapi.NewDebugServer()); err != nil {
 				slog.Error("debug server failed", "err", err)
 			}
 		}()
@@ -215,15 +213,7 @@ func runServe(ctx context.Context, args []string) error {
 	fmt.Printf("serving %s (%s=%.5g) on %s\n", res.Best.Spec, *metric, res.Best.Mean, ln.Addr())
 	printProfile(res.Profile)
 	fmt.Println(`POST {"rows": [[...feature values...], ...]} to /score`)
-	mux := http.NewServeMux()
-	mux.Handle("/score", webservice.Handler(pipelineEstimator{res.BestPipeline}))
-	mux.Handle("/metrics", obs.MetricsHandler())
-	mux.Handle("/healthz", obs.HealthHandler(nil))
-	mux.Handle("/debug/traces", trace.Handler())
-	// The middleware assigns each scoring request an X-Coda-Request-Id
-	// and threads it into the handler's logs; the recovery layer turns a
-	// scoring panic into a structured 500 instead of a dead connection.
-	srv := &http.Server{Handler: obs.Middleware(obs.Recover(mux, nil), nil)}
+	srv := scoreServer(pipelineEstimator{res.BestPipeline})
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	select {
@@ -234,6 +224,22 @@ func runServe(ctx context.Context, args []string) error {
 		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		return srv.Shutdown(shCtx)
+	}
+}
+
+// scoreServer is serve's listener: est at /score on the one httpapi chain
+// (request ids, traces, the body cap, per-route metrics, panic recovery,
+// /metrics, /healthz and /debug/traces), behind coda-server's default
+// timeouts, so a client that never finishes its headers is cut off.
+func scoreServer(est core.Estimator) *http.Server {
+	api := httpapi.NewServer(nil, nil)
+	api.Handle("/score", webservice.Handler(est))
+	return &http.Server{
+		Handler:           api,
+		ReadHeaderTimeout: httpapi.DefaultReadTimeout,
+		ReadTimeout:       httpapi.DefaultReadTimeout,
+		WriteTimeout:      httpapi.DefaultWriteTimeout,
+		IdleTimeout:       httpapi.DefaultIdleTimeout,
 	}
 }
 

@@ -89,13 +89,13 @@ func main() {
 		leaseSweep     = flag.Duration("lease-sweep", 30*time.Second, "how often expired leases on idle objects are pruned")
 		leaseMaxTTL    = flag.Duration("lease-max-ttl", time.Hour, "ceiling on requested lease durations")
 
-		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "per-request read timeout")
-		writeTimeout = flag.Duration("write-timeout", 30*time.Second, "per-request write timeout")
-		idleTimeout  = flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle timeout")
+		readTimeout  = flag.Duration("read-timeout", httpapi.DefaultReadTimeout, "per-request read timeout")
+		writeTimeout = flag.Duration("write-timeout", httpapi.DefaultWriteTimeout, "per-request write timeout")
+		idleTimeout  = flag.Duration("idle-timeout", httpapi.DefaultIdleTimeout, "keep-alive idle timeout")
 
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error (debug logs every request)")
 		logFormat = flag.String("log-format", "text", "log format: text|json")
-		debugAddr = flag.String("debug-addr", "", "optional listener for net/http/pprof, /metrics and /healthz (e.g. :6060)")
+		debugAddr = flag.String("debug-addr", "", "optional listener for net/http/pprof, /metrics, /healthz and /debug/traces (e.g. :6060)")
 
 		traceSample = flag.Float64("trace-sample", 1.0, "fraction of traces kept by head sampling (slow traces are always kept)")
 		traceSlowMS = flag.Int("trace-slow-ms", 500, "always keep traces at least this slow, in milliseconds (0 disables slow capture)")
@@ -198,9 +198,7 @@ func main() {
 		go func() {
 			logger.Info("debug server listening", "addr", *debugAddr,
 				"endpoints", "/debug/pprof/ /metrics /healthz /debug/traces")
-			dmux := obs.DebugMux()
-			dmux.Handle("/debug/traces", trace.Handler())
-			if err := http.ListenAndServe(*debugAddr, dmux); err != nil {
+			if err := http.ListenAndServe(*debugAddr, httpapi.NewDebugServer()); err != nil {
 				logger.Error("debug server failed", "err", err)
 			}
 		}()

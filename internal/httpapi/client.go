@@ -214,6 +214,20 @@ var (
 	octetBody = http.Header{"Content-Type": {octetStream}}
 )
 
+// newRequest is how every request the client sends is built: to path on the
+// server, carrying ctx's request id (a fresh one when ctx has none) in
+// X-Coda-Request-Id and ctx's span in X-Coda-Traceparent.
+func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	ctx, id := obs.EnsureRequestID(ctx)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	if err != nil {
+		return nil, fmt.Errorf("httpapi: building request: %w", err)
+	}
+	req.Header.Set(obs.RequestIDHeader, id)
+	trace.Inject(ctx, req.Header)
+	return req, nil
+}
+
 // do performs one round trip with retries, replaying raw (nil: no body) as
 // the request body of every attempt, described by header. Retryable statuses (5xx, 429) are
 // surfaced as errors so the retry layer re-issues the request; other
@@ -227,12 +241,10 @@ func (c *Client) do(ctx context.Context, method, path string, raw []byte, header
 		if raw != nil {
 			rdr = bytes.NewReader(raw)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
+		req, err := c.newRequest(ctx, method, path, rdr)
 		if err != nil {
-			return fmt.Errorf("httpapi: building request: %w", err)
+			return err
 		}
-		req.Header.Set(obs.RequestIDHeader, obs.RequestID(ctx))
-		trace.Inject(ctx, req.Header)
 		if raw != nil {
 			maps.Copy(req.Header, header)
 		}

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"coda/internal/obs"
-	"coda/internal/obs/trace"
 	"coda/internal/store"
 )
 
@@ -99,12 +97,10 @@ func (c *Client) PollLease(ctx context.Context, leaseID string, wait time.Durati
 	var n Notification
 	got := false
 	err := c.exec(ctx, "GET /leases/poll", func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+		req, err := c.newRequest(ctx, http.MethodGet, path, nil)
 		if err != nil {
-			return fmt.Errorf("httpapi: building poll: %w", err)
+			return err
 		}
-		req.Header.Set(obs.RequestIDHeader, obs.RequestID(ctx))
-		trace.Inject(ctx, req.Header)
 		// The connection must outlive the server-side wait; bypass the
 		// client's overall request timeout but keep its transport.
 		resp, err := c.streamClient().Do(req)
@@ -143,15 +139,11 @@ func (c *Client) PollLease(ctx context.Context, leaseID string, wait time.Durati
 // request timeout and retry policy: a subscription is a long-lived
 // connection, and re-subscribing after a drop is the caller's loop.
 func (c *Client) StreamLease(ctx context.Context, leaseID string, fn func(Notification) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/leases/"+url.PathEscape(leaseID)+"/stream", nil)
+	req, err := c.newRequest(ctx, http.MethodGet, "/leases/"+url.PathEscape(leaseID)+"/stream", nil)
 	if err != nil {
-		return fmt.Errorf("httpapi: building stream request: %w", err)
+		return err
 	}
-	ctx, id := obs.EnsureRequestID(ctx)
-	req.Header.Set(obs.RequestIDHeader, id)
 	req.Header.Set("Accept", "text/event-stream")
-	trace.Inject(ctx, req.Header)
 	resp, err := c.streamClient().Do(req)
 	if err != nil {
 		return fmt.Errorf("httpapi: opening lease stream: %w", err)

@@ -18,6 +18,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/http/pprof"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -36,12 +37,15 @@ import (
 var mPanics = obs.GetCounter("coda_http_panics_total")
 
 // Server wires a DARR repository and a home data store into an
-// http.Handler. Every request flows through the telemetry middleware:
-// the caller's X-Coda-Request-Id is adopted (or a fresh one generated),
-// stashed in the request context, echoed on the response, and attached
-// to logs; per-route counters and latency histograms land in the
-// Prometheus scrape at /metrics, and /healthz reports uptime, build
-// info, breaker states, and component stats.
+// http.Handler, and is the one HTTP serving chain every listener runs:
+// coda-server's API, coda-client serve's /score (mounted with Handle) and
+// the -debug-addr listeners (NewDebugServer). Every request flows through
+// the telemetry middleware: the caller's X-Coda-Request-Id is adopted (or
+// a fresh one generated), stashed in the request context, echoed on the
+// response, and attached to logs; the body is capped; per-route counters
+// and latency histograms land in the Prometheus scrape at /metrics, and
+// /healthz reports uptime, build info, breaker states, and component
+// stats.
 type Server struct {
 	Repo *darr.Repo
 	// Store is the data-tier seam: any store.ObjectStore backend (the
@@ -84,6 +88,15 @@ const DefaultMaxBatchKeys = 1024
 // reuse, so a rare large PUT does not pin one.
 const maxBodyBytes, maxPooledBody = 64 << 20, 1 << 20
 
+// The timeouts of an http.Server in front of a Server: coda-server's flag
+// defaults, and what coda-client serve uses. The header deadline is
+// DefaultReadTimeout too.
+const (
+	DefaultReadTimeout  = 30 * time.Second
+	DefaultWriteTimeout = 30 * time.Second
+	DefaultIdleTimeout  = 2 * time.Minute
+)
+
 // NewServer builds the handler; either component may be nil to disable its
 // endpoints.
 func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
@@ -117,6 +130,21 @@ func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
 	return s
 }
 
+// Handle mounts h at pattern behind the server's handler chain.
+func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+
+// NewDebugServer is the -debug-addr listener's handler: /metrics, /healthz
+// and /debug/traces, as every Server has, plus net/http/pprof.
+func NewDebugServer() *Server {
+	s := NewServer(nil, nil)
+	s.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
+	s.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
+	s.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
+	s.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
+	s.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
+	return s
+}
+
 func (s *Server) logger() *slog.Logger {
 	if s.Logger != nil {
 		return s.Logger
@@ -124,19 +152,26 @@ func (s *Server) logger() *slog.Logger {
 	return slog.Default()
 }
 
-// statusRecorder captures the response status and size for telemetry.
+// statusRecorder captures the response status and size for telemetry. The
+// first status committed — by WriteHeader, or an implicit 200 by Write or
+// Flush — is the request's: a later WriteHeader does not relabel it, and
+// recovery writes nothing into a committed response.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
-	bytes  int64
+	status    int
+	bytes     int64
+	committed bool
 }
 
 func (r *statusRecorder) WriteHeader(status int) {
-	r.status = status
+	if !r.committed {
+		r.status, r.committed = status, true
+	}
 	r.ResponseWriter.WriteHeader(status)
 }
 
 func (r *statusRecorder) Write(p []byte) (int, error) {
+	r.committed = true
 	n, err := r.ResponseWriter.Write(p)
 	r.bytes += int64(n)
 	return n, err
@@ -145,6 +180,7 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 // Flush forwards to the underlying writer so SSE handlers can stream
 // through the telemetry wrapper.
 func (r *statusRecorder) Flush() {
+	r.committed = true
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
@@ -163,6 +199,10 @@ func routeLabel(path string) string {
 		return "metrics"
 	case path == "/debug/traces":
 		return "traces"
+	case strings.HasPrefix(path, "/debug/pprof/"):
+		return "pprof"
+	case path == "/score":
+		return "score"
 	case path == "/darr/records":
 		return "darr-records"
 	case path == "/darr/claims":
@@ -204,12 +244,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(obs.RequestIDHeader, id)
 	route := routeLabel(r.URL.Path)
 	ctx := obs.WithRequestID(r.Context(), id)
-	// Scrape and introspection routes are excluded from tracing so the
-	// ring holds real work, not the observers observing it; so are the
-	// lease subscription streams, whose spans would span the whole
+	// Scrape, introspection and profiling routes are excluded from tracing
+	// so the ring holds real work, not the observers observing it; so are
+	// the lease subscription streams, whose spans would span the whole
 	// connection lifetime rather than a unit of work.
 	var sp *trace.Span
-	if route != "metrics" && route != "healthz" && route != "traces" &&
+	if route != "metrics" && route != "healthz" && route != "traces" && route != "pprof" &&
 		route != "lease-stream" && route != "lease-poll" {
 		ctx = trace.Extract(ctx, r.Header)
 		ctx, sp = trace.Start(ctx, "server."+route,
@@ -224,14 +264,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				panic(p)
 			}
 			// A panicking handler costs one request, not the connection:
-			// count it, keep the stack, answer a structured 500.
+			// count it, keep the stack, answer a structured 500 unless a
+			// status is already on its way to the client.
 			mPanics.Inc()
-			rec.status = http.StatusInternalServerError
 			s.logger().Error("handler panic",
 				"request_id", id, "method", r.Method, "path", r.URL.Path,
 				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 			sp.SetAttr(trace.String("panic", fmt.Sprint(p)))
-			if rec.bytes == 0 {
+			if !rec.committed {
 				writeJSON(rec, http.StatusInternalServerError,
 					errorReply{Error: "internal server error", Status: http.StatusInternalServerError, RequestID: id})
 			}

@@ -1,10 +1,11 @@
 // Package obs is the observability layer for the cooperative analytics
 // stack: structured logging (log/slog), a dependency-free metrics
 // registry exposed in Prometheus text format, request-id tracing that
-// follows a cooperative search from client to server, process health
-// reporting, and a pprof debug mux. Everything here is stdlib-only so it
-// can be imported from any layer (darr, store, retry, core, httpapi)
-// without creating dependency cycles or pulling in third-party modules.
+// follows a cooperative search from client to server, and process health
+// reporting. The HTTP chain that serves them is httpapi.Server's, on every
+// listener. Everything here is stdlib-only so it can be imported from any
+// layer (darr, store, retry, core, httpapi) without creating dependency
+// cycles or pulling in third-party modules.
 //
 // The package is deliberately distinct from internal/metrics, which
 // implements ML scoring metrics (RMSE, accuracy, ...); obs measures the
@@ -15,8 +16,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -78,19 +77,4 @@ func SetupDefaultLogger(level, format string) error {
 	}
 	slog.SetDefault(logger)
 	return nil
-}
-
-// DebugMux returns the standard debug surface served behind -debug-addr:
-// net/http/pprof under /debug/pprof/, the Prometheus scrape at /metrics,
-// and the process health report at /healthz.
-func DebugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/metrics", MetricsHandler())
-	mux.Handle("/healthz", HealthHandler(nil))
-	return mux
 }

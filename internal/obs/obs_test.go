@@ -192,48 +192,6 @@ func TestRequestIDHelpers(t *testing.T) {
 	}
 }
 
-// TestRequestIDPropagation drives a full httptest round trip through the
-// middleware: the client's header id reaches the handler context, is
-// echoed on the response, and lands in the server log.
-func TestRequestIDPropagation(t *testing.T) {
-	var logBuf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&logBuf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-
-	var seen string
-	ts := httptest.NewServer(Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seen = RequestID(r.Context())
-		w.WriteHeader(http.StatusNoContent)
-	}), logger))
-	defer ts.Close()
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/x", nil)
-	req.Header.Set(RequestIDHeader, "feedfacecafebeef")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if seen != "feedfacecafebeef" {
-		t.Fatalf("handler saw id %q", seen)
-	}
-	if got := resp.Header.Get(RequestIDHeader); got != "feedfacecafebeef" {
-		t.Fatalf("echoed id %q", got)
-	}
-	if !strings.Contains(logBuf.String(), "request_id=feedfacecafebeef") {
-		t.Fatalf("server log missing id:\n%s", logBuf.String())
-	}
-
-	// Without a header the middleware generates one.
-	resp, err = http.Get(ts.URL + "/y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get(RequestIDHeader) == "" {
-		t.Fatal("no generated id echoed")
-	}
-}
-
 func TestHealthHandler(t *testing.T) {
 	RegisterHealth("test-component", func() any { return map[string]int{"n": 42} })
 	defer UnregisterHealth("test-component")
@@ -258,22 +216,6 @@ func TestHealthHandler(t *testing.T) {
 	}
 	if reply.Components["extra"] != "here" {
 		t.Fatal("missing extra component")
-	}
-}
-
-func TestDebugMuxServesPprofAndMetrics(t *testing.T) {
-	ts := httptest.NewServer(DebugMux())
-	defer ts.Close()
-	for _, path := range []string{"/debug/pprof/", "/metrics", "/healthz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || len(body) == 0 {
-			t.Fatalf("%s: status %d, %d bytes", path, resp.StatusCode, len(body))
-		}
 	}
 }
 

@@ -26,16 +26,12 @@ import (
 	"coda/internal/dataset"
 	"coda/internal/matrix"
 	"coda/internal/obs"
+	"coda/internal/obs/trace"
 )
 
-// Scoring-endpoint telemetry, labeled by response class.
-var (
-	mScoreOK        = obs.GetCounter(`coda_webservice_requests_total{code="2xx"}`)
-	mScoreBadInput  = obs.GetCounter(`coda_webservice_requests_total{code="4xx"}`)
-	mScoreFailed    = obs.GetCounter(`coda_webservice_requests_total{code="5xx"}`)
-	mScoreSeconds   = obs.GetHistogram("coda_webservice_request_seconds", nil)
-	mScoredRowCount = obs.GetCounter("coda_webservice_rows_scored_total")
-)
+// mScoredRowCount counts rows scored; requests are counted, timed and
+// traced by the chain Handler is mounted on, under route="score".
+var mScoredRowCount = obs.GetCounter("coda_webservice_rows_scored_total")
 
 // Service scores feature rows remotely.
 type Service interface {
@@ -114,31 +110,20 @@ type scoreResponse struct {
 
 // Handler serves a fitted estimator as an AI web service: POST a JSON
 // feature matrix, receive predictions — the role the paper's cloud vendors
-// play in Figure 1. Errors come back as structured JSON carrying the
-// status and the request id (when the request passed through
-// obs.Middleware), and are logged through slog.
+// play in Figure 1. Mounted on an httpapi.Server (coda-client serve's
+// /score), the request has an id, a capped body, a span, per-route metrics
+// and panic recovery; a body over the cap is a 413. Errors come back as
+// structured JSON carrying the status and the request id, and are logged
+// through slog.
 func Handler(est core.Estimator) http.Handler {
-	return HandlerWithLogger(est, nil)
-}
-
-// HandlerWithLogger is Handler with an explicit logger (nil uses
-// slog.Default()).
-func HandlerWithLogger(est core.Estimator, logger *slog.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if logger == nil {
-			logger = slog.Default()
-		}
-		start := time.Now()
 		id := obs.RequestID(r.Context())
 		fail := func(status int, msg string) {
 			level := slog.LevelWarn
-			counter := mScoreBadInput
 			if status >= 500 {
 				level = slog.LevelError
-				counter = mScoreFailed
 			}
-			counter.Inc()
-			logger.Log(r.Context(), level, "score request failed",
+			slog.Default().Log(r.Context(), level, "score request failed",
 				"request_id", id, "status", status, "err", msg)
 			writeJSON(w, status, scoreResponse{Error: msg, Status: status, RequestID: id})
 		}
@@ -148,7 +133,11 @@ func HandlerWithLogger(est core.Estimator, logger *slog.Logger) http.Handler {
 		}
 		var req scoreRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fail(http.StatusBadRequest, "decoding request: "+err.Error())
+			status := http.StatusBadRequest
+			if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			fail(status, "decoding request: "+err.Error())
 			return
 		}
 		if len(req.Rows) == 0 {
@@ -170,11 +159,8 @@ func HandlerWithLogger(est core.Estimator, logger *slog.Logger) http.Handler {
 			fail(http.StatusInternalServerError, err.Error())
 			return
 		}
-		mScoreOK.Inc()
 		mScoredRowCount.Add(int64(len(req.Rows)))
-		mScoreSeconds.ObserveSince(start)
-		logger.Debug("scored rows",
-			"request_id", id, "rows", len(req.Rows), "elapsed", time.Since(start))
+		trace.Annotate(r.Context(), trace.Int("rows", len(req.Rows)))
 		writeJSON(w, http.StatusOK, scoreResponse{Predictions: preds})
 	})
 }

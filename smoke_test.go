@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"coda/internal/httpapi"
+	"coda/internal/obs"
 	"coda/internal/obs/trace"
 )
 
@@ -368,6 +369,70 @@ func TestSmoke(t *testing.T) {
 			t.Errorf("critical path compute seconds = %v after a computed search, want > 0", sum)
 		}
 		t.Run("ServeStopsOnSIGTERM", serve.stop)
+	})
+
+	// serve's /score runs on the server's chain: it scores one prediction
+	// per row, answers a malformed body with the JSON error every route
+	// gives, under the echoed request id, and is counted and traced like
+	// any coda-server route — adopting the caller's span as its parent.
+	t.Run("Score", func(t *testing.T) {
+		serve, url := bins.startServe(t)
+		const traceID = "0af7651916cd43dd8448eb211c80319c"
+		post := func(body string, header http.Header) (*http.Response, []byte) {
+			t.Helper()
+			req, err := http.NewRequest(http.MethodPost, url+"/score", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header = header
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("POST /score: %v", err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp, raw
+		}
+
+		rows := `{"rows": [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [1, 1, 1, 1, 1, 1], [-2, 0, 2, 0, -2, 0]]}`
+		resp, raw := post(rows, http.Header{trace.Header: {traceID + "-b7ad6b7169203331-01"}})
+		var scored struct {
+			Predictions []float64 `json:"predictions"`
+		}
+		if err := json.Unmarshal(raw, &scored); err != nil || resp.StatusCode != http.StatusOK || len(scored.Predictions) != 3 {
+			t.Fatalf("scoring 3 rows: status %d, %s (%v); want 200 and 3 predictions", resp.StatusCode, raw, err)
+		}
+
+		resp, raw = post("{", http.Header{})
+		var failed struct {
+			Status    int    `json:"status"`
+			RequestID string `json:"request_id"`
+		}
+		if err := json.Unmarshal(raw, &failed); err != nil || resp.StatusCode != http.StatusBadRequest || failed.Status != http.StatusBadRequest {
+			t.Errorf("malformed body: status %d, %s (%v); want a JSON 400", resp.StatusCode, raw, err)
+		}
+		if echoed := resp.Header.Get(obs.RequestIDHeader); echoed == "" || failed.RequestID != echoed {
+			t.Errorf("malformed body: request_id %q, echoed %s %q; want the same id", failed.RequestID, obs.RequestIDHeader, echoed)
+		}
+
+		if n := metric(scrape(t, url), `coda_http_requests_total{route="score",method="POST",code="200"`); n != 1 {
+			t.Errorf(`coda_http_requests_total{route="score",method="POST",code="200"} = %v, want 1`, n)
+		}
+		var frags []trace.Summary
+		if err := json.Unmarshal([]byte(httpGet(t, url+"/debug/traces")), &frags); err != nil {
+			t.Fatal(err)
+		}
+		adopted := false
+		for _, f := range frags {
+			adopted = adopted || (f.Root == "server.score" && f.Remote && f.TraceID == traceID)
+		}
+		if !adopted {
+			t.Errorf("no remote-parented server.score fragment of trace %s among %d", traceID, len(frags))
+		}
+		serve.stop(t)
 	})
 
 	// An object put through a log-backed server survives a restart on the
