@@ -1,7 +1,6 @@
 package darr
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -124,7 +123,7 @@ func (r *Repo) load() error {
 		if live {
 			r.claims[d] = claim{clientID: cr.ClientID, expires: cr.Expires}
 			if readable {
-				rekeyed = append(rekeyed, persist.Item{Key: claimKey(d), Value: bytes.Clone(ccur.Value())})
+				rekeyed = append(rekeyed, persist.Item{Key: claimKey(d), Value: ccur.Value()})
 			}
 		}
 		if readable || !live {

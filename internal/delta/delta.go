@@ -8,7 +8,9 @@
 // sliding window, emitting Copy operations for block matches (verified
 // byte-for-byte) and Insert operations for literal runs. A window that
 // continues the copy before it is matched by comparing bytes alone, so an
-// unchanged run never hashes and an unchanged object never builds the index.
+// unchanged run never hashes and an unchanged object never builds the index;
+// a literal run rolls its hash behind a bit filter of the index and probes
+// the index only where the filter admits a block.
 package delta
 
 import (
@@ -50,8 +52,42 @@ const DefaultBlockSize = 64
 // weak is a rolling Adler-style checksum over a fixed window.
 type weak struct{ a, b, n uint32 }
 
+// newWeak works on a little-endian word's bytes c0..c7 in 16-bit lanes: its
+// even bytes c2k (evenBytes) and its pair sums c2k + c2k+1 (pairs).
+// Multiplying lanes by a constant of four 16-bit weights collects in the top
+// lane the sum of each lane times the weight in the mirrored lane. newWeak
+// keeps every lane and every such sum below 2^16, so nothing carries.
+const (
+	evenBytes = 0x00ff00ff00ff00ff
+	laneSum   = 0x0001000100010001 // top lane: Σ lanes
+	laneTaper = 0x0007000500030001 // top lane: Σ (7-2k) × lane k
+)
+
+func pairs(x uint64) uint64 { return x&evenBytes + x>>8&evenBytes }
+
+func hsum(lanes uint64) uint32 { return uint32(lanes * laneSum >> 48) }
+
+// newWeak hashes p a word at a time, four words per step. Eight byte steps
+// over word q add its byte sum S_q to a, and to b 8a_q + Σ(8-j)c_j, where
+// a_q is a before the word and Σ(8-j)c_j = Σ(7-2k)(c2k + c2k+1) + Σ c2k.
+// With t_q the pair sums of the words before q, the four words add
+// hsum(t_4) to a and 32a + 8·hsum(t_1+t_2+t_3) + taper(t_4) + hsum(evens)
+// to b. Lanes stay below 6 × 510, the tapered sum below 16 × 2040.
 func newWeak(p []byte) weak {
 	w := weak{n: uint32(len(p))}
+	for ; len(p) >= 32; p = p[32:] {
+		x0 := binary.LittleEndian.Uint64(p)
+		x1 := binary.LittleEndian.Uint64(p[8:])
+		x2 := binary.LittleEndian.Uint64(p[16:])
+		x3 := binary.LittleEndian.Uint64(p[24:])
+		t1 := pairs(x0)
+		t2 := t1 + pairs(x1)
+		t3 := t2 + pairs(x2)
+		t4 := t3 + pairs(x3)
+		evens := x0&evenBytes + x1&evenBytes + x2&evenBytes + x3&evenBytes
+		w.b += 32*w.a + 8*hsum(t1+t2+t3) + uint32(t4*laneTaper>>48) + hsum(evens)
+		w.a += hsum(t4)
+	}
 	for _, c := range p {
 		w.a += uint32(c)
 		w.b += w.a // byte i ends up counted len(p)-i times
@@ -68,15 +104,21 @@ func (w *weak) roll(out, in byte) {
 func (w weak) sum() uint32 { return w.a | w.b<<16 }
 
 // blockIndex finds the base blocks carrying a weak hash: an open-addressed
-// table of (hash, lowest block) at most a quarter full (a miss, the common
-// probe while an edit slides by, then ends on its first slot three times in
-// four), and per block the next block with the same hash, ascending, so a
-// lookup meets its candidates lowest offset first. Blocks are stored
-// 1-based; 0 is "none".
+// table of (hash, lowest block) at most a quarter full, and per block the
+// next block with the same hash, ascending, so a lookup meets its
+// candidates lowest offset first. Blocks are stored 1-based; 0 is "none".
+//
+// In front of the table sits a filter of one bit per bucket of the same
+// multiplicative hash, at least 32 bits per block (up to 2^27 blocks; it
+// tops out at 2^32 bits). A clear bit proves no block has the hash, so the
+// windows an edit slides through, the common probe, are ruled out by one
+// bit test (false positives one in 32 at most) instead of a table probe.
 type blockIndex struct {
-	slots []slot
-	next  []int32
-	shift uint // 32 - log2(len(slots))
+	slots  []slot
+	next   []int32
+	shift  uint // 32 - log2(len(slots))
+	filter []uint64
+	fshift uint // 32 - log2(bits in filter)
 }
 
 type slot struct {
@@ -88,39 +130,74 @@ type slot struct {
 // concurrently, and the store calls it once per pulled edit.
 var indexPool = sync.Pool{New: func() any { return new(blockIndex) }}
 
+// bucket spreads a weak hash over 2^(32-shift) buckets.
+func bucket(h uint32, shift uint) uint32 { return h * 2654435761 >> shift }
+
+// reuse returns s resized to n and zeroed, reallocating only to grow.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 func buildIndex(base []byte, bs int) *blockIndex {
 	// Blocks past 2^30 stay unindexed (the table tops out at 2^32 slots):
 	// what only they could match travels as literals.
 	n := min(len(base)/bs, 1<<30)
 	logSize := bits.Len(uint(4*n - 1))
+	logBits := min(logSize+3, 32)
 	ix := indexPool.Get().(*blockIndex)
-	if size := 1 << logSize; cap(ix.slots) < size {
-		ix.slots = make([]slot, size)
-	} else {
-		ix.slots = ix.slots[:size]
-		clear(ix.slots)
-	}
+	ix.slots = reuse(ix.slots, 1<<logSize)
+	ix.filter = reuse(ix.filter, max(1, 1<<logBits/64))
 	if cap(ix.next) < n {
 		ix.next = make([]int32, n)
 	}
-	ix.next, ix.shift = ix.next[:n], uint(32-logSize)
+	ix.next, ix.shift, ix.fshift = ix.next[:n], uint(32-logSize), uint(32-logBits)
 	// Descending, each block pushed on the front of its chain.
 	for blk := n - 1; blk >= 0; blk-- {
 		h := newWeak(base[blk*bs : (blk+1)*bs]).sum()
 		s := ix.find(h)
 		s.hash, ix.next[blk], s.head = h, s.head, int32(blk+1)
+		f := bucket(h, ix.fshift)
+		ix.filter[f/64] |= 1 << (f % 64)
 	}
 	return ix
+}
+
+// mayHold reports whether some block could hash to h; false is certain.
+func (ix *blockIndex) mayHold(h uint32) bool {
+	f := bucket(h, ix.fshift)
+	return ix.filter[f/64]&(1<<(f%64)) != 0
 }
 
 // find returns the slot holding h, or the empty slot where h belongs.
 func (ix *blockIndex) find(h uint32) *slot {
 	mask := uint32(len(ix.slots) - 1)
-	for i := (h * 2654435761) >> ix.shift; ; i = (i + 1) & mask {
+	for i := bucket(h, ix.shift); ; i = (i + 1) & mask {
 		if s := &ix.slots[i]; s.head == 0 || s.hash == h {
 			return s
 		}
 	}
+}
+
+// skip rolls w on from window i, a miss, past every window the filter
+// rules out and returns the first one it admits, with w covering it; when
+// none is left it returns len(target)-bs+1, the end of the scan.
+func (ix *blockIndex) skip(target []byte, i, bs int, w *weak) int {
+	v := *w
+	ins := target[i+bs:]
+	outs := target[i : i+len(ins)]
+	for k, in := range ins {
+		v.roll(outs[k], in)
+		if ix.mayHold(v.sum()) {
+			*w = v
+			return i + k + 1
+		}
+	}
+	return len(target) - bs + 1
 }
 
 // matcher scans one target against base; idx stays nil until a window
@@ -135,6 +212,9 @@ type matcher struct {
 func (m *matcher) lookup(h uint32, win []byte) int {
 	if m.idx == nil {
 		m.idx = buildIndex(m.base, m.bs)
+	}
+	if !m.idx.mayHold(h) {
+		return -1
 	}
 	for b := m.idx.find(h).head; b != 0; b = m.idx.next[b-1] {
 		off := int(b-1) * m.bs
@@ -171,10 +251,7 @@ func (m *matcher) match(target []byte) []Op {
 				lit = i
 			}
 			ext = -1
-			if i+bs < len(target) {
-				w.roll(target[i], target[i+bs])
-			}
-			i++
+			i = m.idx.skip(target, i, bs, &w)
 			continue
 		}
 		if lit >= 0 {

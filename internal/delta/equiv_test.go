@@ -101,8 +101,32 @@ func edited(rng *rand.Rand, base []byte, runs int, frac float64) []byte {
 	return d
 }
 
+// editShapes are the end-to-end benchmark's two edits of a 32 KiB object:
+// four runs rewriting 1% of it (a delta reply), and one run rewriting 60%
+// (a delta the store computes and then discards for a full copy).
+var editShapes = []struct {
+	name string
+	runs int
+	frac float64
+}{{"edit1pct", 4, 0.01}, {"rewrite60pct", 1, 0.60}}
+
+// objectPairs returns n 32 KiB bases drawn by genBytes, each with its edit
+// in every shape: the long literal runs the small generated pairs never
+// reach.
+func objectPairs(seed int64, n int) (bases, targets [][]byte) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		base := genBytes(rng, 32<<10)
+		for _, s := range editShapes {
+			bases, targets = append(bases, base), append(targets, edited(rng, base, s.runs, s.frac))
+		}
+	}
+	return bases, targets
+}
+
 // TestComputeMatchesReference pins the matcher to the implementation it
-// replaced: same ops, same wire bytes, on every generated pair.
+// replaced: same ops, same wire bytes, on every generated pair and on 32 KiB
+// objects in both of the end-to-end benchmark's edit shapes.
 func TestComputeMatchesReference(t *testing.T) {
 	const cases = 20000
 	rng := rand.New(rand.NewSource(21))
@@ -115,8 +139,35 @@ func TestComputeMatchesReference(t *testing.T) {
 				c, len(base), len(target), bs, len(got), len(want))
 		}
 	}
+	bases, targets := objectPairs(22, 12)
+	for i := range bases {
+		if !bytes.Equal(Compute(bases[i], targets[i], 0).Marshal(), computeRef(bases[i], targets[i], 0).Marshal()) {
+			t.Fatalf("32 KiB pair %d (%s): delta differs from the reference", i, editShapes[i%len(editShapes)].name)
+		}
+	}
 	// Budget: under 2 s without -race; logged, not asserted, on a shared box.
-	t.Logf("%d cases in %v", cases, time.Since(start))
+	t.Logf("%d generated cases and %d 32 KiB pairs in %v", cases, len(bases), time.Since(start))
+}
+
+// TestWeakMatchesReference: the word-at-a-time hash equals the byte-at-a-
+// time one at every length up to 256 and every alignment of the slice, on
+// bytes whose lane sums are typical, smallest and largest.
+func TestWeakMatchesReference(t *testing.T) {
+	random := make([]byte, 256+8)
+	rand.New(rand.NewSource(7)).Read(random)
+	for name, buf := range map[string][]byte{
+		"random": random,
+		"0x00":   make([]byte, 256+8),
+		"0xff":   bytes.Repeat([]byte{0xff}, 256+8),
+	} {
+		for off := 0; off < 8; off++ {
+			for n := 0; n <= 256; n++ {
+				if got, want := newWeak(buf[off:off+n]), refWeakOf(buf[off:off+n]); got != want {
+					t.Fatalf("%s bytes, offset %d, length %d: newWeak %+v, reference %+v", name, off, n, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestComputeConcurrentMatchesReference runs differently sized pairs through

@@ -123,8 +123,13 @@ func FuzzUnmarshal(f *testing.F) {
 }
 
 // FuzzCompute: the delta reproduces the target and is, byte for byte, the
-// one the reference implementation produces.
+// one the reference implementation produces. Besides the committed corpus it
+// starts from 32 KiB objects in both end-to-end edit shapes.
 func FuzzCompute(f *testing.F) {
+	bases, targets := objectPairs(23, 2)
+	for i := range bases {
+		f.Add(bases[i], targets[i], 0)
+	}
 	f.Fuzz(func(t *testing.T, base, target []byte, bs int) {
 		if bs %= 5000; bs < 0 {
 			bs = -bs

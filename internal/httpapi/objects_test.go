@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -116,6 +117,77 @@ func TestObjectRoutesSpeakBytes(t *testing.T) {
 	}
 	if got, _ := rep.Data("obj"); !bytes.Equal(got, cur.Data) || rep.VersionOf("obj") != cur.Num {
 		t.Fatalf("replica holds version %d, not the home copy's %d bytes of version %d", rep.VersionOf("obj"), len(cur.Data), cur.Num)
+	}
+}
+
+// TestPutBodyIsTheStoredVersion: the store keeps a PUT's body as the new
+// version, so the server must never read a later request into that buffer.
+// PUT a, then PUT b of the same length, over one keep-alive connection: a
+// still reads back as its own bytes. Rounds repeat it, since a recycled
+// buffer only comes back when the next request runs on the same P.
+func TestPutBodyIsTheStoredVersion(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{})
+	ts := httptest.NewUnstartedServer(NewServer(nil, hs))
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, "owner")
+	ctx := context.Background()
+	a, b := bytes.Repeat([]byte("A"), 4096), bytes.Repeat([]byte("B"), 4096)
+	const rounds = 32
+	for i := 0; i < rounds; i++ {
+		if _, err := c.PutObject(ctx, fmt.Sprint("a", i), a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.PutObject(ctx, fmt.Sprint("b", i), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := store.NewReplica()
+	for i := 0; i < rounds; i++ {
+		key := fmt.Sprint("a", i)
+		if err := c.PullObject(ctx, rep, key); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := rep.Data(key); !bytes.Equal(got, a) {
+			t.Fatalf("full pull of %s after a PUT of b%d: %.8q..., want %.8q...", key, i, got, a)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("the requests used %d connections, want 1", n)
+	}
+}
+
+// TestPullRefusesADeltaThatGoesBack: a delta reply whose X-Coda-Version is
+// not above its X-Coda-Base-Version fails the pull with both versions
+// named, and the replica keeps the version it had.
+func TestPullRefusesADeltaThatGoesBack(t *testing.T) {
+	base := bytes.Repeat([]byte("coda"), 16)
+	payload := delta.Compute(base, base, 16).Marshal()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(replyHeader, "delta")
+		w.Header().Set(versionHeader, "1")
+		w.Header().Set(baseVersionHeader, "2")
+		writeRaw(w, payload)
+	}))
+	t.Cleanup(ts.Close)
+	rep := store.NewReplica()
+	if err := rep.ApplyReply(&store.Reply{Key: "obj", Version: 2, Full: base}); err != nil {
+		t.Fatal(err)
+	}
+	received := rep.BytesReceived()
+	err := NewClient(ts.URL, "backwards").PullObject(context.Background(), rep, "obj")
+	if err == nil || !strings.Contains(err.Error(), "version 1 from base 2") {
+		t.Fatalf("pull of a delta from 2 to 1: %v, want a refusal naming both versions", err)
+	}
+	if rep.VersionOf("obj") != 2 || rep.BytesReceived() != received {
+		t.Fatalf("after the refusal the replica is at version %d with %d bytes counted, want 2 and %d",
+			rep.VersionOf("obj"), rep.BytesReceived(), received)
 	}
 }
 

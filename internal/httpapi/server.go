@@ -297,7 +297,8 @@ type body struct{ b []byte }
 var bodyPool = sync.Pool{New: func() any { return new(body) }}
 
 // release recycles the buffer; the handler must be done with b, and nothing
-// it called may have kept it (ObjectStore.Put copies, json.Unmarshal copies).
+// it called may have kept it (json.Unmarshal copies). A PUT's body is never
+// pooled: ObjectStore.Put keeps it.
 func (b *body) release() {
 	if cap(b.b) <= maxPooledBody {
 		bodyPool.Put(b)
@@ -332,31 +333,41 @@ func readSized(r io.Reader, n, limit int64, buf []byte) ([]byte, error) {
 }
 
 // readBody is the one way a handler reads a whole request body, through
-// readSized into a pooled buffer. nil: the reply (413, 400 for a short body)
-// is written and counted.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) *body {
+// readSized into buf's storage (nil: a new buffer of the declared length).
+// false: the reply (413, 400 for a short body) is written and counted.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
 	if r.ContentLength > s.maxBody {
 		w.Header().Set("Connection", "close") // reply now; net/http would first drain 256 KiB of it
 	}
-	buf := bodyPool.Get().(*body)
-	var err error
-	if buf.b, err = readSized(r.Body, r.ContentLength, s.maxBody, buf.b); err == nil {
-		return buf
+	buf, err := readSized(r.Body, r.ContentLength, s.maxBody, buf)
+	if err == nil {
+		return buf, true
 	}
-	buf.release()
 	status := http.StatusBadRequest
 	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
 	obs.GetCounter(fmt.Sprintf(`coda_http_request_body_rejected_total{route=%q}`, routeLabel(r.URL.Path))).Inc()
 	s.writeError(w, r, status, fmt.Errorf("reading body: %w", err))
-	return nil
+	return buf, false
+}
+
+// readPooled reads a request body through readBody into a pooled buffer the
+// caller releases; nil: the error reply is written.
+func (s *Server) readPooled(w http.ResponseWriter, r *http.Request) *body {
+	b := bodyPool.Get().(*body)
+	var ok bool
+	if b.b, ok = s.readBody(w, r, b.b); !ok {
+		b.release()
+		return nil
+	}
+	return b
 }
 
 // decodeBody reads a JSON request body into v; false means the error reply
 // has been written.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	b := s.readBody(w, r)
+	b := s.readPooled(w, r)
 	if b == nil {
 		return false
 	}
@@ -483,7 +494,7 @@ func (s *Server) readDigests(w http.ResponseWriter, r *http.Request) ([]darr.Dig
 			"body of type %q, want %s: %s (upgrade servers and clients together)", ct, octetStream, digestsShape))
 		return nil, false
 	}
-	b := s.readBody(w, r)
+	b := s.readPooled(w, r)
 	if b == nil {
 		return nil, false
 	}
@@ -575,12 +586,12 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPut:
-		in := s.readBody(w, r)
-		if in == nil {
+		// A buffer of its own, exactly the body's length: the store keeps it
+		// as the new version.
+		data, ok := s.readBody(w, r, nil)
+		if !ok {
 			return
 		}
-		defer in.release()
-		data := in.b
 		var err error
 		ctx, sp := trace.Start(r.Context(), "store.put",
 			trace.String("key", key), trace.Int("bytes", len(data)))

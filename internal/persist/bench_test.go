@@ -163,7 +163,7 @@ func TestWriteAndScanAllocationsExact(t *testing.T) {
 		call func() error
 		want float64
 	}{
-		{"PutBatch log:", putBatch, 16},
+		{"PutBatch log:", putBatch, 0}, // the table keeps the items' values
 		{"Cursor scan log:", scan, 12},
 	} {
 		got := testing.AllocsPerRun(20, func() {

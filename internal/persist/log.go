@@ -304,7 +304,7 @@ func (b *walKV) PutBatch(items []Item) error {
 		return err
 	}
 	for _, it := range items {
-		b.tab.put(it.Key, append([]byte(nil), it.Value...))
+		b.tab.put(it.Key, it.Value)
 	}
 	b.st.Puts += int64(len(items))
 	b.m.puts.Add(int64(len(items)))

@@ -29,19 +29,19 @@ import (
 // ErrClosed is returned by every operation on a closed backend.
 var ErrClosed = errors.New("persist: backend closed")
 
-// Item is one key-value pair of a batched write. Values are copied on
-// write, so callers may reuse their buffers after PutBatch returns.
+// Item is one key-value pair of a batched write. PutBatch may keep Value
+// rather than copy it: the caller must not modify it afterwards.
 type Item struct {
 	Key   string
 	Value []byte
 }
 
 // Cursor streams an ordered, prefix-bounded view of the keyspace. Keys
-// arrive in ascending byte order. The value returned by Value is owned by
-// the backend and must not be modified; it stays valid until the next
-// Next call. A cursor observes a snapshot of the matching key set taken
-// at creation; concurrent writes never invalidate it (keys deleted after
-// creation are skipped, values read are the latest).
+// arrive in ascending byte order. The value returned by Value is read-only.
+// A backend never modifies a stored value in place, so a caller may keep
+// it past the next Next. A cursor observes a snapshot of the matching key
+// set taken at creation; concurrent writes never invalidate it (keys
+// deleted after creation are skipped, values read are the latest).
 type Cursor interface {
 	// Next advances to the next pair, reporting false at the end of the
 	// range (or after an error — check Err).
@@ -92,7 +92,8 @@ type KV interface {
 	// Name reports the backend's DSN scheme.
 	Name() string
 	// PutBatch durably stores every item under one write (one fsync on
-	// durable backends). An error means no item became visible.
+	// durable backends). An error means no item became visible. It may
+	// keep the items' values (see Item).
 	PutBatch(items []Item) error
 	// GetBatch resolves many keys at once; absent keys are simply missing
 	// from the result. Returned values are backend-owned and read-only.

@@ -317,13 +317,20 @@ func TestPublishAllocationsDoNotScaleWithLeases(t *testing.T) {
 		leases[i] = l
 		l.AckVersion(1)
 	}
+	// The store keeps what it is handed, so each publish gets its own
+	// edited buffer, made before the count.
+	next := make([][]byte, 51)
+	for i := range next {
+		data = bytes.Clone(data)
+		data[(i+1)%len(data)]++
+		next[i] = data
+	}
 	edits := 0
 	allocs := testing.AllocsPerRun(50, func() {
-		edits++
-		data[edits%len(data)]++
-		if _, err := m.Publish("hot", data); err != nil {
+		if _, err := m.Publish("hot", next[edits]); err != nil {
 			t.Fatal(err)
 		}
+		edits++
 	})
 	if got := leases[n-1].Deliveries(); got != 51 { // AllocsPerRun warms up once
 		t.Fatalf("last lease saw %d deliveries, want 51", got)

@@ -139,7 +139,8 @@ func (s *HomeStore) replay() error {
 		if n := len(obj.versions); n > 0 && num <= obj.versions[n-1].Num {
 			return fmt.Errorf("store: replayed version %d of %q out of order (have %d)", num, key, obj.versions[n-1].Num)
 		}
-		obj.versions = append(obj.versions, Version{Num: num, Data: append([]byte(nil), cur.Value()...)})
+		// The KV never modifies a stored value, so the version shares it.
+		obj.versions = append(obj.versions, Version{Num: num, Data: cur.Value()})
 		trimmed = append(trimmed, versionKeys(key, obj.trimRetention(s.opts.Retain))...)
 	}
 	if err := cur.Err(); err != nil || len(trimmed) == 0 {
@@ -267,7 +268,9 @@ func (o *object) cacheDelta(base uint64, c cachedDelta, cap int) {
 
 // Put stores a new version of the object and returns its version number
 // (starting at 1 for a new object). The write reaches the KV before it
-// becomes visible; a KV refusal leaves the store unchanged.
+// becomes visible; a KV refusal leaves the store unchanged. data itself
+// becomes the version, and the KV may keep it too: the caller must not
+// modify it afterwards.
 func (s *HomeStore) Put(key string, data []byte) (uint64, error) {
 	obj := s.object(key, true)
 	obj.mu.Lock()
@@ -276,7 +279,7 @@ func (s *HomeStore) Put(key string, data []byte) (uint64, error) {
 	if n := len(obj.versions); n > 0 {
 		next = obj.versions[n-1].Num + 1
 	}
-	v := Version{Num: next, Data: append([]byte(nil), data...)}
+	v := Version{Num: next, Data: data}
 	if s.kv != nil {
 		if err := s.kv.PutBatch([]persist.Item{{Key: encodeVersionKey(key, next), Value: v.Data}}); err != nil {
 			return 0, fmt.Errorf("store: persisting %q version %d: %w", key, next, err)
@@ -360,7 +363,7 @@ func (s *HomeStore) Get(key string, haveVersion uint64) (*Reply, error) {
 			return reply, nil
 		}
 	}
-	reply.Full = append([]byte(nil), latest.Data...)
+	reply.Full = latest.Data // read-only: the stored version itself
 	s.fullReplies.Add(1)
 	s.fullBytes.Add(int64(len(latest.Data)))
 	mRepliesFull.Inc()

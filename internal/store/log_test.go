@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -190,6 +191,34 @@ func testDurableSegmentRoll(t *testing.T, dir string, open func(Options) *HomeSt
 	}
 	if len(versions) != 6 || versions[0] != 1 {
 		t.Fatalf("replayed retention %v", versions)
+	}
+}
+
+// TestPutKeepsThePayload: a 32 KiB Put on a log: KV allocates a small
+// fraction of its payload, because the version and the log's table both
+// hold the caller's buffer. A copy in either costs the payload per Put.
+func TestPutKeepsThePayload(t *testing.T) {
+	const size, puts = 32 << 10, 100
+	s := mustOpenDSN(t, "log:"+t.TempDir(), Options{})
+	defer s.Close()
+	payloads := make([][]byte, puts+1)
+	for i := range payloads {
+		payloads[i] = bigObject(int64(i), size)
+	}
+	mustPut(t, s, "o", payloads[puts]) // the log's write buffer grows to a record once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range payloads[:puts] {
+		mustPut(t, s, "o", p)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / puts
+	if per >= size/4 {
+		t.Fatalf("a %d-byte Put allocated %d bytes, want under a quarter of the payload", size, per)
+	}
+	t.Logf("a %d-byte Put allocated %d bytes", size, per)
+	if cur, err := s.Current("o"); err != nil || !bytes.Equal(cur.Data, payloads[puts-1]) {
+		t.Fatalf("latest version is not the last payload: %v", err)
 	}
 }
 

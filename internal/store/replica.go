@@ -47,9 +47,10 @@ func (r *Replica) BytesReceived() int64 {
 }
 
 // ApplyReply integrates a Reply (full, delta, or unchanged) into the
-// replica. Only replies that validate and apply count toward
-// BytesReceived — a rejected reply (stale full, version-mismatch unchanged
-// or delta) must not inflate the S1 bandwidth accounting.
+// replica, keeping a full reply's bytes (read-only, like every Full). Only
+// replies that validate and apply count toward BytesReceived — a rejected
+// reply (stale full, version-mismatch unchanged, a delta that does not
+// move the replica forward) must not inflate the S1 bandwidth accounting.
 func (r *Replica) ApplyReply(reply *Reply) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -68,9 +69,15 @@ func (r *Replica) ApplyReply(reply *Reply) error {
 		if cur := r.objects[reply.Key]; reply.Version < cur.Num {
 			return fmt.Errorf("store: stale full reply with version %d of %q, replica already has %d", reply.Version, reply.Key, cur.Num)
 		}
-		r.objects[reply.Key] = Version{Num: reply.Version, Data: append([]byte(nil), reply.Full...)}
+		r.objects[reply.Key] = Version{Num: reply.Version, Data: reply.Full}
 		r.bytesReceived += int64(reply.WireBytes())
 		return nil
+	}
+	// A delta names its target and its base separately (two headers on the
+	// wire); one to its base or an older version would move the replica
+	// backwards.
+	if reply.Version <= reply.BaseVersion {
+		return fmt.Errorf("store: delta for %q to version %d from base %d does not move forward", reply.Key, reply.Version, reply.BaseVersion)
 	}
 	cur, ok := r.objects[reply.Key]
 	if !ok || cur.Num != reply.BaseVersion {

@@ -2,7 +2,11 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
+
+	"coda/internal/delta"
 )
 
 // TestStaleFullReplyRejected pins the cache-regression fix: a full reply
@@ -58,5 +62,33 @@ func TestStaleFullReplyRejected(t *testing.T) {
 	}
 	if rep.VersionOf("o") != 3 {
 		t.Fatalf("newer reply not applied, version %d", rep.VersionOf("o"))
+	}
+}
+
+// TestDeltaReplyMustMoveForward: a delta's version and base arrive in
+// separate headers, so a reply can name a target at or below its base. It
+// applies cleanly to the base and would move the replica backwards; it is
+// refused with both versions named, and nothing is counted.
+func TestDeltaReplyMustMoveForward(t *testing.T) {
+	s := NewHomeStore(Options{BlockSize: 16})
+	base := bigObject(7, 1024)
+	mustPut(t, s, "o", base)
+	mustPut(t, s, "o", base)
+	mustPut(t, s, "o", base)
+	rep := NewReplica()
+	if err := rep.Pull(s, "o"); err != nil {
+		t.Fatal(err)
+	}
+	received := rep.BytesReceived()
+	for _, target := range []uint64{3, 2} {
+		bad := &Reply{Key: "o", Version: target, BaseVersion: 3, Delta: delta.Compute(base, base, 16)}
+		err := rep.ApplyReply(bad)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d from base 3", target)) {
+			t.Fatalf("delta 3 -> %d: %v, want a refusal naming both versions", target, err)
+		}
+	}
+	if rep.VersionOf("o") != 3 || rep.BytesReceived() != received {
+		t.Fatalf("refused deltas left the replica at version %d with %d bytes counted, want 3 and %d",
+			rep.VersionOf("o"), rep.BytesReceived(), received)
 	}
 }

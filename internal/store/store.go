@@ -49,7 +49,9 @@ var (
 // ErrNotFound is returned for unknown object keys.
 var ErrNotFound = errors.New("store: object not found")
 
-// Version is one retained object version.
+// Version is one retained object version. A stored version is immutable:
+// the store keeps the bytes it was handed and shares them, read-only, with
+// every reply and replica, so one copy of a version is held in memory.
 type Version struct {
 	Num  uint64
 	Data []byte
@@ -64,7 +66,9 @@ type Reply struct {
 	// Unchanged is set when the requester already holds the latest
 	// version; no payload accompanies it.
 	Unchanged bool
-	// Full is set when the store sends the whole object.
+	// Full is set when the store sends the whole object. It is read-only:
+	// from HomeStore.Get it is the stored version's own bytes, and a
+	// Replica that applies it keeps it.
 	Full []byte
 	// Delta is set instead when a delta reply pays off; BaseVersion names
 	// the version it applies to.
@@ -133,7 +137,7 @@ type ObjectStore interface {
 	// Put stores data as the next version of key and returns its version
 	// number (starting at 1 for a new object). A persistent backend may
 	// refuse the write, in which case the store state is unchanged. Put
-	// copies what it keeps: the caller may reuse data once it returns.
+	// keeps data; the caller must not modify it afterwards.
 	Put(key string, data []byte) (uint64, error)
 	// Current returns the latest version of the object.
 	Current(key string) (Version, error)

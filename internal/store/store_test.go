@@ -332,7 +332,8 @@ func TestReplicaConvergenceProperty(t *testing.T) {
 		data := make([]byte, 512+rng.Intn(1024))
 		rng.Read(data)
 		for step := 0; step < 8; step++ {
-			// Mutate.
+			// Mutate a copy: Put keeps the buffer it is handed.
+			data = bytes.Clone(data)
 			for k := 0; k < 1+rng.Intn(20); k++ {
 				data[rng.Intn(len(data))] ^= byte(rng.Intn(256))
 			}
