@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"coda/internal/dataset"
 )
@@ -65,14 +66,27 @@ func ComponentSpec(c Component) string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	s := c.Name() + "("
-	for i, k := range keys {
-		if i > 0 {
-			s += ","
-		}
-		s += k + "=" + strconv.FormatFloat(params[k], 'g', -1, 64)
+	// One allocation for the string: a rendered float64 is at most 24 bytes.
+	size := len(c.Name()) + 1
+	for _, k := range keys {
+		size += len(k) + 2 + 24
 	}
-	return s + ")"
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString(c.Name())
+	var num [24]byte
+	for i, k := range keys {
+		if i == 0 {
+			b.WriteByte('(')
+		} else {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.Write(strconv.AppendFloat(num[:0], params[k], 'g', -1, 64))
+	}
+	b.WriteByte(')')
+	return b.String()
 }
 
 // SetGraphParam applies a "node__param" assignment to the matching node

@@ -328,13 +328,13 @@ func TestSearchParamGridExpansion(t *testing.T) {
 	if len(res.Units) != 4 {
 		t.Fatalf("units %d, want 4", len(res.Units))
 	}
-	ks := map[float64]bool{}
+	ks := map[string]bool{}
 	for _, u := range res.Units {
-		if strings.Contains(u.Spec, "knn") {
-			ks[u.Params["knn__k"]] = true
+		if _, k, ok := strings.Cut(u.Spec, "knn(k="); ok {
+			ks[strings.TrimSuffix(k, ")")] = true
 		}
 	}
-	if !ks[1] || !ks[3] || !ks[7] {
+	if !ks["1"] || !ks["3"] || !ks["7"] {
 		t.Fatalf("grid values not all evaluated: %v", ks)
 	}
 }

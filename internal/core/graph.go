@@ -331,11 +331,14 @@ func (g *Graph) Paths() []Path {
 	if g.err != nil || len(g.stages) == 0 {
 		return nil
 	}
-	var out []Path
+	// Every path has one node per stage; they are collected end to end in
+	// one array and cut from it.
+	n := len(g.stages)
+	var nodes []*Node
 	var walk func(stage int, acc Path)
 	walk = func(stage int, acc Path) {
-		if stage == len(g.stages) {
-			out = append(out, append(Path(nil), acc...))
+		if stage == n {
+			nodes = append(nodes, acc...)
 			return
 		}
 		for _, opt := range g.stages[stage].Options {
@@ -345,7 +348,11 @@ func (g *Graph) Paths() []Path {
 			walk(stage+1, append(acc, opt))
 		}
 	}
-	walk(0, nil)
+	walk(0, make(Path, 0, n))
+	var out []Path
+	for i := 0; i < len(nodes); i += n {
+		out = append(out, nodes[i:i+n:i+n])
+	}
 	return out
 }
 

@@ -14,21 +14,27 @@ import (
 type searchUnit struct {
 	index  int
 	path   Path
-	params map[string]float64 // grid assignment
-	spec   string             // the built pipeline's Spec()
-	key    string             // the unit's DARR key
+	assign []gridValue // grid assignment in sorted-key order, cut from one array per search
+	spec   string      // the built pipeline's Spec()
+	key    string      // the unit's DARR key
+}
+
+// gridValue is one grid key's value in a unit's assignment.
+type gridValue struct {
+	key string
+	v   float64
 }
 
 // build instantiates the unit's pipeline: fresh clones of the path's
-// components with the grid assignment applied.
+// components with the grid assignment applied, key by key in sorted order.
 func (u *searchUnit) build() (*Pipeline, error) {
 	p, err := NewPipeline(u.path)
 	if err != nil {
 		return nil, err
 	}
-	for k, v := range u.params {
-		if err := p.SetParam(k, v); err != nil {
-			return nil, gridError(k, v, err)
+	for _, a := range u.assign {
+		if err := p.SetParam(a.key, a.v); err != nil {
+			return nil, gridError(a.key, a.v, err)
 		}
 	}
 	return p, nil
@@ -45,10 +51,17 @@ func gridError(key string, v float64, err error) error {
 // once per share, on a throwaway clone with those values set, and a unit's
 // spec is the join of its nodes' specs — the bytes Pipeline.Spec would
 // render for the built pipeline.
+//
+// A grid key with candidates that is not of the form node__param, or whose
+// node is on no path, is an error: it would otherwise search the defaults
+// under keys that claim nothing was misspelt.
 func planUnits(paths []Path, grid map[string][]float64, fp, evalSpec string) ([]searchUnit, error) {
 	var keys []string // the grid keys with candidates, sorted
 	for k, vs := range grid {
 		if len(vs) > 0 {
+			if !strings.Contains(k, "__") {
+				return nil, fmt.Errorf("core: grid key %q is not of the form node__param", k)
+			}
 			keys = append(keys, k)
 		}
 	}
@@ -76,11 +89,11 @@ func planUnits(paths []Path, grid map[string][]float64, fp, evalSpec string) ([]
 		return np
 	}
 	// walk sets applicable to the keys naming a node of path, in key order,
-	// and row to the path's node plans, and returns the path's unit count.
+	// and row to the path's node plans.
 	var applicable []int
 	var row []*nodePlan
-	named := make([]bool, len(keys))
-	walk := func(path Path) (units int) {
+	named, onPath := make([]bool, len(keys)), make([]bool, len(keys))
+	walk := func(path Path) {
 		row = row[:0]
 		for _, n := range path {
 			np := planOf(n)
@@ -89,70 +102,94 @@ func planUnits(paths []Path, grid map[string][]float64, fp, evalSpec string) ([]
 				named[j] = true
 			}
 		}
-		applicable, units = applicable[:0], 1
+		applicable = applicable[:0]
 		for j := range keys {
 			if named[j] {
-				applicable, units = append(applicable, j), units*len(vals[j])
-				named[j] = false
+				applicable = append(applicable, j)
+				named[j], onPath[j] = false, true
 			}
 		}
-		return units
 	}
-	total := 0
-	for _, path := range paths {
-		total += walk(path)
-	}
-
-	units := make([]searchUnit, 0, total)
 	at := make([]int, len(keys)) // value index per key; only the path's own move
-	specs := make([]string, 0, len(row))
-	for _, path := range paths {
-		walk(path)
-		for {
-			size := len(fp) + len("|input|") + len(evalSpec)
-			specs = specs[:0]
-			for _, np := range row {
-				spec, err := np.spec(at, keys, vals)
-				if err != nil {
-					return nil, err
+	// each calls f once per unit, path by path, with row and at set to the
+	// unit's node plans and assignment.
+	each := func(f func(path Path) error) error {
+		for _, path := range paths {
+			walk(path)
+			for {
+				if err := f(path); err != nil {
+					return err
 				}
-				specs = append(specs, spec)
-				size += len(" -> ") + len(spec)
-			}
-			// The key is UnitKey(fp, spec, evalSpec) in one allocation; the
-			// spec is its middle.
-			var b strings.Builder
-			b.Grow(size)
-			b.WriteString(fp)
-			b.WriteString("|input")
-			for _, s := range specs {
-				b.WriteString(" -> ")
-				b.WriteString(s)
-			}
-			b.WriteByte('|')
-			b.WriteString(evalSpec)
-			key := b.String()
-
-			params := make(map[string]float64, len(applicable))
-			for _, j := range applicable {
-				params[keys[j]] = vals[j][at[j]]
-			}
-			units = append(units, searchUnit{index: len(units), path: path, params: params,
-				spec: key[len(fp)+1 : len(key)-len(evalSpec)-1], key: key})
-
-			// Next assignment: the last key varies fastest.
-			i := len(applicable) - 1
-			for ; i >= 0; i-- {
-				j := applicable[i]
-				if at[j]++; at[j] < len(vals[j]) {
+				// Next assignment: the last key varies fastest.
+				i := len(applicable) - 1
+				for ; i >= 0; i-- {
+					j := applicable[i]
+					if at[j]++; at[j] < len(vals[j]) {
+						break
+					}
+					at[j] = 0
+				}
+				if i < 0 {
 					break
 				}
-				at[j] = 0
-			}
-			if i < 0 {
-				break
 			}
 		}
+		return nil
+	}
+
+	// The first pass renders every node spec and sizes the plan.
+	total, pairs, size := 0, 0, 0
+	if err := each(func(Path) error {
+		total, pairs = total+1, pairs+len(applicable)
+		size += len(fp) + len("|input|") + len(evalSpec)
+		for _, np := range row {
+			spec, err := np.spec(at, keys, vals)
+			if err != nil {
+				return err
+			}
+			size += len(" -> ") + len(spec)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for j, k := range keys {
+		if !onPath[j] {
+			return nil, fmt.Errorf("core: grid key %q names no node on any path", k)
+		}
+	}
+
+	// The second writes every key, UnitKey(fp, spec, evalSpec), end to end
+	// into one string, and cuts each unit's assignment from one array. It
+	// cannot fail: the first pass rendered every spec.
+	var b strings.Builder
+	b.Grow(size)
+	ends := make([]int, 0, total)
+	units := make([]searchUnit, 0, total)
+	assigns := make([]gridValue, 0, pairs)
+	_ = each(func(path Path) error {
+		b.WriteString(fp)
+		b.WriteString("|input")
+		for _, np := range row {
+			spec, _ := np.spec(at, keys, vals) // rendered by the first pass
+			b.WriteString(" -> ")
+			b.WriteString(spec)
+		}
+		b.WriteByte('|')
+		b.WriteString(evalSpec)
+		ends = append(ends, b.Len())
+		from := len(assigns)
+		for _, j := range applicable {
+			assigns = append(assigns, gridValue{key: keys[j], v: vals[j][at[j]]})
+		}
+		units = append(units, searchUnit{index: len(units), path: path, assign: assigns[from:len(assigns):len(assigns)]})
+		return nil
+	})
+	all, from := b.String(), 0
+	for i, end := range ends {
+		key := all[from:end]
+		units[i].key, units[i].spec = key, key[len(fp)+1:len(key)-len(evalSpec)-1] // the spec is the key's middle
+		from = end
 	}
 	return units, nil
 }

@@ -216,6 +216,102 @@ func TestPlanRejectsBadGridValue(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsMisspeltGridKey: a grid key that is not node__param, or
+// whose node is on no path, fails the search naming the key, before any
+// store is asked; a key whose node is on only some paths applies to those.
+func TestPlanRejectsMisspeltGridKey(t *testing.T) {
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewStandardScaler())
+	g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 3))
+	scorer, _ := metrics.ScorerByName("rmse")
+	for key, want := range map[string]string{
+		"knn_k":                 `grid key "knn_k" is not of the form node__param`,
+		"randomforest__n_trees": `grid key "randomforest__n_trees" names no node on any path`,
+	} {
+		st := &keyRecorder{}
+		_, err := core.Search(context.Background(), g, regDS(t, 40), core.SearchOptions{
+			Splitter: crossval.KFold{K: 2}, Scorer: scorer, Store: st,
+			ParamGrid: map[string][]float64{"knn__k": {3, 5}, key: {1}},
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("grid key %s: err %v, want it to contain %q", key, err, want)
+		}
+		if len(st.keys) != 0 {
+			t.Errorf("grid key %s: %d keys looked up, want none", key, len(st.keys))
+		}
+	}
+	res, err := core.Search(context.Background(), g, regDS(t, 40), core.SearchOptions{
+		Splitter: crossval.KFold{K: 2}, Scorer: scorer,
+		ParamGrid: map[string][]float64{"knn__k": {3, 5}},
+	})
+	if err != nil || len(res.Units) != 3 {
+		t.Fatalf("knn__k on one of two paths: err %v, want 3 units", err)
+	}
+}
+
+// countingSplitter is a Splitter that counts its Splits calls and, when
+// err is set, fails them.
+type countingSplitter struct {
+	crossval.Splitter
+	calls *atomic.Int64
+	err   error
+}
+
+func (s countingSplitter) Splits(n int, rng *rand.Rand) ([]crossval.Split, error) {
+	s.calls.Add(1)
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s.Splitter.Splits(n, rng)
+}
+
+// claimCounter counts the claims its store grants.
+type claimCounter struct {
+	core.ResultStore
+	granted int
+}
+
+func (c *claimCounter) ClaimBatch(ctx context.Context, keys []string) (map[string]bool, error) {
+	granted, err := c.ResultStore.ClaimBatch(ctx, keys)
+	for _, ok := range granted {
+		if ok {
+			c.granted++
+		}
+	}
+	return granted, err
+}
+
+// TestSplitsFailureReleasesClaims: the folds are drawn when the first unit
+// goes to a worker, after the claim window holds claims. A Splitter that
+// fails then fails the search, and the search leaves no claim held in the
+// repository, nor on the claims-held gauge.
+func TestSplitsFailureReleasesClaims(t *testing.T) {
+	repo := darr.NewRepo(nil, time.Minute)
+	st := &claimCounter{ResultStore: &darr.Client{Repo: repo, ClientID: "a", Metric: "rmse"}}
+	opts := batchOpts(st)
+	boom := errors.New("no folds today")
+	var calls atomic.Int64
+	opts.Splitter = countingSplitter{Splitter: opts.Splitter, calls: &calls, err: boom}
+	opts.ParamGrid = map[string][]float64{"knn__k": {3, 5, 7}}
+	opts.Parallelism = 2
+	opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	held := obs.GetGauge("coda_search_claims_held")
+	held0 := held.Value()
+	_, err := core.Search(context.Background(), fig3Graph(t), regDS(t, 60), opts)
+	if !errors.Is(err, boom) {
+		t.Fatalf("search with a failing Splitter: err %v, want %v", err, boom)
+	}
+	if calls.Load() != 1 || st.granted < 2 {
+		t.Fatalf("%d Splits calls after %d claims granted; want 1 after at least 2", calls.Load(), st.granted)
+	}
+	if n := repo.ActiveClaims(); n != 0 {
+		t.Errorf("%d claims still held in the repository, want 0", n)
+	}
+	if got := held.Value(); got != held0 {
+		t.Errorf("claims-held gauge %v after the search, want %v", got, held0)
+	}
+}
+
 // countingScaler is a standard scaler that counts the clones made of it
 // and of its clones.
 type countingScaler struct {
@@ -230,10 +326,10 @@ func (c countingScaler) Clone() core.Transformer {
 
 // TestWarmSearchInstantiatesOnlyTheRefit: against an in-process DARR that
 // holds every unit's score, a search settles each unit from the one lookup.
-// It builds no fold dataset and clones the counting scaler — which sits on
-// every path and carries no grid key — exactly once, for the winner's
-// refit. Its allocations are pinned exactly, so one more per unit fails
-// here.
+// It draws no folds (the cold search drew them once), builds no fold
+// dataset and clones the counting scaler — which sits on every path and
+// carries no grid key — exactly once, for the winner's refit. Its
+// allocations are pinned exactly, so one more per unit fails here.
 func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
 	var clones atomic.Int64
 	graph := func() *core.Graph {
@@ -249,12 +345,17 @@ func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
 	opts.ParamGrid = map[string][]float64{"knn__k": {3, 5, 7}}
 	opts.Parallelism = 1
 	opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	var splits atomic.Int64
+	opts.Splitter = countingSplitter{Splitter: opts.Splitter, calls: &splits}
 	cold, err := core.Search(context.Background(), graph(), ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Computed != 8 || repo.Len() != 8 {
 		t.Fatalf("cold search computed %d units and published %d, want 8", cold.Computed, repo.Len())
+	}
+	if got := splits.Swap(0); got != 1 {
+		t.Errorf("cold search drew folds %d times, want 1", got)
 	}
 
 	opts.Store = &darr.Client{Repo: repo, ClientID: "warm", Metric: "rmse"}
@@ -267,6 +368,9 @@ func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
 	}
 	if warm.CacheHits != 8 || !sameBestBits(warm, cold) {
 		t.Fatalf("warm search: %d hits, best %+v; want 8 and the cold search's %+v", warm.CacheHits, warm.Best, cold.Best)
+	}
+	if got := splits.Load(); got != 0 {
+		t.Errorf("warm search drew folds %d times, want 0", got)
 	}
 	if got := foldsBuilt.Value() - folds0; got != 0 {
 		t.Errorf("warm search built %d fold datasets, want 0", got)
@@ -282,7 +386,7 @@ func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
 	defer trace.SetEnabled(true)
 	trace.SetEnabled(false)
 	g := graph()
-	const want = 164
+	const want = 117
 	if got := testing.AllocsPerRun(10, func() {
 		if _, err := core.Search(context.Background(), g, ds, opts); err != nil {
 			t.Fatal(err)

@@ -108,7 +108,8 @@ type SearchOptions struct {
 	// Scorer is the agreed performance measure (required).
 	Scorer metrics.Scorer
 	// ParamGrid maps "node__param" keys to candidate values; keys whose
-	// node is absent from a path are ignored for that path.
+	// node is absent from a path are ignored for that path. A key that is
+	// not of that form, or whose node is on no path, fails the search.
 	ParamGrid map[string][]float64
 	// Parallelism bounds concurrent pipeline evaluations. Zero means one
 	// worker per CPU (runtime.GOMAXPROCS(0)); negative means 1.
@@ -150,9 +151,8 @@ type UnitResult struct {
 	// winner back to its pipeline even when duplicate graph paths
 	// produce identical specs and parameter assignments.
 	Index     int
-	Spec      string             // pipeline spec with parameters applied
-	Params    map[string]float64 // grid assignment used
-	Scores    []float64          // per-fold scores
+	Spec      string    // pipeline spec with parameters applied
+	Scores    []float64 // per-fold scores
 	Mean      float64
 	Err       string // non-empty when the pipeline failed on this data
 	FromCache bool   // true when the result came from the ResultStore
@@ -230,16 +230,11 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
-	// The root span covers everything from fold materialization to the
-	// final refit; its trace is what /debug/traces shows and what the
+	// The root span covers everything from unit planning to the final
+	// refit; its trace is what /debug/traces shows and what the
 	// critical-path profile is computed over.
 	ctx, searchSpan := trace.Start(ctx, "search")
 	defer searchSpan.End()
-
-	splits, err := opts.Splitter.Splits(ds.NumSamples(), rand.New(rand.NewSource(opts.Seed)))
-	if err != nil {
-		return nil, fmt.Errorf("core: computing folds: %w", err)
-	}
 
 	fp := ds.Fingerprint()
 	evalSpec := evalSpecOf(opts)
@@ -254,14 +249,15 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		defer cache.release()
 	}
 	// The fold plan: every computed unit shares one materialized
-	// train/test pair per split, built when the first one is handed out.
+	// train/test pair per split. The splits are drawn and the pairs built
+	// when the first unit is handed to a worker, so a search the store
+	// settles entirely makes neither.
 	var folds []foldData
 
 	var wg sync.WaitGroup
 	win := newClaimWindow(ctx, opts, units, wg.Wait)
 
-	searchSpan.SetAttr(trace.Int("units", len(units)), trace.Int("folds", len(splits)),
-		trace.Int("parallelism", opts.Parallelism))
+	searchSpan.SetAttr(trace.Int("units", len(units)), trace.Int("parallelism", opts.Parallelism))
 
 	results := make([]UnitResult, len(units))
 	sem := make(chan struct{}, opts.Parallelism)
@@ -277,7 +273,19 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 			continue
 		}
 		if folds == nil {
+			splits, err := opts.Splitter.Splits(ds.NumSamples(), rand.New(rand.NewSource(opts.Seed)))
+			if err != nil {
+				// No worker has started yet, so every claim held is the
+				// unit in hand's or one the window has not handed out.
+				if h.plan == planGranted {
+					releaseClaim(ctx, opts, u.key, true)
+					mClaimsHeld.Add(-1)
+				}
+				win.abandon(ctx)
+				return nil, fmt.Errorf("core: computing folds: %w", err)
+			}
 			folds = materializeFolds(ds, splits, cache)
+			searchSpan.SetAttr(trace.Int("folds", len(folds)))
 		}
 		wg.Add(1)
 		// Time spent waiting for a worker slot is queue time on the
@@ -305,7 +313,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 
 	res := &SearchResult{Units: results}
 	if cache != nil {
-		res.Prefix = cache.stats(len(splits))
+		res.Prefix = cache.stats(len(folds))
 	}
 	failed := 0
 	for i := range results {
@@ -445,7 +453,7 @@ func releaseClaim(ctx context.Context, opts SearchOptions, key string, held bool
 // settledUnit is the result of a unit the store settled on the dispatcher —
 // a published score or a peer's claim — with its unit span when tracing.
 func settledUnit(ctx context.Context, u *searchUnit, h handoff) UnitResult {
-	out := UnitResult{Index: u.index, Spec: u.spec, Params: u.params}
+	out := UnitResult{Index: u.index, Spec: u.spec}
 	if h.plan == planHit {
 		out.Mean, out.FromCache = h.score, true
 	} else {
@@ -462,7 +470,7 @@ func settledUnit(ctx context.Context, u *searchUnit, h handoff) UnitResult {
 // evaluateUnit computes a unit a worker was handed: locally, under a claim
 // it then publishes or releases, or degraded past a failing store.
 func evaluateUnit(ctx context.Context, u *searchUnit, h handoff, folds []foldData, cache *prefixCache, evalSpec string, opts SearchOptions) (out UnitResult) {
-	out = UnitResult{Index: u.index, Spec: u.spec, Params: u.params, Degraded: h.plan == planDegraded}
+	out = UnitResult{Index: u.index, Spec: u.spec, Degraded: h.plan == planDegraded}
 
 	// The unit span is structural (no component): per-fold children carry
 	// compute, and the publish round trip carries its own wait — tagging

@@ -39,11 +39,14 @@ func arm64Asm(t *testing.T, pkg string) map[string]string {
 // TestActivationTwinNotFusedOnArm64 is the cross-architecture half of the
 // activations' bitwise contract: the portable twin, which is what arm64
 // runs, compiles to no fused multiply-add, so it rounds every product as
-// the AVX2 kernel does. The fixture in testdata/fmafixture is the control —
-// a plain p*r + c that must compile to FMADDD, or the scan could not fail.
+// the AVX2 kernel does. The least-squares solve (SolveLeastSquares and its
+// reflect) is held to the same scan, so a refit's coefficients are an
+// amd64 machine's on arm64 too. The fixture in testdata/fmafixture is the
+// control — a plain p*r + c that must compile to FMADDD, or the scan could
+// not fail.
 func TestActivationTwinNotFusedOnArm64(t *testing.T) {
 	twin := arm64Asm(t, ".")
-	for _, fn := range []string{"sigmoidGeneric", "tanhGeneric", "expCore"} {
+	for _, fn := range []string{"sigmoidGeneric", "tanhGeneric", "expCore", "SolveLeastSquares", "reflect"} {
 		body, ok := twin["coda/internal/matrix."+fn]
 		if !ok {
 			t.Errorf("no arm64 listing for %s", fn)

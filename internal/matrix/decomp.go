@@ -9,6 +9,12 @@ import (
 // SolveLeastSquares returns x minimizing ||A*x - b||_2 using Householder QR
 // with column-norm-based rank handling. A is rows x cols with rows >= cols
 // required; b has len rows.
+//
+// The reflections run over a column-major copy of A, so every inner loop
+// walks contiguous memory; the operations and their order are the
+// row-major textbook loop's, so the result is too, bit for bit. Every
+// product is an explicit float64(a*b): no architecture fuses it into a
+// multiply-add, so an arm64 solve rounds as an amd64 one does.
 func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	if a.rows != len(b) {
 		return nil, fmt.Errorf("%w: lstsq A %dx%d, b %d", ErrShape, a.rows, a.cols, len(b))
@@ -17,68 +23,71 @@ func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("%w: lstsq underdetermined %dx%d", ErrShape, a.rows, a.cols)
 	}
 	m, n := a.rows, a.cols
-	r := a.Clone()
+	// r is A column by column: column j is r[j*m : (j+1)*m].
+	r := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for j, v := range a.data[i*n : (i+1)*n] {
+			r[j*m+i] = v
+		}
+	}
 	y := make([]float64, m)
 	copy(y, b)
 
 	// Householder QR: transform R in place, apply the same reflections to y.
 	for k := 0; k < n; k++ {
-		// Compute the norm of column k below the diagonal.
+		col := r[k*m+k : (k+1)*m] // column k from the diagonal down
 		norm := 0.0
-		for i := k; i < m; i++ {
-			v := r.At(i, k)
-			norm += v * v
+		for _, v := range col {
+			norm += float64(v * v)
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
 			continue // rank-deficient column; leave zeros, coefficient stays 0
 		}
-		if r.At(k, k) > 0 {
+		if col[0] > 0 {
 			norm = -norm
 		}
-		// Householder vector v stored in column k below diagonal.
-		for i := k; i < m; i++ {
-			r.Set(i, k, r.At(i, k)/norm)
+		// Householder vector v stored in column k from the diagonal down.
+		for i := range col {
+			col[i] /= norm
 		}
-		r.Set(k, k, r.At(k, k)+1)
-		// Apply reflection to remaining columns.
+		col[0] += 1
 		for j := k + 1; j < n; j++ {
-			s := 0.0
-			for i := k; i < m; i++ {
-				s += r.At(i, k) * r.At(i, j)
-			}
-			s = -s / r.At(k, k)
-			for i := k; i < m; i++ {
-				r.Set(i, j, r.At(i, j)+s*r.At(i, k))
-			}
+			reflect(col, r[j*m+k:(j+1)*m])
 		}
-		// Apply reflection to y.
-		s := 0.0
-		for i := k; i < m; i++ {
-			s += r.At(i, k) * y[i]
-		}
-		s = -s / r.At(k, k)
-		for i := k; i < m; i++ {
-			y[i] += s * r.At(i, k)
-		}
-		r.Set(k, k, -norm)
+		reflect(col, y[k:])
+		col[0] = -norm
 	}
 
 	// Back substitution on the upper-triangular part of r.
 	x := make([]float64, n)
 	for k := n - 1; k >= 0; k-- {
-		d := r.At(k, k)
+		d := r[k*m+k]
 		if math.Abs(d) < 1e-12 {
 			x[k] = 0
 			continue
 		}
 		s := y[k]
 		for j := k + 1; j < n; j++ {
-			s -= r.At(k, j) * x[j]
+			s -= float64(r[j*m+k] * x[j])
 		}
 		x[k] = s / d
 	}
 	return x, nil
+}
+
+// reflect applies the Householder reflection stored in v (its pivot in
+// v[0]) to c, which has v's length: c += s*v with s = -(v·c)/v[0].
+func reflect(v, c []float64) {
+	c = c[:len(v)]
+	s := 0.0
+	for i, vi := range v {
+		s += float64(vi * c[i])
+	}
+	s = -s / v[0]
+	for i, vi := range v {
+		c[i] += float64(s * vi)
+	}
 }
 
 // SymEig computes the eigendecomposition of a symmetric matrix using the

@@ -3,7 +3,6 @@ package preprocess
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"coda/internal/dataset"
 )
@@ -52,11 +51,10 @@ func FilterIQROutliers(ds *dataset.Dataset, k float64) (*dataset.Dataset, []int,
 	cols := ds.X.Cols()
 	lo := make([]float64, cols)
 	hi := make([]float64, cols)
+	var q [2]float64
 	for j := 0; j < cols; j++ {
-		col := ds.X.ColCopy(j)
-		sort.Float64s(col)
-		q1 := quantileSorted(col, 0.25)
-		q3 := quantileSorted(col, 0.75)
+		quantiles(ds.X.ColCopy(j), []float64{0.25, 0.75}, q[:])
+		q1, q3 := q[0], q[1]
 		iqr := q3 - q1
 		lo[j] = q1 - k*iqr
 		hi[j] = q3 + k*iqr

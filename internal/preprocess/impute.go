@@ -102,8 +102,7 @@ func (im *Imputer) Fit(ds *dataset.Dataset) error {
 				}
 				im.fill[j] = s / float64(len(vals))
 			case ImputeMedian:
-				sort.Float64s(vals)
-				im.fill[j] = quantileSorted(vals, 0.5)
+				quantiles(vals, []float64{0.5}, im.fill[j:j+1])
 			case ImputeMode:
 				im.fill[j] = mode(vals)
 			}

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"coda/internal/core"
@@ -189,14 +191,18 @@ func (s *RobustScaler) Clone() core.Transformer { return NewRobustScaler() }
 
 // Fit learns per-column medians and interquartile ranges.
 func (s *RobustScaler) Fit(ds *dataset.Dataset) error {
-	cols := ds.X.Cols()
+	rows, cols := ds.X.Rows(), ds.X.Cols()
 	s.medians = make([]float64, cols)
 	s.iqrs = make([]float64, cols)
+	x, col := ds.X.Data(), make([]float64, rows)
+	var q [3]float64
 	for j := 0; j < cols; j++ {
-		col := ds.X.ColCopy(j)
-		sort.Float64s(col)
-		s.medians[j] = quantileSorted(col, 0.5)
-		s.iqrs[j] = quantileSorted(col, 0.75) - quantileSorted(col, 0.25)
+		for i := range col {
+			col[i] = x[i*cols+j]
+		}
+		quantiles(col, []float64{0.25, 0.5, 0.75}, q[:])
+		s.medians[j] = q[1]
+		s.iqrs[j] = q[2] - q[0]
 	}
 	return nil
 }
@@ -257,20 +263,117 @@ func (n *NoOp) Fit(*dataset.Dataset) error { return nil }
 // Transform returns the dataset unchanged.
 func (n *NoOp) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) { return ds, nil }
 
-// quantileSorted returns the q-quantile of an ascending-sorted slice using
-// linear interpolation.
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
+// quantiles sets out[i] to the qs[i]-quantile of vals, for qs in [0, 1]:
+// the order statistics at floor and ceil of qs[i]*(len(vals)-1), linearly
+// interpolated, with NaNs ordered first — bit for bit what sort.Float64s
+// and then interpolating on the sorted slice gives. It puts just those
+// order statistics in place, by selection, reordering vals. An empty vals
+// gives NaN.
+//
+// +0 and -0 compare equal, so where each lands among the zeros is the
+// sort's own choice, and it decides the sign of a zero quantile; a column
+// holding both is sorted instead. (Which of two NaN payloads an operation
+// returns neither IEEE 754 nor Go fixes, so NaN payloads are not pinned.)
+func quantiles(vals, qs, out []float64) {
+	n := len(vals)
+	var pos0, neg0 bool
+	for _, v := range vals {
+		if v == 0 {
+			if math.Signbit(v) {
+				neg0 = true
+			} else {
+				pos0 = true
+			}
+		}
+	}
+	if pos0 && neg0 {
+		sort.Float64s(vals)
+	} else if n > 0 {
+		nans := 0 // the NaNs go first, where sorting puts them
+		for i, v := range vals {
+			if v != v {
+				vals[i], vals[nans] = vals[nans], v
+				nans++
+			}
+		}
+		var buf [6]int
+		ranks := buf[:0]
+		for _, q := range qs {
+			lo := int(q * float64(n-1))
+			ranks = append(ranks, min(lo, n-1), min(lo+1, n-1))
+		}
+		slices.Sort(ranks)
+		ranks = slices.Compact(ranks)
+		for len(ranks) > 0 && ranks[0] < nans {
+			ranks = ranks[1:]
+		}
+		selectRanks(vals[nans:], nans, ranks, 2*bits.Len(uint(n)))
+	}
+	for i, q := range qs {
+		out[i] = interpolate(vals, q)
+	}
+}
+
+// interpolate is the q-quantile of vals, linearly interpolated between the
+// order statistics at floor and ceil of q*(len(vals)-1), which must be in
+// place.
+func interpolate(vals []float64, q float64) float64 {
+	if len(vals) == 0 {
 		return math.NaN()
 	}
-	if len(sorted) == 1 {
-		return sorted[0]
+	if len(vals) == 1 {
+		return vals[0]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := q * float64(len(vals)-1)
 	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
+	if lo >= len(vals)-1 {
+		return vals[len(vals)-1]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return vals[lo]*(1-frac) + vals[lo+1]*frac
+}
+
+// selectRanks reorders x, which holds no NaN and starts at index base of
+// the slice ranks index, so that for every rank in ranks (ascending) the
+// element there is the one sorting would put there: a quickselect on a
+// median-of-three pivot that follows every rank at once. It sorts what is
+// left once a branch has taken budget partitions.
+func selectRanks(x []float64, base int, ranks []int, budget int) {
+	for len(ranks) > 0 {
+		if len(x) <= 12 || budget == 0 {
+			slices.Sort(x)
+			return
+		}
+		budget--
+		a, b, c := x[0], x[len(x)/2], x[len(x)-1]
+		p := max(min(a, b), min(max(a, b), c)) // the median of the three
+		cut := partition(x, func(v float64) bool { return v < p })
+		equal := cut == 0 // p is x's least value: split off its copies, which are in place
+		if equal {
+			cut = partition(x, func(v float64) bool { return v <= p })
+		}
+		i := 0
+		for i < len(ranks) && ranks[i] < base+cut {
+			i++
+		}
+		if !equal {
+			selectRanks(x[:cut], base, ranks[:i], budget)
+		}
+		x, base, ranks = x[cut:], base+cut, ranks[i:]
+	}
+}
+
+// partition moves the values below the cut to the front of x, in one pass
+// that swaps at every element, and returns how many there are.
+func partition(x []float64, below func(float64) bool) int {
+	n := 0
+	for i, v := range x {
+		x[i], x[n] = x[n], v
+		d := 0 // an increment rather than a branch: the compiler sets it from the flags
+		if below(v) {
+			d = 1
+		}
+		n += d
+	}
+	return n
 }
