@@ -203,9 +203,16 @@ func runServe(ctx context.Context, args []string) error {
 		return err
 	}
 	logCooperation(ctx, opts, res)
-	if res.BestPipeline == nil {
+	if res.Best == nil {
 		return fmt.Errorf("no pipeline succeeded on the data")
 	}
+	fitStart := time.Now()
+	best, err := res.FitBest(ctx)
+	if err != nil {
+		return err
+	}
+	slog.Info("best pipeline fitted", "request_id", obs.RequestID(ctx),
+		"spec", res.Best.Spec, "duration", time.Since(fitStart))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -213,7 +220,7 @@ func runServe(ctx context.Context, args []string) error {
 	fmt.Printf("serving %s (%s=%.5g) on %s\n", res.Best.Spec, *metric, res.Best.Mean, ln.Addr())
 	printProfile(res.Profile)
 	fmt.Println(`POST {"rows": [[...feature values...], ...]} to /score`)
-	srv := scoreServer(pipelineEstimator{res.BestPipeline})
+	srv := scoreServer(pipelineEstimator{best})
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	select {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"time"
 
@@ -240,6 +241,8 @@ func runSubscribe(ctx context.Context, args []string) error {
 		return nil
 	case errors.Is(err, httpapi.ErrLeaseGone):
 		return fmt.Errorf("lease expired server-side; re-run subscribe")
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("lease stream dropped, the server restarted or went away; re-run subscribe: %w", err)
 	default:
 		return err
 	}

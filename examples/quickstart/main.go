@@ -68,8 +68,13 @@ func main() {
 	fmt.Printf("best pipeline: %s\n", res.Best.Spec)
 	fmt.Printf("best CV RMSE:  %.4f\n", res.Best.Mean)
 
-	// The winner is refitted on the full dataset and ready to predict.
-	preds, err := res.BestPipeline.Predict(ds)
+	// The search only selects; fitting the winner on the full dataset is
+	// the caller's step, and the fitted pipeline is ready to predict.
+	best, err := res.FitBest(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	preds, err := best.Predict(ds)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -286,10 +286,11 @@ func TestSearchFindsBestPipeline(t *testing.T) {
 	if res.Best == nil || !strings.Contains(res.Best.Spec, "linearregression") {
 		t.Fatalf("best = %+v, want linearregression to win on linear data", res.Best)
 	}
-	if res.BestPipeline == nil {
-		t.Fatal("missing refitted best pipeline")
+	best, err := res.FitBest(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	preds, err := res.BestPipeline.Predict(ds)
+	preds, err := best.Predict(ds)
 	if err != nil {
 		t.Fatal(err)
 	}

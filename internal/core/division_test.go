@@ -316,13 +316,13 @@ func (j *joinerStore) LookupBatch(ctx context.Context, keys []string) (map[strin
 	return out, err
 }
 
-// countSpans counts, in every search trace rec holds, the spans named
-// name: one count per search.
-func countSpans(t *testing.T, rec *trace.Recorder, name string) []int {
+// countSpans counts, in every trace rec holds whose root span is named
+// root, the spans named name: one count per trace.
+func countSpans(t *testing.T, rec *trace.Recorder, root, name string) []int {
 	t.Helper()
 	var counts []int
 	for _, td := range rec.Traces() {
-		if td.Root.Name != "search" {
+		if td.Root.Name != root {
 			continue
 		}
 		n := 0
@@ -334,7 +334,7 @@ func countSpans(t *testing.T, rec *trace.Recorder, name string) []int {
 		counts = append(counts, n)
 	}
 	if len(counts) == 0 {
-		t.Fatal("no search trace recorded")
+		t.Fatalf("no %s trace recorded", root)
 	}
 	return counts
 }
@@ -406,10 +406,18 @@ func TestSearchFinishesWhatItJoined(t *testing.T) {
 	if joinerWall < core.RecheckInterval {
 		t.Errorf("the joiner finished in %v: it never waited a re-check interval for its peer", joinerWall)
 	}
-	for _, refits := range countSpans(t, rec, "search.refit") {
-		if refits != 1 {
-			t.Errorf("a search refitted %d times, want once", refits)
+	for _, refits := range countSpans(t, rec, "search", "search.refit") {
+		if refits != 0 {
+			t.Errorf("a search fitted its winner %d times, want never", refits)
 		}
+	}
+	for _, res := range []*core.SearchResult{a, b} {
+		if _, err := res.FitBest(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fits := countSpans(t, rec, "search.refit", "search.refit"); len(fits) != 2 || fits[0] != 1 || fits[1] != 1 {
+		t.Errorf("FitBest traces hold %v refit spans, want one per call", fits)
 	}
 }
 
@@ -460,7 +468,7 @@ func TestRecheckIntervalIsPublishFlushInterval(t *testing.T) {
 		t.Fatalf("computed %d, hits %d, skipped %d; want every unit the peer's hit", res.Computed, res.CacheHits, res.Skipped)
 	}
 	// Zero waits is a search that started after the timed flush.
-	if waits := countSpans(t, rec, "search.wait"); len(waits) != 1 || waits[0] > 1 {
+	if waits := countSpans(t, rec, "search", "search.wait"); len(waits) != 1 || waits[0] > 1 {
 		t.Fatalf("waits per search %v, want one search that saw the queued records by its first re-check", waits)
 	}
 }

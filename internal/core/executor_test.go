@@ -66,8 +66,8 @@ func wrapGraph(g *core.Graph, calls *stepCalls) *core.Graph {
 // TestEachPrefixFittedOnce counts the transformer calls a search makes.
 // During cross-validation the cache fits each distinct (fold, prefix) once
 // and applies it twice (train, test); without the cache every unit x fold
-// does so for itself; either way the refit adds exactly one Fit and one
-// Transform per transformer of the winner and nothing else.
+// does so for itself. Search stops there; FitBest then makes exactly one Fit
+// and one Transform per transformer of the winner and nothing else.
 func TestEachPrefixFittedOnce(t *testing.T) {
 	const folds = 3
 	build := func(calls *stepCalls) *core.Graph {
@@ -105,15 +105,25 @@ func TestEachPrefixFittedOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got := calls.fits.Swap(0); got != tc.cvFits {
+				t.Errorf("%d Fit calls in cross-validation, want %d", got, tc.cvFits)
+			}
+			if got := calls.transforms.Swap(0); got != 2*tc.cvFits {
+				t.Errorf("%d Transform calls in cross-validation, want %d", got, 2*tc.cvFits)
+			}
+			best, err := res.FitBest(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 			var winner int64
-			for _, n := range res.BestPipeline.Nodes {
+			for _, n := range best.Nodes {
 				winner += int64(len(n.Transformers))
 			}
-			if got, want := calls.fits.Load(), tc.cvFits+winner; got != want {
-				t.Errorf("%d Fit calls, want %d in cross-validation + %d in the refit", got, tc.cvFits, winner)
+			if got := calls.fits.Load(); got != winner {
+				t.Errorf("%d Fit calls in FitBest, want %d", got, winner)
 			}
-			if got, want := calls.transforms.Load(), 2*tc.cvFits+winner; got != want {
-				t.Errorf("%d Transform calls, want %d in cross-validation + %d in the refit", got, 2*tc.cvFits, winner)
+			if got := calls.transforms.Load(); got != winner {
+				t.Errorf("%d Transform calls in FitBest, want %d", got, winner)
 			}
 			if tc.noCache {
 				if res.Prefix != (core.PrefixCacheStats{}) {
@@ -130,7 +140,7 @@ func TestEachPrefixFittedOnce(t *testing.T) {
 
 // TestDecoratedComponentsAreTransparent searches the Figure 3 graph and the
 // Slim Figure 11 graph plain and with every component behind a decorator:
-// no score bit, no Best, no prediction of the refitted winner and no
+// no score bit, no Best, no prediction of the winner FitBest fits and no
 // prefix-cache counter may move, because core has one way through a
 // pipeline and it goes through the interfaces.
 func TestDecoratedComponentsAreTransparent(t *testing.T) {
@@ -165,14 +175,19 @@ func TestDecoratedComponentsAreTransparent(t *testing.T) {
 			if plain.Prefix != wrapped.Prefix {
 				t.Errorf("prefix stats moved: plain %+v, wrapped %+v", plain.Prefix, wrapped.Prefix)
 			}
-			want, err := plain.BestPipeline.Predict(tc.ds)
-			if err != nil {
-				t.Fatal(err)
+			predict := func(res *core.SearchResult) []float64 {
+				t.Helper()
+				best, err := res.FitBest(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				yhat, err := best.Predict(tc.ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return yhat
 			}
-			got, err := wrapped.BestPipeline.Predict(tc.ds)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want, got := predict(plain), predict(wrapped)
 			bitsEqualSlice(t, "best pipeline predictions", got, want)
 		})
 	}

@@ -157,8 +157,8 @@ func TestFusedWindowConvMatchesMaterialized(t *testing.T) {
 }
 
 // TestSearchMatchesManualChain is the oracle for a whole search: every fold
-// score of every unit of a Slim Figure 11 graph, and the refitted winner's
-// predictions on the full series, must equal the hand-driven chain's bit
+// score of every unit of a Slim Figure 11 graph, and the predictions on the
+// full series of the winner FitBest fits, must equal the hand-driven chain's bit
 // for bit — with the prefix cache and without it, serial and parallel.
 func TestSearchMatchesManualChain(t *testing.T) {
 	series := fusionSeries(120)
@@ -209,7 +209,11 @@ func TestSearchMatchesManualChain(t *testing.T) {
 					bitsEqualSlice(t, u.Spec, u.Scores, want[i])
 				}
 				wantHat, _ := manualChain(t, paths[res.Best.Index], series, series)
-				gotHat, err := res.BestPipeline.Predict(series)
+				best, err := res.FitBest(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotHat, err := best.Predict(series)
 				if err != nil {
 					t.Fatal(err)
 				}

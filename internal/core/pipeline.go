@@ -85,8 +85,8 @@ func (p *Pipeline) HasNode(name string) bool {
 // transformer of the node is fitted on the training data as the node's
 // earlier transformers left it and then applied to it; test, when non-nil,
 // is pushed through the fitted node afterwards. Every fit in the package —
-// Pipeline.Fit, a search's fold walk with or without the prefix cache, the
-// refit of the winner — is this function, so they cannot disagree.
+// Pipeline.Fit, a search's fold walk with or without the prefix cache,
+// SearchResult.FitBest — is this function, so they cannot disagree.
 func (n *Node) fitTransform(train, test *dataset.Dataset) (trainOut, testOut *dataset.Dataset, err error) {
 	trainOut = train
 	for _, t := range n.Transformers {

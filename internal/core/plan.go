@@ -10,7 +10,8 @@ import (
 // searchUnit is one planned evaluation unit: a graph path under one grid
 // assignment, with the spec and DARR key that assignment gives it. Its
 // pipeline does not exist until something runs it (build): a search whose
-// units are all DARR hits instantiates nothing but the winner's refit.
+// units are all DARR hits instantiates nothing, and the winner's pipeline
+// is built only when SearchResult.FitBest asks for it.
 type searchUnit struct {
 	index  int
 	path   Path

@@ -324,13 +324,14 @@ func (c countingScaler) Clone() core.Transformer {
 	return countingScaler{Transformer: c.Transformer.Clone(), clones: c.clones}
 }
 
-// TestWarmSearchInstantiatesOnlyTheRefit: against an in-process DARR that
-// holds every unit's score, a search settles each unit from the one lookup.
-// It draws no folds (the cold search drew them once), builds no fold
-// dataset and clones the counting scaler — which sits on every path and
-// carries no grid key — exactly once, for the winner's refit. Its
-// allocations are pinned exactly, so one more per unit fails here.
-func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
+// TestWarmSearchInstantiatesNothing: against an in-process DARR that holds
+// every unit's score, a search settles each unit from the one lookup. It
+// draws no folds (the cold search drew them once), builds no fold dataset
+// and never clones the counting scaler, which sits on every path and
+// carries no grid key: the search selects and fits nothing. FitBest then
+// clones it exactly once. The warm search's allocations are pinned
+// exactly, so one more per unit fails here.
+func TestWarmSearchInstantiatesNothing(t *testing.T) {
 	var clones atomic.Int64
 	graph := func() *core.Graph {
 		g := core.NewGraph()
@@ -375,8 +376,14 @@ func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
 	if got := foldsBuilt.Value() - folds0; got != 0 {
 		t.Errorf("warm search built %d fold datasets, want 0", got)
 	}
+	if got := clones.Load(); got != 0 {
+		t.Errorf("warm search cloned the scaler %d times, want 0", got)
+	}
+	if _, err := warm.FitBest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if got := clones.Load(); got != 1 {
-		t.Errorf("warm search cloned the scaler %d times, want 1 (the refit)", got)
+		t.Errorf("FitBest cloned the scaler %d times, want 1", got)
 	}
 
 	if raceDetector() {
@@ -386,7 +393,7 @@ func TestWarmSearchInstantiatesOnlyTheRefit(t *testing.T) {
 	defer trace.SetEnabled(true)
 	trace.SetEnabled(false)
 	g := graph()
-	const want = 117
+	const want = 90
 	if got := testing.AllocsPerRun(10, func() {
 		if _, err := core.Search(context.Background(), g, ds, opts); err != nil {
 			t.Fatal(err)

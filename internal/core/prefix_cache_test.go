@@ -303,7 +303,9 @@ func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	delete(fitted, full) // the final refit of the winner, outside the cache
+	if fitted[full] {
+		t.Fatal("the search fitted the estimator on the full dataset")
+	}
 	if len(fitted) != 2 {
 		t.Fatalf("estimator fitted on %d fold datasets, want one per fold", len(fitted))
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -164,8 +165,8 @@ type UnitResult struct {
 }
 
 // SearchProfile attributes one search's wall time to the component that
-// owned each instant on the critical path: local compute (fold fits,
-// refit), DARR round trips, object-store traffic, waiting for a worker
+// owned each instant on the critical path: local compute (fold fits and
+// scoring), DARR round trips, object-store traffic, waiting for a worker
 // slot, and everything else (scheduling, bookkeeping). When spans
 // overlap — a fold fitting while another unit waits on a claim — the
 // instant counts as compute: communication only matters to the critical
@@ -183,10 +184,9 @@ type SearchProfile struct {
 // SearchResult is the outcome of Search.
 type SearchResult struct {
 	Units []UnitResult
-	// Best points at the best successful unit (nil if all failed).
+	// Best points at the best successful unit (nil if all failed). FitBest
+	// fits its pipeline on the full dataset.
 	Best *UnitResult
-	// BestPipeline is the winning pipeline refitted on the full dataset.
-	BestPipeline *Pipeline
 	// Computed / CacheHits / Skipped count how units were satisfied.
 	Computed, CacheHits, Skipped int
 	// Degraded counts units computed locally because the ResultStore was
@@ -198,11 +198,39 @@ type SearchResult struct {
 	// Profile is the critical-path breakdown of the search's wall time
 	// (zero-valued when tracing is disabled).
 	Profile SearchProfile
+
+	// units and ds are what FitBest rebuilds and fits the winner from.
+	units []searchUnit
+	ds    *dataset.Dataset
+}
+
+// FitBest builds the winning unit's pipeline and fits it on the dataset the
+// search ran on, under a compute-tagged search.refit span. Search ends at
+// selection, so a caller that deploys the winner pays for this fit and one
+// that only reads the table does not. Every call returns a freshly fitted
+// pipeline. Best.Index, not Best.Spec, picks the unit: duplicate graph
+// paths can share a spec.
+func (r *SearchResult) FitBest(ctx context.Context) (*Pipeline, error) {
+	if r.Best == nil {
+		return nil, errors.New("core: no successful unit to fit")
+	}
+	_, sp := trace.Start(ctx, "search.refit", trace.String("spec", r.Best.Spec))
+	sp.SetComponent(trace.CompCompute)
+	defer sp.End()
+	p, err := r.units[r.Best.Index].build()
+	if err == nil {
+		err = p.Fit(r.ds)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: fitting best pipeline %s: %w", r.Best.Spec, err)
+	}
+	return p, nil
 }
 
 // Search evaluates every pipeline in the graph under every applicable
 // parameter-grid assignment with the configured cross-validation strategy,
-// and returns per-unit scores plus the best pipeline refitted on all data.
+// and returns per-unit scores and the best unit. It fits nothing on the full
+// dataset: SearchResult.FitBest does, when the caller wants the model.
 // Individual pipeline failures are recorded, not fatal — the point of a TEG
 // is to try many options, some of which may not suit the data.
 //
@@ -231,7 +259,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		opts.Logger = slog.Default()
 	}
 	// The root span covers everything from unit planning to the final
-	// refit; its trace is what /debug/traces shows and what the
+	// publish flush; its trace is what /debug/traces shows and what the
 	// critical-path profile is computed over.
 	ctx, searchSpan := trace.Start(ctx, "search")
 	defer searchSpan.End()
@@ -311,7 +339,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		return nil, fmt.Errorf("core: search cancelled: %w", err)
 	}
 
-	res := &SearchResult{Units: results}
+	res := &SearchResult{Units: results, units: units, ds: ds}
 	if cache != nil {
 		res.Prefix = cache.stats(len(folds))
 	}
@@ -359,22 +387,6 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	if res.Degraded > 0 {
 		opts.Logger.Warn("search degraded: result store unavailable for some units",
 			"request_id", obs.RequestID(ctx), "degraded", res.Degraded, "units", len(results))
-	}
-	if res.Best != nil {
-		// Each UnitResult carries its own unit index: a spec lookup here
-		// could silently pick (and refit) the wrong pipeline when
-		// duplicate graph paths share a spec.
-		_, rsp := trace.Start(ctx, "search.refit", trace.String("spec", res.Best.Spec))
-		rsp.SetComponent(trace.CompCompute)
-		refit, err := units[res.Best.Index].build()
-		if err == nil {
-			err = refit.Fit(ds)
-		}
-		rsp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: refitting best pipeline %s: %w", res.Best.Spec, err)
-		}
-		res.BestPipeline = refit
 	}
 	if searchSpan != nil {
 		prof := searchSpan.Profile()

@@ -297,7 +297,8 @@ func (r *recheckStore) Wait(_ context.Context, keys []string) error {
 // TestSearchRechecksOnlyDeferredKeys: a search whose peer holds one unit
 // computes the others, then waits on that key alone; once the peer has
 // published it, the re-check looks up that key alone, and the search ends
-// with every unit settled, the store-free winner and one refit.
+// with every unit settled and the store-free winner. The search fits no
+// winner; FitBest fits it once, in a trace of its own.
 func TestSearchRechecksOnlyDeferredKeys(t *testing.T) {
 	ds := regDS(t, 100)
 	ref, err := core.Search(context.Background(), degradedGraph(), ds, batchOpts(nil))
@@ -327,14 +328,24 @@ func TestSearchRechecksOnlyDeferredKeys(t *testing.T) {
 	if !slices.Equal(sizes, []int{4, 1, 1}) || !slices.Equal(st.lookups[2], []string{held}) {
 		t.Errorf("lookups of %v keys, want every key, then the held one before and after the wait", sizes)
 	}
-	refits := 0
-	for _, sp := range rec.Traces()[0].Spans {
-		if sp.Name == "search.refit" {
-			refits++
+	refits := func() (n int) {
+		for _, td := range rec.Traces() {
+			for _, sp := range td.Spans {
+				if sp.Name == "search.refit" {
+					n++
+				}
+			}
 		}
+		return n
 	}
-	if refits != 1 {
-		t.Errorf("%d refit spans, want one", refits)
+	if n := refits(); n != 0 {
+		t.Errorf("%d refit spans after the search, want none", n)
+	}
+	if _, err := res.FitBest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if n := refits(); n != 1 {
+		t.Errorf("%d refit spans after FitBest, want one", n)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"coda/internal/core"
 	"coda/internal/crossval"
 	"coda/internal/darr"
+	"coda/internal/dataset"
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
 	"coda/internal/preprocess"
@@ -78,8 +79,11 @@ func TestNaNScorerNeverBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best != nil || res.BestPipeline != nil {
+	if res.Best != nil {
 		t.Fatalf("NaN-scoring unit became Best: %+v", res.Best)
+	}
+	if p, err := res.FitBest(context.Background()); err == nil || p != nil {
+		t.Fatalf("FitBest with no Best: %v, %v; want an error", p, err)
 	}
 	for _, u := range res.Units {
 		if !strings.Contains(u.Err, "non-finite") {
@@ -173,10 +177,62 @@ func TestDuplicateSpecsRefitByIndex(t *testing.T) {
 			t.Fatalf("unit %d carries index %d", i, u.Index)
 		}
 	}
-	if res.Best == nil || res.BestPipeline == nil {
-		t.Fatal("search over duplicate specs must still produce a refitted winner")
+	if res.Best == nil {
+		t.Fatal("search over duplicate specs must still produce a winner")
 	}
 	if res.Best.Index != res.Units[res.Best.Index].Index {
 		t.Fatalf("best index %d does not match its unit", res.Best.Index)
+	}
+	if _, err := res.FitBest(context.Background()); err != nil {
+		t.Fatalf("fitting the winner of duplicate specs: %v", err)
+	}
+}
+
+// fullDataFailure fails to fit its estimator on a dataset of at least min
+// samples: cross-validation's training folds fit, the full dataset does
+// not.
+type fullDataFailure struct {
+	core.Estimator
+	min int
+}
+
+func (f fullDataFailure) Clone() core.Estimator {
+	return fullDataFailure{f.Estimator.Clone(), f.min}
+}
+
+func (f fullDataFailure) Fit(ds *dataset.Dataset) error {
+	if ds.NumSamples() >= f.min {
+		return errFullFit
+	}
+	return f.Estimator.Fit(ds)
+}
+
+var errFullFit = errors.New("too many rows")
+
+// TestFailingFullFitLeavesSearchIntact: a winner that fits every fold and
+// fails on the full dataset no longer fails the search, which fits nothing
+// past cross-validation. FitBest returns the failure, naming the spec, on
+// every call.
+func TestFailingFullFitLeavesSearchIntact(t *testing.T) {
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewStandardScaler())
+	g.AddRegressionModels(fullDataFailure{mlmodels.NewLinearRegression(), 80})
+	ds := regDS(t, 80)
+	scorer, _ := metrics.ScorerByName("rmse")
+	res, err := core.Search(context.Background(), g, ds, core.SearchOptions{
+		Splitter: crossval.KFold{K: 3, Shuffle: true},
+		Scorer:   scorer,
+	})
+	if err != nil {
+		t.Fatalf("search failed on a full-data fit it no longer makes: %v", err)
+	}
+	if res.Best == nil || res.Computed != 1 {
+		t.Fatalf("best %+v after %d computed units, want the one unit", res.Best, res.Computed)
+	}
+	for i := 0; i < 2; i++ {
+		p, err := res.FitBest(context.Background())
+		if !errors.Is(err, errFullFit) || !strings.Contains(err.Error(), res.Best.Spec) || p != nil {
+			t.Fatalf("FitBest call %d: %v, %v; want an error naming %q", i, p, err, res.Best.Spec)
+		}
 	}
 }

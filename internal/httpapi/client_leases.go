@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -135,9 +136,12 @@ func (c *Client) PollLease(ctx context.Context, leaseID string, wait time.Durati
 // StreamLease opens the lease's SSE stream and invokes fn for every
 // update frame until the context is cancelled, the server ends the
 // stream (lease expired or cancelled — returned as ErrLeaseGone), or fn
-// returns an error (returned as-is). The stream bypasses the client's
-// request timeout and retry policy: a subscription is a long-lived
-// connection, and re-subscribing after a drop is the caller's loop.
+// returns an error (returned as-is). A stream that closes without the
+// server's end frame (coda-server restarted or went away) is an error
+// wrapping io.ErrUnexpectedEOF, unless ctx ended first. The stream
+// bypasses the client's request timeout and retry policy: a subscription
+// is a long-lived connection, and re-subscribing after a drop is the
+// caller's loop.
 func (c *Client) StreamLease(ctx context.Context, leaseID string, fn func(Notification) error) error {
 	req, err := c.newRequest(ctx, http.MethodGet, "/leases/"+url.PathEscape(leaseID)+"/stream", nil)
 	if err != nil {
@@ -157,27 +161,47 @@ func (c *Client) StreamLease(ctx context.Context, leaseID string, fn func(Notifi
 		return fmt.Errorf("httpapi: stream status %d", resp.StatusCode)
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxSSEFrame)
+	var stop error // the frame that ended the stream: fn's error or the end event
+	err = readSSE(resp.Body, maxSSEFrame, func(event, data string) error {
+		switch event {
+		case "update":
+			var n Notification
+			if err := json.Unmarshal([]byte(data), &n); err != nil {
+				stop = fmt.Errorf("httpapi: decoding update frame: %w", err)
+			} else {
+				stop = fn(n)
+			}
+		case "end":
+			stop = ErrLeaseGone
+		}
+		return stop
+	})
+	if stop == nil && ctx.Err() != nil {
+		// The transport cut the body because ctx ended.
+		return ctx.Err()
+	}
+	return err
+}
+
+// readSSE reads a server-sent event stream from r and calls dispatch at
+// every blank line with the last event and data fields seen since the
+// previous one, each with its surrounding space trimmed. Comment lines
+// (":") and other fields are skipped. It returns dispatch's first error
+// as-is; otherwise the stream must go on until a frame stops it, so its
+// end is an error wrapping io.ErrUnexpectedEOF, and a read error or a line
+// of maxLine bytes or more is an error too.
+func readSSE(r io.Reader, maxLine int, dispatch func(event, data string) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, min(64<<10, maxLine)), maxLine)
 	var event, data string
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
 		case line == "":
-			// Blank line dispatches the accumulated event.
 			ev, payload := event, data
 			event, data = "", ""
-			switch ev {
-			case "update":
-				var n Notification
-				if err := json.Unmarshal([]byte(payload), &n); err != nil {
-					return fmt.Errorf("httpapi: decoding update frame: %w", err)
-				}
-				if err := fn(n); err != nil {
-					return err
-				}
-			case "end":
-				return ErrLeaseGone
+			if err := dispatch(ev, payload); err != nil {
+				return err
 			}
 		case strings.HasPrefix(line, ":"):
 			// Heartbeat comment.
@@ -188,12 +212,9 @@ func (c *Client) StreamLease(ctx context.Context, leaseID string, fn func(Notifi
 		}
 	}
 	if err := sc.Err(); err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
 		return fmt.Errorf("httpapi: reading lease stream: %w", err)
 	}
-	return nil
+	return fmt.Errorf("httpapi: lease stream closed without an end frame: %w", io.ErrUnexpectedEOF)
 }
 
 // maxSSEFrame bounds one SSE line; value-mode frames carry whole objects

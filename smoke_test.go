@@ -147,6 +147,7 @@ var (
 	serveListening  = regexp.MustCompile(`(?m)^serving .* on (\S+)$`)
 	searchFinished  = regexp.MustCompile(`msg="cooperative search finished" request_id=(\S+) computed=(\d+) cache_hits=(\d+) skipped=0`)
 	unitsLine       = regexp.MustCompile(`(?m)^units: (\d+) computed, (\d+) from DARR, (\d+) skipped`)
+	bestFitted      = regexp.MustCompile(`msg="best pipeline fitted" request_id=\S+ spec="input -> [^"]+" duration=\S+`)
 )
 
 // startServer boots coda-server on a port the kernel picks and returns its
@@ -425,14 +426,21 @@ func TestSmoke(t *testing.T) {
 		if err := json.Unmarshal([]byte(httpGet(t, url+"/debug/traces")), &frags); err != nil {
 			t.Fatal(err)
 		}
-		adopted := false
+		adopted, fitted := false, false
 		for _, f := range frags {
 			adopted = adopted || (f.Root == "server.score" && f.Remote && f.TraceID == traceID)
+			fitted = fitted || f.Root == "search.refit"
 		}
 		if !adopted {
 			t.Errorf("no remote-parented server.score fragment of trace %s among %d", traceID, len(frags))
 		}
+		if !fitted {
+			t.Errorf("no search.refit trace among %d: serve's fit of the winner went untraced", len(frags))
+		}
 		serve.stop(t)
+		if n := strings.Count(serve.stderr.String(), `msg="best pipeline fitted"`); n != 1 || !bestFitted.MatchString(serve.stderr.String()) {
+			t.Errorf("serve logged %d best-pipeline-fitted lines, want one with the spec and duration:\n%s", n, serve.stderr.String())
+		}
 	})
 
 	// An object put through a log-backed server survives a restart on the
