@@ -7,7 +7,8 @@
 //
 // The main loop takes two vectors per pass, the steps of one interleaved
 // with the other's: the exp core is one long dependency chain (the Horner
-// steps), and two chains side by side keep the vector units busy. Then one
+// steps), and two chains side by side keep the vector units busy. The loop
+// starts on a 64-byte boundary (PCALIGN, as in mulrows_amd64.s). Then one
 // vector if 4-7 elements are left, and the last 1-3 through a masked load
 // and store (the masked-out lanes compute on +0 and are never written).
 //
@@ -91,6 +92,7 @@
 	MOVQ src+8(FP), SI; \
 	MOVQ n+16(FP), CX; \
 	VMOVUPD ONE, Y15; \
+	PCALIGN $64; \
 pairs: \
 	CMPQ CX, $8; \
 	JLT one; \

@@ -41,19 +41,30 @@ func arm64Asm(t *testing.T, pkg string) map[string]string {
 // runs, compiles to no fused multiply-add, so it rounds every product as
 // the AVX2 kernel does. The least-squares solve (SolveLeastSquares and its
 // reflect) is held to the same scan, so a refit's coefficients are an
-// amd64 machine's on arm64 too. The fixture in testdata/fmafixture is the
-// control — a plain p*r + c that must compile to FMADDD, or the scan could
-// not fail.
+// amd64 machine's on arm64 too, and so are the LSTM step's twins (the cell
+// and hidden updates and BPTT's gate gradients) at float64 — instantiated
+// where nn uses them, so they are read from nn's listing. The fixture in
+// testdata/fmafixture is the control — a plain p*r + c that must compile to
+// FMADDD, or the scan could not fail.
 func TestActivationTwinNotFusedOnArm64(t *testing.T) {
-	twin := arm64Asm(t, ".")
-	for _, fn := range []string{"sigmoidGeneric", "tanhGeneric", "expCore", "SolveLeastSquares", "reflect"} {
-		body, ok := twin["coda/internal/matrix."+fn]
+	matrixAsm, nnAsm := arm64Asm(t, "."), arm64Asm(t, "../nn")
+	for _, c := range []struct {
+		listing map[string]string
+		fn      string
+	}{
+		{matrixAsm, "sigmoidGeneric"}, {matrixAsm, "tanhGeneric"}, {matrixAsm, "expCore"},
+		{matrixAsm, "SolveLeastSquares"}, {matrixAsm, "reflect"},
+		{nnAsm, "lstmCellGeneric[go.shape.float64]"},
+		{nnAsm, "lstmHiddenGeneric[go.shape.float64]"},
+		{nnAsm, "lstmGateGradsGeneric[go.shape.float64]"},
+	} {
+		body, ok := c.listing["coda/internal/matrix."+c.fn]
 		if !ok {
-			t.Errorf("no arm64 listing for %s", fn)
+			t.Errorf("no arm64 listing for %s", c.fn)
 			continue
 		}
 		if m := fusedOp.FindString(body); m != "" {
-			t.Errorf("%s compiles to %s on arm64: a product the AVX2 kernel rounds is fused", fn, strings.TrimSpace(m))
+			t.Errorf("%s compiles to %s on arm64: a product the AVX2 kernel rounds is fused", c.fn, strings.TrimSpace(m))
 		}
 	}
 	control := arm64Asm(t, "./testdata/fmafixture")

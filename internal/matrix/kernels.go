@@ -44,12 +44,17 @@ const (
 //
 // with kk ascending for every cell. skipZero drops the terms whose a element
 // is +-0 (which differs from adding them when b holds Inf or NaN, or c holds
-// -0). The inner statement is naiveMulInto's, so wherever the compiler
-// treats one a certain way (fusing the multiply into the add, on some
-// architectures) it treats the other the same.
-func mulRowsGeneric[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero bool) {
+// -0). zeroC starts every cell at +0 instead of at c's contents: the product
+// forms that overwrite c use it, so c need not be cleared first. The inner
+// statement is naiveMulInto's, so wherever the compiler treats one a certain
+// way (fusing the multiply into the add, on some architectures) it treats
+// the other the same.
+func mulRowsGeneric[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero, zeroC bool) {
 	for i := 0; i < m; i++ {
 		crow := c[i*n : (i+1)*n]
+		if zeroC {
+			clear(crow)
+		}
 		for kk := 0; kk < k; kk++ {
 			av := a[i*ars+kk*aks]
 			if skipZero && av == 0 {
@@ -63,17 +68,24 @@ func mulRowsGeneric[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZer
 }
 
 // mulAccum adds the m x n product described by mulRows's formula into c,
-// splitting rows across the worker budget above parMinFlops.
-func mulAccum[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero bool) {
-	if m == 0 || k == 0 || n == 0 {
+// splitting rows across the worker budget above parMinFlops; with zeroC it
+// sets c to the product instead (every cell starts at +0).
+func mulAccum[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero, zeroC bool) {
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 {
+		if zeroC {
+			clear(c[:m*n])
+		}
 		return
 	}
 	if 2*m*k*n < parMinFlops {
-		mulRows(c, a, ars, aks, b, m, k, n, skipZero)
+		mulRows(c, a, ars, aks, b, m, k, n, skipZero, zeroC)
 		return
 	}
 	parallelRows(m, parMinRows, func(lo, hi int) {
-		mulRows(c[lo*n:], a[lo*ars:], ars, aks, b, hi-lo, k, n, skipZero)
+		mulRows(c[lo*n:], a[lo*ars:], ars, aks, b, hi-lo, k, n, skipZero, zeroC)
 	})
 }
 
@@ -84,8 +96,8 @@ func MulInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	if a.cols != b.rows {
 		return nil, shapeErr("mul", a, b)
 	}
-	dst = Recycle(dst, a.rows, b.cols)
-	mulAccum(dst.data, a.data, a.cols, 1, b.data, a.rows, a.cols, b.cols, true)
+	dst = RecycleNoClear(dst, a.rows, b.cols)
+	mulAccum(dst.data, a.data, a.cols, 1, b.data, a.rows, a.cols, b.cols, true, true)
 	return dst, nil
 }
 
@@ -118,8 +130,7 @@ func MulVecInto[T Float](dst []T, m *Mat[T], v []T) ([]T, error) {
 		return nil, shapeErrVec("mulvec", m, len(v))
 	}
 	dst = RecycleVec(dst, m.rows)
-	clear(dst)
-	mulAccum(dst, m.data, m.cols, 1, v, m.rows, m.cols, 1, false)
+	mulAccum(dst, m.data, m.cols, 1, v, m.rows, m.cols, 1, false, true)
 	return dst, nil
 }
 
@@ -155,8 +166,8 @@ func MulTransposeAInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	if a.rows != b.rows {
 		return nil, shapeErr("mulTa", a, b)
 	}
-	dst = Recycle(dst, a.cols, b.cols)
-	mulAccum(dst.data, a.data, 1, a.cols, b.data, a.cols, a.rows, b.cols, true)
+	dst = RecycleNoClear(dst, a.cols, b.cols)
+	mulAccum(dst.data, a.data, 1, a.cols, b.data, a.cols, a.rows, b.cols, true, true)
 	return dst, nil
 }
 
@@ -169,7 +180,7 @@ func MulTransposeAAccum[T Float](dst, a, b *Mat[T]) error {
 	if dst.rows != a.cols || dst.cols != b.cols {
 		return shapeErr("mulTa dst", dst, b)
 	}
-	mulAccum(dst.data, a.data, 1, a.cols, b.data, a.cols, a.rows, b.cols, true)
+	mulAccum(dst.data, a.data, 1, a.cols, b.data, a.cols, a.rows, b.cols, true, false)
 	return nil
 }
 
@@ -190,10 +201,48 @@ func MulTransposeBInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	}
 	bt, _ := pool.Get().(*Mat[T])
 	bt = TInto(bt, b)
-	dst = Recycle(dst, a.rows, b.rows)
-	mulAccum(dst.data, a.data, a.cols, 1, bt.data, a.rows, a.cols, b.rows, false)
+	dst = RecycleNoClear(dst, a.rows, b.rows)
+	mulAccum(dst.data, a.data, a.cols, 1, bt.data, a.rows, a.cols, b.rows, false, true)
 	pool.Put(bt)
 	return dst, nil
+}
+
+// AccumColSums adds m's column sums into dst: dst[j] += m[0][j], then
+// m[1][j], and so on down the rows, each add rounded once — bit for bit the
+// plain loop, run through the row kernel as dst += 1·m (1·x is x exactly),
+// so that the columns go a vector at a time. len(dst) must be m's column
+// count.
+func AccumColSums[T Float](dst []T, m *Mat[T]) error {
+	if len(dst) != m.cols {
+		return shapeErrVec("colsums", m, len(dst))
+	}
+	mulAccum(dst, one[T](), 0, 0, m.data, 1, m.rows, m.cols, false, false)
+	return nil
+}
+
+// AddRowVec adds v to every row of m: m[i][j] += v[j], each add rounded
+// once — the plain loop's bits, through the row kernel as m += 1·v. len(v)
+// must be m's column count.
+func AddRowVec[T Float](m *Mat[T], v []T) error {
+	if len(v) != m.cols {
+		return shapeErrVec("addrow", m, len(v))
+	}
+	mulAccum(m.data, one[T](), 0, 0, v, m.rows, 1, m.cols, false, false)
+	return nil
+}
+
+// one64 and one32 are the a operand of AccumColSums and AddRowVec: a single
+// 1, read at every row and every k (both strides 0).
+var (
+	one64 = []float64{1}
+	one32 = []float32{1}
+)
+
+func one[T Float]() []T {
+	if o, ok := any(one64).([]T); ok {
+		return o
+	}
+	return any(one32).([]T)
 }
 
 // AddInto computes dst = a + b elementwise, reusing dst when capacity

@@ -87,9 +87,16 @@ done:
 	RET
 
 p12:	// 1 row x 12 vectors
+	FRESH(z12)
 	LOAD4(0, C0, Y0, Y1, Y2, Y3)
 	LOAD4(128, C0, Y4, Y5, Y6, Y7)
 	LOAD4(256, C0, Y8, Y9, Y10, Y11)
+	JMP k12
+z12:
+	ZERO4(Y0, Y1, Y2, Y3)
+	ZERO4(Y4, Y5, Y6, Y7)
+	ZERO4(Y8, Y9, Y10, Y11)
+	PCALIGN $64
 k12:
 	ROW(A0, g12, s12, MAC4(0, Y0, Y1, Y2, Y3); MAC4(128, Y4, Y5, Y6, Y7); MAC4(256, Y8, Y9, Y10, Y11))
 	KNEXT(k12)
@@ -99,8 +106,14 @@ k12:
 	JMP next
 
 p4:	// 2 rows x 4 vectors
+	FRESH(z4)
 	LOAD4(0, C0, Y0, Y1, Y2, Y3)
 	LOAD4(0, C1, Y4, Y5, Y6, Y7)
+	JMP k4
+z4:
+	ZERO4(Y0, Y1, Y2, Y3)
+	ZERO4(Y4, Y5, Y6, Y7)
+	PCALIGN $64
 k4:
 	ROW(A0, g4a, s4a, MAC4(0, Y0, Y1, Y2, Y3))
 	ROW(A1, g4b, s4b, MAC4(0, Y4, Y5, Y6, Y7))
@@ -110,10 +123,17 @@ k4:
 	JMP next
 
 p3:	// 4 rows x 3 vectors
+	FRESH(z3)
 	LOAD3(0, C0, Y0, Y1, Y2)
 	LOAD3(0, C1, Y3, Y4, Y5)
 	LOAD3(0, C2, Y6, Y7, Y8)
 	LOAD3(0, C3, Y9, Y10, Y11)
+	JMP k3
+z3:
+	ZERO4(Y0, Y1, Y2, Y3)
+	ZERO4(Y4, Y5, Y6, Y7)
+	ZERO4(Y8, Y9, Y10, Y11)
+	PCALIGN $64
 k3:
 	ROW(A0, g3a, s3a, MAC3(0, Y0, Y1, Y2))
 	ROW(A1, g3b, s3b, MAC3(0, Y3, Y4, Y5))
@@ -127,10 +147,16 @@ k3:
 	JMP next
 
 p2:	// 4 rows x 2 vectors
+	FRESH(z2)
 	LOAD2(0, C0, Y0, Y1)
 	LOAD2(0, C1, Y2, Y3)
 	LOAD2(0, C2, Y4, Y5)
 	LOAD2(0, C3, Y6, Y7)
+	JMP k2
+z2:
+	ZERO4(Y0, Y1, Y2, Y3)
+	ZERO4(Y4, Y5, Y6, Y7)
+	PCALIGN $64
 k2:
 	ROW(A0, g2a, s2a, MAC2(0, Y0, Y1))
 	ROW(A1, g2b, s2b, MAC2(0, Y2, Y3))
@@ -144,8 +170,8 @@ k2:
 	JMP next
 
 p1:
-	ONECOL(MOVUP, MAC1, k1, g1a, s1a, g1b, s1b, g1c, s1c, g1d, s1d, Y0, Y1, Y2, Y3)
+	ONECOL(MOVUP, MAC1, k1, z1, g1a, s1a, g1b, s1b, g1c, s1c, g1d, s1d, Y0, Y1, Y2, Y3)
 phalf:
-	ONECOL(MOVUP, MACH, kh, gha, sha, ghb, shb, ghc, shc, ghd, shd, X0, X1, X2, X3)
+	ONECOL(MOVUP, MACH, kh, zh, gha, sha, ghb, shb, ghc, shc, ghd, shd, X0, X1, X2, X3)
 pelem:
-	ONECOL(MOVS, MACS, ke, gea, sea, geb, seb, gec, sec, ged, sed, X0, X1, X2, X3)
+	ONECOL(MOVS, MACS, ke, ze, gea, sea, geb, seb, gec, sec, ged, sed, X0, X1, X2, X3)

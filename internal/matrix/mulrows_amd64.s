@@ -10,10 +10,13 @@
 //
 // A row of c is cut into column panels of 12, 4, 3, 2 or 1 vectors, then a
 // half vector, then single elements; every panel is walked down all m rows
-// before the next one starts. Within a panel the accumulators stay in
-// Y0-Y11 across the whole kk loop. A 12-vector panel takes one row per pass;
-// the narrow ones take 2 or 4 rows per pass so that at least 8 independent
-// add chains are in flight (an add is 4 cycles deep, two issue per cycle).
+// before the next one starts. Every kk loop starts on a 64-byte boundary
+// (PCALIGN), which also aligns the function, so its loops sit the same way
+// in every binary wherever the linker puts it. Within a panel the
+// accumulators stay in Y0-Y11 across the whole kk loop. A 12-vector panel
+// takes one row per pass; the narrow ones take 2 or 4 rows per pass so that
+// at least 8 independent add chains are in flight (an add is 4 cycles
+// deep, two issue per cycle).
 //
 //	AX  a cursor (kk loop)          SI  a, first row of the pass
 //	BX  b cursor (kk loop)          DI  c, first row of the pass at the panel's first column
@@ -79,13 +82,29 @@ skip:
 	CMPQ CX, BX; \
 	JGE picked
 
+// FRESH jumps to zero when zeroC is set: the pass's accumulators then start
+// at +0 in registers instead of loading c, which is bitwise the same as
+// loading a zeroed c (the first add is p + +0 either way).
+#define FRESH(zero) \
+	CMPB zeroC+65(FP), $0; \
+	JNE zero
+
+#define ZERO2(r0, r1)	VXORPD r0, r0, r0; VXORPD r1, r1, r1
+#define ZERO3(r0, r1, r2)	ZERO2(r0, r1); VXORPD r2, r2, r2
+#define ZERO4(r0, r1, r2, r3)	ZERO3(r0, r1, r2); VXORPD r3, r3, r3
+
 // ONECOL is a 4-row pass over a panel one register wide: a vector (Y), a
 // half vector (X) or a single element (X, scalar instructions).
-#define ONECOL(mov, mac, loop, ka, sa, kb, sb, kc, sc, kd, sd, r0, r1, r2, r3) \
+#define ONECOL(mov, mac, loop, zero, ka, sa, kb, sb, kc, sc, kd, sd, r0, r1, r2, r3) \
+	FRESH(zero); \
 	mov C0, r0; \
 	mov C1, r1; \
 	mov C2, r2; \
 	mov C3, r3; \
+	JMP loop; \
+zero: \
+	ZERO4(r0, r1, r2, r3); \
+	PCALIGN $64; \
 loop: \
 	ROW(A0, ka, sa, mac(r0)) \
 	ROW(A1, kb, sb, mac(r1)) \
@@ -101,7 +120,7 @@ loop: \
 #define MAC1(acc)	MAC(0, acc)
 
 
-// func mulRowsF64(c, a *float64, ars, aks int, b *float64, m, k, n int, skipZero bool)
+// func mulRowsF64(c, a *float64, ars, aks int, b *float64, m, k, n int, skipZero, zeroC bool)
 #define LANES 4
 #define ESHIFT 3
 #define NOSIGN 0x7fffffffffffffff
@@ -113,7 +132,7 @@ loop: \
 #define MOVS VMOVSD
 #define BCAST VBROADCASTSD
 #define TESTMASK TESTQ
-TEXT ·mulRowsF64(SB), NOSPLIT, $56-65
+TEXT ·mulRowsF64(SB), NOSPLIT, $56-66
 #include "mulrows_amd64.h"
 
 #undef LANES
@@ -128,7 +147,7 @@ TEXT ·mulRowsF64(SB), NOSPLIT, $56-65
 #undef BCAST
 #undef TESTMASK
 
-// func mulRowsF32(c, a *float32, ars, aks int, b *float32, m, k, n int, skipZero bool)
+// func mulRowsF32(c, a *float32, ars, aks int, b *float32, m, k, n int, skipZero, zeroC bool)
 #define LANES 8
 #define ESHIFT 2
 #define NOSIGN 0x7fffffff
@@ -140,7 +159,7 @@ TEXT ·mulRowsF64(SB), NOSPLIT, $56-65
 #define MOVS VMOVSS
 #define BCAST VBROADCASTSS
 #define TESTMASK TESTL
-TEXT ·mulRowsF32(SB), NOSPLIT, $56-65
+TEXT ·mulRowsF32(SB), NOSPLIT, $56-66
 #include "mulrows_amd64.h"
 
 // func hasAVX2() bool

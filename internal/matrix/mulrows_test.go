@@ -125,7 +125,14 @@ func testFormsMatchOracles[T Float](t *testing.T) {
 		awkward(rng, a, special, false)
 		awkward(rng, b, special, true)
 
-		got, err := MulInto(nil, a, b)
+		// The overwriting forms get a dst full of leftovers (NaN, ±Inf, -0
+		// among them): none of it may reach the result.
+		leftovers := func() *Mat[T] {
+			d := NewOf[T](m, n)
+			awkward(rng, d, true, false)
+			return d
+		}
+		got, err := MulInto(leftovers(), a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +140,7 @@ func testFormsMatchOracles[T Float](t *testing.T) {
 
 		// aᵀ*b reads a down its columns: a is k x m here.
 		at := TInto(nil, a)
-		got, err = MulTransposeAInto(nil, at, b)
+		got, err = MulTransposeAInto(leftovers(), at, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,9 +162,36 @@ func testFormsMatchOracles[T Float](t *testing.T) {
 		}
 		sameBits(t, "MulTransposeBInto", got.data, oracleMulTB(a, bt).data)
 
+		// The bias forms: column sums of b into a row, and a row added to
+		// every row of a, against their plain loops.
+		sums := NewOf[T](1, n)
+		awkward(rng, sums, special, false)
+		wantSums := sums.Clone()
+		for kk := 0; kk < k; kk++ {
+			for j, v := range b.Row(kk) {
+				wantSums.data[j] += v
+			}
+		}
+		if err := AccumColSums(sums.data, b); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "AccumColSums", sums.data, wantSums.data)
+		row := NewOf[T](1, k)
+		awkward(rng, row, special, false)
+		shifted, wantShifted := a.Clone(), a.Clone()
+		for i := 0; i < m; i++ {
+			for j, v := range row.data {
+				wantShifted.data[i*k+j] += v
+			}
+		}
+		if err := AddRowVec(shifted, row.data); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "AddRowVec", shifted.data, wantShifted.data)
+
 		if n > 0 {
 			v := b.ColCopy(0)
-			gotVec, err := MulVecInto(nil, a, v)
+			gotVec, err := MulVecInto(leftovers().data[:0], a, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +225,7 @@ func fuzzRowKernel[T Float](t *testing.T, data []byte, fromBits func(uint32) T) 
 	if data[4]&0x80 != 0 {
 		ars += (k - 1) * aks // rows that do not overlap, as in a*b
 	}
-	skipZero := data[5]&1 != 0
+	skipZero, zeroC := data[5]&1 != 0, data[5]&2 != 0
 	// The rest is element bits, four bytes each, read round and round.
 	bits, pos := data[6:], 0
 	next := func() T {
@@ -218,8 +252,8 @@ func fuzzRowKernel[T Float](t *testing.T, data []byte, fromBits func(uint32) T) 
 		}
 	}
 	want := append([]T(nil), c...)
-	mulRowsGeneric(want[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero)
-	mulRows(c[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero)
+	mulRowsGeneric(want[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero, zeroC)
+	mulRows(c[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero, zeroC)
 	sameBits(t, "mulRows", c, want)
 }
 

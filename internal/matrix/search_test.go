@@ -17,8 +17,9 @@ import (
 // TestSearchScoresSameOnBothKernelPaths is the bitwise contract seen from
 // the top: the full Fig 11 search (simple and deep LSTM, CNN and DNN,
 // WaveNet, SeriesNet; two workers) gives the same bits for every fold score
-// and for Best whether the assembly kernels — the row kernel and the
-// activations — or their portable twins did the arithmetic.
+// and for Best whether the assembly kernels — the row kernel, the
+// activations and the LSTM step kernels — or their portable twins did the
+// arithmetic.
 func TestSearchScoresSameOnBothKernelPaths(t *testing.T) {
 	series, err := sim.GenerateSeries(sim.SeriesSpec{Steps: 120, Vars: 2, Regime: sim.RegimeAR}, rand.New(rand.NewSource(3)))
 	if err != nil {

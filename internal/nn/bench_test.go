@@ -9,16 +9,28 @@ import (
 	"coda/internal/matrix"
 )
 
-// The four layer shapes that the benchmarks time and
-// TestStepAllocationsExact counts.
+// The layer shapes that the benchmarks time and TestStepAllocationsExact
+// counts.
 func denseStep() (Layer, *matrix.Matrix) {
 	rng := rand.New(rand.NewSource(1))
 	return NewDense(64, 64, rng), randInput(rng, 32, 64)
 }
 
-func lstmStep() (Layer, *matrix.Matrix) {
+// lstmIn2Step is the Fig 11 search's first LSTM layer: a batch of 32
+// windows of 8 steps over 2 series into 12 hidden units. In a network it is
+// layer 0, so its input gradient is not wanted.
+func lstmIn2Step() (Layer, *matrix.Matrix) {
 	rng := rand.New(rand.NewSource(2))
-	return NewLSTM(16, 4, 16, rng), randInput(rng, 32, 64)
+	return NewLSTM(8, 2, 12, rng), randInput(rng, 32, 16)
+}
+
+// lstmIn12SeqStep is one of the deep LSTM's stacked layers: 12 inputs per
+// step from the layer below, every hidden state out.
+func lstmIn12SeqStep() (Layer, *matrix.Matrix) {
+	rng := rand.New(rand.NewSource(2))
+	l := NewLSTM(8, 12, 12, rng)
+	l.ReturnSeq = true
+	return l, randInput(rng, 32, 96)
 }
 
 func conv1DStep() (Layer, *matrix.Matrix) {
@@ -31,25 +43,43 @@ func gatedBlockStep() (Layer, *matrix.Matrix) {
 	return NewGatedResidualBlock(32, 8, 2, 2, rng), randInput(rng, 16, 256)
 }
 
-func benchForwardBackward(b *testing.B, step func() (Layer, *matrix.Matrix)) {
-	b.Helper()
+// forwardBackward is one training step of a layer on its input, the
+// output standing in for the gradient.
+func forwardBackward(step func() (Layer, *matrix.Matrix), wantDX bool) func() error {
 	layer, in := step()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		out, err := layer.Forward(in, true)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
-		if _, err := layer.Backward(out); err != nil {
+		_, err = layer.Backward(out, wantDX)
+		return err
+	}
+}
+
+func benchForwardBackward(b *testing.B, step func() (Layer, *matrix.Matrix), wantDX bool) {
+	b.Helper()
+	run := forwardBackward(step, wantDX)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkDenseForwardBackward(b *testing.B) { benchForwardBackward(b, denseStep) }
-func BenchmarkLSTMForwardBackward(b *testing.B)  { benchForwardBackward(b, lstmStep) }
-func BenchmarkConv1DCausalDilated(b *testing.B)  { benchForwardBackward(b, conv1DStep) }
-func BenchmarkGatedResidualBlock(b *testing.B)   { benchForwardBackward(b, gatedBlockStep) }
+func BenchmarkDenseForwardBackward(b *testing.B) { benchForwardBackward(b, denseStep, true) }
+
+// BenchmarkLSTMForwardBackward times the LSTM at the shapes the Fig 11
+// search trains: the first layer (In2) and a stacked deep-LSTM layer
+// (In12ReturnSeq).
+func BenchmarkLSTMForwardBackward(b *testing.B) {
+	b.Run("In2", func(b *testing.B) { benchForwardBackward(b, lstmIn2Step, false) })
+	b.Run("In12ReturnSeq", func(b *testing.B) { benchForwardBackward(b, lstmIn12SeqStep, true) })
+}
+
+func BenchmarkConv1DCausalDilated(b *testing.B) { benchForwardBackward(b, conv1DStep, true) }
+func BenchmarkGatedResidualBlock(b *testing.B)  { benchForwardBackward(b, gatedBlockStep, true) }
 
 // Precision A/B on a full training epoch: same architecture, data and
 // seeds, only the element width differs.
@@ -96,26 +126,16 @@ func TestStepAllocationsExact(t *testing.T) {
 	if raceDetector() {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
-	forwardBackward := func(step func() (Layer, *matrix.Matrix)) func() error {
-		layer, in := step()
-		return func() error {
-			out, err := layer.Forward(in, true)
-			if err != nil {
-				return err
-			}
-			_, err = layer.Backward(out)
-			return err
-		}
-	}
 	for _, c := range []struct {
 		name string
 		step func() error
 		want float64
 	}{
-		{"Dense forward+backward", forwardBackward(denseStep), 0},
-		{"LSTM forward+backward", forwardBackward(lstmStep), 5},
-		{"Conv1D forward+backward", forwardBackward(conv1DStep), 2},
-		{"GatedResidualBlock forward+backward", forwardBackward(gatedBlockStep), 6},
+		{"Dense forward+backward", forwardBackward(denseStep, true), 0},
+		{"LSTM In2 forward+backward", forwardBackward(lstmIn2Step, false), 2},
+		{"LSTM In12ReturnSeq forward+backward", forwardBackward(lstmIn12SeqStep, true), 3},
+		{"Conv1D forward+backward", forwardBackward(conv1DStep, true), 2},
+		{"GatedResidualBlock forward+backward", forwardBackward(gatedBlockStep, true), 6},
 		{"Network.Fit epoch f64", fitNet[float64](), 6},
 		{"Network.Fit epoch f32", fitNet[float32](), 6},
 	} {

@@ -84,11 +84,11 @@ func (b *GatedResidualBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*mat
 }
 
 // Backward propagates through the residual sum, gate, and convolutions.
-func (b *GatedResidualBlockOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (b *GatedResidualBlockOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
 	if b.lastGated == nil {
 		return nil, fmt.Errorf("nn: gated block backward before forward")
 	}
-	dGated, err := b.proj.Backward(grad)
+	dGated, err := b.proj.Backward(grad, true)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block projection backward: %w", err)
 	}
@@ -102,13 +102,16 @@ func (b *GatedResidualBlockOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T],
 		dad[i] = T(dg * sg[i] * (1 - ta[i]*ta[i]))
 		dbd[i] = T(dg * ta[i] * sg[i] * (1 - sg[i]))
 	}
-	dxF, err := b.convF.Backward(da)
+	dxF, err := b.convF.Backward(da, wantDX)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block filter backward: %w", err)
 	}
-	dxG, err := b.convG.Backward(db)
+	dxG, err := b.convG.Backward(db, wantDX)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block gate backward: %w", err)
+	}
+	if !wantDX {
+		return nil, nil
 	}
 	// dx = grad (residual path) + filter path + gate path.
 	dx, err := matrix.AddInto(b.dxSum, grad, dxF)
@@ -188,18 +191,21 @@ func (b *ResidualConvBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*matr
 }
 
 // Backward propagates through the residual sum and convolutions.
-func (b *ResidualConvBlockOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
-	dz, err := b.proj.Backward(grad)
+func (b *ResidualConvBlockOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+	dz, err := b.proj.Backward(grad, true)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block projection backward: %w", err)
 	}
-	dz, err = b.relu.Backward(dz)
+	dz, err = b.relu.Backward(dz, true)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block relu backward: %w", err)
 	}
-	dxC, err := b.conv.Backward(dz)
+	dxC, err := b.conv.Backward(dz, wantDX)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block conv backward: %w", err)
+	}
+	if !wantDX {
+		return nil, nil
 	}
 	dx, err := matrix.AddInto(b.dxSum, grad, dxC)
 	if err != nil {

@@ -122,18 +122,14 @@ func (c *Conv1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) 
 	if _, err := matrix.MulInto(outView, c.cols, c.w.W); err != nil {
 		return nil, fmt.Errorf("nn: conv1d forward: %w", err)
 	}
-	bias := c.b.W.Row(0)
-	for r := 0; r < outView.Rows(); r++ {
-		row := outView.Row(r)
-		for f, bv := range bias {
-			row[f] += bv
-		}
+	if err := matrix.AddRowVec(outView, c.b.W.Row(0)); err != nil {
+		return nil, fmt.Errorf("nn: conv1d forward bias: %w", err)
 	}
 	return out, nil
 }
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
-func (c *Conv1DOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (c *Conv1DOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
 	if c.lastX == nil {
 		return nil, fmt.Errorf("nn: conv1d backward before forward")
 	}
@@ -146,15 +142,15 @@ func (c *Conv1DOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("nn: conv1d backward view: %w", err)
 	}
-	bGrad := c.b.Grad.Row(0)
-	for r := 0; r < gview.Rows(); r++ {
-		for f, v := range gview.Row(r) {
-			bGrad[f] += v
-		}
+	if err := matrix.AccumColSums(c.b.Grad.Row(0), gview); err != nil {
+		return nil, fmt.Errorf("nn: conv1d backward bias: %w", err)
 	}
 	// dW += colsᵀ * grad over every (sample, step) row at once.
 	if err := matrix.MulTransposeAAccum(c.w.Grad, c.cols, gview); err != nil {
 		return nil, fmt.Errorf("nn: conv1d backward dW: %w", err)
+	}
+	if !wantDX {
+		return nil, nil
 	}
 	dcols, err := matrix.MulTransposeBInto(c.dcols, gview, c.w.W)
 	if err != nil {
@@ -260,10 +256,13 @@ func (m *MaxPool1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], erro
 }
 
 // Backward routes gradients to the argmax positions.
-func (m *MaxPool1DOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (m *MaxPool1DOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
 	outLen := m.OutLen()
 	if m.argmax == nil || grad.Rows() != m.rows || grad.Cols() != outLen*m.Channels {
 		return nil, fmt.Errorf("%w: maxpool backward without matching forward", ErrShape)
+	}
+	if !wantDX {
+		return nil, nil
 	}
 	dx := matrix.Recycle(m.dx, m.rows, m.SeqLen*m.Channels)
 	m.dx = dx
@@ -318,9 +317,12 @@ func (l *LastTimestepOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], e
 }
 
 // Backward scatters the gradient into the last timestep slot.
-func (l *LastTimestepOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (l *LastTimestepOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
 	if grad.Rows() != l.rows || grad.Cols() != l.Channels {
 		return nil, fmt.Errorf("%w: lasttimestep backward grad %dx%d", ErrShape, grad.Rows(), grad.Cols())
+	}
+	if !wantDX {
+		return nil, nil
 	}
 	dx := matrix.Recycle(l.dx, l.rows, l.SeqLen*l.Channels)
 	l.dx = dx

@@ -47,18 +47,14 @@ func (d *DenseOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 		return nil, fmt.Errorf("nn: dense forward: %w", err)
 	}
 	d.out = out
-	bias := d.b.W.Row(0)
-	for i := 0; i < out.Rows(); i++ {
-		row := out.Row(i)
-		for j := range row {
-			row[j] += bias[j]
-		}
+	if err := matrix.AddRowVec(out, d.b.W.Row(0)); err != nil {
+		return nil, fmt.Errorf("nn: dense forward bias: %w", err)
 	}
 	return out, nil
 }
 
 // Backward accumulates dW = x^T*grad, db = colsum(grad), returns grad*W^T.
-func (d *DenseOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (d *DenseOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
 	if d.lastX == nil {
 		return nil, fmt.Errorf("nn: dense backward before forward")
 	}
@@ -66,11 +62,11 @@ func (d *DenseOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 	if err := matrix.MulTransposeAAccum(d.w.Grad, d.lastX, grad); err != nil {
 		return nil, fmt.Errorf("nn: dense backward dW: %w", err)
 	}
-	bd := d.b.Grad.Row(0)
-	for i := 0; i < grad.Rows(); i++ {
-		for j, v := range grad.Row(i) {
-			bd[j] += v
-		}
+	if err := matrix.AccumColSums(d.b.Grad.Row(0), grad); err != nil {
+		return nil, fmt.Errorf("nn: dense backward bias: %w", err)
+	}
+	if !wantDX {
+		return nil, nil
 	}
 	dx, err := matrix.MulTransposeBInto(d.dx, grad, d.w.W)
 	if err != nil {
@@ -121,9 +117,12 @@ func (r *ReLUOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 }
 
 // Backward gates gradients through the positive mask.
-func (r *ReLUOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (r *ReLUOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
 	if r.mask == nil || len(r.mask) != len(grad.Data()) {
 		return nil, fmt.Errorf("%w: relu backward without matching forward", ErrShape)
+	}
+	if !wantDX {
+		return nil, nil
 	}
 	out := matrix.RecycleNoClear(r.dx, grad.Rows(), grad.Cols())
 	r.dx = out
@@ -174,9 +173,12 @@ func (t *TanhOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 }
 
 // Backward multiplies by 1 - tanh^2.
-func (t *TanhOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (t *TanhOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
 	if t.lastOut == nil || len(t.lastOut.Data()) != len(grad.Data()) {
 		return nil, fmt.Errorf("%w: tanh backward without matching forward", ErrShape)
+	}
+	if !wantDX {
+		return nil, nil
 	}
 	out := matrix.RecycleNoClear(t.dx, grad.Rows(), grad.Cols())
 	t.dx = out
@@ -243,7 +245,10 @@ func (d *DropoutOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T],
 }
 
 // Backward applies the same mask to the gradient.
-func (d *DropoutOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (d *DropoutOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+	if !wantDX {
+		return nil, nil
+	}
 	if d.mask == nil {
 		return grad, nil
 	}

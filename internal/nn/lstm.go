@@ -25,7 +25,15 @@ import (
 // input gradient are each a single matmul. Values can differ from a
 // per-element recurrence in the last bits (summation order), bounded by
 // normal dot-product rounding; results are still deterministic for a seed.
-// Gate activations run in float64 for either element type.
+//
+// Each timestep's element-wise work runs over the whole batch at once: the
+// pre-activations are gathered gate-major — four blocks of batch x Hidden,
+// one per gate — so that the i and f gates are one Sigmoid call, g one Tanh
+// and o one Sigmoid, and the cell update, tanh of the cell state, the
+// hidden update and BPTT's gate gradients are each one pass of a matrix
+// LSTM kernel over the batch. Gate activations run in float64 for either
+// element type. h at t = -1 is the zero state, so step 0 skips its
+// recurrent products, forward and backward.
 type LSTMOf[T matrix.Float] struct {
 	SeqLen    int
 	InSize    int
@@ -36,28 +44,28 @@ type LSTMOf[T matrix.Float] struct {
 	wh *ParamOf[T] // Hidden x 4*Hidden
 	b  *ParamOf[T] // 1 x 4*Hidden
 
-	// Forward caches for BPTT (per timestep), recycled across calls.
+	// Forward caches for BPTT, recycled across calls. With n = batch*Hidden:
 	lastX *matrix.Mat[T]
-	hs    []*matrix.Mat[T] // hidden states, hs[t] is batch x Hidden (t = -1 stored at index 0)
-	cs    []*matrix.Mat[T] // cell states, same indexing
-	gates []*matrix.Mat[T] // post-activation gates, batch x 4*Hidden
-	// tanhC[t] is tanh(cs[t+1]) as Forward computed it, in the float64 the
-	// activations run in for either T, so Backward reads it back bit for bit
-	// instead of taking the tanh again.
-	tanhC []*matrix.Mat[float64]
-
-	// act is one row's gates in float64, where the activations run for
-	// either T: pre-activation in, post-activation out.
-	act []float64
+	hs    []*matrix.Mat[T] // hs[t] is the hidden state after step t, batch x Hidden
+	cs    []T              // cell states, n per step; step t's at [(t+1)n, (t+2)n), the zero state first
+	// gates holds each step's post-activation gates, 4n per step, gate-major
+	// (blocks i, f, g, o of n each), in float64, rounded through T once the
+	// step has used them (see roundGates).
+	gates []float64
+	// tanhC is tanh of each step's cell state, n per step, as Forward
+	// computed it, so Backward reads it back bit for bit instead of taking
+	// the tanh again.
+	tanhC []float64
 
 	// Scratch buffers (see LayerOf contract).
 	xw         *matrix.Mat[T] // (batch*SeqLen) x 4H input projections
 	hw         *matrix.Mat[T] // batch x 4H recurrent projection
+	zeroHW     []T            // 4H zeros: the recurrent projection of the zero state
 	out        *matrix.Mat[T]
 	dGt        *matrix.Mat[T] // batch x 4H pre-activation gate grads at t
 	dGAll      *matrix.Mat[T] // (batch*SeqLen) x 4H collected gate grads
 	dh, dhNext *matrix.Mat[T]
-	dc         *matrix.Mat[T]
+	dc         []T
 	dx         *matrix.Mat[T]
 }
 
@@ -111,8 +119,8 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 	if x.Cols() != l.SeqLen*l.InSize {
 		return nil, fmt.Errorf("%w: lstm expects %d cols (%d x %d), got %d", ErrShape, l.SeqLen*l.InSize, l.SeqLen, l.InSize, x.Cols())
 	}
-	batch := x.Rows()
-	h4 := 4 * l.Hidden
+	batch, H := x.Rows(), l.Hidden
+	n := batch * H
 	l.lastX = x
 
 	// One matmul projects every timestep: row i*SeqLen+t of the view is
@@ -126,101 +134,102 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 		return nil, fmt.Errorf("nn: lstm forward xW: %w", err)
 	}
 
-	l.hs = recycleStates(l.hs, l.SeqLen+1)
-	l.cs = recycleStates(l.cs, l.SeqLen+1)
-	l.gates = recycleStates(l.gates, l.SeqLen)
-	l.tanhC = recycleStates(l.tanhC, l.SeqLen)
-	l.hs[0] = matrix.Recycle(l.hs[0], batch, l.Hidden)
-	l.cs[0] = matrix.Recycle(l.cs[0], batch, l.Hidden)
-
-	bias := l.b.W.Row(0)
-	l.act = matrix.RecycleVec(l.act, h4)
-	act := l.act
+	l.hs = recycleStates(l.hs, l.SeqLen)
+	l.cs = matrix.RecycleVec(l.cs, (l.SeqLen+1)*n)
+	clear(l.cs[:n])
+	l.gates = matrix.RecycleVec(l.gates, l.SeqLen*4*n)
+	l.tanhC = matrix.RecycleVec(l.tanhC, l.SeqLen*n)
+	// At t = 0 the previous hidden state is zero, and so is hW: MulInto
+	// would skip every zero term and leave +0 in every cell. One row of
+	// +0, read for every sample, stands in for it.
+	if len(l.zeroHW) != 4*H {
+		l.zeroHW = make([]T, 4*H)
+	}
+	hw, hwStride := l.zeroHW, 0
 	for t := 0; t < l.SeqLen; t++ {
-		hPrev := l.hs[t]
-		cPrev := l.cs[t]
-		l.hw, err = matrix.MulInto(l.hw, hPrev, l.wh.W)
-		if err != nil {
-			return nil, fmt.Errorf("nn: lstm forward hW: %w", err)
+		if t > 0 {
+			l.hw, err = matrix.MulInto(l.hw, l.hs[t-1], l.wh.W)
+			if err != nil {
+				return nil, fmt.Errorf("nn: lstm forward hW: %w", err)
+			}
+			hw, hwStride = l.hw.Data(), 4*H
 		}
-		g := matrix.RecycleNoClear(l.gates[t], batch, h4)
-		hNew := matrix.RecycleNoClear(l.hs[t+1], batch, l.Hidden)
-		cNew := matrix.RecycleNoClear(l.cs[t+1], batch, l.Hidden)
-		l.tanhC[t] = matrix.RecycleNoClear(l.tanhC[t], batch, l.Hidden)
-		for i := 0; i < batch; i++ {
-			grow := g.Row(i)
-			xwrow := l.xw.Row(i*l.SeqLen + t)
-			hwrow := l.hw.Row(i)
-			for j := range act {
-				act[j] = float64(xwrow[j] + hwrow[j] + bias[j])
-			}
-			// Activations: i, f -> sigmoid; g (cell candidate) -> tanh; o -> sigmoid.
-			matrix.Sigmoid(act[:2*l.Hidden], act[:2*l.Hidden])
-			matrix.Tanh(act[2*l.Hidden:3*l.Hidden], act[2*l.Hidden:3*l.Hidden])
-			matrix.Sigmoid(act[3*l.Hidden:], act[3*l.Hidden:])
-			crow := cNew.Row(i)
-			cprow := cPrev.Row(i)
-			hnrow := hNew.Row(i)
-			tcrow := l.tanhC[t].Row(i)
-			for j := 0; j < l.Hidden; j++ {
-				ig, fg, cg := act[j], act[l.Hidden+j], act[2*l.Hidden+j]
-				c := T(fg*float64(cprow[j]) + ig*cg)
-				crow[j] = c
-				tcrow[j] = float64(c)
-			}
-			matrix.Tanh(tcrow, tcrow)
-			for j, a := range act {
-				grow[j] = T(a)
-			}
-			for j, og := range act[3*l.Hidden:] {
-				hnrow[j] = T(og * tcrow[j])
-			}
-		}
-		l.gates[t] = g
-		l.hs[t+1] = hNew
-		l.cs[t+1] = cNew
+		g := l.gates[t*4*n : (t+1)*4*n]
+		// Row i*SeqLen+t of xW is sample i's input projection at t (an
+		// empty batch has an empty xW).
+		xw := l.xw.Data()
+		matrix.LSTMGather(g, xw[min(t*4*H, len(xw)):], l.SeqLen*4*H, hw, hwStride, l.b.W.Row(0), batch, H)
+		// Activations: i, f -> sigmoid; g (cell candidate) -> tanh; o -> sigmoid.
+		matrix.Sigmoid(g[:2*n], g[:2*n])
+		matrix.Tanh(g[2*n:3*n], g[2*n:3*n])
+		matrix.Sigmoid(g[3*n:], g[3*n:])
+		tc := l.tanhC[t*n : (t+1)*n]
+		matrix.LSTMCell(l.cs[(t+1)*n:(t+2)*n], tc, l.cs[t*n:(t+1)*n], g[:n], g[n:2*n], g[2*n:3*n])
+		matrix.Tanh(tc, tc)
+		h := matrix.RecycleNoClear(l.hs[t], batch, H)
+		l.hs[t] = h
+		matrix.LSTMHidden(h.Data(), g[3*n:], tc)
+		roundGates[T](g)
 	}
 	if !l.ReturnSeq {
-		out := matrix.RecycleNoClear(l.out, batch, l.Hidden)
+		out := matrix.RecycleNoClear(l.out, batch, H)
 		l.out = out
-		copy(out.Data(), l.hs[l.SeqLen].Data())
+		copy(out.Data(), l.hs[l.SeqLen-1].Data())
 		return out, nil
 	}
-	out := matrix.RecycleNoClear(l.out, batch, l.SeqLen*l.Hidden)
+	out := matrix.RecycleNoClear(l.out, batch, l.SeqLen*H)
 	l.out = out
-	for t := 0; t < l.SeqLen; t++ {
-		h := l.hs[t+1]
+	for t, h := range l.hs {
 		for i := 0; i < batch; i++ {
-			copy(out.Row(i)[t*l.Hidden:(t+1)*l.Hidden], h.Row(i))
+			copy(out.Row(i)[t*H:(t+1)*H], h.Row(i))
 		}
 	}
 	return out, nil
 }
 
+// roundGates rounds the gates through T once the step has used them at
+// full width: a float32 layer's BPTT reads float32 gates, as it reads every
+// other value the f32 path keeps. For float64 it is the identity and does
+// nothing.
+func roundGates[T matrix.Float](g []float64) {
+	var zero T
+	if _, wide := any(zero).(float64); wide {
+		return
+	}
+	for k, v := range g {
+		g[k] = float64(T(v))
+	}
+}
+
 // Backward runs BPTT from the final-hidden-state gradient.
-func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
+func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
 	if l.lastX == nil {
 		return nil, fmt.Errorf("nn: lstm backward before forward")
 	}
-	batch := l.lastX.Rows()
-	h4 := 4 * l.Hidden
-	wantCols := l.Hidden
+	batch, H := l.lastX.Rows(), l.Hidden
+	n := batch * H
+	h4 := 4 * H
+	wantCols := H
 	if l.ReturnSeq {
-		wantCols = l.SeqLen * l.Hidden
+		wantCols = l.SeqLen * H
 	}
 	if grad.Rows() != batch || grad.Cols() != wantCols {
 		return nil, fmt.Errorf("%w: lstm backward grad %dx%d, want %dx%d", ErrShape, grad.Rows(), grad.Cols(), batch, wantCols)
 	}
 	var dh *matrix.Mat[T]
 	if l.ReturnSeq {
-		dh = matrix.Recycle(l.dh, batch, l.Hidden)
+		dh = matrix.Recycle(l.dh, batch, H)
 	} else {
-		dh = matrix.RecycleNoClear(l.dh, batch, l.Hidden)
+		dh = matrix.RecycleNoClear(l.dh, batch, H)
 		copy(dh.Data(), grad.Data())
 	}
-	dhNext := matrix.RecycleNoClear(l.dhNext, batch, l.Hidden)
-	dc := matrix.Recycle(l.dc, batch, l.Hidden)
+	dhNext := l.dhNext
+	l.dc = matrix.RecycleVec(l.dc, n)
+	dc := l.dc
+	clear(dc)
 	dGAll := matrix.RecycleNoClear(l.dGAll, batch*l.SeqLen, h4)
+	dGt := matrix.RecycleNoClear(l.dGt, batch, h4)
+	l.dGt = dGt
 
 	for t := l.SeqLen - 1; t >= 0; t-- {
 		if l.ReturnSeq {
@@ -228,43 +237,26 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 			// hidden output.
 			for i := 0; i < batch; i++ {
 				dst := dh.Row(i)
-				src := grad.Row(i)[t*l.Hidden : (t+1)*l.Hidden]
+				src := grad.Row(i)[t*H : (t+1)*H]
 				for j, v := range src {
 					dst[j] += v
 				}
 			}
 		}
-		g := l.gates[t]
-		cPrev := l.cs[t]
-		hPrev := l.hs[t]
-		dGt := matrix.RecycleNoClear(l.dGt, batch, h4)
-		l.dGt = dGt
+		matrix.LSTMGateGrads(dGt.Data(), l.gates[t*4*n:(t+1)*4*n], l.tanhC[t*n:(t+1)*n],
+			l.cs[t*n:(t+1)*n], dh.Data(), dc, batch, H)
 		for i := 0; i < batch; i++ {
-			grow := g.Row(i)
-			tcrow := l.tanhC[t].Row(i)
-			cprow := cPrev.Row(i)
-			dhrow := dh.Row(i)
-			dcrow := dc.Row(i)
-			dgrow := dGt.Row(i)
-			for j := 0; j < l.Hidden; j++ {
-				ig := float64(grow[j])
-				fg := float64(grow[l.Hidden+j])
-				cg := float64(grow[2*l.Hidden+j])
-				og := float64(grow[3*l.Hidden+j])
-				tc := tcrow[j]
-				dct := float64(dcrow[j]) + float64(dhrow[j])*og*(1-tc*tc)
-				dgrow[j] = T(dct * cg * ig * (1 - ig))
-				dgrow[l.Hidden+j] = T(dct * float64(cprow[j]) * fg * (1 - fg))
-				dgrow[2*l.Hidden+j] = T(dct * ig * (1 - cg*cg))
-				dgrow[3*l.Hidden+j] = T(float64(dhrow[j]) * tc * og * (1 - og))
-				// Next (earlier) timestep's cell gradient.
-				dcrow[j] = T(dct * fg)
-			}
-			copy(dGAll.Row(i*l.SeqLen+t), dgrow)
+			copy(dGAll.Row(i*l.SeqLen+t), dGt.Row(i))
+		}
+		if t == 0 {
+			// h at t = -1 is the zero state: its recurrent-weight terms are
+			// zero products the matmul would skip, and nothing reads its
+			// gradient.
+			break
 		}
 		// Recurrent-weight gradient and the hidden-state gradient for the
 		// earlier timestep, each as one matmul over the batch.
-		if err := matrix.MulTransposeAAccum(l.wh.Grad, hPrev, dGt); err != nil {
+		if err := matrix.MulTransposeAAccum(l.wh.Grad, l.hs[t-1], dGt); err != nil {
 			return nil, fmt.Errorf("nn: lstm backward dWh: %w", err)
 		}
 		var err error
@@ -275,13 +267,11 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 		dh, dhNext = dhNext, dh
 	}
 	l.dh, l.dhNext = dh, dhNext
+	l.dGAll = dGAll
 
 	// Bias gradient: column sums of every timestep's gate gradient.
-	bd := l.b.Grad.Row(0)
-	for r := 0; r < dGAll.Rows(); r++ {
-		for j, v := range dGAll.Row(r) {
-			bd[j] += v
-		}
+	if err := matrix.AccumColSums(l.b.Grad.Row(0), dGAll); err != nil {
+		return nil, fmt.Errorf("nn: lstm backward bias: %w", err)
 	}
 	// Input-weight gradient and input gradient: one matmul each over the
 	// collected gate gradients.
@@ -292,6 +282,9 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 	if err := matrix.MulTransposeAAccum(l.wx.Grad, xview, dGAll); err != nil {
 		return nil, fmt.Errorf("nn: lstm backward dWx: %w", err)
 	}
+	if !wantDX {
+		return nil, nil
+	}
 	dx := matrix.RecycleNoClear(l.dx, batch, l.SeqLen*l.InSize)
 	l.dx = dx
 	dxview, err := matrix.FromSlice(batch*l.SeqLen, l.InSize, dx.Data())
@@ -301,7 +294,6 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error) {
 	if _, err := matrix.MulTransposeBInto(dxview, dGAll, l.wx.W); err != nil {
 		return nil, fmt.Errorf("nn: lstm backward dx: %w", err)
 	}
-	l.dGAll = dGAll
 	return dx, nil
 }
 

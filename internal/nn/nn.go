@@ -55,7 +55,10 @@ func (p *ParamOf[T]) zeroGrad() {
 
 // LayerOf is one differentiable stage of a network. Forward must cache
 // whatever Backward needs; Backward receives dLoss/dOutput and returns
-// dLoss/dInput while accumulating parameter gradients.
+// dLoss/dInput while accumulating parameter gradients. With wantDX false
+// nothing reads the input gradient — the network's first layer gets
+// false — so the layer skips whatever only that gradient needs and returns
+// a nil matrix; its parameter gradients are the same bits either way.
 //
 // Buffer lifetime contract: layers own arena-style scratch buffers, so the
 // matrix returned by Forward is valid only until the layer's next Forward
@@ -66,7 +69,7 @@ func (p *ParamOf[T]) zeroGrad() {
 // returns, nor the incoming grad — both belong to neighbouring layers.
 type LayerOf[T matrix.Float] interface {
 	Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T], error)
-	Backward(grad *matrix.Mat[T]) (*matrix.Mat[T], error)
+	Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error)
 	Parameters() []*ParamOf[T]
 }
 
@@ -81,10 +84,13 @@ type NetworkOf[T matrix.Float] struct {
 	Optimizer OptimizerOf[T]
 
 	// Per-batch training scratch, reused across steps so Fit does not
-	// allocate per mini-batch.
+	// allocate per mini-batch; Predict feeds its row blocks through bx too.
 	bx   *matrix.Mat[T]
 	gbuf *matrix.Mat[T]
 	by   []T
+	// batch is the mini-batch size of the last Fit: Predict's block size,
+	// so inference runs in the buffers training grew.
+	batch int
 }
 
 // Network is the float64 network.
@@ -126,11 +132,12 @@ func (n *NetworkOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T],
 	return x, nil
 }
 
-// backward runs the full stack in reverse.
+// backward runs the full stack in reverse. Layer 0's input gradient would
+// be the gradient of the training data, so layer 0 is not asked for it.
 func (n *NetworkOf[T]) backward(grad *matrix.Mat[T]) error {
 	var err error
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad, err = n.Layers[i].Backward(grad)
+		grad, err = n.Layers[i].Backward(grad, i > 0)
 		if err != nil {
 			return fmt.Errorf("nn: layer %d backward: %w", i, err)
 		}
@@ -163,6 +170,7 @@ func (n *NetworkOf[T]) Fit(x *matrix.Mat[T], y []T, cfg FitConfig) error {
 		return fmt.Errorf("nn: empty training set")
 	}
 	cfg.setDefaults()
+	n.batch = cfg.BatchSize
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	params := n.Parameters()
 	order := make([]int, x.Rows())
@@ -216,18 +224,35 @@ func (n *NetworkOf[T]) fitStep(bx *matrix.Mat[T], idx []int, y []T, params []*Pa
 	return nil
 }
 
-// Predict runs inference, returning one value per row.
+// Predict runs inference, returning one value per row. It runs Forward over
+// blocks of the last Fit's batch size (the default batch size before any
+// Fit), so every layer works in the buffers training already grew. The
+// values are those of one Forward over all of x: in inference every layer
+// computes each row from that row alone.
 func (n *NetworkOf[T]) Predict(x *matrix.Mat[T]) ([]float64, error) {
-	out, err := n.Forward(x, false)
-	if err != nil {
-		return nil, err
+	block := n.batch
+	if block <= 0 {
+		cfg := FitConfig{}
+		cfg.setDefaults()
+		block = cfg.BatchSize
 	}
-	if out.Cols() != 1 {
-		return nil, fmt.Errorf("%w: network output has %d cols, want 1", ErrShape, out.Cols())
-	}
-	preds := make([]float64, out.Rows())
-	for i := range preds {
-		preds[i] = float64(out.At(i, 0))
+	rows, cols := x.Rows(), x.Cols()
+	preds := make([]float64, rows)
+	// A zero-row x still runs one (empty) block, so its shape is checked.
+	for start := 0; start == 0 || start < rows; start += block {
+		end := min(start+block, rows)
+		n.bx = matrix.RecycleNoClear(n.bx, end-start, cols)
+		copy(n.bx.Data(), x.Data()[start*cols:end*cols])
+		out, err := n.Forward(n.bx, false)
+		if err != nil {
+			return nil, err
+		}
+		if out.Cols() != 1 {
+			return nil, fmt.Errorf("%w: network output has %d cols, want 1", ErrShape, out.Cols())
+		}
+		for i := range preds[start:end] {
+			preds[start+i] = float64(out.At(i, 0))
+		}
 	}
 	return preds, nil
 }

@@ -31,7 +31,7 @@ func numericalGradCheck(t *testing.T, layer Layer, in *matrix.Matrix, tol float6
 	for _, p := range layer.Parameters() {
 		p.zeroGrad()
 	}
-	dIn, err := layer.Backward(out.Clone())
+	dIn, err := layer.Backward(out.Clone(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMaxPool1D(t *testing.T) {
 	}
 	// Gradient routes to argmax positions only.
 	grad, _ := matrix.NewFromRows([][]float64{{1, 1, 1, 1}})
-	dx, err := layer.Backward(grad)
+	dx, err := layer.Backward(grad, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMaxPool1DPropagatesNaN(t *testing.T) {
 		t.Fatal(err)
 	}
 	grad, _ := matrix.NewFromRows([][]float64{{1, 1, 1, 1}})
-	dx, err := layer.Backward(grad)
+	dx, err := layer.Backward(grad, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestLastTimestep(t *testing.T) {
 		t.Fatalf("last timestep = %v", out)
 	}
 	grad, _ := matrix.NewFromRows([][]float64{{7, 8}})
-	dx, err := layer.Backward(grad)
+	dx, err := layer.Backward(grad, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestDropoutTrainVsInference(t *testing.T) {
 	}
 	// Backward applies the same mask.
 	grad := randInput(rng, 10, 20)
-	dx, err := layer.Backward(grad)
+	dx, err := layer.Backward(grad, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,19 +521,18 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 		if _, err := l.Forward(x, true); err != nil {
 			t.Fatal(err)
 		}
+		n := batch * hidden
 		for ts := 0; ts < seq; ts++ {
-			for i := 0; i < batch; i++ {
-				for j := 0; j < hidden; j++ {
-					want := tanhOf(float64(l.cs[ts+1].At(i, j)))
-					if got := l.tanhC[ts].At(i, j); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("batch %d t=%d (%d,%d): cached tanh %v, recomputed %v", batch, ts, i, j, got, want)
-					}
-					// The stored output gate is the one Forward multiplied by
-					// only when T is float64 (it is rounded to T on store).
-					h := T(float64(l.gates[ts].At(i, 3*hidden+j)) * want)
-					if _, exact := any(h).(float64); exact && l.hs[ts+1].At(i, j) != h {
-						t.Fatalf("batch %d t=%d (%d,%d): hidden %v, recomputed %v", batch, ts, i, j, l.hs[ts+1].At(i, j), h)
-					}
+			for k := 0; k < n; k++ {
+				want := tanhOf(float64(l.cs[(ts+1)*n+k]))
+				if got := l.tanhC[ts*n+k]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("batch %d t=%d element %d: cached tanh %v, recomputed %v", batch, ts, k, got, want)
+				}
+				// The stored output gate is the one Forward multiplied by
+				// only when T is float64 (it is rounded through T once used).
+				h := T(l.gates[ts*4*n+3*n+k] * want)
+				if _, exact := any(h).(float64); exact && l.hs[ts].Data()[k] != h {
+					t.Fatalf("batch %d t=%d element %d: hidden %v, recomputed %v", batch, ts, k, l.hs[ts].Data()[k], h)
 				}
 			}
 		}
@@ -541,17 +540,15 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 			for _, p := range l.Parameters() {
 				p.zeroGrad()
 			}
-			dx, err := l.Backward(grad)
+			dx, err := l.Backward(grad, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return bitsOf(dx, l.wx.Grad, l.wh.Grad, l.b.Grad)
 		}
 		cached := backward()
-		for ts := 0; ts < seq; ts++ {
-			for i, c := range l.cs[ts+1].Data() {
-				l.tanhC[ts].Data()[i] = tanhOf(float64(c))
-			}
+		for k, c := range l.cs[n : (seq+1)*n] {
+			l.tanhC[k] = tanhOf(float64(c))
 		}
 		recomputed := backward()
 		for i := range cached {
@@ -612,7 +609,7 @@ func testGatedActivationCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 			for _, p := range b.Parameters() {
 				p.zeroGrad()
 			}
-			dx, err := b.Backward(grad)
+			dx, err := b.Backward(grad, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -637,4 +634,53 @@ func testGatedActivationCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 func TestGatedActivationCacheMatchesRecompute(t *testing.T) {
 	t.Run("f64", testGatedActivationCacheMatchesRecompute[float64])
 	t.Run("f32", testGatedActivationCacheMatchesRecompute[float32])
+}
+
+// TestBackwardWithoutDXKeepsParamGrads holds the wantDX contract for every
+// layer with parameters: asked for no input gradient, Backward returns nil
+// and accumulates the same parameter-gradient bits as when it is asked.
+func TestBackwardWithoutDXKeepsParamGrads(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	lstm := NewLSTM(5, 3, 4, rng)
+	lstm.ReturnSeq = true
+	for _, c := range []struct {
+		name  string
+		layer Layer
+		in    *matrix.Matrix
+	}{
+		{"Dense", NewDense(6, 4, rng), randInput(rng, 7, 6)},
+		{"LSTM", NewLSTM(5, 3, 4, rng), randInput(rng, 7, 15)},
+		{"LSTM ReturnSeq", lstm, randInput(rng, 7, 15)},
+		{"Conv1D", NewConv1D(6, 2, 3, 3, 1, false, rng), randInput(rng, 7, 12)},
+		{"GatedResidualBlock", NewGatedResidualBlock(6, 2, 2, 2, rng), randInput(rng, 7, 12)},
+		{"ResidualConvBlock", NewResidualConvBlock(6, 2, 2, 2, rng), randInput(rng, 7, 12)},
+	} {
+		grads := func(wantDX bool) []uint64 {
+			out, err := c.layer.Forward(c.in, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range c.layer.Parameters() {
+				p.zeroGrad()
+			}
+			dx, err := c.layer.Backward(out.Clone(), wantDX)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (dx == nil) == wantDX {
+				t.Fatalf("%s: wantDX %v returned dx %v", c.name, wantDX, dx)
+			}
+			var bits []uint64
+			for _, p := range c.layer.Parameters() {
+				bits = append(bits, bitsOf(p.Grad)...)
+			}
+			return bits
+		}
+		with, without := grads(true), grads(false)
+		for i := range with {
+			if with[i] != without[i] {
+				t.Fatalf("%s: parameter gradient %d differs without the input gradient", c.name, i)
+			}
+		}
+	}
 }

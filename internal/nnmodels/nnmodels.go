@@ -115,6 +115,29 @@ func windowDims(model string, ds *dataset.Dataset) (seqLen, channels int, err er
 	return ds.WindowLen, ds.NumVars, nil
 }
 
+// windowShape is the (steps, variables) shape of the cascaded windows a
+// temporal model was fitted on.
+type windowShape struct{ seqLen, channels int }
+
+// predictWindows is every temporal estimator's Predict: the model must be
+// fitted, and ds's windows must have the shape it was fitted on. The
+// network checks only its input width, seqLen·channels, so without this a
+// model fitted on 8x2 windows would read 4x4 ones as if they were 8x2.
+func predictWindows(model string, run netRunner, fitted windowShape, ds *dataset.Dataset) ([]float64, error) {
+	if run == nil {
+		return nil, fmt.Errorf("nnmodels: %s not fitted", model)
+	}
+	seqLen, channels, err := windowDims(model, ds)
+	if err != nil {
+		return nil, err
+	}
+	if got := (windowShape{seqLen, channels}); got != fitted {
+		return nil, fmt.Errorf("nnmodels: %s was fitted on %dx%d windows (steps x variables), cannot predict on %dx%d",
+			model, fitted.seqLen, fitted.channels, got.seqLen, got.channels)
+	}
+	return run.predict(ds)
+}
+
 // netRunner erases the element type of a trained network so the estimator
 // structs stay non-generic (core.Estimator is interface-driven).
 type netRunner interface {
@@ -241,6 +264,7 @@ type LSTMRegressor struct {
 	cfg  netConfig
 
 	run netRunner
+	win windowShape
 }
 
 // NewLSTMRegressor returns an unfitted LSTM model.
@@ -303,6 +327,7 @@ func (l *LSTMRegressor) Fit(ds *dataset.Dataset) error {
 	} else {
 		l.run = buildLSTM[float64](l.Deep, seqLen, channels, l.cfg)
 	}
+	l.win = windowShape{seqLen, channels}
 	if err := l.run.fit(ds, l.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", l.Name(), err)
 	}
@@ -311,13 +336,7 @@ func (l *LSTMRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (l *LSTMRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if l.run == nil {
-		return nil, fmt.Errorf("nnmodels: %s not fitted", l.Name())
-	}
-	if _, _, err := windowDims(l.Name(), ds); err != nil {
-		return nil, err
-	}
-	return l.run.predict(ds)
+	return predictWindows(l.Name(), l.run, l.win, ds)
 }
 
 // CNNRegressor is the paper's 1-D convolutional model: a convolution, max
@@ -328,6 +347,7 @@ type CNNRegressor struct {
 	cfg  netConfig
 
 	run netRunner
+	win windowShape
 }
 
 // NewCNNRegressor returns an unfitted CNN model.
@@ -405,6 +425,7 @@ func (c *CNNRegressor) Fit(ds *dataset.Dataset) error {
 	} else {
 		c.run = buildCNN[float64](c.Deep, seqLen, channels, c.cfg)
 	}
+	c.win = windowShape{seqLen, channels}
 	if err := c.run.fit(ds, c.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", c.Name(), err)
 	}
@@ -413,13 +434,7 @@ func (c *CNNRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (c *CNNRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if c.run == nil {
-		return nil, fmt.Errorf("nnmodels: %s not fitted", c.Name())
-	}
-	if _, _, err := windowDims(c.Name(), ds); err != nil {
-		return nil, err
-	}
-	return c.run.predict(ds)
+	return predictWindows(c.Name(), c.run, c.win, ds)
 }
 
 // WaveNetRegressor stacks gated dilated causal convolutions (dilations 1,
@@ -430,6 +445,7 @@ type WaveNetRegressor struct {
 	cfg netConfig
 
 	run netRunner
+	win windowShape
 }
 
 // NewWaveNetRegressor returns an unfitted WaveNet model.
@@ -481,6 +497,7 @@ func (w *WaveNetRegressor) Fit(ds *dataset.Dataset) error {
 	} else {
 		w.run = buildWaveNet[float64](seqLen, channels, w.cfg)
 	}
+	w.win = windowShape{seqLen, channels}
 	if err := w.run.fit(ds, w.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", w.Name(), err)
 	}
@@ -489,13 +506,7 @@ func (w *WaveNetRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (w *WaveNetRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if w.run == nil {
-		return nil, fmt.Errorf("nnmodels: %s not fitted", w.Name())
-	}
-	if _, _, err := windowDims(w.Name(), ds); err != nil {
-		return nil, err
-	}
-	return w.run.predict(ds)
+	return predictWindows(w.Name(), w.run, w.win, ds)
 }
 
 // SeriesNetRegressor is the WaveNet-derived architecture of Section IV-C2:
@@ -506,6 +517,7 @@ type SeriesNetRegressor struct {
 	cfg netConfig
 
 	run netRunner
+	win windowShape
 }
 
 // NewSeriesNetRegressor returns an unfitted SeriesNet model.
@@ -556,6 +568,7 @@ func (s *SeriesNetRegressor) Fit(ds *dataset.Dataset) error {
 	} else {
 		s.run = buildSeriesNet[float64](seqLen, channels, s.cfg)
 	}
+	s.win = windowShape{seqLen, channels}
 	if err := s.run.fit(ds, s.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", s.Name(), err)
 	}
@@ -564,11 +577,5 @@ func (s *SeriesNetRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (s *SeriesNetRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if s.run == nil {
-		return nil, fmt.Errorf("nnmodels: %s not fitted", s.Name())
-	}
-	if _, _, err := windowDims(s.Name(), ds); err != nil {
-		return nil, err
-	}
-	return s.run.predict(ds)
+	return predictWindows(s.Name(), s.run, s.win, ds)
 }

@@ -1,12 +1,14 @@
 package nnmodels
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
+	"coda/internal/matrix"
 	"coda/internal/metrics"
 	"coda/internal/sim"
 	"coda/internal/tswindow"
@@ -215,5 +217,109 @@ func TestFitDeterministicForSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("identical seeds must give identical models")
 		}
+	}
+}
+
+// cascaded windows series of vars variables into history-step windows.
+func cascaded(t *testing.T, vars, history int) *dataset.Dataset {
+	t.Helper()
+	rng := rand.New(rand.NewSource(45))
+	series, err := sim.GenerateSeries(sim.SeriesSpec{Steps: 80, Vars: vars, Regime: sim.RegimeAR}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := tswindow.NewCascadedWindows(history, 1, 0).Transform(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// TestTemporalPredictRefusesOtherWindowShape: 8x2 and 4x4 windows are both
+// 16 columns, which is all the network's first layer checks. A temporal
+// model fitted on one must refuse the other, naming both shapes, and still
+// predict on the shape it was fitted on.
+func TestTemporalPredictRefusesOtherWindowShape(t *testing.T) {
+	fitted, other := cascaded(t, 2, 8), cascaded(t, 4, 4)
+	if fitted.NumFeatures() != other.NumFeatures() {
+		t.Fatalf("%d and %d columns: the shapes must share a width", fitted.NumFeatures(), other.NumFeatures())
+	}
+	for _, m := range []core.Estimator{NewLSTMRegressor(false), NewCNNRegressor(false), NewWaveNetRegressor(), NewSeriesNetRegressor()} {
+		t.Run(m.Name(), func(t *testing.T) {
+			if err := m.SetParam("epochs", 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Fit(fitted); err != nil {
+				t.Fatal(err)
+			}
+			_, err := m.Predict(other)
+			if err == nil {
+				t.Fatal("predicted on 4x4 windows after a fit on 8x2 ones")
+			}
+			if !strings.Contains(err.Error(), "8x2") || !strings.Contains(err.Error(), "4x4") {
+				t.Fatalf("error %q does not name both shapes", err)
+			}
+			if _, err := m.Predict(fitted); err != nil {
+				t.Fatalf("predict on the fitted shape: %v", err)
+			}
+		})
+	}
+}
+
+// TestPredictMatchesOneRowForward pins blocked inference to its meaning:
+// Predict runs the network over blocks of the fit's batch size in the
+// buffers training grew, and every value must equal a Forward over that
+// row alone, bit for bit, for all five architectures (batch 7, so the
+// 30-odd rows make several blocks and a short last one).
+func TestPredictMatchesOneRowForward(t *testing.T) {
+	windows := cascaded(t, 2, 6)
+	rng := rand.New(rand.NewSource(46))
+	series, err := sim.GenerateSeries(sim.SeriesSpec{Steps: 80, Vars: 2, Regime: sim.RegimeAR}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := tswindow.NewFlatWindowing(6, 1, 0).Transform(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		m   core.Estimator
+		ds  *dataset.Dataset
+		run func(core.Estimator) netRunner
+	}{
+		{NewDNNRegressor(true), flat, func(m core.Estimator) netRunner { return m.(*DNNRegressor).run }},
+		{NewLSTMRegressor(true), windows, func(m core.Estimator) netRunner { return m.(*LSTMRegressor).run }},
+		{NewCNNRegressor(true), windows, func(m core.Estimator) netRunner { return m.(*CNNRegressor).run }},
+		{NewWaveNetRegressor(), windows, func(m core.Estimator) netRunner { return m.(*WaveNetRegressor).run }},
+		{NewSeriesNetRegressor(), windows, func(m core.Estimator) netRunner { return m.(*SeriesNetRegressor).run }},
+	} {
+		t.Run(c.m.Name(), func(t *testing.T) {
+			for k, v := range map[string]float64{"epochs": 2, "batch": 7} {
+				if err := c.m.SetParam(k, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.m.Fit(c.ds); err != nil {
+				t.Fatal(err)
+			}
+			preds, err := c.m.Predict(c.ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := c.run(c.m).(*runner[float64]).net
+			for i, p := range preds {
+				row, err := matrix.FromSlice(1, c.ds.NumFeatures(), c.ds.X.RowCopy(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := net.Forward(row, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(out.At(0, 0)) != math.Float64bits(p) {
+					t.Fatalf("row %d: Predict %v, one-row Forward %v", i, p, out.At(0, 0))
+				}
+			}
+		})
 	}
 }
