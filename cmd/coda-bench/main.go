@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"coda/internal/experiments"
-	"coda/internal/nn"
 )
 
 func main() {
@@ -26,28 +25,23 @@ func main() {
 		list  = flag.Bool("list", false, "list experiments")
 		quick = flag.Bool("quick", false, "reduced workload sizes")
 		seed  = flag.Int64("seed", 1, "experiment seed")
-		prec  = flag.String("nn-precision", "f64", "network compute precision for the TS experiments: f32 | f64")
 	)
 	flag.Parse()
 
-	if err := run(*expID, *all, *list, *quick, *seed, *prec); err != nil {
+	if err := run(*expID, *all, *list, *quick, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "coda-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(expID string, all, list, quick bool, seed int64, precision string) error {
+func run(expID string, all, list, quick bool, seed int64) error {
 	if list {
 		for _, r := range experiments.All() {
 			fmt.Printf("%-4s %s\n", r.ID, r.Title)
 		}
 		return nil
 	}
-	prec, err := nn.ParsePrecision(precision)
-	if err != nil {
-		return err
-	}
-	cfg := experiments.Config{Seed: seed, Quick: quick, Precision: prec}
+	cfg := experiments.Config{Seed: seed, Quick: quick}
 	var runners []experiments.Runner
 	switch {
 	case all:

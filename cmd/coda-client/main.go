@@ -44,7 +44,6 @@ import (
 	"coda/internal/httpapi"
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
-	"coda/internal/nn"
 	"coda/internal/obs"
 	"coda/internal/obs/trace"
 	"coda/internal/preprocess"
@@ -300,7 +299,6 @@ func runSearch(ctx context.Context, args []string) error {
 		seed      = fs.Int64("seed", 1, "search seed")
 		parallel  = fs.Int("parallelism", 0, "concurrent pipeline evaluations (0 = one per CPU)")
 		epochs    = fs.Int("epochs", 20, "network epochs (timeseries graph)")
-		precision = fs.String("nn-precision", "f64", "network compute precision: f32 | f64 (timeseries graph)")
 		top       = fs.Int("top", 5, "pipelines to print")
 		cacheMB   = fs.Int("prefix-cache-mb", core.DefaultPrefixCacheMB, "shared-prefix cache capacity in MiB")
 		noCache   = fs.Bool("no-prefix-cache", false, "disable the shared-prefix cache (re-fit every transformer prefix per unit, for A/B runs)")
@@ -312,10 +310,6 @@ func runSearch(ctx context.Context, args []string) error {
 	}
 	if err := lf.setup(); err != nil {
 		return err
-	}
-	prec, perr := nn.ParsePrecision(*precision)
-	if perr != nil {
-		return perr
 	}
 
 	// One request id covers the whole cooperative search: every DARR call
@@ -353,7 +347,7 @@ func runSearch(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		g, err = tsgraph.New(tsgraph.Config{History: 8, Epochs: *epochs, Seed: *seed, Precision: prec, Slim: true})
+		g, err = tsgraph.New(tsgraph.Config{History: 8, Epochs: *epochs, Seed: *seed, Slim: true})
 		if err != nil {
 			return err
 		}

@@ -141,12 +141,12 @@ func TestUnitKeysPinned(t *testing.T) {
 	want := map[string]string{
 		"coop-grid": "045ccc535d01e6468a8372bb5f3f2088181b625addb4bacf89a35438c280d4ac",
 		"fig3":      "1096fa011f822d67b043ba5faca93f685f70b797a63cfd32a7ec40f249bbf49a",
-		"fig11":     "78197ce4248acfca594c8f3295fa3cd771b64a79f69990d9d38a1d26e148c076",
+		"fig11":     "ad065c4ff91f12ec39b8f821ac9e27f9fc7d87af1c634a3404a436ef5e9b0b41",
 	}
 	wantWire := map[string]string{
 		"coop-grid": "a9650cb869f8dede7996db32299cef6f32eda7c0cf5d0ba6fd5facfa88ad0ece",
 		"fig3":      "65d1c7035d6ba9a43ab37f3248c8989c730666ac01de1e7841ec9b8dcbe6bb99",
-		"fig11":     "dc47e513f6406d7b2d971dcd61fceb8bd780d89a25fe449a3a951fb1d8ae8f0a",
+		"fig11":     "4fbc7428057192895fa6688328eab7512c7eb24b766f6aec0408f4efa453d15e",
 	}
 	for _, c := range keyCases() {
 		t.Run(c.name, func(t *testing.T) {

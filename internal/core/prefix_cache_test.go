@@ -282,11 +282,11 @@ func (s headerSink) Fit(ds *dataset.Dataset) error {
 	return err
 }
 
-// TestPassThroughEntryOwnsItsHeader is the deterministic face of a race
-// the detector found: a cache entry whose node returns its input used to
-// BE the fold dataset other workers were reading, and got a mirror written
-// into it. An entry must be a Dataset header nobody else holds, over the
-// same matrix and the same (fold-level) mirror.
+// TestPassThroughEntryOwnsItsHeader: a cache entry whose node returns its
+// input (NoOp) is that input — the fold's dataset, its matrix aliased,
+// never copied — and the estimator is fitted once per fold, never on the
+// full dataset. Nothing writes into a cached dataset, so the entry needs no
+// header of its own.
 func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
 	var mu sync.Mutex
 	folds, fitted := map[*dataset.Dataset]bool{}, map[*dataset.Dataset]bool{}
@@ -310,21 +310,61 @@ func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
 		t.Fatalf("estimator fitted on %d fold datasets, want one per fold", len(fitted))
 	}
 	for got := range fitted {
-		if folds[got] {
-			t.Fatal("a pass-through entry shares its Dataset header with the fold data")
-		}
-		var src *dataset.Dataset
+		aliased := false
 		for f := range folds {
-			if f.X == got.X {
-				src = f
-			}
+			aliased = aliased || f.X == got.X
 		}
-		if src == nil {
+		if !aliased {
 			t.Fatal("a pass-through entry copied the fold's matrix instead of aliasing it")
 		}
-		if got.Mirror == nil || got.Mirror != src.Mirror {
-			t.Fatal("a pass-through entry does not share the fold's float32 mirror")
+	}
+}
+
+// bytesProbe is an estimator that reads the prefix-cache byte gauge each
+// time it is fitted, while the search holds the entry it is fitted on.
+type bytesProbe struct {
+	headerSink
+	read *[]float64
+}
+
+func (p bytesProbe) Clone() core.Estimator { return p }
+func (p bytesProbe) Fit(*dataset.Dataset) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	*p.read = append(*p.read, obs.GetGauge("coda_search_prefix_cache_bytes").Value())
+	return nil
+}
+
+// TestPrefixCacheBytesGauge: coda_search_prefix_cache_bytes counts the
+// datasets a cached search holds — above its starting value whenever an
+// estimator is fitted on a cached entry — and is back at that value once
+// Search returns.
+func TestPrefixCacheBytesGauge(t *testing.T) {
+	var mu sync.Mutex
+	var read []float64
+	g := core.NewGraph()
+	g.AddTransformerStage("pass", headerSpy{&mu, map[*dataset.Dataset]bool{}})
+	g.AddEstimatorStage("model", bytesProbe{headerSink{headerSpy{&mu, map[*dataset.Dataset]bool{}}}, &read})
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	scorer, _ := metrics.ScorerByName("rmse")
+	start := scrapeSeries(t, "coda_search_prefix_cache_bytes")
+	if _, err := core.Search(context.Background(), g, regDS(t, 40), core.SearchOptions{
+		Splitter: crossval.KFold{K: 2}, Scorer: scorer, Parallelism: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(read) != 2 {
+		t.Fatalf("estimator fitted %d times, want once per fold", len(read))
+	}
+	for i, v := range read {
+		if v <= start {
+			t.Errorf("fit %d: gauge %v while the search held cached entries, started at %v", i, v, start)
 		}
+	}
+	if end := scrapeSeries(t, "coda_search_prefix_cache_bytes"); end != start {
+		t.Errorf("gauge %v after Search returned, started at %v", end, start)
 	}
 }
 

@@ -40,13 +40,10 @@ var (
 	mPrefixMisses    = obs.GetCounter("coda_search_prefix_cache_misses_total")
 	mPrefixEvictions = obs.GetCounter("coda_search_prefix_cache_evictions_total")
 	mPrefixFits      = obs.GetCounter("coda_search_prefix_fits_total")
-	// Cache bytes are split by element width: the f64 series counts the
-	// cached datasets themselves (8 bytes/element), the f32 series counts
-	// lazily built float32 mirrors (4 bytes/element) that reduced-precision
-	// fits hang off cached entries. Both count against -prefix-cache-mb.
-	gPrefixBytesF64 = obs.GetGauge(`coda_search_prefix_cache_bytes{precision="f64"}`)
-	gPrefixBytesF32 = obs.GetGauge(`coda_search_prefix_cache_bytes{precision="f32"}`)
-	mFoldsBuilt     = obs.GetCounter("coda_search_fold_datasets_total")
+	// gPrefixBytes is the estimated size of the cached datasets, the
+	// quantity -prefix-cache-mb bounds.
+	gPrefixBytes = obs.GetGauge("coda_search_prefix_cache_bytes")
+	mFoldsBuilt  = obs.GetCounter("coda_search_fold_datasets_total")
 )
 
 // DefaultPrefixCacheMB is the prefix-cache capacity used when
@@ -82,18 +79,11 @@ type foldData struct {
 }
 
 // materializeFolds subsets the dataset once per split. The results are
-// shared read-only across all worker goroutines, so whatever hangs off them
-// is hung here, before any worker starts: with a cache, each gets the
-// float32 mirror that pass-through prefixes (NoOp) and prefix-less
-// pipelines then share.
-func materializeFolds(ds *dataset.Dataset, splits []crossval.Split, cache *prefixCache) []foldData {
+// shared read-only across all worker goroutines.
+func materializeFolds(ds *dataset.Dataset, splits []crossval.Split) []foldData {
 	folds := make([]foldData, len(splits))
 	for i, sp := range splits {
 		folds[i] = foldData{train: ds.Subset(sp.Train), test: ds.Subset(sp.Test)}
-		if cache != nil {
-			cache.installMirror(nil, folds[i].train)
-			cache.installMirror(nil, folds[i].test)
-		}
 		mFoldsBuilt.Add(2)
 	}
 	return folds
@@ -116,10 +106,6 @@ type prefixEntry struct {
 	train, test *dataset.Dataset
 	err         error
 	size        int64
-	// size32 is the portion of size contributed by float32 mirrors built
-	// after the entry landed (reduced-precision fits); tracked separately
-	// so the per-width gauges stay exact through eviction.
-	size32 int64
 	// ready flips under the cache lock when results are in; only ready
 	// entries are evictable, so an in-flight computation is never torn
 	// out from under its waiters.
@@ -137,7 +123,6 @@ type prefixCache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	bytes    int64
-	bytes32  int64 // portion of bytes held by float32 mirrors
 	entries  map[prefixKey]*list.Element
 	ll       *list.List // of *prefixEntry; front = most recently used
 	// seen records every key ever requested, never evicted, so stats can
@@ -157,19 +142,6 @@ func newPrefixCache(maxBytes int64) *prefixCache {
 		ll:       list.New(),
 		seen:     map[prefixKey]struct{}{},
 	}
-}
-
-// ownHeader gives a cache entry a Dataset header nobody else holds. A
-// pass-through node (NoOp) hands its input back, and other workers are
-// already reading that; with a header of its own, nothing done to an entry's
-// datasets is ever a write to one that was reachable before. The copy keeps
-// the input's mirror, so aliased data is still converted once.
-func ownHeader(out, in *dataset.Dataset) *dataset.Dataset {
-	if out != in {
-		return out
-	}
-	cp := *out
-	return &cp
 }
 
 // getOrCompute returns the cached datasets for key, joining an in-flight
@@ -203,7 +175,6 @@ func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, train, te
 	mPrefixFits.Inc()
 
 	trainOut, testOut, err = step(train, test)
-	trainOut, testOut = ownHeader(trainOut, train), ownHeader(testOut, test)
 
 	c.mu.Lock()
 	e.train, e.test, e.err = trainOut, testOut, err
@@ -212,13 +183,11 @@ func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, train, te
 		// input datasets, so an aliased entry is charged again; that only
 		// makes eviction earlier, never correctness-relevant.
 		e.size = datasetBytes(trainOut) + datasetBytes(testOut)
-		c.installMirror(e, trainOut)
-		c.installMirror(e, testOut)
 	}
 	e.ready = true
 	if !e.evicted {
 		c.bytes += e.size
-		gPrefixBytesF64.Add(float64(e.size))
+		gPrefixBytes.Add(float64(e.size))
 		c.evictLocked(el)
 	}
 	c.mu.Unlock()
@@ -226,38 +195,8 @@ func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, train, te
 	return trainOut, testOut, false, err
 }
 
-// installMirror hangs a lazy float32 mirror off a dataset no other
-// goroutine can reach yet (an entry's, before its done closes; a fold's,
-// before workers start) so reduced-precision estimators sharing it convert
-// X/Y once instead of per fit. The mirror's build callback charges its
-// 4-byte-per-element footprint to the entry (and the cap) the moment it
-// materializes; a fold's mirror (e nil) is charged to the cache alone and
-// held until release. Aliased datasets (NoOp pass-through) keep their first
-// mirror.
-func (c *prefixCache) installMirror(e *prefixEntry, ds *dataset.Dataset) {
-	if ds == nil || ds.Mirror != nil {
-		return
-	}
-	ds.Mirror = dataset.NewF32Mirror(func(b int64) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if e != nil {
-			e.size += b
-			e.size32 += b
-			if e.evicted {
-				return
-			}
-		}
-		c.bytes += b
-		c.bytes32 += b
-		gPrefixBytesF32.Add(float64(b))
-		c.evictLocked(nil)
-	})
-}
-
-// datasetBytes estimates a dataset's retained memory at its actual element
-// width: float64 payloads at 8 bytes per element; float32 mirror bytes are
-// charged separately when a mirror materializes.
+// datasetBytes estimates a dataset's retained memory: 8 bytes per float64
+// element, plus its column names and a fixed header.
 func datasetBytes(ds *dataset.Dataset) int64 {
 	if ds == nil {
 		return 0
@@ -291,9 +230,7 @@ func (c *prefixCache) evictLocked(keep *list.Element) {
 		delete(c.entries, e.key)
 		e.evicted = true
 		c.bytes -= e.size
-		c.bytes32 -= e.size32
-		gPrefixBytesF64.Add(-float64(e.size - e.size32))
-		gPrefixBytesF32.Add(-float64(e.size32))
+		gPrefixBytes.Add(-float64(e.size))
 		c.evictions++
 		mPrefixEvictions.Inc()
 	}
@@ -304,10 +241,8 @@ func (c *prefixCache) evictLocked(keep *list.Element) {
 func (c *prefixCache) release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	gPrefixBytesF64.Add(-float64(c.bytes - c.bytes32))
-	gPrefixBytesF32.Add(-float64(c.bytes32))
+	gPrefixBytes.Add(-float64(c.bytes))
 	c.bytes = 0
-	c.bytes32 = 0
 }
 
 // stats snapshots the cache counters for SearchResult.

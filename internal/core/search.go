@@ -312,7 +312,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 				win.abandon(ctx)
 				return nil, fmt.Errorf("core: computing folds: %w", err)
 			}
-			folds = materializeFolds(ds, splits, cache)
+			folds = materializeFolds(ds, splits)
 			searchSpan.SetAttr(trace.Int("folds", len(folds)))
 		}
 		wg.Add(1)

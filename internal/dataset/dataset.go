@@ -44,11 +44,6 @@ type Dataset struct {
 	// use this so model scores are comparable across scaling options.
 	YScale  float64
 	YOffset float64
-
-	// Mirror, when non-nil, lazily caches a float32 conversion of X/Y for
-	// the reduced-precision NN path (see F32). Shared by shallow copies;
-	// dropped whenever X is replaced.
-	Mirror *F32Mirror
 }
 
 // New builds a Dataset, validating that len(y) matches x's rows when y is
@@ -99,7 +94,6 @@ func (d *Dataset) WithX(x *matrix.Matrix) *Dataset {
 	out.ColNames = nil
 	out.ColScale = nil
 	out.ColOffset = nil
-	out.Mirror = nil
 	return &out
 }
 

@@ -18,13 +18,12 @@ import (
 // tsSearch runs the Figure 11 graph on a series and returns the results.
 func tsSearch(cfg Config, series *dataset.Dataset, slim bool) (*core.SearchResult, error) {
 	g, err := tsgraph.New(tsgraph.Config{
-		History:   8,
-		Horizon:   1,
-		Target:    0,
-		Epochs:    cfg.pick(30, 8),
-		Seed:      cfg.Seed,
-		Precision: cfg.Precision,
-		Slim:      slim,
+		History: 8,
+		Horizon: 1,
+		Target:  0,
+		Epochs:  cfg.pick(30, 8),
+		Seed:    cfg.Seed,
+		Slim:    slim,
 	})
 	if err != nil {
 		return nil, err
@@ -52,7 +51,7 @@ func RunT2(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := tsgraph.New(tsgraph.Config{History: 8, Epochs: cfg.pick(30, 8), Seed: cfg.Seed, Precision: cfg.Precision, Slim: cfg.Quick})
+	g, err := tsgraph.New(tsgraph.Config{History: 8, Epochs: cfg.pick(30, 8), Seed: cfg.Seed, Slim: cfg.Quick})
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-
-	"coda/internal/nn"
 )
 
 // Config controls experiment scale.
@@ -18,10 +16,6 @@ type Config struct {
 	// Quick shrinks workloads for benchmarks and CI; full runs are the
 	// defaults reported in EXPERIMENTS.md.
 	Quick bool
-	// Precision selects the network compute path for the time-series
-	// experiments (nn.F64 when zero; nn.F32 for the reduced-precision
-	// kernels — see EXPERIMENTS.md for the expected tolerance).
-	Precision nn.Precision
 }
 
 // pick returns quick when cfg.Quick, otherwise full.

@@ -46,9 +46,9 @@ const (
 // is +-0 (which differs from adding them when b holds Inf or NaN, or c holds
 // -0). zeroC starts every cell at +0 instead of at c's contents: the product
 // forms that overwrite c use it, so c need not be cleared first. The inner
-// statement is naiveMulInto's, so wherever the compiler treats one a certain
-// way (fusing the multiply into the add, on some architectures) it treats
-// the other the same.
+// statement is naiveMulInto's. Its product is written T(av*bv), so that no
+// compiler fuses it into the add (arm64 would): each term is rounded once
+// before it is added, as the AVX2 kernel rounds it.
 func mulRowsGeneric[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero, zeroC bool) {
 	for i := 0; i < m; i++ {
 		crow := c[i*n : (i+1)*n]
@@ -61,7 +61,7 @@ func mulRowsGeneric[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZer
 				continue
 			}
 			for j, bv := range b[kk*n : (kk+1)*n] {
-				crow[j] += av * bv
+				crow[j] += T(av * bv)
 			}
 		}
 	}
@@ -115,7 +115,7 @@ func naiveMulInto[T Float](dst, a, b *Mat[T]) *Mat[T] {
 			}
 			brow := b.Row(k)
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += T(av * bv)
 			}
 		}
 	}

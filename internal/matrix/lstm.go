@@ -6,31 +6,27 @@ import "fmt"
 //
 // One LSTM timestep over a whole batch is four activation calls (three
 // over the step's gate blocks, one over its cell state) and these
-// element-wise passes (nn.LSTMOf lays the blocks out). They are the package's third primitive, under Sigmoid's
-// rule: on amd64 with AVX2 an assembly kernel does four elements per
-// instruction, a lane per element (lstm_amd64.s); elsewhere, and whenever a
-// test clears useAVX2, the portable twin below does one; the two give the
-// same bits for every input, NaNs aside (which of two NaNs an operation
-// returns is the CPU's operand-order rule). Each twin is a fixed sequence
+// element-wise passes (nn.LSTM lays the blocks out). They are the package's
+// third primitive, under Sigmoid's rule: on amd64 with AVX2 an assembly
+// kernel does four elements per instruction, a lane per element
+// (lstm_amd64.s); elsewhere, and whenever a test clears useAVX2, the
+// portable twin below does one; the two give the same bits for every
+// input, NaNs aside (which of two NaNs an operation returns is the CPU's
+// operand-order rule). Each twin is a fixed sequence
 // of IEEE operations in a fixed order, every product written float64(a*b)
 // so that no compiler fuses it into the add that follows
 // (crossarch_test.go checks the twins' arm64 code for fused instructions).
-//
-// The gate values are float64 for either element type, as the activations
-// leave them; the states and gradients are T. Only the float64
-// instantiations have an assembly path: float32 always runs the twin, which
-// widens each T operand to float64 and rounds each T result once.
 
 // LSTMGather writes one step's pre-activations gate-major into g: for
 // sample i < rows, gate q < 4 and unit j < hidden,
 //
 //	g[q·n + i·hidden + j] = xw[i·xs + q·hidden + j] + hw[i·hs + q·hidden + j] + b[q·hidden + j]
 //
-// with n = rows·hidden and the adds left to right, each rounded once in T.
+// with n = rows·hidden and the adds left to right, each rounded once.
 // xw and hw are the step's input and recurrent projections, row-major with
 // row strides xs and hs; hs may be 0, so that one row serves every sample
 // (the zero state's +0 row). b holds the 4·hidden biases.
-func LSTMGather[T Float](g []float64, xw []T, xs int, hw []T, hs int, b []T, rows, hidden int) {
+func LSTMGather(g, xw []float64, xs int, hw []float64, hs int, b []float64, rows, hidden int) {
 	if rows < 0 || hidden < 0 || xs < 0 || hs < 0 {
 		panic(fmt.Sprintf("matrix: LSTMGather over %d x %d with strides %d, %d", rows, hidden, xs, hs))
 	}
@@ -49,10 +45,10 @@ func LSTMGather[T Float](g []float64, xw []T, xs int, hw []T, hs int, b []T, row
 //
 //	c[k] = f[k]·cPrev[k] + i[k]·g[k]
 //
-// and tc[k] = float64(c[k]), the copy the caller's Tanh turns into tanh(c).
+// and tc[k] = c[k], the copy the caller's Tanh turns into tanh(c).
 // i, f and g are the step's input, forget and candidate gates. Every other
 // slice must be at least len(c) long.
-func LSTMCell[T Float](c []T, tc []float64, cPrev []T, i, f, g []float64) {
+func LSTMCell(c, tc, cPrev, i, f, g []float64) {
 	n := len(c)
 	checkLen("LSTMCell", n, len(tc), len(cPrev), len(i), len(f), len(g))
 	lstmCell(c, tc[:n], cPrev[:n], i[:n], f[:n], g[:n])
@@ -60,7 +56,7 @@ func LSTMCell[T Float](c []T, tc []float64, cPrev []T, i, f, g []float64) {
 
 // LSTMHidden sets h[k] = o[k]·tc[k] for every k < len(h): the hidden state
 // from the output gate and tanh of the cell state.
-func LSTMHidden[T Float](h []T, o, tc []float64) {
+func LSTMHidden(h, o, tc []float64) {
 	n := len(h)
 	checkLen("LSTMHidden", n, len(o), len(tc))
 	lstmHidden(h, o[:n], tc[:n])
@@ -81,7 +77,7 @@ func LSTMHidden[T Float](h []T, o, tc []float64) {
 //	dc  = dct·f
 //
 // Products run left to right, each rounded once.
-func LSTMGateGrads[T Float](dg []T, gates, tc []float64, cPrev, dh, dc []T, rows, hidden int) {
+func LSTMGateGrads(dg, gates, tc, cPrev, dh, dc []float64, rows, hidden int) {
 	n := rows * hidden
 	if rows < 0 || hidden < 0 {
 		panic(fmt.Sprintf("matrix: LSTMGateGrads over %d x %d", rows, hidden))
@@ -106,7 +102,7 @@ func checkLen(op string, n int, lens ...int) {
 
 // lstmGatherGeneric is LSTMGather's portable twin; the shape is not empty
 // and every slice is long enough for it.
-func lstmGatherGeneric[T Float](g []float64, xw []T, xs int, hw []T, hs int, b []T, rows, hidden int) {
+func lstmGatherGeneric(g, xw []float64, xs int, hw []float64, hs int, b []float64, rows, hidden int) {
 	n := rows * hidden
 	for q := 0; q < 4; q++ {
 		bq := b[q*hidden : (q+1)*hidden]
@@ -115,33 +111,33 @@ func lstmGatherGeneric[T Float](g []float64, xw []T, xs int, hw []T, hs int, b [
 			x := xw[i*xs+q*hidden:][:len(bq)]
 			h := hw[i*hs+q*hidden:][:len(bq)]
 			for j, bv := range bq {
-				dst[j] = float64(x[j] + h[j] + bv)
+				dst[j] = x[j] + h[j] + bv
 			}
 		}
 	}
 }
 
 // lstmCellGeneric is LSTMCell's portable twin; every slice is len(c).
-func lstmCellGeneric[T Float](c []T, tc []float64, cPrev []T, i, f, g []float64) {
+func lstmCellGeneric(c, tc, cPrev, i, f, g []float64) {
 	tc, cPrev, i, f, g = tc[:len(c)], cPrev[:len(c)], i[:len(c)], f[:len(c)], g[:len(c)]
 	for k := range c {
-		v := T(float64(f[k]*float64(cPrev[k])) + float64(i[k]*g[k]))
+		v := float64(f[k]*cPrev[k]) + float64(i[k]*g[k])
 		c[k] = v
-		tc[k] = float64(v)
+		tc[k] = v
 	}
 }
 
 // lstmHiddenGeneric is LSTMHidden's portable twin; every slice is len(h).
-func lstmHiddenGeneric[T Float](h []T, o, tc []float64) {
+func lstmHiddenGeneric(h, o, tc []float64) {
 	o, tc = o[:len(h)], tc[:len(h)]
 	for k := range h {
-		h[k] = T(o[k] * tc[k])
+		h[k] = o[k] * tc[k]
 	}
 }
 
 // lstmGateGradsGeneric is LSTMGateGrads's portable twin; the slices are
 // exactly as long as the shape says.
-func lstmGateGradsGeneric[T Float](dg []T, gates, tc []float64, cPrev, dh, dc []T, rows, hidden int) {
+func lstmGateGradsGeneric(dg, gates, tc, cPrev, dh, dc []float64, rows, hidden int) {
 	n := rows * hidden
 	ig, fg, cg, og := gates[:n], gates[n:2*n], gates[2*n:3*n], gates[3*n:4*n]
 	for r := 0; r < rows; r++ {
@@ -150,13 +146,13 @@ func lstmGateGradsGeneric[T Float](dg []T, gates, tc []float64, cPrev, dh, dc []
 		for j := range di {
 			k := r*hidden + j
 			i, f, g, o, t := ig[k], fg[k], cg[k], og[k], tc[k]
-			d := float64(dh[k])
-			dct := float64(dc[k]) + float64(float64(d*o)*(1-float64(t*t)))
-			di[j] = T(dct * g * i * (1 - i))
-			df[j] = T(dct * float64(cPrev[k]) * f * (1 - f))
-			dgc[j] = T(dct * i * (1 - float64(g*g)))
-			do[j] = T(d * t * o * (1 - o))
-			dc[k] = T(dct * f)
+			d := dh[k]
+			dct := dc[k] + float64(float64(d*o)*(1-float64(t*t)))
+			di[j] = dct * g * i * (1 - i)
+			df[j] = dct * cPrev[k] * f * (1 - f)
+			dgc[j] = dct * i * (1 - float64(g*g))
+			do[j] = d * t * o * (1 - o)
+			dc[k] = dct * f
 		}
 	}
 }

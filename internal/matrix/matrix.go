@@ -7,13 +7,13 @@
 // general BLAS replacement; components in internal/preprocess,
 // internal/mlmodels and internal/nn only need the operations defined here.
 //
-// Matrix (= Mat[float64]) is the default element type across the repo; the
-// float32 instantiation backs the reduced-precision NN training path (see
-// internal/nn). Both widths keep one bitwise contract: every product cell is
-// summed in ascending k with one rounding per multiply and per add, so a
-// result equals the naive serial triple loop's bit for bit at any worker
-// count, whether the AVX2 row micro-kernel or its portable twin computed it
-// (see kernels.go).
+// Matrix (= Mat[float64]) is the element type of every analytics path; the
+// float32 instantiation is kept for the row kernel's f32 width, which the
+// end-to-end benchmark's matmul probe still times. Both widths keep one
+// bitwise contract: every product cell is summed in ascending k with one
+// rounding per multiply and per add, so a result equals the naive serial
+// triple loop's bit for bit at any worker count, whether the AVX2 row
+// micro-kernel or its portable twin computed it (see kernels.go).
 package matrix
 
 import (
@@ -86,22 +86,11 @@ func FromSlice[T Float](rows, cols int, data []T) (*Mat[T], error) {
 }
 
 // ConvertInto copies src into dst element-by-element, converting precision
-// and reusing dst's backing array when it has capacity. Used at the f64↔f32
-// boundary of the reduced-precision NN path.
+// and reusing dst's backing array when it has capacity.
 func ConvertInto[D, S Float](dst *Mat[D], src *Mat[S]) *Mat[D] {
 	dst = RecycleNoClear(dst, src.rows, src.cols)
 	for i, v := range src.data {
 		dst.data[i] = D(v)
-	}
-	return dst
-}
-
-// ConvertVec copies src into a []D, converting precision and reusing dst
-// when it has capacity.
-func ConvertVec[D, S Float](dst []D, src []S) []D {
-	dst = RecycleVec(dst, len(src))
-	for i, v := range src {
-		dst[i] = D(v)
 	}
 	return dst
 }

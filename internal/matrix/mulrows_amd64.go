@@ -68,42 +68,37 @@ func lstmHiddenAVX2(h, o, tc *float64, n int)
 func lstmGateGradsAVX2(dg, gates, tc, cPrev, dh, dc *float64, rows, hidden int)
 
 // lstmGather, lstmCell, lstmHidden and lstmGateGrads are the LSTM twins on
-// the fastest path this CPU has, the float64 ones in assembly; every slice
-// is as long as the exported function's shape says, and the shape is not
-// empty for lstmGather and lstmGateGrads.
-func lstmGather[T Float](g []float64, xw []T, xs int, hw []T, hs int, b []T, rows, hidden int) {
-	xw64, ok := any(xw).([]float64)
-	if !useAVX2 || !ok {
+// the fastest path this CPU has; every slice is as long as the exported
+// function's shape says, and the shape is not empty for lstmGather and
+// lstmGateGrads.
+func lstmGather(g, xw []float64, xs int, hw []float64, hs int, b []float64, rows, hidden int) {
+	if !useAVX2 {
 		lstmGatherGeneric(g, xw, xs, hw, hs, b, rows, hidden)
 		return
 	}
-	lstmGatherAVX2(&g[0], &xw64[0], xs, &any(hw).([]float64)[0], hs, &any(b).([]float64)[0], rows, hidden)
+	lstmGatherAVX2(&g[0], &xw[0], xs, &hw[0], hs, &b[0], rows, hidden)
 }
 
-func lstmCell[T Float](c []T, tc []float64, cPrev []T, i, f, g []float64) {
-	c64, ok := any(c).([]float64)
-	if !useAVX2 || !ok || len(c) == 0 {
+func lstmCell(c, tc, cPrev, i, f, g []float64) {
+	if !useAVX2 || len(c) == 0 {
 		lstmCellGeneric(c, tc, cPrev, i, f, g)
 		return
 	}
-	lstmCellAVX2(&c64[0], &tc[0], &any(cPrev).([]float64)[0], &i[0], &f[0], &g[0], len(c))
+	lstmCellAVX2(&c[0], &tc[0], &cPrev[0], &i[0], &f[0], &g[0], len(c))
 }
 
-func lstmHidden[T Float](h []T, o, tc []float64) {
-	h64, ok := any(h).([]float64)
-	if !useAVX2 || !ok || len(h) == 0 {
+func lstmHidden(h, o, tc []float64) {
+	if !useAVX2 || len(h) == 0 {
 		lstmHiddenGeneric(h, o, tc)
 		return
 	}
-	lstmHiddenAVX2(&h64[0], &o[0], &tc[0], len(h))
+	lstmHiddenAVX2(&h[0], &o[0], &tc[0], len(h))
 }
 
-func lstmGateGrads[T Float](dg []T, gates, tc []float64, cPrev, dh, dc []T, rows, hidden int) {
-	dg64, ok := any(dg).([]float64)
-	if !useAVX2 || !ok {
+func lstmGateGrads(dg, gates, tc, cPrev, dh, dc []float64, rows, hidden int) {
+	if !useAVX2 {
 		lstmGateGradsGeneric(dg, gates, tc, cPrev, dh, dc, rows, hidden)
 		return
 	}
-	lstmGateGradsAVX2(&dg64[0], &gates[0], &tc[0], &any(cPrev).([]float64)[0],
-		&any(dh).([]float64)[0], &any(dc).([]float64)[0], rows, hidden)
+	lstmGateGradsAVX2(&dg[0], &gates[0], &tc[0], &cPrev[0], &dh[0], &dc[0], rows, hidden)
 }

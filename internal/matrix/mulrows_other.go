@@ -14,16 +14,14 @@ func sigmoid(dst, src []float64) { sigmoidGeneric(dst, src) }
 
 func tanh(dst, src []float64) { tanhGeneric(dst, src) }
 
-func lstmGather[T Float](g []float64, xw []T, xs int, hw []T, hs int, b []T, rows, hidden int) {
+func lstmGather(g, xw []float64, xs int, hw []float64, hs int, b []float64, rows, hidden int) {
 	lstmGatherGeneric(g, xw, xs, hw, hs, b, rows, hidden)
 }
 
-func lstmCell[T Float](c []T, tc []float64, cPrev []T, i, f, g []float64) {
-	lstmCellGeneric(c, tc, cPrev, i, f, g)
-}
+func lstmCell(c, tc, cPrev, i, f, g []float64) { lstmCellGeneric(c, tc, cPrev, i, f, g) }
 
-func lstmHidden[T Float](h []T, o, tc []float64) { lstmHiddenGeneric(h, o, tc) }
+func lstmHidden(h, o, tc []float64) { lstmHiddenGeneric(h, o, tc) }
 
-func lstmGateGrads[T Float](dg []T, gates, tc []float64, cPrev, dh, dc []T, rows, hidden int) {
+func lstmGateGrads(dg, gates, tc, cPrev, dh, dc []float64, rows, hidden int) {
 	lstmGateGradsGeneric(dg, gates, tc, cPrev, dh, dc, rows, hidden)
 }

@@ -81,28 +81,22 @@ func BenchmarkLSTMForwardBackward(b *testing.B) {
 func BenchmarkConv1DCausalDilated(b *testing.B) { benchForwardBackward(b, conv1DStep, true) }
 func BenchmarkGatedResidualBlock(b *testing.B)  { benchForwardBackward(b, gatedBlockStep, true) }
 
-// Precision A/B on a full training epoch: same architecture, data and
-// seeds, only the element width differs.
-
 // fitNet returns one training epoch (two batches of 32) of a small dense
-// network at width T.
-func fitNet[T matrix.Float]() func() error {
+// network.
+func fitNet() func() error {
 	rng := rand.New(rand.NewSource(7))
-	x64 := randInput(rng, 64, 128)
-	y64 := make([]float64, 64)
-	for i := range y64 {
-		y64[i] = rng.NormFloat64()
+	x := randInput(rng, 64, 128)
+	y := make([]float64, 64)
+	for i := range y {
+		y[i] = rng.NormFloat64()
 	}
-	x := matrix.ConvertInto[T](nil, x64)
-	y := matrix.ConvertVec[T](nil, y64)
-	net := NewNetworkOf[T](NewAdamOf[T](0.01),
-		NewDenseOf[T](128, 128, rng), NewReLUOf[T](), NewDenseOf[T](128, 1, rng))
+	net := NewNetwork(NewAdam(0.01), NewDense(128, 128, rng), NewReLU(), NewDense(128, 1, rng))
 	cfg := FitConfig{Epochs: 1, BatchSize: 32, Seed: 1}
 	return func() error { return net.Fit(x, y, cfg) }
 }
 
-func benchFitNet[T matrix.Float](b *testing.B) {
-	fit := fitNet[T]()
+func BenchmarkNetworkFit(b *testing.B) {
+	fit := fitNet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -111,9 +105,6 @@ func benchFitNet[T matrix.Float](b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkNetworkFitF64(b *testing.B) { benchFitNet[float64](b) }
-func BenchmarkNetworkFitF32(b *testing.B) { benchFitNet[float32](b) }
 
 // TestStepAllocationsExact pins what one training step allocates once the
 // layer's arena has grown to the batch: the counts are exact, so a single
@@ -136,8 +127,7 @@ func TestStepAllocationsExact(t *testing.T) {
 		{"LSTM In12ReturnSeq forward+backward", forwardBackward(lstmIn12SeqStep, true), 3},
 		{"Conv1D forward+backward", forwardBackward(conv1DStep, true), 2},
 		{"GatedResidualBlock forward+backward", forwardBackward(gatedBlockStep, true), 6},
-		{"Network.Fit epoch f64", fitNet[float64](), 6},
-		{"Network.Fit epoch f32", fitNet[float32](), 6},
+		{"Network.Fit epoch", fitNet(), 6},
 	} {
 		got := testing.AllocsPerRun(20, func() {
 			if err := c.step(); err != nil {

@@ -7,48 +7,38 @@ import (
 	"coda/internal/matrix"
 )
 
-// GatedResidualBlockOf is one WaveNet building block: two dilated causal
+// GatedResidualBlock is one WaveNet building block: two dilated causal
 // convolutions feed a gated activation tanh(f) * sigmoid(g), a 1x1
 // convolution projects the result back, and the block output adds the
 // input (residual connection). Channel count is preserved so blocks stack.
-type GatedResidualBlockOf[T matrix.Float] struct {
+type GatedResidualBlock struct {
 	SeqLen   int
 	Channels int
 
-	convF, convG *Conv1DOf[T] // dilated causal convs
-	proj         *Conv1DOf[T] // 1x1 projection
+	convF, convG *Conv1D // dilated causal convs
+	proj         *Conv1D // 1x1 projection
 
 	// tanhA and sigG are tanh(convF(x)) and sigmoid(convG(x)) as Forward
-	// took them, in the float64 the activations run in for either T, so
-	// Backward reads them back instead of taking them again.
+	// took them, so Backward reads them back instead of taking them again.
 	tanhA, sigG []float64
-	lastGated   *matrix.Mat[T]
+	lastGated   *matrix.Matrix
 
-	out, da, db, dxSum *matrix.Mat[T] // reused scratch (see LayerOf)
+	out, da, db, dxSum *matrix.Matrix // reused scratch (see Layer)
 }
 
-// GatedResidualBlock is the float64 WaveNet block.
-type GatedResidualBlock = GatedResidualBlockOf[float64]
-
-// NewGatedResidualBlockOf builds a block with the given kernel and dilation.
-func NewGatedResidualBlockOf[T matrix.Float](seqLen, channels, kernel, dilation int, rng *rand.Rand) *GatedResidualBlockOf[T] {
-	return &GatedResidualBlockOf[T]{
+// NewGatedResidualBlock builds a block with the given kernel and dilation.
+func NewGatedResidualBlock(seqLen, channels, kernel, dilation int, rng *rand.Rand) *GatedResidualBlock {
+	return &GatedResidualBlock{
 		SeqLen:   seqLen,
 		Channels: channels,
-		convF:    NewConv1DOf[T](seqLen, channels, channels, kernel, dilation, true, rng),
-		convG:    NewConv1DOf[T](seqLen, channels, channels, kernel, dilation, true, rng),
-		proj:     NewConv1DOf[T](seqLen, channels, channels, 1, 1, true, rng),
+		convF:    NewConv1D(seqLen, channels, channels, kernel, dilation, true, rng),
+		convG:    NewConv1D(seqLen, channels, channels, kernel, dilation, true, rng),
+		proj:     NewConv1D(seqLen, channels, channels, 1, 1, true, rng),
 	}
 }
 
-// NewGatedResidualBlock builds a float64 block with the given kernel and
-// dilation.
-func NewGatedResidualBlock(seqLen, channels, kernel, dilation int, rng *rand.Rand) *GatedResidualBlock {
-	return NewGatedResidualBlockOf[float64](seqLen, channels, kernel, dilation, rng)
-}
-
 // Forward computes x + proj(tanh(convF(x)) * sigmoid(convG(x))).
-func (b *GatedResidualBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T], error) {
+func (b *GatedResidualBlock) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {
 	a, err := b.convF.Forward(x, training)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block filter conv: %w", err)
@@ -63,13 +53,10 @@ func (b *GatedResidualBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*mat
 	b.tanhA = matrix.RecycleVec(b.tanhA, len(od))
 	b.sigG = matrix.RecycleVec(b.sigG, len(od))
 	ta, sg := b.tanhA, b.sigG
+	matrix.Tanh(ta, ad)
+	matrix.Sigmoid(sg, gd)
 	for i := range od {
-		ta[i], sg[i] = float64(ad[i]), float64(gd[i])
-	}
-	matrix.Tanh(ta, ta)
-	matrix.Sigmoid(sg, sg)
-	for i := range od {
-		od[i] = T(ta[i] * sg[i])
+		od[i] = ta[i] * sg[i]
 	}
 	r, err := b.proj.Forward(gated, training)
 	if err != nil {
@@ -84,7 +71,7 @@ func (b *GatedResidualBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*mat
 }
 
 // Backward propagates through the residual sum, gate, and convolutions.
-func (b *GatedResidualBlockOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (b *GatedResidualBlock) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if b.lastGated == nil {
 		return nil, fmt.Errorf("nn: gated block backward before forward")
 	}
@@ -97,10 +84,9 @@ func (b *GatedResidualBlockOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*m
 	b.da, b.db = da, db
 	dgd, dad, dbd := dGated.Data(), da.Data(), db.Data()
 	ta, sg := b.tanhA[:len(dgd)], b.sigG[:len(dgd)]
-	for i, v := range dgd {
-		dg := float64(v)
-		dad[i] = T(dg * sg[i] * (1 - ta[i]*ta[i]))
-		dbd[i] = T(dg * ta[i] * sg[i] * (1 - sg[i]))
+	for i, dg := range dgd {
+		dad[i] = dg * sg[i] * (1 - ta[i]*ta[i])
+		dbd[i] = dg * ta[i] * sg[i] * (1 - sg[i])
 	}
 	dxF, err := b.convF.Backward(da, wantDX)
 	if err != nil {
@@ -125,51 +111,42 @@ func (b *GatedResidualBlockOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*m
 	return dx, nil
 }
 
-// Parameters implements LayerOf.
-func (b *GatedResidualBlockOf[T]) Parameters() []*ParamOf[T] {
-	var out []*ParamOf[T]
+// Parameters implements Layer.
+func (b *GatedResidualBlock) Parameters() []*Param {
+	var out []*Param
 	out = append(out, b.convF.Parameters()...)
 	out = append(out, b.convG.Parameters()...)
 	out = append(out, b.proj.Parameters()...)
 	return out
 }
 
-// ResidualConvBlockOf is the SeriesNet-style block: a dilated causal
+// ResidualConvBlock is the SeriesNet-style block: a dilated causal
 // convolution with ReLU, a 1x1 projection, and a linear residual
 // connection (no gating).
-type ResidualConvBlockOf[T matrix.Float] struct {
+type ResidualConvBlock struct {
 	SeqLen   int
 	Channels int
 
-	conv *Conv1DOf[T]
-	proj *Conv1DOf[T]
-	relu *ReLUOf[T]
+	conv *Conv1D
+	proj *Conv1D
+	relu *ReLU
 
-	out, dxSum *matrix.Mat[T] // reused scratch (see LayerOf)
+	out, dxSum *matrix.Matrix // reused scratch (see Layer)
 }
 
-// ResidualConvBlock is the float64 SeriesNet block.
-type ResidualConvBlock = ResidualConvBlockOf[float64]
-
-// NewResidualConvBlockOf builds a block with the given kernel and dilation.
-func NewResidualConvBlockOf[T matrix.Float](seqLen, channels, kernel, dilation int, rng *rand.Rand) *ResidualConvBlockOf[T] {
-	return &ResidualConvBlockOf[T]{
+// NewResidualConvBlock builds a block with the given kernel and dilation.
+func NewResidualConvBlock(seqLen, channels, kernel, dilation int, rng *rand.Rand) *ResidualConvBlock {
+	return &ResidualConvBlock{
 		SeqLen:   seqLen,
 		Channels: channels,
-		conv:     NewConv1DOf[T](seqLen, channels, channels, kernel, dilation, true, rng),
-		proj:     NewConv1DOf[T](seqLen, channels, channels, 1, 1, true, rng),
-		relu:     NewReLUOf[T](),
+		conv:     NewConv1D(seqLen, channels, channels, kernel, dilation, true, rng),
+		proj:     NewConv1D(seqLen, channels, channels, 1, 1, true, rng),
+		relu:     NewReLU(),
 	}
 }
 
-// NewResidualConvBlock builds a float64 block with the given kernel and
-// dilation.
-func NewResidualConvBlock(seqLen, channels, kernel, dilation int, rng *rand.Rand) *ResidualConvBlock {
-	return NewResidualConvBlockOf[float64](seqLen, channels, kernel, dilation, rng)
-}
-
 // Forward computes x + proj(relu(conv(x))).
-func (b *ResidualConvBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T], error) {
+func (b *ResidualConvBlock) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {
 	z, err := b.conv.Forward(x, training)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block conv: %w", err)
@@ -191,7 +168,7 @@ func (b *ResidualConvBlockOf[T]) Forward(x *matrix.Mat[T], training bool) (*matr
 }
 
 // Backward propagates through the residual sum and convolutions.
-func (b *ResidualConvBlockOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (b *ResidualConvBlock) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	dz, err := b.proj.Backward(grad, true)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block projection backward: %w", err)
@@ -215,9 +192,9 @@ func (b *ResidualConvBlockOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*ma
 	return dx, nil
 }
 
-// Parameters implements LayerOf.
-func (b *ResidualConvBlockOf[T]) Parameters() []*ParamOf[T] {
-	var out []*ParamOf[T]
+// Parameters implements Layer.
+func (b *ResidualConvBlock) Parameters() []*Param {
+	var out []*Param
 	out = append(out, b.conv.Parameters()...)
 	out = append(out, b.proj.Parameters()...)
 	return out

@@ -8,7 +8,7 @@ import (
 	"coda/internal/matrix"
 )
 
-// Conv1DOf is a 1-D convolution over time-major sequence rows. With Causal
+// Conv1D is a 1-D convolution over time-major sequence rows. With Causal
 // set, the output has the same length as the input and position t sees only
 // inputs at or before t (left zero padding), enabling the WaveNet-style
 // dilated stacks; otherwise the convolution is "valid" and the output
@@ -21,7 +21,7 @@ import (
 // through the matrix kernels. Output values can differ from the previous
 // scalar loops in the last bits (the bias is now added after the taps);
 // gradients follow the same im2col/col2im structure.
-type Conv1DOf[T matrix.Float] struct {
+type Conv1D struct {
 	SeqLen     int // input timesteps
 	InChannels int
 	Filters    int
@@ -29,44 +29,35 @@ type Conv1DOf[T matrix.Float] struct {
 	Dilation   int  // 1 = ordinary convolution
 	Causal     bool // left-pad so output length == SeqLen
 
-	w, b  *ParamOf[T] // w is (Kernel*InChannels) x Filters
-	lastX *matrix.Mat[T]
+	w, b  *Param // w is (Kernel*InChannels) x Filters
+	lastX *matrix.Matrix
 
-	cols  *matrix.Mat[T] // (batch*outLen) x (Kernel*InChannels) im2col
-	out   *matrix.Mat[T]
-	dcols *matrix.Mat[T]
-	dx    *matrix.Mat[T]
+	cols  *matrix.Matrix // (batch*outLen) x (Kernel*InChannels) im2col
+	out   *matrix.Matrix
+	dcols *matrix.Matrix
+	dx    *matrix.Matrix
 }
 
-// Conv1D is the float64 1-D convolution layer.
-type Conv1D = Conv1DOf[float64]
-
-// NewConv1DOf builds a convolution with He-uniform initialization. The rng
-// stream is consumed identically for either element type.
-func NewConv1DOf[T matrix.Float](seqLen, inChannels, filters, kernel, dilation int, causal bool, rng *rand.Rand) *Conv1DOf[T] {
+// NewConv1D builds a convolution with He-uniform initialization.
+func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, rng *rand.Rand) *Conv1D {
 	if dilation < 1 {
 		dilation = 1
 	}
-	c := &Conv1DOf[T]{
+	c := &Conv1D{
 		SeqLen: seqLen, InChannels: inChannels, Filters: filters,
 		Kernel: kernel, Dilation: dilation, Causal: causal,
-		w: newParam[T](kernel*inChannels, filters), b: newParam[T](1, filters),
+		w: newParam(kernel*inChannels, filters), b: newParam(1, filters),
 	}
 	limit := math.Sqrt(6.0 / float64(kernel*inChannels))
 	wd := c.w.W.Data()
 	for i := range wd {
-		wd[i] = T((2*rng.Float64() - 1) * limit)
+		wd[i] = (2*rng.Float64() - 1) * limit
 	}
 	return c
 }
 
-// NewConv1D builds a float64 convolution with He-uniform initialization.
-func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, rng *rand.Rand) *Conv1D {
-	return NewConv1DOf[float64](seqLen, inChannels, filters, kernel, dilation, causal, rng)
-}
-
 // OutLen returns the output sequence length.
-func (c *Conv1DOf[T]) OutLen() int {
+func (c *Conv1D) OutLen() int {
 	if c.Causal {
 		return c.SeqLen
 	}
@@ -75,7 +66,7 @@ func (c *Conv1DOf[T]) OutLen() int {
 
 // inTime maps (output timestep t, kernel tap k) to the input timestep, or
 // -1 when the tap falls into the causal zero padding.
-func (c *Conv1DOf[T]) inTime(t, k int) int {
+func (c *Conv1D) inTime(t, k int) int {
 	if c.Causal {
 		tin := t - (c.Kernel-1-k)*c.Dilation
 		if tin < 0 {
@@ -87,7 +78,7 @@ func (c *Conv1DOf[T]) inTime(t, k int) int {
 }
 
 // Forward applies the convolution to every row.
-func (c *Conv1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
+func (c *Conv1D) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	if x.Cols() != c.SeqLen*c.InChannels {
 		return nil, fmt.Errorf("%w: conv1d expects %d cols (%d x %d), got %d", ErrShape, c.SeqLen*c.InChannels, c.SeqLen, c.InChannels, x.Cols())
 	}
@@ -129,7 +120,7 @@ func (c *Conv1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) 
 }
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
-func (c *Conv1DOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (c *Conv1D) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if c.lastX == nil {
 		return nil, fmt.Errorf("nn: conv1d backward before forward")
 	}
@@ -181,39 +172,31 @@ func (c *Conv1DOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T]
 	return dx, nil
 }
 
-// Parameters implements LayerOf.
-func (c *Conv1DOf[T]) Parameters() []*ParamOf[T] { return []*ParamOf[T]{c.w, c.b} }
+// Parameters implements Layer.
+func (c *Conv1D) Parameters() []*Param { return []*Param{c.w, c.b} }
 
-// MaxPool1DOf downsamples each channel by taking the maximum over
+// MaxPool1D downsamples each channel by taking the maximum over
 // non-overlapping windows of Pool timesteps.
-type MaxPool1DOf[T matrix.Float] struct {
+type MaxPool1D struct {
 	SeqLen   int
 	Channels int
 	Pool     int
 
 	argmax  []int // per forward: flattened output position -> input col
 	rows    int
-	out, dx *matrix.Mat[T]
+	out, dx *matrix.Matrix
 }
 
-// MaxPool1D is the float64 max-pooling layer.
-type MaxPool1D = MaxPool1DOf[float64]
-
-// NewMaxPool1DOf builds a pooling layer; SeqLen must be >= Pool.
-func NewMaxPool1DOf[T matrix.Float](seqLen, channels, pool int) *MaxPool1DOf[T] {
-	return &MaxPool1DOf[T]{SeqLen: seqLen, Channels: channels, Pool: pool}
-}
-
-// NewMaxPool1D builds a float64 pooling layer; SeqLen must be >= Pool.
+// NewMaxPool1D builds a pooling layer; SeqLen must be >= Pool.
 func NewMaxPool1D(seqLen, channels, pool int) *MaxPool1D {
-	return NewMaxPool1DOf[float64](seqLen, channels, pool)
+	return &MaxPool1D{SeqLen: seqLen, Channels: channels, Pool: pool}
 }
 
 // OutLen returns the pooled sequence length.
-func (m *MaxPool1DOf[T]) OutLen() int { return m.SeqLen / m.Pool }
+func (m *MaxPool1D) OutLen() int { return m.SeqLen / m.Pool }
 
 // Forward pools each row.
-func (m *MaxPool1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
+func (m *MaxPool1D) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	if m.Pool < 1 || m.OutLen() < 1 {
 		return nil, fmt.Errorf("%w: maxpool pool=%d over %d steps", ErrShape, m.Pool, m.SeqLen)
 	}
@@ -256,7 +239,7 @@ func (m *MaxPool1DOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], erro
 }
 
 // Backward routes gradients to the argmax positions.
-func (m *MaxPool1DOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (m *MaxPool1D) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	outLen := m.OutLen()
 	if m.argmax == nil || grad.Rows() != m.rows || grad.Cols() != outLen*m.Channels {
 		return nil, fmt.Errorf("%w: maxpool backward without matching forward", ErrShape)
@@ -276,33 +259,25 @@ func (m *MaxPool1DOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat
 	return dx, nil
 }
 
-// Parameters implements LayerOf.
-func (m *MaxPool1DOf[T]) Parameters() []*ParamOf[T] { return nil }
+// Parameters implements Layer.
+func (m *MaxPool1D) Parameters() []*Param { return nil }
 
-// LastTimestepOf extracts the final timestep's channel vector from a
+// LastTimestep extracts the final timestep's channel vector from a
 // sequence row, the standard head for causal stacks: (batch, T*C) -> (batch, C).
-type LastTimestepOf[T matrix.Float] struct {
+type LastTimestep struct {
 	SeqLen   int
 	Channels int
 	rows     int
-	out, dx  *matrix.Mat[T]
+	out, dx  *matrix.Matrix
 }
 
-// LastTimestep is the float64 extraction layer.
-type LastTimestep = LastTimestepOf[float64]
-
-// NewLastTimestepOf builds the extraction layer.
-func NewLastTimestepOf[T matrix.Float](seqLen, channels int) *LastTimestepOf[T] {
-	return &LastTimestepOf[T]{SeqLen: seqLen, Channels: channels}
-}
-
-// NewLastTimestep builds the float64 extraction layer.
+// NewLastTimestep builds the extraction layer.
 func NewLastTimestep(seqLen, channels int) *LastTimestep {
-	return NewLastTimestepOf[float64](seqLen, channels)
+	return &LastTimestep{SeqLen: seqLen, Channels: channels}
 }
 
 // Forward slices out the last timestep.
-func (l *LastTimestepOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
+func (l *LastTimestep) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	if x.Cols() != l.SeqLen*l.Channels {
 		return nil, fmt.Errorf("%w: lasttimestep expects %d cols, got %d", ErrShape, l.SeqLen*l.Channels, x.Cols())
 	}
@@ -317,7 +292,7 @@ func (l *LastTimestepOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], e
 }
 
 // Backward scatters the gradient into the last timestep slot.
-func (l *LastTimestepOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (l *LastTimestep) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if grad.Rows() != l.rows || grad.Cols() != l.Channels {
 		return nil, fmt.Errorf("%w: lasttimestep backward grad %dx%d", ErrShape, grad.Rows(), grad.Cols())
 	}
@@ -333,5 +308,5 @@ func (l *LastTimestepOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.
 	return dx, nil
 }
 
-// Parameters implements LayerOf.
-func (l *LastTimestepOf[T]) Parameters() []*ParamOf[T] { return nil }
+// Parameters implements Layer.
+func (l *LastTimestep) Parameters() []*Param { return nil }

@@ -8,36 +8,29 @@ import (
 	"coda/internal/matrix"
 )
 
-// DenseOf is a fully-connected layer: out = x*W + b.
-type DenseOf[T matrix.Float] struct {
+// Dense is a fully-connected layer: out = x*W + b.
+type Dense struct {
 	In, Out int
-	w, b    *ParamOf[T]
-	lastX   *matrix.Mat[T]
+	w, b    *Param
+	lastX   *matrix.Matrix
 
-	out, dx *matrix.Mat[T] // reused forward/backward scratch (see LayerOf)
+	out, dx *matrix.Matrix // reused forward/backward scratch (see Layer)
 }
 
-// Dense is the float64 fully-connected layer.
-type Dense = DenseOf[float64]
-
-// NewDenseOf builds a Dense layer with Glorot-uniform initialization from
-// rng. The rng stream is consumed identically for either element type, so
-// f32 and f64 layers built from the same seed share (rounded) weights.
-func NewDenseOf[T matrix.Float](in, out int, rng *rand.Rand) *DenseOf[T] {
-	d := &DenseOf[T]{In: in, Out: out, w: newParam[T](in, out), b: newParam[T](1, out)}
+// NewDense builds a Dense layer with Glorot-uniform initialization from
+// rng.
+func NewDense(in, out int, rng *rand.Rand) *Dense {
+	d := &Dense{In: in, Out: out, w: newParam(in, out), b: newParam(1, out)}
 	limit := math.Sqrt(6.0 / float64(in+out))
 	wd := d.w.W.Data()
 	for i := range wd {
-		wd[i] = T((2*rng.Float64() - 1) * limit)
+		wd[i] = (2*rng.Float64() - 1) * limit
 	}
 	return d
 }
 
-// NewDense builds a float64 Dense layer with Glorot-uniform initialization.
-func NewDense(in, out int, rng *rand.Rand) *Dense { return NewDenseOf[float64](in, out, rng) }
-
 // Forward computes x*W + b.
-func (d *DenseOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
+func (d *Dense) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	if x.Cols() != d.In {
 		return nil, fmt.Errorf("%w: dense expects %d inputs, got %d", ErrShape, d.In, x.Cols())
 	}
@@ -54,7 +47,7 @@ func (d *DenseOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 }
 
 // Backward accumulates dW = x^T*grad, db = colsum(grad), returns grad*W^T.
-func (d *DenseOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (d *Dense) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if d.lastX == nil {
 		return nil, fmt.Errorf("nn: dense backward before forward")
 	}
@@ -76,26 +69,20 @@ func (d *DenseOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T],
 	return dx, nil
 }
 
-// Parameters implements LayerOf.
-func (d *DenseOf[T]) Parameters() []*ParamOf[T] { return []*ParamOf[T]{d.w, d.b} }
+// Parameters implements Layer.
+func (d *Dense) Parameters() []*Param { return []*Param{d.w, d.b} }
 
-// ReLUOf applies max(0, x) elementwise.
-type ReLUOf[T matrix.Float] struct {
+// ReLU applies max(0, x) elementwise.
+type ReLU struct {
 	mask    []bool
-	out, dx *matrix.Mat[T]
+	out, dx *matrix.Matrix
 }
 
-// ReLU is the float64 ReLU activation.
-type ReLU = ReLUOf[float64]
-
-// NewReLUOf returns a ReLU activation.
-func NewReLUOf[T matrix.Float]() *ReLUOf[T] { return &ReLUOf[T]{} }
-
-// NewReLU returns a float64 ReLU activation.
-func NewReLU() *ReLU { return NewReLUOf[float64]() }
+// NewReLU returns a ReLU activation.
+func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward applies the activation.
-func (r *ReLUOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
+func (r *ReLU) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	out := matrix.RecycleNoClear(r.out, x.Rows(), x.Cols())
 	r.out = out
 	src, d := x.Data(), out.Data()
@@ -117,7 +104,7 @@ func (r *ReLUOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 }
 
 // Backward gates gradients through the positive mask.
-func (r *ReLUOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (r *ReLU) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if r.mask == nil || len(r.mask) != len(grad.Data()) {
 		return nil, fmt.Errorf("%w: relu backward without matching forward", ErrShape)
 	}
@@ -137,43 +124,28 @@ func (r *ReLUOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], 
 	return out, nil
 }
 
-// Parameters implements LayerOf.
-func (r *ReLUOf[T]) Parameters() []*ParamOf[T] { return nil }
+// Parameters implements Layer.
+func (r *ReLU) Parameters() []*Param { return nil }
 
-// TanhOf applies tanh elementwise (computed in float64 for either width).
-type TanhOf[T matrix.Float] struct {
-	lastOut *matrix.Mat[T]
-	dx      *matrix.Mat[T]
-	act     []float64 // the input, then its tanh, in float64
+// Tanh applies tanh elementwise.
+type Tanh struct {
+	lastOut *matrix.Matrix
+	dx      *matrix.Matrix
 }
 
-// Tanh is the float64 tanh activation.
-type Tanh = TanhOf[float64]
-
-// NewTanhOf returns a tanh activation.
-func NewTanhOf[T matrix.Float]() *TanhOf[T] { return &TanhOf[T]{} }
-
-// NewTanh returns a float64 tanh activation.
-func NewTanh() *Tanh { return NewTanhOf[float64]() }
+// NewTanh returns a tanh activation.
+func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh.
-func (t *TanhOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
+func (t *Tanh) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	out := matrix.RecycleNoClear(t.lastOut, x.Rows(), x.Cols())
 	t.lastOut = out
-	src, d := x.Data(), out.Data()
-	t.act = matrix.RecycleVec(t.act, len(src))
-	for i, v := range src {
-		t.act[i] = float64(v)
-	}
-	matrix.Tanh(t.act, t.act)
-	for i, v := range t.act {
-		d[i] = T(v)
-	}
+	matrix.Tanh(out.Data(), x.Data())
 	return out, nil
 }
 
 // Backward multiplies by 1 - tanh^2.
-func (t *TanhOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (t *Tanh) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if t.lastOut == nil || len(t.lastOut.Data()) != len(grad.Data()) {
 		return nil, fmt.Errorf("%w: tanh backward without matching forward", ErrShape)
 	}
@@ -190,31 +162,25 @@ func (t *TanhOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], 
 	return out, nil
 }
 
-// Parameters implements LayerOf.
-func (t *TanhOf[T]) Parameters() []*ParamOf[T] { return nil }
+// Parameters implements Layer.
+func (t *Tanh) Parameters() []*Param { return nil }
 
-// DropoutOf zeroes each activation with probability Rate during training,
+// Dropout zeroes each activation with probability Rate during training,
 // scaling survivors by 1/(1-Rate) (inverted dropout); inference is identity.
-type DropoutOf[T matrix.Float] struct {
+type Dropout struct {
 	Rate    float64
 	rng     *rand.Rand
-	mask    []T
-	out, dx *matrix.Mat[T]
+	mask    []float64
+	out, dx *matrix.Matrix
 }
 
-// Dropout is the float64 dropout layer.
-type Dropout = DropoutOf[float64]
-
-// NewDropoutOf builds a dropout layer; rate must be in [0, 1).
-func NewDropoutOf[T matrix.Float](rate float64, rng *rand.Rand) *DropoutOf[T] {
-	return &DropoutOf[T]{Rate: rate, rng: rng}
+// NewDropout builds a dropout layer; rate must be in [0, 1).
+func NewDropout(rate float64, rng *rand.Rand) *Dropout {
+	return &Dropout{Rate: rate, rng: rng}
 }
-
-// NewDropout builds a float64 dropout layer; rate must be in [0, 1).
-func NewDropout(rate float64, rng *rand.Rand) *Dropout { return NewDropoutOf[float64](rate, rng) }
 
 // Forward applies the stochastic mask during training.
-func (d *DropoutOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T], error) {
+func (d *Dropout) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {
 	if d.Rate < 0 || d.Rate >= 1 {
 		return nil, fmt.Errorf("nn: dropout rate %v outside [0,1)", d.Rate)
 	}
@@ -228,10 +194,10 @@ func (d *DropoutOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T],
 	if cap(d.mask) >= len(data) {
 		d.mask = d.mask[:len(data)]
 	} else {
-		d.mask = make([]T, len(data))
+		d.mask = make([]float64, len(data))
 	}
 	keep := 1 - d.Rate
-	scale := T(1 / keep)
+	scale := 1 / keep
 	for i, v := range src {
 		if d.rng.Float64() < keep {
 			d.mask[i] = scale
@@ -245,7 +211,7 @@ func (d *DropoutOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T],
 }
 
 // Backward applies the same mask to the gradient.
-func (d *DropoutOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (d *Dropout) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if !wantDX {
 		return nil, nil
 	}
@@ -264,5 +230,5 @@ func (d *DropoutOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T
 	return out, nil
 }
 
-// Parameters implements LayerOf.
-func (d *DropoutOf[T]) Parameters() []*ParamOf[T] { return nil }
+// Parameters implements Layer.
+func (d *Dropout) Parameters() []*Param { return nil }

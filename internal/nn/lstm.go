@@ -8,7 +8,7 @@ import (
 	"coda/internal/matrix"
 )
 
-// LSTMOf processes time-major sequence rows through a single LSTM layer.
+// LSTM processes time-major sequence rows through a single LSTM layer.
 // With ReturnSeq false it emits the final hidden state
 // (batch, SeqLen*InSize) -> (batch, Hidden); with ReturnSeq true it emits
 // every hidden state (batch, SeqLen*Hidden), allowing LSTMs to stack for
@@ -31,61 +31,56 @@ import (
 // one per gate — so that the i and f gates are one Sigmoid call, g one Tanh
 // and o one Sigmoid, and the cell update, tanh of the cell state, the
 // hidden update and BPTT's gate gradients are each one pass of a matrix
-// LSTM kernel over the batch. Gate activations run in float64 for either
-// element type. h at t = -1 is the zero state, so step 0 skips its
-// recurrent products, forward and backward.
-type LSTMOf[T matrix.Float] struct {
+// LSTM kernel over the batch. h at t = -1 is the zero state, so step 0
+// skips its recurrent products, forward and backward.
+type LSTM struct {
 	SeqLen    int
 	InSize    int
 	Hidden    int
 	ReturnSeq bool
 
-	wx *ParamOf[T] // InSize x 4*Hidden
-	wh *ParamOf[T] // Hidden x 4*Hidden
-	b  *ParamOf[T] // 1 x 4*Hidden
+	wx *Param // InSize x 4*Hidden
+	wh *Param // Hidden x 4*Hidden
+	b  *Param // 1 x 4*Hidden
 
 	// Forward caches for BPTT, recycled across calls. With n = batch*Hidden:
-	lastX *matrix.Mat[T]
-	hs    []*matrix.Mat[T] // hs[t] is the hidden state after step t, batch x Hidden
-	cs    []T              // cell states, n per step; step t's at [(t+1)n, (t+2)n), the zero state first
+	lastX *matrix.Matrix
+	hs    []*matrix.Matrix // hs[t] is the hidden state after step t, batch x Hidden
+	cs    []float64        // cell states, n per step; step t's at [(t+1)n, (t+2)n), the zero state first
 	// gates holds each step's post-activation gates, 4n per step, gate-major
-	// (blocks i, f, g, o of n each), in float64, rounded through T once the
-	// step has used them (see roundGates).
+	// (blocks i, f, g, o of n each).
 	gates []float64
 	// tanhC is tanh of each step's cell state, n per step, as Forward
 	// computed it, so Backward reads it back bit for bit instead of taking
 	// the tanh again.
 	tanhC []float64
 
-	// Scratch buffers (see LayerOf contract).
-	xw         *matrix.Mat[T] // (batch*SeqLen) x 4H input projections
-	hw         *matrix.Mat[T] // batch x 4H recurrent projection
-	zeroHW     []T            // 4H zeros: the recurrent projection of the zero state
-	out        *matrix.Mat[T]
-	dGt        *matrix.Mat[T] // batch x 4H pre-activation gate grads at t
-	dGAll      *matrix.Mat[T] // (batch*SeqLen) x 4H collected gate grads
-	dh, dhNext *matrix.Mat[T]
-	dc         []T
-	dx         *matrix.Mat[T]
+	// Scratch buffers (see Layer contract).
+	xw         *matrix.Matrix // (batch*SeqLen) x 4H input projections
+	hw         *matrix.Matrix // batch x 4H recurrent projection
+	zeroHW     []float64      // 4H zeros: the recurrent projection of the zero state
+	out        *matrix.Matrix
+	dGt        *matrix.Matrix // batch x 4H pre-activation gate grads at t
+	dGAll      *matrix.Matrix // (batch*SeqLen) x 4H collected gate grads
+	dh, dhNext *matrix.Matrix
+	dc         []float64
+	dx         *matrix.Matrix
 }
 
-// LSTM is the float64 LSTM layer.
-type LSTM = LSTMOf[float64]
-
-// NewLSTMOf builds an LSTM with Glorot-uniform weights and forget-gate
-// bias 1. The rng stream is consumed identically for either element type.
-func NewLSTMOf[T matrix.Float](seqLen, inSize, hidden int, rng *rand.Rand) *LSTMOf[T] {
-	l := &LSTMOf[T]{
+// NewLSTM builds an LSTM with Glorot-uniform weights and forget-gate
+// bias 1.
+func NewLSTM(seqLen, inSize, hidden int, rng *rand.Rand) *LSTM {
+	l := &LSTM{
 		SeqLen: seqLen, InSize: inSize, Hidden: hidden,
-		wx: newParam[T](inSize, 4*hidden),
-		wh: newParam[T](hidden, 4*hidden),
-		b:  newParam[T](1, 4*hidden),
+		wx: newParam(inSize, 4*hidden),
+		wh: newParam(hidden, 4*hidden),
+		b:  newParam(1, 4*hidden),
 	}
-	initUniform := func(p *ParamOf[T], fanIn int) {
+	initUniform := func(p *Param, fanIn int) {
 		limit := math.Sqrt(6.0 / float64(fanIn+4*hidden))
 		d := p.W.Data()
 		for i := range d {
-			d[i] = T((2*rng.Float64() - 1) * limit)
+			d[i] = (2*rng.Float64() - 1) * limit
 		}
 	}
 	initUniform(l.wx, inSize)
@@ -97,25 +92,19 @@ func NewLSTMOf[T matrix.Float](seqLen, inSize, hidden int, rng *rand.Rand) *LSTM
 	return l
 }
 
-// NewLSTM builds a float64 LSTM with Glorot-uniform weights and forget-gate
-// bias 1.
-func NewLSTM(seqLen, inSize, hidden int, rng *rand.Rand) *LSTM {
-	return NewLSTMOf[float64](seqLen, inSize, hidden, rng)
-}
-
 // recycleStates resizes a per-timestep buffer slice, keeping entries so
 // their backing arrays are reused.
-func recycleStates[T matrix.Float](ms []*matrix.Mat[T], n int) []*matrix.Mat[T] {
+func recycleStates(ms []*matrix.Matrix, n int) []*matrix.Matrix {
 	if cap(ms) >= n {
 		return ms[:n]
 	}
-	out := make([]*matrix.Mat[T], n)
+	out := make([]*matrix.Matrix, n)
 	copy(out, ms)
 	return out
 }
 
 // Forward runs the recurrence and returns the final hidden state.
-func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
+func (l *LSTM) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	if x.Cols() != l.SeqLen*l.InSize {
 		return nil, fmt.Errorf("%w: lstm expects %d cols (%d x %d), got %d", ErrShape, l.SeqLen*l.InSize, l.SeqLen, l.InSize, x.Cols())
 	}
@@ -143,7 +132,7 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 	// would skip every zero term and leave +0 in every cell. One row of
 	// +0, read for every sample, stands in for it.
 	if len(l.zeroHW) != 4*H {
-		l.zeroHW = make([]T, 4*H)
+		l.zeroHW = make([]float64, 4*H)
 	}
 	hw, hwStride := l.zeroHW, 0
 	for t := 0; t < l.SeqLen; t++ {
@@ -169,7 +158,6 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 		h := matrix.RecycleNoClear(l.hs[t], batch, H)
 		l.hs[t] = h
 		matrix.LSTMHidden(h.Data(), g[3*n:], tc)
-		roundGates[T](g)
 	}
 	if !l.ReturnSeq {
 		out := matrix.RecycleNoClear(l.out, batch, H)
@@ -187,22 +175,8 @@ func (l *LSTMOf[T]) Forward(x *matrix.Mat[T], _ bool) (*matrix.Mat[T], error) {
 	return out, nil
 }
 
-// roundGates rounds the gates through T once the step has used them at
-// full width: a float32 layer's BPTT reads float32 gates, as it reads every
-// other value the f32 path keeps. For float64 it is the identity and does
-// nothing.
-func roundGates[T matrix.Float](g []float64) {
-	var zero T
-	if _, wide := any(zero).(float64); wide {
-		return
-	}
-	for k, v := range g {
-		g[k] = float64(T(v))
-	}
-}
-
 // Backward runs BPTT from the final-hidden-state gradient.
-func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error) {
+func (l *LSTM) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if l.lastX == nil {
 		return nil, fmt.Errorf("nn: lstm backward before forward")
 	}
@@ -216,7 +190,7 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], 
 	if grad.Rows() != batch || grad.Cols() != wantCols {
 		return nil, fmt.Errorf("%w: lstm backward grad %dx%d, want %dx%d", ErrShape, grad.Rows(), grad.Cols(), batch, wantCols)
 	}
-	var dh *matrix.Mat[T]
+	var dh *matrix.Matrix
 	if l.ReturnSeq {
 		dh = matrix.Recycle(l.dh, batch, H)
 	} else {
@@ -297,5 +271,5 @@ func (l *LSTMOf[T]) Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], 
 	return dx, nil
 }
 
-// Parameters implements LayerOf.
-func (l *LSTMOf[T]) Parameters() []*ParamOf[T] { return []*ParamOf[T]{l.wx, l.wh, l.b} }
+// Parameters implements Layer.
+func (l *LSTM) Parameters() []*Param { return []*Param{l.wx, l.wh, l.b} }

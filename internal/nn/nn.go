@@ -9,15 +9,8 @@
 // exactly the layout produced by tswindow.CascadedWindows — with the
 // sequence length and channel count fixed at layer construction.
 //
-// Every layer and the network are generic over the matrix element type
-// (float32 | float64). The float64 instantiations keep their historical
-// names (Network, Dense, ...) and bitwise behaviour; the float32
-// instantiations form the reduced-precision training path: activations and
-// gradients are computed and stored in float32 through the f32 matrix
-// kernels, while the optimizers keep float64 master weights and the MSE
-// loss/output gradient are accumulated in float64, so training stays close
-// to the f64 trajectory (see the tolerance tests in precision_test.go and
-// README "Kernel performance").
+// Every value is float64: weights, activations, gradients and the
+// optimizers' state.
 package nn
 
 import (
@@ -31,29 +24,26 @@ import (
 // ErrShape is wrapped by layer shape-mismatch errors.
 var ErrShape = errors.New("nn: shape mismatch")
 
-// ParamOf is one learnable tensor with its accumulated gradient.
-type ParamOf[T matrix.Float] struct {
-	W    *matrix.Mat[T]
-	Grad *matrix.Mat[T]
+// Param is one learnable tensor with its accumulated gradient.
+type Param struct {
+	W    *matrix.Matrix
+	Grad *matrix.Matrix
 }
 
-// Param is the float64 parameter type.
-type Param = ParamOf[float64]
-
 // newParam allocates a weight matrix and its gradient buffer.
-func newParam[T matrix.Float](rows, cols int) *ParamOf[T] {
-	return &ParamOf[T]{W: matrix.NewOf[T](rows, cols), Grad: matrix.NewOf[T](rows, cols)}
+func newParam(rows, cols int) *Param {
+	return &Param{W: matrix.New(rows, cols), Grad: matrix.New(rows, cols)}
 }
 
 // zeroGrad clears the gradient buffer.
-func (p *ParamOf[T]) zeroGrad() {
+func (p *Param) zeroGrad() {
 	d := p.Grad.Data()
 	for i := range d {
 		d[i] = 0
 	}
 }
 
-// LayerOf is one differentiable stage of a network. Forward must cache
+// Layer is one differentiable stage of a network. Forward must cache
 // whatever Backward needs; Backward receives dLoss/dOutput and returns
 // dLoss/dInput while accumulating parameter gradients. With wantDX false
 // nothing reads the input gradient — the network's first layer gets
@@ -67,53 +57,41 @@ func (p *ParamOf[T]) zeroGrad() {
 // clobbers a held Forward output). Callers that keep a result across calls
 // must Clone it. Layers must not mutate their input x after Forward
 // returns, nor the incoming grad — both belong to neighbouring layers.
-type LayerOf[T matrix.Float] interface {
-	Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T], error)
-	Backward(grad *matrix.Mat[T], wantDX bool) (*matrix.Mat[T], error)
-	Parameters() []*ParamOf[T]
+type Layer interface {
+	Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error)
+	Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error)
+	Parameters() []*Param
 }
 
-// Layer is the float64 layer interface.
-type Layer = LayerOf[float64]
-
-// NetworkOf is a sequential stack of layers trained with mini-batch
+// Network is a sequential stack of layers trained with mini-batch
 // gradient descent on mean-squared error (regression) — the loss all
 // estimators in the time-series pipeline optimize.
-type NetworkOf[T matrix.Float] struct {
-	Layers    []LayerOf[T]
-	Optimizer OptimizerOf[T]
+type Network struct {
+	Layers    []Layer
+	Optimizer Optimizer
 
 	// Per-batch training scratch, reused across steps so Fit does not
 	// allocate per mini-batch; Predict feeds its row blocks through bx too.
-	bx   *matrix.Mat[T]
-	gbuf *matrix.Mat[T]
-	by   []T
+	bx   *matrix.Matrix
+	gbuf *matrix.Matrix
+	by   []float64
 	// batch is the mini-batch size of the last Fit: Predict's block size,
 	// so inference runs in the buffers training grew.
 	batch int
 }
 
-// Network is the float64 network.
-type Network = NetworkOf[float64]
-
-// NewNetworkOf builds a sequential network; opt may be nil, defaulting to
+// NewNetwork builds a sequential network; opt may be nil, defaulting to
 // Adam(1e-2).
-func NewNetworkOf[T matrix.Float](opt OptimizerOf[T], layers ...LayerOf[T]) *NetworkOf[T] {
-	if opt == nil {
-		opt = NewAdamOf[T](0.01)
-	}
-	return &NetworkOf[T]{Layers: layers, Optimizer: opt}
-}
-
-// NewNetwork builds a float64 sequential network; opt may be nil,
-// defaulting to Adam(1e-2).
 func NewNetwork(opt Optimizer, layers ...Layer) *Network {
-	return NewNetworkOf[float64](opt, layers...)
+	if opt == nil {
+		opt = NewAdam(0.01)
+	}
+	return &Network{Layers: layers, Optimizer: opt}
 }
 
 // Parameters returns all learnable parameters in layer order.
-func (n *NetworkOf[T]) Parameters() []*ParamOf[T] {
-	var out []*ParamOf[T]
+func (n *Network) Parameters() []*Param {
+	var out []*Param
 	for _, l := range n.Layers {
 		out = append(out, l.Parameters()...)
 	}
@@ -121,7 +99,7 @@ func (n *NetworkOf[T]) Parameters() []*ParamOf[T] {
 }
 
 // Forward runs the full stack.
-func (n *NetworkOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T], error) {
+func (n *Network) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {
 	var err error
 	for i, l := range n.Layers {
 		x, err = l.Forward(x, training)
@@ -134,7 +112,7 @@ func (n *NetworkOf[T]) Forward(x *matrix.Mat[T], training bool) (*matrix.Mat[T],
 
 // backward runs the full stack in reverse. Layer 0's input gradient would
 // be the gradient of the training data, so layer 0 is not asked for it.
-func (n *NetworkOf[T]) backward(grad *matrix.Mat[T]) error {
+func (n *Network) backward(grad *matrix.Matrix) error {
 	var err error
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		grad, err = n.Layers[i].Backward(grad, i > 0)
@@ -162,7 +140,7 @@ func (cfg *FitConfig) setDefaults() {
 }
 
 // Fit trains on (x, y) minimizing MSE. y has one value per row.
-func (n *NetworkOf[T]) Fit(x *matrix.Mat[T], y []T, cfg FitConfig) error {
+func (n *Network) Fit(x *matrix.Matrix, y []float64, cfg FitConfig) error {
 	if x.Rows() != len(y) {
 		return fmt.Errorf("%w: %d rows vs %d targets", ErrShape, x.Rows(), len(y))
 	}
@@ -193,7 +171,7 @@ func (n *NetworkOf[T]) Fit(x *matrix.Mat[T], y []T, cfg FitConfig) error {
 
 // fitStep runs one mini-batch: forward, MSE gradient, backward, optimizer
 // step. bx holds the gathered batch rows; idx indexes y.
-func (n *NetworkOf[T]) fitStep(bx *matrix.Mat[T], idx []int, y []T, params []*ParamOf[T]) error {
+func (n *Network) fitStep(bx *matrix.Matrix, idx []int, y []float64, params []*Param) error {
 	n.by = matrix.RecycleVec(n.by, len(idx))
 	by := n.by
 	for k, i := range idx {
@@ -209,13 +187,12 @@ func (n *NetworkOf[T]) fitStep(bx *matrix.Mat[T], idx []int, y []T, params []*Pa
 	if out.Cols() != 1 {
 		return fmt.Errorf("%w: network output has %d cols, want 1", ErrShape, out.Cols())
 	}
-	// dMSE/dout = 2*(out - y)/batch, accumulated in float64 and rounded
-	// once into the gradient's element type.
+	// dMSE/dout = 2*(out - y)/batch.
 	n.gbuf = matrix.RecycleNoClear(n.gbuf, out.Rows(), 1)
 	grad := n.gbuf
 	inv := 2.0 / float64(out.Rows())
 	for i := 0; i < out.Rows(); i++ {
-		grad.Set(i, 0, T(inv*(float64(out.At(i, 0))-float64(by[i]))))
+		grad.Set(i, 0, inv*(out.At(i, 0)-by[i]))
 	}
 	if err := n.backward(grad); err != nil {
 		return err
@@ -229,7 +206,7 @@ func (n *NetworkOf[T]) fitStep(bx *matrix.Mat[T], idx []int, y []T, params []*Pa
 // Fit), so every layer works in the buffers training already grew. The
 // values are those of one Forward over all of x: in inference every layer
 // computes each row from that row alone.
-func (n *NetworkOf[T]) Predict(x *matrix.Mat[T]) ([]float64, error) {
+func (n *Network) Predict(x *matrix.Matrix) ([]float64, error) {
 	block := n.batch
 	if block <= 0 {
 		cfg := FitConfig{}
@@ -250,23 +227,20 @@ func (n *NetworkOf[T]) Predict(x *matrix.Mat[T]) ([]float64, error) {
 		if out.Cols() != 1 {
 			return nil, fmt.Errorf("%w: network output has %d cols, want 1", ErrShape, out.Cols())
 		}
-		for i := range preds[start:end] {
-			preds[start+i] = float64(out.At(i, 0))
-		}
+		copy(preds[start:end], out.Data())
 	}
 	return preds, nil
 }
 
 // MSELoss computes mean squared error between a 1-column output and y,
-// exposed for tests and training diagnostics. The sum runs in float64 for
-// either element type.
-func MSELoss[T matrix.Float](out *matrix.Mat[T], y []T) (float64, error) {
+// exposed for tests and training diagnostics.
+func MSELoss(out *matrix.Matrix, y []float64) (float64, error) {
 	if out.Rows() != len(y) || out.Cols() != 1 {
 		return 0, fmt.Errorf("%w: loss on %dx%d vs %d targets", ErrShape, out.Rows(), out.Cols(), len(y))
 	}
 	s := 0.0
 	for i := range y {
-		d := float64(out.At(i, 0)) - float64(y[i])
+		d := out.At(i, 0) - y[i]
 		s += d * d
 	}
 	return s / float64(len(y)), nil

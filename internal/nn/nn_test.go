@@ -489,33 +489,37 @@ func tanhOf(x float64) float64 {
 }
 
 // bitsOf is the bits of every element of ms, in order.
-func bitsOf[T matrix.Float](ms ...*matrix.Mat[T]) []uint64 {
+func bitsOf(ms ...*matrix.Matrix) []uint64 {
 	var out []uint64
 	for _, m := range ms {
 		for _, v := range m.Data() {
-			out = append(out, math.Float64bits(float64(v)))
+			out = append(out, math.Float64bits(v))
 		}
 	}
 	return out
 }
 
-// testLSTMTanhCacheMatchesRecompute pins the cached tanh(c_t) to the form
+// TestLSTMTanhCacheMatchesRecompute pins the cached tanh(c_t) to the form
 // that recomputes it: after every Forward — including one on a smaller
 // batch, which recycles the buffers — the cache holds matrix.Tanh of the
 // stored cell state bit for bit and the hidden state is built from it, and
 // Backward returns the same bits when the cache is overwritten with freshly
 // taken tanhs.
-func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
+func TestLSTMTanhCacheMatchesRecompute(t *testing.T) {
+	t.Run("f64", lstmTanhCacheMatchesRecompute)
+}
+
+func lstmTanhCacheMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const seq, in, hidden = 5, 3, 4
-	l := NewLSTMOf[T](seq, in, hidden, rng)
+	l := NewLSTM(seq, in, hidden, rng)
 	l.ReturnSeq = true
 	for _, batch := range []int{6, 2, 7} {
-		x := matrix.NewOf[T](batch, seq*in)
-		grad := matrix.NewOf[T](batch, seq*hidden)
-		for _, m := range []*matrix.Mat[T]{x, grad} {
+		x := matrix.New(batch, seq*in)
+		grad := matrix.New(batch, seq*hidden)
+		for _, m := range []*matrix.Matrix{x, grad} {
 			for i := range m.Data() {
-				m.Data()[i] = T(2 * rng.NormFloat64())
+				m.Data()[i] = 2 * rng.NormFloat64()
 			}
 		}
 		if _, err := l.Forward(x, true); err != nil {
@@ -524,14 +528,12 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 		n := batch * hidden
 		for ts := 0; ts < seq; ts++ {
 			for k := 0; k < n; k++ {
-				want := tanhOf(float64(l.cs[(ts+1)*n+k]))
+				want := tanhOf(l.cs[(ts+1)*n+k])
 				if got := l.tanhC[ts*n+k]; math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("batch %d t=%d element %d: cached tanh %v, recomputed %v", batch, ts, k, got, want)
 				}
-				// The stored output gate is the one Forward multiplied by
-				// only when T is float64 (it is rounded through T once used).
-				h := T(l.gates[ts*4*n+3*n+k] * want)
-				if _, exact := any(h).(float64); exact && l.hs[ts].Data()[k] != h {
+				h := l.gates[ts*4*n+3*n+k] * want
+				if l.hs[ts].Data()[k] != h {
 					t.Fatalf("batch %d t=%d element %d: hidden %v, recomputed %v", batch, ts, k, l.hs[ts].Data()[k], h)
 				}
 			}
@@ -548,7 +550,7 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 		}
 		cached := backward()
 		for k, c := range l.cs[n : (seq+1)*n] {
-			l.tanhC[k] = tanhOf(float64(c))
+			l.tanhC[k] = tanhOf(c)
 		}
 		recomputed := backward()
 		for i := range cached {
@@ -559,27 +561,26 @@ func testLSTMTanhCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 	}
 }
 
-func TestLSTMTanhCacheMatchesRecompute(t *testing.T) {
-	t.Run("f64", testLSTMTanhCacheMatchesRecompute[float64])
-	t.Run("f32", testLSTMTanhCacheMatchesRecompute[float32])
-}
-
-// testGatedActivationCacheMatchesRecompute is the gated block's twin of the
+// TestGatedActivationCacheMatchesRecompute is the gated block's twin of the
 // test above: after every Forward — including one on a smaller batch — the
 // kept tanh(convF(x)) and sigmoid(convG(x)) are matrix.Tanh and
 // matrix.Sigmoid of the conv outputs bit for bit, and Backward, which takes
 // no activation of its own, returns the same bits when they are overwritten
 // with freshly taken ones.
-func testGatedActivationCacheMatchesRecompute[T matrix.Float](t *testing.T) {
+func TestGatedActivationCacheMatchesRecompute(t *testing.T) {
+	t.Run("f64", gatedActivationCacheMatchesRecompute)
+}
+
+func gatedActivationCacheMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const seq, ch = 8, 3
-	b := NewGatedResidualBlockOf[T](seq, ch, 2, 2, rng)
+	b := NewGatedResidualBlock(seq, ch, 2, 2, rng)
 	for _, batch := range []int{5, 2, 6} {
-		x := matrix.NewOf[T](batch, seq*ch)
-		grad := matrix.NewOf[T](batch, seq*ch)
-		for _, m := range []*matrix.Mat[T]{x, grad} {
+		x := matrix.New(batch, seq*ch)
+		grad := matrix.New(batch, seq*ch)
+		for _, m := range []*matrix.Matrix{x, grad} {
 			for i := range m.Data() {
-				m.Data()[i] = T(2 * rng.NormFloat64())
+				m.Data()[i] = 2 * rng.NormFloat64()
 			}
 		}
 		if _, err := b.Forward(x, true); err != nil {
@@ -587,16 +588,13 @@ func testGatedActivationCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 		}
 		// The convs are deterministic in x: running them again gives the
 		// outputs Forward activated and leaves their caches as they were.
-		fresh := func(conv *Conv1DOf[T], act func(dst, src []float64)) []float64 {
+		fresh := func(conv *Conv1D, act func(dst, src []float64)) []float64 {
 			out, err := conv.Forward(x, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			v := make([]float64, len(out.Data()))
-			for i, e := range out.Data() {
-				v[i] = float64(e)
-			}
-			act(v, v)
+			act(v, out.Data())
 			return v
 		}
 		tanhA, sigG := fresh(b.convF, matrix.Tanh), fresh(b.convG, matrix.Sigmoid)
@@ -629,11 +627,6 @@ func testGatedActivationCacheMatchesRecompute[T matrix.Float](t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestGatedActivationCacheMatchesRecompute(t *testing.T) {
-	t.Run("f64", testGatedActivationCacheMatchesRecompute[float64])
-	t.Run("f32", testGatedActivationCacheMatchesRecompute[float32])
 }
 
 // TestBackwardWithoutDXKeepsParamGrads holds the wantDX contract for every

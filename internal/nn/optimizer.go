@@ -1,138 +1,72 @@
 package nn
 
-import (
-	"math"
+import "math"
 
-	"coda/internal/matrix"
-)
-
-// OptimizerOf updates parameters from their accumulated gradients.
-//
-// Both optimizers run their update math in float64 against per-parameter
-// master weights. When T is float64 the master IS the weight slice itself —
-// zero-copy, updating in place exactly as the historical non-generic code
-// did. When T is float32 a float64 master copy is kept in the optimizer
-// state and rounded back into the f32 weights after each step, so the
-// reduced-precision path loses precision only in activations/gradients,
-// not in the accumulated weight trajectory.
-type OptimizerOf[T matrix.Float] interface {
-	Step(params []*ParamOf[T])
+// Optimizer updates parameters from their accumulated gradients, in place.
+type Optimizer interface {
+	Step(params []*Param)
 }
 
-// Optimizer is the float64 optimizer interface.
-type Optimizer = OptimizerOf[float64]
-
-// masterWeights returns the float64 master slice for w: w itself when T is
-// float64, else a lazily-initialised shadow copy stored in *store.
-func masterWeights[T matrix.Float](store *[]float64, w []T) []float64 {
-	if w64, ok := any(w).([]float64); ok {
-		return w64
-	}
-	if *store == nil {
-		m := make([]float64, len(w))
-		for i, v := range w {
-			m[i] = float64(v)
-		}
-		*store = m
-	}
-	return *store
-}
-
-// storeMaster rounds the master weights back into w when they are distinct
-// slices (no-op for float64, where master aliases w).
-func storeMaster[T matrix.Float](w []T, master []float64) {
-	if _, ok := any(w).([]float64); ok {
-		return
-	}
-	for i := range w {
-		w[i] = T(master[i])
-	}
-}
-
-type sgdState struct {
-	velocity []float64
-	master   []float64
-}
-
-// SGDOf is stochastic gradient descent with optional momentum.
-type SGDOf[T matrix.Float] struct {
+// SGD is stochastic gradient descent with optional momentum.
+type SGD struct {
 	LR       float64
 	Momentum float64
-	state    map[*ParamOf[T]]*sgdState
+	velocity map[*Param][]float64
 }
 
-// SGD is the float64 SGD optimizer.
-type SGD = SGDOf[float64]
-
-// NewSGDOf returns SGD with the given learning rate and momentum.
-func NewSGDOf[T matrix.Float](lr, momentum float64) *SGDOf[T] {
-	return &SGDOf[T]{LR: lr, Momentum: momentum, state: make(map[*ParamOf[T]]*sgdState)}
+// NewSGD returns SGD with the given learning rate and momentum.
+func NewSGD(lr, momentum float64) *SGD {
+	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
 }
-
-// NewSGD returns a float64 SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD { return NewSGDOf[float64](lr, momentum) }
 
 // Step applies one SGD update.
-func (s *SGDOf[T]) Step(params []*ParamOf[T]) {
-	if s.state == nil {
-		s.state = make(map[*ParamOf[T]]*sgdState)
+func (s *SGD) Step(params []*Param) {
+	if s.velocity == nil {
+		s.velocity = make(map[*Param][]float64)
 	}
 	for _, p := range params {
 		w := p.W.Data()
 		g := p.Grad.Data()
-		st := s.state[p]
-		if st == nil {
-			st = &sgdState{}
-			s.state[p] = st
-		}
-		master := masterWeights(&st.master, w)
 		if s.Momentum == 0 {
-			for i := range master {
-				master[i] -= s.LR * float64(g[i])
+			for i := range w {
+				w[i] -= s.LR * g[i]
 			}
-		} else {
-			if st.velocity == nil {
-				st.velocity = make([]float64, len(w))
-			}
-			v := st.velocity
-			for i := range master {
-				v[i] = s.Momentum*v[i] - s.LR*float64(g[i])
-				master[i] += v[i]
-			}
+			continue
 		}
-		storeMaster(w, master)
+		v := s.velocity[p]
+		if v == nil {
+			v = make([]float64, len(w))
+			s.velocity[p] = v
+		}
+		for i := range w {
+			v[i] = s.Momentum*v[i] - s.LR*g[i]
+			w[i] += v[i]
+		}
 	}
 }
 
 type adamState struct {
-	m      []float64
-	v      []float64
-	master []float64
+	m []float64
+	v []float64
 }
 
-// AdamOf is the Adam optimizer (Kingma & Ba) with bias correction.
-type AdamOf[T matrix.Float] struct {
+// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
+type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
 	t     int
-	state map[*ParamOf[T]]*adamState
+	state map[*Param]*adamState
 }
 
-// Adam is the float64 Adam optimizer.
-type Adam = AdamOf[float64]
-
-// NewAdamOf returns Adam with standard betas (0.9, 0.999) and eps 1e-8.
-func NewAdamOf[T matrix.Float](lr float64) *AdamOf[T] {
-	return &AdamOf[T]{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, state: make(map[*ParamOf[T]]*adamState)}
+// NewAdam returns Adam with standard betas (0.9, 0.999) and eps 1e-8.
+func NewAdam(lr float64) *Adam {
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, state: make(map[*Param]*adamState)}
 }
-
-// NewAdam returns a float64 Adam optimizer.
-func NewAdam(lr float64) *Adam { return NewAdamOf[float64](lr) }
 
 // Step applies one Adam update.
-func (a *AdamOf[T]) Step(params []*ParamOf[T]) {
+func (a *Adam) Step(params []*Param) {
 	if a.state == nil {
-		a.state = make(map[*ParamOf[T]]*adamState)
+		a.state = make(map[*Param]*adamState)
 	}
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -146,15 +80,13 @@ func (a *AdamOf[T]) Step(params []*ParamOf[T]) {
 			a.state[p] = st
 		}
 		m, v := st.m, st.v
-		master := masterWeights(&st.master, w)
-		for i := range master {
-			gi := float64(g[i])
+		for i := range w {
+			gi := g[i]
 			m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
 			mhat := m[i] / c1
 			vhat := v[i] / c2
-			master[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
+			w[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)
 		}
-		storeMaster(w, master)
 	}
 }

@@ -11,22 +11,15 @@
 //     consuming flat windows or TS-as-IID rows.
 //
 // All models train with Adam on mean squared error.
-//
-// Every estimator takes a "precision" hyperparameter (64, the default, or
-// 32): under 32 the network is instantiated over float32 and trained
-// through the f32 matrix kernels with float64 master weights (see
-// nn.Precision). Layer weight initialization consumes the seeded rng stream
-// identically at either precision, so f32 results track f64 within the
-// documented tolerance.
 package nnmodels
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
-	"coda/internal/matrix"
 	"coda/internal/nn"
 )
 
@@ -35,72 +28,65 @@ type coreEstimator = core.Estimator
 
 // netConfig carries the hyperparameters shared by every network estimator.
 type netConfig struct {
-	Epochs    int     // training epochs (default 60)
-	Batch     int     // mini-batch size (default 32)
-	LR        float64 // Adam learning rate (default 0.01)
-	Hidden    int     // hidden width / filter count (default 16)
-	Dropout   float64 // dropout rate (default 0.1)
-	Seed      int64
-	Precision nn.Precision // element width of the compute path (default 64)
+	Epochs  int     // training epochs (default 60)
+	Batch   int     // mini-batch size (default 32)
+	LR      float64 // Adam learning rate (default 0.01)
+	Hidden  int     // hidden width / filter count (default 16)
+	Dropout float64 // dropout rate (default 0.1)
+	Seed    int64
 }
 
 func defaultConfig() netConfig {
-	return netConfig{Epochs: 60, Batch: 32, LR: 0.01, Hidden: 16, Dropout: 0.1, Precision: nn.F64}
+	return netConfig{Epochs: 60, Batch: 32, LR: 0.01, Hidden: 16, Dropout: 0.1}
 }
 
-// setParam handles the shared hyperparameters; returns false for unknown
-// keys and an error for invalid values of known keys.
-func (c *netConfig) setParam(key string, v float64) (bool, error) {
+// setParam sets one shared hyperparameter of model, refusing an unknown key
+// and a value the network could not train with: a width, epoch count or
+// batch size that is not a whole number of at least 1, a learning rate
+// that is not positive and finite, or a dropout rate outside [0, 1).
+func (c *netConfig) setParam(model, key string, v float64) error {
+	count := func(dst *int) error {
+		if !(v >= 1 && v <= math.MaxInt32 && v == math.Trunc(v)) {
+			return fmt.Errorf("nnmodels: %s %s %v is not a whole number >= 1", model, key, v)
+		}
+		*dst = int(v)
+		return nil
+	}
 	switch key {
 	case "epochs":
-		c.Epochs = int(v)
+		return count(&c.Epochs)
 	case "batch":
-		c.Batch = int(v)
-	case "lr":
-		c.LR = v
+		return count(&c.Batch)
 	case "hidden":
-		c.Hidden = int(v)
+		return count(&c.Hidden)
+	case "lr":
+		if !(v > 0 && !math.IsInf(v, 1)) {
+			return fmt.Errorf("nnmodels: %s lr %v is not positive and finite", model, v)
+		}
+		c.LR = v
 	case "dropout":
+		if !(v >= 0 && v < 1) {
+			return fmt.Errorf("nnmodels: %s dropout %v outside [0, 1)", model, v)
+		}
 		c.Dropout = v
 	case "seed":
 		c.Seed = int64(v)
-	case "precision":
-		switch int(v) {
-		case 32:
-			c.Precision = nn.F32
-		case 64, 0:
-			c.Precision = nn.F64
-		default:
-			return true, fmt.Errorf("nnmodels: precision %v not one of 32, 64", v)
-		}
 	default:
-		return false, nil
+		return fmt.Errorf("nnmodels: %s has no parameter %q", model, key)
 	}
-	return true, nil
+	return nil
 }
 
 func (c *netConfig) params() map[string]float64 {
 	return map[string]float64{
 		"epochs": float64(c.Epochs), "batch": float64(c.Batch), "lr": c.LR,
 		"hidden": float64(c.Hidden), "dropout": c.Dropout, "seed": float64(c.Seed),
-		"precision": float64(c.Precision),
 	}
 }
 
-// applyParam routes SetParam through the shared config for one model.
-func applyParam(model string, c *netConfig, key string, v float64) error {
-	known, err := c.setParam(key, v)
-	if err != nil {
-		return err
-	}
-	if !known {
-		return errUnknownParam(model, key)
-	}
-	return nil
-}
-
-func errUnknownParam(model, key string) error {
-	return fmt.Errorf("nnmodels: %s has no parameter %q", model, key)
+// train fits a freshly built network on ds.
+func train(net *nn.Network, ds *dataset.Dataset, cfg netConfig) error {
+	return net.Fit(ds.X, ds.Y, nn.FitConfig{Epochs: cfg.Epochs, BatchSize: cfg.Batch, Seed: cfg.Seed})
 }
 
 // windowDims extracts and validates the (seqLen, channels) metadata that
@@ -123,8 +109,8 @@ type windowShape struct{ seqLen, channels int }
 // fitted, and ds's windows must have the shape it was fitted on. The
 // network checks only its input width, seqLen·channels, so without this a
 // model fitted on 8x2 windows would read 4x4 ones as if they were 8x2.
-func predictWindows(model string, run netRunner, fitted windowShape, ds *dataset.Dataset) ([]float64, error) {
-	if run == nil {
+func predictWindows(model string, net *nn.Network, fitted windowShape, ds *dataset.Dataset) ([]float64, error) {
+	if net == nil {
 		return nil, fmt.Errorf("nnmodels: %s not fitted", model)
 	}
 	seqLen, channels, err := windowDims(model, ds)
@@ -135,49 +121,7 @@ func predictWindows(model string, run netRunner, fitted windowShape, ds *dataset
 		return nil, fmt.Errorf("nnmodels: %s was fitted on %dx%d windows (steps x variables), cannot predict on %dx%d",
 			model, fitted.seqLen, fitted.channels, got.seqLen, got.channels)
 	}
-	return run.predict(ds)
-}
-
-// netRunner erases the element type of a trained network so the estimator
-// structs stay non-generic (core.Estimator is interface-driven).
-type netRunner interface {
-	fit(ds *dataset.Dataset, cfg netConfig) error
-	predict(ds *dataset.Dataset) ([]float64, error)
-}
-
-// runner binds a network instantiation to conversion scratch for the
-// dataset boundary. For float64 the dataset's X/Y are used directly (zero
-// copy — bitwise identical to the historical path); for float32 they are
-// converted once per fit/predict, preferring a shared dataset F32 mirror
-// when one is installed (prefix-cached datasets).
-type runner[T matrix.Float] struct {
-	net *nn.NetworkOf[T]
-	x   *matrix.Mat[T]
-	y   []T
-}
-
-func (r *runner[T]) inputs(ds *dataset.Dataset) (*matrix.Mat[T], []T) {
-	if x, ok := any(ds.X).(*matrix.Mat[T]); ok {
-		return x, any(ds.Y).([]T)
-	}
-	// T = float32 from here down.
-	if x32, y32, ok := ds.F32(); ok {
-		return any(x32).(*matrix.Mat[T]), any(y32).([]T)
-	}
-	r.x = matrix.ConvertInto(r.x, ds.X)
-	r.y = matrix.ConvertVec(r.y, ds.Y)
-	return r.x, r.y
-}
-
-func (r *runner[T]) fit(ds *dataset.Dataset, cfg netConfig) error {
-	fc := nn.FitConfig{Epochs: cfg.Epochs, BatchSize: cfg.Batch, Seed: cfg.Seed}
-	x, y := r.inputs(ds)
-	return r.net.Fit(x, y, fc)
-}
-
-func (r *runner[T]) predict(ds *dataset.Dataset) ([]float64, error) {
-	x, _ := r.inputs(ds)
-	return r.net.Predict(x)
+	return net.Predict(ds.X)
 }
 
 // DNNRegressor is the paper's standard (IID) deep neural network: simple =
@@ -187,7 +131,7 @@ type DNNRegressor struct {
 	Deep bool
 	cfg  netConfig
 
-	run netRunner
+	net *nn.Network
 }
 
 // NewDNNRegressor returns an unfitted DNN (simple or deep).
@@ -205,7 +149,7 @@ func (d *DNNRegressor) Name() string {
 
 // SetParam implements core.Component.
 func (d *DNNRegressor) SetParam(key string, v float64) error {
-	return applyParam(d.Name(), &d.cfg, key, v)
+	return d.cfg.setParam(d.Name(), key, v)
 }
 
 // Params implements core.Component.
@@ -214,21 +158,21 @@ func (d *DNNRegressor) Params() map[string]float64 { return d.cfg.params() }
 // Clone implements core.Estimator.
 func (d *DNNRegressor) Clone() coreEstimator { return &DNNRegressor{Deep: d.Deep, cfg: d.cfg} }
 
-func buildDNN[T matrix.Float](deep bool, in int, cfg netConfig) *runner[T] {
+func buildDNN(deep bool, in int, cfg netConfig) *nn.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h := cfg.Hidden
 	hiddenLayers := 2
 	if deep {
 		hiddenLayers = 4
 	}
-	layers := make([]nn.LayerOf[T], 0, hiddenLayers*3+1)
+	layers := make([]nn.Layer, 0, hiddenLayers*3+1)
 	width := in
 	for i := 0; i < hiddenLayers; i++ {
-		layers = append(layers, nn.NewDenseOf[T](width, h, rng), nn.NewReLUOf[T](), nn.NewDropoutOf[T](cfg.Dropout, rng))
+		layers = append(layers, nn.NewDense(width, h, rng), nn.NewReLU(), nn.NewDropout(cfg.Dropout, rng))
 		width = h
 	}
-	layers = append(layers, nn.NewDenseOf[T](width, 1, rng))
-	return &runner[T]{net: nn.NewNetworkOf[T](nn.NewAdamOf[T](cfg.LR), layers...)}
+	layers = append(layers, nn.NewDense(width, 1, rng))
+	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
 // Fit builds and trains the network.
@@ -237,12 +181,8 @@ func (d *DNNRegressor) Fit(ds *dataset.Dataset) error {
 		return fmt.Errorf("nnmodels: %s requires targets", d.Name())
 	}
 	in := ds.NumFeatures()
-	if d.cfg.Precision == nn.F32 {
-		d.run = buildDNN[float32](d.Deep, in, d.cfg)
-	} else {
-		d.run = buildDNN[float64](d.Deep, in, d.cfg)
-	}
-	if err := d.run.fit(ds, d.cfg); err != nil {
+	d.net = buildDNN(d.Deep, in, d.cfg)
+	if err := train(d.net, ds, d.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", d.Name(), err)
 	}
 	return nil
@@ -250,10 +190,10 @@ func (d *DNNRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (d *DNNRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if d.run == nil {
+	if d.net == nil {
 		return nil, fmt.Errorf("nnmodels: %s not fitted", d.Name())
 	}
-	return d.run.predict(ds)
+	return d.net.Predict(ds.X)
 }
 
 // LSTMRegressor is the paper's temporal LSTM model: simple = one LSTM layer
@@ -263,7 +203,7 @@ type LSTMRegressor struct {
 	Deep bool
 	cfg  netConfig
 
-	run netRunner
+	net *nn.Network
 	win windowShape
 }
 
@@ -284,7 +224,7 @@ func (l *LSTMRegressor) Name() string {
 
 // SetParam implements core.Component.
 func (l *LSTMRegressor) SetParam(key string, v float64) error {
-	return applyParam(l.Name(), &l.cfg, key, v)
+	return l.cfg.setParam(l.Name(), key, v)
 }
 
 // Params implements core.Component.
@@ -293,24 +233,24 @@ func (l *LSTMRegressor) Params() map[string]float64 { return l.cfg.params() }
 // Clone implements core.Estimator.
 func (l *LSTMRegressor) Clone() coreEstimator { return &LSTMRegressor{Deep: l.Deep, cfg: l.cfg} }
 
-func buildLSTM[T matrix.Float](deep bool, seqLen, channels int, cfg netConfig) *runner[T] {
+func buildLSTM(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h := cfg.Hidden
-	var layers []nn.LayerOf[T]
+	var layers []nn.Layer
 	if deep {
 		inSize := channels
 		for i := 0; i < 3; i++ {
-			lstm := nn.NewLSTMOf[T](seqLen, inSize, h, rng)
+			lstm := nn.NewLSTM(seqLen, inSize, h, rng)
 			lstm.ReturnSeq = true
-			layers = append(layers, lstm, nn.NewDropoutOf[T](cfg.Dropout, rng))
+			layers = append(layers, lstm, nn.NewDropout(cfg.Dropout, rng))
 			inSize = h
 		}
-		layers = append(layers, nn.NewLSTMOf[T](seqLen, h, h, rng), nn.NewDropoutOf[T](cfg.Dropout, rng))
+		layers = append(layers, nn.NewLSTM(seqLen, h, h, rng), nn.NewDropout(cfg.Dropout, rng))
 	} else {
-		layers = append(layers, nn.NewLSTMOf[T](seqLen, channels, h, rng), nn.NewDropoutOf[T](cfg.Dropout, rng))
+		layers = append(layers, nn.NewLSTM(seqLen, channels, h, rng), nn.NewDropout(cfg.Dropout, rng))
 	}
-	layers = append(layers, nn.NewDenseOf[T](h, 1, rng))
-	return &runner[T]{net: nn.NewNetworkOf[T](nn.NewAdamOf[T](cfg.LR), layers...)}
+	layers = append(layers, nn.NewDense(h, 1, rng))
+	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
 // Fit builds the recurrent stack from the window metadata and trains it.
@@ -322,13 +262,9 @@ func (l *LSTMRegressor) Fit(ds *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	if l.cfg.Precision == nn.F32 {
-		l.run = buildLSTM[float32](l.Deep, seqLen, channels, l.cfg)
-	} else {
-		l.run = buildLSTM[float64](l.Deep, seqLen, channels, l.cfg)
-	}
+	l.net = buildLSTM(l.Deep, seqLen, channels, l.cfg)
 	l.win = windowShape{seqLen, channels}
-	if err := l.run.fit(ds, l.cfg); err != nil {
+	if err := train(l.net, ds, l.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", l.Name(), err)
 	}
 	return nil
@@ -336,7 +272,7 @@ func (l *LSTMRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (l *LSTMRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return predictWindows(l.Name(), l.run, l.win, ds)
+	return predictWindows(l.Name(), l.net, l.win, ds)
 }
 
 // CNNRegressor is the paper's 1-D convolutional model: a convolution, max
@@ -346,7 +282,7 @@ type CNNRegressor struct {
 	Deep bool
 	cfg  netConfig
 
-	run netRunner
+	net *nn.Network
 	win windowShape
 }
 
@@ -367,7 +303,7 @@ func (c *CNNRegressor) Name() string {
 
 // SetParam implements core.Component.
 func (c *CNNRegressor) SetParam(key string, v float64) error {
-	return applyParam(c.Name(), &c.cfg, key, v)
+	return c.cfg.setParam(c.Name(), key, v)
 }
 
 // Params implements core.Component.
@@ -376,35 +312,35 @@ func (c *CNNRegressor) Params() map[string]float64 { return c.cfg.params() }
 // Clone implements core.Estimator.
 func (c *CNNRegressor) Clone() coreEstimator { return &CNNRegressor{Deep: c.Deep, cfg: c.cfg} }
 
-func buildCNN[T matrix.Float](deep bool, seqLen, channels int, cfg netConfig) *runner[T] {
+func buildCNN(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
 	const kernel = 3
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := cfg.Hidden
-	var layers []nn.LayerOf[T]
-	conv1 := nn.NewConv1DOf[T](seqLen, channels, f, kernel, 1, false, rng)
-	layers = append(layers, conv1, nn.NewReLUOf[T]())
+	var layers []nn.Layer
+	conv1 := nn.NewConv1D(seqLen, channels, f, kernel, 1, false, rng)
+	layers = append(layers, conv1, nn.NewReLU())
 	length := conv1.OutLen()
 	if length >= 2 {
-		pool := nn.NewMaxPool1DOf[T](length, f, 2)
+		pool := nn.NewMaxPool1D(length, f, 2)
 		layers = append(layers, pool)
 		length = pool.OutLen()
 	}
 	if deep && length >= kernel+1 {
-		conv2 := nn.NewConv1DOf[T](length, f, f, kernel, 1, false, rng)
-		layers = append(layers, conv2, nn.NewReLUOf[T]())
+		conv2 := nn.NewConv1D(length, f, f, kernel, 1, false, rng)
+		layers = append(layers, conv2, nn.NewReLU())
 		length = conv2.OutLen()
 		if length >= 2 {
-			pool2 := nn.NewMaxPool1DOf[T](length, f, 2)
+			pool2 := nn.NewMaxPool1D(length, f, 2)
 			layers = append(layers, pool2)
 			length = pool2.OutLen()
 		}
 	}
 	layers = append(layers,
-		nn.NewDenseOf[T](length*f, cfg.Hidden, rng), nn.NewReLUOf[T](),
-		nn.NewDropoutOf[T](cfg.Dropout, rng),
-		nn.NewDenseOf[T](cfg.Hidden, 1, rng),
+		nn.NewDense(length*f, cfg.Hidden, rng), nn.NewReLU(),
+		nn.NewDropout(cfg.Dropout, rng),
+		nn.NewDense(cfg.Hidden, 1, rng),
 	)
-	return &runner[T]{net: nn.NewNetworkOf[T](nn.NewAdamOf[T](cfg.LR), layers...)}
+	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
 // Fit builds the convolutional stack from the window metadata.
@@ -420,13 +356,9 @@ func (c *CNNRegressor) Fit(ds *dataset.Dataset) error {
 	if seqLen < kernel+1 {
 		return fmt.Errorf("nnmodels: %s needs history >= %d, got %d", c.Name(), kernel+1, seqLen)
 	}
-	if c.cfg.Precision == nn.F32 {
-		c.run = buildCNN[float32](c.Deep, seqLen, channels, c.cfg)
-	} else {
-		c.run = buildCNN[float64](c.Deep, seqLen, channels, c.cfg)
-	}
+	c.net = buildCNN(c.Deep, seqLen, channels, c.cfg)
 	c.win = windowShape{seqLen, channels}
-	if err := c.run.fit(ds, c.cfg); err != nil {
+	if err := train(c.net, ds, c.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", c.Name(), err)
 	}
 	return nil
@@ -434,7 +366,7 @@ func (c *CNNRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (c *CNNRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return predictWindows(c.Name(), c.run, c.win, ds)
+	return predictWindows(c.Name(), c.net, c.win, ds)
 }
 
 // WaveNetRegressor stacks gated dilated causal convolutions (dilations 1,
@@ -444,7 +376,7 @@ func (c *CNNRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
 type WaveNetRegressor struct {
 	cfg netConfig
 
-	run netRunner
+	net *nn.Network
 	win windowShape
 }
 
@@ -460,7 +392,7 @@ func (w *WaveNetRegressor) Name() string { return "wavenet" }
 
 // SetParam implements core.Component.
 func (w *WaveNetRegressor) SetParam(key string, v float64) error {
-	return applyParam(w.Name(), &w.cfg, key, v)
+	return w.cfg.setParam(w.Name(), key, v)
 }
 
 // Params implements core.Component.
@@ -469,18 +401,18 @@ func (w *WaveNetRegressor) Params() map[string]float64 { return w.cfg.params() }
 // Clone implements core.Estimator.
 func (w *WaveNetRegressor) Clone() coreEstimator { return &WaveNetRegressor{cfg: w.cfg} }
 
-func buildWaveNet[T matrix.Float](seqLen, channels int, cfg netConfig) *runner[T] {
+func buildWaveNet(seqLen, channels int, cfg netConfig) *nn.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := cfg.Hidden
-	layers := []nn.LayerOf[T]{
+	layers := []nn.Layer{
 		// 1x1 causal conv lifts the input channels to the block width.
-		nn.NewConv1DOf[T](seqLen, channels, f, 1, 1, true, rng),
+		nn.NewConv1D(seqLen, channels, f, 1, 1, true, rng),
 	}
 	for _, dilation := range []int{1, 2, 4} {
-		layers = append(layers, nn.NewGatedResidualBlockOf[T](seqLen, f, 2, dilation, rng))
+		layers = append(layers, nn.NewGatedResidualBlock(seqLen, f, 2, dilation, rng))
 	}
-	layers = append(layers, nn.NewLastTimestepOf[T](seqLen, f), nn.NewDenseOf[T](f, 1, rng))
-	return &runner[T]{net: nn.NewNetworkOf[T](nn.NewAdamOf[T](cfg.LR), layers...)}
+	layers = append(layers, nn.NewLastTimestep(seqLen, f), nn.NewDense(f, 1, rng))
+	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
 // Fit builds the gated dilated stack.
@@ -492,13 +424,9 @@ func (w *WaveNetRegressor) Fit(ds *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	if w.cfg.Precision == nn.F32 {
-		w.run = buildWaveNet[float32](seqLen, channels, w.cfg)
-	} else {
-		w.run = buildWaveNet[float64](seqLen, channels, w.cfg)
-	}
+	w.net = buildWaveNet(seqLen, channels, w.cfg)
 	w.win = windowShape{seqLen, channels}
-	if err := w.run.fit(ds, w.cfg); err != nil {
+	if err := train(w.net, ds, w.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", w.Name(), err)
 	}
 	return nil
@@ -506,7 +434,7 @@ func (w *WaveNetRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (w *WaveNetRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return predictWindows(w.Name(), w.run, w.win, ds)
+	return predictWindows(w.Name(), w.net, w.win, ds)
 }
 
 // SeriesNetRegressor is the WaveNet-derived architecture of Section IV-C2:
@@ -516,7 +444,7 @@ func (w *WaveNetRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
 type SeriesNetRegressor struct {
 	cfg netConfig
 
-	run netRunner
+	net *nn.Network
 	win windowShape
 }
 
@@ -532,7 +460,7 @@ func (s *SeriesNetRegressor) Name() string { return "seriesnet" }
 
 // SetParam implements core.Component.
 func (s *SeriesNetRegressor) SetParam(key string, v float64) error {
-	return applyParam(s.Name(), &s.cfg, key, v)
+	return s.cfg.setParam(s.Name(), key, v)
 }
 
 // Params implements core.Component.
@@ -541,17 +469,17 @@ func (s *SeriesNetRegressor) Params() map[string]float64 { return s.cfg.params()
 // Clone implements core.Estimator.
 func (s *SeriesNetRegressor) Clone() coreEstimator { return &SeriesNetRegressor{cfg: s.cfg} }
 
-func buildSeriesNet[T matrix.Float](seqLen, channels int, cfg netConfig) *runner[T] {
+func buildSeriesNet(seqLen, channels int, cfg netConfig) *nn.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := cfg.Hidden
-	layers := []nn.LayerOf[T]{
-		nn.NewConv1DOf[T](seqLen, channels, f, 1, 1, true, rng),
+	layers := []nn.Layer{
+		nn.NewConv1D(seqLen, channels, f, 1, 1, true, rng),
 	}
 	for _, dilation := range []int{1, 2, 4, 8} {
-		layers = append(layers, nn.NewResidualConvBlockOf[T](seqLen, f, 2, dilation, rng))
+		layers = append(layers, nn.NewResidualConvBlock(seqLen, f, 2, dilation, rng))
 	}
-	layers = append(layers, nn.NewLastTimestepOf[T](seqLen, f), nn.NewDenseOf[T](f, 1, rng))
-	return &runner[T]{net: nn.NewNetworkOf[T](nn.NewAdamOf[T](cfg.LR), layers...)}
+	layers = append(layers, nn.NewLastTimestep(seqLen, f), nn.NewDense(f, 1, rng))
+	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
 // Fit builds the residual dilated stack.
@@ -563,13 +491,9 @@ func (s *SeriesNetRegressor) Fit(ds *dataset.Dataset) error {
 	if err != nil {
 		return err
 	}
-	if s.cfg.Precision == nn.F32 {
-		s.run = buildSeriesNet[float32](seqLen, channels, s.cfg)
-	} else {
-		s.run = buildSeriesNet[float64](seqLen, channels, s.cfg)
-	}
+	s.net = buildSeriesNet(seqLen, channels, s.cfg)
 	s.win = windowShape{seqLen, channels}
-	if err := s.run.fit(ds, s.cfg); err != nil {
+	if err := train(s.net, ds, s.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", s.Name(), err)
 	}
 	return nil
@@ -577,5 +501,5 @@ func (s *SeriesNetRegressor) Fit(ds *dataset.Dataset) error {
 
 // Predict implements core.Estimator.
 func (s *SeriesNetRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return predictWindows(s.Name(), s.run, s.win, ds)
+	return predictWindows(s.Name(), s.net, s.win, ds)
 }

@@ -10,6 +10,7 @@ import (
 	"coda/internal/dataset"
 	"coda/internal/matrix"
 	"coda/internal/metrics"
+	"coda/internal/nn"
 	"coda/internal/sim"
 	"coda/internal/tswindow"
 )
@@ -193,6 +194,55 @@ func TestSetParamAndClone(t *testing.T) {
 	}
 }
 
+// TestSetParamRefusesUntrainableValues: every network estimator refuses,
+// at SetParam, a value its network could not train with — a negative width
+// would panic inside Fit, a zero width would fit an empty network, and a
+// non-positive epoch or batch count would train nn's defaults under a spec
+// recording the value given. The error names the model and the key, and
+// the refused value is not kept.
+func TestSetParamRefusesUntrainableValues(t *testing.T) {
+	bad := []struct {
+		key string
+		v   float64
+	}{
+		{"hidden", -3}, {"hidden", 0}, {"hidden", 2.5}, {"hidden", math.NaN()},
+		{"epochs", 0}, {"epochs", -1}, {"epochs", 1.5},
+		{"batch", 0}, {"batch", -32}, {"batch", math.Inf(1)},
+		{"lr", 0}, {"lr", -0.01}, {"lr", math.NaN()}, {"lr", math.Inf(1)},
+		{"dropout", -0.1}, {"dropout", 1}, {"dropout", math.NaN()},
+	}
+	good := map[string]float64{"hidden": 1, "epochs": 1, "batch": 1, "lr": 1e-4, "dropout": 0}
+	models := []core.Estimator{
+		NewDNNRegressor(false), NewDNNRegressor(true),
+		NewLSTMRegressor(false), NewLSTMRegressor(true),
+		NewCNNRegressor(false), NewCNNRegressor(true),
+		NewWaveNetRegressor(), NewSeriesNetRegressor(),
+	}
+	for _, m := range models {
+		t.Run(m.Name(), func(t *testing.T) {
+			for _, c := range bad {
+				before := m.Params()[c.key]
+				err := m.SetParam(c.key, c.v)
+				if err == nil {
+					t.Errorf("SetParam(%s, %v) accepted", c.key, c.v)
+					continue
+				}
+				if !strings.Contains(err.Error(), m.Name()) || !strings.Contains(err.Error(), c.key) {
+					t.Errorf("SetParam(%s, %v): error %q does not name both model and key", c.key, c.v, err)
+				}
+				if after := m.Params()[c.key]; after != before {
+					t.Errorf("SetParam(%s, %v) refused but changed %s from %v to %v", c.key, c.v, c.key, before, after)
+				}
+			}
+			for k, v := range good {
+				if err := m.SetParam(k, v); err != nil {
+					t.Errorf("SetParam(%s, %v): %v", k, v, err)
+				}
+			}
+		})
+	}
+}
+
 func TestFitDeterministicForSeed(t *testing.T) {
 	train, test := windowedAR(t, 6)
 	run := func() []float64 {
@@ -285,13 +335,13 @@ func TestPredictMatchesOneRowForward(t *testing.T) {
 	for _, c := range []struct {
 		m   core.Estimator
 		ds  *dataset.Dataset
-		run func(core.Estimator) netRunner
+		net func(core.Estimator) *nn.Network
 	}{
-		{NewDNNRegressor(true), flat, func(m core.Estimator) netRunner { return m.(*DNNRegressor).run }},
-		{NewLSTMRegressor(true), windows, func(m core.Estimator) netRunner { return m.(*LSTMRegressor).run }},
-		{NewCNNRegressor(true), windows, func(m core.Estimator) netRunner { return m.(*CNNRegressor).run }},
-		{NewWaveNetRegressor(), windows, func(m core.Estimator) netRunner { return m.(*WaveNetRegressor).run }},
-		{NewSeriesNetRegressor(), windows, func(m core.Estimator) netRunner { return m.(*SeriesNetRegressor).run }},
+		{NewDNNRegressor(true), flat, func(m core.Estimator) *nn.Network { return m.(*DNNRegressor).net }},
+		{NewLSTMRegressor(true), windows, func(m core.Estimator) *nn.Network { return m.(*LSTMRegressor).net }},
+		{NewCNNRegressor(true), windows, func(m core.Estimator) *nn.Network { return m.(*CNNRegressor).net }},
+		{NewWaveNetRegressor(), windows, func(m core.Estimator) *nn.Network { return m.(*WaveNetRegressor).net }},
+		{NewSeriesNetRegressor(), windows, func(m core.Estimator) *nn.Network { return m.(*SeriesNetRegressor).net }},
 	} {
 		t.Run(c.m.Name(), func(t *testing.T) {
 			for k, v := range map[string]float64{"epochs": 2, "batch": 7} {
@@ -306,7 +356,7 @@ func TestPredictMatchesOneRowForward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net := c.run(c.m).(*runner[float64]).net
+			net := c.net(c.m)
 			for i, p := range preds {
 				row, err := matrix.FromSlice(1, c.ds.NumFeatures(), c.ds.X.RowCopy(i))
 				if err != nil {

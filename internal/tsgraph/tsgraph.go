@@ -14,7 +14,6 @@ import (
 
 	"coda/internal/core"
 	"coda/internal/mlmodels"
-	"coda/internal/nn"
 	"coda/internal/nnmodels"
 	"coda/internal/preprocess"
 	"coda/internal/tswindow"
@@ -27,10 +26,6 @@ type Config struct {
 	Target  int // target variable column (default 0)
 	Epochs  int // network training epochs (default 30)
 	Seed    int64
-
-	// Precision selects the network compute path (nn.F64, the default, or
-	// nn.F32 for the reduced-precision kernels with f64 master weights).
-	Precision nn.Precision
 
 	// Slim drops the deep network variants and WaveNet/SeriesNet,
 	// keeping one model per family — useful for fast experiments.
@@ -46,9 +41,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 30
-	}
-	if c.Precision == 0 {
-		c.Precision = nn.F64
 	}
 }
 
@@ -79,9 +71,6 @@ func New(cfg Config) (*core.Graph, error) {
 		}
 		if err := e.SetParam("seed", float64(cfg.Seed)); err != nil {
 			panic(fmt.Sprintf("tsgraph: %s rejects seed: %v", e.Name(), err))
-		}
-		if err := e.SetParam("precision", float64(cfg.Precision)); err != nil {
-			panic(fmt.Sprintf("tsgraph: %s rejects precision: %v", e.Name(), err))
 		}
 		return e
 	}

@@ -256,11 +256,18 @@ func searchWaterfall(t *testing.T, base string) (trace.Summary, string) {
 // logs, /metrics, /healthz, /debug/traces and the CLI's own output.
 func TestSmoke(t *testing.T) {
 	dir := t.TempDir()
-	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/coda-server", "./cmd/coda-client")
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/coda-server", "./cmd/coda-client", "./cmd/coda-bench")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	bins := smokeBins{server: filepath.Join(dir, "coda-server"), client: filepath.Join(dir, "coda-client")}
+
+	// Every flag the README and DESIGN show on a command line exists.
+	t.Run("DocFlags", func(t *testing.T) {
+		checkDocFlags(t, map[string]string{
+			"coda-server": bins.server, "coda-client": bins.client, "coda-bench": filepath.Join(dir, "coda-bench"),
+		})
+	})
 
 	// A search leaves a trace that says where its results came from: the
 	// client that finds the DARR empty fits every fold, the client that
