@@ -8,12 +8,13 @@ import (
 // Elementwise activations.
 //
 // Sigmoid and Tanh are the package's second primitive, with mulRows's rule:
-// on amd64 with AVX2 an assembly kernel does four elements per instruction
-// (activations_amd64.s), elsewhere — and whenever a test clears useAVX2 —
-// the portable twin below does one, and the two give the same bits for
-// every input. They can because each is a fixed sequence of IEEE
-// operations, each rounded once, in the same order on both paths: no FMA,
-// no libm call, no table. The twin writes every product as float64(a*b), which the Go spec requires to
+// on amd64 an assembly kernel does four elements per instruction with AVX2
+// (activations_amd64.s) or eight with AVX-512 (activations_avx512_amd64.s),
+// elsewhere — and whenever a test sets the portable level — the portable
+// twin below does one, and every path gives the same bits for every input.
+// They can because each is a fixed sequence of IEEE operations, each
+// rounded once, in the same order on every path: no FMA, no libm call, no
+// table. The twin writes every product as float64(a*b), which the Go spec requires to
 // be rounded, so no compiler may fuse it into the add that follows (a plain
 // p*r + c compiles to FMADDD on arm64; crossarch_test.go checks the twin's
 // arm64 code for fused instructions).
@@ -63,9 +64,10 @@ const (
 	expC13 = 1.0 / 6227020800
 )
 
-// expTab holds the AVX2 kernels' constants, one 32-byte row each — a value
-// four times over, so that an instruction takes it as a memory operand — in
-// the order activations_amd64.s addresses them. The twin uses the constants
+// expTab holds the assembly kernels' constants, one 32-byte row each — a
+// value four times over, so that an AVX2 instruction takes it as a memory
+// operand, and an AVX-512 one broadcasts the row's first value — in the
+// order activations_amd64.s addresses them. The twin uses the constants
 // above directly.
 var expTab = [...][4]uint64{
 	splat(signBit),
@@ -105,7 +107,7 @@ func splatF(f float64) [4]uint64 { return splat(math.Float64bits(f)) }
 // largest seen over a million seeded inputs (activations_test.go). Below
 // −708 the result is +0 (the true value is subnormal); ±0 gives 0.5, +Inf 1,
 // −Inf +0, NaN a NaN. The bits are the same on every architecture and on
-// both code paths.
+// every code path.
 func Sigmoid(dst, src []float64) {
 	if len(dst) < len(src) {
 		panic(fmt.Sprintf("matrix: Sigmoid of %d elements into %d", len(src), len(dst)))
@@ -118,7 +120,8 @@ func Sigmoid(dst, src []float64) {
 //
 // Every result is within 4 ulp of math.Tanh for |x| <= 700 — 2 ulp is the
 // largest seen over a million seeded inputs (activations_test.go). ±0 keeps
-// its sign, ±Inf gives ±1, NaN a NaN. The bits are the same on every architecture and on both code paths.
+// its sign, ±Inf gives ±1, NaN a NaN. The bits are the same on every
+// architecture and on every code path.
 func Tanh(dst, src []float64) {
 	if len(dst) < len(src) {
 		panic(fmt.Sprintf("matrix: Tanh of %d elements into %d", len(src), len(dst)))

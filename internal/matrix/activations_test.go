@@ -69,7 +69,7 @@ func sweep(seed int64, n int) []float64 {
 func TestActivationsWithin4ULPOfLibm(t *testing.T) {
 	xs := sweep(1, 1<<20)
 	got := make([]float64, len(xs))
-	onBothPaths(t, func(t *testing.T) {
+	onEveryPath(t, func(t *testing.T) {
 		for _, a := range activations {
 			a.fn(got, xs)
 			var worst uint64
@@ -99,7 +99,7 @@ func valueAt(fn func(dst, src []float64), x float64) float64 {
 func TestActivationsSpecialValues(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nan := math.NaN()
-	onBothPaths(t, func(t *testing.T) {
+	onEveryPath(t, func(t *testing.T) {
 		for _, c := range []struct {
 			fn   func(dst, src []float64)
 			name string
@@ -143,12 +143,14 @@ func TestActivationsSpecialValues(t *testing.T) {
 	})
 }
 
-// TestActivationsPathsAgree holds the AVX2 kernels to their twins bit for
-// bit over a million seeded inputs, the sweep's and raw random bit patterns
-// (subnormals, huge values and NaNs among them), and in place.
+// TestActivationsPathsAgree holds the assembly kernels at every level this
+// CPU runs to their twins bit for bit over a million seeded inputs, the
+// sweep's and raw random bit patterns (subnormals, huge values and NaNs
+// among them), and in place.
 func TestActivationsPathsAgree(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 on this CPU: there is one path")
+	levels := asmLevels(t)
+	if len(levels) == 0 {
+		t.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	xs := sweep(2, 1<<20)
 	rng := rand.New(rand.NewSource(3))
@@ -158,11 +160,13 @@ func TestActivationsPathsAgree(t *testing.T) {
 	want, got := make([]float64, len(xs)), make([]float64, len(xs))
 	for _, a := range activations {
 		a.generic(want, xs)
-		a.fn(got, xs)
-		sameActivationBits(t, a.name, got, want)
-		copy(got, xs)
-		a.fn(got, got)
-		sameActivationBits(t, a.name+" in place", got, want)
+		for _, l := range levels {
+			onLevel(l, func() { a.fn(got, xs) })
+			sameActivationBits(t, a.name+" on "+l.String(), got, want)
+			copy(got, xs)
+			onLevel(l, func() { a.fn(got, got) })
+			sameActivationBits(t, a.name+" in place on "+l.String(), got, want)
+		}
 	}
 }
 
@@ -194,14 +198,16 @@ func TestActivationsPanicOnShortDst(t *testing.T) {
 	}
 }
 
-// FuzzActivations holds the AVX2 kernels to their twins on slices of 0-67
-// elements starting at any offset into their backing arrays, so the full
-// vectors, every masked tail and unaligned starts all run; guard elements
-// either side of dst must come through untouched. Plain `go test` replays
-// the seed corpus in testdata/fuzz/FuzzActivations.
+// FuzzActivations holds the assembly kernels at every level this CPU runs
+// to their twins on slices of 0-67 elements starting at any offset into
+// their backing arrays, so the full vectors, every masked tail and
+// unaligned starts all run; guard elements either side of dst must come
+// through untouched. Plain `go test` replays the seed corpus in
+// testdata/fuzz/FuzzActivations.
 func FuzzActivations(f *testing.F) {
-	if !useAVX2 {
-		f.Skip("no AVX2 on this CPU: there is one path")
+	levels := asmLevels(f)
+	if len(levels) == 0 {
+		f.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	f.Add(uint8(13), uint8(1), false, []byte{0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Fuzz(func(t *testing.T, n, off uint8, inPlace bool, data []byte) {
@@ -217,18 +223,23 @@ func FuzzActivations(f *testing.F) {
 		}
 		for _, a := range activations {
 			want := make([]float64, guard+len(src)+guard)
-			got := make([]float64, len(want))
 			for i := range want {
-				want[i], got[i] = float64(i)+0.5, float64(i)+0.5
+				want[i] = float64(i) + 0.5
 			}
+			got := make([]float64, len(want))
 			a.generic(want[guard:guard+len(src)], src)
-			if inPlace {
-				copy(got[guard:], src)
-				a.fn(got[guard:guard+len(src)], got[guard:guard+len(src)])
-			} else {
-				a.fn(got[guard:guard+len(src)], src)
+			for _, l := range levels {
+				for i := range got {
+					got[i] = float64(i) + 0.5
+				}
+				in := src
+				if inPlace {
+					copy(got[guard:], src)
+					in = got[guard : guard+len(src)]
+				}
+				onLevel(l, func() { a.fn(got[guard:guard+len(src)], in) })
+				sameActivationBits(t, a.name+" on "+l.String(), got, want)
 			}
-			sameActivationBits(t, a.name, got, want)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -162,31 +163,66 @@ func BenchmarkKernelColStds(b *testing.B) {
 	}
 }
 
+// kernelPaths are the paths this CPU runs, the portable one first.
+func kernelPaths(b *testing.B) []level { return append([]level{portable}, asmLevels(b)...) }
+
+// fig11Shapes are the m x k x n products that carried three quarters of
+// the multiply-adds of one counted search-cold-ts run (the Fig 11 search):
+// an LSTM's gate, input-gradient and weight-gradient products (12 units,
+// 48 gate columns) at a 32-row batch and over 256-row blocks, and the 8-
+// and 16-column products of the convolutional networks.
+var fig11Shapes = [][3]int{
+	{32, 12, 48}, {32, 48, 12}, {12, 32, 48},
+	{256, 12, 48}, {256, 48, 12}, {12, 256, 48},
+	{256, 16, 8}, {256, 8, 16},
+}
+
+// BenchmarkRowKernelFig11Shapes times the row kernel alone on each path at
+// each of fig11Shapes, as MulInto calls it (zero a elements skipped, c
+// overwritten), in ns per multiply-add.
+func BenchmarkRowKernelFig11Shapes(b *testing.B) {
+	for _, l := range kernelPaths(b) {
+		for _, s := range fig11Shapes {
+			m, k, n := s[0], s[1], s[2]
+			a, w, c := benchMat(m, k, 11), benchMat(k, n, 12), New(m, n)
+			b.Run(fmt.Sprintf("%v/%dx%dx%d", l, m, k, n), func(b *testing.B) {
+				onLevel(l, func() {
+					for i := 0; i < b.N; i++ {
+						mulRows(c.data, a.data, k, 1, w.data, m, k, n, true, true)
+					}
+				})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m*k*n), "ns/madd")
+			})
+		}
+	}
+}
+
 // Activation A/B over 1024 elements of N(0, 2²), about the spread of LSTM
-// gate pre-activations: the libm loop internal/nn ran before, the portable
-// twin, and the primitive (the AVX2 kernel where the CPU has one).
+// gate pre-activations: the libm loop internal/nn ran before, then the
+// primitive on each path this CPU runs.
 func BenchmarkKernelActivations(b *testing.B) {
 	src := benchMat(1, 1024, 10).Row(0)
 	for i := range src {
 		src[i] *= 2
 	}
 	dst := make([]float64, len(src))
+	paths := kernelPaths(b)
 	for _, a := range activations {
-		libm := func(dst, src []float64) {
-			for i, x := range src {
-				dst[i] = a.libm(x)
-			}
-		}
-		for _, path := range []struct {
-			name string
-			fn   func(dst, src []float64)
-		}{{"libm", libm}, {"portable", a.generic}, {"kernel", a.fn}} {
-			b.Run(a.name+"/"+path.name, func(b *testing.B) {
+		run := func(name string, fn func(dst, src []float64)) {
+			b.Run(a.name+"/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					path.fn(dst, src)
+					fn(dst, src)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src)), "ns/elem")
 			})
+		}
+		run("libm", func(dst, src []float64) {
+			for i, x := range src {
+				dst[i] = a.libm(x)
+			}
+		})
+		for _, l := range paths {
+			run(l.String(), func(dst, src []float64) { onLevel(l, func() { a.fn(dst, src) }) })
 		}
 	}
 }

@@ -106,7 +106,7 @@ func SymEig(a *Matrix) (vals []float64, vecs *Matrix, err error) {
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += s.At(i, j) * s.At(i, j)
+				off += float64(s.At(i, j) * s.At(i, j))
 			}
 		}
 		if off < 1e-22 {
@@ -120,25 +120,25 @@ func SymEig(a *Matrix) (vals []float64, vecs *Matrix, err error) {
 				}
 				app, aqq := s.At(p, p), s.At(q, q)
 				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				sn := t * c
 				// Rotate rows/columns p and q of s.
 				for k := 0; k < n; k++ {
 					skp, skq := s.At(k, p), s.At(k, q)
-					s.Set(k, p, c*skp-sn*skq)
-					s.Set(k, q, sn*skp+c*skq)
+					s.Set(k, p, float64(c*skp)-float64(sn*skq))
+					s.Set(k, q, float64(sn*skp)+float64(c*skq))
 				}
 				for k := 0; k < n; k++ {
 					spk, sqk := s.At(p, k), s.At(q, k)
-					s.Set(p, k, c*spk-sn*sqk)
-					s.Set(q, k, sn*spk+c*sqk)
+					s.Set(p, k, float64(c*spk)-float64(sn*sqk))
+					s.Set(q, k, float64(sn*spk)+float64(c*sqk))
 				}
 				// Accumulate eigenvectors.
 				for k := 0; k < n; k++ {
 					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-sn*vkq)
-					v.Set(k, q, sn*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(sn*vkq))
+					v.Set(k, q, float64(sn*vkp)+float64(c*vkq))
 				}
 			}
 		}

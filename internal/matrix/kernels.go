@@ -17,9 +17,11 @@ import (
 // and the search-level equivalence suites rest on this.
 //
 // All matmul forms are thin drivers over one primitive, mulRows: for each
-// row i, c[i][0:n] += Σ_k a[i*ars+k*aks] * b[k][0:n]. On amd64 with AVX2 it
-// is an assembly micro-kernel vectorised across the output columns j, so a
-// SIMD lane is a cell and keeps the cell's scalar order (mulrows_amd64.s);
+// row i, c[i][0:n] += Σ_k a[i*ars+k*aks] * b[k][0:n]. On amd64 it is an
+// assembly micro-kernel vectorised across the output columns j, so a SIMD
+// lane is a cell and keeps the cell's scalar order: four float64 lanes with
+// AVX2 (mulrows_amd64.s), eight with AVX-512 (mulrows_avx512_amd64.s;
+// float32 stays on the AVX2 kernel), whichever kernelLevel names (level.go);
 // elsewhere it is mulRowsGeneric below. Row parallelism gives each output
 // row to exactly one goroutine.
 
@@ -48,7 +50,7 @@ const (
 // forms that overwrite c use it, so c need not be cleared first. The inner
 // statement is naiveMulInto's. Its product is written T(av*bv), so that no
 // compiler fuses it into the add (arm64 would): each term is rounded once
-// before it is added, as the AVX2 kernel rounds it.
+// before it is added, as the assembly kernels round it.
 func mulRowsGeneric[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero, zeroC bool) {
 	for i := 0; i < m; i++ {
 		crow := c[i*n : (i+1)*n]
@@ -317,7 +319,7 @@ func (m *Mat[T]) ColMeansStds() (means, stds []T) {
 		for j, v := range row {
 			d := v - shift[j]
 			d1[j] += d
-			stds[j] += d * d // Σ (x - shift)^2, accumulated in place
+			stds[j] += T(d * d) // Σ (x - shift)^2, accumulated in place
 		}
 	}
 	n := T(m.rows)
@@ -326,7 +328,7 @@ func (m *Mat[T]) ColMeansStds() (means, stds []T) {
 		means[j] = shift[j] + md
 		// var = Σd² /n - (Σd/n)² ; shifted by a data value so the two
 		// terms are commensurate and cancellation stays benign.
-		v := stds[j]/n - md*md
+		v := stds[j]/n - T(md*md)
 		if v < 0 {
 			v = 0 // guard rounding for constant columns
 		}

@@ -9,8 +9,8 @@ import "fmt"
 // element-wise passes (nn.LSTM lays the blocks out). They are the package's
 // third primitive, under Sigmoid's rule: on amd64 with AVX2 an assembly
 // kernel does four elements per instruction, a lane per element
-// (lstm_amd64.s); elsewhere, and whenever a test clears useAVX2, the
-// portable twin below does one; the two give the same bits for every
+// (lstm_amd64.s; the AVX-512 level runs it too); elsewhere, and whenever a
+// test sets the portable level, the portable twin below does one; the two give the same bits for every
 // input, NaNs aside (which of two NaNs an operation returns is the CPU's
 // operand-order rule). Each twin is a fixed sequence
 // of IEEE operations in a fixed order, every product written float64(a*b)

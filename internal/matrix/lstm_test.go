@@ -71,24 +71,28 @@ func lstmKernelsOn(s *lstmStreams) [6][]float64 {
 	return out
 }
 
-// lstmPathsAgree holds the assembly kernels to their twins on s.
-func lstmPathsAgree(t *testing.T, s *lstmStreams) {
+// lstmPathsAgree holds the assembly kernels at each of levels to their
+// twins on s.
+func lstmPathsAgree(t *testing.T, levels []level, s *lstmStreams) {
 	t.Helper()
-	got := lstmKernelsOn(s)
-	useAVX2 = false
-	want := lstmKernelsOn(s)
-	useAVX2 = true
-	for k, name := range lstmOutputs {
-		sameActivationBits(t, name, got[k], want[k])
+	var want, got [6][]float64
+	onLevel(portable, func() { want = lstmKernelsOn(s) })
+	for _, l := range levels {
+		onLevel(l, func() { got = lstmKernelsOn(s) })
+		for k, name := range lstmOutputs {
+			sameActivationBits(t, name+" on "+l.String(), got[k], want[k])
+		}
 	}
 }
 
-// TestLSTMKernelsPathsAgree holds the AVX2 LSTM kernels to their twins bit
-// for bit at every row width up to 13 (each full-vector count and every
-// masked tail), on gate-like values and on raw bit patterns.
+// TestLSTMKernelsPathsAgree holds the AVX2 LSTM kernels, which both
+// assembly levels run, to their twins bit for bit at every row width up to
+// 13 (each full-vector count and every masked tail), on gate-like values
+// and on raw bit patterns.
 func TestLSTMKernelsPathsAgree(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 on this CPU: there is one path")
+	levels := asmLevels(t)
+	if len(levels) == 0 {
+		t.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	rng := rand.New(rand.NewSource(4))
 	values := func() float64 { return 4*rng.Float64() - 2 }
@@ -101,11 +105,11 @@ func TestLSTMKernelsPathsAgree(t *testing.T) {
 	for _, next := range []func() float64{values, raw} {
 		for rows := 1; rows <= 5; rows++ {
 			for hidden := 1; hidden <= 13; hidden++ {
-				lstmPathsAgree(t, newLSTMStreams(rows, hidden, rows%2 == 0, next))
+				lstmPathsAgree(t, levels, newLSTMStreams(rows, hidden, rows%2 == 0, next))
 			}
 		}
 	}
-	lstmPathsAgree(t, newLSTMStreams(32, 12, false, values))
+	lstmPathsAgree(t, levels, newLSTMStreams(32, 12, false, values))
 }
 
 // TestLSTMTwinMatchesPerElementForm pins the kernels to the plain
@@ -180,8 +184,9 @@ func TestLSTMKernelsPanicOnShortSlices(t *testing.T) {
 // elements either side of every output must come through untouched. Plain
 // `go test` replays the seed corpus in testdata/fuzz/FuzzLSTMCell.
 func FuzzLSTMCell(f *testing.F) {
-	if !useAVX2 {
-		f.Skip("no AVX2 on this CPU: there is one path")
+	levels := asmLevels(f)
+	if len(levels) == 0 {
+		f.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	f.Add(uint8(2), uint8(12), []byte{0, 0, 0, 0, 0, 0, 0xe0, 0x3f})
 	f.Fuzz(func(t *testing.T, rows, hidden uint8, data []byte) {
@@ -195,6 +200,6 @@ func FuzzLSTMCell(f *testing.F) {
 			i++
 			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 		}
-		lstmPathsAgree(t, newLSTMStreams(r, h, h%2 == 1, next))
+		lstmPathsAgree(t, levels, newLSTMStreams(r, h, h%2 == 1, next))
 	})
 }

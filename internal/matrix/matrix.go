@@ -12,8 +12,9 @@
 // end-to-end benchmark's matmul probe still times. Both widths keep one
 // bitwise contract: every product cell is summed in ascending k with one
 // rounding per multiply and per add, so a result equals the naive serial
-// triple loop's bit for bit at any worker count, whether the AVX2 row
-// micro-kernel or its portable twin computed it (see kernels.go).
+// triple loop's bit for bit at any worker count, whichever row
+// micro-kernel (AVX2, AVX-512) or its portable twin computed it (see
+// kernels.go).
 package matrix
 
 import (
@@ -310,7 +311,7 @@ func (m *Mat[T]) Covariance() *Mat[T] {
 			}
 			crow := cov.Row(a)
 			for b := a; b < c; b++ {
-				crow[b] += da * drow[b]
+				crow[b] += T(da * drow[b])
 			}
 		}
 	}
@@ -318,7 +319,7 @@ func (m *Mat[T]) Covariance() *Mat[T] {
 	n1 := T(m.rows - 1)
 	for a := 0; a < c; a++ {
 		for b := a; b < c; b++ {
-			v := (cov.At(a, b) - d[a]*d[b]/n) / n1
+			v := (cov.At(a, b) - T(d[a]*d[b])/n) / n1
 			cov.Set(a, b, v)
 			cov.Set(b, a, v)
 		}

@@ -1,14 +1,15 @@
 package matrix
 
-// useAVX2 selects the assembly kernels — the row kernel and the activations;
-// it is decided once, here, and only tests change it afterwards (to run both
-// paths on one machine).
-var useAVX2 = hasAVX2()
-
-func hasAVX2() bool
+// cpuLevel is avx512 when the CPU has AVX-512F and the OS saves the opmask
+// and ZMM state, else avx2 when it has AVX2 and the OS saves the YMM state,
+// else portable (mulrows_amd64.s).
+func cpuLevel() level
 
 //go:noescape
 func mulRowsF64(c, a *float64, ars, aks int, b *float64, m, k, n int, skipZero, zeroC bool)
+
+//go:noescape
+func mulRowsF64AVX512(c, a *float64, ars, aks int, b *float64, m, k, n int, skipZero, zeroC bool)
 
 //go:noescape
 func mulRowsF32(c, a *float32, ars, aks int, b *float32, m, k, n int, skipZero, zeroC bool)
@@ -18,13 +19,17 @@ func mulRowsF32(c, a *float32, ars, aks int, b *float32, m, k, n int, skipZero, 
 // formula names in each slice is touched here first: a caller's shape bug
 // panics instead of reading or writing past a slice.
 func mulRows[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero, zeroC bool) {
-	if !useAVX2 {
+	if kernelLevel == portable {
 		mulRowsGeneric(c, a, ars, aks, b, m, k, n, skipZero, zeroC)
 		return
 	}
 	_, _, _ = c[m*n-1], a[(m-1)*ars+(k-1)*aks], b[k*n-1]
 	switch c := any(c).(type) {
 	case []float64:
+		if kernelLevel == avx512 {
+			mulRowsF64AVX512(&c[0], &any(a).([]float64)[0], ars, aks, &any(b).([]float64)[0], m, k, n, skipZero, zeroC)
+			return
+		}
 		mulRowsF64(&c[0], &any(a).([]float64)[0], ars, aks, &any(b).([]float64)[0], m, k, n, skipZero, zeroC)
 	case []float32:
 		mulRowsF32(&c[0], &any(a).([]float32)[0], ars, aks, &any(b).([]float32)[0], m, k, n, skipZero, zeroC)
@@ -37,22 +42,34 @@ func sigmoidAVX2(dst, src *float64, n int)
 //go:noescape
 func tanhAVX2(dst, src *float64, n int)
 
+//go:noescape
+func sigmoidAVX512(dst, src *float64, n int)
+
+//go:noescape
+func tanhAVX512(dst, src *float64, n int)
+
 // sigmoid and tanh are the twins on the fastest path this CPU has; len(dst)
 // == len(src).
 func sigmoid(dst, src []float64) {
-	if !useAVX2 || len(src) == 0 {
+	switch {
+	case kernelLevel == portable || len(src) == 0:
 		sigmoidGeneric(dst, src)
-		return
+	case kernelLevel == avx512:
+		sigmoidAVX512(&dst[0], &src[0], len(src))
+	default:
+		sigmoidAVX2(&dst[0], &src[0], len(src))
 	}
-	sigmoidAVX2(&dst[0], &src[0], len(src))
 }
 
 func tanh(dst, src []float64) {
-	if !useAVX2 || len(src) == 0 {
+	switch {
+	case kernelLevel == portable || len(src) == 0:
 		tanhGeneric(dst, src)
-		return
+	case kernelLevel == avx512:
+		tanhAVX512(&dst[0], &src[0], len(src))
+	default:
+		tanhAVX2(&dst[0], &src[0], len(src))
 	}
-	tanhAVX2(&dst[0], &src[0], len(src))
 }
 
 //go:noescape
@@ -68,11 +85,11 @@ func lstmHiddenAVX2(h, o, tc *float64, n int)
 func lstmGateGradsAVX2(dg, gates, tc, cPrev, dh, dc *float64, rows, hidden int)
 
 // lstmGather, lstmCell, lstmHidden and lstmGateGrads are the LSTM twins on
-// the fastest path this CPU has; every slice is as long as the exported
-// function's shape says, and the shape is not empty for lstmGather and
-// lstmGateGrads.
+// the fastest path this CPU has (AVX2 at either assembly level); every
+// slice is as long as the exported function's shape says, and the shape is
+// not empty for lstmGather and lstmGateGrads.
 func lstmGather(g, xw []float64, xs int, hw []float64, hs int, b []float64, rows, hidden int) {
-	if !useAVX2 {
+	if kernelLevel == portable {
 		lstmGatherGeneric(g, xw, xs, hw, hs, b, rows, hidden)
 		return
 	}
@@ -80,7 +97,7 @@ func lstmGather(g, xw []float64, xs int, hw []float64, hs int, b []float64, rows
 }
 
 func lstmCell(c, tc, cPrev, i, f, g []float64) {
-	if !useAVX2 || len(c) == 0 {
+	if kernelLevel == portable || len(c) == 0 {
 		lstmCellGeneric(c, tc, cPrev, i, f, g)
 		return
 	}
@@ -88,7 +105,7 @@ func lstmCell(c, tc, cPrev, i, f, g []float64) {
 }
 
 func lstmHidden(h, o, tc []float64) {
-	if !useAVX2 || len(h) == 0 {
+	if kernelLevel == portable || len(h) == 0 {
 		lstmHiddenGeneric(h, o, tc)
 		return
 	}
@@ -96,7 +113,7 @@ func lstmHidden(h, o, tc []float64) {
 }
 
 func lstmGateGrads(dg, gates, tc, cPrev, dh, dc []float64, rows, hidden int) {
-	if !useAVX2 {
+	if kernelLevel == portable {
 		lstmGateGradsGeneric(dg, gates, tc, cPrev, dh, dc, rows, hidden)
 		return
 	}

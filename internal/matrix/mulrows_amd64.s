@@ -162,32 +162,42 @@ TEXT ·mulRowsF64(SB), NOSPLIT, $56-66
 TEXT ·mulRowsF32(SB), NOSPLIT, $56-66
 #include "mulrows_amd64.h"
 
-// func hasAVX2() bool
+// func cpuLevel() level
 //
-// AVX2 is usable when the CPU has it (leaf 7 EBX bit 5) and the OS saves
-// the YMM state (leaf 1 ECX OSXSAVE+AVX, XCR0 bits 1 and 2).
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
+// AVX2 (level 1) is usable when the CPU has it (leaf 7 EBX bit 5) and the
+// OS saves the YMM state (leaf 1 ECX OSXSAVE+AVX, XCR0 bits 1 and 2).
+// AVX-512 (level 2) needs AVX-512F as well (leaf 7 EBX bit 16) and the
+// opmask and ZMM state saved too (XCR0 bits 5, 6 and 7); the kernels use
+// AVX-512F instructions only.
+TEXT ·cpuLevel(SB), NOSPLIT, $0-8
+	MOVQ $0, ret+0(FP)
 	XORL AX, AX
 	CPUID
 	CMPL AX, $7
-	JLT noavx2
+	JLT done
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
 	ANDL $(3<<27), CX
 	CMPL CX, $(3<<27)
-	JNE noavx2
+	JNE done
 	XORL CX, CX
 	XGETBV
+	MOVL AX, R8
 	ANDL $6, AX
 	CMPL AX, $6
-	JNE noavx2
+	JNE done
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
 	BTL $5, BX
-	JCC noavx2
-	MOVB $1, ret+0(FP)
-noavx2:
+	JCC done
+	MOVQ $1, ret+0(FP)
+	BTL $16, BX
+	JCC done
+	ANDL $0xe6, R8
+	CMPL R8, $0xe6
+	JNE done
+	MOVQ $2, ret+0(FP)
+done:
 	RET

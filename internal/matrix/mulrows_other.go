@@ -2,9 +2,8 @@
 
 package matrix
 
-// useAVX2 exists on every architecture so that tests which flip it build
-// everywhere; off amd64 there is one path and the flag selects nothing.
-var useAVX2 = false
+// cpuLevel is portable off amd64: there is one path.
+func cpuLevel() level { return portable }
 
 func mulRows[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero, zeroC bool) {
 	mulRowsGeneric(c, a, ars, aks, b, m, k, n, skipZero, zeroC)

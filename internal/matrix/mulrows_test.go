@@ -4,23 +4,76 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// onBothPaths runs fn with the kernels on their portable paths and, where
-// the CPU has them, on the assembly paths.
-func onBothPaths(t *testing.T, fn func(t *testing.T)) {
+// asmLevels are the assembly levels this CPU runs, narrowest first. Each
+// one it lacks is logged, so a run that skipped a path says so.
+func asmLevels(t testing.TB) []level {
 	t.Helper()
-	defer func(v bool) { useAVX2 = v }(useAVX2)
-	asm := useAVX2
-	useAVX2 = false
-	t.Run("portable", fn)
-	if !asm {
-		t.Log("no AVX2 on this CPU: the assembly path was not run")
+	var run []level
+	for l := avx2; l <= avx512; l++ {
+		if l > cpuLevel() {
+			t.Logf("%v path not run: this CPU lacks it", l)
+			continue
+		}
+		run = append(run, l)
+	}
+	return run
+}
+
+// onLevel runs fn with the kernels on l, then puts them back.
+func onLevel(l level, fn func()) {
+	defer func(was level) { kernelLevel = was }(kernelLevel)
+	kernelLevel = l
+	fn()
+}
+
+// onEveryPath runs fn with the kernels on their portable paths, then under
+// "asm" once per assembly level this CPU runs.
+func onEveryPath(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	onLevel(portable, func() { t.Run("portable", fn) })
+	levels := asmLevels(t)
+	if len(levels) == 0 {
 		return
 	}
-	useAVX2 = true
-	t.Run("asm", fn)
+	t.Run("asm", func(t *testing.T) {
+		for _, l := range levels {
+			onLevel(l, func() { t.Run(l.String(), fn) })
+		}
+	})
+}
+
+// TestCPULevelMatchesCPUInfo holds the CPUID and XCR0 decision to what
+// Linux reports: avx512 when the CPU flags list avx512f, else avx2 when
+// they list avx2, else portable (Linux drops a flag whose register state
+// it does not save, as cpuLevel checks XCR0).
+func TestCPULevelMatchesCPUInfo(t *testing.T) {
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no CPU flags to check against: %v", err)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(info), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "flags" {
+			flags = strings.Fields(v)
+			break
+		}
+	}
+	want := portable
+	switch {
+	case slices.Contains(flags, "avx512f"):
+		want = avx512
+	case slices.Contains(flags, "avx2"):
+		want = avx2
+	}
+	if got := cpuLevel(); got != want {
+		t.Fatalf("cpuLevel() = %v, the CPU flags say %v", got, want)
+	}
 }
 
 func elemBits[T Float](v T) uint64 {
@@ -202,17 +255,17 @@ func testFormsMatchOracles[T Float](t *testing.T) {
 }
 
 func TestFormsMatchOraclesBitwise(t *testing.T) {
-	onBothPaths(t, func(t *testing.T) {
+	onEveryPath(t, func(t *testing.T) {
 		t.Run("f64", testFormsMatchOracles[float64])
 		t.Run("f32", testFormsMatchOracles[float32])
 	})
 }
 
 // fuzzRowKernel decodes one mulRows call from data — shape, both a strides,
-// the skip switch, then element bits (NaNs folded onto hardNaN) — and holds
-// the assembly kernel to the portable one on it, bit for bit, guard elements
-// either side of c included.
-func fuzzRowKernel[T Float](t *testing.T, data []byte, fromBits func(uint32) T) {
+// the skip and zero switches, then element bits (NaNs folded onto hardNaN) —
+// and holds the assembly kernel at each of levels to the portable one on
+// it, bit for bit, guard elements either side of c included.
+func fuzzRowKernel[T Float](t *testing.T, levels []level, data []byte, fromBits func(uint32) T) {
 	if len(data) < 6 {
 		return
 	}
@@ -253,8 +306,11 @@ func fuzzRowKernel[T Float](t *testing.T, data []byte, fromBits func(uint32) T) 
 	}
 	want := append([]T(nil), c...)
 	mulRowsGeneric(want[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero, zeroC)
-	mulRows(c[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero, zeroC)
-	sameBits(t, "mulRows", c, want)
+	for _, l := range levels {
+		got := append([]T(nil), c...)
+		onLevel(l, func() { mulRows(got[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero, zeroC) })
+		sameBits(t, "mulRows on "+l.String(), got, want)
+	}
 }
 
 // f64FromBits spreads 32 fuzzed bits over a float64 so that the sign, the
@@ -264,18 +320,19 @@ func f64FromBits(u uint32) float64 {
 	return math.Float64frombits(uint64(u&0xfff00000)<<32 | uint64(u&0xfffff))
 }
 
-// FuzzRowKernel holds the assembly row kernel to the portable one, and to
-// its bounds. Plain `go test` replays the seed corpus in
-// testdata/fuzz/FuzzRowKernel; the portable loop's own agreement with the
-// naive oracles is TestFormsMatchOraclesBitwise's job.
+// FuzzRowKernel holds the assembly row kernel at every level this CPU runs
+// to the portable one, and to its bounds. Plain `go test` replays the seed
+// corpus in testdata/fuzz/FuzzRowKernel; the portable loop's own agreement
+// with the naive oracles is TestFormsMatchOraclesBitwise's job.
 func FuzzRowKernel(f *testing.F) {
-	if !useAVX2 {
-		f.Skip("no AVX2 on this CPU: there is one path")
+	levels := asmLevels(f)
+	if len(levels) == 0 {
+		f.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	f.Add([]byte{4, 11, 48, 0, 0x80, 1, 0, 0, 0x80, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0x80}) // an LSTM gate product: 4x12x48, 1.0 / +0 / -0
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRowKernel(t, data, f64FromBits)
-		fuzzRowKernel(t, data, math.Float32frombits)
+		fuzzRowKernel(t, levels, data, f64FromBits)
+		fuzzRowKernel(t, levels, data, math.Float32frombits)
 	})
 }
 

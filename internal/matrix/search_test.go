@@ -14,13 +14,13 @@ import (
 	"coda/internal/tsgraph"
 )
 
-// TestSearchScoresSameOnBothKernelPaths is the bitwise contract seen from
+// TestSearchScoresSameOnEveryKernelPath is the bitwise contract seen from
 // the top: the full Fig 11 search (simple and deep LSTM, CNN and DNN,
 // WaveNet, SeriesNet; two workers) gives the same bits for every fold score
-// and for Best whether the assembly kernels — the row kernel, the
-// activations and the LSTM step kernels — or their portable twins did the
-// arithmetic.
-func TestSearchScoresSameOnBothKernelPaths(t *testing.T) {
+// and for Best whether the portable twins or the assembly kernels — the
+// row kernel, the activations and the LSTM step kernels — at any level this
+// CPU runs did the arithmetic.
+func TestSearchScoresSameOnEveryKernelPath(t *testing.T) {
 	series, err := sim.GenerateSeries(sim.SeriesSpec{Steps: 120, Vars: 2, Regime: sim.RegimeAR}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -43,27 +43,34 @@ func TestSearchScoresSameOnBothKernelPaths(t *testing.T) {
 		}
 		return res
 	}
-	native := search()
-	if !matrix.UsePortableKernel(t) {
+	paths := matrix.KernelPaths(t)
+	if len(paths) == 1 {
 		t.Skip("no assembly kernel on this CPU: there is one path")
 	}
+	matrix.UseKernelPath(t, paths[0])
 	portable := search()
-
-	if len(native.Units) != 48 || len(portable.Units) != len(native.Units) {
-		t.Fatalf("%d and %d units, want 48 each", len(native.Units), len(portable.Units))
+	if len(portable.Units) != 48 {
+		t.Fatalf("%d units, want 48", len(portable.Units))
 	}
-	for i, u := range native.Units {
-		p := portable.Units[i]
-		if u.Spec != p.Spec || u.Err != "" || p.Err != "" || len(u.Scores) != len(p.Scores) {
-			t.Fatalf("unit %d: %q (err %q) vs %q (err %q)", i, u.Spec, u.Err, p.Spec, p.Err)
+	for _, path := range paths[1:] {
+		matrix.UseKernelPath(t, path)
+		asm := search()
+		if len(asm.Units) != len(portable.Units) {
+			t.Fatalf("%s: %d units, want %d", path, len(asm.Units), len(portable.Units))
 		}
-		for f := range u.Scores {
-			if math.Float64bits(u.Scores[f]) != math.Float64bits(p.Scores[f]) {
-				t.Fatalf("%s fold %d: asm %v, portable %v", u.Spec, f, u.Scores[f], p.Scores[f])
+		for i, u := range asm.Units {
+			p := portable.Units[i]
+			if u.Spec != p.Spec || u.Err != "" || p.Err != "" || len(u.Scores) != len(p.Scores) {
+				t.Fatalf("%s unit %d: %q (err %q) vs portable %q (err %q)", path, i, u.Spec, u.Err, p.Spec, p.Err)
+			}
+			for f := range u.Scores {
+				if math.Float64bits(u.Scores[f]) != math.Float64bits(p.Scores[f]) {
+					t.Fatalf("%s fold %d: %s %v, portable %v", u.Spec, f, path, u.Scores[f], p.Scores[f])
+				}
 			}
 		}
-	}
-	if native.Best.Spec != portable.Best.Spec || math.Float64bits(native.Best.Mean) != math.Float64bits(portable.Best.Mean) {
-		t.Fatalf("best: asm %s %v, portable %s %v", native.Best.Spec, native.Best.Mean, portable.Best.Spec, portable.Best.Mean)
+		if asm.Best.Spec != portable.Best.Spec || math.Float64bits(asm.Best.Mean) != math.Float64bits(portable.Best.Mean) {
+			t.Fatalf("best: %s %s %v, portable %s %v", path, asm.Best.Spec, asm.Best.Mean, portable.Best.Spec, portable.Best.Mean)
+		}
 	}
 }

@@ -72,7 +72,9 @@ func (d *Dense) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, erro
 // Parameters implements Layer.
 func (d *Dense) Parameters() []*Param { return []*Param{d.w, d.b} }
 
-// ReLU applies max(0, x) elementwise.
+// ReLU applies max(0, x) elementwise: x where x > 0, +0 elsewhere (-0 and
+// NaN included). Forward and Backward select with a bit mask instead of a
+// branch on each element's sign, which the branch predictor cannot learn.
 type ReLU struct {
 	mask    []bool
 	out, dx *matrix.Matrix
@@ -91,14 +93,11 @@ func (r *ReLU) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	} else {
 		r.mask = make([]bool, len(d))
 	}
+	mask, d := r.mask[:len(src)], d[:len(src)]
 	for i, v := range src {
-		if v > 0 {
-			r.mask[i] = true
-			d[i] = v
-		} else {
-			r.mask[i] = false
-			d[i] = 0
-		}
+		pos := v > 0
+		mask[i] = pos
+		d[i] = keepIf(v, pos)
 	}
 	return out, nil
 }
@@ -114,14 +113,27 @@ func (r *ReLU) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error
 	out := matrix.RecycleNoClear(r.dx, grad.Rows(), grad.Cols())
 	r.dx = out
 	src, d := grad.Data(), out.Data()
+	mask, d := r.mask[:len(src)], d[:len(src)]
 	for i, v := range src {
-		if r.mask[i] {
-			d[i] = v
-		} else {
-			d[i] = 0
-		}
+		d[i] = keepIf(v, mask[i])
 	}
 	return out, nil
+}
+
+// keepIf is v when keep is set and +0 when not: v's bits ANDed with all
+// ones or with none, so no branch depends on keep.
+func keepIf(v float64, keep bool) float64 {
+	return math.Float64frombits(math.Float64bits(v) & -b2u(keep))
+}
+
+// b2u is 1 for true and 0 for false; the compiler reads the bool's byte
+// instead of branching on it.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // Parameters implements Layer.

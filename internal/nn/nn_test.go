@@ -97,6 +97,50 @@ func TestReLUGradients(t *testing.T) {
 	numericalGradCheck(t, NewReLU(), in, 1e-4)
 }
 
+// TestReLUBranchFreeMatchesBranchForm pins the bit-mask ReLU to the branch
+// form it replaced (Forward: x if x > 0, else 0; Backward: the gradient
+// where the input was positive, else 0) on the values a sign test can get
+// wrong: ±0, ±Inf, NaNs of either sign, subnormals, and every pairing of
+// them as input and gradient.
+func TestReLUBranchFreeMatchesBranchForm(t *testing.T) {
+	nan := math.NaN()
+	vals := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		nan, math.Copysign(nan, -1), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff0000000000001),
+		5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+		1.5, -1.5, math.MaxFloat64, -math.MaxFloat64,
+	}
+	var xs, gs []float64
+	for _, x := range vals {
+		for _, g := range vals {
+			xs, gs = append(xs, x), append(gs, g)
+		}
+	}
+	x, _ := matrix.FromSlice(len(vals), len(vals), xs)
+	grad, _ := matrix.FromSlice(len(vals), len(vals), gs)
+	r := NewReLU()
+	out, err := r.Forward(x, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, err := r.Backward(grad, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range xs {
+		wantOut, wantDX := 0.0, 0.0
+		if v > 0 {
+			wantOut, wantDX = v, gs[i]
+		}
+		if got := out.Data()[i]; math.Float64bits(got) != math.Float64bits(wantOut) {
+			t.Errorf("Forward(%v) = %v (%#x), branch form %v (%#x)", v, got, math.Float64bits(got), wantOut, math.Float64bits(wantOut))
+		}
+		if got := dx.Data()[i]; math.Float64bits(got) != math.Float64bits(wantDX) {
+			t.Errorf("Backward(%v) at input %v = %v (%#x), branch form %v (%#x)", gs[i], v, got, math.Float64bits(got), wantDX, math.Float64bits(wantDX))
+		}
+	}
+}
+
 func TestTanhGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	numericalGradCheck(t, NewTanh(), randInput(rng, 3, 4), 1e-4)
