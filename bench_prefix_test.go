@@ -98,10 +98,9 @@ func runPrefixBenchSearch(b *testing.B, seed int64, disableCache bool) *core.Sea
 
 // BenchmarkPrefixCacheSearch A/Bs the shared-prefix cache on the
 // 3x3x3x5-fold search. The cache-on run must produce the same winner as
-// the naive run bit for bit, hit the cache at least once, and — absent
-// evictions — perform no more prefix fits than there are distinct
-// (fold, prefix) pairs. CI runs it with -benchtime=1x, so it is the
-// redundant-work gate.
+// the naive run bit for bit, hit the cache at least once, and perform
+// exactly as many prefix fits as there are distinct (fold, prefix) pairs.
+// CI runs it with -benchtime=1x, so it is the redundant-work gate.
 func BenchmarkPrefixCacheSearch(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
@@ -125,7 +124,7 @@ func BenchmarkPrefixCacheSearch(b *testing.B) {
 				if st.Hits == 0 {
 					b.Fatalf("prefix cache never hit: %+v", st)
 				}
-				if st.Evictions == 0 && st.Fits > want {
+				if st.Fits != want {
 					b.Fatalf("cached search fitted %d prefixes for only %d distinct (fold,prefix) pairs", st.Fits, want)
 				}
 				b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit-rate")

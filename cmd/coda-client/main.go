@@ -300,8 +300,6 @@ func runSearch(ctx context.Context, args []string) error {
 		parallel  = fs.Int("parallelism", 0, "concurrent pipeline evaluations (0 = one per CPU)")
 		epochs    = fs.Int("epochs", 20, "network epochs (timeseries graph)")
 		top       = fs.Int("top", 5, "pipelines to print")
-		cacheMB   = fs.Int("prefix-cache-mb", core.DefaultPrefixCacheMB, "shared-prefix cache capacity in MiB")
-		noCache   = fs.Bool("no-prefix-cache", false, "disable the shared-prefix cache (re-fit every transformer prefix per unit, for A/B runs)")
 	)
 	ft := addFaultFlags(fs)
 	lf := addLogFlags(fs)
@@ -365,12 +363,10 @@ func runSearch(ctx context.Context, args []string) error {
 		splitter = crossval.SlidingSplit{K: *k, TrainSize: n / 2, TestSize: n / 6, Buffer: 8}
 	}
 	opts := core.SearchOptions{
-		Splitter:           splitter,
-		Scorer:             scorer,
-		Seed:               *seed,
-		Parallelism:        *parallel,
-		PrefixCacheMB:      *cacheMB,
-		DisablePrefixCache: *noCache,
+		Splitter:    splitter,
+		Scorer:      scorer,
+		Seed:        *seed,
+		Parallelism: *parallel,
 	}
 	if *server != "" {
 		hc := ft.client(*server, *clientID)
@@ -391,11 +387,9 @@ func runSearch(ctx context.Context, args []string) error {
 	fmt.Printf("dataset fingerprint: %s\n", ds.Fingerprint())
 	fmt.Printf("units: %d computed, %d from DARR, %d skipped (claimed elsewhere)\n",
 		res.Computed, res.CacheHits, res.Skipped)
-	if !*noCache {
-		p := res.Prefix
-		fmt.Printf("prefix cache: %d hits, %d misses, %d evictions (%d prefix fits for %d distinct fold-prefix pairs)\n",
-			p.Hits, p.Misses, p.Evictions, p.Fits, p.DistinctPrefixes)
-	}
+	p := res.Prefix
+	fmt.Printf("prefix cache: %d hits, %d misses (%d prefix fits for %d distinct fold-prefix pairs)\n",
+		p.Hits, p.Misses, p.Fits, p.DistinctPrefixes)
 	if res.Degraded > 0 {
 		fmt.Printf("degraded: %d units computed locally because the DARR was unreachable\n", res.Degraded)
 	}

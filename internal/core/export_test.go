@@ -1,5 +1,10 @@
 package core
 
+import "coda/internal/dataset"
+
+// DatasetBytes is the size the prefix cache charges an entry's dataset.
+func DatasetBytes(ds *dataset.Dataset) int64 { return datasetBytes(ds) }
+
 // ClaimAhead lets the external test package state the claim window's
 // bounds in terms of the constant the search uses.
 const ClaimAhead = claimAhead

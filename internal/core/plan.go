@@ -206,7 +206,7 @@ type nodePlan struct {
 // spec renders the node's spec under its share of the assignment at, once
 // per share. A node with no share renders as it is; otherwise the values
 // are set on a throwaway clone, in key order, so the graph's own
-// components are never written.
+// components are never written. A spec holding " -> " is an error.
 func (np *nodePlan) spec(at []int, keys []string, vals [][]float64) (string, error) {
 	share := 0
 	for _, j := range np.keys {
@@ -215,11 +215,10 @@ func (np *nodePlan) spec(at []int, keys []string, vals [][]float64) (string, err
 	if s := np.specs[share]; s != "" {
 		return s, nil
 	}
-	if len(np.keys) == 0 {
-		np.specs[0] = np.node.spec()
-		return np.specs[0], nil
+	c := np.node
+	if len(np.keys) > 0 {
+		c = np.node.clone()
 	}
-	c := np.node.clone()
 	for _, j := range np.keys {
 		v := vals[j][at[j]]
 		_, param, _ := strings.Cut(keys[j], "__")
@@ -227,6 +226,10 @@ func (np *nodePlan) spec(at []int, keys []string, vals [][]float64) (string, err
 			return "", gridError(keys[j], v, err)
 		}
 	}
-	np.specs[share] = c.spec()
-	return np.specs[share], nil
+	s := c.spec()
+	if strings.Contains(s, " -> ") { // the prefix cache cuts a unit's spec there
+		return "", fmt.Errorf("core: node %q renders as %q, which holds the pipeline separator \" -> \"", np.node.Name, s)
+	}
+	np.specs[share] = s
+	return s, nil
 }

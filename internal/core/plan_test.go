@@ -393,7 +393,7 @@ func TestWarmSearchInstantiatesNothing(t *testing.T) {
 	defer trace.SetEnabled(true)
 	trace.SetEnabled(false)
 	g := graph()
-	const want = 90
+	const want = 86
 	if got := testing.AllocsPerRun(10, func() {
 		if _, err := core.Search(context.Background(), g, ds, opts); err != nil {
 			t.Fatal(err)

@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coda/internal/core"
@@ -204,9 +206,9 @@ func TestPrefixCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestPrefixCacheStats checks the reuse accounting: with ample capacity
-// every distinct (fold, prefix) pair is fitted exactly once and shared
-// prefixes produce hits.
+// TestPrefixCacheStats checks the reuse accounting: every distinct
+// (fold, prefix) pair is fitted exactly once and shared prefixes produce
+// hits.
 func TestPrefixCacheStats(t *testing.T) {
 	scorer, _ := metrics.ScorerByName("rmse")
 	ds := regDS(t, 80)
@@ -226,11 +228,8 @@ func TestPrefixCacheStats(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatal("shared prefixes produced zero cache hits")
 	}
-	if st.Evictions != 0 {
-		t.Fatalf("default capacity evicted %d entries on a tiny dataset", st.Evictions)
-	}
 	if st.Fits != st.DistinctPrefixes {
-		t.Fatalf("fits=%d != distinct (fold,prefix) pairs=%d without evictions", st.Fits, st.DistinctPrefixes)
+		t.Fatalf("fits=%d != distinct (fold,prefix) pairs=%d", st.Fits, st.DistinctPrefixes)
 	}
 	// Figure 3 graph: 4 level-1 prefixes + 4x3 level-2 prefixes = 16
 	// distinct prefixes per fold.
@@ -368,38 +367,273 @@ func TestPrefixCacheBytesGauge(t *testing.T) {
 	}
 }
 
-// TestPrefixCacheEvictionStress forces constant evictions with the
-// smallest cap the option can express, 1 MiB, under a working set several
-// times that (the Figure 3 graph's 80 (fold, prefix) entries, the 40
-// full-width ones ~62 KB each) at Parallelism=8; results must still match
-// the naive path exactly. Run under -race this also exercises the
-// singleflight and LRU paths concurrently.
-func TestPrefixCacheEvictionStress(t *testing.T) {
+// TestPrefixCacheHoldsTheLiveSet: an entry is dropped when the last unit
+// that reads it settles, so at Parallelism 1 the cache holds the running
+// unit's prefixes and nothing else. A probe estimator reads the byte gauge
+// in every fold fit of the Figure 3 graph (4 scalers x 3 selector chains x
+// 2 models, K = 3). Each reading must equal the bytes of the running unit's
+// prefix entries that exist by then: its own up to the current fold, and
+// every fold of a prefix an earlier unit already fitted.
+func TestPrefixCacheHoldsTheLiveSet(t *testing.T) {
+	var mu sync.Mutex
+	var read []float64
+	probe := bytesProbe{headerSink{headerSpy{&mu, map[*dataset.Dataset]bool{}}}, &read}
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewStandardScaler(), preprocess.NewRobustScaler(), preprocess.NewNoOp())
+	g.AddFeatureSelectors(
+		[]core.Transformer{preprocess.NewCovariance(), preprocess.NewPCA(3)},
+		[]core.Transformer{preprocess.NewSelectKBest(3)},
+		[]core.Transformer{preprocess.NewNoOp()},
+	)
+	g.AddEstimatorStage("model", probe, probe)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	scorer, _ := metrics.ScorerByName("rmse")
+	opts := core.SearchOptions{Splitter: crossval.KFold{K: 3, Shuffle: true}, Scorer: scorer, Parallelism: 1, Seed: 5}
+	ds := regDS(t, 80)
+
+	// want holds, per fold fit in the order a serial search makes them,
+	// the bytes of the running unit's entries, sized by fitting each of its
+	// prefixes by hand on each fold.
+	splits, err := opts.Splitter.Splits(ds.NumSamples(), rand.New(rand.NewSource(opts.Seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(ds *dataset.Dataset, err error) *dataset.Dataset {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	var want []int64
+	fitted := map[string]bool{}
+	for _, path := range g.Paths() {
+		p, err := core.NewPipeline(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := p.PrefixSpecs()
+		size := make([][]int64, len(specs)) // by depth, then fold
+		for d := range size {
+			size[d] = make([]int64, len(splits))
+		}
+		for f, sp := range splits {
+			train, test := ds.Subset(sp.Train), ds.Subset(sp.Test)
+			for d, node := range path[:len(path)-1] {
+				fit := make([]core.Transformer, len(node.Transformers))
+				for i, tr := range node.Transformers {
+					fit[i] = tr.Clone()
+					if err := fit[i].Fit(train); err != nil {
+						t.Fatal(err)
+					}
+					train = must(fit[i].Transform(train))
+				}
+				for _, tr := range fit {
+					test = must(tr.Transform(test))
+				}
+				size[d][f] = core.DatasetBytes(train) + core.DatasetBytes(test)
+			}
+		}
+		for f := range splits {
+			var live int64
+			for d, spec := range specs {
+				for h := range splits {
+					if h <= f || fitted[spec] {
+						live += size[d][h]
+					}
+				}
+			}
+			want = append(want, live)
+		}
+		for _, spec := range specs {
+			fitted[spec] = true
+		}
+	}
+
+	start := scrapeSeries(t, "coda_search_prefix_cache_bytes")
+	if _, err := core.Search(context.Background(), g, ds, opts); err != nil {
+		t.Fatal(err)
+	}
+	if len(read) != len(want) {
+		t.Fatalf("estimator fitted %d times, want %d", len(read), len(want))
+	}
+	for i, v := range read {
+		if got := int64(v - start); got != want[i] {
+			t.Errorf("unit %d fold %d: the cache held %d bytes, want the unit's own %d", i/len(splits), i%len(splits), got, want[i])
+		}
+	}
+	if end := scrapeSeries(t, "coda_search_prefix_cache_bytes"); end != start {
+		t.Errorf("gauge %v after Search returned, started at %v", end, start)
+	}
+}
+
+// peerStore is a memBatchStore beside a peer that holds the keys in held
+// and publishes their scores when the search flushes, that is before it
+// looks up the units it deferred.
+type peerStore struct {
+	*memBatchStore
+	held map[string]float64
+}
+
+func (p peerStore) Flush(ctx context.Context) error {
+	p.mu.Lock()
+	for k, v := range p.held {
+		p.scores[k] = v
+		delete(p.claimed, k)
+	}
+	p.mu.Unlock()
+	return p.memBatchStore.Flush(ctx)
+}
+
+// failingPCA is a PCA whose fit always fails.
+type failingPCA struct{ core.Transformer }
+
+func (f failingPCA) Clone() core.Transformer { return failingPCA{f.Transformer.Clone()} }
+func (failingPCA) Fit(*dataset.Dataset) error {
+	return errors.New("pca eigendecomposition did not converge")
+}
+
+// TestPrefixCacheSettleStress drives every way a unit settles through the
+// Figure 3 graph over a 480x16 dataset at Parallelism 8 (under -race, the
+// singleflight joins and the drops run concurrently): computed; failed, on
+// a PCA path whose fit fails; a hit a
+// store pre-published; a unit a peer holds, deferred and then a hit; and a
+// search cancelled mid-run. Every computed score equals the uncached
+// search's bit for bit, each hit carries its mean, the byte gauge is back
+// at its start after each search, and a search that computes every unit
+// fits each (fold, prefix) pair once.
+func TestPrefixCacheSettleStress(t *testing.T) {
 	scorer, _ := metrics.ScorerByName("rmse")
 	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 480, Features: 16, Informative: 6, Noise: 1}, rand.New(rand.NewSource(17)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := core.SearchOptions{
-		Splitter:      crossval.KFold{K: 5, Shuffle: true},
-		Scorer:        scorer,
-		Parallelism:   8,
-		Seed:          11,
-		PrefixCacheMB: 1,
+		Splitter:    crossval.KFold{K: 5, Shuffle: true},
+		Scorer:      scorer,
+		Parallelism: 8,
+		Seed:        11,
 	}
-	on, err := core.Search(context.Background(), searchGraphs()["fig3"](), ds, opts)
+	start := scrapeSeries(t, "coda_search_prefix_cache_bytes")
+	search := func(ctx context.Context, g *core.Graph, opts core.SearchOptions) (*core.SearchResult, error) {
+		t.Helper()
+		res, err := core.Search(ctx, g, ds, opts)
+		if end := scrapeSeries(t, "coda_search_prefix_cache_bytes"); end != start {
+			t.Errorf("gauge %v after Search returned, started at %v", end, start)
+		}
+		return res, err
+	}
+
+	on, err := search(context.Background(), searchGraphs()["fig3"](), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Prefix.Evictions == 0 {
-		t.Fatalf("tiny cap produced no evictions: %+v", on.Prefix)
+	if st := on.Prefix; st.Fits != st.DistinctPrefixes || st.Hits == 0 {
+		t.Errorf("every unit computed: %+v, want fits == distinct pairs and some hits", st)
 	}
-	opts.DisablePrefixCache = true
-	off, err := core.Search(context.Background(), searchGraphs()["fig3"](), ds, opts)
+	noCache := opts
+	noCache.DisablePrefixCache = true
+	off, err := search(context.Background(), searchGraphs()["fig3"](), noCache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSearchEquivalent(t, on, off)
+
+	// The same units beside a failing PCA path, against a store holding a
+	// third of them published and a peer holding another third.
+	ref := map[string]core.UnitResult{}
+	store := peerStore{newMemBatchStore("me"), map[string]float64{}}
+	for i, u := range off.Units {
+		ref[u.Spec] = u
+		key := core.UnitKey(ds.Fingerprint(), u.Spec, core.EvalSpec(opts))
+		switch i % 3 {
+		case 0:
+			store.scores[key] = u.Mean
+		case 1:
+			store.claimed[key] = "peer"
+			store.held[key] = u.Mean
+		}
+	}
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewStandardScaler(), preprocess.NewRobustScaler(), preprocess.NewNoOp())
+	g.AddFeatureSelectors(
+		[]core.Transformer{preprocess.NewCovariance(), preprocess.NewPCA(3)},
+		[]core.Transformer{preprocess.NewSelectKBest(3)},
+		[]core.Transformer{preprocess.NewNoOp()},
+		[]core.Transformer{failingPCA{preprocess.NewPCA(2)}},
+	)
+	g.AddRegressionModels(mlmodels.NewDecisionTree(mlmodels.TreeRegression), mlmodels.NewKNN(mlmodels.KNNRegression, 5))
+	withStore := opts
+	withStore.Store = store
+	res, err := search(context.Background(), g, withStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, u := range res.Units {
+		want, ok := ref[u.Spec]
+		switch {
+		case !ok:
+			if u.Err == "" {
+				t.Errorf("%s: want the failing PCA path to fail", u.Spec)
+			}
+			failed++
+		case u.FromCache:
+			if math.Float64bits(u.Mean) != math.Float64bits(want.Mean) {
+				t.Errorf("%s: hit mean %v, want %v", u.Spec, u.Mean, want.Mean)
+			}
+		case u.Err != "":
+			t.Errorf("%s failed: %s", u.Spec, u.Err)
+		default:
+			for f := range want.Scores {
+				if math.Float64bits(u.Scores[f]) != math.Float64bits(want.Scores[f]) {
+					t.Fatalf("%s fold %d: score %v, uncached %v", u.Spec, f, u.Scores[f], want.Scores[f])
+				}
+			}
+		}
+	}
+	if want := 2 * len(off.Units) / 3; res.CacheHits != want || failed != 8 || res.Computed != len(off.Units)-want {
+		t.Errorf("with a store: %d hits, %d failed, %d computed; want %d, 8, %d", res.CacheHits, failed, res.Computed, want, len(off.Units)-want)
+	}
+	if st := res.Prefix; st.Fits > st.DistinctPrefixes {
+		t.Errorf("with a store: %d fits for %d distinct pairs", st.Fits, st.DistinctPrefixes)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var scored atomic.Int64
+	cancelling := opts
+	cancelling.Scorer.Fn = func(y, yhat []float64) (float64, error) {
+		if scored.Add(1) == 20 {
+			cancel()
+		}
+		return scorer.Fn(y, yhat)
+	}
+	if _, err := search(ctx, searchGraphs()["fig3"](), cancelling); err == nil {
+		t.Fatal("want the cancelled search to fail")
+	}
+}
+
+// arrowNamed is a pass-through transformer whose name holds the pipeline
+// separator.
+type arrowNamed struct{ headerSpy }
+
+func (arrowNamed) Name() string { return "a -> b" }
+
+// TestSpecSeparatorInANameFails: a unit's prefixes are cut from its spec
+// at " -> ", so a node whose spec holds the separator fails the search
+// rather than sharing a wrong prefix.
+func TestSpecSeparatorInANameFails(t *testing.T) {
+	g := core.NewGraph()
+	g.AddTransformerStage("pass", arrowNamed{headerSpy{&sync.Mutex{}, map[*dataset.Dataset]bool{}}})
+	g.AddRegressionModels(mlmodels.NewLinearRegression())
+	scorer, _ := metrics.ScorerByName("rmse")
+	_, err := core.Search(context.Background(), g, regDS(t, 40), core.SearchOptions{Splitter: crossval.KFold{K: 2}, Scorer: scorer})
+	if err == nil || !strings.Contains(err.Error(), `"a -> b"`) {
+		t.Fatalf("search over a node named %q: err %v, want the name refused", "a -> b", err)
+	}
 }
 
 // TestFailedUnitsStayInLatencyHistogram locks in the fix for failed units

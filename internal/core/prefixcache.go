@@ -1,8 +1,8 @@
 package core
 
 import (
-	"container/list"
 	"context"
+	"strings"
 	"sync"
 
 	"coda/internal/crossval"
@@ -18,8 +18,10 @@ import (
 // even though only S*K distinct scaler fits exist. The fold plan
 // materializes each CV split's train/test datasets once per search, and
 // the prefix cache memoizes (fold, canonical prefix spec) -> transformed
-// train/test datasets behind a byte-bounded LRU with singleflight
-// deduplication, so concurrent workers never fit the same prefix twice.
+// train/test datasets with singleflight deduplication, so concurrent
+// workers never fit the same prefix twice. The plan decides what it holds:
+// each prefix counts the unsettled units that read it, and its entries on
+// every fold are dropped when the last of them settles, however it does.
 //
 // The cache is a memo around the one per-node step (Node.fitTransform) and
 // nothing more: a fold walk asks it for each level of the unit's prefix in
@@ -36,36 +38,30 @@ import (
 // Prefix-cache telemetry: the scoreboard for the within-client reuse
 // claim, mirroring the DARR counters for the cross-client one.
 var (
-	mPrefixHits      = obs.GetCounter("coda_search_prefix_cache_hits_total")
-	mPrefixMisses    = obs.GetCounter("coda_search_prefix_cache_misses_total")
-	mPrefixEvictions = obs.GetCounter("coda_search_prefix_cache_evictions_total")
-	mPrefixFits      = obs.GetCounter("coda_search_prefix_fits_total")
-	// gPrefixBytes is the estimated size of the cached datasets, the
-	// quantity -prefix-cache-mb bounds.
+	mPrefixHits   = obs.GetCounter("coda_search_prefix_cache_hits_total")
+	mPrefixMisses = obs.GetCounter("coda_search_prefix_cache_misses_total")
+	mPrefixFits   = obs.GetCounter("coda_search_prefix_fits_total")
+	// gPrefixBytes is the estimated size of the datasets cached entries
+	// hold: the live set, the prefixes some unsettled unit still reads.
 	gPrefixBytes = obs.GetGauge("coda_search_prefix_cache_bytes")
 	mFoldsBuilt  = obs.GetCounter("coda_search_fold_datasets_total")
 )
 
-// DefaultPrefixCacheMB is the prefix-cache capacity used when
-// SearchOptions leaves PrefixCacheMB zero.
-const DefaultPrefixCacheMB = 64
-
 // PrefixCacheStats reports how one search's shared-prefix cache behaved.
-// Absent evictions, Fits == DistinctPrefixes: every distinct
-// (fold, prefix) pair was fitted exactly once no matter how many units
-// shared it. The bench suite gates on that invariant.
+// An entry is dropped only once no unit will read it, so every distinct
+// (fold, prefix) pair is fitted at most once no matter how many units
+// share it, and Fits == DistinctPrefixes on a search that computes all its
+// units. The bench suite gates on that invariant.
 type PrefixCacheStats struct {
 	// Hits counts prefix resolutions served from the cache, including
 	// waits on an in-flight computation (singleflight joins).
 	Hits int64
 	// Misses counts resolutions that had to compute the prefix.
 	Misses int64
-	// Evictions counts completed entries dropped by the byte-bounded LRU.
-	Evictions int64
 	// Fits counts transformer-node fit+transform computations performed.
 	Fits int64
-	// DistinctPrefixes counts distinct (fold, prefix spec) pairs the
-	// search requested — the floor for Fits.
+	// DistinctPrefixes counts the distinct (fold, prefix spec) pairs the
+	// units planned for the cache read — the floor for Fits.
 	DistinctPrefixes int64
 	// Folds is the number of materialized cross-validation splits.
 	Folds int
@@ -89,109 +85,105 @@ func materializeFolds(ds *dataset.Dataset, splits []crossval.Split) []foldData {
 	return folds
 }
 
-// prefixKey identifies one cached computation: a fold index plus the
-// canonical spec of the transformer prefix (node component names with
-// resolved parameter values, rendered by Pipeline.PrefixSpecs).
-type prefixKey struct {
-	fold int
-	spec string
-}
-
-// prefixEntry is one cache slot. done closes when the computation
-// finishes; waiters block on it (singleflight). Results are written
-// before close, so receivers observe them without further locking.
+// prefixEntry is one (fold, prefix) slot. done is nil until a unit asks
+// for it, and closes when the computation finishes; waiters block on it
+// (singleflight). Results are written before close, so receivers observe
+// them without further locking. Error entries are kept too (fits are
+// deterministic, so the error would simply recur) at zero size.
 type prefixEntry struct {
-	key         prefixKey
 	done        chan struct{}
 	train, test *dataset.Dataset
 	err         error
 	size        int64
-	// ready flips under the cache lock when results are in; only ready
-	// entries are evictable, so an in-flight computation is never torn
-	// out from under its waiters.
-	ready bool
-	// evicted marks entries removed from the LRU; a computation that
-	// finishes after its entry was evicted skips byte accounting.
-	evicted bool
 }
 
-// prefixCache memoizes fitted transformer prefixes for one search. It is
-// byte-bounded: completed entries are LRU-evicted once the total
-// estimated dataset size exceeds maxBytes. Error entries are cached too
-// (fits are deterministic, so the error would simply recur) at zero cost.
+// prefixCache memoizes fitted transformer prefixes for one search, in a
+// table of slots indexed fold*len(refs) + prefix id.
 type prefixCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	entries  map[prefixKey]*list.Element
-	ll       *list.List // of *prefixEntry; front = most recently used
-	// seen records every key ever requested, never evicted, so stats can
-	// report the distinct-pair floor for Fits.
-	seen map[prefixKey]struct{}
+	mu    sync.Mutex
+	ids   [][]int // by unit: its prefix ids, shallowest first; nil for a unit outside the plan
+	refs  []int   // by prefix id: the unsettled units that read it
+	slots []prefixEntry
+	bytes int64
 
-	hits, misses, evictions, fits int64
+	hits, misses int64
 }
 
-func newPrefixCache(maxBytes int64) *prefixCache {
-	if maxBytes <= 0 {
-		maxBytes = int64(DefaultPrefixCacheMB) << 20
+// newPrefixCache plans the cache for every unit whose result is not yet
+// in results — the ones the dispatcher has not settled. A unit's prefix
+// ids are interned from its planned spec cut before each " -> " after the
+// first, the bytes Pipeline.PrefixSpecs renders (no node spec holds the
+// separator: planUnits refuses one), so identical prefixes on different
+// graph nodes share an id, and nothing is built or rendered.
+func newPrefixCache(units []searchUnit, results []UnitResult, folds int) *prefixCache {
+	const sep = " -> "
+	c := &prefixCache{ids: make([][]int, len(units))}
+	var all []int // every unit's ids, end to end
+	intern := map[string]int{}
+	for i := range units {
+		if results[i].Spec != "" {
+			continue
+		}
+		spec, from, end := units[i].spec, len(all), len("input")
+		for d := 1; d < len(units[i].path); d++ {
+			end += len(sep) + strings.Index(spec[end+len(sep):], sep)
+			id, ok := intern[spec[:end]]
+			if !ok {
+				id = len(c.refs)
+				intern[spec[:end]] = id
+				c.refs = append(c.refs, 0)
+			}
+			c.refs[id]++
+			all = append(all, id)
+		}
+		c.ids[i] = all[from:len(all):len(all)]
 	}
-	return &prefixCache{
-		maxBytes: maxBytes,
-		entries:  map[prefixKey]*list.Element{},
-		ll:       list.New(),
-		seen:     map[prefixKey]struct{}{},
-	}
+	c.slots = make([]prefixEntry, folds*len(c.refs))
+	return c
 }
 
-// getOrCompute returns the cached datasets for key, joining an in-flight
-// computation when one exists, or computes them — step applied to the level
-// above, (train, test) — and caches them; served reports which (true: from
-// the cache or a peer's in-flight fit, false: step ran here). Waiting
-// respects ctx so a cancelled search never blocks on a peer's fit.
-func (c *prefixCache) getOrCompute(ctx context.Context, key prefixKey, train, test *dataset.Dataset, step func(train, test *dataset.Dataset) (*dataset.Dataset, *dataset.Dataset, error)) (trainOut, testOut *dataset.Dataset, served bool, err error) {
+// getOrCompute returns the datasets of prefix id on fold, joining an
+// in-flight computation when one exists, or computes them — step applied to
+// the level above, (train, test) — and keeps them; served reports which
+// (true: from the cache or a peer's in-flight fit, false: step ran here).
+// Waiting respects ctx so a cancelled search never blocks on a peer's fit.
+func (c *prefixCache) getOrCompute(ctx context.Context, fold, id int, train, test *dataset.Dataset, step func(train, test *dataset.Dataset) (*dataset.Dataset, *dataset.Dataset, error)) (trainOut, testOut *dataset.Dataset, served bool, err error) {
 	c.mu.Lock()
-	c.seen[key] = struct{}{}
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*prefixEntry)
-		c.ll.MoveToFront(el)
+	e := &c.slots[fold*len(c.refs)+id]
+	if done := e.done; done != nil {
 		c.hits++
 		c.mu.Unlock()
 		mPrefixHits.Inc()
 		select {
-		case <-e.done:
+		case <-done:
 			return e.train, e.test, true, e.err
 		case <-ctx.Done():
 			return nil, nil, true, ctx.Err()
 		}
 	}
-	e := &prefixEntry{key: key, done: make(chan struct{})}
-	el := c.ll.PushFront(e)
-	c.entries[key] = el
+	done := make(chan struct{})
+	e.done = done
 	c.misses++
-	c.fits++
 	c.mu.Unlock()
 	mPrefixMisses.Inc()
 	mPrefixFits.Inc()
 
 	trainOut, testOut, err = step(train, test)
-
-	c.mu.Lock()
-	e.train, e.test, e.err = trainOut, testOut, err
+	var size int64
 	if err == nil {
 		// Conservative estimate: pass-through nodes (NoOp) alias their
-		// input datasets, so an aliased entry is charged again; that only
-		// makes eviction earlier, never correctness-relevant.
-		e.size = datasetBytes(trainOut) + datasetBytes(testOut)
+		// input datasets, so an aliased entry is charged again.
+		size = datasetBytes(trainOut) + datasetBytes(testOut)
 	}
-	e.ready = true
-	if !e.evicted {
-		c.bytes += e.size
-		gPrefixBytes.Add(float64(e.size))
-		c.evictLocked(el)
-	}
+
+	// The unit computing the entry has not settled, so its id's count is
+	// above zero and the slot is still this entry.
+	c.mu.Lock()
+	e.train, e.test, e.err, e.size = trainOut, testOut, err, size
+	c.bytes += size
+	gPrefixBytes.Add(float64(size))
 	c.mu.Unlock()
-	close(e.done)
+	close(done)
 	return trainOut, testOut, false, err
 }
 
@@ -208,37 +200,35 @@ func datasetBytes(ds *dataset.Dataset) int64 {
 	return n + 64
 }
 
-// evictLocked drops least-recently-used completed entries until the cache
-// fits its byte bound. In-flight entries and keep are never evicted, so a
-// single oversized entry can briefly pin the cache above its cap; it
-// becomes evictable as soon as anything newer lands. Caller holds c.mu.
-func (c *prefixCache) evictLocked(keep *list.Element) {
-	for c.bytes > c.maxBytes {
-		el := c.ll.Back()
-		for el != nil {
-			e := el.Value.(*prefixEntry)
-			if el != keep && e.ready {
-				break
-			}
-			el = el.Prev()
+// settle records that unit will read no prefix again, whatever its
+// outcome: each of its ids loses one reader, and an id left with none has
+// its entries dropped on every fold. Every unit in the plan settles once.
+// A nil cache (disabled, or not planned yet) holds nothing.
+func (c *prefixCache) settle(unit int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, id := range c.ids[unit] {
+		if c.refs[id]--; c.refs[id] > 0 {
+			continue
 		}
-		if el == nil {
-			return
+		for i := id; i < len(c.slots); i += len(c.refs) {
+			c.bytes -= c.slots[i].size
+			gPrefixBytes.Add(-float64(c.slots[i].size))
+			c.slots[i] = prefixEntry{}
 		}
-		e := el.Value.(*prefixEntry)
-		c.ll.Remove(el)
-		delete(c.entries, e.key)
-		e.evicted = true
-		c.bytes -= e.size
-		gPrefixBytes.Add(-float64(e.size))
-		c.evictions++
-		mPrefixEvictions.Inc()
 	}
 }
 
-// release returns the cache's bytes to the process-wide gauge when the
-// search finishes; entry data is garbage as soon as callers drop it.
+// release returns what the cache still holds to the process-wide gauge
+// when the search ends; that is nothing unless it ended early, with units
+// of the plan unsettled.
 func (c *prefixCache) release() {
+	if c == nil {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	gPrefixBytes.Add(-float64(c.bytes))
@@ -252,9 +242,8 @@ func (c *prefixCache) stats(folds int) PrefixCacheStats {
 	return PrefixCacheStats{
 		Hits:             c.hits,
 		Misses:           c.misses,
-		Evictions:        c.evictions,
-		Fits:             c.fits,
-		DistinctPrefixes: int64(len(c.seen)),
+		Fits:             c.misses,
+		DistinctPrefixes: int64(len(c.slots)),
 		Folds:            folds,
 	}
 }

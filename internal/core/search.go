@@ -124,13 +124,10 @@ type SearchOptions struct {
 	Parallelism int
 	// DisablePrefixCache turns off the shared-prefix computation cache:
 	// every unit then re-fits its full transformer chain per fold, by the
-	// same per-node step with no memo around it. Mainly for A/B
-	// measurement; results are bit-identical either way.
+	// same per-node step with no memo around it. It is the reference the
+	// cached path is tested and benchmarked against; results are
+	// bit-identical either way.
 	DisablePrefixCache bool
-	// PrefixCacheMB caps the prefix cache's estimated memory in MiB
-	// (0 = DefaultPrefixCacheMB). Least-recently-used fitted prefixes are
-	// evicted past the cap and transparently refitted on demand.
-	PrefixCacheMB int
 	// Seed drives fold shuffling, shared across clients so cooperating
 	// searches agree on the evaluation (part of the DARR key).
 	Seed int64
@@ -271,16 +268,14 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		return nil, err
 	}
 
-	var cache *prefixCache
-	if !opts.DisablePrefixCache {
-		cache = newPrefixCache(int64(opts.PrefixCacheMB) << 20)
-		defer cache.release()
-	}
 	// The fold plan: every computed unit shares one materialized
-	// train/test pair per split. The splits are drawn and the pairs built
-	// when the first unit is handed to a worker, so a search the store
-	// settles entirely makes neither.
+	// train/test pair per split. The prefix plan: the prefix cache, sized
+	// to the units still unsettled. The splits are drawn, the pairs built
+	// and the cache planned when the first unit is handed to a worker, so
+	// a search the store settles entirely makes none of them.
 	var folds []foldData
+	var cache *prefixCache
+	defer func() { cache.release() }()
 
 	var wg sync.WaitGroup
 	win := newClaimWindow(ctx, opts, units, wg.Wait)
@@ -298,6 +293,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		if h.plan == planHit || h.plan == planSkipped {
 			// Settled by the store: nothing to run, so no worker.
 			results[u.index] = settledUnit(ctx, u, h)
+			cache.settle(u.index)
 			continue
 		}
 		if folds == nil {
@@ -313,6 +309,9 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 				return nil, fmt.Errorf("core: computing folds: %w", err)
 			}
 			folds = materializeFolds(ds, splits)
+			if !opts.DisablePrefixCache {
+				cache = newPrefixCache(units, results, len(folds))
+			}
 			searchSpan.SetAttr(trace.Int("folds", len(folds)))
 		}
 		wg.Add(1)
@@ -331,6 +330,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 			defer wg.Done()
 			defer func() { <-sem }()
 			results[u.index] = evaluateUnit(ctx, u, h, folds, cache, evalSpec, opts)
+			cache.settle(u.index) // before the slot frees, so the next unit finds the entries dropped
 		}()
 	}
 	wg.Wait()
@@ -382,8 +382,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		"parallelism", opts.Parallelism, "kernel_workers", matrix.Parallelism(),
 		"computed", res.Computed, "cache_hits", res.CacheHits,
 		"skipped", res.Skipped, "failed", failed, "degraded", res.Degraded,
-		"prefix_hits", res.Prefix.Hits, "prefix_misses", res.Prefix.Misses,
-		"prefix_evictions", res.Prefix.Evictions)
+		"prefix_hits", res.Prefix.Hits, "prefix_misses", res.Prefix.Misses)
 	if res.Degraded > 0 {
 		opts.Logger.Warn("search degraded: result store unavailable for some units",
 			"request_id", obs.RequestID(ctx), "degraded", res.Degraded, "units", len(results))
@@ -549,25 +548,25 @@ func evaluateUnit(ctx context.Context, u *searchUnit, h handoff, folds []foldDat
 
 // computeUnitScores builds the unit's pipeline and runs it over every
 // materialized fold. With a prefix cache, each level of the unit's
-// transformer prefix is fetched from it (computed and cached when missing);
-// without one every level is computed in place. Both run the same per-node
-// step on the same data, so scores are bit-identical — the cache only
-// removes repetition.
+// transformer prefix is fetched from it (computed and cached when missing)
+// by the id the plan gave it; without one every level is computed in
+// place. Both run the same per-node step on the same data, so scores are
+// bit-identical — the cache only removes repetition.
 func computeUnitScores(ctx context.Context, u *searchUnit, folds []foldData, cache *prefixCache, opts SearchOptions) ([]float64, error) {
 	p, err := u.build()
 	if err != nil {
 		return nil, err
 	}
-	var prefixes []string
+	var ids []int
 	if cache != nil {
-		prefixes = p.PrefixSpecs()
+		ids = cache.ids[u.index]
 	}
 	scores := make([]float64, 0, len(folds))
 	for fi, fd := range folds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		score, err := scoreFold(ctx, p, fi, fd, cache, prefixes, opts)
+		score, err := scoreFold(ctx, p, fi, fd, cache, ids, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -583,7 +582,7 @@ func computeUnitScores(ctx context.Context, u *searchUnit, folds []foldData, cac
 // the level above — through the cache's memo when there is one — and then
 // fits a clone of the estimator on the result. p's own components are never
 // fitted: they are the template every fold clones.
-func scoreFold(ctx context.Context, p *Pipeline, fi int, fd foldData, cache *prefixCache, prefixes []string, opts SearchOptions) (float64, error) {
+func scoreFold(ctx context.Context, p *Pipeline, fi int, fd foldData, cache *prefixCache, ids []int, opts SearchOptions) (float64, error) {
 	_, fsp := trace.Start(ctx, "search.fold_fit")
 	if fsp != nil {
 		fsp.SetComponent(trace.CompCompute)
@@ -607,7 +606,7 @@ func scoreFold(ctx context.Context, p *Pipeline, fi int, fd foldData, cache *pre
 			train, test, err = step(train, test)
 		} else {
 			var served bool
-			train, test, served, err = cache.getOrCompute(ctx, prefixKey{fold: fi, spec: prefixes[d]}, train, test, step)
+			train, test, served, err = cache.getOrCompute(ctx, fi, ids[d], train, test, step)
 			if served {
 				hits++
 			} else {
