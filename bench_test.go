@@ -8,15 +8,20 @@
 package coda_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"coda/internal/core"
+	"coda/internal/crossval"
 	"coda/internal/dataset"
 	"coda/internal/delta"
 	"coda/internal/experiments"
 	"coda/internal/matrix"
+	"coda/internal/metrics"
 	"coda/internal/sim"
 	"coda/internal/store"
+	"coda/internal/tsgraph"
 	"coda/internal/tswindow"
 )
 
@@ -204,5 +209,44 @@ func BenchmarkAblationSearchParallelism(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkColdTSSearch is one cold Fig 11 search in the shape of the
+// end-to-end benchmark's search-cold-ts workload: a 400-step AR series over
+// 2 variables, History 8, 5 epochs, SlidingSplit K = 3, two workers and no
+// result store, so every unit is fold fits and nothing else. A CPU profile
+// of the fold fits at the size that workload times is
+//
+//	go test -run '^$' -bench BenchmarkColdTSSearch -cpuprofile cpu.out .
+func BenchmarkColdTSSearch(b *testing.B) {
+	series, err := sim.GenerateSeries(sim.SeriesSpec{Steps: 400, Vars: 2, Regime: sim.RegimeAR}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	scorer, err := metrics.ScorerByName("rmse")
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := series.NumSamples()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g, err := tsgraph.New(tsgraph.Config{History: 8, Epochs: 5, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Search(context.Background(), g, series, core.SearchOptions{
+			Splitter:    crossval.SlidingSplit{K: 3, TrainSize: n / 2, TestSize: n / 6, Buffer: 8},
+			Scorer:      scorer,
+			Parallelism: 2,
+			Seed:        1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Best == nil || res.Computed != 48 {
+			b.Fatalf("%d of 48 units computed, best %v", res.Computed, res.Best)
+		}
 	}
 }

@@ -226,3 +226,39 @@ func BenchmarkKernelActivations(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkElementwiseKernels times the block and element-wise kernels on
+// each path at the fold fit's shapes, in ns per element: a Conv1D tap
+// block of 8 steps at 2 and 8 channels (kernel 3, so the cols rows are 3
+// taps wide), and the element-wise passes over a 256 x 8 activation block
+// and a 24-element bias.
+func BenchmarkElementwiseKernels(b *testing.B) {
+	src := benchMat(1, 2048, 13).Row(0)
+	sel, w := benchMat(1, 2048, 14).Row(0), benchMat(1, 2048, 15).Row(0)
+	dst, m, v := make([]float64, 2048), make([]float64, 2048), make([]float64, 2048)
+	k := &AdamCoeffs{0.9, 0.1, 0.999, 0.001, 1e-3, 0.1, 0.001, 1e-8}
+	run := func(l level, name string, elems int, fn func()) {
+		b.Run(l.String()+"/"+name, func(b *testing.B) {
+			onLevel(l, func() {
+				for i := 0; i < b.N; i++ {
+					fn()
+				}
+			})
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
+		})
+	}
+	for _, l := range kernelPaths(b) {
+		for _, ch := range []int{2, 8} {
+			run(l, fmt.Sprintf("CopyBlock/8x%d", ch), 8*ch, func() { copyBlock(dst, 3*ch, src, ch, 8, ch) })
+			run(l, fmt.Sprintf("AddBlock/8x%d", ch), 8*ch, func() { addBlock(dst, ch, src, 3*ch, 8, ch) })
+		}
+		for _, n := range []int{2048, 24} {
+			d, s, e := dst[:n], src[:n], sel[:n]
+			run(l, fmt.Sprintf("AddInto/%d", n), n, func() { addElems(d, s, e) })
+			run(l, fmt.Sprintf("MulElems/%d", n), n, func() { mulElems(d, s, e) })
+			run(l, fmt.Sprintf("KeepPositive/%d", n), n, func() { keepPositive(d, s, e) })
+			run(l, fmt.Sprintf("DropoutApply/%d", n), n, func() { copy(m, e); dropoutApply(m[:n], d, s, 0.8, 1.25) })
+			run(l, fmt.Sprintf("AdamUpdate/%d", n), n, func() { adamUpdate(w[:n], s, m[:n], v[:n], k) })
+		}
+	}
+}

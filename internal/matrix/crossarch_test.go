@@ -36,42 +36,59 @@ func arm64Asm(t *testing.T, pkg string) map[string]string {
 	return funcs
 }
 
-// fusedAllowed names the package's functions that may compile to a fused
-// multiply-add on arm64, each with the reason no score reads its
-// rounding. It is empty: every function is held to the rule.
+// fusedAllowed names the functions (full symbol names) that may compile to
+// a fused multiply-add on arm64, each with the reason no score reads its
+// rounding. It is empty: every function of every scanned package is held to
+// the rule.
 var fusedAllowed = map[string]string{}
 
-// TestActivationTwinNotFusedOnArm64 is the cross-architecture half of the
-// package's bitwise contract: no function of the package compiles to a
-// fused multiply-add on arm64 unless fusedAllowed names it, so every
-// product is rounded as an amd64 machine rounds it — the twins arm64 runs
-// for the row kernel, the activations and the LSTM step, the least-squares
-// solve, and the column statistics, covariance and eigensolver under the
-// scalers and PCA. The named twins must be in the listing, so a scan that
-// parsed nothing cannot pass. The fixture in testdata/fmafixture is the
-// control — a plain p*r + c that must compile to FMADDD, or the scan could
-// not fail.
-func TestActivationTwinNotFusedOnArm64(t *testing.T) {
-	const pkg = "coda/internal/matrix."
-	listing := arm64Asm(t, ".")
-	for _, fn := range []string{
+// fusedScans are the packages the scan holds to the rule, each with
+// functions that must be in its listing, so a scan that parsed nothing
+// cannot pass: in matrix the twins arm64 runs for the row kernel, the
+// activations, the LSTM step and the element-wise kernels, the
+// least-squares solve, and the column statistics, covariance and
+// eigensolver under the scalers and PCA; in nn the optimizers, the layers'
+// own arithmetic, the loss and the weight initialisers.
+var fusedScans = []struct {
+	dir, pkg string
+	must     []string
+}{
+	{".", "coda/internal/matrix", []string{
 		"sigmoidGeneric", "tanhGeneric", "expCore",
 		"SolveLeastSquares", "reflect",
-		"lstmCellGeneric", "lstmHiddenGeneric", "lstmGateGradsGeneric",
+		"lstmCellGeneric", "lstmGateGradsGeneric",
+		"adamUpdateGeneric", "dropoutApplyGeneric", "mulElemsGeneric",
 		"mulRowsGeneric[go.shape.float64]",
 		"(*Mat[go.shape.float64]).ColMeansStds", "(*Mat[go.shape.float64]).Covariance", "SymEig",
-	} {
-		if _, ok := listing[pkg+fn]; !ok {
-			t.Errorf("no arm64 listing for %s", fn)
+	}},
+	{"../nn", "coda/internal/nn", []string{
+		"(*SGD).Step", "(*Tanh).Backward", "(*GatedResidualBlock).Backward", "MSELoss", "signedUniform",
+		"NewConv1D", "NewDense", "NewLSTM",
+	}},
+}
+
+// TestActivationTwinNotFusedOnArm64 is the cross-architecture half of the
+// kernels' bitwise contract: no function of a scanned package compiles to
+// a fused multiply-add on arm64 unless fusedAllowed names it, so every
+// product is rounded as an amd64 machine rounds it. The fixture in
+// testdata/fmafixture is the control — a plain p*r + c that must compile to
+// FMADDD, or the scan could not fail.
+func TestActivationTwinNotFusedOnArm64(t *testing.T) {
+	for _, scan := range fusedScans {
+		listing := arm64Asm(t, scan.dir)
+		prefix := scan.pkg + "."
+		for _, fn := range scan.must {
+			if _, ok := listing[prefix+fn]; !ok {
+				t.Errorf("no arm64 listing for %s%s", prefix, fn)
+			}
 		}
-	}
-	for name, body := range listing {
-		fn, ok := strings.CutPrefix(name, pkg)
-		if !ok {
-			continue
-		}
-		if m := fusedOp.FindString(body); m != "" && fusedAllowed[fn] == "" {
-			t.Errorf("%s compiles to %s on arm64: a product the amd64 kernels round is fused", fn, strings.TrimSpace(m))
+		for name, body := range listing {
+			if !strings.HasPrefix(name, prefix) {
+				continue
+			}
+			if m := fusedOp.FindString(body); m != "" && fusedAllowed[name] == "" {
+				t.Errorf("%s compiles to %s on arm64: a product the amd64 kernels round is fused", name, strings.TrimSpace(m))
+			}
 		}
 	}
 	control := arm64Asm(t, "./testdata/fmafixture")

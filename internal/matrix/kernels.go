@@ -248,7 +248,9 @@ func one[T Float]() []T {
 }
 
 // AddInto computes dst = a + b elementwise, reusing dst when capacity
-// allows. dst may alias a or b for in-place accumulation.
+// allows. dst may alias a or b for in-place accumulation. Each sum is
+// rounded once with a's element the left operand; float64 runs the
+// element-wise kernel (elementwise.go), lane per element.
 func AddInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	if a.rows != b.rows || a.cols != b.cols {
 		return nil, shapeErr("add", a, b)
@@ -256,9 +258,14 @@ func AddInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	if dst != a && dst != b {
 		dst = RecycleNoClear(dst, a.rows, a.cols)
 	}
-	ad, bd, dd := a.data, b.data, dst.data
-	for i := range dd {
-		dd[i] = ad[i] + bd[i]
+	switch d := any(dst.data).(type) {
+	case []float64:
+		addElems(d, any(a.data).([]float64)[:len(d)], any(b.data).([]float64)[:len(d)])
+	default:
+		ad, bd, dd := a.data, b.data, dst.data
+		for i := range dd {
+			dd[i] = ad[i] + bd[i]
+		}
 	}
 	return dst, nil
 }

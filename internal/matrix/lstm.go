@@ -5,17 +5,18 @@ import "fmt"
 // LSTM step kernels.
 //
 // One LSTM timestep over a whole batch is four activation calls (three
-// over the step's gate blocks, one over its cell state) and these
-// element-wise passes (nn.LSTM lays the blocks out). They are the package's
-// third primitive, under Sigmoid's rule: on amd64 with AVX2 an assembly
-// kernel does four elements per instruction, a lane per element
-// (lstm_amd64.s; the AVX-512 level runs it too); elsewhere, and whenever a
-// test sets the portable level, the portable twin below does one; the two give the same bits for every
-// input, NaNs aside (which of two NaNs an operation returns is the CPU's
-// operand-order rule). Each twin is a fixed sequence
-// of IEEE operations in a fixed order, every product written float64(a*b)
-// so that no compiler fuses it into the add that follows
-// (crossarch_test.go checks the twins' arm64 code for fused instructions).
+// over the step's gate blocks, one over its cell state), these
+// element-wise passes and one MulElems for the hidden state h = o·tanh(c);
+// nn.LSTM lays the blocks out. They are the package's third primitive,
+// under Sigmoid's rule: on amd64 with AVX2 an assembly kernel does four
+// elements per instruction, a lane per element (lstm_amd64.s; the AVX-512
+// level runs it too); elsewhere, and whenever a test sets the portable
+// level, the portable twin below does one; the two give the same bits for
+// every input, NaNs aside (which of two NaNs an operation returns is the
+// CPU's operand-order rule). Each twin is a fixed sequence of IEEE
+// operations in a fixed order, every product written float64(a*b) so that
+// no compiler fuses it into the add that follows (crossarch_test.go checks
+// the twins' arm64 code for fused instructions).
 
 // LSTMGather writes one step's pre-activations gate-major into g: for
 // sample i < rows, gate q < 4 and unit j < hidden,
@@ -52,14 +53,6 @@ func LSTMCell(c, tc, cPrev, i, f, g []float64) {
 	n := len(c)
 	checkLen("LSTMCell", n, len(tc), len(cPrev), len(i), len(f), len(g))
 	lstmCell(c, tc[:n], cPrev[:n], i[:n], f[:n], g[:n])
-}
-
-// LSTMHidden sets h[k] = o[k]·tc[k] for every k < len(h): the hidden state
-// from the output gate and tanh of the cell state.
-func LSTMHidden(h, o, tc []float64) {
-	n := len(h)
-	checkLen("LSTMHidden", n, len(o), len(tc))
-	lstmHidden(h, o[:n], tc[:n])
 }
 
 // LSTMGateGrads is the element-wise part of one backpropagation-through-time
@@ -124,14 +117,6 @@ func lstmCellGeneric(c, tc, cPrev, i, f, g []float64) {
 		v := float64(f[k]*cPrev[k]) + float64(i[k]*g[k])
 		c[k] = v
 		tc[k] = v
-	}
-}
-
-// lstmHiddenGeneric is LSTMHidden's portable twin; every slice is len(h).
-func lstmHiddenGeneric(h, o, tc []float64) {
-	o, tc = o[:len(h)], tc[:len(h)]
-	for k := range h {
-		h[k] = o[k] * tc[k]
 	}
 }
 

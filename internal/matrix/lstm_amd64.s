@@ -1,30 +1,20 @@
 #include "textflag.h"
 
-// lstmCellAVX2, lstmHiddenAVX2 and lstmGateGradsAVX2 are the AVX2 form of
-// the LSTM twins (lstm.go): a lane is an element, and each lane does the
-// twin's operations in the twin's order, one rounding each (never FMA), so
-// every output has the twin's bits. Full vectors first, then the last 1-3
-// elements through a masked load and store (the masked-out lanes compute on
-// +0 and are never written).
+// lstmCellAVX2, lstmGateGradsAVX2 and lstmGatherAVX2 are the AVX2 form of
+// the LSTM twins (lstm.go): a lane is an element (lanes_amd64.h), and each
+// lane does the twin's operations in the twin's order, one rounding each
+// (never FMA), so every output has the twin's bits.
 //
 // The streams of one element index share a byte offset, AX, so a pass
 // advances one register however many streams it reads. Each kernel's loop
-// (the row loop, for the gate gradients) starts on a 64-byte boundary
-// (PCALIGN, as in mulrows_amd64.s). Constants are rows of expTab
-// (activations.go): 1.0 four times, and the lane numbers that build the
-// tail's mask.
+// (the row loop, for the gate gradients and the gather) starts on a 64-byte
+// boundary (PCALIGN, as in mulrows_amd64.s). Constants are rows of expTab
+// (activations.go): 1.0 four times, and lanes_amd64.h's lane numbers.
 
 #define ONE	·expTab+256(SB)
-#define LANE	·expTab+320(SB)
-
-// TAILMASK sets mask's lanes below count (1-3) and clears the rest.
-#define TAILMASK(count, mask, xmask)	VMOVQ count, xmask; VPBROADCASTQ xmask, mask; VPCMPGTQ LANE, mask, mask
-
-// Loads and stores of one vector, full or under the mask in Y14.
-#define LOADV(src, dst)	VMOVUPD src, dst
-#define STOREV(src, dst)	VMOVUPD src, dst
-#define LOADM(src, dst)	VMASKMOVPD src, Y14, dst
-#define STOREM(src, dst)	VMASKMOVPD src, Y14, dst
+#define TMASK	Y14
+#define TMASKX	X14
+#include "lanes_amd64.h"
 
 //	DI  c    R8  tc    SI  cPrev    R9  ig    R10  fg    R11  cg
 #define CELL(LD, ST) \
@@ -47,54 +37,7 @@ TEXT ·lstmCellAVX2(SB), NOSPLIT, $0-56
 	MOVQ fg+32(FP), R10
 	MOVQ cg+40(FP), R11
 	MOVQ n+48(FP), CX
-	XORQ AX, AX
-	SUBQ $4, CX
-	JLT celltail
-	PCALIGN $64
-cellvec:
-	CELL(LOADV, STOREV)
-	ADDQ $32, AX
-	SUBQ $4, CX
-	JGE cellvec
-celltail:
-	ADDQ $4, CX
-	JZ celldone
-	TAILMASK(CX, Y14, X14)
-	CELL(LOADM, STOREM)
-celldone:
-	VZEROUPPER
-	RET
-
-//	DI  h    R8  o    R9  tc
-#define HIDDEN(LD, ST) \
-	LD((R8)(AX*1), Y0); \
-	LD((R9)(AX*1), Y1); \
-	VMULPD Y1, Y0, Y0; \
-	ST(Y0, (DI)(AX*1))
-
-// func lstmHiddenAVX2(h, o, tc *float64, n int)
-TEXT ·lstmHiddenAVX2(SB), NOSPLIT, $0-32
-	MOVQ h+0(FP), DI
-	MOVQ o+8(FP), R8
-	MOVQ tc+16(FP), R9
-	MOVQ n+24(FP), CX
-	XORQ AX, AX
-	SUBQ $4, CX
-	JLT hiddentail
-	PCALIGN $64
-hiddenvec:
-	HIDDEN(LOADV, STOREV)
-	ADDQ $32, AX
-	SUBQ $4, CX
-	JGE hiddenvec
-hiddentail:
-	ADDQ $4, CX
-	JZ hiddendone
-	TAILMASK(CX, Y14, X14)
-	HIDDEN(LOADM, STOREM)
-hiddendone:
-	VZEROUPPER
-	RET
+	LANES(CELL)
 
 // GRADS is lstmGateGradsGeneric's loop body for four elements:
 //
@@ -167,7 +110,7 @@ TEXT ·lstmGateGradsAVX2(SB), NOSPLIT, $8-64
 	VMOVUPD ONE, Y15
 	MOVQ hidden+56(FP), CX
 	ANDQ $3, CX
-	TAILMASK(CX, Y14, X14)
+	TAILMASK(CX)
 	XORQ AX, AX
 	PCALIGN $64
 gradsrow:
@@ -222,7 +165,7 @@ TEXT ·lstmGatherAVX2(SB), NOSPLIT, $0-64
 	MOVQ R14, CX
 	SHLQ $3, R14
 	ANDQ $3, CX
-	TAILMASK(CX, Y14, X14)
+	TAILMASK(CX)
 	MOVQ $4, BX
 gathergate:
 	MOVQ R12, SI
@@ -245,12 +188,12 @@ gathervec:
 gathertail:
 	ADDQ $4, CX
 	JZ gathernext
-	VMASKMOVPD (SI)(AX*1), Y14, Y0
-	VMASKMOVPD (R8)(AX*1), Y14, Y1
+	LOADM((SI)(AX*1), Y0)
+	LOADM((R8)(AX*1), Y1)
 	VADDPD Y1, Y0, Y0
-	VMASKMOVPD (R9)(AX*1), Y14, Y1
+	LOADM((R9)(AX*1), Y1)
 	VADDPD Y1, Y0, Y0
-	VMASKMOVPD Y0, Y14, (DI)(AX*1)
+	STOREM(Y0, (DI)(AX*1))
 gathernext:
 	ADDQ R14, DI
 	ADDQ R10, SI

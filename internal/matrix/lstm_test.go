@@ -53,7 +53,7 @@ func guarded(n int) (all, inner []float64) {
 }
 
 // lstmOutputs names the kernels' outputs, in lstmKernelsOn's order.
-var lstmOutputs = []string{"LSTMGather", "LSTMCell c", "LSTMCell tc", "LSTMHidden", "LSTMGateGrads dg", "LSTMGateGrads dc"}
+var lstmOutputs = []string{"LSTMGather", "LSTMCell c", "LSTMCell tc", "hidden (MulElems)", "LSTMGateGrads dg", "LSTMGateGrads dc"}
 
 // lstmKernelsOn runs the four kernels over s on the current path and
 // returns every output with its guards.
@@ -66,7 +66,7 @@ func lstmKernelsOn(s *lstmStreams) [6][]float64 {
 	copy(inner[5], s.dc)
 	LSTMGather(inner[0], s.xw, s.xs, s.hw, s.hs, s.b, s.rows, s.hidden)
 	LSTMCell(inner[1], inner[2], s.cPrev, s.gates[:n], s.gates[n:2*n], s.gates[2*n:3*n])
-	LSTMHidden(inner[3], s.gates[3*n:], s.tc)
+	MulElems(inner[3], s.gates[3*n:], s.tc)
 	LSTMGateGrads(inner[4], s.gates, s.tc, s.cPrev, s.dh, inner[5], s.rows, s.hidden)
 	return out
 }
@@ -162,7 +162,6 @@ func TestLSTMKernelsPanicOnShortSlices(t *testing.T) {
 	for name, call := range map[string]func(){
 		"LSTMGather":    func() { LSTMGather(make([]float64, 24), s.xw[:20], s.xs, s.hw, s.hs, s.b, 2, 3) },
 		"LSTMCell":      func() { LSTMCell(make([]float64, 6), make([]float64, 5), s.cPrev, s.gates, s.gates, s.gates) },
-		"LSTMHidden":    func() { LSTMHidden(make([]float64, 6), s.gates[:5], s.tc) },
 		"LSTMGateGrads": func() { LSTMGateGrads(make([]float64, 23), s.gates, s.tc, s.cPrev, s.dh, s.dc, 2, 3) },
 	} {
 		func() {

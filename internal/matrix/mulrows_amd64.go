@@ -79,12 +79,9 @@ func lstmGatherAVX2(pre, xw *float64, xs int, hw *float64, hs int, b *float64, r
 func lstmCellAVX2(c, tc, cPrev, ig, fg, cg *float64, n int)
 
 //go:noescape
-func lstmHiddenAVX2(h, o, tc *float64, n int)
-
-//go:noescape
 func lstmGateGradsAVX2(dg, gates, tc, cPrev, dh, dc *float64, rows, hidden int)
 
-// lstmGather, lstmCell, lstmHidden and lstmGateGrads are the LSTM twins on
+// lstmGather, lstmCell and lstmGateGrads are the LSTM twins on
 // the fastest path this CPU has (AVX2 at either assembly level); every
 // slice is as long as the exported function's shape says, and the shape is
 // not empty for lstmGather and lstmGateGrads.
@@ -102,14 +99,6 @@ func lstmCell(c, tc, cPrev, i, f, g []float64) {
 		return
 	}
 	lstmCellAVX2(&c[0], &tc[0], &cPrev[0], &i[0], &f[0], &g[0], len(c))
-}
-
-func lstmHidden(h, o, tc []float64) {
-	if kernelLevel == portable || len(h) == 0 {
-		lstmHiddenGeneric(h, o, tc)
-		return
-	}
-	lstmHiddenAVX2(&h[0], &o[0], &tc[0], len(h))
 }
 
 func lstmGateGrads(dg, gates, tc, cPrev, dh, dc []float64, rows, hidden int) {

@@ -19,8 +19,26 @@ func lstmGather(g, xw []float64, xs int, hw []float64, hs int, b []float64, rows
 
 func lstmCell(c, tc, cPrev, i, f, g []float64) { lstmCellGeneric(c, tc, cPrev, i, f, g) }
 
-func lstmHidden(h, o, tc []float64) { lstmHiddenGeneric(h, o, tc) }
-
 func lstmGateGrads(dg, gates, tc, cPrev, dh, dc []float64, rows, hidden int) {
 	lstmGateGradsGeneric(dg, gates, tc, cPrev, dh, dc, rows, hidden)
 }
+
+func copyBlock(dst []float64, ds int, src []float64, ss int, rows, cols int) {
+	copyBlockGeneric(dst, ds, src, ss, rows, cols)
+}
+
+func addBlock(dst []float64, ds int, src []float64, ss int, rows, cols int) {
+	addBlockGeneric(dst, ds, src, ss, rows, cols)
+}
+
+func addElems(dst, a, b []float64) { addElemsGeneric(dst, a, b) }
+
+func mulElems(dst, a, b []float64) { mulElemsGeneric(dst, a, b) }
+
+func keepPositive(dst, src, sel []float64) { keepPositiveGeneric(dst, src, sel) }
+
+func dropoutApply(mask, out, src []float64, keep, scale float64) {
+	dropoutApplyGeneric(mask, out, src, keep, scale)
+}
+
+func adamUpdate(w, g, m, v []float64, k *AdamCoeffs) { adamUpdateGeneric(w, g, m, v, k) }

@@ -95,6 +95,18 @@ func fitNet() func() error {
 	return func() error { return net.Fit(x, y, cfg) }
 }
 
+// adamStep is one Adam step over a dense network's parameter shapes. The
+// moment slab is laid out at the first Step, which AllocsPerRun's warm-up
+// takes.
+func adamStep() func() error {
+	params, _ := adamParams(rand.New(rand.NewSource(8)), 128*128, 128, 128, 1)
+	opt := NewAdam(0.01)
+	return func() error {
+		opt.Step(params)
+		return nil
+	}
+}
+
 func BenchmarkNetworkFit(b *testing.B) {
 	fit := fitNet()
 	b.ReportAllocs()
@@ -128,6 +140,7 @@ func TestStepAllocationsExact(t *testing.T) {
 		{"Conv1D forward+backward", forwardBackward(conv1DStep, true), 2},
 		{"GatedResidualBlock forward+backward", forwardBackward(gatedBlockStep, true), 6},
 		{"Network.Fit epoch", fitNet(), 6},
+		{"Adam step", adamStep(), 0},
 	} {
 		got := testing.AllocsPerRun(20, func() {
 			if err := c.step(); err != nil {

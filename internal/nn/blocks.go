@@ -85,7 +85,7 @@ func (b *GatedResidualBlock) Backward(grad *matrix.Matrix, wantDX bool) (*matrix
 	dgd, dad, dbd := dGated.Data(), da.Data(), db.Data()
 	ta, sg := b.tanhA[:len(dgd)], b.sigG[:len(dgd)]
 	for i, dg := range dgd {
-		dad[i] = dg * sg[i] * (1 - ta[i]*ta[i])
+		dad[i] = dg * sg[i] * (1 - float64(ta[i]*ta[i]))
 		dbd[i] = dg * ta[i] * sg[i] * (1 - sg[i])
 	}
 	dxF, err := b.convF.Backward(da, wantDX)

@@ -20,7 +20,13 @@ import (
 // convolution is one (batch*outLen) x (K*IC) by (K*IC) x Filters product
 // through the matrix kernels. Output values can differ from the previous
 // scalar loops in the last bits (the bias is now added after the taps);
-// gradients follow the same im2col/col2im structure.
+// gradients follow the same im2col/col2im structure. im2col is one
+// matrix.CopyBlock per (sample, tap) — a tap's valid output steps read
+// consecutive input steps — and col2im one matrix.AddBlock per (sample,
+// tap), taps in descending order: an input step receives its taps in the
+// order of the output steps that read it, which is descending tap order
+// (tin = t + k·Dilation, or t − (Kernel−1−k)·Dilation causal), so every
+// input gradient is the per-timestep scatter's sum, bit for bit.
 type Conv1D struct {
 	SeqLen     int // input timesteps
 	InChannels int
@@ -51,7 +57,7 @@ func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, r
 	limit := math.Sqrt(6.0 / float64(kernel*inChannels))
 	wd := c.w.W.Data()
 	for i := range wd {
-		wd[i] = (2*rng.Float64() - 1) * limit
+		wd[i] = signedUniform(rng) * limit
 	}
 	return c
 }
@@ -64,17 +70,15 @@ func (c *Conv1D) OutLen() int {
 	return c.SeqLen - (c.Kernel-1)*c.Dilation
 }
 
-// inTime maps (output timestep t, kernel tap k) to the input timestep, or
-// -1 when the tap falls into the causal zero padding.
-func (c *Conv1D) inTime(t, k int) int {
+// tapStart returns the first output step at which kernel tap k reads the
+// input, and the input step it reads there; tap k of output step t reads
+// input step tin + (t − t0). Causal output steps before t0 read the zero
+// padding, and t0 is OutLen when every one does.
+func (c *Conv1D) tapStart(k, outLen int) (t0, tin int) {
 	if c.Causal {
-		tin := t - (c.Kernel-1-k)*c.Dilation
-		if tin < 0 {
-			return -1
-		}
-		return tin
+		return min((c.Kernel-1-k)*c.Dilation, outLen), 0
 	}
-	return t + k*c.Dilation
+	return 0, k * c.Dilation
 }
 
 // Forward applies the convolution to every row.
@@ -88,19 +92,19 @@ func (c *Conv1D) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	}
 	c.lastX = x
 	batch := x.Rows()
-	ic := c.InChannels
-	cols := matrix.Recycle(c.cols, batch*outLen, c.Kernel*ic) // zeros feed causal padding
+	ic, kw := c.InChannels, c.Kernel*c.InChannels
+	cols := matrix.RecycleNoClear(c.cols, batch*outLen, kw)
 	c.cols = cols
+	cd, xd := cols.Data(), x.Data()
 	for i := 0; i < batch; i++ {
-		in := x.Row(i)
-		for t := 0; t < outLen; t++ {
-			dst := cols.Row(i*outLen + t)
-			for k := 0; k < c.Kernel; k++ {
-				tin := c.inTime(t, k)
-				if tin < 0 {
-					continue
-				}
-				copy(dst[k*ic:(k+1)*ic], in[tin*ic:(tin+1)*ic])
+		for k := 0; k < c.Kernel; k++ {
+			t0, tin := c.tapStart(k, outLen)
+			at := (i*outLen)*kw + k*ic
+			for t := 0; t < t0; t++ {
+				clear(cd[at+t*kw : at+t*kw+ic])
+			}
+			if n := outLen - t0; n > 0 {
+				matrix.CopyBlock(cd[at+t0*kw:], kw, xd[(i*c.SeqLen+tin)*ic:], ic, n, ic)
 			}
 		}
 	}
@@ -148,24 +152,17 @@ func (c *Conv1D) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, err
 		return nil, fmt.Errorf("nn: conv1d backward dcols: %w", err)
 	}
 	c.dcols = dcols
-	// col2im: scatter-add receptive-field gradients back onto timesteps.
-	ic := c.InChannels
+	// col2im: add each tap's receptive-field gradients back onto the input
+	// steps it read, from +0, taps in descending order (see Conv1D).
+	ic, kw := c.InChannels, c.Kernel*c.InChannels
 	dx := matrix.Recycle(c.dx, batch, c.SeqLen*ic)
 	c.dx = dx
+	dd, gd := dx.Data(), dcols.Data()
 	for i := 0; i < batch; i++ {
-		dIn := dx.Row(i)
-		for t := 0; t < outLen; t++ {
-			src := dcols.Row(i*outLen + t)
-			for k := 0; k < c.Kernel; k++ {
-				tin := c.inTime(t, k)
-				if tin < 0 {
-					continue
-				}
-				d := dIn[tin*ic : (tin+1)*ic]
-				s := src[k*ic : (k+1)*ic]
-				for ch, v := range s {
-					d[ch] += v
-				}
+		for k := c.Kernel - 1; k >= 0; k-- {
+			t0, tin := c.tapStart(k, outLen)
+			if n := outLen - t0; n > 0 {
+				matrix.AddBlock(dd[(i*c.SeqLen+tin)*ic:], ic, gd[(i*outLen+t0)*kw+k*ic:], kw, n, ic)
 			}
 		}
 	}

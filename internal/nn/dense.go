@@ -24,7 +24,7 @@ func NewDense(in, out int, rng *rand.Rand) *Dense {
 	limit := math.Sqrt(6.0 / float64(in+out))
 	wd := d.w.W.Data()
 	for i := range wd {
-		wd[i] = (2*rng.Float64() - 1) * limit
+		wd[i] = signedUniform(rng) * limit
 	}
 	return d
 }
@@ -73,10 +73,10 @@ func (d *Dense) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, erro
 func (d *Dense) Parameters() []*Param { return []*Param{d.w, d.b} }
 
 // ReLU applies max(0, x) elementwise: x where x > 0, +0 elsewhere (-0 and
-// NaN included). Forward and Backward select with a bit mask instead of a
-// branch on each element's sign, which the branch predictor cannot learn.
+// NaN included), through matrix.KeepPositive, which selects with a bit mask
+// instead of a branch on each element's sign. Backward keeps the gradient
+// where Forward's output is > 0, which holds exactly where its input was.
 type ReLU struct {
-	mask    []bool
 	out, dx *matrix.Matrix
 }
 
@@ -87,53 +87,22 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (r *ReLU) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 	out := matrix.RecycleNoClear(r.out, x.Rows(), x.Cols())
 	r.out = out
-	src, d := x.Data(), out.Data()
-	if cap(r.mask) >= len(d) {
-		r.mask = r.mask[:len(d)]
-	} else {
-		r.mask = make([]bool, len(d))
-	}
-	mask, d := r.mask[:len(src)], d[:len(src)]
-	for i, v := range src {
-		pos := v > 0
-		mask[i] = pos
-		d[i] = keepIf(v, pos)
-	}
+	matrix.KeepPositive(out.Data(), x.Data(), x.Data())
 	return out, nil
 }
 
-// Backward gates gradients through the positive mask.
+// Backward gates gradients through the positive outputs.
 func (r *ReLU) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
-	if r.mask == nil || len(r.mask) != len(grad.Data()) {
+	if r.out == nil || len(r.out.Data()) != len(grad.Data()) {
 		return nil, fmt.Errorf("%w: relu backward without matching forward", ErrShape)
 	}
 	if !wantDX {
 		return nil, nil
 	}
-	out := matrix.RecycleNoClear(r.dx, grad.Rows(), grad.Cols())
-	r.dx = out
-	src, d := grad.Data(), out.Data()
-	mask, d := r.mask[:len(src)], d[:len(src)]
-	for i, v := range src {
-		d[i] = keepIf(v, mask[i])
-	}
-	return out, nil
-}
-
-// keepIf is v when keep is set and +0 when not: v's bits ANDed with all
-// ones or with none, so no branch depends on keep.
-func keepIf(v float64, keep bool) float64 {
-	return math.Float64frombits(math.Float64bits(v) & -b2u(keep))
-}
-
-// b2u is 1 for true and 0 for false; the compiler reads the bool's byte
-// instead of branching on it.
-func b2u(b bool) uint64 {
-	var u uint64
-	if b {
-		u = 1
-	}
-	return u
+	dx := matrix.RecycleNoClear(r.dx, grad.Rows(), grad.Cols())
+	r.dx = dx
+	matrix.KeepPositive(dx.Data(), grad.Data(), r.out.Data())
+	return dx, nil
 }
 
 // Parameters implements Layer.
@@ -169,7 +138,7 @@ func (t *Tanh) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error
 	src, d := grad.Data(), out.Data()
 	o := t.lastOut.Data()
 	for i, v := range src {
-		d[i] = v * (1 - o[i]*o[i])
+		d[i] = v * (1 - float64(o[i]*o[i]))
 	}
 	return out, nil
 }
@@ -202,27 +171,19 @@ func (d *Dropout) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, erro
 	}
 	out := matrix.RecycleNoClear(d.out, x.Rows(), x.Cols())
 	d.out = out
-	src, data := x.Data(), out.Data()
-	if cap(d.mask) >= len(data) {
-		d.mask = d.mask[:len(data)]
-	} else {
-		d.mask = make([]float64, len(data))
+	// One uniform per element in index order (the draw order is part of
+	// every score); the kernel turns each into its mask and applies it.
+	d.mask = matrix.RecycleVec(d.mask, len(out.Data()))
+	for i := range d.mask {
+		d.mask[i] = d.rng.Float64()
 	}
 	keep := 1 - d.Rate
-	scale := 1 / keep
-	for i, v := range src {
-		if d.rng.Float64() < keep {
-			d.mask[i] = scale
-			data[i] = v * scale
-		} else {
-			d.mask[i] = 0
-			data[i] = 0
-		}
-	}
+	matrix.DropoutApply(d.mask, out.Data(), x.Data(), keep, 1/keep)
 	return out, nil
 }
 
-// Backward applies the same mask to the gradient.
+// Backward applies the same mask to the gradient: g·mask, so an Inf or NaN
+// gradient of a dropped element is a NaN, as any product with +0 is.
 func (d *Dropout) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if !wantDX {
 		return nil, nil
@@ -235,10 +196,7 @@ func (d *Dropout) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, er
 	}
 	out := matrix.RecycleNoClear(d.dx, grad.Rows(), grad.Cols())
 	d.dx = out
-	src, data := grad.Data(), out.Data()
-	for i, v := range src {
-		data[i] = v * d.mask[i]
-	}
+	matrix.MulElems(out.Data(), grad.Data(), d.mask)
 	return out, nil
 }
 

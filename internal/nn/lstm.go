@@ -80,7 +80,7 @@ func NewLSTM(seqLen, inSize, hidden int, rng *rand.Rand) *LSTM {
 		limit := math.Sqrt(6.0 / float64(fanIn+4*hidden))
 		d := p.W.Data()
 		for i := range d {
-			d[i] = (2*rng.Float64() - 1) * limit
+			d[i] = signedUniform(rng) * limit
 		}
 	}
 	initUniform(l.wx, inSize)
@@ -157,7 +157,7 @@ func (l *LSTM) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
 		matrix.Tanh(tc, tc)
 		h := matrix.RecycleNoClear(l.hs[t], batch, H)
 		l.hs[t] = h
-		matrix.LSTMHidden(h.Data(), g[3*n:], tc)
+		matrix.MulElems(h.Data(), g[3*n:], tc)
 	}
 	if !l.ReturnSeq {
 		out := matrix.RecycleNoClear(l.out, batch, H)

@@ -35,6 +35,15 @@ func newParam(rows, cols int) *Param {
 	return &Param{W: matrix.New(rows, cols), Grad: matrix.New(rows, cols)}
 }
 
+// signedUniform is 2u − 1 for the next uniform draw u from rng: a weight
+// initialiser's draw on [−1, 1). u and 2u are each rounded on their own
+// (both exactly), so no compiler fuses rand's scaling or the doubling into
+// the subtraction (arm64 would).
+func signedUniform(rng *rand.Rand) float64 {
+	u := float64(rng.Float64())
+	return float64(2*u) - 1
+}
+
 // zeroGrad clears the gradient buffer.
 func (p *Param) zeroGrad() {
 	d := p.Grad.Data()
@@ -241,7 +250,7 @@ func MSELoss(out *matrix.Matrix, y []float64) (float64, error) {
 	s := 0.0
 	for i := range y {
 		d := out.At(i, 0) - y[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(y)), nil
 }
