@@ -36,10 +36,11 @@ type Config struct {
 // clocks. Async managers (cfg.Workers > 0) own goroutines — call Close
 // when done with them.
 func NewManagerWith(hs store.ObjectStore, nowFn func() time.Time, cfg Config) *Manager {
-	if nowFn == nil {
+	wall := nowFn == nil
+	if wall {
 		nowFn = time.Now
 	}
-	m := &Manager{store: hs, now: nowFn, cfg: cfg,
+	m := &Manager{store: hs, now: nowFn, wall: wall, cfg: cfg,
 		leases: map[string][]*Lease{}, byID: map[string]*Lease{}}
 	m.qcond = sync.NewCond(&m.qmu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -103,21 +104,82 @@ func (m *Manager) Flush() {
 }
 
 // fanoutJob is one publish's share of the fanout: the leases it moved from
-// idle to queued, the cursor workers claim them through one at a time (so a
-// blocked Deliver holds one worker and one lease, never the rest), and the
-// memo of group builds they share. Synchronous managers use only the memo.
+// idle to queued, cut into one contiguous share per pool worker (one per
+// lease when there are fewer), and the memo of group builds they share. A
+// worker claims leases one at a time from the front of the share it joined
+// as and, once that is empty, steals single leases from the back of the
+// others, so a blocked Deliver holds one worker and one lease, never the
+// rest of its share. Synchronous managers use only the memo.
 type fanoutJob struct {
 	leases []*Lease
-	next   atomic.Int64
+	shares []share
+	joined atomic.Int64 // shares handed to joining workers so far
 
 	mu     sync.Mutex
 	frames map[frameKey]*sharedFrame
 	last   atomic.Pointer[sharedFrame] // the latest build, readable without mu
 }
 
+// share is the unclaimed run [lo, hi) of a job's leases, lo in the low 32
+// bits of one word and hi in the high 32, alone on its cache line: its
+// owner's claims touch no line another worker writes unless one steals.
+type share struct {
+	span atomic.Uint64
+	_    [56]byte
+}
+
+// newFanoutJob cuts leases into min(workers, len(leases)) shares whose
+// sizes differ by at most one.
+func newFanoutJob(leases []*Lease, workers int) *fanoutJob {
+	n := min(workers, len(leases))
+	j := &fanoutJob{leases: leases, shares: make([]share, n)}
+	for i := range j.shares {
+		lo, hi := uint64(i*len(leases)/n), uint64((i+1)*len(leases)/n)
+		j.shares[i].span.Store(hi<<32 | lo)
+	}
+	return j
+}
+
+// take claims the share's first lease, or with back its last, reporting
+// false once the share is empty.
+func (s *share) take(back bool) (int, bool) {
+	for {
+		w := s.span.Load()
+		lo, hi := uint32(w), uint32(w>>32)
+		if lo >= hi {
+			return 0, false
+		}
+		next, i := w+1, lo // lo++
+		if back {
+			next, i = w-1<<32, hi-1 // hi--
+		}
+		if s.span.CompareAndSwap(w, next) {
+			return int(i), true
+		}
+	}
+}
+
+// claim hands the worker that joined as share own its next lease: the
+// front of its own share while it lasts, then the back of the next
+// non-empty share after it. It returns false once every share is empty.
+func (j *fanoutJob) claim(own int) (*Lease, bool) {
+	n := len(j.shares)
+	if own < n {
+		if i, ok := j.shares[own].take(false); ok {
+			return j.leases[i], true
+		}
+	}
+	for k := 1; k <= n; k++ {
+		if i, ok := j.shares[(own+k)%n].take(true); ok {
+			return j.leases[i], true
+		}
+	}
+	return nil, false
+}
+
 // tally is a worker's own ledger: its latest clock reading and what its run
 // of deliveries owes the state all workers share. It is posted once per pass,
-// so two workers on one job trade only the job's cursor between their CPUs;
+// so a worker on its own share writes no cache line another worker reads;
 // posted per lease, the counters' cache lines cost more than the deliveries.
 type tally struct {
 	now    time.Time
@@ -177,7 +239,7 @@ func (m *Manager) enqueue(leases []*Lease, delay time.Duration) {
 	if len(leases) == 0 {
 		return
 	}
-	j := &fanoutJob{leases: leases}
+	j := newFanoutJob(leases, m.cfg.Workers)
 	mQueueDepth.Set(float64(m.inflight.Add(int64(len(leases)))))
 	if delay > 0 {
 		time.AfterFunc(delay, func() { m.enqueueNow(j) })
@@ -204,9 +266,10 @@ func (m *Manager) enqueueNow(j *fanoutJob) {
 	m.qmu.Unlock()
 }
 
-// worker drains the fanout queue: take the head job, claim its leases one
-// by one alongside the other workers, and retire the job once its cursor
-// runs out. The queue lock is taken once per job, not per lease.
+// worker drains the fanout queue: take the head job and a share of it,
+// deliver that share and then whatever it can steal from the others, and
+// retire the job once every share is empty. The queue lock is taken once per
+// job, not per lease.
 func (m *Manager) worker() {
 	defer m.workers.Done()
 	var spent *fanoutJob // the job this worker last found exhausted
@@ -227,9 +290,10 @@ func (m *Manager) worker() {
 		j := m.jobs[0]
 		m.qmu.Unlock()
 
+		own := int(j.joined.Add(1) - 1)
 		t.now = m.now()
-		for i := j.next.Add(1); i <= int64(len(j.leases)); i = j.next.Add(1) {
-			m.deliverPending(j, j.leases[i-1], &t)
+		for l, ok := j.claim(own); ok; l, ok = j.claim(own) {
+			m.deliverPending(j, l, &t)
 			t.n++
 		}
 		if t.n > 0 {
@@ -241,8 +305,11 @@ func (m *Manager) worker() {
 
 // deliverPending swaps out the lease's coalescing slot and pushes it as one
 // frame, built against the store's current state by the first lease of the
-// group to get here. The clock is read once per lease, after the delivery
-// comes back, and kept in the tally for the next lease's expiry check.
+// group to get here. The clock is read after the delivery comes back, and
+// kept in the tally for the next lease's expiry check. On the wall clock that
+// reading is the pass's previous one plus the monotonic time since it: one
+// monotonic read, and expiry, the coalescing window and fanout_seconds
+// compare monotonic readings only. An injected clock is called every time.
 func (m *Manager) deliverPending(j *fanoutJob, l *Lease, t *tally) {
 	l.mu.Lock()
 	if l.cancelled || t.now.After(l.expires) {
@@ -263,7 +330,11 @@ func (m *Manager) deliverPending(j *fanoutJob, l *Lease, t *tally) {
 	l.mu.Unlock()
 
 	wire, err := m.push(j, l, k, sub, version, count)
-	t.now = m.now()
+	if m.wall {
+		t.now = t.now.Add(time.Since(t.now))
+	} else {
+		t.now = m.now()
+	}
 
 	l.mu.Lock()
 	if err == nil {

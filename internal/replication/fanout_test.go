@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -698,5 +700,166 @@ func TestTallyPostedBeforeFlushReturns(t *testing.T) {
 	}
 	if got := mFanoutSeconds.Count() - lat0; got != 5 {
 		t.Fatalf("fanout_seconds gained %d observations over 5 deliveries", got)
+	}
+}
+
+// A stalled Deliver holds one worker and one lease, never the rest of its
+// share: the free workers deliver every other lease of the job, stealing
+// what a stalled worker's share still holds from its back. A share whose
+// first lease stalls is the worst case, since all the rest of it must be
+// stolen. Two workers cannot both stall and still deliver, so the two-worker
+// cases stall each share's first lease in turn and the three-worker case
+// stalls two shares' first leases at once. One worker on one share delivers
+// in subscription order. Once the stalls are released, the queue depth and
+// the posted tallies are exact.
+func TestStalledDeliverHoldsOneLease(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		workers, leases int
+		stall           []int // leases whose Deliver blocks until released
+	}{
+		{"workers=2/share=0", 2, 64, []int{0}},
+		{"workers=2/share=1", 2, 64, []int{32}},
+		{"workers=3/shares=0,1", 3, 64, []int{0, 21}},
+		{"workers>leases", 8, 5, []int{0, 2}},
+		{"workers=1", 1, 64, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := store.NewHomeStore(store.Options{BlockSize: 32})
+			m := NewManagerWith(hs, nil, Config{Workers: tc.workers})
+			defer m.Close()
+			release := make(chan struct{})
+			var releaseOnce sync.Once
+			unstall := func() { releaseOnce.Do(func() { close(release) }) }
+			defer unstall() // before Close, which waits for the stalled workers
+			entered := make(chan int, len(tc.stall))
+			var mu sync.Mutex
+			var order []int
+			leases := make([]*Lease, tc.leases)
+			for i := range leases {
+				stalls := slices.Contains(tc.stall, i)
+				l, err := m.Subscribe("k", fmt.Sprint("c", i), PushValue, time.Hour, SubscriberFunc(func(Update) {
+					if stalls {
+						entered <- i
+						<-release
+					}
+					mu.Lock()
+					order = append(order, i)
+					mu.Unlock()
+				}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				leases[i] = l
+			}
+			delivered := func() int {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(order)
+			}
+			pushes0, bytes0, lat0 := mPushes[PushValue].Value(), mPushBytes.Value(), mFanoutSeconds.Count()
+			if _, err := m.Publish("k", []byte("payload")); err != nil {
+				t.Fatal(err)
+			}
+			for range tc.stall {
+				select {
+				case <-entered:
+				case <-time.After(5 * time.Second):
+					t.Fatal("timed out waiting for the stalled deliveries to start")
+				}
+			}
+			free := tc.leases - len(tc.stall)
+			waitFor(t, "every lease but the stalled ones", func() bool { return delivered() == free })
+			for _, i := range tc.stall {
+				if leases[i].Deliveries() != 0 {
+					t.Fatalf("stalled lease %d booked a delivery before its Deliver returned", i)
+				}
+			}
+			unstall()
+			m.Flush()
+			if got := m.Stats().QueueDepth; got != 0 {
+				t.Fatalf("queue depth %d after Flush, want 0", got)
+			}
+			for i, l := range leases {
+				if l.Deliveries() != 1 {
+					t.Fatalf("lease %d booked %d deliveries, want 1", i, l.Deliveries())
+				}
+			}
+			n := int64(tc.leases)
+			if got := mPushes[PushValue].Value() - pushes0; got != n {
+				t.Fatalf("pushes_total moved by %d over %d deliveries", got, n)
+			}
+			if got, want := mPushBytes.Value()-bytes0, n*int64(len("payload")); got != want {
+				t.Fatalf("push_bytes_total moved by %d, want %d", got, want)
+			}
+			if got := mFanoutSeconds.Count() - lat0; got != uint64(n) {
+				t.Fatalf("fanout_seconds gained %d observations over %d deliveries", got, n)
+			}
+			if tc.workers == 1 {
+				for i, got := range order {
+					if got != i {
+						t.Fatalf("one worker delivered lease %d %dth, want subscription order", got, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFanout1000 is the push-fanout workload's replication leg on its
+// own: 1000 PushDelta leases that acknowledge every frame, so each round is
+// one delta group, on a pool of GOMAXPROCS workers and on one worker. An op
+// publishes an edit of a 32 KiB object (four runs of 1%) and waits for the
+// round. It reports ns/delivery and fails if any lease ends short of the
+// latest version, so a run of one iteration still checks delivery.
+func BenchmarkFanout1000(b *testing.B) {
+	for _, workers := range slices.Compact([]int{runtime.GOMAXPROCS(0), 1}) {
+		b.Run(fmt.Sprint("workers=", workers), func(b *testing.B) {
+			const n = 1000
+			m := NewManagerWith(store.NewHomeStore(store.Options{Retain: 4, BlockSize: 64, FullFraction: 0.5}), nil, Config{Workers: workers})
+			defer m.Close()
+			rng := rand.New(rand.NewSource(1))
+			data := make([]byte, 32<<10)
+			rng.Read(data)
+			if _, err := m.Publish("hot", data); err != nil {
+				b.Fatal(err)
+			}
+			leases := make([]*Lease, n)
+			got := make([]atomic.Uint64, n)
+			for i := range leases {
+				l, err := m.Subscribe("hot", fmt.Sprint("c", i), PushDelta, time.Hour, SubscriberFunc(func(u Update) {
+					got[i].Store(u.Version)
+					leases[i].AckVersion(u.Version)
+				}))
+				if err != nil {
+					b.Fatal(err)
+				}
+				leases[i] = l
+				l.AckVersion(1)
+			}
+			var last uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				data = bytes.Clone(data) // the store keeps what it is handed
+				for range 4 {
+					off := rng.Intn(len(data) - len(data)/400)
+					rng.Read(data[off : off+len(data)/400])
+				}
+				v, err := m.Publish("hot", data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m.Flush()
+				last = v
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/delivery")
+			for i := range got {
+				if v := got[i].Load(); v != last {
+					b.Fatalf("lease %d ended on version %d, want the latest %d", i, v, last)
+				}
+			}
+		})
 	}
 }

@@ -21,11 +21,13 @@
 // one per watcher. The default (Config.Workers == 0) runs the job inline
 // inside Publish, which suits in-process consumers like the experiments.
 // With Config.Workers > 0 Publish merges the update into each lease's
-// coalescing slot, enqueues the job and returns; a bounded worker pool claims
-// leases from it one at a time, so a slow, failing, or panicking subscriber
-// never stalls the publisher or any other lease, and a burst of updates
-// collapses into one frame per lease carrying the latest version. That is
-// the serving tier behind httpapi's SSE/long-poll lease endpoints.
+// coalescing slot, enqueues the job and returns; a bounded worker pool splits
+// it into one share per worker, and each worker claims leases one at a time
+// from its own share and then from the others' as it runs dry, so a slow,
+// failing, or panicking subscriber never stalls the publisher or any other
+// lease, and a burst of updates collapses into one frame per lease carrying
+// the latest version. That is the serving tier behind httpapi's
+// SSE/long-poll lease endpoints.
 package replication
 
 import (
@@ -273,6 +275,7 @@ func newLeaseID() string {
 type Manager struct {
 	store store.ObjectStore
 	now   func() time.Time
+	wall  bool // now is time.Now, whose readings carry the monotonic clock
 	cfg   Config
 	// Logger receives per-publish debug logs; nil uses slog.Default().
 	Logger *slog.Logger

@@ -571,7 +571,7 @@ func TestSmoke(t *testing.T) {
 		// window; the rest land inside it and must arrive as one frame. A
 		// burst that itself took longer than the window (a stalled host)
 		// proves nothing either way and is repeated.
-		version, merged := 1, false
+		version, merged, got := 1, false, 0
 		for deadline := time.Now().Add(smokeWait); !merged; {
 			if time.Now().After(deadline) {
 				t.Fatal("no burst of four puts finished inside the coalescing window")
@@ -586,6 +586,7 @@ func TestSmoke(t *testing.T) {
 				select {
 				case n := <-frames:
 					last, merged = n.Version, merged || n.Coalesced >= 2
+					got++
 				case err := <-streamed:
 					t.Fatalf("lease stream ended early: %v", err)
 				case <-time.After(smokeWait):
@@ -596,10 +597,15 @@ func TestSmoke(t *testing.T) {
 				t.Fatalf("four puts in under %s reached the subscriber with no coalesced frame", window)
 			}
 		}
-		sc := scrape(t, url)
-		if pushes := metric(sc, "coda_replication_pushes_total"); pushes <= 0 {
-			t.Errorf("coda_replication_pushes_total = %v, want > 0", pushes)
-		}
+		// A fanout worker posts its pushes once its pass over a job ends,
+		// which can be after the stream has handed on the pass's frame. Each
+		// frame the stream got stands for at least one push, so the count
+		// reaching them is the barrier after which the counters are whole.
+		var sc string
+		eventually(t, "coda_replication_pushes_total to count every frame the stream got", func() bool {
+			sc = scrape(t, url)
+			return metric(sc, "coda_replication_pushes_total") >= float64(got)
+		})
 		if errs := metric(sc, "coda_replication_push_errors_total"); errs != 0 {
 			t.Errorf("coda_replication_push_errors_total = %v, want 0", errs)
 		}
