@@ -290,9 +290,10 @@ func RunS2(cfg Config) (*Table, error) {
 		return nil, err
 	}
 
-	for _, mode := range []replication.PushMode{replication.PushValue, replication.PushDelta, replication.PushNotify} {
+	runPush := func(mode replication.PushMode) error {
 		var hs store.ObjectStore = store.NewHomeStore(storeOpts)
 		mgr := replication.NewManager(hs, nil)
+		defer mgr.Close()
 		rep := store.NewReplica()
 		var lease *replication.Lease
 		sub := replication.SubscriberFunc(func(u replication.Update) {
@@ -306,13 +307,14 @@ func RunS2(cfg Config) (*Table, error) {
 		var err error
 		lease, err = mgr.Subscribe("o", "client", mode, time.Hour, sub)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		data := make([]byte, objectSize)
 		rng.Read(data)
 		if _, err := mgr.Publish("o", data); err != nil {
-			return nil, err
+			return err
 		}
+		mgr.Flush()
 		stale := 0
 		fetchBytes := int64(0)
 		for u := 1; u <= updates; u++ {
@@ -320,13 +322,14 @@ func RunS2(cfg Config) (*Table, error) {
 			data[rng.Intn(len(data))] ^= 0xff
 			version, err := mgr.Publish("o", data)
 			if err != nil {
-				return nil, err
+				return err
 			}
+			mgr.Flush() // the lease holds its frame before the client reads
 			if mode == replication.PushNotify && u%readEvery == 0 {
 				// Notified client fetches only when it needs the data.
 				before := rep.BytesReceived()
 				if err := rep.Pull(hs, "o"); err != nil {
-					return nil, err
+					return err
 				}
 				fetchBytes += rep.BytesReceived() - before
 				lease.AckVersion(version)
@@ -337,6 +340,12 @@ func RunS2(cfg Config) (*Table, error) {
 		}
 		total := lease.BytesPushed() + fetchBytes
 		t.AddRow(mode.String(), d(updates), d(int(total)), d(lease.Deliveries()), d(stale))
+		return nil
+	}
+	for _, mode := range []replication.PushMode{replication.PushValue, replication.PushDelta, replication.PushNotify} {
+		if err := runPush(mode); err != nil {
+			return nil, err
+		}
 	}
 	t.AddNote("push-value: always fresh, max bytes; push-delta: fresh at delta cost; push-notify: tiny messages, fetch on demand; pull: cheapest but stale between pulls")
 	return t, nil

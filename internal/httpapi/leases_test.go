@@ -19,8 +19,8 @@ import (
 	"coda/internal/store"
 )
 
-// newLeaseServer stands up a server with the async fanout enabled, plus
-// a client pointed at it.
+// newLeaseServer stands up a server with leases enabled on a manager built
+// from cfg, plus a client pointed at it.
 func newLeaseServer(t *testing.T, cfg replication.Config) (*Client, *replication.Manager, *Server, *httptest.Server) {
 	t.Helper()
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
@@ -310,8 +310,8 @@ func TestLeaseManyStreamsConcurrentPublish(t *testing.T) {
 // a tight loop while leases are created over HTTP; every frame any of them
 // receives must carry its own id. Run under -race.
 func TestLeaseFramesCarryOwnIDUnderPublishRace(t *testing.T) {
-	// A synchronous manager delivers on the publisher's goroutine, the
-	// tightest interleaving with the handler that is creating the lease.
+	// The default pool's one worker delivers each publish as it lands,
+	// racing the handler that is creating the lease.
 	c, m, _, _ := newLeaseServer(t, replication.Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -368,6 +368,7 @@ func TestLeaseFramesCarryOwnIDUnderPublishRace(t *testing.T) {
 func TestFrameEncodedOncePerGroup(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
 	m := replication.NewManager(hs, nil)
+	t.Cleanup(m.Close)
 	payload := bytes.Repeat([]byte("push-tier "), 400)
 	boxes := make([]*leaseMailbox, 64)
 	for i := range boxes {
@@ -379,6 +380,7 @@ func TestFrameEncodedOncePerGroup(t *testing.T) {
 	if _, err := m.Publish("doc", payload); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	var shared *byte
 	for i, mb := range boxes {
 		f, ok := mb.take()

@@ -598,16 +598,9 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 		var version uint64
 		if s.Leases != nil {
 			// Route writes through the lease manager so every active
-			// subscription sees this version; with an async manager the
-			// fanout happens off the request path.
+			// subscription sees this version; the fanout happens off the
+			// request path.
 			version, err = s.Leases.PublishCtx(ctx, key, data)
-			if err != nil && version != 0 {
-				// The store write committed; per-lease fanout failures are
-				// already counted and must not fail the writer's request.
-				s.logger().Warn("publish fanout partially failed",
-					"key", key, "version", version, "err", err)
-				err = nil
-			}
 		} else {
 			version, err = s.Store.Put(key, data)
 		}

@@ -121,6 +121,7 @@ func TestEndToEndLifecycleOverDataTier(t *testing.T) {
 
 	hs := store.NewHomeStore(store.Options{Retain: 4, BlockSize: 64})
 	mgr := replication.NewManager(hs, nil)
+	t.Cleanup(mgr.Close)
 	replica := store.NewReplica()
 
 	encode := func(end int) []byte {
@@ -158,6 +159,7 @@ func TestEndToEndLifecycleOverDataTier(t *testing.T) {
 	if _, err := mgr.Publish("train", encode(warmup)); err != nil {
 		t.Fatal(err)
 	}
+	mgr.Flush()
 
 	lm, err := lifecycle.NewManager(buildARPipeline(t), replication.BytesTrigger{N: 600})
 	if err != nil {
@@ -179,6 +181,7 @@ func TestEndToEndLifecycleOverDataTier(t *testing.T) {
 		if _, err := mgr.Publish("train", encode(tStep+1)); err != nil {
 			t.Fatal(err)
 		}
+		mgr.Flush()
 		current := decode()
 		// Both models forecast the next step from the recent window.
 		window := current.SliceRange(current.NumSamples()-50, current.NumSamples())

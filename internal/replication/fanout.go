@@ -10,10 +10,8 @@ import (
 
 // Config tunes a Manager's fanout pipeline.
 type Config struct {
-	// Workers is the size of the fanout worker pool. 0 keeps the
-	// synchronous inline fanout (Publish delivers before returning);
-	// any positive count makes Publish enqueue-and-return, with at most
-	// Workers concurrent deliveries across all leases.
+	// Workers is the size of the fanout worker pool, at most Workers
+	// concurrent deliveries across all leases (<= 0 means one).
 	Workers int
 	// CoalesceWindow, when positive, is the minimum gap between two
 	// deliveries to the same lease: publishes landing inside the window
@@ -22,41 +20,37 @@ type Config struct {
 	// hot object with many watchers then costs O(watchers) frames per
 	// window instead of O(watchers × updates). The window rides the wall
 	// clock (timer-based), so managers on virtual clocks should leave it
-	// zero. Async mode only.
+	// zero.
 	CoalesceWindow time.Duration
 	// SweepInterval, when positive, runs Sweep on that period so expired
 	// leases on idle keys — which the publish-path prune never revisits —
-	// leave the registry. Async mode only; synchronous callers invoke
-	// Sweep themselves.
+	// leave the registry. Zero leaves Sweep to the caller.
 	SweepInterval time.Duration
 }
 
 // NewManagerWith wraps a home store with an explicit fanout configuration.
 // nowFn may be nil (wall clock); tests and simulations inject virtual
-// clocks. Async managers (cfg.Workers > 0) own goroutines — call Close
-// when done with them.
+// clocks. The manager owns goroutines: call Close when done with it.
 func NewManagerWith(hs store.ObjectStore, nowFn func() time.Time, cfg Config) *Manager {
 	wall := nowFn == nil
 	if wall {
 		nowFn = time.Now
 	}
+	cfg.Workers = max(cfg.Workers, 1)
 	m := &Manager{store: hs, now: nowFn, wall: wall, cfg: cfg,
 		leases: map[string][]*Lease{}, byID: map[string]*Lease{}}
 	m.qcond = sync.NewCond(&m.qmu)
-	for i := 0; i < cfg.Workers; i++ {
+	for range cfg.Workers {
 		m.workers.Add(1)
 		go m.worker()
 	}
-	if cfg.Workers > 0 && cfg.SweepInterval > 0 {
+	if cfg.SweepInterval > 0 {
 		m.sweepStop = make(chan struct{})
 		m.workers.Add(1)
 		go m.sweeper(cfg.SweepInterval)
 	}
 	return m
 }
-
-// async reports whether this manager fans out through the worker pool.
-func (m *Manager) async() bool { return m.cfg.Workers > 0 }
 
 // ManagerStats is a point-in-time snapshot of the serving tier.
 type ManagerStats struct {
@@ -74,9 +68,8 @@ func (m *Manager) Stats() ManagerStats {
 }
 
 // Close stops the worker pool and the sweeper after draining already
-// queued deliveries. It is idempotent and a no-op for synchronous
-// managers. Publishes after Close still commit to the store; their
-// fanout frames are dropped.
+// queued deliveries. It is idempotent. Publishes after Close still commit
+// to the store; their fanout frames are dropped.
 func (m *Manager) Close() {
 	m.qmu.Lock()
 	if m.closed {
@@ -93,8 +86,8 @@ func (m *Manager) Close() {
 }
 
 // Flush blocks until every queued or in-delivery frame has been handed to
-// its subscriber — the barrier tests and the load harness use to observe
-// a quiesced fanout.
+// its subscriber — the barrier in-process callers, tests and the load
+// harness use to observe a quiesced fanout.
 func (m *Manager) Flush() {
 	m.qmu.Lock()
 	for m.inflight.Load() > 0 {
@@ -109,7 +102,7 @@ func (m *Manager) Flush() {
 // worker claims leases one at a time from the front of the share it joined
 // as and, once that is empty, steals single leases from the back of the
 // others, so a blocked Deliver holds one worker and one lease, never the
-// rest of its share. Synchronous managers use only the memo.
+// rest of its share.
 type fanoutJob struct {
 	leases []*Lease
 	shares []share
@@ -183,10 +176,10 @@ func (j *fanoutJob) claim(own int) (*Lease, bool) {
 // posted per lease, the counters' cache lines cost more than the deliveries.
 type tally struct {
 	now    time.Time
-	n      int64 // leases through the pipeline (async only)
+	n      int64 // leases through the pipeline
 	pushes [PushNotify + 1]int64
 	bytes  int64
-	lat    []float64 // publish-to-delivery seconds (async only)
+	lat    []float64 // publish-to-delivery seconds
 }
 
 // post adds the tally to the shared counters, retires its leases from the
@@ -197,14 +190,12 @@ func (m *Manager) post(t *tally) {
 	}
 	mPushBytes.Add(t.bytes)
 	mFanoutSeconds.ObserveAll(t.lat)
-	if t.n > 0 {
-		left := m.inflight.Add(-t.n)
-		mQueueDepth.Set(float64(left))
-		if left == 0 {
-			m.qmu.Lock()
-			m.qcond.Broadcast()
-			m.qmu.Unlock()
-		}
+	left := m.inflight.Add(-t.n)
+	mQueueDepth.Set(float64(left))
+	if left == 0 {
+		m.qmu.Lock()
+		m.qcond.Broadcast()
+		m.qmu.Unlock()
 	}
 	*t = tally{lat: t.lat[:0]}
 }
@@ -305,11 +296,14 @@ func (m *Manager) worker() {
 
 // deliverPending swaps out the lease's coalescing slot and pushes it as one
 // frame, built against the store's current state by the first lease of the
-// group to get here. The clock is read after the delivery comes back, and
-// kept in the tally for the next lease's expiry check. On the wall clock that
-// reading is the pass's previous one plus the monotonic time since it: one
-// monotonic read, and expiry, the coalescing window and fanout_seconds
-// compare monotonic readings only. An injected clock is called every time.
+// group to get here. A slot not above the last slot the lease was sent (a
+// publish whose merge landed after a later publish's frame went out) is
+// dropped and its publishes count as coalesced. The clock is read after the
+// delivery comes back, and kept in the tally for the next lease's expiry
+// check. On the wall clock that reading is the pass's previous one plus the
+// monotonic time since it: one monotonic read, and expiry, the coalescing
+// window and fanout_seconds compare monotonic readings only. An injected
+// clock is called every time.
 func (m *Manager) deliverPending(j *fanoutJob, l *Lease, t *tally) {
 	l.mu.Lock()
 	if l.cancelled || t.now.After(l.expires) {
@@ -326,10 +320,17 @@ func (m *Manager) deliverPending(j *fanoutJob, l *Lease, t *tally) {
 	count, version, since := l.pendCount, l.pendVersion, l.pendSince
 	k, sub := l.groupLocked(), l.sub
 	l.pendCount, l.pendVersion = 0, 0
+	if version <= l.sent {
+		l.coalesced += int64(count)
+		l.state = leaseIdle
+		l.mu.Unlock()
+		mCoalesced.Inc() // merge counted the slot's other count-1 publishes
+		return
+	}
 	l.state = leaseDelivering
 	l.mu.Unlock()
 
-	wire, err := m.push(j, l, k, sub, version, count)
+	wire, ok := m.push(j, l, k, sub, version, count)
 	if m.wall {
 		t.now = t.now.Add(time.Since(t.now))
 	} else {
@@ -337,8 +338,8 @@ func (m *Manager) deliverPending(j *fanoutJob, l *Lease, t *tally) {
 	}
 
 	l.mu.Lock()
-	if err == nil {
-		l.book(count, wire, t)
+	if ok {
+		l.book(count, version, wire, t)
 		t.lat = append(t.lat, t.now.Sub(since).Seconds())
 	}
 	l.lastDeliver, l.state = t.now, leaseIdle

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -52,32 +51,36 @@ func (m *Manager) registered(key string) int {
 
 // Regression (PR 8): an update-build error for one lease must not starve the
 // remaining subscribers — PublishCtx used to return on the first failure.
+// Publish reports only the store's error; the build failure is counted in
+// push_errors_total and costs its own lease one frame, which is not booked.
 func TestPublishContinuesPastFailingSubscriber(t *testing.T) {
 	fs := &flakyStore{ObjectStore: store.NewHomeStore(store.Options{BlockSize: 32})}
-	clock := newFakeClock()
-	m := NewManagerWith(fs, clock.Now, Config{})
+	m := NewManager(fs, newFakeClock().Now)
+	t.Cleanup(m.Close)
 	cols := make([]*collector, 3)
+	leases := make([]*Lease, len(cols))
 	for i := range cols {
 		cols[i] = &collector{}
-		if _, err := m.Subscribe("o1", fmt.Sprintf("c%d", i), PushValue, time.Hour, cols[i]); err != nil {
+		l, err := m.Subscribe("o1", fmt.Sprintf("c%d", i), PushValue, time.Hour, cols[i])
+		if err != nil {
 			t.Fatal(err)
 		}
+		leases[i] = l
 	}
 	before := mPushErrors.Value()
 	fs.arm(1) // first lease's Get fails; the publish Put itself is clean
 	v, err := m.Publish("o1", []byte("payload"))
-	if err == nil {
-		t.Fatal("want a joined fanout error for the failed lease")
+	if err != nil || v != 1 {
+		t.Fatalf("Publish = %d, %v; want version 1 and no error (the store write committed)", v, err)
 	}
-	if v != 1 {
-		t.Fatalf("version %d, want 1 (store write committed)", v)
-	}
-	delivered := 0
-	for _, c := range cols {
+	m.Flush()
+	delivered, booked := 0, 0
+	for i, c := range cols {
 		delivered += c.count()
+		booked += leases[i].Deliveries()
 	}
-	if delivered != 2 {
-		t.Fatalf("delivered to %d of 3 subscribers; the failure must only cost its own lease", delivered)
+	if delivered != 2 || booked != 2 {
+		t.Fatalf("delivered %d frames and booked %d of 3 leases, want 2 and 2: the failure must only cost its own lease", delivered, booked)
 	}
 	if got := mPushErrors.Value() - before; got != 1 {
 		t.Fatalf("coda_replication_push_errors_total moved by %d, want 1", got)
@@ -86,6 +89,7 @@ func TestPublishContinuesPastFailingSubscriber(t *testing.T) {
 	if _, err := m.Publish("o1", []byte("payload2")); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	total := 0
 	for _, c := range cols {
 		total += c.count()
@@ -95,35 +99,42 @@ func TestPublishContinuesPastFailingSubscriber(t *testing.T) {
 	}
 }
 
-// Regression (PR 8): errors from several leases come back joined, each
-// identifiable, and every healthy lease still delivers.
+// Regression (PR 8): failures on several leases of one publish are each
+// accounted for, and every healthy lease still delivers. The per-lease
+// errors used to come back joined from Publish; now Publish returns only
+// the store's error, and each failure moves push_errors_total once and
+// leaves its lease unbooked.
 func TestPublishJoinsAllFanoutErrors(t *testing.T) {
 	fs := &flakyStore{ObjectStore: store.NewHomeStore(store.Options{BlockSize: 32})}
-	m := NewManagerWith(fs, newFakeClock().Now, Config{})
+	m := NewManager(fs, newFakeClock().Now)
+	t.Cleanup(m.Close)
+	badA, err := m.Subscribe("o1", "bad-a", PushValue, time.Hour, &collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badB, err := m.Subscribe("o1", "bad-b", PushValue, time.Hour, &collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ok := &collector{}
-	if _, err := m.Subscribe("o1", "bad-a", PushValue, time.Hour, &collector{}); err != nil {
+	good, err := m.Subscribe("o1", "good", PushValue, time.Hour, ok)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Subscribe("o1", "bad-b", PushValue, time.Hour, &collector{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Subscribe("o1", "good", PushValue, time.Hour, ok); err != nil {
-		t.Fatal(err)
-	}
+	before := mPushErrors.Value()
 	fs.arm(2)
-	_, err := m.Publish("o1", []byte("x"))
-	if err == nil {
-		t.Fatal("want joined errors")
+	if _, err := m.Publish("o1", []byte("x")); err != nil {
+		t.Fatalf("Publish returned %v; lease failures are not the publisher's error", err)
 	}
-	var joined interface{ Unwrap() []error }
-	if !errors.As(err, &joined) {
-		t.Fatalf("error %v is not an errors.Join aggregate", err)
+	m.Flush()
+	if got := mPushErrors.Value() - before; got != 2 {
+		t.Fatalf("coda_replication_push_errors_total moved by %d, want 2", got)
 	}
-	if n := len(joined.Unwrap()); n != 2 {
-		t.Fatalf("joined %d errors, want 2", n)
+	if badA.Deliveries() != 0 || badB.Deliveries() != 0 {
+		t.Fatalf("failed leases booked %d and %d deliveries, want 0 and 0", badA.Deliveries(), badB.Deliveries())
 	}
-	if ok.count() != 1 {
-		t.Fatalf("healthy subscriber got %d deliveries, want 1", ok.count())
+	if ok.count() != 1 || good.Deliveries() != 1 {
+		t.Fatalf("healthy subscriber got %d deliveries (%d booked), want 1", ok.count(), good.Deliveries())
 	}
 }
 
@@ -131,7 +142,7 @@ func TestPublishJoinsAllFanoutErrors(t *testing.T) {
 // m.leases until the next Publish of that key — keys that stop publishing
 // leaked every lease ever registered. Cancel must prune immediately.
 func TestCancelFreesLeaseWithoutPublish(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	l, err := m.Subscribe("idle-key", "c1", PushNotify, time.Hour, &collector{})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +169,7 @@ func TestCancelFreesLeaseWithoutPublish(t *testing.T) {
 // Regression (PR 8): expired leases on keys that never publish again must
 // leave the registry via Sweep, not linger forever.
 func TestSweepFreesExpiredLeasesOnIdleKeys(t *testing.T) {
-	_, m, clock := setup()
+	_, m, clock := setup(t)
 	for i := 0; i < 4; i++ {
 		if _, err := m.Subscribe("idle", fmt.Sprintf("c%d", i), PushNotify, time.Minute, &collector{}); err != nil {
 			t.Fatal(err)
@@ -194,9 +205,10 @@ func (p *panicSubscriber) Deliver(Update) {
 // Regression (PR 8): deliveries/bytesPushed were incremented before
 // Deliver ran, so a panicking delivery still counted as delivered — and
 // the panic killed the whole fanout. Accounting must follow success, and
-// the panic must be contained to the one lease.
+// the panic must be contained to the one lease: counted as a push error
+// and a panic, never returned to the publisher.
 func TestPanicInDeliverIsolatedAndNotCounted(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	bad := &panicSubscriber{}
 	badLease, err := m.Subscribe("o1", "bad", PushValue, time.Hour, bad)
 	if err != nil {
@@ -207,10 +219,11 @@ func TestPanicInDeliverIsolatedAndNotCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := mPushPanics.Value()
-	if _, err := m.Publish("o1", []byte("v1")); err == nil {
-		t.Fatal("want an error reporting the panicking subscriber")
+	panics, errs := mPushPanics.Value(), mPushErrors.Value()
+	if _, err := m.Publish("o1", []byte("v1")); err != nil {
+		t.Fatalf("Publish returned %v; a subscriber's panic is not the publisher's error", err)
 	}
+	m.Flush()
 	if bad.calls.Load() != 1 {
 		t.Fatalf("panicking subscriber called %d times, want 1", bad.calls.Load())
 	}
@@ -223,8 +236,11 @@ func TestPanicInDeliverIsolatedAndNotCounted(t *testing.T) {
 	if good.count() != 1 || goodLease.Deliveries() != 1 {
 		t.Fatalf("healthy subscriber got %d deliveries, want 1", good.count())
 	}
-	if got := mPushPanics.Value() - before; got != 1 {
+	if got := mPushPanics.Value() - panics; got != 1 {
 		t.Fatalf("panic counter moved by %d, want 1", got)
+	}
+	if got := mPushErrors.Value() - errs; got != 1 {
+		t.Fatalf("push error counter moved by %d, want 1", got)
 	}
 }
 
@@ -357,23 +373,28 @@ func TestAsyncFanoutCoalescesBursts(t *testing.T) {
 
 // A coalescing window spaces each lease's deliveries: a burst of publishes
 // inside it costs a lease a few frames, not one per publish, the frames
-// account for every publish, and every lease — notify or value — ends on
-// the latest version, a value lease holding its bytes.
+// account for every publish, no lease's frames go backwards (a notify
+// lease's rise; a value frame reads the store's latest, so two may repeat
+// it), and every lease — notify or value — ends on the latest version, a
+// value lease holding its bytes.
 func TestCoalesceWindowConvergesEveryLease(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
 	m := NewManagerWith(hs, nil, Config{Workers: 4, CoalesceWindow: 40 * time.Millisecond})
 	defer m.Close()
 	const leases, publishes = 50, 20
 	cols := make([]*collector, leases)
+	ls := make([]*Lease, leases)
 	for i := range cols {
 		mode := PushNotify
 		if i%2 == 1 {
 			mode = PushValue
 		}
 		cols[i] = &collector{}
-		if _, err := m.Subscribe("hot", fmt.Sprint("c", i), mode, time.Hour, cols[i]); err != nil {
+		l, err := m.Subscribe("hot", fmt.Sprint("c", i), mode, time.Hour, cols[i])
+		if err != nil {
 			t.Fatal(err)
 		}
+		ls[i] = l
 	}
 	var last uint64
 	var payload []byte
@@ -389,16 +410,24 @@ func TestCoalesceWindowConvergesEveryLease(t *testing.T) {
 	frames := 0
 	for i, c := range cols {
 		c.mu.Lock()
+		updates := slices.Clone(c.updates)
+		c.mu.Unlock()
 		seen := 0
-		for _, u := range c.updates {
+		for j, u := range updates {
+			if j > 0 && (u.Version < updates[j-1].Version || u.Version == updates[j-1].Version && u.Notify) {
+				t.Fatalf("lease %d: frame %d carries version %d after version %d", i, j, u.Version, updates[j-1].Version)
+			}
 			seen += u.Coalesced
 		}
-		frames += len(c.updates)
-		c.mu.Unlock()
+		frames += len(updates)
 		if seen != publishes {
 			t.Fatalf("lease %d: frames account for %d publishes, want %d", i, seen, publishes)
 		}
-		u := c.last()
+		if ls[i].Deliveries() != len(updates) || ls[i].Deliveries()+int(ls[i].CoalescedUpdates()) != publishes {
+			t.Fatalf("lease %d: %d frames, books %d deliveries + %d coalesced, want %d publishes",
+				i, len(updates), ls[i].Deliveries(), ls[i].CoalescedUpdates(), publishes)
+		}
+		u := updates[len(updates)-1]
 		if u.Version != last {
 			t.Fatalf("lease %d stopped at version %d, want %d", i, u.Version, last)
 		}
@@ -411,7 +440,7 @@ func TestCoalesceWindowConvergesEveryLease(t *testing.T) {
 	}
 }
 
-// Async expiry: a lease that lapses while queued is pruned by the worker
+// Expiry at delivery: a lease that lapses while queued is pruned by the worker
 // without a delivery.
 func TestAsyncExpiredLeaseDroppedAtDelivery(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 32})
@@ -441,7 +470,7 @@ func TestAsyncExpiredLeaseDroppedAtDelivery(t *testing.T) {
 	}
 }
 
-// Async panic isolation: a panicking subscriber costs its own frame only;
+// Panic isolation: a panicking subscriber costs its own frame only;
 // the worker survives and keeps serving other leases.
 func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 32})
@@ -470,7 +499,7 @@ func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
 }
 
 func TestLeaseByID(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	l, err := m.Subscribe("o1", "c1", PushDelta, time.Minute, &collector{})
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +517,7 @@ func TestLeaseByID(t *testing.T) {
 }
 
 func TestOnReleaseFiresOncePerLease(t *testing.T) {
-	_, m, clock := setup()
+	_, m, clock := setup(t)
 	var mu sync.Mutex
 	released := map[string]int{}
 	m.OnRelease = func(l *Lease) {
@@ -510,7 +539,7 @@ func TestOnReleaseFiresOncePerLease(t *testing.T) {
 }
 
 // Lease churn under the race detector: 16 goroutines subscribing,
-// renewing, cancelling, and publishing against one async manager with a
+// renewing, cancelling, and publishing against one manager with a
 // virtual clock, then a sweep that must leave the registry consistent.
 func TestLeaseChurnStressRace(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
@@ -861,5 +890,109 @@ func BenchmarkFanout1000(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// gatedStore holds its first Put after the write commits, until released:
+// the lever for landing one publish's merge after a later publish's frame.
+type gatedStore struct {
+	store.ObjectStore
+	puts      atomic.Int64
+	committed chan struct{}
+	release   chan struct{}
+}
+
+func (g *gatedStore) Put(key string, data []byte) (uint64, error) {
+	v, err := g.ObjectStore.Put(key, data)
+	if g.puts.Add(1) == 1 {
+		close(g.committed)
+		<-g.release
+	}
+	return v, err
+}
+
+// A lease's frames never go backwards (ROADMAP 10b: coalescing may skip,
+// never reorder). Publish merges into each lease's slot after its store
+// write returns, so when two publishes race, the first one's merge can land
+// after the second one's frame went out. That slot is behind the lease: a
+// notify lease would be told version 1 after version 2, a value lease would
+// get version 2 twice. It is dropped and its publish counts as coalesced.
+func TestLeaseFramesNeverGoBackwards(t *testing.T) {
+	for _, mode := range []PushMode{PushNotify, PushValue} {
+		t.Run(mode.String(), func(t *testing.T) {
+			gs := &gatedStore{ObjectStore: store.NewHomeStore(store.Options{BlockSize: 32}),
+				committed: make(chan struct{}), release: make(chan struct{})}
+			m := NewManager(gs, nil)
+			t.Cleanup(m.Close)
+			col := &collector{}
+			lease, err := m.Subscribe("k", "c", mode, time.Hour, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coalesced := mCoalesced.Value()
+			first := make(chan error, 1)
+			go func() {
+				_, err := m.Publish("k", []byte("one"))
+				first <- err
+			}()
+			<-gs.committed // version 1 is written; its merge has not happened yet
+			if _, err := m.Publish("k", []byte("two")); err != nil {
+				t.Fatal(err)
+			}
+			m.Flush()
+			close(gs.release)
+			if err := <-first; err != nil {
+				t.Fatal(err)
+			}
+			m.Flush()
+			var versions []uint64
+			col.mu.Lock()
+			for _, u := range col.updates {
+				versions = append(versions, u.Version)
+			}
+			col.mu.Unlock()
+			if !slices.Equal(versions, []uint64{2}) {
+				t.Fatalf("lease received versions %v, want [2]", versions)
+			}
+			if lease.Deliveries() != 1 || lease.CoalescedUpdates() != 1 {
+				t.Fatalf("lease booked %d deliveries and %d coalesced publishes, want 1 and 1",
+					lease.Deliveries(), lease.CoalescedUpdates())
+			}
+			if got := mCoalesced.Value() - coalesced; got != 1 {
+				t.Fatalf("coda_replication_coalesced_updates_total moved by %d, want 1", got)
+			}
+		})
+	}
+}
+
+// A notify frame is reused only at its own version. Handed a newer build of
+// its group, a lease would run ahead of its slot, and its next frame — for a
+// publish that raced in between — would carry an older version.
+func TestNotifyFrameNeverRunsAhead(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 32})
+	m := NewManager(hs, nil)
+	t.Cleanup(m.Close)
+	for _, v := range []string{"a", "b", "c"} {
+		if _, err := hs.Put("k", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := &fanoutJob{}
+	for _, mode := range []PushMode{PushNotify, PushValue} {
+		k := frameKey{mode: mode}
+		if _, err := m.frame(j, "k", k, 3); err != nil {
+			t.Fatal(err)
+		}
+		u, err := m.frame(j, "k", k, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(2) // notify: the slot's own version
+		if mode == PushValue {
+			want = 3 // value: the store's latest, shared from the memo
+		}
+		if u.Version != want {
+			t.Fatalf("%s frame for slot version 2 after a version-3 build carries %d, want %d", mode, u.Version, want)
+		}
 	}
 }

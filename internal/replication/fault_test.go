@@ -98,6 +98,7 @@ func (s *lossySubscriber) Deliver(u replication.Update) {
 func TestPushLossRepairedByPull(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
 	m := replication.NewManager(hs, nil)
+	t.Cleanup(m.Close)
 	sub := &lossySubscriber{rep: store.NewReplica(), rng: rand.New(rand.NewSource(8)), loss: 0.5}
 	if _, err := m.Subscribe("o", "edge-client", replication.PushValue, time.Hour, sub); err != nil {
 		t.Fatal(err)
@@ -111,6 +112,7 @@ func TestPushLossRepairedByPull(t *testing.T) {
 		if _, err := m.Publish("o", latest); err != nil {
 			t.Fatal(err)
 		}
+		m.Flush()
 	}
 	if sub.lost == 0 {
 		t.Fatal("no pushes were lost — test proves nothing")

@@ -18,15 +18,16 @@
 // plus a memo of updates keyed by (mode, acknowledged version). Leases that
 // share a group share one build — one store read — and are handed the same
 // immutable Update, so a hot object costs one delta per distinct base, not
-// one per watcher. The default (Config.Workers == 0) runs the job inline
-// inside Publish, which suits in-process consumers like the experiments.
-// With Config.Workers > 0 Publish merges the update into each lease's
-// coalescing slot, enqueues the job and returns; a bounded worker pool splits
-// it into one share per worker, and each worker claims leases one at a time
-// from its own share and then from the others' as it runs dry, so a slow,
-// failing, or panicking subscriber never stalls the publisher or any other
-// lease, and a burst of updates collapses into one frame per lease carrying
-// the latest version. That is the serving tier behind httpapi's
+// one per watcher. Publish merges the update into each lease's coalescing
+// slot, enqueues the job and returns; a bounded worker pool (Config.Workers,
+// one by default) splits it into one share per worker, and each worker
+// claims leases one at a time from its own share and then from the others'
+// as it runs dry, so a slow, failing, or panicking subscriber never stalls
+// the publisher or any other lease, and a burst of updates collapses into
+// one frame per lease carrying the latest version. A lease's frames never go
+// backwards: coalescing may skip a version, never reorder two. Flush is the
+// barrier for callers that must see the deliveries, such as the
+// experiments; the same pool is the serving tier behind httpapi's
 // SSE/long-poll lease endpoints.
 package replication
 
@@ -49,7 +50,7 @@ import (
 )
 
 // Replication telemetry: fan-out volume and wire cost per push mode, the
-// lease population, and the async fanout pipeline.
+// lease population, and the fanout pipeline.
 var (
 	mPushes = [...]*obs.Counter{
 		PushValue:  obs.GetCounter(`coda_replication_pushes_total{mode="push-value"}`),
@@ -108,9 +109,11 @@ type Update struct {
 	// ChangedBytes estimates how much the object changed (delta wire
 	// size), included with notifications per Section III.
 	ChangedBytes int
-	// Coalesced counts the publishes this update represents: 1 on the
-	// synchronous path, possibly more when the async fanout merged a
-	// burst into one frame carrying only the latest version.
+	// Coalesced counts the publishes this update represents: 1, or more
+	// when the fanout merged a burst into one frame carrying only the
+	// latest version. Only a publish that raced a later one and reached
+	// the lease after that one's frame rides no frame;
+	// Lease.CoalescedUpdates counts it.
 	Coalesced int
 
 	shared *sharedFrame // set on updates a Manager built; nil on hand-made ones
@@ -155,10 +158,9 @@ func (u Update) Encoded(encode func(Update) []byte) []byte {
 	return u.shared.enc
 }
 
-// Subscriber consumes pushed updates. Deliver runs on the publisher's
-// goroutine (synchronous managers) or on a fanout worker (async managers)
-// and must not block; a blocking Deliver occupies one fanout worker until
-// it returns. A panic in Deliver is recovered and counted — it costs that
+// Subscriber consumes pushed updates. Deliver runs on a fanout worker and
+// must not block; a blocking Deliver occupies one fanout worker until it
+// returns. A panic in Deliver is recovered and counted — it costs that
 // lease one frame, never the fanout. Update.Reply is shared between
 // subscribers and read-only: copy before modifying.
 type Subscriber interface {
@@ -177,7 +179,7 @@ var ErrLeaseExpired = errors.New("replication: lease expired")
 // ErrLeaseNotFound is returned by the ByID operations for unknown ids.
 var ErrLeaseNotFound = errors.New("replication: lease not found")
 
-// leaseState tracks where a lease sits in the async fanout pipeline.
+// leaseState tracks where a lease sits in the fanout pipeline.
 type leaseState int
 
 const (
@@ -204,12 +206,16 @@ type Lease struct {
 	bytesPushed int64
 	sub         Subscriber
 
-	// Async fanout state: the coalescing slot. pendCount publishes since
-	// the last delivery, collapsed to pendVersion (the latest); pendSince
+	// Fanout state: the coalescing slot. pendCount publishes since the
+	// last delivery, collapsed to pendVersion (the latest); pendSince
 	// stamps the oldest undelivered publish for the latency histogram.
+	// sent is the slot version of the last delivered frame: a slot not
+	// above it holds a publish that raced past a newer one and is dropped,
+	// so frames never go backwards.
 	state       leaseState
 	pendCount   int
 	pendVersion uint64
+	sent        uint64
 	pendSince   time.Time
 	lastDeliver time.Time
 }
@@ -246,7 +252,8 @@ func (l *Lease) Deliveries() int {
 }
 
 // CoalescedUpdates returns how many publishes beyond one-per-frame were
-// merged into this lease's delivered frames.
+// merged into this lease's delivered frames, or reached the lease after a
+// later publish's frame and were dropped.
 func (l *Lease) CoalescedUpdates() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -289,7 +296,7 @@ type Manager struct {
 	leases map[string][]*Lease // key -> registered leases
 	byID   map[string]*Lease
 
-	// Async fanout pipeline; see fanout.go.
+	// Fanout pipeline; see fanout.go.
 	qmu       sync.Mutex
 	qcond     *sync.Cond
 	jobs      []*fanoutJob
@@ -301,8 +308,9 @@ type Manager struct {
 
 func (m *Manager) logger() *slog.Logger { return cmp.Or(m.Logger, slog.Default()) }
 
-// NewManager wraps a home store with synchronous fanout. nowFn may be nil
-// (wall clock); tests and simulations inject virtual clocks.
+// NewManager wraps a home store with a one-worker fanout pool. nowFn may be
+// nil (wall clock); tests and simulations inject virtual clocks. Call Close
+// when done.
 func NewManager(hs store.ObjectStore, nowFn func() time.Time) *Manager {
 	return NewManagerWith(hs, nowFn, Config{})
 }
@@ -403,8 +411,8 @@ func (m *Manager) ActiveLeases(key string) int {
 
 // Sweep prunes every expired lease across all keys — including keys that
 // stopped publishing, which the publish-path prune never revisits — and
-// returns how many it released. Async managers run this periodically
-// (Config.SweepInterval); synchronous callers may invoke it directly.
+// returns how many it released. A manager runs it periodically when
+// Config.SweepInterval is set; callers may also invoke it directly.
 func (m *Manager) Sweep() int {
 	now := m.now()
 	m.mu.Lock()
@@ -436,11 +444,12 @@ func (m *Manager) Publish(key string, data []byte) (uint64, error) {
 // trigger, an HTTP handler) appears as a store-tagged child span with
 // its fan-out recorded.
 //
-// Synchronous managers deliver inline: every active lease is attempted
-// even when building or delivering an earlier lease's update fails, and
-// the per-lease failures come back joined (errors.Join) alongside the
-// committed version. Async managers merge the update into each lease's
-// coalescing slot and return as soon as the store write commits.
+// It merges the update into each live lease's coalescing slot and returns
+// as soon as the store write commits, so its only error is the store's.
+// The pool delivers afterwards (Flush waits for it): a lease whose build
+// fails or whose subscriber panics is counted in
+// coda_replication_push_errors_total (and _push_panics_total), logged, and
+// skipped, at no cost to the other leases.
 func (m *Manager) PublishCtx(ctx context.Context, key string, data []byte) (uint64, error) {
 	_, sp := trace.Start(ctx, "replication.publish", trace.String("key", key))
 	sp.SetComponent(trace.CompStoreWait)
@@ -457,34 +466,28 @@ func (m *Manager) PublishCtx(ctx context.Context, key string, data []byte) (uint
 	snapshot := append([]*Lease(nil), m.leases[key]...)
 	m.mu.Unlock()
 	var subscribers, groups int
-	var fanoutErr error
 	if len(snapshot) > 0 {
-		subscribers, groups, fanoutErr = m.fanout(snapshot, version)
+		subscribers, groups = m.fanout(snapshot, version)
 	}
 	sp.SetAttr(trace.Int64("version", int64(version)), trace.Int("subscribers", subscribers), trace.Int("groups", groups))
 	if lg := m.logger(); lg.Enabled(context.Background(), slog.LevelDebug) {
 		lg.Debug("published object version",
-			"key", key, "version", version, "subscribers", subscribers, "groups", groups, "async", m.async())
+			"key", key, "version", version, "subscribers", subscribers, "groups", groups)
 	}
-	return version, fanoutErr
+	return version, nil
 }
 
 // fanout turns one publish into its job: it prunes the expired leases of
 // the snapshot (which it owns), counts the distinct (mode, ack) groups among
-// the live ones, and either delivers inline (synchronous managers; a lease
-// whose build fails or whose subscriber panics is recorded and skipped) or
-// merges the publish into every coalescing slot and enqueues the leases that
-// went idle→queued: at most two jobs, the second for leases the coalescing
-// window holds back.
-func (m *Manager) fanout(snapshot []*Lease, version uint64) (subscribers, groups int, err error) {
+// the live ones, merges the publish into every coalescing slot and enqueues
+// the leases that went idle→queued: at most two jobs, the second for leases
+// the coalescing window holds back.
+func (m *Manager) fanout(snapshot []*Lease, version uint64) (subscribers, groups int) {
 	now := m.now()
 	ready, late := snapshot[:0], []*Lease(nil)
 	var lateBy time.Duration
 	seen := map[frameKey]struct{}{}
 	var last frameKey
-	var inline fanoutJob // the synchronous manager's job: only the memo is used
-	var t tally
-	var errs []error
 	for _, l := range snapshot {
 		l.mu.Lock()
 		if l.cancelled || now.After(l.expires) {
@@ -493,26 +496,14 @@ func (m *Manager) fanout(snapshot []*Lease, version uint64) (subscribers, groups
 			m.unregister(l)
 			continue
 		}
-		k, sub := l.groupLocked(), l.sub
-		queued, delay := false, time.Duration(0)
-		if m.async() {
-			queued, delay = m.merge(l, version, now)
-		}
+		k := l.groupLocked()
+		queued, delay := m.merge(l, version, now)
 		l.mu.Unlock()
 		subscribers++
 		if k != last || len(seen) == 0 {
 			seen[k], last = struct{}{}, k
 		}
 		switch {
-		case !m.async():
-			wire, err := m.push(&inline, l, k, sub, version, 1)
-			if err != nil {
-				errs = append(errs, err)
-				continue
-			}
-			l.mu.Lock()
-			l.book(1, wire, &t)
-			l.mu.Unlock()
 		case !queued: // the worker's post-delivery check picks the slot up
 		case delay > 0:
 			late = append(late, l)
@@ -521,18 +512,15 @@ func (m *Manager) fanout(snapshot []*Lease, version uint64) (subscribers, groups
 			ready = append(ready, l)
 		}
 	}
-	if !m.async() {
-		m.post(&t)
-		return subscribers, len(seen), errors.Join(errs...)
-	}
 	m.enqueue(ready, 0)
 	m.enqueue(late, lateBy)
-	return subscribers, len(seen), nil
+	return subscribers, len(seen)
 }
 
-// book records one delivered frame standing for count publishes on the lease
-// (l.mu held) and in the caller's tally.
-func (l *Lease) book(count int, wire int64, t *tally) {
+// book records one delivered frame standing for count publishes up to
+// version on the lease (l.mu held) and in the caller's tally.
+func (l *Lease) book(count int, version uint64, wire int64, t *tally) {
+	l.sent = version
 	l.deliveries++
 	l.coalesced += int64(count - 1)
 	l.bytesPushed += wire
@@ -542,15 +530,16 @@ func (l *Lease) book(count int, wire int64, t *tally) {
 
 // push resolves the update of l's group at version (or newer) through the
 // job's memo and hands it to the subscriber as one frame standing for count
-// publishes, returning its wire size. Build failures and subscriber panics
-// are counted, logged and returned, and cost this lease only; the caller
-// books the delivery after the handoff, so a failed one is never counted.
-func (m *Manager) push(j *fanoutJob, l *Lease, k frameKey, sub Subscriber, version uint64, count int) (wire int64, err error) {
+// publishes, returning its wire size and whether the handoff completed.
+// Build failures and subscriber panics are counted and logged, and cost this
+// lease only; the caller books the delivery after the handoff, so a failed
+// one is never counted.
+func (m *Manager) push(j *fanoutJob, l *Lease, k frameKey, sub Subscriber, version uint64, count int) (wire int64, ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
+			ok = false
 			mPushPanics.Inc()
 			mPushErrors.Inc()
-			err = fmt.Errorf("replication: subscriber %s/%s panicked: %v", l.ClientID, l.Key, p)
 			m.logger().Error("subscriber panicked during delivery",
 				"key", l.Key, "client", l.ClientID, "lease", l.ID, "panic", fmt.Sprint(p))
 		}
@@ -560,11 +549,11 @@ func (m *Manager) push(j *fanoutJob, l *Lease, k frameKey, sub Subscriber, versi
 		mPushErrors.Inc()
 		m.logger().Warn("building push update failed",
 			"key", l.Key, "client", l.ClientID, "lease", l.ID, "err", err)
-		return 0, fmt.Errorf("replication: building update for %s: %w", l.ClientID, err)
+		return 0, false
 	}
 	u.Coalesced = count
 	sub.Deliver(u)
-	return int64(u.WireBytes()), nil
+	return int64(u.WireBytes()), true
 }
 
 // frameKey names a group of leases one update serves: same payload mode,
@@ -587,15 +576,21 @@ func (l *Lease) groupLocked() frameKey {
 // same Update. The latest build is checked without the job lock: a key
 // usually has one group, and every lease after the first stops there. A
 // memoized frame older than version (a later publish merged into the slot
-// after the job's first build) is rebuilt. Failed builds are not memoized:
+// after the job's first build) is rebuilt. A notify frame carries its slot's
+// version, not the store's, so it is reused at exactly that version: a newer
+// one would run ahead of the lease's slot, and the lease's next frame, for a
+// publish in between, would go backwards. Failed builds are not memoized:
 // the error costs the lease that hit it and the next one retries.
 func (m *Manager) frame(j *fanoutJob, key string, k frameKey, version uint64) (Update, error) {
-	if f := j.last.Load(); f != nil && f.key == k && f.u.Version >= version {
+	fits := func(f *sharedFrame) bool {
+		return f != nil && f.key == k && (f.u.Version == version || f.u.Version > version && k.mode != PushNotify)
+	}
+	if f := j.last.Load(); fits(f) {
 		return f.u, nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if f := j.frames[k]; f != nil && f.u.Version >= version {
+	if f := j.frames[k]; fits(f) {
 		j.last.Store(f)
 		return f.u, nil
 	}

@@ -57,14 +57,16 @@ func (c *collector) last() Update {
 	return c.updates[len(c.updates)-1]
 }
 
-func setup() (store.ObjectStore, *Manager, *fakeClock) {
+func setup(t *testing.T) (store.ObjectStore, *Manager, *fakeClock) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 32})
 	clock := newFakeClock()
-	return hs, NewManager(hs, clock.Now), clock
+	m := NewManager(hs, clock.Now)
+	t.Cleanup(m.Close)
+	return hs, m, clock
 }
 
 func TestPushValueDeliversFullObject(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	col := &collector{}
 	if _, err := m.Subscribe("o1", "c1", PushValue, time.Minute, col); err != nil {
 		t.Fatal(err)
@@ -72,6 +74,7 @@ func TestPushValueDeliversFullObject(t *testing.T) {
 	if _, err := m.Publish("o1", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	if col.count() != 1 {
 		t.Fatalf("deliveries %d", col.count())
 	}
@@ -82,7 +85,7 @@ func TestPushValueDeliversFullObject(t *testing.T) {
 }
 
 func TestPushDeltaUsesAckVersion(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	col := &collector{}
 	lease, err := m.Subscribe("o1", "c1", PushDelta, time.Minute, col)
 	if err != nil {
@@ -93,6 +96,7 @@ func TestPushDeltaUsesAckVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	// First update: subscriber had nothing, gets the full value.
 	if col.last().Reply.IsDelta() {
 		t.Fatal("first push should be full")
@@ -105,6 +109,7 @@ func TestPushDeltaUsesAckVersion(t *testing.T) {
 	if _, err := m.Publish("o1", v2); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	u := col.last()
 	if !u.Reply.IsDelta() {
 		t.Fatal("second push should be a delta against the acked version")
@@ -118,7 +123,7 @@ func TestPushDeltaUsesAckVersion(t *testing.T) {
 }
 
 func TestPushNotifyCarriesNoPayload(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	col := &collector{}
 	lease, err := m.Subscribe("o1", "c1", PushNotify, time.Minute, col)
 	if err != nil {
@@ -129,12 +134,14 @@ func TestPushNotifyCarriesNoPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	lease.AckVersion(v1)
 	big2 := append([]byte(nil), big...)
 	big2[0] ^= 1
 	if _, err := m.Publish("o1", big2); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	u := col.last()
 	if !u.Notify || u.Reply != nil {
 		t.Fatalf("notify update %+v", u)
@@ -151,7 +158,7 @@ func TestPushNotifyCarriesNoPayload(t *testing.T) {
 }
 
 func TestLeaseExpiryStopsDeliveries(t *testing.T) {
-	_, m, clock := setup()
+	_, m, clock := setup(t)
 	col := &collector{}
 	if _, err := m.Subscribe("o1", "c1", PushValue, time.Minute, col); err != nil {
 		t.Fatal(err)
@@ -159,10 +166,12 @@ func TestLeaseExpiryStopsDeliveries(t *testing.T) {
 	if _, err := m.Publish("o1", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	clock.Advance(2 * time.Minute)
 	if _, err := m.Publish("o1", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	if col.count() != 1 {
 		t.Fatalf("expired lease received %d deliveries", col.count())
 	}
@@ -172,7 +181,7 @@ func TestLeaseExpiryStopsDeliveries(t *testing.T) {
 }
 
 func TestLeaseRenewExtends(t *testing.T) {
-	_, m, clock := setup()
+	_, m, clock := setup(t)
 	col := &collector{}
 	lease, err := m.Subscribe("o1", "c1", PushValue, time.Minute, col)
 	if err != nil {
@@ -186,6 +195,7 @@ func TestLeaseRenewExtends(t *testing.T) {
 	if _, err := m.Publish("o1", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	if col.count() != 1 {
 		t.Fatal("renewed lease missed a delivery")
 	}
@@ -197,7 +207,7 @@ func TestLeaseRenewExtends(t *testing.T) {
 }
 
 func TestLeaseCancel(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	col := &collector{}
 	lease, err := m.Subscribe("o1", "c1", PushValue, time.Hour, col)
 	if err != nil {
@@ -207,13 +217,14 @@ func TestLeaseCancel(t *testing.T) {
 	if _, err := m.Publish("o1", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	if col.count() != 0 {
 		t.Fatal("cancelled lease still receives updates")
 	}
 }
 
 func TestSubscribeValidation(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	if _, err := m.Subscribe("o1", "c1", PushValue, 0, &collector{}); err == nil {
 		t.Fatal("want ttl error")
 	}
@@ -226,7 +237,7 @@ func TestSubscribeValidation(t *testing.T) {
 }
 
 func TestMultipleSubscribersFanOut(t *testing.T) {
-	_, m, _ := setup()
+	_, m, _ := setup(t)
 	cols := make([]*collector, 5)
 	for i := range cols {
 		cols[i] = &collector{}
@@ -237,6 +248,7 @@ func TestMultipleSubscribersFanOut(t *testing.T) {
 	if _, err := m.Publish("o1", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	for i, c := range cols {
 		if c.count() != 1 {
 			t.Fatalf("subscriber %d got %d updates", i, c.count())
@@ -306,7 +318,7 @@ func TestPushModesEndToEndBandwidthOrdering(t *testing.T) {
 	rng.Read(data)
 
 	run := func(mode PushMode) int64 {
-		_, m, _ := setup()
+		_, m, _ := setup(t)
 		col := &collector{}
 		lease, err := m.Subscribe("o", "c", mode, time.Hour, col)
 		if err != nil {
@@ -320,6 +332,7 @@ func TestPushModesEndToEndBandwidthOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			m.Flush()
 			lease.AckVersion(v)
 		}
 		return lease.BytesPushed()

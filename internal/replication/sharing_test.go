@@ -68,7 +68,7 @@ func (r *replicaSub) snapshot() (data []byte, version uint64, last Update) {
 
 // The sharing contract: a publish reads the store once per distinct
 // (mode, acked version) group among the key's live leases — not once per
-// lease — on both the synchronous and the worker-pool manager; every
+// lease — on the default pool (Workers 0 means one worker) and on two; every
 // lease's frame is still right for the base that lease acknowledged; and
 // the leases of one group are handed the very same Reply.
 func TestFanoutBuildsOncePerGroup(t *testing.T) {
@@ -192,7 +192,8 @@ func TestFanoutBuildsOncePerGroup(t *testing.T) {
 // for the rest of that publish and is back with the others on the next one.
 func TestAckMidFanoutRegroupsOnNextPublish(t *testing.T) {
 	cs := &countingStore{ObjectStore: store.NewHomeStore(store.Options{BlockSize: 16})}
-	m := NewManagerWith(cs, nil, Config{})
+	m := NewManager(cs, nil)
+	t.Cleanup(m.Close)
 	body := func(v int) []byte {
 		return append(bytes.Repeat([]byte("abcdefgh"), 32), byte(v))
 	}
@@ -201,6 +202,7 @@ func TestAckMidFanoutRegroupsOnNextPublish(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	m.Flush()
 	var leases [3]*Lease
 	cols := [3]*collector{{}, {}, {}}
 	for i := range leases {
@@ -222,6 +224,7 @@ func TestAckMidFanoutRegroupsOnNextPublish(t *testing.T) {
 	if _, err := m.Publish("doc", body(3)); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	if got := cs.gets.Load() - g0; got != 2 {
 		t.Fatalf("%d store reads, want 2: the group at version 2, then the lease that moved to 3", got)
 	}
@@ -232,6 +235,7 @@ func TestAckMidFanoutRegroupsOnNextPublish(t *testing.T) {
 	if _, err := m.Publish("doc", body(4)); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	if got := cs.gets.Load() - g0; got != 1 {
 		t.Fatalf("%d store reads on the next publish, want 1: all three leases acked version 3", got)
 	}
@@ -290,20 +294,23 @@ func TestSharedFrameReadConcurrently(t *testing.T) {
 }
 
 // Deterministic cost ceiling (ROADMAP 7a): a steady-state publish to a key
-// with 1000 acking PushDelta leases on a synchronous manager allocates a
-// constant, nothing per lease. Measured when this test was written: 48
-// allocations per publish (12 of them the store write alone, the rest the
-// one delta, the snapshot and the job), against 15032 at the parent commit,
-// where every lease had its own store read, Reply and four delta encodings.
-// The ceiling is 150: over 100x under the parent, with room for the store's
-// delta to vary.
+// with 1000 acking PushDelta leases, delivered by a one-worker pool before
+// the count ends, allocates a constant, nothing per lease. Measured when
+// this test was written: 48 allocations per publish (12 of them the store
+// write alone, the rest the one delta, the snapshot and the job), against
+// 15032 before leases shared group builds, when every lease had its own
+// store read, Reply and four delta encodings; 27 once the fanout ran only
+// on the pool. The ceiling is 150: over 100x under 15032, with room for the
+// store's delta to vary.
 func TestPublishAllocationsDoNotScaleWithLeases(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 64, Retain: 4})
 	m := NewManager(hs, nil)
+	t.Cleanup(m.Close)
 	data := make([]byte, 4096)
 	if _, err := m.Publish("hot", data); err != nil {
 		t.Fatal(err)
 	}
+	m.Flush()
 	const n = 1000
 	leases := make([]*Lease, n)
 	for i := range leases {
@@ -330,6 +337,7 @@ func TestPublishAllocationsDoNotScaleWithLeases(t *testing.T) {
 		if _, err := m.Publish("hot", next[edits]); err != nil {
 			t.Fatal(err)
 		}
+		m.Flush()
 		edits++
 	})
 	if got := leases[n-1].Deliveries(); got != 51 { // AllocsPerRun warms up once

@@ -1,8 +1,8 @@
 // Package retry is the fault-tolerance layer for client↔cloud traffic:
-// exponential backoff with jitter, per-attempt timeouts, retry budgets
-// that stop retry storms under sustained outages, error classification
-// (transient faults retry, caller mistakes do not), and a circuit breaker
-// that lets callers degrade gracefully when the remote side is down.
+// exponential backoff with jitter, per-attempt timeouts, error
+// classification (transient faults retry, caller mistakes do not), and a
+// circuit breaker that bounds retries under sustained outages and lets
+// callers degrade gracefully when the remote side is down.
 //
 // The paper's cooperative searches run over wide-area links between
 // client nodes and cloud analytics servers (Figure 1); this package makes
@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"sync"
 	"syscall"
 	"time"
 
@@ -28,14 +27,15 @@ import (
 // Telemetry for the fault-tolerance layer: attempt volume, how often the
 // backoff path engages, and abandoned calls. Scraped at /metrics.
 var (
-	mAttempts        = obs.GetCounter("coda_retry_attempts_total")
-	mRetries         = obs.GetCounter("coda_retry_retries_total")
-	mGiveups         = obs.GetCounter("coda_retry_giveups_total")
-	mBudgetExhausted = obs.GetCounter("coda_retry_budget_exhausted_total")
-	mBackoffSeconds  = obs.GetHistogram("coda_retry_backoff_seconds", nil)
+	mAttempts       = obs.GetCounter("coda_retry_attempts_total")
+	mRetries        = obs.GetCounter("coda_retry_retries_total")
+	mGiveups        = obs.GetCounter("coda_retry_giveups_total")
+	mBackoffSeconds = obs.GetHistogram("coda_retry_backoff_seconds", nil)
 )
 
-// Default policy values, used when the corresponding Policy field is zero.
+// Default policy values. The first three stand in for a zero Policy field.
+// Every backoff grows by DefaultMultiplier and is spread by ±DefaultJitter,
+// de-synchronizing clients that fail together.
 const (
 	DefaultMaxAttempts    = 4
 	DefaultInitialBackoff = 100 * time.Millisecond
@@ -45,7 +45,7 @@ const (
 )
 
 // Policy configures Do. The zero value is usable: every zero field takes
-// the package default, and there is no per-attempt timeout or budget.
+// the package default, and there is no per-attempt timeout.
 type Policy struct {
 	// MaxAttempts bounds total tries, including the first (default 4).
 	// A value of 1 disables retrying.
@@ -54,18 +54,10 @@ type Policy struct {
 	InitialBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 5s).
 	MaxBackoff time.Duration
-	// Multiplier grows the backoff between attempts (default 2).
-	Multiplier float64
-	// Jitter randomizes each backoff by ±Jitter fraction (default 0.2),
-	// de-synchronizing clients that fail together.
-	Jitter float64
 	// PerAttemptTimeout bounds each attempt with its own deadline, so one
 	// hung connection cannot eat the whole call budget. Zero means the
 	// attempt runs under the caller's context alone.
 	PerAttemptTimeout time.Duration
-	// Budget, when set, is consulted before every retry (not the first
-	// attempt); an exhausted budget fails the call immediately.
-	Budget *Budget
 	// Sleep is the backoff clock; nil uses a real timer. Tests inject a
 	// recorder to assert the schedule without waiting.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -80,12 +72,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = DefaultMaxBackoff
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = DefaultMultiplier
-	}
-	if p.Jitter <= 0 {
-		p.Jitter = DefaultJitter
 	}
 	if p.Sleep == nil {
 		p.Sleep = sleepCtx
@@ -111,7 +97,7 @@ func (p Policy) Backoff(retry int, rng *rand.Rand) time.Duration {
 	p = p.withDefaults()
 	d := float64(p.InitialBackoff)
 	for i := 0; i < retry; i++ {
-		d *= p.Multiplier
+		d *= DefaultMultiplier
 		if d >= float64(p.MaxBackoff) {
 			d = float64(p.MaxBackoff)
 			break
@@ -126,15 +112,10 @@ func (p Policy) Backoff(retry int, rng *rand.Rand) time.Duration {
 	} else {
 		u = rand.Float64()
 	}
-	// Spread uniformly over [1-Jitter, 1+Jitter].
-	d *= 1 + p.Jitter*(2*u-1)
+	// Spread uniformly over [1-DefaultJitter, 1+DefaultJitter].
+	d *= 1 + DefaultJitter*(2*u-1)
 	return time.Duration(d)
 }
-
-// ErrBudgetExhausted marks a call abandoned because the retry budget ran
-// dry — the remote side is likely in a sustained outage and hammering it
-// with retries would make recovery slower.
-var ErrBudgetExhausted = errors.New("retry: budget exhausted")
 
 // Do runs op until it succeeds, fails terminally, or the policy gives up.
 // The context passed to op carries the per-attempt deadline when one is
@@ -145,10 +126,6 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 	var err error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if p.Budget != nil && !p.Budget.Spend() {
-				mBudgetExhausted.Inc()
-				return fmt.Errorf("%w: after %d attempts: %v", ErrBudgetExhausted, attempt, err)
-			}
 			backoff := p.Backoff(attempt-1, nil)
 			mRetries.Inc()
 			mBackoffSeconds.Observe(backoff.Seconds())
@@ -171,9 +148,6 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 		err = op(attemptCtx)
 		cancel()
 		if err == nil {
-			if p.Budget != nil {
-				p.Budget.OnSuccess()
-			}
 			return nil
 		}
 		// The caller's own context ending is terminal, even when the
@@ -241,57 +215,4 @@ func Retryable(err error) bool {
 		return true
 	}
 	return false
-}
-
-// Budget is a token bucket shared across calls (typically one per remote
-// endpoint): every retry spends a token, every success earns a fraction
-// back. Under a sustained outage the bucket drains and retries stop,
-// bounding the amplification a fleet of clients inflicts on a struggling
-// server.
-type Budget struct {
-	mu     sync.Mutex
-	tokens float64
-	max    float64
-	earn   float64
-}
-
-// NewBudget builds a full bucket holding max tokens, refilled by
-// earnPerSuccess on every successful call. max <= 0 defaults to 10;
-// earnPerSuccess <= 0 defaults to 0.1.
-func NewBudget(max, earnPerSuccess float64) *Budget {
-	if max <= 0 {
-		max = 10
-	}
-	if earnPerSuccess <= 0 {
-		earnPerSuccess = 0.1
-	}
-	return &Budget{tokens: max, max: max, earn: earnPerSuccess}
-}
-
-// Spend takes one token, reporting false when the bucket is empty.
-func (b *Budget) Spend() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// OnSuccess earns back a fraction of a token.
-func (b *Budget) OnSuccess() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tokens += b.earn
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-}
-
-// Tokens returns the current balance (for tests and metrics).
-func (b *Budget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
 }

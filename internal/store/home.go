@@ -22,25 +22,16 @@ type object struct {
 	mu       sync.Mutex
 	versions []Version // ascending version order, at most retain+1 (incl. latest)
 
-	// deltaCache memoizes d(o, base, latest) keyed by base version. It is
-	// cleared in place on Put (a new latest stales every entry) and capped
-	// at DeltaCacheCap entries, evicting the oldest insertion first.
-	deltaCache map[uint64]cachedDelta
-	cacheOrder []uint64 // insertion order of deltaCache keys, oldest first
-
-	// inflight dedups concurrent delta computations: the first Get for a
-	// (base, target) pair computes outside the lock, later ones wait on
-	// the call instead of redoing the work.
-	inflight map[deltaKey]*deltaCall
+	// deltas memoizes d(o, base, latest) by base version. An entry goes in
+	// only while its target is the latest version, and Put clears the map
+	// in place, so every entry's target is the latest version and its bases
+	// are retained ones: the retention window bounds it at Retain entries.
+	// The first Get for a base computes outside the lock; later ones wait on
+	// its call instead of redoing the work.
+	deltas map[uint64]*deltaCall
 }
 
-type cachedDelta struct {
-	target uint64 // latest version the delta produces
-	d      *delta.Delta
-}
-
-type deltaKey struct{ base, target uint64 }
-
+// deltaCall is one delta computation; d is set before done closes.
 type deltaCall struct {
 	done chan struct{}
 	d    *delta.Delta
@@ -53,7 +44,7 @@ type shard struct {
 }
 
 // HomeStore is the thread-safe versioned object engine behind ObjectStore:
-// key-hash sharded locking, per-object mutexes, out-of-lock singleflighted
+// key-hash sharded locking, per-object mutexes, out-of-lock memoized
 // delta computation, and a persist.KV underneath for durability.
 type HomeStore struct {
 	opts   Options
@@ -212,7 +203,7 @@ func (s *HomeStore) object(key string, create bool) *object {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if obj = sh.objects[key]; obj == nil {
-		obj = &object{deltaCache: map[uint64]cachedDelta{}}
+		obj = &object{deltas: map[uint64]*deltaCall{}}
 		sh.objects[key] = obj
 	}
 	return obj
@@ -235,35 +226,14 @@ func (o *object) trimRetention(retain int) []uint64 {
 	return dropped
 }
 
-// clearDeltaCache empties the cache in place — no map reallocation on the
-// Put hot path — and keeps the entries gauge honest. Caller holds obj.mu.
-func (o *object) clearDeltaCache() {
-	if len(o.deltaCache) == 0 {
+// clearDeltas empties the memo in place — no map reallocation on the Put
+// hot path — and keeps the entries gauge honest. Caller holds obj.mu.
+func (o *object) clearDeltas() {
+	if len(o.deltas) == 0 {
 		return
 	}
-	mCacheEntries.Add(-float64(len(o.deltaCache)))
-	for k := range o.deltaCache {
-		delete(o.deltaCache, k)
-	}
-	o.cacheOrder = o.cacheOrder[:0]
-}
-
-// cacheDelta inserts under the per-object cap, evicting oldest-first.
-// Caller holds obj.mu.
-func (o *object) cacheDelta(base uint64, c cachedDelta, cap int) {
-	if _, exists := o.deltaCache[base]; !exists {
-		o.cacheOrder = append(o.cacheOrder, base)
-		mCacheEntries.Add(1)
-	}
-	o.deltaCache[base] = c
-	for len(o.deltaCache) > cap && len(o.cacheOrder) > 0 {
-		oldest := o.cacheOrder[0]
-		o.cacheOrder = o.cacheOrder[1:]
-		if _, ok := o.deltaCache[oldest]; ok {
-			delete(o.deltaCache, oldest)
-			mCacheEntries.Add(-1)
-		}
-	}
+	mCacheEntries.Add(-float64(len(o.deltas)))
+	clear(o.deltas)
 }
 
 // Put stores a new version of the object and returns its version number
@@ -291,8 +261,8 @@ func (s *HomeStore) Put(key string, data []byte) (uint64, error) {
 		// Open, whose replay trims it again.
 		_ = s.kv.Delete(versionKeys(key, dropped)...)
 	}
-	// The latest version changed, so all cached deltas are stale.
-	obj.clearDeltaCache()
+	// The latest version changed, so every memoized delta is stale.
+	obj.clearDeltas()
 	mStorePuts.Inc()
 	return next, nil
 }
@@ -317,8 +287,8 @@ func (s *HomeStore) Current(key string) (Version, error) {
 // its wire size is below FullFraction of the full object.
 //
 // The object lock is held only to snapshot version references; the delta
-// itself is computed outside every lock, deduplicated per (base, target)
-// by a singleflight, so one slow delta never blocks readers of this or any
+// itself is computed outside every lock, deduplicated per base by the
+// object's memo, so one slow delta never blocks readers of this or any
 // other key.
 func (s *HomeStore) Get(key string, haveVersion uint64) (*Reply, error) {
 	start := time.Now()
@@ -372,41 +342,30 @@ func (s *HomeStore) Get(key string, haveVersion uint64) (*Reply, error) {
 	return reply, nil
 }
 
-// deltaFor returns d(key, base, latest), from the cache when possible.
-// A miss computes outside the object lock; concurrent misses for the same
-// (base, target) pair join the first computation instead of repeating it.
+// deltaFor returns d(key, base, latest) through the object's memo: the
+// first Get for a base computes outside the object lock, and concurrent or
+// later ones for the same base share its result. Only the current latest
+// version is shared: a Get whose latest a Put has already replaced computes
+// its own delta, even beside another such Get for the same pair.
 func (s *HomeStore) deltaFor(obj *object, base, latest Version) *delta.Delta {
-	k := deltaKey{base: base.Num, target: latest.Num}
 	obj.mu.Lock()
-	if c, ok := obj.deltaCache[base.Num]; ok && c.target == latest.Num {
-		obj.mu.Unlock()
-		return c.d
-	}
-	if call, ok := obj.inflight[k]; ok {
+	memo := obj.versions[len(obj.versions)-1].Num == latest.Num
+	if call, ok := obj.deltas[base.Num]; ok && memo {
 		obj.mu.Unlock()
 		<-call.done
 		return call.d
 	}
 	call := &deltaCall{done: make(chan struct{})}
-	if obj.inflight == nil {
-		obj.inflight = map[deltaKey]*deltaCall{}
+	if memo {
+		obj.deltas[base.Num] = call
+		mCacheEntries.Add(1)
 	}
-	obj.inflight[k] = call
 	obj.mu.Unlock()
 
 	t0 := time.Now()
 	call.d = delta.Compute(base.Data, latest.Data, s.opts.BlockSize)
 	mDeltaCompute.ObserveSince(t0)
 	s.deltaComputes.Add(1)
-
-	obj.mu.Lock()
-	delete(obj.inflight, k)
-	// Cache only while latest is still current; a Put that raced the
-	// computation has already staled this delta.
-	if n := len(obj.versions); n > 0 && obj.versions[n-1].Num == latest.Num {
-		obj.cacheDelta(base.Num, cachedDelta{target: latest.Num, d: call.d}, s.opts.DeltaCacheCap)
-	}
-	obj.mu.Unlock()
 	close(call.done)
 	return call.d
 }
@@ -495,7 +454,7 @@ func (s *HomeStore) CompactBackend() error {
 	return s.kv.Compact()
 }
 
-// deltaCacheLen reports the cached-delta count for a key (test hook).
+// deltaCacheLen reports the memoized-delta count for a key (test hook).
 func (s *HomeStore) deltaCacheLen(key string) int {
 	obj := s.object(key, false)
 	if obj == nil {
@@ -503,17 +462,17 @@ func (s *HomeStore) deltaCacheLen(key string) int {
 	}
 	obj.mu.Lock()
 	defer obj.mu.Unlock()
-	return len(obj.deltaCache)
+	return len(obj.deltas)
 }
 
-// Close drops the cached deltas from the entries gauge and closes the KV;
+// Close drops the memoized deltas from the entries gauge and closes the KV;
 // further Puts fail unless the store is memory-only.
 func (s *HomeStore) Close() error {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, obj := range sh.objects {
 			obj.mu.Lock()
-			obj.clearDeltaCache()
+			obj.clearDeltas()
 			obj.mu.Unlock()
 		}
 		sh.mu.Unlock()

@@ -24,28 +24,29 @@ func putVersions(t testing.TB, s ObjectStore, key string, n, size int) []byte {
 }
 
 // TestDeltaCacheCapBoundsEntries pins the hot-key churn fix: the per-
-// object delta cache stays within DeltaCacheCap no matter how many
-// distinct bases ask for deltas, and the entries gauge follows inserts,
-// evictions, and the in-place clear on Put.
+// object delta memo holds one entry per retained base, so the retention
+// window bounds it however many distinct bases readers ask from, and the
+// entries gauge follows inserts and the in-place clear on Put.
 func TestDeltaCacheCapBoundsEntries(t *testing.T) {
 	gauge := obs.GetGauge("coda_store_delta_cache_entries")
 	before := gauge.Value()
 
-	s := NewHomeStore(Options{Retain: 10, BlockSize: 32, DeltaCacheCap: 3})
-	putVersions(t, s, "hot", 8, 2048) // versions 1..8 retained (Retain 10)
+	s := NewHomeStore(Options{Retain: 3, BlockSize: 32})
+	putVersions(t, s, "hot", 8, 2048) // versions 5..8 retained (Retain 3)
 
-	// Readers at many distinct bases each force one delta computation.
+	// Readers at many distinct bases: a retained base forces one delta
+	// computation, an evicted one gets the full value.
 	for base := uint64(1); base <= 7; base++ {
 		reply, err := s.Get("hot", base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reply.IsDelta() {
-			t.Fatalf("base %d: expected delta reply", base)
+		if retained := base >= 5; reply.IsDelta() != retained {
+			t.Fatalf("base %d: delta reply %v, want %v", base, reply.IsDelta(), retained)
 		}
 	}
-	if n := s.deltaCacheLen("hot"); n > 3 {
-		t.Fatalf("delta cache holds %d entries, cap is 3", n)
+	if n := s.deltaCacheLen("hot"); n != 3 {
+		t.Fatalf("delta memo holds %d entries, want one per retained base (3)", n)
 	}
 	if got := gauge.Value() - before; got != 3 {
 		t.Fatalf("gauge moved by %v, want 3 live entries", got)

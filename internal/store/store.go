@@ -10,8 +10,9 @@
 //   - ObjectStore is the narrow interface every consumer programs against
 //     (replication, httpapi, experiments, the cmds).
 //   - HomeStore is the concrete engine behind it: key-hash sharded locking
-//     with per-object mutexes, delta computation OUT of the critical
-//     section behind a singleflight, and a capped per-object delta cache.
+//     with per-object mutexes, and delta computation OUT of the critical
+//     section behind a per-object memo that also dedups concurrent
+//     computations and holds at most one delta per retained base.
 //   - Durability is a persist.KV underneath HomeStore (Open, or OpenDSN
 //     with log:<dir> or bolt:<dir>): every Put is one fsynced PutBatch,
 //     every retention trim one Delete, and open replays one cursor pass.
@@ -117,7 +118,7 @@ type Stats struct {
 	// cost and what delta replies actually cost.
 	SavedBytes int64 `json:"saved_bytes"`
 	// DeltaComputes counts actual delta.Compute invocations; with the
-	// cache and singleflight it stays below the delta-reply count under
+	// per-object memo it stays below the delta-reply count under
 	// concurrent or repeated pulls of the same (key, base).
 	DeltaComputes int64 `json:"delta_computes"`
 	// Backend names the persistence backend underneath the store, and
@@ -175,9 +176,6 @@ type Options struct {
 	// Shards is the number of lock shards keys hash into (default 16).
 	// Operations on objects in different shards never contend on a lock.
 	Shards int
-	// DeltaCacheCap bounds cached deltas per object (default 8), so a
-	// hot key with many laggy readers cannot grow memory without bound.
-	DeltaCacheCap int
 }
 
 func (o *Options) setDefaults() {
@@ -192,8 +190,5 @@ func (o *Options) setDefaults() {
 	}
 	if o.Shards <= 0 {
 		o.Shards = 16
-	}
-	if o.DeltaCacheCap <= 0 {
-		o.DeltaCacheCap = 8
 	}
 }
