@@ -5,10 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"strings"
@@ -175,6 +180,67 @@ func TestUnitKeysPinned(t *testing.T) {
 				t.Errorf("wire digests' digest %s, want %s", got, wantWire[c.name])
 			}
 		})
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/coop_grid_scores.golden from this build")
+
+// TestCoopGridScoresPinned holds every fold score of keyCases' coop-grid
+// search to the bits in testdata, in TestFig11ScoresPinned's format: each
+// unit's spec and the hex bits of each fold score, one unit per line in
+// unit order. A scaler, selector or model change that moves any score bit
+// fails here, naming the unit.
+//
+// amd64 only: arm64 still fuses products on some score paths (ROADMAP 7a),
+// so its bits differ in the last place.
+func TestCoopGridScoresPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("fold scores are pinned on amd64 only until every score path is FMA-free on arm64")
+	}
+	c := keyCases()[0]
+	opts := c.opts
+	opts.ParamGrid, opts.Parallelism = c.grid, 1
+	res, err := core.Search(context.Background(), c.graph(t), c.ds(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Units) != c.units {
+		t.Fatalf("%d units, want %d", len(res.Units), c.units)
+	}
+	got := make([]string, len(res.Units))
+	for i, u := range res.Units {
+		if u.Err != "" {
+			t.Fatalf("unit %s failed: %s", u.Spec, u.Err)
+		}
+		var b strings.Builder
+		b.WriteString(u.Spec)
+		for _, s := range u.Scores {
+			fmt.Fprintf(&b, " %016x", math.Float64bits(s))
+		}
+		got[i] = b.String()
+	}
+	path := filepath.Join("testdata", "coop_grid_scores.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update on a build whose scores are right)", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d units, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("unit %d:\n got  %s\n want %s", i, got[i], want[i])
+		}
 	}
 }
 
