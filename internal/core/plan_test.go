@@ -27,10 +27,12 @@ import (
 	"coda/internal/dataset"
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
+	"coda/internal/nnmodels"
 	"coda/internal/obs"
 	"coda/internal/obs/trace"
 	"coda/internal/preprocess"
 	"coda/internal/tsgraph"
+	"coda/internal/tswindow"
 )
 
 // keyRecorder is a ResultStore holding a published score for every key: a
@@ -221,9 +223,6 @@ func TestCoopGridScoresPinned(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "coop_grid_scores.golden")
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -240,6 +239,60 @@ func TestCoopGridScoresPinned(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("unit %d:\n got  %s\n want %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestComponentSpecsTellVariantsApart: a spec is what the prefix cache and
+// the DARR key a component's output by, so every variant the zoo's
+// constructors make renders a spec of its own. A clone renders the same
+// spec, and setting each parameter to its own value on a clone is accepted
+// and leaves the spec as it was.
+func TestComponentSpecsTellVariantsApart(t *testing.T) {
+	zoo := []core.Component{
+		preprocess.NewStandardScaler(), preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(),
+		preprocess.NewNoOp(), preprocess.NewCovariance(), preprocess.NewPCA(3), preprocess.NewSelectKBest(3),
+		preprocess.NewMICEImputer(),
+		preprocess.NewImputer(preprocess.ImputeMean), preprocess.NewImputer(preprocess.ImputeMedian),
+		preprocess.NewImputer(preprocess.ImputeMode), preprocess.NewImputer(preprocess.ImputeKNN),
+		mlmodels.NewDecisionTree(mlmodels.TreeRegression), mlmodels.NewDecisionTree(mlmodels.TreeClassification),
+		mlmodels.NewRandomForest(mlmodels.TreeRegression, 30), mlmodels.NewRandomForest(mlmodels.TreeClassification, 30),
+		mlmodels.NewKNN(mlmodels.KNNRegression, 5), mlmodels.NewKNN(mlmodels.KNNClassification, 5),
+		mlmodels.NewLinearRegression(), mlmodels.NewRidge(1), mlmodels.NewGradientBoosting(50),
+		mlmodels.NewLogisticRegression(), mlmodels.NewKMeans(3), mlmodels.NewZeroModel(0), mlmodels.NewARModel(3, 0),
+		tswindow.NewCascadedWindows(8, 1, 0), tswindow.NewFlatWindowing(8, 1, 0),
+		tswindow.NewTSAsIID(1, 0), tswindow.NewTSAsIs(1, 0),
+		nnmodels.NewDNNRegressor(false), nnmodels.NewDNNRegressor(true),
+		nnmodels.NewLSTMRegressor(false), nnmodels.NewLSTMRegressor(true),
+		nnmodels.NewCNNRegressor(false), nnmodels.NewCNNRegressor(true),
+		nnmodels.NewWaveNetRegressor(), nnmodels.NewSeriesNetRegressor(),
+	}
+	seen := make(map[string]int, len(zoo))
+	for i, c := range zoo {
+		spec := core.ComponentSpec(c)
+		if j, ok := seen[spec]; ok {
+			t.Errorf("components %d and %d share the spec %s", j, i, spec)
+		}
+		seen[spec] = i
+		var cp core.Component
+		switch c := c.(type) {
+		case core.Transformer:
+			cp = c.Clone()
+		case core.Estimator:
+			cp = c.Clone()
+		default:
+			t.Fatalf("%s is neither a Transformer nor an Estimator", spec)
+		}
+		if got := core.ComponentSpec(cp); got != spec {
+			t.Errorf("clone of %s renders %s", spec, got)
+		}
+		for k, v := range cp.Params() {
+			if err := cp.SetParam(k, v); err != nil {
+				t.Errorf("%s: setting %s to its own value %v: %v", spec, k, v, err)
+			}
+		}
+		if got := core.ComponentSpec(cp); got != spec {
+			t.Errorf("%s after setting every parameter to its own value renders %s", spec, got)
 		}
 	}
 }

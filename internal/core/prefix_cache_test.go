@@ -65,6 +65,17 @@ func searchGraphs() map[string]func() *core.Graph {
 			)
 			return g
 		},
+		// Two imputers that differ only in strategy: their specs must
+		// differ too, or the cache hands one the other's fitted prefix.
+		"imputers": func() *core.Graph {
+			g := core.NewGraph()
+			g.AddTransformerStage("imputation",
+				preprocess.NewImputer(preprocess.ImputeMean),
+				preprocess.NewImputer(preprocess.ImputeMedian),
+			)
+			g.AddRegressionModels(mlmodels.NewLinearRegression())
+			return g
+		},
 		"with-failures": func() *core.Graph {
 			g := core.NewGraph()
 			g.AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewNoOp())
@@ -152,6 +163,13 @@ func TestPrefixCacheEquivalence(t *testing.T) {
 			}, rng)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if name == "imputers" {
+				// Every 5th cell is missing, so the mean and median fills differ.
+				x := ds.X.Data()
+				for i := 0; i < len(x); i += 5 {
+					x[i] = math.NaN()
+				}
 			}
 			// A grid key must name a node on some path, so only the graph
 			// with a selectkbest node gets one.

@@ -312,7 +312,7 @@ func SelectRowsInto[T Float](dst, m *Mat[T], idx []int) *Mat[T] {
 // ColMeansStds computes per-column means and population standard deviations
 // in a single pass, shifted by row 0 for numerical stability (see ColStds).
 // The returned means equal shift + Σ(x-shift)/n, which can differ from
-// ColMeans (Σx/n) in the last bits; StandardScaler uses this fused form.
+// ColMeans (Σx/n) in the last bits; the standard scaler uses this fused form.
 func (m *Mat[T]) ColMeansStds() (means, stds []T) {
 	means = make([]T, m.cols)
 	stds = make([]T, m.cols)

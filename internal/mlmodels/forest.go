@@ -28,7 +28,12 @@ func NewRandomForest(task TreeTask, nTrees int) *RandomForest {
 }
 
 // Name implements core.Component.
-func (f *RandomForest) Name() string { return "randomforest" }
+func (f *RandomForest) Name() string {
+	if f.Task == TreeClassification {
+		return "randomforestclassifier"
+	}
+	return "randomforest"
+}
 
 // SetParam implements core.Component; "n_trees", "max_depth", "min_leaf"
 // and "seed" are supported.

@@ -31,7 +31,12 @@ type KNN struct {
 func NewKNN(task KNNTask, k int) *KNN { return &KNN{Task: task, K: k} }
 
 // Name implements core.Component.
-func (m *KNN) Name() string { return "knn" }
+func (m *KNN) Name() string {
+	if m.Task == KNNClassification {
+		return "knnclassifier"
+	}
+	return "knn"
+}
 
 // SetParam implements core.Component; "k" is supported.
 func (m *KNN) SetParam(key string, v float64) error {

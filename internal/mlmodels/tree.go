@@ -49,7 +49,12 @@ func NewDecisionTree(task TreeTask) *DecisionTree {
 }
 
 // Name implements core.Component.
-func (t *DecisionTree) Name() string { return "decisiontree" }
+func (t *DecisionTree) Name() string {
+	if t.Task == TreeClassification {
+		return "decisiontreeclassifier"
+	}
+	return "decisiontree"
+}
 
 // SetParam implements core.Component; "max_depth" and "min_leaf" are
 // supported.

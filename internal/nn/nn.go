@@ -6,7 +6,7 @@
 //
 // Data layout: a batch is a matrix with one sample per row. Sequence layers
 // interpret each row time-major as [t0c0, t0c1, ..., t0cV, t1c0, ...] —
-// exactly the layout produced by tswindow.CascadedWindows — with the
+// exactly the layout produced by tswindow.NewCascadedWindows — with the
 // sequence length and channel count fixed at layer construction.
 //
 // Every value is float64: weights, activations, gradients and the

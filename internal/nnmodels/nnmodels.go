@@ -1,12 +1,13 @@
 // Package nnmodels adapts the internal/nn substrate to core.Estimator,
 // providing the paper's Section IV-C model zoo for the time-series
-// prediction pipeline:
+// prediction pipeline. Every network is a Regressor; its constructor picks
+// the variant:
 //
 //   - Temporal models: LSTM (simple = 1 layer, deep = 4 stacked layers with
 //     per-layer dropout), CNN (simple and deep 1-D convolutional nets),
 //     WaveNet (stacked gated dilated causal convolutions) and SeriesNet
 //     (WaveNet-derived residual dilated stacks). These consume cascaded
-//     windows (WindowLen/NumVars metadata set by tswindow.CascadedWindows).
+//     windows (WindowLen/NumVars metadata set by tswindow.NewCascadedWindows).
 //   - IID models: standard DNNs (simple = 2 hidden layers, deep = 4),
 //     consuming flat windows or TS-as-IID rows.
 //
@@ -22,9 +23,6 @@ import (
 	"coda/internal/dataset"
 	"coda/internal/nn"
 )
-
-// coreEstimator aliases the interface every adapter's Clone must return.
-type coreEstimator = core.Estimator
 
 // netConfig carries the hyperparameters shared by every network estimator.
 type netConfig struct {
@@ -101,62 +99,149 @@ func windowDims(model string, ds *dataset.Dataset) (seqLen, channels int, err er
 	return ds.WindowLen, ds.NumVars, nil
 }
 
-// windowShape is the (steps, variables) shape of the cascaded windows a
-// temporal model was fitted on.
+// windowShape is the (steps, variables) shape of the rows a model was
+// fitted on; a flat row is one step of all its columns.
 type windowShape struct{ seqLen, channels int }
 
-// predictWindows is every temporal estimator's Predict: the model must be
-// fitted, and ds's windows must have the shape it was fitted on. The
-// network checks only its input width, seqLen·channels, so without this a
-// model fitted on 8x2 windows would read 4x4 ones as if they were 8x2.
-func predictWindows(model string, net *nn.Network, fitted windowShape, ds *dataset.Dataset) ([]float64, error) {
-	if net == nil {
-		return nil, fmt.Errorf("nnmodels: %s not fitted", model)
-	}
-	seqLen, channels, err := windowDims(model, ds)
-	if err != nil {
-		return nil, err
-	}
-	if got := (windowShape{seqLen, channels}); got != fitted {
-		return nil, fmt.Errorf("nnmodels: %s was fitted on %dx%d windows (steps x variables), cannot predict on %dx%d",
-			model, fitted.seqLen, fitted.channels, got.seqLen, got.channels)
-	}
-	return net.Predict(ds.X)
-}
-
-// DNNRegressor is the paper's standard (IID) deep neural network: simple =
-// two hidden layers with dropout, deep = four. It treats rows as flat
-// feature vectors and so pairs with FlatWindowing or TSAsIID.
-type DNNRegressor struct {
-	Deep bool
-	cfg  netConfig
+// Regressor is one network of the zoo. Its constructor fixes its name, its
+// default hyperparameters, whether it reads cascaded windows, the shortest
+// window it can convolve and the function that builds its layers.
+type Regressor struct {
+	name     string
+	cfg      netConfig
+	windowed bool // reads cascaded windows (WindowLen/NumVars metadata)
+	minSteps int  // shortest window history the network accepts
+	build    func(windowShape, netConfig) *nn.Network
 
 	net *nn.Network
+	win windowShape
 }
 
-// NewDNNRegressor returns an unfitted DNN (simple or deep).
-func NewDNNRegressor(deep bool) *DNNRegressor {
-	return &DNNRegressor{Deep: deep, cfg: defaultConfig()}
+func newRegressor(name string, hidden int, build func(windowShape, netConfig) *nn.Network) *Regressor {
+	cfg := defaultConfig()
+	cfg.Hidden = hidden
+	return &Regressor{name: name, cfg: cfg, windowed: true, build: build}
+}
+
+// variant names a model with a simple and a deep form.
+func variant(deep bool, name string) string {
+	if deep {
+		return "deep" + name
+	}
+	return name
+}
+
+// NewDNNRegressor returns the paper's standard (IID) deep neural network:
+// simple = two hidden layers with dropout, deep = four. It treats rows as
+// flat feature vectors and so pairs with flat windows or TS-as-IID rows.
+func NewDNNRegressor(deep bool) *Regressor {
+	r := newRegressor(variant(deep, "dnn"), 16, func(w windowShape, cfg netConfig) *nn.Network {
+		return buildDNN(deep, w.channels, cfg)
+	})
+	r.windowed = false
+	return r
+}
+
+// NewLSTMRegressor returns the paper's temporal LSTM model: simple = one
+// LSTM layer plus dropout, deep = four stacked LSTM layers each followed by
+// dropout. Both end in a fully-connected linear layer.
+func NewLSTMRegressor(deep bool) *Regressor {
+	return newRegressor(variant(deep, "lstm"), 12, func(w windowShape, cfg netConfig) *nn.Network {
+		return buildLSTM(deep, w.seqLen, w.channels, cfg)
+	})
+}
+
+// NewCNNRegressor returns the paper's 1-D convolutional model: a
+// convolution, max pooling, a dense ReLU layer and a linear output; the
+// deep variant stacks a second convolution-pool stage.
+func NewCNNRegressor(deep bool) *Regressor {
+	r := newRegressor(variant(deep, "cnn"), 8, func(w windowShape, cfg netConfig) *nn.Network {
+		return buildCNN(deep, w.seqLen, w.channels, cfg)
+	})
+	r.minSteps = 4 // the first convolution's kernel of 3, plus one step to pool
+	return r
+}
+
+// NewWaveNetRegressor returns a stack of gated dilated causal convolutions
+// (dilations 1, 2, 4) with residual connections — the probabilistic-audio
+// architecture the paper adopts for time-series prediction — followed by a
+// linear head on the final timestep.
+func NewWaveNetRegressor() *Regressor {
+	return newRegressor("wavenet", 8, func(w windowShape, cfg netConfig) *nn.Network {
+		return buildWaveNet(w.seqLen, w.channels, cfg)
+	})
+}
+
+// NewSeriesNetRegressor returns the WaveNet-derived architecture of Section
+// IV-C2: residual dilated causal convolution blocks (dilations 1, 2, 4, 8)
+// with ReLU activations and linear skip projections, requiring no data
+// preprocessing beyond windowing.
+func NewSeriesNetRegressor() *Regressor {
+	return newRegressor("seriesnet", 8, func(w windowShape, cfg netConfig) *nn.Network {
+		return buildSeriesNet(w.seqLen, w.channels, cfg)
+	})
 }
 
 // Name implements core.Component.
-func (d *DNNRegressor) Name() string {
-	if d.Deep {
-		return "deepdnn"
-	}
-	return "dnn"
-}
+func (r *Regressor) Name() string { return r.name }
 
 // SetParam implements core.Component.
-func (d *DNNRegressor) SetParam(key string, v float64) error {
-	return d.cfg.setParam(d.Name(), key, v)
+func (r *Regressor) SetParam(key string, v float64) error {
+	return r.cfg.setParam(r.name, key, v)
 }
 
 // Params implements core.Component.
-func (d *DNNRegressor) Params() map[string]float64 { return d.cfg.params() }
+func (r *Regressor) Params() map[string]float64 { return r.cfg.params() }
 
 // Clone implements core.Estimator.
-func (d *DNNRegressor) Clone() coreEstimator { return &DNNRegressor{Deep: d.Deep, cfg: d.cfg} }
+func (r *Regressor) Clone() core.Estimator {
+	return &Regressor{name: r.name, cfg: r.cfg, windowed: r.windowed, minSteps: r.minSteps, build: r.build}
+}
+
+// Fit builds the network for ds's row shape and trains it.
+func (r *Regressor) Fit(ds *dataset.Dataset) error {
+	if ds.Y == nil {
+		return fmt.Errorf("nnmodels: %s requires targets", r.name)
+	}
+	shape := windowShape{1, ds.NumFeatures()}
+	if r.windowed {
+		seqLen, channels, err := windowDims(r.name, ds)
+		if err != nil {
+			return err
+		}
+		if seqLen < r.minSteps {
+			return fmt.Errorf("nnmodels: %s needs history >= %d, got %d", r.name, r.minSteps, seqLen)
+		}
+		shape = windowShape{seqLen, channels}
+	}
+	r.net = r.build(shape, r.cfg)
+	r.win = shape
+	if err := train(r.net, ds, r.cfg); err != nil {
+		return fmt.Errorf("nnmodels: %s fit: %w", r.name, err)
+	}
+	return nil
+}
+
+// Predict implements core.Estimator. A windowed model's input must have
+// the window shape it was fitted on: the network checks only its input
+// width, seqLen·channels, so without this a model fitted on 8x2 windows
+// would read 4x4 ones as if they were 8x2.
+func (r *Regressor) Predict(ds *dataset.Dataset) ([]float64, error) {
+	if r.net == nil {
+		return nil, fmt.Errorf("nnmodels: %s not fitted", r.name)
+	}
+	if r.windowed {
+		seqLen, channels, err := windowDims(r.name, ds)
+		if err != nil {
+			return nil, err
+		}
+		if got := (windowShape{seqLen, channels}); got != r.win {
+			return nil, fmt.Errorf("nnmodels: %s was fitted on %dx%d windows (steps x variables), cannot predict on %dx%d",
+				r.name, r.win.seqLen, r.win.channels, got.seqLen, got.channels)
+		}
+	}
+	return r.net.Predict(ds.X)
+}
 
 func buildDNN(deep bool, in int, cfg netConfig) *nn.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -174,64 +259,6 @@ func buildDNN(deep bool, in int, cfg netConfig) *nn.Network {
 	layers = append(layers, nn.NewDense(width, 1, rng))
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
-
-// Fit builds and trains the network.
-func (d *DNNRegressor) Fit(ds *dataset.Dataset) error {
-	if ds.Y == nil {
-		return fmt.Errorf("nnmodels: %s requires targets", d.Name())
-	}
-	in := ds.NumFeatures()
-	d.net = buildDNN(d.Deep, in, d.cfg)
-	if err := train(d.net, ds, d.cfg); err != nil {
-		return fmt.Errorf("nnmodels: %s fit: %w", d.Name(), err)
-	}
-	return nil
-}
-
-// Predict implements core.Estimator.
-func (d *DNNRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if d.net == nil {
-		return nil, fmt.Errorf("nnmodels: %s not fitted", d.Name())
-	}
-	return d.net.Predict(ds.X)
-}
-
-// LSTMRegressor is the paper's temporal LSTM model: simple = one LSTM layer
-// plus dropout, deep = four stacked LSTM layers each followed by dropout.
-// Both end in a fully-connected linear layer.
-type LSTMRegressor struct {
-	Deep bool
-	cfg  netConfig
-
-	net *nn.Network
-	win windowShape
-}
-
-// NewLSTMRegressor returns an unfitted LSTM model.
-func NewLSTMRegressor(deep bool) *LSTMRegressor {
-	c := defaultConfig()
-	c.Hidden = 12
-	return &LSTMRegressor{Deep: deep, cfg: c}
-}
-
-// Name implements core.Component.
-func (l *LSTMRegressor) Name() string {
-	if l.Deep {
-		return "deeplstm"
-	}
-	return "lstm"
-}
-
-// SetParam implements core.Component.
-func (l *LSTMRegressor) SetParam(key string, v float64) error {
-	return l.cfg.setParam(l.Name(), key, v)
-}
-
-// Params implements core.Component.
-func (l *LSTMRegressor) Params() map[string]float64 { return l.cfg.params() }
-
-// Clone implements core.Estimator.
-func (l *LSTMRegressor) Clone() coreEstimator { return &LSTMRegressor{Deep: l.Deep, cfg: l.cfg} }
 
 func buildLSTM(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -252,65 +279,6 @@ func buildLSTM(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
 	layers = append(layers, nn.NewDense(h, 1, rng))
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
-
-// Fit builds the recurrent stack from the window metadata and trains it.
-func (l *LSTMRegressor) Fit(ds *dataset.Dataset) error {
-	if ds.Y == nil {
-		return fmt.Errorf("nnmodels: %s requires targets", l.Name())
-	}
-	seqLen, channels, err := windowDims(l.Name(), ds)
-	if err != nil {
-		return err
-	}
-	l.net = buildLSTM(l.Deep, seqLen, channels, l.cfg)
-	l.win = windowShape{seqLen, channels}
-	if err := train(l.net, ds, l.cfg); err != nil {
-		return fmt.Errorf("nnmodels: %s fit: %w", l.Name(), err)
-	}
-	return nil
-}
-
-// Predict implements core.Estimator.
-func (l *LSTMRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return predictWindows(l.Name(), l.net, l.win, ds)
-}
-
-// CNNRegressor is the paper's 1-D convolutional model: a convolution, max
-// pooling, a dense ReLU layer and a linear output; the deep variant stacks
-// a second convolution-pool stage.
-type CNNRegressor struct {
-	Deep bool
-	cfg  netConfig
-
-	net *nn.Network
-	win windowShape
-}
-
-// NewCNNRegressor returns an unfitted CNN model.
-func NewCNNRegressor(deep bool) *CNNRegressor {
-	c := defaultConfig()
-	c.Hidden = 8
-	return &CNNRegressor{Deep: deep, cfg: c}
-}
-
-// Name implements core.Component.
-func (c *CNNRegressor) Name() string {
-	if c.Deep {
-		return "deepcnn"
-	}
-	return "cnn"
-}
-
-// SetParam implements core.Component.
-func (c *CNNRegressor) SetParam(key string, v float64) error {
-	return c.cfg.setParam(c.Name(), key, v)
-}
-
-// Params implements core.Component.
-func (c *CNNRegressor) Params() map[string]float64 { return c.cfg.params() }
-
-// Clone implements core.Estimator.
-func (c *CNNRegressor) Clone() coreEstimator { return &CNNRegressor{Deep: c.Deep, cfg: c.cfg} }
 
 func buildCNN(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
 	const kernel = 3
@@ -343,64 +311,6 @@ func buildCNN(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-// Fit builds the convolutional stack from the window metadata.
-func (c *CNNRegressor) Fit(ds *dataset.Dataset) error {
-	if ds.Y == nil {
-		return fmt.Errorf("nnmodels: %s requires targets", c.Name())
-	}
-	seqLen, channels, err := windowDims(c.Name(), ds)
-	if err != nil {
-		return err
-	}
-	const kernel = 3
-	if seqLen < kernel+1 {
-		return fmt.Errorf("nnmodels: %s needs history >= %d, got %d", c.Name(), kernel+1, seqLen)
-	}
-	c.net = buildCNN(c.Deep, seqLen, channels, c.cfg)
-	c.win = windowShape{seqLen, channels}
-	if err := train(c.net, ds, c.cfg); err != nil {
-		return fmt.Errorf("nnmodels: %s fit: %w", c.Name(), err)
-	}
-	return nil
-}
-
-// Predict implements core.Estimator.
-func (c *CNNRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return predictWindows(c.Name(), c.net, c.win, ds)
-}
-
-// WaveNetRegressor stacks gated dilated causal convolutions (dilations 1,
-// 2, 4) with residual connections — the probabilistic-audio architecture
-// the paper adopts for time-series prediction — followed by a linear head
-// on the final timestep.
-type WaveNetRegressor struct {
-	cfg netConfig
-
-	net *nn.Network
-	win windowShape
-}
-
-// NewWaveNetRegressor returns an unfitted WaveNet model.
-func NewWaveNetRegressor() *WaveNetRegressor {
-	c := defaultConfig()
-	c.Hidden = 8
-	return &WaveNetRegressor{cfg: c}
-}
-
-// Name implements core.Component.
-func (w *WaveNetRegressor) Name() string { return "wavenet" }
-
-// SetParam implements core.Component.
-func (w *WaveNetRegressor) SetParam(key string, v float64) error {
-	return w.cfg.setParam(w.Name(), key, v)
-}
-
-// Params implements core.Component.
-func (w *WaveNetRegressor) Params() map[string]float64 { return w.cfg.params() }
-
-// Clone implements core.Estimator.
-func (w *WaveNetRegressor) Clone() coreEstimator { return &WaveNetRegressor{cfg: w.cfg} }
-
 func buildWaveNet(seqLen, channels int, cfg netConfig) *nn.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := cfg.Hidden
@@ -415,60 +325,6 @@ func buildWaveNet(seqLen, channels int, cfg netConfig) *nn.Network {
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-// Fit builds the gated dilated stack.
-func (w *WaveNetRegressor) Fit(ds *dataset.Dataset) error {
-	if ds.Y == nil {
-		return fmt.Errorf("nnmodels: %s requires targets", w.Name())
-	}
-	seqLen, channels, err := windowDims(w.Name(), ds)
-	if err != nil {
-		return err
-	}
-	w.net = buildWaveNet(seqLen, channels, w.cfg)
-	w.win = windowShape{seqLen, channels}
-	if err := train(w.net, ds, w.cfg); err != nil {
-		return fmt.Errorf("nnmodels: %s fit: %w", w.Name(), err)
-	}
-	return nil
-}
-
-// Predict implements core.Estimator.
-func (w *WaveNetRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return predictWindows(w.Name(), w.net, w.win, ds)
-}
-
-// SeriesNetRegressor is the WaveNet-derived architecture of Section IV-C2:
-// residual dilated causal convolution blocks (dilations 1, 2, 4, 8) with
-// ReLU activations and linear skip projections, requiring no data
-// preprocessing beyond windowing.
-type SeriesNetRegressor struct {
-	cfg netConfig
-
-	net *nn.Network
-	win windowShape
-}
-
-// NewSeriesNetRegressor returns an unfitted SeriesNet model.
-func NewSeriesNetRegressor() *SeriesNetRegressor {
-	c := defaultConfig()
-	c.Hidden = 8
-	return &SeriesNetRegressor{cfg: c}
-}
-
-// Name implements core.Component.
-func (s *SeriesNetRegressor) Name() string { return "seriesnet" }
-
-// SetParam implements core.Component.
-func (s *SeriesNetRegressor) SetParam(key string, v float64) error {
-	return s.cfg.setParam(s.Name(), key, v)
-}
-
-// Params implements core.Component.
-func (s *SeriesNetRegressor) Params() map[string]float64 { return s.cfg.params() }
-
-// Clone implements core.Estimator.
-func (s *SeriesNetRegressor) Clone() coreEstimator { return &SeriesNetRegressor{cfg: s.cfg} }
-
 func buildSeriesNet(seqLen, channels int, cfg netConfig) *nn.Network {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := cfg.Hidden
@@ -480,26 +336,4 @@ func buildSeriesNet(seqLen, channels int, cfg netConfig) *nn.Network {
 	}
 	layers = append(layers, nn.NewLastTimestep(seqLen, f), nn.NewDense(f, 1, rng))
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
-}
-
-// Fit builds the residual dilated stack.
-func (s *SeriesNetRegressor) Fit(ds *dataset.Dataset) error {
-	if ds.Y == nil {
-		return fmt.Errorf("nnmodels: %s requires targets", s.Name())
-	}
-	seqLen, channels, err := windowDims(s.Name(), ds)
-	if err != nil {
-		return err
-	}
-	s.net = buildSeriesNet(seqLen, channels, s.cfg)
-	s.win = windowShape{seqLen, channels}
-	if err := train(s.net, ds, s.cfg); err != nil {
-		return fmt.Errorf("nnmodels: %s fit: %w", s.Name(), err)
-	}
-	return nil
-}
-
-// Predict implements core.Estimator.
-func (s *SeriesNetRegressor) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return predictWindows(s.Name(), s.net, s.win, ds)
 }

@@ -10,18 +10,11 @@ import (
 	"coda/internal/dataset"
 	"coda/internal/matrix"
 	"coda/internal/metrics"
-	"coda/internal/nn"
 	"coda/internal/sim"
 	"coda/internal/tswindow"
 )
 
-var (
-	_ core.Estimator = (*DNNRegressor)(nil)
-	_ core.Estimator = (*LSTMRegressor)(nil)
-	_ core.Estimator = (*CNNRegressor)(nil)
-	_ core.Estimator = (*WaveNetRegressor)(nil)
-	_ core.Estimator = (*SeriesNetRegressor)(nil)
-)
+var _ core.Estimator = (*Regressor)(nil)
 
 // windowedAR builds cascaded-window train/test sets from an AR-regime
 // series, where temporal structure is learnable.
@@ -333,15 +326,14 @@ func TestPredictMatchesOneRowForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		m   core.Estimator
-		ds  *dataset.Dataset
-		net func(core.Estimator) *nn.Network
+		m  *Regressor
+		ds *dataset.Dataset
 	}{
-		{NewDNNRegressor(true), flat, func(m core.Estimator) *nn.Network { return m.(*DNNRegressor).net }},
-		{NewLSTMRegressor(true), windows, func(m core.Estimator) *nn.Network { return m.(*LSTMRegressor).net }},
-		{NewCNNRegressor(true), windows, func(m core.Estimator) *nn.Network { return m.(*CNNRegressor).net }},
-		{NewWaveNetRegressor(), windows, func(m core.Estimator) *nn.Network { return m.(*WaveNetRegressor).net }},
-		{NewSeriesNetRegressor(), windows, func(m core.Estimator) *nn.Network { return m.(*SeriesNetRegressor).net }},
+		{NewDNNRegressor(true), flat},
+		{NewLSTMRegressor(true), windows},
+		{NewCNNRegressor(true), windows},
+		{NewWaveNetRegressor(), windows},
+		{NewSeriesNetRegressor(), windows},
 	} {
 		t.Run(c.m.Name(), func(t *testing.T) {
 			for k, v := range map[string]float64{"epochs": 2, "batch": 7} {
@@ -356,13 +348,12 @@ func TestPredictMatchesOneRowForward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net := c.net(c.m)
 			for i, p := range preds {
 				row, err := matrix.FromSlice(1, c.ds.NumFeatures(), c.ds.X.RowCopy(i))
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := net.Forward(row, false)
+				out, err := c.m.net.Forward(row, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -54,8 +54,9 @@ type Imputer struct {
 // NewImputer returns an unfitted Imputer.
 func NewImputer(strategy ImputeStrategy) *Imputer { return &Imputer{Strategy: strategy, K: 5} }
 
-// Name implements core.Component.
-func (im *Imputer) Name() string { return "imputer" }
+// Name implements core.Component; it names the strategy, since the
+// strategy changes what the imputer fills in.
+func (im *Imputer) Name() string { return im.Strategy.String() + "imputer" }
 
 // SetParam implements core.Component; "k" (for KNN) is supported.
 func (im *Imputer) SetParam(key string, v float64) error {

@@ -13,9 +13,7 @@ import (
 
 // Compile-time checks that every transformer satisfies core.Transformer.
 var (
-	_ core.Transformer = (*StandardScaler)(nil)
-	_ core.Transformer = (*MinMaxScaler)(nil)
-	_ core.Transformer = (*RobustScaler)(nil)
+	_ core.Transformer = (*Scaler)(nil)
 	_ core.Transformer = (*NoOp)(nil)
 	_ core.Transformer = (*Covariance)(nil)
 	_ core.Transformer = (*PCA)(nil)

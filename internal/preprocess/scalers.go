@@ -1,11 +1,11 @@
 // Package preprocess implements the feature Transformers from the paper's
-// Table I and Figure 3: the data scalers (StandardScaler, MinMaxScaler,
-// RobustScaler, NoOp), feature transformation (Covariance centering + PCA)
-// and feature selection (SelectKBest), together with the data-quality
-// utilities Section III calls for (imputation and outlier filtering).
+// Table I and Figure 3: the data scalers (one Scaler type, whose
+// constructors give the standard, min-max and robust scalers, and NoOp),
+// feature transformation (Covariance centering + PCA) and feature
+// selection (SelectKBest), together with the data-quality utilities
+// Section III calls for (imputation and outlier filtering).
 //
-// Every type satisfies core.Transformer structurally; the package does not
-// depend on internal/core.
+// Every transformer type implements core.Transformer.
 package preprocess
 
 import (
@@ -43,198 +43,110 @@ func setAffine(out, in *dataset.Dataset, scale, offset []float64) {
 	}
 }
 
-// StandardScaler standardizes each feature to zero mean and unit variance.
-type StandardScaler struct {
-	means, stds []float64
+// Scaler maps each feature column to (x - centre) / spread, with a centre
+// and a spread per column learned by Fit. A column with no spread (spread
+// not > 0) is only centred, or, for a scaler that sets zeroFlat, maps to 0.
+type Scaler struct {
+	name     string
+	fit      func(*dataset.Dataset) (centre, spread []float64)
+	zeroFlat bool
+
+	centre, spread []float64
 }
 
-// NewStandardScaler returns an unfitted StandardScaler.
-func NewStandardScaler() *StandardScaler { return &StandardScaler{} }
-
-// Name implements core.Component.
-func (s *StandardScaler) Name() string { return "standardscaler" }
-
-// SetParam implements core.Component; the scaler has no parameters.
-func (s *StandardScaler) SetParam(key string, _ float64) error {
-	return errUnknownParam(s.Name(), key)
+// NewStandardScaler returns an unfitted scaler that standardizes each
+// feature to zero mean and unit variance.
+func NewStandardScaler() *Scaler {
+	return &Scaler{name: "standardscaler", fit: func(ds *dataset.Dataset) ([]float64, []float64) {
+		return ds.X.ColMeansStds() // one fused pass over the data
+	}}
 }
 
-// Params implements core.Component.
-func (s *StandardScaler) Params() map[string]float64 { return nil }
-
-// Clone implements core.Transformer.
-func (s *StandardScaler) Clone() core.Transformer { return NewStandardScaler() }
-
-// Fit learns per-column means and standard deviations in one fused pass
-// over the data (matrix.ColMeansStds).
-func (s *StandardScaler) Fit(ds *dataset.Dataset) error {
-	s.means, s.stds = ds.X.ColMeansStds()
-	return nil
+// NewMinMaxScaler returns an unfitted scaler that rescales each feature
+// into [0, 1] using the fitted min/max; constant columns map to 0.
+func NewMinMaxScaler() *Scaler {
+	return &Scaler{name: "minmaxscaler", zeroFlat: true, fit: func(ds *dataset.Dataset) ([]float64, []float64) {
+		mins, span := ds.X.ColMins(), ds.X.ColMaxs()
+		for j := range span {
+			span[j] -= mins[j]
+		}
+		return mins, span
+	}}
 }
 
-// Transform standardizes columns; zero-variance columns pass through centred.
-func (s *StandardScaler) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	if s.means == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFitted, s.Name())
-	}
-	if ds.X.Cols() != len(s.means) {
-		return nil, fmt.Errorf("preprocess: %s fitted on %d cols, got %d", s.Name(), len(s.means), ds.X.Cols())
-	}
-	x := ds.X.Clone()
-	for i := 0; i < x.Rows(); i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] -= s.means[j]
-			if s.stds[j] > 0 {
-				row[j] /= s.stds[j]
+// NewRobustScaler returns an unfitted scaler that centres by the median and
+// scales by the interquartile range, making it resilient to the outliers
+// common in industrial sensor data.
+func NewRobustScaler() *Scaler {
+	return &Scaler{name: "robustscaler", fit: func(ds *dataset.Dataset) ([]float64, []float64) {
+		rows, cols := ds.X.Rows(), ds.X.Cols()
+		medians, iqrs := make([]float64, cols), make([]float64, cols)
+		x, col := ds.X.Data(), make([]float64, rows)
+		var q [3]float64
+		for j := 0; j < cols; j++ {
+			for i := range col {
+				col[i] = x[i*cols+j]
 			}
+			quantiles(col, []float64{0.25, 0.5, 0.75}, q[:])
+			medians[j] = q[1]
+			iqrs[j] = q[2] - q[0]
 		}
-	}
-	out := ds.WithX(x)
-	scale := make([]float64, len(s.stds))
-	for j, sd := range s.stds {
-		if sd > 0 {
-			scale[j] = sd
-		} else {
-			scale[j] = 1 // zero-variance column was only centred
-		}
-	}
-	setAffine(out, ds, scale, s.means)
-	return out, nil
+		return medians, iqrs
+	}}
 }
-
-// MinMaxScaler rescales each feature into [0, 1] using the fitted min/max.
-type MinMaxScaler struct {
-	mins, maxs []float64
-}
-
-// NewMinMaxScaler returns an unfitted MinMaxScaler.
-func NewMinMaxScaler() *MinMaxScaler { return &MinMaxScaler{} }
 
 // Name implements core.Component.
-func (s *MinMaxScaler) Name() string { return "minmaxscaler" }
+func (s *Scaler) Name() string { return s.name }
 
-// SetParam implements core.Component; the scaler has no parameters.
-func (s *MinMaxScaler) SetParam(key string, _ float64) error {
-	return errUnknownParam(s.Name(), key)
+// SetParam implements core.Component; a scaler has no parameters.
+func (s *Scaler) SetParam(key string, _ float64) error {
+	return errUnknownParam(s.name, key)
 }
 
 // Params implements core.Component.
-func (s *MinMaxScaler) Params() map[string]float64 { return nil }
+func (s *Scaler) Params() map[string]float64 { return nil }
 
 // Clone implements core.Transformer.
-func (s *MinMaxScaler) Clone() core.Transformer { return NewMinMaxScaler() }
+func (s *Scaler) Clone() core.Transformer {
+	return &Scaler{name: s.name, fit: s.fit, zeroFlat: s.zeroFlat}
+}
 
-// Fit learns per-column minima and maxima.
-func (s *MinMaxScaler) Fit(ds *dataset.Dataset) error {
-	s.mins = ds.X.ColMins()
-	s.maxs = ds.X.ColMaxs()
+// Fit learns each column's centre and spread.
+func (s *Scaler) Fit(ds *dataset.Dataset) error {
+	s.centre, s.spread = s.fit(ds)
 	return nil
 }
 
-// Transform rescales into [0,1]; constant columns map to 0.
-func (s *MinMaxScaler) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	if s.mins == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFitted, s.Name())
+// Transform applies (x - centre) / spread column by column.
+func (s *Scaler) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
+	if s.centre == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotFitted, s.name)
 	}
-	if ds.X.Cols() != len(s.mins) {
-		return nil, fmt.Errorf("preprocess: %s fitted on %d cols, got %d", s.Name(), len(s.mins), ds.X.Cols())
+	if ds.X.Cols() != len(s.centre) {
+		return nil, fmt.Errorf("preprocess: %s fitted on %d cols, got %d", s.name, len(s.centre), ds.X.Cols())
 	}
 	x := ds.X.Clone()
 	for i := 0; i < x.Rows(); i++ {
 		row := x.Row(i)
 		for j := range row {
-			span := s.maxs[j] - s.mins[j]
-			row[j] -= s.mins[j]
-			if span > 0 {
-				row[j] /= span
-			} else {
+			row[j] -= s.centre[j]
+			if s.spread[j] > 0 {
+				row[j] /= s.spread[j]
+			} else if s.zeroFlat {
 				row[j] = 0
 			}
 		}
 	}
 	out := ds.WithX(x)
-	scale := make([]float64, len(s.mins))
-	for j := range scale {
-		if span := s.maxs[j] - s.mins[j]; span > 0 {
-			scale[j] = span
+	scale := make([]float64, len(s.spread))
+	for j, sp := range s.spread {
+		if sp > 0 {
+			scale[j] = sp
 		} else {
-			scale[j] = 1 // constant column maps to 0; original is offset
+			scale[j] = 1 // the column was only centred, or maps to 0 and the centre is its value
 		}
 	}
-	setAffine(out, ds, scale, s.mins)
-	return out, nil
-}
-
-// RobustScaler centres by the median and scales by the interquartile range,
-// making it resilient to the outliers common in industrial sensor data.
-type RobustScaler struct {
-	medians, iqrs []float64
-}
-
-// NewRobustScaler returns an unfitted RobustScaler.
-func NewRobustScaler() *RobustScaler { return &RobustScaler{} }
-
-// Name implements core.Component.
-func (s *RobustScaler) Name() string { return "robustscaler" }
-
-// SetParam implements core.Component; the scaler has no parameters.
-func (s *RobustScaler) SetParam(key string, _ float64) error {
-	return errUnknownParam(s.Name(), key)
-}
-
-// Params implements core.Component.
-func (s *RobustScaler) Params() map[string]float64 { return nil }
-
-// Clone implements core.Transformer.
-func (s *RobustScaler) Clone() core.Transformer { return NewRobustScaler() }
-
-// Fit learns per-column medians and interquartile ranges.
-func (s *RobustScaler) Fit(ds *dataset.Dataset) error {
-	rows, cols := ds.X.Rows(), ds.X.Cols()
-	s.medians = make([]float64, cols)
-	s.iqrs = make([]float64, cols)
-	x, col := ds.X.Data(), make([]float64, rows)
-	var q [3]float64
-	for j := 0; j < cols; j++ {
-		for i := range col {
-			col[i] = x[i*cols+j]
-		}
-		quantiles(col, []float64{0.25, 0.5, 0.75}, q[:])
-		s.medians[j] = q[1]
-		s.iqrs[j] = q[2] - q[0]
-	}
-	return nil
-}
-
-// Transform applies (x - median) / IQR; zero-IQR columns are only centred.
-func (s *RobustScaler) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	if s.medians == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFitted, s.Name())
-	}
-	if ds.X.Cols() != len(s.medians) {
-		return nil, fmt.Errorf("preprocess: %s fitted on %d cols, got %d", s.Name(), len(s.medians), ds.X.Cols())
-	}
-	x := ds.X.Clone()
-	for i := 0; i < x.Rows(); i++ {
-		row := x.Row(i)
-		for j := range row {
-			row[j] -= s.medians[j]
-			if s.iqrs[j] > 0 {
-				row[j] /= s.iqrs[j]
-			}
-		}
-	}
-	out := ds.WithX(x)
-	scale := make([]float64, len(s.iqrs))
-	for j, iqr := range s.iqrs {
-		if iqr > 0 {
-			scale[j] = iqr
-		} else {
-			scale[j] = 1 // zero-IQR column was only centred
-		}
-	}
-	setAffine(out, ds, scale, s.medians)
+	setAffine(out, ds, scale, s.centre)
 	return out, nil
 }
 

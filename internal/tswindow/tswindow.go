@@ -2,14 +2,16 @@
 // preprocessors (Section IV-C4, Figures 7-10). Input datasets are
 // multivariate series — X has one row per timestamp and one column per
 // variable (Figure 6) — and the transformers reshape them into the layout
-// each estimator family ingests:
+// each estimator family ingests. Windows covers the two windowed layouts
+// and View the two history-free ones; a constructor picks the layout:
 //
-//   - CascadedWindows (Fig 7): overlapping history windows of shape p x v,
-//     order preserved, for the temporal networks (LSTM/CNN/WaveNet).
-//   - FlatWindowing (Fig 8): the same windows flattened to 1 x p*v for
+//   - NewCascadedWindows (Fig 7): overlapping history windows of shape
+//     p x v, order preserved, for the temporal networks (LSTM/CNN/WaveNet).
+//   - NewFlatWindowing (Fig 8): the same windows flattened to 1 x p*v for
 //     standard DNNs — history retained, ordering semantics dropped.
-//   - TSAsIID (Fig 9): each timestamp as an independent sample, no history.
-//   - TSAsIs (Fig 10): pass-through for models that consume raw series
+//   - NewTSAsIID (Fig 9): each timestamp as an independent sample, no
+//     history.
+//   - NewTSAsIs (Fig 10): pass-through for models that consume raw series
 //     (Zero model, AR).
 //
 // Every transformer also derives the prediction target: the value of the
@@ -35,186 +37,150 @@ func validateSeries(ds *dataset.Dataset, target int) error {
 	return nil
 }
 
-// CascadedWindows converts a T x v series into L = T - History - Horizon + 1
+// Windows converts a T x v series into L = T - History - Horizon + 1
 // windows; window i holds rows i .. i+History-1 flattened time-major into a
 // single row of length History*v, and Y[i] is the target variable at time
-// i + History + Horizon - 1. The output dataset carries WindowLen = History
-// and NumVars = v so temporal estimators can reinterpret rows as 2-D
-// windows without copying.
-type CascadedWindows struct {
+// i + History + Horizon - 1. Cascaded windows (Fig 7) carry WindowLen =
+// History and NumVars = v so temporal estimators can reinterpret rows as
+// 2-D windows without copying; flat windows (Fig 8) leave both unset, so
+// downstream estimators treat rows as flat vectors: temporal history is
+// present in the features, ordering semantics are not.
+type Windows struct {
 	History int // window length p (>= 1)
 	Horizon int // steps ahead to predict (>= 1)
 	Target  int // target variable column
+
+	name     string
+	cascaded bool
 }
 
 // NewCascadedWindows returns a window transformer with history p predicting
 // the target variable horizon steps ahead.
-func NewCascadedWindows(history, horizon, target int) *CascadedWindows {
-	return &CascadedWindows{History: history, Horizon: horizon, Target: target}
+func NewCascadedWindows(history, horizon, target int) *Windows {
+	return &Windows{History: history, Horizon: horizon, Target: target, name: "cascadedwindows", cascaded: true}
+}
+
+// NewFlatWindowing returns a flattening window transformer.
+func NewFlatWindowing(history, horizon, target int) *Windows {
+	return &Windows{History: history, Horizon: horizon, Target: target, name: "flatwindowing"}
 }
 
 // Name implements core.Component.
-func (c *CascadedWindows) Name() string { return "cascadedwindows" }
+func (w *Windows) Name() string { return w.name }
 
 // SetParam implements core.Component; "history", "horizon" and "target" are
 // supported.
-func (c *CascadedWindows) SetParam(key string, v float64) error {
+func (w *Windows) SetParam(key string, v float64) error {
 	switch key {
 	case "history":
-		c.History = int(v)
+		w.History = int(v)
 	case "horizon":
-		c.Horizon = int(v)
+		w.Horizon = int(v)
 	case "target":
-		c.Target = int(v)
+		w.Target = int(v)
 	default:
-		return fmt.Errorf("tswindow: %s has no parameter %q", c.Name(), key)
+		return fmt.Errorf("tswindow: %s has no parameter %q", w.name, key)
 	}
 	return nil
 }
 
 // Params implements core.Component.
-func (c *CascadedWindows) Params() map[string]float64 {
+func (w *Windows) Params() map[string]float64 {
 	return map[string]float64{
-		"history": float64(c.History),
-		"horizon": float64(c.Horizon),
-		"target":  float64(c.Target),
+		"history": float64(w.History),
+		"horizon": float64(w.Horizon),
+		"target":  float64(w.Target),
 	}
 }
 
 // Clone implements core.Transformer.
-func (c *CascadedWindows) Clone() core.Transformer {
-	cp := *c
+func (w *Windows) Clone() core.Transformer {
+	cp := *w
 	return &cp
 }
 
 // Fit is stateless; windowing depends only on configuration.
-func (c *CascadedWindows) Fit(*dataset.Dataset) error { return nil }
+func (w *Windows) Fit(*dataset.Dataset) error { return nil }
 
-// Transform builds the cascaded windows.
-func (c *CascadedWindows) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	x, y, v, err := buildWindows(ds, c.History, c.Horizon, c.Target)
+// Transform builds the windows.
+func (w *Windows) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
+	x, y, v, err := buildWindows(ds, w.History, w.Horizon, w.Target)
 	if err != nil {
-		return nil, fmt.Errorf("tswindow: %s: %w", c.Name(), err)
+		return nil, fmt.Errorf("tswindow: %s: %w", w.name, err)
 	}
-	out := &dataset.Dataset{X: x, Y: y, TargetName: ds.TargetName, WindowLen: c.History, NumVars: v}
-	out.YScale, out.YOffset = ds.ColAffine(c.Target)
-	return out, nil
-}
-
-// FlatWindowing produces the same L windows as CascadedWindows but marks
-// the output as flat transactional data (WindowLen = 0), matching Figure 8:
-// temporal history is present in the features, ordering semantics are not.
-type FlatWindowing struct {
-	History int
-	Horizon int
-	Target  int
-}
-
-// NewFlatWindowing returns a flattening window transformer.
-func NewFlatWindowing(history, horizon, target int) *FlatWindowing {
-	return &FlatWindowing{History: history, Horizon: horizon, Target: target}
-}
-
-// Name implements core.Component.
-func (f *FlatWindowing) Name() string { return "flatwindowing" }
-
-// SetParam implements core.Component.
-func (f *FlatWindowing) SetParam(key string, v float64) error {
-	switch key {
-	case "history":
-		f.History = int(v)
-	case "horizon":
-		f.Horizon = int(v)
-	case "target":
-		f.Target = int(v)
-	default:
-		return fmt.Errorf("tswindow: %s has no parameter %q", f.Name(), key)
-	}
-	return nil
-}
-
-// Params implements core.Component.
-func (f *FlatWindowing) Params() map[string]float64 {
-	return map[string]float64{
-		"history": float64(f.History),
-		"horizon": float64(f.Horizon),
-		"target":  float64(f.Target),
-	}
-}
-
-// Clone implements core.Transformer.
-func (f *FlatWindowing) Clone() core.Transformer {
-	cp := *f
-	return &cp
-}
-
-// Fit is stateless.
-func (f *FlatWindowing) Fit(*dataset.Dataset) error { return nil }
-
-// Transform builds flattened windows.
-func (f *FlatWindowing) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	x, y, _, err := buildWindows(ds, f.History, f.Horizon, f.Target)
-	if err != nil {
-		return nil, fmt.Errorf("tswindow: %s: %w", f.Name(), err)
-	}
-	// WindowLen stays 0: downstream estimators treat rows as flat vectors.
 	out := &dataset.Dataset{X: x, Y: y, TargetName: ds.TargetName}
-	out.YScale, out.YOffset = ds.ColAffine(f.Target)
+	if w.cascaded {
+		out.WindowLen, out.NumVars = w.History, v
+	}
+	out.YScale, out.YOffset = ds.ColAffine(w.Target)
 	return out, nil
 }
 
-// TSAsIID exposes each timestamp as an independent sample (Figure 9): X row
-// i is the raw variable vector at time i, Y[i] the target variable Horizon
-// steps later. No history is available to the model.
-type TSAsIID struct {
+// View keeps one row per usable timestamp, with Y[i] the target variable
+// Horizon steps later and no history in the features. TS-as-IID (Fig 9)
+// exposes each row as an independent sample; TS-as-is (Fig 10) passes the
+// series through for estimators that consume raw ordered series (Zero
+// model, AR): rows remain in time order and NumVars is set so series-native
+// models know the layout.
+type View struct {
 	Horizon int
 	Target  int
+
+	name string
+	asIs bool
 }
 
 // NewTSAsIID returns the transactional view transformer.
-func NewTSAsIID(horizon, target int) *TSAsIID { return &TSAsIID{Horizon: horizon, Target: target} }
+func NewTSAsIID(horizon, target int) *View {
+	return &View{Horizon: horizon, Target: target, name: "tsasiid"}
+}
+
+// NewTSAsIs returns the pass-through series transformer.
+func NewTSAsIs(horizon, target int) *View {
+	return &View{Horizon: horizon, Target: target, name: "tsasis", asIs: true}
+}
 
 // Name implements core.Component.
-func (t *TSAsIID) Name() string { return "tsasiid" }
+func (t *View) Name() string { return t.name }
 
-// SetParam implements core.Component.
-func (t *TSAsIID) SetParam(key string, v float64) error {
+// SetParam implements core.Component; "horizon" and "target" are supported.
+func (t *View) SetParam(key string, v float64) error {
 	switch key {
 	case "horizon":
 		t.Horizon = int(v)
 	case "target":
 		t.Target = int(v)
 	default:
-		return fmt.Errorf("tswindow: %s has no parameter %q", t.Name(), key)
+		return fmt.Errorf("tswindow: %s has no parameter %q", t.name, key)
 	}
 	return nil
 }
 
 // Params implements core.Component.
-func (t *TSAsIID) Params() map[string]float64 {
+func (t *View) Params() map[string]float64 {
 	return map[string]float64{"horizon": float64(t.Horizon), "target": float64(t.Target)}
 }
 
 // Clone implements core.Transformer.
-func (t *TSAsIID) Clone() core.Transformer {
+func (t *View) Clone() core.Transformer {
 	cp := *t
 	return &cp
 }
 
 // Fit is stateless.
-func (t *TSAsIID) Fit(*dataset.Dataset) error { return nil }
+func (t *View) Fit(*dataset.Dataset) error { return nil }
 
-// Transform builds the IID view.
-func (t *TSAsIID) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
+// Transform keeps the series' rows, deriving the h-step-ahead target.
+func (t *View) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	if t.Horizon < 1 {
-		return nil, fmt.Errorf("tswindow: %s: horizon %d < 1", t.Name(), t.Horizon)
+		return nil, fmt.Errorf("tswindow: %s: horizon %d < 1", t.name, t.Horizon)
 	}
 	if err := validateSeries(ds, t.Target); err != nil {
-		return nil, fmt.Errorf("tswindow: %s: %w", t.Name(), err)
+		return nil, fmt.Errorf("tswindow: %s: %w", t.name, err)
 	}
 	n := ds.X.Rows() - t.Horizon
 	if n < 1 {
-		return nil, fmt.Errorf("tswindow: %s: series of %d too short for horizon %d", t.Name(), ds.X.Rows(), t.Horizon)
+		return nil, fmt.Errorf("tswindow: %s: series of %d too short for horizon %d", t.name, ds.X.Rows(), t.Horizon)
 	}
 	x := ds.X.SliceRows(0, n)
 	y := make([]float64, n)
@@ -223,71 +189,9 @@ func (t *TSAsIID) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	}
 	out := &dataset.Dataset{X: x, Y: y, ColNames: ds.ColNames, TargetName: ds.TargetName,
 		ColScale: ds.ColScale, ColOffset: ds.ColOffset}
-	out.YScale, out.YOffset = ds.ColAffine(t.Target)
-	return out, nil
-}
-
-// TSAsIs passes the series through for estimators that consume raw ordered
-// series (Figure 10: Zero model, AR). The output keeps one row per usable
-// timestamp with Y[i] the target Horizon steps ahead; rows remain in time
-// order and NumVars is set so series-native models know the layout.
-type TSAsIs struct {
-	Horizon int
-	Target  int
-}
-
-// NewTSAsIs returns the pass-through series transformer.
-func NewTSAsIs(horizon, target int) *TSAsIs { return &TSAsIs{Horizon: horizon, Target: target} }
-
-// Name implements core.Component.
-func (t *TSAsIs) Name() string { return "tsasis" }
-
-// SetParam implements core.Component.
-func (t *TSAsIs) SetParam(key string, v float64) error {
-	switch key {
-	case "horizon":
-		t.Horizon = int(v)
-	case "target":
-		t.Target = int(v)
-	default:
-		return fmt.Errorf("tswindow: %s has no parameter %q", t.Name(), key)
+	if t.asIs {
+		out.NumVars = ds.X.Cols()
 	}
-	return nil
-}
-
-// Params implements core.Component.
-func (t *TSAsIs) Params() map[string]float64 {
-	return map[string]float64{"horizon": float64(t.Horizon), "target": float64(t.Target)}
-}
-
-// Clone implements core.Transformer.
-func (t *TSAsIs) Clone() core.Transformer {
-	cp := *t
-	return &cp
-}
-
-// Fit is stateless.
-func (t *TSAsIs) Fit(*dataset.Dataset) error { return nil }
-
-// Transform keeps the raw series, deriving the h-step-ahead target.
-func (t *TSAsIs) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
-	if t.Horizon < 1 {
-		return nil, fmt.Errorf("tswindow: %s: horizon %d < 1", t.Name(), t.Horizon)
-	}
-	if err := validateSeries(ds, t.Target); err != nil {
-		return nil, fmt.Errorf("tswindow: %s: %w", t.Name(), err)
-	}
-	n := ds.X.Rows() - t.Horizon
-	if n < 1 {
-		return nil, fmt.Errorf("tswindow: %s: series of %d too short for horizon %d", t.Name(), ds.X.Rows(), t.Horizon)
-	}
-	x := ds.X.SliceRows(0, n)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		y[i] = ds.X.At(i+t.Horizon, t.Target)
-	}
-	out := &dataset.Dataset{X: x, Y: y, ColNames: ds.ColNames, TargetName: ds.TargetName, NumVars: ds.X.Cols(),
-		ColScale: ds.ColScale, ColOffset: ds.ColOffset}
 	out.YScale, out.YOffset = ds.ColAffine(t.Target)
 	return out, nil
 }

@@ -11,10 +11,8 @@ import (
 )
 
 var (
-	_ core.Transformer = (*CascadedWindows)(nil)
-	_ core.Transformer = (*FlatWindowing)(nil)
-	_ core.Transformer = (*TSAsIID)(nil)
-	_ core.Transformer = (*TSAsIs)(nil)
+	_ core.Transformer = (*Windows)(nil)
+	_ core.Transformer = (*View)(nil)
 )
 
 // series builds a T x 2 series where var0(t) = t and var1(t) = 100 + t, so
