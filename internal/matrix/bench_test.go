@@ -197,6 +197,47 @@ func BenchmarkRowKernelFig11Shapes(b *testing.B) {
 	}
 }
 
+// zeroShapes are the five fig11Shapes-style products (m x k x n) that held
+// the most row kernel samples in a CPU profile of a search-cold-ts fold fit:
+// the narrow panels of the convolutional networks and the LSTM's products.
+var zeroShapes = [][3]int{{256, 8, 8}, {256, 16, 8}, {32, 16, 16}, {32, 48, 12}, {256, 12, 48}}
+
+// BenchmarkRowKernelZeros times the row kernel on each path as MulInto
+// calls it, with a fraction of the a elements +-0 at random places, as in
+// ReLU and dropout outputs and their gradients, in GF/s (two flops a
+// multiply-add). Each sub-benchmark cycles through 256 distinct a operands:
+// on a single reused one the branch predictor would learn where the zeros
+// are, which a fold fit never lets it do.
+func BenchmarkRowKernelZeros(b *testing.B) {
+	const operands = 256
+	for _, l := range kernelPaths(b) {
+		for _, s := range zeroShapes {
+			m, k, n := s[0], s[1], s[2]
+			w, c := benchMat(k, n, 12), New(m, n)
+			for _, frac := range []float64{0, 0.1, 0.5} {
+				rng := rand.New(rand.NewSource(16))
+				as := make([][]float64, operands)
+				for i := range as {
+					as[i] = benchMat(m, k, int64(100+i)).data
+					for j := range as[i] {
+						if rng.Float64() < frac {
+							as[i][j] = 0
+						}
+					}
+				}
+				b.Run(fmt.Sprintf("%v/%dx%dx%d/zeros=%v", l, m, k, n, frac), func(b *testing.B) {
+					onLevel(l, func() {
+						for i := 0; i < b.N; i++ {
+							mulRows(c.data, as[i%operands], k, 1, w.data, m, k, n, true, true)
+						}
+					})
+					b.ReportMetric(2*float64(b.N*m*k*n)/float64(b.Elapsed().Nanoseconds()), "GF/s")
+				})
+			}
+		}
+	}
+}
+
 // Activation A/B over 1024 elements of N(0, 2²), about the spread of LSTM
 // gate pre-activations: the libm loop internal/nn ran before, then the
 // primitive on each path this CPU runs.

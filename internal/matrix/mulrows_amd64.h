@@ -6,8 +6,33 @@
 	MOVQ n+56(FP), R13
 	MOVQ R13, rem-24(SP)
 	SHLQ $ESHIFT, R13
-	MOVQ $NOSIGN, R14
 	MOVQ $0, off-16(SP)
+	VXORPD Y15, Y15, Y15
+
+	// How a pass picks its body (mode): 0, plain always (skipZero off);
+	// 1, masked always (a's strides leave no contiguous run to scan); 2, 3
+	// and 4, scanned, the block being 2: a row of k elements per pass row
+	// (aks 1), 3: a run of the pass's rows per kk (ars 1), or 4: one run of
+	// rows*k elements (aks 1, ars k, as MulInto calls it).
+	MOVQ $0, DX
+	CMPB skipZero+64(FP), $0
+	JEQ moded
+	MOVQ ars+16(FP), AX
+	MOVQ $4, DX
+	CMPQ aks+24(FP), $1
+	JNE notrows
+	CMPQ AX, k+48(FP)
+	JEQ moded
+	MOVQ $2, DX
+	JMP moded
+notrows:
+	MOVQ $3, DX
+	CMPQ AX, $1
+	JEQ moded
+	MOVQ $1, DX
+moded:
+	MOVQ DX, mode-64(SP)
+	MOVQ $0, zeros-104(SP)
 
 pick:
 	MOVQ rem-24(SP), CX
@@ -50,23 +75,84 @@ rows:
 	XORQ R11, R11
 	MOVQ $1, pass-56(SP)
 run:
+	MOVQ mode-64(SP), DX
+	CMPQ DX, $1
+	JLT plain
+	JEQ masked
+
+	// scan: does the block of a this pass reads hold a +-0? It is sO runs
+	// of sL contiguous elements, sS bytes apart, from SI. Each run is read
+	// a vector at a time, then an element at a time; Y14 collects the
+	// lanes that compared equal to +0 (so +-0 and nothing else). The only
+	// branches are on the shape, and one on the answer.
+	MOVQ pass-56(SP), BX
+	MOVQ k+48(FP), CX
+	CMPQ DX, $3
+	JEQ scols
+	JGT scontig
+	MOVQ BX, sO-72(SP)
+	MOVQ R8, sS-80(SP)
+	JMP ssized
+scols:
+	MOVQ CX, sO-72(SP)
+	MOVQ R12, sS-80(SP)
+	MOVQ BX, CX
+	JMP ssized
+scontig:
+	MOVQ $1, sO-72(SP)
+	IMULQ BX, CX
+ssized:
+	// CX = sL: sL/LANES vectors, then sL%LANES elements.
+	MOVQ CX, BX
+	SHRQ $LSHIFT, BX
+	MOVQ BX, sFull-88(SP)
+	ANDQ $(LANES-1), CX
+	MOVQ CX, sTail-96(SP)
+	VXORPD Y14, Y14, Y14
+	MOVQ SI, AX
+	MOVQ sO-72(SP), DX
+srun:
+	MOVQ AX, BX
+	MOVQ sFull-88(SP), CX
+	TESTQ CX, CX
+	JZ stail
+svec:
+	CMPP $0, (BX), Y15, Y13
+	VORPD Y13, Y14, Y14
+	ADDQ $32, BX
+	DECQ CX
+	JNZ svec
+stail:
+	MOVQ sTail-96(SP), CX
+	TESTQ CX, CX
+	JZ snext
+selem:
+	CMPS $0, (BX), X15, X13
+	VORPD Y13, Y14, Y14
+	ADDQ $(1<<ESHIFT), BX
+	DECQ CX
+	JNZ selem
+snext:
+	ADDQ sS-80(SP), AX
+	DECQ DX
+	JNZ srun
+	VPTEST Y14, Y14
+	JZ plain
+	MOVQ $1, zeros-104(SP)
+	JMP masked
+
+plain:
 	MOVQ SI, AX
 	MOVQ bpan-32(SP), BX
 	MOVQ k+48(FP), CX
 	MOVQ pid-40(SP), DX
-	CMPQ DX, $12
-	JEQ p12
-	CMPQ DX, $3
-	JEQ p3
-	CMPQ DX, $2
-	JEQ p2
-	CMPQ DX, $4
-	JEQ p4
-	CMPQ DX, $1
-	JEQ p1
-	CMPQ DX, $5
-	JEQ phalf
-	JMP pelem
+	BODY(p12, p3, p2, p4, p1, phalf, pelem)
+masked:
+	MOVQ SI, AX
+	MOVQ bpan-32(SP), BX
+	MOVQ k+48(FP), CX
+	MOVQ pid-40(SP), DX
+	BODY(m12, m3, m2, m4, m1, mhalf, melem)
 next:
 	MOVQ pass-56(SP), DX
 	SUBQ DX, R15
@@ -77,6 +163,15 @@ next:
 	ADDQ DX, DI
 	JMP rows
 paneldone:
+	// When every pass of the first panel scanned its block and found no
+	// +-0, the scans have read all of a: the later panels take the plain
+	// body unscanned.
+	CMPQ mode-64(SP), $2
+	JLT swept
+	CMPQ zeros-104(SP), $0
+	JNE swept
+	MOVQ $0, mode-64(SP)
+swept:
 	MOVQ pcols-48(SP), AX
 	SUBQ AX, rem-24(SP)
 	SHLQ $ESHIFT, AX
@@ -86,92 +181,32 @@ done:
 	VZEROUPPER
 	RET
 
-p12:	// 1 row x 12 vectors
-	FRESH(z12)
-	LOAD4(0, C0, Y0, Y1, Y2, Y3)
-	LOAD4(128, C0, Y4, Y5, Y6, Y7)
-	LOAD4(256, C0, Y8, Y9, Y10, Y11)
-	JMP k12
-z12:
-	ZERO4(Y0, Y1, Y2, Y3)
-	ZERO4(Y4, Y5, Y6, Y7)
-	ZERO4(Y8, Y9, Y10, Y11)
-	PCALIGN $64
-k12:
-	ROW(A0, g12, s12, MAC4(0, Y0, Y1, Y2, Y3); MAC4(128, Y4, Y5, Y6, Y7); MAC4(256, Y8, Y9, Y10, Y11))
-	KNEXT(k12)
-	STORE4(0, C0, Y0, Y1, Y2, Y3)
-	STORE4(128, C0, Y4, Y5, Y6, Y7)
-	STORE4(256, C0, Y8, Y9, Y10, Y11)
-	JMP next
-
-p4:	// 2 rows x 4 vectors
-	FRESH(z4)
-	LOAD4(0, C0, Y0, Y1, Y2, Y3)
-	LOAD4(0, C1, Y4, Y5, Y6, Y7)
-	JMP k4
-z4:
-	ZERO4(Y0, Y1, Y2, Y3)
-	ZERO4(Y4, Y5, Y6, Y7)
-	PCALIGN $64
-k4:
-	ROW(A0, g4a, s4a, MAC4(0, Y0, Y1, Y2, Y3))
-	ROW(A1, g4b, s4b, MAC4(0, Y4, Y5, Y6, Y7))
-	KNEXT(k4)
-	STORE4(0, C0, Y0, Y1, Y2, Y3)
-	STORE4(0, C1, Y4, Y5, Y6, Y7)
-	JMP next
-
-p3:	// 4 rows x 3 vectors
-	FRESH(z3)
-	LOAD3(0, C0, Y0, Y1, Y2)
-	LOAD3(0, C1, Y3, Y4, Y5)
-	LOAD3(0, C2, Y6, Y7, Y8)
-	LOAD3(0, C3, Y9, Y10, Y11)
-	JMP k3
-z3:
-	ZERO4(Y0, Y1, Y2, Y3)
-	ZERO4(Y4, Y5, Y6, Y7)
-	ZERO4(Y8, Y9, Y10, Y11)
-	PCALIGN $64
-k3:
-	ROW(A0, g3a, s3a, MAC3(0, Y0, Y1, Y2))
-	ROW(A1, g3b, s3b, MAC3(0, Y3, Y4, Y5))
-	ROW(A2, g3c, s3c, MAC3(0, Y6, Y7, Y8))
-	ROW(A3, g3d, s3d, MAC3(0, Y9, Y10, Y11))
-	KNEXT(k3)
-	STORE3(0, C0, Y0, Y1, Y2)
-	STORE3(0, C1, Y3, Y4, Y5)
-	STORE3(0, C2, Y6, Y7, Y8)
-	STORE3(0, C3, Y9, Y10, Y11)
-	JMP next
-
-p2:	// 4 rows x 2 vectors
-	FRESH(z2)
-	LOAD2(0, C0, Y0, Y1)
-	LOAD2(0, C1, Y2, Y3)
-	LOAD2(0, C2, Y4, Y5)
-	LOAD2(0, C3, Y6, Y7)
-	JMP k2
-z2:
-	ZERO4(Y0, Y1, Y2, Y3)
-	ZERO4(Y4, Y5, Y6, Y7)
-	PCALIGN $64
-k2:
-	ROW(A0, g2a, s2a, MAC2(0, Y0, Y1))
-	ROW(A1, g2b, s2b, MAC2(0, Y2, Y3))
-	ROW(A2, g2c, s2c, MAC2(0, Y4, Y5))
-	ROW(A3, g2d, s2d, MAC2(0, Y6, Y7))
-	KNEXT(k2)
-	STORE2(0, C0, Y0, Y1)
-	STORE2(0, C1, Y2, Y3)
-	STORE2(0, C2, Y4, Y5)
-	STORE2(0, C3, Y6, Y7)
-	JMP next
-
+p12:
+	PASS12(z12, k12, ROW, MAC)
+p4:
+	PASS4(z4, k4, ROW, MAC)
+p3:
+	PASS3(z3, k3, ROW, MAC)
+p2:
+	PASS2(z2, k2, ROW, MAC)
 p1:
-	ONECOL(MOVUP, MAC1, k1, z1, g1a, s1a, g1b, s1b, g1c, s1c, g1d, s1d, Y0, Y1, Y2, Y3)
+	ONECOL(MOVUP, ROW, MAC1, k1, z1, Y0, Y1, Y2, Y3)
 phalf:
-	ONECOL(MOVUP, MACH, kh, zh, gha, sha, ghb, shb, ghc, shc, ghd, shd, X0, X1, X2, X3)
+	ONECOL(MOVUP, ROW, MACH, kh, zh, X0, X1, X2, X3)
 pelem:
-	ONECOL(MOVS, MACS, ke, ze, gea, sea, geb, seb, gec, sec, ged, sed, X0, X1, X2, X3)
+	ONECOL(MOVS, ROW, MACS, ke, ze, X0, X1, X2, X3)
+
+m12:
+	PASS12(zm12, km12, ROWM, MACM)
+m4:
+	PASS4(zm4, km4, ROWM, MACM)
+m3:
+	PASS3(zm3, km3, ROWM, MACM)
+m2:
+	PASS2(zm2, km2, ROWM, MACM)
+m1:
+	ONECOL(MOVUP, ROWM, MAC1M, km1, zm1, Y0, Y1, Y2, Y3)
+mhalf:
+	ONECOL(MOVUP, ROWM, MACHM, kmh, zmh, X0, X1, X2, X3)
+melem:
+	ONECOL(MOVS, ROWM, MACSM, kme, zme, X0, X1, X2, X3)

@@ -18,6 +18,20 @@
 // at least 8 independent add chains are in flight (an add is 4 cycles
 // deep, two issue per cycle).
 //
+// Zero skipping takes no branch on an element. Each pass runs one of two
+// bodies, chosen before its kk loop from the block of a it is about to
+// read (see scan: in mulrows_amd64.h):
+//   - the plain body adds every term. It runs when skipZero is off, and
+//     when the block holds no +-0: no term is then skipped, so adding them
+//     all is already mulRowsGeneric's result.
+//   - the masked body runs when skipZero is on and the block holds a +-0.
+//     Per row and kk it sets Y14 to all ones where the broadcast a element
+//     compares unequal to +0 (all lanes, or none when it is +-0), computes
+//     acc + product aside, and blends (VBLENDVP) that sum into acc under
+//     Y14: a masked-off lane keeps its accumulator, bit for bit, which is
+//     exactly a skipped term, whatever b holds (an Inf or NaN) and
+//     whatever the cell holds (a -0).
+//
 //	AX  a cursor (kk loop)          SI  a, first row of the pass
 //	BX  b cursor (kk loop)          DI  c, first row of the pass at the panel's first column
 //	CX  kk counter                  R15 rows of this panel still to do
@@ -25,8 +39,8 @@
 //	R8,  R9   a row stride x1, x3   (bytes; 0 while a pass aliases its rows, see rows:)
 //	R10, R11  c row stride x1, x3   (bytes; likewise)
 //	R12 a kk stride (bytes)         R13 bytes in a row of b and of c
-//	R14 all element bits but the sign
-//	Y12 the broadcast a element     Y13 the product
+//	Y12 the broadcast a element     Y13 the product (the masked body: the sum)
+//	Y14 the masked body's lanes     Y15 +0 in every lane
 
 #define A0 (AX)
 #define A1 (AX)(R8*1)
@@ -39,13 +53,20 @@
 
 // MAC: acc += a element * the vector at off in the current row of b. The
 // product is the add's first source so that, of two NaNs, the newer one
-// wins, as in the compiled scalar loop.
+// wins, as in the compiled scalar loop. MACM is the masked body's: the
+// same sum, kept only in the lanes Y14 selects. The H (half vector, X) and
+// S (one element, scalar) forms serve the last columns.
 #define MAC(off, acc)	MULP off(BX), Y12, Y13; ADDP acc, Y13, acc
+#define MACM(off, acc)	MULP off(BX), Y12, Y13; ADDP acc, Y13, Y13; BLENDVP Y14, Y13, acc, acc
+#define MAC1(acc)	MAC(0, acc)
+#define MAC1M(acc)	MACM(0, acc)
 #define MACH(acc)	MULP (BX), X12, X13; ADDP acc, X13, acc
+#define MACHM(acc)	MULP (BX), X12, X13; ADDP acc, X13, X13; BLENDVP X14, X13, acc, acc
 #define MACS(acc)	MULS (BX), X12, X13; ADDS acc, X13, acc
-#define MAC2(o, r0, r1)	MAC(o, r0); MAC(o+32, r1)
-#define MAC3(o, r0, r1, r2)	MAC2(o, r0, r1); MAC(o+64, r2)
-#define MAC4(o, r0, r1, r2, r3)	MAC3(o, r0, r1, r2); MAC(o+96, r3)
+#define MACSM(acc)	MULS (BX), X12, X13; ADDS acc, X13, X13; BLENDVP X14, X13, acc, acc
+#define MAC2(mac, o, r0, r1)	mac(o, r0); mac(o+32, r1)
+#define MAC3(mac, o, r0, r1, r2)	MAC2(mac, o, r0, r1); mac(o+64, r2)
+#define MAC4(mac, o, r0, r1, r2, r3)	MAC3(mac, o, r0, r1, r2); mac(o+96, r3)
 
 #define LOAD2(o, row, r0, r1)	MOVUP o row, r0; MOVUP o+32 row, r1
 #define LOAD3(o, row, r0, r1, r2)	LOAD2(o, row, r0, r1); MOVUP o+64 row, r2
@@ -54,18 +75,18 @@
 #define STORE3(o, row, r0, r1, r2)	STORE2(o, row, r0, r1); MOVUP r2, o+64 row
 #define STORE4(o, row, r0, r1, r2, r3)	STORE3(o, row, r0, r1, r2); MOVUP r3, o+96 row
 
-// ROW is one row's share of a kk step. R14 holds every bit but the sign, so
-// the TEST is zero exactly when the element is +-0; only then is the
-// skipZero argument looked at.
-#define ROW(aelem, keep, skip, macs) \
-	TESTMASK aelem, R14; \
-	JNZ keep; \
-	CMPB skipZero+64(FP), $0; \
-	JNE skip; \
-keep: \
+// ROW is one row's share of a kk step in the plain body: every term added.
+// ROWM is the masked body's: Y14 is set from the broadcast a element
+// (NEQ_UQ, so a NaN element's terms are added, as mulRowsGeneric adds
+// them), then the macs blend under it.
+#define ROW(aelem, macs) \
 	BCAST aelem, Y12; \
-	macs; \
-skip:
+	macs
+
+#define ROWM(aelem, macs) \
+	BCAST aelem, Y12; \
+	CMPP $4, Y15, Y12, Y14; \
+	macs
 
 // KNEXT closes a kk loop.
 #define KNEXT(loop) \
@@ -82,6 +103,23 @@ skip:
 	CMPQ CX, BX; \
 	JGE picked
 
+// BODY jumps to the pass body for panel id DX (12, 3, 2, 4, 1, 5 for a
+// half vector, 0 for one element).
+#define BODY(p12, p3, p2, p4, p1, phalf, pelem) \
+	CMPQ DX, $12; \
+	JEQ p12; \
+	CMPQ DX, $3; \
+	JEQ p3; \
+	CMPQ DX, $2; \
+	JEQ p2; \
+	CMPQ DX, $4; \
+	JEQ p4; \
+	CMPQ DX, $1; \
+	JEQ p1; \
+	CMPQ DX, $5; \
+	JEQ phalf; \
+	JMP pelem
+
 // FRESH jumps to zero when zeroC is set: the pass's accumulators then start
 // at +0 in registers instead of loading c, which is bitwise the same as
 // loading a zeroed c (the first add is p + +0 either way).
@@ -93,9 +131,97 @@ skip:
 #define ZERO3(r0, r1, r2)	ZERO2(r0, r1); VXORPD r2, r2, r2
 #define ZERO4(r0, r1, r2, r3)	ZERO3(r0, r1, r2); VXORPD r3, r3, r3
 
+// The pass bodies; row is ROW or ROWM, mac MAC or MACM to match.
+// PASS12 is 1 row x 12 vectors.
+#define PASS12(zero, loop, row, mac) \
+	FRESH(zero); \
+	LOAD4(0, C0, Y0, Y1, Y2, Y3); \
+	LOAD4(128, C0, Y4, Y5, Y6, Y7); \
+	LOAD4(256, C0, Y8, Y9, Y10, Y11); \
+	JMP loop; \
+zero: \
+	ZERO4(Y0, Y1, Y2, Y3); \
+	ZERO4(Y4, Y5, Y6, Y7); \
+	ZERO4(Y8, Y9, Y10, Y11); \
+	PCALIGN $64; \
+loop: \
+	row(A0, MAC4(mac, 0, Y0, Y1, Y2, Y3); MAC4(mac, 128, Y4, Y5, Y6, Y7); MAC4(mac, 256, Y8, Y9, Y10, Y11)); \
+	KNEXT(loop); \
+	STORE4(0, C0, Y0, Y1, Y2, Y3); \
+	STORE4(128, C0, Y4, Y5, Y6, Y7); \
+	STORE4(256, C0, Y8, Y9, Y10, Y11); \
+	JMP next
+
+// PASS4 is 2 rows x 4 vectors.
+#define PASS4(zero, loop, row, mac) \
+	FRESH(zero); \
+	LOAD4(0, C0, Y0, Y1, Y2, Y3); \
+	LOAD4(0, C1, Y4, Y5, Y6, Y7); \
+	JMP loop; \
+zero: \
+	ZERO4(Y0, Y1, Y2, Y3); \
+	ZERO4(Y4, Y5, Y6, Y7); \
+	PCALIGN $64; \
+loop: \
+	row(A0, MAC4(mac, 0, Y0, Y1, Y2, Y3)); \
+	row(A1, MAC4(mac, 0, Y4, Y5, Y6, Y7)); \
+	KNEXT(loop); \
+	STORE4(0, C0, Y0, Y1, Y2, Y3); \
+	STORE4(0, C1, Y4, Y5, Y6, Y7); \
+	JMP next
+
+// PASS3 is 4 rows x 3 vectors.
+#define PASS3(zero, loop, row, mac) \
+	FRESH(zero); \
+	LOAD3(0, C0, Y0, Y1, Y2); \
+	LOAD3(0, C1, Y3, Y4, Y5); \
+	LOAD3(0, C2, Y6, Y7, Y8); \
+	LOAD3(0, C3, Y9, Y10, Y11); \
+	JMP loop; \
+zero: \
+	ZERO4(Y0, Y1, Y2, Y3); \
+	ZERO4(Y4, Y5, Y6, Y7); \
+	ZERO4(Y8, Y9, Y10, Y11); \
+	PCALIGN $64; \
+loop: \
+	row(A0, MAC3(mac, 0, Y0, Y1, Y2)); \
+	row(A1, MAC3(mac, 0, Y3, Y4, Y5)); \
+	row(A2, MAC3(mac, 0, Y6, Y7, Y8)); \
+	row(A3, MAC3(mac, 0, Y9, Y10, Y11)); \
+	KNEXT(loop); \
+	STORE3(0, C0, Y0, Y1, Y2); \
+	STORE3(0, C1, Y3, Y4, Y5); \
+	STORE3(0, C2, Y6, Y7, Y8); \
+	STORE3(0, C3, Y9, Y10, Y11); \
+	JMP next
+
+// PASS2 is 4 rows x 2 vectors.
+#define PASS2(zero, loop, row, mac) \
+	FRESH(zero); \
+	LOAD2(0, C0, Y0, Y1); \
+	LOAD2(0, C1, Y2, Y3); \
+	LOAD2(0, C2, Y4, Y5); \
+	LOAD2(0, C3, Y6, Y7); \
+	JMP loop; \
+zero: \
+	ZERO4(Y0, Y1, Y2, Y3); \
+	ZERO4(Y4, Y5, Y6, Y7); \
+	PCALIGN $64; \
+loop: \
+	row(A0, MAC2(mac, 0, Y0, Y1)); \
+	row(A1, MAC2(mac, 0, Y2, Y3)); \
+	row(A2, MAC2(mac, 0, Y4, Y5)); \
+	row(A3, MAC2(mac, 0, Y6, Y7)); \
+	KNEXT(loop); \
+	STORE2(0, C0, Y0, Y1); \
+	STORE2(0, C1, Y2, Y3); \
+	STORE2(0, C2, Y4, Y5); \
+	STORE2(0, C3, Y6, Y7); \
+	JMP next
+
 // ONECOL is a 4-row pass over a panel one register wide: a vector (Y), a
 // half vector (X) or a single element (X, scalar instructions).
-#define ONECOL(mov, mac, loop, zero, ka, sa, kb, sb, kc, sc, kd, sd, r0, r1, r2, r3) \
+#define ONECOL(mov, row, mac, loop, zero, r0, r1, r2, r3) \
 	FRESH(zero); \
 	mov C0, r0; \
 	mov C1, r1; \
@@ -106,10 +232,10 @@ zero: \
 	ZERO4(r0, r1, r2, r3); \
 	PCALIGN $64; \
 loop: \
-	ROW(A0, ka, sa, mac(r0)) \
-	ROW(A1, kb, sb, mac(r1)) \
-	ROW(A2, kc, sc, mac(r2)) \
-	ROW(A3, kd, sd, mac(r3)) \
+	row(A0, mac(r0)); \
+	row(A1, mac(r1)); \
+	row(A2, mac(r2)); \
+	row(A3, mac(r3)); \
 	KNEXT(loop); \
 	mov r0, C0; \
 	mov r1, C1; \
@@ -117,13 +243,10 @@ loop: \
 	mov r3, C3; \
 	JMP next
 
-#define MAC1(acc)	MAC(0, acc)
-
-
 // func mulRowsF64(c, a *float64, ars, aks int, b *float64, m, k, n int, skipZero, zeroC bool)
 #define LANES 4
+#define LSHIFT 2
 #define ESHIFT 3
-#define NOSIGN 0x7fffffffffffffff
 #define MULP VMULPD
 #define ADDP VADDPD
 #define MULS VMULSD
@@ -131,13 +254,15 @@ loop: \
 #define MOVUP VMOVUPD
 #define MOVS VMOVSD
 #define BCAST VBROADCASTSD
-#define TESTMASK TESTQ
-TEXT ·mulRowsF64(SB), NOSPLIT, $56-66
+#define CMPP VCMPPD
+#define CMPS VCMPSD
+#define BLENDVP VBLENDVPD
+TEXT ·mulRowsF64(SB), NOSPLIT, $104-66
 #include "mulrows_amd64.h"
 
 #undef LANES
+#undef LSHIFT
 #undef ESHIFT
-#undef NOSIGN
 #undef MULP
 #undef ADDP
 #undef MULS
@@ -145,12 +270,14 @@ TEXT ·mulRowsF64(SB), NOSPLIT, $56-66
 #undef MOVUP
 #undef MOVS
 #undef BCAST
-#undef TESTMASK
+#undef CMPP
+#undef CMPS
+#undef BLENDVP
 
 // func mulRowsF32(c, a *float32, ars, aks int, b *float32, m, k, n int, skipZero, zeroC bool)
 #define LANES 8
+#define LSHIFT 3
 #define ESHIFT 2
-#define NOSIGN 0x7fffffff
 #define MULP VMULPS
 #define ADDP VADDPS
 #define MULS VMULSS
@@ -158,8 +285,10 @@ TEXT ·mulRowsF64(SB), NOSPLIT, $56-66
 #define MOVUP VMOVUPS
 #define MOVS VMOVSS
 #define BCAST VBROADCASTSS
-#define TESTMASK TESTL
-TEXT ·mulRowsF32(SB), NOSPLIT, $56-66
+#define CMPP VCMPPS
+#define CMPS VCMPSS
+#define BLENDVP VBLENDVPS
+TEXT ·mulRowsF32(SB), NOSPLIT, $104-66
 #include "mulrows_amd64.h"
 
 // func cpuLevel() level

@@ -20,6 +20,18 @@
 // panel's last pass would not fill take 1-row passes. Every kk loop starts
 // on a 64-byte boundary (PCALIGN), as in mulrows_amd64.s.
 //
+// Zero skipping takes no branch on an element. Each pass runs one of two
+// bodies, chosen before its kk loop from the block of a it is about to
+// read (see scan: below):
+//   - the plain body adds every term. It runs when skipZero is off, and
+//     when the block holds no +-0: no term is then skipped, so adding them
+//     all is already mulRowsGeneric's result.
+//   - the masked body runs when skipZero is on and the block holds a +-0.
+//     Per row and kk it sets K2 to the lanes whose a element is not +-0
+//     (all eight or none) and merge-masks the add by K2: a masked-off lane
+//     keeps its accumulator, bit for bit, which is exactly a skipped term,
+//     whatever b holds (an Inf or NaN) and whatever the cell holds (a -0).
+//
 //	AX  a cursor (kk loop)          SI  a, first row of the pass
 //	BX  b cursor (kk loop)          DI  c, first row of the pass at the panel's first column
 //	CX  kk counter                  R15 rows of this panel still to do
@@ -28,9 +40,16 @@
 //	R10, R11  c row stride x1, x3   (bytes)
 //	R12 a kk stride (bytes)         R13 bytes in a row of b and of c
 //	R14 all bits but the sign       K1  the lanes of the panel's last vector
+//	K2  the masked body's lanes     K4  the scan's last chunk's lanes
+//	K2, K3, K5, K6  the scan's nonzero lanes
 //	Z0-Z23  accumulators: 6 a row in a 4-row pass, 2 in an 8-row one
 //	Z24-Z29 the panel's row kk of b
-//	Z30 the broadcast a element     Z31 the product
+//	Z30 the broadcast a element     Z31 the product (in the scan: R14 in every lane)
+
+// nosign is every bit of a float64 but the sign: a value ANDed with it is
+// zero exactly when the value is +-0.
+DATA nosign<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL nosign<>(SB), RODATA|NOPTR, $8
 
 #define A0 (AX)
 #define A1 (AX)(R8*1)
@@ -51,19 +70,21 @@
 
 // MAC: acc += a element * bv, a vector of the panel's row kk of b, as in
 // mulrows_amd64.s: the a element is the multiply's first source and the
-// product the add's.
+// product the add's. MACM is MAC with the add merge-masked by K2.
 #define MAC(acc, bv)	VMULPD bv, Z30, Z31; VADDPD acc, Z31, acc
+#define MACM(acc, bv)	VMULPD bv, Z30, Z31; VADDPD acc, Z31, K2, acc
 
 // The per-width forms take a row's six accumulator registers and use the
 // first v. BLOADv loads the panel's row kk of b into Z24-Z29, MACv adds
-// one a element's terms, and LOADv and STOREv move the accumulators from
-// and to a row of c; each masks its last vector by K1.
-#define MAC1(r0, r1, r2, r3, r4, r5)	MAC(r0, Z24)
-#define MAC2(r0, r1, r2, r3, r4, r5)	MAC1(r0, r1, r2, r3, r4, r5); MAC(r1, Z25)
-#define MAC3(r0, r1, r2, r3, r4, r5)	MAC2(r0, r1, r2, r3, r4, r5); MAC(r2, Z26)
-#define MAC4(r0, r1, r2, r3, r4, r5)	MAC3(r0, r1, r2, r3, r4, r5); MAC(r3, Z27)
-#define MAC5(r0, r1, r2, r3, r4, r5)	MAC4(r0, r1, r2, r3, r4, r5); MAC(r4, Z28)
-#define MAC6(r0, r1, r2, r3, r4, r5)	MAC5(r0, r1, r2, r3, r4, r5); MAC(r5, Z29)
+// one a element's terms with mac (MAC or MACM), and LOADv and STOREv move
+// the accumulators from and to a row of c; each masks its last vector by
+// K1.
+#define MAC1(mac, r0, r1, r2, r3, r4, r5)	mac(r0, Z24)
+#define MAC2(mac, r0, r1, r2, r3, r4, r5)	MAC1(mac, r0, r1, r2, r3, r4, r5); mac(r1, Z25)
+#define MAC3(mac, r0, r1, r2, r3, r4, r5)	MAC2(mac, r0, r1, r2, r3, r4, r5); mac(r2, Z26)
+#define MAC4(mac, r0, r1, r2, r3, r4, r5)	MAC3(mac, r0, r1, r2, r3, r4, r5); mac(r3, Z27)
+#define MAC5(mac, r0, r1, r2, r3, r4, r5)	MAC4(mac, r0, r1, r2, r3, r4, r5); mac(r4, Z28)
+#define MAC6(mac, r0, r1, r2, r3, r4, r5)	MAC5(mac, r0, r1, r2, r3, r4, r5); mac(r5, Z29)
 
 #define BL(o, r)	VMOVUPD o(BX), r
 #define BLL(o, r)	VMOVUPD.Z o(BX), K1, r
@@ -94,23 +115,18 @@
 
 #define ZERO4(r0, r1, r2, r3)	VPXORQ r0, r0, r0; VPXORQ r1, r1, r1; VPXORQ r2, r2, r2; VPXORQ r3, r3, r3
 
-// ROW is one row's share of a kk step, as in mulrows_amd64.s: the a
-// element is tested for +-0 (R14 masks the sign off), and only then is
-// skipZero looked at, in ZSTUB: it sits after the pass, so that a nonzero
-// element (the common case) takes no branch.
-#define ROW(aelem, keep, skip, zero, macs) \
-	TESTQ aelem, R14; \
-	JZ zero; \
-keep: \
+// ROW is one row's share of a kk step in the plain body: every term added.
+// ROWM is the masked body's: K2 gets the lanes where the broadcast a
+// element has a bit set besides the sign (all of them, or none when it is
+// +-0), and the adds are merge-masked by it.
+#define ROW(aelem, macv, r0, r1, r2, r3, r4, r5) \
 	VBROADCASTSD aelem, Z30; \
-	macs; \
-skip:
+	macv(MAC, r0, r1, r2, r3, r4, r5)
 
-#define ZSTUB(zero, keep, skip) \
-zero: \
-	CMPB skipZero+64(FP), $0; \
-	JNE skip; \
-	JMP keep
+#define ROWM(aelem, macv, r0, r1, r2, r3, r4, r5) \
+	VBROADCASTSD aelem, Z30; \
+	VPTESTMQ.BCST nosign<>(SB), Z30, K2; \
+	macv(MACM, r0, r1, r2, r3, r4, r5)
 
 // KNEXT closes a kk loop.
 #define KNEXT(loop) \
@@ -125,8 +141,8 @@ zero: \
 	JNE zero
 
 // PASS4 is a 4-row pass over a panel of v = 3-6 vectors, six accumulators
-// a row (a narrower panel leaves the last ones idle).
-#define PASS4(zero, loop, ga, sa, za, gb, sb, zb, gc, sc, zc, gd, sd, zd, LOADv, BLOADv, MACv, STOREv) \
+// a row (a narrower panel leaves the last ones idle); row is ROW or ROWM.
+#define PASS4(zero, loop, row, LOADv, BLOADv, MACv, STOREv) \
 	FRESH(zero); \
 	LOADv(C0, Z0, Z1, Z2, Z3, Z4, Z5); \
 	LOADv(C1, Z6, Z7, Z8, Z9, Z10, Z11); \
@@ -143,24 +159,20 @@ zero: \
 	PCALIGN $64; \
 loop: \
 	BLOADv; \
-	ROW(A0, ga, sa, za, MACv(Z0, Z1, Z2, Z3, Z4, Z5)) \
-	ROW(A1, gb, sb, zb, MACv(Z6, Z7, Z8, Z9, Z10, Z11)) \
-	ROW(A2, gc, sc, zc, MACv(Z12, Z13, Z14, Z15, Z16, Z17)) \
-	ROW(A3, gd, sd, zd, MACv(Z18, Z19, Z20, Z21, Z22, Z23)) \
+	row(A0, MACv, Z0, Z1, Z2, Z3, Z4, Z5); \
+	row(A1, MACv, Z6, Z7, Z8, Z9, Z10, Z11); \
+	row(A2, MACv, Z12, Z13, Z14, Z15, Z16, Z17); \
+	row(A3, MACv, Z18, Z19, Z20, Z21, Z22, Z23); \
 	KNEXT(loop); \
 	STOREv(C0, Z0, Z1, Z2, Z3, Z4, Z5); \
 	STOREv(C1, Z6, Z7, Z8, Z9, Z10, Z11); \
 	STOREv(C2, Z12, Z13, Z14, Z15, Z16, Z17); \
 	STOREv(C3, Z18, Z19, Z20, Z21, Z22, Z23); \
-	JMP next; \
-	ZSTUB(za, ga, sa); \
-	ZSTUB(zb, gb, sb); \
-	ZSTUB(zc, gc, sc); \
-	ZSTUB(zd, gd, sd)
+	JMP next
 
 // PASS8 is an 8-row pass over a panel of v = 1-2 vectors, two accumulators
 // a row; DX addresses rows 4-7, of a in the kk loop and of c around it.
-#define PASS8(zero, loop, ga, sa, za, gb, sb, zb, gc, sc, zc, gd, sd, zd, ge, se, ze, gf, sf, zf, gg, sg, zg, gh, sh, zh, LOADv, BLOADv, MACv, STOREv) \
+#define PASS8(zero, loop, row, LOADv, BLOADv, MACv, STOREv) \
 	LEAQ (DI)(R10*4), DX; \
 	FRESH(zero); \
 	LOADv(C0, Z0, Z1, _, _, _, _); \
@@ -181,14 +193,14 @@ zero: \
 loop: \
 	LEAQ (AX)(R8*4), DX; \
 	BLOADv; \
-	ROW(A0, ga, sa, za, MACv(Z0, Z1, _, _, _, _)) \
-	ROW(A1, gb, sb, zb, MACv(Z2, Z3, _, _, _, _)) \
-	ROW(A2, gc, sc, zc, MACv(Z4, Z5, _, _, _, _)) \
-	ROW(A3, gd, sd, zd, MACv(Z6, Z7, _, _, _, _)) \
-	ROW(A4, ge, se, ze, MACv(Z8, Z9, _, _, _, _)) \
-	ROW(A5, gf, sf, zf, MACv(Z10, Z11, _, _, _, _)) \
-	ROW(A6, gg, sg, zg, MACv(Z12, Z13, _, _, _, _)) \
-	ROW(A7, gh, sh, zh, MACv(Z14, Z15, _, _, _, _)) \
+	row(A0, MACv, Z0, Z1, _, _, _, _); \
+	row(A1, MACv, Z2, Z3, _, _, _, _); \
+	row(A2, MACv, Z4, Z5, _, _, _, _); \
+	row(A3, MACv, Z6, Z7, _, _, _, _); \
+	row(A4, MACv, Z8, Z9, _, _, _, _); \
+	row(A5, MACv, Z10, Z11, _, _, _, _); \
+	row(A6, MACv, Z12, Z13, _, _, _, _); \
+	row(A7, MACv, Z14, Z15, _, _, _, _); \
 	KNEXT(loop); \
 	LEAQ (DI)(R10*4), DX; \
 	STOREv(C0, Z0, Z1, _, _, _, _); \
@@ -199,19 +211,11 @@ loop: \
 	STOREv(C5, Z10, Z11, _, _, _, _); \
 	STOREv(C6, Z12, Z13, _, _, _, _); \
 	STOREv(C7, Z14, Z15, _, _, _, _); \
-	JMP next; \
-	ZSTUB(za, ga, sa); \
-	ZSTUB(zb, gb, sb); \
-	ZSTUB(zc, gc, sc); \
-	ZSTUB(zd, gd, sd); \
-	ZSTUB(ze, ge, se); \
-	ZSTUB(zf, gf, sf); \
-	ZSTUB(zg, gg, sg); \
-	ZSTUB(zh, gh, sh)
+	JMP next
 
 // PASS1 is a 1-row pass over a panel of v = 1-6 vectors: the rows a 4- or
 // 8-row pass leaves over.
-#define PASS1(zero, loop, g, s, y, LOADv, BLOADv, MACv, STOREv) \
+#define PASS1(zero, loop, row, LOADv, BLOADv, MACv, STOREv) \
 	FRESH(zero); \
 	LOADv(C0, Z0, Z1, Z2, Z3, Z4, Z5); \
 	JMP loop; \
@@ -222,14 +226,40 @@ zero: \
 	PCALIGN $64; \
 loop: \
 	BLOADv; \
-	ROW(A0, g, s, y, MACv(Z0, Z1, Z2, Z3, Z4, Z5)) \
+	row(A0, MACv, Z0, Z1, Z2, Z3, Z4, Z5); \
 	KNEXT(loop); \
 	STOREv(C0, Z0, Z1, Z2, Z3, Z4, Z5); \
-	JMP next; \
-	ZSTUB(y, g, s)
+	JMP next
+
+// BODY jumps to the pass body for panel id DX (1-6, or 9-14 for a 1-row
+// pass) whose labels start with prefix p; pid 5 and 13 are what is left.
+#define BODY(p6, p2, p1, p3, p4, p5, q6, q2, q1, q3, q4, q5) \
+	CMPQ DX, $6; \
+	JEQ p6; \
+	CMPQ DX, $2; \
+	JEQ p2; \
+	CMPQ DX, $1; \
+	JEQ p1; \
+	CMPQ DX, $3; \
+	JEQ p3; \
+	CMPQ DX, $4; \
+	JEQ p4; \
+	CMPQ DX, $5; \
+	JEQ p5; \
+	CMPQ DX, $14; \
+	JEQ q6; \
+	CMPQ DX, $10; \
+	JEQ q2; \
+	CMPQ DX, $9; \
+	JEQ q1; \
+	CMPQ DX, $11; \
+	JEQ q3; \
+	CMPQ DX, $12; \
+	JEQ q4; \
+	JMP q5
 
 // func mulRowsF64AVX512(c, a *float64, ars, aks int, b *float64, m, k, n int, skipZero, zeroC bool)
-TEXT ·mulRowsF64AVX512(SB), NOSPLIT, $56-66
+TEXT ·mulRowsF64AVX512(SB), NOSPLIT, $104-66
 	MOVQ ars+16(FP), AX
 	SHLQ $3, AX
 	MOVQ AX, arsb-8(SP)
@@ -240,6 +270,31 @@ TEXT ·mulRowsF64AVX512(SB), NOSPLIT, $56-66
 	SHLQ $3, R13
 	MOVQ $0x7fffffffffffffff, R14
 	MOVQ $0, off-16(SP)
+
+	// How a pass picks its body (mode): 0, plain always (skipZero off);
+	// 1, masked always (a's strides leave no contiguous run to scan); 2, 3
+	// and 4, scanned, the block being 2: a row of k elements per pass row
+	// (aks 1), 3: a run of the pass's rows per kk (ars 1), or 4: one run of
+	// rows*k elements (aks 1, ars k, as MulInto calls it).
+	MOVQ $0, DX
+	CMPB skipZero+64(FP), $0
+	JEQ moded
+	MOVQ ars+16(FP), AX
+	MOVQ $4, DX
+	CMPQ aks+24(FP), $1
+	JNE notrows
+	CMPQ AX, k+48(FP)
+	JEQ moded
+	MOVQ $2, DX
+	JMP moded
+notrows:
+	MOVQ $3, DX
+	CMPQ AX, $1
+	JEQ moded
+	MOVQ $1, DX
+moded:
+	MOVQ DX, mode-64(SP)
+	MOVQ $0, zeros-104(SP)
 
 pick:
 	// The panel: BX columns (48, or all that are left) in AX vectors, DX
@@ -290,33 +345,105 @@ rows:
 	MOVQ $1, pass-56(SP)
 	ADDQ $8, pid-40(SP)
 run:
+	MOVQ mode-64(SP), DX
+	CMPQ DX, $1
+	JLT plain
+	JEQ masked
+
+	// scan: does the block of a this pass reads hold a +-0? It is sO runs
+	// of sL contiguous elements, sS bytes apart, from SI. Each run is read
+	// in chunks of 8, four at a time while four are left, and the last
+	// chunk (1-8 elements) is merged by K4 into Z30 over R14 in every lane,
+	// so the lanes past the run read as nonzero. K3, K2, K5 and K6 keep the
+	// lanes whose elements all had a bit set besides the sign (four
+	// independent chains, so the scan's latency hides under the pass
+	// before it); their AND is all eight lanes unless the block holds a
+	// +-0. The only branches are on the shape, and one on the answer.
+	MOVQ pass-56(SP), BX
+	MOVQ k+48(FP), CX
+	CMPQ DX, $3
+	JEQ scols
+	JGT scontig
+	MOVQ BX, sO-72(SP)
+	MOVQ R8, sS-80(SP)
+	JMP ssized
+scols:
+	MOVQ CX, sO-72(SP)
+	MOVQ R12, sS-80(SP)
+	MOVQ BX, CX
+	JMP ssized
+scontig:
+	MOVQ $1, sO-72(SP)
+	IMULQ BX, CX
+ssized:
+	// CX = sL: (sL-1)/8 full chunks, then a last chunk of ((sL-1)&7)+1.
+	DECQ CX
+	MOVQ CX, BX
+	SHRQ $3, BX
+	MOVQ BX, sFull-88(SP)
+	ANDQ $7, CX
+	INCQ CX
+	MOVL $1, DX
+	SHLL CX, DX
+	DECL DX
+	KMOVW DX, K4
+	VPBROADCASTQ R14, Z31
+	KXNORW K3, K3, K3
+	KXNORW K2, K2, K2
+	KXNORW K5, K5, K5
+	KXNORW K6, K6, K6
+	MOVQ SI, AX
+	MOVQ sO-72(SP), DX
+srun:
+	MOVQ AX, BX
+	MOVQ sFull-88(SP), CX
+	CMPQ CX, $4
+	JLT sone
+squad:
+	VPTESTMQ (BX), Z31, K3, K3
+	VPTESTMQ 64(BX), Z31, K2, K2
+	VPTESTMQ 128(BX), Z31, K5, K5
+	VPTESTMQ 192(BX), Z31, K6, K6
+	ADDQ $256, BX
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE squad
+sone:
+	TESTQ CX, CX
+	JZ slast
+schunk:
+	VPTESTMQ (BX), Z31, K3, K3
+	ADDQ $64, BX
+	DECQ CX
+	JNZ schunk
+slast:
+	VMOVDQA64 Z31, Z30
+	VMOVUPD (BX), K4, Z30
+	VPTESTMQ Z31, Z30, K2, K2
+	ADDQ sS-80(SP), AX
+	DECQ DX
+	JNZ srun
+	KANDW K2, K3, K3
+	KANDW K5, K6, K6
+	KANDW K3, K6, K3
+	KMOVW K3, DX
+	CMPL DX, $0xff
+	JEQ plain
+	MOVQ $1, zeros-104(SP)
+	JMP masked
+
+plain:
 	MOVQ SI, AX
 	MOVQ bpan-32(SP), BX
 	MOVQ k+48(FP), CX
 	MOVQ pid-40(SP), DX
-	CMPQ DX, $6
-	JEQ p6
-	CMPQ DX, $2
-	JEQ p2
-	CMPQ DX, $1
-	JEQ p1
-	CMPQ DX, $3
-	JEQ p3
-	CMPQ DX, $4
-	JEQ p4
-	CMPQ DX, $5
-	JEQ p5
-	CMPQ DX, $14
-	JEQ q6
-	CMPQ DX, $10
-	JEQ q2
-	CMPQ DX, $9
-	JEQ q1
-	CMPQ DX, $11
-	JEQ q3
-	CMPQ DX, $12
-	JEQ q4
-	JMP q5
+	BODY(p6, p2, p1, p3, p4, p5, q6, q2, q1, q3, q4, q5)
+masked:
+	MOVQ SI, AX
+	MOVQ bpan-32(SP), BX
+	MOVQ k+48(FP), CX
+	MOVQ pid-40(SP), DX
+	BODY(m6, m2, m1, m3, m4, m5, r6, r2, r1, r3, r4, r5)
 next:
 	MOVQ pass-56(SP), DX
 	SUBQ DX, R15
@@ -327,6 +454,15 @@ next:
 	ADDQ DX, DI
 	JMP rows
 paneldone:
+	// When every pass of the first panel scanned its block and found no
+	// +-0, the scans have read all of a: the later panels take the plain
+	// body unscanned.
+	CMPQ mode-64(SP), $2
+	JLT swept
+	CMPQ zeros-104(SP), $0
+	JNE swept
+	MOVQ $0, mode-64(SP)
+swept:
 	MOVQ pcols-48(SP), AX
 	SUBQ AX, rem-24(SP)
 	SHLQ $3, AX
@@ -337,27 +473,51 @@ done:
 	RET
 
 p6:
-	PASS4(z6, k6, g6a, s6a, y6a, g6b, s6b, y6b, g6c, s6c, y6c, g6d, s6d, y6d, LOAD6, BLOAD6, MAC6, STORE6)
+	PASS4(zp6, kp6, ROW, LOAD6, BLOAD6, MAC6, STORE6)
 p5:
-	PASS4(z5, k5, g5a, s5a, y5a, g5b, s5b, y5b, g5c, s5c, y5c, g5d, s5d, y5d, LOAD5, BLOAD5, MAC5, STORE5)
+	PASS4(zp5, kp5, ROW, LOAD5, BLOAD5, MAC5, STORE5)
 p4:
-	PASS4(z4, k4, g4a, s4a, y4a, g4b, s4b, y4b, g4c, s4c, y4c, g4d, s4d, y4d, LOAD4, BLOAD4, MAC4, STORE4)
+	PASS4(zp4, kp4, ROW, LOAD4, BLOAD4, MAC4, STORE4)
 p3:
-	PASS4(z3, k3, g3a, s3a, y3a, g3b, s3b, y3b, g3c, s3c, y3c, g3d, s3d, y3d, LOAD3, BLOAD3, MAC3, STORE3)
+	PASS4(zp3, kp3, ROW, LOAD3, BLOAD3, MAC3, STORE3)
 p2:
-	PASS8(z2, k2, g2a, s2a, y2a, g2b, s2b, y2b, g2c, s2c, y2c, g2d, s2d, y2d, g2e, s2e, y2e, g2f, s2f, y2f, g2g, s2g, y2g, g2h, s2h, y2h, LOAD2, BLOAD2, MAC2, STORE2)
+	PASS8(zp2, kp2, ROW, LOAD2, BLOAD2, MAC2, STORE2)
 p1:
-	PASS8(z1, k1, g1a, s1a, y1a, g1b, s1b, y1b, g1c, s1c, y1c, g1d, s1d, y1d, g1e, s1e, y1e, g1f, s1f, y1f, g1g, s1g, y1g, g1h, s1h, y1h, LOAD1, BLOAD1, MAC1, STORE1)
-
+	PASS8(zp1, kp1, ROW, LOAD1, BLOAD1, MAC1, STORE1)
 q6:
-	PASS1(z16, k16, g16, s16, y16, LOAD6, BLOAD6, MAC6, STORE6)
+	PASS1(zq6, kq6, ROW, LOAD6, BLOAD6, MAC6, STORE6)
 q5:
-	PASS1(z15, k15, g15, s15, y15, LOAD5, BLOAD5, MAC5, STORE5)
+	PASS1(zq5, kq5, ROW, LOAD5, BLOAD5, MAC5, STORE5)
 q4:
-	PASS1(z14, k14, g14, s14, y14, LOAD4, BLOAD4, MAC4, STORE4)
+	PASS1(zq4, kq4, ROW, LOAD4, BLOAD4, MAC4, STORE4)
 q3:
-	PASS1(z13, k13, g13, s13, y13, LOAD3, BLOAD3, MAC3, STORE3)
+	PASS1(zq3, kq3, ROW, LOAD3, BLOAD3, MAC3, STORE3)
 q2:
-	PASS1(z12, k12, g12, s12, y12, LOAD2, BLOAD2, MAC2, STORE2)
+	PASS1(zq2, kq2, ROW, LOAD2, BLOAD2, MAC2, STORE2)
 q1:
-	PASS1(z11, k11, g11, s11, y11, LOAD1, BLOAD1, MAC1, STORE1)
+	PASS1(zq1, kq1, ROW, LOAD1, BLOAD1, MAC1, STORE1)
+
+m6:
+	PASS4(zm6, km6, ROWM, LOAD6, BLOAD6, MAC6, STORE6)
+m5:
+	PASS4(zm5, km5, ROWM, LOAD5, BLOAD5, MAC5, STORE5)
+m4:
+	PASS4(zm4, km4, ROWM, LOAD4, BLOAD4, MAC4, STORE4)
+m3:
+	PASS4(zm3, km3, ROWM, LOAD3, BLOAD3, MAC3, STORE3)
+m2:
+	PASS8(zm2, km2, ROWM, LOAD2, BLOAD2, MAC2, STORE2)
+m1:
+	PASS8(zm1, km1, ROWM, LOAD1, BLOAD1, MAC1, STORE1)
+r6:
+	PASS1(zr6, kr6, ROWM, LOAD6, BLOAD6, MAC6, STORE6)
+r5:
+	PASS1(zr5, kr5, ROWM, LOAD5, BLOAD5, MAC5, STORE5)
+r4:
+	PASS1(zr4, kr4, ROWM, LOAD4, BLOAD4, MAC4, STORE4)
+r3:
+	PASS1(zr3, kr3, ROWM, LOAD3, BLOAD3, MAC3, STORE3)
+r2:
+	PASS1(zr2, kr2, ROWM, LOAD2, BLOAD2, MAC2, STORE2)
+r1:
+	PASS1(zr1, kr1, ROWM, LOAD1, BLOAD1, MAC1, STORE1)

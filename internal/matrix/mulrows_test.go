@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -333,6 +334,105 @@ func FuzzRowKernel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRowKernel(t, levels, data, f64FromBits)
 		fuzzRowKernel(t, levels, data, math.Float32frombits)
+	})
+}
+
+// zeroLayouts are the a strides the row kernel tells apart when it looks
+// for +-0 before a pass: row-major (MulInto), rows with a gap between them,
+// transposed (MulTransposeA*), and a stride pattern it cannot scan.
+var zeroLayouts = []struct {
+	name    string
+	strides func(m, k int) (ars, aks int)
+}{
+	{"rowmajor", func(m, k int) (int, int) { return k, 1 }},
+	{"gapped", func(m, k int) (int, int) { return k + 3, 1 }},
+	{"transposed", func(m, k int) (int, int) { return 1, m }},
+	{"strided", func(m, k int) (int, int) { return 2 * k, 2 }},
+}
+
+// zeroA fills the a elements the formula reads with values of which frac
+// are +-0 at random places (frac 1: all of them; frac < 0: all but one).
+func zeroA[T Float](rng *rand.Rand, a []T, ars, aks, m, k int, frac float64) {
+	one := rng.Intn(m * k)
+	for i := 0; i < m; i++ {
+		for kk := 0; kk < k; kk++ {
+			v := T(rng.NormFloat64())
+			if frac < 0 && i*k+kk != one || rng.Float64() < frac {
+				v = T(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+			}
+			a[i*ars+kk*aks] = v
+		}
+	}
+}
+
+// testRowKernelZeroPatterns holds mulRows on the current path to
+// mulRowsGeneric where the two ways of handling a +-0 a element differ:
+// at every kk where a column of a holds a +-0, b's columns j%3 == 0 hold
+// +Inf, -Inf or NaN (an added term would be NaN), and, unless zeroC, c's
+// columns j%3 == 1 start at -0 (an added +0 term would make them +0).
+func testRowKernelZeroPatterns[T Float](t *testing.T) {
+	shapes := slices.Clone(zeroShapes)
+	for n := 1; n <= 17; n++ {
+		for _, m := range []int{1, 7, 13} { // short of, between and past the 4- and 8-row passes
+			shapes = append(shapes, [3]int{m, 1, n}, [3]int{m, 9, n})
+		}
+	}
+	shapes = append(shapes, [3]int{13, 9, 53}, [3]int{7, 5, 101}) // several panels on every level
+	specials := []T{T(math.Inf(1)), T(math.Inf(-1)), hardNaN[T]()}
+	negZero := T(math.Copysign(0, -1))
+	rng := rand.New(rand.NewSource(46))
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		for _, frac := range []float64{0, 0.1, 0.5, 1, -1} {
+			for _, lay := range zeroLayouts {
+				ars, aks := lay.strides(m, k)
+				a := make([]T, (m-1)*ars+(k-1)*aks+1)
+				zeroA(rng, a, ars, aks, m, k, frac)
+				b := make([]T, k*n)
+				for kk := 0; kk < k; kk++ {
+					hasZero := false
+					for i := 0; i < m; i++ {
+						hasZero = hasZero || a[i*ars+kk*aks] == 0
+					}
+					for j := range n {
+						b[kk*n+j] = T(rng.NormFloat64())
+						if hasZero && j%3 == 0 {
+							b[kk*n+j] = specials[(kk+j)%3]
+						}
+					}
+				}
+				for _, skipZero := range []bool{false, true} {
+					for _, zeroC := range []bool{false, true} {
+						c := make([]T, m*n)
+						for i := range c {
+							switch {
+							case zeroC:
+								c[i] = specials[i%3] // leftovers: none may reach the result
+							case i%n%3 == 1:
+								c[i] = negZero
+							default:
+								c[i] = T(rng.NormFloat64())
+							}
+						}
+						want := slices.Clone(c)
+						mulRowsGeneric(want, a, ars, aks, b, m, k, n, skipZero, zeroC)
+						mulRows(c, a, ars, aks, b, m, k, n, skipZero, zeroC)
+						name := fmt.Sprintf("%dx%dx%d %s zeros=%v skipZero=%v zeroC=%v", m, k, n, lay.name, frac, skipZero, zeroC)
+						sameBits(t, name, c, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowKernelZeroPatterns runs testRowKernelZeroPatterns on every path:
+// it reaches both pass bodies of each assembly level (plain and masked), in
+// every panel width, pass height and scan layout.
+func TestRowKernelZeroPatterns(t *testing.T) {
+	onEveryPath(t, func(t *testing.T) {
+		t.Run("f64", testRowKernelZeroPatterns[float64])
+		t.Run("f32", testRowKernelZeroPatterns[float32])
 	})
 }
 
