@@ -9,30 +9,67 @@
 	MOVQ $0, off-16(SP)
 	VXORPD Y15, Y15, Y15
 
-	// How a pass picks its body (mode): 0, plain always (skipZero off);
-	// 1, masked always (a's strides leave no contiguous run to scan); 2, 3
-	// and 4, scanned, the block being 2: a row of k elements per pass row
-	// (aks 1), 3: a run of the pass's rows per kk (ars 1), or 4: one run of
-	// rows*k elements (aks 1, ars k, as MulInto calls it).
-	MOVQ $0, DX
+	// How every pass picks its body (mode), and why the plain body is
+	// exact unless a holds a +-0, b an Inf or a NaN, or (without zeroC) a
+	// cell starts at -0: see mulrows_avx512_amd64.s, which decides the
+	// same way. R15 holds m*k while a is one run of that many elements
+	// not known to hold a +-0, else 0.
+	MOVQ $0, mode-64(SP)
 	CMPB skipZero+64(FP), $0
-	JEQ moded
-	MOVQ ars+16(FP), AX
-	MOVQ $4, DX
-	CMPQ aks+24(FP), $1
-	JNE notrows
-	CMPQ AX, k+48(FP)
-	JEQ moded
-	MOVQ $2, DX
-	JMP moded
-notrows:
-	MOVQ $3, DX
-	CMPQ AX, $1
-	JEQ moded
-	MOVQ $1, DX
-moded:
-	MOVQ DX, mode-64(SP)
-	MOVQ $0, zeros-104(SP)
+	JEQ pick
+	XORQ R15, R15
+	MOVQ k+48(FP), AX
+	MOVQ ars+16(FP), BX
+	MOVQ aks+24(FP), CX
+	CMPQ CX, $1
+	JNE acols
+	CMPQ BX, AX
+	JEQ arun
+acols:
+	CMPQ BX, $1
+	JNE achecked
+	CMPQ CX, m+40(FP)
+	JNE achecked
+arun:
+	MOVQ AX, R15
+	IMULQ m+40(FP), R15
+achecked:
+	CMPB zeroC+65(FP), $0
+	JEQ accum
+	TESTQ R15, R15
+	JZ zb
+	MOVQ n+56(FP), AX
+	SHLQ $1, AX
+	CMPQ AX, m+40(FP)
+	JLT zb
+	MOVQ a+8(FP), BX
+	MOVQ R15, CX
+	ASCAN(zav, zavc, zae, zaec)
+	JZ pick
+	XORQ R15, R15
+zb:
+	BSCAN(zbv, zbvc, zbe, zbec)
+	JZ pick
+	TESTQ R15, R15
+	JZ masked1
+	MOVQ a+8(FP), BX
+	MOVQ R15, CX
+	ASCAN(zcv, zcvc, zce, zcec)
+	JZ pick
+masked1:
+	MOVQ $1, mode-64(SP)
+	JMP pick
+accum:
+	TESTQ R15, R15
+	JZ ab
+	MOVQ a+8(FP), BX
+	MOVQ R15, CX
+	ASCAN(aav, aavc, aae, aaec)
+	JZ pick
+ab:
+	BSCAN(abv, abvc, abe, abec)
+	JNZ masked1
+	MOVQ $2, mode-64(SP)
 
 pick:
 	MOVQ rem-24(SP), CX
@@ -76,70 +113,11 @@ rows:
 	MOVQ $1, pass-56(SP)
 run:
 	MOVQ mode-64(SP), DX
-	CMPQ DX, $1
-	JLT plain
-	JEQ masked
-
-	// scan: does the block of a this pass reads hold a +-0? It is sO runs
-	// of sL contiguous elements, sS bytes apart, from SI. Each run is read
-	// a vector at a time, then an element at a time; Y14 collects the
-	// lanes that compared equal to +0 (so +-0 and nothing else). The only
-	// branches are on the shape, and one on the answer.
-	MOVQ pass-56(SP), BX
-	MOVQ k+48(FP), CX
-	CMPQ DX, $3
-	JEQ scols
-	JGT scontig
-	MOVQ BX, sO-72(SP)
-	MOVQ R8, sS-80(SP)
-	JMP ssized
-scols:
-	MOVQ CX, sO-72(SP)
-	MOVQ R12, sS-80(SP)
-	MOVQ BX, CX
-	JMP ssized
-scontig:
-	MOVQ $1, sO-72(SP)
-	IMULQ BX, CX
-ssized:
-	// CX = sL: sL/LANES vectors, then sL%LANES elements.
-	MOVQ CX, BX
-	SHRQ $LSHIFT, BX
-	MOVQ BX, sFull-88(SP)
-	ANDQ $(LANES-1), CX
-	MOVQ CX, sTail-96(SP)
-	VXORPD Y14, Y14, Y14
-	MOVQ SI, AX
-	MOVQ sO-72(SP), DX
-srun:
-	MOVQ AX, BX
-	MOVQ sFull-88(SP), CX
-	TESTQ CX, CX
-	JZ stail
-svec:
-	CMPP $0, (BX), Y15, Y13
-	VORPD Y13, Y14, Y14
-	ADDQ $32, BX
-	DECQ CX
-	JNZ svec
-stail:
-	MOVQ sTail-96(SP), CX
-	TESTQ CX, CX
-	JZ snext
-selem:
-	CMPS $0, (BX), X15, X13
-	VORPD Y13, Y14, Y14
-	ADDQ $(1<<ESHIFT), BX
-	DECQ CX
-	JNZ selem
-snext:
-	ADDQ sS-80(SP), AX
-	DECQ DX
-	JNZ srun
-	VPTEST Y14, Y14
+	TESTQ DX, DX
 	JZ plain
-	MOVQ $1, zeros-104(SP)
-	JMP masked
+	CMPQ DX, $1
+	JEQ masked
+	CSCAN(ca, cb, cc, cd, ce, masked)
 
 plain:
 	MOVQ SI, AX
@@ -163,15 +141,6 @@ next:
 	ADDQ DX, DI
 	JMP rows
 paneldone:
-	// When every pass of the first panel scanned its block and found no
-	// +-0, the scans have read all of a: the later panels take the plain
-	// body unscanned.
-	CMPQ mode-64(SP), $2
-	JLT swept
-	CMPQ zeros-104(SP), $0
-	JNE swept
-	MOVQ $0, mode-64(SP)
-swept:
 	MOVQ pcols-48(SP), AX
 	SUBQ AX, rem-24(SP)
 	SHLQ $ESHIFT, AX

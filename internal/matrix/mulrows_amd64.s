@@ -120,6 +120,89 @@
 	JEQ phalf; \
 	JMP pelem
 
+// RUNS tests the run of CX elements at BX, a vector at a time, then an
+// element at a time: vtest(tmp) and stest(tmp) set tmp's lanes that fail
+// (all ones) for the vector or the element at BX, and Y14 collects them.
+// It leaves ZF set when every element passed.
+#define RUNS(vec, vcheck, elem, echeck, vtest, stest) \
+	VPXOR Y14, Y14, Y14; \
+	JMP vcheck; \
+vec: \
+	vtest(Y13); \
+	VPOR Y13, Y14, Y14; \
+	ADDQ $32, BX; \
+	SUBQ $LANES, CX; \
+vcheck: \
+	CMPQ CX, $LANES; \
+	JGE vec; \
+	JMP echeck; \
+elem: \
+	stest(X13); \
+	VPOR Y13, Y14, Y14; \
+	ADDQ $(1<<ESHIFT), BX; \
+	DECQ CX; \
+echeck: \
+	TESTQ CX, CX; \
+	JNZ elem; \
+	VPTEST Y14, Y14
+
+// An element fails ISZERO when it compares equal to +0 (so +-0 and
+// nothing else), and ISINF when its exponent bits (Y12, X12) are all set
+// (Inf, NaN). A single element is loaded into the low lane of a zeroed
+// register, whose other lanes pass.
+#define VISZERO(t)	CMPP $0, (BX), Y15, t
+#define SISZERO(t)	CMPS $0, (BX), X15, t
+#define VISINF(t)	VPAND (BX), Y12, t; PCMPEQ Y12, t, t
+#define SISINF(t)	MOVS (BX), t; VPAND X12, t, t; PCMPEQ X12, t, t
+
+// ASCAN sets ZF when no element of the run of CX elements at BX is +-0,
+// BSCAN when every element of b (k*n of them) is finite.
+#define ASCAN(vec, vcheck, elem, echeck)	RUNS(vec, vcheck, elem, echeck, VISZERO, SISZERO)
+#define BSCAN(vec, vcheck, elem, echeck) \
+	ICONST(EXPBITS); \
+	MOVQ b+32(FP), BX; \
+	MOVQ k+48(FP), CX; \
+	IMULQ n+56(FP), CX; \
+	RUNS(vec, vcheck, elem, echeck, VISINF, SISINF)
+
+// CSCAN jumps to plain unless the pass's block of c holds a -0, and to
+// dirty if it does: its rows (pass of them, R10 bytes apart, from DI) of
+// the panel's pcols elements, a vector at a time, then an element at a
+// time; Y14 collects the lanes equal to -0 bit for bit.
+#define CSCAN(row, vec, vcheck, elem, echeck, dirty) \
+	ICONST(NEGZERO); \
+	VPXOR Y14, Y14, Y14; \
+	MOVQ DI, AX; \
+	MOVQ pass-56(SP), DX; \
+row: \
+	MOVQ AX, BX; \
+	MOVQ pcols-48(SP), CX; \
+	JMP vcheck; \
+vec: \
+	PCMPEQ (BX), Y12, Y13; \
+	VPOR Y13, Y14, Y14; \
+	ADDQ $32, BX; \
+	SUBQ $LANES, CX; \
+vcheck: \
+	CMPQ CX, $LANES; \
+	JGE vec; \
+	JMP echeck; \
+elem: \
+	MOVS (BX), X13; \
+	PCMPEQ X12, X13, X13; \
+	VPOR Y13, Y14, Y14; \
+	ADDQ $(1<<ESHIFT), BX; \
+	DECQ CX; \
+echeck: \
+	TESTQ CX, CX; \
+	JNZ elem; \
+	ADDQ R10, AX; \
+	DECQ DX; \
+	JNZ row; \
+	VPTEST Y14, Y14; \
+	JNZ dirty; \
+	JMP plain
+
 // FRESH jumps to zero when zeroC is set: the pass's accumulators then start
 // at +0 in registers instead of loading c, which is bitwise the same as
 // loading a zeroed c (the first add is p + +0 either way).
@@ -245,7 +328,6 @@ loop: \
 
 // func mulRowsF64(c, a *float64, ars, aks int, b *float64, m, k, n int, skipZero, zeroC bool)
 #define LANES 4
-#define LSHIFT 2
 #define ESHIFT 3
 #define MULP VMULPD
 #define ADDP VADDPD
@@ -257,11 +339,14 @@ loop: \
 #define CMPP VCMPPD
 #define CMPS VCMPSD
 #define BLENDVP VBLENDVPD
-TEXT ·mulRowsF64(SB), NOSPLIT, $104-66
+#define PCMPEQ VPCMPEQQ
+#define EXPBITS 0x7ff0000000000000
+#define NEGZERO 0x8000000000000000
+#define ICONST(v)	MOVQ $v, DX; VMOVQ DX, X12; VPBROADCASTQ X12, Y12
+TEXT ·mulRowsF64(SB), NOSPLIT, $64-66
 #include "mulrows_amd64.h"
 
 #undef LANES
-#undef LSHIFT
 #undef ESHIFT
 #undef MULP
 #undef ADDP
@@ -273,10 +358,13 @@ TEXT ·mulRowsF64(SB), NOSPLIT, $104-66
 #undef CMPP
 #undef CMPS
 #undef BLENDVP
+#undef PCMPEQ
+#undef EXPBITS
+#undef NEGZERO
+#undef ICONST
 
 // func mulRowsF32(c, a *float32, ars, aks int, b *float32, m, k, n int, skipZero, zeroC bool)
 #define LANES 8
-#define LSHIFT 3
 #define ESHIFT 2
 #define MULP VMULPS
 #define ADDP VADDPS
@@ -288,7 +376,11 @@ TEXT ·mulRowsF64(SB), NOSPLIT, $104-66
 #define CMPP VCMPPS
 #define CMPS VCMPSS
 #define BLENDVP VBLENDVPS
-TEXT ·mulRowsF32(SB), NOSPLIT, $104-66
+#define PCMPEQ VPCMPEQD
+#define EXPBITS 0x7f800000
+#define NEGZERO 0x80000000
+#define ICONST(v)	MOVL $v, DX; VMOVD DX, X12; VPBROADCASTD X12, Y12
+TEXT ·mulRowsF32(SB), NOSPLIT, $64-66
 #include "mulrows_amd64.h"
 
 // func cpuLevel() level

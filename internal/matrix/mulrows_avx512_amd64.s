@@ -231,6 +231,108 @@ loop: \
 	STOREv(C0, Z0, Z1, Z2, Z3, Z4, Z5); \
 	JMP next
 
+// RUNS tests the run of CX elements at BX in chunks of 8 with test(off,
+// tmp, k), which ANDs into k the chunk's lanes that pass: four chunks at a
+// time into four chains (K3, K2, K5, K6, so that the scan's latency is a
+// quarter of its length), then one at a time into K3, and it leaves BX at
+// the last 0-7 elements, K4 their lanes and K3 the AND of the chains.
+#define RUNS(quad, one, tail, test) \
+	KXNORW K3, K3, K3; \
+	KXNORW K2, K2, K2; \
+	KXNORW K5, K5, K5; \
+	KXNORW K6, K6, K6; \
+	CMPQ CX, $32; \
+	JLT one; \
+quad: \
+	test(0, Z24, K3); \
+	test(64, Z25, K2); \
+	test(128, Z26, K5); \
+	test(192, Z27, K6); \
+	ADDQ $256, BX; \
+	SUBQ $32, CX; \
+	CMPQ CX, $32; \
+	JGE quad; \
+one: \
+	CMPQ CX, $8; \
+	JLT tail; \
+	test(0, Z24, K3); \
+	ADDQ $64, BX; \
+	SUBQ $8, CX; \
+	JMP one; \
+tail: \
+	MOVL $1, DX; \
+	SHLL CX, DX; \
+	DECL DX; \
+	KMOVW DX, K4; \
+	KANDW K2, K3, K3; \
+	KANDW K5, K6, K6; \
+	KANDW K6, K3, K3
+
+// NONZERO passes an element with a bit set besides the sign (Z31 holds
+// those bits), FINITE one whose exponent bits are not all set (Z31 holds
+// them).
+#define NONZERO(off, tmp, k)	VPTESTMQ off(BX), Z31, k, k
+#define FINITE(off, tmp, k)	VPANDQ off(BX), Z31, tmp; VPCMPQ $4, Z31, tmp, k, k
+
+// ASCAN sets ZF when no element of the run of CX elements at BX is +-0; its
+// last elements are merged by K4 over R14 in every lane, so the lanes past
+// the run pass.
+#define ASCAN(quad, one, tail) \
+	VPBROADCASTQ R14, Z31; \
+	RUNS(quad, one, tail, NONZERO); \
+	VMOVDQA64 Z31, Z30; \
+	VMOVUPD (BX), K4, Z30; \
+	VPTESTMQ Z31, Z30, K3, K3; \
+	KMOVW K3, DX; \
+	CMPL DX, $0xff
+
+// BSCAN sets ZF when every element of b (k*n of them) is finite; its last
+// elements are zero-masked by K4, so the lanes past b pass.
+#define BSCAN(quad, one, tail) \
+	MOVQ b+32(FP), BX; \
+	MOVQ k+48(FP), CX; \
+	IMULQ n+56(FP), CX; \
+	MOVQ $0x7ff0000000000000, DX; \
+	VPBROADCASTQ DX, Z31; \
+	RUNS(quad, one, tail, FINITE); \
+	VMOVUPD.Z (BX), K4, Z30; \
+	VPANDQ Z30, Z31, Z30; \
+	VPCMPQ $4, Z31, Z30, K3, K3; \
+	KMOVW K3, DX; \
+	CMPL DX, $0xff
+
+// CSCAN jumps to plain unless the pass's block of c holds a -0, and to
+// dirty if it does: its rows (pass of them, R10 bytes apart, from DI) of
+// the panel's vectors (pid & 7), the last zero-masked by K1; K3 collects
+// the lanes equal to -0 bit for bit.
+#define CSCAN(row, vec, last, dirty) \
+	MOVQ $0x8000000000000000, DX; \
+	VPBROADCASTQ DX, Z31; \
+	KXORW K3, K3, K3; \
+	MOVQ DI, AX; \
+	MOVQ pass-56(SP), DX; \
+row: \
+	MOVQ AX, BX; \
+	MOVQ pid-40(SP), CX; \
+	ANDQ $7, CX; \
+	JMP last; \
+vec: \
+	VPCMPEQQ (BX), Z31, K2; \
+	KORW K2, K3, K3; \
+	ADDQ $64, BX; \
+last: \
+	DECQ CX; \
+	JNZ vec; \
+	VMOVUPD.Z (BX), K1, Z30; \
+	VPCMPEQQ Z30, Z31, K2; \
+	KORW K2, K3, K3; \
+	ADDQ R10, AX; \
+	DECQ DX; \
+	JNZ row; \
+	KORTESTW K3, K3; \
+	JNZ dirty; \
+	JMP plain
+
 // BODY jumps to the pass body for panel id DX (1-6, or 9-14 for a 1-row
 // pass) whose labels start with prefix p; pid 5 and 13 are what is left.
 #define BODY(p6, p2, p1, p3, p4, p5, q6, q2, q1, q3, q4, q5) \
@@ -259,7 +361,7 @@ loop: \
 	JMP q5
 
 // func mulRowsF64AVX512(c, a *float64, ars, aks int, b *float64, m, k, n int, skipZero, zeroC bool)
-TEXT ·mulRowsF64AVX512(SB), NOSPLIT, $104-66
+TEXT ·mulRowsF64AVX512(SB), NOSPLIT, $64-66
 	MOVQ ars+16(FP), AX
 	SHLQ $3, AX
 	MOVQ AX, arsb-8(SP)
@@ -271,30 +373,75 @@ TEXT ·mulRowsF64AVX512(SB), NOSPLIT, $104-66
 	MOVQ $0x7fffffffffffffff, R14
 	MOVQ $0, off-16(SP)
 
-	// How a pass picks its body (mode): 0, plain always (skipZero off);
-	// 1, masked always (a's strides leave no contiguous run to scan); 2, 3
-	// and 4, scanned, the block being 2: a row of k elements per pass row
-	// (aks 1), 3: a run of the pass's rows per kk (ars 1), or 4: one run of
-	// rows*k elements (aks 1, ars k, as MulInto calls it).
-	MOVQ $0, DX
+	// How every pass picks its body (mode): 0, the plain one; 1, the
+	// masked one; 2, the masked one only when its block of c holds a -0.
+	// Adding the term of a +-0 a element gives +-0 when its b element is
+	// finite, and acc + +-0 is acc bit for bit unless acc is -0. An
+	// accumulator is -0 only if its cell started at -0 (a sum in
+	// round-to-nearest is -0 only when both addends are). So the plain
+	// body is exact unless skipZero is on, a holds a +-0, b an Inf or a
+	// NaN, or (without zeroC) a cell starts at -0. a is looked at only
+	// when it is one run of m*k elements (aks 1 and ars k, as MulInto
+	// calls; or ars 1 and aks m, as MulTransposeA* does): R15 holds m*k
+	// then, and 0 when a is not a run or is known to hold a +-0.
+	MOVQ $0, mode-64(SP)
 	CMPB skipZero+64(FP), $0
-	JEQ moded
-	MOVQ ars+16(FP), AX
-	MOVQ $4, DX
-	CMPQ aks+24(FP), $1
-	JNE notrows
-	CMPQ AX, k+48(FP)
-	JEQ moded
-	MOVQ $2, DX
-	JMP moded
-notrows:
-	MOVQ $3, DX
-	CMPQ AX, $1
-	JEQ moded
-	MOVQ $1, DX
-moded:
-	MOVQ DX, mode-64(SP)
-	MOVQ $0, zeros-104(SP)
+	JEQ pick
+	XORQ R15, R15
+	MOVQ k+48(FP), AX
+	MOVQ ars+16(FP), BX
+	MOVQ aks+24(FP), CX
+	CMPQ CX, $1
+	JNE acols
+	CMPQ BX, AX
+	JEQ arun
+acols:
+	CMPQ BX, $1
+	JNE achecked
+	CMPQ CX, m+40(FP)
+	JNE achecked
+arun:
+	MOVQ AX, R15
+	IMULQ m+40(FP), R15
+achecked:
+	CMPB zeroC+65(FP), $0
+	JEQ accum
+	// c is overwritten: only a and b matter. Look at the shorter first
+	// (a's test is one instruction a chunk, b's two).
+	TESTQ R15, R15
+	JZ zb
+	MOVQ n+56(FP), AX
+	SHLQ $1, AX
+	CMPQ AX, m+40(FP)
+	JLT zb
+	MOVQ a+8(FP), BX
+	MOVQ R15, CX
+	ASCAN(zaq, zao, zat)
+	JEQ pick
+	XORQ R15, R15
+zb:
+	BSCAN(zbq, zbo, zbt)
+	JEQ pick
+	TESTQ R15, R15
+	JZ masked1
+	MOVQ a+8(FP), BX
+	MOVQ R15, CX
+	ASCAN(zcq, zco, zct)
+	JEQ pick
+masked1:
+	MOVQ $1, mode-64(SP)
+	JMP pick
+accum:
+	TESTQ R15, R15
+	JZ ab
+	MOVQ a+8(FP), BX
+	MOVQ R15, CX
+	ASCAN(aaq, aao, aat)
+	JEQ pick
+ab:
+	BSCAN(abq, abo, abt)
+	JNE masked1
+	MOVQ $2, mode-64(SP)
 
 pick:
 	// The panel: BX columns (48, or all that are left) in AX vectors, DX
@@ -346,91 +493,11 @@ rows:
 	ADDQ $8, pid-40(SP)
 run:
 	MOVQ mode-64(SP), DX
+	TESTQ DX, DX
+	JZ plain
 	CMPQ DX, $1
-	JLT plain
 	JEQ masked
-
-	// scan: does the block of a this pass reads hold a +-0? It is sO runs
-	// of sL contiguous elements, sS bytes apart, from SI. Each run is read
-	// in chunks of 8, four at a time while four are left, and the last
-	// chunk (1-8 elements) is merged by K4 into Z30 over R14 in every lane,
-	// so the lanes past the run read as nonzero. K3, K2, K5 and K6 keep the
-	// lanes whose elements all had a bit set besides the sign (four
-	// independent chains, so the scan's latency hides under the pass
-	// before it); their AND is all eight lanes unless the block holds a
-	// +-0. The only branches are on the shape, and one on the answer.
-	MOVQ pass-56(SP), BX
-	MOVQ k+48(FP), CX
-	CMPQ DX, $3
-	JEQ scols
-	JGT scontig
-	MOVQ BX, sO-72(SP)
-	MOVQ R8, sS-80(SP)
-	JMP ssized
-scols:
-	MOVQ CX, sO-72(SP)
-	MOVQ R12, sS-80(SP)
-	MOVQ BX, CX
-	JMP ssized
-scontig:
-	MOVQ $1, sO-72(SP)
-	IMULQ BX, CX
-ssized:
-	// CX = sL: (sL-1)/8 full chunks, then a last chunk of ((sL-1)&7)+1.
-	DECQ CX
-	MOVQ CX, BX
-	SHRQ $3, BX
-	MOVQ BX, sFull-88(SP)
-	ANDQ $7, CX
-	INCQ CX
-	MOVL $1, DX
-	SHLL CX, DX
-	DECL DX
-	KMOVW DX, K4
-	VPBROADCASTQ R14, Z31
-	KXNORW K3, K3, K3
-	KXNORW K2, K2, K2
-	KXNORW K5, K5, K5
-	KXNORW K6, K6, K6
-	MOVQ SI, AX
-	MOVQ sO-72(SP), DX
-srun:
-	MOVQ AX, BX
-	MOVQ sFull-88(SP), CX
-	CMPQ CX, $4
-	JLT sone
-squad:
-	VPTESTMQ (BX), Z31, K3, K3
-	VPTESTMQ 64(BX), Z31, K2, K2
-	VPTESTMQ 128(BX), Z31, K5, K5
-	VPTESTMQ 192(BX), Z31, K6, K6
-	ADDQ $256, BX
-	SUBQ $4, CX
-	CMPQ CX, $4
-	JGE squad
-sone:
-	TESTQ CX, CX
-	JZ slast
-schunk:
-	VPTESTMQ (BX), Z31, K3, K3
-	ADDQ $64, BX
-	DECQ CX
-	JNZ schunk
-slast:
-	VMOVDQA64 Z31, Z30
-	VMOVUPD (BX), K4, Z30
-	VPTESTMQ Z31, Z30, K2, K2
-	ADDQ sS-80(SP), AX
-	DECQ DX
-	JNZ srun
-	KANDW K2, K3, K3
-	KANDW K5, K6, K6
-	KANDW K3, K6, K3
-	KMOVW K3, DX
-	CMPL DX, $0xff
-	JEQ plain
-	MOVQ $1, zeros-104(SP)
-	JMP masked
+	CSCAN(ca, cb, cc, masked)
 
 plain:
 	MOVQ SI, AX
@@ -454,15 +521,6 @@ next:
 	ADDQ DX, DI
 	JMP rows
 paneldone:
-	// When every pass of the first panel scanned its block and found no
-	// +-0, the scans have read all of a: the later panels take the plain
-	// body unscanned.
-	CMPQ mode-64(SP), $2
-	JLT swept
-	CMPQ zeros-104(SP), $0
-	JNE swept
-	MOVQ $0, mode-64(SP)
-swept:
 	MOVQ pcols-48(SP), AX
 	SUBQ AX, rem-24(SP)
 	SHLQ $3, AX

@@ -351,8 +351,13 @@ var zeroLayouts = []struct {
 }
 
 // zeroA fills the a elements the formula reads with values of which frac
-// are +-0 at random places (frac 1: all of them; frac < 0: all but one).
+// are +-0 at random places (frac 1: all of them; frac < 0: all but one),
+// and the elements between them with NaN, so that a kernel that looks for
+// +-0 outside the formula's elements decides on the wrong ones.
 func zeroA[T Float](rng *rand.Rand, a []T, ars, aks, m, k int, frac float64) {
+	for i := range a {
+		a[i] = hardNaN[T]()
+	}
 	one := rng.Intn(m * k)
 	for i := 0; i < m; i++ {
 		for kk := 0; kk < k; kk++ {
@@ -366,10 +371,11 @@ func zeroA[T Float](rng *rand.Rand, a []T, ars, aks, m, k int, frac float64) {
 }
 
 // testRowKernelZeroPatterns holds mulRows on the current path to
-// mulRowsGeneric where the two ways of handling a +-0 a element differ:
-// at every kk where a column of a holds a +-0, b's columns j%3 == 0 hold
-// +Inf, -Inf or NaN (an added term would be NaN), and, unless zeroC, c's
-// columns j%3 == 1 start at -0 (an added +0 term would make them +0).
+// mulRowsGeneric where the two ways of handling a +-0 a element differ.
+// With specials on, at every kk where a column of a holds a +-0, b's
+// columns j%3 == 0 hold +Inf, -Inf or NaN (an added term would be NaN);
+// with them off b is finite. Unless zeroC, c's columns j%3 == 1 start at
+// -0 (an added +0 term would make them +0).
 func testRowKernelZeroPatterns[T Float](t *testing.T) {
 	shapes := slices.Clone(zeroShapes)
 	for n := 1; n <= 17; n++ {
@@ -388,37 +394,39 @@ func testRowKernelZeroPatterns[T Float](t *testing.T) {
 				ars, aks := lay.strides(m, k)
 				a := make([]T, (m-1)*ars+(k-1)*aks+1)
 				zeroA(rng, a, ars, aks, m, k, frac)
-				b := make([]T, k*n)
-				for kk := 0; kk < k; kk++ {
-					hasZero := false
-					for i := 0; i < m; i++ {
-						hasZero = hasZero || a[i*ars+kk*aks] == 0
-					}
-					for j := range n {
-						b[kk*n+j] = T(rng.NormFloat64())
-						if hasZero && j%3 == 0 {
-							b[kk*n+j] = specials[(kk+j)%3]
+				for _, special := range []bool{false, true} {
+					b := make([]T, k*n)
+					for kk := 0; kk < k; kk++ {
+						hasZero := false
+						for i := 0; i < m; i++ {
+							hasZero = hasZero || a[i*ars+kk*aks] == 0
 						}
-					}
-				}
-				for _, skipZero := range []bool{false, true} {
-					for _, zeroC := range []bool{false, true} {
-						c := make([]T, m*n)
-						for i := range c {
-							switch {
-							case zeroC:
-								c[i] = specials[i%3] // leftovers: none may reach the result
-							case i%n%3 == 1:
-								c[i] = negZero
-							default:
-								c[i] = T(rng.NormFloat64())
+						for j := range n {
+							b[kk*n+j] = T(rng.NormFloat64())
+							if special && hasZero && j%3 == 0 {
+								b[kk*n+j] = specials[(kk+j)%3]
 							}
 						}
-						want := slices.Clone(c)
-						mulRowsGeneric(want, a, ars, aks, b, m, k, n, skipZero, zeroC)
-						mulRows(c, a, ars, aks, b, m, k, n, skipZero, zeroC)
-						name := fmt.Sprintf("%dx%dx%d %s zeros=%v skipZero=%v zeroC=%v", m, k, n, lay.name, frac, skipZero, zeroC)
-						sameBits(t, name, c, want)
+					}
+					for _, skipZero := range []bool{false, true} {
+						for _, zeroC := range []bool{false, true} {
+							c := make([]T, m*n)
+							for i := range c {
+								switch {
+								case zeroC:
+									c[i] = specials[i%3] // leftovers: none may reach the result
+								case i%n%3 == 1:
+									c[i] = negZero
+								default:
+									c[i] = T(rng.NormFloat64())
+								}
+							}
+							want := slices.Clone(c)
+							mulRowsGeneric(want, a, ars, aks, b, m, k, n, skipZero, zeroC)
+							mulRows(c, a, ars, aks, b, m, k, n, skipZero, zeroC)
+							name := fmt.Sprintf("%dx%dx%d %s zeros=%v specials=%v skipZero=%v zeroC=%v", m, k, n, lay.name, frac, special, skipZero, zeroC)
+							sameBits(t, name, c, want)
+						}
 					}
 				}
 			}
@@ -426,13 +434,81 @@ func testRowKernelZeroPatterns[T Float](t *testing.T) {
 	}
 }
 
-// TestRowKernelZeroPatterns runs testRowKernelZeroPatterns on every path:
-// it reaches both pass bodies of each assembly level (plain and masked), in
-// every panel width, pass height and scan layout.
+// testRowKernelOneSpecial moves one value that tells a skipped term from
+// an added one over every place it can be, so that a kernel that looks at
+// a, b or c in chunks misses none of them: a single +-0 in a (all of b
+// +Inf), a single Inf or NaN in b (that row of a all +0), and a single -0
+// in c (that row of a all +0, b positive).
+func testRowKernelOneSpecial[T Float](t *testing.T) {
+	specials := []T{T(math.Inf(1)), T(math.Inf(-1)), hardNaN[T]()}
+	negZero := T(math.Copysign(0, -1))
+	for _, s := range [][3]int{{9, 5, 13}, {3, 11, 7}, {17, 3, 5}, {5, 4, 18}} {
+		m, k, n := s[0], s[1], s[2]
+		for _, lay := range zeroLayouts[:3] {
+			ars, aks := lay.strides(m, k)
+			fresh := func() (a, b, c []T) {
+				a = make([]T, (m-1)*ars+(k-1)*aks+1)
+				b, c = make([]T, k*n), make([]T, m*n)
+				for i := 0; i < m; i++ {
+					for kk := 0; kk < k; kk++ {
+						a[i*ars+kk*aks] = T(1 + i + kk)
+					}
+				}
+				for i := range b {
+					b[i] = T(1 + i%5)
+				}
+				for i := range c {
+					c[i] = T(i)
+				}
+				return a, b, c
+			}
+			check := func(what string, a, b, c []T, zeroC bool) {
+				t.Helper()
+				want := slices.Clone(c)
+				mulRowsGeneric(want, a, ars, aks, b, m, k, n, true, zeroC)
+				mulRows(c, a, ars, aks, b, m, k, n, true, zeroC)
+				sameBits(t, fmt.Sprintf("%dx%dx%d %s %s", m, k, n, lay.name, what), c, want)
+			}
+			for i := 0; i < m; i++ {
+				for kk := 0; kk < k; kk++ {
+					a, b, c := fresh()
+					a[i*ars+kk*aks] = negZero
+					for j := range b {
+						b[j] = specials[0]
+					}
+					check(fmt.Sprintf("-0 at a[%d][%d]", i, kk), a, b, c, true)
+				}
+			}
+			for q := range k * n {
+				a, b, c := fresh()
+				for i := 0; i < m; i++ {
+					a[i*ars+q/n*aks] = 0
+				}
+				b[q] = specials[q%3]
+				check(fmt.Sprintf("%v at b[%d]", b[q], q), a, b, c, true)
+			}
+			for r := range m * n {
+				a, b, c := fresh()
+				for kk := 0; kk < k; kk++ {
+					a[r/n*ars+kk*aks] = 0
+				}
+				c[r] = negZero
+				check(fmt.Sprintf("-0 at c[%d]", r), a, b, c, false)
+			}
+		}
+	}
+}
+
+// TestRowKernelZeroPatterns runs testRowKernelZeroPatterns and
+// testRowKernelOneSpecial on every path: they reach both pass bodies of
+// each assembly level (plain and masked), in every panel width and pass
+// height, and every way the kernel looks at a, b and c.
 func TestRowKernelZeroPatterns(t *testing.T) {
 	onEveryPath(t, func(t *testing.T) {
 		t.Run("f64", testRowKernelZeroPatterns[float64])
 		t.Run("f32", testRowKernelZeroPatterns[float32])
+		t.Run("f64/one-special", testRowKernelOneSpecial[float64])
+		t.Run("f32/one-special", testRowKernelOneSpecial[float32])
 	})
 }
 
