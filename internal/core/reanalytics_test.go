@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -14,9 +15,11 @@ import (
 // grows by one stride at a time, and after every append both clients of a
 // fleet sharing one DARR search the new version. Each version's fleet must
 // end with the store-free search's winner, bit for bit, and compute every
-// unit once between its clients. The fold fits an append costs are pinned:
-// a unit's DARR key covers the whole dataset, so an append re-keys every
-// unit and re-analytics pays units × K fold fits, what a cold search pays.
+// unit once between its clients. The sliding split is anchored at the
+// stride, so each append keeps K−1 of the previous version's windows, index
+// for index. The fold fits an append costs are pinned: a unit's DARR key
+// covers the whole dataset, so an append re-keys every unit and
+// re-analytics pays units × K fold fits, what a cold search pays.
 // Fold-level keys would make a one-stride append cost one new fold per unit.
 func TestReanalyticsLoop(t *testing.T) {
 	const (
@@ -28,7 +31,7 @@ func TestReanalyticsLoop(t *testing.T) {
 		fleetSize = 2
 	)
 	series := regDS(t, first+appends*stride)
-	splitter := crossval.SlidingSplit{K: k, TrainSize: 40, TestSize: 15, Buffer: 2}
+	splitter := crossval.SlidingSplit{K: k, TrainSize: 40, TestSize: 15, Buffer: 2, Stride: stride}
 	opts := func(store core.ResultStore) core.SearchOptions {
 		o := fleetOpts(store)
 		o.Splitter = splitter
@@ -39,8 +42,17 @@ func TestReanalyticsLoop(t *testing.T) {
 	for c := range fleet {
 		fleet[c] = opts(darrClient(repo, fmt.Sprint("client-", c)))
 	}
+	var windows []crossval.Split
 	for v := 0; v <= appends; v++ {
 		ds := series.SliceRange(0, first+v*stride)
+		splits, err := splitter.Splits(ds.NumSamples(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v > 0 && !reflect.DeepEqual(splits[:k-1], windows[1:]) {
+			t.Errorf("append %d: windows %v, want the previous version's last %d %v first", v, splits, k-1, windows[1:])
+		}
+		windows = splits
 		ref := runFleet(t, ds, []core.SearchOptions{opts(nil)}, 0)[0]
 		_, _, putsBefore := repo.Stats()
 		results := runFleet(t, ds, fleet, 0)

@@ -171,30 +171,48 @@ func (nk NestedKFold) Spec() string {
 // training and validation windows separated by a buffer, sliding forward in
 // time for K iterations so that validation data always lies strictly after
 // (train end + buffer).
+//
+// With Stride 0 the K windows are spread evenly from the first sample to
+// the last. With a Stride, window j starts at sample j × Stride and the
+// split takes the last K windows that fit, so a series that grows by one
+// Stride keeps K−1 of its windows, index for index, and gains one.
 type SlidingSplit struct {
 	K         int // number of sliding iterations
 	TrainSize int // samples per training window
 	TestSize  int // samples per validation window
 	Buffer    int // gap between train end and validation start (>= forecast horizon)
+	Stride    int // samples between window starts; 0 spreads them evenly
 }
 
 // Splits implements Splitter. Index order inside each split is increasing in
 // time; no shuffling ever occurs.
 func (s SlidingSplit) Splits(n int, _ *rand.Rand) ([]Split, error) {
-	if s.K < 1 || s.TrainSize < 1 || s.TestSize < 1 || s.Buffer < 0 {
+	if s.K < 1 || s.TrainSize < 1 || s.TestSize < 1 || s.Buffer < 0 || s.Stride < 0 {
 		return nil, fmt.Errorf("crossval: invalid sliding split %+v", s)
 	}
 	window := s.TrainSize + s.Buffer + s.TestSize
 	if window > n {
 		return nil, fmt.Errorf("crossval: sliding window %d exceeds %d samples", window, n)
 	}
-	// Slide so the last window ends at the last sample; earlier windows are
-	// evenly spaced. With K == 1 the single window starts at 0.
 	maxStart := n - window
+	first := 0 // the stride index of the first window
+	if s.Stride > 0 {
+		fit := maxStart/s.Stride + 1
+		if fit < s.K {
+			return nil, fmt.Errorf("crossval: %d samples fit %d windows %d apart, want %d", n, fit, s.Stride, s.K)
+		}
+		first = fit - s.K
+	}
 	splits := make([]Split, s.K)
 	for i := 0; i < s.K; i++ {
+		// Without a stride, slide so the last window ends at the last
+		// sample and space the earlier ones evenly; with K == 1 the single
+		// window starts at 0.
 		start := 0
-		if s.K > 1 {
+		switch {
+		case s.Stride > 0:
+			start = (first + i) * s.Stride
+		case s.K > 1:
 			start = i * maxStart / (s.K - 1)
 		}
 		train := make([]int, s.TrainSize)
@@ -212,6 +230,9 @@ func (s SlidingSplit) Splits(n int, _ *rand.Rand) ([]Split, error) {
 
 // Spec implements Splitter.
 func (s SlidingSplit) Spec() string {
+	if s.Stride > 0 {
+		return fmt.Sprintf("slidingsplit(k=%d,train=%d,test=%d,buffer=%d,stride=%d)", s.K, s.TrainSize, s.TestSize, s.Buffer, s.Stride)
+	}
 	return fmt.Sprintf("slidingsplit(k=%d,train=%d,test=%d,buffer=%d)", s.K, s.TrainSize, s.TestSize, s.Buffer)
 }
 

@@ -2,6 +2,7 @@ package crossval
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -217,6 +218,42 @@ func TestSlidingSplitErrors(t *testing.T) {
 	}
 }
 
+// TestSlidingSplitStride: with a stride, window j starts at j × Stride and
+// the split is the last K windows that fit, so one more stride of samples
+// drops the oldest window, keeps the other K−1 index for index and adds
+// one after them.
+func TestSlidingSplitStride(t *testing.T) {
+	s := SlidingSplit{K: 3, TrainSize: 40, TestSize: 15, Buffer: 2, Stride: 10}
+	splits, err := s.Splits(93, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 93 samples fit windows of 57 at 0, 10, 20 and 30: the last three.
+	for i, want := range []int{10, 20, 30} {
+		if got := splits[i].Train[0]; got != want {
+			t.Fatalf("window %d starts at %d, want %d", i, got, want)
+		}
+	}
+	grown, err := s.Splits(93+s.Stride, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < s.K; i++ {
+		if !reflect.DeepEqual(grown[i-1], splits[i]) {
+			t.Fatalf("after one stride, window %d is %v, want the old window %d %v", i-1, grown[i-1], i, splits[i])
+		}
+	}
+	if got := grown[s.K-1].Train[0]; got != 40 {
+		t.Fatalf("the new window starts at %d, want 40", got)
+	}
+	if _, err := s.Splits(57+2*s.Stride-1, nil); err == nil {
+		t.Fatal("two windows fit: want an error for K=3")
+	}
+	if _, err := (SlidingSplit{K: 1, TrainSize: 5, TestSize: 2, Stride: -1}).Splits(20, nil); err == nil {
+		t.Fatal("want a negative-stride error")
+	}
+}
+
 func TestSlidingSplitSingleWindow(t *testing.T) {
 	splits, err := (SlidingSplit{K: 1, TrainSize: 10, TestSize: 5, Buffer: 2}).Splits(100, nil)
 	if err != nil {
@@ -229,11 +266,12 @@ func TestSlidingSplitSingleWindow(t *testing.T) {
 
 func TestSpecStrings(t *testing.T) {
 	specs := map[string]Splitter{
-		"kfold(k=10,shuffle=true)":                    KFold{K: 10, Shuffle: true},
-		"shufflesplit(iter=5,test=0.2)":               ShuffleSplit{Iterations: 5, TestFrac: 0.2},
-		"traintest(test=0.3)":                         TrainTest{TestFrac: 0.3},
-		"nestedkfold(outer=5,inner=3)":                NestedKFold{OuterK: 5, InnerK: 3},
-		"slidingsplit(k=4,train=50,test=10,buffer=2)": SlidingSplit{K: 4, TrainSize: 50, TestSize: 10, Buffer: 2},
+		"kfold(k=10,shuffle=true)":                              KFold{K: 10, Shuffle: true},
+		"shufflesplit(iter=5,test=0.2)":                         ShuffleSplit{Iterations: 5, TestFrac: 0.2},
+		"traintest(test=0.3)":                                   TrainTest{TestFrac: 0.3},
+		"nestedkfold(outer=5,inner=3)":                          NestedKFold{OuterK: 5, InnerK: 3},
+		"slidingsplit(k=4,train=50,test=10,buffer=2)":           SlidingSplit{K: 4, TrainSize: 50, TestSize: 10, Buffer: 2},
+		"slidingsplit(k=3,train=40,test=15,buffer=2,stride=10)": SlidingSplit{K: 3, TrainSize: 40, TestSize: 15, Buffer: 2, Stride: 10},
 	}
 	for want, s := range specs {
 		if got := s.Spec(); got != want {

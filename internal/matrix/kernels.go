@@ -24,6 +24,22 @@ import (
 // float32 stays on the AVX2 kernel), whichever kernelLevel names (level.go);
 // elsewhere it is mulRowsGeneric below. Row parallelism gives each output
 // row to exactly one goroutine.
+//
+// Skipping the terms of +-0 a elements (skipZero: ReLU and dropout outputs
+// and their gradients are full of them) costs the assembly no branch on an
+// element. Adding such a term instead of skipping it is already exact in
+// almost every call: the term is +-0 when its b element is finite, and
+// acc + +-0 is acc bit for bit unless acc is -0, which a sum in
+// round-to-nearest is only when both addends are, so only a cell that
+// starts at -0 stays one. Each call therefore runs every pass through a
+// body that adds every term, unless skipZero is on, a holds a +-0, b holds
+// an Inf or a NaN, or (without zeroC) the pass's block of c holds a -0.
+// That is decided per call from vector scans of a (when it is one run of
+// m*k elements) and b, and per pass from one of the pass's block of c.
+// Where it fails, the pass runs a masked body: each row and kk, a lane mask
+// of "a element is not +-0" gates the add (an AVX-512 opmask, an AVX2
+// blend), and a masked-off lane keeps its accumulator, which is exactly a
+// skipped term.
 
 const (
 	// parMinFlops is the flop cutoff (2*m*n*k) below which every form stays

@@ -19,18 +19,14 @@
 // deep, two issue per cycle).
 //
 // Zero skipping takes no branch on an element. Each pass runs one of two
-// bodies, chosen before its kk loop from the block of a it is about to
-// read (see scan: in mulrows_amd64.h):
-//   - the plain body adds every term. It runs when skipZero is off, and
-//     when the block holds no +-0: no term is then skipped, so adding them
-//     all is already mulRowsGeneric's result.
-//   - the masked body runs when skipZero is on and the block holds a +-0.
-//     Per row and kk it sets Y14 to all ones where the broadcast a element
-//     compares unequal to +0 (all lanes, or none when it is +-0), computes
-//     acc + product aside, and blends (VBLENDVP) that sum into acc under
-//     Y14: a masked-off lane keeps its accumulator, bit for bit, which is
-//     exactly a skipped term, whatever b holds (an Inf or NaN) and
-//     whatever the cell holds (a -0).
+// bodies, the plain one or the masked one, as mulrows_avx512_amd64.s
+// picks them and for the same reasons (kernels.go has the argument). The
+// masked body, per row and kk, sets Y14 to all ones where the broadcast a
+// element compares unequal to +0 (all lanes, or none when it is +-0;
+// NEQ_UQ, so a NaN element's terms are added, as mulRowsGeneric adds
+// them), computes acc + product aside, and blends (VBLENDVP) that sum into
+// acc under Y14: a masked-off lane keeps its accumulator, bit for bit,
+// which is exactly a skipped term, whatever b and the cell hold.
 //
 //	AX  a cursor (kk loop)          SI  a, first row of the pass
 //	BX  b cursor (kk loop)          DI  c, first row of the pass at the panel's first column
@@ -40,7 +36,7 @@
 //	R10, R11  c row stride x1, x3   (bytes; likewise)
 //	R12 a kk stride (bytes)         R13 bytes in a row of b and of c
 //	Y12 the broadcast a element     Y13 the product (the masked body: the sum)
-//	Y14 the masked body's lanes     Y15 +0 in every lane
+//	Y14 the masked body's lanes     Y15 +0 in every lane (Y12-Y14 the scans' too)
 
 #define A0 (AX)
 #define A1 (AX)(R8*1)
@@ -76,9 +72,8 @@
 #define STORE4(o, row, r0, r1, r2, r3)	STORE3(o, row, r0, r1, r2); MOVUP r3, o+96 row
 
 // ROW is one row's share of a kk step in the plain body: every term added.
-// ROWM is the masked body's: Y14 is set from the broadcast a element
-// (NEQ_UQ, so a NaN element's terms are added, as mulRowsGeneric adds
-// them), then the macs blend under it.
+// ROWM is the masked body's: Y14 is set from the broadcast a element, then
+// the macs blend under it.
 #define ROW(aelem, macs) \
 	BCAST aelem, Y12; \
 	macs

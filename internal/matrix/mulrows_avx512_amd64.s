@@ -21,16 +21,18 @@
 // on a 64-byte boundary (PCALIGN), as in mulrows_amd64.s.
 //
 // Zero skipping takes no branch on an element. Each pass runs one of two
-// bodies, chosen before its kk loop from the block of a it is about to
-// read (see scan: below):
-//   - the plain body adds every term. It runs when skipZero is off, and
-//     when the block holds no +-0: no term is then skipped, so adding them
-//     all is already mulRowsGeneric's result.
-//   - the masked body runs when skipZero is on and the block holds a +-0.
-//     Per row and kk it sets K2 to the lanes whose a element is not +-0
-//     (all eight or none) and merge-masks the add by K2: a masked-off lane
-//     keeps its accumulator, bit for bit, which is exactly a skipped term,
-//     whatever b holds (an Inf or NaN) and whatever the cell holds (a -0).
+// bodies (the mode, set once per call below the TEXT line, says which):
+//   - the plain body adds every term. That is mulRowsGeneric's result when
+//     skipZero is off, when a holds no +-0, and also when b is finite and
+//     no cell the pass writes starts at -0: a +-0 element's term is then
+//     +-0, and adding +-0 to an accumulator that is not -0 leaves it as it
+//     is, bit for bit (kernels.go has the argument).
+//   - the masked body runs otherwise. Per row and kk it sets K2 to the
+//     lanes whose a element is not +-0 (all eight or none) and merge-masks
+//     the add by K2: a masked-off lane keeps its accumulator, bit for bit,
+//     which is exactly a skipped term, whatever b and the cell hold.
+// The scans that set the mode (ASCAN, BSCAN, and CSCAN per pass) test
+// eight elements an instruction or two and branch only on their answer.
 //
 //	AX  a cursor (kk loop)          SI  a, first row of the pass
 //	BX  b cursor (kk loop)          DI  c, first row of the pass at the panel's first column
@@ -40,11 +42,10 @@
 //	R10, R11  c row stride x1, x3   (bytes)
 //	R12 a kk stride (bytes)         R13 bytes in a row of b and of c
 //	R14 all bits but the sign       K1  the lanes of the panel's last vector
-//	K2  the masked body's lanes     K4  the scan's last chunk's lanes
-//	K2, K3, K5, K6  the scan's nonzero lanes
+//	K2  the masked body's lanes     K2-K6  the scans' lanes
 //	Z0-Z23  accumulators: 6 a row in a 4-row pass, 2 in an 8-row one
 //	Z24-Z29 the panel's row kk of b
-//	Z30 the broadcast a element     Z31 the product (in the scan: R14 in every lane)
+//	Z30 the broadcast a element     Z31 the product (Z24-Z31 the scans' too)
 
 // nosign is every bit of a float64 but the sign: a value ANDed with it is
 // zero exactly when the value is +-0.
