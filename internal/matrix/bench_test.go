@@ -197,9 +197,11 @@ func BenchmarkRowKernelFig11Shapes(b *testing.B) {
 	}
 }
 
-// zeroShapes are the five fig11Shapes-style products (m x k x n) that held
-// the most row kernel samples in a CPU profile of a search-cold-ts fold fit:
-// the narrow panels of the convolutional networks and the LSTM's products.
+// zeroShapes are five products (m x k x n) of a Fig 11 fold fit whose a
+// operands are ReLU or dropout outputs or their gradients: the 8- and
+// 16-column panels of the convolutional and dense layers over 256-row
+// blocks, and the 12-unit, 48-gate shapes at a 32-row batch and a 256-row
+// block.
 var zeroShapes = [][3]int{{256, 8, 8}, {256, 16, 8}, {32, 16, 16}, {32, 48, 12}, {256, 12, 48}}
 
 // BenchmarkRowKernelZeros times the row kernel on each path as MulInto

@@ -334,8 +334,8 @@ last: \
 	JNZ dirty; \
 	JMP plain
 
-// BODY jumps to the pass body for panel id DX (1-6, or 9-14 for a 1-row
-// pass) whose labels start with prefix p; pid 5 and 13 are what is left.
+// BODY jumps to the pass body for panel id DX: 1-6 vectors to the first six
+// labels, 9-14 (a 1-row pass) to the last six.
 #define BODY(p6, p2, p1, p3, p4, p5, q6, q2, q1, q3, q4, q5) \
 	CMPQ DX, $6; \
 	JEQ p6; \

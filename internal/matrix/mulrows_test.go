@@ -338,8 +338,9 @@ func FuzzRowKernel(f *testing.F) {
 }
 
 // zeroLayouts are the a strides the row kernel tells apart when it looks
-// for +-0 before a pass: row-major (MulInto), rows with a gap between them,
-// transposed (MulTransposeA*), and a stride pattern it cannot scan.
+// for +-0: row-major (MulInto) and transposed (MulTransposeA*), which it
+// reads as one run of m*k elements, and rows with a gap between them and a
+// stride pattern, which it does not read.
 var zeroLayouts = []struct {
 	name    string
 	strides func(m, k int) (ars, aks int)
