@@ -9,67 +9,7 @@
 	MOVQ $0, off-16(SP)
 	VXORPD Y15, Y15, Y15
 
-	// How every pass picks its body (mode), and why the plain body is
-	// exact unless a holds a +-0, b an Inf or a NaN, or (without zeroC) a
-	// cell starts at -0: see mulrows_avx512_amd64.s, which decides the
-	// same way. R15 holds m*k while a is one run of that many elements
-	// not known to hold a +-0, else 0.
-	MOVQ $0, mode-64(SP)
-	CMPB skipZero+64(FP), $0
-	JEQ pick
-	XORQ R15, R15
-	MOVQ k+48(FP), AX
-	MOVQ ars+16(FP), BX
-	MOVQ aks+24(FP), CX
-	CMPQ CX, $1
-	JNE acols
-	CMPQ BX, AX
-	JEQ arun
-acols:
-	CMPQ BX, $1
-	JNE achecked
-	CMPQ CX, m+40(FP)
-	JNE achecked
-arun:
-	MOVQ AX, R15
-	IMULQ m+40(FP), R15
-achecked:
-	CMPB zeroC+65(FP), $0
-	JEQ accum
-	TESTQ R15, R15
-	JZ zb
-	MOVQ n+56(FP), AX
-	SHLQ $1, AX
-	CMPQ AX, m+40(FP)
-	JLT zb
-	MOVQ a+8(FP), BX
-	MOVQ R15, CX
-	ASCAN(zav, zavc, zae, zaec)
-	JZ pick
-	XORQ R15, R15
-zb:
-	BSCAN(zbv, zbvc, zbe, zbec)
-	JZ pick
-	TESTQ R15, R15
-	JZ masked1
-	MOVQ a+8(FP), BX
-	MOVQ R15, CX
-	ASCAN(zcv, zcvc, zce, zcec)
-	JZ pick
-masked1:
-	MOVQ $1, mode-64(SP)
-	JMP pick
-accum:
-	TESTQ R15, R15
-	JZ ab
-	MOVQ a+8(FP), BX
-	MOVQ R15, CX
-	ASCAN(aav, aavc, aae, aaec)
-	JZ pick
-ab:
-	BSCAN(abv, abvc, abe, abec)
-	JNZ masked1
-	MOVQ $2, mode-64(SP)
+#include "mulrows_mode_amd64.h"
 
 pick:
 	MOVQ rem-24(SP), CX

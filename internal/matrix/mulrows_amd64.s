@@ -19,8 +19,8 @@
 // deep, two issue per cycle).
 //
 // Zero skipping takes no branch on an element. Each pass runs one of two
-// bodies, the plain one or the masked one, as mulrows_avx512_amd64.s
-// picks them and for the same reasons (kernels.go has the argument). The
+// bodies, the plain one or the masked one, as mulrows_mode_amd64.h picks
+// them for both assembly levels (kernels.go has the argument). The
 // masked body, per row and kk, sets Y14 to all ones where the broadcast a
 // element compares unequal to +0 (all lanes, or none when it is +-0;
 // NEQ_UQ, so a NaN element's terms are added, as mulRowsGeneric adds
@@ -119,26 +119,25 @@
 // element at a time: vtest(tmp) and stest(tmp) set tmp's lanes that fail
 // (all ones) for the vector or the element at BX, and Y14 collects them.
 // It leaves ZF set when every element passed.
-#define RUNS(vec, vcheck, elem, echeck, vtest, stest) \
+#define RUNS(vec, elem, done, vtest, stest) \
 	VPXOR Y14, Y14, Y14; \
-	JMP vcheck; \
 vec: \
+	CMPQ CX, $LANES; \
+	JLT elem; \
 	vtest(Y13); \
 	VPOR Y13, Y14, Y14; \
 	ADDQ $32, BX; \
 	SUBQ $LANES, CX; \
-vcheck: \
-	CMPQ CX, $LANES; \
-	JGE vec; \
-	JMP echeck; \
+	JMP vec; \
 elem: \
+	TESTQ CX, CX; \
+	JZ done; \
 	stest(X13); \
 	VPOR Y13, Y14, Y14; \
 	ADDQ $(1<<ESHIFT), BX; \
 	DECQ CX; \
-echeck: \
-	TESTQ CX, CX; \
-	JNZ elem; \
+	JMP elem; \
+done: \
 	VPTEST Y14, Y14
 
 // An element fails ISZERO when it compares equal to +0 (so +-0 and
@@ -152,13 +151,13 @@ echeck: \
 
 // ASCAN sets ZF when no element of the run of CX elements at BX is +-0,
 // BSCAN when every element of b (k*n of them) is finite.
-#define ASCAN(vec, vcheck, elem, echeck)	RUNS(vec, vcheck, elem, echeck, VISZERO, SISZERO)
-#define BSCAN(vec, vcheck, elem, echeck) \
+#define ASCAN(vec, elem, done)	RUNS(vec, elem, done, VISZERO, SISZERO)
+#define BSCAN(vec, elem, done) \
 	ICONST(EXPBITS); \
 	MOVQ b+32(FP), BX; \
 	MOVQ k+48(FP), CX; \
 	IMULQ n+56(FP), CX; \
-	RUNS(vec, vcheck, elem, echeck, VISINF, SISINF)
+	RUNS(vec, elem, done, VISINF, SISINF)
 
 // CSCAN jumps to plain unless the pass's block of c holds a -0, and to
 // dirty if it does: its rows (pass of them, R10 bytes apart, from DI) of

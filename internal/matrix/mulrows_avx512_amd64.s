@@ -21,7 +21,7 @@
 // on a 64-byte boundary (PCALIGN), as in mulrows_amd64.s.
 //
 // Zero skipping takes no branch on an element. Each pass runs one of two
-// bodies (the mode, set once per call below the TEXT line, says which):
+// bodies (the mode, set once per call by mulrows_mode_amd64.h, says which):
 //   - the plain body adds every term. That is mulRowsGeneric's result when
 //     skipZero is off, when a holds no +-0, and also when b is finite and
 //     no cell the pass writes starts at -0: a +-0 element's term is then
@@ -374,75 +374,7 @@ TEXT ·mulRowsF64AVX512(SB), NOSPLIT, $64-66
 	MOVQ $0x7fffffffffffffff, R14
 	MOVQ $0, off-16(SP)
 
-	// How every pass picks its body (mode): 0, the plain one; 1, the
-	// masked one; 2, the masked one only when its block of c holds a -0.
-	// Adding the term of a +-0 a element gives +-0 when its b element is
-	// finite, and acc + +-0 is acc bit for bit unless acc is -0. An
-	// accumulator is -0 only if its cell started at -0 (a sum in
-	// round-to-nearest is -0 only when both addends are). So the plain
-	// body is exact unless skipZero is on, a holds a +-0, b an Inf or a
-	// NaN, or (without zeroC) a cell starts at -0. a is looked at only
-	// when it is one run of m*k elements (aks 1 and ars k, as MulInto
-	// calls; or ars 1 and aks m, as MulTransposeA* does): R15 holds m*k
-	// then, and 0 when a is not a run or is known to hold a +-0.
-	MOVQ $0, mode-64(SP)
-	CMPB skipZero+64(FP), $0
-	JEQ pick
-	XORQ R15, R15
-	MOVQ k+48(FP), AX
-	MOVQ ars+16(FP), BX
-	MOVQ aks+24(FP), CX
-	CMPQ CX, $1
-	JNE acols
-	CMPQ BX, AX
-	JEQ arun
-acols:
-	CMPQ BX, $1
-	JNE achecked
-	CMPQ CX, m+40(FP)
-	JNE achecked
-arun:
-	MOVQ AX, R15
-	IMULQ m+40(FP), R15
-achecked:
-	CMPB zeroC+65(FP), $0
-	JEQ accum
-	// c is overwritten: only a and b matter. Look at the shorter first
-	// (a's test is one instruction a chunk, b's two).
-	TESTQ R15, R15
-	JZ zb
-	MOVQ n+56(FP), AX
-	SHLQ $1, AX
-	CMPQ AX, m+40(FP)
-	JLT zb
-	MOVQ a+8(FP), BX
-	MOVQ R15, CX
-	ASCAN(zaq, zao, zat)
-	JEQ pick
-	XORQ R15, R15
-zb:
-	BSCAN(zbq, zbo, zbt)
-	JEQ pick
-	TESTQ R15, R15
-	JZ masked1
-	MOVQ a+8(FP), BX
-	MOVQ R15, CX
-	ASCAN(zcq, zco, zct)
-	JEQ pick
-masked1:
-	MOVQ $1, mode-64(SP)
-	JMP pick
-accum:
-	TESTQ R15, R15
-	JZ ab
-	MOVQ a+8(FP), BX
-	MOVQ R15, CX
-	ASCAN(aaq, aao, aat)
-	JEQ pick
-ab:
-	BSCAN(abq, abo, abt)
-	JNE masked1
-	MOVQ $2, mode-64(SP)
+#include "mulrows_mode_amd64.h"
 
 pick:
 	// The panel: BX columns (48, or all that are left) in AX vectors, DX
