@@ -41,8 +41,8 @@
 //	R8,  R9   a row stride x1, x3   (bytes)
 //	R10, R11  c row stride x1, x3   (bytes)
 //	R12 a kk stride (bytes)         R13 bytes in a row of b and of c
-//	R14 all bits but the sign       K1  the lanes of the panel's last vector
-//	K2  the masked body's lanes     K2-K6  the scans' lanes
+//	K1  the lanes of the panel's last vector
+//	K2  the masked body's lanes (K2-K6 the scans' too)
 //	Z0-Z23  accumulators: 6 a row in a 4-row pass, 2 in an 8-row one
 //	Z24-Z29 the panel's row kk of b
 //	Z30 the broadcast a element     Z31 the product (Z24-Z31 the scans' too)
@@ -276,10 +276,10 @@ tail: \
 #define FINITE(off, tmp, k)	VPANDQ off(BX), Z31, tmp; VPCMPQ $4, Z31, tmp, k, k
 
 // ASCAN sets ZF when no element of the run of CX elements at BX is +-0; its
-// last elements are merged by K4 over R14 in every lane, so the lanes past
+// last elements are merged by K4 over nosign in every lane, so the lanes past
 // the run pass.
 #define ASCAN(quad, one, tail) \
-	VPBROADCASTQ R14, Z31; \
+	VPBROADCASTQ nosign<>(SB), Z31; \
 	RUNS(quad, one, tail, NONZERO); \
 	VMOVDQA64 Z31, Z30; \
 	VMOVUPD (BX), K4, Z30; \
@@ -371,7 +371,6 @@ TEXT ·mulRowsF64AVX512(SB), NOSPLIT, $64-66
 	MOVQ n+56(FP), R13
 	MOVQ R13, rem-24(SP)
 	SHLQ $3, R13
-	MOVQ $0x7fffffffffffffff, R14
 	MOVQ $0, off-16(SP)
 
 #include "mulrows_mode_amd64.h"
