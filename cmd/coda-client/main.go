@@ -15,13 +15,16 @@
 //
 // subscribe takes a lease on an object and follows its update stream
 // (Section III's push modes: value, delta, or notify), renewing the lease
-// at half-life and acknowledging each frame. With -recompute-every or
-// -recompute-bytes, a change-detection trigger rides the notification
-// stream and re-pulls the object when enough change has accumulated —
-// push-driven re-analytics instead of polling:
+// at half-life and acknowledging each frame:
 //
-//	coda-client subscribe -server http://host:8080 -key data -mode notify -recompute-every 10
 //	coda-client subscribe -server http://host:8080 -key data -mode delta -count 5
+//
+// serve -key searches a CSV series object on the home store instead of a
+// file. With -recompute-every or -recompute-bytes, serve re-searches each
+// version its change-detection trigger fires on, cooperatively through the
+// DARR, and serves the new winner — push-driven re-analytics:
+//
+//	coda-client serve -server http://host:8080 -key sensors -recompute-bytes 65536
 package main
 
 import (
@@ -30,8 +33,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -51,7 +52,6 @@ import (
 	"coda/internal/sim"
 	"coda/internal/store"
 	"coda/internal/tsgraph"
-	"coda/internal/webservice"
 )
 
 func main() {
@@ -115,7 +115,8 @@ func addLogFlags(fs *flag.FlagSet) *logFlags {
 }
 
 // setup configures the process logger and tracer and, when requested,
-// starts the pprof/metrics debug listener.
+// starts the pprof/metrics debug listener; a debug address that cannot be
+// bound is an error.
 func (lf *logFlags) setup() error {
 	if err := obs.SetupDefaultLogger(*lf.level, *lf.format); err != nil {
 		return err
@@ -126,127 +127,9 @@ func (lf *logFlags) setup() error {
 		trace.SetDefaultRecorder(trace.NewRecorder(*lf.traceRing))
 	}
 	if *lf.debugAddr != "" {
-		addr := *lf.debugAddr
-		go func() {
-			slog.Info("debug server listening", "addr", addr,
-				"endpoints", "/debug/pprof/ /metrics /healthz /debug/traces")
-			if err := http.ListenAndServe(addr, httpapi.NewDebugServer()); err != nil {
-				slog.Error("debug server failed", "err", err)
-			}
-		}()
+		return httpapi.ListenDebug(*lf.debugAddr)
 	}
 	return nil
-}
-
-// runServe trains the best pipeline for a dataset and exposes it as an AI
-// web service (Figure 1's third party): POST {"rows": [[...], ...]} to /score.
-func runServe(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	var (
-		dataPath = fs.String("data", "", "CSV file with a header row")
-		target   = fs.String("target", "", "target column name in the CSV")
-		addr     = fs.String("addr", ":9090", "listen address")
-		metric   = fs.String("metric", "rmse", "scoring metric for model selection")
-		k        = fs.Int("k", 5, "cross-validation folds")
-		seed     = fs.Int64("seed", 1, "search seed")
-		server   = fs.String("server", "", "DARR server URL: run the model-selection search cooperatively")
-		clientID = fs.String("client", "serve", "client id for DARR claims")
-	)
-	ft := addFaultFlags(fs)
-	lf := addLogFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := lf.setup(); err != nil {
-		return err
-	}
-	// As in search: one request id covers the start-up search's DARR calls.
-	ctx, _ = obs.EnsureRequestID(ctx)
-	var ds *dataset.Dataset
-	if *dataPath != "" {
-		f, err := os.Open(*dataPath)
-		if err != nil {
-			return fmt.Errorf("opening data: %w", err)
-		}
-		defer f.Close()
-		ds, err = dataset.ReadCSV(f, *target)
-		if err != nil {
-			return err
-		}
-	} else {
-		rng := rand.New(rand.NewSource(*seed))
-		var err error
-		ds, _, err = dataset.MakeRegression(dataset.RegressionSpec{Samples: 300, Features: 6, Informative: 3, Noise: 3}, rng)
-		if err != nil {
-			return err
-		}
-	}
-	scorer, err := metrics.ScorerByName(*metric)
-	if err != nil {
-		return err
-	}
-	opts := core.SearchOptions{
-		Splitter: crossval.KFold{K: *k, Shuffle: true},
-		Scorer:   scorer,
-		Seed:     *seed,
-	}
-	if *server != "" {
-		hc := ft.client(*server, *clientID)
-		hc.Metric = *metric
-		hc.EnablePublishQueue(httpapi.DefaultPublishBatchSize, httpapi.DefaultPublishFlushInterval)
-		defer hc.Close()
-		opts.Store = hc
-	}
-	res, err := core.Search(ctx, regressionGraph(), ds, opts)
-	if err != nil {
-		return err
-	}
-	logCooperation(ctx, opts, res)
-	if res.Best == nil {
-		return fmt.Errorf("no pipeline succeeded on the data")
-	}
-	fitStart := time.Now()
-	best, err := res.FitBest(ctx)
-	if err != nil {
-		return err
-	}
-	slog.Info("best pipeline fitted", "request_id", obs.RequestID(ctx),
-		"spec", res.Best.Spec, "duration", time.Since(fitStart))
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("serving %s (%s=%.5g) on %s\n", res.Best.Spec, *metric, res.Best.Mean, ln.Addr())
-	printProfile(res.Profile)
-	fmt.Println(`POST {"rows": [[...feature values...], ...]} to /score`)
-	srv := scoreServer(pipelineEstimator{best})
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-		// An interrupt is how serve ends: drain in-flight scoring requests.
-		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		return srv.Shutdown(shCtx)
-	}
-}
-
-// scoreServer is serve's listener: est at /score on the one httpapi chain
-// (request ids, traces, the body cap, per-route metrics, panic recovery,
-// /metrics, /healthz and /debug/traces), behind coda-server's default
-// timeouts, so a client that never finishes its headers is cut off.
-func scoreServer(est core.Estimator) *http.Server {
-	api := httpapi.NewServer(nil, nil)
-	api.Handle("/score", webservice.Handler(est))
-	return &http.Server{
-		Handler:           api,
-		ReadHeaderTimeout: httpapi.DefaultReadTimeout,
-		ReadTimeout:       httpapi.DefaultReadTimeout,
-		WriteTimeout:      httpapi.DefaultWriteTimeout,
-		IdleTimeout:       httpapi.DefaultIdleTimeout,
-	}
 }
 
 // logCooperation logs how a cooperative search settled its units: one line
@@ -270,22 +153,6 @@ func printProfile(p core.SearchProfile) {
 		p.Other.Round(time.Millisecond), p.Total.Round(time.Millisecond))
 }
 
-// pipelineEstimator adapts a fitted Pipeline to core.Estimator for the
-// webservice handler (Fit re-fits the whole pipeline; Predict runs the
-// transform-then-predict path).
-type pipelineEstimator struct {
-	p *core.Pipeline
-}
-
-func (pe pipelineEstimator) Name() string                         { return "served-pipeline" }
-func (pe pipelineEstimator) SetParam(key string, _ float64) error { return fmt.Errorf("no params") }
-func (pe pipelineEstimator) Params() map[string]float64           { return nil }
-func (pe pipelineEstimator) Clone() core.Estimator                { return pipelineEstimator{pe.p.Clone()} }
-func (pe pipelineEstimator) Fit(ds *dataset.Dataset) error        { return pe.p.Fit(ds) }
-func (pe pipelineEstimator) Predict(ds *dataset.Dataset) ([]float64, error) {
-	return pe.p.Predict(ds)
-}
-
 func runSearch(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	var (
@@ -298,7 +165,7 @@ func runSearch(ctx context.Context, args []string) error {
 		clientID  = fs.String("client", "cli", "client id for DARR claims")
 		seed      = fs.Int64("seed", 1, "search seed")
 		parallel  = fs.Int("parallelism", 0, "concurrent pipeline evaluations (0 = one per CPU)")
-		epochs    = fs.Int("epochs", 20, "network epochs (timeseries graph)")
+		epochs    = fs.Int("epochs", seriesEpochs, "network epochs (timeseries graph)")
 		top       = fs.Int("top", 5, "pipelines to print")
 	)
 	ft := addFaultFlags(fs)
@@ -316,26 +183,14 @@ func runSearch(ctx context.Context, args []string) error {
 	ctx, requestID := obs.EnsureRequestID(ctx)
 
 	var (
-		ds  *dataset.Dataset
-		g   *core.Graph
-		err error
+		ds       *dataset.Dataset
+		g        *core.Graph
+		splitter crossval.Splitter = crossval.KFold{K: *k, Shuffle: true}
+		err      error
 	)
 	switch {
-	case *dataPath != "":
-		f, err := os.Open(*dataPath)
-		if err != nil {
-			return fmt.Errorf("opening data: %w", err)
-		}
-		defer f.Close()
-		ds, err = dataset.ReadCSV(f, *target)
-		if err != nil {
-			return err
-		}
-		g = regressionGraph()
-	case *synthetic == "regression":
-		rng := rand.New(rand.NewSource(*seed))
-		ds, _, err = dataset.MakeRegression(dataset.RegressionSpec{Samples: 300, Features: 6, Informative: 3, Noise: 3}, rng)
-		if err != nil {
+	case *dataPath != "" || *synthetic == "regression":
+		if ds, err = regressionData(*dataPath, *target, *seed); err != nil {
 			return err
 		}
 		g = regressionGraph()
@@ -345,7 +200,7 @@ func runSearch(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		g, err = tsgraph.New(tsgraph.Config{History: 8, Epochs: *epochs, Seed: *seed, Slim: true})
+		g, splitter, err = seriesSearch(ds, *k, *epochs, *seed)
 		if err != nil {
 			return err
 		}
@@ -356,11 +211,6 @@ func runSearch(ctx context.Context, args []string) error {
 	scorer, err := metrics.ScorerByName(*metric)
 	if err != nil {
 		return err
-	}
-	var splitter crossval.Splitter = crossval.KFold{K: *k, Shuffle: true}
-	if *synthetic == "timeseries" {
-		n := ds.NumSamples()
-		splitter = crossval.SlidingSplit{K: *k, TrainSize: n / 2, TestSize: n / 6, Buffer: 8}
 	}
 	opts := core.SearchOptions{
 		Splitter:    splitter,
@@ -416,6 +266,35 @@ func runSearch(ctx context.Context, args []string) error {
 		fmt.Printf("best: %s (%s=%.5g)\n", res.Best.Spec, *metric, res.Best.Mean)
 	}
 	return nil
+}
+
+// seriesEpochs is the network epochs of a series search: search's
+// -epochs default, and what serve -key searches with.
+const seriesEpochs = 20
+
+// seriesSearch is the graph and splitter a time series is searched with,
+// by search -synthetic timeseries and by serve -key: the slim Figure 11
+// graph and K sliding windows.
+func seriesSearch(ds *dataset.Dataset, k, epochs int, seed int64) (*core.Graph, crossval.Splitter, error) {
+	g, err := tsgraph.New(tsgraph.Config{History: 8, Epochs: epochs, Seed: seed, Slim: true})
+	n := ds.NumSamples()
+	return g, crossval.SlidingSplit{K: k, TrainSize: n / 2, TestSize: n / 6, Buffer: 8}, err
+}
+
+// regressionData reads a CSV file with a header row, or draws a synthetic
+// regression set when path is empty.
+func regressionData(path, target string, seed int64) (*dataset.Dataset, error) {
+	if path == "" {
+		ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 300, Features: 6, Informative: 3, Noise: 3},
+			rand.New(rand.NewSource(seed)))
+		return ds, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("opening data: %w", err)
+	}
+	defer f.Close()
+	return dataset.ReadCSV(f, target)
 }
 
 func regressionGraph() *core.Graph {

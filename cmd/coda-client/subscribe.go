@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -10,38 +9,26 @@ import (
 	"log/slog"
 	"time"
 
-	"coda/internal/core"
-	"coda/internal/dataset"
 	"coda/internal/httpapi"
-	"coda/internal/lifecycle"
-	"coda/internal/mlmodels"
-	"coda/internal/replication"
 	"coda/internal/store"
-	"coda/internal/tswindow"
 )
 
 // errSubscribeDone ends the stream loop once -count frames have arrived.
 var errSubscribeDone = errors.New("subscribe: frame count reached")
 
 // runSubscribe implements `coda-client subscribe`: take a lease, follow
-// the push stream (SSE by default, long-poll with -poll), auto-renew at
-// half-life, ack every frame, and — when a recompute trigger is armed —
-// re-pull the object each time the accumulated change crosses the
-// threshold, the push-driven alternative to polling for staleness.
+// the push stream (SSE by default, long-poll with -poll), apply each
+// payload frame to a replica, and print what every frame says changed.
 func runSubscribe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("subscribe", flag.ExitOnError)
 	var (
-		server     = fs.String("server", "", "store server URL")
-		key        = fs.String("key", "", "object key to watch")
-		clientID   = fs.String("client", "cli", "client id on the lease")
-		mode       = fs.String("mode", "notify", "push mode: value | delta | notify")
-		ttl        = fs.Duration("ttl", time.Minute, "lease duration (auto-renewed at half-life)")
-		count      = fs.Int("count", 0, "exit after this many update frames (0 = run until interrupted)")
-		poll       = fs.Bool("poll", false, "long-poll instead of streaming over SSE")
-		recomputeN = fs.Int("recompute-every", 0, "re-pull after this many pushed updates (0 disables the trigger)")
-		recomputeB = fs.Int64("recompute-bytes", 0, "re-pull after this many changed bytes (0 disables the trigger)")
-		lcSub      = fs.Bool("lifecycle-subscribe", false, "treat the object as a CSV series and keep a deployed AR model retrained from the notification stream (needs a -recompute-* trigger)")
-		lcHistory  = fs.Int("lifecycle-history", 3, "AR model history for -lifecycle-subscribe")
+		server   = fs.String("server", "", "store server URL")
+		key      = fs.String("key", "", "object key to watch")
+		clientID = fs.String("client", "cli", "client id on the lease")
+		mode     = fs.String("mode", "notify", "push mode: value | delta | notify")
+		ttl      = fs.Duration("ttl", time.Minute, "lease duration (auto-renewed at half-life)")
+		count    = fs.Int("count", 0, "exit after this many update frames (0 = run until interrupted)")
+		poll     = fs.Bool("poll", false, "long-poll instead of streaming over SSE")
 	)
 	ft := addFaultFlags(fs)
 	lf := addLogFlags(fs)
@@ -55,111 +42,20 @@ func runSubscribe(ctx context.Context, args []string) error {
 		return fmt.Errorf("subscribe needs -server and -key")
 	}
 	c := ft.client(*server, *clientID)
-
 	rep := store.NewReplica()
-	// Seed the replica so delta leases start from a known version.
-	have := uint64(0)
-	if err := c.PullObject(ctx, rep, *key); err == nil {
-		have = rep.VersionOf(*key)
-	} else if *lcSub {
-		return fmt.Errorf("subscribe: -lifecycle-subscribe needs an existing object to train on: %w", err)
-	}
-	info, err := c.Subscribe(ctx, *key, *mode, *ttl, have)
+	l, err := openLease(ctx, c, rep, *key, *mode, *ttl)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("lease %s on %q mode=%s ttl=%s current_version=%d\n",
-		info.LeaseID, *key, info.Mode, *ttl, info.CurrentVersion)
-	defer func() {
-		// Cancel with a fresh context: the interrupt that ended the loop
-		// already cancelled ctx.
-		cctx, done := context.WithTimeout(context.Background(), 5*time.Second)
-		defer done()
-		if err := c.CancelLease(cctx, info.LeaseID); err != nil {
-			slog.Warn("cancelling lease", "lease", info.LeaseID, "err", err)
-		}
-	}()
-
-	// Change-detection trigger fed by the notification stream.
-	var trig replication.Trigger
-	switch {
-	case *recomputeN > 0:
-		trig = replication.CountTrigger{N: *recomputeN}
-	case *recomputeB > 0:
-		trig = replication.BytesTrigger{N: *recomputeB}
-	}
-
-	// parseSeries decodes the replica's current object bytes as a CSV
-	// series for lifecycle retraining.
-	parseSeries := func() (*dataset.Dataset, error) {
-		data, ok := rep.Data(*key)
-		if !ok {
-			return nil, fmt.Errorf("object %q not in replica", *key)
-		}
-		return dataset.ReadCSV(bytes.NewReader(data), "")
-	}
-
-	var (
-		mon *replication.Monitor
-		mgr *lifecycle.Manager
-	)
-	switch {
-	case *lcSub:
-		// Model life-cycle management over the push stream: a deployed AR
-		// pipeline is retrained from freshly pulled data each time the
-		// change-detection trigger fires.
-		if trig == nil {
-			return fmt.Errorf("subscribe: -lifecycle-subscribe needs -recompute-every or -recompute-bytes")
-		}
-		mgr, err = lifecycle.NewManager(arPipelineBuilder(*lcHistory), trig)
-		if err != nil {
-			return err
-		}
-		initial, err := parseSeries()
-		if err != nil {
-			return fmt.Errorf("subscribe: parsing object for lifecycle training: %w", err)
-		}
-		if err := mgr.Train(initial); err != nil {
-			return err
-		}
-		fmt.Printf("lifecycle: AR(%d) pipeline trained on %d samples of %q\n",
-			*lcHistory, initial.NumSamples(), *key)
-	case trig != nil:
-		mon = replication.NewMonitor(trig)
-	}
-
-	// Renew at half-life so the lease outlives the stream, not vice versa.
-	renewCtx, stopRenew := context.WithCancel(ctx)
-	defer stopRenew()
-	go func() {
-		t := time.NewTicker(*ttl / 2)
-		defer t.Stop()
-		for {
-			select {
-			case <-renewCtx.Done():
-				return
-			case <-t.C:
-				if _, err := c.RenewLease(renewCtx, info.LeaseID, *ttl); err != nil {
-					if renewCtx.Err() == nil {
-						slog.Warn("lease renewal failed", "lease", info.LeaseID, "err", err)
-					}
-					return
-				}
-			}
-		}
-	}()
+	defer l.close()
 
 	seen := 0
-	handle := func(n httpapi.Notification) error {
+	return l.follow(ctx, *poll, func(n httpapi.Notification) error {
 		seen++
-		changed := n.ChangedBytes
 		if n.Full != "" || n.Delta != "" {
 			reply, err := n.Reply()
 			if err != nil {
 				return err
-			}
-			if changed == 0 {
-				changed = reply.WireBytes()
 			}
 			if err := rep.ApplyReply(reply); err != nil {
 				return fmt.Errorf("applying pushed %s: %w", reply.Kind(), err)
@@ -171,97 +67,109 @@ func runSubscribe(ctx context.Context, args []string) error {
 			fmt.Printf("notify %q v%d (%d publishes coalesced, ~%d bytes changed)\n",
 				*key, n.Version, n.Coalesced, n.ChangedBytes)
 		}
-		if err := c.AckLease(ctx, info.LeaseID, n.Version); err != nil {
-			slog.Warn("acking frame", "lease", info.LeaseID, "version", n.Version, "err", err)
-		}
-		if mgr != nil {
-			did, err := mgr.ObserveUpdate(replication.Update{
-				Key: n.Key, Version: n.Version, Notify: true,
-				Coalesced: n.Coalesced, ChangedBytes: changed,
-			}, func() (*dataset.Dataset, error) {
-				if err := c.PullObject(ctx, rep, *key); err != nil {
-					return nil, err
-				}
-				return parseSeries()
-			})
-			switch {
-			case err != nil:
-				slog.Warn("lifecycle retrain failed", "key", *key, "err", err)
-			case did:
-				s := mgr.PendingUpdates()
-				fmt.Printf("retrain #%d: trigger fired, model refit on %q v%d (pending now %d updates / %d bytes)\n",
-					mgr.Retrains(), *key, rep.VersionOf(*key), s.Count, s.Bytes)
-			}
-		}
-		if mon != nil {
-			mon.ObserveUpdate(replication.Update{
-				Key: n.Key, Version: n.Version, Notify: true,
-				Coalesced: n.Coalesced, ChangedBytes: changed,
-			})
-			if mon.Check() {
-				if err := c.PullObject(ctx, rep, *key); err != nil {
-					slog.Warn("recompute pull failed", "key", *key, "err", err)
-				} else {
-					s := mon.Stats()
-					fmt.Printf("recompute #%d: trigger fired after %d updates / %d bytes, pulled %q v%d\n",
-						mon.Recomputes()+1, s.Count, s.Bytes, *key, rep.VersionOf(*key))
-				}
-				mon.Reset()
-			}
-		}
 		if *count > 0 && seen >= *count {
 			return errSubscribeDone
 		}
 		return nil
-	}
+	})
+}
 
-	if *poll {
+// lease is a command's subscription to one object on the home store:
+// subscribe prints its frames, serve -key re-searches on them.
+type lease struct {
+	c         *httpapi.Client
+	info      *httpapi.LeaseInfo
+	stopRenew context.CancelFunc
+}
+
+// openLease seeds rep with key's current version, when the object exists,
+// and takes a mode lease on key from that version, so frames are changes
+// past what rep holds. The lease is renewed at half-life until close.
+// Frames published before follow starts wait for it on the server.
+func openLease(ctx context.Context, c *httpapi.Client, rep *store.Replica, key, mode string, ttl time.Duration) (*lease, error) {
+	// A missing object is followed from version 0.
+	_ = c.PullObject(ctx, rep, key)
+	info, err := c.Subscribe(ctx, key, mode, ttl, rep.VersionOf(key))
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("lease %s on %q mode=%s ttl=%s current_version=%d\n",
+		info.LeaseID, key, info.Mode, ttl, info.CurrentVersion)
+	renewCtx, stop := context.WithCancel(ctx)
+	go func() {
+		t := time.NewTicker(ttl / 2)
+		defer t.Stop()
 		for {
-			n, ok, err := c.PollLease(ctx, info.LeaseID, 25*time.Second)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil
+			select {
+			case <-renewCtx.Done():
+				return
+			case <-t.C:
+				if _, err := c.RenewLease(renewCtx, info.LeaseID, ttl); err != nil {
+					if renewCtx.Err() == nil {
+						slog.Warn("lease renewal failed", "lease", info.LeaseID, "err", err)
+					}
+					return
 				}
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := handle(*n); err != nil {
-				if errors.Is(err, errSubscribeDone) {
-					return nil
-				}
-				return err
 			}
 		}
+	}()
+	return &lease{c: c, info: info, stopRenew: stop}, nil
+}
+
+// close stops the renewals and cancels the lease.
+func (l *lease) close() {
+	l.stopRenew()
+	// A fresh context: the interrupt that ended the command already
+	// cancelled the command's.
+	ctx, done := context.WithTimeout(context.Background(), 5*time.Second)
+	defer done()
+	if err := l.c.CancelLease(ctx, l.info.LeaseID); err != nil {
+		slog.Warn("cancelling lease", "lease", l.info.LeaseID, "err", err)
 	}
-	err = c.StreamLease(ctx, info.LeaseID, handle)
+}
+
+// follow streams the lease's frames over SSE, or long-polls them with
+// poll, acks each and hands it to handle. It returns nil once ctx ends or
+// handle returns errSubscribeDone, handle's other errors as they are, and
+// an error naming the remedy when the lease or its stream is gone.
+func (l *lease) follow(ctx context.Context, poll bool, handle func(httpapi.Notification) error) error {
+	each := func(n httpapi.Notification) error {
+		if err := l.c.AckLease(ctx, l.info.LeaseID, n.Version); err != nil {
+			slog.Warn("acking frame", "lease", l.info.LeaseID, "version", n.Version, "err", err)
+		}
+		return handle(n)
+	}
+	var err error
+	if poll {
+		err = l.poll(ctx, each)
+	} else {
+		err = l.c.StreamLease(ctx, l.info.LeaseID, each)
+	}
 	switch {
 	case errors.Is(err, errSubscribeDone), errors.Is(err, context.Canceled):
 		return nil
 	case errors.Is(err, httpapi.ErrLeaseGone):
-		return fmt.Errorf("lease expired server-side; re-run subscribe")
+		return fmt.Errorf("lease expired server-side; re-run the command")
 	case errors.Is(err, io.ErrUnexpectedEOF):
-		return fmt.Errorf("lease stream dropped, the server restarted or went away; re-run subscribe: %w", err)
+		return fmt.Errorf("lease stream dropped, the server restarted or went away; re-run the command: %w", err)
 	default:
 		return err
 	}
 }
 
-// arPipelineBuilder returns the lifecycle manager's fresh-pipeline factory:
-// TS-as-is preprocessing into an AR(history) model on series column 0.
-func arPipelineBuilder(history int) func() *core.Pipeline {
-	return func() *core.Pipeline {
-		g := core.NewGraph()
-		g.AddTransformerStage("view", tswindow.NewTSAsIs(1, 0))
-		g.AddEstimatorStage("model", mlmodels.NewARModel(history, 0))
-		if err := g.Finalize(); err != nil {
+// poll long-polls the lease's frames to each until ctx ends or each fails.
+func (l *lease) poll(ctx context.Context, each func(httpapi.Notification) error) error {
+	for {
+		n, ok, err := l.c.PollLease(ctx, l.info.LeaseID, 25*time.Second)
+		switch {
+		case ctx.Err() != nil:
 			return nil
+		case err != nil:
+			return err
+		case ok:
+			if err := each(*n); err != nil {
+				return err
+			}
 		}
-		p, err := core.NewPipeline(g.Paths()[0])
-		if err != nil {
-			return nil
-		}
-		return p
 	}
 }

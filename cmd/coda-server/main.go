@@ -195,13 +195,10 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		go func() {
-			logger.Info("debug server listening", "addr", *debugAddr,
-				"endpoints", "/debug/pprof/ /metrics /healthz /debug/traces")
-			if err := http.ListenAndServe(*debugAddr, httpapi.NewDebugServer()); err != nil {
-				logger.Error("debug server failed", "err", err)
-			}
-		}()
+		if err := httpapi.ListenDebug(*debugAddr); err != nil {
+			logger.Error("starting the debug listener", "err", err)
+			os.Exit(1)
+		}
 	}
 
 	srv := &http.Server{

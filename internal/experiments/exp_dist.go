@@ -425,7 +425,7 @@ func RunS3(cfg Config) (*Table, error) {
 			absErrSum += absf(pred - truth)
 			count++
 
-			mon.RecordUpdate(rowBytes)
+			mon.ObserveUpdate(replication.Update{ChangedBytes: rowBytes})
 			level := view.Y[i]
 			curLevel = func() float64 { return level }
 			if mon.Check() {

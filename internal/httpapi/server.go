@@ -17,6 +17,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
@@ -143,6 +144,25 @@ func NewDebugServer() *Server {
 	s.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
 	s.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
 	return s
+}
+
+// ListenDebug is both binaries' -debug-addr listener. It binds addr before
+// returning, so a busy port is an error the command stops on, logs the
+// address bound (":0" names the port the kernel picked), and serves
+// NewDebugServer on it in the background.
+func ListenDebug(addr string) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("debug listener: %w", err)
+	}
+	slog.Info("debug server listening", "addr", ln.Addr().String(),
+		"endpoints", "/debug/pprof/ /metrics /healthz /debug/traces")
+	go func() {
+		if err := http.Serve(ln, NewDebugServer()); err != nil {
+			slog.Error("debug server failed", "err", err)
+		}
+	}()
+	return nil
 }
 
 func (s *Server) logger() *slog.Logger {

@@ -5,8 +5,8 @@
 //
 // The seam is deliberately small — gorse-style (see PAPERS.md / ROADMAP
 // item 2): batched writes (PutBatch), batched reads (GetBatch), ordered
-// prefix-cursor streaming so consumers like replication and lifecycle can
-// iterate a large keyspace without materializing it, and explicit
+// prefix-cursor streaming so consumers like the object store and the DARR
+// can iterate a large keyspace without materializing it, and explicit
 // Snapshot/Compact hooks so append-only history stops replaying from byte
 // zero at every open.
 //

@@ -298,7 +298,8 @@ func (m *Manager) worker() {
 // frame, built against the store's current state by the first lease of the
 // group to get here. A slot not above the last slot the lease was sent (a
 // publish whose merge landed after a later publish's frame went out) is
-// dropped and its publishes count as coalesced. The clock is read after the
+// dropped and its publishes count as coalesced; the lease's next frame
+// carries them in its publish count. The clock is read after the
 // delivery comes back, and kept in the tally for the next lease's expiry
 // check. On the wall clock that reading is the pass's previous one plus the
 // monotonic time since it: one monotonic read, and expiry, the coalescing
@@ -322,15 +323,17 @@ func (m *Manager) deliverPending(j *fanoutJob, l *Lease, t *tally) {
 	l.pendCount, l.pendVersion = 0, 0
 	if version <= l.sent {
 		l.coalesced += int64(count)
+		l.carried += count
 		l.state = leaseIdle
 		l.mu.Unlock()
 		mCoalesced.Inc() // merge counted the slot's other count-1 publishes
 		return
 	}
+	carried := l.carried
 	l.state = leaseDelivering
 	l.mu.Unlock()
 
-	wire, ok := m.push(j, l, k, sub, version, count)
+	wire, ok := m.push(j, l, k, sub, version, count+carried)
 	if m.wall {
 		t.now = t.now.Add(time.Since(t.now))
 	} else {
@@ -339,6 +342,7 @@ func (m *Manager) deliverPending(j *fanoutJob, l *Lease, t *tally) {
 
 	l.mu.Lock()
 	if ok {
+		l.carried -= carried
 		l.book(count, version, wire, t)
 		t.lat = append(t.lat, t.now.Sub(since).Seconds())
 	}

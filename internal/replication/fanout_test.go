@@ -916,7 +916,9 @@ func (g *gatedStore) Put(key string, data []byte) (uint64, error) {
 // write returns, so when two publishes race, the first one's merge can land
 // after the second one's frame went out. That slot is behind the lease: a
 // notify lease would be told version 1 after version 2, a value lease would
-// get version 2 twice. It is dropped and its publish counts as coalesced.
+// get version 2 twice. It is dropped and its publish counts as coalesced,
+// once, and rides on the lease's next frame: the frames' publish counts
+// add up to the publishes, which a count trigger fed by them relies on.
 func TestLeaseFramesNeverGoBackwards(t *testing.T) {
 	for _, mode := range []PushMode{PushNotify, PushValue} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -960,6 +962,26 @@ func TestLeaseFramesNeverGoBackwards(t *testing.T) {
 			}
 			if got := mCoalesced.Value() - coalesced; got != 1 {
 				t.Fatalf("coda_replication_coalesced_updates_total moved by %d, want 1", got)
+			}
+
+			if _, err := m.Publish("k", []byte("three")); err != nil {
+				t.Fatal(err)
+			}
+			m.Flush()
+			versions, sum := nil, 0
+			col.mu.Lock()
+			for _, u := range col.updates {
+				versions = append(versions, u.Version)
+				sum += u.Coalesced
+			}
+			col.mu.Unlock()
+			if !slices.Equal(versions, []uint64{2, 3}) || sum != 3 {
+				t.Fatalf("after a third publish the lease received versions %v counting %d publishes, want [2 3] counting 3",
+					versions, sum)
+			}
+			if lease.Deliveries() != 2 || lease.CoalescedUpdates() != 1 || mCoalesced.Value()-coalesced != 1 {
+				t.Fatalf("after a third publish: %d deliveries, %d coalesced on the lease, %d in the series; want 2, 1, 1",
+					lease.Deliveries(), lease.CoalescedUpdates(), mCoalesced.Value()-coalesced)
 			}
 		})
 	}

@@ -106,14 +106,15 @@ type Update struct {
 	Reply *store.Reply
 	// Notify is set for PushNotify: no payload, just metadata.
 	Notify bool
-	// ChangedBytes estimates how much the object changed (delta wire
-	// size), included with notifications per Section III.
+	// ChangedBytes estimates how much the object changed since the
+	// lease's acknowledged version (the delta's wire size, or the full
+	// value's when no delta is smaller), included with notifications per
+	// Section III.
 	ChangedBytes int
 	// Coalesced counts the publishes this update represents: 1, or more
 	// when the fanout merged a burst into one frame carrying only the
-	// latest version. Only a publish that raced a later one and reached
-	// the lease after that one's frame rides no frame;
-	// Lease.CoalescedUpdates counts it.
+	// latest version. A publish that raced a later one and reached the
+	// lease after that one's frame is counted on the lease's next frame.
 	Coalesced int
 
 	shared *sharedFrame // set on updates a Manager built; nil on hand-made ones
@@ -211,11 +212,14 @@ type Lease struct {
 	// stamps the oldest undelivered publish for the latency histogram.
 	// sent is the slot version of the last delivered frame: a slot not
 	// above it holds a publish that raced past a newer one and is dropped,
-	// so frames never go backwards.
+	// so frames never go backwards. carried holds a dropped slot's publish
+	// count until the next frame goes out, so the frames' counts still add
+	// up to the lease's publishes.
 	state       leaseState
 	pendCount   int
 	pendVersion uint64
 	sent        uint64
+	carried     int
 	pendSince   time.Time
 	lastDeliver time.Time
 }
@@ -599,8 +603,8 @@ func (m *Manager) frame(j *fanoutJob, key string, k frameKey, version uint64) (U
 		reply, err := m.store.Get(key, k.ack) // ack 0 forces the full value
 		switch {
 		case f.u.Notify:
-			if err == nil && reply.IsDelta() {
-				f.u.ChangedBytes = reply.Delta.WireSize()
+			if err == nil && !reply.Unchanged {
+				f.u.ChangedBytes = reply.WireBytes()
 			}
 		case err != nil:
 			return Update{}, err

@@ -155,6 +155,16 @@ func TestPushNotifyCarriesNoPayload(t *testing.T) {
 	if u.Version != v1+1 {
 		t.Fatalf("notified version %d", u.Version)
 	}
+	// A rewrite no delta beats is estimated at the full value's size, so a
+	// bytes trigger fed by notifications still sees it.
+	lease.AckVersion(u.Version)
+	if _, err := m.Publish("o1", []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	m.Flush()
+	if u := col.last(); u.ChangedBytes != len("rewritten") {
+		t.Fatalf("a rewrite estimated at %d changed bytes, want its full size %d", u.ChangedBytes, len("rewritten"))
+	}
 }
 
 func TestLeaseExpiryStopsDeliveries(t *testing.T) {
@@ -273,7 +283,7 @@ func TestTriggers(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			mon := NewMonitor(tt.trigger)
 			for _, sz := range tt.updates {
-				mon.RecordUpdate(sz)
+				mon.ObserveUpdate(Update{ChangedBytes: sz})
 			}
 			if got := mon.Check(); got != tt.want {
 				t.Fatalf("Check() = %v, want %v (stats %+v)", got, tt.want, mon.Stats())
@@ -285,7 +295,7 @@ func TestTriggers(t *testing.T) {
 func TestMonitorResetCycle(t *testing.T) {
 	mon := NewMonitor(CountTrigger{N: 2})
 	for i := 0; i < 3; i++ {
-		mon.RecordUpdate(10)
+		mon.ObserveUpdate(Update{ChangedBytes: 10})
 	}
 	if !mon.Check() {
 		t.Fatal("trigger should fire")

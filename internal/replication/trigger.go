@@ -70,15 +70,7 @@ type Monitor struct {
 // NewMonitor wraps a trigger.
 func NewMonitor(t Trigger) *Monitor { return &Monitor{trigger: t} }
 
-// RecordUpdate notes one update of the given payload size.
-func (m *Monitor) RecordUpdate(bytes int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.stats.Count++
-	m.stats.Bytes += int64(bytes)
-}
-
-// ObserveUpdate folds one pushed update frame into the monitor — the
+// ObserveUpdate folds one update into the monitor. A pushed frame is the
 // bridge from the lease notification stream to re-analytics triggers, so
 // recompute decisions ride the push path instead of polling the store. A
 // coalesced frame counts every publish it represents; the change

@@ -5,7 +5,7 @@
 //
 //   - Service: the scoring contract,
 //   - MockService: a latency/cost-modelled stand-in for a commercial API,
-//   - Handler/HTTPService: serve any fitted core.Estimator over HTTP and
+//   - Handler/HTTPService: serve any fitted model over HTTP and
 //     call it remotely,
 //   - ServiceEstimator: plug a remote service into a Transformer-Estimator
 //     Graph as just another model option.
@@ -108,14 +108,20 @@ type scoreResponse struct {
 	RequestID   string    `json:"request_id,omitempty"`
 }
 
-// Handler serves a fitted estimator as an AI web service: POST a JSON
+// Predictor is what Handler serves: a fitted model, such as any
+// core.Estimator, or coda-client serve's pipeline that a re-search swaps.
+type Predictor interface {
+	Predict(ds *dataset.Dataset) ([]float64, error)
+}
+
+// Handler serves a fitted model as an AI web service: POST a JSON
 // feature matrix, receive predictions — the role the paper's cloud vendors
 // play in Figure 1. Mounted on an httpapi.Server (coda-client serve's
 // /score), the request has an id, a capped body, a span, per-route metrics
 // and panic recovery; a body over the cap is a 413. Errors come back as
 // structured JSON carrying the status and the request id, and are logged
 // through slog.
-func Handler(est core.Estimator) http.Handler {
+func Handler(est Predictor) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := obs.RequestID(r.Context())
 		fail := func(status int, msg string) {

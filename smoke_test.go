@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -22,11 +23,17 @@ import (
 	"coda/internal/httpapi"
 	"coda/internal/obs"
 	"coda/internal/obs/trace"
+	"coda/internal/sim"
 )
 
 // smokeUnits is the size of the 4 x 3 x 4 regression graph `coda-client
 // search|serve` runs on synthetic data.
 const smokeUnits = 48
+
+// smokeSeriesUnits is the size of the slim Figure 11 graph `coda-client
+// search -synthetic timeseries` and `serve -key` search: 4 scalers x 6
+// windowing-model pairs.
+const smokeSeriesUnits = 24
 
 // smokeWait bounds every wait on a child process: for a line of its
 // output, for a metric to move, for its exit.
@@ -527,6 +534,132 @@ func TestSmoke(t *testing.T) {
 		sc := scrape(t, url)
 		if hits := metric(sc, "coda_darr_hits_total"); hits != smokeUnits {
 			t.Errorf("coda_darr_hits_total = %v after the restart, want %d", hits, smokeUnits)
+		}
+		server.stop(t)
+	})
+
+	// The paper's loop: two serve processes follow one series object on
+	// notify leases. An append fires both triggers, and the two re-search
+	// the new version cooperatively, each unit computed once across the
+	// pair, and serve the same winner. A version that is not a series
+	// leaves both serving the last good one. /score answers throughout.
+	t.Run("Reanalytics", func(t *testing.T) {
+		server, url := bins.startServer(t)
+		ctx := context.Background()
+		writer := httpapi.NewClient(url, "smoke-writer")
+		put := func(data string) {
+			t.Helper()
+			if _, err := writer.PutObject(ctx, "smoke/series", []byte(data)); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+		}
+		series, err := sim.GenerateSeries(sim.SeriesSpec{Steps: 300, Vars: 2, Regime: sim.RegimeAR}, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var full strings.Builder
+		if err := series.WriteCSV(&full); err != nil {
+			t.Fatal(err)
+		}
+		put(strings.Join(strings.SplitAfter(full.String(), "\n")[:241], "")) // the header and 240 rows
+
+		var serves []*proc
+		var urls []string
+		for _, id := range []string{"smoke-loop-a", "smoke-loop-b"} {
+			serves = append(serves, start(t, bins.client, "serve", "-addr", "127.0.0.1:0", "-server", url,
+				"-key", "smoke/series", "-recompute-bytes", "1", "-k", "3", "-client", id))
+		}
+		for _, p := range serves {
+			urls = append(urls, "http://"+p.await(t, &p.stdout, serveListening)[1])
+		}
+		type analytics struct {
+			Version  uint64 `json:"version"`
+			BestSpec string `json:"best_spec"`
+			Searches int    `json:"searches"`
+		}
+		states := func() []analytics {
+			var out []analytics
+			for _, u := range urls {
+				var h struct {
+					Components struct {
+						Analytics analytics `json:"analytics"`
+					} `json:"components"`
+				}
+				if err := json.Unmarshal([]byte(httpGet(t, u+"/healthz")), &h); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, h.Components.Analytics)
+			}
+			return out
+		}
+		// servedBoth holds once both processes serve version v, searched
+		// by the pair once, and agree on its winner, which it returns.
+		servedBoth := func(v uint64, searches int) string {
+			t.Helper()
+			var got []analytics
+			eventually(t, fmt.Sprintf("both serve processes to serve version %d", v), func() bool {
+				got = states()
+				return got[0].Version == v && got[1].Version == v
+			})
+			if got[0].Searches != searches || got[1].Searches != searches || got[0].BestSpec != got[1].BestSpec || got[0].BestSpec == "" {
+				t.Errorf("analytics at version %d: %+v and %+v; want %d searches each and one best spec", v, got[0], got[1], searches)
+			}
+			var puts float64
+			eventually(t, "the pair's DARR records to be published", func() bool {
+				puts = metric(scrape(t, url), "coda_darr_puts_total")
+				return puts >= float64(searches*smokeSeriesUnits)
+			})
+			if puts != float64(searches*smokeSeriesUnits) {
+				t.Errorf("coda_darr_puts_total = %v after %d versions, want %d: one record per unit per version", puts, searches, searches*smokeSeriesUnits)
+			}
+			return got[0].BestSpec
+		}
+		servedBoth(1, 1)
+
+		var scored, refused atomic.Int64
+		stopScoring := make(chan struct{})
+		scoring := make(chan struct{})
+		go func() {
+			defer close(scoring)
+			rows := `{"rows": [[0.1, 0.2], [0.2, 0.1], [0.3, 0.3], [0.2, 0.4], [0.1, 0.2], [0.0, 0.1], [0.2, 0.2], [0.3, 0.1], [0.1, 0.3], [0.2, 0.2], [0.4, 0.1], [0.3, 0.2]]}`
+			for {
+				for _, u := range urls {
+					resp, err := http.Post(u+"/score", "application/json", strings.NewReader(rows))
+					if err == nil {
+						resp.Body.Close()
+					}
+					if err != nil || resp.StatusCode != http.StatusOK {
+						refused.Add(1)
+					} else {
+						scored.Add(1)
+					}
+				}
+				select {
+				case <-stopScoring:
+					return
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+		}()
+
+		put(full.String()) // 60 rows appended
+		best := servedBoth(2, 2)
+
+		put("not,a\nseries,at all\n")
+		warned := regexp.MustCompile(`level=WARN msg="re-search failed, serving the previous pipeline" key=smoke/series version=3`)
+		for _, p := range serves {
+			p.await(t, &p.stderr, warned)
+		}
+		if spec := servedBoth(2, 2); spec != best {
+			t.Errorf("after a version that is not a series, serving %q, want version 2's %q", spec, best)
+		}
+		close(stopScoring)
+		<-scoring
+		if scored.Load() == 0 || refused.Load() != 0 {
+			t.Errorf("/score during the loop: %d answered, %d refused; want every request answered", scored.Load(), refused.Load())
+		}
+		for _, p := range serves {
+			p.stop(t)
 		}
 		server.stop(t)
 	})
