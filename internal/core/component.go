@@ -47,6 +47,9 @@ type Transformer interface {
 // and predicts targets for new data.
 type Estimator interface {
 	Component
+	// Fit learns the model from ds, discarding any earlier fit: after it,
+	// Predict gives what a fresh Clone fitted on ds alone would, bit for
+	// bit. (A search fits one clone per unit on every fold in turn.)
 	Fit(ds *dataset.Dataset) error
 	Predict(ds *dataset.Dataset) ([]float64, error)
 	// Clone returns an unfitted copy carrying the same hyperparameters.

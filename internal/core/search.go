@@ -562,11 +562,12 @@ func computeUnitScores(ctx context.Context, u *searchUnit, folds []foldData, cac
 		ids = cache.ids[u.index]
 	}
 	scores := make([]float64, 0, len(folds))
+	est := p.Nodes[len(p.Nodes)-1].Estimator.Clone()
 	for fi, fd := range folds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		score, err := scoreFold(ctx, p, fi, fd, cache, ids, opts)
+		score, err := scoreFold(ctx, p, est, fi, fd, cache, ids, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -580,9 +581,10 @@ func computeUnitScores(ctx context.Context, u *searchUnit, folds []foldData, cac
 // (prefix_hits) and how many this span had to fit (prefix_misses). It walks
 // the unit's transformer nodes once, each level the per-node step applied to
 // the level above — through the cache's memo when there is one — and then
-// fits a clone of the estimator on the result. p's own components are never
-// fitted: they are the template every fold clones.
-func scoreFold(ctx context.Context, p *Pipeline, fi int, fd foldData, cache *prefixCache, ids []int, opts SearchOptions) (float64, error) {
+// fits est, the unit's one clone of the estimator, on the result (a Fit
+// discards the fold before's). p's own components are never fitted: they
+// are the template every fold clones.
+func scoreFold(ctx context.Context, p *Pipeline, est Estimator, fi int, fd foldData, cache *prefixCache, ids []int, opts SearchOptions) (float64, error) {
 	_, fsp := trace.Start(ctx, "search.fold_fit")
 	if fsp != nil {
 		fsp.SetComponent(trace.CompCompute)
@@ -618,10 +620,8 @@ func scoreFold(ctx context.Context, p *Pipeline, fi int, fd foldData, cache *pre
 		}
 	}
 
-	last := p.Nodes[len(p.Nodes)-1]
-	est := last.Estimator.Clone()
 	if err := est.Fit(train); err != nil {
-		return 0, fmt.Errorf("core: fitting estimator %q: %w", last.Name, err)
+		return 0, fmt.Errorf("core: fitting estimator %q: %w", p.Nodes[len(p.Nodes)-1].Name, err)
 	}
 	yhat, err := est.Predict(test)
 	if err != nil {

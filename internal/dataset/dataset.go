@@ -118,7 +118,7 @@ func (d *Dataset) DenormY(y []float64) []float64 {
 	}
 	out := make([]float64, len(y))
 	for i, v := range y {
-		out[i] = v*scale + d.YOffset
+		out[i] = float64(v*scale) + d.YOffset
 	}
 	return out
 }

@@ -40,9 +40,9 @@ func MakeRegression(spec RegressionSpec, rng *rand.Rand) (*Dataset, []float64, e
 		for j := range row {
 			v := rng.NormFloat64()
 			row[j] = v
-			s += v * coef[j]
+			s += float64(v * coef[j])
 		}
-		y[i] = s + spec.Noise*rng.NormFloat64()
+		y[i] = s + float64(spec.Noise*rng.NormFloat64())
 	}
 	names := make([]string, spec.Features)
 	for j := range names {

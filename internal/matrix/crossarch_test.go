@@ -48,7 +48,10 @@ var fusedAllowed = map[string]string{}
 // activations, the LSTM step and the element-wise kernels, the
 // least-squares solve, and the column statistics, covariance and
 // eigensolver under the scalers and PCA; in nn the optimizers, the layers'
-// own arithmetic, the loss and the weight initialisers.
+// own arithmetic, the loss and the weight initialisers; and on the score
+// path, the target denormalisation and synthetic targets in dataset, the
+// scorers in metrics, and core's fold scoring and pipeline prediction, which
+// inline the denormalisation.
 var fusedScans = []struct {
 	dir, pkg string
 	must     []string
@@ -65,6 +68,9 @@ var fusedScans = []struct {
 		"(*SGD).Step", "(*Tanh).Backward", "(*GatedResidualBlock).Backward", "MSELoss", "signedUniform",
 		"NewConv1D", "NewDense", "NewLSTM",
 	}},
+	{"../dataset", "coda/internal/dataset", []string{"(*Dataset).DenormY", "MakeRegression"}},
+	{"../metrics", "coda/internal/metrics", []string{"MSE", "MSLE", "R2", "AUC"}},
+	{"../core", "coda/internal/core", []string{"scoreFold", "(*Pipeline).PredictWithTruth", "(*Pipeline).predict"}},
 }
 
 // TestActivationTwinNotFusedOnArm64 is the cross-architecture half of the

@@ -219,9 +219,20 @@ func MulTransposeBInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
 	}
 	bt, _ := pool.Get().(*Mat[T])
 	bt = TInto(bt, b)
-	dst = RecycleNoClear(dst, a.rows, b.rows)
-	mulAccum(dst.data, a.data, a.cols, 1, bt.data, a.rows, a.cols, b.rows, false, true)
+	dst, _ = MulNoSkipInto(dst, a, bt)
 	pool.Put(bt)
+	return dst, nil
+}
+
+// MulNoSkipInto computes dst = a*b as MulInto does, except that no term is
+// skipped, zero a elements included: MulTransposeBInto's product, for a
+// caller that packs bᵀ once with TInto and multiplies by it many times.
+func MulNoSkipInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
+	if a.cols != b.rows {
+		return nil, shapeErr("mulNoSkip", a, b)
+	}
+	dst = RecycleNoClear(dst, a.rows, b.cols)
+	mulAccum(dst.data, a.data, a.cols, 1, b.data, a.rows, a.cols, b.cols, false, true)
 	return dst, nil
 }
 

@@ -1,10 +1,10 @@
 package matrix
 
 // level names a kernel path. Each primitive (the row kernel, the
-// activations, the LSTM step kernels, the block and element-wise kernels)
-// has a portable Go twin and, on amd64, assembly forms; every path gives
-// the twin's bits for every input (the contracts are in kernels.go,
-// activations.go, lstm.go and elementwise.go). kernelLevel is the path
+// activations, the LSTM step kernels, the block and element-wise kernels,
+// the uniform draws) has a portable Go twin and, on amd64, assembly forms;
+// every path gives the twin's bits for every input (the contracts are in
+// kernels.go, activations.go, lstm.go, elementwise.go and uniforms.go). kernelLevel is the path
 // every call takes: the widest this CPU runs, decided once from CPUID and
 // XCR0 (cpuLevel). No flag or environment variable moves it; only tests do,
 // to hold every path to the twin on one machine. A level without its own
@@ -18,6 +18,7 @@ package matrix
 //	CopyBlock, AddBlock                        own    avx2
 //	AddInto (float64), MulElems, KeepPositive  own    avx2
 //	DropoutApply, AdamUpdate                   own    avx2
+//	LaggedUniforms                             own    own
 type level int
 
 const (

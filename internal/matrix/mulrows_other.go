@@ -42,3 +42,7 @@ func dropoutApply(mask, out, src []float64, keep, scale float64) {
 }
 
 func adamUpdate(w, g, m, v []float64, k *AdamCoeffs) { adamUpdateGeneric(w, g, m, v, k) }
+
+func laggedUniforms(dst []float64, feed, tap []uint64) bool {
+	return laggedUniformsGeneric(dst, feed, tap)
+}

@@ -215,6 +215,11 @@ func testFormsMatchOracles[T Float](t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(t, "MulTransposeBInto", got.data, oracleMulTB(a, bt).data)
+		got, err = MulNoSkipInto(leftovers(), a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "MulNoSkipInto", got.data, oracleMulTB(a, bt).data)
 
 		// The bias forms: column sums of b into a row, and a row added to
 		// every row of a, against their plain loops.

@@ -31,7 +31,7 @@ func MSE(y, yhat []float64) (float64, error) {
 	s := 0.0
 	for i := range y {
 		d := y[i] - yhat[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(y)), nil
 }
@@ -105,7 +105,7 @@ func MSLE(y, yhat []float64) (float64, error) {
 			return 0, fmt.Errorf("metrics: MSLE needs values > -1, got y=%v yhat=%v at %d", y[i], yhat[i], i)
 		}
 		d := math.Log1p(y[i]) - math.Log1p(yhat[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(y)), nil
 }
@@ -133,9 +133,9 @@ func R2(y, yhat []float64) (float64, error) {
 	ssRes, ssTot := 0.0, 0.0
 	for i := range y {
 		d := y[i] - yhat[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		t := y[i] - mean
-		ssTot += t * t
+		ssTot += float64(t * t)
 	}
 	if ssTot == 0 {
 		return 0, fmt.Errorf("metrics: R2 undefined for constant targets")
@@ -232,5 +232,5 @@ func AUC(y, score []float64) (float64, error) {
 	if nPos == 0 || nNeg == 0 {
 		return 0, fmt.Errorf("metrics: AUC needs both classes present (pos=%v neg=%v)", nPos, nNeg)
 	}
-	return (rankSum - nPos*(nPos+1)/2) / (nPos * nNeg), nil
+	return (rankSum - float64(nPos*(nPos+1)/2)) / (nPos * nNeg), nil
 }

@@ -12,35 +12,35 @@ import (
 // The layer shapes that the benchmarks time and TestStepAllocationsExact
 // counts.
 func denseStep() (Layer, *matrix.Matrix) {
-	rng := rand.New(rand.NewSource(1))
-	return NewDense(64, 64, rng), randInput(rng, 32, 64)
+	src, rng := testRand(1)
+	return NewDense(64, 64, src), randInput(rng, 32, 64)
 }
 
 // lstmIn2Step is the Fig 11 search's first LSTM layer: a batch of 32
 // windows of 8 steps over 2 series into 12 hidden units. In a network it is
 // layer 0, so its input gradient is not wanted.
 func lstmIn2Step() (Layer, *matrix.Matrix) {
-	rng := rand.New(rand.NewSource(2))
-	return NewLSTM(8, 2, 12, rng), randInput(rng, 32, 16)
+	src, rng := testRand(2)
+	return NewLSTM(8, 2, 12, src), randInput(rng, 32, 16)
 }
 
 // lstmIn12SeqStep is one of the deep LSTM's stacked layers: 12 inputs per
 // step from the layer below, every hidden state out.
 func lstmIn12SeqStep() (Layer, *matrix.Matrix) {
-	rng := rand.New(rand.NewSource(2))
-	l := NewLSTM(8, 12, 12, rng)
+	src, rng := testRand(2)
+	l := NewLSTM(8, 12, 12, src)
 	l.ReturnSeq = true
 	return l, randInput(rng, 32, 96)
 }
 
 func conv1DStep() (Layer, *matrix.Matrix) {
-	rng := rand.New(rand.NewSource(3))
-	return NewConv1D(64, 4, 8, 2, 4, true, rng), randInput(rng, 32, 256)
+	src, rng := testRand(3)
+	return NewConv1D(64, 4, 8, 2, 4, true, src), randInput(rng, 32, 256)
 }
 
 func gatedBlockStep() (Layer, *matrix.Matrix) {
-	rng := rand.New(rand.NewSource(4))
-	return NewGatedResidualBlock(32, 8, 2, 2, rng), randInput(rng, 16, 256)
+	src, rng := testRand(4)
+	return NewGatedResidualBlock(32, 8, 2, 2, src), randInput(rng, 16, 256)
 }
 
 // forwardBackward is one training step of a layer on its input, the
@@ -84,15 +84,55 @@ func BenchmarkGatedResidualBlock(b *testing.B)  { benchForwardBackward(b, gatedB
 // fitNet returns one training epoch (two batches of 32) of a small dense
 // network.
 func fitNet() func() error {
-	rng := rand.New(rand.NewSource(7))
+	src, rng := testRand(7)
 	x := randInput(rng, 64, 128)
 	y := make([]float64, 64)
 	for i := range y {
 		y[i] = rng.NormFloat64()
 	}
-	net := NewNetwork(NewAdam(0.01), NewDense(128, 128, rng), NewReLU(), NewDense(128, 1, rng))
+	net := NewNetwork(NewAdam(0.01), NewDense(128, 128, src), NewReLU(), NewDense(128, 1, src))
 	cfg := FitConfig{Epochs: 1, BatchSize: 32, Seed: 1}
 	return func() error { return net.Fit(x, y, cfg) }
+}
+
+// foldFit is one fold of a search's unit after its first: the deep LSTM's
+// layer stack (two sequence LSTMs and a last-state LSTM, each followed by
+// dropout, then a linear head), re-initialised in place from its generator
+// re-seeded, trained for one epoch of two batches and asked for its
+// predictions. AllocsPerRun's warm-up is the unit's first fold, which grows
+// every buffer. What is left is 37 small allocations and no buffer: the
+// LSTMs' row-view headers (matrix.FromSlice), 8 per training step (2 in
+// layer 0, which wants no input gradient, 3 in each other) and 3 per
+// Predict block, two of each; Predict's result; and the parameter list,
+// 7 allocations each time Reinit and Fit gather it.
+func foldFit() func() error {
+	rng := rand.New(rand.NewSource(9))
+	x := randInput(rng, 64, 16)
+	y := make([]float64, 64)
+	for i := range y {
+		y[i] = rng.NormFloat64()
+	}
+	gen := NewRand(3)
+	lstm := func(in int, seq bool) *LSTM {
+		l := NewLSTM(8, in, 12, gen)
+		l.ReturnSeq = seq
+		return l
+	}
+	net := NewNetwork(NewAdam(0.01),
+		lstm(2, true), NewDropout(0.1, gen), lstm(12, true), NewDropout(0.1, gen),
+		lstm(12, false), NewDropout(0.1, gen), NewDense(12, 1, gen))
+	cfg := FitConfig{Epochs: 1, BatchSize: 32, Seed: 3}
+	return func() error {
+		gen.Seed(3)
+		if err := net.Reinit(gen); err != nil {
+			return err
+		}
+		if err := net.Fit(x, y, cfg); err != nil {
+			return err
+		}
+		_, err := net.Predict(x)
+		return err
+	}
 }
 
 // adamStep is one Adam step over a dense network's parameter shapes. The
@@ -139,8 +179,9 @@ func TestStepAllocationsExact(t *testing.T) {
 		{"LSTM In12ReturnSeq forward+backward", forwardBackward(lstmIn12SeqStep, true), 3},
 		{"Conv1D forward+backward", forwardBackward(conv1DStep, true), 2},
 		{"GatedResidualBlock forward+backward", forwardBackward(gatedBlockStep, true), 6},
-		{"Network.Fit epoch", fitNet(), 6},
+		{"Network.Fit epoch", fitNet(), 4},
 		{"Adam step", adamStep(), 0},
+		{"second fold fit (Reinit, Fit, Predict)", foldFit(), 37},
 	} {
 		got := testing.AllocsPerRun(20, func() {
 			if err := c.step(); err != nil {

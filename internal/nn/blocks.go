@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"coda/internal/matrix"
 )
@@ -27,7 +26,7 @@ type GatedResidualBlock struct {
 }
 
 // NewGatedResidualBlock builds a block with the given kernel and dilation.
-func NewGatedResidualBlock(seqLen, channels, kernel, dilation int, rng *rand.Rand) *GatedResidualBlock {
+func NewGatedResidualBlock(seqLen, channels, kernel, dilation int, rng *Rand) *GatedResidualBlock {
 	return &GatedResidualBlock{
 		SeqLen:   seqLen,
 		Channels: channels,
@@ -35,6 +34,14 @@ func NewGatedResidualBlock(seqLen, channels, kernel, dilation int, rng *rand.Ran
 		convG:    NewConv1D(seqLen, channels, channels, kernel, dilation, true, rng),
 		proj:     NewConv1D(seqLen, channels, channels, 1, 1, true, rng),
 	}
+}
+
+// init draws the filter, gate and projection weights from rng, in that
+// order.
+func (b *GatedResidualBlock) init(rng *Rand) {
+	b.convF.init(rng)
+	b.convG.init(rng)
+	b.proj.init(rng)
 }
 
 // Forward computes x + proj(tanh(convF(x)) * sigmoid(convG(x))).
@@ -135,7 +142,7 @@ type ResidualConvBlock struct {
 }
 
 // NewResidualConvBlock builds a block with the given kernel and dilation.
-func NewResidualConvBlock(seqLen, channels, kernel, dilation int, rng *rand.Rand) *ResidualConvBlock {
+func NewResidualConvBlock(seqLen, channels, kernel, dilation int, rng *Rand) *ResidualConvBlock {
 	return &ResidualConvBlock{
 		SeqLen:   seqLen,
 		Channels: channels,
@@ -143,6 +150,12 @@ func NewResidualConvBlock(seqLen, channels, kernel, dilation int, rng *rand.Rand
 		proj:     NewConv1D(seqLen, channels, channels, 1, 1, true, rng),
 		relu:     NewReLU(),
 	}
+}
+
+// init draws the convolution's, then the projection's weights from rng.
+func (b *ResidualConvBlock) init(rng *Rand) {
+	b.conv.init(rng)
+	b.proj.init(rng)
 }
 
 // Forward computes x + proj(relu(conv(x))).

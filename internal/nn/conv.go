@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"coda/internal/matrix"
 )
@@ -45,7 +44,7 @@ type Conv1D struct {
 }
 
 // NewConv1D builds a convolution with He-uniform initialization.
-func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, rng *rand.Rand) *Conv1D {
+func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, rng *Rand) *Conv1D {
 	if dilation < 1 {
 		dilation = 1
 	}
@@ -54,12 +53,14 @@ func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, r
 		Kernel: kernel, Dilation: dilation, Causal: causal,
 		w: newParam(kernel*inChannels, filters), b: newParam(1, filters),
 	}
-	limit := math.Sqrt(6.0 / float64(kernel*inChannels))
-	wd := c.w.W.Data()
-	for i := range wd {
-		wd[i] = signedUniform(rng) * limit
-	}
+	c.init(rng)
 	return c
+}
+
+// init draws the weights from rng and clears the bias.
+func (c *Conv1D) init(rng *Rand) {
+	drawWeights(c.w.W.Data(), math.Sqrt(6.0/float64(c.Kernel*c.InChannels)), rng)
+	clear(c.b.W.Data())
 }
 
 // OutLen returns the output sequence length.

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"coda/internal/matrix"
@@ -130,7 +129,7 @@ func sameBits(t *testing.T, what string, got, want *matrix.Matrix) {
 // internal/matrix holds every level's CopyBlock and AddBlock to their
 // portable twins, so the result holds on each.
 func TestConv1DMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	src, rng := testRand(11)
 	fill := func(m *matrix.Matrix) {
 		d := m.Data()
 		for i := range d {
@@ -150,7 +149,7 @@ func TestConv1DMatchesReference(t *testing.T) {
 				for _, ic := range []int{1, 2, 8, 9} {
 					for _, seqLen := range []int{8, 3} {
 						name := fmt.Sprintf("causal=%v k=%d d=%d ic=%d T=%d", causal, kernel, dilation, ic, seqLen)
-						c := NewConv1D(seqLen, ic, 3, kernel, dilation, causal, rng)
+						c := NewConv1D(seqLen, ic, 3, kernel, dilation, causal, src)
 						if c.OutLen() < 1 {
 							continue
 						}

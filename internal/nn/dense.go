@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"coda/internal/matrix"
 )
@@ -19,14 +18,16 @@ type Dense struct {
 
 // NewDense builds a Dense layer with Glorot-uniform initialization from
 // rng.
-func NewDense(in, out int, rng *rand.Rand) *Dense {
+func NewDense(in, out int, rng *Rand) *Dense {
 	d := &Dense{In: in, Out: out, w: newParam(in, out), b: newParam(1, out)}
-	limit := math.Sqrt(6.0 / float64(in+out))
-	wd := d.w.W.Data()
-	for i := range wd {
-		wd[i] = signedUniform(rng) * limit
-	}
+	d.init(rng)
 	return d
+}
+
+// init draws the weights from rng and clears the bias.
+func (d *Dense) init(rng *Rand) {
+	drawWeights(d.w.W.Data(), math.Sqrt(6.0/float64(d.In+d.Out)), rng)
+	clear(d.b.W.Data())
 }
 
 // Forward computes x*W + b.
@@ -149,16 +150,21 @@ func (t *Tanh) Parameters() []*Param { return nil }
 // Dropout zeroes each activation with probability Rate during training,
 // scaling survivors by 1/(1-Rate) (inverted dropout); inference is identity.
 type Dropout struct {
-	Rate    float64
-	rng     *rand.Rand
+	Rate float64
+	rng  *Rand
+	// mask is the last training Forward's mask; inference empties it
+	// (keeping its backing array), and an empty mask is the identity.
 	mask    []float64
 	out, dx *matrix.Matrix
 }
 
 // NewDropout builds a dropout layer; rate must be in [0, 1).
-func NewDropout(rate float64, rng *rand.Rand) *Dropout {
+func NewDropout(rate float64, rng *Rand) *Dropout {
 	return &Dropout{Rate: rate, rng: rng}
 }
+
+// init takes rng as the mask generator.
+func (d *Dropout) init(rng *Rand) { d.rng = rng }
 
 // Forward applies the stochastic mask during training.
 func (d *Dropout) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {
@@ -166,17 +172,16 @@ func (d *Dropout) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, erro
 		return nil, fmt.Errorf("nn: dropout rate %v outside [0,1)", d.Rate)
 	}
 	if !training || d.Rate == 0 {
-		d.mask = nil
+		d.mask = d.mask[:0]
 		return x, nil
 	}
 	out := matrix.RecycleNoClear(d.out, x.Rows(), x.Cols())
 	d.out = out
 	// One uniform per element in index order (the draw order is part of
-	// every score); the kernel turns each into its mask and applies it.
+	// every score), drawn as one block; the kernel turns each into its mask
+	// and applies it.
 	d.mask = matrix.RecycleVec(d.mask, len(out.Data()))
-	for i := range d.mask {
-		d.mask[i] = d.rng.Float64()
-	}
+	d.rng.Float64s(d.mask)
 	keep := 1 - d.Rate
 	matrix.DropoutApply(d.mask, out.Data(), x.Data(), keep, 1/keep)
 	return out, nil
@@ -188,7 +193,7 @@ func (d *Dropout) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, er
 	if !wantDX {
 		return nil, nil
 	}
-	if d.mask == nil {
+	if len(d.mask) == 0 {
 		return grad, nil
 	}
 	if len(d.mask) != len(grad.Data()) {

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"coda/internal/matrix"
 )
@@ -63,33 +62,36 @@ type LSTM struct {
 	dGt        *matrix.Matrix // batch x 4H pre-activation gate grads at t
 	dGAll      *matrix.Matrix // (batch*SeqLen) x 4H collected gate grads
 	dh, dhNext *matrix.Matrix
+	whT        *matrix.Matrix // Whᵀ, packed once per Backward for every step's dh
 	dc         []float64
 	dx         *matrix.Matrix
 }
 
 // NewLSTM builds an LSTM with Glorot-uniform weights and forget-gate
 // bias 1.
-func NewLSTM(seqLen, inSize, hidden int, rng *rand.Rand) *LSTM {
+func NewLSTM(seqLen, inSize, hidden int, rng *Rand) *LSTM {
 	l := &LSTM{
 		SeqLen: seqLen, InSize: inSize, Hidden: hidden,
 		wx: newParam(inSize, 4*hidden),
 		wh: newParam(hidden, 4*hidden),
 		b:  newParam(1, 4*hidden),
 	}
-	initUniform := func(p *Param, fanIn int) {
-		limit := math.Sqrt(6.0 / float64(fanIn+4*hidden))
-		d := p.W.Data()
-		for i := range d {
-			d[i] = signedUniform(rng) * limit
-		}
-	}
-	initUniform(l.wx, inSize)
-	initUniform(l.wh, hidden)
-	// Forget-gate bias of 1 helps gradient flow early in training.
-	for j := hidden; j < 2*hidden; j++ {
-		l.b.W.Set(0, j, 1)
-	}
+	l.init(rng)
 	return l
+}
+
+// init draws the input, then the recurrent weights from rng, and sets the
+// bias to 1 on the forget gate and 0 elsewhere.
+func (l *LSTM) init(rng *Rand) {
+	h := l.Hidden
+	drawWeights(l.wx.W.Data(), math.Sqrt(6.0/float64(l.InSize+4*h)), rng)
+	drawWeights(l.wh.W.Data(), math.Sqrt(6.0/float64(h+4*h)), rng)
+	// Forget-gate bias of 1 helps gradient flow early in training.
+	b := l.b.W.Row(0)
+	clear(b)
+	for j := h; j < 2*h; j++ {
+		b[j] = 1
+	}
 }
 
 // recycleStates resizes a per-timestep buffer slice, keeping entries so
@@ -204,6 +206,9 @@ func (l *LSTM) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error
 	dGAll := matrix.RecycleNoClear(l.dGAll, batch*l.SeqLen, h4)
 	dGt := matrix.RecycleNoClear(l.dGt, batch, h4)
 	l.dGt = dGt
+	if l.SeqLen > 1 {
+		l.whT = matrix.TInto(l.whT, l.wh.W)
+	}
 
 	for t := l.SeqLen - 1; t >= 0; t-- {
 		if l.ReturnSeq {
@@ -229,12 +234,13 @@ func (l *LSTM) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error
 			break
 		}
 		// Recurrent-weight gradient and the hidden-state gradient for the
-		// earlier timestep, each as one matmul over the batch.
+		// earlier timestep, each as one matmul over the batch; the second is
+		// MulTransposeBInto's product against the Whᵀ packed above.
 		if err := matrix.MulTransposeAAccum(l.wh.Grad, l.hs[t-1], dGt); err != nil {
 			return nil, fmt.Errorf("nn: lstm backward dWh: %w", err)
 		}
 		var err error
-		dhNext, err = matrix.MulTransposeBInto(dhNext, dGt, l.wh.W)
+		dhNext, err = matrix.MulNoSkipInto(dhNext, dGt, l.whT)
 		if err != nil {
 			return nil, fmt.Errorf("nn: lstm backward dh: %w", err)
 		}

@@ -35,12 +35,20 @@ func newParam(rows, cols int) *Param {
 	return &Param{W: matrix.New(rows, cols), Grad: matrix.New(rows, cols)}
 }
 
-// signedUniform is 2u − 1 for the next uniform draw u from rng: a weight
-// initialiser's draw on [−1, 1). u and 2u are each rounded on their own
-// (both exactly), so no compiler fuses rand's scaling or the doubling into
-// the subtraction (arm64 would).
-func signedUniform(rng *rand.Rand) float64 {
-	u := float64(rng.Float64())
+// drawWeights sets w[i] = (2u − 1)·limit for the next len(w) uniform draws
+// u from rng, in index order: a weight initialiser's draws on
+// [−limit, limit).
+func drawWeights(w []float64, limit float64, rng *Rand) {
+	rng.Float64s(w)
+	for i, u := range w {
+		w[i] = signedUniform(u) * limit
+	}
+}
+
+// signedUniform is 2u − 1 for a uniform draw u: a draw on [−1, 1). 2u is
+// rounded on its own (exactly), so no compiler fuses the doubling into the
+// subtraction (arm64 would).
+func signedUniform(u float64) float64 {
 	return float64(2*u) - 1
 }
 
@@ -50,6 +58,14 @@ func (p *Param) zeroGrad() {
 	for i := range d {
 		d[i] = 0
 	}
+}
+
+// initializer is a layer that draws its starting state from a generator:
+// its constructor calls init once, and Network.Reinit calls it again. A
+// layer with parameters draws them and resets the rest to their starting
+// values; a Dropout takes rng as its mask generator.
+type initializer interface {
+	init(rng *Rand)
 }
 
 // Layer is one differentiable stage of a network. Forward must cache
@@ -87,6 +103,11 @@ type Network struct {
 	// batch is the mini-batch size of the last Fit: Predict's block size,
 	// so inference runs in the buffers training grew.
 	batch int
+	// Fit's batch order: shuffle is rand.New(orderRand), orderRand
+	// re-seeded with each Fit's seed, and rows the row order it shuffles.
+	orderRand *Rand
+	shuffle   *rand.Rand
+	rows      []int
 }
 
 // NewNetwork builds a sequential network; opt may be nil, defaulting to
@@ -105,6 +126,35 @@ func (n *Network) Parameters() []*Param {
 		out = append(out, l.Parameters()...)
 	}
 	return out
+}
+
+// Reinit puts n back where its layers' constructors left it, in place:
+// each layer draws its weights from rng again, in layer order, and resets
+// the rest of its parameters (a Dropout takes rng as its mask generator);
+// every gradient is zeroed, and the optimizer starts over (Adam's moments
+// and step back at zero). A network whose layers were built in the order
+// they stand, from a generator seeded as rng is, gets its constructors'
+// weights bit for bit, so a Fit after Reinit is a new network's Fit. The
+// scratch buffers every layer grew are kept. A layer with parameters that
+// cannot draw them again, or an optimizer that cannot start over, is an
+// error, and leaves n part re-initialised.
+func (n *Network) Reinit(rng *Rand) error {
+	for i, l := range n.Layers {
+		if in, ok := l.(initializer); ok {
+			in.init(rng)
+		} else if len(l.Parameters()) > 0 {
+			return fmt.Errorf("nn: layer %d (%T) cannot re-initialise its parameters", i, l)
+		}
+	}
+	for _, p := range n.Parameters() {
+		p.zeroGrad()
+	}
+	opt, ok := n.Optimizer.(interface{ reset() })
+	if !ok {
+		return fmt.Errorf("nn: optimizer %T cannot start over", n.Optimizer)
+	}
+	opt.reset()
+	return nil
 }
 
 // Forward runs the full stack.
@@ -158,14 +208,22 @@ func (n *Network) Fit(x *matrix.Matrix, y []float64, cfg FitConfig) error {
 	}
 	cfg.setDefaults()
 	n.batch = cfg.BatchSize
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	if n.orderRand == nil {
+		n.orderRand = NewRand(cfg.Seed)
+		n.shuffle = rand.New(n.orderRand)
+	} else {
+		n.orderRand.Seed(cfg.Seed)
+	}
 	params := n.Parameters()
-	order := make([]int, x.Rows())
+	if cap(n.rows) < x.Rows() {
+		n.rows = make([]int, x.Rows())
+	}
+	order := n.rows[:x.Rows()]
 	for i := range order {
 		order[i] = i
 	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+		n.shuffle.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 		for start := 0; start < len(order); start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, len(order))
 			idx := order[start:end]

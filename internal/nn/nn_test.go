@@ -71,6 +71,14 @@ func numericalGradCheck(t *testing.T, layer Layer, in *matrix.Matrix, tol float6
 	}
 }
 
+// testRand returns a generator for a test's layers and math/rand's Rand
+// over that same generator for its data, so that layers and data share one
+// sequence as they did when the layers drew from a rand.Rand.
+func testRand(seed int64) (*Rand, *rand.Rand) {
+	r := NewRand(seed)
+	return r, rand.New(r)
+}
+
 func randInput(rng *rand.Rand, rows, cols int) *matrix.Matrix {
 	m := matrix.New(rows, cols)
 	for i := range m.Data() {
@@ -80,8 +88,8 @@ func randInput(rng *rand.Rand, rows, cols int) *matrix.Matrix {
 }
 
 func TestDenseGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	layer := NewDense(5, 3, rng)
+	src, rng := testRand(1)
+	layer := NewDense(5, 3, src)
 	numericalGradCheck(t, layer, randInput(rng, 4, 5), 1e-4)
 }
 
@@ -147,14 +155,14 @@ func TestTanhGradients(t *testing.T) {
 }
 
 func TestConv1DGradientsValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	layer := NewConv1D(8, 2, 3, 3, 1, false, rng)
+	src, rng := testRand(4)
+	layer := NewConv1D(8, 2, 3, 3, 1, false, src)
 	numericalGradCheck(t, layer, randInput(rng, 2, 16), 1e-4)
 }
 
 func TestConv1DGradientsCausalDilated(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	layer := NewConv1D(8, 2, 2, 2, 2, true, rng)
+	src, rng := testRand(5)
+	layer := NewConv1D(8, 2, 2, 2, 2, true, src)
 	if layer.OutLen() != 8 {
 		t.Fatalf("causal OutLen = %d, want 8", layer.OutLen())
 	}
@@ -162,8 +170,8 @@ func TestConv1DGradientsCausalDilated(t *testing.T) {
 }
 
 func TestConv1DCausality(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	layer := NewConv1D(10, 1, 1, 3, 2, true, rng)
+	src, rng := testRand(6)
+	layer := NewConv1D(10, 1, 1, 3, 2, true, src)
 	in := randInput(rng, 1, 10)
 	out1, err := layer.Forward(in, false)
 	if err != nil {
@@ -276,20 +284,20 @@ func TestLastTimestep(t *testing.T) {
 }
 
 func TestLSTMGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	layer := NewLSTM(4, 2, 3, rng)
+	src, rng := testRand(7)
+	layer := NewLSTM(4, 2, 3, src)
 	numericalGradCheck(t, layer, randInput(rng, 2, 8), 1e-4)
 }
 
 func TestGatedResidualBlockGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	layer := NewGatedResidualBlock(6, 2, 2, 2, rng)
+	src, rng := testRand(8)
+	layer := NewGatedResidualBlock(6, 2, 2, 2, src)
 	numericalGradCheck(t, layer, randInput(rng, 2, 12), 1e-4)
 }
 
 func TestResidualConvBlockGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	layer := NewResidualConvBlock(6, 2, 2, 1, rng)
+	src, rng := testRand(9)
+	layer := NewResidualConvBlock(6, 2, 2, 1, src)
 	in := randInput(rng, 2, 12)
 	// Keep conv pre-activations away from the ReLU kink by scaling inputs.
 	for i := range in.Data() {
@@ -299,8 +307,8 @@ func TestResidualConvBlockGradients(t *testing.T) {
 }
 
 func TestDropoutTrainVsInference(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	layer := NewDropout(0.5, rng)
+	src, rng := testRand(10)
+	layer := NewDropout(0.5, src)
 	in := randInput(rng, 10, 20)
 	outInfer, err := layer.Forward(in, false)
 	if err != nil {
@@ -333,20 +341,20 @@ func TestDropoutTrainVsInference(t *testing.T) {
 			t.Fatal("gradient leaked through dropped unit")
 		}
 	}
-	if _, err := NewDropout(1.5, rng).Forward(in, true); err == nil {
+	if _, err := NewDropout(1.5, src).Forward(in, true); err == nil {
 		t.Fatal("want rate error")
 	}
 }
 
 func TestNetworkLearnsLinearFunction(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	src, rng := testRand(11)
 	n := 200
 	x := randInput(rng, n, 3)
 	y := make([]float64, n)
 	for i := 0; i < n; i++ {
 		y[i] = 2*x.At(i, 0) - x.At(i, 1) + 0.5*x.At(i, 2)
 	}
-	net := NewNetwork(NewAdam(0.01), NewDense(3, 16, rng), NewReLU(), NewDense(16, 1, rng))
+	net := NewNetwork(NewAdam(0.01), NewDense(3, 16, src), NewReLU(), NewDense(16, 1, src))
 	if err := net.Fit(x, y, FitConfig{Epochs: 200, BatchSize: 32, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +374,7 @@ func TestNetworkLearnsLinearFunction(t *testing.T) {
 }
 
 func TestLSTMNetworkLearnsSequenceSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
+	src, rng := testRand(12)
 	seqLen, n := 5, 300
 	x := randInput(rng, n, seqLen)
 	y := make([]float64, n)
@@ -378,8 +386,8 @@ func TestLSTMNetworkLearnsSequenceSum(t *testing.T) {
 		y[i] = s
 	}
 	net := NewNetwork(NewAdam(0.02),
-		NewLSTM(seqLen, 1, 8, rng),
-		NewDense(8, 1, rng),
+		NewLSTM(seqLen, 1, 8, src),
+		NewDense(8, 1, src),
 	)
 	if err := net.Fit(x, y, FitConfig{Epochs: 150, BatchSize: 32, Seed: 2}); err != nil {
 		t.Fatal(err)
@@ -410,13 +418,13 @@ func TestSGDMomentumAndAdamReduceLoss(t *testing.T) {
 		"adam":         NewAdam(0.01),
 	} {
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(13))
+			src, rng := testRand(13)
 			x := randInput(rng, 100, 2)
 			y := make([]float64, 100)
 			for i := range y {
 				y[i] = x.At(i, 0) + x.At(i, 1)
 			}
-			net := NewNetwork(opt, NewDense(2, 1, rng))
+			net := NewNetwork(opt, NewDense(2, 1, src))
 			out, err := net.Forward(x, false)
 			if err != nil {
 				t.Fatal(err)
@@ -438,8 +446,8 @@ func TestSGDMomentumAndAdamReduceLoss(t *testing.T) {
 }
 
 func TestNetworkErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	net := NewNetwork(nil, NewDense(2, 1, rng))
+	src, rng := testRand(14)
+	net := NewNetwork(nil, NewDense(2, 1, src))
 	x := randInput(rng, 3, 2)
 	if err := net.Fit(x, []float64{1, 2}, FitConfig{}); err == nil {
 		t.Fatal("want length error")
@@ -452,7 +460,7 @@ func TestNetworkErrors(t *testing.T) {
 		t.Fatal("want shape error")
 	}
 	// Multi-column output rejected.
-	net2 := NewNetwork(nil, NewDense(2, 3, rng))
+	net2 := NewNetwork(nil, NewDense(2, 3, src))
 	if err := net2.Fit(x, []float64{1, 2, 3}, FitConfig{Epochs: 1}); err == nil {
 		t.Fatal("want output-cols error")
 	}
@@ -460,13 +468,13 @@ func TestNetworkErrors(t *testing.T) {
 
 func TestFitDeterministicForSeed(t *testing.T) {
 	make2 := func() []float64 {
-		rng := rand.New(rand.NewSource(20))
+		src, rng := testRand(20)
 		x := randInput(rng, 50, 2)
 		y := make([]float64, 50)
 		for i := range y {
 			y[i] = x.At(i, 0) - x.At(i, 1)
 		}
-		net := NewNetwork(NewAdam(0.01), NewDense(2, 4, rng), NewTanh(), NewDense(4, 1, rng))
+		net := NewNetwork(NewAdam(0.01), NewDense(2, 4, src), NewTanh(), NewDense(4, 1, src))
 		if err := net.Fit(x, y, FitConfig{Epochs: 10, BatchSize: 16, Seed: 5}); err != nil {
 			t.Fatal(err)
 		}
@@ -485,15 +493,15 @@ func TestFitDeterministicForSeed(t *testing.T) {
 }
 
 func TestLSTMReturnSeqGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	layer := NewLSTM(3, 2, 2, rng)
+	src, rng := testRand(15)
+	layer := NewLSTM(3, 2, 2, src)
 	layer.ReturnSeq = true
 	numericalGradCheck(t, layer, randInput(rng, 2, 6), 1e-4)
 }
 
 func TestLSTMReturnSeqShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	layer := NewLSTM(4, 1, 3, rng)
+	src, rng := testRand(16)
+	layer := NewLSTM(4, 1, 3, src)
 	layer.ReturnSeq = true
 	out, err := layer.Forward(randInput(rng, 2, 4), false)
 	if err != nil {
@@ -503,7 +511,7 @@ func TestLSTMReturnSeqShape(t *testing.T) {
 		t.Fatalf("return-seq shape %dx%d, want 2x12", out.Rows(), out.Cols())
 	}
 	// Last Hidden columns must equal the non-return-seq output.
-	layer2 := NewLSTM(4, 1, 3, rng)
+	layer2 := NewLSTM(4, 1, 3, src)
 	layer2.wx.W = layer.wx.W.Clone()
 	layer2.wh.W = layer.wh.W.Clone()
 	layer2.b.W = layer.b.W.Clone()
@@ -554,9 +562,9 @@ func TestLSTMTanhCacheMatchesRecompute(t *testing.T) {
 }
 
 func lstmTanhCacheMatchesRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+	src, rng := testRand(11)
 	const seq, in, hidden = 5, 3, 4
-	l := NewLSTM(seq, in, hidden, rng)
+	l := NewLSTM(seq, in, hidden, src)
 	l.ReturnSeq = true
 	for _, batch := range []int{6, 2, 7} {
 		x := matrix.New(batch, seq*in)
@@ -616,9 +624,9 @@ func TestGatedActivationCacheMatchesRecompute(t *testing.T) {
 }
 
 func gatedActivationCacheMatchesRecompute(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
+	src, rng := testRand(12)
 	const seq, ch = 8, 3
-	b := NewGatedResidualBlock(seq, ch, 2, 2, rng)
+	b := NewGatedResidualBlock(seq, ch, 2, 2, src)
 	for _, batch := range []int{5, 2, 6} {
 		x := matrix.New(batch, seq*ch)
 		grad := matrix.New(batch, seq*ch)
@@ -677,20 +685,20 @@ func gatedActivationCacheMatchesRecompute(t *testing.T) {
 // layer with parameters: asked for no input gradient, Backward returns nil
 // and accumulates the same parameter-gradient bits as when it is asked.
 func TestBackwardWithoutDXKeepsParamGrads(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	lstm := NewLSTM(5, 3, 4, rng)
+	src, rng := testRand(13)
+	lstm := NewLSTM(5, 3, 4, src)
 	lstm.ReturnSeq = true
 	for _, c := range []struct {
 		name  string
 		layer Layer
 		in    *matrix.Matrix
 	}{
-		{"Dense", NewDense(6, 4, rng), randInput(rng, 7, 6)},
-		{"LSTM", NewLSTM(5, 3, 4, rng), randInput(rng, 7, 15)},
+		{"Dense", NewDense(6, 4, src), randInput(rng, 7, 6)},
+		{"LSTM", NewLSTM(5, 3, 4, src), randInput(rng, 7, 15)},
 		{"LSTM ReturnSeq", lstm, randInput(rng, 7, 15)},
-		{"Conv1D", NewConv1D(6, 2, 3, 3, 1, false, rng), randInput(rng, 7, 12)},
-		{"GatedResidualBlock", NewGatedResidualBlock(6, 2, 2, 2, rng), randInput(rng, 7, 12)},
-		{"ResidualConvBlock", NewResidualConvBlock(6, 2, 2, 2, rng), randInput(rng, 7, 12)},
+		{"Conv1D", NewConv1D(6, 2, 3, 3, 1, false, src), randInput(rng, 7, 12)},
+		{"GatedResidualBlock", NewGatedResidualBlock(6, 2, 2, 2, src), randInput(rng, 7, 12)},
+		{"ResidualConvBlock", NewResidualConvBlock(6, 2, 2, 2, src), randInput(rng, 7, 12)},
 	} {
 		grads := func(wantDX bool) []uint64 {
 			out, err := c.layer.Forward(c.in, true)

@@ -50,6 +50,13 @@ func (s *SGD) Step(params []*Param) {
 	}
 }
 
+// reset zeroes the velocities: SGD as it was before its first Step.
+func (s *SGD) reset() {
+	for _, v := range s.velocity {
+		clear(v)
+	}
+}
+
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction. Each
 // parameter's update is one matrix.AdamUpdate call over its elements.
 type Adam struct {
@@ -90,6 +97,13 @@ func (a *Adam) Step(params []*Param) {
 		matrix.AdamUpdate(w, p.Grad.Data(), m[:len(w)], v[:len(w)], &k)
 		m, v = m[len(w):], v[len(w):]
 	}
+}
+
+// reset puts a back before its first Step, keeping the slab's layout: zero
+// moments, and the bias corrections back at step 1.
+func (a *Adam) reset() {
+	clear(a.slab)
+	a.t = 0
 }
 
 // bind lays the slab out for params unless it already is.

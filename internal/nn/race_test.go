@@ -12,19 +12,19 @@ import (
 // raceNet builds a small stack covering every arena-buffered layer family
 // (dense, activation, recurrent, convolutional) from a fixed seed.
 func raceNet(kind int, seed int64) *Network {
-	rng := rand.New(rand.NewSource(seed))
+	src := NewRand(seed)
 	switch kind % 3 {
 	case 0:
 		return NewNetwork(NewAdam(0.01),
-			NewDense(8, 12, rng), NewReLU(), NewDense(12, 1, rng))
+			NewDense(8, 12, src), NewReLU(), NewDense(12, 1, src))
 	case 1:
 		return NewNetwork(NewAdam(0.01),
-			NewLSTM(4, 2, 6, rng), NewDense(6, 1, rng))
+			NewLSTM(4, 2, 6, src), NewDense(6, 1, src))
 	default:
 		return NewNetwork(NewAdam(0.01),
-			NewConv1D(4, 2, 5, 2, 1, true, rng),
+			NewConv1D(4, 2, 5, 2, 1, true, src),
 			NewLastTimestep(4, 5),
-			NewDense(5, 1, rng))
+			NewDense(5, 1, src))
 	}
 }
 

@@ -17,7 +17,6 @@ package nnmodels
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
@@ -82,7 +81,7 @@ func (c *netConfig) params() map[string]float64 {
 	}
 }
 
-// train fits a freshly built network on ds.
+// train fits a network at its starting weights on ds.
 func train(net *nn.Network, ds *dataset.Dataset, cfg netConfig) error {
 	return net.Fit(ds.X, ds.Y, nn.FitConfig{Epochs: cfg.Epochs, BatchSize: cfg.Batch, Seed: cfg.Seed})
 }
@@ -105,19 +104,28 @@ type windowShape struct{ seqLen, channels int }
 
 // Regressor is one network of the zoo. Its constructor fixes its name, its
 // default hyperparameters, whether it reads cascaded windows, the shortest
-// window it can convolve and the function that builds its layers.
+// window it can convolve and the function that builds its layers, drawing
+// their weights and dropout masks from the generator it is given.
+//
+// A Regressor builds its network at its first Fit and keeps it: a later Fit
+// on rows of the same window shape, with the same hyperparameters,
+// re-initialises that network in place (nn.Network.Reinit from the
+// generator re-seeded) instead of building another, so it trains the bits
+// a new network would, in the buffers the last fit grew.
 type Regressor struct {
 	name     string
 	cfg      netConfig
 	windowed bool // reads cascaded windows (WindowLen/NumVars metadata)
 	minSteps int  // shortest window history the network accepts
-	build    func(windowShape, netConfig) *nn.Network
+	build    func(windowShape, netConfig, *nn.Rand) *nn.Network
 
-	net *nn.Network
-	win windowShape
+	net    *nn.Network
+	win    windowShape
+	netCfg netConfig // the hyperparameters net was built with
+	rng    *nn.Rand  // net's generator: its weights' and dropout masks'
 }
 
-func newRegressor(name string, hidden int, build func(windowShape, netConfig) *nn.Network) *Regressor {
+func newRegressor(name string, hidden int, build func(windowShape, netConfig, *nn.Rand) *nn.Network) *Regressor {
 	cfg := defaultConfig()
 	cfg.Hidden = hidden
 	return &Regressor{name: name, cfg: cfg, windowed: true, build: build}
@@ -135,8 +143,8 @@ func variant(deep bool, name string) string {
 // simple = two hidden layers with dropout, deep = four. It treats rows as
 // flat feature vectors and so pairs with flat windows or TS-as-IID rows.
 func NewDNNRegressor(deep bool) *Regressor {
-	r := newRegressor(variant(deep, "dnn"), 16, func(w windowShape, cfg netConfig) *nn.Network {
-		return buildDNN(deep, w.channels, cfg)
+	r := newRegressor(variant(deep, "dnn"), 16, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+		return buildDNN(deep, w.channels, cfg, rng)
 	})
 	r.windowed = false
 	return r
@@ -146,8 +154,8 @@ func NewDNNRegressor(deep bool) *Regressor {
 // LSTM layer plus dropout, deep = four stacked LSTM layers each followed by
 // dropout. Both end in a fully-connected linear layer.
 func NewLSTMRegressor(deep bool) *Regressor {
-	return newRegressor(variant(deep, "lstm"), 12, func(w windowShape, cfg netConfig) *nn.Network {
-		return buildLSTM(deep, w.seqLen, w.channels, cfg)
+	return newRegressor(variant(deep, "lstm"), 12, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+		return buildLSTM(deep, w.seqLen, w.channels, cfg, rng)
 	})
 }
 
@@ -155,8 +163,8 @@ func NewLSTMRegressor(deep bool) *Regressor {
 // convolution, max pooling, a dense ReLU layer and a linear output; the
 // deep variant stacks a second convolution-pool stage.
 func NewCNNRegressor(deep bool) *Regressor {
-	r := newRegressor(variant(deep, "cnn"), 8, func(w windowShape, cfg netConfig) *nn.Network {
-		return buildCNN(deep, w.seqLen, w.channels, cfg)
+	r := newRegressor(variant(deep, "cnn"), 8, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+		return buildCNN(deep, w.seqLen, w.channels, cfg, rng)
 	})
 	r.minSteps = 4 // the first convolution's kernel of 3, plus one step to pool
 	return r
@@ -167,8 +175,8 @@ func NewCNNRegressor(deep bool) *Regressor {
 // architecture the paper adopts for time-series prediction — followed by a
 // linear head on the final timestep.
 func NewWaveNetRegressor() *Regressor {
-	return newRegressor("wavenet", 8, func(w windowShape, cfg netConfig) *nn.Network {
-		return buildWaveNet(w.seqLen, w.channels, cfg)
+	return newRegressor("wavenet", 8, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+		return buildWaveNet(w.seqLen, w.channels, cfg, rng)
 	})
 }
 
@@ -177,8 +185,8 @@ func NewWaveNetRegressor() *Regressor {
 // with ReLU activations and linear skip projections, requiring no data
 // preprocessing beyond windowing.
 func NewSeriesNetRegressor() *Regressor {
-	return newRegressor("seriesnet", 8, func(w windowShape, cfg netConfig) *nn.Network {
-		return buildSeriesNet(w.seqLen, w.channels, cfg)
+	return newRegressor("seriesnet", 8, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+		return buildSeriesNet(w.seqLen, w.channels, cfg, rng)
 	})
 }
 
@@ -198,7 +206,10 @@ func (r *Regressor) Clone() core.Estimator {
 	return &Regressor{name: r.name, cfg: r.cfg, windowed: r.windowed, minSteps: r.minSteps, build: r.build}
 }
 
-// Fit builds the network for ds's row shape and trains it.
+// Fit trains a network from its starting weights on ds, discarding any
+// earlier fit: the network it already has, re-initialised, when ds has the
+// window shape it was built for and no hyperparameter has changed since,
+// else one built for ds's row shape.
 func (r *Regressor) Fit(ds *dataset.Dataset) error {
 	if ds.Y == nil {
 		return fmt.Errorf("nnmodels: %s requires targets", r.name)
@@ -214,11 +225,29 @@ func (r *Regressor) Fit(ds *dataset.Dataset) error {
 		}
 		shape = windowShape{seqLen, channels}
 	}
-	r.net = r.build(shape, r.cfg)
-	r.win = shape
+	if err := r.startNet(shape); err != nil {
+		return fmt.Errorf("nnmodels: %s fit: %w", r.name, err)
+	}
 	if err := train(r.net, ds, r.cfg); err != nil {
 		return fmt.Errorf("nnmodels: %s fit: %w", r.name, err)
 	}
+	return nil
+}
+
+// startNet puts a network at its starting weights for rows of shape: the
+// one r has, re-initialised, if it was built for shape with r's current
+// hyperparameters, else a new one. Both draw from r's generator seeded
+// with the configured seed, so their weights and masks are the same bits.
+func (r *Regressor) startNet(shape windowShape) error {
+	if r.rng == nil {
+		r.rng = nn.NewRand(r.cfg.Seed)
+	} else {
+		r.rng.Seed(r.cfg.Seed)
+	}
+	if r.net != nil && shape == r.win && r.cfg == r.netCfg {
+		return r.net.Reinit(r.rng)
+	}
+	r.net, r.win, r.netCfg = r.build(shape, r.cfg, r.rng), shape, r.cfg
 	return nil
 }
 
@@ -243,8 +272,7 @@ func (r *Regressor) Predict(ds *dataset.Dataset) ([]float64, error) {
 	return r.net.Predict(ds.X)
 }
 
-func buildDNN(deep bool, in int, cfg netConfig) *nn.Network {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func buildDNN(deep bool, in int, cfg netConfig, rng *nn.Rand) *nn.Network {
 	h := cfg.Hidden
 	hiddenLayers := 2
 	if deep {
@@ -260,8 +288,7 @@ func buildDNN(deep bool, in int, cfg netConfig) *nn.Network {
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-func buildLSTM(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func buildLSTM(deep bool, seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network {
 	h := cfg.Hidden
 	var layers []nn.Layer
 	if deep {
@@ -280,9 +307,8 @@ func buildLSTM(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-func buildCNN(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
+func buildCNN(deep bool, seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network {
 	const kernel = 3
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := cfg.Hidden
 	var layers []nn.Layer
 	conv1 := nn.NewConv1D(seqLen, channels, f, kernel, 1, false, rng)
@@ -311,8 +337,7 @@ func buildCNN(deep bool, seqLen, channels int, cfg netConfig) *nn.Network {
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-func buildWaveNet(seqLen, channels int, cfg netConfig) *nn.Network {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func buildWaveNet(seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network {
 	f := cfg.Hidden
 	layers := []nn.Layer{
 		// 1x1 causal conv lifts the input channels to the block width.
@@ -325,8 +350,7 @@ func buildWaveNet(seqLen, channels int, cfg netConfig) *nn.Network {
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-func buildSeriesNet(seqLen, channels int, cfg netConfig) *nn.Network {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func buildSeriesNet(seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network {
 	f := cfg.Hidden
 	layers := []nn.Layer{
 		nn.NewConv1D(seqLen, channels, f, 1, 1, true, rng),
