@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coda/internal/matrix"
@@ -491,6 +492,77 @@ func TestFitDeterministicForSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestReinitIsANewNetwork: after a fit, Reinit from the constructors'
+// generator re-seeded puts every parameter back to the constructors' bits
+// (an LSTM's forget-gate bias included) and Adam back to step 0, so a
+// second fit predicts what a new network's fit does, bit for bit. A layer
+// with parameters that cannot draw them again is refused.
+func TestReinitIsANewNetwork(t *testing.T) {
+	_, rng := testRand(21)
+	x := randInput(rng, 40, 8)
+	y := make([]float64, 40)
+	for i := range y {
+		y[i] = x.At(i, 0) - x.At(i, 7)
+	}
+	build := func(gen *Rand) *Network {
+		lstm := NewLSTM(4, 2, 3, gen)
+		lstm.ReturnSeq = true
+		return NewNetwork(NewAdam(0.01), lstm, NewDropout(0.2, gen),
+			NewConv1D(4, 3, 2, 2, 1, true, gen), NewLastTimestep(4, 2), NewDense(2, 1, gen))
+	}
+	cfg := FitConfig{Epochs: 3, BatchSize: 16, Seed: 4}
+	fitPredict := func(net *Network) []float64 {
+		t.Helper()
+		if err := net.Fit(x, y, cfg); err != nil {
+			t.Fatal(err)
+		}
+		p, err := net.Predict(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	gen := NewRand(9)
+	reused := build(gen)
+	fitPredict(reused)
+	gen.Seed(9)
+	if err := reused.Reinit(gen); err != nil {
+		t.Fatal(err)
+	}
+	fresh := build(NewRand(9))
+	for i, p := range fresh.Parameters() {
+		r := reused.Parameters()[i]
+		if !slices.Equal(r.W.Data(), p.W.Data()) || slices.ContainsFunc(r.Grad.Data(), func(g float64) bool { return g != 0 }) {
+			t.Fatalf("parameter %d after Reinit: %v (grad %v), a new network's %v", i, r.W.Data(), r.Grad.Data(), p.W.Data())
+		}
+	}
+	got, want := fitPredict(reused), fitPredict(fresh)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("row %d: refit %v, new network %v", i, got[i], want[i])
+		}
+	}
+
+	foreign := NewNetwork(nil, NewDense(8, 1, gen), foreignLayer{NewDense(1, 1, gen)})
+	if err := foreign.Reinit(gen); err == nil {
+		t.Fatal("Reinit of a layer that cannot draw its parameters again: no error")
+	}
+}
+
+// foreignLayer is a layer as a caller outside the package would write
+// one: it has parameters but no way to draw them again.
+type foreignLayer struct{ d *Dense }
+
+func (f foreignLayer) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {
+	return f.d.Forward(x, training)
+}
+
+func (f foreignLayer) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
+	return f.d.Backward(grad, wantDX)
+}
+
+func (f foreignLayer) Parameters() []*Param { return f.d.Parameters() }
 
 func TestLSTMReturnSeqGradients(t *testing.T) {
 	src, rng := testRand(15)
