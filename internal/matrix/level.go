@@ -18,7 +18,7 @@ package matrix
 //	CopyBlock, AddBlock                        own    avx2
 //	AddInto (float64), MulElems, KeepPositive  own    avx2
 //	DropoutApply, AdamUpdate                   own    avx2
-//	LaggedUniforms                             own    own
+//	LaggedUniforms                             own    avx2
 type level int
 
 const (

@@ -13,10 +13,10 @@ package matrix
 // least as long as dst and must not overlap.
 //
 // It is the package's fifth primitive, under Sigmoid's rule: on amd64 with
-// AVX2 an assembly kernel does four lanes per instruction and with AVX-512
-// eight (uniforms_amd64.s), elsewhere the portable twin below does one, and
+// AVX2 an assembly kernel does four lanes per instruction
+// (uniforms_amd64.s), elsewhere the portable twin below does one, and
 // every path gives the twin's bits. The conversion is exact on every path:
-// the kernels split each 63-bit value into its high 31 and low 32 bits,
+// the kernel splits each 63-bit value into its high 31 and low 32 bits,
 // both exact as float64, so their one rounded sum is float64 of the whole
 // under round-to-nearest, and the scaling by 2⁻⁶³ is exact.
 func LaggedUniforms(dst []float64, feed, tap []uint64) bool {

@@ -1,24 +1,22 @@
 #include "textflag.h"
 
-// The AVX2 and AVX-512 forms of laggedUniformsGeneric (uniforms.go). A lane
-// is an element: it adds tap to feed as a 64-bit integer, stores the sum
-// back, and converts its low 63 bits v to v·2⁻⁶³ exactly. The high 31 bits
+// The AVX2 form of laggedUniformsGeneric (uniforms.go). A lane is an
+// element: it adds tap to feed as a 64-bit integer, stores the sum back,
+// and converts its low 63 bits v to v·2⁻⁶³ exactly. The high 31 bits
 // go into the mantissa of 2²¹, where its lowest bit weighs 2⁻³¹, and the
 // low 32 bits into that of 2⁻¹¹, where it weighs 2⁻⁶³; taking each constant
 // off again leaves hi·2⁻³¹ and lo·2⁻⁶³, both exact, and their one rounded
 // sum is float64(v)·2⁻⁶³ (the twin's conversion rounds once, to nearest,
 // too, and scaling by a power of two above the subnormals is exact). A
-// lane reads 1 only when its output is the largest a lane can give, so the
-// kernels keep a running maximum (the AVX2 form ORs its compares) and
-// compare it with 1 once. A masked-out tail lane loads zeros, so it reads
-// 0, and is never written.
+// lane that reads 1 sets its bits in Y11, the OR of every lane's compare
+// with 1, which is tested once. A masked-out tail lane loads zeros, so it
+// reads 0, and is never written.
 //
 //	DI  feed    SI  tap    R8  dst    AX  byte offset    CX  elements left
 
 #define HI	·uniformTab+0(SB)
 #define LO	·uniformTab+32(SB)
-#define LOW31	·uniformTab+64(SB)
-#define ONE	·uniformTab+96(SB)
+#define ONE	·uniformTab+64(SB)
 
 #define TMASK	Y7
 #define TMASKX	X7
@@ -72,75 +70,6 @@ tail:
 
 done:
 	VPTEST Y11, Y11
-	SETNE ret+32(FP)
-	VZEROUPPER
-	RET
-
-// CONVERT8 turns the eight sums in Z0 into their uniforms in Z1: the high
-// bits shifted down and merged with 2²¹ in one ternary-logic select (Z27
-// picks the low 31 bits from the shifted value, the rest from Z28), the low
-// dwords blended under 2⁻¹¹'s high dwords.
-//
-//	Z27  low 31 bits    Z28  2²¹    Z29  2⁻¹¹    K2  the odd dwords (high halves)
-#define CONVERT8 \
-	VPSRLQ $32, Z0, Z1; \
-	VPTERNLOGQ $0xe4, Z27, Z28, Z1; \
-	VSUBPD Z28, Z1, Z1; \
-	VPBLENDMD Z29, Z0, K2, Z2; \
-	VSUBPD Z29, Z2, Z2; \
-	VADDPD Z2, Z1, Z1
-
-// func laggedUniformsAVX512(dst *float64, feed, tap *uint64, n int) bool
-//
-// Eight lanes per vector; the last 1-7 under the K1 lane mask. Z26 keeps
-// each lane's largest output as an unsigned integer max of the bits, which
-// orders non-negative doubles as their values.
-TEXT ·laggedUniformsAVX512(SB), NOSPLIT, $0-33
-	MOVQ dst+0(FP), R8
-	MOVQ feed+8(FP), DI
-	MOVQ tap+16(FP), SI
-	MOVQ n+24(FP), CX
-	VPBROADCASTQ LOW31, Z27
-	VBROADCASTSD HI, Z28
-	VBROADCASTSD LO, Z29
-	VBROADCASTSD ONE, Z31
-	VPXORQ Z26, Z26, Z26
-	MOVL $0xaaaa, DX
-	KMOVW DX, K2
-	XORQ AX, AX
-	SUBQ $8, CX
-	JLT tail
-	PCALIGN $64
-
-vec:
-	VMOVDQU64 (DI)(AX*1), Z0
-	VPADDQ (SI)(AX*1), Z0, Z0
-	VMOVDQU64 Z0, (DI)(AX*1)
-	CONVERT8
-	VMOVUPD Z1, (R8)(AX*1)
-	VPMAXUQ Z1, Z26, Z26
-	ADDQ $64, AX
-	SUBQ $8, CX
-	JGE vec
-
-tail:
-	ADDQ $8, CX
-	JZ done
-	MOVL $1, DX
-	SHLL CX, DX
-	DECL DX
-	KMOVW DX, K1
-	VMOVDQU64.Z (DI)(AX*1), K1, Z0
-	VMOVDQU64.Z (SI)(AX*1), K1, Z1
-	VPADDQ Z1, Z0, Z0
-	VMOVDQU64 Z0, K1, (DI)(AX*1)
-	CONVERT8
-	VMOVUPD Z1, K1, (R8)(AX*1)
-	VPMAXUQ Z1, Z26, Z26
-
-done:
-	VCMPPD $0, Z31, Z26, K3
-	KORTESTW K3, K3
 	SETNE ret+32(FP)
 	VZEROUPPER
 	RET

@@ -50,13 +50,6 @@ func (s *SGD) Step(params []*Param) {
 	}
 }
 
-// reset zeroes the velocities: SGD as it was before its first Step.
-func (s *SGD) reset() {
-	for _, v := range s.velocity {
-		clear(v)
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction. Each
 // parameter's update is one matrix.AdamUpdate call over its elements.
 type Adam struct {

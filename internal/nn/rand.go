@@ -26,34 +26,29 @@ const (
 type Rand struct {
 	vec [randLen]uint64 // the last randLen outputs, y[n] at vec[n % randLen]
 	pos int             // n % randLen of the next output
-	// seeded is the state the last new seed left, and seed that seed: a
-	// network re-seeds with one seed every fold, and a copy of the state
-	// costs less than math/rand's seeding.
-	seeded *[randLen]uint64
-	seed   int64
+	src rand.Source64   // math/rand's source, which Seed seeds again
 }
 
 // NewRand returns a Rand seeded with seed.
 func NewRand(seed int64) *Rand {
-	r := &Rand{}
-	r.Seed(seed)
+	r := &Rand{src: rand.NewSource(seed).(rand.Source64)}
+	r.start()
 	return r
 }
 
-// Seed puts r where rand.NewSource(seed) starts: it takes that source's
-// first randLen outputs and runs the recurrence back from them, so that
-// the state holds the randLen outputs before the first and the next
-// randLen outputs are those. Seeding again with the last seed copies the
-// state that seeding left, and allocates nothing.
+// Seed puts r where rand.NewSource(seed) starts, and allocates nothing.
 func (r *Rand) Seed(seed int64) {
+	r.src.Seed(seed)
+	r.start()
+}
+
+// start takes the source's first randLen outputs and runs the recurrence
+// back from them, so that the state holds the randLen outputs before the
+// first and the next randLen outputs are those.
+func (r *Rand) start() {
 	r.pos = 0
-	if r.seeded != nil && seed == r.seed {
-		r.vec = *r.seeded
-		return
-	}
-	src := rand.NewSource(seed).(rand.Source64)
 	for i := range r.vec {
-		r.vec[i] = src.Uint64()
+		r.vec[i] = r.src.Uint64()
 	}
 	// y[n−607] = y[n] − y[n−273], n descending: y[n−273] is an output
 	// still in place for n >= randTap, and a history value already run
@@ -65,10 +60,6 @@ func (r *Rand) Seed(seed int64) {
 		}
 		r.vec[n] -= r.vec[q]
 	}
-	if r.seeded == nil {
-		r.seeded = new([randLen]uint64)
-	}
-	*r.seeded, r.seed = r.vec, seed
 }
 
 // Uint64 returns the next output.
