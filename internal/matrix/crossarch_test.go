@@ -51,7 +51,8 @@ var fusedAllowed = map[string]string{}
 // own arithmetic, the loss and the weight initialisers; and on the score
 // path, the target denormalisation and synthetic targets in dataset, the
 // scorers in metrics, and core's fold scoring and pipeline prediction, which
-// inline the denormalisation.
+// inline the denormalisation; and the synthetic series, failure, anomaly
+// and fleet generators in sim, whose data every search trains on.
 var fusedScans = []struct {
 	dir, pkg string
 	must     []string
@@ -71,6 +72,7 @@ var fusedScans = []struct {
 	{"../dataset", "coda/internal/dataset", []string{"(*Dataset).DenormY", "MakeRegression"}},
 	{"../metrics", "coda/internal/metrics", []string{"MSE", "MSLE", "R2", "AUC"}},
 	{"../core", "coda/internal/core", []string{"scoreFold", "(*Pipeline).PredictWithTruth", "(*Pipeline).predict"}},
+	{"../sim", "coda/internal/sim", []string{"GenerateSeries", "GenerateFailureData", "GenerateAnomalyData", "GenerateFleet"}},
 }
 
 // TestActivationTwinNotFusedOnArm64 is the cross-architecture half of the

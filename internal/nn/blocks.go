@@ -10,19 +10,22 @@ import (
 // convolutions feed a gated activation tanh(f) * sigmoid(g), a 1x1
 // convolution projects the result back, and the block output adds the
 // input (residual connection). Channel count is preserved so blocks stack.
+// In a network it computes only the steps the layers after it read
+// (steps.go): the convolutions, the gating, the projection and the
+// residual sum all run on those steps' compact rows.
 type GatedResidualBlock struct {
 	SeqLen   int
 	Channels int
 
 	convF, convG *Conv1D // dilated causal convs
-	proj         *Conv1D // 1x1 projection
+	proj         *Conv1D // 1x1 projection, over the compact rows
 
 	// tanhA and sigG are tanh(convF(x)) and sigmoid(convG(x)) as Forward
 	// took them, so Backward reads them back instead of taking them again.
 	tanhA, sigG []float64
 	lastGated   *matrix.Matrix
 
-	out, da, db, dxSum *matrix.Matrix // reused scratch (see Layer)
+	out, g, da, db, dxSum *matrix.Matrix // reused scratch (see Layer)
 }
 
 // NewGatedResidualBlock builds a block with the given kernel and dilation.
@@ -44,13 +47,27 @@ func (b *GatedResidualBlock) init(rng *Rand) {
 	b.proj.init(rng)
 }
 
-// Forward computes x + proj(tanh(convF(x)) * sigmoid(convG(x))).
+// narrow implements narrower: the convolutions compute the steps asked of
+// the block, and the projection all of their compact rows.
+func (b *GatedResidualBlock) narrow(steps []int, dxEvery bool) []int {
+	in := b.convF.setSteps(steps, b.SeqLen, dxEvery)
+	b.convG.setSteps(steps, b.SeqLen, dxEvery)
+	b.proj.setSteps(nil, stepCount(b.convF.steps.out), false)
+	return in
+}
+
+// Forward computes x + proj(tanh(convF(x)) * sigmoid(convG(x))) at the
+// steps the block computes.
 func (b *GatedResidualBlock) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {
-	a, err := b.convF.Forward(x, training)
+	if err := b.convF.checkInput(x); err != nil {
+		return nil, fmt.Errorf("nn: gated block filter conv: %w", err)
+	}
+	batch := x.Rows()
+	a, err := b.convF.forwardRows(x.Data(), batch)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block filter conv: %w", err)
 	}
-	g, err := b.convG.Forward(x, training)
+	g, err := b.convG.forwardRows(x.Data(), batch)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block gate conv: %w", err)
 	}
@@ -65,24 +82,28 @@ func (b *GatedResidualBlock) Forward(x *matrix.Matrix, training bool) (*matrix.M
 	for i := range od {
 		od[i] = ta[i] * sg[i]
 	}
-	r, err := b.proj.Forward(gated, training)
+	r, err := b.proj.forwardRows(od, batch)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block projection: %w", err)
 	}
-	out, err := matrix.AddInto(b.out, x, r)
-	if err != nil {
-		return nil, fmt.Errorf("nn: gated block residual: %w", err)
-	}
-	b.out = out
-	return out, nil
+	b.out = matrix.RecycleNoClear(b.out, batch, x.Cols())
+	residual(b.out.Data(), x.Data(), r.Data(), batch, b.SeqLen, b.Channels, b.convF.steps.out)
+	return b.out, nil
 }
 
-// Backward propagates through the residual sum, gate, and convolutions.
+// Backward propagates through the residual sum, gate, and convolutions,
+// reading grad at the steps the block computes.
 func (b *GatedResidualBlock) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
 	if b.lastGated == nil {
 		return nil, fmt.Errorf("nn: gated block backward before forward")
 	}
-	dGated, err := b.proj.Backward(grad, true)
+	batch, out := b.out.Rows(), b.convF.steps.out
+	if grad.Rows() != batch || grad.Cols() != b.out.Cols() {
+		return nil, fmt.Errorf("%w: gated block backward grad %dx%d", ErrShape, grad.Rows(), grad.Cols())
+	}
+	b.g = matrix.RecycleNoClear(b.g, batch*stepCount(out), b.Channels)
+	gatherSteps(b.g.Data(), grad.Data(), batch, b.SeqLen, b.Channels, out)
+	dGated, err := b.proj.backwardRows(b.g, true)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block projection backward: %w", err)
 	}
@@ -95,11 +116,11 @@ func (b *GatedResidualBlock) Backward(grad *matrix.Matrix, wantDX bool) (*matrix
 		dad[i] = dg * sg[i] * (1 - float64(ta[i]*ta[i]))
 		dbd[i] = dg * ta[i] * sg[i] * (1 - sg[i])
 	}
-	dxF, err := b.convF.Backward(da, wantDX)
+	dxF, err := b.convF.backwardRows(da, wantDX)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block filter backward: %w", err)
 	}
-	dxG, err := b.convG.Backward(db, wantDX)
+	dxG, err := b.convG.backwardRows(db, wantDX)
 	if err != nil {
 		return nil, fmt.Errorf("nn: gated block gate backward: %w", err)
 	}
@@ -107,15 +128,9 @@ func (b *GatedResidualBlock) Backward(grad *matrix.Matrix, wantDX bool) (*matrix
 		return nil, nil
 	}
 	// dx = grad (residual path) + filter path + gate path.
-	dx, err := matrix.AddInto(b.dxSum, grad, dxF)
-	if err != nil {
-		return nil, fmt.Errorf("nn: gated block residual grad: %w", err)
-	}
-	b.dxSum = dx
-	if _, err = matrix.AddInto(dx, dx, dxG); err != nil {
-		return nil, fmt.Errorf("nn: gated block gate grad: %w", err)
-	}
-	return dx, nil
+	b.dxSum = matrix.RecycleNoClear(b.dxSum, batch, grad.Cols())
+	residualGrad(b.dxSum.Data(), b.g.Data(), batch, b.SeqLen, b.Channels, out, b.convF.steps.in, dxF.Data(), dxG.Data())
+	return b.dxSum, nil
 }
 
 // Parameters implements Layer.
@@ -129,16 +144,17 @@ func (b *GatedResidualBlock) Parameters() []*Param {
 
 // ResidualConvBlock is the SeriesNet-style block: a dilated causal
 // convolution with ReLU, a 1x1 projection, and a linear residual
-// connection (no gating).
+// connection (no gating). In a network it computes only the steps the
+// layers after it read, as GatedResidualBlock does.
 type ResidualConvBlock struct {
 	SeqLen   int
 	Channels int
 
 	conv *Conv1D
-	proj *Conv1D
+	proj *Conv1D // 1x1 projection, over the compact rows
 	relu *ReLU
 
-	out, dxSum *matrix.Matrix // reused scratch (see Layer)
+	out, g, dxSum *matrix.Matrix // reused scratch (see Layer)
 }
 
 // NewResidualConvBlock builds a block with the given kernel and dilation.
@@ -158,9 +174,22 @@ func (b *ResidualConvBlock) init(rng *Rand) {
 	b.proj.init(rng)
 }
 
-// Forward computes x + proj(relu(conv(x))).
+// narrow implements narrower: the convolution computes the steps asked of
+// the block, and the ReLU and the projection all of its compact rows.
+func (b *ResidualConvBlock) narrow(steps []int, dxEvery bool) []int {
+	in := b.conv.setSteps(steps, b.SeqLen, dxEvery)
+	b.proj.setSteps(nil, stepCount(b.conv.steps.out), false)
+	return in
+}
+
+// Forward computes x + proj(relu(conv(x))) at the steps the block
+// computes.
 func (b *ResidualConvBlock) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {
-	z, err := b.conv.Forward(x, training)
+	if err := b.conv.checkInput(x); err != nil {
+		return nil, fmt.Errorf("nn: residual block conv: %w", err)
+	}
+	batch := x.Rows()
+	z, err := b.conv.forwardRows(x.Data(), batch)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block conv: %w", err)
 	}
@@ -168,21 +197,28 @@ func (b *ResidualConvBlock) Forward(x *matrix.Matrix, training bool) (*matrix.Ma
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block relu: %w", err)
 	}
-	r, err := b.proj.Forward(z, training)
+	r, err := b.proj.forwardRows(z.Data(), batch)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block projection: %w", err)
 	}
-	out, err := matrix.AddInto(b.out, x, r)
-	if err != nil {
-		return nil, fmt.Errorf("nn: residual block sum: %w", err)
-	}
-	b.out = out
-	return out, nil
+	b.out = matrix.RecycleNoClear(b.out, batch, x.Cols())
+	residual(b.out.Data(), x.Data(), r.Data(), batch, b.SeqLen, b.Channels, b.conv.steps.out)
+	return b.out, nil
 }
 
-// Backward propagates through the residual sum and convolutions.
+// Backward propagates through the residual sum and convolutions, reading
+// grad at the steps the block computes.
 func (b *ResidualConvBlock) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
-	dz, err := b.proj.Backward(grad, true)
+	if b.out == nil {
+		return nil, fmt.Errorf("nn: residual block backward before forward")
+	}
+	batch, out := b.out.Rows(), b.conv.steps.out
+	if grad.Rows() != batch || grad.Cols() != b.out.Cols() {
+		return nil, fmt.Errorf("%w: residual block backward grad %dx%d", ErrShape, grad.Rows(), grad.Cols())
+	}
+	b.g = matrix.RecycleNoClear(b.g, batch*stepCount(out), b.Channels)
+	gatherSteps(b.g.Data(), grad.Data(), batch, b.SeqLen, b.Channels, out)
+	dz, err := b.proj.backwardRows(b.g, true)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block projection backward: %w", err)
 	}
@@ -190,19 +226,16 @@ func (b *ResidualConvBlock) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block relu backward: %w", err)
 	}
-	dxC, err := b.conv.Backward(dz, wantDX)
+	dxC, err := b.conv.backwardRows(dz, wantDX)
 	if err != nil {
 		return nil, fmt.Errorf("nn: residual block conv backward: %w", err)
 	}
 	if !wantDX {
 		return nil, nil
 	}
-	dx, err := matrix.AddInto(b.dxSum, grad, dxC)
-	if err != nil {
-		return nil, fmt.Errorf("nn: residual block grad sum: %w", err)
-	}
-	b.dxSum = dx
-	return dx, nil
+	b.dxSum = matrix.RecycleNoClear(b.dxSum, batch, grad.Cols())
+	residualGrad(b.dxSum.Data(), b.g.Data(), batch, b.SeqLen, b.Channels, out, b.conv.steps.in, dxC.Data())
+	return b.dxSum, nil
 }
 
 // Parameters implements Layer.

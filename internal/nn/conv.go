@@ -14,15 +14,18 @@ import (
 // shrinks by (Kernel-1)*Dilation timesteps.
 //
 // Both passes are expressed as matmuls over an im2col scratch buffer: each
-// (sample, output step) pair becomes a row holding its Kernel*InChannels
-// receptive field (zeros where a causal tap falls into the padding), so the
-// convolution is one (batch*outLen) x (K*IC) by (K*IC) x Filters product
-// through the matrix kernels. Output values can differ from the previous
-// scalar loops in the last bits (the bias is now added after the taps);
-// gradients follow the same im2col/col2im structure. im2col is one
-// matrix.CopyBlock per (sample, tap) — a tap's valid output steps read
-// consecutive input steps — and col2im one matrix.AddBlock per (sample,
-// tap), taps in descending order: an input step receives its taps in the
+// (sample, computed output step) pair becomes a row holding its
+// Kernel*InChannels receptive field (zeros where a causal tap falls into
+// the padding), so the convolution is one (batch*m) x (K*IC) by
+// (K*IC) x Filters product through the matrix kernels, m the steps
+// computed: every output step, unless a network narrowed a causal layer to
+// the steps its head reads (steps.go). Output values can differ from the
+// previous scalar loops in the last bits (the bias is now added after the
+// taps); gradients follow the same im2col/col2im structure. im2col is a
+// matrix.CopyBlock per (tap, run of consecutive computed steps) — a tap's
+// valid output steps read consecutive input steps — and col2im a
+// matrix.AddBlock per (tap, run), taps in descending order, each split by
+// sample or by step (runBlocks): an input step receives its taps in the
 // order of the output steps that read it, which is descending tap order
 // (tin = t + k·Dilation, or t − (Kernel−1−k)·Dilation causal), so every
 // input gradient is the per-timestep scatter's sum, bit for bit.
@@ -34,11 +37,18 @@ type Conv1D struct {
 	Dilation   int  // 1 = ordinary convolution
 	Causal     bool // left-pad so output length == SeqLen
 
-	w, b  *Param // w is (Kernel*InChannels) x Filters
-	lastX *matrix.Matrix
+	w, b *Param // w is (Kernel*InChannels) x Filters
 
-	cols  *matrix.Matrix // (batch*outLen) x (Kernel*InChannels) im2col
-	out   *matrix.Matrix
+	// steps are the output steps the layer computes and the input steps
+	// its Backward writes: every step unless a network narrowed a causal
+	// layer to the steps its head reads (steps.go).
+	steps stepMap
+	batch int // rows of the last forwardRows
+
+	cols  *matrix.Matrix // (batch*m) x (Kernel*InChannels) im2col, m steps computed
+	rows  *matrix.Matrix // (batch*m) x Filters: the computed steps' outputs
+	out   *matrix.Matrix // the output, when the layer computes some steps only
+	grows *matrix.Matrix // the gradient's computed steps, likewise
 	dcols *matrix.Matrix
 	dx    *matrix.Matrix
 }
@@ -53,6 +63,7 @@ func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, r
 		Kernel: kernel, Dilation: dilation, Causal: causal,
 		w: newParam(kernel*inChannels, filters), b: newParam(1, filters),
 	}
+	c.setSteps(nil, seqLen, false)
 	c.init(rng)
 	return c
 }
@@ -64,91 +75,191 @@ func (c *Conv1D) init(rng *Rand) {
 }
 
 // OutLen returns the output sequence length.
-func (c *Conv1D) OutLen() int {
+func (c *Conv1D) OutLen() int { return c.outLen(c.SeqLen) }
+
+// outLen returns the output length over an input of inLen steps.
+func (c *Conv1D) outLen(inLen int) int {
 	if c.Causal {
-		return c.SeqLen
+		return inLen
 	}
-	return c.SeqLen - (c.Kernel-1)*c.Dilation
+	return inLen - (c.Kernel-1)*c.Dilation
 }
 
-// tapStart returns the first output step at which kernel tap k reads the
-// input, and the input step it reads there; tap k of output step t reads
-// input step tin + (t − t0). Causal output steps before t0 read the zero
-// padding, and t0 is OutLen when every one does.
-func (c *Conv1D) tapStart(k, outLen int) (t0, tin int) {
+// shift returns the offset of the input step kernel tap k reads from the
+// output step that reads it: output step t's tap k reads input step
+// t + shift(k), causal padding where that is negative.
+func (c *Conv1D) shift(k int) int {
 	if c.Causal {
-		return min((c.Kernel-1-k)*c.Dilation, outLen), 0
+		return -(c.Kernel - 1 - k) * c.Dilation
 	}
-	return 0, k * c.Dilation
+	return k * c.Dilation
 }
 
-// Forward applies the convolution to every row.
-func (c *Conv1D) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
-	if x.Cols() != c.SeqLen*c.InChannels {
-		return nil, fmt.Errorf("%w: conv1d expects %d cols (%d x %d), got %d", ErrShape, c.SeqLen*c.InChannels, c.SeqLen, c.InChannels, x.Cols())
+// tapStart returns how many of the first steps of s tap k reads from the
+// causal padding, and the input step it reads at the first step after
+// those; tap k of output step t reads input step tin + (t − s.t − pad).
+func (c *Conv1D) tapStart(k int, s span) (pad, tin int) {
+	sh := c.shift(k)
+	pad = min(max(-(s.t+sh), 0), s.n)
+	return pad, s.t + pad + sh
+}
+
+// narrow implements narrower: a causal convolution computes the steps
+// asked of it, a valid one every step.
+func (c *Conv1D) narrow(steps []int, dxEvery bool) []int {
+	return c.setSteps(steps, c.SeqLen, dxEvery)
+}
+
+// setSteps makes c compute the output steps steps (ascending, nil: every
+// step) of an input of inLen steps, and returns the input steps they read
+// (nil: every step). Steps outside the output are dropped, and a valid
+// convolution computes every step. With dxEvery Backward writes the input
+// gradient at every step, else at the steps it returns.
+func (c *Conv1D) setSteps(steps []int, inLen int, dxEvery bool) []int {
+	outLen := c.outLen(inLen)
+	if steps == nil || !c.Causal {
+		c.steps = stepMap{every(outLen), every(inLen), inLen}
+		return nil
 	}
-	outLen := c.OutLen()
-	if outLen < 1 {
-		return nil, fmt.Errorf("%w: conv1d kernel %d dilation %d too large for %d steps", ErrShape, c.Kernel, c.Dilation, c.SeqLen)
-	}
-	c.lastX = x
-	batch := x.Rows()
-	ic, kw := c.InChannels, c.Kernel*c.InChannels
-	cols := matrix.RecycleNoClear(c.cols, batch*outLen, kw)
-	c.cols = cols
-	cd, xd := cols.Data(), x.Data()
-	for i := 0; i < batch; i++ {
+	want, read := make([]bool, outLen), make([]bool, inLen)
+	for _, t := range steps {
+		if t < 0 || t >= outLen {
+			continue
+		}
+		want[t] = true
 		for k := 0; k < c.Kernel; k++ {
-			t0, tin := c.tapStart(k, outLen)
-			at := (i*outLen)*kw + k*ic
-			for t := 0; t < t0; t++ {
-				clear(cd[at+t*kw : at+t*kw+ic])
-			}
-			if n := outLen - t0; n > 0 {
-				matrix.CopyBlock(cd[at+t0*kw:], kw, xd[(i*c.SeqLen+tin)*ic:], ic, n, ic)
+			if tin := t + c.shift(k); tin >= 0 {
+				read[tin] = true
 			}
 		}
 	}
-	out := matrix.RecycleNoClear(c.out, batch, outLen*c.Filters)
-	c.out = out
-	outView, err := matrix.FromSlice(batch*outLen, c.Filters, out.Data())
-	if err != nil {
-		return nil, fmt.Errorf("nn: conv1d forward view: %w", err)
+	var in []int
+	for t, r := range read {
+		if r {
+			in = append(in, t)
+		}
 	}
-	if _, err := matrix.MulInto(outView, c.cols, c.w.W); err != nil {
-		return nil, fmt.Errorf("nn: conv1d forward: %w", err)
+	c.steps = stepMap{spansOf(want), spansOf(read), inLen}
+	if dxEvery {
+		c.steps.in = every(inLen)
 	}
-	if err := matrix.AddRowVec(outView, c.b.W.Row(0)); err != nil {
-		return nil, fmt.Errorf("nn: conv1d forward bias: %w", err)
-	}
-	return out, nil
+	return in
 }
 
-// Backward accumulates weight/bias gradients and returns the input gradient.
+// checkInput reports whether x is a batch of this layer's input rows.
+func (c *Conv1D) checkInput(x *matrix.Matrix) error {
+	if x.Cols() != c.SeqLen*c.InChannels {
+		return fmt.Errorf("%w: conv1d expects %d cols (%d x %d), got %d", ErrShape, c.SeqLen*c.InChannels, c.SeqLen, c.InChannels, x.Cols())
+	}
+	if c.OutLen() < 1 {
+		return fmt.Errorf("%w: conv1d kernel %d dilation %d too large for %d steps", ErrShape, c.Kernel, c.Dilation, c.SeqLen)
+	}
+	return nil
+}
+
+// Forward applies the convolution to every row, at the steps the layer
+// computes.
+func (c *Conv1D) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
+	if err := c.checkInput(x); err != nil {
+		return nil, err
+	}
+	rows, err := c.forwardRows(x.Data(), x.Rows())
+	if err != nil {
+		return nil, err
+	}
+	batch, outLen := x.Rows(), c.OutLen()
+	if stepCount(c.steps.out) == outLen {
+		// Every step: the compact rows are the output's layout already.
+		return matrix.RecycleNoClear(rows, batch, outLen*c.Filters), nil
+	}
+	c.out = matrix.RecycleNoClear(c.out, batch, outLen*c.Filters)
+	scatterSteps(c.out.Data(), rows.Data(), batch, outLen, c.Filters, c.steps.out)
+	return c.out, nil
+}
+
+// forwardRows computes the steps the layer computes for batch samples of
+// x, each steps.inLen steps of InChannels: it returns their compact rows,
+// (batch*m) x Filters. Each row is a (sample, step) row of im2col — its
+// receptive field, zeros where a causal tap falls into the padding — times
+// w, plus the bias.
+func (c *Conv1D) forwardRows(x []float64, batch int) (*matrix.Matrix, error) {
+	ic, kw := c.InChannels, c.Kernel*c.InChannels
+	m, inLen := stepCount(c.steps.out), c.steps.inLen
+	c.batch = batch
+	cols := matrix.RecycleNoClear(c.cols, batch*m, kw)
+	c.cols = cols
+	cd := cols.Data()
+	for k := 0; k < c.Kernel; k++ {
+		for _, s := range c.steps.out {
+			pad, tin := c.tapStart(k, s)
+			at := s.at*kw + k*ic // sample 0's first row
+			for i := 0; i < batch; i++ {
+				for t := 0; t < pad; t++ {
+					o := at + (i*m+t)*kw
+					clear(cd[o : o+ic])
+				}
+			}
+			if n := s.n - pad; n > 0 {
+				runBlocks(matrix.CopyBlock, cd[at+pad*kw:], m*kw, kw, x[tin*ic:], inLen*ic, ic, batch, n, ic)
+			}
+		}
+	}
+	rows, err := matrix.MulInto(matrix.RecycleNoClear(c.rows, batch*m, c.Filters), cols, c.w.W)
+	if err != nil {
+		return nil, fmt.Errorf("nn: conv1d forward: %w", err)
+	}
+	c.rows = rows
+	if err := matrix.AddRowVec(rows, c.b.W.Row(0)); err != nil {
+		return nil, fmt.Errorf("nn: conv1d forward bias: %w", err)
+	}
+	return rows, nil
+}
+
+// Backward accumulates weight/bias gradients and returns the input
+// gradient, reading grad at the steps the layer computes.
 func (c *Conv1D) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
-	if c.lastX == nil {
+	if c.cols == nil {
 		return nil, fmt.Errorf("nn: conv1d backward before forward")
 	}
-	batch := c.lastX.Rows()
-	outLen := c.OutLen()
+	batch, outLen := c.batch, c.OutLen()
 	if grad.Cols() != outLen*c.Filters || grad.Rows() != batch {
 		return nil, fmt.Errorf("%w: conv1d backward grad %dx%d", ErrShape, grad.Rows(), grad.Cols())
 	}
-	gview, err := matrix.FromSlice(batch*outLen, c.Filters, grad.Data())
-	if err != nil {
-		return nil, fmt.Errorf("nn: conv1d backward view: %w", err)
+	var g *matrix.Matrix
+	if m := stepCount(c.steps.out); m == outLen {
+		view, err := matrix.FromSlice(batch*outLen, c.Filters, grad.Data())
+		if err != nil {
+			return nil, fmt.Errorf("nn: conv1d backward view: %w", err)
+		}
+		g = view
+	} else {
+		c.grows = matrix.RecycleNoClear(c.grows, batch*m, c.Filters)
+		g = c.grows
+		gatherSteps(g.Data(), grad.Data(), batch, outLen, c.Filters, c.steps.out)
 	}
-	if err := matrix.AccumColSums(c.b.Grad.Row(0), gview); err != nil {
+	dx, err := c.backwardRows(g, wantDX)
+	if dx == nil {
+		return nil, err
+	}
+	return matrix.RecycleNoClear(dx, batch, c.SeqLen*c.InChannels), nil
+}
+
+// backwardRows takes the gradient's compact rows g at the steps the last
+// forwardRows computed: it accumulates the bias and weight gradients over
+// them and, with wantDX, returns the input gradient, (batch*steps.inLen) x
+// InChannels, written at the steps steps.in.
+func (c *Conv1D) backwardRows(g *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
+	if err := matrix.AccumColSums(c.b.Grad.Row(0), g); err != nil {
 		return nil, fmt.Errorf("nn: conv1d backward bias: %w", err)
 	}
-	// dW += colsᵀ * grad over every (sample, step) row at once.
-	if err := matrix.MulTransposeAAccum(c.w.Grad, c.cols, gview); err != nil {
+	// dW += colsᵀ * g over every computed (sample, step) row at once.
+	if err := matrix.MulTransposeAAccum(c.w.Grad, c.cols, g); err != nil {
 		return nil, fmt.Errorf("nn: conv1d backward dW: %w", err)
 	}
 	if !wantDX {
 		return nil, nil
 	}
-	dcols, err := matrix.MulTransposeBInto(c.dcols, gview, c.w.W)
+	dcols, err := matrix.MulTransposeBInto(c.dcols, g, c.w.W)
 	if err != nil {
 		return nil, fmt.Errorf("nn: conv1d backward dcols: %w", err)
 	}
@@ -156,18 +267,39 @@ func (c *Conv1D) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, err
 	// col2im: add each tap's receptive-field gradients back onto the input
 	// steps it read, from +0, taps in descending order (see Conv1D).
 	ic, kw := c.InChannels, c.Kernel*c.InChannels
-	dx := matrix.Recycle(c.dx, batch, c.SeqLen*ic)
+	m, inLen, batch := stepCount(c.steps.out), c.steps.inLen, c.batch
+	dx := matrix.RecycleNoClear(c.dx, batch*inLen, ic)
 	c.dx = dx
 	dd, gd := dx.Data(), dcols.Data()
-	for i := 0; i < batch; i++ {
-		for k := c.Kernel - 1; k >= 0; k-- {
-			t0, tin := c.tapStart(k, outLen)
-			if n := outLen - t0; n > 0 {
-				matrix.AddBlock(dd[(i*c.SeqLen+tin)*ic:], ic, gd[(i*outLen+t0)*kw+k*ic:], kw, n, ic)
+	clearSteps(dd, batch, inLen, ic, c.steps.in)
+	for k := c.Kernel - 1; k >= 0; k-- {
+		for _, s := range c.steps.out {
+			pad, tin := c.tapStart(k, s)
+			if n := s.n - pad; n > 0 {
+				runBlocks(matrix.AddBlock, dd[tin*ic:], inLen*ic, ic, gd[(s.at+pad)*kw+k*ic:], m*kw, kw, batch, n, ic)
 			}
 		}
 	}
 	return dx, nil
+}
+
+// runBlocks applies op (matrix.CopyBlock or matrix.AddBlock) to n steps of
+// width values for each of batch samples, dst's sample i step j at
+// i·dSample + j·dStep and src's at i·sSample + j·sStep: one call per step
+// over the samples' rows when the run is shorter than the batch, else one
+// per sample over the run's steps, which lie together in memory. Each
+// element meets op once either way.
+func runBlocks(op func(dst []float64, ds int, src []float64, ss int, rows, cols int),
+	dst []float64, dSample, dStep int, src []float64, sSample, sStep int, batch, n, width int) {
+	if n < batch {
+		for j := 0; j < n; j++ {
+			op(dst[j*dStep:], dSample, src[j*sStep:], sSample, batch, width)
+		}
+		return
+	}
+	for i := 0; i < batch; i++ {
+		op(dst[i*dSample:], dStep, src[i*sSample:], sStep, n, width)
+	}
 }
 
 // Parameters implements Layer.

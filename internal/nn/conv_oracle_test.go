@@ -124,8 +124,9 @@ func sameBits(t *testing.T, what string, got, want *matrix.Matrix) {
 // and dx: causal and valid convolutions, kernels 1-3, dilations 1, 2 and 4,
 // 1, 2, 8 and 9 input channels, and a causal sequence shorter than the
 // receptive field, so that some taps read only padding. The inputs hold −0
-// and NaN, the gradient NaN. Each layer runs twice, so the second pass
-// reuses buffers the first left dirty. It runs on this CPU's kernel level;
+// and NaN, the gradient NaN. Each layer runs twice, on 12 rows and then on
+// 3, so the second pass reuses buffers the first left dirty, and the
+// blocks split by step in one pass and by sample in the other (runBlocks). It runs on this CPU's kernel level;
 // internal/matrix holds every level's CopyBlock and AddBlock to their
 // portable twins, so the result holds on each.
 func TestConv1DMatchesReference(t *testing.T) {
@@ -153,9 +154,9 @@ func TestConv1DMatchesReference(t *testing.T) {
 						if c.OutLen() < 1 {
 							continue
 						}
-						for pass := 0; pass < 2; pass++ {
-							x := matrix.New(3, seqLen*ic)
-							grad := matrix.New(3, c.OutLen()*c.Filters)
+						for _, batch := range []int{12, 3} {
+							x := matrix.New(batch, seqLen*ic)
+							grad := matrix.New(batch, c.OutLen()*c.Filters)
 							fill(x)
 							fill(grad)
 							wantOut, wantDW, wantDB, wantDX := referenceConv(t, c, x, grad)

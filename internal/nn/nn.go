@@ -111,12 +111,16 @@ type Network struct {
 }
 
 // NewNetwork builds a sequential network; opt may be nil, defaulting to
-// Adam(1e-2).
+// Adam(1e-2). Its causal layers compute only the timesteps the layers
+// after them read (steps.go), so its Layers are not to change afterwards:
+// a different stack of the same layers is a new NewNetwork.
 func NewNetwork(opt Optimizer, layers ...Layer) *Network {
 	if opt == nil {
 		opt = NewAdam(0.01)
 	}
-	return &Network{Layers: layers, Optimizer: opt}
+	n := &Network{Layers: layers, Optimizer: opt}
+	n.narrow()
+	return n
 }
 
 // Parameters returns all learnable parameters in layer order.

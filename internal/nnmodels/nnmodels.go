@@ -181,9 +181,11 @@ func NewWaveNetRegressor() *Regressor {
 }
 
 // NewSeriesNetRegressor returns the WaveNet-derived architecture of Section
-// IV-C2: residual dilated causal convolution blocks (dilations 1, 2, 4, 8)
-// with ReLU activations and linear skip projections, requiring no data
-// preprocessing beyond windowing.
+// IV-C2, requiring no data preprocessing beyond windowing: a 1x1 causal
+// convolution lifts the input channels to the block width, four residual
+// blocks (dilations 1, 2, 4, 8) each add a 1x1 projection of a ReLU'd
+// kernel-2 dilated causal convolution back onto their input, and a linear
+// head reads the final timestep. No block has a separate skip output.
 func NewSeriesNetRegressor() *Regressor {
 	return newRegressor("seriesnet", 8, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
 		return buildSeriesNet(w.seqLen, w.channels, cfg, rng)

@@ -6,6 +6,11 @@
 // transactional cross-variable dependencies favour IID models. The package
 // also injects ground-truth failures and anomalies for the solution-template
 // experiments (FPA, RCA, Anomaly, Cohort).
+//
+// Every product that meets an add is written float64(a*b), and a draw
+// whose own scaling would meet one is rounded as float64(rng.Float64()),
+// so no compiler fuses the two into one rounding (arm64 would): each
+// generator gives the same series on every architecture.
 package sim
 
 import (
@@ -87,26 +92,26 @@ func GenerateSeries(spec SeriesSpec, rng *rand.Rand) (*dataset.Dataset, error) {
 		for t := 0; t < spec.Steps; t++ {
 			v := 0.0
 			if t >= 1 {
-				v += 1.2 * target[t-1]
+				v += float64(1.2 * target[t-1])
 			}
 			if t >= 2 {
-				v -= 0.4 * target[t-2]
+				v -= float64(0.4 * target[t-2])
 			}
-			v += 0.5 * math.Sin(2*math.Pi*float64(t)/24)
-			v += spec.Noise * rng.NormFloat64()
+			v += float64(0.5 * math.Sin(2*math.Pi*float64(t)/24))
+			v += float64(spec.Noise * rng.NormFloat64())
 			target[t] = v
 		}
 	case RegimeRandomWalk:
 		for t := 1; t < spec.Steps; t++ {
-			target[t] = target[t-1] + spec.Noise*rng.NormFloat64()
+			target[t] = target[t-1] + float64(spec.Noise*rng.NormFloat64())
 		}
 	case RegimeTransactional:
 		// Filled after drivers are generated below.
 	case RegimeSeasonal:
 		for t := 0; t < spec.Steps; t++ {
-			target[t] = 3*math.Sin(2*math.Pi*float64(t)/12) +
+			target[t] = float64(3*math.Sin(2*math.Pi*float64(t)/12)) +
 				math.Sin(2*math.Pi*float64(t)/48) +
-				spec.Noise*rng.NormFloat64()
+				float64(spec.Noise*rng.NormFloat64())
 		}
 	case RegimeMeanShift:
 		level := 0.0
@@ -117,9 +122,9 @@ func GenerateSeries(spec SeriesSpec, rng *rand.Rand) (*dataset.Dataset, error) {
 		prev := 0.0
 		for t := 0; t < spec.Steps; t++ {
 			if t > 0 && t%shiftEvery == 0 {
-				level += (rng.Float64()*2 - 1) * 10 // abrupt operating-point change
+				level += float64((float64(float64(rng.Float64())*2) - 1) * 10) // abrupt operating-point change
 			}
-			v := level + 0.5*(prev-level) + spec.Noise*rng.NormFloat64()
+			v := level + float64(0.5*(prev-level)) + float64(spec.Noise*rng.NormFloat64())
 			target[t] = v
 			prev = v
 		}
@@ -145,7 +150,7 @@ func GenerateSeries(spec SeriesSpec, rng *rand.Rand) (*dataset.Dataset, error) {
 				if t >= lag {
 					src = target[t-lag]
 				}
-				aux[j][t] = 0.8*src + 0.3*rng.NormFloat64()
+				aux[j][t] = float64(0.8*src) + float64(0.3*rng.NormFloat64())
 			}
 		}
 	}
@@ -155,9 +160,9 @@ func GenerateSeries(spec SeriesSpec, rng *rand.Rand) (*dataset.Dataset, error) {
 			v := 0.0
 			for j := 1; j < spec.Vars; j++ {
 				w := 1.0 / float64(j)
-				v += w * aux[j][t]
+				v += float64(w * aux[j][t])
 			}
-			target[t] = v + spec.Noise*rng.NormFloat64()
+			target[t] = v + float64(spec.Noise*rng.NormFloat64())
 		}
 	}
 
@@ -229,7 +234,7 @@ func GenerateFailureData(spec FailureSpec, rng *rand.Rand) (*FailureData, error)
 		for k := 0; k < spec.LeadTime && at-k >= 0; k++ {
 			ramp := 2.0 * float64(spec.LeadTime-k) / float64(spec.LeadTime)
 			x.Set(at-k, 0, x.At(at-k, 0)+ramp)
-			x.Set(at-k, 1, x.At(at-k, 1)+0.5*ramp)
+			x.Set(at-k, 1, x.At(at-k, 1)+float64(0.5*ramp))
 		}
 	}
 	labels := make([]float64, spec.Steps)
@@ -286,7 +291,7 @@ func GenerateAnomalyData(spec AnomalySpec, rng *rand.Rand) (*AnomalyData, error)
 		if rng.Float64() < 0.5 {
 			sign = -1
 		}
-		base.X.Set(at, 0, base.X.At(at, 0)+sign*spec.Magnitude*0.2)
+		base.X.Set(at, 0, base.X.At(at, 0)+float64(sign*spec.Magnitude*0.2))
 	}
 	return &AnomalyData{Series: base, AnomalyTimes: times}, nil
 }
@@ -317,12 +322,12 @@ func GenerateFleet(spec FleetSpec, rng *rand.Rand) (*Fleet, error) {
 	}
 	for a := 0; a < spec.Assets; a++ {
 		cohort := a % spec.Cohorts
-		level := 10 * float64(cohort)
-		period := 8 + 6*float64(cohort)
+		level := float64(10 * float64(cohort))
+		period := 8 + float64(6*float64(cohort))
 		x := matrix.New(spec.StepsEach, 2)
 		for t := 0; t < spec.StepsEach; t++ {
-			x.Set(t, 0, level+2*math.Sin(2*math.Pi*float64(t)/period)+0.3*rng.NormFloat64())
-			x.Set(t, 1, level/2+0.3*rng.NormFloat64())
+			x.Set(t, 0, level+float64(2*math.Sin(2*math.Pi*float64(t)/period))+float64(0.3*rng.NormFloat64()))
+			x.Set(t, 1, float64(level/2)+float64(0.3*rng.NormFloat64()))
 		}
 		fleet.AssetSeries[a] = &dataset.Dataset{X: x, ColNames: []string{"load", "temp"}}
 		fleet.TrueCohort[a] = cohort
