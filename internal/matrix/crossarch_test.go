@@ -52,7 +52,9 @@ var fusedAllowed = map[string]string{}
 // path, the target denormalisation and synthetic targets in dataset, the
 // scorers in metrics, and core's fold scoring and pipeline prediction, which
 // inline the denormalisation; and the synthetic series, failure, anomaly
-// and fleet generators in sim, whose data every search trains on.
+// and fleet generators in sim, whose data every search trains on; and the
+// estimators in mlmodels and the transformers in preprocess that the
+// searched graphs are built from.
 var fusedScans = []struct {
 	dir, pkg string
 	must     []string
@@ -73,6 +75,12 @@ var fusedScans = []struct {
 	{"../metrics", "coda/internal/metrics", []string{"MSE", "MSLE", "R2", "AUC"}},
 	{"../core", "coda/internal/core", []string{"scoreFold", "(*Pipeline).PredictWithTruth", "(*Pipeline).predict"}},
 	{"../sim", "coda/internal/sim", []string{"GenerateSeries", "GenerateFailureData", "GenerateAnomalyData", "GenerateFleet"}},
+	{"../mlmodels", "coda/internal/mlmodels", []string{
+		"(*grower).bestSplit", "gini", "(*LogisticRegression).Fit", "(*KMeans).runOnce", "(*GradientBoosting).Fit", "(*ARModel).Predict",
+	}},
+	{"../preprocess", "coda/internal/preprocess", []string{
+		"pearson", "quantiles", "FilterIQROutliers", "(*Scaler).Transform", "(*MICEImputer).predictCell",
+	}},
 }
 
 // TestActivationTwinNotFusedOnArm64 is the cross-architecture half of the

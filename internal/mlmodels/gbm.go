@@ -103,7 +103,7 @@ func (g *GradientBoosting) Fit(ds *dataset.Dataset) error {
 			return fmt.Errorf("mlmodels: %s stage %d predict: %w", g.Name(), stage, err)
 		}
 		for i, p := range preds {
-			current[i] += g.LearningRate * p
+			current[i] += float64(g.LearningRate * p)
 		}
 		g.trees = append(g.trees, tree)
 	}
@@ -125,7 +125,7 @@ func (g *GradientBoosting) Predict(ds *dataset.Dataset) ([]float64, error) {
 			return nil, fmt.Errorf("mlmodels: %s predict: %w", g.Name(), err)
 		}
 		for i, p := range preds {
-			out[i] += g.LearningRate * p
+			out[i] += float64(g.LearningRate * p)
 		}
 	}
 	return out, nil

@@ -218,7 +218,7 @@ func sqDist(a, b []float64) float64 {
 	s := 0.0
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

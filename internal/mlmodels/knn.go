@@ -96,7 +96,7 @@ func (m *KNN) Predict(ds *dataset.Dataset) ([]float64, error) {
 			d := 0.0
 			for j, v := range row {
 				diff := v - tr[j]
-				d += diff * diff
+				d += float64(diff * diff)
 			}
 			nbs[t] = nb{d, m.trainY[t]}
 		}

@@ -6,6 +6,10 @@
 // itself omitted "due to complexity").
 //
 // Every type satisfies core.Estimator.
+//
+// Every product that meets an add is written float64(a*b), so no compiler
+// fuses the two into one rounding (arm64 would): a fit or a prediction
+// gives the same bits on every architecture.
 package mlmodels
 
 import (
@@ -118,7 +122,7 @@ func (l *LinearRegression) Predict(ds *dataset.Dataset) ([]float64, error) {
 	for i := range out {
 		s := l.intercept
 		for j, v := range ds.X.Row(i) {
-			s += v * l.coef[j]
+			s += float64(v * l.coef[j])
 		}
 		out[i] = s
 	}

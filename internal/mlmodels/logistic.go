@@ -87,13 +87,13 @@ func (l *LogisticRegression) Fit(ds *dataset.Dataset) error {
 			err := pr - ds.Y[i]
 			gIntercept += err
 			for j, v := range ds.X.Row(i) {
-				grad[j] += err * v
+				grad[j] += float64(err * v)
 			}
 		}
 		inv := 1.0 / float64(n)
-		l.intercept -= l.LearningRate * gIntercept * inv
+		l.intercept -= float64(l.LearningRate * gIntercept * inv)
 		for j := range l.coef {
-			l.coef[j] -= l.LearningRate * (grad[j]*inv + l.Alpha*l.coef[j])
+			l.coef[j] -= float64(l.LearningRate * (float64(grad[j]*inv) + float64(l.Alpha*l.coef[j])))
 		}
 	}
 	l.fitted = true
@@ -119,7 +119,7 @@ func (l *LogisticRegression) proba(out []float64, ds *dataset.Dataset) {
 	for i := range out {
 		z := l.intercept
 		for j, v := range ds.X.Row(i) {
-			z += v * l.coef[j]
+			z += float64(v * l.coef[j])
 		}
 		out[i] = z
 	}

@@ -247,7 +247,7 @@ func (g *grower) bestSplit(lo, hi, n int) (feature int, threshold float64, ok bo
 					countsR[class[r]]++
 				} else {
 					sumR += y[r]
-					sqR += y[r] * y[r]
+					sqR += float64(y[r] * y[r])
 				}
 			}
 		}
@@ -259,9 +259,9 @@ func (g *grower) bestSplit(lo, hi, n int) (feature int, threshold float64, ok bo
 					countsR[class[r]]--
 				} else {
 					sumL += y[r]
-					sqL += y[r] * y[r]
+					sqL += float64(y[r] * y[r])
 					sumR -= y[r]
-					sqR -= y[r] * y[r]
+					sqR -= float64(y[r] * y[r])
 				}
 				nL++
 				nR--
@@ -272,7 +272,7 @@ func (g *grower) bestSplit(lo, hi, n int) (feature int, threshold float64, ok bo
 			}
 			imp := sqL - sumL*sumL/nL + (sqR - sumR*sumR/nR) // left + right variance
 			if clf {
-				imp = nL*gini(countsL, nL) + nR*gini(countsR, nR)
+				imp = float64(nL*gini(countsL, nL)) + float64(nR*gini(countsR, nR))
 			}
 			if imp < best {
 				best, feature, threshold, ok = imp, j, (x[r]+x[next])/2, true
@@ -288,7 +288,7 @@ func gini(counts []float64, n float64) float64 {
 	g := 1.0
 	for _, c := range counts {
 		p := c / n
-		g -= p * p
+		g -= float64(p * p)
 	}
 	return g
 }

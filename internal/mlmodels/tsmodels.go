@@ -167,7 +167,7 @@ func (a *ARModel) Predict(ds *dataset.Dataset) ([]float64, error) {
 		}
 		s := a.intercept
 		for lag := 0; lag < a.P; lag++ {
-			s += a.coef[lag] * ds.X.At(t-lag, a.Target)
+			s += float64(a.coef[lag] * ds.X.At(t-lag, a.Target))
 		}
 		out[t] = s
 	}

@@ -185,11 +185,9 @@ func NewRegistry() *Registry {
 	}
 }
 
+// defaultRegistry is the process-wide registry that GetCounter, GetGauge
+// and GetHistogram operate on and MetricsHandler serves.
 var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry that package-level Counter /
-// Gauge / Histogram operate on and MetricsHandler serves.
-func Default() *Registry { return defaultRegistry }
 
 // Counter returns the counter registered under name, creating it on
 // first use. It panics if name is malformed or already registered as a
@@ -434,7 +432,7 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// Package-level helpers against the Default registry.
+// Package-level helpers against the default registry.
 
 // GetCounter returns (creating if needed) a counter in the default
 // registry.
@@ -442,9 +440,6 @@ func GetCounter(name string) *Counter { return defaultRegistry.Counter(name) }
 
 // GetGauge returns a settable gauge in the default registry.
 func GetGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
-
-// GetGaugeFunc registers a callback gauge in the default registry.
-func GetGaugeFunc(name string, fn func() float64) *Gauge { return defaultRegistry.GaugeFunc(name, fn) }
 
 // GetHistogram returns a histogram in the default registry (nil buckets
 // mean DurationBuckets).

@@ -56,8 +56,8 @@ func FilterIQROutliers(ds *dataset.Dataset, k float64) (*dataset.Dataset, []int,
 		quantiles(ds.X.ColCopy(j), []float64{0.25, 0.75}, q[:])
 		q1, q3 := q[0], q[1]
 		iqr := q3 - q1
-		lo[j] = q1 - k*iqr
-		hi[j] = q3 + k*iqr
+		lo[j] = q1 - float64(k*iqr)
+		hi[j] = q3 + float64(k*iqr)
 	}
 	var keep, dropped []int
 	for i := 0; i < ds.NumSamples(); i++ {

@@ -179,7 +179,7 @@ func (im *Imputer) knnFill(row []float64, j int) float64 {
 				continue
 			}
 			diff := v - tr[c]
-			d += diff * diff
+			d += float64(diff * diff)
 			shared++
 		}
 		if shared == 0 {

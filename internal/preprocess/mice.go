@@ -180,7 +180,7 @@ func (m *MICEImputer) predictCell(row []float64, j int, weights []float64) float
 		if c == j {
 			continue
 		}
-		s += weights[k] * row[c]
+		s += float64(weights[k] * row[c])
 		k++
 	}
 	return s

@@ -6,6 +6,10 @@
 // Section III calls for (imputation and outlier filtering).
 //
 // Every transformer type implements core.Transformer.
+//
+// Every product that meets an add is written float64(a*b), so no compiler
+// fuses the two into one rounding (arm64 would): a fit or a prediction
+// gives the same bits on every architecture.
 package preprocess
 
 import (
@@ -39,7 +43,7 @@ func setAffine(out, in *dataset.Dataset, scale, offset []float64) {
 	for j := range scale {
 		inScale, inOffset := in.ColAffine(j)
 		out.ColScale[j] = scale[j] * inScale
-		out.ColOffset[j] = offset[j]*inScale + inOffset
+		out.ColOffset[j] = float64(offset[j]*inScale) + inOffset
 	}
 }
 
@@ -236,13 +240,13 @@ func interpolate(vals []float64, q float64) float64 {
 	if len(vals) == 1 {
 		return vals[0]
 	}
-	pos := q * float64(len(vals)-1)
+	pos := float64(q * float64(len(vals)-1))
 	lo := int(pos)
 	if lo >= len(vals)-1 {
 		return vals[len(vals)-1]
 	}
 	frac := pos - float64(lo)
-	return vals[lo]*(1-frac) + vals[lo+1]*frac
+	return float64(vals[lo]*(1-frac)) + float64(vals[lo+1]*frac)
 }
 
 // selectRanks reorders x, which holds no NaN and starts at index base of

@@ -248,9 +248,9 @@ func pearson(a, b []float64) float64 {
 	var sab, saa, sbb float64
 	for i := range a {
 		da, db := a[i]-ma, b[i]-mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
+		sab += float64(da * db)
+		saa += float64(da * da)
+		sbb += float64(db * db)
 	}
 	if saa == 0 || sbb == 0 {
 		return 0
