@@ -65,6 +65,12 @@ func runServe(ctx context.Context, args []string) error {
 	if err := lf.setup(); err != nil {
 		return err
 	}
+	// stop ends the command's work on an interrupt or a failure alike, and
+	// starts the exit budget that everything after it runs in.
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	exitCtx, cancelExit := windDown(ctx)
+	defer cancelExit()
 	// As in search: one request id covers the start-up search's DARR calls.
 	ctx, _ = obs.EnsureRequestID(ctx)
 	scorer, err := metrics.ScorerByName(*metric)
@@ -113,7 +119,7 @@ func runServe(ctx context.Context, args []string) error {
 			if l, err = openLease(ctx, hc, series.rep, *key, "notify", time.Minute); err != nil {
 				return err
 			}
-			defer l.close()
+			defer l.close(exitCtx)
 		}
 		if res, err = series.search(ctx); err != nil {
 			return err
@@ -131,22 +137,39 @@ func runServe(ctx context.Context, args []string) error {
 	srv := scoreServer(served)
 	errCh := make(chan error, 2)
 	go func() { errCh <- srv.Serve(ln) }()
-	if l != nil {
-		go func() {
-			if err := l.follow(ctx, false, func(n httpapi.Notification) error { return series.observe(ctx, n) }); err != nil {
-				errCh <- err
-			}
-		}()
+	followed := make(chan struct{})
+	go func() {
+		defer close(followed)
+		if l == nil {
+			return
+		}
+		if err := l.follow(ctx, false, func(n httpapi.Notification) error { return series.observe(ctx, n) }); err != nil {
+			errCh <- err
+		}
+	}()
+	// An interrupt is how serve ends. In the first half of the exit
+	// budget the in-flight scoring requests drain and the follow loop, and
+	// a re-search it runs, see the cancel and return; the deferred lease
+	// cancel has the rest.
+	select {
+	case err = <-errCh:
+	case <-ctx.Done():
+	}
+	stop()
+	drainCtx, cancelDrain := context.WithTimeout(exitCtx, exitBudget/2)
+	defer cancelDrain()
+	if shErr := srv.Shutdown(drainCtx); shErr != nil {
+		// A connection still busy, or one that connected and has sent
+		// nothing (Shutdown waits 5 s for those), is closed instead.
+		slog.Warn("closing the scoring connections still open", "err", shErr)
+		srv.Close()
 	}
 	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-		// An interrupt is how serve ends: drain in-flight scoring requests.
-		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		return srv.Shutdown(shCtx)
+	case <-followed:
+	case <-drainCtx.Done():
+		slog.Warn("exiting before the re-search returned")
 	}
+	return err
 }
 
 // searchAndFit runs one search and fits its winner on the whole dataset.

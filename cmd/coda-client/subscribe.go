@@ -47,7 +47,9 @@ func runSubscribe(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	defer l.close()
+	exitCtx, cancelExit := windDown(ctx)
+	defer cancelExit()
+	defer l.close(exitCtx)
 
 	seen := 0
 	return l.follow(ctx, *poll, func(n httpapi.Notification) error {
@@ -116,16 +118,29 @@ func openLease(ctx context.Context, c *httpapi.Client, rep *store.Replica, key, 
 	return &lease{c: c, info: info, stopRenew: stop}, nil
 }
 
-// close stops the renewals and cancels the lease.
-func (l *lease) close() {
+// close stops the renewals and cancels the lease, giving up when ctx, the
+// command's windDown context, ends.
+func (l *lease) close(ctx context.Context) {
 	l.stopRenew()
-	// A fresh context: the interrupt that ended the command already
-	// cancelled the command's.
-	ctx, done := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, done := context.WithTimeout(ctx, exitBudget)
 	defer done()
 	if err := l.c.CancelLease(ctx, l.info.LeaseID); err != nil {
 		slog.Warn("cancelling lease", "lease", l.info.LeaseID, "err", err)
 	}
+}
+
+// exitBudget bounds a command's exit from the moment it is told to stop:
+// draining serve's listener, waiting out its follow loop and a re-search,
+// and cancelling the lease all fit inside it, with room to spare in the
+// 5 s TestSmoke gives a process between a signal and its exit.
+const exitBudget = 3 * time.Second
+
+// windDown returns the context a command's exit runs under: ctx's values
+// without its cancellation, ending exitBudget after ctx ends.
+func windDown(ctx context.Context) (context.Context, context.CancelFunc) {
+	exitCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	stop := context.AfterFunc(ctx, func() { time.AfterFunc(exitBudget, cancel) })
+	return exitCtx, func() { stop(); cancel() }
 }
 
 // follow streams the lease's frames over SSE, or long-polls them with

@@ -28,7 +28,7 @@ func goFiles(t *testing.T, tests bool, roots ...string) []string {
 			if d.IsDir() && d.Name() == "testdata" {
 				return filepath.SkipDir
 			}
-			if d.IsDir() && path != "." {
+			if d.IsDir() && path != root {
 				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 					return filepath.SkipDir
 				}

@@ -1,0 +1,341 @@
+package coda_test
+
+import (
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// testOnlyAPI is the whole allowlist of TestEveryExportHasACaller: exports
+// under internal/ that no shipped code reaches but that another package's
+// tests use, which a _test.go file cannot share. An allowed type's methods
+// are allowed with it.
+var testOnlyAPI = map[string]string{
+	"faultinject.Transport":            "the httpapi and replication fault tests wrap their clients in it",
+	"faultinject.NewTransport":         "the httpapi and replication fault tests wrap their clients in it",
+	"core.UnitKey":                     "tests in core, darr, httpapi and the root package name DARR keys with it",
+	"dataset.MakeClassification":       "the mlmodels and core tests draw their classification sets from it",
+	"dataset.ClassificationSpec":       "MakeClassification's argument",
+	"replication.Manager.ActiveLeases": "the httpapi lease tests count the server's leases with it",
+	"obs.SetEnabled":                   "the core benchmarks turn metric collection off with it",
+	"obs.WritePrometheus":              "the core tests read the default registry's exposition with it",
+	"obs.Histogram.Count":              "the replication fanout tests count fanout_seconds observations with it",
+}
+
+// program is the module's shipped code (both modules, no _test.go files)
+// type-checked with go/types: each package keyed by import path.
+type program struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	files map[string][]string // import path -> the package's non-test files
+	pkgs  map[string]*checked
+}
+
+type checked struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadProgram type-checks the non-test files under the coda module and
+// bench/e2e for the host's GOOS/GOARCH. The standard library is
+// type-checked from source; coda/... paths resolve to directories here.
+func loadProgram(t *testing.T) *program {
+	t.Helper()
+	fset := token.NewFileSet()
+	p := &program{
+		fset:  fset,
+		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		files: map[string][]string{},
+		pkgs:  map[string]*checked{},
+	}
+	for _, file := range append(goFiles(t, false, "."), goFiles(t, false, filepath.Join("bench", "e2e"))...) {
+		dir := filepath.Dir(file)
+		if ok, err := build.Default.MatchFile(dir, filepath.Base(file)); err != nil || !ok {
+			continue
+		}
+		path := "coda"
+		if dir != "." {
+			path += "/" + filepath.ToSlash(dir)
+		}
+		p.files[path] = append(p.files[path], file)
+	}
+	paths := make([]string, 0, len(p.files))
+	for path := range p.files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := p.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+func (p *program) Import(path string) (*types.Package, error) {
+	return p.ImportFrom(path, "", 0)
+}
+
+func (p *program) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if c, ok := p.pkgs[path]; ok {
+		return c.pkg, nil
+	}
+	files, ok := p.files[path]
+	if !ok {
+		return p.std.ImportFrom(path, dir, mode)
+	}
+	c := &checked{info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	for _, file := range files {
+		f, err := parser.ParseFile(p.fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		c.files = append(c.files, f)
+	}
+	pkg, err := (&types.Config{Importer: p}).Check(path, p.fset, c.files, c.info)
+	if err != nil {
+		return nil, err
+	}
+	c.pkg = pkg
+	p.pkgs[path] = c
+	return pkg, nil
+}
+
+// decl is one top-level declaration: the syntax to walk once it is live,
+// with the package whose Info resolves its identifiers.
+type decl struct {
+	node ast.Node
+	c    *checked
+}
+
+// reachable returns the package-level objects and methods of the program's
+// coda packages that the shipped code reaches, and the declaration of every
+// one under internal/, by its object.
+//
+// The roots are every declaration outside internal/ (cmd/, examples/, the
+// root package and bench/e2e), every init function and every package-level
+// var initialiser. A live declaration makes live each object its syntax
+// names. A method of a live type is live when it is named, or when its name
+// is a method of an interface type anywhere in the program, the standard
+// library's included: a call through an interface names only the
+// interface's method.
+func (p *program) reachable() (live map[types.Object]bool, decls map[types.Object]decl) {
+	decls = map[types.Object]decl{}
+	methods := map[*types.TypeName][]*types.Func{}
+	var roots []decl
+	ifaces := map[string]bool{"Error": true} // the universe's error
+	for path, c := range p.pkgs {
+		inInternal := strings.HasPrefix(path, "coda/internal/")
+		for _, f := range c.files {
+			for _, d := range f.Decls {
+				if !inInternal {
+					roots = append(roots, decl{d, c})
+					continue
+				}
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && d.Name.Name == "init" {
+						roots = append(roots, decl{d, c})
+						continue
+					}
+					fn := c.info.Defs[d.Name].(*types.Func)
+					decls[fn] = decl{d, c}
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+						tn := baseType(recv.Type())
+						methods[tn] = append(methods[tn], fn)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							decls[c.info.Defs[s.Name]] = decl{s, c}
+						case *ast.ValueSpec:
+							for _, name := range s.Names {
+								if obj := c.info.Defs[name]; obj != nil {
+									decls[obj] = decl{s, c}
+								}
+							}
+							if d.Tok == token.VAR {
+								for _, v := range s.Values {
+									roots = append(roots, decl{v, c})
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		for _, f := range c.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					addMethods(ifaces, c.info.Types[it].Type)
+				}
+				return true
+			})
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var std func(pkg *types.Package)
+	std = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		if _, ok := p.pkgs[pkg.Path()]; !ok {
+			scope := pkg.Scope()
+			for _, name := range scope.Names() {
+				if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+					addMethods(ifaces, tn.Type())
+				}
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			std(imp)
+		}
+	}
+	for _, c := range p.pkgs {
+		std(c.pkg)
+	}
+
+	live = map[types.Object]bool{}
+	var queue []decl
+	var mark func(obj types.Object)
+	mark = func(obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			if o.IsField() {
+				return
+			}
+		}
+		d, ok := decls[obj]
+		if !ok || live[obj] {
+			return
+		}
+		live[obj] = true
+		queue = append(queue, d)
+		switch o := obj.(type) {
+		case *types.TypeName:
+			for _, m := range methods[o] {
+				if ifaces[m.Name()] {
+					mark(m)
+				}
+			}
+		case *types.Var, *types.Const:
+			if tn := baseType(o.Type()); tn != nil {
+				mark(tn)
+			}
+		}
+	}
+	queue = append(queue, roots...)
+	for len(queue) > 0 {
+		d := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := d.c.info.Uses[id]; obj != nil {
+					mark(obj)
+				}
+			}
+			return true
+		})
+	}
+	return live, decls
+}
+
+// baseType is the declared type a (pointer to a) named type comes from,
+// or nil.
+func baseType(t types.Type) *types.TypeName {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Origin().Obj()
+	}
+	return nil
+}
+
+func addMethods(names map[string]bool, t types.Type) {
+	if t == nil {
+		return
+	}
+	if it, ok := t.Underlying().(*types.Interface); ok {
+		for i := 0; i < it.NumMethods(); i++ {
+			names[it.Method(i).Name()] = true
+		}
+	}
+}
+
+// exportKey names an internal/ declaration as the allowlist does: its
+// package path under internal/, then the receiver's type for a method.
+func exportKey(obj types.Object) string {
+	if recv := receiverKey(obj); recv != "" {
+		return recv + "." + obj.Name()
+	}
+	return strings.TrimPrefix(obj.Pkg().Path(), "coda/internal/") + "." + obj.Name()
+}
+
+// receiverKey is the exportKey of a method's receiver type, or "".
+func receiverKey(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			return exportKey(baseType(recv.Type()))
+		}
+	}
+	return ""
+}
+
+// TestEveryExportHasACaller holds internal/ to its callers. Nothing outside
+// the module can import internal/, so an exported function, method, type,
+// var or const there that no shipped code reaches has no user: only tests
+// keep it. Each such export fails, unless testOnlyAPI names it with a
+// reason; an allowlist entry that is reachable or no longer declared fails
+// too.
+func TestEveryExportHasACaller(t *testing.T) {
+	p := loadProgram(t)
+	live, decls := p.reachable()
+	if len(live) == 0 || len(decls) == 0 {
+		t.Fatalf("%d of %d internal/ declarations reachable: the walk reads nothing", len(live), len(decls))
+	}
+	declared := map[string]bool{}
+	var dead []string
+	for obj, d := range decls {
+		if !obj.Exported() {
+			continue
+		}
+		key := exportKey(obj)
+		declared[key] = true
+		_, allowed := testOnlyAPI[key]
+		if recv := receiverKey(obj); recv != "" && testOnlyAPI[recv] != "" {
+			allowed = true
+		}
+		switch {
+		case live[obj] && allowed:
+			t.Errorf("%s is reachable from shipped code: take it off testOnlyAPI", key)
+		case !live[obj] && !allowed:
+			dead = append(dead, p.fset.Position(d.node.Pos()).String()+": "+key+" has no caller outside tests")
+		}
+	}
+	sort.Strings(dead)
+	for _, msg := range dead {
+		t.Error(msg)
+	}
+	for key := range testOnlyAPI {
+		if !declared[key] {
+			t.Errorf("testOnlyAPI names %s, which internal/ no longer declares", key)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -257,23 +256,6 @@ func (g *Graph) stageOf(n *Node) int {
 	return -1
 }
 
-// NodeByName returns the named node, for parameter inspection.
-func (g *Graph) NodeByName(name string) (*Node, bool) {
-	n, ok := g.names[name]
-	return n, ok
-}
-
-// NodeNames returns all node names in stage order.
-func (g *Graph) NodeNames() []string {
-	var out []string
-	for _, st := range g.stages {
-		for _, opt := range st.Options {
-			out = append(out, opt.Name)
-		}
-	}
-	return out
-}
-
 // Stages returns the graph's stages in order.
 func (g *Graph) Stages() []*Stage { return g.stages }
 
@@ -359,40 +341,3 @@ func (g *Graph) Paths() []Path {
 // NumPipelines returns the number of root-to-leaf paths (36 for the Figure
 // 3 working example).
 func (g *Graph) NumPipelines() int { return len(g.Paths()) }
-
-// DOT renders the graph in Graphviz format — the visual-inspection output
-// of Listing 1's create_graph method.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	b.WriteString("digraph TEG {\n  rankdir=LR;\n  input [shape=circle];\n")
-	for _, st := range g.stages {
-		for _, opt := range st.Options {
-			shape := "box"
-			if opt.IsEstimator() {
-				shape = "ellipse"
-			}
-			fmt.Fprintf(&b, "  %q [shape=%s, label=%q];\n", opt.Name, shape, opt.Name)
-		}
-	}
-	if len(g.stages) > 0 {
-		for _, opt := range g.stages[0].Options {
-			fmt.Fprintf(&b, "  input -> %q;\n", opt.Name)
-		}
-	}
-	for i := 0; i+1 < len(g.stages); i++ {
-		for _, from := range g.stages[i].Options {
-			var tos []string
-			for _, to := range g.stages[i+1].Options {
-				if g.allowed(from, to) {
-					tos = append(tos, to.Name)
-				}
-			}
-			sort.Strings(tos)
-			for _, to := range tos {
-				fmt.Fprintf(&b, "  %q -> %q;\n", from.Name, to)
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
-}

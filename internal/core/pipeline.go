@@ -71,16 +71,6 @@ func (p *Pipeline) SetParam(key string, v float64) error {
 	return fmt.Errorf("core: no node named %q in pipeline %s", node, p.Spec())
 }
 
-// HasNode reports whether the pipeline contains the named node.
-func (p *Pipeline) HasNode(name string) bool {
-	for _, n := range p.Nodes {
-		if n.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // fitTransform is the one per-node step, Figure 5's "fit & transform": each
 // transformer of the node is fitted on the training data as the node's
 // earlier transformers left it and then applied to it; test, when non-nil,
@@ -183,26 +173,6 @@ func (p *Pipeline) PredictWithTruth(ds *dataset.Dataset) (yhat, ytrue []float64,
 		return nil, nil, err
 	}
 	return yhat, cur.DenormY(cur.Y), nil
-}
-
-// PrefixSpecs returns the canonical spec of every transformer prefix of
-// the pipeline, shallowest first: element d-1 covers Nodes[:d] for
-// d = 1..len(Nodes)-1 (the estimator is never part of a prefix). Specs
-// render component names with resolved parameter values, so two
-// differently-named graph nodes wrapping identical components share a
-// spec — and therefore share prefix-cache entries, which is sound
-// because they perform identical computations.
-func (p *Pipeline) PrefixSpecs() []string {
-	if len(p.Nodes) < 2 {
-		return nil
-	}
-	specs := make([]string, 0, len(p.Nodes)-1)
-	acc := "input"
-	for _, n := range p.transformerNodes() {
-		acc += " -> " + n.spec()
-		specs = append(specs, acc)
-	}
-	return specs
 }
 
 // Spec renders the pipeline with all current parameter values; together

@@ -252,13 +252,10 @@ func TestComponentSpecsTellVariantsApart(t *testing.T) {
 	zoo := []core.Component{
 		preprocess.NewStandardScaler(), preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(),
 		preprocess.NewNoOp(), preprocess.NewCovariance(), preprocess.NewPCA(3), preprocess.NewSelectKBest(3),
-		preprocess.NewMICEImputer(),
-		preprocess.NewImputer(preprocess.ImputeMean), preprocess.NewImputer(preprocess.ImputeMedian),
-		preprocess.NewImputer(preprocess.ImputeMode), preprocess.NewImputer(preprocess.ImputeKNN),
 		mlmodels.NewDecisionTree(mlmodels.TreeRegression), mlmodels.NewDecisionTree(mlmodels.TreeClassification),
 		mlmodels.NewRandomForest(mlmodels.TreeRegression, 30), mlmodels.NewRandomForest(mlmodels.TreeClassification, 30),
 		mlmodels.NewKNN(mlmodels.KNNRegression, 5), mlmodels.NewKNN(mlmodels.KNNClassification, 5),
-		mlmodels.NewLinearRegression(), mlmodels.NewRidge(1), mlmodels.NewGradientBoosting(50),
+		mlmodels.NewLinearRegression(), &mlmodels.LinearRegression{Alpha: 1},
 		mlmodels.NewLogisticRegression(), mlmodels.NewKMeans(3), mlmodels.NewZeroModel(0), mlmodels.NewARModel(3, 0),
 		tswindow.NewCascadedWindows(8, 1, 0), tswindow.NewFlatWindowing(8, 1, 0),
 		tswindow.NewTSAsIID(1, 0), tswindow.NewTSAsIs(1, 0),

@@ -65,13 +65,13 @@ func searchGraphs() map[string]func() *core.Graph {
 			)
 			return g
 		},
-		// Two imputers that differ only in strategy: their specs must
+		// Two PCAs that differ only in n_components: their specs must
 		// differ too, or the cache hands one the other's fitted prefix.
-		"imputers": func() *core.Graph {
+		"param-variants": func() *core.Graph {
 			g := core.NewGraph()
-			g.AddTransformerStage("imputation",
-				preprocess.NewImputer(preprocess.ImputeMean),
-				preprocess.NewImputer(preprocess.ImputeMedian),
+			g.AddTransformerStage("projection",
+				preprocess.NewPCA(2),
+				preprocess.NewPCA(3),
 			)
 			g.AddRegressionModels(mlmodels.NewLinearRegression())
 			return g
@@ -432,7 +432,7 @@ func TestPrefixCacheHoldsTheLiveSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := p.PrefixSpecs()
+		specs := prefixSpecs(p)
 		size := make([][]int64, len(specs)) // by depth, then fold
 		for d := range size {
 			size[d] = make([]int64, len(splits))
@@ -698,4 +698,16 @@ func scrapeSeries(t *testing.T, series string) float64 {
 		return v
 	}
 	return 0
+}
+
+// prefixSpecs is the spec of every transformer prefix of p, shallowest
+// first: p's spec cut before each " -> " after the first, so the estimator
+// is never part of one.
+func prefixSpecs(p *core.Pipeline) []string {
+	parts := strings.Split(p.Spec(), " -> ")
+	var specs []string
+	for d := 2; d < len(parts); d++ {
+		specs = append(specs, strings.Join(parts[:d], " -> "))
+	}
+	return specs
 }

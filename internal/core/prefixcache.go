@@ -112,8 +112,8 @@ type prefixCache struct {
 // newPrefixCache plans the cache for every unit whose result is not yet
 // in results — the ones the dispatcher has not settled. A unit's prefix
 // ids are interned from its planned spec cut before each " -> " after the
-// first, the bytes Pipeline.PrefixSpecs renders (no node spec holds the
-// separator: planUnits refuses one), so identical prefixes on different
+// first, the bytes Pipeline.Spec renders up to that node (no node spec
+// holds the separator: planUnits refuses one), so identical prefixes on different
 // graph nodes share an id, and nothing is built or rendered.
 func newPrefixCache(units []searchUnit, results []UnitResult, folds int) *prefixCache {
 	const sep = " -> "

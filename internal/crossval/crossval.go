@@ -1,14 +1,13 @@
-// Package crossval implements the cross-validation strategies the paper
-// names in Section IV-B: K-fold, Monte-Carlo (shuffle split), train-test
-// split, nested K-fold, and the TimeSeriesSlidingSplit of Figure 12 which
-// keeps a buffer window between training and validation ranges so that no
-// future information leaks into training.
+// Package crossval implements the cross-validation strategies the searches
+// run, from those the paper names in Section IV-B: K-fold, Monte-Carlo
+// (shuffle split), and the TimeSeriesSlidingSplit of Figure 12 which keeps
+// a buffer window between training and validation ranges so that no future
+// information leaks into training.
 package crossval
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Split is one train/validation partition as index sets into the dataset.
@@ -108,65 +107,6 @@ func (s ShuffleSplit) Spec() string {
 	return fmt.Sprintf("shufflesplit(iter=%d,test=%g)", s.Iterations, s.TestFrac)
 }
 
-// TrainTest is a single randomized train/test split.
-type TrainTest struct {
-	TestFrac float64
-}
-
-// Splits implements Splitter.
-func (s TrainTest) Splits(n int, rng *rand.Rand) ([]Split, error) {
-	sp, err := ShuffleSplit{Iterations: 1, TestFrac: s.TestFrac}.Splits(n, rng)
-	if err != nil {
-		return nil, fmt.Errorf("crossval: train-test: %w", err)
-	}
-	return sp, nil
-}
-
-// Spec implements Splitter.
-func (s TrainTest) Spec() string { return fmt.Sprintf("traintest(test=%g)", s.TestFrac) }
-
-// NestedKFold performs K-fold where each outer training set is itself
-// splittable by an inner K-fold; Splits returns the outer splits, and
-// InnerSplits produces the inner folds for a given outer training set.
-// The outer loop estimates generalization while the inner loop tunes
-// hyperparameters.
-type NestedKFold struct {
-	OuterK, InnerK int
-}
-
-// Splits implements Splitter (outer folds).
-func (nk NestedKFold) Splits(n int, rng *rand.Rand) ([]Split, error) {
-	sp, err := (KFold{K: nk.OuterK, Shuffle: true}).Splits(n, rng)
-	if err != nil {
-		return nil, fmt.Errorf("crossval: nested outer: %w", err)
-	}
-	return sp, nil
-}
-
-// InnerSplits partitions one outer training index set into inner folds.
-// Returned indices refer to the original dataset (not positions within
-// outerTrain).
-func (nk NestedKFold) InnerSplits(outerTrain []int, rng *rand.Rand) ([]Split, error) {
-	inner, err := (KFold{K: nk.InnerK, Shuffle: true}).Splits(len(outerTrain), rng)
-	if err != nil {
-		return nil, fmt.Errorf("crossval: nested inner: %w", err)
-	}
-	for i := range inner {
-		for j, p := range inner[i].Train {
-			inner[i].Train[j] = outerTrain[p]
-		}
-		for j, p := range inner[i].Test {
-			inner[i].Test[j] = outerTrain[p]
-		}
-	}
-	return inner, nil
-}
-
-// Spec implements Splitter.
-func (nk NestedKFold) Spec() string {
-	return fmt.Sprintf("nestedkfold(outer=%d,inner=%d)", nk.OuterK, nk.InnerK)
-}
-
 // SlidingSplit is the TimeSeriesSlidingSplit of Figure 12: contiguous
 // training and validation windows separated by a buffer, sliding forward in
 // time for K iterations so that validation data always lies strictly after
@@ -235,112 +175,3 @@ func (s SlidingSplit) Spec() string {
 	}
 	return fmt.Sprintf("slidingsplit(k=%d,train=%d,test=%d,buffer=%d)", s.K, s.TrainSize, s.TestSize, s.Buffer)
 }
-
-// ExpandingSplit is the classic "Time Series Split" the paper lists as an
-// alternate strategy: the training window grows from the start of the
-// series while a fixed-size validation window (separated by Buffer) slides
-// toward the end — every iteration trains on all data before its
-// validation range.
-type ExpandingSplit struct {
-	K        int // iterations
-	TestSize int // validation samples per iteration
-	Buffer   int // gap between train end and validation start (>= horizon)
-	MinTrain int // smallest training window (default TestSize)
-}
-
-// Splits implements Splitter; index order is time order, never shuffled.
-func (s ExpandingSplit) Splits(n int, _ *rand.Rand) ([]Split, error) {
-	if s.K < 1 || s.TestSize < 1 || s.Buffer < 0 {
-		return nil, fmt.Errorf("crossval: invalid expanding split %+v", s)
-	}
-	minTrain := s.MinTrain
-	if minTrain < 1 {
-		minTrain = s.TestSize
-	}
-	needed := minTrain + s.Buffer + s.K*s.TestSize
-	if needed > n {
-		return nil, fmt.Errorf("crossval: expanding split needs %d samples, have %d", needed, n)
-	}
-	splits := make([]Split, s.K)
-	for i := 0; i < s.K; i++ {
-		testEnd := n - (s.K-1-i)*s.TestSize
-		testStart := testEnd - s.TestSize
-		trainEnd := testStart - s.Buffer
-		train := make([]int, trainEnd)
-		for j := range train {
-			train[j] = j
-		}
-		test := make([]int, s.TestSize)
-		for j := range test {
-			test[j] = testStart + j
-		}
-		splits[i] = Split{Train: train, Test: test}
-	}
-	return splits, nil
-}
-
-// Spec implements Splitter.
-func (s ExpandingSplit) Spec() string {
-	return fmt.Sprintf("expandingsplit(k=%d,test=%d,buffer=%d)", s.K, s.TestSize, s.Buffer)
-}
-
-// StratifiedKFold partitions samples into K folds while preserving each
-// class's proportion per fold — essential under the class imbalances
-// Section II warns about (rare failure cases vs many successes), where
-// plain K-fold can produce folds with no positive samples at all.
-// Labels must be provided at construction (the Splitter interface itself
-// only sees sample counts).
-type StratifiedKFold struct {
-	K      int
-	Labels []float64
-}
-
-// Splits implements Splitter. Within each class, samples are shuffled and
-// dealt round-robin across folds.
-func (s StratifiedKFold) Splits(n int, rng *rand.Rand) ([]Split, error) {
-	if s.K < 2 {
-		return nil, fmt.Errorf("crossval: StratifiedKFold needs K >= 2, got %d", s.K)
-	}
-	if len(s.Labels) != n {
-		return nil, fmt.Errorf("crossval: StratifiedKFold has %d labels for %d samples", len(s.Labels), n)
-	}
-	byClass := map[float64][]int{}
-	for i, l := range s.Labels {
-		byClass[l] = append(byClass[l], i)
-	}
-	// Deterministic class order for reproducibility.
-	classes := make([]float64, 0, len(byClass))
-	for c := range byClass {
-		classes = append(classes, c)
-	}
-	sort.Float64s(classes)
-	for _, c := range classes {
-		if len(byClass[c]) < s.K {
-			return nil, fmt.Errorf("crossval: class %v has %d samples, fewer than %d folds", c, len(byClass[c]), s.K)
-		}
-	}
-	folds := make([][]int, s.K)
-	for _, c := range classes {
-		idx := byClass[c]
-		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		for pos, i := range idx {
-			f := pos % s.K
-			folds[f] = append(folds[f], i)
-		}
-	}
-	splits := make([]Split, s.K)
-	for f := range splits {
-		test := append([]int(nil), folds[f]...)
-		train := make([]int, 0, n-len(test))
-		for other := range folds {
-			if other != f {
-				train = append(train, folds[other]...)
-			}
-		}
-		splits[f] = Split{Train: train, Test: test}
-	}
-	return splits, nil
-}
-
-// Spec implements Splitter.
-func (s StratifiedKFold) Spec() string { return fmt.Sprintf("stratifiedkfold(k=%d)", s.K) }

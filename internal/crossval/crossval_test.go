@@ -129,49 +129,6 @@ func TestShuffleSplit(t *testing.T) {
 	}
 }
 
-func TestTrainTest(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	splits, err := (TrainTest{TestFrac: 0.2}).Splits(100, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 1 || len(splits[0].Test) != 20 {
-		t.Fatalf("TrainTest gave %d splits, test size %d", len(splits), len(splits[0].Test))
-	}
-}
-
-func TestNestedKFold(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	nk := NestedKFold{OuterK: 4, InnerK: 3}
-	outer, err := nk.Splits(60, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outer) != 4 {
-		t.Fatalf("outer folds %d", len(outer))
-	}
-	inner, err := nk.InnerSplits(outer[0].Train, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inner) != 3 {
-		t.Fatalf("inner folds %d", len(inner))
-	}
-	// Inner indices must be a subset of the outer training set and must
-	// never touch the outer test set.
-	outerTrain := map[int]bool{}
-	for _, i := range outer[0].Train {
-		outerTrain[i] = true
-	}
-	for _, sp := range inner {
-		for _, i := range append(append([]int(nil), sp.Train...), sp.Test...) {
-			if !outerTrain[i] {
-				t.Fatalf("inner index %d escapes outer training set", i)
-			}
-		}
-	}
-}
-
 func TestSlidingSplitNoLeakage(t *testing.T) {
 	s := SlidingSplit{K: 5, TrainSize: 30, TestSize: 10, Buffer: 3}
 	splits, err := s.Splits(120, nil)
@@ -268,8 +225,6 @@ func TestSpecStrings(t *testing.T) {
 	specs := map[string]Splitter{
 		"kfold(k=10,shuffle=true)":                              KFold{K: 10, Shuffle: true},
 		"shufflesplit(iter=5,test=0.2)":                         ShuffleSplit{Iterations: 5, TestFrac: 0.2},
-		"traintest(test=0.3)":                                   TrainTest{TestFrac: 0.3},
-		"nestedkfold(outer=5,inner=3)":                          NestedKFold{OuterK: 5, InnerK: 3},
 		"slidingsplit(k=4,train=50,test=10,buffer=2)":           SlidingSplit{K: 4, TrainSize: 50, TestSize: 10, Buffer: 2},
 		"slidingsplit(k=3,train=40,test=15,buffer=2,stride=10)": SlidingSplit{K: 3, TrainSize: 40, TestSize: 15, Buffer: 2, Stride: 10},
 	}
@@ -336,98 +291,5 @@ func TestSlidingSplitLeakFreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestExpandingSplit(t *testing.T) {
-	s := ExpandingSplit{K: 4, TestSize: 10, Buffer: 2}
-	splits, err := s.Splits(100, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) != 4 {
-		t.Fatalf("iterations %d", len(splits))
-	}
-	for i, sp := range splits {
-		if len(sp.Test) != 10 {
-			t.Fatalf("iter %d test size %d", i, len(sp.Test))
-		}
-		// Training always starts at 0 and grows.
-		if sp.Train[0] != 0 {
-			t.Fatalf("iter %d train does not start at 0", i)
-		}
-		if i > 0 && len(sp.Train) <= len(splits[i-1].Train) {
-			t.Fatalf("iter %d training window did not grow", i)
-		}
-		// No-leakage invariant.
-		trainEnd := sp.Train[len(sp.Train)-1]
-		if sp.Test[0]-trainEnd <= s.Buffer {
-			t.Fatalf("iter %d leaks: train end %d test start %d", i, trainEnd, sp.Test[0])
-		}
-	}
-	// Last window ends at the final sample.
-	last := splits[3]
-	if last.Test[len(last.Test)-1] != 99 {
-		t.Fatalf("last test ends at %d", last.Test[len(last.Test)-1])
-	}
-	if _, err := (ExpandingSplit{K: 0, TestSize: 5}).Splits(50, nil); err == nil {
-		t.Fatal("want K error")
-	}
-	if _, err := (ExpandingSplit{K: 10, TestSize: 50}).Splits(50, nil); err == nil {
-		t.Fatal("want too-short error")
-	}
-	if got := s.Spec(); got != "expandingsplit(k=4,test=10,buffer=2)" {
-		t.Fatalf("spec %q", got)
-	}
-}
-
-func TestStratifiedKFoldPreservesClassRatios(t *testing.T) {
-	// Imbalanced labels: 90 negatives, 10 positives.
-	labels := make([]float64, 100)
-	for i := 90; i < 100; i++ {
-		labels[i] = 1
-	}
-	s := StratifiedKFold{K: 5, Labels: labels}
-	splits, err := s.Splits(100, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	testCount := make([]int, 100)
-	for f, sp := range splits {
-		checkPartition(t, 100, sp)
-		pos := 0
-		for _, i := range sp.Test {
-			testCount[i]++
-			if labels[i] == 1 {
-				pos++
-			}
-		}
-		// Every fold carries exactly its share of the minority class.
-		if pos != 2 {
-			t.Fatalf("fold %d has %d positives, want 2", f, pos)
-		}
-	}
-	for i, c := range testCount {
-		if c != 1 {
-			t.Fatalf("sample %d in %d test folds", i, c)
-		}
-	}
-	if got := s.Spec(); got != "stratifiedkfold(k=5)" {
-		t.Fatalf("spec %q", got)
-	}
-}
-
-func TestStratifiedKFoldErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := (StratifiedKFold{K: 1, Labels: []float64{0, 1}}).Splits(2, rng); err == nil {
-		t.Fatal("want K error")
-	}
-	if _, err := (StratifiedKFold{K: 2, Labels: []float64{0}}).Splits(5, rng); err == nil {
-		t.Fatal("want label-length error")
-	}
-	// A class with fewer samples than folds cannot stratify.
-	labels := []float64{0, 0, 0, 0, 1}
-	if _, err := (StratifiedKFold{K: 3, Labels: labels}).Splits(5, rng); err == nil {
-		t.Fatal("want tiny-class error")
 	}
 }

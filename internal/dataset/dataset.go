@@ -9,7 +9,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"coda/internal/matrix"
 )
@@ -183,12 +182,6 @@ func cloneFloats(s []float64) []float64 {
 	return append([]float64(nil), s...)
 }
 
-// Shuffle returns a row-permuted copy using rng.
-func (d *Dataset) Shuffle(rng *rand.Rand) *Dataset {
-	idx := rng.Perm(d.NumSamples())
-	return d.Subset(idx)
-}
-
 // Fingerprint returns a stable hex digest of the dataset contents. The DARR
 // keys shared analytics results by this fingerprint so that cooperating
 // clients agree on what "the same data" means.
@@ -212,20 +205,4 @@ func (d *Dataset) Fingerprint() string {
 	}
 	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// TrainTestSplit splits d into a train set with the given fraction of
-// samples and a test set with the remainder, shuffling with rng first.
-// frac must be in (0, 1).
-func (d *Dataset) TrainTestSplit(frac float64, rng *rand.Rand) (train, test *Dataset, err error) {
-	if frac <= 0 || frac >= 1 {
-		return nil, nil, fmt.Errorf("dataset: train fraction %v outside (0,1)", frac)
-	}
-	n := d.NumSamples()
-	idx := rng.Perm(n)
-	cut := int(float64(n) * frac)
-	if cut == 0 || cut == n {
-		return nil, nil, fmt.Errorf("dataset: split of %d samples at %v leaves an empty side", n, frac)
-	}
-	return d.Subset(idx[:cut]), d.Subset(idx[cut:]), nil
 }

@@ -111,5 +111,5 @@ func MakeClassification(spec ClassificationSpec, rng *rand.Rand) (*Dataset, erro
 		names[j] = fmt.Sprintf("x%d", j)
 	}
 	ds := &Dataset{X: x, Y: y, ColNames: names, TargetName: "class"}
-	return ds.Shuffle(rng), nil
+	return ds.Subset(rng.Perm(ds.NumSamples())), nil
 }

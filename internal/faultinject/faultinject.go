@@ -184,9 +184,6 @@ func NewHandler(next http.Handler, cfg Config) *Handler {
 	return &Handler{next: next, d: newDecider(cfg)}
 }
 
-// Counts returns a snapshot of the injected-fault counters.
-func (h *Handler) Counts() Counts { return h.d.snapshot() }
-
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch h.d.decide() {

@@ -102,7 +102,7 @@ func TestHandlerChaos(t *testing.T) {
 	}
 	// net/http transparently re-issues GETs killed on a reused connection,
 	// so the handler can see more than 200 arrivals.
-	c := h.Counts()
+	c := h.d.snapshot()
 	if c.Total < 200 || c.Dropped == 0 || c.Errored == 0 {
 		t.Fatalf("handler counts %+v, want >=200 with drops and errors", c)
 	}

@@ -267,7 +267,7 @@ func TestBatchCallsSplitAtTheServerCap(t *testing.T) {
 	}
 	g := core.NewGraph()
 	g.AddFeatureScalers(preprocess.NewNoOp())
-	g.AddRegressionModels(mlmodels.NewRidge(1))
+	g.AddRegressionModels(&mlmodels.LinearRegression{Alpha: 1})
 	alphas := make([]float64, 1500)
 	for i := range alphas {
 		alphas[i] = float64(i+1) / 100

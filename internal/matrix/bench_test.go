@@ -56,28 +56,6 @@ func BenchmarkKernelMulParallel256(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelMulTransposeA256(b *testing.B) {
-	a := benchMat(256, 256, 3)
-	c := benchMat(256, 256, 4)
-	var dst *Matrix
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _ = MulTransposeAInto(dst, a, c)
-	}
-}
-
-func BenchmarkKernelMulVec1024(b *testing.B) {
-	m := benchMat(1024, 512, 5)
-	v := benchMat(1, 512, 6).Row(0)
-	var dst []float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _ = MulVecInto(dst, m, v)
-	}
-}
-
 func BenchmarkKernelTranspose1024(b *testing.B) {
 	m := benchMat(1024, 768, 7)
 	var dst *Matrix
@@ -297,7 +275,6 @@ func BenchmarkElementwiseKernels(b *testing.B) {
 		}
 		for _, n := range []int{2048, 24} {
 			d, s, e := dst[:n], src[:n], sel[:n]
-			run(l, fmt.Sprintf("AddInto/%d", n), n, func() { addElems(d, s, e) })
 			run(l, fmt.Sprintf("MulElems/%d", n), n, func() { mulElems(d, s, e) })
 			run(l, fmt.Sprintf("KeepPositive/%d", n), n, func() { keepPositive(d, s, e) })
 			run(l, fmt.Sprintf("DropoutApply/%d", n), n, func() { copy(m, e); dropoutApply(m[:n], d, s, 0.8, 1.25) })

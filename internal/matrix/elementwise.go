@@ -9,9 +9,8 @@ import (
 //
 // These are the rest of a fold fit outside the products and the
 // activations: Conv1D's im2col and col2im (CopyBlock, AddBlock), ReLU
-// (KeepPositive), Dropout (DropoutApply forward, MulElems backward), the
-// residual sums (AddInto, kernels.go) and the Adam update (AdamUpdate). They
-// are the package's fourth primitive, under Sigmoid's rule: on amd64 with
+// (KeepPositive), Dropout (DropoutApply forward, MulElems backward) and the
+// Adam update (AdamUpdate). They are the package's fourth primitive, under Sigmoid's rule: on amd64 with
 // AVX2 an assembly kernel does four elements per instruction
 // (elementwise_amd64.s; the AVX-512 level runs it too); elsewhere, and
 // whenever a test sets the portable level, the portable twin below does
@@ -131,15 +130,6 @@ func addBlockGeneric(dst []float64, ds int, src []float64, ss int, rows, cols in
 		for j, s := range src[r*ss : r*ss+cols] {
 			d[j] += s
 		}
-	}
-}
-
-// addElemsGeneric is AddInto's portable twin: dst[i] = a[i] + b[i]; every
-// slice is len(dst).
-func addElemsGeneric(dst, a, b []float64) {
-	a, b = a[:len(dst)], b[:len(dst)]
-	for i := range dst {
-		dst[i] = a[i] + b[i]
 	}
 }
 

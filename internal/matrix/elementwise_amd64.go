@@ -7,9 +7,6 @@ func copyBlockAVX2(dst *float64, ds int, src *float64, ss int, rows, cols int)
 func addBlockAVX2(dst *float64, ds int, src *float64, ss int, rows, cols int)
 
 //go:noescape
-func addElemsAVX2(dst, a, b *float64, n int)
-
-//go:noescape
 func mulElemsAVX2(dst, a, b *float64, n int)
 
 //go:noescape
@@ -47,17 +44,9 @@ func addBlock(dst []float64, ds int, src []float64, ss int, rows, cols int) {
 	}
 }
 
-// addElems, mulElems, keepPositive, dropoutApply and adamUpdate are the
-// element-wise twins on the fastest path this CPU has (the avx512 level
-// runs the AVX2 form); every slice is as long as the first.
-func addElems(dst, a, b []float64) {
-	if kernelLevel == portable || len(dst) == 0 {
-		addElemsGeneric(dst, a, b)
-		return
-	}
-	addElemsAVX2(&dst[0], &a[0], &b[0], len(dst))
-}
-
+// mulElems, keepPositive, dropoutApply and adamUpdate are the element-wise
+// twins on the fastest path this CPU has (the avx512 level runs the AVX2
+// form); every slice is as long as the first.
 func mulElems(dst, a, b []float64) {
 	if kernelLevel == portable || len(dst) == 0 {
 		mulElemsGeneric(dst, a, b)

@@ -69,16 +69,7 @@ TEXT ·copyBlockAVX2(SB), NOSPLIT, $0-48
 TEXT ·addBlockAVX2(SB), NOSPLIT, $0-48
 	BLOCK(ADDTO)
 
-#define ADD(LD, ST)	LD((SI)(AX*1), Y0); LD((DX)(AX*1), Y1); VADDPD Y1, Y0, Y0; ST(Y0, (DI)(AX*1))
 #define MUL(LD, ST)	LD((SI)(AX*1), Y0); LD((DX)(AX*1), Y1); VMULPD Y1, Y0, Y0; ST(Y0, (DI)(AX*1))
-
-// func addElemsAVX2(dst, a, b *float64, n int)
-TEXT ·addElemsAVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-	LANES(ADD)
 
 // func mulElemsAVX2(dst, a, b *float64, n int)
 TEXT ·mulElemsAVX2(SB), NOSPLIT, $0-32

@@ -55,7 +55,7 @@ func newElemStreams(n int, next func() float64) *elemStreams {
 
 // elemOutputs names elemKernelsOn's outputs, in its order.
 var elemOutputs = []string{
-	"AddInto", "AddInto in place", "MulElems", "KeepPositive", "KeepPositive in place",
+	"MulElems", "KeepPositive", "KeepPositive in place",
 	"DropoutApply mask", "DropoutApply out", "AdamUpdate w", "AdamUpdate m", "AdamUpdate v",
 }
 
@@ -69,30 +69,16 @@ func elemKernelsOn(t testing.TB, s *elemStreams) [][]float64 {
 	for k := range out {
 		out[k], in[k] = guarded(n)
 	}
-	mat := func(d []float64) *Matrix {
-		m, err := FromSlice(1, n, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	if _, err := AddInto(mat(in[0]), mat(s.a), mat(s.b)); err != nil {
-		t.Fatal(err)
-	}
-	copy(in[1], s.a)
-	if _, err := AddInto(mat(in[1]), mat(in[1]), mat(s.b)); err != nil {
-		t.Fatal(err)
-	}
-	MulElems(in[2], s.a, s.b)
-	KeepPositive(in[3], s.a, s.sel)
-	copy(in[4], s.a)
-	KeepPositive(in[4], in[4], in[4])
-	copy(in[5], s.draws)
-	DropoutApply(in[5], in[6], s.a, s.keep, s.scale)
-	copy(in[7], s.w)
-	copy(in[8], s.m)
-	copy(in[9], s.v)
-	AdamUpdate(in[7], s.g, in[8], in[9], &s.adam)
+	MulElems(in[0], s.a, s.b)
+	KeepPositive(in[1], s.a, s.sel)
+	copy(in[2], s.a)
+	KeepPositive(in[2], in[2], in[2])
+	copy(in[3], s.draws)
+	DropoutApply(in[3], in[4], s.a, s.keep, s.scale)
+	copy(in[5], s.w)
+	copy(in[6], s.m)
+	copy(in[7], s.v)
+	AdamUpdate(in[5], s.g, in[6], in[7], &s.adam)
 	return out
 }
 
@@ -258,7 +244,7 @@ func TestElementwiseSpecialValues(t *testing.T) {
 			}
 		}
 
-		// +0 + −0 is +0 and −0 + −0 is −0, in a block as in AddInto.
+		// +0 + −0 is +0 and −0 + −0 is −0 in a block.
 		d := []float64{0, negZero, negZero, 5e-324}
 		AddBlock(d, 1, []float64{negZero, 0, negZero, -5e-324}, 1, 4, 1)
 		for i, want := range []float64{0, 0, negZero, 0} {
@@ -282,7 +268,7 @@ func TestElementwiseSpecialValues(t *testing.T) {
 
 // TestElementwiseTwinsMatchPerElementForm pins the twins to the plain
 // per-element loops the nn layers ran before the kernels — ReLU's and
-// Dropout's branches, AddInto's loop, Adam's statement order — so that
+// Dropout's branches, Adam's statement order — so that
 // moving a layer onto a kernel cannot move a score bit.
 func TestElementwiseTwinsMatchPerElementForm(t *testing.T) {
 	s := newElemStreams(37, specialStream(7))
@@ -303,7 +289,7 @@ func TestElementwiseTwinsMatchPerElementForm(t *testing.T) {
 		m := k.Beta1*s.m[i] + (1-k.Beta1)*gi
 		v := k.Beta2*s.v[i] + (1-k.Beta2)*gi*gi
 		w := s.w[i] - k.LR*(m/k.C1)/(math.Sqrt(v/k.C2)+k.Eps)
-		for j, want := range []float64{s.a[i] + s.b[i], s.a[i] + s.b[i], s.a[i] * s.b[i], keepIf(s.a[i], s.sel[i] > 0), relu, mask, drop, w, m, v} {
+		for j, want := range []float64{s.a[i] * s.b[i], keepIf(s.a[i], s.sel[i] > 0), relu, mask, drop, w, m, v} {
 			got := out[j][guard+i]
 			if math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
 				t.Errorf("%s element %d = %v, per-element form %v", elemOutputs[j], i, got, want)

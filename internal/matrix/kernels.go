@@ -140,18 +140,6 @@ func naiveMulInto[T Float](dst, a, b *Mat[T]) *Mat[T] {
 	return dst
 }
 
-// MulVecInto computes dst = m*v, reusing dst when cap(dst) >= m.rows.
-// Each output element is an ascending-index dot product with no term
-// skipped.
-func MulVecInto[T Float](dst []T, m *Mat[T], v []T) ([]T, error) {
-	if m.cols != len(v) {
-		return nil, shapeErrVec("mulvec", m, len(v))
-	}
-	dst = RecycleVec(dst, m.rows)
-	mulAccum(dst, m.data, m.cols, 1, v, m.rows, m.cols, 1, false, true)
-	return dst, nil
-}
-
 // TInto writes m's transpose into dst (reused when capacity allows). It
 // takes four rows of m at a time, so each row of dst gets four adjacent
 // elements per visit and the reads are four sequential streams.
@@ -175,18 +163,6 @@ func TInto[T Float](dst, m *Mat[T]) *Mat[T] {
 		}
 	}
 	return dst
-}
-
-// MulTransposeAInto computes dst = aᵀ*b without materialising aᵀ.
-// a is n x p, b is n x q, dst is p x q; zero a elements are skipped, so the
-// result is bitwise naive aᵀ then Mul.
-func MulTransposeAInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
-	if a.rows != b.rows {
-		return nil, shapeErr("mulTa", a, b)
-	}
-	dst = RecycleNoClear(dst, a.cols, b.cols)
-	mulAccum(dst.data, a.data, 1, a.cols, b.data, a.cols, a.rows, b.cols, true, true)
-	return dst, nil
 }
 
 // MulTransposeAAccum computes dst += aᵀ*b (dst must already be p x q).
@@ -272,29 +248,6 @@ func one[T Float]() []T {
 		return o
 	}
 	return any(one32).([]T)
-}
-
-// AddInto computes dst = a + b elementwise, reusing dst when capacity
-// allows. dst may alias a or b for in-place accumulation. Each sum is
-// rounded once with a's element the left operand; float64 runs the
-// element-wise kernel (elementwise.go), lane per element.
-func AddInto[T Float](dst, a, b *Mat[T]) (*Mat[T], error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, shapeErr("add", a, b)
-	}
-	if dst != a && dst != b {
-		dst = RecycleNoClear(dst, a.rows, a.cols)
-	}
-	switch d := any(dst.data).(type) {
-	case []float64:
-		addElems(d, any(a.data).([]float64)[:len(d)], any(b.data).([]float64)[:len(d)])
-	default:
-		ad, bd, dd := a.data, b.data, dst.data
-		for i := range dd {
-			dd[i] = ad[i] + bd[i]
-		}
-	}
-	return dst, nil
 }
 
 // Recycle returns a zeroed rows x cols matrix, reusing m's backing array

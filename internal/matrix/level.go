@@ -16,7 +16,7 @@ package matrix
 //	Sigmoid, Tanh                              own    own
 //	LSTMGather, LSTMCell, LSTMGateGrads        own    avx2
 //	CopyBlock, AddBlock                        own    avx2
-//	AddInto (float64), MulElems, KeepPositive  own    avx2
+//	MulElems, KeepPositive                     own    avx2
 //	DropoutApply, AdamUpdate                   own    avx2
 //	LaggedUniforms                             own    avx2
 type level int

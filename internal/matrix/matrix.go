@@ -20,7 +20,6 @@ package matrix
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrShape is returned (wrapped) whenever operand dimensions are incompatible.
@@ -166,11 +165,6 @@ func (m *Mat[T]) SliceRows(a, b int) *Mat[T] {
 	return out
 }
 
-// T returns the transpose of m as a new matrix (tiled; see TInto).
-func (m *Mat[T]) T() *Mat[T] {
-	return TInto(nil, m)
-}
-
 // Add returns m + b.
 func (m *Mat[T]) Add(b *Mat[T]) (*Mat[T], error) {
 	if m.rows != b.rows || m.cols != b.cols {
@@ -195,25 +189,10 @@ func (m *Mat[T]) Sub(b *Mat[T]) (*Mat[T], error) {
 	return out, nil
 }
 
-// Scale returns s*m as a new matrix.
-func (m *Mat[T]) Scale(s T) *Mat[T] {
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] *= s
-	}
-	return out
-}
-
 // Mul returns the matrix product m*b, bitwise identical to the naive triple
 // loop at any worker count (see MulInto).
 func (m *Mat[T]) Mul(b *Mat[T]) (*Mat[T], error) {
 	return MulInto(nil, m, b)
-}
-
-// MulVec returns the matrix-vector product m*v. Each element is an
-// ascending-index dot product (see MulVecInto).
-func (m *Mat[T]) MulVec(v []T) ([]T, error) {
-	return MulVecInto(nil, m, v)
 }
 
 // ColMeans returns the per-column mean.
@@ -325,20 +304,6 @@ func (m *Mat[T]) Covariance() *Mat[T] {
 		}
 	}
 	return cov
-}
-
-// Equal reports whether m and b have identical shape and all entries within
-// tol of each other.
-func (m *Mat[T]) Equal(b *Mat[T], tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(float64(v)-float64(b.data[i])) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders small matrices for debugging.

@@ -31,8 +31,6 @@ func addBlock(dst []float64, ds int, src []float64, ss int, rows, cols int) {
 	addBlockGeneric(dst, ds, src, ss, rows, cols)
 }
 
-func addElems(dst, a, b []float64) { addElemsGeneric(dst, a, b) }
-
 func mulElems(dst, a, b []float64) { mulElemsGeneric(dst, a, b) }
 
 func keepPositive(dst, src, sel []float64) { keepPositiveGeneric(dst, src, sel) }

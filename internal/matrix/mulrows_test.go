@@ -194,12 +194,6 @@ func testFormsMatchOracles[T Float](t *testing.T) {
 
 		// aᵀ*b reads a down its columns: a is k x m here.
 		at := TInto(nil, a)
-		got, err = MulTransposeAInto(leftovers(), at, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, "MulTransposeAInto", got.data, naiveMulInto(nil, a, b).data)
-
 		acc := NewOf[T](m, n)
 		awkward(rng, acc, true, false)
 		want := acc.Clone()
@@ -247,16 +241,6 @@ func testFormsMatchOracles[T Float](t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(t, "AddRowVec", shifted.data, wantShifted.data)
-
-		if n > 0 {
-			v := b.ColCopy(0)
-			gotVec, err := MulVecInto(leftovers().data[:0], a, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vm, _ := FromSlice(1, k, v)
-			sameBits(t, "MulVecInto", gotVec, oracleMulTB(a, vm).data)
-		}
 	}
 }
 

@@ -22,9 +22,10 @@ var bulkLengths = []int{1, 3, 4, 5, 7, 8, 9, 16, 61, 272, 273, 274, 607, 1000, 3
 
 // drawAgainstMathRand makes the calls ops names on r, just seeded with
 // seed, and on math/rand's generator for that seed, and reports the first
-// value they disagree on. Each op picks a call: one Float64, a Float64s
-// block of a length from bulkLengths, one Int63, one Uint64, or a Shuffle
-// through rand.New(r). It returns how many values it compared.
+// value they disagree on. Each op picks a call: one Float64 through
+// rand.New(r), a Float64s block of a length from bulkLengths, one Int63,
+// one Uint64, or a Shuffle through rand.New(r). It returns how many values
+// it compared.
 func drawAgainstMathRand(t *testing.T, r *nn.Rand, seed int64, ops []byte) int {
 	t.Helper()
 	ref := rand.New(rand.NewSource(seed))
@@ -34,7 +35,7 @@ func drawAgainstMathRand(t *testing.T, r *nn.Rand, seed int64, ops []byte) int {
 	for i, op := range ops {
 		switch op % 5 {
 		case 0:
-			if g, w := r.Float64(), ref.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+			if g, w := viaRand.Float64(), ref.Float64(); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("seed %d op %d: Float64 %v, math/rand %v", seed, i, g, w)
 			}
 			drawn++

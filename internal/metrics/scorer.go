@@ -19,16 +19,6 @@ func (s Scorer) Better(a, b float64) bool {
 	return a > b
 }
 
-// Worst returns a sentinel score that every real score beats.
-func (s Scorer) Worst() float64 {
-	if s.Lower {
-		return maxFloat
-	}
-	return -maxFloat
-}
-
-const maxFloat = 1.7976931348623157e308
-
 // ScorerByName resolves the metric names used throughout the paper:
 // "rmse", "mse", "mae", "mape", "msle", "rmsle", "medae", "r2", "accuracy",
 // "f1-score" (alias "f1"), "auc".

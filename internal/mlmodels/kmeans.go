@@ -20,7 +20,6 @@ type KMeans struct {
 	Seed     int64 // rng seed
 
 	centroids *matrix.Matrix
-	inertia   float64
 }
 
 // NewKMeans returns an unfitted clusterer with k clusters.
@@ -95,12 +94,8 @@ func (m *KMeans) Fit(ds *dataset.Dataset) error {
 		}
 	}
 	m.centroids = bestCentroids
-	m.inertia = best
 	return nil
 }
-
-// Inertia returns the within-cluster sum of squares of the fitted model.
-func (m *KMeans) Inertia() float64 { return m.inertia }
 
 // runOnce performs one k-means++ seeding plus Lloyd refinement.
 func (m *KMeans) runOnce(ds *dataset.Dataset, rng *rand.Rand) *matrix.Matrix {
@@ -204,14 +199,6 @@ func (m *KMeans) Predict(ds *dataset.Dataset) ([]float64, error) {
 		out[i] = float64(best)
 	}
 	return out, nil
-}
-
-// Centroids returns a copy of the fitted cluster centres.
-func (m *KMeans) Centroids() (*matrix.Matrix, error) {
-	if m.centroids == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNotFitted, m.Name())
-	}
-	return m.centroids.Clone(), nil
 }
 
 func sqDist(a, b []float64) float64 {

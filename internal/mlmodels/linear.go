@@ -43,9 +43,6 @@ type LinearRegression struct {
 // NewLinearRegression returns an unfitted OLS model.
 func NewLinearRegression() *LinearRegression { return &LinearRegression{} }
 
-// NewRidge returns a ridge regression with penalty alpha.
-func NewRidge(alpha float64) *LinearRegression { return &LinearRegression{Alpha: alpha} }
-
 // Name implements core.Component.
 func (l *LinearRegression) Name() string {
 	if l.Alpha > 0 {

@@ -141,11 +141,3 @@ func (l *LogisticRegression) Predict(ds *dataset.Dataset) ([]float64, error) {
 	}
 	return probs, nil
 }
-
-// Coefficients returns the fitted weights and intercept for RCA reporting.
-func (l *LogisticRegression) Coefficients() (coef []float64, intercept float64, err error) {
-	if !l.fitted {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotFitted, l.Name())
-	}
-	return append([]float64(nil), l.coef...), l.intercept, nil
-}

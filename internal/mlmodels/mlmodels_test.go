@@ -22,8 +22,15 @@ var (
 	_ core.Estimator = (*LogisticRegression)(nil)
 	_ core.Estimator = (*ZeroModel)(nil)
 	_ core.Estimator = (*ARModel)(nil)
-	_ core.Estimator = (*GradientBoosting)(nil)
 )
+
+// trainTestSplit shuffles ds with rng and cuts it into a train set holding
+// frac of the rows and a test set holding the rest.
+func trainTestSplit(ds *dataset.Dataset, frac float64, rng *rand.Rand) (train, test *dataset.Dataset) {
+	idx := rng.Perm(ds.NumSamples())
+	cut := int(float64(len(idx)) * frac)
+	return ds.Subset(idx[:cut]), ds.Subset(idx[cut:])
+}
 
 func regData(t *testing.T, seed int64, n int) (*dataset.Dataset, []float64) {
 	t.Helper()
@@ -83,7 +90,7 @@ func TestLinearRegressionRecoversCoefficients(t *testing.T) {
 func TestRidgeShrinksCoefficients(t *testing.T) {
 	ds, _ := regData(t, 2, 100)
 	ols := NewLinearRegression()
-	ridge := NewRidge(1000)
+	ridge := &LinearRegression{Alpha: 1000}
 	if err := ols.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +154,7 @@ func TestDecisionTreeRegressionFitsSteps(t *testing.T) {
 			t.Fatalf("tree missed step at %d: %v vs %v", i, preds[i], y[i])
 		}
 	}
-	if tree.Depth() < 1 {
+	if depthOf(tree.root) < 1 {
 		t.Fatal("tree should have split at least once")
 	}
 }
@@ -159,7 +166,7 @@ func TestDecisionTreeMaxDepthLimits(t *testing.T) {
 	if err := tree.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	if d := tree.Depth(); d > 3 {
+	if d := depthOf(tree.root); d > 3 {
 		t.Fatalf("depth %d exceeds cap 3", d)
 	}
 }
@@ -189,10 +196,7 @@ func TestRandomForestBeatsSingleTreeOutOfSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, te, err := train.TrainTestSplit(0.7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, te := trainTestSplit(train, 0.7, rng)
 	tree := NewDecisionTree(TreeRegression)
 	if err := tree.Fit(tr); err != nil {
 		t.Fatal(err)
@@ -220,10 +224,7 @@ func TestRandomForestBeatsSingleTreeOutOfSample(t *testing.T) {
 func TestRandomForestClassification(t *testing.T) {
 	ds := clfData(t, 6, 200, 2)
 	rng := rand.New(rand.NewSource(6))
-	tr, te, err := ds.TrainTestSplit(0.7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, te := trainTestSplit(ds, 0.7, rng)
 	f := NewRandomForest(TreeClassification, 30)
 	if err := f.Fit(tr); err != nil {
 		t.Fatal(err)
@@ -265,10 +266,7 @@ func fitPredict(t *testing.T, mk func() core.Estimator, ds *dataset.Dataset) []f
 func TestKNNRegressionAndClassification(t *testing.T) {
 	ds := clfData(t, 8, 200, 2)
 	rng := rand.New(rand.NewSource(8))
-	tr, te, err := ds.TrainTestSplit(0.7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, te := trainTestSplit(ds, 0.7, rng)
 	knn := NewKNN(KNNClassification, 5)
 	if err := knn.Fit(tr); err != nil {
 		t.Fatal(err)
@@ -332,12 +330,8 @@ func TestKMeansRecoversBlobs(t *testing.T) {
 	if purity := float64(agree) / float64(len(assign)); purity < 0.9 {
 		t.Fatalf("kmeans purity %v", purity)
 	}
-	cents, err := km.Centroids()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cents.Rows() != 3 {
-		t.Fatalf("centroids %d", cents.Rows())
+	if km.centroids.Rows() != 3 {
+		t.Fatalf("centroids %d", km.centroids.Rows())
 	}
 }
 
@@ -545,66 +539,5 @@ func TestSetParamAllModels(t *testing.T) {
 	}
 	if f.NTrees != 7 || f.MaxDepth != 4 || f.MinLeaf != 2 || f.Seed != 9 {
 		t.Fatalf("forest params not applied: %+v", f)
-	}
-}
-
-func TestGradientBoostingBeatsSingleTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	full, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 400, Features: 6, Informative: 4, Noise: 3}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, te, err := full.TrainTestSplit(0.7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := NewDecisionTree(TreeRegression)
-	tree.MaxDepth = 3
-	if err := tree.Fit(tr); err != nil {
-		t.Fatal(err)
-	}
-	gbm := NewGradientBoosting(150)
-	if err := gbm.Fit(tr); err != nil {
-		t.Fatal(err)
-	}
-	tp, err := tree.Predict(te)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, err := gbm.Predict(te)
-	if err != nil {
-		t.Fatal(err)
-	}
-	treeRMSE, _ := metrics.RMSE(te.Y, tp)
-	gbmRMSE, _ := metrics.RMSE(te.Y, gp)
-	if gbmRMSE >= treeRMSE {
-		t.Fatalf("boosting RMSE %v not better than one shallow tree %v", gbmRMSE, treeRMSE)
-	}
-}
-
-func TestGradientBoostingParamsAndErrors(t *testing.T) {
-	g := NewGradientBoosting(10)
-	for k, v := range map[string]float64{"n_trees": 20, "lr": 0.05, "max_depth": 2, "min_leaf": 3} {
-		if err := g.SetParam(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.NTrees != 20 || g.LearningRate != 0.05 || g.MaxDepth != 2 || g.MinLeaf != 3 {
-		t.Fatalf("params not applied: %+v", g)
-	}
-	if err := g.SetParam("bogus", 1); err == nil {
-		t.Fatal("want unknown param error")
-	}
-	if _, err := g.Predict(&dataset.Dataset{X: matrix.New(1, 1)}); err == nil {
-		t.Fatal("want not-fitted error")
-	}
-	x := matrix.New(3, 1)
-	unsup, _ := dataset.New(x, nil)
-	if err := g.Fit(unsup); err == nil {
-		t.Fatal("want missing-target error")
-	}
-	c := g.Clone()
-	if c.Params()["n_trees"] != 20 {
-		t.Fatal("clone lost params")
 	}
 }

@@ -43,35 +43,6 @@ func refForestFit(f *RandomForest, ds *dataset.Dataset) {
 	}
 }
 
-func refGBMFit(g *GradientBoosting, ds *dataset.Dataset) {
-	n := ds.NumSamples()
-	g.base = 0
-	for _, y := range ds.Y {
-		g.base += y
-	}
-	g.base /= float64(n)
-	current := make([]float64, n)
-	for i := range current {
-		current[i] = g.base
-	}
-	work := ds.Clone()
-	g.trees = nil
-	for stage := 0; stage < g.NTrees; stage++ {
-		residual := make([]float64, n)
-		for i := range residual {
-			residual[i] = ds.Y[i] - current[i]
-		}
-		work.Y = residual
-		tree := &DecisionTree{Task: TreeRegression, MaxDepth: g.MaxDepth, MinLeaf: g.MinLeaf}
-		refTreeFit(tree, work)
-		preds, _ := tree.Predict(work)
-		for i, p := range preds {
-			current[i] += g.LearningRate * p
-		}
-		g.trees = append(g.trees, tree)
-	}
-}
-
 func refGrow(t *DecisionTree, ds *dataset.Dataset, idx []int, depth int) *treeNode {
 	if len(idx) <= t.MinLeaf || (t.MaxDepth > 0 && depth >= t.MaxDepth) || refPure(ds.Y, idx) {
 		return &treeNode{leaf: true, value: refLeafValue(t, ds.Y, idx)}

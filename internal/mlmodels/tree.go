@@ -97,7 +97,7 @@ func (t *DecisionTree) Fit(ds *dataset.Dataset) error {
 
 // columns is a dataset laid out for CART: each feature as a contiguous
 // column and its rows sorted once by cmpLess, ties in ascending row order.
-// A forest or boosting Fit builds it once; boosting swaps y per stage.
+// A forest Fit builds it once for all its trees.
 type columns struct {
 	x       [][]float64 // x[j][r] is row r's feature j
 	sorted  [][]int     // sorted[j] is every row, ordered by x[j]
@@ -329,20 +329,6 @@ func (t *DecisionTree) Predict(ds *dataset.Dataset) ([]float64, error) {
 		out[i] = node.value
 	}
 	return out, nil
-}
-
-// Depth returns the fitted tree's depth (0 for a single leaf).
-func (t *DecisionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.leaf {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
 }
 
 // cmpLess is the three-way comparator of the strict < the hot-loop sorts

@@ -20,9 +20,6 @@ type refCase struct {
 	name string
 	mk   func() core.Estimator
 	ref  func(m core.Estimator, ds *dataset.Dataset)
-	// untiedOnly: matches only where no rows tie at all, since boosting's
-	// residuals can split a tie's shared target.
-	untiedOnly bool
 }
 
 func treeCase(task TreeTask, depth, minLeaf, maxFeatures int, seed int64) refCase {
@@ -42,17 +39,6 @@ func forestCase(task TreeTask, nTrees, depth, minLeaf int, seed int64) refCase {
 			return &RandomForest{Task: task, NTrees: nTrees, MaxDepth: depth, MinLeaf: minLeaf, Seed: seed}
 		},
 		ref: func(m core.Estimator, ds *dataset.Dataset) { refForestFit(m.(*RandomForest), ds) },
-	}
-}
-
-func gbmCase(nTrees, depth, minLeaf int) refCase {
-	return refCase{
-		name: fmt.Sprintf("gbm/trees=%d/depth=%d/leaf=%d", nTrees, depth, minLeaf),
-		mk: func() core.Estimator {
-			return &GradientBoosting{NTrees: nTrees, LearningRate: 0.1, MaxDepth: depth, MinLeaf: minLeaf}
-		},
-		ref:        func(m core.Estimator, ds *dataset.Dataset) { refGBMFit(m.(*GradientBoosting), ds) },
-		untiedOnly: true,
 	}
 }
 
@@ -107,11 +93,6 @@ func TestTreeMatchesReference(t *testing.T) {
 				regCases = append(regCases, forestCase(TreeRegression, 8, depth, minLeaf, seed))
 				clfCases = append(clfCases, forestCase(TreeClassification, 8, depth, minLeaf, seed))
 			}
-		}
-	}
-	for _, depth := range []int{1, 3} {
-		for _, minLeaf := range []int{1, 5} {
-			regCases = append(regCases, gbmCase(15, depth, minLeaf))
 		}
 	}
 	for _, c := range regCases {
@@ -258,8 +239,8 @@ func fuzzData(data []byte, task TreeTask) *dataset.Dataset {
 }
 
 // tieClass reports whether ds has a NaN, and whether two rows tie on a
-// feature: at all, or with targets whose bits differ.
-func tieClass(ds *dataset.Dataset) (hasNaN, anyTie, mixedTie bool) {
+// feature with targets whose bits differ.
+func tieClass(ds *dataset.Dataset) (hasNaN, mixedTie bool) {
 	n := ds.NumSamples()
 	for i := 0; i < n; i++ {
 		hasNaN = hasNaN || math.IsNaN(ds.Y[i])
@@ -267,19 +248,17 @@ func tieClass(ds *dataset.Dataset) (hasNaN, anyTie, mixedTie bool) {
 			hasNaN = hasNaN || math.IsNaN(ds.X.At(i, j))
 			for k := i + 1; k < n; k++ {
 				if ds.X.At(i, j) == ds.X.At(k, j) {
-					anyTie = true
 					mixedTie = mixedTie || math.Float64bits(ds.Y[i]) != math.Float64bits(ds.Y[k])
 				}
 			}
 		}
 	}
-	return hasNaN, anyTie, mixedTie
+	return hasNaN, mixedTie
 }
 
-// FuzzTreeMatchesReference: no input panics a tree, forest or boosting
-// fit, NaN included; on NaN-free inputs whose tied rows share a target the
-// grower matches the reference bit for bit (boosting only on untied
-// inputs).
+// FuzzTreeMatchesReference: no input panics a tree or forest fit, NaN
+// included; on NaN-free inputs whose tied rows share a target the grower
+// matches the reference bit for bit.
 func FuzzTreeMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 0, 64, 0, 2, 0, 128, 0, 3, 0, 192, 0, 4, 0}, uint8(0), uint8(0), uint8(1), int64(1))
 	f.Add([]byte{3, 10, 0, 20, 0, 30, 0, 40, 0, 5, 0, 25, 0, 35, 0, 45, 0, 1, 0, 7, 0, 9, 0, 200, 0, 255, 255, 3, 0, 8, 1, 6, 0}, uint8(1), uint8(2), uint8(1), int64(7))
@@ -300,10 +279,7 @@ func FuzzTreeMatchesReference(f *testing.F) {
 			treeCase(task, d, l, 1, seed),
 			forestCase(task, 3, d, l, seed),
 		}
-		if task == TreeRegression {
-			cases = append(cases, gbmCase(3, max(d, 1), l))
-		}
-		hasNaN, anyTie, mixedTie := tieClass(ds)
+		hasNaN, mixedTie := tieClass(ds)
 		for _, c := range cases {
 			m := c.mk()
 			if err := m.Fit(ds); err != nil {
@@ -313,9 +289,6 @@ func FuzzTreeMatchesReference(f *testing.F) {
 				t.Fatalf("%s: %v", c.name, err)
 			}
 			check := !hasNaN && (task == TreeClassification || !mixedTie)
-			if c.untiedOnly {
-				check = !hasNaN && !anyTie
-			}
 			if check {
 				if msg := matchesReference(t, c, ds); msg != "" {
 					t.Fatal(msg)
@@ -323,6 +296,14 @@ func FuzzTreeMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// depthOf is a fitted tree's depth below n (0 for a single leaf).
+func depthOf(n *treeNode) int {
+	if n == nil || n.leaf {
+		return 0
+	}
+	return 1 + max(depthOf(n.left), depthOf(n.right))
 }
 
 func countNodes(n *treeNode) int {

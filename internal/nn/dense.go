@@ -109,44 +109,6 @@ func (r *ReLU) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error
 // Parameters implements Layer.
 func (r *ReLU) Parameters() []*Param { return nil }
 
-// Tanh applies tanh elementwise.
-type Tanh struct {
-	lastOut *matrix.Matrix
-	dx      *matrix.Matrix
-}
-
-// NewTanh returns a tanh activation.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward applies tanh.
-func (t *Tanh) Forward(x *matrix.Matrix, _ bool) (*matrix.Matrix, error) {
-	out := matrix.RecycleNoClear(t.lastOut, x.Rows(), x.Cols())
-	t.lastOut = out
-	matrix.Tanh(out.Data(), x.Data())
-	return out, nil
-}
-
-// Backward multiplies by 1 - tanh^2.
-func (t *Tanh) Backward(grad *matrix.Matrix, wantDX bool) (*matrix.Matrix, error) {
-	if t.lastOut == nil || len(t.lastOut.Data()) != len(grad.Data()) {
-		return nil, fmt.Errorf("%w: tanh backward without matching forward", ErrShape)
-	}
-	if !wantDX {
-		return nil, nil
-	}
-	out := matrix.RecycleNoClear(t.dx, grad.Rows(), grad.Cols())
-	t.dx = out
-	src, d := grad.Data(), out.Data()
-	o := t.lastOut.Data()
-	for i, v := range src {
-		d[i] = v * (1 - float64(o[i]*o[i]))
-	}
-	return out, nil
-}
-
-// Parameters implements Layer.
-func (t *Tanh) Parameters() []*Param { return nil }
-
 // Dropout zeroes each activation with probability Rate during training,
 // scaling survivors by 1/(1-Rate) (inverted dropout); inference is identity.
 type Dropout struct {

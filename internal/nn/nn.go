@@ -302,17 +302,3 @@ func (n *Network) Predict(x *matrix.Matrix) ([]float64, error) {
 	}
 	return preds, nil
 }
-
-// MSELoss computes mean squared error between a 1-column output and y,
-// exposed for tests and training diagnostics.
-func MSELoss(out *matrix.Matrix, y []float64) (float64, error) {
-	if out.Rows() != len(y) || out.Cols() != 1 {
-		return 0, fmt.Errorf("%w: loss on %dx%d vs %d targets", ErrShape, out.Rows(), out.Cols(), len(y))
-	}
-	s := 0.0
-	for i := range y {
-		d := out.At(i, 0) - y[i]
-		s += float64(d * d)
-	}
-	return s / float64(len(y)), nil
-}

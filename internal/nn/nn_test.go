@@ -150,11 +150,6 @@ func TestReLUBranchFreeMatchesBranchForm(t *testing.T) {
 	}
 }
 
-func TestTanhGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	numericalGradCheck(t, NewTanh(), randInput(rng, 3, 4), 1e-4)
-}
-
 func TestConv1DGradientsValid(t *testing.T) {
 	src, rng := testRand(4)
 	layer := NewConv1D(8, 2, 3, 3, 1, false, src)
@@ -315,7 +310,7 @@ func TestDropoutTrainVsInference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !outInfer.Equal(in, 0) {
+	if outInfer.Rows() != in.Rows() || outInfer.Cols() != in.Cols() || !slices.Equal(outInfer.Data(), in.Data()) {
 		t.Fatal("dropout must be identity at inference")
 	}
 	outTrain, err := layer.Forward(in, true)
@@ -412,38 +407,44 @@ func TestLSTMNetworkLearnsSequenceSum(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumAndAdamReduceLoss(t *testing.T) {
-	for name, opt := range map[string]Optimizer{
-		"sgd":          NewSGD(0.05, 0),
-		"sgd-momentum": NewSGD(0.05, 0.9),
-		"adam":         NewAdam(0.01),
-	} {
-		t.Run(name, func(t *testing.T) {
-			src, rng := testRand(13)
-			x := randInput(rng, 100, 2)
-			y := make([]float64, 100)
-			for i := range y {
-				y[i] = x.At(i, 0) + x.At(i, 1)
-			}
-			net := NewNetwork(opt, NewDense(2, 1, src))
-			out, err := net.Forward(x, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before, _ := MSELoss(out, y)
-			if err := net.Fit(x, y, FitConfig{Epochs: 50, BatchSize: 25, Seed: 3}); err != nil {
-				t.Fatal(err)
-			}
-			out, err = net.Forward(x, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after, _ := MSELoss(out, y)
-			if after >= before/2 {
-				t.Fatalf("%s did not reduce loss: %v -> %v", name, before, after)
-			}
-		})
+// mseLoss is the mean squared error of a 1-column output against y.
+func mseLoss(out *matrix.Matrix, y []float64) float64 {
+	s := 0.0
+	for i := range y {
+		d := out.At(i, 0) - y[i]
+		s += d * d
 	}
+	return s / float64(len(y))
+}
+
+// TestSGDMomentumAndAdamReduceLoss keeps its name from when it also
+// trained with SGD; Adam is the one optimizer left, and its case keeps
+// the subtest name "adam".
+func TestSGDMomentumAndAdamReduceLoss(t *testing.T) {
+	t.Run("adam", func(t *testing.T) {
+		src, rng := testRand(13)
+		x := randInput(rng, 100, 2)
+		y := make([]float64, 100)
+		for i := range y {
+			y[i] = x.At(i, 0) + x.At(i, 1)
+		}
+		net := NewNetwork(NewAdam(0.01), NewDense(2, 1, src))
+		out, err := net.Forward(x, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := mseLoss(out, y)
+		if err := net.Fit(x, y, FitConfig{Epochs: 50, BatchSize: 25, Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+		out, err = net.Forward(x, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := mseLoss(out, y); after >= before/2 {
+			t.Fatalf("adam did not reduce loss: %v -> %v", before, after)
+		}
+	})
 }
 
 func TestNetworkErrors(t *testing.T) {
@@ -475,7 +476,7 @@ func TestFitDeterministicForSeed(t *testing.T) {
 		for i := range y {
 			y[i] = x.At(i, 0) - x.At(i, 1)
 		}
-		net := NewNetwork(NewAdam(0.01), NewDense(2, 4, src), NewTanh(), NewDense(4, 1, src))
+		net := NewNetwork(NewAdam(0.01), NewDense(2, 4, src), NewReLU(), NewDense(4, 1, src))
 		if err := net.Fit(x, y, FitConfig{Epochs: 10, BatchSize: 16, Seed: 5}); err != nil {
 			t.Fatal(err)
 		}

@@ -12,44 +12,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param][]float64
-}
-
-// NewSGD returns SGD with the given learning rate and momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step(params []*Param) {
-	if s.velocity == nil {
-		s.velocity = make(map[*Param][]float64)
-	}
-	for _, p := range params {
-		w := p.W.Data()
-		g := p.Grad.Data()
-		if s.Momentum == 0 {
-			for i := range w {
-				w[i] -= float64(s.LR * g[i])
-			}
-			continue
-		}
-		v := s.velocity[p]
-		if v == nil {
-			v = make([]float64, len(w))
-			s.velocity[p] = v
-		}
-		for i := range w {
-			v[i] = float64(s.Momentum*v[i]) - float64(s.LR*g[i])
-			w[i] += v[i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction. Each
 // parameter's update is one matrix.AdamUpdate call over its elements.
 type Adam struct {
@@ -80,8 +42,8 @@ func (a *Adam) Step(params []*Param) {
 		Beta1: a.Beta1, OneMinusBeta1: 1 - a.Beta1,
 		Beta2: a.Beta2, OneMinusBeta2: 1 - a.Beta2,
 		LR:  a.LR,
-		C1:  1 - math.Pow(a.Beta1, float64(a.t)),
-		C2:  1 - math.Pow(a.Beta2, float64(a.t)),
+		C1:  1 - powInt(a.Beta1, a.t),
+		C2:  1 - powInt(a.Beta2, a.t),
 		Eps: a.Eps,
 	}
 	m, v := a.slab[:len(a.slab)/2], a.slab[len(a.slab)/2:]
@@ -90,6 +52,36 @@ func (a *Adam) Step(params []*Param) {
 		matrix.AdamUpdate(w, p.Grad.Data(), m[:len(w)], v[:len(w)], &k)
 		m, v = m[len(w):], v[len(w):]
 	}
+}
+
+// powInt is math.Pow(x, float64(n)) for n >= 1, by the loop math.Pow
+// runs for an integer exponent: x's fraction squared once per bit of n, the
+// power of two kept apart, each product rounded on its own. math.Pow's own
+// copy of the loop compiles to a fused multiply-add on arm64, so the bias
+// corrections, and every weight a fit moves, would differ there from
+// amd64's.
+func powInt(x float64, n int) float64 {
+	a1, ae := 1.0, 0
+	x1, xe := math.Frexp(x)
+	for i := n; i != 0; i >>= 1 {
+		if xe < -1<<12 || 1<<12 < xe {
+			// The exponent is already past float64's range: Ldexp
+			// underflows to 0 or overflows to Inf.
+			ae += xe
+			break
+		}
+		if i&1 == 1 {
+			a1 = float64(a1 * x1)
+			ae += xe
+		}
+		x1 = float64(x1 * x1)
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+	return math.Ldexp(a1, ae)
 }
 
 // reset puts a back before its first Step, keeping the slab's layout: zero

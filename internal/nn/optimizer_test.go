@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -116,5 +117,23 @@ func TestAdamNewParameterListStartsOver(t *testing.T) {
 		opt.Step(c.list)
 		fresh.Step(c.twin)
 		sameWeights(t, c.name+", second step", c.list, c.twin)
+	}
+}
+
+// TestPowIntMatchesMathPow holds the bias corrections' power to math.Pow
+// bit for bit for the betas Adam runs with, over every step count a fit
+// reaches, so moving off math.Pow moved no weight on amd64. Off amd64
+// math.Pow fuses a product powInt rounds, which is why powInt exists.
+func TestPowIntMatchesMathPow(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("math.Pow on %s is not the rounding amd64's scores were computed with", runtime.GOARCH)
+	}
+	a := NewAdam(0.01)
+	for _, beta := range []float64{a.Beta1, a.Beta2} {
+		for n := 1; n <= 100_000; n++ {
+			if got, want := powInt(beta, n), math.Pow(beta, float64(n)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("powInt(%v, %d) = %v (%#x), math.Pow %v (%#x)", beta, n, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
 	}
 }

@@ -15,7 +15,7 @@ const (
 // behind rand.NewSource — replayed so that a dropout mask can be drawn a
 // block at a time. Its outputs after seeding are the first randLen outputs
 // of rand.NewSource(seed), then y[n] = y[n−607] + y[n−273] (mod 2⁶⁴): the
-// recurrence that source runs. Float64 is rand.Rand.Float64 of that
+// recurrence that source runs. Float64s gives rand.Rand.Float64 of that
 // sequence, a 1 redrawn as there, so every weight, mask and batch order
 // drawn from a Rand has the bits math/rand gives for the same seed. Rand
 // implements rand.Source64, so rand.New(r).Shuffle is math/rand's Shuffle.
@@ -81,21 +81,12 @@ func (r *Rand) Uint64() uint64 {
 // Int63 returns the next output's low 63 bits, as math/rand's source does.
 func (r *Rand) Int63() int64 { return int64(r.Uint64() & (1<<63 - 1)) }
 
-// Float64 is rand.Rand.Float64: Int63/2⁶³, drawn again while it is 1.
-func (r *Rand) Float64() float64 {
-	for {
-		if f := float64(r.Int63()) / (1 << 63); f != 1 {
-			return f
-		}
-	}
-}
-
-// Float64s sets dst to the next len(dst) values Float64 would return, a
-// block at a time through matrix.LaggedUniforms. A block never wraps the
-// state or spans more than randTap outputs, so its short-lag terms are all
-// outputs of earlier blocks. A block that read a 1 drops it, as Float64
-// redraws it: the values after it move down, and the next block fills the
-// rest.
+// Float64s sets dst to the next len(dst) values rand.Rand.Float64 would
+// return (Int63/2⁶³, drawn again while it is 1), a block at a time through
+// matrix.LaggedUniforms. A block never wraps the state or spans more than
+// randTap outputs, so its short-lag terms are all outputs of earlier
+// blocks. A block that read a 1 drops it, as Float64 redraws it: the values
+// after it move down, and the next block fills the rest.
 func (r *Rand) Float64s(dst []float64) {
 	for len(dst) > 0 {
 		p := r.pos

@@ -28,13 +28,6 @@ func RegisterHealth(name string, fn func() any) {
 	healthFns[name] = fn
 }
 
-// UnregisterHealth removes a component reporter.
-func UnregisterHealth(name string) {
-	healthMu.Lock()
-	defer healthMu.Unlock()
-	delete(healthFns, name)
-}
-
 // HealthSnapshot evaluates every registered reporter.
 func HealthSnapshot() map[string]any {
 	healthMu.Lock()

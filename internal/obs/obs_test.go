@@ -194,7 +194,11 @@ func TestRequestIDHelpers(t *testing.T) {
 
 func TestHealthHandler(t *testing.T) {
 	RegisterHealth("test-component", func() any { return map[string]int{"n": 42} })
-	defer UnregisterHealth("test-component")
+	defer func() {
+		healthMu.Lock()
+		defer healthMu.Unlock()
+		delete(healthFns, "test-component")
+	}()
 
 	rr := httptest.NewRecorder()
 	HealthHandler(map[string]func() any{

@@ -64,8 +64,8 @@ func FuzzTraceparent(f *testing.F) {
 		out := http.Header{}
 		Inject(sctx, out)
 		back, ok := parseHeader(out.Get(Header))
-		if !ok || back.traceID != sp.TraceID() || back.spanID != sp.ID() || back.sampled != rp.sampled {
-			t.Fatalf("Inject→Extract of %s-%s sampled=%v gave %q", sp.TraceID(), sp.ID(), rp.sampled, out.Get(Header))
+		if !ok || back.traceID != sp.TraceID() || back.spanID != sp.data.ID || back.sampled != rp.sampled {
+			t.Fatalf("Inject→Extract of %s-%s sampled=%v gave %q", sp.TraceID(), sp.data.ID, rp.sampled, out.Get(Header))
 		}
 
 		SetEnabled(false)

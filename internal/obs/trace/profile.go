@@ -16,13 +16,6 @@ const (
 	CompOther     = "other"      // root time covered by no tagged span
 )
 
-// Components lists every component label in precedence order: when
-// tagged spans overlap, the earlier label wins the overlap. Compute
-// outranks the waits because communication only matters to the critical
-// path when nothing is computing; queue ranks last because a queued unit
-// overlapping any real work was not the bottleneck.
-var Components = []string{CompCompute, CompDARRWait, CompStoreWait, CompQueue, CompOther}
-
 // Profile attributes one operation's wall time to components. The
 // component durations (including Other) sum exactly to Total.
 type Profile struct {
@@ -44,6 +37,10 @@ func ComputeProfile(start, end time.Time, spans []SpanData) Profile {
 	}
 	p.Total = end.Sub(start)
 
+	// When tagged spans overlap, the lower rank wins the overlap. Compute
+	// outranks the waits because communication only matters to the
+	// critical path when nothing is computing; queue ranks last because a
+	// queued unit overlapping any real work was not the bottleneck.
 	rank := map[string]int{CompCompute: 0, CompDARRWait: 1, CompStoreWait: 2, CompQueue: 3}
 	type edge struct {
 		at    int64 // ns offset from start

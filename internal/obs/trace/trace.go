@@ -309,14 +309,6 @@ func (s *Span) TraceID() TraceID {
 	return s.data.TraceID
 }
 
-// ID returns the span's id (zero for a nil span).
-func (s *Span) ID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.data.ID
-}
-
 // SetComponent classifies the span for the critical-path analyzer.
 func (s *Span) SetComponent(c string) {
 	if s == nil {

@@ -53,8 +53,8 @@ func TestSpanHierarchyAndRecording(t *testing.T) {
 	for _, s := range td.Spans {
 		byName[s.Name] = s
 	}
-	if byName["child"].Parent != root.ID() {
-		t.Errorf("child parent = %v, want root %v", byName["child"].Parent, root.ID())
+	if byName["child"].Parent != root.data.ID {
+		t.Errorf("child parent = %v, want root %v", byName["child"].Parent, root.data.ID)
 	}
 	if byName["grandchild"].Parent != byName["child"].ID {
 		t.Errorf("grandchild parent = %v, want child %v", byName["grandchild"].Parent, byName["child"].ID)
@@ -90,7 +90,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	h := http.Header{}
 	Inject(ctx, h)
 	v := h.Get(Header)
-	want := parent.TraceID().String() + "-" + parent.ID().String() + "-01"
+	want := parent.TraceID().String() + "-" + parent.data.ID.String() + "-01"
 	if v != want {
 		t.Fatalf("injected header %q, want %q", v, want)
 	}
@@ -117,8 +117,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if !serverFrag.Root.Remote {
 		t.Error("server root should be marked Remote")
 	}
-	if serverFrag.Root.Parent != parent.ID() {
-		t.Errorf("server root parent = %v, want client span %v", serverFrag.Root.Parent, parent.ID())
+	if serverFrag.Root.Parent != parent.data.ID {
+		t.Errorf("server root parent = %v, want client span %v", serverFrag.Root.Parent, parent.data.ID)
 	}
 	if serverFrag.TraceID != parent.TraceID() {
 		t.Errorf("server fragment trace id = %v, want %v", serverFrag.TraceID, parent.TraceID())

@@ -18,8 +18,6 @@ var (
 	_ core.Transformer = (*Covariance)(nil)
 	_ core.Transformer = (*PCA)(nil)
 	_ core.Transformer = (*SelectKBest)(nil)
-	_ core.Transformer = (*Imputer)(nil)
-	_ core.Transformer = (*MICEImputer)(nil)
 )
 
 func ds(t *testing.T, rows [][]float64, y []float64) *dataset.Dataset {
@@ -226,7 +224,7 @@ func TestSelectKBestFindsInformativeFeatures(t *testing.T) {
 	if err := s.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	kept := s.SelectedColumns()
+	kept := s.keep
 	if len(kept) != 2 || kept[0] != 1 || kept[1] != 3 {
 		t.Fatalf("SelectKBest kept %v, want [1 3]", kept)
 	}
@@ -264,130 +262,6 @@ func TestCovariancePlusPCAEqualsCenteredPCA(t *testing.T) {
 	means := centred.X.ColMeans()
 	if math.Abs(means[0]) > 1e-9 || math.Abs(means[1]) > 1e-9 {
 		t.Fatalf("covariance centering failed: %v", means)
-	}
-}
-
-func TestImputerMeanMedianMode(t *testing.T) {
-	nan := math.NaN()
-	tests := []struct {
-		strategy ImputeStrategy
-		want     float64
-	}{
-		{ImputeMean, 2},   // mean of 1,2,3
-		{ImputeMedian, 2}, // median of 1,2,3
-		{ImputeMode, 1},   // mode of 1,1,2,3... adjust below
-	}
-	for _, tt := range tests {
-		t.Run(tt.strategy.String(), func(t *testing.T) {
-			rows := [][]float64{{1}, {2}, {3}, {nan}}
-			if tt.strategy == ImputeMode {
-				rows = [][]float64{{1}, {1}, {2}, {3}, {nan}}
-			}
-			d := ds(t, rows, nil)
-			im := NewImputer(tt.strategy)
-			if err := im.Fit(d); err != nil {
-				t.Fatal(err)
-			}
-			out, err := im.Transform(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := out.X.At(out.X.Rows()-1, 0)
-			if math.Abs(got-tt.want) > 1e-12 {
-				t.Fatalf("%v imputed %v, want %v", tt.strategy, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestImputerKNN(t *testing.T) {
-	nan := math.NaN()
-	// Two clusters; the missing value sits in the first cluster by its
-	// observed feature, so KNN should fill from that cluster.
-	rows := [][]float64{
-		{0.0, 10},
-		{0.1, 11},
-		{0.2, 12},
-		{5.0, 100},
-		{5.1, 101},
-		{0.05, nan},
-	}
-	d := ds(t, rows, nil)
-	im := NewImputer(ImputeKNN)
-	im.K = 3
-	if err := im.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	out, err := im.Transform(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.X.At(5, 1)
-	if got < 9 || got > 13 {
-		t.Fatalf("KNN imputed %v, want ~11 (first cluster)", got)
-	}
-}
-
-func TestImputerErrors(t *testing.T) {
-	d := ds(t, [][]float64{{1}}, nil)
-	im := NewImputer(ImputeStrategy(99))
-	if err := im.Fit(d); err == nil {
-		t.Fatal("want unknown-strategy error")
-	}
-	if _, err := NewImputer(ImputeMean).Transform(d); err == nil {
-		t.Fatal("want not-fitted error")
-	}
-}
-
-func TestFilterZScoreOutliers(t *testing.T) {
-	rows := make([][]float64, 0, 21)
-	y := make([]float64, 0, 21)
-	for i := 0; i < 20; i++ {
-		rows = append(rows, []float64{1 + 0.1*float64(i%5)})
-		y = append(y, float64(i))
-	}
-	rows = append(rows, []float64{1000})
-	y = append(y, 99)
-	d := ds(t, rows, y)
-	clean, dropped, err := FilterZScoreOutliers(d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dropped) != 1 || dropped[0] != 20 {
-		t.Fatalf("dropped %v, want [20]", dropped)
-	}
-	if clean.NumSamples() != 20 || clean.Y[19] != 19 {
-		t.Fatalf("clean dataset wrong: %d samples", clean.NumSamples())
-	}
-	if _, _, err := FilterZScoreOutliers(d, -1); err == nil {
-		t.Fatal("want threshold error")
-	}
-}
-
-func TestFilterIQROutliers(t *testing.T) {
-	rows := [][]float64{{1}, {2}, {3}, {4}, {5}, {500}}
-	d := ds(t, rows, nil)
-	clean, dropped, err := FilterIQROutliers(d, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dropped) != 1 || dropped[0] != 5 {
-		t.Fatalf("dropped %v, want [5]", dropped)
-	}
-	if clean.NumSamples() != 5 {
-		t.Fatalf("clean has %d samples", clean.NumSamples())
-	}
-	if _, _, err := FilterIQROutliers(d, 0); err == nil {
-		t.Fatal("want multiplier error")
-	}
-}
-
-func TestDropRowsWithMissing(t *testing.T) {
-	nan := math.NaN()
-	d := ds(t, [][]float64{{1, 2}, {nan, 3}, {4, 5}}, []float64{1, 2, nan})
-	clean, dropped := DropRowsWithMissing(d)
-	if len(dropped) != 2 || clean.NumSamples() != 1 || clean.X.At(0, 0) != 1 {
-		t.Fatalf("dropped=%v clean=%d", dropped, clean.NumSamples())
 	}
 }
 
@@ -515,82 +389,5 @@ func TestScalerAffineRoundTrip(t *testing.T) {
 				t.Fatalf("chained affine col %d: got %v want %v", j, back, d.X.At(i, j))
 			}
 		}
-	}
-}
-
-// TestMICEImputerUsesCorrelations builds data where x1 = 2*x0 exactly:
-// MICE should exploit the relationship and beat mean imputation by a wide
-// margin on the missing entries.
-func TestMICEImputerUsesCorrelations(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	nan := math.NaN()
-	n := 120
-	rows := make([][]float64, n)
-	truth := make([]float64, n)
-	for i := range rows {
-		a := rng.NormFloat64() * 5
-		rows[i] = []float64{a, 2 * a, rng.NormFloat64()}
-		truth[i] = 2 * a
-	}
-	// Hide 20% of column 1.
-	hidden := map[int]bool{}
-	for i := 0; i < n; i += 5 {
-		rows[i][1] = nan
-		hidden[i] = true
-	}
-	d := ds(t, rows, nil)
-
-	mice := NewMICEImputer()
-	if err := mice.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	out, err := mice.Transform(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := NewImputer(ImputeMean)
-	if err := mean.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	outMean, err := mean.Transform(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var miceErr, meanErr float64
-	for i := range rows {
-		if !hidden[i] {
-			continue
-		}
-		miceErr += math.Abs(out.X.At(i, 1) - truth[i])
-		meanErr += math.Abs(outMean.X.At(i, 1) - truth[i])
-	}
-	if miceErr >= meanErr/10 {
-		t.Fatalf("MICE error %v should crush mean-imputation error %v on perfectly correlated data", miceErr, meanErr)
-	}
-	// No NaNs remain.
-	for _, v := range out.X.Data() {
-		if math.IsNaN(v) {
-			t.Fatal("MICE left a NaN")
-		}
-	}
-}
-
-func TestMICEImputerValidation(t *testing.T) {
-	if _, err := NewMICEImputer().Transform(ds(t, [][]float64{{1}}, nil)); err == nil {
-		t.Fatal("want not-fitted error")
-	}
-	tiny := ds(t, [][]float64{{1, 2}, {3, 4}}, nil)
-	if err := NewMICEImputer().Fit(tiny); err == nil {
-		t.Fatal("want too-few-rows error")
-	}
-	m := NewMICEImputer()
-	if err := m.SetParam("rounds", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetParam("bogus", 1); err == nil {
-		t.Fatal("want unknown param error")
-	}
-	if m.Clone().Params()["rounds"] != 3 {
-		t.Fatal("clone lost rounds")
 	}
 }

@@ -227,10 +227,6 @@ func (s *SelectKBest) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	return out, nil
 }
 
-// SelectedColumns returns the indices kept after Fit, for RCA-style
-// explanations.
-func (s *SelectKBest) SelectedColumns() []int { return append([]int(nil), s.keep...) }
-
 // pearson returns the Pearson correlation of two equal-length vectors,
 // or 0 when either is constant.
 func pearson(a, b []float64) float64 {

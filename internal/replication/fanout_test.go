@@ -366,8 +366,8 @@ func TestAsyncFanoutCoalescesBursts(t *testing.T) {
 	if lease.Deliveries() != frames {
 		t.Fatalf("lease accounted %d deliveries for %d frames", lease.Deliveries(), frames)
 	}
-	if lease.CoalescedUpdates() != int64(publishes-frames) {
-		t.Fatalf("lease coalesced %d updates, want %d", lease.CoalescedUpdates(), publishes-frames)
+	if lease.coalescedUpdates() != int64(publishes-frames) {
+		t.Fatalf("lease coalesced %d updates, want %d", lease.coalescedUpdates(), publishes-frames)
 	}
 }
 
@@ -423,9 +423,9 @@ func TestCoalesceWindowConvergesEveryLease(t *testing.T) {
 		if seen != publishes {
 			t.Fatalf("lease %d: frames account for %d publishes, want %d", i, seen, publishes)
 		}
-		if ls[i].Deliveries() != len(updates) || ls[i].Deliveries()+int(ls[i].CoalescedUpdates()) != publishes {
+		if ls[i].Deliveries() != len(updates) || ls[i].Deliveries()+int(ls[i].coalescedUpdates()) != publishes {
 			t.Fatalf("lease %d: %d frames, books %d deliveries + %d coalesced, want %d publishes",
-				i, len(updates), ls[i].Deliveries(), ls[i].CoalescedUpdates(), publishes)
+				i, len(updates), ls[i].Deliveries(), ls[i].coalescedUpdates(), publishes)
 		}
 		u := updates[len(updates)-1]
 		if u.Version != last {
@@ -956,9 +956,9 @@ func TestLeaseFramesNeverGoBackwards(t *testing.T) {
 			if !slices.Equal(versions, []uint64{2}) {
 				t.Fatalf("lease received versions %v, want [2]", versions)
 			}
-			if lease.Deliveries() != 1 || lease.CoalescedUpdates() != 1 {
+			if lease.Deliveries() != 1 || lease.coalescedUpdates() != 1 {
 				t.Fatalf("lease booked %d deliveries and %d coalesced publishes, want 1 and 1",
-					lease.Deliveries(), lease.CoalescedUpdates())
+					lease.Deliveries(), lease.coalescedUpdates())
 			}
 			if got := mCoalesced.Value() - coalesced; got != 1 {
 				t.Fatalf("coda_replication_coalesced_updates_total moved by %d, want 1", got)
@@ -979,9 +979,9 @@ func TestLeaseFramesNeverGoBackwards(t *testing.T) {
 				t.Fatalf("after a third publish the lease received versions %v counting %d publishes, want [2 3] counting 3",
 					versions, sum)
 			}
-			if lease.Deliveries() != 2 || lease.CoalescedUpdates() != 1 || mCoalesced.Value()-coalesced != 1 {
+			if lease.Deliveries() != 2 || lease.coalescedUpdates() != 1 || mCoalesced.Value()-coalesced != 1 {
 				t.Fatalf("after a third publish: %d deliveries, %d coalesced on the lease, %d in the series; want 2, 1, 1",
-					lease.Deliveries(), lease.CoalescedUpdates(), mCoalesced.Value()-coalesced)
+					lease.Deliveries(), lease.coalescedUpdates(), mCoalesced.Value()-coalesced)
 			}
 		})
 	}
@@ -1017,4 +1017,13 @@ func TestNotifyFrameNeverRunsAhead(t *testing.T) {
 			t.Fatalf("%s frame for slot version 2 after a version-3 build carries %d, want %d", mode, u.Version, want)
 		}
 	}
+}
+
+// coalescedUpdates is how many publishes beyond one-per-frame were merged
+// into l's delivered frames, or reached l after a later publish's frame
+// and were dropped.
+func (l *Lease) coalescedUpdates() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.coalesced
 }

@@ -255,15 +255,6 @@ func (l *Lease) Deliveries() int {
 	return l.deliveries
 }
 
-// CoalescedUpdates returns how many publishes beyond one-per-frame were
-// merged into this lease's delivered frames, or reached the lease after a
-// later publish's frame and were dropped.
-func (l *Lease) CoalescedUpdates() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.coalesced
-}
-
 // BytesPushed returns total payload bytes pushed over this lease.
 func (l *Lease) BytesPushed() int64 {
 	l.mu.Lock()

@@ -179,36 +179,6 @@ func TestEachStreamsKeys(t *testing.T) {
 	}
 }
 
-// TestReplicaSyncAll: the streaming full-sync pulls every object without
-// materializing the keyspace.
-func TestReplicaSyncAll(t *testing.T) {
-	s := NewHomeStore(Options{BlockSize: 16})
-	for i := 0; i < 10; i++ {
-		if _, err := s.Put(fmt.Sprintf("obj%d", i), bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewReplica()
-	n, err := r.SyncAll(s)
-	if err != nil || n != 10 {
-		t.Fatalf("SyncAll = (%d, %v), want (10, nil)", n, err)
-	}
-	for i := 0; i < 10; i++ {
-		data, ok := r.Data(fmt.Sprintf("obj%d", i))
-		if !ok || !bytes.Equal(data, bytes.Repeat([]byte{byte(i)}, 32)) {
-			t.Fatalf("replica missing obj%d after SyncAll", i)
-		}
-	}
-	// A second sync is all unchanged replies.
-	before := r.BytesReceived()
-	if _, err := r.SyncAll(s); err != nil {
-		t.Fatal(err)
-	}
-	if delta := r.BytesReceived() - before; delta != 10*unchangedWireBytes {
-		t.Fatalf("resync transferred %d bytes, want %d (all unchanged)", delta, 10*unchangedWireBytes)
-	}
-}
-
 // TestOpenDSNMemMapsToNativeBackend: "mem:" opens no KV, so the store is
 // memory-only (the shards are the only copy) and still accepts writes.
 func TestOpenDSNMemMapsToNativeBackend(t *testing.T) {

@@ -106,22 +106,3 @@ func (r *Replica) Pull(home ObjectStore, key string) error {
 	}
 	return nil
 }
-
-// SyncAll pulls every object the home store currently holds, streaming
-// the keyspace through Each instead of materializing it — the full-sync
-// path for a replica that wants everything (cold start, catch-up after a
-// partition). It returns how many objects were pulled; the first pull
-// error stops the sync.
-func (r *Replica) SyncAll(home ObjectStore) (int, error) {
-	var n int
-	var firstErr error
-	home.Each(func(key string) bool {
-		if err := r.Pull(home, key); err != nil {
-			firstErr = err
-			return false
-		}
-		n++
-		return true
-	})
-	return n, firstErr
-}

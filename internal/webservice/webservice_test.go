@@ -1,60 +1,17 @@
 package webservice
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
-	"time"
 
 	"coda/internal/core"
-	"coda/internal/crossval"
 	"coda/internal/dataset"
-	"coda/internal/matrix"
-	"coda/internal/metrics"
 	"coda/internal/mlmodels"
-	"coda/internal/preprocess"
 )
-
-var _ core.Estimator = (*ServiceEstimator)(nil)
-
-func TestMockService(t *testing.T) {
-	m := &MockService{
-		ServiceName: "watson-mock",
-		Latency:     time.Millisecond,
-		CostPerCall: 0.01,
-		Fn: func(row []float64) float64 {
-			s := 0.0
-			for _, v := range row {
-				s += v
-			}
-			return s
-		},
-	}
-	preds, err := m.Score(context.Background(), [][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if preds[0] != 3 || preds[1] != 7 {
-		t.Fatalf("preds %v", preds)
-	}
-	calls, cost := m.Usage()
-	if calls != 1 || cost != 0.01 {
-		t.Fatalf("usage %d %v", calls, cost)
-	}
-	// Cancellation during latency.
-	m.Latency = time.Second
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	if _, err := m.Score(ctx, [][]float64{{1}}); err == nil {
-		t.Fatal("want cancellation error")
-	}
-	// Missing scoring function.
-	if _, err := (&MockService{}).Score(context.Background(), [][]float64{{1}}); err == nil {
-		t.Fatal("want no-fn error")
-	}
-}
 
 func trainedModel(t *testing.T) (core.Estimator, *dataset.Dataset) {
 	t.Helper()
@@ -70,108 +27,49 @@ func trainedModel(t *testing.T) (core.Estimator, *dataset.Dataset) {
 	return lr, ds
 }
 
-func TestHandlerAndHTTPService(t *testing.T) {
+// score posts rows to url and decodes the reply.
+func score(t *testing.T, url string, rows [][]float64) (int, scoreResponse) {
+	t.Helper()
+	raw, err := json.Marshal(scoreRequest{Rows: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out scoreResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+func TestHandlerMatchesLocalPredict(t *testing.T) {
 	model, ds := trainedModel(t)
 	ts := httptest.NewServer(Handler(model))
 	defer ts.Close()
 
-	svc := NewHTTPService("remote-regressor", ts.URL)
-	rows := [][]float64{ds.X.RowCopy(0), ds.X.RowCopy(1)}
-	preds, err := svc.Score(context.Background(), rows)
-	if err != nil {
-		t.Fatal(err)
+	status, reply := score(t, ts.URL, [][]float64{ds.X.RowCopy(0), ds.X.RowCopy(1)})
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, reply.Error)
 	}
 	// Remote predictions must equal local ones.
-	sub := ds.SliceRange(0, 2)
-	local, err := model.Predict(sub)
+	local, err := model.Predict(ds.SliceRange(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range preds {
-		if preds[i] != local[i] {
-			t.Fatalf("remote %v != local %v", preds[i], local[i])
+	if len(reply.Predictions) != len(local) {
+		t.Fatalf("%d remote predictions for %d rows", len(reply.Predictions), len(local))
+	}
+	for i := range local {
+		if reply.Predictions[i] != local[i] {
+			t.Fatalf("remote %v != local %v", reply.Predictions[i], local[i])
 		}
 	}
 	// Bad requests surface errors.
-	if _, err := svc.Score(context.Background(), nil); err == nil {
-		t.Fatal("want no-rows error")
-	}
-}
-
-func TestServiceEstimatorInGraph(t *testing.T) {
-	// A "pre-trained commercial service" that happens to know the truth.
-	truth := &MockService{
-		ServiceName: "oracle-service",
-		Fn: func(row []float64) float64 {
-			return 3*row[0] - 2*row[1] + row[2]
-		},
-	}
-	rng := rand.New(rand.NewSource(2))
-	n := 120
-	rows := make([][]float64, n)
-	y := make([]float64, n)
-	for i := range rows {
-		a, b, c := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-		rows[i] = []float64{a, b, c}
-		y[i] = 3*a - 2*b + c + 2*rng.NormFloat64() // noisy observation of the oracle
-	}
-	ds := mustDS(t, rows, y)
-
-	g := core.NewGraph()
-	g.AddFeatureScalers(preprocess.NewNoOp())
-	g.AddEstimatorStage("models",
-		NewServiceEstimator(truth),
-		mlmodels.NewDecisionTree(mlmodels.TreeRegression),
-	)
-	scorer, _ := metrics.ScorerByName("rmse")
-	res, err := core.Search(context.Background(), g, ds, core.SearchOptions{
-		Splitter: crossval.KFold{K: 3, Shuffle: true},
-		Scorer:   scorer,
-		Seed:     1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best == nil || !strings.Contains(res.Best.Spec, "oracle-service") {
-		t.Fatalf("the oracle service should win: %+v", res.Best)
-	}
-	calls, _ := truth.Usage()
-	if calls == 0 {
-		t.Fatal("service was never called")
-	}
-}
-
-func mustDS(t *testing.T, rows [][]float64, y []float64) *dataset.Dataset {
-	t.Helper()
-	x, err := matrix.NewFromRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := dataset.New(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestServiceEstimatorValidation(t *testing.T) {
-	svc := NewServiceEstimator(&MockService{Fn: func([]float64) float64 { return 0 }})
-	if _, err := svc.Predict(&dataset.Dataset{}); err == nil {
-		t.Fatal("want not-fitted error")
-	}
-	ds := mustDS(t, [][]float64{{1, 2}}, []float64{1})
-	if err := svc.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	wrong := mustDS(t, [][]float64{{1, 2, 3}}, []float64{1})
-	if _, err := svc.Predict(wrong); err == nil {
-		t.Fatal("want feature-width error")
-	}
-	if err := svc.SetParam("x", 1); err == nil {
-		t.Fatal("want no-params error")
-	}
-	c := svc.Clone()
-	if c.Name() != svc.Name() {
-		t.Fatal("clone renamed service")
+	if status, reply := score(t, ts.URL, nil); status != http.StatusBadRequest || reply.Error == "" {
+		t.Fatalf("no rows: status %d, error %q; want a 400 with an error", status, reply.Error)
 	}
 }
