@@ -412,8 +412,6 @@ type faultFlags struct {
 	retryBackoff   *time.Duration
 	retryMax       *time.Duration
 	attemptTimeout *time.Duration
-	breakerFails   *int
-	breakerCool    *time.Duration
 }
 
 func addFaultFlags(fs *flag.FlagSet) *faultFlags {
@@ -422,8 +420,6 @@ func addFaultFlags(fs *flag.FlagSet) *faultFlags {
 		retryBackoff:   fs.Duration("retry-backoff", retry.DefaultInitialBackoff, "initial retry backoff (grows exponentially with jitter)"),
 		retryMax:       fs.Duration("retry-max-backoff", retry.DefaultMaxBackoff, "retry backoff cap"),
 		attemptTimeout: fs.Duration("attempt-timeout", httpapi.DefaultPerAttemptTimeout, "per-attempt request timeout"),
-		breakerFails:   fs.Int("breaker-failures", httpapi.DefaultBreakerThreshold, "consecutive failed calls that trip the circuit breaker (0 disables it)"),
-		breakerCool:    fs.Duration("breaker-cooldown", httpapi.DefaultBreakerCooldown, "wait before a tripped breaker probes the server again"),
 	}
 }
 
@@ -435,12 +431,6 @@ func (f *faultFlags) client(server, clientID string) *httpapi.Client {
 		InitialBackoff:    *f.retryBackoff,
 		MaxBackoff:        *f.retryMax,
 		PerAttemptTimeout: *f.attemptTimeout,
-	}
-	if *f.breakerFails > 0 {
-		c.Breaker = retry.NewBreaker(*f.breakerFails, *f.breakerCool, nil)
-		retry.RegisterBreaker(server, c.Breaker)
-	} else {
-		c.Breaker = nil
 	}
 	return c
 }

@@ -23,7 +23,7 @@ import (
 // finishes its headers, bounds a request and an idle connection, and runs
 // /score on the httpapi chain.
 func TestScoreServerHasTimeouts(t *testing.T) {
-	srv := scoreServer(mlmodels.NewLinearRegression())
+	srv := scoreServer(mlmodels.NewLinearRegression(), nil)
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
 		t.Fatalf("timeouts: header %v, read %v, write %v, idle %v; want every one set",
 			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
@@ -73,7 +73,7 @@ func TestScoreAnswersDuringSwap(t *testing.T) {
 	}
 	served := &servedPipeline{}
 	served.Store(pipelines[0])
-	ts := httptest.NewServer(scoreServer(served).Handler)
+	ts := httptest.NewServer(scoreServer(served, nil).Handler)
 	defer ts.Close()
 
 	done := make(chan struct{})

@@ -124,7 +124,6 @@ func runServe(ctx context.Context, args []string) error {
 		if res, err = series.search(ctx); err != nil {
 			return err
 		}
-		obs.RegisterHealth("analytics", func() any { return series.status.Load() })
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -134,7 +133,7 @@ func runServe(ctx context.Context, args []string) error {
 	fmt.Printf("serving %s (%s=%.5g) on %s\n", res.Best.Spec, *metric, res.Best.Mean, ln.Addr())
 	printProfile(res.Profile)
 	fmt.Println(`POST {"rows": [[...feature values...], ...]} to /score`)
-	srv := scoreServer(served)
+	srv := scoreServer(served, series)
 	errCh := make(chan error, 2)
 	go func() { errCh <- srv.Serve(ln) }()
 	followed := make(chan struct{})
@@ -266,10 +265,14 @@ func (a *seriesAnalytics) observe(ctx context.Context, n httpapi.Notification) e
 // scoreServer is serve's listener: est at /score on the one httpapi chain
 // (request ids, traces, the body cap, per-route metrics, panic recovery,
 // /metrics, /healthz and /debug/traces), behind coda-server's default
-// timeouts, so a client that never finishes its headers is cut off.
-func scoreServer(est webservice.Predictor) *http.Server {
+// timeouts, so a client that never finishes its headers is cut off. With a
+// series, /healthz carries its "analytics" component.
+func scoreServer(est webservice.Predictor, series *seriesAnalytics) *http.Server {
 	api := httpapi.NewServer(nil, nil)
 	api.Handle("/score", webservice.Handler(est))
+	if series != nil {
+		api.AddHealth("analytics", func() any { return series.status.Load() })
+	}
 	return &http.Server{
 		Handler:           api,
 		ReadHeaderTimeout: httpapi.DefaultReadTimeout,

@@ -28,16 +28,16 @@
 //
 // Observability: structured logs go to stderr (-log-level debug shows
 // per-request lines with X-Coda-Request-Id), /metrics serves a
-// Prometheus text scrape, /healthz reports uptime/build/breaker state,
-// and -debug-addr exposes net/http/pprof plus the same scrape on a
-// separate listener:
+// Prometheus text scrape, /healthz reports uptime, build and the DARR,
+// store and lease state, and -debug-addr exposes net/http/pprof plus the
+// same scrape on a separate listener:
 //
 //	coda-server -addr :8080 -log-level debug -log-format json -debug-addr :6060
 //
 // For resilience drills against real clients, -chaos injects faults into
 // a fraction of requests (dropped connections, 500s, delays) so the
-// client-side retry/backoff/circuit-breaker stack can be exercised
-// end-to-end:
+// client-side retry/backoff and the search's local degrade can be
+// exercised end-to-end:
 //
 //	coda-server -addr :8080 -chaos 0.3 -chaos-seed 7
 package main
@@ -76,7 +76,6 @@ func main() {
 		retain   = flag.Int("retain", 4, "object versions retained for delta bases")
 		block    = flag.Int("block", 64, "delta block size in bytes")
 		fullFrac = flag.Float64("full-fraction", 0.5, "send delta only when smaller than this fraction of the full object")
-		batchMax = flag.Int("batch-max-keys", httpapi.DefaultMaxBatchKeys, "max keys/records per batched DARR request")
 
 		storeBackend = flag.String("store-backend", "mem:", "object-store persistence DSN: mem:, log:<dir> or bolt:<dir>")
 		storeShards  = flag.Int("store-shards", 0, "lock shards in the object store (0 = default 16)")
@@ -161,7 +160,6 @@ func main() {
 		}()
 	}
 	api := httpapi.NewServer(repo, hs)
-	api.MaxBatchKeys = *batchMax
 	if *fanoutWorkers > 0 {
 		// The push serving tier: SSE/long-poll lease subscriptions with a
 		// bounded fanout pool, per-lease coalescing, and a periodic sweep

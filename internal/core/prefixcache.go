@@ -40,7 +40,6 @@ import (
 var (
 	mPrefixHits   = obs.GetCounter("coda_search_prefix_cache_hits_total")
 	mPrefixMisses = obs.GetCounter("coda_search_prefix_cache_misses_total")
-	mPrefixFits   = obs.GetCounter("coda_search_prefix_fits_total")
 	// gPrefixBytes is the estimated size of the datasets cached entries
 	// hold: the live set, the prefixes some unsettled unit still reads.
 	gPrefixBytes = obs.GetGauge("coda_search_prefix_cache_bytes")
@@ -166,7 +165,6 @@ func (c *prefixCache) getOrCompute(ctx context.Context, fold, id int, train, tes
 	c.misses++
 	c.mu.Unlock()
 	mPrefixMisses.Inc()
-	mPrefixFits.Inc()
 
 	trainOut, testOut, err = step(train, test)
 	var size int64

@@ -28,12 +28,11 @@ import (
 	"coda/internal/persist"
 )
 
-// DARR telemetry: cooperative reuse shows up as the hit/miss ratio, and
+// DARR telemetry: cooperative reuse shows up as the hit/lookup ratio, and
 // claim grants/denials show how well clients partition the work.
 var (
 	mLookups       = obs.GetCounter("coda_darr_lookups_total")
 	mHits          = obs.GetCounter("coda_darr_hits_total")
-	mMisses        = obs.GetCounter("coda_darr_misses_total")
 	mPuts          = obs.GetCounter("coda_darr_puts_total")
 	mClaimsGranted = obs.GetCounter(`coda_darr_claims_total{granted="true"}`)
 	mClaimsDenied  = obs.GetCounter(`coda_darr_claims_total{granted="false"}`)
@@ -150,7 +149,6 @@ func (r *Repo) Get(key string) (Record, error) {
 	mLookups.Inc()
 	rec, ok := r.records[d]
 	if !ok {
-		mMisses.Inc()
 		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	r.hits++
@@ -209,7 +207,6 @@ func (r *Repo) LookupDigests(ds []Digest, hit func(i int, rec Record)) {
 	r.hits += hits
 	mLookups.Add(int64(len(ds)))
 	mHits.Add(int64(hits))
-	mMisses.Add(int64(len(ds) - hits))
 }
 
 // GetBatch is LookupDigests over readable keys, returning records only for

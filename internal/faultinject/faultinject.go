@@ -5,8 +5,8 @@
 // from a seed so failing runs replay exactly.
 //
 // Tests wrap a client's transport with 30% loss and assert that the
-// retry/breaker layer still completes cooperative searches and
-// replication with correct results.
+// retry layer still completes cooperative searches and replication with
+// correct results.
 package faultinject
 
 import (

@@ -75,8 +75,8 @@ func benchDataset(tb testing.TB) *dataset.Dataset {
 	return ds
 }
 
-// benchClient builds a bare client: no breaker, single attempt — every
-// HTTP request maps 1:1 to a protocol call, so request counts are exact.
+// benchClient builds a bare client with a single attempt: every HTTP
+// request maps 1:1 to a protocol call, so request counts are exact.
 func benchClient(baseURL, id string) *Client {
 	c := &Client{BaseURL: baseURL, ClientID: id, Metric: "rmse"}
 	c.Retry.MaxAttempts = 1

@@ -29,7 +29,7 @@ import (
 	"coda/internal/preprocess"
 )
 
-// clientFor serves a hand-built Server (e.g. with a custom MaxBatchKeys)
+// clientFor serves a hand-built Server (e.g. with a lowered maxBatchKeys)
 // and returns a client wired to it.
 func clientFor(t *testing.T, srv *Server) (*Client, *httptest.Server) {
 	t.Helper()
@@ -93,7 +93,7 @@ func TestBatchEndpointsRoundTrip(t *testing.T) {
 func TestBatchEndpointRejectsOversizedAndEmpty(t *testing.T) {
 	repo := darr.NewRepo(nil, time.Minute)
 	srv := NewServer(repo, nil)
-	srv.MaxBatchKeys = 2
+	srv.maxBatchKeys = 2
 	c, ts := clientFor(t, srv)
 	defer ts.Close()
 	ctx := context.Background()
@@ -484,7 +484,7 @@ func FuzzBatchRoutes(f *testing.F) {
 		}
 		repo.ClaimBatch([]string{"fp|c|e"}, "peer")
 		srv := NewServer(repo, nil)
-		srv.Logger, srv.MaxBatchKeys = quiet, 4
+		srv.Logger, srv.maxBatchKeys = quiet, 4
 		rt := cooperationRoutes[int(route)%len(cooperationRoutes)]
 		req := httptest.NewRequest(rt.method, rt.path, bytes.NewReader(body))
 		req.Header.Set("Content-Type", contentType)

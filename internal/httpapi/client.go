@@ -23,9 +23,8 @@ import (
 
 // Client-call telemetry: logical calls (after retries) by outcome.
 var (
-	mCallsOK   = obs.GetCounter(`coda_client_calls_total{outcome="ok"}`)
-	mCallsErr  = obs.GetCounter(`coda_client_calls_total{outcome="error"}`)
-	mCallsOpen = obs.GetCounter(`coda_client_calls_total{outcome="breaker_open"}`)
+	mCallsOK  = obs.GetCounter(`coda_client_calls_total{outcome="ok"}`)
+	mCallsErr = obs.GetCounter(`coda_client_calls_total{outcome="error"}`)
 )
 
 // Client talks to a remote coda server. It implements core.ResultStore for
@@ -34,9 +33,9 @@ var (
 //
 // All traffic flows through the fault-tolerance layer: transient failures
 // (timeouts, connection resets, 5xx) are retried with exponential backoff
-// under the configured Policy, and an optional circuit breaker fails fast
-// after consecutive failures so callers — core.Search in particular — can
-// degrade to local computation instead of stalling on a dead WAN.
+// under the configured Policy. A call that still fails returns its error;
+// core.Search then stops asking the store and degrades to local
+// computation instead of stalling on a dead WAN.
 type Client struct {
 	BaseURL  string
 	ClientID string
@@ -45,10 +44,6 @@ type Client struct {
 	// Retry governs backoff for transient faults; the zero value uses the
 	// retry package defaults. Set MaxAttempts to 1 to disable retrying.
 	Retry retry.Policy
-	// Breaker, when non-nil, short-circuits calls after consecutive
-	// failures. NewClient installs one; build a Client literal without it
-	// for always-try behavior.
-	Breaker *retry.Breaker
 	// Logger receives per-call debug logs and failure warnings, each
 	// carrying the request id sent to the server in X-Coda-Request-Id.
 	// Nil uses slog.Default().
@@ -59,22 +54,16 @@ type Client struct {
 }
 
 // Default client fault-tolerance settings, chosen for wide-area links:
-// a handful of quick retries per call, and a breaker that trips after a
-// burst of failed calls then probes again a few seconds later.
+// a handful of quick retries per call, each bounded by its own timeout.
 const (
 	DefaultRequestTimeout    = 30 * time.Second
 	DefaultPerAttemptTimeout = 10 * time.Second
-	DefaultBreakerThreshold  = 5
-	DefaultBreakerCooldown   = 5 * time.Second
 )
 
 // NewClient builds a client with sane wide-area defaults: 30s overall
 // request timeout, 10s per attempt, 4 attempts with jittered exponential
-// backoff, and a circuit breaker (trips after 5 consecutive failed calls,
-// probes again after 5s).
+// backoff.
 func NewClient(baseURL, clientID string) *Client {
-	breaker := retry.NewBreaker(DefaultBreakerThreshold, DefaultBreakerCooldown, nil)
-	retry.RegisterBreaker(baseURL, breaker)
 	return &Client{
 		BaseURL:  baseURL,
 		ClientID: clientID,
@@ -82,7 +71,6 @@ func NewClient(baseURL, clientID string) *Client {
 		Retry: retry.Policy{
 			PerAttemptTimeout: DefaultPerAttemptTimeout,
 		},
-		Breaker: breaker,
 	}
 }
 
@@ -100,24 +88,17 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// exec runs op through the breaker and retry policy. op runs once per
-// attempt with the attempt's context. The context carries the request id
-// sent in X-Coda-Request-Id: an ambient id (e.g. one per cooperative
-// search, set by the caller) is reused so every call of the operation
-// correlates, otherwise a fresh per-call id is generated here.
+// exec runs op through the retry policy, once per attempt with the
+// attempt's context. The context carries the request id sent in
+// X-Coda-Request-Id: an ambient id (e.g. one per cooperative search, set
+// by the caller) is reused so every call of the operation correlates,
+// otherwise a fresh per-call id is generated here.
 func (c *Client) exec(ctx context.Context, call string, op func(ctx context.Context) error) error {
 	ctx, id := obs.EnsureRequestID(ctx)
 	ctx, csp := trace.Start(ctx, "client."+call)
 	csp.SetComponent(callComponent(call))
 	defer csp.End()
 	start := time.Now()
-	if c.Breaker != nil && !c.Breaker.Allow() {
-		mCallsOpen.Inc()
-		csp.SetAttr(trace.String("outcome", "breaker_open"))
-		c.logger().Warn("call short-circuited: breaker open",
-			"request_id", id, "call", call, "server", c.BaseURL)
-		return fmt.Errorf("httpapi: %s: %w", c.BaseURL, retry.ErrOpen)
-	}
 	// Each attempt is its own child span so retries show up as repeated
 	// attempts under one call, not as separate calls.
 	attempts := 0
@@ -131,9 +112,6 @@ func (c *Client) exec(ctx context.Context, call string, op func(ctx context.Cont
 		asp.End()
 		return opErr
 	})
-	if c.Breaker != nil {
-		c.Breaker.Record(err)
-	}
 	csp.SetAttr(trace.Int("attempts", attempts))
 	if err != nil {
 		mCallsErr.Inc()
@@ -334,8 +312,7 @@ func (c *Client) Publish(ctx context.Context, key string, score float64, explana
 // batches cuts n keys or records into runs of at most DefaultMaxBatchKeys —
 // what a server at its default cap accepts in one request — and calls do
 // for each run in order, stopping at the first error. With n == 0 it makes
-// no call: an empty batch is answered locally, never sent. A server
-// started with a smaller -batch-max-keys refuses runs this size with a 400.
+// no call: an empty batch is answered locally, never sent.
 func batches(n int, do func(lo, hi int) error) error {
 	for lo := 0; lo < n; lo += DefaultMaxBatchKeys {
 		if err := do(lo, min(lo+DefaultMaxBatchKeys, n)); err != nil {

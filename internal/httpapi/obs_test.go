@@ -179,11 +179,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"coda_darr_lookups_total",
 		`coda_darr_hits_total`,
 		`coda_darr_claims_total{granted="true"}`,
-		`coda_store_replies_total{kind="full"}`,
+		`coda_store_get_seconds_count{kind="full"}`,
 		`coda_store_reply_bytes_total{kind="full"}`,
 		"coda_search_unit_seconds_bucket",
 		"coda_retry_attempts_total",
-		"coda_breaker_transitions_total",
 		`coda_http_requests_total{route="darr-batch-records"`,
 		"coda_uptime_seconds",
 		"coda_replication_update_builds_total",
@@ -209,7 +208,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestHealthzEnriched verifies the structured health document: uptime,
-// build info and the per-component snapshots (DARR, store, breakers).
+// build info and the per-component snapshots (DARR, store).
 func TestHealthzEnriched(t *testing.T) {
 	client, _, _, ts := newTestServer(t)
 	ctx := context.Background()
@@ -241,18 +240,6 @@ func TestHealthzEnriched(t *testing.T) {
 	}
 	if _, ok := reply.Components["store"]; !ok {
 		t.Fatal("missing store component")
-	}
-	// NewClient registered its breaker under the server URL.
-	breakers, ok := reply.Components["breakers"].(map[string]any)
-	if !ok {
-		t.Fatalf("missing breakers component: %+v", reply.Components)
-	}
-	b, ok := breakers[ts.URL].(map[string]any)
-	if !ok {
-		t.Fatalf("breaker for %s not reported: %+v", ts.URL, breakers)
-	}
-	if b["state"] != "closed" {
-		t.Fatalf("breaker state %v", b["state"])
 	}
 }
 

@@ -45,8 +45,8 @@ var mPanics = obs.GetCounter("coda_http_panics_total")
 // a fresh one generated), stashed in the request context, echoed on the
 // response, and attached to logs; the body is capped; per-route counters
 // and latency histograms land in the Prometheus scrape at /metrics, and
-// /healthz reports uptime, build info, breaker states, and component
-// stats.
+// /healthz reports uptime, build info and this server's components (its
+// DARR, store and leases, and any added with AddHealth).
 type Server struct {
 	Repo *darr.Repo
 	// Store is the data-tier seam: any store.ObjectStore backend (the
@@ -55,9 +55,6 @@ type Server struct {
 	// Logger receives request logs (debug) and error logs (warn/error);
 	// nil uses slog.Default().
 	Logger *slog.Logger
-	// MaxBatchKeys bounds the keys/records one batched DARR request may
-	// carry; oversized batches get a 400. <= 0 uses DefaultMaxBatchKeys.
-	MaxBatchKeys int
 	// Leases, when set via EnableLeases, powers the real-time push
 	// endpoints and routes object PUTs through its fanout so HTTP writes
 	// reach subscribers.
@@ -73,14 +70,17 @@ type Server struct {
 	health map[string]func() any
 	// maxBody caps a request body in bytes (maxBodyBytes; tests lower it).
 	maxBody int64
+	// maxBatchKeys caps the keys/records of one batched DARR request
+	// (DefaultMaxBatchKeys, where clients cut their batches; tests lower it).
+	maxBatchKeys int
 
 	mbMu      sync.Mutex
 	mailboxes map[string]*leaseMailbox
 }
 
-// DefaultMaxBatchKeys is the default cap on keys/records per batched
-// DARR request — generous for real search graphs while keeping a single
-// request body bounded.
+// DefaultMaxBatchKeys is the cap on keys/records per batched DARR
+// request — generous for real search graphs while keeping a single
+// request body bounded. Clients cut their batches at it.
 const DefaultMaxBatchKeys = 1024
 
 // maxBodyBytes is the largest body any route accepts (more is a 413) and the
@@ -101,7 +101,7 @@ const (
 // NewServer builds the handler; either component may be nil to disable its
 // endpoints.
 func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
-	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxBodyBytes}
+	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxBodyBytes, maxBatchKeys: DefaultMaxBatchKeys}
 	s.mux.Handle("/metrics", obs.MetricsHandler())
 	s.mux.Handle("/healthz", obs.HealthHandler(s.health))
 	s.mux.Handle("/debug/traces", trace.Handler())
@@ -133,6 +133,10 @@ func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
 
 // Handle mounts h at pattern behind the server's handler chain.
 func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+
+// AddHealth adds a named component to this server's /healthz report. fn
+// must be safe for concurrent use and cheap; add components before serving.
+func (s *Server) AddHealth(name string, fn func() any) { s.health[name] = fn }
 
 // NewDebugServer is the -debug-addr listener's handler: /metrics, /healthz
 // and /debug/traces, as every Server has, plus net/http/pprof.
@@ -470,7 +474,7 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 
 // The batch lookup and claim routes' wire form, the protocol a search
 // speaks. A request body is n concatenated darr.Digest values, 0 < n ≤
-// MaxBatchKeys, of type octetStream (any other type is a 415); a claim
+// DefaultMaxBatchKeys, of type octetStream (any other type is a 415); a claim
 // names its client in clientIDHeader. A lookup's 200 is lookupReplyShape:
 // bit i of the bitmap, least significant first, answers digest i, and the
 // scores follow in request order. A claim's 200 is claimReplyShape.
@@ -492,12 +496,8 @@ func (s *Server) checkBatch(w http.ResponseWriter, r *http.Request, n int, what 
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch needs at least one %s", what))
 		return false
 	}
-	limit := s.MaxBatchKeys
-	if limit <= 0 {
-		limit = DefaultMaxBatchKeys
-	}
-	if n > limit {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch of %d %ss exceeds limit %d", n, what, limit))
+	if n > s.maxBatchKeys {
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch of %d %ss exceeds limit %d", n, what, s.maxBatchKeys))
 		return false
 	}
 	return true

@@ -170,8 +170,8 @@ var mathExact = map[string]string{
 // differ from amd64's. Each says why it may stay.
 var mathArchDependent = map[string]string{
 	"metrics.MSLE math.Log1p":     "the msle and rmsle scores are arch-dependent: math.log1p fuses 21 products on arm64; no golden and no graph in the paper's inventory scores with them",
-	"sim.GenerateSeries math.Sin": "the seasonal and harmonic terms of the synthetic series are arch-dependent: math.sin fuses 16 products on arm64, so a series search's data, and its scores, can differ there",
-	"sim.GenerateFleet math.Sin":  "the fleet's seasonal term is arch-dependent for the same reason as GenerateSeries'",
+	"sim.GenerateSeries math.Sin": "the seasonal and harmonic terms of the synthetic series are arch-dependent: math.sin fuses 16 products on arm64, so a series search's data, and its scores, can differ there; a rounded sin twin alone would not fix the series, because its rand.NormFloat64 noise calls math.Log in the base-strip tail, assembly on amd64 and pure Go with fusible products on arm64, which this scan cannot see",
+	"sim.GenerateFleet math.Sin":  "the fleet's seasonal term is arch-dependent for the same reason as GenerateSeries', and its rand.NormFloat64 noise for the same second reason",
 }
 
 // TestMathCallsAreListed holds every call into package math from a package

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -13,35 +12,6 @@ var startTime = time.Now()
 
 // Uptime reports how long the process has been running.
 func Uptime() time.Duration { return time.Since(startTime) }
-
-var (
-	healthMu  sync.Mutex
-	healthFns = map[string]func() any{}
-)
-
-// RegisterHealth adds a named component snapshot to every health report;
-// fn must be safe for concurrent use and cheap. Re-registering a name
-// replaces the previous reporter.
-func RegisterHealth(name string, fn func() any) {
-	healthMu.Lock()
-	defer healthMu.Unlock()
-	healthFns[name] = fn
-}
-
-// HealthSnapshot evaluates every registered reporter.
-func HealthSnapshot() map[string]any {
-	healthMu.Lock()
-	fns := make(map[string]func() any, len(healthFns))
-	for n, fn := range healthFns {
-		fns[n] = fn
-	}
-	healthMu.Unlock()
-	out := make(map[string]any, len(fns))
-	for n, fn := range fns {
-		out[n] = fn()
-	}
-	return out
-}
 
 // BuildInfo reports the Go version and, when the binary was built from a
 // VCS checkout, the revision and commit time.
@@ -79,19 +49,19 @@ type HealthReply struct {
 }
 
 // HealthHandler serves the enriched health report: status, process
-// uptime, build info (Go version, VCS revision), the globally registered
-// component reporters, and any extra per-server reporters passed in.
-func HealthHandler(extra map[string]func() any) http.Handler {
+// uptime, build info (Go version, VCS revision) and one snapshot per
+// named component. Each fn must be safe for concurrent use and cheap.
+func HealthHandler(components map[string]func() any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		components := HealthSnapshot()
-		for n, fn := range extra {
-			components[n] = fn()
+		snap := make(map[string]any, len(components))
+		for n, fn := range components {
+			snap[n] = fn()
 		}
 		reply := HealthReply{
 			Status:        "ok",
 			UptimeSeconds: Uptime().Seconds(),
 			Build:         BuildInfo(),
-			Components:    components,
+			Components:    snap,
 		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(reply)

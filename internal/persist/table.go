@@ -1,14 +1,18 @@
 package persist
 
-import "sync"
+import (
+	"sort"
+	"strings"
+	"sync"
+)
 
 // table is the in-memory live state every backend serves reads from: a
-// hash map for O(1) point lookups plus the blocked ordered index for
-// cursors and snapshot streaming. Durable backends rebuild it at open
-// from their snapshot + log tail. Callers hold the backend mutex.
+// hash map for O(1) point lookups and no ordered index. A cursor (made at
+// open) and a snapshot (made by Compact) sort the keys they read when they
+// start. Durable backends rebuild the table at open from their snapshot +
+// log tail. Callers hold the backend mutex.
 type table struct {
 	vals map[string][]byte
-	ix   bindex
 }
 
 func newTable() *table { return &table{vals: map[string][]byte{}} }
@@ -21,29 +25,25 @@ func (t *table) get(key string) ([]byte, bool) {
 }
 
 // put stores a copy-free reference: callers pass ownership of val.
-func (t *table) put(key string, val []byte) {
-	if _, ok := t.vals[key]; !ok {
-		t.ix.insert(key)
-	}
-	t.vals[key] = val
-}
+func (t *table) put(key string, val []byte) { t.vals[key] = val }
 
 func (t *table) del(key string) bool {
 	if _, ok := t.vals[key]; !ok {
 		return false
 	}
 	delete(t.vals, key)
-	t.ix.remove(key)
 	return true
 }
 
 // prefixKeys snapshots the ascending key set under prefix.
 func (t *table) prefixKeys(prefix string) []string {
 	var keys []string
-	t.ix.ascendPrefix(prefix, func(k string) bool {
-		keys = append(keys, k)
-		return true
-	})
+	for k := range t.vals {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
 	return keys
 }
 

@@ -132,19 +132,13 @@ func writeSnapshotFile(path string, tab *table, watermark uint64) (pairs int64, 
 	var buf []byte
 	var count int64
 	var werr error
-	tab.ix.ascend("", func(k string) bool {
-		v, ok := tab.get(k)
-		if !ok {
-			return true
-		}
-		buf = appendRecord(buf[:0], opPut, k, v)
-		if _, err := w.Write(buf); err != nil {
-			werr = err
-			return false
+	for _, k := range tab.prefixKeys("") {
+		buf = appendRecord(buf[:0], opPut, k, tab.vals[k])
+		if _, werr = w.Write(buf); werr != nil {
+			break
 		}
 		count++
-		return true
-	})
+	}
 	if werr == nil {
 		var trailer [16]byte
 		binary.LittleEndian.PutUint64(trailer[:8], uint64(count))

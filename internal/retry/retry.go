@@ -1,8 +1,8 @@
 // Package retry is the fault-tolerance layer for client↔cloud traffic:
 // exponential backoff with jitter, per-attempt timeouts, error
-// classification (transient faults retry, caller mistakes do not), and a
-// circuit breaker that bounds retries under sustained outages and lets
-// callers degrade gracefully when the remote side is down.
+// classification (transient faults retry, caller mistakes do not). A call
+// that still fails after its attempts returns the error, and the layer
+// above degrades: core.Search computes the rest of its units locally.
 //
 // The paper's cooperative searches run over wide-area links between
 // client nodes and cloud analytics servers (Figure 1); this package makes

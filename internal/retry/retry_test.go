@@ -152,68 +152,3 @@ func TestRetryableClassification(t *testing.T) {
 		}
 	}
 }
-
-func TestBreakerLifecycle(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := NewBreaker(3, 10*time.Second, clock)
-
-	for i := 0; i < 3; i++ {
-		if !b.Allow() {
-			t.Fatalf("closed breaker refused call %d", i)
-		}
-		b.Record(errors.New("boom"))
-	}
-	if b.State() != Open || b.Trips() != 1 {
-		t.Fatalf("state=%v trips=%d, want open after threshold", b.State(), b.Trips())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker must fail fast")
-	}
-
-	now = now.Add(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("cooldown elapsed: one probe should pass")
-	}
-	if b.Allow() {
-		t.Fatal("only one half-open probe at a time")
-	}
-	b.Record(errors.New("still down"))
-	if b.State() != Open || b.Trips() != 2 {
-		t.Fatalf("failed probe should re-open (state=%v trips=%d)", b.State(), b.Trips())
-	}
-
-	now = now.Add(11 * time.Second)
-	if !b.Allow() {
-		t.Fatal("second probe should pass")
-	}
-	b.Record(nil)
-	if b.State() != Closed {
-		t.Fatalf("successful probe should close, got %v", b.State())
-	}
-	if !b.Allow() {
-		t.Fatal("closed breaker should allow traffic")
-	}
-}
-
-func TestBreakerConcurrentUse(t *testing.T) {
-	b := NewBreaker(50, time.Second, nil)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				if b.Allow() {
-					if j%2 == i%2 {
-						b.Record(errors.New("x"))
-					} else {
-						b.Record(nil)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}

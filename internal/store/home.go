@@ -307,7 +307,6 @@ func (s *HomeStore) Get(key string, haveVersion uint64) (*Reply, error) {
 	if haveVersion == latest.Num {
 		obj.mu.Unlock()
 		reply.Unchanged = true
-		mRepliesUnchg.Inc()
 		mGetUnchg.ObserveSince(start)
 		return reply, nil
 	}
@@ -326,7 +325,6 @@ func (s *HomeStore) Get(key string, haveVersion uint64) (*Reply, error) {
 			s.deltaReplies.Add(1)
 			s.deltaBytes.Add(int64(d.WireSize()))
 			s.savedBytes.Add(int64(len(latest.Data) - d.WireSize()))
-			mRepliesDelta.Inc()
 			mReplyBytesDelta.Add(int64(d.WireSize()))
 			mSavedBytes.Add(int64(len(latest.Data) - d.WireSize()))
 			mGetDelta.ObserveSince(start)
@@ -336,7 +334,6 @@ func (s *HomeStore) Get(key string, haveVersion uint64) (*Reply, error) {
 	reply.Full = latest.Data // read-only: the stored version itself
 	s.fullReplies.Add(1)
 	s.fullBytes.Add(int64(len(latest.Data)))
-	mRepliesFull.Inc()
 	mReplyBytesFull.Add(int64(len(latest.Data)))
 	mGetFull.ObserveSince(start)
 	return reply, nil

@@ -27,15 +27,12 @@ import (
 	"coda/internal/obs"
 )
 
-// Home-store telemetry: the delta-vs-full reply split, the bytes each kind
-// put on the wire (the S1 bandwidth-saving experiment as a live scrape),
-// and the out-of-lock delta pipeline (compute latency, per-kind Get
-// latency, cache population).
+// Home-store telemetry: the bytes each reply kind put on the wire (the S1
+// bandwidth-saving experiment as a live scrape) and the out-of-lock delta
+// pipeline: compute latency, per-kind Get latency and cache population.
+// coda_store_get_seconds_count{kind} is the delta-vs-full reply split.
 var (
 	mStorePuts       = obs.GetCounter("coda_store_puts_total")
-	mRepliesFull     = obs.GetCounter(`coda_store_replies_total{kind="full"}`)
-	mRepliesDelta    = obs.GetCounter(`coda_store_replies_total{kind="delta"}`)
-	mRepliesUnchg    = obs.GetCounter(`coda_store_replies_total{kind="unchanged"}`)
 	mReplyBytesFull  = obs.GetCounter(`coda_store_reply_bytes_total{kind="full"}`)
 	mReplyBytesDelta = obs.GetCounter(`coda_store_reply_bytes_total{kind="delta"}`)
 	mSavedBytes      = obs.GetCounter("coda_store_saved_bytes_total")

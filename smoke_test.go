@@ -212,7 +212,7 @@ func scrape(t *testing.T, base string) string {
 }
 
 // metric sums the samples of a series: series is a bare name, or a name
-// with a label prefix such as `coda_store_replies_total{kind="full"`.
+// with a label prefix such as `coda_store_get_seconds_count{kind="full"`.
 func metric(scrape, series string) float64 {
 	sum := 0.0
 	for _, line := range strings.Split(scrape, "\n") {
@@ -488,8 +488,8 @@ func TestSmoke(t *testing.T) {
 		}
 		sc := scrape(t, url)
 		requireSeries(t, sc, "coda_store_get_seconds histogram")
-		if full := metric(sc, `coda_store_replies_total{kind="full"`); full <= 0 {
-			t.Errorf(`coda_store_replies_total{kind="full"} = %v after serving the pull, want > 0`, full)
+		if full := metric(sc, `coda_store_get_seconds_count{kind="full"`); full <= 0 {
+			t.Errorf(`coda_store_get_seconds_count{kind="full"} = %v after serving the pull, want > 0`, full)
 		}
 		server.stop(t)
 	})
