@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -317,18 +318,33 @@ func TestPlannedSpecIsBuiltSpec(t *testing.T) {
 }
 
 // TestPlanRejectsBadGridValue: a grid value a component refuses fails the
-// search before anything runs, naming the key and the value.
+// search before anything runs, naming the key and the value. mlmodels
+// refuses a count that is not a whole number of at least 1 (0 for
+// max_depth): Fit would train its default, or the truncated value, under a
+// spec that records the value given.
 func TestPlanRejectsBadGridValue(t *testing.T) {
 	g := core.NewGraph()
 	g.AddFeatureScalers(preprocess.NewStandardScaler())
-	g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 3))
+	g.AddRegressionModels(mlmodels.NewLinearRegression(), mlmodels.NewKNN(mlmodels.KNNRegression, 3),
+		mlmodels.NewRandomForest(mlmodels.TreeRegression, 3), mlmodels.NewDecisionTree(mlmodels.TreeRegression))
 	scorer, _ := metrics.ScorerByName("rmse")
-	_, err := core.Search(context.Background(), g, regDS(t, 40), core.SearchOptions{
-		Splitter: crossval.KFold{K: 2}, Scorer: scorer,
-		ParamGrid: map[string][]float64{"knn__bogus": {1}},
-	})
-	if err == nil || !strings.Contains(err.Error(), "applying grid knn__bogus=1") {
-		t.Fatalf("search with a grid value knn refuses: err %v", err)
+	for _, c := range []struct {
+		key string
+		v   float64
+	}{
+		{"knn__bogus", 1}, {"knn__k", 0}, {"knn__k", 2.5},
+		{"randomforest__n_trees", 0}, {"randomforest__n_trees", -3}, {"randomforest__n_trees", 2.5},
+		{"randomforest__max_depth", -1}, {"randomforest__min_leaf", 0}, {"randomforest__min_leaf", math.NaN()},
+		{"decisiontree__max_depth", 1.5}, {"decisiontree__min_leaf", 0},
+	} {
+		_, err := core.Search(context.Background(), g, regDS(t, 40), core.SearchOptions{
+			Splitter: crossval.KFold{K: 2}, Scorer: scorer,
+			ParamGrid: map[string][]float64{c.key: {c.v}},
+		})
+		want := fmt.Sprintf("applying grid %s=%s", c.key, strconv.FormatFloat(c.v, 'g', -1, 64))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("search with grid %s=%v: err %v, want one containing %q", c.key, c.v, err, want)
+		}
 	}
 }
 

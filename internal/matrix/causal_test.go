@@ -17,12 +17,12 @@ import (
 type causalStack struct {
 	name   string
 	seqLen int
-	blocks func(seqLen int, rng *nn.Rand) []nn.Layer
+	blocks func(seqLen int, rng *matrix.Rand) []nn.Layer
 }
 
 func (s causalStack) layers(seed int64) []nn.Layer {
 	const ch = 6
-	rng := nn.NewRand(seed)
+	rng := matrix.NewRand(seed)
 	layers := []nn.Layer{nn.NewConv1D(s.seqLen, 2, ch, 1, 1, true, rng)}
 	layers = append(layers, s.blocks(s.seqLen, rng)...)
 	return append(layers, nn.NewLastTimestep(s.seqLen, ch), nn.NewDense(ch, 1, rng))
@@ -38,14 +38,14 @@ func causalStacks() []causalStack {
 	var stacks []causalStack
 	for seqLen := 5; seqLen <= 9; seqLen++ {
 		stacks = append(stacks,
-			causalStack{"wavenet", seqLen, func(seqLen int, rng *nn.Rand) []nn.Layer {
+			causalStack{"wavenet", seqLen, func(seqLen int, rng *matrix.Rand) []nn.Layer {
 				var l []nn.Layer
 				for _, d := range []int{1, 2, 4} {
 					l = append(l, nn.NewGatedResidualBlock(seqLen, ch, 2, d, rng))
 				}
 				return l
 			}},
-			causalStack{"seriesnet", seqLen, func(seqLen int, rng *nn.Rand) []nn.Layer {
+			causalStack{"seriesnet", seqLen, func(seqLen int, rng *matrix.Rand) []nn.Layer {
 				var l []nn.Layer
 				for _, d := range []int{1, 2, 4, 8} {
 					l = append(l, nn.NewResidualConvBlock(seqLen, ch, 2, d, rng))
@@ -53,7 +53,7 @@ func causalStacks() []causalStack {
 				return l
 			}})
 	}
-	return append(stacks, causalStack{"kernel3-dilation3", 9, func(seqLen int, rng *nn.Rand) []nn.Layer {
+	return append(stacks, causalStack{"kernel3-dilation3", 9, func(seqLen int, rng *matrix.Rand) []nn.Layer {
 		return []nn.Layer{
 			nn.NewDropout(0.2, rng),
 			nn.NewResidualConvBlock(seqLen, ch, 3, 3, rng),
@@ -106,9 +106,9 @@ func TestCausalDemandBitIdentical(t *testing.T) {
 				// head's gradient is there.
 				layers := s.layers(11)
 				body := slices.Clone(layers[:len(layers)-2])
-				fit(&nn.Network{Layers: append(body, nn.NewDense(s.seqLen*6, 1, nn.NewRand(1))), Optimizer: nn.NewAdam(0.01)})
+				fit(&nn.Network{Layers: append(body, nn.NewDense(s.seqLen*6, 1, matrix.NewRand(1))), Optimizer: nn.NewAdam(0.01)})
 				narrowed := nn.NewNetwork(nn.NewAdam(0.01), layers...)
-				if err := narrowed.Reinit(nn.NewRand(11)); err != nil {
+				if err := narrowed.Reinit(matrix.NewRand(11)); err != nil {
 					t.Fatal(err)
 				}
 				full := &nn.Network{Layers: s.layers(11), Optimizer: nn.NewAdam(0.01)}

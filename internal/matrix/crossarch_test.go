@@ -86,7 +86,7 @@ var fusedScans = []struct {
 	{"../core", "coda/internal/core", []string{"scoreFold", "(*Pipeline).PredictWithTruth", "(*Pipeline).predict"}},
 	{"../sim", "coda/internal/sim", []string{"GenerateSeries", "GenerateFailureData", "GenerateAnomalyData", "GenerateFleet"}},
 	{"../mlmodels", "coda/internal/mlmodels", []string{
-		"(*grower).bestSplit", "gini", "(*LogisticRegression).Fit", "(*KMeans).runOnce", "(*KNN).Predict", "(*ARModel).Predict",
+		"(*grower).varianceScan", "(*grower).giniScan", "gini", "newColumns", "(*LogisticRegression).Fit", "(*KMeans).runOnce", "(*KNN).Predict", "(*ARModel).Predict",
 	}},
 	{"../preprocess", "coda/internal/preprocess", []string{
 		"pearson", "quantiles", "interpolate", "(*Scaler).Transform", "(*Covariance).Transform",

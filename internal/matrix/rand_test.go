@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"coda/internal/matrix"
-	"coda/internal/nn"
 )
 
 // randSeeds are the seeds the generator is held to math/rand on: zero (its
@@ -26,7 +25,7 @@ var bulkLengths = []int{1, 3, 4, 5, 7, 8, 9, 16, 61, 272, 273, 274, 607, 1000, 3
 // rand.New(r), a Float64s block of a length from bulkLengths, one Int63,
 // one Uint64, or a Shuffle through rand.New(r). It returns how many values
 // it compared.
-func drawAgainstMathRand(t *testing.T, r *nn.Rand, seed int64, ops []byte) int {
+func drawAgainstMathRand(t *testing.T, r *matrix.Rand, seed int64, ops []byte) int {
 	t.Helper()
 	ref := rand.New(rand.NewSource(seed))
 	viaRand := rand.New(r)
@@ -76,12 +75,12 @@ func drawAgainstMathRand(t *testing.T, r *nn.Rand, seed int64, ops []byte) int {
 	return drawn
 }
 
-// TestRandMatchesMathRand holds nn.Rand, on every kernel path, to
+// TestRandMatchesMathRand holds matrix.Rand, on every kernel path, to
 // math/rand's generator for the same seed: every Float64, single or in a
 // Float64s block, Int63, Uint64 and Shuffle, over at least 10⁶ values
 // across eleven seeds, one Rand re-seeded with each in turn. (Rand's
-// redraw of a 1 is held to Float64's in nn, from a crafted state; the
-// kernel's report of one is held here, on every path, by
+// redraw of a 1 is held to Float64's by TestRandRedrawsOne, from a crafted
+// state; the kernel's report of one is held, on every path, by
 // TestLaggedUniformsPathsAgree.)
 func TestRandMatchesMathRand(t *testing.T) {
 	ops := make([]byte, 3000)
@@ -93,7 +92,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 		t.Run(path, func(t *testing.T) {
 			matrix.UseKernelPath(t, path)
 			drawn := 0
-			r := nn.NewRand(3)
+			r := matrix.NewRand(3)
 			for _, seed := range randSeeds {
 				r.Seed(seed)
 				drawn += drawAgainstMathRand(t, r, seed, ops)
@@ -113,13 +112,13 @@ func FuzzRandMatchesMathRand(f *testing.F) {
 		if len(ops) > 256 {
 			ops = ops[:256]
 		}
-		drawAgainstMathRand(t, nn.NewRand(seed), seed, ops)
+		drawAgainstMathRand(t, matrix.NewRand(seed), seed, ops)
 	})
 }
 
 // BenchmarkDropoutDraw times one deep-LSTM dropout mask (32 x 96 uniforms)
 // per iteration, in ns per uniform: math/rand's Rand.Float64 called once
-// per element, then nn.Rand.Float64s on each kernel path.
+// per element, then matrix.Rand.Float64s on each kernel path.
 func BenchmarkDropoutDraw(b *testing.B) {
 	mask := make([]float64, 32*96)
 	perUniform := func(b *testing.B) {
@@ -137,11 +136,28 @@ func BenchmarkDropoutDraw(b *testing.B) {
 	for _, path := range matrix.KernelPaths(b) {
 		b.Run(path, func(b *testing.B) {
 			matrix.UseKernelPath(b, path)
-			rng := nn.NewRand(1)
+			rng := matrix.NewRand(1)
 			for i := 0; i < b.N; i++ {
 				rng.Float64s(mask)
 			}
 			perUniform(b)
 		})
 	}
+}
+
+// BenchmarkRandSeed times one seeding, as a forest does per tree: math/rand's
+// source, whose LCG divides at every step, against Rand's.
+func BenchmarkRandSeed(b *testing.B) {
+	b.Run("math-rand", func(b *testing.B) {
+		src := rand.NewSource(1)
+		for i := 0; i < b.N; i++ {
+			src.Seed(int64(i))
+		}
+	})
+	b.Run("matrix", func(b *testing.B) {
+		r := matrix.NewRand(1)
+		for i := 0; i < b.N; i++ {
+			r.Seed(int64(i))
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"coda/internal/core"
 	"coda/internal/dataset"
+	"coda/internal/matrix"
 )
 
 // RandomForest is a bagged ensemble of feature-subsampled CART trees.
@@ -35,22 +36,21 @@ func (f *RandomForest) Name() string {
 	return "randomforest"
 }
 
-// SetParam implements core.Component; "n_trees", "max_depth", "min_leaf"
-// and "seed" are supported.
+// SetParam implements core.Component; "n_trees" and "min_leaf", whole
+// numbers >= 1, "max_depth", one >= 0, and "seed" are supported.
 func (f *RandomForest) SetParam(key string, v float64) error {
 	switch key {
 	case "n_trees":
-		f.NTrees = int(v)
+		return setWhole(&f.NTrees, f.Name(), key, v, 1)
 	case "max_depth":
-		f.MaxDepth = int(v)
+		return setWhole(&f.MaxDepth, f.Name(), key, v, 0)
 	case "min_leaf":
-		f.MinLeaf = int(v)
+		return setWhole(&f.MinLeaf, f.Name(), key, v, 1)
 	case "seed":
 		f.Seed = int64(v)
-	default:
-		return errUnknownParam(f.Name(), key)
+		return nil
 	}
-	return nil
+	return errUnknownParam(f.Name(), key)
 }
 
 // Params implements core.Component.
@@ -84,26 +84,24 @@ func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 	if f.Task != TreeRegression && f.Task != TreeClassification {
 		return fmt.Errorf("mlmodels: %s unknown task %d", f.Name(), f.Task)
 	}
-	rng := rand.New(rand.NewSource(f.Seed))
+	// The bootstrap draws and each tree's seed come from one generator,
+	// each tree's feature shuffles from another, seeded again per tree.
+	rng, treeSrc := rand.New(matrix.NewRand(f.Seed)), new(matrix.Rand)
+	treeRng := rand.New(treeSrc)
 	maxFeatures := max(int(math.Sqrt(float64(ds.NumFeatures()))), 1)
 	// A bootstrap repeats rows of ds, so every tree grows on one presorted
 	// layout of it, taking its draws as row multiplicities.
-	c := newColumns(ds, f.Task)
+	g := newGrower(newColumns(ds, f.Task), n)
+	trees := make([]DecisionTree, f.NTrees)
 	f.trees = make([]*DecisionTree, f.NTrees)
-	for t := range f.trees {
-		draws := make([]int, n)
-		for i := range draws {
-			draws[i] = rng.Intn(n)
+	for t := range trees {
+		for i := range g.draws {
+			g.draws[i] = rng.Intn(n)
 		}
-		tree := &DecisionTree{
-			Task:        f.Task,
-			MaxDepth:    f.MaxDepth,
-			MinLeaf:     f.MinLeaf,
-			MaxFeatures: maxFeatures,
-			rng:         rand.New(rand.NewSource(rng.Int63())),
-		}
-		tree.grow(c, draws)
-		f.trees[t] = tree
+		treeSrc.Seed(rng.Int63())
+		trees[t] = DecisionTree{Task: f.Task, MaxDepth: f.MaxDepth, MinLeaf: f.MinLeaf, MaxFeatures: maxFeatures}
+		g.grow(&trees[t], treeRng)
+		f.trees[t] = &trees[t]
 	}
 	return nil
 }
@@ -113,47 +111,35 @@ func (f *RandomForest) Predict(ds *dataset.Dataset) ([]float64, error) {
 	if f.trees == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFitted, f.Name())
 	}
-	n := ds.NumSamples()
+	if err := checkWidth(f.Name(), f.trees[0].width, ds); err != nil {
+		return nil, err
+	}
+	out := make([]float64, ds.NumSamples())
 	switch f.Task {
 	case TreeClassification:
-		votes := make([]map[float64]int, n)
-		for i := range votes {
-			votes[i] = map[float64]int{}
-		}
-		for _, tree := range f.trees {
-			preds, err := tree.Predict(ds)
-			if err != nil {
-				return nil, fmt.Errorf("mlmodels: %s member predict: %w", f.Name(), err)
+		votes := map[float64]int{}
+		for i := range out {
+			clear(votes)
+			for _, tree := range f.trees {
+				votes[tree.leaf(ds.X.Row(i))]++
 			}
-			for i, p := range preds {
-				votes[i][p]++
-			}
-		}
-		out := make([]float64, n)
-		for i, vs := range votes {
 			best, bestN := 0.0, -1
-			for v, c := range vs {
+			for v, c := range votes {
 				if c > bestN || (c == bestN && v < best) {
 					best, bestN = v, c
 				}
 			}
 			out[i] = best
 		}
-		return out, nil
 	default:
-		out := make([]float64, n)
 		for _, tree := range f.trees {
-			preds, err := tree.Predict(ds)
-			if err != nil {
-				return nil, fmt.Errorf("mlmodels: %s member predict: %w", f.Name(), err)
-			}
-			for i, p := range preds {
-				out[i] += p
+			for i := range out {
+				out[i] += tree.leaf(ds.X.Row(i))
 			}
 		}
 		for i := range out {
 			out[i] /= float64(len(f.trees))
 		}
-		return out, nil
 	}
+	return out, nil
 }

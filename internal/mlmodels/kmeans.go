@@ -28,16 +28,16 @@ func NewKMeans(k int) *KMeans { return &KMeans{K: k, MaxIters: 100, NInit: 5} }
 // Name implements core.Component.
 func (m *KMeans) Name() string { return "kmeans" }
 
-// SetParam implements core.Component; "k", "max_iters" and "seed" are
-// supported.
+// SetParam implements core.Component; "k", "max_iters", "n_init" and
+// "seed" are supported, the first three whole numbers >= 1.
 func (m *KMeans) SetParam(key string, v float64) error {
 	switch key {
 	case "k":
-		m.K = int(v)
+		return setWhole(&m.K, m.Name(), key, v, 1)
 	case "max_iters":
-		m.MaxIters = int(v)
+		return setWhole(&m.MaxIters, m.Name(), key, v, 1)
 	case "n_init":
-		m.NInit = int(v)
+		return setWhole(&m.NInit, m.Name(), key, v, 1)
 	case "seed":
 		m.Seed = int64(v)
 	default:
@@ -73,11 +73,14 @@ func (m *KMeans) Fit(ds *dataset.Dataset) error {
 	if m.NInit < 1 {
 		m.NInit = 5
 	}
-	seeds := rand.New(rand.NewSource(m.Seed))
+	seeds := rand.New(matrix.NewRand(m.Seed))
+	src := new(matrix.Rand)
+	rng := rand.New(src)
 	best := math.Inf(1)
 	var bestCentroids *matrix.Matrix
 	for restart := 0; restart < m.NInit; restart++ {
-		centroids := m.runOnce(ds, rand.New(rand.NewSource(seeds.Int63())))
+		src.Seed(seeds.Int63())
+		centroids := m.runOnce(ds, rng)
 		inertia := 0.0
 		for i := 0; i < n; i++ {
 			d := math.Inf(1)
@@ -185,8 +188,8 @@ func (m *KMeans) Predict(ds *dataset.Dataset) ([]float64, error) {
 	if m.centroids == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFitted, m.Name())
 	}
-	if ds.NumFeatures() != m.centroids.Cols() {
-		return nil, fmt.Errorf("mlmodels: kmeans fitted with %d features, got %d", m.centroids.Cols(), ds.NumFeatures())
+	if err := checkWidth(m.Name(), m.centroids.Cols(), ds); err != nil {
+		return nil, err
 	}
 	out := make([]float64, ds.NumSamples())
 	for i := range out {

@@ -29,6 +29,28 @@ func errUnknownParam(model, key string) error {
 	return fmt.Errorf("mlmodels: %s has no parameter %q", model, key)
 }
 
+// setWhole sets *dst to v, a count or an index, if v is a whole number of
+// at least least, and refuses it naming model and key otherwise. A value
+// Fit would not honour as given (a default in place of 0, 2 for 2.5) would
+// still render into the spec, and so into the DARR key, of a unit that
+// fitted something else.
+func setWhole(dst *int, model, key string, v float64, least int) error {
+	if !(v >= float64(least) && v <= math.MaxInt32 && v == float64(int(v))) {
+		return fmt.Errorf("mlmodels: %s %s %v is not a whole number >= %d", model, key, v, least)
+	}
+	*dst = int(v)
+	return nil
+}
+
+// checkWidth refuses a dataset whose width is not the fitted one's: the
+// model would read the wrong cells, or past a row's end.
+func checkWidth(model string, fitted int, ds *dataset.Dataset) error {
+	if got := ds.NumFeatures(); got != fitted {
+		return fmt.Errorf("mlmodels: %s fitted with %d features, got %d", model, fitted, got)
+	}
+	return nil
+}
+
 // LinearRegression is ordinary least squares with an intercept, solved via
 // Householder QR. Setting Alpha > 0 adds L2 (ridge) regularization using
 // the augmented-rows formulation.
@@ -112,8 +134,8 @@ func (l *LinearRegression) Predict(ds *dataset.Dataset) ([]float64, error) {
 	if !l.fitted {
 		return nil, fmt.Errorf("%w: %s", ErrNotFitted, l.Name())
 	}
-	if ds.NumFeatures() != len(l.coef) {
-		return nil, fmt.Errorf("mlmodels: %s fitted with %d features, got %d", l.Name(), len(l.coef), ds.NumFeatures())
+	if err := checkWidth(l.Name(), len(l.coef), ds); err != nil {
+		return nil, err
 	}
 	out := make([]float64, ds.NumSamples())
 	for i := range out {

@@ -29,14 +29,14 @@ func NewLogisticRegression() *LogisticRegression {
 // Name implements core.Component.
 func (l *LogisticRegression) Name() string { return "logisticregression" }
 
-// SetParam implements core.Component; "lr", "epochs" and "alpha" are
-// supported.
+// SetParam implements core.Component; "lr", "epochs", a whole number
+// >= 1, and "alpha" are supported.
 func (l *LogisticRegression) SetParam(key string, v float64) error {
 	switch key {
 	case "lr":
 		l.LearningRate = v
 	case "epochs":
-		l.Epochs = int(v)
+		return setWhole(&l.Epochs, l.Name(), key, v, 1)
 	case "alpha":
 		l.Alpha = v
 	default:
@@ -105,8 +105,8 @@ func (l *LogisticRegression) PredictProba(ds *dataset.Dataset) ([]float64, error
 	if !l.fitted {
 		return nil, fmt.Errorf("%w: %s", ErrNotFitted, l.Name())
 	}
-	if ds.NumFeatures() != len(l.coef) {
-		return nil, fmt.Errorf("mlmodels: %s fitted with %d features, got %d", l.Name(), len(l.coef), ds.NumFeatures())
+	if err := checkWidth(l.Name(), len(l.coef), ds); err != nil {
+		return nil, err
 	}
 	out := make([]float64, ds.NumSamples())
 	l.proba(out, ds)

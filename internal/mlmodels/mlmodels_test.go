@@ -3,6 +3,7 @@ package mlmodels
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"coda/internal/core"
@@ -539,5 +540,100 @@ func TestSetParamAllModels(t *testing.T) {
 	}
 	if f.NTrees != 7 || f.MaxDepth != 4 || f.MinLeaf != 2 || f.Seed != 9 {
 		t.Fatalf("forest params not applied: %+v", f)
+	}
+}
+
+// withWidth is ds with p features: its first p columns, then zeros.
+func withWidth(t *testing.T, ds *dataset.Dataset, p int) *dataset.Dataset {
+	t.Helper()
+	x := matrix.New(ds.NumSamples(), p)
+	for i := 0; i < ds.NumSamples(); i++ {
+		copy(x.Row(i), ds.X.Row(i))
+	}
+	out, err := dataset.New(x, ds.Y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPredictRefusesOtherWidths: every estimator fitted on 4 features
+// refuses to predict on 3 or on 5, with an error and without a panic. A
+// tree used to read a narrower row's cells from the next row, and past the
+// last one.
+func TestPredictRefusesOtherWidths(t *testing.T) {
+	reg, _ := regData(t, 41, 60)
+	clf := clfData(t, 42, 60, 2)
+	for _, c := range []struct {
+		m  core.Estimator
+		ds *dataset.Dataset
+	}{
+		{NewLinearRegression(), reg},
+		{NewDecisionTree(TreeRegression), reg},
+		{NewDecisionTree(TreeClassification), clf},
+		{NewRandomForest(TreeRegression, 5), reg},
+		{NewRandomForest(TreeClassification, 5), clf},
+		{NewKNN(KNNRegression, 3), reg},
+		{NewKNN(KNNClassification, 3), clf},
+		{NewKMeans(2), reg},
+		{NewLogisticRegression(), clf},
+		{NewZeroModel(0), reg},
+		{NewARModel(2, 0), reg},
+	} {
+		if err := c.m.Fit(c.ds); err != nil {
+			t.Fatalf("%s: %v", c.m.Name(), err)
+		}
+		for _, p := range []int{3, 5} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: predict on %d features panicked: %v", c.m.Name(), p, r)
+					}
+				}()
+				if _, err := c.m.Predict(withWidth(t, c.ds, p)); err == nil {
+					t.Errorf("%s: fitted on 4 features, predicted on %d without an error", c.m.Name(), p)
+				}
+			}()
+		}
+	}
+}
+
+// TestSetParamRefusesUnhonouredCounts: a count or column index that is not
+// a whole number of at least its floor is refused, naming the model and
+// the key, and the field keeps its value; the floor itself is accepted.
+// (Grid values reach these through core.Search: TestPlanRejectsBadGridValue.)
+func TestSetParamRefusesUnhonouredCounts(t *testing.T) {
+	for _, c := range []struct {
+		m     core.Estimator
+		key   string
+		floor float64
+	}{
+		{NewRandomForest(TreeRegression, 5), "n_trees", 1},
+		{NewRandomForest(TreeRegression, 5), "max_depth", 0},
+		{NewRandomForest(TreeRegression, 5), "min_leaf", 1},
+		{NewDecisionTree(TreeRegression), "max_depth", 0},
+		{NewDecisionTree(TreeRegression), "min_leaf", 1},
+		{NewKNN(KNNRegression, 3), "k", 1},
+		{NewKMeans(2), "k", 1},
+		{NewKMeans(2), "max_iters", 1},
+		{NewKMeans(2), "n_init", 1},
+		{NewLogisticRegression(), "epochs", 1},
+		{NewARModel(2, 0), "p", 1},
+		{NewARModel(2, 0), "target", 0},
+		{NewZeroModel(0), "target", 0},
+	} {
+		for _, v := range []float64{c.floor - 1, c.floor + 0.5, math.NaN(), math.Inf(1)} {
+			before := c.m.Params()[c.key]
+			err := c.m.SetParam(c.key, v)
+			if err == nil || !strings.Contains(err.Error(), c.m.Name()) || !strings.Contains(err.Error(), c.key) {
+				t.Errorf("%s SetParam(%s, %v): err %v, want a refusal naming both", c.m.Name(), c.key, v, err)
+			}
+			if after := c.m.Params()[c.key]; after != before {
+				t.Errorf("%s SetParam(%s, %v) refused but changed it from %v to %v", c.m.Name(), c.key, v, before, after)
+			}
+		}
+		if err := c.m.SetParam(c.key, c.floor); err != nil || c.m.Params()[c.key] != c.floor {
+			t.Errorf("%s SetParam(%s, %v): err %v, value %v", c.m.Name(), c.key, c.floor, err, c.m.Params()[c.key])
+		}
 	}
 }

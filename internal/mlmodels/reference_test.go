@@ -22,6 +22,7 @@ func refTreeFit(t *DecisionTree, ds *dataset.Dataset) {
 		idx[i] = i
 	}
 	t.root = refGrow(t, ds, idx, 0)
+	t.width = ds.NumFeatures()
 }
 
 func refForestFit(f *RandomForest, ds *dataset.Dataset) {
@@ -194,4 +195,50 @@ func refLeafValue(t *DecisionTree, y []float64, idx []int) float64 {
 		s += y[i]
 	}
 	return s / float64(len(idx))
+}
+
+// refKNNPredict is KNN.Predict as it was before the top-k selection: every
+// query row sorts all its neighbours with slices.SortFunc (pdqsort, strict
+// <) and aggregates the first k.
+func refKNNPredict(m *KNN, ds *dataset.Dataset) []float64 {
+	k := min(m.K, len(m.trainX))
+	out := make([]float64, ds.NumSamples())
+	type nb struct {
+		dist float64
+		y    float64
+	}
+	nbs := make([]nb, len(m.trainX))
+	for i := 0; i < ds.NumSamples(); i++ {
+		row := ds.X.Row(i)
+		for t, tr := range m.trainX {
+			d := 0.0
+			for j, v := range row {
+				diff := v - tr[j]
+				d += float64(diff * diff)
+			}
+			nbs[t] = nb{d, m.trainY[t]}
+		}
+		slices.SortFunc(nbs, func(a, b nb) int { return cmpLess(a.dist, b.dist) })
+		switch m.Task {
+		case KNNClassification:
+			votes := map[float64]int{}
+			for _, n := range nbs[:k] {
+				votes[n.y]++
+			}
+			best, bestN := 0.0, -1
+			for v, c := range votes {
+				if c > bestN || (c == bestN && v < best) {
+					best, bestN = v, c
+				}
+			}
+			out[i] = best
+		default:
+			s := 0.0
+			for _, n := range nbs[:k] {
+				s += n.y
+			}
+			out[i] = s / float64(k)
+		}
+	}
+	return out
 }

@@ -16,7 +16,7 @@ import (
 type ZeroModel struct {
 	Target int // target variable column (default 0)
 
-	fitted bool
+	width int // the fitted dataset's features; 0 = not fitted
 }
 
 // NewZeroModel returns the persistence baseline for the given target column.
@@ -25,11 +25,11 @@ func NewZeroModel(target int) *ZeroModel { return &ZeroModel{Target: target} }
 // Name implements core.Component.
 func (z *ZeroModel) Name() string { return "zeromodel" }
 
-// SetParam implements core.Component; "target" is supported.
+// SetParam implements core.Component; "target", a whole number >= 0, is
+// supported.
 func (z *ZeroModel) SetParam(key string, v float64) error {
 	if key == "target" {
-		z.Target = int(v)
-		return nil
+		return setWhole(&z.Target, z.Name(), key, v, 0)
 	}
 	return errUnknownParam(z.Name(), key)
 }
@@ -47,17 +47,17 @@ func (z *ZeroModel) Fit(ds *dataset.Dataset) error {
 	if z.Target < 0 || z.Target >= ds.NumFeatures() {
 		return fmt.Errorf("mlmodels: %s target %d out of range for %d vars", z.Name(), z.Target, ds.NumFeatures())
 	}
-	z.fitted = true
+	z.width = ds.NumFeatures()
 	return nil
 }
 
 // Predict returns the current value of the target variable for every row.
 func (z *ZeroModel) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if !z.fitted {
+	if z.width == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNotFitted, z.Name())
 	}
-	if z.Target >= ds.NumFeatures() {
-		return nil, fmt.Errorf("mlmodels: %s target %d out of range for %d vars", z.Name(), z.Target, ds.NumFeatures())
+	if err := checkWidth(z.Name(), z.width, ds); err != nil {
+		return nil, err
 	}
 	out := make([]float64, ds.NumSamples())
 	for i := range out {
@@ -79,7 +79,7 @@ type ARModel struct {
 
 	coef      []float64 // lag coefficients, coef[0] = lag-1
 	intercept float64
-	fitted    bool
+	width     int // the fitted dataset's features; 0 = not fitted
 }
 
 // NewARModel returns an unfitted AR(p) model for the target column.
@@ -88,17 +88,16 @@ func NewARModel(p, target int) *ARModel { return &ARModel{P: p, Target: target} 
 // Name implements core.Component.
 func (a *ARModel) Name() string { return "armodel" }
 
-// SetParam implements core.Component; "p" and "target" are supported.
+// SetParam implements core.Component; "p", a whole number >= 1, and
+// "target", one >= 0, are supported.
 func (a *ARModel) SetParam(key string, v float64) error {
 	switch key {
 	case "p":
-		a.P = int(v)
+		return setWhole(&a.P, a.Name(), key, v, 1)
 	case "target":
-		a.Target = int(v)
-	default:
-		return errUnknownParam(a.Name(), key)
+		return setWhole(&a.Target, a.Name(), key, v, 0)
 	}
-	return nil
+	return errUnknownParam(a.Name(), key)
 }
 
 // Params implements core.Component.
@@ -146,18 +145,18 @@ func (a *ARModel) Fit(ds *dataset.Dataset) error {
 	}
 	a.intercept = sol[0]
 	a.coef = sol[1:]
-	a.fitted = true
+	a.width = ds.NumFeatures()
 	return nil
 }
 
 // Predict applies the AR coefficients over the in-sample history of the
 // provided (time-ordered) rows. The first P-1 rows use persistence.
 func (a *ARModel) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if !a.fitted {
+	if a.width == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNotFitted, a.Name())
 	}
-	if a.Target >= ds.NumFeatures() {
-		return nil, fmt.Errorf("mlmodels: %s target %d out of range for %d vars", a.Name(), a.Target, ds.NumFeatures())
+	if err := checkWidth(a.Name(), a.width, ds); err != nil {
+		return nil, err
 	}
 	out := make([]float64, ds.NumSamples())
 	for t := range out {

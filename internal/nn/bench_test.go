@@ -134,7 +134,7 @@ func foldFit() func() error {
 	for i := range y {
 		y[i] = rng.NormFloat64()
 	}
-	gen := NewRand(3)
+	gen := matrix.NewRand(3)
 	lstm := func(in int, seq bool) *LSTM {
 		l := NewLSTM(8, in, 12, gen)
 		l.ReturnSeq = seq

@@ -29,7 +29,7 @@ type GatedResidualBlock struct {
 }
 
 // NewGatedResidualBlock builds a block with the given kernel and dilation.
-func NewGatedResidualBlock(seqLen, channels, kernel, dilation int, rng *Rand) *GatedResidualBlock {
+func NewGatedResidualBlock(seqLen, channels, kernel, dilation int, rng *matrix.Rand) *GatedResidualBlock {
 	return &GatedResidualBlock{
 		SeqLen:   seqLen,
 		Channels: channels,
@@ -41,7 +41,7 @@ func NewGatedResidualBlock(seqLen, channels, kernel, dilation int, rng *Rand) *G
 
 // init draws the filter, gate and projection weights from rng, in that
 // order.
-func (b *GatedResidualBlock) init(rng *Rand) {
+func (b *GatedResidualBlock) init(rng *matrix.Rand) {
 	b.convF.init(rng)
 	b.convG.init(rng)
 	b.proj.init(rng)
@@ -158,7 +158,7 @@ type ResidualConvBlock struct {
 }
 
 // NewResidualConvBlock builds a block with the given kernel and dilation.
-func NewResidualConvBlock(seqLen, channels, kernel, dilation int, rng *Rand) *ResidualConvBlock {
+func NewResidualConvBlock(seqLen, channels, kernel, dilation int, rng *matrix.Rand) *ResidualConvBlock {
 	return &ResidualConvBlock{
 		SeqLen:   seqLen,
 		Channels: channels,
@@ -169,7 +169,7 @@ func NewResidualConvBlock(seqLen, channels, kernel, dilation int, rng *Rand) *Re
 }
 
 // init draws the convolution's, then the projection's weights from rng.
-func (b *ResidualConvBlock) init(rng *Rand) {
+func (b *ResidualConvBlock) init(rng *matrix.Rand) {
 	b.conv.init(rng)
 	b.proj.init(rng)
 }

@@ -54,7 +54,7 @@ type Conv1D struct {
 }
 
 // NewConv1D builds a convolution with He-uniform initialization.
-func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, rng *Rand) *Conv1D {
+func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, rng *matrix.Rand) *Conv1D {
 	if dilation < 1 {
 		dilation = 1
 	}
@@ -69,7 +69,7 @@ func NewConv1D(seqLen, inChannels, filters, kernel, dilation int, causal bool, r
 }
 
 // init draws the weights from rng and clears the bias.
-func (c *Conv1D) init(rng *Rand) {
+func (c *Conv1D) init(rng *matrix.Rand) {
 	drawWeights(c.w.W.Data(), math.Sqrt(6.0/float64(c.Kernel*c.InChannels)), rng)
 	clear(c.b.W.Data())
 }

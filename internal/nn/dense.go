@@ -18,14 +18,14 @@ type Dense struct {
 
 // NewDense builds a Dense layer with Glorot-uniform initialization from
 // rng.
-func NewDense(in, out int, rng *Rand) *Dense {
+func NewDense(in, out int, rng *matrix.Rand) *Dense {
 	d := &Dense{In: in, Out: out, w: newParam(in, out), b: newParam(1, out)}
 	d.init(rng)
 	return d
 }
 
 // init draws the weights from rng and clears the bias.
-func (d *Dense) init(rng *Rand) {
+func (d *Dense) init(rng *matrix.Rand) {
 	drawWeights(d.w.W.Data(), math.Sqrt(6.0/float64(d.In+d.Out)), rng)
 	clear(d.b.W.Data())
 }
@@ -113,7 +113,7 @@ func (r *ReLU) Parameters() []*Param { return nil }
 // scaling survivors by 1/(1-Rate) (inverted dropout); inference is identity.
 type Dropout struct {
 	Rate float64
-	rng  *Rand
+	rng  *matrix.Rand
 	// mask is the last training Forward's mask; inference empties it
 	// (keeping its backing array), and an empty mask is the identity.
 	mask    []float64
@@ -121,12 +121,12 @@ type Dropout struct {
 }
 
 // NewDropout builds a dropout layer; rate must be in [0, 1).
-func NewDropout(rate float64, rng *Rand) *Dropout {
+func NewDropout(rate float64, rng *matrix.Rand) *Dropout {
 	return &Dropout{Rate: rate, rng: rng}
 }
 
 // init takes rng as the mask generator.
-func (d *Dropout) init(rng *Rand) { d.rng = rng }
+func (d *Dropout) init(rng *matrix.Rand) { d.rng = rng }
 
 // Forward applies the stochastic mask during training.
 func (d *Dropout) Forward(x *matrix.Matrix, training bool) (*matrix.Matrix, error) {

@@ -69,7 +69,7 @@ type LSTM struct {
 
 // NewLSTM builds an LSTM with Glorot-uniform weights and forget-gate
 // bias 1.
-func NewLSTM(seqLen, inSize, hidden int, rng *Rand) *LSTM {
+func NewLSTM(seqLen, inSize, hidden int, rng *matrix.Rand) *LSTM {
 	l := &LSTM{
 		SeqLen: seqLen, InSize: inSize, Hidden: hidden,
 		wx: newParam(inSize, 4*hidden),
@@ -82,7 +82,7 @@ func NewLSTM(seqLen, inSize, hidden int, rng *Rand) *LSTM {
 
 // init draws the input, then the recurrent weights from rng, and sets the
 // bias to 1 on the forget gate and 0 elsewhere.
-func (l *LSTM) init(rng *Rand) {
+func (l *LSTM) init(rng *matrix.Rand) {
 	h := l.Hidden
 	drawWeights(l.wx.W.Data(), math.Sqrt(6.0/float64(l.InSize+4*h)), rng)
 	drawWeights(l.wh.W.Data(), math.Sqrt(6.0/float64(h+4*h)), rng)

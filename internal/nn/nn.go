@@ -38,7 +38,7 @@ func newParam(rows, cols int) *Param {
 // drawWeights sets w[i] = (2u − 1)·limit for the next len(w) uniform draws
 // u from rng, in index order: a weight initialiser's draws on
 // [−limit, limit).
-func drawWeights(w []float64, limit float64, rng *Rand) {
+func drawWeights(w []float64, limit float64, rng *matrix.Rand) {
 	rng.Float64s(w)
 	for i, u := range w {
 		w[i] = signedUniform(u) * limit
@@ -65,7 +65,7 @@ func (p *Param) zeroGrad() {
 // layer with parameters draws them and resets the rest to their starting
 // values; a Dropout takes rng as its mask generator.
 type initializer interface {
-	init(rng *Rand)
+	init(rng *matrix.Rand)
 }
 
 // Layer is one differentiable stage of a network. Forward must cache
@@ -105,7 +105,7 @@ type Network struct {
 	batch int
 	// Fit's batch order: shuffle is rand.New(orderRand), orderRand
 	// re-seeded with each Fit's seed, and rows the row order it shuffles.
-	orderRand *Rand
+	orderRand *matrix.Rand
 	shuffle   *rand.Rand
 	rows      []int
 }
@@ -142,7 +142,7 @@ func (n *Network) Parameters() []*Param {
 // scratch buffers every layer grew are kept. A layer with parameters that
 // cannot draw them again, or an optimizer that cannot start over, is an
 // error, and leaves n part re-initialised.
-func (n *Network) Reinit(rng *Rand) error {
+func (n *Network) Reinit(rng *matrix.Rand) error {
 	for i, l := range n.Layers {
 		if in, ok := l.(initializer); ok {
 			in.init(rng)
@@ -213,7 +213,7 @@ func (n *Network) Fit(x *matrix.Matrix, y []float64, cfg FitConfig) error {
 	cfg.setDefaults()
 	n.batch = cfg.BatchSize
 	if n.orderRand == nil {
-		n.orderRand = NewRand(cfg.Seed)
+		n.orderRand = matrix.NewRand(cfg.Seed)
 		n.shuffle = rand.New(n.orderRand)
 	} else {
 		n.orderRand.Seed(cfg.Seed)

@@ -75,8 +75,8 @@ func numericalGradCheck(t *testing.T, layer Layer, in *matrix.Matrix, tol float6
 // testRand returns a generator for a test's layers and math/rand's Rand
 // over that same generator for its data, so that layers and data share one
 // sequence as they did when the layers drew from a rand.Rand.
-func testRand(seed int64) (*Rand, *rand.Rand) {
-	r := NewRand(seed)
+func testRand(seed int64) (*matrix.Rand, *rand.Rand) {
+	r := matrix.NewRand(seed)
 	return r, rand.New(r)
 }
 
@@ -506,7 +506,7 @@ func TestReinitIsANewNetwork(t *testing.T) {
 	for i := range y {
 		y[i] = x.At(i, 0) - x.At(i, 7)
 	}
-	build := func(gen *Rand) *Network {
+	build := func(gen *matrix.Rand) *Network {
 		lstm := NewLSTM(4, 2, 3, gen)
 		lstm.ReturnSeq = true
 		return NewNetwork(NewAdam(0.01), lstm, NewDropout(0.2, gen),
@@ -524,14 +524,14 @@ func TestReinitIsANewNetwork(t *testing.T) {
 		}
 		return p
 	}
-	gen := NewRand(9)
+	gen := matrix.NewRand(9)
 	reused := build(gen)
 	fitPredict(reused)
 	gen.Seed(9)
 	if err := reused.Reinit(gen); err != nil {
 		t.Fatal(err)
 	}
-	fresh := build(NewRand(9))
+	fresh := build(matrix.NewRand(9))
 	for i, p := range fresh.Parameters() {
 		r := reused.Parameters()[i]
 		if !slices.Equal(r.W.Data(), p.W.Data()) || slices.ContainsFunc(r.Grad.Data(), func(g float64) bool { return g != 0 }) {

@@ -12,7 +12,7 @@ import (
 // raceNet builds a small stack covering every arena-buffered layer family
 // (dense, activation, recurrent, convolutional) from a fixed seed.
 func raceNet(kind int, seed int64) *Network {
-	src := NewRand(seed)
+	src := matrix.NewRand(seed)
 	switch kind % 3 {
 	case 0:
 		return NewNetwork(NewAdam(0.01),

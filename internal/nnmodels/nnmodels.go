@@ -20,6 +20,7 @@ import (
 
 	"coda/internal/core"
 	"coda/internal/dataset"
+	"coda/internal/matrix"
 	"coda/internal/nn"
 )
 
@@ -117,15 +118,15 @@ type Regressor struct {
 	cfg      netConfig
 	windowed bool // reads cascaded windows (WindowLen/NumVars metadata)
 	minSteps int  // shortest window history the network accepts
-	build    func(windowShape, netConfig, *nn.Rand) *nn.Network
+	build    func(windowShape, netConfig, *matrix.Rand) *nn.Network
 
 	net    *nn.Network
 	win    windowShape
-	netCfg netConfig // the hyperparameters net was built with
-	rng    *nn.Rand  // net's generator: its weights' and dropout masks'
+	netCfg netConfig    // the hyperparameters net was built with
+	rng    *matrix.Rand // net's generator: its weights' and dropout masks'
 }
 
-func newRegressor(name string, hidden int, build func(windowShape, netConfig, *nn.Rand) *nn.Network) *Regressor {
+func newRegressor(name string, hidden int, build func(windowShape, netConfig, *matrix.Rand) *nn.Network) *Regressor {
 	cfg := defaultConfig()
 	cfg.Hidden = hidden
 	return &Regressor{name: name, cfg: cfg, windowed: true, build: build}
@@ -143,7 +144,7 @@ func variant(deep bool, name string) string {
 // simple = two hidden layers with dropout, deep = four. It treats rows as
 // flat feature vectors and so pairs with flat windows or TS-as-IID rows.
 func NewDNNRegressor(deep bool) *Regressor {
-	r := newRegressor(variant(deep, "dnn"), 16, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+	r := newRegressor(variant(deep, "dnn"), 16, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildDNN(deep, w.channels, cfg, rng)
 	})
 	r.windowed = false
@@ -154,7 +155,7 @@ func NewDNNRegressor(deep bool) *Regressor {
 // LSTM layer plus dropout, deep = four stacked LSTM layers each followed by
 // dropout. Both end in a fully-connected linear layer.
 func NewLSTMRegressor(deep bool) *Regressor {
-	return newRegressor(variant(deep, "lstm"), 12, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+	return newRegressor(variant(deep, "lstm"), 12, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildLSTM(deep, w.seqLen, w.channels, cfg, rng)
 	})
 }
@@ -163,7 +164,7 @@ func NewLSTMRegressor(deep bool) *Regressor {
 // convolution, max pooling, a dense ReLU layer and a linear output; the
 // deep variant stacks a second convolution-pool stage.
 func NewCNNRegressor(deep bool) *Regressor {
-	r := newRegressor(variant(deep, "cnn"), 8, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+	r := newRegressor(variant(deep, "cnn"), 8, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildCNN(deep, w.seqLen, w.channels, cfg, rng)
 	})
 	r.minSteps = 4 // the first convolution's kernel of 3, plus one step to pool
@@ -175,7 +176,7 @@ func NewCNNRegressor(deep bool) *Regressor {
 // architecture the paper adopts for time-series prediction — followed by a
 // linear head on the final timestep.
 func NewWaveNetRegressor() *Regressor {
-	return newRegressor("wavenet", 8, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+	return newRegressor("wavenet", 8, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildWaveNet(w.seqLen, w.channels, cfg, rng)
 	})
 }
@@ -187,7 +188,7 @@ func NewWaveNetRegressor() *Regressor {
 // kernel-2 dilated causal convolution back onto their input, and a linear
 // head reads the final timestep. No block has a separate skip output.
 func NewSeriesNetRegressor() *Regressor {
-	return newRegressor("seriesnet", 8, func(w windowShape, cfg netConfig, rng *nn.Rand) *nn.Network {
+	return newRegressor("seriesnet", 8, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildSeriesNet(w.seqLen, w.channels, cfg, rng)
 	})
 }
@@ -242,7 +243,7 @@ func (r *Regressor) Fit(ds *dataset.Dataset) error {
 // with the configured seed, so their weights and masks are the same bits.
 func (r *Regressor) startNet(shape windowShape) error {
 	if r.rng == nil {
-		r.rng = nn.NewRand(r.cfg.Seed)
+		r.rng = matrix.NewRand(r.cfg.Seed)
 	} else {
 		r.rng.Seed(r.cfg.Seed)
 	}
@@ -274,7 +275,7 @@ func (r *Regressor) Predict(ds *dataset.Dataset) ([]float64, error) {
 	return r.net.Predict(ds.X)
 }
 
-func buildDNN(deep bool, in int, cfg netConfig, rng *nn.Rand) *nn.Network {
+func buildDNN(deep bool, in int, cfg netConfig, rng *matrix.Rand) *nn.Network {
 	h := cfg.Hidden
 	hiddenLayers := 2
 	if deep {
@@ -290,7 +291,7 @@ func buildDNN(deep bool, in int, cfg netConfig, rng *nn.Rand) *nn.Network {
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-func buildLSTM(deep bool, seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network {
+func buildLSTM(deep bool, seqLen, channels int, cfg netConfig, rng *matrix.Rand) *nn.Network {
 	h := cfg.Hidden
 	var layers []nn.Layer
 	if deep {
@@ -309,7 +310,7 @@ func buildLSTM(deep bool, seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-func buildCNN(deep bool, seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network {
+func buildCNN(deep bool, seqLen, channels int, cfg netConfig, rng *matrix.Rand) *nn.Network {
 	const kernel = 3
 	f := cfg.Hidden
 	var layers []nn.Layer
@@ -339,7 +340,7 @@ func buildCNN(deep bool, seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-func buildWaveNet(seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network {
+func buildWaveNet(seqLen, channels int, cfg netConfig, rng *matrix.Rand) *nn.Network {
 	f := cfg.Hidden
 	layers := []nn.Layer{
 		// 1x1 causal conv lifts the input channels to the block width.
@@ -352,7 +353,7 @@ func buildWaveNet(seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
-func buildSeriesNet(seqLen, channels int, cfg netConfig, rng *nn.Rand) *nn.Network {
+func buildSeriesNet(seqLen, channels int, cfg netConfig, rng *matrix.Rand) *nn.Network {
 	f := cfg.Hidden
 	layers := []nn.Layer{
 		nn.NewConv1D(seqLen, channels, f, 1, 1, true, rng),
