@@ -19,6 +19,8 @@ import (
 	"coda/internal/experiments"
 	"coda/internal/matrix"
 	"coda/internal/metrics"
+	"coda/internal/mlmodels"
+	"coda/internal/preprocess"
 	"coda/internal/sim"
 	"coda/internal/store"
 	"coda/internal/tsgraph"
@@ -247,6 +249,61 @@ func BenchmarkColdTSSearch(b *testing.B) {
 		}
 		if res.Best == nil || res.Computed != 48 {
 			b.Fatalf("%d of 48 units computed, best %v", res.Computed, res.Best)
+		}
+	}
+}
+
+// BenchmarkCoopGridSearch is one local search in the shape of the
+// end-to-end benchmark's search-coop-grid set-up: coda-client's regression
+// graph (4 scalers x 3 selector chains x 4 models) under its 132-unit grid,
+// on a 400-row MakeRegression, shuffled KFold K = 5, two workers and no
+// result store, so every unit is fold fits. A CPU profile of it is
+//
+//	go test -run '^$' -bench BenchmarkCoopGridSearch -cpuprofile cpu.out .
+func BenchmarkCoopGridSearch(b *testing.B) {
+	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 400, Features: 6, Informative: 3, Noise: 3}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	scorer, err := metrics.ScorerByName("rmse")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := core.NewGraph()
+		g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(), preprocess.NewStandardScaler(), preprocess.NewNoOp())
+		g.AddFeatureSelectors(
+			[]core.Transformer{preprocess.NewCovariance(), preprocess.NewPCA(3)},
+			[]core.Transformer{preprocess.NewSelectKBest(3)},
+			[]core.Transformer{preprocess.NewNoOp()},
+		)
+		g.AddRegressionModels(
+			mlmodels.NewRandomForest(mlmodels.TreeRegression, 30),
+			mlmodels.NewKNN(mlmodels.KNNRegression, 5),
+			mlmodels.NewDecisionTree(mlmodels.TreeRegression),
+			mlmodels.NewLinearRegression(),
+		)
+		if err := g.Finalize(); err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.Search(context.Background(), g, ds, core.SearchOptions{
+			Splitter: crossval.KFold{K: 5, Shuffle: true},
+			Scorer:   scorer,
+			ParamGrid: map[string][]float64{
+				"randomforest__n_trees":   {10, 20, 30},
+				"randomforest__max_depth": {4, 8},
+				"decisiontree__max_depth": {3, 5, 8},
+			},
+			Parallelism: 2,
+			Seed:        1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Best == nil || res.Computed != 132 {
+			b.Fatalf("%d of 132 units computed, best %v", res.Computed, res.Best)
 		}
 	}
 }

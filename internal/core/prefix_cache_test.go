@@ -76,6 +76,17 @@ func searchGraphs() map[string]func() *core.Graph {
 			g.AddRegressionModels(mlmodels.NewLinearRegression())
 			return g
 		},
+		// Forests that differ only in n_trees grow onto one sequence of
+		// trees, and they and the trees share one presort, on each entry.
+		"trees": func() *core.Graph {
+			g := core.NewGraph()
+			g.AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewNoOp())
+			g.AddRegressionModels(
+				mlmodels.NewRandomForest(mlmodels.TreeRegression, 10),
+				mlmodels.NewDecisionTree(mlmodels.TreeRegression),
+			)
+			return g
+		},
 		"with-failures": func() *core.Graph {
 			g := core.NewGraph()
 			g.AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewNoOp())
@@ -171,16 +182,20 @@ func TestPrefixCacheEquivalence(t *testing.T) {
 					x[i] = math.NaN()
 				}
 			}
-			// A grid key must name a node on some path, so only the graph
-			// with a selectkbest node gets one.
-			var grid map[string][]float64
-			if name == "fig3" {
-				grid = map[string][]float64{"selectkbest__k": {2, 4}}
+			// A grid key must name a node on some path, so only the graphs
+			// with the nodes named get one.
+			grid := map[string]map[string][]float64{
+				"fig3": {"selectkbest__k": {2, 4}},
+				"trees": {
+					"randomforest__n_trees":   {10, 5, 15},
+					"randomforest__max_depth": {3, 6},
+					"decisiontree__max_depth": {2, 4},
+				},
 			}
 			opts := core.SearchOptions{
 				Splitter:    crossval.KFold{K: 4, Shuffle: true},
 				Scorer:      scorer,
-				ParamGrid:   grid,
+				ParamGrid:   grid[name],
 				Parallelism: 4,
 				Seed:        seed,
 			}
@@ -300,10 +315,11 @@ func (s headerSink) Fit(ds *dataset.Dataset) error {
 }
 
 // TestPassThroughEntryOwnsItsHeader: a cache entry whose node returns its
-// input (NoOp) is that input — the fold's dataset, its matrix aliased,
-// never copied — and the estimator is fitted once per fold, never on the
-// full dataset. Nothing writes into a cached dataset, so the entry needs no
-// header of its own.
+// input (NoOp) aliases that input's matrix, never copying it, and the
+// estimator is fitted once per fold, never on the full dataset. The entry
+// owns a header of its own, though: the copy that carries its memo, so
+// what estimator fits derive from it dies with the entry and never lands
+// on the fold's dataset, which every prefix starts from.
 func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
 	var mu sync.Mutex
 	folds, fitted := map[*dataset.Dataset]bool{}, map[*dataset.Dataset]bool{}
@@ -327,6 +343,9 @@ func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
 		t.Fatalf("estimator fitted on %d fold datasets, want one per fold", len(fitted))
 	}
 	for got := range fitted {
+		if folds[got] {
+			t.Fatal("the estimator was fitted on a fold's own header, not the entry's")
+		}
 		aliased := false
 		for f := range folds {
 			aliased = aliased || f.X == got.X

@@ -34,6 +34,13 @@ import (
 // the exact datasets the step produces (fitting is deterministic), and
 // datasets are immutable once built — transformers clone matrices before
 // writing and estimators copy what they keep.
+//
+// An entry's train set also carries a dataset memo (dataset.WithMemo), on a
+// header copy the entry owns, so the estimators of every unit that reads
+// the entry share the work they derive from it: the tree family's presort,
+// and a forest's trees, which a forest of more trees grows onto. A memo
+// value is a function of the dataset alone, so a fit that reads it scores
+// what a fit from scratch scores, and it is dropped with its entry.
 
 // Prefix-cache telemetry: the scoreboard for the within-client reuse
 // claim, mirroring the DARR counters for the cross-client one.
@@ -169,6 +176,8 @@ func (c *prefixCache) getOrCompute(ctx context.Context, fold, id int, train, tes
 	trainOut, testOut, err = step(train, test)
 	var size int64
 	if err == nil {
+		// The entry owns the header that carries its memo.
+		trainOut = trainOut.WithMemo()
 		// Conservative estimate: pass-through nodes (NoOp) alias their
 		// input datasets, so an aliased entry is charged again.
 		size = datasetBytes(trainOut) + datasetBytes(testOut)

@@ -9,6 +9,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 
 	"coda/internal/matrix"
 )
@@ -43,6 +44,58 @@ type Dataset struct {
 	// use this so model scores are comparable across scaling options.
 	YScale  float64
 	YOffset float64
+
+	// memo is what fits derive from this dataset once for every fit on it
+	// (Memoized); nil on every dataset but a WithMemo copy.
+	memo *memo
+}
+
+// memo is a table of per-key onces: each key's value is made by the first
+// Memoized call that asks for it, and every later call gets that value.
+type memo struct {
+	mu    sync.Mutex
+	cells map[any]*memoCell
+}
+
+type memoCell struct {
+	once sync.Once
+	v    any
+}
+
+// WithMemo returns a header copy of d that carries a fresh, empty memo.
+// The copy shares d's matrix and slices, and the memo lives as long as
+// the copy does. No dataset derived from it (WithX, Subset, a
+// transformer's output) carries the memo on.
+func (d *Dataset) WithMemo() *Dataset {
+	out := *d
+	out.memo = new(memo)
+	return &out
+}
+
+// Memoized returns mk()'s value. On a dataset that carries a memo
+// (WithMemo) it is made once per key, by the first call that asks, and
+// shared by every call after it; on any other dataset every call makes
+// its own. mk runs with no lock of the memo held, so it may ask ds for
+// another key, but not for its own. mk must derive its value from ds and
+// key alone, and the callers that share a value must only read it or
+// serialize their writes, since they may run at once.
+func Memoized[K comparable, T any](ds *Dataset, key K, mk func() T) T {
+	m := ds.memo
+	if m == nil {
+		return mk()
+	}
+	m.mu.Lock()
+	c, ok := m.cells[key]
+	if !ok {
+		if m.cells == nil {
+			m.cells = map[any]*memoCell{}
+		}
+		c = new(memoCell)
+		m.cells[key] = c
+	}
+	m.mu.Unlock()
+	c.once.Do(func() { c.v = mk() })
+	return c.v.(T)
 }
 
 // New builds a Dataset, validating that len(y) matches x's rows when y is
@@ -86,13 +139,15 @@ func (d *Dataset) Clone() *Dataset {
 // WithX returns a shallow variant of d with a replacement feature matrix,
 // keeping Y and its affine metadata. Column names and column affines are
 // cleared — the caller (a transformer) re-establishes them if its mapping
-// preserves column identity.
+// preserves column identity — and so is d's memo, whose values were
+// derived from d's matrix.
 func (d *Dataset) WithX(x *matrix.Matrix) *Dataset {
 	out := *d
 	out.X = x
 	out.ColNames = nil
 	out.ColScale = nil
 	out.ColOffset = nil
+	out.memo = nil
 	return &out
 }
 

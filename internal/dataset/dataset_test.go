@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -278,5 +280,48 @@ func TestSubsetIdentityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemoized: on a WithMemo copy each key's value is made once, by one of
+// many concurrent callers, and a maker may ask the same memo for another
+// key; on a dataset without a memo — the original, or anything derived
+// from the copy — every call makes its own.
+func TestMemoized(t *testing.T) {
+	ds := makeDS(t)
+	var made atomic.Int64
+	mk := func() int { return int(made.Add(1)) }
+	m := ds.WithMemo()
+	if m.X != ds.X || &m.Y[0] != &ds.Y[0] {
+		t.Fatal("WithMemo copied the data, want a header sharing it")
+	}
+	var wg sync.WaitGroup
+	got := make([]int, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Memoized(m, "a", mk)
+		}()
+	}
+	wg.Wait()
+	if made.Load() != 1 || slices.Max(got) != 1 || slices.Min(got) != 1 {
+		t.Fatalf("8 concurrent calls made %d values and got %v, want one value for all", made.Load(), got)
+	}
+	// A maker that asks for another key of the same memo: the memo's lock
+	// is not held while a value is made.
+	outer := Memoized(m, "b", func() int { return 10 * Memoized(m, "c", mk) })
+	if outer != 20 || Memoized(m, "c", mk) != 2 || made.Load() != 2 {
+		t.Fatalf("nested make: outer %d after %d makes, want 20 after 2", outer, made.Load())
+	}
+	for name, plain := range map[string]*Dataset{
+		"original": ds, "WithX": m.WithX(m.X), "Subset": m.Subset([]int{0, 1}), "SliceRange": m.SliceRange(0, 2), "Clone": m.Clone(),
+	} {
+		before := made.Load()
+		Memoized(plain, "a", mk)
+		Memoized(plain, "a", mk)
+		if n := made.Load() - before; n != 2 {
+			t.Errorf("%s: two calls made %d values, want 2: it carries a memo", name, n)
+		}
 	}
 }

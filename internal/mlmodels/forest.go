@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"sync"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
@@ -69,7 +72,10 @@ func (f *RandomForest) Clone() core.Estimator {
 }
 
 // Fit grows NTrees trees on bootstrap resamples with sqrt(p) feature
-// subsampling.
+// subsampling. The trees come in order from one seeded sequence, so the
+// forest of n trees is the first n of any longer forest of its seed and
+// shape; on a dataset that carries a memo, every forest of one seed and
+// shape grows onto that one sequence (growth).
 func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 	if ds.Y == nil {
 		return fmt.Errorf("mlmodels: %s requires targets", f.Name())
@@ -77,33 +83,100 @@ func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 	if f.NTrees < 1 {
 		f.NTrees = 50
 	}
-	n := ds.NumSamples()
-	if n == 0 {
+	if ds.NumSamples() == 0 {
 		return fmt.Errorf("mlmodels: %s on empty dataset", f.Name())
 	}
 	if f.Task != TreeRegression && f.Task != TreeClassification {
 		return fmt.Errorf("mlmodels: %s unknown task %d", f.Name(), f.Task)
 	}
-	// The bootstrap draws and each tree's seed come from one generator,
-	// each tree's feature shuffles from another, seeded again per tree.
-	rng, treeSrc := rand.New(matrix.NewRand(f.Seed)), new(matrix.Rand)
-	treeRng := rand.New(treeSrc)
-	maxFeatures := max(int(math.Sqrt(float64(ds.NumFeatures()))), 1)
-	// A bootstrap repeats rows of ds, so every tree grows on one presorted
-	// layout of it, taking its draws as row multiplicities.
-	g := newGrower(newColumns(ds, f.Task), n)
-	trees := make([]DecisionTree, f.NTrees)
-	f.trees = make([]*DecisionTree, f.NTrees)
-	for t := range trees {
-		for i := range g.draws {
-			g.draws[i] = rng.Intn(n)
-		}
-		treeSrc.Seed(rng.Int63())
-		trees[t] = DecisionTree{Task: f.Task, MaxDepth: f.MaxDepth, MinLeaf: f.MinLeaf, MaxFeatures: maxFeatures}
-		g.grow(&trees[t], treeRng)
-		f.trees[t] = &trees[t]
-	}
+	g := dataset.Memoized(ds, f.growthKey(), func() *growth { return newGrowth(ds, f) })
+	f.trees = g.first(f.NTrees)
 	return nil
+}
+
+// growthKey names a forest's tree sequence: its name, which tells the
+// tasks apart, and every parameter but n_trees, each as its float64's
+// bits in name order, so a parameter added to Params joins it. Seed is
+// also kept whole, since its float64 rounds above 2^53.
+func (f *RandomForest) growthKey() growthKey {
+	params := f.Params()
+	var buf [8]string
+	names := buf[:0]
+	for k := range params {
+		if k != "n_trees" {
+			names = append(names, k)
+		}
+	}
+	slices.Sort(names)
+	var key [128]byte
+	b := append(key[:0], f.Name()...)
+	for _, k := range names {
+		b = append(append(append(b, ' '), k...), '=')
+		b = strconv.AppendUint(b, math.Float64bits(params[k]), 16)
+	}
+	return growthKey(strconv.AppendInt(append(b, " seed="...), f.Seed, 10))
+}
+
+// growthKey is a growth's memo key.
+type growthKey string
+
+// growth is the sequence of trees a forest of one seed and shape grows on
+// one dataset, and where it left off: the grower on the dataset's
+// columns, the bootstrap generator, which also seeds each tree, and the
+// trees' feature-shuffle generator, re-seeded per tree.
+type growth struct {
+	mu           sync.Mutex
+	g            grower
+	src, treeSrc matrix.Rand
+	// rng and treeRng read src and treeSrc. They are held by value, like
+	// the grower, so a fit with no memo allocates no more than one that
+	// kept them on its stack.
+	rng, treeRng rand.Rand
+	shape        DecisionTree // every tree's Task, MaxDepth, MinLeaf and MaxFeatures
+	slab         []DecisionTree
+	trees        []*DecisionTree
+}
+
+func newGrowth(ds *dataset.Dataset, f *RandomForest) *growth {
+	g := &growth{
+		g: *newGrower(presorted(ds, f.Task), ds.NumSamples()),
+		shape: DecisionTree{Task: f.Task, MaxDepth: f.MaxDepth, MinLeaf: f.MinLeaf,
+			MaxFeatures: max(int(math.Sqrt(float64(ds.NumFeatures()))), 1)},
+	}
+	g.src.Seed(f.Seed)
+	g.rng, g.treeRng = *rand.New(&g.src), *rand.New(&g.treeSrc)
+	return g
+}
+
+// first returns the sequence's first n trees, growing those it lacks. It
+// holds the lock for one tree at a time, so a forest whose trees exist
+// waits for at most one tree of a longer forest growing beside it. Trees
+// come from a slab sized for the forest that asked for them.
+func (g *growth) first(n int) []*DecisionTree {
+	for {
+		g.mu.Lock()
+		if len(g.trees) >= n {
+			trees := g.trees[:n:n]
+			g.mu.Unlock()
+			return trees
+		}
+		if len(g.slab) == cap(g.slab) {
+			g.slab = make([]DecisionTree, 0, n-len(g.trees))
+			g.trees = slices.Grow(g.trees, n-len(g.trees))
+		}
+		// A bootstrap repeats rows of the dataset, so every tree grows on
+		// its one presorted layout, taking its draws as row multiplicities.
+		for i := range g.g.draws {
+			g.g.draws[i] = g.rng.Intn(len(g.g.draws))
+		}
+		g.treeSrc.Seed(g.rng.Int63())
+		g.slab = append(g.slab, g.shape)
+		t := &g.slab[len(g.slab)-1]
+		g.g.grow(t, &g.treeRng)
+		g.trees = append(g.trees, t)
+		treesGrown.Add(1)
+		g.mu.Unlock()
+	}
 }
 
 // Predict aggregates the member trees.
@@ -117,19 +190,13 @@ func (f *RandomForest) Predict(ds *dataset.Dataset) ([]float64, error) {
 	out := make([]float64, ds.NumSamples())
 	switch f.Task {
 	case TreeClassification:
-		votes := map[float64]int{}
+		var b ballot
 		for i := range out {
-			clear(votes)
+			b = b[:0]
 			for _, tree := range f.trees {
-				votes[tree.leaf(ds.X.Row(i))]++
+				b.add(tree.leaf(ds.X.Row(i)))
 			}
-			best, bestN := 0.0, -1
-			for v, c := range votes {
-				if c > bestN || (c == bestN && v < best) {
-					best, bestN = v, c
-				}
-			}
-			out[i] = best
+			out[i] = b.winner()
 		}
 	default:
 		for _, tree := range f.trees {

@@ -90,6 +90,7 @@ func (m *KNN) Predict(ds *dataset.Dataset) ([]float64, error) {
 	out := make([]float64, ds.NumSamples())
 	nbs := make([]neighbour, len(m.trainX))
 	top := make([]neighbour, 0, min(k+1, len(nbs)))
+	var b ballot
 	for i := range out {
 		row := ds.X.Row(i)
 		nan := false
@@ -105,17 +106,11 @@ func (m *KNN) Predict(ds *dataset.Dataset) ([]float64, error) {
 		near := nearest(nbs, top, k, nan)
 		switch m.Task {
 		case KNNClassification:
-			votes := map[float64]int{}
+			b = b[:0]
 			for _, n := range near {
-				votes[n.y]++
+				b.add(n.y)
 			}
-			best, bestN := 0.0, -1
-			for v, c := range votes {
-				if c > bestN || (c == bestN && v < best) {
-					best, bestN = v, c
-				}
-			}
-			out[i] = best
+			out[i] = b.winner()
 		default:
 			s := 0.0
 			for _, n := range near {
@@ -163,4 +158,41 @@ func nearest(nbs, top []neighbour, k int, nan bool) []neighbour {
 	}
 	slices.SortFunc(nbs, func(a, b neighbour) int { return cmpLess(a.dist, b.dist) })
 	return nbs[:k]
+}
+
+// ballot tallies a classification vote, one class per value, in the order
+// the classes were first voted for.
+type ballot []tally
+
+// tally is one class's votes: n of them, the last for v.
+type tally struct {
+	v float64
+	n int
+}
+
+// add counts a vote for v. Votes that compare equal pool, so +0 and -0 are
+// one class, and the class reads as its last vote, as the key of a
+// map[float64]int does; NaN votes pool as one class too.
+func (b *ballot) add(v float64) {
+	for i := range *b {
+		if c := &(*b)[i]; c.v == v || c.v != c.v && v != v {
+			c.v = v
+			c.n++
+			return
+		}
+	}
+	*b = append(*b, tally{v, 1})
+}
+
+// winner is the class with the most votes. A tie goes to the smallest
+// number, and the NaN class loses every tie to a number, so the winner
+// does not depend on the order of the votes.
+func (b ballot) winner() float64 {
+	best, bestN := 0.0, -1
+	for _, c := range b {
+		if c.n > bestN || c.n == bestN && (c.v < best || best != best && c.v == c.v) {
+			best, bestN = c.v, c.n
+		}
+	}
+	return best
 }

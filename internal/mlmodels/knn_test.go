@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
+	"coda/internal/core"
 	"coda/internal/dataset"
+	"coda/internal/matrix"
 )
 
 // knnMatchesSort fits a KNN of the task and k on train, predicts test, and
@@ -81,9 +82,7 @@ func TestKNNMatchesSort(t *testing.T) {
 
 // FuzzKNNMatchesSort: on fuzzData's tables (ties, NaN, ±Inf and -0 are
 // common), a KNN fitted on the first half of the rows predicts every row
-// with the full sort's bits, for any k. A classifier with a NaN target is
-// only run: every NaN is its own key in the vote map, so which one wins a
-// tied vote is map iteration order, on both sides.
+// with the full sort's bits, for any k and either task, NaN targets too.
 func FuzzKNNMatchesSort(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 1, 0, 64, 0, 2, 0, 128, 0, 3, 0, 192, 0, 4, 0}, false, uint8(0))
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 5, 0, 1, 0, 9, 0, 2, 0, 3, 0, 2, 0, 2, 0, 1, 0, 1, 0}, false, uint8(1))
@@ -100,16 +99,6 @@ func FuzzKNNMatchesSort(f *testing.F) {
 		}
 		train := ds.SliceRange(0, (ds.NumSamples()+1)/2)
 		kk := 1 + int(k)%(train.NumSamples()+2)
-		if clf && slices.ContainsFunc(ds.Y, math.IsNaN) {
-			m := NewKNN(task, kk)
-			if err := m.Fit(train); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Predict(ds); err != nil {
-				t.Fatal(err)
-			}
-			return
-		}
 		if msg := knnMatchesSort(t, task, kk, train, ds); msg != "" {
 			t.Fatal(msg)
 		}
@@ -133,6 +122,90 @@ func BenchmarkKNNPredict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := m.Predict(test); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBallotVotes: without NaN votes, ballot picks the winner the map vote
+// KNN and forest Predict used before it picked, down to the sign of a
+// zero, on random votes drawn from a few values with ±0 and ±Inf. NaN
+// votes are one class, which loses a tie to a number.
+func TestBallotVotes(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	for _, c := range []struct {
+		votes []float64
+		want  float64
+	}{
+		{[]float64{nan, 1, nan}, nan},
+		{[]float64{nan, 1, nan, 1}, 1},
+		{[]float64{1, nan}, 1},
+		{[]float64{0, negZero, 2}, negZero},
+		{[]float64{negZero, 2, 0}, 0},
+	} {
+		var b ballot
+		for _, v := range c.votes {
+			b.add(v)
+		}
+		if got := b.winner(); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("votes %v: ballot %v, want %v", c.votes, got, c.want)
+		}
+	}
+	values := []float64{0, negZero, 1, 2, -3, math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(71))
+	for range 2000 {
+		votes := make([]float64, 1+rng.Intn(12))
+		var b ballot
+		for i := range votes {
+			votes[i] = values[rng.Intn(len(values))]
+			b.add(votes[i])
+		}
+		if got, want := b.winner(), refMapVote(votes); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("votes %v: ballot %v, map vote %v", votes, got, want)
+		}
+	}
+}
+
+// TestTiedNaNVotePredictsOneValue: classifiers whose targets include NaN
+// predict the same bits in 50 fits where a NaN class ties a number. NaN
+// votes are one class, and it loses the tie to the number. Every row is
+// the same point, so a KNN's three nearest are the first three rows (NaN,
+// 2 and 1, one vote each) and a tree is one leaf, its bootstrap's majority.
+func TestTiedNaNVotePredictsOneValue(t *testing.T) {
+	ds, err := dataset.New(matrix.New(4, 1), []float64{math.NaN(), 2, 1, math.NaN()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A seed whose two trees' leaves are NaN and a number.
+	seed := int64(-1)
+	for s := int64(0); s < 100 && seed < 0; s++ {
+		f := NewRandomForest(TreeClassification, 2)
+		f.Seed = s
+		if err := f.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		if a, b := f.trees[0].root.value, f.trees[1].root.value; math.IsNaN(a) != math.IsNaN(b) {
+			seed = s
+		}
+	}
+	if seed < 0 {
+		t.Fatal("no seed in [0, 100) gives a forest whose two leaves tie NaN and a number")
+	}
+	for name, mk := range map[string]func() core.Estimator{
+		"knn": func() core.Estimator { return NewKNN(KNNClassification, 3) },
+		"forest": func() core.Estimator {
+			f := NewRandomForest(TreeClassification, 2)
+			f.Seed = seed
+			return f
+		},
+	} {
+		first := fitPredict(t, mk, ds)
+		for range 49 {
+			if got := fitPredict(t, mk, ds); bitsHash(got) != bitsHash(first) {
+				t.Fatalf("%s: predicted %v, then %v", name, first, got)
+			}
+		}
+		if math.IsNaN(first[0]) {
+			t.Errorf("%s: a tie of NaN and a number voted NaN", name)
 		}
 	}
 }

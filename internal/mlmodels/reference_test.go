@@ -199,7 +199,7 @@ func refLeafValue(t *DecisionTree, y []float64, idx []int) float64 {
 
 // refKNNPredict is KNN.Predict as it was before the top-k selection: every
 // query row sorts all its neighbours with slices.SortFunc (pdqsort, strict
-// <) and aggregates the first k.
+// <) and aggregates the first k, a classifier by Predict's ballot.
 func refKNNPredict(m *KNN, ds *dataset.Dataset) []float64 {
 	k := min(m.K, len(m.trainX))
 	out := make([]float64, ds.NumSamples())
@@ -221,17 +221,11 @@ func refKNNPredict(m *KNN, ds *dataset.Dataset) []float64 {
 		slices.SortFunc(nbs, func(a, b nb) int { return cmpLess(a.dist, b.dist) })
 		switch m.Task {
 		case KNNClassification:
-			votes := map[float64]int{}
+			var b ballot
 			for _, n := range nbs[:k] {
-				votes[n.y]++
+				b.add(n.y)
 			}
-			best, bestN := 0.0, -1
-			for v, c := range votes {
-				if c > bestN || (c == bestN && v < best) {
-					best, bestN = v, c
-				}
-			}
-			out[i] = best
+			out[i] = b.winner()
 		default:
 			s := 0.0
 			for _, n := range nbs[:k] {
@@ -241,4 +235,22 @@ func refKNNPredict(m *KNN, ds *dataset.Dataset) []float64 {
 		}
 	}
 	return out
+}
+
+// refMapVote is the classification vote KNN and forest Predict counted
+// before ballot: a map from value to votes, the most votes winning and a
+// tie going to the smaller value. Without NaN votes its winner does not
+// depend on the map's order.
+func refMapVote(votes []float64) float64 {
+	m := map[float64]int{}
+	for _, v := range votes {
+		m[v]++
+	}
+	best, bestN := 0.0, -1
+	for v, c := range m {
+		if c > bestN || (c == bestN && v < best) {
+			best, bestN = v, c
+		}
+	}
+	return best
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
@@ -91,7 +92,7 @@ func (t *DecisionTree) Fit(ds *dataset.Dataset) error {
 	if t.Task != TreeRegression && t.Task != TreeClassification {
 		return fmt.Errorf("mlmodels: %s unknown task %d", t.Name(), t.Task)
 	}
-	g := newGrower(newColumns(ds, t.Task), n)
+	g := newGrower(presorted(ds, t.Task), n)
 	for r := range g.draws {
 		g.draws[r] = r
 	}
@@ -99,9 +100,16 @@ func (t *DecisionTree) Fit(ds *dataset.Dataset) error {
 	return nil
 }
 
+// presorts and treesGrown count the columns built and the forest trees
+// grown, so that tests can pin how much of that work the fits on one
+// dataset share.
+var presorts, treesGrown atomic.Int64
+
 // columns is a dataset laid out for CART: each feature as a contiguous
 // column and its rows sorted once by cmpLess, ties in ascending row order.
-// A forest Fit builds it once for all its trees.
+// A forest grows all its trees on one, and every tree and forest fitted on
+// a dataset that carries a memo shares one per task (presorted). Nothing
+// writes to it once built.
 type columns struct {
 	x       [][]float64 // x[j][r] is row r's feature j
 	sorted  [][]int     // sorted[j] is every row, ordered by x[j]
@@ -111,16 +119,37 @@ type columns struct {
 	classes []float64 // classification: the distinct targets, ascending
 }
 
+// presorted is ds's columns for task: built once per task on a dataset
+// that carries a memo, and on every call on one that does not.
+func presorted(ds *dataset.Dataset, task TreeTask) *columns {
+	return dataset.Memoized(ds, task, func() *columns { return newColumns(ds, task) })
+}
+
+// cell is one value of a column beside its row, so the presort compares
+// values it holds rather than loading them through row indices.
+type cell struct {
+	x float64
+	r int
+}
+
 func newColumns(ds *dataset.Dataset, task TreeTask) *columns {
+	presorts.Add(1)
 	n, p := ds.NumSamples(), ds.NumFeatures()
 	c := &columns{x: make([][]float64, p), sorted: make([][]int, p), y: ds.Y}
-	xs, rows := make([]float64, n*p), make([]int, n*p)
+	xs, rows, cells := make([]float64, n*p), make([]int, n*p), make([]cell, n)
 	for j := range p {
 		x, s := xs[j*n:(j+1)*n:(j+1)*n], rows[j*n:(j+1)*n:(j+1)*n]
 		for r := range x {
-			x[r], s[r] = ds.X.At(r, j), r
+			x[r] = ds.X.At(r, j)
+			cells[r] = cell{x[r], r}
 		}
-		slices.SortFunc(s, func(a, b int) int { return cmp.Or(cmpLess(x[a], x[b]), a-b) })
+		// pdqsort's moves depend only on the comparisons' results, and
+		// these are the ones sorting the row indices by x made, so the
+		// order is that sort's.
+		slices.SortFunc(cells, func(a, b cell) int { return cmp.Or(cmpLess(a.x, b.x), a.r-b.r) })
+		for k, v := range cells {
+			s[k] = v.r
+		}
 		c.x[j], c.sorted[j] = x, s
 	}
 	if task == TreeRegression {
