@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"coda/internal/core"
 	"coda/internal/crossval"
@@ -84,6 +86,22 @@ func searchGraphs() map[string]func() *core.Graph {
 			g.AddRegressionModels(
 				mlmodels.NewRandomForest(mlmodels.TreeRegression, 10),
 				mlmodels.NewDecisionTree(mlmodels.TreeRegression),
+			)
+			return g
+		},
+		// Every scaler ranks a column alike, so under noop or selectkbest
+		// each fold's tree and forests grow once for all four scalers and
+		// are re-thresholded on each.
+		"rank-classes": func() *core.Graph {
+			g := core.NewGraph()
+			g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(), preprocess.NewStandardScaler(), preprocess.NewNoOp())
+			g.AddFeatureSelectors(
+				[]core.Transformer{preprocess.NewNoOp()},
+				[]core.Transformer{preprocess.NewSelectKBest(3)},
+			)
+			g.AddRegressionModels(
+				mlmodels.NewDecisionTree(mlmodels.TreeRegression),
+				mlmodels.NewRandomForest(mlmodels.TreeRegression, 10),
 			)
 			return g
 		},
@@ -190,6 +208,10 @@ func TestPrefixCacheEquivalence(t *testing.T) {
 					"randomforest__n_trees":   {10, 5, 15},
 					"randomforest__max_depth": {3, 6},
 					"decisiontree__max_depth": {2, 4},
+				},
+				"rank-classes": {
+					"randomforest__n_trees":   {8, 4},
+					"decisiontree__max_depth": {3, 0},
 				},
 			}
 			opts := core.SearchOptions{
@@ -353,6 +375,67 @@ func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
 		if !aliased {
 			t.Fatal("a pass-through entry copied the fold's matrix instead of aliasing it")
 		}
+	}
+}
+
+// foldToken is what memoProbe makes in a fold's shared memo.
+type foldToken struct{ id int64 }
+
+// memoProbe is an estimator that makes or reads a foldToken in the memo
+// its train set shares, and records the token's id. A token counts itself
+// freed when the collector finalizes it.
+type memoProbe struct {
+	headerSink
+	ids         map[int64]int
+	made, freed *atomic.Int64
+}
+
+func (p memoProbe) Clone() core.Estimator { return p }
+func (p memoProbe) Fit(ds *dataset.Dataset) error {
+	tok := dataset.SharedMemoized(ds, foldToken{}, func() *foldToken {
+		tok := &foldToken{id: p.made.Add(1)}
+		runtime.SetFinalizer(tok, func(*foldToken) { p.freed.Add(1) })
+		return tok
+	})
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ids[tok.id]++
+	return nil
+}
+
+// TestFoldMemoSharedAndDropped: every entry of a fold shares one memo, so
+// the estimators fitted under the four scalers of each fold read one value
+// there, and no fold reads another's; the search holds none of them once
+// it returns.
+func TestFoldMemoSharedAndDropped(t *testing.T) {
+	var made, freed atomic.Int64
+	probe := memoProbe{headerSink{headerSpy{new(sync.Mutex), nil}}, map[int64]int{}, &made, &freed}
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewStandardScaler(), preprocess.NewRobustScaler(), preprocess.NewNoOp())
+	g.AddEstimatorStage("model", probe)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	scorer, _ := metrics.ScorerByName("rmse")
+	if _, err := core.Search(context.Background(), g, regDS(t, 60), core.SearchOptions{
+		Splitter: crossval.KFold{K: 3}, Scorer: scorer, Parallelism: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if made.Load() != 3 || len(probe.ids) != 3 {
+		t.Fatalf("%d values made and %d read over 3 folds, want one a fold", made.Load(), len(probe.ids))
+	}
+	for id, n := range probe.ids {
+		if n != 4 {
+			t.Errorf("fold value %d read by %d fits, want the 4 scalers'", id, n)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < 3 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if freed.Load() != 3 {
+		t.Errorf("%d of 3 fold values freed after Search returned", freed.Load())
 	}
 }
 

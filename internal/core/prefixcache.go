@@ -38,9 +38,13 @@ import (
 // An entry's train set also carries a dataset memo (dataset.WithMemo), on a
 // header copy the entry owns, so the estimators of every unit that reads
 // the entry share the work they derive from it: the tree family's presort,
-// and a forest's trees, which a forest of more trees grows onto. A memo
-// value is a function of the dataset alone, so a fit that reads it scores
-// what a fit from scratch scores, and it is dropped with its entry.
+// and a forest's trees, which a forest of more trees grows onto. That memo
+// is dropped with its entry. The copy also carries its fold's memo, which
+// every entry of the fold shares: there the tree family keeps what it
+// grows once for all the entries whose columns rank alike, whatever
+// scaler made them. The plan owns the fold memos and drops them with its
+// last live prefix. A memo value is a function of what its key names, so
+// a fit that reads it scores what a fit from scratch scores.
 
 // Prefix-cache telemetry: the scoreboard for the within-client reuse
 // claim, mirroring the DARR counters for the cross-client one.
@@ -109,7 +113,12 @@ type prefixCache struct {
 	mu    sync.Mutex
 	ids   [][]int // by unit: its prefix ids, shallowest first; nil for a unit outside the plan
 	refs  []int   // by prefix id: the unsettled units that read it
+	live  int     // prefix ids some unsettled unit reads
 	slots []prefixEntry
+	// memos[fold] is the memo every entry of the fold shares: what fits
+	// derive from its train sets once for all of them. All are dropped
+	// with the last live id, when no entry is left.
+	memos []*dataset.Memo
 	bytes int64
 
 	hits, misses int64
@@ -138,6 +147,7 @@ func newPrefixCache(units []searchUnit, results []UnitResult, folds int) *prefix
 				id = len(c.refs)
 				intern[spec[:end]] = id
 				c.refs = append(c.refs, 0)
+				c.live++
 			}
 			c.refs[id]++
 			all = append(all, id)
@@ -145,6 +155,10 @@ func newPrefixCache(units []searchUnit, results []UnitResult, folds int) *prefix
 		c.ids[i] = all[from:len(all):len(all)]
 	}
 	c.slots = make([]prefixEntry, folds*len(c.refs))
+	c.memos = make([]*dataset.Memo, folds)
+	for i := range c.memos {
+		c.memos[i] = new(dataset.Memo)
+	}
 	return c
 }
 
@@ -170,14 +184,15 @@ func (c *prefixCache) getOrCompute(ctx context.Context, fold, id int, train, tes
 	done := make(chan struct{})
 	e.done = done
 	c.misses++
+	memo := c.memos[fold]
 	c.mu.Unlock()
 	mPrefixMisses.Inc()
 
 	trainOut, testOut, err = step(train, test)
 	var size int64
 	if err == nil {
-		// The entry owns the header that carries its memo.
-		trainOut = trainOut.WithMemo()
+		// The entry owns the header that carries its memo and the fold's.
+		trainOut = trainOut.WithMemo(memo)
 		// Conservative estimate: pass-through nodes (NoOp) alias their
 		// input datasets, so an aliased entry is charged again.
 		size = datasetBytes(trainOut) + datasetBytes(testOut)
@@ -221,6 +236,9 @@ func (c *prefixCache) settle(unit int) {
 		if c.refs[id]--; c.refs[id] > 0 {
 			continue
 		}
+		if c.live--; c.live == 0 {
+			clear(c.memos)
+		}
 		for i := id; i < len(c.slots); i += len(c.refs) {
 			c.bytes -= c.slots[i].size
 			gPrefixBytes.Add(-float64(c.slots[i].size))
@@ -240,6 +258,7 @@ func (c *prefixCache) release() {
 	defer c.mu.Unlock()
 	gPrefixBytes.Add(-float64(c.bytes))
 	c.bytes = 0
+	clear(c.memos)
 }
 
 // stats snapshots the cache counters for SearchResult.

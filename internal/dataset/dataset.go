@@ -46,13 +46,17 @@ type Dataset struct {
 	YOffset float64
 
 	// memo is what fits derive from this dataset once for every fit on it
-	// (Memoized); nil on every dataset but a WithMemo copy.
-	memo *memo
+	// (Memoized); shared is what they derive once for every dataset that
+	// carries it (SharedMemoized). Both are nil on every dataset but a
+	// WithMemo copy.
+	memo, shared *Memo
 }
 
-// memo is a table of per-key onces: each key's value is made by the first
-// Memoized call that asks for it, and every later call gets that value.
-type memo struct {
+// Memo is a table of per-key onces: each key's value is made by the first
+// call that asks for it, and every later call gets that value. A dataset
+// carries its own (Memoized) and may carry one it shares with other
+// datasets (SharedMemoized); the zero Memo is empty and ready.
+type Memo struct {
 	mu    sync.Mutex
 	cells map[any]*memoCell
 }
@@ -62,13 +66,14 @@ type memoCell struct {
 	v    any
 }
 
-// WithMemo returns a header copy of d that carries a fresh, empty memo.
-// The copy shares d's matrix and slices, and the memo lives as long as
+// WithMemo returns a header copy of d that carries a fresh, empty memo of
+// its own and shared, a memo other datasets may carry too (nil for none).
+// The copy shares d's matrix and slices, and its own memo lives as long as
 // the copy does. No dataset derived from it (WithX, Subset, a
-// transformer's output) carries the memo on.
-func (d *Dataset) WithMemo() *Dataset {
+// transformer's output) carries either memo on.
+func (d *Dataset) WithMemo(shared *Memo) *Dataset {
 	out := *d
-	out.memo = new(memo)
+	out.memo, out.shared = new(Memo), shared
 	return &out
 }
 
@@ -80,7 +85,23 @@ func (d *Dataset) WithMemo() *Dataset {
 // key alone, and the callers that share a value must only read it or
 // serialize their writes, since they may run at once.
 func Memoized[K comparable, T any](ds *Dataset, key K, mk func() T) T {
-	m := ds.memo
+	return memoized(ds.memo, key, mk)
+}
+
+// SharedMemoized is Memoized on the memo ds shares with other datasets:
+// the value is made once per key for all of them, by whichever asks first,
+// and on a dataset that shares none every call makes its own. So mk must
+// derive from key alone whatever the callers read of the value, since
+// they need not be the dataset it was made on.
+func SharedMemoized[K comparable, T any](ds *Dataset, key K, mk func() T) T {
+	return memoized(ds.shared, key, mk)
+}
+
+// HasSharedMemo reports whether ds carries a memo it shares with other
+// datasets, so that a caller can skip deriving a key nothing would share.
+func (d *Dataset) HasSharedMemo() bool { return d.shared != nil }
+
+func memoized[K comparable, T any](m *Memo, key K, mk func() T) T {
 	if m == nil {
 		return mk()
 	}
@@ -147,7 +168,7 @@ func (d *Dataset) WithX(x *matrix.Matrix) *Dataset {
 	out.ColNames = nil
 	out.ColScale = nil
 	out.ColOffset = nil
-	out.memo = nil
+	out.memo, out.shared = nil, nil
 	return &out
 }
 

@@ -285,13 +285,14 @@ func TestSubsetIdentityProperty(t *testing.T) {
 
 // TestMemoized: on a WithMemo copy each key's value is made once, by one of
 // many concurrent callers, and a maker may ask the same memo for another
-// key; on a dataset without a memo — the original, or anything derived
-// from the copy — every call makes its own.
+// key; a shared memo makes a key's value once for every copy that carries
+// it, and a copy's own memo is its own; on a dataset without a memo — the
+// original, or anything derived from the copy — every call makes its own.
 func TestMemoized(t *testing.T) {
 	ds := makeDS(t)
 	var made atomic.Int64
 	mk := func() int { return int(made.Add(1)) }
-	m := ds.WithMemo()
+	m := ds.WithMemo(nil)
 	if m.X != ds.X || &m.Y[0] != &ds.Y[0] {
 		t.Fatal("WithMemo copied the data, want a header sharing it")
 	}
@@ -314,14 +315,28 @@ func TestMemoized(t *testing.T) {
 	if outer != 20 || Memoized(m, "c", mk) != 2 || made.Load() != 2 {
 		t.Fatalf("nested make: outer %d after %d makes, want 20 after 2", outer, made.Load())
 	}
+	shared := new(Memo)
+	s1, s2 := ds.WithMemo(shared), ds.WithMemo(shared)
+	before := made.Load()
+	if a, b := SharedMemoized(s1, "a", mk), SharedMemoized(s2, "a", mk); a != b || made.Load()-before != 1 {
+		t.Errorf("two copies sharing a memo got %d and %d after %d makes, want one value", a, b, made.Load()-before)
+	}
+	if a, b := Memoized(s1, "a", mk), Memoized(s2, "a", mk); a == b || made.Load()-before != 3 {
+		t.Errorf("two copies' own memos got %d and %d, want a value each", a, b)
+	}
 	for name, plain := range map[string]*Dataset{
-		"original": ds, "WithX": m.WithX(m.X), "Subset": m.Subset([]int{0, 1}), "SliceRange": m.SliceRange(0, 2), "Clone": m.Clone(),
+		"original": ds, "WithX": s1.WithX(s1.X), "Subset": s1.Subset([]int{0, 1}), "SliceRange": s1.SliceRange(0, 2), "Clone": s1.Clone(),
 	} {
 		before := made.Load()
 		Memoized(plain, "a", mk)
 		Memoized(plain, "a", mk)
-		if n := made.Load() - before; n != 2 {
-			t.Errorf("%s: two calls made %d values, want 2: it carries a memo", name, n)
+		SharedMemoized(plain, "a", mk)
+		SharedMemoized(plain, "a", mk)
+		if n := made.Load() - before; n != 4 {
+			t.Errorf("%s: four calls made %d values, want 4: it carries a memo", name, n)
 		}
+	}
+	if m.HasSharedMemo() || !s1.HasSharedMemo() || s1.WithX(s1.X).HasSharedMemo() {
+		t.Error("HasSharedMemo is not true on exactly the copies made with a shared memo")
 	}
 }

@@ -75,7 +75,9 @@ func (f *RandomForest) Clone() core.Estimator {
 // subsampling. The trees come in order from one seeded sequence, so the
 // forest of n trees is the first n of any longer forest of its seed and
 // shape; on a dataset that carries a memo, every forest of one seed and
-// shape grows onto that one sequence (growth).
+// shape grows onto that one sequence (growth), and on datasets that share
+// a memo, the sequence is grown once per rank class (rankSignature) and
+// re-thresholded on each dataset (copies).
 func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 	if ds.Y == nil {
 		return fmt.Errorf("mlmodels: %s requires targets", f.Name())
@@ -89,9 +91,32 @@ func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 	if f.Task != TreeRegression && f.Task != TreeClassification {
 		return fmt.Errorf("mlmodels: %s unknown task %d", f.Name(), f.Task)
 	}
-	g := dataset.Memoized(ds, f.growthKey(), func() *growth { return newGrowth(ds, f) })
-	f.trees = g.first(f.NTrees)
+	seq := dataset.Memoized(ds, f.growthKey(), func() treeSeq { return newTreeSeq(ds, f) })
+	f.trees = seq.first(f.NTrees)
 	return nil
+}
+
+// treeSeq is a forest's tree sequence on one dataset.
+type treeSeq interface {
+	// first returns the sequence's first n trees.
+	first(n int) []*DecisionTree
+}
+
+// newTreeSeq is f's tree sequence on ds: the growth of ds's rank class
+// when ds shares a memo and has a signature, re-thresholded on ds unless
+// it was grown on ds's own columns, and ds's own growth otherwise.
+func newTreeSeq(ds *dataset.Dataset, f *RandomForest) treeSeq {
+	c := presorted(ds, f.Task)
+	sig := rankSignature(ds, c)
+	if sig == "" {
+		return newGrowth(c, *f)
+	}
+	g := dataset.SharedMemoized(ds, rankedKey{sig, f.growthKey()}, func() *growth { return newGrowth(c, *f) })
+	if g.g.c == c {
+		return g
+	}
+	shape := *f // as it is now, for a fallback after f's fit
+	return &copies{from: g, x: c.x, own: func() *growth { return newGrowth(c, shape) }}
 }
 
 // growthKey names a forest's tree sequence: its name, which tells the
@@ -99,25 +124,31 @@ func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 // bits in name order, so a parameter added to Params joins it. Seed is
 // also kept whole, since its float64 rounds above 2^53.
 func (f *RandomForest) growthKey() growthKey {
-	params := f.Params()
+	var key [128]byte
+	b := appendParamKey(key[:0], f.Name(), f.Params(), "n_trees")
+	return growthKey(strconv.AppendInt(append(b, " seed="...), f.Seed, 10))
+}
+
+// appendParamKey appends name and every parameter but skip, each as its
+// float64's bits, in name order.
+func appendParamKey(b []byte, name string, params map[string]float64, skip string) []byte {
 	var buf [8]string
 	names := buf[:0]
 	for k := range params {
-		if k != "n_trees" {
+		if k != skip {
 			names = append(names, k)
 		}
 	}
 	slices.Sort(names)
-	var key [128]byte
-	b := append(key[:0], f.Name()...)
+	b = append(b, name...)
 	for _, k := range names {
 		b = append(append(append(b, ' '), k...), '=')
 		b = strconv.AppendUint(b, math.Float64bits(params[k]), 16)
 	}
-	return growthKey(strconv.AppendInt(append(b, " seed="...), f.Seed, 10))
+	return b
 }
 
-// growthKey is a growth's memo key.
+// growthKey names a tree or a tree sequence of one shape.
 type growthKey string
 
 // growth is the sequence of trees a forest of one seed and shape grows on
@@ -137,11 +168,12 @@ type growth struct {
 	trees        []*DecisionTree
 }
 
-func newGrowth(ds *dataset.Dataset, f *RandomForest) *growth {
+// newGrowth is the growth of f's seed and shape on c.
+func newGrowth(c *columns, f RandomForest) *growth {
 	g := &growth{
-		g: *newGrower(presorted(ds, f.Task), ds.NumSamples()),
+		g: *newGrower(c, len(c.y)),
 		shape: DecisionTree{Task: f.Task, MaxDepth: f.MaxDepth, MinLeaf: f.MinLeaf,
-			MaxFeatures: max(int(math.Sqrt(float64(ds.NumFeatures()))), 1)},
+			MaxFeatures: max(int(math.Sqrt(float64(len(c.x)))), 1)},
 	}
 	g.src.Seed(f.Seed)
 	g.rng, g.treeRng = *rand.New(&g.src), *rand.New(&g.treeSrc)
@@ -177,6 +209,56 @@ func (g *growth) first(n int) []*DecisionTree {
 		treesGrown.Add(1)
 		g.mu.Unlock()
 	}
+}
+
+// copies is a dataset's view of the growth of its rank class grown on
+// another dataset: each tree re-thresholded on this dataset's columns, as
+// its forests ask for them. A tree that is not ranked, or would not
+// re-threshold here, turns the view into this dataset's own growth, from
+// the first tree: a fit from scratch.
+type copies struct {
+	mu       sync.Mutex
+	from     *growth
+	x        [][]float64
+	own      func() *growth // makes this dataset's own growth
+	fallback *growth        // own's growth, once made
+	nodes    nodeSlab
+	slab     []DecisionTree
+	trees    []*DecisionTree
+}
+
+func (c *copies) first(n int) []*DecisionTree {
+	c.mu.Lock()
+	if c.fallback == nil && len(c.trees) < n {
+		// Growing takes the growth's lock, tree by tree, and not this
+		// view's, so a sibling asking for fewer trees does not wait.
+		c.mu.Unlock()
+		src := c.from.first(n)
+		c.mu.Lock()
+		if need := n - len(c.trees); cap(c.slab)-len(c.slab) < need {
+			c.slab = make([]DecisionTree, 0, need)
+		}
+		for c.fallback == nil && len(c.trees) < n {
+			t := src[len(c.trees)]
+			var root *treeNode
+			if t.ranked {
+				root = rethresholded(t.root, c.x, &c.nodes)
+			}
+			if root == nil {
+				c.fallback, c.nodes, c.slab, c.trees = c.own(), nil, nil, nil
+				break
+			}
+			c.slab = append(c.slab, *t)
+			c.slab[len(c.slab)-1].root = root
+			c.trees = append(c.trees, &c.slab[len(c.slab)-1])
+		}
+	}
+	fallback, trees := c.fallback, c.trees
+	c.mu.Unlock()
+	if fallback != nil {
+		return fallback.first(n)
+	}
+	return trees[:n:n]
 }
 
 // Predict aggregates the member trees.

@@ -55,7 +55,7 @@ func TestForestsShareGrowth(t *testing.T) {
 			}
 		}
 		for order, ns := range map[string][]int{"30,10,20": {30, 10, 20}, "10,20,30": {10, 20, 30}} {
-			memo := ds.WithMemo()
+			memo := ds.WithMemo(nil)
 			before := treesGrown.Load()
 			for _, n := range ns {
 				check(order, n, forestBits(t, forest(n), memo, ds))
@@ -64,7 +64,7 @@ func TestForestsShareGrowth(t *testing.T) {
 				t.Errorf("%s, order %s: %d trees grown, want 30", name, order, grown)
 			}
 		}
-		memo := ds.WithMemo()
+		memo := ds.WithMemo(nil)
 		before := treesGrown.Load()
 		var wg sync.WaitGroup
 		got := make([][]uint64, 31)
@@ -90,7 +90,7 @@ func TestForestsShareGrowth(t *testing.T) {
 // grows none.
 func TestOtherForestsDoNotShare(t *testing.T) {
 	ds, _ := regData(t, 63, 100)
-	memo := ds.WithMemo()
+	memo := ds.WithMemo(nil)
 	base := func() *RandomForest {
 		f := NewRandomForest(TreeRegression, 10)
 		f.MaxDepth, f.MinLeaf, f.Seed = 5, 2, 3
@@ -144,7 +144,7 @@ func TestTreeFamilyPresortsOnce(t *testing.T) {
 		}
 		return presorts.Load() - before
 	}
-	if n := fits(ds.WithMemo()); n != 1 {
+	if n := fits(ds.WithMemo(nil)); n != 1 {
 		t.Errorf("4 fits on a dataset with a memo presorted %d times, want 1", n)
 	}
 	if n := fits(ds); n != 4 {

@@ -64,7 +64,7 @@ func refGrow(t *DecisionTree, ds *dataset.Dataset, idx []int, depth int) *treeNo
 		return &treeNode{leaf: true, value: refLeafValue(t, ds.Y, idx)}
 	}
 	return &treeNode{
-		feature:   feature,
+		feature:   int32(feature),
 		threshold: threshold,
 		left:      refGrow(t, ds, left, depth+1),
 		right:     refGrow(t, ds, right, depth+1),

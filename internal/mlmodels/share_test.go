@@ -17,10 +17,14 @@ import (
 // TestCoopGridSharesTreeFits pins how much of a local coop-grid search's
 // tree-family work its units share: 12 prefixes x 5 folds of train sets,
 // and on each, 2 forest shapes x n_trees 10, 20 and 30 beside 3 tree
-// depths. With the prefix cache on, each forest shape grows its 30 trees
-// once and every tree and forest shares one presort, however many workers
-// run: 3,600 trees and 60 presorts. Without it every unit fits from
-// scratch: 7,200 trees and 540 presorts.
+// depths. With the prefix cache on, every tree and forest of a (fold,
+// prefix) shares one presort, 60 in all, and each forest shape grows its
+// 30 trees and each depth its tree once per fold and rank class, however
+// many workers run. The four scalers rank every column alike, so the
+// prefixes fall into 6 rank classes: 2 under selectkbest or noop, and the
+// 4 PCA prefixes, each its own; 6 x 5 x 60 = 1,800 forest trees and
+// 6 x 5 x 3 = 90 plain trees. Without the cache every unit fits from
+// scratch: 7,200 forest trees, 180 plain trees and 540 presorts.
 func TestCoopGridSharesTreeFits(t *testing.T) {
 	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 400, Features: 6, Informative: 3, Noise: 3}, rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -28,17 +32,17 @@ func TestCoopGridSharesTreeFits(t *testing.T) {
 	}
 	rmse, _ := metrics.ScorerByName("rmse")
 	for _, c := range []struct {
-		parallelism     int
-		noCache         bool
-		presorts, trees int64
+		parallelism                 int
+		noCache                     bool
+		presorts, trees, plainTrees int64
 	}{
-		{1, false, 60, 3600},
-		{2, false, 60, 3600},
-		{4, false, 60, 3600},
-		{2, true, 540, 7200},
+		{1, false, 60, 1800, 90},
+		{2, false, 60, 1800, 90},
+		{4, false, 60, 1800, 90},
+		{2, true, 540, 7200, 180},
 	} {
 		t.Run(fmt.Sprintf("parallelism=%d,noCache=%v", c.parallelism, c.noCache), func(t *testing.T) {
-			sorts0, trees0 := mlmodels.Counts()
+			sorts0, trees0, plain0 := mlmodels.Counts()
 			res, err := core.Search(context.Background(), coopGridGraph(t), ds, core.SearchOptions{
 				Splitter: crossval.KFold{K: 5, Shuffle: true},
 				Scorer:   rmse,
@@ -57,9 +61,10 @@ func TestCoopGridSharesTreeFits(t *testing.T) {
 			if res.Computed != 132 {
 				t.Fatalf("%d of 132 units computed", res.Computed)
 			}
-			sorts, trees := mlmodels.Counts()
-			if sorts-sorts0 != c.presorts || trees-trees0 != c.trees {
-				t.Errorf("%d presorts and %d forest trees, want %d and %d", sorts-sorts0, trees-trees0, c.presorts, c.trees)
+			sorts, trees, plain := mlmodels.Counts()
+			if sorts-sorts0 != c.presorts || trees-trees0 != c.trees || plain-plain0 != c.plainTrees {
+				t.Errorf("%d presorts, %d forest trees and %d plain trees, want %d, %d and %d",
+					sorts-sorts0, trees-trees0, plain-plain0, c.presorts, c.trees, c.plainTrees)
 			}
 		})
 	}

@@ -2,10 +2,13 @@ package mlmodels
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"coda/internal/core"
@@ -23,12 +26,15 @@ const (
 )
 
 type treeNode struct {
-	feature   int
 	threshold float64
 	left      *treeNode
 	right     *treeNode
 	value     float64 // leaf prediction
-	leaf      bool
+	feature   int32
+	// last and first are a split's rows: the last that goes left and the
+	// first that goes right, in the node's sorted list of the feature.
+	last, first int32
+	leaf        bool
 }
 
 // DecisionTree is a CART tree supporting regression and classification with
@@ -43,6 +49,10 @@ type DecisionTree struct {
 	root  *treeNode
 	width int        // the fitted dataset's features
 	rng   *rand.Rand // Fit's feature shuffles when MaxFeatures is set; a forest passes its own
+	// ranked: every threshold fell strictly below its split's first row
+	// right, so every split sent each row the way its rank named, and the
+	// tree's shape follows from its columns' ranks alone (rethresholded).
+	ranked bool
 }
 
 // NewDecisionTree returns an unfitted CART tree.
@@ -92,18 +102,129 @@ func (t *DecisionTree) Fit(ds *dataset.Dataset) error {
 	if t.Task != TreeRegression && t.Task != TreeClassification {
 		return fmt.Errorf("mlmodels: %s unknown task %d", t.Name(), t.Task)
 	}
-	g := newGrower(presorted(ds, t.Task), n)
+	t.MinLeaf = max(t.MinLeaf, 1) // as growing sets it, so a shared tree's fit reports it too
+	c := presorted(ds, t.Task)
+	if sig := rankSignature(ds, c); sig != "" && t.rng == nil {
+		// The tree of this shape grown on some dataset of this rank
+		// class, re-thresholded on this one's columns.
+		src := dataset.SharedMemoized(ds, rankedKey{sig, t.shapeKey()}, func() *grownTree {
+			g := &grownTree{t: t.shape(), on: c}
+			g.t.grow(c)
+			return g
+		})
+		if src.on == c {
+			t.root, t.width, t.ranked = src.t.root, src.t.width, src.t.ranked
+			return nil
+		}
+		if src.t.ranked {
+			var slab nodeSlab
+			if root := rethresholded(src.t.root, c.x, &slab); root != nil {
+				t.root, t.width, t.ranked = root, src.t.width, true
+				return nil
+			}
+		}
+	}
+	t.grow(c)
+	return nil
+}
+
+// grow fits t on every row of c once.
+func (t *DecisionTree) grow(c *columns) {
+	treeFits.Add(1)
+	g := newGrower(c, len(c.y))
 	for r := range g.draws {
 		g.draws[r] = r
 	}
 	g.grow(t, t.rng)
-	return nil
 }
 
-// presorts and treesGrown count the columns built and the forest trees
-// grown, so that tests can pin how much of that work the fits on one
-// dataset share.
-var presorts, treesGrown atomic.Int64
+// shape is a copy of t's parameters, unfitted.
+func (t *DecisionTree) shape() *DecisionTree {
+	return &DecisionTree{Task: t.Task, MaxDepth: t.MaxDepth, MinLeaf: t.MinLeaf, MaxFeatures: t.MaxFeatures}
+}
+
+// shapeKey names the tree a fit of t's parameters grows on a rank class:
+// its name and Params, and MaxFeatures, which Params leaves out.
+func (t *DecisionTree) shapeKey() growthKey {
+	b := appendParamKey(nil, t.Name(), t.Params(), "")
+	return growthKey(strconv.AppendInt(append(b, " max_features="...), int64(t.MaxFeatures), 10))
+}
+
+// grownTree is a plain tree grown for a rank class, and the columns it
+// was grown on, whose own fits take it as it is.
+type grownTree struct {
+	t  *DecisionTree
+	on *columns
+}
+
+// presorts, treesGrown and treeFits count the columns built, the forest
+// trees grown and the plain trees grown, so that tests can pin how much of
+// that work the fits on one dataset, and on one rank class, share.
+var presorts, treesGrown, treeFits atomic.Int64
+
+// rankedKey names what fits share across the datasets of one rank class
+// (rankSignature): a forest's growth or a plain tree, by shape. A Go map
+// compares string keys in full, so two signatures that hash alike never
+// share.
+type rankedKey struct {
+	sig   string
+	shape growthKey
+}
+
+// signatureKey is a dataset's rank signature's memo key.
+type signatureKey struct{}
+
+// rankSignature is everything a CART fit reads of ds's columns and
+// targets: the row and feature counts, every target's bits, and for each
+// feature its presorted row order and, for each pair of neighbours in it,
+// whether the two values tie. The scans compare values only for ties, so
+// a ranked tree grown on one dataset of a signature makes the splits,
+// between the same rows, that a fit on any other makes, and only the
+// thresholds differ (rethresholded). Without NaN a tie is transitive
+// along the order, so the flags of neighbours also say which rows of a
+// node's filtered list tie. It is "" when ds shares no memo, where
+// nothing would read it, and when a column holds NaN, which ties with
+// nothing and breaks that.
+func rankSignature(ds *dataset.Dataset, c *columns) string {
+	if !ds.HasSharedMemo() {
+		return ""
+	}
+	return dataset.Memoized(ds, signatureKey{}, func() string { return newSignature(c) })
+}
+
+func newSignature(c *columns) string {
+	n, p := len(c.y), len(c.x)
+	if n > math.MaxInt32 {
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(16 + 8*n + p*(4*n+n/8+1))
+	var buf [8]byte
+	word := func(v uint64) { b.Write(binary.LittleEndian.AppendUint64(buf[:0], v)) }
+	word(uint64(n))
+	word(uint64(p))
+	for _, v := range c.y {
+		word(math.Float64bits(v))
+	}
+	for j, s := range c.sorted {
+		x := c.x[j]
+		for _, r := range s {
+			if math.IsNaN(x[r]) {
+				return ""
+			}
+			b.Write(binary.LittleEndian.AppendUint32(buf[:0], uint32(r)))
+		}
+		var ties byte // neighbour pair i's flag is bit i%8 of byte i/8
+		for i := range n - 1 {
+			ties |= byte(b2i(x[s[i]] == x[s[i+1]])) << (i % 8)
+			if i%8 == 7 || i == n-2 {
+				b.WriteByte(ties)
+				ties = 0
+			}
+		}
+	}
+	return b.String()
+}
 
 // columns is a dataset laid out for CART: each feature as a contiguous
 // column and its rows sorted once by cmpLess, ties in ascending row order.
@@ -187,7 +308,8 @@ type grower struct {
 	buf              []int   // partition scratch
 	features         []int
 	countsL, countsR []float64
-	slab             []treeNode
+	slab             nodeSlab
+	ranked           bool // every split of the tree so far is ranked
 }
 
 // nodeChunk is how many nodes a slab allocation holds.
@@ -221,27 +343,36 @@ func (g *grower) grow(t *DecisionTree, rng *rand.Rand) {
 		}
 		g.sorted[j] = g.backing[start:k:k]
 	}
+	g.ranked = true
 	t.root = g.node(0, k/max(len(g.sorted), 1), 0, len(g.draws), 0)
-	t.width = len(g.c.x)
+	t.width, t.ranked = len(g.c.x), g.ranked
 }
 
-// newNode returns a zero node from the slab.
-func (g *grower) newNode() *treeNode {
-	if len(g.slab) == cap(g.slab) {
-		g.slab = make([]treeNode, 0, nodeChunk)
+// nodeSlab hands out tree nodes nodeChunk at a time.
+type nodeSlab []treeNode
+
+// next returns a zero node from the slab.
+func (s *nodeSlab) next() *treeNode {
+	if len(*s) == cap(*s) {
+		*s = make([]treeNode, 0, nodeChunk)
 	}
-	g.slab = g.slab[:len(g.slab)+1]
-	return &g.slab[len(g.slab)-1]
+	*s = (*s)[:len(*s)+1]
+	return &(*s)[len(*s)-1]
 }
 
 // node grows the subtree over sorted segments [lo, hi) and draws [dlo, dhi).
 func (g *grower) node(lo, hi, dlo, dhi, depth int) *treeNode {
 	t, y, draws := g.t, g.c.y, g.draws[dlo:dhi]
-	nd := g.newNode()
+	nd := g.slab.next()
 	mixed := func(r int) bool { return y[r] != y[draws[0]] }
 	if len(draws) > t.MinLeaf && (t.MaxDepth <= 0 || depth < t.MaxDepth) && slices.ContainsFunc(draws[1:], mixed) {
-		if feature, threshold, ok := g.bestSplit(lo, hi, len(draws)); ok {
+		if feature, last, first, ok := g.bestSplit(lo, hi, len(draws)); ok {
 			x := g.c.x[feature]
+			threshold := (x[last] + x[first]) / 2
+			// Below x[first], the threshold sends each row the way its
+			// rank names; rounded up to it (adjacent floats), overflowed
+			// or NaN, it sends rows by their values.
+			g.ranked = g.ranked && x[last] <= threshold && threshold < x[first]
 			for _, r := range g.sorted[feature][lo:hi] {
 				g.goLeft[r] = x[r] <= threshold
 			}
@@ -250,7 +381,7 @@ func (g *grower) node(lo, hi, dlo, dhi, depth int) *treeNode {
 				for _, s := range g.sorted {
 					mL = g.partition(s[lo:hi])
 				}
-				nd.feature, nd.threshold = feature, threshold
+				nd.feature, nd.threshold, nd.last, nd.first = int32(feature), threshold, int32(last), int32(first)
 				nd.left = g.node(lo, lo+mL, dlo, dlo+nL, depth+1)
 				nd.right = g.node(lo+mL, hi, dlo+nL, dhi, depth+1)
 				return nd
@@ -292,8 +423,9 @@ func b2i(b bool) int {
 }
 
 // bestSplit scans candidate features for the split minimizing weighted
-// impurity (variance or Gini) over the node's n draws.
-func (g *grower) bestSplit(lo, hi, n int) (feature int, threshold float64, ok bool) {
+// impurity (variance or Gini) over the node's n draws, and returns its
+// rows: the last left and the first right in the feature's sorted list.
+func (g *grower) bestSplit(lo, hi, n int) (feature, last, first int, ok bool) {
 	t := g.t
 	features := g.features
 	for j := range features {
@@ -309,20 +441,22 @@ func (g *grower) bestSplit(lo, hi, n int) (feature int, threshold float64, ok bo
 	}
 	best := math.Inf(1)
 	for _, j := range features {
-		if imp, thr, found := scan(g.c.x[j], g.sorted[j][lo:hi], n, best); found {
-			best, feature, threshold, ok = imp, j, thr, true
+		rows := g.sorted[j][lo:hi]
+		if imp, k, found := scan(g.c.x[j], rows, n, best); found {
+			best, feature, last, first, ok = imp, j, rows[k], rows[k+1], true
 		}
 	}
-	return feature, threshold, ok
+	return feature, last, first, ok
 }
 
 // varianceScan runs over one feature's rows in sorted order and returns the
-// first split below best by left + right sum of squared deviations, and its
-// threshold; a split falls only between two rows with different x. A row
+// first split below best by left + right sum of squared deviations, and the
+// position of its last row left; a split falls only between two rows with
+// different x. A row
 // drawn c times enters every sum c times, one copy after another, exactly
 // as c adjacent copies of it would. The counts are exact in float64, so
 // adding c to them is adding 1 c times.
-func (g *grower) varianceScan(x []float64, rows []int, n int, best float64) (imp, threshold float64, found bool) {
+func (g *grower) varianceScan(x []float64, rows []int, n int, best float64) (imp float64, at int, found bool) {
 	y, ysq, w, minLeaf := g.c.y, g.c.ysq, g.w, g.t.MinLeaf
 	var sumL, sqL, sumR, sqR float64
 	for _, r := range rows {
@@ -346,14 +480,14 @@ func (g *grower) varianceScan(x []float64, rows []int, n int, best float64) (imp
 			continue
 		}
 		if v := sqL - sumL*sumL/nL + (sqR - sumR*sumR/nR); v < best {
-			best, imp, threshold, found = v, v, (x[r]+x[next])/2, true
+			best, imp, at, found = v, v, k, true
 		}
 	}
-	return imp, threshold, found
+	return imp, at, found
 }
 
 // giniScan is varianceScan with the count-weighted Gini impurity.
-func (g *grower) giniScan(x []float64, rows []int, n int, best float64) (imp, threshold float64, found bool) {
+func (g *grower) giniScan(x []float64, rows []int, n int, best float64) (imp float64, at int, found bool) {
 	class, w, minLeaf, countsL, countsR := g.c.class, g.w, g.t.MinLeaf, g.countsL, g.countsR
 	clear(countsL)
 	clear(countsR)
@@ -371,10 +505,10 @@ func (g *grower) giniScan(x []float64, rows []int, n int, best float64) (imp, th
 			continue
 		}
 		if v := float64(nL*gini(countsL, nL)) + float64(nR*gini(countsR, nR)); v < best {
-			best, imp, threshold, found = v, v, (x[r]+x[next])/2, true
+			best, imp, at, found = v, v, k, true
 		}
 	}
-	return imp, threshold, found
+	return imp, at, found
 }
 
 // gini is 1 - sum p^2 over counts indexed by class, classes ascending, so
@@ -419,6 +553,32 @@ func (t *DecisionTree) Predict(ds *dataset.Dataset) ([]float64, error) {
 		out[i] = t.leaf(ds.X.Row(i))
 	}
 	return out, nil
+}
+
+// rethresholded copies the ranked subtree at nd onto the columns x of another
+// dataset of its rank class, its nodes from slab: each threshold is the
+// midpoint of x's values at the split's rows, as a fit on x computes it.
+// It is nil when a threshold would not fall strictly below its first row
+// right (rethresholded values that are adjacent floats, or overflow), since a
+// fit on x would then send rows by their values and grow another tree.
+func rethresholded(nd *treeNode, x [][]float64, slab *nodeSlab) *treeNode {
+	out := slab.next()
+	*out = *nd
+	if nd.leaf {
+		return out
+	}
+	col := x[nd.feature]
+	a, b := col[nd.last], col[nd.first]
+	if out.threshold = (a + b) / 2; !(a <= out.threshold && out.threshold < b) {
+		return nil
+	}
+	if out.left = rethresholded(nd.left, x, slab); out.left == nil {
+		return nil
+	}
+	if out.right = rethresholded(nd.right, x, slab); out.right == nil {
+		return nil
+	}
+	return out
 }
 
 // leaf is the value of the leaf row reaches.
