@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestSubscribeFailsOnDroppedStream: a lease stream that closes after one
@@ -46,5 +48,78 @@ func TestSubscribeFailsOnDroppedStream(t *testing.T) {
 	}
 	if acked.Load() != 1 || cancelled.Load() != 1 {
 		t.Errorf("%d frames acked and %d lease cancels, want 1 of each", acked.Load(), cancelled.Load())
+	}
+}
+
+// TestSubscribePollOutlivesAttemptTimeout: subscribe -poll against a
+// lease that stays quiet for longer than -attempt-timeout keeps waiting
+// (the server-side wait is longer than an attempt), then prints the one
+// frame a publish sends, acks it once, cancels its lease and returns nil.
+func TestSubscribePollOutlivesAttemptTimeout(t *testing.T) {
+	var polls, acks atomic.Int64
+	url, leases := homeServer(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case strings.HasSuffix(r.URL.Path, "/poll"):
+				polls.Add(1)
+			case strings.HasSuffix(r.URL.Path, "/ack"):
+				acks.Add(1)
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	stdout := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+
+	done := make(chan error, 1)
+	go func() {
+		done <- runSubscribe(context.Background(), []string{"-server", url, "-key", "watched", "-poll",
+			"-count", "1", "-attempt-timeout", "200ms", "-retries", "1", "-log-level", "error"})
+	}()
+	for deadline := time.Now().Add(5 * time.Second); polls.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("subscribe never polled its lease")
+		}
+	}
+	time.Sleep(600 * time.Millisecond) // quiet for three attempt timeouts
+	select {
+	case err := <-done:
+		t.Fatalf("subscribe returned during the quiet wait: %v", err)
+	default:
+	}
+	if _, err := leases.Publish("watched", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	select {
+	case runErr = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("subscribe did not return after the published frame")
+	}
+	w.Close()
+	os.Stdout = stdout
+	printed := <-out
+
+	if runErr != nil {
+		t.Fatalf("subscribe -poll: %v", runErr)
+	}
+	if !strings.Contains(printed, `notify "watched" v1 (1 publishes coalesced`) {
+		t.Errorf("output %q, want the v1 notify frame", printed)
+	}
+	if acks.Load() != 1 {
+		t.Errorf("%d acks, want 1", acks.Load())
+	}
+	if n := leases.ActiveLeases("watched"); n != 0 {
+		t.Errorf("%d leases still active on the key, want the command's cancelled", n)
 	}
 }

@@ -244,7 +244,7 @@ func pkgPath(file string) string {
 	return "."
 }
 
-var ciFuzz = regexp.MustCompile(`(?m)go test -run '\^\$' -fuzz '\^(Fuzz\w+)\$' -fuzztime \S+ (\.\S*)\s*$`)
+var ciFuzz = regexp.MustCompile(`(?m)go test -run '\^\$' -fuzz '\^(Fuzz\w+)\$' -fuzztime \S+ (?:-fuzzminimizetime \S+ )?(\.\S*)\s*$`)
 
 // TestCIFuzzesEveryTarget holds ci.yml's fuzz step to the module: it runs
 // every Fuzz function against the package that defines it, and nothing else.

@@ -7,7 +7,6 @@ import (
 
 	"coda/internal/core"
 	"coda/internal/crossval"
-	"coda/internal/matrix"
 	"coda/internal/metrics"
 	"coda/internal/nnmodels"
 	"coda/internal/preprocess"
@@ -15,10 +14,7 @@ import (
 )
 
 // stressSearch runs a small time-series search whose estimators exercise
-// the nn scratch-buffer arenas and the matrix kernel worker budget at the
-// same time: 8 evaluation workers × a kernel budget of 8 contend on the
-// global kernel semaphore, which must degrade to serial (never deadlock or
-// race) when oversubscribed.
+// the nn scratch-buffer arenas from 8 evaluation workers at once.
 func stressSearch(t *testing.T, seed int64) *core.SearchResult {
 	t.Helper()
 	g := core.NewGraph()
@@ -46,14 +42,10 @@ func stressSearch(t *testing.T, seed int64) *core.SearchResult {
 }
 
 // TestSearchKernelStressDeterministic drives core.Search at Parallelism 8
-// with the matrix kernel worker budget also at 8 (run under -race in CI to
-// stress the arena scratch buffers), and checks the search is bitwise
-// deterministic for a fixed seed regardless of scheduling.
+// (run under -race in CI to stress the arena scratch buffers), and checks
+// the search is bitwise deterministic for a fixed seed regardless of
+// scheduling.
 func TestSearchKernelStressDeterministic(t *testing.T) {
-	prev := matrix.Parallelism()
-	matrix.SetMaxWorkers(8)
-	defer matrix.SetMaxWorkers(prev)
-
 	a := stressSearch(t, 7)
 	b := stressSearch(t, 7)
 	if a.Best == nil || b.Best == nil {

@@ -13,7 +13,6 @@ import (
 
 	"coda/internal/crossval"
 	"coda/internal/dataset"
-	"coda/internal/matrix"
 	"coda/internal/metrics"
 	"coda/internal/obs"
 	"coda/internal/obs/trace"
@@ -114,13 +113,6 @@ type SearchOptions struct {
 	ParamGrid map[string][]float64
 	// Parallelism bounds concurrent pipeline evaluations. Zero means one
 	// worker per CPU (runtime.GOMAXPROCS(0)); negative means 1.
-	//
-	// Evaluation workers compose with the matrix kernel worker budget
-	// (matrix.SetMaxWorkers): kernels acquire extra workers from a global
-	// non-blocking semaphore and fall back to serial when none are free,
-	// so Parallelism×kernel parallelism never oversubscribes the machine —
-	// at high Parallelism the search-level workers soak up the budget and
-	// kernels run serially; at Parallelism 1 a large matmul fans out.
 	Parallelism int
 	// DisablePrefixCache turns off the shared-prefix computation cache:
 	// every unit then re-fits its full transformer chain per fold, by the
@@ -379,7 +371,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	flushPublishes(ctx, opts)
 	opts.Logger.Debug("search complete",
 		"request_id", obs.RequestID(ctx), "dataset_fp", fp, "units", len(results),
-		"parallelism", opts.Parallelism, "kernel_workers", matrix.Parallelism(),
+		"parallelism", opts.Parallelism,
 		"computed", res.Computed, "cache_hits", res.CacheHits,
 		"skipped", res.Skipped, "failed", failed, "degraded", res.Degraded,
 		"prefix_hits", res.Prefix.Hits, "prefix_misses", res.Prefix.Misses)

@@ -88,12 +88,12 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// exec runs op through the retry policy, once per attempt with the
+// exec runs op through the retry policy p, once per attempt with the
 // attempt's context. The context carries the request id sent in
 // X-Coda-Request-Id: an ambient id (e.g. one per cooperative search, set
 // by the caller) is reused so every call of the operation correlates,
 // otherwise a fresh per-call id is generated here.
-func (c *Client) exec(ctx context.Context, call string, op func(ctx context.Context) error) error {
+func (c *Client) exec(ctx context.Context, call string, p retry.Policy, op func(ctx context.Context) error) error {
 	ctx, id := obs.EnsureRequestID(ctx)
 	ctx, csp := trace.Start(ctx, "client."+call)
 	csp.SetComponent(callComponent(call))
@@ -102,7 +102,7 @@ func (c *Client) exec(ctx context.Context, call string, op func(ctx context.Cont
 	// Each attempt is its own child span so retries show up as repeated
 	// attempts under one call, not as separate calls.
 	attempts := 0
-	err := retry.Do(ctx, c.Retry, func(actx context.Context) error {
+	err := retry.Do(ctx, p, func(actx context.Context) error {
 		attempts++
 		actx, asp := trace.Start(actx, "attempt", trace.Int("attempt", attempts))
 		opErr := op(actx)
@@ -214,7 +214,7 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 // transient one (a truncated body) is retried.
 func (c *Client) do(ctx context.Context, method, path string, raw []byte, header http.Header, read func(*http.Response) error) (int, error) {
 	var status int
-	err := c.exec(ctx, callLabel(method, path), func(ctx context.Context) error {
+	err := c.exec(ctx, callLabel(method, path), c.Retry, func(ctx context.Context) error {
 		var rdr io.Reader
 		if raw != nil {
 			rdr = bytes.NewReader(raw)

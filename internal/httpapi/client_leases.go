@@ -97,7 +97,13 @@ func (c *Client) PollLease(ctx context.Context, leaseID string, wait time.Durati
 	path := fmt.Sprintf("/leases/%s/poll?wait=%s", url.PathEscape(leaseID), wait)
 	var n Notification
 	got := false
-	err := c.exec(ctx, "GET /leases/poll", func(ctx context.Context) error {
+	// The server holds the request for up to wait, so an attempt's
+	// deadline is the per-attempt budget on top of the wait.
+	p := c.Retry
+	if p.PerAttemptTimeout > 0 && wait > 0 {
+		p.PerAttemptTimeout += wait
+	}
+	err := c.exec(ctx, "GET /leases/poll", p, func(ctx context.Context) error {
 		req, err := c.newRequest(ctx, http.MethodGet, path, nil)
 		if err != nil {
 			return err

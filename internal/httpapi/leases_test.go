@@ -124,6 +124,28 @@ func TestLeaseFramesCoalesceWhileUnread(t *testing.T) {
 	}
 }
 
+// TestPollLeaseOutlivesAttemptTimeout: a quiet poll whose wait is longer
+// than the per-attempt timeout comes back empty when the wait elapses, not
+// cut short as a timed-out attempt.
+func TestPollLeaseOutlivesAttemptTimeout(t *testing.T) {
+	c, _, _, _ := newLeaseServer(t, replication.Config{Workers: 1})
+	c.Retry.PerAttemptTimeout, c.Retry.MaxAttempts = 300*time.Millisecond, 2
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	info, err := c.Subscribe(ctx, "quiet", "notify", time.Minute, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	n, ok, err := c.PollLease(ctx, info.LeaseID, time.Second)
+	if err != nil || ok || n != nil {
+		t.Fatalf("quiet poll after %v: frame %+v, ok=%v, err=%v; want nil, false, nil", time.Since(start), n, ok, err)
+	}
+	if el := time.Since(start); el < time.Second {
+		t.Fatalf("quiet poll returned after %v, before its 1s wait", el)
+	}
+}
+
 func TestLeaseDeltaModeRoundTrip(t *testing.T) {
 	c, m, _, _ := newLeaseServer(t, replication.Config{Workers: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -3,14 +3,12 @@ package matrix
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
 // Kernel A/B benchmarks. BenchmarkKernelMulNaive256 is the plain triple
-// loop; MulSerial256 and MulParallel256 are MulInto (the row micro-kernel)
-// on one goroutine and on the worker budget (README "Kernel performance"
-// shows how to run the comparison).
+// loop; MulSerial256 is MulInto (the row micro-kernel). DESIGN.md §3.1
+// shows how to run the comparison.
 
 func benchMat(rows, cols int, seed int64) *Matrix {
 	rng := rand.New(rand.NewSource(seed))
@@ -33,19 +31,6 @@ func BenchmarkKernelMulNaive256(b *testing.B) {
 }
 
 func BenchmarkKernelMulSerial256(b *testing.B) {
-	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
-	SetMaxWorkers(1) // the kernel alone, without row parallelism
-	a := benchMat(256, 256, 1)
-	c := benchMat(256, 256, 2)
-	var dst *Matrix
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _ = MulInto(dst, a, c)
-	}
-}
-
-func BenchmarkKernelMulParallel256(b *testing.B) {
 	a := benchMat(256, 256, 1)
 	c := benchMat(256, 256, 2)
 	var dst *Matrix

@@ -8,13 +8,13 @@ import (
 
 // Matmul kernels.
 //
-// One contract for both element widths, on either code path, at any worker
-// count: every output cell is the sum of its a*b terms added one at a time
-// in ascending k, each multiply and each add rounded once — bit for bit what
-// the naive triple loop (naiveMulInto) produces. Nothing is re-associated:
-// no FMA (it would skip the product's rounding), no k-direction
-// vectorisation, no partial sums. The determinism tests (kernels_test.go)
-// and the search-level equivalence suites rest on this.
+// One contract for both element widths, on either code path: every output
+// cell is the sum of its a*b terms added one at a time in ascending k, each
+// multiply and each add rounded once — bit for bit what the naive triple
+// loop (naiveMulInto) produces. Nothing is re-associated: no FMA (it would
+// skip the product's rounding), no k-direction vectorisation, no partial
+// sums. The determinism tests (kernels_test.go) and the search-level
+// equivalence suites rest on this.
 //
 // All matmul forms are thin drivers over one primitive, mulRows: for each
 // row i, c[i][0:n] += Σ_k a[i*ars+k*aks] * b[k][0:n]. On amd64 it is an
@@ -22,8 +22,8 @@ import (
 // lane is a cell and keeps the cell's scalar order: four float64 lanes with
 // AVX2 (mulrows_amd64.s), eight with AVX-512 (mulrows_avx512_amd64.s;
 // float32 stays on the AVX2 kernel), whichever kernelLevel names (level.go);
-// elsewhere it is mulRowsGeneric below. Row parallelism gives each output
-// row to exactly one goroutine.
+// elsewhere it is mulRowsGeneric below. Every form runs on the calling
+// goroutine; the search's workers are the only parallelism above it.
 //
 // Skipping the terms of +-0 a elements (skipZero: ReLU and dropout outputs
 // and their gradients are full of them) costs the assembly no branch on an
@@ -40,21 +40,6 @@ import (
 // of "a element is not +-0" gates the add (an AVX-512 opmask, an AVX2
 // blend), and a masked-off lane keeps its accumulator, which is exactly a
 // skipped term.
-
-const (
-	// parMinFlops is the flop cutoff (2*m*n*k) below which every form stays
-	// on the calling goroutine, whatever the worker budget. Measured with the
-	// AVX2 kernel on the 2-vCPU box this was tuned on (min of 7 runs, one
-	// goroutine vs parallelRows with a budget of 2): 64^3 19 us vs 23 us,
-	// 128^3 (4.2 Mflop) 190 vs 201, 144^3 (6.0) 261 vs 295, 160^3 (8.2)
-	// 370 vs 319, 192^3 (14) 760 vs 617, 256^3 (34) 1653 vs 996 — the split
-	// first pays near 8 Mflop (a second vCPU here adds 1.66x at best and the
-	// handoff costs 4-6 us). Every product of the Fig 11 search, the largest
-	// being 464x12x48 = 0.5 Mflop, is below it.
-	parMinFlops = 8_000_000
-	// parMinRows is the smallest row chunk handed to a parallel worker.
-	parMinRows = 16
-)
 
 // mulRowsGeneric is the portable form of the package's inner primitive:
 //
@@ -85,9 +70,8 @@ func mulRowsGeneric[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZer
 	}
 }
 
-// mulAccum adds the m x n product described by mulRows's formula into c,
-// splitting rows across the worker budget above parMinFlops; with zeroC it
-// sets c to the product instead (every cell starts at +0).
+// mulAccum adds the m x n product described by mulRows's formula into c;
+// with zeroC it sets c to the product instead (every cell starts at +0).
 func mulAccum[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero, zeroC bool) {
 	if m == 0 || n == 0 {
 		return
@@ -98,13 +82,7 @@ func mulAccum[T Float](c, a []T, ars, aks int, b []T, m, k, n int, skipZero, zer
 		}
 		return
 	}
-	if 2*m*k*n < parMinFlops {
-		mulRows(c, a, ars, aks, b, m, k, n, skipZero, zeroC)
-		return
-	}
-	parallelRows(m, parMinRows, func(lo, hi int) {
-		mulRows(c[lo*n:], a[lo*ars:], ars, aks, b, hi-lo, k, n, skipZero, zeroC)
-	})
+	mulRows(c, a, ars, aks, b, m, k, n, skipZero, zeroC)
 }
 
 // MulInto computes dst = a*b, reusing dst's backing array when it has

@@ -3,7 +3,6 @@ package matrix
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -32,7 +31,7 @@ func bitsEqual[T Float](t *testing.T, name string, got, want *Mat[T]) {
 
 func TestMulMatchesNaiveBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// Sizes straddle the column-panel widths and the parallel cutoff.
+	// Sizes straddle the column-panel widths.
 	for _, dims := range [][3]int{{3, 4, 5}, {17, 33, 9}, {64, 64, 64}, {130, 257, 70}, {100, 300, 259}} {
 		a := randMat(rng, dims[0], dims[1])
 		b := randMat(rng, dims[1], dims[2])
@@ -42,29 +41,6 @@ func TestMulMatchesNaiveBitwise(t *testing.T) {
 		}
 		want := naiveMulInto(nil, a, b)
 		bitsEqual(t, "mul", got, want)
-	}
-}
-
-func TestMulParallelMatchesSerialBitwise(t *testing.T) {
-	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
-	rng := rand.New(rand.NewSource(2))
-	// 2*211*97*420 flops: above parMinFlops, so the rows really are split.
-	a := randMat(rng, 211, 97)
-	b := randMat(rng, 97, 420)
-
-	SetMaxWorkers(1)
-	serial, err := MulInto(nil, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{2, 3, 8} {
-		SetMaxWorkers(workers)
-		par, err := MulInto(nil, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "parallel mul", par, serial)
 	}
 }
 
@@ -272,17 +248,5 @@ func TestCovarianceStability(t *testing.T) {
 	// Degenerate shapes stay well-defined.
 	if c := New(1, 3).Covariance(); c.At(0, 0) != 0 {
 		t.Fatal("single-row covariance should be zero")
-	}
-}
-
-func TestSetMaxWorkersClampsAndReports(t *testing.T) {
-	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
-	SetMaxWorkers(-3)
-	if Parallelism() != 1 {
-		t.Fatalf("Parallelism after SetMaxWorkers(-3) = %d", Parallelism())
-	}
-	SetMaxWorkers(6)
-	if Parallelism() != 6 {
-		t.Fatalf("Parallelism = %d, want 6", Parallelism())
 	}
 }

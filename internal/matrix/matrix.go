@@ -11,10 +11,9 @@
 // float32 instantiation is kept for the row kernel's f32 width, which the
 // end-to-end benchmark's matmul probe still times. Both widths keep one
 // bitwise contract: every product cell is summed in ascending k with one
-// rounding per multiply and per add, so a result equals the naive serial
-// triple loop's bit for bit at any worker count, whichever row
-// micro-kernel (AVX2, AVX-512) or its portable twin computed it (see
-// kernels.go).
+// rounding per multiply and per add, so a result equals the naive triple
+// loop's bit for bit, whichever row micro-kernel (AVX2, AVX-512) or its
+// portable twin computed it (see kernels.go).
 package matrix
 
 import (
@@ -190,7 +189,7 @@ func (m *Mat[T]) Sub(b *Mat[T]) (*Mat[T], error) {
 }
 
 // Mul returns the matrix product m*b, bitwise identical to the naive triple
-// loop at any worker count (see MulInto).
+// loop (see MulInto).
 func (m *Mat[T]) Mul(b *Mat[T]) (*Mat[T], error) {
 	return MulInto(nil, m, b)
 }
@@ -264,9 +263,8 @@ func (m *Mat[T]) ColMaxs() []T {
 //
 // Shifting by an actual data row keeps the correction term commensurate
 // with the product sum, so cancellation stays benign for large-offset data
-// (see TestCovarianceStability). The kernel is serial: it feeds the Jacobi
-// eigensolver, which dominates PCA cost, and serial accumulation keeps the
-// result independent of the worker budget.
+// (see TestCovarianceStability). It feeds the Jacobi eigensolver, which
+// dominates PCA cost.
 func (m *Mat[T]) Covariance() *Mat[T] {
 	cov := NewOf[T](m.cols, m.cols)
 	if m.rows < 2 {

@@ -3,49 +3,12 @@ package matrix
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
 // randMat32 converts a deterministic f64 random matrix down to float32.
 func randMat32(rng *rand.Rand, rows, cols int) *Mat[float32] {
 	return ConvertInto[float32](nil, randMat(rng, rows, cols))
-}
-
-// TestF32KernelsWorkerCountIndependent pins the float32 half of the
-// contract: every cell is summed by one goroutine in ascending k, so results
-// must be bitwise identical at any worker budget. Both products are above
-// parMinFlops, so the rows really are split.
-func TestF32KernelsWorkerCountIndependent(t *testing.T) {
-	defer SetMaxWorkers(runtime.GOMAXPROCS(0))
-	rng := rand.New(rand.NewSource(2))
-	a := randMat32(rng, 211, 97)
-	b := randMat32(rng, 97, 420)
-	bt := TInto(nil, b)
-
-	SetMaxWorkers(1)
-	serial, err := MulInto(nil, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialTB, err := MulTransposeBInto(nil, a, bt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{2, 3, 8} {
-		SetMaxWorkers(workers)
-		par, err := MulInto(nil, a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "f32 mul", par, serial)
-		parTB, err := MulTransposeBInto(nil, a, bt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bitsEqual(t, "f32 mulTB", parTB, serialTB)
-	}
 }
 
 // TestF32MulTracksF64 bounds the rounding gap between the two widths: the

@@ -2,7 +2,7 @@
 // Keras models in the paper's time-series prediction pipeline (Section
 // IV-C). It provides dense, dropout, 1-D convolution (with causal dilation
 // for the WaveNet/SeriesNet blocks), max-pooling and LSTM layers with full
-// backpropagation, plus SGD and Adam optimizers.
+// backpropagation, trained with the Adam optimizer.
 //
 // Data layout: a batch is a matrix with one sample per row. Sequence layers
 // interpret each row time-major as [t0c0, t0c1, ..., t0cV, t1c0, ...] —
@@ -10,7 +10,7 @@
 // sequence length and channel count fixed at layer construction.
 //
 // Every value is float64: weights, activations, gradients and the
-// optimizers' state.
+// optimizer's state.
 package nn
 
 import (
@@ -93,7 +93,7 @@ type Layer interface {
 // estimators in the time-series pipeline optimize.
 type Network struct {
 	Layers    []Layer
-	Optimizer Optimizer
+	Optimizer *Adam
 
 	// Per-batch training scratch, reused across steps so Fit does not
 	// allocate per mini-batch; Predict feeds its row blocks through bx too.
@@ -114,7 +114,7 @@ type Network struct {
 // Adam(1e-2). Its causal layers compute only the timesteps the layers
 // after them read (steps.go), so its Layers are not to change afterwards:
 // a different stack of the same layers is a new NewNetwork.
-func NewNetwork(opt Optimizer, layers ...Layer) *Network {
+func NewNetwork(opt *Adam, layers ...Layer) *Network {
 	if opt == nil {
 		opt = NewAdam(0.01)
 	}
@@ -140,8 +140,8 @@ func (n *Network) Parameters() []*Param {
 // they stand, from a generator seeded as rng is, gets its constructors'
 // weights bit for bit, so a Fit after Reinit is a new network's Fit. The
 // scratch buffers every layer grew are kept. A layer with parameters that
-// cannot draw them again, or an optimizer that cannot start over, is an
-// error, and leaves n part re-initialised.
+// cannot draw them again, or a nil optimizer, is an error, and leaves n
+// part re-initialised.
 func (n *Network) Reinit(rng *matrix.Rand) error {
 	for i, l := range n.Layers {
 		if in, ok := l.(initializer); ok {
@@ -153,11 +153,10 @@ func (n *Network) Reinit(rng *matrix.Rand) error {
 	for _, p := range n.Parameters() {
 		p.zeroGrad()
 	}
-	opt, ok := n.Optimizer.(interface{ reset() })
-	if !ok {
-		return fmt.Errorf("nn: optimizer %T cannot start over", n.Optimizer)
+	if n.Optimizer == nil {
+		return errors.New("nn: network has no optimizer")
 	}
-	opt.reset()
+	n.Optimizer.reset()
 	return nil
 }
 

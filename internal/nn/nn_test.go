@@ -498,7 +498,8 @@ func TestFitDeterministicForSeed(t *testing.T) {
 // generator re-seeded puts every parameter back to the constructors' bits
 // (an LSTM's forget-gate bias included) and Adam back to step 0, so a
 // second fit predicts what a new network's fit does, bit for bit. A layer
-// with parameters that cannot draw them again is refused.
+// with parameters that cannot draw them again, or a network without an
+// optimizer, is refused.
 func TestReinitIsANewNetwork(t *testing.T) {
 	_, rng := testRand(21)
 	x := randInput(rng, 40, 8)
@@ -548,6 +549,9 @@ func TestReinitIsANewNetwork(t *testing.T) {
 	foreign := NewNetwork(nil, NewDense(8, 1, gen), foreignLayer{NewDense(1, 1, gen)})
 	if err := foreign.Reinit(gen); err == nil {
 		t.Fatal("Reinit of a layer that cannot draw its parameters again: no error")
+	}
+	if err := (&Network{Layers: []Layer{NewDense(8, 1, gen)}}).Reinit(gen); err == nil {
+		t.Fatal("Reinit without an optimizer: no error")
 	}
 }
 

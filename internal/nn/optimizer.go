@@ -7,13 +7,10 @@ import (
 	"coda/internal/matrix"
 )
 
-// Optimizer updates parameters from their accumulated gradients, in place.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction. Each
-// parameter's update is one matrix.AdamUpdate call over its elements.
+// Adam is the Adam optimizer (Kingma & Ba) with bias correction, the
+// networks' one optimizer: it updates parameters from their accumulated
+// gradients, in place. Each parameter's update is one matrix.AdamUpdate
+// call over its elements.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 

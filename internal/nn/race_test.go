@@ -47,14 +47,10 @@ func raceData() (*matrix.Matrix, []float64) {
 
 // TestParallelNetworksMatchSerial trains many networks concurrently on a
 // shared (read-only) dataset — under -race this stresses the per-layer
-// scratch arenas and the global matrix kernel semaphore — and requires each
+// scratch arenas — and requires each
 // network's predictions to be bitwise identical to a serially-trained twin,
 // proving no scratch state leaks across network instances.
 func TestParallelNetworksMatchSerial(t *testing.T) {
-	prev := matrix.Parallelism()
-	matrix.SetMaxWorkers(8)
-	defer matrix.SetMaxWorkers(prev)
-
 	x, y := raceData()
 	cfg := FitConfig{Epochs: 3, BatchSize: 8, Seed: 5}
 
