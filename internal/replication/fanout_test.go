@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"coda/internal/obs"
 	"coda/internal/store"
 )
 
@@ -1026,4 +1028,254 @@ func (l *Lease) coalescedUpdates() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.coalesced
+}
+
+// The writer takes no lease's lock: Publish writes the store, copies the
+// key's lease list and hands the pool one job. With every lease's lock held
+// it still returns; the workers deliver once the locks are free.
+func TestPublishTakesNoLeaseLock(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 32})
+	m := NewManagerWith(hs, nil, Config{Workers: 2})
+	t.Cleanup(m.Close)
+	cols := make([]*collector, 8)
+	leases := make([]*Lease, len(cols))
+	for i := range cols {
+		cols[i] = &collector{}
+		l, err := m.Subscribe("k", fmt.Sprint("c", i), PushValue, time.Hour, cols[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		leases[i] = l
+	}
+	for _, l := range leases {
+		l.mu.Lock()
+	}
+	var unlockOnce sync.Once
+	unlock := func() {
+		unlockOnce.Do(func() {
+			for _, l := range leases {
+				l.mu.Unlock()
+			}
+		})
+	}
+	defer unlock() // before Close, which waits for the workers parked on them
+	done := make(chan error, 1)
+	go func() {
+		_, err := m.Publish("k", []byte("v1"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Publish waited on a lease's lock")
+	}
+	unlock()
+	m.Flush()
+	for i, c := range cols {
+		if c.count() != 1 {
+			t.Fatalf("lease %d got %d frames, want 1", i, c.count())
+		}
+	}
+}
+
+// coalescedSum adds up the publish counts of the frames c received.
+func coalescedSum(c *collector) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, u := range c.updates {
+		n += u.Coalesced
+	}
+	return n
+}
+
+// A publish folds into its key's queued job only while the key's lease list
+// is the one that job copied. A lease that subscribes mid-burst is credited
+// with exactly the publishes made after it subscribed, and a lease there from
+// the start with all of them: first with both workers parked, so each half
+// of the burst folds into one job, then with the workers free to race it.
+func TestMidBurstSubscribeCoalescesOnlyItsPublishes(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 32})
+	m := NewManagerWith(hs, nil, Config{Workers: 2})
+	defer m.Close()
+	const publishes = 40
+	for _, gated := range []bool{true, false} {
+		key := fmt.Sprint("hot-gated=", gated)
+		gate := newBlockingSubscriber()
+		if gated {
+			for i := range 2 {
+				if _, err := m.Subscribe("gate", fmt.Sprint("gate", i), PushNotify, time.Hour, gate); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := m.Publish("gate", []byte("hold")); err != nil {
+				t.Fatal(err)
+			}
+			<-gate.entered // both workers are parked in a gate delivery
+			<-gate.entered
+		}
+		early, late := &collector{}, &collector{}
+		if _, err := m.Subscribe(key, "early", PushNotify, time.Hour, early); err != nil {
+			t.Fatal(err)
+		}
+		for i := range publishes {
+			if i == publishes/2 {
+				if _, err := m.Subscribe(key, "late", PushNotify, time.Hour, late); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := m.Publish(key, []byte(fmt.Sprint("v", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if gated {
+			m.qmu.Lock()
+			queued := len(m.jobs) - 1 // the gate's job is still the head
+			m.qmu.Unlock()
+			if queued != 2 {
+				t.Errorf("the burst queued %d jobs behind the gate, want 2: one per lease list", queued)
+			}
+			close(gate.release)
+		}
+		m.Flush()
+		if got := coalescedSum(early); got != publishes {
+			t.Errorf("gated=%v: the early lease's frames count %d publishes, want %d", gated, got, publishes)
+		}
+		if got := coalescedSum(late); got != publishes-publishes/2 {
+			t.Errorf("gated=%v: the lease subscribed mid-burst counts %d publishes, want the %d made after it subscribed",
+				gated, got, publishes-publishes/2)
+		}
+		if gated && (early.count() != 2 || late.count() != 1) {
+			t.Errorf("gated: %d and %d frames, want 2 and 1: each job's publishes are one frame", early.count(), late.count())
+		}
+	}
+}
+
+// A worker reads the wall clock once per run of deliveries and dates the
+// run's frames by the reading that closes it, so a subscriber that stalls a
+// run shows in fanout_seconds. The stalling lease is the last of 64: dated
+// by the reading that opened its run, no frame would look older than a few
+// microseconds.
+func TestSlowDeliveryDatedByRunClose(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 32})
+	m := NewManagerWith(hs, nil, Config{Workers: 1})
+	defer m.Close()
+	const leases, stall = 64, 20 * time.Millisecond
+	for i := range leases {
+		var sub Subscriber = &collector{}
+		if i == leases-1 {
+			sub = SubscriberFunc(func(Update) { time.Sleep(stall) })
+		}
+		if _, err := m.Subscribe("k", fmt.Sprint("c", i), PushNotify, time.Hour, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slow0 := fanoutSecondsAbove(t, "0.01")
+	if _, err := m.Publish("k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	m.Flush()
+	if got := fanoutSecondsAbove(t, "0.01") - slow0; got < 1 {
+		t.Fatalf("fanout_seconds gained %d observations above 0.01 s with a %v stall in the pass, want at least 1", got, stall)
+	}
+}
+
+// fanoutSecondsAbove reads how many coda_replication_fanout_seconds
+// observations lie above the bucket bound le, from the exposition.
+func fanoutSecondsAbove(t *testing.T, le string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	obs.WritePrometheus(&buf)
+	var below, count uint64
+	var haveBelow, haveCount bool
+	for _, line := range strings.Split(buf.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, `coda_replication_fanout_seconds_bucket{le="`+le+`"} `):
+			_, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &below)
+			haveBelow = err == nil
+		case strings.HasPrefix(line, "coda_replication_fanout_seconds_count "):
+			_, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &count)
+			haveCount = err == nil
+		}
+	}
+	if !haveBelow || !haveCount {
+		t.Fatalf("no coda_replication_fanout_seconds bucket le=%q or count in the exposition", le)
+	}
+	return count - below
+}
+
+// coda_replication_leases_pruned_total counts leases, not prunes: a lease
+// that a sweep releases while a fanout visit to it is still queued is
+// counted once, and a cancelled lease is not an expired one.
+func TestExpiredLeaseCountedOnce(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 32})
+	clock := newFakeClock()
+	m := NewManagerWith(hs, clock.Now, Config{Workers: 1})
+	defer m.Close()
+	gate := newBlockingSubscriber()
+	if _, err := m.Subscribe("gate", "gate", PushNotify, time.Hour, gate); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Publish("gate", []byte("hold")); err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered // the only worker is parked
+	doomed := &collector{}
+	if _, err := m.Subscribe("k", "doomed", PushNotify, time.Minute, doomed); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, err := m.Subscribe("k", "cancelled", PushNotify, time.Hour, &collector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned := mLeasesExpired.Value()
+	if _, err := m.Publish("k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	m.Cancel(cancelled)
+	clock.Advance(2 * time.Minute)
+	if n := m.Sweep(); n != 1 {
+		t.Fatalf("swept %d leases, want the one expired lease", n)
+	}
+	close(gate.release)
+	m.Flush()
+	if got := mLeasesExpired.Value() - pruned; got != 1 {
+		t.Fatalf("one expired lease (and one cancelled) counted %d times in coda_replication_leases_pruned_total, want 1", got)
+	}
+	if doomed.count() != 0 {
+		t.Fatal("an expired lease received a delivery")
+	}
+}
+
+// Two jobs of one key can reach a lease out of order: a worker may start the
+// next job and visit a lease before the worker that claimed it in the
+// previous job takes its lock. A visit merges the key's publishes up to its
+// job's count that the lease has not yet taken in, so the later job's visit
+// delivers both publishes as one frame and the earlier job's finds nothing
+// left: no slot is dropped as behind, and the frames count every publish.
+func TestJobsVisitLeaseInAnyOrder(t *testing.T) {
+	hs := store.NewHomeStore(store.Options{BlockSize: 32})
+	m := NewManager(hs, nil)
+	t.Cleanup(m.Close)
+	col := &collector{}
+	l, err := m.Subscribe("k", "c", PushNotify, time.Hour, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	first := &fanoutJob{key: "k", through: 1, version: 1, at: now}
+	second := &fanoutJob{key: "k", through: 2, version: 2, at: now}
+	tl := tally{now: now}
+	m.visit(second, l, &tl)
+	m.visit(first, l, &tl)
+	if col.count() != 1 || col.last().Version != 2 || coalescedSum(col) != 2 {
+		t.Fatalf("got %d frames ending on version %d counting %d publishes, want one frame of version 2 counting 2",
+			col.count(), col.last().Version, coalescedSum(col))
+	}
+	if l.coalescedUpdates() != 1 || tl.coalesced != 1 {
+		t.Fatalf("lease booked %d coalesced publishes and the tally %d, want 1 and 1", l.coalescedUpdates(), tl.coalesced)
+	}
 }

@@ -14,19 +14,22 @@
 // re-running analytics is warranted: update count, update bytes, or an
 // application-specific predicate.
 //
-// A Manager turns each publish into one fanout job: the key's live leases,
-// plus a memo of updates keyed by (mode, acknowledged version). Leases that
-// share a group share one build — one store read — and are handed the same
-// immutable Update, so a hot object costs one delta per distinct base, not
-// one per watcher. Publish merges the update into each lease's coalescing
-// slot, enqueues the job and returns; a bounded worker pool (Config.Workers,
-// one by default) splits it into one share per worker, and each worker
-// claims leases one at a time from its own share and then from the others'
-// as it runs dry, so a slow, failing, or panicking subscriber never stalls
-// the publisher or any other lease, and a burst of updates collapses into
-// one frame per lease carrying the latest version. A lease's frames never go
-// backwards: coalescing may skip a version, never reorder two. Flush is the
-// barrier for callers that must see the deliveries, such as the
+// A Manager turns each publish into one fanout job and returns: the store
+// write, a copy of the key's lease list and one handoff to a bounded worker
+// pool (Config.Workers, one by default). The writer touches no lease: a
+// worker that claims a lease merges the publish into its coalescing slot and
+// takes the slot for delivery under one lock acquisition, and prunes the
+// lease there if it has lapsed. A publish to a key whose queued job no
+// worker has started folds into that job, so a burst collapses into one
+// frame per lease carrying the latest version. Leases that share a (mode,
+// acknowledged version) group share one build — one store read — and are
+// handed the same immutable Update, so a hot object costs one delta per
+// distinct base, not one per watcher. The job is split into one share per
+// worker, and each worker claims leases one at a time from its own share and
+// then from the others' as it runs dry, so a slow, failing, or panicking
+// subscriber never stalls the publisher or any other lease. A lease's frames
+// never go backwards: coalescing may skip a version, never reorder two.
+// Flush is the barrier for callers that must see the deliveries, such as the
 // experiments; the same pool is the serving tier behind httpapi's
 // SSE/long-poll lease endpoints.
 package replication
@@ -210,12 +213,15 @@ type Lease struct {
 	// Fanout state: the coalescing slot. pendCount publishes since the
 	// last delivery, collapsed to pendVersion (the latest); pendSince
 	// stamps the oldest undelivered publish for the latency histogram.
+	// merged is the key's publish count (keyRecord.published) the slot has
+	// taken in so far.
 	// sent is the slot version of the last delivered frame: a slot not
 	// above it holds a publish that raced past a newer one and is dropped,
 	// so frames never go backwards. carried holds a dropped slot's publish
 	// count until the next frame goes out, so the frames' counts still add
 	// up to the lease's publishes.
 	state       leaseState
+	merged      uint64
 	pendCount   int
 	pendVersion uint64
 	sent        uint64
@@ -290,13 +296,16 @@ type Manager struct {
 	mu     sync.Mutex
 	leases map[string][]*Lease // key -> registered leases
 	byID   map[string]*Lease
+	keys   map[string]*keyRecord // key -> its record, while it has leases
+	seq    uint64                // the last stamp handed out
 
 	// Fanout pipeline; see fanout.go.
 	qmu       sync.Mutex
 	qcond     *sync.Cond
 	jobs      []*fanoutJob
+	pending   map[string]*fanoutJob // key -> its queued job no worker has started
 	closed    bool
-	inflight  atomic.Int64 // leases in state queued or delivering: the queue depth
+	inflight  atomic.Int64 // lease visits queued or under way: the queue depth
 	workers   sync.WaitGroup
 	sweepStop chan struct{}
 }
@@ -325,6 +334,7 @@ func (m *Manager) Subscribe(key, clientID string, mode PushMode, ttl time.Durati
 	m.mu.Lock()
 	m.leases[key] = append(m.leases[key], l)
 	m.byID[l.ID] = l
+	l.merged = m.restamp(key).published
 	m.mu.Unlock()
 	mSubscribes.Inc()
 	mLeasesActive.Add(1)
@@ -368,17 +378,45 @@ func (m *Manager) LeaseByID(id string) (*Lease, bool) {
 	return l, ok
 }
 
+// keyRecord is what the registry keeps for a key with leases. Its stamp
+// changes whenever the key's lease list does, to a value no other change of
+// any key has had, so a queued job whose stamp still matches holds exactly
+// the key's current leases. published counts the key's publishes handed to
+// the pool and version is the latest of them: a lease starts counting from
+// published when it subscribes, and a job carries the count it was queued
+// (or last folded) at, so a visit merges what the lease has not yet merged
+// whichever order the jobs reach it in.
+type keyRecord struct {
+	stamp     uint64
+	published uint64
+	version   uint64
+}
+
+// restamp marks key's lease list changed and returns its record (m.mu held).
+func (m *Manager) restamp(key string) *keyRecord {
+	r := m.keys[key]
+	if r == nil {
+		r = &keyRecord{}
+		m.keys[key] = r
+	}
+	m.seq++
+	r.stamp = m.seq
+	return r
+}
+
 // unregister removes l from the key index and the id registry, firing
-// OnRelease exactly once per lease.
-func (m *Manager) unregister(l *Lease) {
+// OnRelease exactly once per lease, and reports whether this call removed it.
+func (m *Manager) unregister(l *Lease) bool {
 	m.mu.Lock()
 	_, removed := m.byID[l.ID]
 	if removed {
 		delete(m.byID, l.ID)
 		if ls := slices.DeleteFunc(m.leases[l.Key], func(x *Lease) bool { return x == l }); len(ls) > 0 {
 			m.leases[l.Key] = ls
+			m.restamp(l.Key)
 		} else {
 			delete(m.leases, l.Key)
+			delete(m.keys, l.Key)
 		}
 	}
 	m.mu.Unlock()
@@ -388,6 +426,24 @@ func (m *Manager) unregister(l *Lease) {
 			m.OnRelease(l)
 		}
 	}
+	return removed
+}
+
+// prune releases a lapsed lease and reports whether this call removed it.
+// Only that call counts it, so a lease that a sweep and a fanout pass both
+// find lapsed is counted once, and only if it expired: a cancelled lease is
+// Cancel's to release.
+func (m *Manager) prune(l *Lease) bool {
+	if !m.unregister(l) {
+		return false
+	}
+	l.mu.Lock()
+	expired := !l.cancelled
+	l.mu.Unlock()
+	if expired {
+		mLeasesExpired.Inc()
+	}
+	return true
 }
 
 // ActiveLeases counts unexpired leases for a key.
@@ -405,7 +461,7 @@ func (m *Manager) ActiveLeases(key string) int {
 }
 
 // Sweep prunes every expired lease across all keys — including keys that
-// stopped publishing, which the publish-path prune never revisits — and
+// stopped publishing, which the fanout's prune never revisits — and
 // returns how many it released. A manager runs it periodically when
 // Config.SweepInterval is set; callers may also invoke it directly.
 func (m *Manager) Sweep() int {
@@ -420,29 +476,31 @@ func (m *Manager) Sweep() int {
 		}
 	}
 	m.mu.Unlock()
+	n := 0
 	for _, l := range expired {
-		mLeasesExpired.Inc()
-		m.unregister(l)
+		if m.prune(l) {
+			n++
+		}
 	}
-	return len(expired)
+	return n
 }
 
-// Publish writes a new version to the home store and pushes it to every
-// active lease according to its mode, pruning expired leases as it goes.
-// It returns the new version number.
+// Publish writes a new version to the home store and hands it to the
+// fanout pool, which pushes it to every active lease according to its mode
+// and prunes expired leases as it goes. It returns the new version number.
 func (m *Manager) Publish(key string, data []byte) (uint64, error) {
 	return m.PublishCtx(context.Background(), key, data)
 }
 
 // PublishCtx is Publish with a caller-supplied context, so a publish
 // that happens inside a traced operation (a search's re-analytics
-// trigger, an HTTP handler) appears as a store-tagged child span with
-// its fan-out recorded.
+// trigger, an HTTP handler) appears as a store-tagged child span.
 //
-// It merges the update into each live lease's coalescing slot and returns
-// as soon as the store write commits, so its only error is the store's.
-// The pool delivers afterwards (Flush waits for it): a lease whose build
-// fails or whose subscriber panics is counted in
+// After the store write it copies the key's lease list and hands the pool
+// one job carrying the version and the publish instant, or folds into the
+// key's queued job, and returns; it takes no lease's lock, so its only error
+// is the store's. The pool delivers afterwards (Flush waits for it): a lease
+// whose build fails or whose subscriber panics is counted in
 // coda_replication_push_errors_total (and _push_panics_total), logged, and
 // skipped, at no cost to the other leases.
 func (m *Manager) PublishCtx(ctx context.Context, key string, data []byte) (uint64, error) {
@@ -454,62 +512,12 @@ func (m *Manager) PublishCtx(ctx context.Context, key string, data []byte) (uint
 		sp.SetAttr(trace.String("error", err.Error()))
 		return 0, fmt.Errorf("replication: publishing %q: %w", key, err)
 	}
-
-	// The registry lock covers only the copy: expiry is decided lease by
-	// lease below, so a hot key's scan never delays other keys' lease calls.
-	m.mu.Lock()
-	snapshot := append([]*Lease(nil), m.leases[key]...)
-	m.mu.Unlock()
-	var subscribers, groups int
-	if len(snapshot) > 0 {
-		subscribers, groups = m.fanout(snapshot, version)
-	}
-	sp.SetAttr(trace.Int64("version", int64(version)), trace.Int("subscribers", subscribers), trace.Int("groups", groups))
+	leases := m.handOff(key, version)
+	sp.SetAttr(trace.Int64("version", int64(version)), trace.Int("leases", leases))
 	if lg := m.logger(); lg.Enabled(context.Background(), slog.LevelDebug) {
-		lg.Debug("published object version",
-			"key", key, "version", version, "subscribers", subscribers, "groups", groups)
+		lg.Debug("published object version", "key", key, "version", version, "leases", leases)
 	}
 	return version, nil
-}
-
-// fanout turns one publish into its job: it prunes the expired leases of
-// the snapshot (which it owns), counts the distinct (mode, ack) groups among
-// the live ones, merges the publish into every coalescing slot and enqueues
-// the leases that went idle→queued: at most two jobs, the second for leases
-// the coalescing window holds back.
-func (m *Manager) fanout(snapshot []*Lease, version uint64) (subscribers, groups int) {
-	now := m.now()
-	ready, late := snapshot[:0], []*Lease(nil)
-	var lateBy time.Duration
-	seen := map[frameKey]struct{}{}
-	var last frameKey
-	for _, l := range snapshot {
-		l.mu.Lock()
-		if l.cancelled || now.After(l.expires) {
-			l.mu.Unlock()
-			mLeasesExpired.Inc()
-			m.unregister(l)
-			continue
-		}
-		k := l.groupLocked()
-		queued, delay := m.merge(l, version, now)
-		l.mu.Unlock()
-		subscribers++
-		if k != last || len(seen) == 0 {
-			seen[k], last = struct{}{}, k
-		}
-		switch {
-		case !queued: // the worker's post-delivery check picks the slot up
-		case delay > 0:
-			late = append(late, l)
-			lateBy = max(lateBy, delay)
-		default:
-			ready = append(ready, l)
-		}
-	}
-	m.enqueue(ready, 0)
-	m.enqueue(late, lateBy)
-	return subscribers, len(seen)
 }
 
 // book records one delivered frame standing for count publishes up to
