@@ -93,24 +93,20 @@ func usage() {
 
 // logFlags is the observability flag surface shared by every subcommand:
 // structured-log level/format, an optional pprof/metrics listener, and
-// the tracing knobs (head sampling, slow capture, ring size).
+// the trace ring's size.
 type logFlags struct {
-	level       *string
-	format      *string
-	debugAddr   *string
-	traceSample *float64
-	traceSlowMS *int
-	traceRing   *int
+	level     *string
+	format    *string
+	debugAddr *string
+	traceRing *int
 }
 
 func addLogFlags(fs *flag.FlagSet) *logFlags {
 	return &logFlags{
-		level:       fs.String("log-level", "info", "log level: debug|info|warn|error (debug logs every remote call)"),
-		format:      fs.String("log-format", "text", "log format: text|json"),
-		debugAddr:   fs.String("debug-addr", "", "optional listener for net/http/pprof, /metrics, /healthz and /debug/traces (e.g. :6061)"),
-		traceSample: fs.Float64("trace-sample", 1.0, "fraction of traces kept by head sampling (slow traces are always kept)"),
-		traceSlowMS: fs.Int("trace-slow-ms", 500, "always keep traces at least this slow, in milliseconds (0 disables slow capture)"),
-		traceRing:   fs.Int("trace-ring", trace.DefaultCapacity, "completed traces retained for /debug/traces"),
+		level:     fs.String("log-level", "info", "log level: debug|info|warn|error (debug logs every remote call)"),
+		format:    fs.String("log-format", "text", "log format: text|json"),
+		debugAddr: fs.String("debug-addr", "", "optional listener for net/http/pprof, /metrics, /healthz and /debug/traces (e.g. :6061)"),
+		traceRing: fs.Int("trace-ring", trace.DefaultCapacity, "completed traces retained for /debug/traces"),
 	}
 }
 
@@ -121,8 +117,6 @@ func (lf *logFlags) setup() error {
 	if err := obs.SetupDefaultLogger(*lf.level, *lf.format); err != nil {
 		return err
 	}
-	trace.SetSampleRate(*lf.traceSample)
-	trace.SetSlowThreshold(time.Duration(*lf.traceSlowMS) * time.Millisecond)
 	if *lf.traceRing != trace.DefaultCapacity {
 		trace.SetDefaultRecorder(trace.NewRecorder(*lf.traceRing))
 	}

@@ -96,9 +96,7 @@ func main() {
 		logFormat = flag.String("log-format", "text", "log format: text|json")
 		debugAddr = flag.String("debug-addr", "", "optional listener for net/http/pprof, /metrics, /healthz and /debug/traces (e.g. :6060)")
 
-		traceSample = flag.Float64("trace-sample", 1.0, "fraction of traces kept by head sampling (slow traces are always kept)")
-		traceSlowMS = flag.Int("trace-slow-ms", 500, "always keep traces at least this slow, in milliseconds (0 disables slow capture)")
-		traceRing   = flag.Int("trace-ring", trace.DefaultCapacity, "completed traces retained for /debug/traces")
+		traceRing = flag.Int("trace-ring", trace.DefaultCapacity, "completed traces retained for /debug/traces")
 
 		chaos      = flag.Float64("chaos", 0, "fraction of requests to fault-inject (0 disables; split evenly between drops and 500s)")
 		chaosDelay = flag.Duration("chaos-delay", 0, "also delay this long on a chaos-sized fraction of requests")
@@ -112,8 +110,6 @@ func main() {
 	}
 	logger := slog.Default()
 
-	trace.SetSampleRate(*traceSample)
-	trace.SetSlowThreshold(time.Duration(*traceSlowMS) * time.Millisecond)
 	if *traceRing != trace.DefaultCapacity {
 		trace.SetDefaultRecorder(trace.NewRecorder(*traceRing))
 	}

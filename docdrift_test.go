@@ -283,3 +283,98 @@ func TestCIFuzzesEveryTarget(t *testing.T) {
 		}
 	}
 }
+
+var ciRunPattern = regexp.MustCompile(`(?m)go test [^\n']*-run '([^']+)' (\./\S+)\s*$`)
+
+// TestCIRunPatternsMatchTests holds ci.yml's `go test … -run '<pattern>'
+// <pkg>` steps to the tree: every alternative of a pattern, a group's
+// alternatives included, must match a Test or Fuzz function in <pkg>, so a
+// renamed test cannot silently drop out of a step such as the -race
+// -count=20 fanout run.
+func TestCIRunPatternsMatchTests(t *testing.T) {
+	tests := map[string][]string{} // ./pkg -> its Test and Fuzz functions
+	for _, path := range goFiles(t, true, ".") {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			if name := string(m[1]); !strings.HasPrefix(name, "Benchmark") {
+				tests[pkgPath(path)] = append(tests[pkgPath(path)], name)
+			}
+		}
+	}
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, m := range ciRunPattern.FindAllStringSubmatch(string(ci), -1) {
+		pattern, pkg := m[1], m[2]
+		for _, alt := range alternatives(pattern) {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Fatalf("ci.yml's -run %q for %s: %v", pattern, pkg, err)
+			}
+			matched := false
+			for _, name := range tests[pkg] {
+				matched = matched || re.MatchString(name)
+			}
+			if !matched {
+				t.Errorf("ci.yml runs -run %q on %s, and its alternative %q matches no Test or Fuzz function there", pattern, pkg, alt)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no -run pattern in ci.yml: the parser reads nothing")
+	}
+}
+
+// alternatives expands a regexp's |s, inside groups as well, into the
+// alternatives it is the union of: `A(b|c)|D` gives Ab, Ac and D.
+func alternatives(pattern string) []string {
+	var out []string
+	for _, alt := range splitTop(pattern) {
+		open := strings.IndexByte(alt, '(')
+		if open < 0 {
+			out = append(out, alt)
+			continue
+		}
+		depth, end := 0, open
+		for i := open; i < len(alt); i++ {
+			if alt[i] == '(' {
+				depth++
+			} else if alt[i] == ')' {
+				if depth--; depth == 0 {
+					end = i
+					break
+				}
+			}
+		}
+		for _, inner := range splitTop(alt[open+1 : end]) {
+			out = append(out, alternatives(alt[:open]+inner+alt[end+1:])...)
+		}
+	}
+	return out
+}
+
+// splitTop splits s at the |s outside any parentheses.
+func splitTop(s string) []string {
+	var parts []string
+	depth, start := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				parts = append(parts, s[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(parts, s[start:])
+}

@@ -29,13 +29,14 @@ var testOnlyAPI = map[string]string{
 	"obs.Histogram.Count":              "the replication fanout tests count fanout_seconds observations with it",
 }
 
-// program is the module's shipped code (both modules, no _test.go files)
-// type-checked with go/types: each package keyed by import path.
+// program is shipped code (no _test.go files) type-checked with go/types:
+// each package keyed by import path.
 type program struct {
-	fset  *token.FileSet
-	std   types.ImporterFrom
-	files map[string][]string // import path -> the package's non-test files
-	pkgs  map[string]*checked
+	fset     *token.FileSet
+	std      types.ImporterFrom
+	internal string              // the import path prefix of internal/ packages
+	files    map[string][]string // import path -> the package's non-test files
+	pkgs     map[string]*checked
 }
 
 type checked struct {
@@ -44,28 +45,36 @@ type checked struct {
 	info  *types.Info
 }
 
-// loadProgram type-checks the non-test files under the coda module and
-// bench/e2e for the host's GOOS/GOARCH. The standard library is
-// type-checked from source; coda/... paths resolve to directories here.
-func loadProgram(t *testing.T) *program {
+// loadProgram type-checks the non-test files under each of dirs, which are
+// relative to root, for the host's GOOS/GOARCH. A directory's import path is
+// module joined to its path below root; the standard library is
+// type-checked from source.
+func loadProgram(t *testing.T, root, module string, dirs ...string) *program {
 	t.Helper()
 	fset := token.NewFileSet()
 	p := &program{
-		fset:  fset,
-		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		files: map[string][]string{},
-		pkgs:  map[string]*checked{},
+		fset:     fset,
+		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		internal: module + "/internal/",
+		files:    map[string][]string{},
+		pkgs:     map[string]*checked{},
 	}
-	for _, file := range append(goFiles(t, false, "."), goFiles(t, false, filepath.Join("bench", "e2e"))...) {
-		dir := filepath.Dir(file)
-		if ok, err := build.Default.MatchFile(dir, filepath.Base(file)); err != nil || !ok {
-			continue
+	for _, dir := range dirs {
+		for _, file := range goFiles(t, false, filepath.Join(root, dir)) {
+			dir := filepath.Dir(file)
+			if ok, err := build.Default.MatchFile(dir, filepath.Base(file)); err != nil || !ok {
+				continue
+			}
+			rel, err := filepath.Rel(root, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := module
+			if rel != "." {
+				path += "/" + filepath.ToSlash(rel)
+			}
+			p.files[path] = append(p.files[path], file)
 		}
-		path := "coda"
-		if dir != "." {
-			path += "/" + filepath.ToSlash(dir)
-		}
-		p.files[path] = append(p.files[path], file)
 	}
 	paths := make([]string, 0, len(p.files))
 	for path := range p.files {
@@ -113,31 +122,45 @@ func (p *program) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pa
 	return pkg, nil
 }
 
-// decl is one top-level declaration: the syntax to walk once it is live,
-// with the package whose Info resolves its identifiers.
+// decl is one declaration: the syntax to walk once it is live, with the
+// package whose Info resolves its identifiers.
 type decl struct {
 	node ast.Node
 	c    *checked
 }
 
-// reachable returns the package-level objects and methods of the program's
-// coda packages that the shipped code reaches, and the declaration of every
-// one under internal/, by its object.
+// reachable returns the objects of the program's packages that the shipped
+// code reaches, and the declaration of every package-level object, method
+// and interface method under internal/, by its object.
 //
-// The roots are every declaration outside internal/ (cmd/, examples/, the
-// root package and bench/e2e), every init function and every package-level
-// var initialiser. A live declaration makes live each object its syntax
-// names. A method of a live type is live when it is named, or when its name
-// is a method of an interface type anywhere in the program, the standard
-// library's included: a call through an interface names only the
-// interface's method.
+// The roots are every declaration outside internal/, every init function
+// and every package-level var initialiser. A live declaration makes live
+// each object its syntax names, so an interface's method is live only when
+// live code calls it through that interface (or one embedding it). A
+// concrete method is live when it is named, or when a live type whose
+// method set holds it (T or *T) implements an interface that declares it,
+// one of the program's, the standard library's or the universe's error:
+// a call through an interface names only the interface's method.
 func (p *program) reachable() (live map[types.Object]bool, decls map[types.Object]decl) {
 	decls = map[types.Object]decl{}
-	methods := map[*types.TypeName][]*types.Func{}
 	var roots []decl
-	ifaces := map[string]bool{"Error": true} // the universe's error
+	var named []*types.TypeName
+	ifaces := map[string][]*types.Interface{} // method Id -> interfaces declaring it
+	seenIface := map[*types.Interface]bool{}
+	addIface := func(t types.Type) {
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seenIface[it] {
+			return
+		}
+		seenIface[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			id := it.Method(i).Id()
+			ifaces[id] = append(ifaces[id], it)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
 	for path, c := range p.pkgs {
-		inInternal := strings.HasPrefix(path, "coda/internal/")
+		inInternal := strings.HasPrefix(path, p.internal)
 		for _, f := range c.files {
 			for _, d := range f.Decls {
 				if !inInternal {
@@ -150,17 +173,19 @@ func (p *program) reachable() (live map[types.Object]bool, decls map[types.Objec
 						roots = append(roots, decl{d, c})
 						continue
 					}
-					fn := c.info.Defs[d.Name].(*types.Func)
-					decls[fn] = decl{d, c}
-					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-						tn := baseType(recv.Type())
-						methods[tn] = append(methods[tn], fn)
-					}
+					decls[c.info.Defs[d.Name]] = decl{d, c}
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
 							decls[c.info.Defs[s.Name]] = decl{s, c}
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, name := range m.Names {
+										decls[c.info.Defs[name]] = decl{m, c}
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							for _, name := range s.Names {
 								if obj := c.info.Defs[name]; obj != nil {
@@ -180,10 +205,15 @@ func (p *program) reachable() (live map[types.Object]bool, decls map[types.Objec
 		for _, f := range c.files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				if it, ok := n.(*ast.InterfaceType); ok {
-					addMethods(ifaces, c.info.Types[it].Type)
+					addIface(c.info.Types[it].Type)
 				}
 				return true
 			})
+		}
+		for _, obj := range c.info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				named = append(named, tn)
+			}
 		}
 	}
 	seen := map[*types.Package]bool{}
@@ -197,7 +227,7 @@ func (p *program) reachable() (live map[types.Object]bool, decls map[types.Objec
 			scope := pkg.Scope()
 			for _, name := range scope.Names() {
 				if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-					addMethods(ifaces, tn.Type())
+					addIface(tn.Type())
 				}
 			}
 		}
@@ -207,6 +237,36 @@ func (p *program) reachable() (live map[types.Object]bool, decls map[types.Objec
 	}
 	for _, c := range p.pkgs {
 		std(c.pkg)
+	}
+
+	// via holds, by type, the concrete methods its values are called
+	// through an interface with.
+	via := map[*types.TypeName][]*types.Func{}
+	for _, tn := range named {
+		if types.IsInterface(tn.Type()) {
+			continue
+		}
+		ptr := types.NewPointer(tn.Type())
+		mset := types.NewMethodSet(ptr)
+		tried := map[*types.Interface]bool{}
+		for i := 0; i < mset.Len(); i++ {
+			for _, it := range ifaces[mset.At(i).Obj().Id()] {
+				if tried[it] {
+					continue
+				}
+				tried[it] = true
+				if !types.Implements(ptr, it) {
+					continue
+				}
+				for j := 0; j < it.NumMethods(); j++ {
+					m := it.Method(j)
+					fn := mset.Lookup(m.Pkg(), m.Name()).Obj().(*types.Func)
+					if !types.IsInterface(fn.Type().(*types.Signature).Recv().Type()) {
+						via[tn] = append(via[tn], fn.Origin())
+					}
+				}
+			}
+		}
 	}
 
 	live = map[types.Object]bool{}
@@ -221,18 +281,22 @@ func (p *program) reachable() (live map[types.Object]bool, decls map[types.Objec
 				return
 			}
 		}
+		if live[obj] {
+			return
+		}
 		d, ok := decls[obj]
-		if !ok || live[obj] {
+		tn, isType := obj.(*types.TypeName)
+		if !ok && !(isType && via[tn] != nil) {
 			return
 		}
 		live[obj] = true
-		queue = append(queue, d)
+		if ok {
+			queue = append(queue, d)
+		}
 		switch o := obj.(type) {
 		case *types.TypeName:
-			for _, m := range methods[o] {
-				if ifaces[m.Name()] {
-					mark(m)
-				}
+			for _, m := range via[o] {
+				mark(m)
 			}
 		case *types.Var, *types.Const:
 			if tn := baseType(o.Type()); tn != nil {
@@ -268,24 +332,14 @@ func baseType(t types.Type) *types.TypeName {
 	return nil
 }
 
-func addMethods(names map[string]bool, t types.Type) {
-	if t == nil {
-		return
-	}
-	if it, ok := t.Underlying().(*types.Interface); ok {
-		for i := 0; i < it.NumMethods(); i++ {
-			names[it.Method(i).Name()] = true
-		}
-	}
-}
-
 // exportKey names an internal/ declaration as the allowlist does: its
 // package path under internal/, then the receiver's type for a method.
 func exportKey(obj types.Object) string {
 	if recv := receiverKey(obj); recv != "" {
 		return recv + "." + obj.Name()
 	}
-	return strings.TrimPrefix(obj.Pkg().Path(), "coda/internal/") + "." + obj.Name()
+	_, pkg, _ := strings.Cut(obj.Pkg().Path(), "/internal/")
+	return pkg + "." + obj.Name()
 }
 
 // receiverKey is the exportKey of a method's receiver type, or "".
@@ -299,13 +353,13 @@ func receiverKey(obj types.Object) string {
 }
 
 // TestEveryExportHasACaller holds internal/ to its callers. Nothing outside
-// the module can import internal/, so an exported function, method, type,
-// var or const there that no shipped code reaches has no user: only tests
-// keep it. Each such export fails, unless testOnlyAPI names it with a
-// reason; an allowlist entry that is reachable or no longer declared fails
-// too.
+// the module can import internal/, so an exported function, method,
+// interface method, type, var or const there that no shipped code reaches
+// (see reachable) has no user: only tests keep it. Each such export fails,
+// unless testOnlyAPI names it with a reason; an allowlist entry that is
+// reachable or no longer declared fails too.
 func TestEveryExportHasACaller(t *testing.T) {
-	p := loadProgram(t)
+	p := loadProgram(t, ".", "coda", ".", filepath.Join("bench", "e2e"))
 	live, decls := p.reachable()
 	if len(live) == 0 || len(decls) == 0 {
 		t.Fatalf("%d of %d internal/ declarations reachable: the walk reads nothing", len(live), len(decls))
@@ -336,6 +390,40 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for key := range testOnlyAPI {
 		if !declared[key] {
 			t.Errorf("testOnlyAPI names %s, which internal/ no longer declares", key)
+		}
+	}
+}
+
+// TestReachabilityRules runs the walk on testdata/exportgate, one shipped
+// command over one internal package, and checks the verdict on each of
+// its exported methods.
+func TestReachabilityRules(t *testing.T) {
+	p := loadProgram(t, filepath.Join("testdata", "exportgate"), "fixture", ".")
+	live, decls := p.reachable()
+	verdict := map[string]bool{}
+	for obj := range decls {
+		if obj.Exported() {
+			verdict[exportKey(obj)] = live[obj]
+		}
+	}
+	for _, tc := range []struct {
+		key  string
+		live bool
+		why  string
+	}{
+		{"lib.Store.Get", true, "the command calls it through Store"},
+		{"lib.Store.Snapshot", false, "Store declares it, and nothing calls it through Store"},
+		{"lib.Mem.Get", true, "Mem implements Store, which declares it"},
+		{"lib.Mem.Snapshot", true, "Mem implements Store, which declares it"},
+		{"lib.Mem.Flush", true, "Mem implements flusher, whose other method is unexported"},
+		{"lib.Counter.String", true, "*Counter implements fmt.Stringer"},
+		{"lib.Counter.Read", false, "it shares only its name with io.Reader's Read"},
+	} {
+		got, ok := verdict[tc.key]
+		if !ok {
+			t.Errorf("%s: not declared in the fixture", tc.key)
+		} else if got != tc.live {
+			t.Errorf("%s: live = %v, want %v: %s", tc.key, got, tc.live, tc.why)
 		}
 	}
 }

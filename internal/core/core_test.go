@@ -15,6 +15,16 @@ import (
 	"coda/internal/preprocess"
 )
 
+// pathSpec renders p as the pipeline built from it.
+func pathSpec(t *testing.T, p core.Path) string {
+	t.Helper()
+	pipe, err := core.NewPipeline(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pipe.Spec()
+}
+
 // fig3Graph builds the paper's Figure 3 working example: 4 scalers x 3
 // selectors x 3 regression models = 36 pipelines.
 func fig3Graph(t *testing.T) *core.Graph {
@@ -104,7 +114,7 @@ func TestGraphBuilderErrors(t *testing.T) {
 
 	g4 := core.NewGraph()
 	g4.AddTransformerStage("s")
-	if g4.Err() == nil {
+	if err := g4.Finalize(); err == nil || !strings.Contains(err.Error(), "has no options") {
 		t.Fatal("want no-options error")
 	}
 
@@ -112,7 +122,7 @@ func TestGraphBuilderErrors(t *testing.T) {
 	g5.AddTransformerStage("s", preprocess.NewNoOp())
 	g5.AddEstimatorStage("m", mlmodels.NewKNN(mlmodels.KNNRegression, 3))
 	g5.Connect("bogus", "knn")
-	if g5.Err() == nil {
+	if err := g5.Finalize(); err == nil || !strings.Contains(err.Error(), "unknown node") {
 		t.Fatal("want unknown-node error")
 	}
 }
@@ -139,7 +149,7 @@ func TestConnectRestrictsPaths(t *testing.T) {
 	}
 	for _, p := range paths {
 		if p[0].Name == "standardscaler" && p[1].Name != "knn" {
-			t.Fatalf("edge restriction violated: %s", p.Spec())
+			t.Fatalf("edge restriction violated: %s", pathSpec(t, p))
 		}
 	}
 }
@@ -150,7 +160,7 @@ func TestConnectNonAdjacentFails(t *testing.T) {
 	g.AddTransformerStage("b", preprocess.NewNoOp())
 	g.AddEstimatorStage("m", mlmodels.NewKNN(mlmodels.KNNRegression, 3))
 	g.Connect("standardscaler", "knn") // skips a stage
-	if g.Err() == nil {
+	if err := g.Finalize(); err == nil || !strings.Contains(err.Error(), "not adjacent") {
 		t.Fatal("want non-adjacent error")
 	}
 }
@@ -162,14 +172,14 @@ func TestPipelineFitPredictSemantics(t *testing.T) {
 	// Find the robustscaler -> selectkbest -> decisiontree path (paper's P1).
 	var p1 core.Path
 	for _, p := range paths {
-		if p.Spec() == "input -> robustscaler -> selectkbest(k=3) -> decisiontree(max_depth=0,min_leaf=1)" {
+		if pathSpec(t, p) == "input -> robustscaler -> selectkbest(k=3) -> decisiontree(max_depth=0,min_leaf=1)" {
 			p1 = p
 		}
 	}
 	if p1 == nil {
 		var specs []string
 		for _, p := range paths {
-			specs = append(specs, p.Spec())
+			specs = append(specs, pathSpec(t, p))
 		}
 		t.Fatalf("P1 path not found in:\n%s", strings.Join(specs, "\n"))
 	}
@@ -204,20 +214,24 @@ func TestPipelineFitPredictSemantics(t *testing.T) {
 	}
 }
 
+// TestPipelineCloneIndependence: NewPipeline clones the path's nodes, so
+// two pipelines built from one path share no fitted state.
 func TestPipelineCloneIndependence(t *testing.T) {
 	ds := regDS(t, 80)
-	g := fig3Graph(t)
-	pipe, err := core.NewPipeline(g.Paths()[0])
+	path := fig3Graph(t).Paths()[0]
+	pipe, err := core.NewPipeline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := pipe.Clone()
+	other, err := core.NewPipeline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := pipe.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
-	// The clone must still be unfitted.
-	if _, err := clone.Predict(ds); err == nil {
-		t.Fatal("clone shares fitted state")
+	if _, err := other.Predict(ds); err == nil {
+		t.Fatal("a pipeline shares fitted state with another built from its path")
 	}
 }
 
@@ -225,7 +239,7 @@ func TestPipelineSetParam(t *testing.T) {
 	g := fig3Graph(t)
 	var withPCA core.Path
 	for _, p := range g.Paths() {
-		if strings.Contains(p.Spec(), "pca") && strings.Contains(p.Spec(), "knn") {
+		if strings.Contains(pathSpec(t, p), "pca") && strings.Contains(pathSpec(t, p), "knn") {
 			withPCA = p
 			break
 		}

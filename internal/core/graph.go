@@ -91,9 +91,6 @@ func NewGraph() *Graph {
 	return &Graph{edges: map[string]map[string]bool{}, names: map[string]*Node{}}
 }
 
-// Err returns the first builder error, if any.
-func (g *Graph) Err() error { return g.err }
-
 func (g *Graph) fail(format string, args ...any) {
 	if g.err == nil {
 		g.err = fmt.Errorf(format, args...)
@@ -296,17 +293,6 @@ func (g *Graph) allowed(from, to *Node) bool {
 
 // Path is one root-to-leaf pipeline skeleton: one option per stage.
 type Path []*Node
-
-// Spec renders the path as the paper writes pipelines:
-// "input -> robustscaler -> selectkbest(k=3) -> decisiontree(...)".
-func (p Path) Spec() string {
-	parts := make([]string, 0, len(p)+1)
-	parts = append(parts, "input")
-	for _, n := range p {
-		parts = append(parts, n.spec())
-	}
-	return strings.Join(parts, " -> ")
-}
 
 // Paths enumerates every root-to-leaf path respecting the edge set.
 func (g *Graph) Paths() []Path {

@@ -203,8 +203,8 @@ func TestSearchMatchesManualChain(t *testing.T) {
 					if u.Err != "" {
 						t.Fatalf("unit %d (%s) failed: %s", i, u.Spec, u.Err)
 					}
-					if u.Spec != paths[i].Spec() {
-						t.Fatalf("unit %d is %q, path %d is %q", i, u.Spec, i, paths[i].Spec())
+					if u.Spec != pathSpec(t, paths[i]) {
+						t.Fatalf("unit %d is %q, path %d is %q", i, u.Spec, i, pathSpec(t, paths[i]))
 					}
 					bitsEqualSlice(t, u.Spec, u.Scores, want[i])
 				}

@@ -44,15 +44,6 @@ func NewPipeline(path Path) (*Pipeline, error) {
 	return p, nil
 }
 
-// Clone returns an unfitted copy carrying all current parameters.
-func (p *Pipeline) Clone() *Pipeline {
-	out := &Pipeline{Nodes: make([]*Node, len(p.Nodes))}
-	for i, n := range p.Nodes {
-		out.Nodes[i] = n.clone()
-	}
-	return out
-}
-
 // Estimator returns the terminal model node's estimator.
 func (p *Pipeline) Estimator() Estimator { return p.Nodes[len(p.Nodes)-1].Estimator }
 

@@ -16,7 +16,6 @@ package darr
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -50,9 +49,6 @@ var (
 // BatchSizeBuckets is the histogram layout for batch sizes (keys or
 // records per batched DARR call).
 var BatchSizeBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000}
-
-// ErrNotFound is returned when a record key is unknown.
-var ErrNotFound = errors.New("darr: record not found")
 
 // Record is one completed analytics calculation.
 type Record struct {
@@ -138,22 +134,6 @@ func (r *Repo) Put(rec Record) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.storeLocked([]Record{rec})
-}
-
-// Get returns the record for a key.
-func (r *Repo) Get(key string) (Record, error) {
-	d := KeyDigest(key)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.lookups++
-	mLookups.Inc()
-	rec, ok := r.records[d]
-	if !ok {
-		return Record{}, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	r.hits++
-	mHits.Inc()
-	return rec, nil
 }
 
 // QueryByDataset returns all records for a dataset fingerprint, sorted by

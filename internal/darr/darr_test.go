@@ -35,6 +35,15 @@ func claimOne(r *Repo, key, clientID string) bool {
 	return r.ClaimBatch([]string{key}, clientID)[key]
 }
 
+// get reads one record through GetBatch.
+func get(r *Repo, key string) (Record, error) {
+	rec, ok := r.GetBatch([]string{key})[key]
+	if !ok {
+		return Record{}, errors.New("no record for " + key)
+	}
+	return rec, nil
+}
+
 func TestPutGetAndQuery(t *testing.T) {
 	r := NewRepo(nil, 0)
 	rec := Record{
@@ -46,7 +55,7 @@ func TestPutGetAndQuery(t *testing.T) {
 	if err := r.Put(rec); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Get(rec.Key)
+	got, err := get(r, rec.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +65,8 @@ func TestPutGetAndQuery(t *testing.T) {
 	if got.CreatedAt.IsZero() {
 		t.Fatal("CreatedAt not stamped")
 	}
-	if _, err := r.Get("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
+	if _, err := get(r, "missing"); err == nil {
+		t.Fatal("missing key found")
 	}
 	if err := r.Put(Record{}); err == nil {
 		t.Fatal("want empty-key error")
@@ -161,7 +170,7 @@ func TestClientAdapterImplementsResultStore(t *testing.T) {
 		t.Fatalf("lookup after publish: %v %v", scores, err)
 	}
 	// The record carries the parsed structure.
-	rec, err := repo.Get(key)
+	rec, err := get(repo, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +306,7 @@ func TestRepoBatchOps(t *testing.T) {
 	if err := r.PutBatch([]Record{{Key: "ok", Score: 9}, {Key: ""}}); err == nil {
 		t.Fatal("want empty-key error")
 	}
-	if _, err := r.Get("ok"); !errors.Is(err, ErrNotFound) {
+	if _, err := get(r, "ok"); err == nil {
 		t.Fatal("rejected batch must store nothing")
 	}
 }
@@ -363,8 +372,8 @@ func TestConcurrentClaims(t *testing.T) {
 func TestStats(t *testing.T) {
 	r := NewRepo(nil, time.Minute)
 	_ = r.Put(Record{Key: "k"})
-	_, _ = r.Get("k")
-	_, _ = r.Get("missing")
+	_, _ = get(r, "k")
+	_, _ = get(r, "missing")
 	lookups, hits, puts := r.Stats()
 	if lookups != 2 || hits != 1 || puts != 1 {
 		t.Fatalf("stats %d %d %d", lookups, hits, puts)

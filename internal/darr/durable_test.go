@@ -57,7 +57,7 @@ func TestDurableRestartSurvival(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := r2.Get("k1")
+			got, err := get(r2, "k1")
 			if err != nil || got.Score != 0.91 || got.ClientID != "c1" {
 				t.Fatalf("k1 after restart: %+v, %v", got, err)
 			}
@@ -128,7 +128,7 @@ func TestClaimReleasedOnPublish(t *testing.T) {
 		t.Fatalf("claim lingered after publish: %d active", r.ActiveClaims())
 	}
 	// The second client hits the cached record right away.
-	got, err := r.Get("job")
+	got, err := get(r, "job")
 	if err != nil || got.Score != 0.77 {
 		t.Fatalf("c2 lookup after publish: %+v, %v", got, err)
 	}
@@ -145,7 +145,7 @@ func TestClaimReleasedOnPublish(t *testing.T) {
 	if r2.ActiveClaims() != 0 {
 		t.Fatalf("claim resurrected by restart: %d active", r2.ActiveClaims())
 	}
-	if got, err := r2.Get("job"); err != nil || got.Score != 0.77 {
+	if got, err := get(r2, "job"); err != nil || got.Score != 0.77 {
 		t.Fatalf("record lost across restart: %+v, %v", got, err)
 	}
 }
@@ -328,7 +328,7 @@ func TestDurableReleaseAndCompact(t *testing.T) {
 	if r2.ActiveClaims() != 0 {
 		t.Fatal("released claim came back after compact+restart")
 	}
-	if got, err := r2.Get("hot"); err != nil || got.Score != 29 {
+	if got, err := get(r2, "hot"); err != nil || got.Score != 29 {
 		t.Fatalf("hot = %+v, %v after compact+restart", got, err)
 	}
 	if r2.Backend() != "log" {

@@ -134,29 +134,6 @@ func (d *Dataset) NumSamples() int { return d.X.Rows() }
 // NumFeatures returns the number of feature columns.
 func (d *Dataset) NumFeatures() int { return d.X.Cols() }
 
-// Clone deep-copies the dataset.
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{
-		X:          d.X.Clone(),
-		TargetName: d.TargetName,
-		WindowLen:  d.WindowLen,
-		NumVars:    d.NumVars,
-		YScale:     d.YScale,
-		YOffset:    d.YOffset,
-	}
-	if d.Y != nil {
-		out.Y = append([]float64(nil), d.Y...)
-	}
-	if d.ColNames != nil {
-		out.ColNames = append([]string(nil), d.ColNames...)
-	}
-	if d.ColScale != nil {
-		out.ColScale = append([]float64(nil), d.ColScale...)
-		out.ColOffset = append([]float64(nil), d.ColOffset...)
-	}
-	return out
-}
-
 // WithX returns a shallow variant of d with a replacement feature matrix,
 // keeping Y and its affine metadata. Column names and column affines are
 // cleared — the caller (a transformer) re-establishes them if its mapping

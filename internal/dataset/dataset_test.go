@@ -89,25 +89,10 @@ func TestSubsetMetadataIsolation(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	ds := makeDS(t)
-	ds.WindowLen, ds.NumVars = 2, 1
-	c := ds.Clone()
-	c.X.Set(0, 0, -1)
-	c.Y[0] = -1
-	c.ColNames[0] = "zzz"
-	if ds.X.At(0, 0) == -1 || ds.Y[0] == -1 || ds.ColNames[0] == "zzz" {
-		t.Fatal("Clone aliases original")
-	}
-	if c.WindowLen != 2 || c.NumVars != 1 {
-		t.Fatal("Clone drops window metadata")
-	}
-}
-
 func TestFingerprintStability(t *testing.T) {
 	ds := makeDS(t)
 	fp1 := ds.Fingerprint()
-	fp2 := ds.Clone().Fingerprint()
+	fp2 := makeDS(t).Fingerprint()
 	if fp1 != fp2 {
 		t.Fatal("identical data must have identical fingerprints")
 	}
@@ -325,7 +310,7 @@ func TestMemoized(t *testing.T) {
 		t.Errorf("two copies' own memos got %d and %d, want a value each", a, b)
 	}
 	for name, plain := range map[string]*Dataset{
-		"original": ds, "WithX": s1.WithX(s1.X), "Subset": s1.Subset([]int{0, 1}), "SliceRange": s1.SliceRange(0, 2), "Clone": s1.Clone(),
+		"original": ds, "WithX": s1.WithX(s1.X), "Subset": s1.Subset([]int{0, 1}), "SliceRange": s1.SliceRange(0, 2),
 	} {
 		before := made.Load()
 		Memoized(plain, "a", mk)

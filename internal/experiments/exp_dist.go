@@ -379,11 +379,11 @@ func RunS3(cfg Config) (*Table, error) {
 	}
 	const rowBytes = 8
 	policies := []policy{
-		{"never retrain", replication.FuncTrigger{Label: "never", Fn: func(replication.UpdateStats) bool { return false }}},
+		{"never retrain", replication.FuncTrigger{Fn: func(replication.UpdateStats) bool { return false }}},
 		{"count>25", replication.CountTrigger{N: 25}},
 		{"count>100", replication.CountTrigger{N: 100}},
-		{"bytes>400", replication.BytesTrigger{N: 400}},                                // == 50 rows
-		{"app: level shift>2", replication.FuncTrigger{Label: "level-shift", Fn: nil}}, // filled below
+		{"bytes>400", replication.BytesTrigger{N: 400}},   // == 50 rows
+		{"app: level shift>2", replication.FuncTrigger{}}, // filled below
 	}
 
 	t := &Table{
@@ -397,7 +397,7 @@ func RunS3(cfg Config) (*Table, error) {
 		lastLevel := 0.0
 		curLevel := func() float64 { return 0 }
 		if p.name == "app: level shift>2" {
-			p.trigger = replication.FuncTrigger{Label: "level-shift", Fn: func(replication.UpdateStats) bool {
+			p.trigger = replication.FuncTrigger{Fn: func(replication.UpdateStats) bool {
 				return absf(curLevel()-lastLevel) > 2
 			}}
 		}

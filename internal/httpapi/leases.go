@@ -304,16 +304,22 @@ func (s *Server) releaseMailbox(id string) {
 }
 
 // leaseTTL normalizes a requested TTL in seconds against the server's
-// default and ceiling.
+// default and ceiling. It clamps before converting: past ~9.2e9 s the
+// product overflows time.Duration.
 func (s *Server) leaseTTL(seconds float64) time.Duration {
-	ttl := time.Duration(seconds * float64(time.Second))
+	limit := cmp.Or(max(s.MaxLeaseTTL, 0), DefaultMaxLeaseTTL)
+	ttl := time.Duration(min(seconds, limit.Seconds()) * float64(time.Second))
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	if limit := cmp.Or(max(s.MaxLeaseTTL, 0), DefaultMaxLeaseTTL); ttl > limit {
-		ttl = limit
-	}
-	return ttl
+	return min(ttl, limit)
+}
+
+// heartbeat is the SSE keep-alive interval. One write to a lease stream
+// or poll may block for two of them: a reader slower than that is cut off
+// rather than holding its handler, and so Shutdown, indefinitely.
+func (s *Server) heartbeat() time.Duration {
+	return cmp.Or(max(s.StreamHeartbeat, 0), DefaultStreamHeartbeat)
 }
 
 // leaseInfo snapshots a lease for wire replies.
@@ -435,15 +441,19 @@ func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
 // handleLeaseStream serves GET /leases/{id}/stream as Server-Sent
 // Events: a `lease` event with the grant, then one `update` event per
 // coalesced frame, heartbeat comments while idle, and an `end` event
-// when the lease leaves the registry. The write deadline is cleared so
-// a server-wide WriteTimeout cannot kill long-lived streams.
+// when the lease leaves the registry. Each write gets its own deadline
+// of two heartbeats in place of the server-wide WriteTimeout, which would
+// kill long-lived streams.
 func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *replication.Lease, mb *leaseMailbox) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		s.writeError(w, r, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
 		return
 	}
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
+	rc := http.NewResponseController(w)
+	heartbeat := s.heartbeat()
+	writeBy := func() { _ = rc.SetWriteDeadline(time.Now().Add(2 * heartbeat)) }
+	writeBy()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -455,12 +465,13 @@ func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *re
 	}
 	flusher.Flush()
 
-	beat := time.NewTicker(cmp.Or(max(s.StreamHeartbeat, 0), DefaultStreamHeartbeat))
+	beat := time.NewTicker(heartbeat)
 	defer beat.Stop()
 	for {
 		// Drain the slot before sleeping: a frame may have landed between
 		// the last write and re-arming the signal.
 		if f, ok := mb.take(); ok {
+			writeBy()
 			if err := f.writeTo(w, "event: update\ndata: ", "\n\n", l.ID, mb.mode); err != nil {
 				return
 			}
@@ -471,11 +482,13 @@ func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *re
 		case <-r.Context().Done():
 			return
 		case <-mb.done:
+			writeBy()
 			_ = writeSSE(w, "end", map[string]string{"lease_id": l.ID})
 			flusher.Flush()
 			return
 		case <-mb.signal:
 		case <-beat.C:
+			writeBy()
 			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
 				return
 			}
@@ -511,11 +524,13 @@ func (s *Server) handleLeasePoll(w http.ResponseWriter, r *http.Request, l *repl
 	if wait > MaxLongPollWait {
 		wait = MaxLongPollWait
 	}
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
+	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Time{})
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
 	for {
 		if f, ok := mb.take(); ok {
+			_ = rc.SetWriteDeadline(time.Now().Add(2 * s.heartbeat()))
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			_ = f.writeTo(w, "", "", l.ID, mb.mode) // a failed write is the client hanging up

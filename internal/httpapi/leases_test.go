@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -235,6 +238,113 @@ func TestLeaseRenewExtendsAndExpiryEndsStream(t *testing.T) {
 	if _, _, err := c.PollLease(ctx, short.LeaseID, 100*time.Millisecond); err == nil {
 		t.Fatal("poll of swept lease should fail")
 	}
+}
+
+// TestSlowStreamReaderIsCutOff: a subscriber that never reads its stream
+// is cut off once a write has blocked for two heartbeats (100 ms here), so
+// its handler returns and its connection closes, while a second lease on
+// the same key whose reader keeps up gets every frame.
+func TestSlowStreamReaderIsCutOff(t *testing.T) {
+	c, _, _, ts := newLeaseServer(t, replication.Config{Workers: 2})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	slow, err := c.Subscribe(ctx, "big", "value", time.Minute, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := c.Subscribe(ctx, "big", "value", time.Minute, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "GET /leases/%s/stream HTTP/1.1\r\nHost: coda\r\n\r\n", slow.LeaseID); err != nil {
+		t.Fatal(err)
+	}
+	frames := make(chan Notification)
+	streamDone := make(chan struct{})
+	go func() {
+		defer close(streamDone)
+		_ = c.StreamLease(ctx, fast.LeaseID, func(n Notification) error {
+			select {
+			case frames <- n:
+			case <-ctx.Done():
+			}
+			return nil
+		}) // it ends when ctx does; a stream that ends early starves the loop below
+	}()
+	defer func() {
+		cancel()
+		<-streamDone
+	}()
+
+	// 40 frames of 256 KiB (~350 KB as base64) are more than the slow
+	// connection's socket buffers hold (~4 MB on Linux loopback when
+	// unread); each publish waits for the fast reader's frame.
+	const publishes = 40
+	for v := 1; v <= publishes; v++ {
+		if _, err := c.PutObject(ctx, "big", bytes.Repeat([]byte{byte(v)}, 256<<10)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case n := <-frames:
+			if n.Version != uint64(v) || n.Coalesced != 1 {
+				t.Fatalf("fast reader got version %d covering %d publishes, want version %d alone", n.Version, n.Coalesced, v)
+			}
+		case <-ctx.Done():
+			t.Fatalf("fast reader never got version %d", v)
+		}
+	}
+
+	// Well past the bound, the slow connection must be closed: reading it
+	// now drains what the kernel holds and ends. A handler still blocked
+	// would take the read as progress and keep the stream open.
+	time.Sleep(500 * time.Millisecond)
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the unread stream was still open after %d publishes (read %d bytes before the deadline)", publishes, n)
+	}
+}
+
+// TestHugeLeaseTTLGetsTheCap: a TTL too large for time.Duration is granted
+// the ceiling, on subscribe and on renew, not taken as a negative duration
+// and replaced by the default.
+func TestHugeLeaseTTLGetsTheCap(t *testing.T) {
+	c, m, _, _ := newLeaseServer(t, replication.Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const huge = 1e10 // seconds; 1e10 × 1e9 ns overflows int64
+	var info LeaseInfo
+	status, err := c.doJSON(ctx, http.MethodPost, "/leases",
+		leaseRequest{Key: "k", ClientID: "c", Mode: "notify", TTLSeconds: huge}, &info)
+	if err != nil || status != http.StatusCreated {
+		t.Fatalf("subscribe: status %d, %v", status, err)
+	}
+	check := func(op string, info LeaseInfo) {
+		t.Helper()
+		if info.TTLSeconds != DefaultMaxLeaseTTL.Seconds() {
+			t.Fatalf("%s granted %v s, want the %v cap", op, info.TTLSeconds, DefaultMaxLeaseTTL)
+		}
+		l, ok := m.LeaseByID(info.LeaseID)
+		if !ok {
+			t.Fatalf("%s: lease %s not registered", op, info.LeaseID)
+		}
+		if left := time.Until(l.Expires()); left < DefaultMaxLeaseTTL-time.Minute {
+			t.Fatalf("%s: lease expires in %v, want about %v", op, left, DefaultMaxLeaseTTL)
+		}
+	}
+	check("subscribe", info)
+	var renewed LeaseInfo
+	status, err = c.doJSON(ctx, http.MethodPost, "/leases/"+info.LeaseID+"/renew", renewRequest{TTLSeconds: huge}, &renewed)
+	if err != nil || status != http.StatusOK {
+		t.Fatalf("renew: status %d, %v", status, err)
+	}
+	check("renew", renewed)
 }
 
 func TestLeaseBadRequests(t *testing.T) {

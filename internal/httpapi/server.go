@@ -62,7 +62,8 @@ type Server struct {
 	// MaxLeaseTTL caps requested lease durations; <= 0 uses
 	// DefaultMaxLeaseTTL.
 	MaxLeaseTTL time.Duration
-	// StreamHeartbeat spaces the SSE keep-alive comments; <= 0 uses
+	// StreamHeartbeat spaces the SSE keep-alive comments, and one write to
+	// a lease stream or poll may block for two of them; <= 0 uses
 	// DefaultStreamHeartbeat.
 	StreamHeartbeat time.Duration
 

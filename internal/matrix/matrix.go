@@ -164,30 +164,6 @@ func (m *Mat[T]) SliceRows(a, b int) *Mat[T] {
 	return out
 }
 
-// Add returns m + b.
-func (m *Mat[T]) Add(b *Mat[T]) (*Mat[T], error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: add %dx%d and %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out, nil
-}
-
-// Sub returns m - b.
-func (m *Mat[T]) Sub(b *Mat[T]) (*Mat[T], error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: sub %dx%d and %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out, nil
-}
-
 // Mul returns the matrix product m*b, bitwise identical to the naive triple
 // loop (see MulInto).
 func (m *Mat[T]) Mul(b *Mat[T]) (*Mat[T], error) {

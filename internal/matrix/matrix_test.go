@@ -68,26 +68,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestAddSub(t *testing.T) {
-	a := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
-	b := mustFromRows(t, [][]float64{{4, 3}, {2, 1}})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustFromRows(t, [][]float64{{5, 5}, {5, 5}})
-	if !equal(sum, want, 0) {
-		t.Fatalf("Add = %v", sum)
-	}
-	diff, err := sum.Sub(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(diff, a, 0) {
-		t.Fatalf("Sub = %v", diff)
-	}
-}
-
 func TestSelectRowsCols(t *testing.T) {
 	a := mustFromRows(t, [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
 	r := a.SelectRows([]int{2, 0})

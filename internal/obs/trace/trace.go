@@ -21,7 +21,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -33,7 +32,8 @@ import (
 
 // Header carries trace context between cooperative nodes, modeled on the
 // W3C traceparent format: <32 hex trace id>-<16 hex span id>-<2 hex
-// flags>, where flag bit 0 means the trace was head-sampled at its root.
+// flags>. Every trace is recorded, so Inject always writes flags 01
+// ("sampled"); parseHeader checks the field but does not act on it.
 const Header = "X-Coda-Traceparent"
 
 // maxSpansPerTrace bounds one trace's in-memory span buffer; spans past
@@ -113,8 +113,7 @@ func (d SpanData) Duration() time.Duration { return d.End.Sub(d.Start) }
 // traceState is the per-process fragment of one trace: every span that
 // started here shares it and appends itself on End.
 type traceState struct {
-	id      TraceID
-	sampled bool
+	id TraceID
 
 	mu      sync.Mutex
 	spans   []SpanData
@@ -145,8 +144,7 @@ func (st *traceState) snapshot() ([]SpanData, int) {
 type Span struct {
 	st *traceState
 	// localRoot marks the first span of this process's fragment; its End
-	// decides whether the fragment is kept (sampled or slow) and hands it
-	// to the recorder.
+	// hands the fragment to the recorder.
 	localRoot bool
 
 	mu    sync.Mutex
@@ -159,7 +157,6 @@ type spanKey struct{}
 type remoteParent struct {
 	traceID TraceID
 	spanID  SpanID
-	sampled bool
 }
 
 type remoteKey struct{}
@@ -175,60 +172,6 @@ func SetEnabled(on bool) { traceDisabled.Store(!on) }
 // Enabled reports whether spans are being created: both the obs layer
 // and the tracer itself must be on.
 func Enabled() bool { return obs.Enabled() && !traceDisabled.Load() }
-
-// sampleBits holds the head-sampling rate as float64 bits (default 1:
-// keep every trace, appropriate for small deployments and tests; large
-// fleets dial it down with -trace-sample).
-var sampleBits = func() *atomic.Uint64 {
-	v := new(atomic.Uint64)
-	v.Store(math.Float64bits(1))
-	return v
-}()
-
-// slowNanos holds the always-keep-slow threshold (default 500ms).
-var slowNanos = func() *atomic.Int64 {
-	v := new(atomic.Int64)
-	v.Store(int64(500 * time.Millisecond))
-	return v
-}()
-
-// SetSampleRate sets the fraction of traces kept by head sampling,
-// clamped to [0, 1]. The decision is a deterministic function of the
-// trace id, so every process in a trace's path agrees with the root.
-func SetSampleRate(r float64) {
-	if r < 0 || math.IsNaN(r) {
-		r = 0
-	}
-	if r > 1 {
-		r = 1
-	}
-	sampleBits.Store(math.Float64bits(r))
-}
-
-// SampleRate returns the current head-sampling rate.
-func SampleRate() float64 { return math.Float64frombits(sampleBits.Load()) }
-
-// SetSlowThreshold sets the duration at or above which a local root is
-// recorded even when head sampling dropped the trace — the tail-capture
-// path. Zero or negative disables slow capture.
-func SetSlowThreshold(d time.Duration) { slowNanos.Store(int64(d)) }
-
-// SlowThreshold returns the always-keep-slow threshold.
-func SlowThreshold() time.Duration { return time.Duration(slowNanos.Load()) }
-
-// sampled is the deterministic head-sampling decision: the trace id's
-// leading 8 bytes, read as a fraction of 2^64, fall under the rate.
-func sampled(id TraceID) bool {
-	rate := SampleRate()
-	if rate >= 1 {
-		return true
-	}
-	if rate <= 0 {
-		return false
-	}
-	u := binary.BigEndian.Uint64(id[:8])
-	return float64(u) < rate*math.MaxUint64
-}
 
 // Span ids mix a per-process random base with an atomic counter: unique
 // without a syscall per span.
@@ -285,14 +228,14 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 		d.TraceID = st.id
 		d.Parent = parent.data.ID
 	} else if rp, ok := ctx.Value(remoteKey{}).(remoteParent); ok {
-		st = &traceState{id: rp.traceID, sampled: rp.sampled}
+		st = &traceState{id: rp.traceID}
 		d.TraceID = rp.traceID
 		d.Parent = rp.spanID
 		d.Remote = true
 		localRoot = true
 	} else {
 		id := newTraceID()
-		st = &traceState{id: id, sampled: sampled(id)}
+		st = &traceState{id: id}
 		d.TraceID = id
 		localRoot = true
 	}
@@ -346,9 +289,8 @@ func (s *Span) AddEvent(name string, attrs ...Attr) {
 }
 
 // End finishes the span and appends it to its trace fragment. Ending
-// the process-local root decides the fragment's fate: kept when the
-// trace was head-sampled or the root ran at least the slow threshold,
-// dropped otherwise. End is idempotent and nil-safe.
+// the process-local root hands the fragment to the recorder. End is
+// idempotent and nil-safe.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -366,13 +308,10 @@ func (s *Span) End() {
 	if !s.localRoot {
 		return
 	}
-	slow := SlowThreshold()
-	if s.st.sampled || (slow > 0 && d.Duration() >= slow) {
-		spans, dropped := s.st.snapshot()
-		DefaultRecorder().Record(&TraceData{
-			TraceID: d.TraceID, Root: d, Spans: spans, Dropped: dropped, Recorded: d.End,
-		})
-	}
+	spans, dropped := s.st.snapshot()
+	DefaultRecorder().Record(&TraceData{
+		TraceID: d.TraceID, Root: d, Spans: spans, Dropped: dropped, Recorded: d.End,
+	})
 }
 
 // Annotate adds attributes to the context's current span, if any.
@@ -390,11 +329,7 @@ func Inject(ctx context.Context, h http.Header) {
 	if s == nil {
 		return
 	}
-	flags := "00"
-	if s.st.sampled {
-		flags = "01"
-	}
-	h.Set(Header, s.data.TraceID.String()+"-"+s.data.ID.String()+"-"+flags)
+	h.Set(Header, s.data.TraceID.String()+"-"+s.data.ID.String()+"-01")
 }
 
 // Extract reads an incoming propagation header and stashes the remote
@@ -433,6 +368,5 @@ func parseHeader(v string) (remoteParent, bool) {
 	if rp.traceID.IsZero() || rp.spanID.IsZero() {
 		return remoteParent{}, false
 	}
-	rp.sampled = flags[0]&1 != 0
 	return rp, true
 }

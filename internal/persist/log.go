@@ -312,22 +312,6 @@ func (b *walKV) PutBatch(items []Item) error {
 	return nil
 }
 
-// GetBatch implements KV.
-func (b *walKV) GetBatch(keys []string) (map[string][]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
-	out := make(map[string][]byte, len(keys))
-	for _, k := range keys {
-		if v, ok := b.tab.get(k); ok {
-			out[k] = v
-		}
-	}
-	return out, nil
-}
-
 // Delete implements KV.
 func (b *walKV) Delete(keys ...string) error {
 	b.mu.Lock()
@@ -392,17 +376,6 @@ func (b *walKV) snapshotLocked() (watermark uint64, err error) {
 	b.st.LastCompactSeconds = time.Since(start).Seconds()
 	b.m.snapshotSec.ObserveSince(start)
 	return watermark, nil
-}
-
-// Snapshot implements KV.
-func (b *walKV) Snapshot() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return ErrClosed
-	}
-	_, err := b.snapshotLocked()
-	return err
 }
 
 // Compact implements KV: snapshot, then drop the segments (and older

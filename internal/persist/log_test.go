@@ -21,6 +21,18 @@ func forEachDurable(t *testing.T, fn func(t *testing.T, scheme string)) {
 	}
 }
 
+// snapshot checkpoints kv's live state without dropping the segments it
+// covers: the first half of a Compact.
+func snapshot(t *testing.T, kv KV) {
+	t.Helper()
+	b := kv.(*walKV)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, err := b.snapshotLocked(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func listNames(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -91,7 +103,7 @@ func testLogCompactionDropsHistory(t *testing.T, scheme string) {
 	if st.OpenSnapshotKeys != 10 || st.OpenReplayedRecords != 0 {
 		t.Fatalf("reopen loaded %d snapshot keys and replayed %d records, want 10 and 0", st.OpenSnapshotKeys, st.OpenReplayedRecords)
 	}
-	got, _ := kv2.GetBatch([]string{"k/0003"})
+	got, _ := getBatch(kv2, "k/0003")
 	if string(got["k/0003"]) != "293" {
 		t.Fatalf("k/0003 = %q after compacted reopen, want 293", got["k/0003"])
 	}
@@ -99,7 +111,7 @@ func testLogCompactionDropsHistory(t *testing.T, scheme string) {
 
 // TestLogTornSnapshotFallsBack: a snapshot torn by a crash mid-write fails
 // its commit-trailer check and the open replays the full segment history
-// instead — no data loss, because Snapshot alone never deletes segments.
+// instead — no data loss, because a snapshot alone never deletes segments.
 func TestLogTornSnapshotFallsBack(t *testing.T) {
 	forEachDurable(t, testLogTornSnapshotFallsBack)
 }
@@ -111,9 +123,7 @@ func testLogTornSnapshotFallsBack(t *testing.T, scheme string) {
 		t.Fatal(err)
 	}
 	fillLog(t, kv, 40, 8)
-	if err := kv.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
+	snapshot(t, kv)
 	if err := kv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +158,7 @@ func testLogTornSnapshotFallsBack(t *testing.T, scheme string) {
 	if st.OpenReplayedRecords != 40 {
 		t.Fatalf("fallback replayed %d records, want 40", st.OpenReplayedRecords)
 	}
-	got, _ := kv2.GetBatch([]string{"k/0007"})
+	got, _ := getBatch(kv2, "k/0007")
 	if string(got["k/0007"]) != "39" {
 		t.Fatalf("k/0007 = %q after fallback, want 39", got["k/0007"])
 	}
@@ -199,7 +209,7 @@ func testLogTornTailTruncated(t *testing.T, scheme string) {
 		t.Fatal(err)
 	}
 	defer kv3.Close()
-	got, _ := kv3.GetBatch([]string{"after"})
+	got, _ := getBatch(kv3, "after")
 	if string(got["after"]) != "crash" {
 		t.Fatal("append after torn-tail truncation did not survive")
 	}
@@ -247,7 +257,7 @@ func testLogLatchRecovery(t *testing.T, scheme string) {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	got, _ := kv.GetBatch([]string{"ok/1", "ok/2", "fail/1"})
+	got, _ := getBatch(kv, "ok/1", "ok/2", "fail/1")
 	if string(got["ok/1"]) != "x" || string(got["ok/2"]) != "z" {
 		t.Fatalf("recovered log lost committed data: %v", got)
 	}
@@ -288,7 +298,7 @@ func TestBoltAutoCompaction(t *testing.T) {
 	if st.OpenReplayedRecords > 200 {
 		t.Fatalf("reopen replayed %d records; the snapshot should cover most history", st.OpenReplayedRecords)
 	}
-	got, _ := kv2.GetBatch([]string{"k/0009"})
+	got, _ := getBatch(kv2, "k/0009")
 	if string(got["k/0009"]) != "199" {
 		t.Fatalf("k/0009 = %q after bolt reopen, want 199", got["k/0009"])
 	}

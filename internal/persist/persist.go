@@ -4,11 +4,10 @@
 // is a layer, not a per-consumer one-off.
 //
 // The seam is deliberately small — gorse-style (see PAPERS.md / ROADMAP
-// item 2): batched writes (PutBatch), batched reads (GetBatch), ordered
-// prefix-cursor streaming so consumers like the object store and the DARR
-// can iterate a large keyspace without materializing it, and explicit
-// Snapshot/Compact hooks so append-only history stops replaying from byte
-// zero at every open.
+// item 2): batched writes (PutBatch), ordered prefix-cursor streaming, the
+// one read path, which the object store and the DARR use to load a large
+// keyspace at open without materializing it, and an explicit Compact hook
+// so append-only history stops replaying from byte zero at every open.
 //
 // Backends are selected by DSN through Open: one write-ahead-log engine
 // (walKV) behind both durable schemes — log:<dir>, and bolt:<dir>, which
@@ -95,17 +94,10 @@ type KV interface {
 	// durable backends). An error means no item became visible. It may
 	// keep the items' values (see Item).
 	PutBatch(items []Item) error
-	// GetBatch resolves many keys at once; absent keys are simply missing
-	// from the result. Returned values are backend-owned and read-only.
-	GetBatch(keys []string) (map[string][]byte, error)
 	// Delete removes keys (missing keys are not an error).
 	Delete(keys ...string) error
 	// Cursor streams all keys with the given prefix in ascending order.
 	Cursor(prefix string) (Cursor, error)
-	// Snapshot persists a point-in-time copy of the live state so a later
-	// open does not replay history before it. A no-op for backends with
-	// no history.
-	Snapshot() error
 	// Compact snapshots and then drops the history the snapshot covers,
 	// making open time proportional to live keys instead of total writes.
 	Compact() error

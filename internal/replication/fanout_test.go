@@ -677,7 +677,7 @@ func TestMonitorObserveUpdate(t *testing.T) {
 	mon := NewMonitor(CountTrigger{N: 10})
 	mon.ObserveUpdate(Update{Notify: true, Coalesced: 7, ChangedBytes: 128})
 	mon.ObserveUpdate(Update{Notify: true}) // Coalesced 0 counts as 1
-	s := mon.Stats()
+	s := mon.stats
 	if s.Count != 8 || s.Bytes != 128 {
 		t.Fatalf("stats %+v, want Count=8 Bytes=128", s)
 	}

@@ -277,7 +277,7 @@ func TestTriggers(t *testing.T) {
 		{"count above", CountTrigger{N: 3}, []int{1, 1, 1, 1}, true},
 		{"bytes below", BytesTrigger{N: 100}, []int{50, 50}, false},
 		{"bytes above", BytesTrigger{N: 100}, []int{50, 51}, true},
-		{"app specific", FuncTrigger{Label: "odd", Fn: func(s UpdateStats) bool { return s.Count%2 == 1 }}, []int{1, 1, 1}, true},
+		{"app specific", FuncTrigger{Fn: func(s UpdateStats) bool { return s.Count%2 == 1 }}, []int{1, 1, 1}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -286,7 +286,7 @@ func TestTriggers(t *testing.T) {
 				mon.ObserveUpdate(Update{ChangedBytes: sz})
 			}
 			if got := mon.Check(); got != tt.want {
-				t.Fatalf("Check() = %v, want %v (stats %+v)", got, tt.want, mon.Stats())
+				t.Fatalf("Check() = %v, want %v (stats %+v)", got, tt.want, mon.stats)
 			}
 		})
 	}
@@ -306,18 +306,6 @@ func TestMonitorResetCycle(t *testing.T) {
 	}
 	if mon.Recomputes() != 1 {
 		t.Fatalf("recomputes %d", mon.Recomputes())
-	}
-}
-
-func TestTriggerNames(t *testing.T) {
-	if (CountTrigger{N: 5}).Name() != "count>5" {
-		t.Fatal("count name")
-	}
-	if (BytesTrigger{N: 9}).Name() != "bytes>9" {
-		t.Fatal("bytes name")
-	}
-	if (FuncTrigger{}).Name() != "app-specific" {
-		t.Fatal("func default name")
 	}
 }
 

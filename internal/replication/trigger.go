@@ -1,9 +1,6 @@
 package replication
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // UpdateStats summarizes the updates seen since analytics last ran.
 type UpdateStats struct {
@@ -15,7 +12,6 @@ type UpdateStats struct {
 // analytics calculations (Section III lists three ways).
 type Trigger interface {
 	ShouldRecompute(s UpdateStats) bool
-	Name() string
 }
 
 // CountTrigger fires when the number of updates since the last computation
@@ -25,9 +21,6 @@ type CountTrigger struct{ N int }
 // ShouldRecompute implements Trigger.
 func (t CountTrigger) ShouldRecompute(s UpdateStats) bool { return s.Count > t.N }
 
-// Name implements Trigger.
-func (t CountTrigger) Name() string { return fmt.Sprintf("count>%d", t.N) }
-
 // BytesTrigger fires when the total size of updates since the last
 // computation exceeds N bytes.
 type BytesTrigger struct{ N int64 }
@@ -35,27 +28,15 @@ type BytesTrigger struct{ N int64 }
 // ShouldRecompute implements Trigger.
 func (t BytesTrigger) ShouldRecompute(s UpdateStats) bool { return s.Bytes > t.N }
 
-// Name implements Trigger.
-func (t BytesTrigger) Name() string { return fmt.Sprintf("bytes>%d", t.N) }
-
 // FuncTrigger applies an application-specific predicate — the paper's
 // "best way to determine when to perform updated analytics calculations",
 // at the cost of being harder to implement.
 type FuncTrigger struct {
-	Label string
-	Fn    func(s UpdateStats) bool
+	Fn func(s UpdateStats) bool
 }
 
 // ShouldRecompute implements Trigger.
 func (t FuncTrigger) ShouldRecompute(s UpdateStats) bool { return t.Fn != nil && t.Fn(s) }
-
-// Name implements Trigger.
-func (t FuncTrigger) Name() string {
-	if t.Label == "" {
-		return "app-specific"
-	}
-	return t.Label
-}
 
 // Monitor accumulates update statistics for a data set and answers whether
 // the configured trigger has fired; Reset is called after analytics rerun.
@@ -112,11 +93,4 @@ func (m *Monitor) Recomputes() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.recomputes
-}
-
-// Stats returns a snapshot of the pending update statistics.
-func (m *Monitor) Stats() UpdateStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }

@@ -376,21 +376,6 @@ func findVersion(versions []Version, num uint64) (Version, bool) {
 	return Version{}, false
 }
 
-// RetainedVersions lists the version numbers currently held for a key.
-func (s *HomeStore) RetainedVersions(key string) ([]uint64, error) {
-	obj := s.object(key, false)
-	if obj == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	obj.mu.Lock()
-	defer obj.mu.Unlock()
-	out := make([]uint64, len(obj.versions))
-	for i, v := range obj.versions {
-		out[i] = v.Num
-	}
-	return out, nil
-}
-
 // Stats returns a snapshot of the reply accounting, including the KV's
 // health (latched write failures surface here and in /healthz).
 func (s *HomeStore) Stats() Stats {
@@ -430,16 +415,6 @@ func (s *HomeStore) Each(fn func(key string) bool) {
 			}
 		}
 	}
-}
-
-// Keys lists all object keys.
-func (s *HomeStore) Keys() []string {
-	var out []string
-	s.Each(func(k string) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
 }
 
 // CompactBackend runs the KV's compaction cycle (a no-op when

@@ -135,9 +135,10 @@ func TestShardedKeysAndStats(t *testing.T) {
 	for _, k := range keys {
 		mustPut(t, s, k, []byte(k))
 	}
-	got := s.Keys()
+	var got []string
+	s.Each(func(k string) bool { got = append(got, k); return true })
 	if len(got) != len(keys) {
-		t.Fatalf("Keys() returned %d keys, want %d", len(got), len(keys))
+		t.Fatalf("Each visited %d keys, want %d", len(got), len(keys))
 	}
 	seen := map[string]bool{}
 	for _, k := range got {

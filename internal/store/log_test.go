@@ -57,7 +57,7 @@ func testDurableReopenRecoversState(t *testing.T, dir string, open func(Options)
 	if cur.Num != 5 || !bytes.Equal(cur.Data, data) {
 		t.Fatalf("recovered version %d (%d bytes), want 5 (%d bytes)", cur.Num, len(cur.Data), len(data))
 	}
-	versions, err := re.RetainedVersions("o")
+	versions, err := re.retainedVersions("o")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func testDurableSegmentRoll(t *testing.T, dir string, open func(Options) *HomeSt
 	if cur.Num != 6 || !bytes.Equal(cur.Data, want) {
 		t.Fatalf("multi-segment replay got version %d", cur.Num)
 	}
-	versions, err := re.RetainedVersions("o")
+	versions, err := re.retainedVersions("o")
 	if err != nil {
 		t.Fatal(err)
 	}

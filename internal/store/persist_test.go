@@ -31,7 +31,7 @@ func TestOpenDSNCrashRecovery(t *testing.T) {
 			if _, err := s.Put("obj two", []byte("with spaces/and/slashes")); err != nil {
 				t.Fatal(err)
 			}
-			retained, _ := s.RetainedVersions("obj/1")
+			retained, _ := s.retainedVersions("obj/1")
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func TestOpenDSNCrashRecovery(t *testing.T) {
 			if cur.Num != 6 || !bytes.Equal(cur.Data, last) {
 				t.Fatalf("recovered version %d (%d bytes), want 6 (%d bytes)", cur.Num, len(cur.Data), len(last))
 			}
-			retained2, _ := s2.RetainedVersions("obj/1")
+			retained2, _ := s2.retainedVersions("obj/1")
 			if fmt.Sprint(retained) != fmt.Sprint(retained2) {
 				t.Fatalf("retention window changed across restart: %v vs %v", retained, retained2)
 			}
@@ -98,7 +98,7 @@ func TestKVBackendTrimsRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	retained, err := s2.RetainedVersions("k")
+	retained, err := s2.retainedVersions("k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +173,6 @@ func TestEachStreamsKeys(t *testing.T) {
 	s.Each(func(string) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early-stopped Each visited %d keys, want 5", n)
-	}
-	if len(s.Keys()) != 20 {
-		t.Fatalf("Keys() = %d entries, want 20", len(s.Keys()))
 	}
 }
 

@@ -144,14 +144,6 @@ type ObjectStore interface {
 	// haveVersion and its wire size is below FullFraction of the full
 	// object.
 	Get(key string, haveVersion uint64) (*Reply, error)
-	// RetainedVersions lists the version numbers currently held for a key.
-	RetainedVersions(key string) ([]uint64, error)
-	// Keys lists all object keys.
-	Keys() []string
-	// Each streams every object key to fn until it returns false — cursor
-	// iteration for consumers (replication sync, boot accounting) that
-	// must walk a large keyspace without materializing it.
-	Each(fn func(key string) bool)
 	// Stats returns a snapshot of the reply accounting.
 	Stats() Stats
 	// Close releases the backend (flushes/closes segment files for the

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,6 +18,21 @@ func mustPut(t testing.TB, s ObjectStore, key string, data []byte) uint64 {
 		t.Fatalf("Put(%q): %v", key, err)
 	}
 	return v
+}
+
+// retainedVersions lists the version numbers s holds for key.
+func (s *HomeStore) retainedVersions(key string) ([]uint64, error) {
+	obj := s.object(key, false)
+	if obj == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
+	obj.mu.Lock()
+	defer obj.mu.Unlock()
+	out := make([]uint64, len(obj.versions))
+	for i, v := range obj.versions {
+		out[i] = v.Num
+	}
+	return out, nil
 }
 
 func TestPutVersionNumbersMonotonic(t *testing.T) {
@@ -116,7 +132,7 @@ func TestRetentionWindow(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		s.Put("o1", bigObject(int64(i), 512))
 	}
-	versions, err := s.RetainedVersions("o1")
+	versions, err := s.retainedVersions("o1")
 	if err != nil {
 		t.Fatal(err)
 	}
