@@ -15,7 +15,7 @@
 //
 // subscribe takes a lease on an object and follows its update stream
 // (Section III's push modes: value, delta, or notify), renewing the lease
-// at half-life and acknowledging each frame:
+// at half the TTL the server granted and acknowledging each frame:
 //
 //	coda-client subscribe -server http://host:8080 -key data -mode delta -count 5
 //
@@ -46,7 +46,6 @@ import (
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
 	"coda/internal/obs"
-	"coda/internal/obs/trace"
 	"coda/internal/preprocess"
 	"coda/internal/retry"
 	"coda/internal/sim"
@@ -92,13 +91,11 @@ func usage() {
 }
 
 // logFlags is the observability flag surface shared by every subcommand:
-// structured-log level/format, an optional pprof/metrics listener, and
-// the trace ring's size.
+// structured-log level/format and an optional pprof/metrics listener.
 type logFlags struct {
 	level     *string
 	format    *string
 	debugAddr *string
-	traceRing *int
 }
 
 func addLogFlags(fs *flag.FlagSet) *logFlags {
@@ -106,19 +103,15 @@ func addLogFlags(fs *flag.FlagSet) *logFlags {
 		level:     fs.String("log-level", "info", "log level: debug|info|warn|error (debug logs every remote call)"),
 		format:    fs.String("log-format", "text", "log format: text|json"),
 		debugAddr: fs.String("debug-addr", "", "optional listener for net/http/pprof, /metrics, /healthz and /debug/traces (e.g. :6061)"),
-		traceRing: fs.Int("trace-ring", trace.DefaultCapacity, "completed traces retained for /debug/traces"),
 	}
 }
 
-// setup configures the process logger and tracer and, when requested,
-// starts the pprof/metrics debug listener; a debug address that cannot be
-// bound is an error.
+// setup configures the process logger and, when requested, starts the
+// pprof/metrics debug listener; a debug address that cannot be bound is an
+// error.
 func (lf *logFlags) setup() error {
 	if err := obs.SetupDefaultLogger(*lf.level, *lf.format); err != nil {
 		return err
-	}
-	if *lf.traceRing != trace.DefaultCapacity {
-		trace.SetDefaultRecorder(trace.NewRecorder(*lf.traceRing))
 	}
 	if *lf.debugAddr != "" {
 		return httpapi.ListenDebug(*lf.debugAddr)
@@ -159,7 +152,6 @@ func runSearch(ctx context.Context, args []string) error {
 		clientID  = fs.String("client", "cli", "client id for DARR claims")
 		seed      = fs.Int64("seed", 1, "search seed")
 		parallel  = fs.Int("parallelism", 0, "concurrent pipeline evaluations (0 = one per CPU)")
-		epochs    = fs.Int("epochs", seriesEpochs, "network epochs (timeseries graph)")
 		top       = fs.Int("top", 5, "pipelines to print")
 	)
 	ft := addFaultFlags(fs)
@@ -194,7 +186,7 @@ func runSearch(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		g, splitter, err = seriesSearch(ds, *k, *epochs, *seed)
+		g, splitter, err = seriesSearch(ds, *k, *seed)
 		if err != nil {
 			return err
 		}
@@ -262,15 +254,14 @@ func runSearch(ctx context.Context, args []string) error {
 	return nil
 }
 
-// seriesEpochs is the network epochs of a series search: search's
-// -epochs default, and what serve -key searches with.
+// seriesEpochs is the network epochs of a series search.
 const seriesEpochs = 20
 
 // seriesSearch is the graph and splitter a time series is searched with,
 // by search -synthetic timeseries and by serve -key: the slim Figure 11
 // graph and K sliding windows.
-func seriesSearch(ds *dataset.Dataset, k, epochs int, seed int64) (*core.Graph, crossval.Splitter, error) {
-	g, err := tsgraph.New(tsgraph.Config{History: 8, Epochs: epochs, Seed: seed, Slim: true})
+func seriesSearch(ds *dataset.Dataset, k int, seed int64) (*core.Graph, crossval.Splitter, error) {
+	g, err := tsgraph.New(tsgraph.Config{History: 8, Epochs: seriesEpochs, Seed: seed, Slim: true})
 	n := ds.NumSamples()
 	return g, crossval.SlidingSplit{K: k, TrainSize: n / 2, TestSize: n / 6, Buffer: 8}, err
 }
@@ -400,19 +391,16 @@ func runPull(ctx context.Context, args []string) error {
 }
 
 // faultFlags is the fault-tolerance flag surface shared by every
-// subcommand that talks to a remote server.
+// subcommand that talks to a remote server. Retries back off on retry's
+// fixed schedule.
 type faultFlags struct {
 	retries        *int
-	retryBackoff   *time.Duration
-	retryMax       *time.Duration
 	attemptTimeout *time.Duration
 }
 
 func addFaultFlags(fs *flag.FlagSet) *faultFlags {
 	return &faultFlags{
 		retries:        fs.Int("retries", retry.DefaultMaxAttempts, "max attempts per request (1 disables retrying)"),
-		retryBackoff:   fs.Duration("retry-backoff", retry.DefaultInitialBackoff, "initial retry backoff (grows exponentially with jitter)"),
-		retryMax:       fs.Duration("retry-max-backoff", retry.DefaultMaxBackoff, "retry backoff cap"),
 		attemptTimeout: fs.Duration("attempt-timeout", httpapi.DefaultPerAttemptTimeout, "per-attempt request timeout"),
 	}
 }
@@ -420,11 +408,6 @@ func addFaultFlags(fs *flag.FlagSet) *faultFlags {
 // client builds an httpapi.Client honoring the parsed flags.
 func (f *faultFlags) client(server, clientID string) *httpapi.Client {
 	c := httpapi.NewClient(server, clientID)
-	c.Retry = retry.Policy{
-		MaxAttempts:       *f.retries,
-		InitialBackoff:    *f.retryBackoff,
-		MaxBackoff:        *f.retryMax,
-		PerAttemptTimeout: *f.attemptTimeout,
-	}
+	c.Retry = retry.Policy{MaxAttempts: *f.retries, PerAttemptTimeout: *f.attemptTimeout}
 	return c
 }

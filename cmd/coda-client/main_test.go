@@ -124,8 +124,11 @@ func TestScoreAnswersDuringSwap(t *testing.T) {
 // TestServeTriggerNeedsKey: a re-search trigger follows an object on the
 // home store, so serve refuses one without -key and says so.
 func TestServeTriggerNeedsKey(t *testing.T) {
-	for _, name := range []string{"-recompute-every", "-recompute-bytes"} {
-		err := runServe(context.Background(), []string{name, "1"})
+	ctx := context.Background()
+	for name, err := range map[string]error{
+		"-recompute-every": runServe(ctx, []string{"-recompute-every", "1"}),
+		"-recompute-bytes": runServe(ctx, []string{"-recompute-bytes", "1"}),
+	} {
 		if err == nil || !strings.Contains(err.Error(), "-key") {
 			t.Errorf("serve %s 1 without -key: %v; want an error naming -key", name, err)
 		}

@@ -226,7 +226,7 @@ func (a *seriesAnalytics) search(ctx context.Context) (*core.SearchResult, error
 	if err != nil {
 		return nil, fmt.Errorf("%q v%d is not a CSV series: %w", a.key, version, err)
 	}
-	g, splitter, err := seriesSearch(ds, a.k, seriesEpochs, a.opts.Seed)
+	g, splitter, err := seriesSearch(ds, a.k, a.opts.Seed)
 	if err != nil {
 		return nil, err
 	}

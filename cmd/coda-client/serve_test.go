@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"coda/internal/darr"
-	"coda/internal/faultinject"
 	"coda/internal/httpapi"
 	"coda/internal/replication"
 	"coda/internal/sim"
@@ -94,10 +93,9 @@ func TestServeExitsWithinBudget(t *testing.T) {
 				claimOne sync.Once
 			)
 			url, leases := homeServer(t, func(next http.Handler) http.Handler {
-				held := faultinject.NewHandler(next, faultinject.Config{DelayFraction: 1, Delay: time.Minute})
 				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					if tc.holdCancel && r.Method == http.MethodDelete && strings.HasPrefix(r.URL.Path, "/leases/") {
-						held.ServeHTTP(w, r)
+						<-r.Context().Done()
 						return
 					}
 					next.ServeHTTP(w, r)

@@ -26,7 +26,7 @@ func runSubscribe(ctx context.Context, args []string) error {
 		key      = fs.String("key", "", "object key to watch")
 		clientID = fs.String("client", "cli", "client id on the lease")
 		mode     = fs.String("mode", "notify", "push mode: value | delta | notify")
-		ttl      = fs.Duration("ttl", time.Minute, "lease duration (auto-renewed at half-life)")
+		ttl      = fs.Duration("ttl", time.Minute, "lease duration asked for (auto-renewed at half the granted TTL)")
 		count    = fs.Int("count", 0, "exit after this many update frames (0 = run until interrupted)")
 		poll     = fs.Bool("poll", false, "long-poll instead of streaming over SSE")
 	)
@@ -40,6 +40,9 @@ func runSubscribe(ctx context.Context, args []string) error {
 	}
 	if *server == "" || *key == "" {
 		return fmt.Errorf("subscribe needs -server and -key")
+	}
+	if *ttl <= 0 {
+		return fmt.Errorf("subscribe: -ttl must be positive, got %v", *ttl)
 	}
 	c := ft.client(*server, *clientID)
 	rep := store.NewReplica()
@@ -86,8 +89,9 @@ type lease struct {
 
 // openLease seeds rep with key's current version, when the object exists,
 // and takes a mode lease on key from that version, so frames are changes
-// past what rep holds. The lease is renewed at half-life until close.
-// Frames published before follow starts wait for it on the server.
+// past what rep holds. The lease is renewed until close at half the TTL
+// the server granted, which caps what ttl asks for. Frames published
+// before follow starts wait for it on the server.
 func openLease(ctx context.Context, c *httpapi.Client, rep *store.Replica, key, mode string, ttl time.Duration) (*lease, error) {
 	// A missing object is followed from version 0.
 	_ = c.PullObject(ctx, rep, key)
@@ -95,11 +99,12 @@ func openLease(ctx context.Context, c *httpapi.Client, rep *store.Replica, key, 
 	if err != nil {
 		return nil, err
 	}
+	granted := time.Duration(info.TTLSeconds * float64(time.Second))
 	fmt.Printf("lease %s on %q mode=%s ttl=%s current_version=%d\n",
-		info.LeaseID, key, info.Mode, ttl, info.CurrentVersion)
+		info.LeaseID, key, info.Mode, granted, info.CurrentVersion)
 	renewCtx, stop := context.WithCancel(ctx)
 	go func() {
-		t := time.NewTicker(ttl / 2)
+		t := time.NewTicker(max(granted/2, time.Millisecond))
 		defer t.Stop()
 		for {
 			select {

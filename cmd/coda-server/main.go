@@ -16,15 +16,16 @@
 // live state, not full history:
 //
 //	coda-server -addr :8080 -store-backend log:/var/lib/coda/store \
-//	    -darr-backend bolt:/var/lib/coda/darr -persist-compact 5m -store-shards 32
+//	    -darr-backend bolt:/var/lib/coda/darr -persist-compact 5m
 //
 // Real-time push (Section III's lease-based subscriptions): POST /leases
 // grants a lease on an object, GET /leases/{id}/stream serves coalesced
 // update frames as Server-Sent Events (GET /leases/{id}/poll long-polls
 // instead), and object PUTs fan out through a bounded worker pool so a
-// slow subscriber never stalls a writer:
+// slow subscriber never stalls a writer. Expired leases on idle objects
+// are swept every leaseSweep:
 //
-//	coda-server -addr :8080 -fanout-workers 16 -notify-coalesce 100ms -lease-sweep 30s
+//	coda-server -addr :8080 -fanout-workers 16 -notify-coalesce 100ms
 //
 // Observability: structured logs go to stderr (-log-level debug shows
 // per-request lines with X-Coda-Request-Id), /metrics serves a
@@ -33,13 +34,6 @@
 // same scrape on a separate listener:
 //
 //	coda-server -addr :8080 -log-level debug -log-format json -debug-addr :6060
-//
-// For resilience drills against real clients, -chaos injects faults into
-// a fraction of requests (dropped connections, 500s, delays) so the
-// client-side retry/backoff and the search's local degrade can be
-// exercised end-to-end:
-//
-//	coda-server -addr :8080 -chaos 0.3 -chaos-seed 7
 package main
 
 import (
@@ -61,32 +55,28 @@ import (
 	_ "coda/internal/core"
 
 	"coda/internal/darr"
-	"coda/internal/faultinject"
 	"coda/internal/httpapi"
 	"coda/internal/obs"
-	"coda/internal/obs/trace"
 	"coda/internal/replication"
 	"coda/internal/store"
 )
+
+// leaseSweep is how often expired leases on idle objects are pruned.
+const leaseSweep = 30 * time.Second
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		claimTTL = flag.Duration("claim-ttl", time.Minute, "DARR work-claim expiry")
 		retain   = flag.Int("retain", 4, "object versions retained for delta bases")
-		block    = flag.Int("block", 64, "delta block size in bytes")
-		fullFrac = flag.Float64("full-fraction", 0.5, "send delta only when smaller than this fraction of the full object")
 
 		storeBackend = flag.String("store-backend", "mem:", "object-store persistence DSN: mem:, log:<dir> or bolt:<dir>")
-		storeShards  = flag.Int("store-shards", 0, "lock shards in the object store (0 = default 16)")
 
 		darrBackend    = flag.String("darr-backend", "mem:", "DARR persistence DSN: mem:, log:<dir> or bolt:<dir>; durable backends replay records and claims at boot")
 		persistCompact = flag.Duration("persist-compact", 0, "run backend compaction this often (0 disables; durable backends only)")
 
 		fanoutWorkers  = flag.Int("fanout-workers", 8, "lease fanout worker pool size (0 disables the push serving tier)")
 		notifyCoalesce = flag.Duration("notify-coalesce", 50*time.Millisecond, "minimum gap between pushes to one lease; publishes inside the window merge into one frame")
-		leaseSweep     = flag.Duration("lease-sweep", 30*time.Second, "how often expired leases on idle objects are pruned")
-		leaseMaxTTL    = flag.Duration("lease-max-ttl", time.Hour, "ceiling on requested lease durations")
 
 		readTimeout  = flag.Duration("read-timeout", httpapi.DefaultReadTimeout, "per-request read timeout")
 		writeTimeout = flag.Duration("write-timeout", httpapi.DefaultWriteTimeout, "per-request write timeout")
@@ -95,12 +85,6 @@ func main() {
 		logLevel  = flag.String("log-level", "info", "log level: debug|info|warn|error (debug logs every request)")
 		logFormat = flag.String("log-format", "text", "log format: text|json")
 		debugAddr = flag.String("debug-addr", "", "optional listener for net/http/pprof, /metrics, /healthz and /debug/traces (e.g. :6060)")
-
-		traceRing = flag.Int("trace-ring", trace.DefaultCapacity, "completed traces retained for /debug/traces")
-
-		chaos      = flag.Float64("chaos", 0, "fraction of requests to fault-inject (0 disables; split evenly between drops and 500s)")
-		chaosDelay = flag.Duration("chaos-delay", 0, "also delay this long on a chaos-sized fraction of requests")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for the deterministic chaos pattern")
 	)
 	flag.Parse()
 
@@ -109,10 +93,6 @@ func main() {
 		os.Exit(2)
 	}
 	logger := slog.Default()
-
-	if *traceRing != trace.DefaultCapacity {
-		trace.SetDefaultRecorder(trace.NewRecorder(*traceRing))
-	}
 
 	// "mem:" opens no KV, so the repo and store are memory-only and there
 	// is nothing to report as recovered.
@@ -127,8 +107,7 @@ func main() {
 	}
 	defer repo.Close()
 
-	storeOpts := store.Options{Retain: *retain, BlockSize: *block, FullFraction: *fullFrac, Shards: *storeShards}
-	st, err := store.OpenDSN(*storeBackend, storeOpts)
+	st, err := store.OpenDSN(*storeBackend, store.Options{Retain: *retain})
 	if err != nil {
 		logger.Error("opening object store", "dsn", *storeBackend, "err", err)
 		os.Exit(1)
@@ -163,29 +142,12 @@ func main() {
 		leases := replication.NewManagerWith(hs, nil, replication.Config{
 			Workers:        *fanoutWorkers,
 			CoalesceWindow: *notifyCoalesce,
-			SweepInterval:  *leaseSweep,
+			SweepInterval:  leaseSweep,
 		})
 		defer leases.Close()
-		api.MaxLeaseTTL = *leaseMaxTTL
 		api.EnableLeases(leases)
 		logger.Info("push serving tier enabled",
-			"workers", *fanoutWorkers, "coalesce", *notifyCoalesce, "sweep", *leaseSweep)
-	}
-	var handler http.Handler = api
-
-	if *chaos > 0 {
-		cfg := faultinject.Config{
-			Seed:          *chaosSeed,
-			DropFraction:  *chaos / 2,
-			ErrorFraction: *chaos / 2,
-			Delay:         *chaosDelay,
-		}
-		if *chaosDelay > 0 {
-			cfg.DelayFraction = *chaos
-		}
-		handler = faultinject.NewHandler(handler, cfg)
-		logger.Warn("CHAOS MODE: injecting faults",
-			"fraction", *chaos, "seed", *chaosSeed, "delay", *chaosDelay)
+			"workers", *fanoutWorkers, "coalesce", *notifyCoalesce, "sweep", leaseSweep)
 	}
 
 	if *debugAddr != "" {
@@ -196,7 +158,7 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Handler: handler,
+		Handler: api,
 		// The header deadline is stated rather than inherited from
 		// ReadTimeout, so it holds if the body's is ever relaxed.
 		ReadHeaderTimeout: *readTimeout,

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,6 +21,9 @@ import (
 var testOnlyAPI = map[string]string{
 	"faultinject.Transport":            "the httpapi and replication fault tests wrap their clients in it",
 	"faultinject.NewTransport":         "the httpapi and replication fault tests wrap their clients in it",
+	"faultinject.Config":               "NewTransport's argument",
+	"faultinject.Counts":               "Transport.Counts' result",
+	"obs/trace.SetDefaultRecorder":     "the core and httpapi tests swap in a ring of their own",
 	"core.UnitKey":                     "tests in core, darr, httpapi and the root package name DARR keys with it",
 	"dataset.MakeClassification":       "the mlmodels and core tests draw their classification sets from it",
 	"dataset.ClassificationSpec":       "MakeClassification's argument",
@@ -87,6 +91,22 @@ func loadProgram(t *testing.T, root, module string, dirs ...string) *program {
 		}
 	}
 	return p
+}
+
+var (
+	shippedOnce sync.Once
+	shipped     *program
+)
+
+// shippedProgram is the module's shipped code, bench/e2e included, loaded
+// once for every gate that reads it.
+func shippedProgram(t *testing.T) *program {
+	t.Helper()
+	shippedOnce.Do(func() { shipped = loadProgram(t, ".", "coda", ".", filepath.Join("bench", "e2e")) })
+	if shipped == nil {
+		t.Fatal("the shipped program did not load")
+	}
+	return shipped
 }
 
 func (p *program) Import(path string) (*types.Package, error) {
@@ -359,7 +379,7 @@ func receiverKey(obj types.Object) string {
 // unless testOnlyAPI names it with a reason; an allowlist entry that is
 // reachable or no longer declared fails too.
 func TestEveryExportHasACaller(t *testing.T) {
-	p := loadProgram(t, ".", "coda", ".", filepath.Join("bench", "e2e"))
+	p := shippedProgram(t)
 	live, decls := p.reachable()
 	if len(live) == 0 || len(decls) == 0 {
 		t.Fatalf("%d of %d internal/ declarations reachable: the walk reads nothing", len(live), len(decls))

@@ -126,7 +126,7 @@ func TestEveryFamilyMoves(t *testing.T) {
 	// it is dropped; a lossy link retries.
 	dead := httpapi.NewClient(ts.URL, "families-dead")
 	dead.HTTP = &http.Client{Transport: faultinject.NewTransport(nil, faultinject.Config{Seed: 1, DropFraction: 1})}
-	dead.Retry = retry.Policy{MaxAttempts: 2, InitialBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	dead.Retry = retry.Policy{MaxAttempts: 2, Sleep: func(ctx context.Context, _ time.Duration) error { return ctx.Err() }}
 	if res := search(dead); res.Degraded != 2 {
 		t.Fatalf("search against a dead server degraded %d units, want 2", res.Degraded)
 	}

@@ -2,8 +2,6 @@ package core_test
 
 import (
 	"context"
-	"io"
-	"log/slog"
 	"math/rand"
 	"runtime/debug"
 	"slices"
@@ -31,7 +29,6 @@ func obsSearch(tb testing.TB) func() {
 		tb.Fatal(err)
 	}
 	scorer, _ := metrics.ScorerByName("rmse")
-	discard := slog.New(slog.NewTextHandler(io.Discard, nil))
 	return func() {
 		g := core.NewGraph()
 		g.AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewNoOp())
@@ -41,7 +38,6 @@ func obsSearch(tb testing.TB) func() {
 			Scorer:      scorer,
 			Seed:        11,
 			Parallelism: 1,
-			Logger:      discard,
 		}); err != nil {
 			tb.Fatal(err)
 		}

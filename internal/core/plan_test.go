@@ -7,8 +7,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
 	"math"
 	"math/rand"
 	"os"
@@ -426,7 +424,6 @@ func TestSplitsFailureReleasesClaims(t *testing.T) {
 	opts.Splitter = countingSplitter{Splitter: opts.Splitter, calls: &calls, err: boom}
 	opts.ParamGrid = map[string][]float64{"knn__k": {3, 5, 7}}
 	opts.Parallelism = 2
-	opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	held := obs.GetGauge("coda_search_claims_held")
 	held0 := held.Value()
 	_, err := core.Search(context.Background(), fig3Graph(t), regDS(t, 60), opts)
@@ -477,7 +474,6 @@ func TestWarmSearchInstantiatesNothing(t *testing.T) {
 	opts := batchOpts(&darr.Client{Repo: repo, ClientID: "cold", Metric: "rmse"})
 	opts.ParamGrid = map[string][]float64{"knn__k": {3, 5, 7}}
 	opts.Parallelism = 1
-	opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	var splits atomic.Int64
 	opts.Splitter = countingSplitter{Splitter: opts.Splitter, calls: &splits}
 	cold, err := core.Search(context.Background(), graph(), ds, opts)

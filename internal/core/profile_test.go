@@ -2,8 +2,6 @@ package core_test
 
 import (
 	"context"
-	"io"
-	"log/slog"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -40,7 +38,6 @@ func profileSearch(t *testing.T) (core.SearchResult, time.Duration) {
 		Scorer:      scorer,
 		Seed:        7,
 		Parallelism: 2,
-		Logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	wall := time.Since(start)
 	if err != nil {

@@ -130,9 +130,6 @@ type SearchOptions struct {
 	//
 	// Deprecated: ignored.
 	SkipClaimed bool
-	// Logger receives structured search telemetry (completion summary at
-	// debug, degradation warnings). Nil uses slog.Default().
-	Logger *slog.Logger
 }
 
 // UnitResult is the outcome of evaluating one (path, parameter set) unit.
@@ -243,9 +240,6 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	}
 	if opts.Parallelism < 1 {
 		opts.Parallelism = 1
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
 	}
 	// The root span covers everything from unit planning to the final
 	// publish flush; its trace is what /debug/traces shows and what the
@@ -369,14 +363,14 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		}
 	}
 	flushPublishes(ctx, opts)
-	opts.Logger.Debug("search complete",
+	slog.Debug("search complete",
 		"request_id", obs.RequestID(ctx), "dataset_fp", fp, "units", len(results),
 		"parallelism", opts.Parallelism,
 		"computed", res.Computed, "cache_hits", res.CacheHits,
 		"skipped", res.Skipped, "failed", failed, "degraded", res.Degraded,
 		"prefix_hits", res.Prefix.Hits, "prefix_misses", res.Prefix.Misses)
 	if res.Degraded > 0 {
-		opts.Logger.Warn("search degraded: result store unavailable for some units",
+		slog.Warn("search degraded: result store unavailable for some units",
 			"request_id", obs.RequestID(ctx), "degraded", res.Degraded, "units", len(results))
 	}
 	if searchSpan != nil {
@@ -393,7 +387,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 			for comp, h := range mCritPath {
 				h.Observe(prof.Component(comp).Seconds())
 			}
-			opts.Logger.Debug("search critical path",
+			slog.Debug("search critical path",
 				"request_id", obs.RequestID(ctx), "trace_id", searchSpan.TraceID().String(),
 				"total", res.Profile.Total, "compute", res.Profile.Compute,
 				"darr_wait", res.Profile.DARRWait, "store_wait", res.Profile.StoreWait,
@@ -436,7 +430,7 @@ func flushPublishes(ctx context.Context, opts SearchOptions) {
 	fsp.SetComponent(trace.CompDARRWait)
 	if err := f.Flush(fctx); err != nil {
 		fsp.SetAttr(trace.String("error", err.Error()))
-		opts.Logger.Warn("search publish flush failed",
+		slog.Warn("search publish flush failed",
 			"request_id", obs.RequestID(ctx), "err", err)
 	}
 	fsp.End()

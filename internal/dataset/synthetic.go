@@ -13,7 +13,6 @@ type RegressionSpec struct {
 	Features    int     // total feature columns
 	Informative int     // features that influence Y (<= Features)
 	Noise       float64 // stddev of Gaussian noise added to Y
-	Bias        float64 // constant added to Y
 }
 
 // MakeRegression generates a linear regression problem in the style of
@@ -36,7 +35,7 @@ func MakeRegression(spec RegressionSpec, rng *rand.Rand) (*Dataset, []float64, e
 	y := make([]float64, spec.Samples)
 	for i := 0; i < spec.Samples; i++ {
 		row := x.Row(i)
-		s := spec.Bias
+		s := 0.0
 		for j := range row {
 			v := rng.NormFloat64()
 			row[j] = v

@@ -1,8 +1,8 @@
 // Package faultinject simulates the unreliable wide-area network between
 // Figure 1's client nodes and cloud servers: an http.RoundTripper wrapper
-// (and a matching server-side middleware) that drops, delays, or answers
-// 500 to a configurable fraction of requests, driven deterministically
-// from a seed so failing runs replay exactly.
+// that drops, delays, or answers 500 to a configurable fraction of
+// requests, driven deterministically from a seed so failing runs replay
+// exactly.
 //
 // Tests wrap a client's transport with 30% loss and assert that the
 // retry layer still completes cooperative searches and replication with
@@ -39,25 +39,9 @@ type Config struct {
 	Delay time.Duration
 }
 
-// Counts reports what a Transport or Handler has done so far.
+// Counts reports what a Transport has done so far.
 type Counts struct {
 	Total, Dropped, Errored, Delayed int
-}
-
-// decider is the shared seeded coin shared by Transport and Handler.
-type decider struct {
-	cfg Config
-
-	mu     sync.Mutex
-	rng    *rand.Rand
-	counts Counts
-}
-
-func newDecider(cfg Config) *decider {
-	if cfg.Delay <= 0 {
-		cfg.Delay = 10 * time.Millisecond
-	}
-	return &decider{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 type verdict int
@@ -69,30 +53,24 @@ const (
 	delay
 )
 
-func (d *decider) decide() verdict {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.counts.Total++
-	u := d.rng.Float64()
+func (t *Transport) decide() verdict {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.counts.Total++
+	u := t.rng.Float64()
 	switch {
-	case u < d.cfg.DropFraction:
-		d.counts.Dropped++
+	case u < t.cfg.DropFraction:
+		t.counts.Dropped++
 		return drop
-	case u < d.cfg.DropFraction+d.cfg.ErrorFraction:
-		d.counts.Errored++
+	case u < t.cfg.DropFraction+t.cfg.ErrorFraction:
+		t.counts.Errored++
 		return fail
-	case u < d.cfg.DropFraction+d.cfg.ErrorFraction+d.cfg.DelayFraction:
-		d.counts.Delayed++
+	case u < t.cfg.DropFraction+t.cfg.ErrorFraction+t.cfg.DelayFraction:
+		t.counts.Delayed++
 		return delay
 	default:
 		return pass
 	}
-}
-
-func (d *decider) snapshot() Counts {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.counts
 }
 
 // errReset mimics what the OS reports when the peer resets the
@@ -102,10 +80,14 @@ func errReset() error {
 }
 
 // Transport is a fault-injecting http.RoundTripper wrapper for the
-// client side of the WAN.
+// client side of the WAN: a seeded coin decides each request's fault.
 type Transport struct {
 	base http.RoundTripper
-	d    *decider
+	cfg  Config
+
+	mu     sync.Mutex
+	rng    *rand.Rand
+	counts Counts
 }
 
 // NewTransport wraps base (nil means http.DefaultTransport).
@@ -113,15 +95,22 @@ func NewTransport(base http.RoundTripper, cfg Config) *Transport {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return &Transport{base: base, d: newDecider(cfg)}
+	if cfg.Delay <= 0 {
+		cfg.Delay = 10 * time.Millisecond
+	}
+	return &Transport{base: base, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Counts returns a snapshot of the injected-fault counters.
-func (t *Transport) Counts() Counts { return t.d.snapshot() }
+func (t *Transport) Counts() Counts {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.counts
+}
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	switch t.d.decide() {
+	switch t.decide() {
 	case drop:
 		drainBody(req)
 		return nil, errReset()
@@ -129,7 +118,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		drainBody(req)
 		return synthetic500(req), nil
 	case delay:
-		if err := holdFor(req.Context(), t.d.cfg.Delay); err != nil {
+		if err := holdFor(req.Context(), t.cfg.Delay); err != nil {
 			drainBody(req)
 			return nil, err
 		}
@@ -168,36 +157,4 @@ func synthetic500(req *http.Request) *http.Response {
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}
-}
-
-// Handler is the server-side twin: chaos middleware for coda-server's
-// -chaos flag, used in resilience drills against real clients. Dropped
-// requests abort the connection mid-response (the client sees a reset),
-// errored ones answer 500.
-type Handler struct {
-	next http.Handler
-	d    *decider
-}
-
-// NewHandler wraps next with fault injection.
-func NewHandler(next http.Handler, cfg Config) *Handler {
-	return &Handler{next: next, d: newDecider(cfg)}
-}
-
-// ServeHTTP implements http.Handler.
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch h.d.decide() {
-	case drop:
-		// Abort the connection without a response; net/http turns this
-		// panic into a closed connection, not a crash.
-		panic(http.ErrAbortHandler)
-	case fail:
-		http.Error(w, `{"error":"faultinject: injected server error"}`, http.StatusInternalServerError)
-		return
-	case delay:
-		if err := holdFor(r.Context(), h.d.cfg.Delay); err != nil {
-			return
-		}
-	}
-	h.next.ServeHTTP(w, r)
 }

@@ -21,8 +21,11 @@ import (
 	"coda/internal/store"
 )
 
+// noWait is a retry clock that retries at once.
+func noWait(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+
 // newFaultyClient builds a server plus a client whose transport injects
-// the given faults, with a fast retry schedule suitable for tests.
+// the given faults, retrying without waiting.
 func newFaultyClient(t *testing.T, cfg faultinject.Config) (*Client, *faultinject.Transport, *darr.Repo) {
 	t.Helper()
 	repo := darr.NewRepo(nil, time.Minute)
@@ -32,11 +35,7 @@ func newFaultyClient(t *testing.T, cfg faultinject.Config) (*Client, *faultinjec
 	tr := faultinject.NewTransport(nil, cfg)
 	c := NewClient(ts.URL, "faulty-client")
 	c.HTTP = &http.Client{Transport: tr, Timeout: 10 * time.Second}
-	c.Retry = retry.Policy{
-		MaxAttempts:    8,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     10 * time.Millisecond,
-	}
+	c.Retry = retry.Policy{MaxAttempts: 8, Sleep: noWait}
 	return c, tr, repo
 }
 
@@ -177,7 +176,7 @@ func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 		c := NewClient(ts.URL, id)
 		c.Metric = "rmse"
 		c.HTTP = &http.Client{Transport: tr, Timeout: 10 * time.Second}
-		c.Retry = retry.Policy{MaxAttempts: 8, InitialBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}
+		c.Retry = retry.Policy{MaxAttempts: 8, Sleep: noWait}
 		o := opts
 		o.Store = c
 		return func() *core.SearchResult {
@@ -223,7 +222,7 @@ func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 func TestSearchDegradesWhenServerIsGone(t *testing.T) {
 	c, tr, _ := newFaultyClient(t, faultinject.Config{Seed: 5, DropFraction: 1.0})
 	c.Metric = "rmse"
-	c.Retry = retry.Policy{MaxAttempts: 2, InitialBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	c.Retry = retry.Policy{MaxAttempts: 2, Sleep: noWait}
 
 	rng := rand.New(rand.NewSource(3))
 	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 80, Features: 4, Informative: 2, Noise: 1}, rng)

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"cmp"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -303,23 +302,15 @@ func (s *Server) releaseMailbox(id string) {
 	}
 }
 
-// leaseTTL normalizes a requested TTL in seconds against the server's
-// default and ceiling. It clamps before converting: past ~9.2e9 s the
-// product overflows time.Duration.
-func (s *Server) leaseTTL(seconds float64) time.Duration {
-	limit := cmp.Or(max(s.MaxLeaseTTL, 0), DefaultMaxLeaseTTL)
-	ttl := time.Duration(min(seconds, limit.Seconds()) * float64(time.Second))
+// leaseTTL normalizes a requested TTL in seconds against the default and
+// the DefaultMaxLeaseTTL ceiling. It clamps before converting: past
+// ~9.2e9 s the product overflows time.Duration.
+func leaseTTL(seconds float64) time.Duration {
+	ttl := time.Duration(min(seconds, DefaultMaxLeaseTTL.Seconds()) * float64(time.Second))
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	return min(ttl, limit)
-}
-
-// heartbeat is the SSE keep-alive interval. One write to a lease stream
-// or poll may block for two of them: a reader slower than that is cut off
-// rather than holding its handler, and so Shutdown, indefinitely.
-func (s *Server) heartbeat() time.Duration {
-	return cmp.Or(max(s.StreamHeartbeat, 0), DefaultStreamHeartbeat)
+	return min(ttl, DefaultMaxLeaseTTL)
 }
 
 // leaseInfo snapshots a lease for wire replies.
@@ -364,7 +355,7 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	ttl := s.leaseTTL(req.TTLSeconds)
+	ttl := leaseTTL(req.TTLSeconds)
 	mb := newLeaseMailbox(mode)
 	l, err := s.Leases.Subscribe(req.Key, req.ClientID, mode, ttl, mb)
 	if err != nil {
@@ -413,7 +404,7 @@ func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
-		ttl := s.leaseTTL(req.TTLSeconds)
+		ttl := leaseTTL(req.TTLSeconds)
 		if err := s.Leases.Renew(l, ttl); err != nil {
 			s.writeError(w, r, http.StatusGone, err)
 			return
@@ -451,8 +442,7 @@ func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *re
 		return
 	}
 	rc := http.NewResponseController(w)
-	heartbeat := s.heartbeat()
-	writeBy := func() { _ = rc.SetWriteDeadline(time.Now().Add(2 * heartbeat)) }
+	writeBy := func() { _ = rc.SetWriteDeadline(time.Now().Add(2 * s.heartbeat)) }
 	writeBy()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
@@ -465,7 +455,7 @@ func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *re
 	}
 	flusher.Flush()
 
-	beat := time.NewTicker(heartbeat)
+	beat := time.NewTicker(s.heartbeat)
 	defer beat.Stop()
 	for {
 		// Drain the slot before sleeping: a frame may have landed between
@@ -530,7 +520,7 @@ func (s *Server) handleLeasePoll(w http.ResponseWriter, r *http.Request, l *repl
 	defer deadline.Stop()
 	for {
 		if f, ok := mb.take(); ok {
-			_ = rc.SetWriteDeadline(time.Now().Add(2 * s.heartbeat()))
+			_ = rc.SetWriteDeadline(time.Now().Add(2 * s.heartbeat))
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			_ = f.writeTo(w, "", "", l.ID, mb.mode) // a failed write is the client hanging up

@@ -30,7 +30,7 @@ func newLeaseServer(t *testing.T, cfg replication.Config) (*Client, *replication
 	m := replication.NewManagerWith(hs, nil, cfg)
 	t.Cleanup(m.Close)
 	srv := NewServer(darr.NewRepo(nil, time.Minute), hs)
-	srv.StreamHeartbeat = 50 * time.Millisecond
+	srv.heartbeat = 50 * time.Millisecond
 	srv.EnableLeases(m)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"coda/internal/delta"
 	"coda/internal/retry"
@@ -202,7 +201,7 @@ func TestPullRefusesAReplyWithoutItsKind(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	c := NewClient(ts.URL, "json-server")
-	c.Retry = retry.Policy{MaxAttempts: 4, InitialBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	c.Retry = retry.Policy{MaxAttempts: 4, Sleep: noWait}
 	err := c.PullObject(context.Background(), store.NewReplica(), "obj")
 	if err == nil || !strings.Contains(err.Error(), replyHeader) {
 		t.Fatalf("pull of a JSON reply: %v, want an error naming %s", err, replyHeader)
@@ -234,7 +233,7 @@ func TestPullReadsTheBodyByItsLength(t *testing.T) {
 		}))
 		t.Cleanup(ts.Close)
 		c := NewClient(ts.URL, "length")
-		c.Retry = retry.Policy{MaxAttempts: 4, InitialBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+		c.Retry = retry.Policy{MaxAttempts: 4, Sleep: noWait}
 		return c, &hits
 	}
 	ctx := context.Background()

@@ -84,7 +84,6 @@ func TestRequestIDInBothLogs(t *testing.T) {
 		Scorer:   scorer,
 		Seed:     5,
 		Store:    client,
-		Logger:   debugLogger(&clientLog),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -59,13 +59,6 @@ type Server struct {
 	// endpoints and routes object PUTs through its fanout so HTTP writes
 	// reach subscribers.
 	Leases *replication.Manager
-	// MaxLeaseTTL caps requested lease durations; <= 0 uses
-	// DefaultMaxLeaseTTL.
-	MaxLeaseTTL time.Duration
-	// StreamHeartbeat spaces the SSE keep-alive comments, and one write to
-	// a lease stream or poll may block for two of them; <= 0 uses
-	// DefaultStreamHeartbeat.
-	StreamHeartbeat time.Duration
 
 	mux    *http.ServeMux
 	health map[string]func() any
@@ -74,6 +67,11 @@ type Server struct {
 	// maxBatchKeys caps the keys/records of one batched DARR request
 	// (DefaultMaxBatchKeys, where clients cut their batches; tests lower it).
 	maxBatchKeys int
+	// heartbeat spaces the SSE keep-alive comments, and one write to a
+	// lease stream or poll may block for two of them: a reader slower than
+	// that is cut off rather than holding its handler, and so Shutdown,
+	// indefinitely (DefaultStreamHeartbeat; tests lower it).
+	heartbeat time.Duration
 
 	mbMu      sync.Mutex
 	mailboxes map[string]*leaseMailbox
@@ -102,7 +100,7 @@ const (
 // NewServer builds the handler; either component may be nil to disable its
 // endpoints.
 func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
-	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxBodyBytes, maxBatchKeys: DefaultMaxBatchKeys}
+	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxBodyBytes, maxBatchKeys: DefaultMaxBatchKeys, heartbeat: DefaultStreamHeartbeat}
 	s.mux.Handle("/metrics", obs.MetricsHandler())
 	s.mux.Handle("/healthz", obs.HealthHandler(s.health))
 	s.mux.Handle("/debug/traces", trace.Handler())

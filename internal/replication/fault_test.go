@@ -26,11 +26,7 @@ func faultyHTTPClient(t *testing.T, hs store.ObjectStore, cfg faultinject.Config
 	tr := faultinject.NewTransport(nil, cfg)
 	c := httpapi.NewClient(ts.URL, "replica-client")
 	c.HTTP = &http.Client{Transport: tr, Timeout: 10 * time.Second}
-	c.Retry = retry.Policy{
-		MaxAttempts:    8,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     10 * time.Millisecond,
-	}
+	c.Retry = retry.Policy{MaxAttempts: 8, Sleep: func(ctx context.Context, _ time.Duration) error { return ctx.Err() }}
 	return c, tr
 }
 

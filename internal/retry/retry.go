@@ -33,45 +33,36 @@ var (
 	mBackoffSeconds = obs.GetHistogram("coda_retry_backoff_seconds", nil)
 )
 
-// Default policy values. The first three stand in for a zero Policy field.
-// Every backoff grows by DefaultMultiplier and is spread by ±DefaultJitter,
-// de-synchronizing clients that fail together.
+// The backoff schedule: InitialBackoff after the first failure, growing by
+// Multiplier up to MaxBackoff, each spread by ±Jitter, de-synchronizing
+// clients that fail together. DefaultMaxAttempts stands in for a zero
+// Policy.MaxAttempts.
 const (
-	DefaultMaxAttempts    = 4
-	DefaultInitialBackoff = 100 * time.Millisecond
-	DefaultMaxBackoff     = 5 * time.Second
-	DefaultMultiplier     = 2.0
-	DefaultJitter         = 0.2
+	DefaultMaxAttempts = 4
+	InitialBackoff     = 100 * time.Millisecond
+	MaxBackoff         = 5 * time.Second
+	Multiplier         = 2.0
+	Jitter             = 0.2
 )
 
-// Policy configures Do. The zero value is usable: every zero field takes
-// the package default, and there is no per-attempt timeout.
+// Policy configures Do. The zero value is usable: MaxAttempts takes
+// DefaultMaxAttempts, and there is no per-attempt timeout.
 type Policy struct {
 	// MaxAttempts bounds total tries, including the first (default 4).
 	// A value of 1 disables retrying.
 	MaxAttempts int
-	// InitialBackoff is the sleep after the first failure (default 100ms).
-	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 5s).
-	MaxBackoff time.Duration
 	// PerAttemptTimeout bounds each attempt with its own deadline, so one
 	// hung connection cannot eat the whole call budget. Zero means the
 	// attempt runs under the caller's context alone.
 	PerAttemptTimeout time.Duration
 	// Sleep is the backoff clock; nil uses a real timer. Tests inject a
-	// recorder to assert the schedule without waiting.
+	// recorder to assert the schedule, or a no-op to retry at once.
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = DefaultMaxAttempts
-	}
-	if p.InitialBackoff <= 0 {
-		p.InitialBackoff = DefaultInitialBackoff
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = DefaultMaxBackoff
 	}
 	if p.Sleep == nil {
 		p.Sleep = sleepCtx
@@ -90,30 +81,22 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Backoff returns the sleep before retry number `retry` (0-based), with
-// jitter applied. Exposed for tests and for simulated-network code that
-// wants the same schedule.
-func (p Policy) Backoff(retry int, rng *rand.Rand) time.Duration {
-	p = p.withDefaults()
-	d := float64(p.InitialBackoff)
-	for i := 0; i < retry; i++ {
-		d *= DefaultMultiplier
-		if d >= float64(p.MaxBackoff) {
-			d = float64(p.MaxBackoff)
-			break
-		}
+// backoff returns the sleep before retry number `retry` (0-based), with
+// jitter drawn from rng (the global source when nil).
+func backoff(retry int, rng *rand.Rand) time.Duration {
+	d := float64(InitialBackoff)
+	for i := 0; i < retry && d < float64(MaxBackoff); i++ {
+		d *= Multiplier
 	}
-	if d > float64(p.MaxBackoff) {
-		d = float64(p.MaxBackoff)
-	}
+	d = min(d, float64(MaxBackoff))
 	var u float64
 	if rng != nil {
 		u = rng.Float64()
 	} else {
 		u = rand.Float64()
 	}
-	// Spread uniformly over [1-DefaultJitter, 1+DefaultJitter].
-	d *= 1 + DefaultJitter*(2*u-1)
+	// Spread uniformly over [1-Jitter, 1+Jitter].
+	d *= 1 + Jitter*(2*u-1)
 	return time.Duration(d)
 }
 
@@ -126,14 +109,14 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 	var err error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			backoff := p.Backoff(attempt-1, nil)
+			wait := backoff(attempt-1, nil)
 			mRetries.Inc()
-			mBackoffSeconds.Observe(backoff.Seconds())
+			mBackoffSeconds.Observe(wait.Seconds())
 			// Retries annotate the surrounding call span, so a trace shows
 			// each backoff with its delay instead of a silent gap.
 			trace.AddEvent(ctx, "retry",
-				trace.Int("attempt", attempt+1), trace.Duration("backoff", backoff))
-			if serr := p.Sleep(ctx, backoff); serr != nil {
+				trace.Int("attempt", attempt+1), trace.Duration("backoff", wait))
+			if serr := p.Sleep(ctx, wait); serr != nil {
 				return serr
 			}
 		}

@@ -111,12 +111,11 @@ func TestDoPerAttemptTimeout(t *testing.T) {
 }
 
 func TestBackoffScheduleAndJitterBounds(t *testing.T) {
-	p := Policy{InitialBackoff: 100 * time.Millisecond, MaxBackoff: time.Second}
 	rng := rand.New(rand.NewSource(1))
-	nominal := []time.Duration{100, 200, 400, 800, 1000, 1000}
+	nominal := []time.Duration{100, 200, 400, 800, 1600, 3200, 5000, 5000}
 	for i, n := range nominal {
 		base := n * time.Millisecond
-		d := p.Backoff(i, rng)
+		d := backoff(i, rng)
 		lo := time.Duration(float64(base) * 0.8)
 		hi := time.Duration(float64(base) * 1.2)
 		if d < lo || d > hi {

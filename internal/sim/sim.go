@@ -182,12 +182,14 @@ func GenerateSeries(spec SeriesSpec, rng *rand.Rand) (*dataset.Dataset, error) {
 
 // FailureSpec configures GenerateFailureData.
 type FailureSpec struct {
-	Steps    int     // timestamps
-	Sensors  int     // sensor count (>= 2)
-	Failures int     // number of failure events to inject
-	LeadTime int     // degradation window length before each failure
-	Noise    float64 // sensor noise (default 0.2)
+	Steps    int // timestamps
+	Sensors  int // sensor count (>= 2)
+	Failures int // number of failure events to inject
+	LeadTime int // degradation window length before each failure
 }
+
+// failureNoise is the sensor noise stddev of GenerateFailureData.
+const failureNoise = 0.2
 
 // FailureData is labelled sensor history for failure-prediction analysis:
 // Series rows are sensor readings; Labels[t] == 1 when a failure occurs
@@ -209,16 +211,13 @@ func GenerateFailureData(spec FailureSpec, rng *rand.Rand) (*FailureData, error)
 	if spec.LeadTime <= 0 {
 		spec.LeadTime = 10
 	}
-	if spec.Noise == 0 {
-		spec.Noise = 0.2
-	}
 	if spec.Failures*(spec.LeadTime+5) > spec.Steps {
 		return nil, fmt.Errorf("sim: %d failures with lead %d do not fit in %d steps", spec.Failures, spec.LeadTime, spec.Steps)
 	}
 	x := matrix.New(spec.Steps, spec.Sensors)
 	for t := 0; t < spec.Steps; t++ {
 		for j := 0; j < spec.Sensors; j++ {
-			x.Set(t, j, spec.Noise*rng.NormFloat64())
+			x.Set(t, j, failureNoise*rng.NormFloat64())
 		}
 	}
 	// Place failures roughly evenly with jitter.

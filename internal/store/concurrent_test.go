@@ -15,10 +15,10 @@ import (
 func TestConcurrentMixedWorkload(t *testing.T) {
 	backends := map[string]func(t *testing.T) *HomeStore{
 		"mem": func(t *testing.T) *HomeStore {
-			return NewHomeStore(Options{Retain: 4, BlockSize: 64, Shards: 8})
+			return NewHomeStore(Options{Retain: 4, BlockSize: 64, shards: 8})
 		},
 		"log": func(t *testing.T) *HomeStore {
-			return mustOpenDSN(t, "log:"+t.TempDir(), Options{Retain: 4, BlockSize: 64, Shards: 8})
+			return mustOpenDSN(t, "log:"+t.TempDir(), Options{Retain: 4, BlockSize: 64, shards: 8})
 		},
 	}
 	for name, open := range backends {
@@ -250,7 +250,7 @@ func BenchmarkStoreConcurrent(b *testing.B) {
 	}
 
 	opts := func(shards int) Options {
-		return Options{Retain: 2, BlockSize: 64, Shards: shards}
+		return Options{Retain: 2, BlockSize: 64, shards: shards}
 	}
 
 	b.Run("baseline-mutex", func(b *testing.B) {

@@ -101,7 +101,7 @@ func NewKVBackend(kv persist.KV) persist.KV { return kv }
 // from kv, so they never replay again.
 func Open(opts Options, kv persist.KV) (*HomeStore, error) {
 	opts.setDefaults()
-	s := &HomeStore{opts: opts, kv: kv, shards: make([]*shard, opts.Shards)}
+	s := &HomeStore{opts: opts, kv: kv, shards: make([]*shard, opts.shards)}
 	for i := range s.shards {
 		s.shards[i] = &shard{objects: map[string]*object{}}
 	}

@@ -130,7 +130,7 @@ func wantBase(v2 []byte) []byte {
 
 // TestShardedKeysAndStats covers the cross-shard aggregation paths.
 func TestShardedKeysAndStats(t *testing.T) {
-	s := NewHomeStore(Options{Shards: 4})
+	s := NewHomeStore(Options{shards: 4})
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for _, k := range keys {
 		mustPut(t, s, k, []byte(k))

@@ -159,13 +159,21 @@ type Options struct {
 	// BlockSize is the delta block granularity (default delta.DefaultBlockSize).
 	BlockSize int
 	// FullFraction is the delta-vs-full threshold: a delta is sent only
-	// when its wire size is below FullFraction * len(full). Default 0.5,
-	// a conservative reading of "considerably smaller".
+	// when its wire size is below FullFraction * len(full) (default
+	// defaultFullFraction).
 	FullFraction float64
-	// Shards is the number of lock shards keys hash into (default 16).
+	// shards is the number of lock shards keys hash into (defaultShards;
+	// the concurrency tests and BenchmarkStoreConcurrent vary it).
 	// Operations on objects in different shards never contend on a lock.
-	Shards int
+	shards int
 }
+
+// A HomeStore's defaults: its lock shard count, and the delta-vs-full
+// threshold, a conservative reading of "considerably smaller".
+const (
+	defaultShards       = 16
+	defaultFullFraction = 0.5
+)
 
 func (o *Options) setDefaults() {
 	if o.Retain <= 0 {
@@ -175,9 +183,9 @@ func (o *Options) setDefaults() {
 		o.BlockSize = delta.DefaultBlockSize
 	}
 	if o.FullFraction <= 0 || o.FullFraction > 1 {
-		o.FullFraction = 0.5
+		o.FullFraction = defaultFullFraction
 	}
-	if o.Shards <= 0 {
-		o.Shards = 16
+	if o.shards <= 0 {
+		o.shards = defaultShards
 	}
 }

@@ -219,11 +219,11 @@ type AnomalyConfig struct {
 	// Threshold is the robust z-score above which a point is flagged
 	// (default 5).
 	Threshold float64
-	// Order is the AR order of the normal-behaviour model (default 4).
-	Order int
-	// Target is the monitored variable column (default 0).
-	Target int
 }
+
+// anomalyOrder is the AR order of AnomalyAnalysis's normal-behaviour
+// model, which predicts the series' first column, the monitored variable.
+const anomalyOrder = 4
 
 // AnomalyResult flags timestamps operating in an anomalous mode.
 type AnomalyResult struct {
@@ -239,17 +239,14 @@ func AnomalyAnalysis(series *dataset.Dataset, cfg AnomalyConfig) (*AnomalyResult
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 5
 	}
-	if cfg.Order <= 0 {
-		cfg.Order = 4
+	if series.NumFeatures() == 0 {
+		return nil, fmt.Errorf("templates: anomaly series has no columns to monitor")
 	}
-	if cfg.Target < 0 || cfg.Target >= series.NumFeatures() {
-		return nil, fmt.Errorf("templates: anomaly target %d out of range", cfg.Target)
-	}
-	view, err := tswindow.NewTSAsIs(1, cfg.Target).Transform(series)
+	view, err := tswindow.NewTSAsIs(1, 0).Transform(series)
 	if err != nil {
 		return nil, fmt.Errorf("templates: anomaly view: %w", err)
 	}
-	ar := mlmodels.NewARModel(cfg.Order, cfg.Target)
+	ar := mlmodels.NewARModel(anomalyOrder, 0)
 	if err := ar.Fit(view); err != nil {
 		return nil, fmt.Errorf("templates: anomaly AR model: %w", err)
 	}

@@ -128,10 +128,10 @@ func TestAnomalyAnalysisFindsInjectedSpikes(t *testing.T) {
 }
 
 func TestAnomalyAnalysisValidation(t *testing.T) {
-	x := matrix.New(50, 1)
+	x := matrix.New(50, 0)
 	series, _ := dataset.New(x, nil)
-	if _, err := AnomalyAnalysis(series, AnomalyConfig{Target: 5}); err == nil {
-		t.Fatal("want target range error")
+	if _, err := AnomalyAnalysis(series, AnomalyConfig{}); err == nil {
+		t.Fatal("want an error for a series with no column to monitor")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"net/http"
 	"os"
@@ -20,9 +21,15 @@ import (
 	"testing"
 	"time"
 
+	"coda/internal/core"
+	"coda/internal/crossval"
+	"coda/internal/dataset"
 	"coda/internal/httpapi"
+	"coda/internal/metrics"
+	"coda/internal/mlmodels"
 	"coda/internal/obs"
 	"coda/internal/obs/trace"
+	"coda/internal/preprocess"
 	"coda/internal/sim"
 )
 
@@ -146,14 +153,15 @@ func (p *proc) stop(t *testing.T) {
 	}
 }
 
-// smokeBins holds the two binaries under test, built from this checkout.
-type smokeBins struct{ server, client string }
+// smokeBins holds the binaries under test, built from this checkout.
+type smokeBins struct{ server, client, bench string }
 
 var (
 	serverListening = regexp.MustCompile(`msg="coda-server listening" addr=(\S+)`)
 	serveListening  = regexp.MustCompile(`(?m)^serving .* on (\S+)$`)
 	searchFinished  = regexp.MustCompile(`msg="cooperative search finished" request_id=(\S+) computed=(\d+) cache_hits=(\d+) skipped=0`)
 	unitsLine       = regexp.MustCompile(`(?m)^units: (\d+) computed, (\d+) from DARR, (\d+) skipped`)
+	fingerprintLine = regexp.MustCompile(`(?m)^dataset fingerprint: (\S+)$`)
 	bestFitted      = regexp.MustCompile(`msg="best pipeline fitted" request_id=\S+ spec="input -> [^"]+" duration=\S+`)
 )
 
@@ -175,13 +183,44 @@ func (b smokeBins) startServe(t *testing.T, args ...string) (*proc, string) {
 // run executes one coda-client command to completion and returns its stdout.
 func (b smokeBins) run(t *testing.T, args ...string) string {
 	t.Helper()
+	return runToEnd(t, b.client, args...)
+}
+
+// runBench executes coda-bench to completion and returns its stdout.
+func (b smokeBins) runBench(t *testing.T, args ...string) string {
+	t.Helper()
+	return runToEnd(t, b.bench, args...)
+}
+
+func runToEnd(t *testing.T, bin string, args ...string) string {
+	t.Helper()
 	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(b.client, args...)
+	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("coda-client %s: %v\n%s%s", strings.Join(args, " "), err, stdout.String(), stderr.String())
+		t.Fatalf("%s %s: %v\n%s%s", filepath.Base(bin), strings.Join(args, " "), err, stdout.String(), stderr.String())
 	}
 	return stdout.String()
+}
+
+// dirBytes is the size of the files under dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.WalkDir(dir, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err == nil {
+			n += info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func httpGet(t *testing.T, url string) string {
@@ -267,13 +306,76 @@ func TestSmoke(t *testing.T) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	bins := smokeBins{server: filepath.Join(dir, "coda-server"), client: filepath.Join(dir, "coda-client")}
+	bins := smokeBins{server: filepath.Join(dir, "coda-server"), client: filepath.Join(dir, "coda-client"), bench: filepath.Join(dir, "coda-bench")}
 
 	// Every flag the README and DESIGN show on a command line exists.
 	t.Run("DocFlags", func(t *testing.T) {
 		checkDocFlags(t, map[string]string{
-			"coda-server": bins.server, "coda-client": bins.client, "coda-bench": filepath.Join(dir, "coda-bench"),
+			"coda-server": bins.server, "coda-client": bins.client, "coda-bench": bins.bench,
 		})
+	})
+
+	// coda-bench lists the experiments and runs one by id.
+	t.Run("Bench", func(t *testing.T) {
+		list := bins.runBench(t, "-list")
+		for _, id := range []string{"T1", "F11", "S4"} {
+			if !regexp.MustCompile(`(?m)^` + id + ` +\S`).MatchString(list) {
+				t.Errorf("coda-bench -list lacks %s:\n%s", id, list)
+			}
+		}
+		if out := bins.runBench(t, "-exp", "F5", "-quick", "-seed", "2"); !regexp.MustCompile(`(?m)^\(F5 in \S+\)$`).MatchString(out) {
+			t.Errorf("coda-bench -exp F5 printed no F5 table:\n%s", out)
+		}
+	})
+
+	// A CSV file with a header row is search's real input: the command
+	// ranks what it read, and its winner is an in-process search's of the
+	// same graph on the same file.
+	t.Run("SearchCSV", func(t *testing.T) {
+		ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 120, Features: 4, Informative: 3, Noise: 2}, rand.New(rand.NewSource(5)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv bytes.Buffer
+		if err := ds.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "f.csv")
+		if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := bins.run(t, "search", "-data", path, "-target", "y", "-metric", "mae", "-k", "3", "-top", "2", "-seed", "3")
+		if n := len(regexp.MustCompile(`(?m)^ *\d+\. mae=`).FindAllString(out, -1)); n != 2 {
+			t.Errorf("search -top 2 printed %d ranked lines, want 2:\n%s", n, out)
+		}
+		read, err := dataset.ReadCSV(bytes.NewReader(csv.Bytes()), "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := core.NewGraph()
+		g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(), preprocess.NewStandardScaler(), preprocess.NewNoOp())
+		g.AddFeatureSelectors(
+			[]core.Transformer{preprocess.NewCovariance(), preprocess.NewPCA(3)},
+			[]core.Transformer{preprocess.NewSelectKBest(3)},
+			[]core.Transformer{preprocess.NewNoOp()},
+		)
+		g.AddRegressionModels(
+			mlmodels.NewRandomForest(mlmodels.TreeRegression, 30),
+			mlmodels.NewKNN(mlmodels.KNNRegression, 5),
+			mlmodels.NewDecisionTree(mlmodels.TreeRegression),
+			mlmodels.NewLinearRegression(),
+		)
+		scorer, err := metrics.ScorerByName("mae")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Search(context.Background(), g, read, core.SearchOptions{Splitter: crossval.KFold{K: 3, Shuffle: true}, Scorer: scorer, Seed: 3})
+		if err != nil || res.Best == nil {
+			t.Fatalf("in-process search: %v, best %v", err, res)
+		}
+		if want := fmt.Sprintf("best: %s (mae=%.5g)\n", res.Best.Spec, res.Best.Mean); !strings.Contains(out, want) {
+			t.Errorf("search -data printed\n%s\nwant the in-process winner %q", out, want)
+		}
 	})
 
 	// A search leaves a trace that says where its results came from: the
@@ -494,6 +596,48 @@ func TestSmoke(t *testing.T) {
 		server.stop(t)
 	})
 
+	// -persist-compact bounds a durable store's disk to its live versions:
+	// twenty versions of one object are appended to the log, the retain
+	// window deletes all but four, and the compaction ticker, not a
+	// restart, gives the space back: the directory falls below half of
+	// what was written, which a log that only appends never does. The
+	// latest version survives a restart byte for byte.
+	t.Run("PersistCompact", func(t *testing.T) {
+		work := t.TempDir()
+		storeDir := filepath.Join(work, "store")
+		boot := func() (*proc, string) {
+			return bins.startServer(t, "-store-backend", "log:"+storeDir, "-darr-backend", "log:"+filepath.Join(work, "darr"), "-persist-compact", "100ms")
+		}
+		server, url := boot()
+		c := httpapi.NewClient(url, "smoke-compact")
+		data := make([]byte, 64<<10)
+		rng := rand.New(rand.NewSource(3))
+		const versions = 20
+		for v := 0; v < versions; v++ {
+			rng.Read(data)
+			if _, err := c.PutObject(context.Background(), "smoke/compact", data); err != nil {
+				t.Fatalf("put %d: %v", v+1, err)
+			}
+		}
+		written := int64(versions * len(data))
+		for deadline := time.Now().Add(5 * time.Second); dirBytes(t, storeDir) >= written/2; time.Sleep(20 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("store directory still %d bytes 5s after %d were written: no compaction", dirBytes(t, storeDir), written)
+			}
+		}
+		server.stop(t)
+
+		server, url = boot()
+		pulled := filepath.Join(work, "pulled")
+		if out := bins.run(t, "pull", "-server", url, "-key", "smoke/compact", "-out", pulled); !strings.Contains(out, "version 20 ") {
+			t.Errorf("pull after the restart printed %q, want version 20", out)
+		}
+		if got, _ := os.ReadFile(pulled); !bytes.Equal(got, data) {
+			t.Error("pull after the restart returned different bytes from the last put")
+		}
+		server.stop(t)
+	})
+
 	// A published result survives a crash: the server dies by SIGKILL (no
 	// graceful flush), and after a restart a different client's search of
 	// the same data is answered from the replayed records alone.
@@ -506,11 +650,15 @@ func TestSmoke(t *testing.T) {
 		if !strings.Contains(httpGet(t, url+"/healthz"), `"backend":"log"`) {
 			t.Errorf("healthz does not name the DARR backend")
 		}
+		var fingerprint string
 		search := func(client string) (computed, hits, skipped string) {
-			m := unitsLine.FindStringSubmatch(bins.run(t, "search", "-synthetic", "regression", "-server", url, "-client", client))
-			if m == nil {
-				t.Fatalf("search as %s printed no units line", client)
+			out := bins.run(t, "search", "-synthetic", "regression", "-server", url, "-client", client)
+			m := unitsLine.FindStringSubmatch(out)
+			f := fingerprintLine.FindStringSubmatch(out)
+			if m == nil || f == nil {
+				t.Fatalf("search as %s printed no units or fingerprint line:\n%s", client, out)
 			}
+			fingerprint = f[1]
 			return m[1], m[2], m[3]
 		}
 		if c, h, s := search("smoke-a"); c != strconv.Itoa(smokeUnits) || h != "0" || s != "0" {
@@ -534,6 +682,11 @@ func TestSmoke(t *testing.T) {
 		sc := scrape(t, url)
 		if hits := metric(sc, "coda_darr_hits_total"); hits != smokeUnits {
 			t.Errorf("coda_darr_hits_total = %v after the restart, want %d", hits, smokeUnits)
+		}
+		// Every replayed record is smoke-a's, found by the data's fingerprint.
+		out := bins.run(t, "query", "-server", url, "-fingerprint", fingerprint)
+		if want := fmt.Sprintf("%d records for dataset %s\n", smokeUnits, fingerprint); !strings.HasPrefix(out, want) || strings.Count(out, " by smoke-a: ") != smokeUnits {
+			t.Errorf("query -fingerprint printed\n%s\nwant %q and one smoke-a line per unit", out, want)
 		}
 		server.stop(t)
 	})
@@ -743,11 +896,12 @@ func TestSmoke(t *testing.T) {
 			t.Errorf("coda_replication_push_errors_total = %v, want 0", errs)
 		}
 
-		// The CLI subscriber: two frames end to end, exit 0, lease cancelled.
-		sub := start(t, bins.client, "subscribe", "-server", url, "-key", "smoke/push", "-client", "smoke-cli", "-count", "2")
-		sub.await(t, &sub.stdout, regexp.MustCompile(`(?m)^lease \S+ on "smoke/push"`))
+		// The CLI subscriber on a delta lease: two frames end to end, each
+		// applied to its replica, exit 0, lease cancelled.
+		sub := start(t, bins.client, "subscribe", "-server", url, "-key", "smoke/push", "-client", "smoke-cli", "-mode", "delta", "-count", "2")
+		sub.await(t, &sub.stdout, regexp.MustCompile(`(?m)^lease \S+ on "smoke/push" mode=delta`))
 		put(version + 1)
-		sub.await(t, &sub.stdout, regexp.MustCompile(`(?m)^notify "smoke/push"`))
+		sub.await(t, &sub.stdout, regexp.MustCompile(fmt.Sprintf(`(?m)^update "smoke/push" v%d \((delta|full), .* object now %d bytes\)$`, version+1, len(fmt.Sprintf("v%d-data", version+1)))))
 		put(version + 2)
 		select {
 		case <-sub.exited:
