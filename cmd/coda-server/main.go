@@ -166,6 +166,10 @@ func main() {
 		WriteTimeout:      *writeTimeout,
 		IdleTimeout:       *idleTimeout,
 	}
+	// Shutdown waits for running handlers but does not end them: a parked
+	// DARR wait or lease poll, or an open lease stream, would hold the
+	// exit for its whole budget.
+	srv.RegisterOnShutdown(api.EndLongPolls)
 	// Bind first, so the line reports the address actually bound (-addr
 	// 127.0.0.1:0 lets the kernel pick a free port).
 	ln, err := net.Listen("tcp", *addr)

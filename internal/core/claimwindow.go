@@ -22,9 +22,12 @@ var (
 const claimAhead = 2
 
 // recheckInterval is how long a search waits on the keys a peer holds when
-// its store cannot say when they change (no Waiter). It is the HTTP
-// client's publish flush interval, so a peer's queued result is visible by
-// the first re-check.
+// its store cannot say when they change: a store that is no Waiter (a
+// decorator that forwards only the ResultStore methods), or a Wait that
+// failed this round (a remote one whose retries ran out, or a server
+// without the wait route). It equals the HTTP publish queue's flush
+// interval, so a result a peer has queued is visible by the first
+// re-check.
 const recheckInterval = 250 * time.Millisecond
 
 // unitPlan is what the dispatcher knows about a unit: the first two while
@@ -263,14 +266,20 @@ func (w *claimWindow) settleDeferred(ctx context.Context) {
 }
 
 // wait blocks until a peer may have settled one of keys: through the
-// store's Wait, or for recheckInterval. It reports false when ctx ended
-// first.
+// store's Wait, or for recheckInterval when the store has none or its Wait
+// failed. It reports false when ctx ended first.
 func (w *claimWindow) wait(ctx context.Context, keys []string) bool {
 	wctx, sp := trace.Start(ctx, "search.wait", trace.Int("keys", len(keys)))
 	sp.SetComponent(trace.CompDARRWait)
 	defer sp.End()
 	if s, ok := w.opts.Store.(Waiter); ok {
-		return s.Wait(wctx, keys) == nil && ctx.Err() == nil
+		err := s.Wait(wctx, keys)
+		if err == nil || ctx.Err() != nil {
+			return ctx.Err() == nil
+		}
+		// A failed Wait is not the search giving up: the units are still
+		// a peer's to settle, so this round waits on the timer.
+		sp.SetAttr(trace.String("error", err.Error()))
 	}
 	select {
 	case <-ctx.Done():

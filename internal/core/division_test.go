@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -339,13 +341,43 @@ func countSpans(t *testing.T, rec *trace.Recorder, root, name string) []int {
 	return counts
 }
 
+// timedPublisher is a client's HTTP store that notes when each Publish
+// returned.
+type timedPublisher struct {
+	*httpapi.Client
+	last atomic.Int64 // Unix ns of the latest Publish's return
+}
+
+func (p *timedPublisher) Publish(ctx context.Context, key string, score float64, explanation string) error {
+	err := p.Client.Publish(ctx, key, score, explanation)
+	p.last.Store(time.Now().UnixNano())
+	return err
+}
+
+// noWait hides a store's Wait, as a decorator that forwards only the
+// ResultStore and Flusher methods does: a search over it re-checks on its
+// timer.
+type noWait struct {
+	core.ResultStore
+	core.Flusher
+}
+
 // TestSearchFinishesWhatItJoined: a client that joins while a peer holds
-// claims defers those units and, its HTTP store having no Wait, looks them
-// up again every RecheckInterval until the peer has published them. One
-// search call each, both clients end with the whole table and the same
-// winner. The first client's fold fits are held until the joiner's lookup
-// over the deferred keys has been answered, so the joiner must wait.
+// claims defers those units and waits until the peer has published them.
+// Its HTTP store is a Waiter, so it ends within a few ms of the peer's
+// last publish; behind a store that hides Wait, it looks them up again
+// every RecheckInterval instead. One search call each, both clients end
+// with the whole table and the same winner. The first client's fold fits
+// are held until the joiner's lookup over the deferred keys has been
+// answered, so the joiner must wait.
 func TestSearchFinishesWhatItJoined(t *testing.T) {
+	for _, hide := range []bool{false, true} {
+		name := map[bool]string{false: "wait", true: "timer"}[hide]
+		t.Run(name, func(t *testing.T) { searchFinishesWhatItJoined(t, hide) })
+	}
+}
+
+func searchFinishesWhatItJoined(t *testing.T, hideWait bool) {
 	ds := regDS(t, 80)
 	ts := httptest.NewServer(httpapi.NewServer(darr.NewRepo(nil, time.Minute), nil))
 	defer ts.Close()
@@ -356,7 +388,8 @@ func TestSearchFinishesWhatItJoined(t *testing.T) {
 	}
 	firstHolds := make(chan struct{})   // the first client has been granted its window
 	joinerLooked := make(chan struct{}) // the joiner has looked the deferred keys up
-	first := batchOpts(client("first"))
+	publisher := &timedPublisher{Client: client("first")}
+	first := batchOpts(publisher)
 	first.Parallelism = 1
 	var once sync.Once
 	base := first.Scorer.Fn
@@ -365,11 +398,16 @@ func TestSearchFinishesWhatItJoined(t *testing.T) {
 		<-joinerLooked
 		return base(y, yhat)
 	}
-	joiner := batchOpts(&joinerStore{Client: client("joiner"), deferred: func() { close(joinerLooked) }})
+	js := &joinerStore{Client: client("joiner"), deferred: func() { close(joinerLooked) }}
+	joiner := batchOpts(js)
+	if hideWait {
+		joiner.Store = noWait{js, js}
+	}
 	joiner.Parallelism = 1
 
 	var a, b *core.SearchResult
 	var joinerWall time.Duration
+	var joinerEnd time.Time
 	var errA, errB error
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -384,7 +422,8 @@ func TestSearchFinishesWhatItJoined(t *testing.T) {
 		defer wg.Done()
 		start := time.Now()
 		b, errB = core.Search(context.Background(), degradedGraph(), ds, joiner)
-		joinerWall = time.Since(start)
+		joinerEnd = time.Now()
+		joinerWall = joinerEnd.Sub(start)
 	}()
 	wg.Wait()
 	if errA != nil || errB != nil {
@@ -403,8 +442,15 @@ func TestSearchFinishesWhatItJoined(t *testing.T) {
 	if !sameBestBits(a, b) {
 		t.Errorf("first serves %v, joiner %v", a.Best, b.Best)
 	}
-	if joinerWall < core.RecheckInterval {
-		t.Errorf("the joiner finished in %v: it never waited a re-check interval for its peer", joinerWall)
+	if waits := countSpans(t, rec, "search", "search.wait"); slices.Max(waits) < 1 {
+		t.Errorf("waits per search %v, want the joiner's wait on its peer", waits)
+	}
+	if hideWait {
+		if joinerWall < core.RecheckInterval {
+			t.Errorf("the joiner finished in %v: it never waited a re-check interval for its peer", joinerWall)
+		}
+	} else if late := joinerEnd.Sub(time.Unix(0, publisher.last.Load())); late > core.RecheckInterval/5 {
+		t.Errorf("the joiner ended %v after its peer's last publish, want within a few ms: it did not wake on the publish", late)
 	}
 	for _, refits := range countSpans(t, rec, "search", "search.refit") {
 		if refits != 0 {
@@ -418,6 +464,80 @@ func TestSearchFinishesWhatItJoined(t *testing.T) {
 	}
 	if fits := countSpans(t, rec, "search.refit", "search.refit"); len(fits) != 2 || fits[0] != 1 || fits[1] != 1 {
 		t.Errorf("FitBest traces hold %v refit spans, want one per call", fits)
+	}
+}
+
+// failingWaiter is an in-process DARR client whose Wait always fails, as a
+// remote one does against a server without the wait route; the first call
+// runs onWait.
+type failingWaiter struct {
+	*darr.Client
+	calls  atomic.Int32
+	onWait func()
+}
+
+func (f *failingWaiter) Wait(context.Context, []string) error {
+	if f.calls.Add(1) == 1 && f.onWait != nil {
+		f.onWait()
+	}
+	return errors.New("the server has no wait route")
+}
+
+// TestFailedWaitFallsBackToTimer: a Wait that fails is not a give-up. The
+// joiner waits on the units its peer holds, its Wait fails, and it
+// re-checks after RecheckInterval instead of skipping them; the peer,
+// held until that first Wait, has published by then. Both clients end
+// with the whole table and every unit computed once.
+func TestFailedWaitFallsBackToTimer(t *testing.T) {
+	ds := regDS(t, 80)
+	repo := darr.NewRepo(nil, time.Minute)
+	peerHolds, released := make(chan struct{}), make(chan struct{})
+	peer := batchOpts(&failingWaiter{Client: darrClient(repo, "peer")})
+	peer.Parallelism = 1
+	var once sync.Once
+	base := peer.Scorer.Fn
+	peer.Scorer.Fn = func(y, yhat []float64) (float64, error) {
+		once.Do(func() { close(peerHolds) })
+		<-released
+		return base(y, yhat)
+	}
+	js := &failingWaiter{Client: darrClient(repo, "joiner"), onWait: func() { close(released) }}
+	joiner := batchOpts(js)
+	joiner.Parallelism = 1
+
+	var a, b *core.SearchResult
+	var errA, errB error
+	var joinerWall time.Duration
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		a, errA = core.Search(context.Background(), degradedGraph(), ds, peer)
+	}()
+	<-peerHolds
+	go func() {
+		defer wg.Done()
+		start := time.Now()
+		b, errB = core.Search(context.Background(), degradedGraph(), ds, joiner)
+		joinerWall = time.Since(start)
+	}()
+	wg.Wait()
+	if errA != nil || errB != nil {
+		t.Fatalf("peer: %v, joiner: %v", errA, errB)
+	}
+	const units = 4
+	for name, res := range map[string]*core.SearchResult{"peer": a, "joiner": b} {
+		if res.Skipped != 0 || res.Computed+res.CacheHits != units {
+			t.Fatalf("%s ended with computed %d, hits %d, skipped %d; want all %d units scored, none skipped",
+				name, res.Computed, res.CacheHits, res.Skipped, units)
+		}
+	}
+	if js.calls.Load() == 0 || joinerWall < core.RecheckInterval {
+		t.Errorf("the joiner called Wait %d times and ended in %v; want a failed Wait and a re-check interval",
+			js.calls.Load(), joinerWall)
+	}
+	if _, _, puts := repo.Stats(); a.Computed+b.Computed != units || puts != units {
+		t.Errorf("peer computed %d, joiner %d, %d publishes; want %d units computed once", a.Computed, b.Computed, puts, units)
 	}
 }
 
@@ -460,7 +580,7 @@ func TestRecheckIntervalIsPublishFlushInterval(t *testing.T) {
 	defer trace.SetDefaultRecorder(trace.SetDefaultRecorder(rec))
 	me := httpapi.NewClient(ts.URL, "me")
 	me.Metric = "rmse"
-	res, err := core.Search(ctx, degradedGraph(), ds, batchOpts(me))
+	res, err := core.Search(ctx, degradedGraph(), ds, batchOpts(noWait{me, me}))
 	if err != nil {
 		t.Fatal(err)
 	}

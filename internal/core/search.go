@@ -57,7 +57,8 @@ var mCritPath = map[string]*obs.Histogram{
 // context so a cancelled Search cancels in-flight DARR traffic.
 // Implementations may fail transiently (a remote DARR over a WAN); Search
 // treats any error as "store unavailable" for the units the call covered
-// and degrades them to local computation rather than aborting.
+// and degrades them to local computation rather than aborting — except a
+// failed Wait, after which it re-checks on its timer.
 type ResultStore interface {
 	// LookupBatch resolves many keys at once; the result holds entries
 	// only for keys with published scores.
@@ -92,11 +93,13 @@ type Flusher interface {
 }
 
 // Waiter is implemented by stores that can tell when a peer settles a key
-// (the in-process DARR client). Search waits on the keys a peer still
-// holds once it has nothing else to do.
+// (the in-process DARR client, the HTTP client). Search waits on the keys a
+// peer still holds once it has nothing else to do.
 type Waiter interface {
 	// Wait returns when any of keys is published, released or past its
-	// claim's expiry, or with ctx's error when ctx ends first.
+	// claim's expiry, or with ctx's error when ctx ends first. It may also
+	// return nil early: Search claims again either way. Any other error
+	// costs the search one recheckInterval instead.
 	Wait(ctx context.Context, keys []string) error
 }
 

@@ -314,15 +314,20 @@ func (r *Repo) notifyLocked() {
 	}
 }
 
-// Wait blocks until one of keys has a record, no claim, or a claim past its
-// expiry — at once if that is so already — or until ctx ends, returning
-// ctx's error. Publishes and releases wake it; a wall-clock timer covers
-// the earliest expiry among the keys' claims.
+// Wait is WaitDigests over readable keys.
 func (r *Repo) Wait(ctx context.Context, keys []string) error {
-	if len(keys) == 0 {
+	return r.WaitDigests(ctx, digests(keys))
+}
+
+// WaitDigests blocks until one of ds has a record, no claim, or a claim
+// past its expiry — at once if that is so already, or if ds is empty — or
+// until ctx ends, returning ctx's error. Publishes and releases wake it; a
+// wall-clock timer covers the earliest expiry among the digests' claims.
+// Backs Wait and the batch wait route.
+func (r *Repo) WaitDigests(ctx context.Context, ds []Digest) error {
+	if len(ds) == 0 {
 		return nil
 	}
-	ds := digests(keys)
 	for {
 		r.mu.Lock()
 		now := r.now()

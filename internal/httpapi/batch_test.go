@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"maps"
 	"math"
 	"math/rand"
@@ -461,11 +460,13 @@ func raceDetector() bool {
 
 // FuzzBatchRoutes: whatever request reaches a cooperation route, the server
 // answers without a panic or a 5xx, and every non-2xx reply is a JSON
-// errorReply carrying its status. A lookup or claim body that is not
+// errorReply carrying its status. A lookup, claim or wait body that is not
 // application/octet-stream is a 415; a 200 lookup or claim reply is the
 // bitmap form answering the request's digests by position, each the repo's
-// own answer for it. Each input meets a fresh repo holding two records and
-// one peer's claim, behind a server that takes at most four keys a batch.
+// own answer for it; a wait with no time to wait answers 204 when the
+// peer holds every digest and 200 otherwise. Each input meets a fresh repo
+// holding two records and one peer's claim, behind a server that takes at
+// most four keys a batch.
 func FuzzBatchRoutes(f *testing.F) {
 	// The requests a cooperative search makes, by the route selector drawn.
 	cooperationRoutes := []struct{ method, path string }{
@@ -473,10 +474,11 @@ func FuzzBatchRoutes(f *testing.F) {
 		{http.MethodPost, "/darr/batch/claims"},
 		{http.MethodPost, "/darr/batch/records"},
 		{http.MethodDelete, "/darr/claims"},
+		{http.MethodPost, "/darr/batch/wait?wait=0s"},
 	}
 	published := map[darr.Digest]float64{darr.KeyDigest("fp|a|e"): 1, darr.KeyDigest("fp|b|e"): 2}
 	held := darr.KeyDigest("fp|c|e")
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(f, io.Discard)
 	f.Fuzz(func(t *testing.T, route uint8, contentType, clientID string, body []byte) {
 		repo := darr.NewRepo(nil, time.Minute)
 		if err := repo.PutBatch([]darr.Record{{Key: "fp|a|e", Score: 1}, {Key: "fp|b|e", Score: 2}}); err != nil {
@@ -484,7 +486,7 @@ func FuzzBatchRoutes(f *testing.F) {
 		}
 		repo.ClaimBatch([]string{"fp|c|e"}, "peer")
 		srv := NewServer(repo, nil)
-		srv.Logger, srv.maxBatchKeys = quiet, 4
+		srv.maxBatchKeys = 4
 		rt := cooperationRoutes[int(route)%len(cooperationRoutes)]
 		req := httptest.NewRequest(rt.method, rt.path, bytes.NewReader(body))
 		req.Header.Set("Content-Type", contentType)
@@ -493,7 +495,8 @@ func FuzzBatchRoutes(f *testing.F) {
 		srv.ServeHTTP(w, req)
 
 		code := w.Code
-		digestRoute := rt.path == "/darr/batch/lookup" || rt.path == "/darr/batch/claims"
+		waitRoute := strings.HasPrefix(rt.path, "/darr/batch/wait")
+		digestRoute := rt.path == "/darr/batch/lookup" || rt.path == "/darr/batch/claims" || waitRoute
 		if code >= 500 {
 			t.Fatalf("%s %s answered %d: %s", rt.method, rt.path, code, w.Body)
 		}
@@ -517,10 +520,20 @@ func FuzzBatchRoutes(f *testing.F) {
 		if len(body)%32 != 0 || n == 0 || n > 4 || rt.path == "/darr/batch/claims" && clientID == "" {
 			t.Fatalf("%s accepted a body of %d bytes from client %q", rt.path, len(body), clientID)
 		}
+		digestAt := func(i int) darr.Digest { return darr.Digest(body[32*i:]) }
+		if waitRoute {
+			allHeld := true
+			for i := 0; i < n; i++ {
+				allHeld = allHeld && digestAt(i) == held
+			}
+			if want := map[bool]int{true: http.StatusNoContent, false: http.StatusOK}[allHeld]; code != want || w.Body.Len() != 0 {
+				t.Fatalf("wait on %x answered %d with %d body bytes, want %d and none", body, code, w.Body.Len(), want)
+			}
+			return
+		}
 		if ct := w.Header().Get("Content-Type"); ct != octetStream {
 			t.Fatalf("%s 200 reply has content type %q", rt.path, ct)
 		}
-		digestAt := func(i int) darr.Digest { return darr.Digest(body[32*i:]) }
 		answered := 0
 		var err error
 		if rt.path == "/darr/batch/lookup" {

@@ -22,10 +22,10 @@ import (
 // Handle, the way serve mounts /score.
 
 // chainServer is a Server with no DARR and no store that serves h at
-// pattern; its log is discarded, so intended panics print no stacks.
-func chainServer(pattern string, h http.HandlerFunc) *Server {
+// pattern; the test's log is discarded, so intended panics print no stacks.
+func chainServer(t *testing.T, pattern string, h http.HandlerFunc) *Server {
+	logTo(t, io.Discard)
 	srv := NewServer(nil, nil)
-	srv.Logger = debugLogger(io.Discard)
 	srv.Handle(pattern, h)
 	return srv
 }
@@ -44,6 +44,7 @@ func TestRouteLabel(t *testing.T) {
 		"/metrics":                    "metrics",
 		"/store/objects/a/b":          "store-objects",
 		"/leases/l1/stream":           "lease-stream",
+		"/darr/batch/wait":            "darr-batch-wait",
 		"/":                           "other",
 		"/score/extra":                "other",
 		"/with space":                 "other",
@@ -59,7 +60,7 @@ func TestRouteLabel(t *testing.T) {
 // client gets and the one the request is counted under, and the response
 // echoes a request id.
 func TestServerCapturesStatus(t *testing.T) {
-	srv := chainServer("/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	})
 	ctr := requests("score", "GET", http.StatusTeapot)
@@ -81,7 +82,7 @@ func TestServerCapturesStatus(t *testing.T) {
 // the one the client gets and the one the request is counted under; a late
 // second WriteHeader relabels nothing.
 func TestServerStatusFirstWriteWins(t *testing.T) {
-	srv := chainServer("/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 		w.WriteHeader(http.StatusOK)
 	})
@@ -102,7 +103,7 @@ func TestServerStatusFirstWriteWins(t *testing.T) {
 
 // TestServerImplicit200: a handler that only writes a body is counted 200.
 func TestServerImplicit200(t *testing.T) {
-	srv := chainServer("/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "ok")
 	})
 	ctr := requests("score", "GET", http.StatusOK)
@@ -117,7 +118,7 @@ func TestServerImplicit200(t *testing.T) {
 // a structured 500 carrying the request id, counted as a panic and as a 500
 // on its route.
 func TestHandledRoutePanicIs500(t *testing.T) {
-	srv := chainServer("/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
 	panics, ctr := obs.GetCounter("coda_http_panics_total"), requests("score", "GET", http.StatusInternalServerError)
@@ -149,7 +150,7 @@ func TestHandledRoutePanicIs500(t *testing.T) {
 func TestPanicLeavesCommittedResponseAlone(t *testing.T) {
 	for name, written := range map[string]string{"body": "partial", "header-only": ""} {
 		t.Run(name, func(t *testing.T) {
-			ts := httptest.NewServer(chainServer("/score", func(w http.ResponseWriter, r *http.Request) {
+			ts := httptest.NewServer(chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(http.StatusAccepted)
 				if written != "" {
 					fmt.Fprint(w, written)
@@ -187,11 +188,11 @@ func TestPanicLeavesCommittedResponseAlone(t *testing.T) {
 func TestRequestIDPropagation(t *testing.T) {
 	var logBuf syncBuffer
 	seen := make(chan string, 1)
-	srv := chainServer("/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
 		seen <- obs.RequestID(r.Context())
 		w.WriteHeader(http.StatusNoContent)
 	})
-	srv.Logger = debugLogger(&logBuf)
+	logTo(t, &logBuf)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -263,8 +264,8 @@ func TestScoreBodyOverTheCapIs413(t *testing.T) {
 	if err := model.Fit(ds); err != nil {
 		t.Fatal(err)
 	}
+	logTo(t, io.Discard)
 	srv := NewServer(nil, nil)
-	srv.Logger = debugLogger(io.Discard)
 	srv.maxBody = limit
 	srv.Handle("/score", webservice.Handler(model))
 	ts := httptest.NewServer(srv)

@@ -27,9 +27,10 @@ var (
 	mCallsErr = obs.GetCounter(`coda_client_calls_total{outcome="error"}`)
 )
 
-// Client talks to a remote coda server. It implements core.ResultStore for
-// cooperative searches and provides versioned object sync against the
-// remote home data store.
+// Client talks to a remote coda server. It implements core.ResultStore
+// and core.Waiter for cooperative searches and provides versioned object
+// sync against the remote home data store. Calls log to slog.Default(),
+// each line carrying the request id sent in X-Coda-Request-Id.
 //
 // All traffic flows through the fault-tolerance layer: transient failures
 // (timeouts, connection resets, 5xx) are retried with exponential backoff
@@ -44,10 +45,6 @@ type Client struct {
 	// Retry governs backoff for transient faults; the zero value uses the
 	// retry package defaults. Set MaxAttempts to 1 to disable retrying.
 	Retry retry.Policy
-	// Logger receives per-call debug logs and failure warnings, each
-	// carrying the request id sent to the server in X-Coda-Request-Id.
-	// Nil uses slog.Default().
-	Logger *slog.Logger
 
 	// queue, when enabled, coalesces Publishes into batched uploads.
 	queue atomic.Pointer[publishQueue]
@@ -72,13 +69,6 @@ func NewClient(baseURL, clientID string) *Client {
 			PerAttemptTimeout: DefaultPerAttemptTimeout,
 		},
 	}
-}
-
-func (c *Client) logger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	return slog.Default()
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -116,13 +106,13 @@ func (c *Client) exec(ctx context.Context, call string, p retry.Policy, op func(
 	if err != nil {
 		mCallsErr.Inc()
 		csp.SetAttr(trace.String("outcome", "error"))
-		c.logger().Warn("call failed",
+		slog.Default().Warn("call failed",
 			"request_id", id, "call", call, "server", c.BaseURL,
 			"elapsed", time.Since(start), "err", err)
 		return err
 	}
 	mCallsOK.Inc()
-	c.logger().Debug("call ok",
+	slog.Default().Debug("call ok",
 		"request_id", id, "call", call, "server", c.BaseURL, "elapsed", time.Since(start))
 	return nil
 }
@@ -213,8 +203,13 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 // non-nil, interprets a 2xx reply; its error fails the attempt, and a
 // transient one (a truncated body) is retried.
 func (c *Client) do(ctx context.Context, method, path string, raw []byte, header http.Header, read func(*http.Response) error) (int, error) {
+	return c.doVia(ctx, c.httpClient(), c.Retry, method, path, raw, header, read)
+}
+
+// doVia is do over hc under the retry policy p.
+func (c *Client) doVia(ctx context.Context, hc *http.Client, p retry.Policy, method, path string, raw []byte, header http.Header, read func(*http.Response) error) (int, error) {
 	var status int
-	err := c.exec(ctx, callLabel(method, path), c.Retry, func(ctx context.Context) error {
+	err := c.exec(ctx, callLabel(method, path), p, func(ctx context.Context) error {
 		var rdr io.Reader
 		if raw != nil {
 			rdr = bytes.NewReader(raw)
@@ -226,7 +221,7 @@ func (c *Client) do(ctx context.Context, method, path string, raw []byte, header
 		if raw != nil {
 			maps.Copy(req.Header, header)
 		}
-		resp, err := c.httpClient().Do(req)
+		resp, err := hc.Do(req)
 		if err != nil {
 			return fmt.Errorf("httpapi: %s %s: %w", method, path, err)
 		}
@@ -358,6 +353,35 @@ func (c *Client) postDigests(ctx context.Context, path string, header http.Heade
 		}
 		return nil
 	})
+}
+
+// Wait implements core.Waiter over the batch wait route: it returns nil
+// once the server sees one of keys published, released or past its claim's
+// expiry, or once DefaultLongPollWait has passed without that; either way
+// the search then claims again. It watches the first DefaultMaxBatchKeys
+// keys only, so a search waiting on more is woken by a change among those
+// or by the wait running out. It is one request, held by the server, and
+// it bypasses the client's overall timeout as PollLease does. A server
+// without the route is an error naming it; core.Search then waits on its
+// timer for that round.
+func (c *Client) Wait(ctx context.Context, keys []string) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	const path = "/darr/batch/wait"
+	body := appendDigests(nil, keys[:min(len(keys), DefaultMaxBatchKeys)])
+	status, err := c.doVia(ctx, c.streamClient(), c.longPollPolicy(DefaultLongPollWait), http.MethodPost,
+		path+"?wait="+DefaultLongPollWait.String(), body, octetBody, nil)
+	switch {
+	case err != nil:
+		return err
+	case status == http.StatusOK, status == http.StatusNoContent:
+		return nil
+	case status == http.StatusNotFound:
+		return fmt.Errorf("httpapi: the server has no %s route (upgrade servers and clients together)", path)
+	default:
+		return fmt.Errorf("httpapi: batch wait status %d", status)
+	}
 }
 
 // LookupBatch implements core.ResultStore: one POST per

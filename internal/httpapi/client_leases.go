@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"coda/internal/retry"
 	"coda/internal/store"
 )
 
@@ -97,19 +98,11 @@ func (c *Client) PollLease(ctx context.Context, leaseID string, wait time.Durati
 	path := fmt.Sprintf("/leases/%s/poll?wait=%s", url.PathEscape(leaseID), wait)
 	var n Notification
 	got := false
-	// The server holds the request for up to wait, so an attempt's
-	// deadline is the per-attempt budget on top of the wait.
-	p := c.Retry
-	if p.PerAttemptTimeout > 0 && wait > 0 {
-		p.PerAttemptTimeout += wait
-	}
-	err := c.exec(ctx, "GET /leases/poll", p, func(ctx context.Context) error {
+	err := c.exec(ctx, "GET /leases/poll", c.longPollPolicy(wait), func(ctx context.Context) error {
 		req, err := c.newRequest(ctx, http.MethodGet, path, nil)
 		if err != nil {
 			return err
 		}
-		// The connection must outlive the server-side wait; bypass the
-		// client's overall request timeout but keep its transport.
 		resp, err := c.streamClient().Do(req)
 		if err != nil {
 			return fmt.Errorf("httpapi: poll lease: %w", err)
@@ -232,4 +225,15 @@ const maxSSEFrame = 16 << 20
 // past any sane request deadline.
 func (c *Client) streamClient() *http.Client {
 	return &http.Client{Transport: c.httpClient().Transport}
+}
+
+// longPollPolicy is the retry policy of a long poll the server holds for
+// up to wait: each attempt's deadline is the per-attempt budget on top of
+// the wait.
+func (c *Client) longPollPolicy(wait time.Duration) retry.Policy {
+	p := c.Retry
+	if p.PerAttemptTimeout > 0 && wait > 0 {
+		p.PerAttemptTimeout += wait
+	}
+	return p
 }

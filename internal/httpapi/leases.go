@@ -302,15 +302,19 @@ func (s *Server) releaseMailbox(id string) {
 	}
 }
 
-// leaseTTL normalizes a requested TTL in seconds against the default and
-// the DefaultMaxLeaseTTL ceiling. It clamps before converting: past
-// ~9.2e9 s the product overflows time.Duration.
+// minLeaseTTL is the shortest lease granted: a shorter one would expire
+// before its grant reached the client.
+const minLeaseTTL = time.Second
+
+// leaseTTL normalizes a requested TTL in seconds: 0 or less is the
+// default, and the rest is clamped to [minLeaseTTL, DefaultMaxLeaseTTL].
+// It clamps before converting: past ~9.2e9 s the product overflows
+// time.Duration.
 func leaseTTL(seconds float64) time.Duration {
-	ttl := time.Duration(min(seconds, DefaultMaxLeaseTTL.Seconds()) * float64(time.Second))
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
+	if !(seconds > 0) {
+		return DefaultLeaseTTL
 	}
-	return min(ttl, DefaultMaxLeaseTTL)
+	return max(time.Duration(min(seconds, DefaultMaxLeaseTTL.Seconds())*float64(time.Second)), minLeaseTTL)
 }
 
 // leaseInfo snapshots a lease for wire replies.
@@ -432,9 +436,10 @@ func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
 // handleLeaseStream serves GET /leases/{id}/stream as Server-Sent
 // Events: a `lease` event with the grant, then one `update` event per
 // coalesced frame, heartbeat comments while idle, and an `end` event
-// when the lease leaves the registry. Each write gets its own deadline
-// of two heartbeats in place of the server-wide WriteTimeout, which would
-// kill long-lived streams.
+// when the lease leaves the registry; EndLongPolls closes it with no end
+// event, as a server that went away would. Each write gets its own
+// deadline of two heartbeats in place of the server-wide WriteTimeout,
+// which would kill long-lived streams.
 func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *replication.Lease, mb *leaseMailbox) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -471,6 +476,8 @@ func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *re
 		select {
 		case <-r.Context().Done():
 			return
+		case <-s.shutdown.Done():
+			return
 		case <-mb.done:
 			writeBy()
 			_ = writeSSE(w, "end", map[string]string{"lease_id": l.ID})
@@ -499,41 +506,29 @@ func writeSSE(w http.ResponseWriter, event string, v any) error {
 
 // handleLeasePoll serves GET /leases/{id}/poll?wait=30s: the long-poll
 // flavor of the stream. An available frame returns immediately; otherwise
-// the request parks until a frame lands, the wait elapses (204), or the
-// lease is released (410).
+// the request parks (park) until a frame lands, the park ends (204), or
+// the lease is released (410).
 func (s *Server) handleLeasePoll(w http.ResponseWriter, r *http.Request, l *replication.Lease, mb *leaseMailbox) {
-	wait := DefaultLongPollWait
-	if ws := r.URL.Query().Get("wait"); ws != "" {
-		d, err := time.ParseDuration(ws)
-		if err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad wait parameter: %w", err))
-			return
-		}
-		wait = d
+	ctx, answer, ok := s.park(w, r)
+	if !ok {
+		return
 	}
-	if wait > MaxLongPollWait {
-		wait = MaxLongPollWait
-	}
-	rc := http.NewResponseController(w)
-	_ = rc.SetWriteDeadline(time.Time{})
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
 	for {
 		if f, ok := mb.take(); ok {
-			_ = rc.SetWriteDeadline(time.Now().Add(2 * s.heartbeat))
+			answer()
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
 			_ = f.writeTo(w, "", "", l.ID, mb.mode) // a failed write is the client hanging up
 			return
 		}
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
+			answer()
+			w.WriteHeader(http.StatusNoContent)
 			return
 		case <-mb.done:
+			answer()
 			s.writeError(w, r, http.StatusGone, fmt.Errorf("%w: %q", replication.ErrLeaseExpired, l.ID))
-			return
-		case <-deadline.C:
-			w.WriteHeader(http.StatusNoContent)
 			return
 		case <-mb.signal:
 		}

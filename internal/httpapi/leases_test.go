@@ -13,6 +13,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -26,8 +27,15 @@ import (
 // from cfg, plus a client pointed at it.
 func newLeaseServer(t *testing.T, cfg replication.Config) (*Client, *replication.Manager, *Server, *httptest.Server) {
 	t.Helper()
+	return newLeaseServerAt(t, cfg, nil)
+}
+
+// newLeaseServerAt is newLeaseServer with the lease manager on the clock
+// now (nil: the wall clock).
+func newLeaseServerAt(t *testing.T, cfg replication.Config, now func() time.Time) (*Client, *replication.Manager, *Server, *httptest.Server) {
+	t.Helper()
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
-	m := replication.NewManagerWith(hs, nil, cfg)
+	m := replication.NewManagerWith(hs, now, cfg)
 	t.Cleanup(m.Close)
 	srv := NewServer(darr.NewRepo(nil, time.Minute), hs)
 	srv.heartbeat = 50 * time.Millisecond
@@ -199,7 +207,10 @@ func TestLeaseDeltaModeRoundTrip(t *testing.T) {
 }
 
 func TestLeaseRenewExtendsAndExpiryEndsStream(t *testing.T) {
-	c, m, _, _ := newLeaseServer(t, replication.Config{Workers: 1})
+	var skew atomic.Int64 // how far the manager's clock runs ahead of the wall's
+	c, m, _, _ := newLeaseServerAt(t, replication.Config{Workers: 1}, func() time.Time {
+		return time.Now().Add(time.Duration(skew.Load()))
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -225,12 +236,13 @@ func TestLeaseRenewExtendsAndExpiryEndsStream(t *testing.T) {
 		t.Fatalf("stream of released lease: %v, want ErrLeaseGone", err)
 	}
 
-	// Expiry (not just cancel) also releases server state via Sweep.
+	// Expiry (not just cancel) also releases server state via Sweep. The
+	// 50 ms asked for is granted as minLeaseTTL.
 	short, err := c.Subscribe(ctx, "k", "notify", 50*time.Millisecond, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(80 * time.Millisecond)
+	skew.Store(int64(minLeaseTTL + time.Millisecond))
 	m.Sweep()
 	if _, ok := m.LeaseByID(short.LeaseID); ok {
 		t.Fatal("expired lease still registered after sweep")
@@ -345,6 +357,28 @@ func TestHugeLeaseTTLGetsTheCap(t *testing.T) {
 		t.Fatalf("renew: status %d, %v", status, err)
 	}
 	check("renew", renewed)
+}
+
+// TestTinyLeaseTTLGetsTheFloor: a TTL too short to outlive its own grant
+// is granted minLeaseTTL, on subscribe and on renew; 0 still means the
+// default.
+func TestTinyLeaseTTLGetsTheFloor(t *testing.T) {
+	c, _, _, _ := newLeaseServer(t, replication.Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	info, err := c.Subscribe(ctx, "k", "notify", time.Nanosecond, 0)
+	if err != nil || info.TTLSeconds != minLeaseTTL.Seconds() {
+		t.Fatalf("a 1 ns subscribe was granted %+v (%v), want the %v floor", info, err, minLeaseTTL)
+	}
+	renewed, err := c.RenewLease(ctx, info.LeaseID, time.Nanosecond)
+	if err != nil || renewed.TTLSeconds != minLeaseTTL.Seconds() {
+		t.Fatalf("a 1 ns renew was granted %+v (%v), want the %v floor", renewed, err, minLeaseTTL)
+	}
+	for seconds, want := range map[float64]time.Duration{1e-9: minLeaseTTL, 0: DefaultLeaseTTL, -1: DefaultLeaseTTL, 90: 90 * time.Second} {
+		if got := leaseTTL(seconds); got != want {
+			t.Errorf("leaseTTL(%v) = %v, want %v", seconds, got, want)
+		}
+	}
 }
 
 func TestLeaseBadRequests(t *testing.T) {

@@ -46,8 +46,12 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-func debugLogger(w io.Writer) *slog.Logger {
-	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug}))
+// logTo makes slog's default a debug-level text logger writing to w until
+// tb ends: the server, the client and the lease manager all log there.
+func logTo(tb testing.TB, w io.Writer) {
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	tb.Cleanup(func() { slog.SetDefault(prev) })
 }
 
 // TestRequestIDInBothLogs is the end-to-end tracing check: one ambient
@@ -55,18 +59,16 @@ func debugLogger(w io.Writer) *slog.Logger {
 // coda-client does) must show up in the client-side call logs and in the
 // server-side request logs.
 func TestRequestIDInBothLogs(t *testing.T) {
-	var clientLog, serverLog syncBuffer
+	var log syncBuffer
+	logTo(t, &log)
 
 	repo := darr.NewRepo(nil, time.Minute)
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
-	srv := NewServer(repo, hs)
-	srv.Logger = debugLogger(&serverLog)
-	ts := httptest.NewServer(srv)
+	ts := httptest.NewServer(NewServer(repo, hs))
 	defer ts.Close()
 
 	client := NewClient(ts.URL, "trace-client")
 	client.Metric = "rmse"
-	client.Logger = debugLogger(&clientLog)
 
 	rng := rand.New(rand.NewSource(3))
 	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 60, Features: 3, Informative: 2, Noise: 1}, rng)
@@ -88,19 +90,26 @@ func TestRequestIDInBothLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The client logs each call as "call ok", the server each request as
+	// "http request".
 	needle := "request_id=" + requestID
-	if !strings.Contains(clientLog.String(), needle) {
-		t.Fatalf("client log missing %s:\n%s", needle, clientLog.String())
-	}
-	if !strings.Contains(serverLog.String(), needle) {
-		t.Fatalf("server log missing %s:\n%s", needle, serverLog.String())
-	}
-	// Every server-side request line for this search carries the same id:
-	// a cooperative search is one trace, not a pile of unrelated calls.
-	for _, line := range strings.Split(serverLog.String(), "\n") {
-		if strings.Contains(line, "request_id=") && !strings.Contains(line, needle) {
-			t.Fatalf("server log line with foreign request id: %s", line)
+	var clientLines, serverLines int
+	for _, line := range strings.Split(log.String(), "\n") {
+		switch {
+		case strings.Contains(line, `msg="call ok"`) && strings.Contains(line, needle):
+			clientLines++
+		case strings.Contains(line, `msg="http request"`):
+			// Every server-side request line for this search carries the
+			// same id: a cooperative search is one trace, not a pile of
+			// unrelated calls.
+			if !strings.Contains(line, needle) {
+				t.Fatalf("server log line with foreign request id: %s", line)
+			}
+			serverLines++
 		}
+	}
+	if clientLines == 0 || serverLines == 0 {
+		t.Fatalf("%d client and %d server lines carry %s, want both:\n%s", clientLines, serverLines, needle, log.String())
 	}
 }
 

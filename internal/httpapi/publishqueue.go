@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -120,7 +121,7 @@ func (q *publishQueue) flush(ctx context.Context) error {
 	if err := q.c.PublishBatch(ctx, recs); err != nil {
 		mPubFlushErr.Inc()
 		mPubDropped.Add(int64(len(recs)))
-		q.c.logger().Warn("publish queue flush failed; records dropped",
+		slog.Warn("publish queue flush failed; records dropped",
 			"records", len(recs), "server", q.c.BaseURL, "err", err)
 		return err
 	}

@@ -10,6 +10,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -52,9 +53,6 @@ type Server struct {
 	// Store is the data-tier seam: any store.ObjectStore backend (the
 	// in-memory engine, the append-only log) serves the object routes.
 	Store store.ObjectStore
-	// Logger receives request logs (debug) and error logs (warn/error);
-	// nil uses slog.Default().
-	Logger *slog.Logger
 	// Leases, when set via EnableLeases, powers the real-time push
 	// endpoints and routes object PUTs through its fanout so HTTP writes
 	// reach subscribers.
@@ -72,6 +70,10 @@ type Server struct {
 	// that is cut off rather than holding its handler, and so Shutdown,
 	// indefinitely (DefaultStreamHeartbeat; tests lower it).
 	heartbeat time.Duration
+	// shutdown ends at EndLongPolls: every parked long poll answers and
+	// every lease stream closes.
+	shutdown     context.Context
+	endLongPolls context.CancelFunc
 
 	mbMu      sync.Mutex
 	mailboxes map[string]*leaseMailbox
@@ -101,6 +103,7 @@ const (
 // endpoints.
 func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
 	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxBodyBytes, maxBatchKeys: DefaultMaxBatchKeys, heartbeat: DefaultStreamHeartbeat}
+	s.shutdown, s.endLongPolls = context.WithCancel(context.Background())
 	s.mux.Handle("/metrics", obs.MetricsHandler())
 	s.mux.Handle("/healthz", obs.HealthHandler(s.health))
 	s.mux.Handle("/debug/traces", trace.Handler())
@@ -110,6 +113,7 @@ func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
 		s.mux.HandleFunc("/darr/batch/lookup", s.handleBatchLookup)
 		s.mux.HandleFunc("/darr/batch/claims", s.handleBatchClaims)
 		s.mux.HandleFunc("/darr/batch/records", s.handleBatchRecords)
+		s.mux.HandleFunc("/darr/batch/wait", s.handleBatchWait)
 		s.health["darr"] = func() any {
 			lookups, hits, puts := repo.Stats()
 			h := map[string]any{
@@ -168,12 +172,13 @@ func ListenDebug(addr string) error {
 	return nil
 }
 
-func (s *Server) logger() *slog.Logger {
-	if s.Logger != nil {
-		return s.Logger
-	}
-	return slog.Default()
-}
+// EndLongPolls answers every parked long poll — a DARR wait or a lease
+// poll, with the 204 of a wait that ran out — and closes every lease
+// stream, now and for the rest of the server's life. http.Server.Shutdown
+// waits for running handlers without cancelling their contexts, so a
+// server that serves long polls registers this with RegisterOnShutdown;
+// otherwise a parked request holds the shutdown for up to its wait.
+func (s *Server) EndLongPolls() { s.endLongPolls() }
 
 // statusRecorder captures the response status and size for telemetry. The
 // first status committed — by WriteHeader, or an implicit 200 by Write or
@@ -236,6 +241,8 @@ func routeLabel(path string) string {
 		return "darr-batch-claims"
 	case path == "/darr/batch/records":
 		return "darr-batch-records"
+	case path == "/darr/batch/wait":
+		return "darr-batch-wait"
 	case strings.HasPrefix(path, "/store/objects/"):
 		return "store-objects"
 	case path == "/leases":
@@ -290,7 +297,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// count it, keep the stack, answer a structured 500 unless a
 			// status is already on its way to the client.
 			mPanics.Inc()
-			s.logger().Error("handler panic",
+			slog.Default().Error("handler panic",
 				"request_id", id, "method", r.Method, "path", r.URL.Path,
 				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
 			sp.SetAttr(trace.String("panic", fmt.Sprint(p)))
@@ -306,7 +313,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			route, r.Method, rec.status)).Inc()
 		obs.GetHistogram(fmt.Sprintf(`coda_http_request_seconds{route=%q}`, route), nil).
 			Observe(elapsed.Seconds())
-		s.logger().Debug("http request",
+		slog.Default().Debug("http request",
 			"request_id", id, "method", r.Method, "path", r.URL.Path,
 			"code", rec.status, "bytes", rec.bytes, "elapsed", elapsed)
 	}()
@@ -423,7 +430,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	if status >= 500 {
 		level = slog.LevelError
 	}
-	s.logger().Log(r.Context(), level, "request failed",
+	slog.Default().Log(r.Context(), level, "request failed",
 		"request_id", id, "method", r.Method, "path", r.URL.Path,
 		"status", status, "err", err)
 	writeJSON(w, status, errorReply{Error: err.Error(), Status: status, RequestID: id})
@@ -471,12 +478,13 @@ func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 }
 
-// The batch lookup and claim routes' wire form, the protocol a search
-// speaks. A request body is n concatenated darr.Digest values, 0 < n ≤
-// DefaultMaxBatchKeys, of type octetStream (any other type is a 415); a claim
-// names its client in clientIDHeader. A lookup's 200 is lookupReplyShape:
-// bit i of the bitmap, least significant first, answers digest i, and the
-// scores follow in request order. A claim's 200 is claimReplyShape.
+// The batch lookup, claim and wait routes' wire form, the protocol a
+// search speaks. A request body is n concatenated darr.Digest values, 0 < n
+// ≤ DefaultMaxBatchKeys, of type octetStream (any other type is a 415); a
+// claim names its client in clientIDHeader. A lookup's 200 is
+// lookupReplyShape: bit i of the bitmap, least significant first, answers
+// digest i, and the scores follow in request order. A claim's 200 is
+// claimReplyShape. A wait's 200 and 204 have no body.
 const (
 	octetStream    = "application/octet-stream"
 	digestSize     = len(darr.Digest{})
@@ -502,8 +510,8 @@ func (s *Server) checkBatch(w http.ResponseWriter, r *http.Request, n int, what 
 	return true
 }
 
-// readDigests reads a lookup or claim body; false means the error reply
-// has been written.
+// readDigests reads a lookup, claim or wait body; false means the error
+// reply has been written.
 func (s *Server) readDigests(w http.ResponseWriter, r *http.Request) ([]darr.Digest, bool) {
 	if !s.allowMethod(w, r, http.MethodPost) {
 		return nil, false
@@ -585,6 +593,57 @@ func (s *Server) handleBatchRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]int{"stored": len(req.Records)})
+}
+
+// handleBatchWait serves POST /darr/batch/wait?wait=D, the long poll a
+// search parks on while peers hold the units it has left. The body is a
+// lookup's digests. It answers 200 with no body once one of them has a
+// record, no claim or an expired claim — at once if one does already —
+// and 204 when the wait runs out first.
+func (s *Server) handleBatchWait(w http.ResponseWriter, r *http.Request) {
+	ds, ok := s.readDigests(w, r)
+	if !ok {
+		return
+	}
+	ctx, answer, ok := s.park(w, r)
+	if !ok {
+		return
+	}
+	err := s.Repo.WaitDigests(ctx, ds)
+	answer()
+	if err != nil {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+}
+
+// park is the one way a handler starts a long poll: it reads the wait
+// parameter (DefaultLongPollWait when absent, at most MaxLongPollWait) and
+// lifts the server's write deadline, which would otherwise cut the reply
+// of a request held past it. The request then parks on ctx, which ends
+// when the wait runs out, the client goes or EndLongPolls is called;
+// answer ends the park and sets a write deadline of two heartbeats, and
+// must be called before the reply is written. false: the 400 is written.
+func (s *Server) park(w http.ResponseWriter, r *http.Request) (ctx context.Context, answer func(), ok bool) {
+	wait := DefaultLongPollWait
+	if ws := r.URL.Query().Get("wait"); ws != "" {
+		d, err := time.ParseDuration(ws)
+		if err != nil {
+			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad wait parameter: %w", err))
+			return nil, nil, false
+		}
+		wait = min(d, MaxLongPollWait)
+	}
+	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Time{})
+	ctx, cancel := context.WithTimeout(r.Context(), wait)
+	unhook := context.AfterFunc(s.shutdown, cancel)
+	return ctx, func() {
+		unhook()
+		cancel()
+		_ = rc.SetWriteDeadline(time.Now().Add(2 * s.heartbeat))
+	}, true
 }
 
 // The object routes' wire form. A pull's 200 carries the payload raw — the

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -130,8 +131,8 @@ func (panicStore) Get(key string, haveVersion uint64) (*store.Reply, error) {
 func TestServerPanicRecovery(t *testing.T) {
 	swapTraceRecorder(t, 16)
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
+	logTo(t, io.Discard)
 	srv := NewServer(nil, panicStore{hs})
-	srv.Logger = debugLogger(&syncBuffer{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -176,8 +177,8 @@ func TestServerPanicRecovery(t *testing.T) {
 func TestPanicRouteMetricsStillFire(t *testing.T) {
 	swapTraceRecorder(t, 16)
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
+	logTo(t, io.Discard)
 	srv := NewServer(nil, panicStore{hs})
-	srv.Logger = debugLogger(&syncBuffer{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -199,9 +200,9 @@ func TestPanicRouteMetricsStillFire(t *testing.T) {
 func TestPanicDoesNotReachNetHTTP(t *testing.T) {
 	swapTraceRecorder(t, 16)
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
-	srv := NewServer(nil, panicStore{hs})
 	logBuf := &syncBuffer{}
-	srv.Logger = debugLogger(logBuf)
+	logTo(t, logBuf)
+	srv := NewServer(nil, panicStore{hs})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 

@@ -35,7 +35,6 @@
 package replication
 
 import (
-	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -285,8 +284,6 @@ type Manager struct {
 	now   func() time.Time
 	wall  bool // now is time.Now, whose readings carry the monotonic clock
 	cfg   Config
-	// Logger receives per-publish debug logs; nil uses slog.Default().
-	Logger *slog.Logger
 	// OnRelease, when set, is invoked once for every lease leaving the
 	// registry — cancelled, pruned after expiry, or swept — with no
 	// manager locks held. The HTTP serving tier uses it to tear down the
@@ -309,8 +306,6 @@ type Manager struct {
 	workers   sync.WaitGroup
 	sweepStop chan struct{}
 }
-
-func (m *Manager) logger() *slog.Logger { return cmp.Or(m.Logger, slog.Default()) }
 
 // NewManager wraps a home store with a one-worker fanout pool. nowFn may be
 // nil (wall clock); tests and simulations inject virtual clocks. Call Close
@@ -514,7 +509,7 @@ func (m *Manager) PublishCtx(ctx context.Context, key string, data []byte) (uint
 	}
 	leases := m.handOff(key, version)
 	sp.SetAttr(trace.Int64("version", int64(version)), trace.Int("leases", leases))
-	if lg := m.logger(); lg.Enabled(context.Background(), slog.LevelDebug) {
+	if lg := slog.Default(); lg.Enabled(context.Background(), slog.LevelDebug) {
 		lg.Debug("published object version", "key", key, "version", version, "leases", leases)
 	}
 	return version, nil
@@ -543,14 +538,14 @@ func (m *Manager) push(j *fanoutJob, l *Lease, k frameKey, sub Subscriber, versi
 			ok = false
 			mPushPanics.Inc()
 			mPushErrors.Inc()
-			m.logger().Error("subscriber panicked during delivery",
+			slog.Error("subscriber panicked during delivery",
 				"key", l.Key, "client", l.ClientID, "lease", l.ID, "panic", fmt.Sprint(p))
 		}
 	}()
 	u, err := m.frame(j, l.Key, k, version)
 	if err != nil {
 		mPushErrors.Inc()
-		m.logger().Warn("building push update failed",
+		slog.Warn("building push update failed",
 			"key", l.Key, "client", l.ClientID, "lease", l.ID, "err", err)
 		return 0, false
 	}

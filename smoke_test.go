@@ -917,4 +917,47 @@ func TestSmoke(t *testing.T) {
 		eventually(t, "coda_replication_leases_active to fall back to 0", func() bool { return leasesActive() == 0 })
 		server.stop(t)
 	})
+
+	// Shutdown waits for running handlers and does not cancel them, so a
+	// parked long poll would hold a SIGTERM for the server's whole 10 s
+	// budget: both of them, a search's DARR wait and a lease poll, are
+	// answered at once, and the server is gone within 2 s.
+	t.Run("SIGTERMFreesLongPolls", func(t *testing.T) {
+		server, url := bins.startServer(t)
+		ctx, cancel := context.WithTimeout(context.Background(), smokeWait)
+		defer cancel()
+		if granted, err := httpapi.NewClient(url, "smoke-peer").ClaimBatch(ctx, []string{"smoke|held|key"}); err != nil || !granted["smoke|held|key"] {
+			t.Fatalf("peer claim: %v, %v", granted, err)
+		}
+		c := httpapi.NewClient(url, "smoke-waiter")
+		lease, err := c.Subscribe(ctx, "smoke/quiet", "notify", time.Minute, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked := make(chan error, 2)
+		go func() { parked <- c.Wait(ctx, []string{"smoke|held|key"}) }()
+		go func() {
+			_, _, err := c.PollLease(ctx, lease.LeaseID, time.Minute)
+			parked <- err
+		}()
+		time.Sleep(300 * time.Millisecond) // both requests reach the server and park
+		sent := time.Now()
+		if err := server.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-server.exited:
+			if server.err != nil {
+				t.Errorf("coda-server after SIGTERM: %v, want exit 0", server.err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("coda-server still running 2 s after SIGTERM with a client parked")
+		}
+		t.Logf("coda-server exited %v after SIGTERM", time.Since(sent))
+		for i := 0; i < 2; i++ {
+			if err := <-parked; err != nil {
+				t.Errorf("a parked long poll ended with %v, want the 204 of a wait cut short", err)
+			}
+		}
+	})
 }
