@@ -142,7 +142,7 @@ func runServe(ctx context.Context, args []string) error {
 		if l == nil {
 			return
 		}
-		if err := l.follow(ctx, false, func(n httpapi.Notification) error { return series.observe(ctx, n) }); err != nil {
+		if err := l.follow(ctx, func(n httpapi.Notification) error { return series.observe(ctx, n) }); err != nil {
 			errCh <- err
 		}
 	}()

@@ -17,8 +17,8 @@ import (
 var errSubscribeDone = errors.New("subscribe: frame count reached")
 
 // runSubscribe implements `coda-client subscribe`: take a lease, follow
-// the push stream (SSE by default, long-poll with -poll), apply each
-// payload frame to a replica, and print what every frame says changed.
+// its SSE push stream, apply each payload frame to a replica, and print
+// what every frame says changed.
 func runSubscribe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("subscribe", flag.ExitOnError)
 	var (
@@ -28,7 +28,6 @@ func runSubscribe(ctx context.Context, args []string) error {
 		mode     = fs.String("mode", "notify", "push mode: value | delta | notify")
 		ttl      = fs.Duration("ttl", time.Minute, "lease duration asked for (auto-renewed at half the granted TTL)")
 		count    = fs.Int("count", 0, "exit after this many update frames (0 = run until interrupted)")
-		poll     = fs.Bool("poll", false, "long-poll instead of streaming over SSE")
 	)
 	ft := addFaultFlags(fs)
 	lf := addLogFlags(fs)
@@ -55,7 +54,7 @@ func runSubscribe(ctx context.Context, args []string) error {
 	defer l.close(exitCtx)
 
 	seen := 0
-	return l.follow(ctx, *poll, func(n httpapi.Notification) error {
+	return l.follow(ctx, func(n httpapi.Notification) error {
 		seen++
 		if n.Full != "" || n.Delta != "" {
 			reply, err := n.Reply()
@@ -148,24 +147,18 @@ func windDown(ctx context.Context) (context.Context, context.CancelFunc) {
 	return exitCtx, func() { stop(); cancel() }
 }
 
-// follow streams the lease's frames over SSE, or long-polls them with
-// poll, acks each and hands it to handle. It returns nil once ctx ends or
-// handle returns errSubscribeDone, handle's other errors as they are, and
-// an error naming the remedy when the lease or its stream is gone.
-func (l *lease) follow(ctx context.Context, poll bool, handle func(httpapi.Notification) error) error {
+// follow streams the lease's frames over SSE, acks each and hands it to
+// handle. It returns nil once ctx ends or handle returns errSubscribeDone,
+// handle's other errors as they are, and an error naming the remedy when
+// the lease or its stream is gone.
+func (l *lease) follow(ctx context.Context, handle func(httpapi.Notification) error) error {
 	each := func(n httpapi.Notification) error {
 		if err := l.c.AckLease(ctx, l.info.LeaseID, n.Version); err != nil {
 			slog.Warn("acking frame", "lease", l.info.LeaseID, "version", n.Version, "err", err)
 		}
 		return handle(n)
 	}
-	var err error
-	if poll {
-		err = l.poll(ctx, each)
-	} else {
-		err = l.c.StreamLease(ctx, l.info.LeaseID, each)
-	}
-	switch {
+	switch err := l.c.StreamLease(ctx, l.info.LeaseID, each); {
 	case errors.Is(err, errSubscribeDone), errors.Is(err, context.Canceled):
 		return nil
 	case errors.Is(err, httpapi.ErrLeaseGone):
@@ -174,22 +167,5 @@ func (l *lease) follow(ctx context.Context, poll bool, handle func(httpapi.Notif
 		return fmt.Errorf("lease stream dropped, the server restarted or went away; re-run the command: %w", err)
 	default:
 		return err
-	}
-}
-
-// poll long-polls the lease's frames to each until ctx ends or each fails.
-func (l *lease) poll(ctx context.Context, each func(httpapi.Notification) error) error {
-	for {
-		n, ok, err := l.c.PollLease(ctx, l.info.LeaseID, 25*time.Second)
-		switch {
-		case ctx.Err() != nil:
-			return nil
-		case err != nil:
-			return err
-		case ok:
-			if err := each(*n); err != nil {
-				return err
-			}
-		}
 	}
 }

@@ -52,17 +52,17 @@ func TestSubscribeFailsOnDroppedStream(t *testing.T) {
 	}
 }
 
-// TestSubscribePollOutlivesAttemptTimeout: subscribe -poll against a
-// lease that stays quiet for longer than -attempt-timeout keeps waiting
-// (the server-side wait is longer than an attempt), then prints the one
-// frame a publish sends, acks it once, cancels its lease and returns nil.
-func TestSubscribePollOutlivesAttemptTimeout(t *testing.T) {
-	var polls, acks atomic.Int64
+// TestSubscribeOutlivesAttemptTimeout: subscribe on a lease stream that
+// stays quiet for longer than -attempt-timeout keeps streaming (the stream
+// is not an attempt the retry layer times out), then prints the one frame
+// a publish sends, acks it once, cancels its lease and returns nil.
+func TestSubscribeOutlivesAttemptTimeout(t *testing.T) {
+	var streams, acks atomic.Int64
 	url, leases := homeServer(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch {
-			case strings.HasSuffix(r.URL.Path, "/poll"):
-				polls.Add(1)
+			case strings.HasSuffix(r.URL.Path, "/stream"):
+				streams.Add(1)
 			case strings.HasSuffix(r.URL.Path, "/ack"):
 				acks.Add(1)
 			}
@@ -72,12 +72,12 @@ func TestSubscribePollOutlivesAttemptTimeout(t *testing.T) {
 	printed, runErr := captureStdout(t, func() error {
 		done := make(chan error, 1)
 		go func() {
-			done <- runSubscribe(context.Background(), []string{"-server", url, "-key", "watched", "-poll",
+			done <- runSubscribe(context.Background(), []string{"-server", url, "-key", "watched",
 				"-count", "1", "-attempt-timeout", "200ms", "-retries", "1", "-log-level", "error"})
 		}()
-		for deadline := time.Now().Add(5 * time.Second); polls.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); streams.Load() == 0; time.Sleep(5 * time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatal("subscribe never polled its lease")
+				t.Fatal("subscribe never opened its lease stream")
 			}
 		}
 		time.Sleep(600 * time.Millisecond) // quiet for three attempt timeouts
@@ -98,7 +98,7 @@ func TestSubscribePollOutlivesAttemptTimeout(t *testing.T) {
 		}
 	})
 	if runErr != nil {
-		t.Fatalf("subscribe -poll: %v", runErr)
+		t.Fatalf("subscribe: %v", runErr)
 	}
 	if !strings.Contains(printed, `notify "watched" v1 (1 publishes coalesced`) {
 		t.Errorf("output %q, want the v1 notify frame", printed)

@@ -20,9 +20,8 @@
 //
 // Real-time push (Section III's lease-based subscriptions): POST /leases
 // grants a lease on an object, GET /leases/{id}/stream serves coalesced
-// update frames as Server-Sent Events (GET /leases/{id}/poll long-polls
-// instead), and object PUTs fan out through a bounded worker pool so a
-// slow subscriber never stalls a writer. Expired leases on idle objects
+// update frames as Server-Sent Events, and object PUTs fan out through a
+// bounded worker pool so a slow subscriber never stalls a writer. Expired leases on idle objects
 // are swept every leaseSweep:
 //
 //	coda-server -addr :8080 -fanout-workers 16 -notify-coalesce 100ms
@@ -136,7 +135,7 @@ func main() {
 	}
 	api := httpapi.NewServer(repo, hs)
 	if *fanoutWorkers > 0 {
-		// The push serving tier: SSE/long-poll lease subscriptions with a
+		// The push serving tier: SSE lease subscriptions with a
 		// bounded fanout pool, per-lease coalescing, and a periodic sweep
 		// of expired leases on idle objects.
 		leases := replication.NewManagerWith(hs, nil, replication.Config{
@@ -167,8 +166,8 @@ func main() {
 		IdleTimeout:       *idleTimeout,
 	}
 	// Shutdown waits for running handlers but does not end them: a parked
-	// DARR wait or lease poll, or an open lease stream, would hold the
-	// exit for its whole budget.
+	// DARR wait or an open lease stream would hold the exit for its whole
+	// budget.
 	srv.RegisterOnShutdown(api.EndLongPolls)
 	// Bind first, so the line reports the address actually bound (-addr
 	// 127.0.0.1:0 lets the kernel pick a free port).

@@ -361,7 +361,7 @@ func (c *Client) postDigests(ctx context.Context, path string, header http.Heade
 // the search then claims again. It watches the first DefaultMaxBatchKeys
 // keys only, so a search waiting on more is woken by a change among those
 // or by the wait running out. It is one request, held by the server, and
-// it bypasses the client's overall timeout as PollLease does. A server
+// it bypasses the client's overall timeout as StreamLease does. A server
 // without the route is an error naming it; core.Search then waits on its
 // timer for that round.
 func (c *Client) Wait(ctx context.Context, keys []string) error {

@@ -34,7 +34,7 @@ func (n *Notification) Reply() (*store.Reply, error) {
 // Subscribe takes a lease on key with the given push mode ("value",
 // "delta", or "notify") and TTL. haveVersion seeds the acknowledged
 // version (0 = nothing held) so delta pushes start from the replica's
-// state. The lease is granted server-side; stream or poll it next.
+// state. The lease is granted server-side; stream it next.
 func (c *Client) Subscribe(ctx context.Context, key, mode string, ttl time.Duration, haveVersion uint64) (*LeaseInfo, error) {
 	req := leaseRequest{Key: key, ClientID: c.ClientID, Mode: mode,
 		TTLSeconds: ttl.Seconds(), HaveVersion: haveVersion}
@@ -88,48 +88,6 @@ func (c *Client) CancelLease(ctx context.Context, leaseID string) error {
 		return fmt.Errorf("httpapi: cancel status %d", status)
 	}
 	return nil
-}
-
-// PollLease long-polls for the lease's next coalesced frame, waiting up
-// to wait server-side. It returns (frame, true) when one arrived and
-// (nil, false) when the wait elapsed quietly. A 410 means the lease is
-// gone — re-subscribe.
-func (c *Client) PollLease(ctx context.Context, leaseID string, wait time.Duration) (*Notification, bool, error) {
-	path := fmt.Sprintf("/leases/%s/poll?wait=%s", url.PathEscape(leaseID), wait)
-	var n Notification
-	got := false
-	err := c.exec(ctx, "GET /leases/poll", c.longPollPolicy(wait), func(ctx context.Context) error {
-		req, err := c.newRequest(ctx, http.MethodGet, path, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.streamClient().Do(req)
-		if err != nil {
-			return fmt.Errorf("httpapi: poll lease: %w", err)
-		}
-		defer resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			if err := json.NewDecoder(resp.Body).Decode(&n); err != nil {
-				return fmt.Errorf("httpapi: decoding poll frame: %w", err)
-			}
-			got = true
-			return nil
-		case http.StatusNoContent:
-			return nil
-		case http.StatusGone, http.StatusNotFound:
-			return fmt.Errorf("httpapi: lease %s gone (status %d)", leaseID, resp.StatusCode)
-		default:
-			return fmt.Errorf("httpapi: poll status %d", resp.StatusCode)
-		}
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if !got {
-		return nil, false, nil
-	}
-	return &n, true, nil
 }
 
 // StreamLease opens the lease's SSE stream and invokes fn for every
@@ -221,7 +179,7 @@ func readSSE(r io.Reader, maxLine int, dispatch func(event, data string) error) 
 const maxSSEFrame = 16 << 20
 
 // streamClient derives an HTTP client with no overall timeout from the
-// configured one: subscriptions and long-polls hold connections open far
+// configured one: lease streams and the DARR wait hold connections open far
 // past any sane request deadline.
 func (c *Client) streamClient() *http.Client {
 	return &http.Client{Transport: c.httpClient().Transport}

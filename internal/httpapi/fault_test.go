@@ -141,6 +141,14 @@ func TestSearchUnderFaultInjection(t *testing.T) {
 // idempotent per client), a lost window degrades, nothing is left
 // unscored. Each client searches once, beside the other, and waits for
 // whatever its peer held.
+//
+// The two searches are made to overlap: c0's first claim is held until
+// c1's first lookup has been answered. Left to the scheduler, c1 could
+// start only after c0 had scored and published every unit; it would then
+// make one all-hit lookup, which seed 32's first draw lets through, and
+// have nothing dropped. With the gate c0 cannot finish before c1 has
+// looked up, so that ordering cannot arise, and c1's lookup finds units
+// left to claim.
 func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 100, Features: 4, Informative: 3, Noise: 1}, rng)
@@ -169,13 +177,37 @@ func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 	repo := darr.NewRepo(nil, time.Minute)
 	ts := httptest.NewServer(NewServer(repo, store.NewHomeStore(store.Options{BlockSize: 64})))
 	defer ts.Close()
+	lookedUp := make(chan struct{})
+	var lookedUpOnce sync.Once
+	openGate := func() { lookedUpOnce.Do(func() { close(lookedUp) }) }
+	claimAfterLookup := func(next http.RoundTripper) http.RoundTripper {
+		return roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			if r.URL.Path == "/darr/batch/claims" {
+				select {
+				case <-lookedUp:
+				case <-r.Context().Done():
+					return nil, r.Context().Err()
+				}
+			}
+			return next.RoundTrip(r)
+		})
+	}
+	openOnLookup := func(next http.RoundTripper) http.RoundTripper {
+		return roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			resp, err := next.RoundTrip(r)
+			if err == nil && resp.StatusCode == http.StatusOK && r.URL.Path == "/darr/batch/lookup" {
+				openGate()
+			}
+			return resp, err
+		})
+	}
 	var transports []*faultinject.Transport
-	search := func(id string, seed int64) func() *core.SearchResult {
+	search := func(id string, seed int64, gate func(http.RoundTripper) http.RoundTripper) func() *core.SearchResult {
 		tr := faultinject.NewTransport(nil, faultinject.Config{Seed: seed, DropFraction: 0.3})
 		transports = append(transports, tr)
 		c := NewClient(ts.URL, id)
 		c.Metric = "rmse"
-		c.HTTP = &http.Client{Transport: tr, Timeout: 10 * time.Second}
+		c.HTTP = &http.Client{Transport: gate(tr), Timeout: 10 * time.Second}
 		c.Retry = retry.Policy{MaxAttempts: 8, Sleep: noWait}
 		o := opts
 		o.Store = c
@@ -188,13 +220,14 @@ func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 			return res
 		}
 	}
-	clients := []func() *core.SearchResult{search("c0", 31), search("c1", 32)}
+	clients := []func() *core.SearchResult{search("c0", 31, claimAfterLookup), search("c1", 32, openOnLookup)}
 	results := make([]*core.SearchResult, len(clients))
 	var wg sync.WaitGroup
 	for i, run := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer openGate() // a c1 whose lookups all failed must not strand c0
 			results[i] = run()
 		}()
 	}
@@ -213,6 +246,11 @@ func TestTwoClientSearchConvergesUnder30PercentLoss(t *testing.T) {
 		}
 	}
 }
+
+// roundTripFunc is an http.RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestSearchDegradesWhenServerIsGone pins the degrade path: with the
 // remote side black-holed, the search completes locally and marks every

@@ -17,24 +17,20 @@ import (
 	"coda/internal/store"
 )
 
-// Lease serving-tier defaults: subscription TTLs, the long-poll wait
-// bound, and the SSE heartbeat that keeps idle streams alive through
-// proxies.
+// Lease serving-tier defaults: subscription TTLs and the SSE heartbeat
+// that keeps idle streams alive through proxies.
 const (
 	DefaultLeaseTTL        = time.Minute
 	DefaultMaxLeaseTTL     = time.Hour
-	DefaultLongPollWait    = 25 * time.Second
-	MaxLongPollWait        = 2 * time.Minute
 	DefaultStreamHeartbeat = 15 * time.Second
 )
 
 // EnableLeases mounts the real-time push endpoints — POST /leases,
-// GET /leases/{id}/stream (SSE), GET /leases/{id}/poll (long-poll), and
-// the renew/ack/cancel routes — backed by m, and routes object PUTs
-// through m so HTTP writes reach subscribers. The manager's OnRelease
-// hook is chained to tear down each lease's stream mailbox when the
-// lease leaves the registry (cancelled, expired, or swept), which ends
-// any open stream for it.
+// GET /leases/{id}/stream (SSE), and the renew/ack/cancel routes —
+// backed by m, and routes object PUTs through m so HTTP writes reach
+// subscribers. The manager's OnRelease hook is chained to tear down each
+// lease's stream mailbox when the lease leaves the registry (cancelled,
+// expired, or swept), which ends any open stream for it.
 func (s *Server) EnableLeases(m *replication.Manager) {
 	s.Leases = m
 	s.mailboxes = map[string]*leaseMailbox{}
@@ -198,30 +194,30 @@ type frame struct {
 	changedBytes int
 }
 
-// writeTo writes the frame as a Notification JSON object between prefix and
-// suffix (the SSE event framing, or nothing): the per-lease fields around
-// the shared bytes, with no intermediate copy of the payload. Lease ids are
-// hex, so quoting needs no JSON-specific escaping.
-func (f frame) writeTo(w io.Writer, prefix, suffix, leaseID string, mode replication.PushMode) error {
-	_, err := fmt.Fprintf(w, `%s{"lease_id":%q,"mode":%q,"coalesced":%d,"changed_bytes":%d,`,
-		prefix, leaseID, modeToWire(mode), f.coalesced, f.changedBytes)
+// writeTo writes the frame as an SSE update event whose data is a
+// Notification JSON object: the per-lease fields around the shared bytes,
+// with no intermediate copy of the payload. Lease ids are hex, so quoting
+// needs no JSON-specific escaping.
+func (f frame) writeTo(w io.Writer, leaseID string, mode replication.PushMode) error {
+	_, err := fmt.Fprintf(w, "event: update\ndata: "+`{"lease_id":%q,"mode":%q,"coalesced":%d,"changed_bytes":%d,`,
+		leaseID, modeToWire(mode), f.coalesced, f.changedBytes)
 	if err == nil {
 		_, err = w.Write(f.shared[1:]) // the shared object minus its opening brace
 	}
 	if err == nil {
-		_, err = io.WriteString(w, suffix)
+		_, err = io.WriteString(w, "\n\n")
 	}
 	return err
 }
 
 // leaseMailbox is the Subscriber bridging the fanout workers to one
 // lease's HTTP stream. Deliver never blocks: the frame merges into a
-// single pending slot and a cap-1 signal wakes whichever stream or poll
-// handler is waiting, so a stalled or absent HTTP client costs the
-// fanout nothing. Frames that land while the previous one is unread
-// coalesce exactly like the manager's own slot — latest version, summed
-// publish counts. The handler that takes a frame stamps the lease id it
-// was asked for, so the mailbox needs no identity of its own.
+// single pending slot and a cap-1 signal wakes the stream handler if it
+// is waiting, so a stalled or absent HTTP client costs the fanout
+// nothing. Frames that land while the previous one is unread coalesce
+// exactly like the manager's own slot — latest version, summed publish
+// counts. The handler that takes a frame stamps the lease id it was asked
+// for, so the mailbox needs no identity of its own.
 type leaseMailbox struct {
 	mode replication.PushMode
 
@@ -271,7 +267,7 @@ func (mb *leaseMailbox) take() (frame, bool) {
 	return f, f.shared != nil
 }
 
-// close marks the mailbox released and wakes any waiting handler.
+// close marks the mailbox released and wakes a waiting handler.
 func (mb *leaseMailbox) close() {
 	mb.mu.Lock()
 	if mb.closed {
@@ -381,7 +377,7 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.leaseInfo(l, ttl))
 }
 
-// handleLeaseByID routes /leases/{id}[/stream|/poll|/renew|/ack]. It
+// handleLeaseByID routes /leases/{id}[/stream|/renew|/ack]. It
 // resolves the lease and its mailbox once for every route: unknown ids are
 // 404, expired leases 410 Gone (re-subscribe, don't retry).
 func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
@@ -400,8 +396,6 @@ func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case action == "stream" && r.Method == http.MethodGet:
 		s.handleLeaseStream(w, r, l, mb)
-	case action == "poll" && r.Method == http.MethodGet:
-		s.handleLeasePoll(w, r, l, mb)
 	case action == "renew" && r.Method == http.MethodPost:
 		var req renewRequest
 		if err := decodeJSONBody(r, &req); err != nil {
@@ -425,8 +419,6 @@ func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
 	case action == "" && r.Method == http.MethodDelete:
 		s.Leases.Cancel(l)
 		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
-	case action == "" && r.Method == http.MethodGet:
-		writeJSON(w, http.StatusOK, s.leaseInfo(l, time.Until(l.Expires())))
 	default:
 		s.writeError(w, r, http.StatusMethodNotAllowed,
 			fmt.Errorf("method %s not allowed on /leases/{id}/%s", r.Method, action))
@@ -467,7 +459,7 @@ func (s *Server) handleLeaseStream(w http.ResponseWriter, r *http.Request, l *re
 		// the last write and re-arming the signal.
 		if f, ok := mb.take(); ok {
 			writeBy()
-			if err := f.writeTo(w, "event: update\ndata: ", "\n\n", l.ID, mb.mode); err != nil {
+			if err := f.writeTo(w, l.ID, mb.mode); err != nil {
 				return
 			}
 			flusher.Flush()
@@ -502,35 +494,4 @@ func writeSSE(w http.ResponseWriter, event string, v any) error {
 	}
 	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	return err
-}
-
-// handleLeasePoll serves GET /leases/{id}/poll?wait=30s: the long-poll
-// flavor of the stream. An available frame returns immediately; otherwise
-// the request parks (park) until a frame lands, the park ends (204), or
-// the lease is released (410).
-func (s *Server) handleLeasePoll(w http.ResponseWriter, r *http.Request, l *replication.Lease, mb *leaseMailbox) {
-	ctx, answer, ok := s.park(w, r)
-	if !ok {
-		return
-	}
-	for {
-		if f, ok := mb.take(); ok {
-			answer()
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_ = f.writeTo(w, "", "", l.ID, mb.mode) // a failed write is the client hanging up
-			return
-		}
-		select {
-		case <-ctx.Done():
-			answer()
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-mb.done:
-			answer()
-			s.writeError(w, r, http.StatusGone, fmt.Errorf("%w: %q", replication.ErrLeaseExpired, l.ID))
-			return
-		case <-mb.signal:
-		}
-	}
 }

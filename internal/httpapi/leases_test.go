@@ -45,6 +45,23 @@ func newLeaseServerAt(t *testing.T, cfg replication.Config, now func() time.Time
 	return NewClient(ts.URL, "lease-client"), m, srv, ts
 }
 
+// errFirstFrame stops firstFrame's stream at its first update frame.
+var errFirstFrame = errors.New("first frame read")
+
+// firstFrame streams lease id until its first update frame and returns it.
+func firstFrame(ctx context.Context, t *testing.T, c *Client, id string) Notification {
+	t.Helper()
+	var n Notification
+	err := c.StreamLease(ctx, id, func(got Notification) error {
+		n = got
+		return errFirstFrame
+	})
+	if !errors.Is(err, errFirstFrame) {
+		t.Fatalf("streaming lease %s: %v, want an update frame", id, err)
+	}
+	return n
+}
+
 func TestLeaseSubscribeStreamPublish(t *testing.T) {
 	c, m, _, _ := newLeaseServer(t, replication.Config{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -122,38 +139,15 @@ func TestLeaseFramesCoalesceWhileUnread(t *testing.T) {
 		}
 	}
 	m.Flush()
-	n, ok, err := c.PollLease(ctx, info.LeaseID, 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("poll: ok=%v err=%v", ok, err)
-	}
-	if n.Version != 5 || n.Coalesced != 5 {
+	if n := firstFrame(ctx, t, c, info.LeaseID); n.Version != 5 || n.Coalesced != 5 {
 		t.Fatalf("coalesced frame %+v, want version 5 covering 5 publishes", n)
 	}
-	// Nothing further pending: a short poll comes back empty.
-	if _, ok, err := c.PollLease(ctx, info.LeaseID, 100*time.Millisecond); err != nil || ok {
-		t.Fatalf("empty poll: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestPollLeaseOutlivesAttemptTimeout: a quiet poll whose wait is longer
-// than the per-attempt timeout comes back empty when the wait elapses, not
-// cut short as a timed-out attempt.
-func TestPollLeaseOutlivesAttemptTimeout(t *testing.T) {
-	c, _, _, _ := newLeaseServer(t, replication.Config{Workers: 1})
-	c.Retry.PerAttemptTimeout, c.Retry.MaxAttempts = 300*time.Millisecond, 2
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	info, err := c.Subscribe(ctx, "quiet", "notify", time.Minute, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	n, ok, err := c.PollLease(ctx, info.LeaseID, time.Second)
-	if err != nil || ok || n != nil {
-		t.Fatalf("quiet poll after %v: frame %+v, ok=%v, err=%v; want nil, false, nil", time.Since(start), n, ok, err)
-	}
-	if el := time.Since(start); el < time.Second {
-		t.Fatalf("quiet poll returned after %v, before its 1s wait", el)
+	// Nothing further pending: a stream held for 100 ms carries no frame.
+	quiet, stop := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer stop()
+	err = c.StreamLease(quiet, info.LeaseID, func(n Notification) error { return fmt.Errorf("a further frame %+v", n) })
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("quiet stream ended with %v, want its 100 ms deadline", err)
 	}
 }
 
@@ -179,10 +173,7 @@ func TestLeaseDeltaModeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Flush()
-	n, ok, err := c.PollLease(ctx, info.LeaseID, 5*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("poll: ok=%v err=%v", ok, err)
-	}
+	n := firstFrame(ctx, t, c, info.LeaseID)
 	if n.Delta == "" || n.BaseVersion != 1 {
 		t.Fatalf("frame %+v, want a delta against version 1", n)
 	}
@@ -247,8 +238,8 @@ func TestLeaseRenewExtendsAndExpiryEndsStream(t *testing.T) {
 	if _, ok := m.LeaseByID(short.LeaseID); ok {
 		t.Fatal("expired lease still registered after sweep")
 	}
-	if _, _, err := c.PollLease(ctx, short.LeaseID, 100*time.Millisecond); err == nil {
-		t.Fatal("poll of swept lease should fail")
+	if err := c.StreamLease(ctx, short.LeaseID, func(Notification) error { return nil }); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("stream of swept lease: %v, want ErrLeaseGone", err)
 	}
 }
 
@@ -509,10 +500,7 @@ func TestLeaseFramesCarryOwnIDUnderPublishRace(t *testing.T) {
 		}
 		// With the publishers still running the lease has a frame coming —
 		// most likely one delivered while the grant was still in flight.
-		n, ok, err := c.PollLease(ctx, info.LeaseID, 5*time.Second)
-		if err != nil || !ok {
-			t.Fatalf("lease %d: poll ok=%v err=%v", i, ok, err)
-		}
+		n := firstFrame(ctx, t, c, info.LeaseID)
 		if n.LeaseID != info.LeaseID {
 			t.Fatalf("lease %d (%s) received a frame stamped %q", i, info.LeaseID, n.LeaseID)
 		}
@@ -560,11 +548,16 @@ func TestFrameEncodedOncePerGroup(t *testing.T) {
 		}
 		var out strings.Builder
 		id := fmt.Sprintf("lease-%d", i)
-		if err := f.writeTo(&out, "", "", id, mb.mode); err != nil {
+		if err := f.writeTo(&out, id, mb.mode); err != nil {
 			t.Fatal(err)
 		}
+		data, isEvent := strings.CutPrefix(out.String(), "event: update\ndata: ")
+		data, ends := strings.CutSuffix(data, "\n\n")
+		if !isEvent || !ends {
+			t.Fatalf("mailbox %d wrote no SSE update event:\n%q", i, out.String())
+		}
 		var n Notification
-		if err := json.Unmarshal([]byte(out.String()), &n); err != nil {
+		if err := json.Unmarshal([]byte(data), &n); err != nil {
 			t.Fatalf("mailbox %d wrote invalid JSON: %v\n%s", i, err, out.String())
 		}
 		reply, err := n.Reply()

@@ -66,11 +66,12 @@ type Server struct {
 	// (DefaultMaxBatchKeys, where clients cut their batches; tests lower it).
 	maxBatchKeys int
 	// heartbeat spaces the SSE keep-alive comments, and one write to a
-	// lease stream or poll may block for two of them: a reader slower than
-	// that is cut off rather than holding its handler, and so Shutdown,
-	// indefinitely (DefaultStreamHeartbeat; tests lower it).
+	// lease stream or a DARR wait's reply may block for two of them: a
+	// reader slower than that is cut off rather than holding its handler,
+	// and so Shutdown, indefinitely (DefaultStreamHeartbeat; tests lower
+	// it).
 	heartbeat time.Duration
-	// shutdown ends at EndLongPolls: every parked long poll answers and
+	// shutdown ends at EndLongPolls: every parked DARR wait answers and
 	// every lease stream closes.
 	shutdown     context.Context
 	endLongPolls context.CancelFunc
@@ -172,12 +173,12 @@ func ListenDebug(addr string) error {
 	return nil
 }
 
-// EndLongPolls answers every parked long poll — a DARR wait or a lease
-// poll, with the 204 of a wait that ran out — and closes every lease
-// stream, now and for the rest of the server's life. http.Server.Shutdown
-// waits for running handlers without cancelling their contexts, so a
-// server that serves long polls registers this with RegisterOnShutdown;
-// otherwise a parked request holds the shutdown for up to its wait.
+// EndLongPolls answers every parked DARR wait with the 204 of a wait
+// that ran out and closes every lease stream, now and for the rest of the
+// server's life. http.Server.Shutdown waits for running handlers without
+// cancelling their contexts, so a server that serves long polls registers
+// this with RegisterOnShutdown; otherwise a parked request holds the
+// shutdown for up to its wait.
 func (s *Server) EndLongPolls() { s.endLongPolls() }
 
 // statusRecorder captures the response status and size for telemetry. The
@@ -248,14 +249,10 @@ func routeLabel(path string) string {
 	case path == "/leases":
 		return "leases"
 	case strings.HasPrefix(path, "/leases/"):
-		switch {
-		case strings.HasSuffix(path, "/stream"):
+		if strings.HasSuffix(path, "/stream") {
 			return "lease-stream"
-		case strings.HasSuffix(path, "/poll"):
-			return "lease-poll"
-		default:
-			return "lease-ops"
 		}
+		return "lease-ops"
 	default:
 		return "other"
 	}
@@ -280,7 +277,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// connection lifetime rather than a unit of work.
 	var sp *trace.Span
 	if route != "metrics" && route != "healthz" && route != "traces" && route != "pprof" &&
-		route != "lease-stream" && route != "lease-poll" {
+		route != "lease-stream" {
 		ctx = trace.Extract(ctx, r.Header)
 		ctx, sp = trace.Start(ctx, "server."+route,
 			trace.String("method", r.Method), trace.String("request_id", id))
@@ -617,6 +614,13 @@ func (s *Server) handleBatchWait(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 }
+
+// The DARR wait's long-poll bounds: the wait a client asks for, and the
+// most the server parks a request whatever it asks.
+const (
+	DefaultLongPollWait = 25 * time.Second
+	MaxLongPollWait     = 2 * time.Minute
+)
 
 // park is the one way a handler starts a long poll: it reads the wait
 // parameter (DefaultLongPollWait when absent, at most MaxLongPollWait) and

@@ -202,9 +202,8 @@ func TestWaitAgainstOldServer(t *testing.T) {
 }
 
 // TestEndLongPollsFreesParkedRequests: EndLongPolls answers a parked DARR
-// wait and a parked lease poll with 204 and closes a lease stream without
-// its end frame, at once, and a wait that arrives after it is answered at
-// once too.
+// wait with 204 and closes a lease stream without its end frame, at once,
+// and a wait that arrives after it is answered at once too.
 func TestEndLongPollsFreesParkedRequests(t *testing.T) {
 	hs := store.NewHomeStore(store.Options{BlockSize: 64})
 	m := replication.NewManagerWith(hs, nil, replication.Config{Workers: 1})
@@ -217,28 +216,24 @@ func TestEndLongPollsFreesParkedRequests(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	repo.ClaimBatch([]string{"k"}, "peer")
-	polled, streamed := mustLease(t, c, ctx), mustLease(t, c, ctx)
+	lease, err := c.Subscribe(ctx, "obj", "notify", time.Minute, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	errs := make(chan error, 3)
+	errs := make(chan error, 2)
 	go func() { errs <- c.Wait(ctx, []string{"k"}) }()
 	go func() {
-		n, got, err := c.PollLease(ctx, polled, time.Minute)
-		if err == nil && (got || n != nil) {
-			err = errors.New("a frame arrived")
-		}
-		errs <- err
-	}()
-	go func() {
-		err := c.StreamLease(ctx, streamed, func(Notification) error { return nil })
+		err := c.StreamLease(ctx, lease.LeaseID, func(Notification) error { return nil })
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			err = nil
 		}
 		errs <- err
 	}()
-	until(t, "three requests to park", func() bool { return cs.inflight.Load() == 3 })
+	until(t, "two requests to park", func() bool { return cs.inflight.Load() == 2 })
 	ended := time.Now()
 	srv.EndLongPolls()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Errorf("a parked request ended with %v, want a 204 or a stream with no end frame", err)
 		}
@@ -250,14 +245,4 @@ func TestEndLongPollsFreesParkedRequests(t *testing.T) {
 	if err := c.Wait(ctx, []string{"k"}); err != nil || time.Since(start) > time.Second {
 		t.Errorf("a wait after EndLongPolls = %v after %v, want nil at once", err, time.Since(start))
 	}
-}
-
-// mustLease takes a notify lease on "obj" and returns its id.
-func mustLease(t *testing.T, c *Client, ctx context.Context) string {
-	t.Helper()
-	info, err := c.Subscribe(ctx, "obj", "notify", time.Minute, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return info.LeaseID
 }

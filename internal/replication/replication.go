@@ -30,8 +30,8 @@
 // subscriber never stalls the publisher or any other lease. A lease's frames
 // never go backwards: coalescing may skip a version, never reorder two.
 // Flush is the barrier for callers that must see the deliveries, such as the
-// experiments; the same pool is the serving tier behind httpapi's
-// SSE/long-poll lease endpoints.
+// experiments; the same pool is the serving tier behind httpapi's SSE
+// lease endpoints.
 package replication
 
 import (

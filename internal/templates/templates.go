@@ -1,7 +1,8 @@
 // Package templates packages the paper's AI solution templates (Section
 // IV-E): Failure Prediction Analysis, Root Cause Analysis, Anomaly
-// Analysis, and Cohort Analysis. Each is a one-call workflow built on the
-// Transformer-Estimator machinery, trading generality for consumability by
+// Analysis, and Cohort Analysis. Each is a one-call workflow that calls the
+// preprocess, mlmodels and tswindow components directly, with no TEG
+// search (ROADMAP item 31), trading generality for consumability by
 // non-expert users — the paper's stated design point for heavy industry.
 package templates
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -919,9 +920,11 @@ func TestSmoke(t *testing.T) {
 	})
 
 	// Shutdown waits for running handlers and does not cancel them, so a
-	// parked long poll would hold a SIGTERM for the server's whole 10 s
-	// budget: both of them, a search's DARR wait and a lease poll, are
-	// answered at once, and the server is gone within 2 s.
+	// parked long poll or an open lease stream would hold a SIGTERM for the
+	// server's whole 10 s budget: a search's DARR wait is answered and a
+	// lease stream is closed at once, and the server is gone within 2 s.
+	// The stream ends without its end frame, as it would in-process at
+	// EndLongPolls.
 	t.Run("SIGTERMFreesLongPolls", func(t *testing.T) {
 		server, url := bins.startServer(t)
 		ctx, cancel := context.WithTimeout(context.Background(), smokeWait)
@@ -934,13 +937,12 @@ func TestSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parked := make(chan error, 2)
-		go func() { parked <- c.Wait(ctx, []string{"smoke|held|key"}) }()
+		waited, streamed := make(chan error, 1), make(chan error, 1)
+		go func() { waited <- c.Wait(ctx, []string{"smoke|held|key"}) }()
 		go func() {
-			_, _, err := c.PollLease(ctx, lease.LeaseID, time.Minute)
-			parked <- err
+			streamed <- c.StreamLease(ctx, lease.LeaseID, func(httpapi.Notification) error { return nil })
 		}()
-		time.Sleep(300 * time.Millisecond) // both requests reach the server and park
+		time.Sleep(300 * time.Millisecond) // both requests reach the server
 		sent := time.Now()
 		if err := server.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatal(err)
@@ -954,10 +956,11 @@ func TestSmoke(t *testing.T) {
 			t.Fatal("coda-server still running 2 s after SIGTERM with a client parked")
 		}
 		t.Logf("coda-server exited %v after SIGTERM", time.Since(sent))
-		for i := 0; i < 2; i++ {
-			if err := <-parked; err != nil {
-				t.Errorf("a parked long poll ended with %v, want the 204 of a wait cut short", err)
-			}
+		if err := <-waited; err != nil {
+			t.Errorf("the parked DARR wait ended with %v, want the 204 of a wait cut short", err)
+		}
+		if err := <-streamed; !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("the lease stream ended with %v, want io.ErrUnexpectedEOF: closed without its end frame", err)
 		}
 	})
 }
