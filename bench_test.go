@@ -20,6 +20,7 @@ import (
 	"coda/internal/matrix"
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
+	"coda/internal/obs/trace"
 	"coda/internal/preprocess"
 	"coda/internal/sim"
 	"coda/internal/store"
@@ -253,6 +254,57 @@ func BenchmarkColdTSSearch(b *testing.B) {
 	}
 }
 
+// coopGridGraph is coda-client's regression graph: 4 scalers x 3 selector
+// chains x 4 models, finalized.
+func coopGridGraph(b *testing.B) *core.Graph {
+	g := core.NewGraph()
+	g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(), preprocess.NewStandardScaler(), preprocess.NewNoOp())
+	g.AddFeatureSelectors(
+		[]core.Transformer{preprocess.NewCovariance(), preprocess.NewPCA(3)},
+		[]core.Transformer{preprocess.NewSelectKBest(3)},
+		[]core.Transformer{preprocess.NewNoOp()},
+	)
+	g.AddRegressionModels(
+		mlmodels.NewRandomForest(mlmodels.TreeRegression, 30),
+		mlmodels.NewKNN(mlmodels.KNNRegression, 5),
+		mlmodels.NewDecisionTree(mlmodels.TreeRegression),
+		mlmodels.NewLinearRegression(),
+	)
+	if err := g.Finalize(); err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// coopGridOptions are the search-coop-grid workload's options: shuffled
+// KFold K = 5 under its 132-unit grid.
+func coopGridOptions(b *testing.B) core.SearchOptions {
+	scorer, err := metrics.ScorerByName("rmse")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return core.SearchOptions{
+		Splitter: crossval.KFold{K: 5, Shuffle: true},
+		Scorer:   scorer,
+		ParamGrid: map[string][]float64{
+			"randomforest__n_trees":   {10, 20, 30},
+			"randomforest__max_depth": {4, 8},
+			"decisiontree__max_depth": {3, 5, 8},
+		},
+		Seed: 1,
+	}
+}
+
+// coopGridData is the 400-row MakeRegression the search-coop-grid workload
+// searches.
+func coopGridData(b *testing.B) *dataset.Dataset {
+	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 400, Features: 6, Informative: 3, Noise: 3}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ds
+}
+
 // BenchmarkCoopGridSearch is one local search in the shape of the
 // end-to-end benchmark's search-coop-grid set-up: coda-client's regression
 // graph (4 scalers x 3 selector chains x 4 models) under its 132-unit grid,
@@ -261,49 +313,63 @@ func BenchmarkColdTSSearch(b *testing.B) {
 //
 //	go test -run '^$' -bench BenchmarkCoopGridSearch -cpuprofile cpu.out .
 func BenchmarkCoopGridSearch(b *testing.B) {
-	ds, _, err := dataset.MakeRegression(dataset.RegressionSpec{Samples: 400, Features: 6, Informative: 3, Noise: 3}, rand.New(rand.NewSource(3)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	scorer, err := metrics.ScorerByName("rmse")
-	if err != nil {
-		b.Fatal(err)
-	}
+	ds := coopGridData(b)
+	opts := coopGridOptions(b)
+	opts.Parallelism = 2
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := core.NewGraph()
-		g.AddFeatureScalers(preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(), preprocess.NewStandardScaler(), preprocess.NewNoOp())
-		g.AddFeatureSelectors(
-			[]core.Transformer{preprocess.NewCovariance(), preprocess.NewPCA(3)},
-			[]core.Transformer{preprocess.NewSelectKBest(3)},
-			[]core.Transformer{preprocess.NewNoOp()},
-		)
-		g.AddRegressionModels(
-			mlmodels.NewRandomForest(mlmodels.TreeRegression, 30),
-			mlmodels.NewKNN(mlmodels.KNNRegression, 5),
-			mlmodels.NewDecisionTree(mlmodels.TreeRegression),
-			mlmodels.NewLinearRegression(),
-		)
-		if err := g.Finalize(); err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Search(context.Background(), g, ds, core.SearchOptions{
-			Splitter: crossval.KFold{K: 5, Shuffle: true},
-			Scorer:   scorer,
-			ParamGrid: map[string][]float64{
-				"randomforest__n_trees":   {10, 20, 30},
-				"randomforest__max_depth": {4, 8},
-				"decisiontree__max_depth": {3, 5, 8},
-			},
-			Parallelism: 2,
-			Seed:        1,
-		})
+		res, err := core.Search(context.Background(), coopGridGraph(b), ds, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.Best == nil || res.Computed != 132 {
 			b.Fatalf("%d of 132 units computed, best %v", res.Computed, res.Best)
+		}
+	}
+}
+
+// allHits is a result store holding a published score for every key, so
+// a search against it is one lookup and nothing else.
+type allHits struct{}
+
+func (allHits) LookupBatch(_ context.Context, keys []string) (map[string]float64, error) {
+	out := make(map[string]float64, len(keys))
+	for _, k := range keys {
+		out[k] = 1
+	}
+	return out, nil
+}
+
+func (allHits) ClaimBatch(context.Context, []string) (map[string]bool, error) {
+	return map[string]bool{}, nil
+}
+
+func (allHits) Publish(context.Context, string, float64, string) error { return nil }
+func (allHits) Release(context.Context, string) error                  { return nil }
+
+// BenchmarkWarmSearch is one warm search in the shape of search-coop-grid's
+// measured op, less its round trip: the coop grid's 132 units against an
+// in-process store that answers every lookup with a hit, tracing off, one
+// worker, the graph finalized once outside the loop. It is what core.Search
+// itself costs a search that computes nothing. A profile of it is
+//
+//	go test -run '^$' -bench BenchmarkWarmSearch -cpuprofile cpu.out -memprofile mem.out .
+func BenchmarkWarmSearch(b *testing.B) {
+	defer trace.SetEnabled(true)
+	trace.SetEnabled(false)
+	g, ds := coopGridGraph(b), coopGridData(b)
+	opts := coopGridOptions(b)
+	opts.Store, opts.Parallelism = allHits{}, 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Search(context.Background(), g, ds, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.CacheHits != 132 {
+			b.Fatalf("%d of 132 units hit", res.CacheHits)
 		}
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -167,8 +168,13 @@ func main() {
 	}
 	// Shutdown waits for running handlers but does not end them: a parked
 	// DARR wait or an open lease stream would hold the exit for its whole
-	// budget.
+	// budget. It also counts a connection that has sent no request yet (a
+	// client transport's spare dial) as active until it is 5 s old, so
+	// those are closed as it begins.
 	srv.RegisterOnShutdown(api.EndLongPolls)
+	var quiet quietConns
+	srv.ConnState = quiet.track
+	srv.RegisterOnShutdown(quiet.close)
 	// Bind first, so the line reports the address actually bound (-addr
 	// 127.0.0.1:0 lets the kernel pick a free port).
 	ln, err := net.Listen("tcp", *addr)
@@ -194,4 +200,35 @@ func main() {
 		defer cancel()
 		_ = srv.Shutdown(shCtx)
 	}
+}
+
+// quietConns holds a server's connections that have sent no request yet
+// (http.StateNew).
+type quietConns struct {
+	mu    sync.Mutex
+	conns map[net.Conn]struct{}
+}
+
+// track is the server's ConnState hook.
+func (q *quietConns) track(c net.Conn, state http.ConnState) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if state != http.StateNew {
+		delete(q.conns, c)
+		return
+	}
+	if q.conns == nil {
+		q.conns = map[net.Conn]struct{}{}
+	}
+	q.conns[c] = struct{}{}
+}
+
+// close closes every connection that has sent no request yet.
+func (q *quietConns) close() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for c := range q.conns {
+		_ = c.Close()
+	}
+	clear(q.conns)
 }

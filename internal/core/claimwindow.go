@@ -61,9 +61,9 @@ type handoff struct {
 // unit is handed out in order.
 type claimWindow struct {
 	opts  SearchOptions
-	units []searchUnit
-	size  int    // most granted-but-unstarted units held
-	drain func() // blocks until the workers have finished every unit handed out
+	keys  []string // by unit
+	size  int      // most granted-but-unstarted units held
+	drain func()   // blocks until the workers have finished every unit handed out
 
 	plan  []unitPlan // by unit
 	out   []handoff  // settled units no worker has taken yet, oldest first
@@ -76,16 +76,16 @@ type claimWindow struct {
 	gaveUp           bool // ctx ended while waiting on a peer, after every worker had finished
 }
 
-func newClaimWindow(ctx context.Context, opts SearchOptions, units []searchUnit, drain func()) *claimWindow {
-	// Every unit is settled once, so out never outgrows len(units).
-	w := &claimWindow{opts: opts, units: units, size: claimAhead * opts.Parallelism, drain: drain,
-		plan: make([]unitPlan, len(units)), out: make([]handoff, 0, len(units)), dir: 1}
-	if opts.Store != nil && len(units) > 0 {
-		w.nOpen = len(units)
+func newClaimWindow(ctx context.Context, opts SearchOptions, keys []string, drain func()) *claimWindow {
+	// Every unit is settled once, so out never outgrows len(keys).
+	w := &claimWindow{opts: opts, keys: keys, size: claimAhead * opts.Parallelism, drain: drain,
+		plan: make([]unitPlan, len(keys)), out: make([]handoff, 0, len(keys)), dir: 1}
+	if opts.Store != nil && len(keys) > 0 {
+		w.nOpen = len(keys)
 		w.look(ctx, false)
 		return w
 	}
-	for u := range units {
+	for u := range keys {
 		w.settle(u, planLocal, 0)
 	}
 	return w
@@ -122,25 +122,33 @@ func (w *claimWindow) settle(unit int, plan unitPlan, score float64) {
 	w.out = append(w.out, handoff{unit: unit, plan: plan, score: score})
 }
 
-// undecided lists the units still open or deferred, and their keys.
+// undecided lists the units still open or deferred, and their keys. While
+// every unit is — at a search's first lookup — units is nil and keys is
+// w.keys itself: the i-th key is unit i's.
 func (w *claimWindow) undecided() (units []int, keys []string) {
-	units, keys = make([]int, 0, w.nOpen+w.nDeferred), make([]string, 0, w.nOpen+w.nDeferred)
-	for u, p := range w.plan {
-		if p == planOpen || p == planDeferred {
-			units, keys = append(units, u), append(keys, w.units[u].key)
+	if n := w.nOpen + w.nDeferred; n < len(w.keys) {
+		units, keys = make([]int, 0, n), make([]string, 0, n)
+		for u, p := range w.plan {
+			if p == planOpen || p == planDeferred {
+				units, keys = append(units, u), append(keys, w.keys[u])
+			}
 		}
+		return units, keys
 	}
-	return units, keys
+	return nil, w.keys
 }
 
 // look settles every undecided unit that has a published score as a
 // cache hit, in one LookupBatch.
 func (w *claimWindow) look(ctx context.Context, deferred bool) {
 	units, keys := w.undecided()
-	lctx, sp := trace.Start(ctx, "search.bulk_lookup", trace.Int("keys", len(keys)))
-	sp.SetComponent(trace.CompDARRWait)
-	if deferred {
-		sp.SetAttr(trace.Bool("deferred", true))
+	lctx, sp := trace.Start(ctx, "search.bulk_lookup")
+	if sp != nil {
+		sp.SetComponent(trace.CompDARRWait)
+		sp.SetAttr(trace.Int("keys", len(keys)))
+		if deferred {
+			sp.SetAttr(trace.Bool("deferred", true))
+		}
 	}
 	scores, err := w.opts.Store.LookupBatch(lctx, keys)
 	if err != nil {
@@ -149,11 +157,17 @@ func (w *claimWindow) look(ctx context.Context, deferred bool) {
 		w.settleRest(planDegraded)
 		return
 	}
-	sp.SetAttr(trace.Int("hits", len(scores)))
-	sp.End()
+	if sp != nil {
+		sp.SetAttr(trace.Int("hits", len(scores)))
+		sp.End()
+	}
 	w.sinceLookup = 0
-	for i, u := range units {
-		if score, hit := scores[keys[i]]; hit {
+	for i, key := range keys {
+		if score, hit := scores[key]; hit {
+			u := i
+			if units != nil {
+				u = units[i]
+			}
 			if w.plan[u] == planOpen {
 				w.nOpen--
 			} else {
@@ -174,7 +188,7 @@ func (w *claimWindow) claim(ctx context.Context) {
 			w.pos, w.dir = 0, 1 // ran off an end with misses behind it: sweep them up from the start
 		}
 		if w.plan[w.pos] == planOpen {
-			units, keys = append(units, w.pos), append(keys, w.units[w.pos].key)
+			units, keys = append(units, w.pos), append(keys, w.keys[w.pos])
 			w.plan[w.pos] = planDeferred // until granted
 			w.nOpen--
 			w.nDeferred++
@@ -251,11 +265,13 @@ func (w *claimWindow) settleDeferred(ctx context.Context) {
 	if w.nDeferred == 0 {
 		return
 	}
-	units, keys := w.undecided()
+	_, keys := w.undecided()
 	if ctx.Err() == nil {
 		if w.wait(ctx, keys) {
-			for _, u := range units {
-				w.plan[u] = planOpen
+			for u, p := range w.plan {
+				if p == planDeferred {
+					w.plan[u] = planOpen
+				}
 			}
 			w.nOpen, w.nDeferred = w.nDeferred, 0
 			return
@@ -293,9 +309,10 @@ func (w *claimWindow) wait(ctx context.Context, keys []string) bool {
 // that is as planDegraded: the search stops asking the store about them
 // instead of failing once per window.
 func (w *claimWindow) settleRest(plan unitPlan) {
-	units, _ := w.undecided()
-	for _, u := range units {
-		w.settle(u, plan, 0)
+	for u, p := range w.plan {
+		if p == planOpen || p == planDeferred {
+			w.settle(u, plan, 0)
+		}
 	}
 	w.nOpen, w.nDeferred = 0, 0
 }
@@ -309,7 +326,7 @@ func (w *claimWindow) abandon(ctx context.Context) {
 	flushPublishes(ctx, w.opts)
 	for _, h := range w.out {
 		if h.plan == planGranted {
-			releaseClaim(ctx, w.opts, w.units[h.unit].key, true)
+			releaseClaim(ctx, w.opts, w.keys[h.unit], true)
 			mClaimsHeld.Add(-1)
 		}
 	}

@@ -10,7 +10,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -64,29 +64,36 @@ func ComponentSpec(c Component) string {
 	if len(params) == 0 {
 		return c.Name()
 	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
+	// The parameters, sorted by name; up to 8 of them stay on the stack.
+	type param struct {
+		name string
+		v    float64
 	}
-	sort.Strings(keys)
+	var arr [8]param
+	ps := arr[:0]
+	for k, v := range params {
+		ps = append(ps, param{k, v})
+	}
+	slices.SortFunc(ps, func(a, b param) int { return strings.Compare(a.name, b.name) })
 	// One allocation for the string: a rendered float64 is at most 24 bytes.
-	size := len(c.Name()) + 1
-	for _, k := range keys {
-		size += len(k) + 2 + 24
+	name := c.Name()
+	size := len(name) + 1
+	for _, p := range ps {
+		size += len(p.name) + 2 + 24
 	}
 	var b strings.Builder
 	b.Grow(size)
-	b.WriteString(c.Name())
+	b.WriteString(name)
 	var num [24]byte
-	for i, k := range keys {
+	for i, p := range ps {
 		if i == 0 {
 			b.WriteByte('(')
 		} else {
 			b.WriteByte(',')
 		}
-		b.WriteString(k)
+		b.WriteString(p.name)
 		b.WriteByte('=')
-		b.Write(strconv.AppendFloat(num[:0], params[k], 'g', -1, 64))
+		b.Write(strconv.AppendFloat(num[:0], p.v, 'g', -1, 64))
 	}
 	b.WriteByte(')')
 	return b.String()

@@ -154,6 +154,42 @@ func TestConnectRestrictsPaths(t *testing.T) {
 	}
 }
 
+// TestSearchPlansTheGraphAsBuilt: Search plans from the paths Finalize
+// kept, and a Connect or Add*Stage call after Finalize drops them. A
+// Connect then narrows the next search's units without another Finalize,
+// and one that fails makes the next search fail with its error.
+func TestSearchPlansTheGraphAsBuilt(t *testing.T) {
+	g := core.NewGraph()
+	g.AddTransformerStage("scale", preprocess.NewStandardScaler(), preprocess.NewNoOp())
+	g.AddEstimatorStage("model",
+		mlmodels.NewKNN(mlmodels.KNNRegression, 3),
+		mlmodels.NewDecisionTree(mlmodels.TreeRegression),
+	)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	rmse, _ := metrics.ScorerByName("rmse")
+	opts := core.SearchOptions{Splitter: crossval.KFold{K: 2}, Scorer: rmse, Store: allHits{}, Parallelism: 1}
+	units := func() (int, error) {
+		res, err := core.Search(context.Background(), g, regDS(t, 20), opts)
+		if err != nil {
+			return 0, err
+		}
+		return len(res.Units), nil
+	}
+	if n, err := units(); n != 4 || err != nil {
+		t.Fatalf("finalized graph: %d units, err %v; want 4", n, err)
+	}
+	g.Connect("standardscaler", "knn")
+	if n, err := units(); n != 3 || err != nil {
+		t.Fatalf("after Connect: %d units, err %v; want 3", n, err)
+	}
+	g.Connect("standardscaler", "bogus")
+	if _, err := units(); err == nil || !strings.Contains(err.Error(), "unknown node") {
+		t.Fatalf("after a failed Connect: err %v, want its unknown-node error", err)
+	}
+}
+
 func TestConnectNonAdjacentFails(t *testing.T) {
 	g := core.NewGraph()
 	g.AddTransformerStage("a", preprocess.NewStandardScaler())

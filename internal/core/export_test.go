@@ -29,17 +29,17 @@ func PlanUnits(g *Graph, grid map[string][]float64, fp, evalSpec string) ([]Plan
 	if err != nil {
 		return nil, err
 	}
-	units, err := planUnits(paths, grid, fp, evalSpec)
+	pl, err := planUnits(g, paths, grid, fp, evalSpec)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]PlannedUnit, len(units))
-	for i := range units {
-		p, err := units[i].build()
+	out := make([]PlannedUnit, len(pl.keys))
+	for i, key := range pl.keys {
+		p, err := pl.build(i)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = PlannedUnit{Key: units[i].key, Spec: units[i].spec, BuiltSpec: p.Spec()}
+		out[i] = PlannedUnit{Key: key, Spec: pl.spec(i), BuiltSpec: p.Spec()}
 	}
 	return out, nil
 }

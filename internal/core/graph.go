@@ -14,6 +14,8 @@ type Node struct {
 	Name         string
 	Transformers []Transformer // non-nil for transformer nodes
 	Estimator    Estimator     // non-nil for estimator nodes
+
+	pos int // the node's index in its graph, in the order nodes were added
 }
 
 // IsEstimator reports whether the node is a model (leaf-stage) vertex.
@@ -23,6 +25,9 @@ func (n *Node) IsEstimator() bool { return n.Estimator != nil }
 func (n *Node) spec() string {
 	if n.IsEstimator() {
 		return ComponentSpec(n.Estimator)
+	}
+	if len(n.Transformers) == 1 {
+		return ComponentSpec(n.Transformers[0])
 	}
 	parts := make([]string, len(n.Transformers))
 	for i, t := range n.Transformers {
@@ -84,6 +89,9 @@ type Graph struct {
 	edges map[string]map[string]bool
 	names map[string]*Node
 	err   error
+	// paths are the paths Finalize enumerated, until an Add*Stage or
+	// Connect call changes the graph; Search plans from them.
+	paths []Path
 }
 
 // NewGraph returns an empty Transformer-Estimator Graph.
@@ -107,7 +115,7 @@ func (g *Graph) register(n *Node, base string) {
 		}
 		name = fmt.Sprintf("%s_%d", base, i)
 	}
-	n.Name = name
+	n.Name, n.pos = name, len(g.names)
 	g.names[name] = n
 }
 
@@ -165,7 +173,7 @@ func (g *Graph) AddChainStage(stageName string, options ...[]Transformer) *Graph
 		g.register(n, strings.Join(names, "+"))
 		st.Options = append(st.Options, n)
 	}
-	g.stages = append(g.stages, st)
+	g.stages, g.paths = append(g.stages, st), nil
 	return g
 }
 
@@ -192,7 +200,7 @@ func (g *Graph) AddEstimatorStage(stageName string, options ...Estimator) *Graph
 		g.register(n, e.Name())
 		st.Options = append(st.Options, n)
 	}
-	g.stages = append(g.stages, st)
+	g.stages, g.paths = append(g.stages, st), nil
 	return g
 }
 
@@ -239,6 +247,7 @@ func (g *Graph) Connect(from, to string) *Graph {
 		g.edges[from] = map[string]bool{}
 	}
 	g.edges[from][to] = true
+	g.paths = nil
 	return g
 }
 
@@ -258,16 +267,23 @@ func (g *Graph) Stages() []*Stage { return g.stages }
 
 // Finalize validates the graph: builder errors, at least one stage, a
 // terminal estimator stage, and every node reachable and co-reachable given
-// the explicit edges.
+// the explicit edges. It keeps the paths it enumerated, so a Search of the
+// graph does not enumerate them again until an Add*Stage or Connect call
+// changes it.
 func (g *Graph) Finalize() error {
-	_, err := g.finalPaths()
+	paths, err := g.finalPaths()
+	g.paths = paths
 	return err
 }
 
-// finalPaths is Finalize returning the paths it enumerated.
+// finalPaths is Finalize returning the paths it enumerated, or the ones it
+// kept.
 func (g *Graph) finalPaths() ([]Path, error) {
 	if g.err != nil {
 		return nil, g.err
+	}
+	if g.paths != nil {
+		return g.paths, nil
 	}
 	if len(g.stages) == 0 {
 		return nil, fmt.Errorf("core: graph has no stages")

@@ -521,13 +521,60 @@ func TestWarmSearchInstantiatesNothing(t *testing.T) {
 	defer trace.SetEnabled(true)
 	trace.SetEnabled(false)
 	g := graph()
-	const want = 86
+	const want = 59
 	if got := testing.AllocsPerRun(10, func() {
 		if _, err := core.Search(context.Background(), g, ds, opts); err != nil {
 			t.Fatal(err)
 		}
 	}); got != want {
 		t.Errorf("warm search of 8 units allocates %v, want exactly %v", got, want)
+	}
+}
+
+// allHits is a ResultStore holding a published score for every key: a
+// search against it is all hits.
+type allHits struct{}
+
+func (allHits) LookupBatch(_ context.Context, keys []string) (map[string]float64, error) {
+	out := make(map[string]float64, len(keys))
+	for _, k := range keys {
+		out[k] = 1
+	}
+	return out, nil
+}
+
+func (allHits) ClaimBatch(context.Context, []string) (map[string]bool, error) {
+	return nil, errors.New("allHits: every key is published")
+}
+
+func (allHits) Publish(context.Context, string, float64, string) error { return nil }
+func (allHits) Release(context.Context, string) error                  { return nil }
+
+// TestWarmCoopGridSearchAllocs pins what one warm search of the coop grid
+// allocates: 132 units settled by one lookup, tracing off, one worker, the
+// graph finalized once beforehand, so its paths are not enumerated again.
+// It was 167 allocations (83 KB) before planning became one walk over the
+// units, Search kept Finalize's paths and the dataset fingerprint hashed X
+// and Y in place; the store's own map is 4 of them.
+func TestWarmCoopGridSearchAllocs(t *testing.T) {
+	if raceDetector() {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer trace.SetEnabled(true)
+	trace.SetEnabled(false)
+	c := keyCases()[0]
+	g, ds := c.graph(t), c.ds(t)
+	opts := c.opts
+	opts.ParamGrid, opts.Store, opts.Parallelism = c.grid, allHits{}, 1
+	const want = 93
+	if got := testing.AllocsPerRun(10, func() {
+		res, err := core.Search(context.Background(), g, ds, opts)
+		if err != nil || res.CacheHits != c.units {
+			t.Fatalf("warm search: %d hits, err %v; want %d", res.CacheHits, err, c.units)
+		}
+	}); got != want {
+		t.Errorf("warm search of the coop grid allocates %v, want exactly %v", got, want)
 	}
 }
 

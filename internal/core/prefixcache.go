@@ -130,17 +130,18 @@ type prefixCache struct {
 // first, the bytes Pipeline.Spec renders up to that node (no node spec
 // holds the separator: planUnits refuses one), so identical prefixes on different
 // graph nodes share an id, and nothing is built or rendered.
-func newPrefixCache(units []searchUnit, results []UnitResult, folds int) *prefixCache {
+func newPrefixCache(pl *plan, results []UnitResult, folds int) *prefixCache {
 	const sep = " -> "
-	c := &prefixCache{ids: make([][]int, len(units))}
+	c := &prefixCache{ids: make([][]int, len(pl.keys))}
 	var all []int // every unit's ids, end to end
 	intern := map[string]int{}
-	for i := range units {
+	depth := len(pl.paths[0]) // every path has one node per stage
+	for i := range pl.keys {
 		if results[i].Spec != "" {
 			continue
 		}
-		spec, from, end := units[i].spec, len(all), len("input")
-		for d := 1; d < len(units[i].path); d++ {
+		spec, from, end := pl.spec(i), len(all), len("input")
+		for d := 1; d < depth; d++ {
 			end += len(sep) + strings.Index(spec[end+len(sep):], sep)
 			id, ok := intern[spec[:end]]
 			if !ok {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -188,9 +189,9 @@ type SearchResult struct {
 	// (zero-valued when tracing is disabled).
 	Profile SearchProfile
 
-	// units and ds are what FitBest rebuilds and fits the winner from.
-	units []searchUnit
-	ds    *dataset.Dataset
+	// plan and ds are what FitBest rebuilds and fits the winner from.
+	plan *plan
+	ds   *dataset.Dataset
 }
 
 // FitBest builds the winning unit's pipeline and fits it on the dataset the
@@ -206,7 +207,7 @@ func (r *SearchResult) FitBest(ctx context.Context) (*Pipeline, error) {
 	_, sp := trace.Start(ctx, "search.refit", trace.String("spec", r.Best.Spec))
 	sp.SetComponent(trace.CompCompute)
 	defer sp.End()
-	p, err := r.units[r.Best.Index].build()
+	p, err := r.plan.build(r.Best.Index)
 	if err == nil {
 		err = p.Fit(r.ds)
 	}
@@ -252,10 +253,11 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 
 	fp := ds.Fingerprint()
 	evalSpec := evalSpecOf(opts)
-	units, err := planUnits(paths, opts.ParamGrid, fp, evalSpec)
+	pl, err := planUnits(g, paths, opts.ParamGrid, fp, evalSpec)
 	if err != nil {
 		return nil, err
 	}
+	n := len(pl.keys)
 
 	// The fold plan: every computed unit shares one materialized
 	// train/test pair per split. The prefix plan: the prefix cache, sized
@@ -267,22 +269,24 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	defer func() { cache.release() }()
 
 	var wg sync.WaitGroup
-	win := newClaimWindow(ctx, opts, units, wg.Wait)
+	win := newClaimWindow(ctx, opts, pl.keys, wg.Wait)
 
-	searchSpan.SetAttr(trace.Int("units", len(units)), trace.Int("parallelism", opts.Parallelism))
+	if searchSpan != nil {
+		searchSpan.SetAttr(trace.Int("units", n), trace.Int("parallelism", opts.Parallelism))
+	}
 
-	results := make([]UnitResult, len(units))
+	results := make([]UnitResult, n)
 	sem := make(chan struct{}, opts.Parallelism)
 	for ctx.Err() == nil || win.gaveUp {
 		h, ok := win.next(ctx)
 		if !ok {
 			break
 		}
-		u := &units[h.unit]
+		u := h.unit
 		if h.plan == planHit || h.plan == planSkipped {
 			// Settled by the store: nothing to run, so no worker.
-			results[u.index] = settledUnit(ctx, u, h)
-			cache.settle(u.index)
+			results[u] = settledUnit(ctx, pl, u, h)
+			cache.settle(u)
 			continue
 		}
 		if folds == nil {
@@ -291,7 +295,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 				// No worker has started yet, so every claim held is the
 				// unit in hand's or one the window has not handed out.
 				if h.plan == planGranted {
-					releaseClaim(ctx, opts, u.key, true)
+					releaseClaim(ctx, opts, pl.keys[u], true)
 					mClaimsHeld.Add(-1)
 				}
 				win.abandon(ctx)
@@ -299,9 +303,11 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 			}
 			folds = materializeFolds(ds, splits)
 			if !opts.DisablePrefixCache {
-				cache = newPrefixCache(units, results, len(folds))
+				cache = newPrefixCache(pl, results, len(folds))
 			}
-			searchSpan.SetAttr(trace.Int("folds", len(folds)))
+			if searchSpan != nil {
+				searchSpan.SetAttr(trace.Int("folds", len(folds)))
+			}
 		}
 		wg.Add(1)
 		// Time spent waiting for a worker slot is queue time on the
@@ -311,15 +317,15 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		_, qsp := trace.Start(ctx, "search.queue")
 		if qsp != nil {
 			qsp.SetComponent(trace.CompQueue)
-			qsp.SetAttr(trace.Int("unit", u.index))
+			qsp.SetAttr(trace.Int("unit", u))
 		}
 		sem <- struct{}{}
 		qsp.End()
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[u.index] = evaluateUnit(ctx, u, h, folds, cache, evalSpec, opts)
-			cache.settle(u.index) // before the slot frees, so the next unit finds the entries dropped
+			results[u] = evaluateUnit(ctx, pl, u, h, folds, cache, evalSpec, opts)
+			cache.settle(u) // before the slot frees, so the next unit finds the entries dropped
 		}()
 	}
 	wg.Wait()
@@ -328,7 +334,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		return nil, fmt.Errorf("core: search cancelled: %w", err)
 	}
 
-	res := &SearchResult{Units: results, units: units, ds: ds}
+	res := &SearchResult{Units: results, plan: pl, ds: ds}
 	if cache != nil {
 		res.Prefix = cache.stats(len(folds))
 	}
@@ -366,12 +372,15 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		}
 	}
 	flushPublishes(ctx, opts)
-	slog.Debug("search complete",
-		"request_id", obs.RequestID(ctx), "dataset_fp", fp, "units", len(results),
-		"parallelism", opts.Parallelism,
-		"computed", res.Computed, "cache_hits", res.CacheHits,
-		"skipped", res.Skipped, "failed", failed, "degraded", res.Degraded,
-		"prefix_hits", res.Prefix.Hits, "prefix_misses", res.Prefix.Misses)
+	// Behind Enabled: the arguments would be boxed even with Debug off.
+	if slog.Default().Enabled(ctx, slog.LevelDebug) {
+		slog.Debug("search complete",
+			"request_id", obs.RequestID(ctx), "dataset_fp", fp, "units", n,
+			"parallelism", opts.Parallelism,
+			"computed", res.Computed, "cache_hits", res.CacheHits,
+			"skipped", res.Skipped, "failed", failed, "degraded", res.Degraded,
+			"prefix_hits", res.Prefix.Hits, "prefix_misses", res.Prefix.Misses)
+	}
 	if res.Degraded > 0 {
 		slog.Warn("search degraded: result store unavailable for some units",
 			"request_id", obs.RequestID(ctx), "degraded", res.Degraded, "units", len(results))
@@ -418,7 +427,7 @@ const numerics = 3
 // evalSpecOf is the evaluation part of every unit key: the fold plan, the
 // metric, the seed and the numerics.
 func evalSpecOf(opts SearchOptions) string {
-	return fmt.Sprintf("%s|%s|seed=%d|numerics=%d", opts.Splitter.Spec(), opts.Scorer.Name, opts.Seed, numerics)
+	return opts.Splitter.Spec() + "|" + opts.Scorer.Name + "|seed=" + strconv.FormatInt(opts.Seed, 10) + "|numerics=" + strconv.Itoa(numerics)
 }
 
 // flushPublishes drains a buffering store's publish queue (Flusher), so
@@ -452,15 +461,15 @@ func releaseClaim(ctx context.Context, opts SearchOptions, key string, held bool
 
 // settledUnit is the result of a unit the store settled on the dispatcher —
 // a published score or a peer's claim — with its unit span when tracing.
-func settledUnit(ctx context.Context, u *searchUnit, h handoff) UnitResult {
-	out := UnitResult{Index: u.index, Spec: u.spec}
+func settledUnit(ctx context.Context, pl *plan, u int, h handoff) UnitResult {
+	out := UnitResult{Index: u, Spec: pl.spec(u)}
 	if h.plan == planHit {
 		out.Mean, out.FromCache = h.score, true
 	} else {
 		out.Skipped = true
 	}
 	if _, usp := trace.Start(ctx, "search.unit"); usp != nil {
-		usp.SetAttr(trace.Int("unit", u.index), trace.String("spec", out.Spec),
+		usp.SetAttr(trace.Int("unit", u), trace.String("spec", out.Spec),
 			trace.String("outcome", unitOutcome(&out)))
 		usp.End()
 	}
@@ -469,15 +478,16 @@ func settledUnit(ctx context.Context, u *searchUnit, h handoff) UnitResult {
 
 // evaluateUnit computes a unit a worker was handed: locally, under a claim
 // it then publishes or releases, or degraded past a failing store.
-func evaluateUnit(ctx context.Context, u *searchUnit, h handoff, folds []foldData, cache *prefixCache, evalSpec string, opts SearchOptions) (out UnitResult) {
-	out = UnitResult{Index: u.index, Spec: u.spec, Degraded: h.plan == planDegraded}
+func evaluateUnit(ctx context.Context, pl *plan, u int, h handoff, folds []foldData, cache *prefixCache, evalSpec string, opts SearchOptions) (out UnitResult) {
+	out = UnitResult{Index: u, Spec: pl.spec(u), Degraded: h.plan == planDegraded}
+	key := pl.keys[u]
 
 	// The unit span is structural (no component): per-fold children carry
 	// compute, and the publish round trip carries its own wait — tagging
 	// the whole unit as compute would mask it.
 	ctx, usp := trace.Start(ctx, "search.unit")
 	if usp != nil {
-		usp.SetAttr(trace.Int("unit", u.index), trace.String("spec", out.Spec))
+		usp.SetAttr(trace.Int("unit", u), trace.String("spec", out.Spec))
 		defer func() {
 			usp.SetAttr(trace.String("outcome", unitOutcome(&out)))
 			usp.End()
@@ -495,11 +505,11 @@ func evaluateUnit(ctx context.Context, u *searchUnit, h handoff, folds []foldDat
 	// land in the error-labeled series instead of vanishing from the
 	// latency histogram.
 	start := time.Now()
-	scores, evalErr := computeUnitScores(ctx, u, folds, cache, opts)
+	scores, evalErr := computeUnitScores(ctx, pl, u, folds, cache, opts)
 	if evalErr != nil {
 		mUnitSecondsErr.ObserveSince(start)
 		out.Err = evalErr.Error()
-		releaseClaim(ctx, opts, u.key, claimHeld)
+		releaseClaim(ctx, opts, key, claimHeld)
 		return out
 	}
 	out.Scores = scores
@@ -517,7 +527,7 @@ func evaluateUnit(ctx context.Context, u *searchUnit, h handoff, folds []foldDat
 		// with an unbeatable non-finite "score".
 		mUnitSecondsErr.ObserveSince(start)
 		out.Err = fmt.Sprintf("non-finite mean score %g over %d folds", mean, len(scores))
-		releaseClaim(ctx, opts, u.key, claimHeld)
+		releaseClaim(ctx, opts, key, claimHeld)
 		return out
 	}
 	out.Mean = mean
@@ -527,9 +537,9 @@ func evaluateUnit(ctx context.Context, u *searchUnit, h handoff, folds []foldDat
 		explanation := fmt.Sprintf("pipeline=%s cv=%s metric=%s folds=%d", out.Spec, evalSpec, opts.Scorer.Name, len(scores))
 		// Best-effort publish: a store outage must not fail the search,
 		// but the unit is marked degraded because peers won't see it.
-		if err := opts.Store.Publish(ctx, u.key, out.Mean, explanation); err != nil {
+		if err := opts.Store.Publish(ctx, key, out.Mean, explanation); err != nil {
 			out.Degraded = true
-			releaseClaim(ctx, opts, u.key, claimHeld)
+			releaseClaim(ctx, opts, key, claimHeld)
 		}
 	}
 	return out
@@ -541,14 +551,14 @@ func evaluateUnit(ctx context.Context, u *searchUnit, h handoff, folds []foldDat
 // by the id the plan gave it; without one every level is computed in
 // place. Both run the same per-node step on the same data, so scores are
 // bit-identical — the cache only removes repetition.
-func computeUnitScores(ctx context.Context, u *searchUnit, folds []foldData, cache *prefixCache, opts SearchOptions) ([]float64, error) {
-	p, err := u.build()
+func computeUnitScores(ctx context.Context, pl *plan, u int, folds []foldData, cache *prefixCache, opts SearchOptions) ([]float64, error) {
+	p, err := pl.build(u)
 	if err != nil {
 		return nil, err
 	}
 	var ids []int
 	if cache != nil {
-		ids = cache.ids[u.index]
+		ids = cache.ids[u]
 	}
 	scores := make([]float64, 0, len(folds))
 	est := p.Nodes[len(p.Nodes)-1].Estimator.Clone()

@@ -8,8 +8,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"sync"
+	"unsafe"
 
 	"coda/internal/matrix"
 )
@@ -240,22 +242,47 @@ func cloneFloats(s []float64) []float64 {
 // clients agree on what "the same data" means.
 //
 // The hashed bytes are the row and column counts, then every element of X
-// and Y, each as a little-endian uint64. They are encoded a 4 KiB block at a
-// time, one hash write per block rather than per value.
+// and Y, each as a little-endian uint64. On a little-endian host those are
+// the elements' own bytes, so X's and Y's backing arrays are hashed where
+// they are; elsewhere they are encoded a 4 KiB block at a time.
 func (d *Dataset) Fingerprint() string {
+	return d.fingerprint(nativeLittleEndian)
+}
+
+// nativeLittleEndian reports whether a float64's bytes in memory are its
+// bits as a little-endian uint64.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// fingerprint is Fingerprint, hashing the elements in place when inPlace
+// is set and encoding them otherwise: the same bytes either way on a
+// little-endian host.
+func (d *Dataset) fingerprint(inPlace bool) string {
 	h := sha256.New()
-	buf := make([]byte, 0, 4<<10)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.X.Rows()))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.X.Cols()))
-	for _, vs := range [][]float64{d.X.Data(), d.Y} {
-		for _, v := range vs {
-			if len(buf) == cap(buf) {
-				h.Write(buf)
-				buf = buf[:0]
-			}
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	var head [16]byte
+	binary.LittleEndian.PutUint64(head[:8], uint64(d.X.Rows()))
+	binary.LittleEndian.PutUint64(head[8:], uint64(d.X.Cols()))
+	h.Write(head[:])
+	for _, vs := range [2][]float64{d.X.Data(), d.Y} {
+		if inPlace {
+			h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs)))
+		} else {
+			writeLittleEndian(h, vs)
 		}
 	}
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])[:16])
+}
+
+// writeLittleEndian writes each of vs to w as a little-endian uint64, a
+// 4 KiB block at a time, one write per block rather than per value.
+func writeLittleEndian(w io.Writer, vs []float64) {
+	var buf [4 << 10]byte
+	for len(vs) > 0 {
+		n := min(len(vs), len(buf)/8)
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+		}
+		w.Write(buf[:8*n])
+		vs = vs[n:]
+	}
 }

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -110,25 +112,67 @@ func TestFingerprintStability(t *testing.T) {
 
 // TestFingerprintPinned: the DARR keys every shared result by Fingerprint,
 // so its bytes are part of the wire contract — a durable DARR filled by an
-// earlier build must still hit. The digests are of the 4x2 fixture and of
-// the 400x6 regression set search-coop-grid searches, whose 2 802 floats
-// span several of the hash's encoding blocks.
+// earlier build must still hit. The digests are of the 4x2 fixture, of the
+// 400x6 regression set search-coop-grid searches, whose 2 802 floats span
+// several 4 KiB encoding blocks, and of fingerprintCases' bit patterns: -0,
+// both infinities and NaNs with payloads of their own, a dataset with no Y
+// and one with no rows. The last three were computed outside Go, with
+// Python's struct and hashlib.
 func TestFingerprintPinned(t *testing.T) {
+	want := map[string]string{
+		"4x2":      "8f38e830dda0ea58e873f8bdd0512f7e",
+		"400x6":    "417b50d9da0ee65db74549b7e76ccd16",
+		"specials": "cef71b1445236ac1ee2f038532b8d92e",
+		"noY":      "418ea24ceffa319d872960391880aaa3",
+		"zeroRows": "f7548c023e431138b11357593f5cceb9",
+	}
+	for name, ds := range fingerprintCases(t) {
+		if got := ds.Fingerprint(); got != want[name] {
+			t.Errorf("%s: Fingerprint() = %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// TestFingerprintHashesEncodedBytes: on a little-endian host, hashing X's
+// and Y's backing arrays in place reads exactly the bytes the encode loop
+// writes, for every pinned case and for random bit patterns of every
+// length around the loop's 512-value block.
+func TestFingerprintHashesEncodedBytes(t *testing.T) {
+	if !nativeLittleEndian {
+		t.Skip("the elements are hashed in place on little-endian hosts only")
+	}
+	cases := fingerprintCases(t)
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 511, 512, 513, 1025} {
+		x := matrix.New(n, 1)
+		for i := range x.Data() {
+			x.Data()[i] = math.Float64frombits(rng.Uint64())
+		}
+		cases[fmt.Sprintf("random%d", n)] = &Dataset{X: x, Y: x.Data()[:n/2]}
+	}
+	for name, ds := range cases {
+		if inPlace, encoded := ds.fingerprint(true), ds.fingerprint(false); inPlace != encoded {
+			t.Errorf("%s: in place %s, encoded %s", name, inPlace, encoded)
+		}
+	}
+}
+
+// fingerprintCases are the datasets whose fingerprints are pinned.
+func fingerprintCases(t *testing.T) map[string]*Dataset {
 	grid, _, err := MakeRegression(RegressionSpec{Samples: 400, Features: 6, Informative: 3, Noise: 3}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		ds   *Dataset
-		want string
-	}{
-		{"4x2", makeDS(t), "8f38e830dda0ea58e873f8bdd0512f7e"},
-		{"400x6", grid, "417b50d9da0ee65db74549b7e76ccd16"},
-	} {
-		if got := c.ds.Fingerprint(); got != c.want {
-			t.Errorf("%s: Fingerprint() = %s, want %s", c.name, got, c.want)
-		}
+	specials := matrix.New(2, 3)
+	copy(specials.Data(), []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.Float64frombits(0x7ff8dead0000beef), 1.5})
+	noY := matrix.New(3, 2)
+	copy(noY.Data(), []float64{1, 2, 3, 4, 5, 6})
+	return map[string]*Dataset{
+		"4x2":      makeDS(t),
+		"400x6":    grid,
+		"specials": {X: specials, Y: []float64{math.Copysign(0, -1), math.Float64frombits(0xfff0000000000001)}},
+		"noY":      {X: noY},
+		"zeroRows": {X: matrix.New(0, 4), Y: []float64{}},
 	}
 }
 

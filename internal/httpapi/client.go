@@ -85,16 +85,24 @@ func (c *Client) httpClient() *http.Client {
 // otherwise a fresh per-call id is generated here.
 func (c *Client) exec(ctx context.Context, call string, p retry.Policy, op func(ctx context.Context) error) error {
 	ctx, id := obs.EnsureRequestID(ctx)
-	ctx, csp := trace.Start(ctx, "client."+call)
-	csp.SetComponent(callComponent(call))
-	defer csp.End()
+	// Span names and attributes are built behind the nil checks, so a
+	// disabled tracer costs the call no allocation.
+	var csp *trace.Span
+	if trace.Enabled() {
+		ctx, csp = trace.Start(ctx, "client."+call)
+		csp.SetComponent(callComponent(call))
+		defer csp.End()
+	}
 	start := time.Now()
 	// Each attempt is its own child span so retries show up as repeated
 	// attempts under one call, not as separate calls.
 	attempts := 0
 	err := retry.Do(ctx, p, func(actx context.Context) error {
 		attempts++
-		actx, asp := trace.Start(actx, "attempt", trace.Int("attempt", attempts))
+		actx, asp := trace.Start(actx, "attempt")
+		if asp != nil {
+			asp.SetAttr(trace.Int("attempt", attempts))
+		}
 		opErr := op(actx)
 		if opErr != nil {
 			asp.SetAttr(trace.String("error", opErr.Error()))
@@ -102,7 +110,9 @@ func (c *Client) exec(ctx context.Context, call string, p retry.Policy, op func(
 		asp.End()
 		return opErr
 	})
-	csp.SetAttr(trace.Int("attempts", attempts))
+	if csp != nil {
+		csp.SetAttr(trace.Int("attempts", attempts))
+	}
 	if err != nil {
 		mCallsErr.Inc()
 		csp.SetAttr(trace.String("outcome", "error"))
@@ -112,8 +122,11 @@ func (c *Client) exec(ctx context.Context, call string, p retry.Policy, op func(
 		return err
 	}
 	mCallsOK.Inc()
-	slog.Default().Debug("call ok",
-		"request_id", id, "call", call, "server", c.BaseURL, "elapsed", time.Since(start))
+	// Behind Enabled: the arguments would be boxed even with Debug off.
+	if l := slog.Default(); l.Enabled(ctx, slog.LevelDebug) {
+		l.Debug("call ok",
+			"request_id", id, "call", call, "server", c.BaseURL, "elapsed", time.Since(start))
+	}
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"io/fs"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -962,5 +963,31 @@ func TestSmoke(t *testing.T) {
 		if err := <-streamed; !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("the lease stream ended with %v, want io.ErrUnexpectedEOF: closed without its end frame", err)
 		}
+	})
+
+	// A connection that never sends a request, like a transport's spare
+	// dial, does not hold the exit: net/http's Shutdown would count it as
+	// active until it is 5 s old.
+	t.Run("SIGTERMClosesQuietConns", func(t *testing.T) {
+		server, url := bins.startServer(t)
+		conn, err := net.Dial("tcp", strings.TrimPrefix(url, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		time.Sleep(100 * time.Millisecond) // the server accepts it
+		sent := time.Now()
+		if err := server.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-server.exited:
+			if server.err != nil {
+				t.Errorf("coda-server after SIGTERM: %v, want exit 0", server.err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("coda-server still running 2 s after SIGTERM with a quiet connection open")
+		}
+		t.Logf("coda-server exited %v after SIGTERM", time.Since(sent))
 	})
 }
