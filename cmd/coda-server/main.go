@@ -48,12 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	// Linked for its metric registrations only: the search-unit latency
-	// histogram and outcome counters appear in this server's /metrics
-	// schema from boot, so dashboards see the full coda metric set even
-	// before any in-process search runs.
-	_ "coda/internal/core"
-
 	"coda/internal/darr"
 	"coda/internal/httpapi"
 	"coda/internal/obs"

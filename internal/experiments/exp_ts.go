@@ -102,29 +102,9 @@ func RunF6(cfg Config) (*Table, error) {
 		}
 		dur := time.Since(start)
 		t.AddRow(regime.String(), d(series.NumSamples()), d(series.NumFeatures()),
-			f(lag1(series.X.ColCopy(0))), dur.String())
+			f(series.X.ColLag1Autocorr(0)), dur.String())
 	}
 	return t, nil
-}
-
-func lag1(xs []float64) float64 {
-	n := len(xs)
-	mean := 0.0
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(n)
-	var num, den float64
-	for i := 0; i < n-1; i++ {
-		num += (xs[i] - mean) * (xs[i+1] - mean)
-	}
-	for _, v := range xs {
-		den += (v - mean) * (v - mean)
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }
 
 // windowExperiment shares the machinery of F7-F10.

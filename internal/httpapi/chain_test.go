@@ -8,12 +8,17 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"coda/internal/darr"
 	"coda/internal/dataset"
 	"coda/internal/mlmodels"
 	"coda/internal/obs"
+	"coda/internal/replication"
+	"coda/internal/store"
 	"coda/internal/webservice"
 )
 
@@ -22,11 +27,12 @@ import (
 // Handle, the way serve mounts /score.
 
 // chainServer is a Server with no DARR and no store that serves h at
-// pattern; the test's log is discarded, so intended panics print no stacks.
-func chainServer(t *testing.T, pattern string, h http.HandlerFunc) *Server {
+// /score, labelled as serve mounts it; the test's log is discarded, so
+// intended panics print no stacks.
+func chainServer(t *testing.T, h http.HandlerFunc) *Server {
 	logTo(t, io.Discard)
 	srv := NewServer(nil, nil)
-	srv.Handle(pattern, h)
+	srv.Handle("score", "/score", h)
 	return srv
 }
 
@@ -35,32 +41,68 @@ func requests(route, method string, code int) *obs.Counter {
 	return obs.GetCounter(fmt.Sprintf(`coda_http_requests_total{route=%q,method=%q,code="%d"}`, route, method, code))
 }
 
+// TestRouteLabel: each path's request lands in the scrape under its
+// route's label — a subtree route's label for any path under it, and
+// "other" for a path no route serves.
 func TestRouteLabel(t *testing.T) {
-	for path, want := range map[string]string{
-		"/score":                      "score",
-		"/debug/pprof/":               "pprof",
-		"/debug/pprof/heap":           "pprof",
-		"/debug/traces":               "traces",
-		"/metrics":                    "metrics",
-		"/store/objects/a/b":          "store-objects",
-		"/leases/l1/stream":           "lease-stream",
-		"/darr/batch/wait":            "darr-batch-wait",
-		"/":                           "other",
-		"/score/extra":                "other",
-		"/with space":                 "other",
-		"/" + strings.Repeat("x", 40): "other",
+	logTo(t, io.Discard)
+	hs := store.NewHomeStore(store.Options{BlockSize: 64})
+	m := replication.NewManagerWith(hs, nil, replication.Config{Workers: 1})
+	t.Cleanup(m.Close)
+	api := NewServer(darr.NewRepo(nil, time.Minute), hs)
+	api.EnableLeases(m)
+	api.Handle("score", "/score", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	debug := NewDebugServer()
+	for _, c := range []struct {
+		srv        *Server
+		path, want string
+	}{
+		{api, "/score", "score"},
+		{debug, "/debug/pprof/", "pprof"},
+		{debug, "/debug/pprof/heap", "pprof"},
+		{api, "/debug/traces", "traces"},
+		{api, "/metrics", "metrics"},
+		{api, "/store/objects/a/b", "store-objects"},
+		{api, "/leases/l1/stream", "lease-stream"},
+		{api, "/darr/batch/wait", "darr-batch-wait"},
+		{api, "/", "other"},
+		{api, "/score/extra", "other"},
+		{api, "/with space", "other"},
+		{api, "/" + strings.Repeat("x", 40), "other"},
 	} {
-		if got := routeLabel(path); got != want {
-			t.Errorf("routeLabel(%q) = %q, want %q", path, got, want)
+		before := scrapedCount(t, c.want)
+		req := httptest.NewRequest(http.MethodGet, "/", nil)
+		req.URL.Path = c.path
+		c.srv.ServeHTTP(httptest.NewRecorder(), req)
+		if got := scrapedCount(t, c.want) - before; got != 1 {
+			t.Errorf("GET %q: the scrape's %s count grew by %d, want 1", c.path, c.want, got)
 		}
 	}
+}
+
+// scrapedCount is the request count the scrape shows for a route.
+func scrapedCount(t *testing.T, route string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	obs.WritePrometheus(&buf)
+	prefix := `coda_http_request_seconds_count{route="` + route + `"} `
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if n, ok := strings.CutPrefix(line, prefix); ok {
+			v, err := strconv.Atoi(n)
+			if err != nil {
+				t.Fatalf("scrape line %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	return 0
 }
 
 // TestServerCapturesStatus: the status a handler writes is the one the
 // client gets and the one the request is counted under, and the response
 // echoes a request id.
 func TestServerCapturesStatus(t *testing.T) {
-	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	})
 	ctr := requests("score", "GET", http.StatusTeapot)
@@ -82,7 +124,7 @@ func TestServerCapturesStatus(t *testing.T) {
 // the one the client gets and the one the request is counted under; a late
 // second WriteHeader relabels nothing.
 func TestServerStatusFirstWriteWins(t *testing.T) {
-	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 		w.WriteHeader(http.StatusOK)
 	})
@@ -103,7 +145,7 @@ func TestServerStatusFirstWriteWins(t *testing.T) {
 
 // TestServerImplicit200: a handler that only writes a body is counted 200.
 func TestServerImplicit200(t *testing.T) {
-	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "ok")
 	})
 	ctr := requests("score", "GET", http.StatusOK)
@@ -118,7 +160,7 @@ func TestServerImplicit200(t *testing.T) {
 // a structured 500 carrying the request id, counted as a panic and as a 500
 // on its route.
 func TestHandledRoutePanicIs500(t *testing.T) {
-	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
 	panics, ctr := obs.GetCounter("coda_http_panics_total"), requests("score", "GET", http.StatusInternalServerError)
@@ -150,7 +192,7 @@ func TestHandledRoutePanicIs500(t *testing.T) {
 func TestPanicLeavesCommittedResponseAlone(t *testing.T) {
 	for name, written := range map[string]string{"body": "partial", "header-only": ""} {
 		t.Run(name, func(t *testing.T) {
-			ts := httptest.NewServer(chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
+			ts := httptest.NewServer(chainServer(t, func(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(http.StatusAccepted)
 				if written != "" {
 					fmt.Fprint(w, written)
@@ -188,7 +230,7 @@ func TestPanicLeavesCommittedResponseAlone(t *testing.T) {
 func TestRequestIDPropagation(t *testing.T) {
 	var logBuf syncBuffer
 	seen := make(chan string, 1)
-	srv := chainServer(t, "/score", func(w http.ResponseWriter, r *http.Request) {
+	srv := chainServer(t, func(w http.ResponseWriter, r *http.Request) {
 		seen <- obs.RequestID(r.Context())
 		w.WriteHeader(http.StatusNoContent)
 	})
@@ -267,7 +309,7 @@ func TestScoreBodyOverTheCapIs413(t *testing.T) {
 	logTo(t, io.Discard)
 	srv := NewServer(nil, nil)
 	srv.maxBody = limit
-	srv.Handle("/score", webservice.Handler(model))
+	srv.Handle("score", "/score", webservice.Handler(model))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

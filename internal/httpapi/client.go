@@ -264,6 +264,15 @@ func (c *Client) doVia(ctx context.Context, hc *http.Client, p retry.Policy, met
 	return status, nil
 }
 
+// wantStatus is a round trip's error, or one naming the call when its
+// status is not want.
+func wantStatus(status int, err error, want int, what string) error {
+	if err == nil && status != want {
+		err = fmt.Errorf("httpapi: %s status %d", what, status)
+	}
+	return err
+}
+
 // Lookup is LookupBatch over one key.
 //
 // Deprecated: use LookupBatch; core.Search never calls Lookup.
@@ -284,13 +293,7 @@ func (c *Client) Claim(ctx context.Context, key string) (bool, error) {
 // Release implements core.ResultStore: it drops this client's claim on key.
 func (c *Client) Release(ctx context.Context, key string) error {
 	status, err := c.doJSON(ctx, http.MethodDelete, "/darr/claims", claimRequest{Key: key, ClientID: c.ClientID}, nil)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("httpapi: release status %d", status)
-	}
-	return nil
+	return wantStatus(status, err, http.StatusOK, "release")
 }
 
 // record builds the wire Record for one unit key, parsing the
@@ -358,13 +361,7 @@ func (c *Client) postDigests(ctx context.Context, path string, header http.Heade
 			}
 			return read(reply, lo, hi)
 		})
-		if err != nil {
-			return err
-		}
-		if status != http.StatusOK {
-			return fmt.Errorf("httpapi: batch %s status %d", what, status)
-		}
-		return nil
+		return wantStatus(status, err, http.StatusOK, "batch "+what)
 	})
 }
 
@@ -431,13 +428,7 @@ func (c *Client) ClaimBatch(ctx context.Context, keys []string) (map[string]bool
 func (c *Client) PublishBatch(ctx context.Context, recs []darr.Record) error {
 	return batches(len(recs), func(lo, hi int) error {
 		status, err := c.doJSON(ctx, http.MethodPost, "/darr/batch/records", batchRecordsRequest{Records: recs[lo:hi]}, nil)
-		if err != nil {
-			return err
-		}
-		if status != http.StatusCreated {
-			return fmt.Errorf("httpapi: batch publish status %d", status)
-		}
-		return nil
+		return wantStatus(status, err, http.StatusCreated, "batch publish")
 	})
 }
 
@@ -445,11 +436,8 @@ func (c *Client) PublishBatch(ctx context.Context, recs []darr.Record) error {
 func (c *Client) QueryByDataset(ctx context.Context, fp string) ([]darr.Record, error) {
 	var recs []darr.Record
 	status, err := c.doJSON(ctx, http.MethodGet, "/darr/records?dataset="+url.QueryEscape(fp), nil, &recs)
-	if err != nil {
+	if err = wantStatus(status, err, http.StatusOK, "query"); err != nil {
 		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: query status %d", status)
 	}
 	return recs, nil
 }
@@ -464,11 +452,8 @@ func (c *Client) PutObject(ctx context.Context, key string, data []byte) (uint64
 			version, err = versionIn(resp.Header, versionHeader)
 			return err
 		})
-	if err != nil {
+	if err = wantStatus(status, err, http.StatusOK, "put"); err != nil {
 		return 0, err
-	}
-	if status != http.StatusOK {
-		return 0, fmt.Errorf("httpapi: put status %d", status)
 	}
 	return version, nil
 }
@@ -493,14 +478,11 @@ func (c *Client) PullObject(ctx context.Context, rep *store.Replica, key string)
 		reply, err = readReply(key, resp.Header, body)
 		return err
 	})
-	if err != nil {
-		return err
-	}
-	if status == http.StatusNotFound {
+	if err == nil && status == http.StatusNotFound {
 		return fmt.Errorf("%w: %q", store.ErrNotFound, key)
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("httpapi: pull status %d", status)
+	if err = wantStatus(status, err, http.StatusOK, "pull"); err != nil {
+		return err
 	}
 	// The delta-vs-full split is the data tier's whole bandwidth story;
 	// surface it on every pull span.

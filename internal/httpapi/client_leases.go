@@ -40,11 +40,8 @@ func (c *Client) Subscribe(ctx context.Context, key, mode string, ttl time.Durat
 		TTLSeconds: ttl.Seconds(), HaveVersion: haveVersion}
 	var info LeaseInfo
 	status, err := c.doJSON(ctx, http.MethodPost, "/leases", req, &info)
-	if err != nil {
+	if err = wantStatus(status, err, http.StatusCreated, "subscribe"); err != nil {
 		return nil, err
-	}
-	if status != http.StatusCreated {
-		return nil, fmt.Errorf("httpapi: subscribe status %d", status)
 	}
 	return &info, nil
 }
@@ -54,11 +51,8 @@ func (c *Client) RenewLease(ctx context.Context, leaseID string, ttl time.Durati
 	var info LeaseInfo
 	status, err := c.doJSON(ctx, http.MethodPost, "/leases/"+url.PathEscape(leaseID)+"/renew",
 		renewRequest{TTLSeconds: ttl.Seconds()}, &info)
-	if err != nil {
+	if err = wantStatus(status, err, http.StatusOK, "renew"); err != nil {
 		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: renew status %d", status)
 	}
 	return &info, nil
 }
@@ -68,26 +62,14 @@ func (c *Client) RenewLease(ctx context.Context, leaseID string, ttl time.Durati
 func (c *Client) AckLease(ctx context.Context, leaseID string, version uint64) error {
 	status, err := c.doJSON(ctx, http.MethodPost, "/leases/"+url.PathEscape(leaseID)+"/ack",
 		ackRequest{Version: version}, nil)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("httpapi: ack status %d", status)
-	}
-	return nil
+	return wantStatus(status, err, http.StatusOK, "ack")
 }
 
 // CancelLease ends a lease early, as clients should when they no longer
 // need updates.
 func (c *Client) CancelLease(ctx context.Context, leaseID string) error {
 	status, err := c.doJSON(ctx, http.MethodDelete, "/leases/"+url.PathEscape(leaseID), nil, nil)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("httpapi: cancel status %d", status)
-	}
-	return nil
+	return wantStatus(status, err, http.StatusOK, "cancel")
 }
 
 // StreamLease opens the lease's SSE stream and invokes fn for every

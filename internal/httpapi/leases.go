@@ -3,7 +3,6 @@ package httpapi
 import (
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,11 +25,12 @@ const (
 )
 
 // EnableLeases mounts the real-time push endpoints — POST /leases,
-// GET /leases/{id}/stream (SSE), and the renew/ack/cancel routes —
-// backed by m, and routes object PUTs through m so HTTP writes reach
-// subscribers. The manager's OnRelease hook is chained to tear down each
-// lease's stream mailbox when the lease leaves the registry (cancelled,
-// expired, or swept), which ends any open stream for it.
+// GET /leases/{id}/stream (SSE), POST /leases/{id}/renew and /ack, and
+// DELETE /leases/{id} — backed by m, and routes object PUTs through m so
+// HTTP writes reach subscribers. The manager's OnRelease hook is chained
+// to tear down each lease's stream mailbox when the lease leaves the
+// registry (cancelled, expired, or swept), which ends any open stream for
+// it.
 func (s *Server) EnableLeases(m *replication.Manager) {
 	s.Leases = m
 	s.mailboxes = map[string]*leaseMailbox{}
@@ -41,8 +41,11 @@ func (s *Server) EnableLeases(m *replication.Manager) {
 		}
 		s.releaseMailbox(l.ID)
 	}
-	s.mux.HandleFunc("/leases", s.handleLeases)
-	s.mux.HandleFunc("/leases/", s.handleLeaseByID)
+	s.mount("leases", "/leases", traced, methods{http.MethodPost: s.handleLeases})
+	s.mount("lease-ops", "/leases/{id}", traced, methods{http.MethodDelete: s.withLease(s.handleLeaseCancel)})
+	s.mount("lease-ops", "/leases/{id}/renew", traced, methods{http.MethodPost: s.withLease(s.handleLeaseRenew)})
+	s.mount("lease-ops", "/leases/{id}/ack", traced, methods{http.MethodPost: s.withLease(s.handleLeaseAck)})
+	s.mount("lease-stream", "/leases/{id}/stream", untraced, methods{http.MethodGet: s.withLease(s.handleLeaseStream)})
 	s.health["leases"] = func() any { return m.Stats() }
 }
 
@@ -325,25 +328,10 @@ func (s *Server) leaseInfo(l *replication.Lease, ttl time.Duration) LeaseInfo {
 	}
 }
 
-// decodeJSONBody parses an optional JSON request body; an empty body
-// leaves v at its zero value so defaultable requests (renew with no
-// explicit TTL) stay one-liners for clients.
-func decodeJSONBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil && !errors.Is(err, io.EOF) {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
-}
-
 // handleLeases grants subscriptions: POST /leases.
 func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
 	var req leaseRequest
-	if err := decodeJSONBody(r, &req); err != nil {
-		s.writeError(w, r, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, "lease", &req) {
 		return
 	}
 	if req.Key == "" {
@@ -377,52 +365,55 @@ func (s *Server) handleLeases(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.leaseInfo(l, ttl))
 }
 
-// handleLeaseByID routes /leases/{id}[/stream|/renew|/ack]. It
-// resolves the lease and its mailbox once for every route: unknown ids are
-// 404, expired leases 410 Gone (re-subscribe, don't retry).
-func (s *Server) handleLeaseByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/leases/")
-	id, action, _ := strings.Cut(rest, "/")
-	if id == "" {
-		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("missing lease id"))
+// withLease serves a /leases/{id}/... request with h, given the lease and
+// its mailbox: the one lookup every such route makes. An unknown id is a
+// 404; a lease that has expired but is not yet swept is a 410 Gone
+// (re-subscribe, don't retry).
+func (s *Server) withLease(h func(http.ResponseWriter, *http.Request, *replication.Lease, *leaseMailbox)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		l, ok := s.Leases.LeaseByID(id)
+		mb, hasBox := s.mailbox(id)
+		switch {
+		case !ok || !hasBox:
+			s.writeError(w, r, http.StatusNotFound, fmt.Errorf("%w: %q", replication.ErrLeaseNotFound, id))
+		case s.Leases.Expired(l):
+			s.writeError(w, r, http.StatusGone, fmt.Errorf("%w: %q", replication.ErrLeaseExpired, id))
+		default:
+			h(w, r, l, mb)
+		}
+	}
+}
+
+// handleLeaseCancel ends a lease: DELETE /leases/{id}.
+func (s *Server) handleLeaseCancel(w http.ResponseWriter, r *http.Request, l *replication.Lease, _ *leaseMailbox) {
+	s.Leases.Cancel(l)
+	writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
+}
+
+// handleLeaseRenew extends a lease: POST /leases/{id}/renew.
+func (s *Server) handleLeaseRenew(w http.ResponseWriter, r *http.Request, l *replication.Lease, _ *leaseMailbox) {
+	var req renewRequest
+	if !s.decodeBody(w, r, "renew", &req) {
 		return
 	}
-	l, ok := s.Leases.LeaseByID(id)
-	mb, hasBox := s.mailbox(id)
-	if !ok || !hasBox {
-		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("%w: %q", replication.ErrLeaseNotFound, id))
+	ttl := leaseTTL(req.TTLSeconds)
+	if err := s.Leases.Renew(l, ttl); err != nil {
+		s.writeError(w, r, http.StatusGone, err)
 		return
 	}
-	switch {
-	case action == "stream" && r.Method == http.MethodGet:
-		s.handleLeaseStream(w, r, l, mb)
-	case action == "renew" && r.Method == http.MethodPost:
-		var req renewRequest
-		if err := decodeJSONBody(r, &req); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		ttl := leaseTTL(req.TTLSeconds)
-		if err := s.Leases.Renew(l, ttl); err != nil {
-			s.writeError(w, r, http.StatusGone, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.leaseInfo(l, ttl))
-	case action == "ack" && r.Method == http.MethodPost:
-		var req ackRequest
-		if err := decodeJSONBody(r, &req); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		l.AckVersion(req.Version)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "acked"})
-	case action == "" && r.Method == http.MethodDelete:
-		s.Leases.Cancel(l)
-		writeJSON(w, http.StatusOK, map[string]string{"status": "cancelled"})
-	default:
-		s.writeError(w, r, http.StatusMethodNotAllowed,
-			fmt.Errorf("method %s not allowed on /leases/{id}/%s", r.Method, action))
+	writeJSON(w, http.StatusOK, s.leaseInfo(l, ttl))
+}
+
+// handleLeaseAck records the version a subscriber holds: POST
+// /leases/{id}/ack.
+func (s *Server) handleLeaseAck(w http.ResponseWriter, r *http.Request, l *replication.Lease, _ *leaseMailbox) {
+	var req ackRequest
+	if !s.decodeBody(w, r, "ack", &req) {
+		return
 	}
+	l.AckVersion(req.Version)
+	writeJSON(w, http.StatusOK, map[string]string{"status": "acked"})
 }
 
 // handleLeaseStream serves GET /leases/{id}/stream as Server-Sent

@@ -234,6 +234,13 @@ func TestLeaseRenewExtendsAndExpiryEndsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	skew.Store(int64(minLeaseTTL + time.Millisecond))
+	// Expired but not yet swept: the lease routes answer 410 Gone.
+	if err := c.AckLease(ctx, short.LeaseID, 1); err == nil || !strings.Contains(err.Error(), "status 410") {
+		t.Fatalf("ack of an expired lease: %v, want status 410", err)
+	}
+	if err := c.StreamLease(ctx, short.LeaseID, func(Notification) error { return nil }); !errors.Is(err, ErrLeaseGone) {
+		t.Fatalf("stream of an expired lease: %v, want ErrLeaseGone", err)
+	}
 	m.Sweep()
 	if _, ok := m.LeaseByID(short.LeaseID); ok {
 		t.Fatal("expired lease still registered after sweep")
@@ -383,7 +390,8 @@ func TestLeaseBadRequests(t *testing.T) {
 	if _, err := c.Subscribe(ctx, "k", "telepathy", time.Minute, 0); err == nil {
 		t.Fatal("subscribe with unknown mode should fail")
 	}
-	resp, err := http.Get(ts.URL + "/leases/nope")
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/leases/nope", nil)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,6 +60,8 @@ type Server struct {
 	Leases *replication.Manager
 
 	mux    *http.ServeMux
+	routes []*route // the route table, in mount order
+	other  *route   // the catch-all "/": a 404 for what no route matched
 	health map[string]func() any
 	// maxBody caps a request body in bytes (maxBodyBytes; tests lower it).
 	maxBody int64
@@ -105,16 +108,20 @@ const (
 func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
 	s := &Server{Repo: repo, Store: hs, mux: http.NewServeMux(), health: map[string]func() any{}, maxBody: maxBodyBytes, maxBatchKeys: DefaultMaxBatchKeys, heartbeat: DefaultStreamHeartbeat}
 	s.shutdown, s.endLongPolls = context.WithCancel(context.Background())
-	s.mux.Handle("/metrics", obs.MetricsHandler())
-	s.mux.Handle("/healthz", obs.HealthHandler(s.health))
-	s.mux.Handle("/debug/traces", trace.Handler())
+	s.other = s.route("other", "/", traced)
+	s.mux.Handle("/", s.other.serve(func(w http.ResponseWriter, r *http.Request) {
+		s.writeError(w, r, http.StatusNotFound, fmt.Errorf("no route for %s", r.URL.Path))
+	}))
+	s.mount("metrics", "/metrics", untraced, methods{http.MethodGet: obs.MetricsHandler().ServeHTTP})
+	s.mount("healthz", "/healthz", untraced, methods{http.MethodGet: obs.HealthHandler(s.health).ServeHTTP})
+	s.mount("traces", "/debug/traces", untraced, methods{http.MethodGet: trace.Handler().ServeHTTP})
 	if repo != nil {
-		s.mux.HandleFunc("/darr/records", s.handleRecords)
-		s.mux.HandleFunc("/darr/claims", s.handleClaims)
-		s.mux.HandleFunc("/darr/batch/lookup", s.handleBatchLookup)
-		s.mux.HandleFunc("/darr/batch/claims", s.handleBatchClaims)
-		s.mux.HandleFunc("/darr/batch/records", s.handleBatchRecords)
-		s.mux.HandleFunc("/darr/batch/wait", s.handleBatchWait)
+		s.mount("darr-records", "/darr/records", traced, methods{http.MethodGet: s.handleRecords})
+		s.mount("darr-claims", "/darr/claims", traced, methods{http.MethodDelete: s.handleClaims})
+		s.mount("darr-batch-lookup", "/darr/batch/lookup", traced, methods{http.MethodPost: s.handleBatchLookup})
+		s.mount("darr-batch-claims", "/darr/batch/claims", traced, methods{http.MethodPost: s.handleBatchClaims})
+		s.mount("darr-batch-records", "/darr/batch/records", traced, methods{http.MethodPost: s.handleBatchRecords})
+		s.mount("darr-batch-wait", "/darr/batch/wait", traced, methods{http.MethodPost: s.handleBatchWait})
 		s.health["darr"] = func() any {
 			lookups, hits, puts := repo.Stats()
 			h := map[string]any{
@@ -129,14 +136,100 @@ func NewServer(repo *darr.Repo, hs store.ObjectStore) *Server {
 		}
 	}
 	if hs != nil {
-		s.mux.HandleFunc("/store/objects/", s.handleObjects)
+		s.mount("store-objects", "/store/objects/", traced, methods{http.MethodPut: s.handlePut, http.MethodGet: s.handleGet})
 		s.health["store"] = func() any { return hs.Stats() }
 	}
 	return s
 }
 
-// Handle mounts h at pattern behind the server's handler chain.
-func (s *Server) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
+// Whether a route's requests get a server span. The scrape, introspection
+// and profiling routes are untraced, so the ring holds real work and not
+// the observers observing it; so are the lease streams, whose spans would
+// last the whole connection rather than a unit of work.
+const traced, untraced = true, false
+
+// methods maps each method a route serves to its handler.
+type methods map[string]http.HandlerFunc
+
+// route is one row of the route table: the label its requests are counted
+// and traced under, its path pattern, the methods it serves (none: its
+// handler takes every method) and whether it is traced. Its histogram and
+// body-refusal counter are resolved on first use, so a route shows in the
+// scrape once it has served a request.
+type route struct {
+	label, pattern string
+	methods        []string
+	traced         bool
+	seconds        func() *obs.Histogram
+	rejected       func() *obs.Counter
+}
+
+// route adds a row to the route table.
+func (s *Server) route(label, pattern string, traced bool) *route {
+	rt := &route{
+		label: label, pattern: pattern, traced: traced,
+		seconds: sync.OnceValue(func() *obs.Histogram {
+			return obs.GetHistogram(`coda_http_request_seconds{route="`+label+`"}`, nil)
+		}),
+		rejected: sync.OnceValue(func() *obs.Counter {
+			return obs.GetCounter(`coda_http_request_body_rejected_total{route="` + label + `"}`)
+		}),
+	}
+	s.routes = append(s.routes, rt)
+	return rt
+}
+
+// mount serves pattern with one handler per method, a GET handler serving
+// HEAD too; any other method gets a JSON 405 whose Allow header names the
+// route's methods.
+func (s *Server) mount(label, pattern string, traced bool, hs methods) {
+	rt := s.route(label, pattern, traced)
+	if h := hs[http.MethodGet]; h != nil {
+		hs[http.MethodHead] = h
+	}
+	for m := range hs {
+		rt.methods = append(rt.methods, m)
+	}
+	slices.Sort(rt.methods)
+	allow := strings.Join(rt.methods, ", ")
+	s.mux.Handle(pattern, rt.serve(func(w http.ResponseWriter, r *http.Request) {
+		if h := hs[r.Method]; h != nil {
+			h(w, r)
+			return
+		}
+		w.Header().Set("Allow", allow)
+		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+	}))
+}
+
+// serve wraps h as a handler of this route: the request is counted under
+// the route, carries its request id in its context and, on a traced route,
+// runs under a server span that adopts the caller's.
+func (rt *route) serve(h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := w.(*statusRecorder)
+		rec.route = rt
+		ctx := obs.WithRequestID(r.Context(), rec.id)
+		if rt.traced && trace.Enabled() {
+			ctx, rec.span = trace.Start(trace.Extract(ctx, r.Header), "server."+rt.label,
+				trace.String("method", r.Method), trace.String("request_id", rec.id))
+		}
+		h(w, r.WithContext(ctx))
+	})
+}
+
+// requests is the coda_http_requests_total series of one of the route's
+// requests. A method is an HTTP token, so it needs no quoting.
+func (rt *route) requests(method string, status int) *obs.Counter {
+	return obs.GetCounter(`coda_http_requests_total{route="` + rt.label + `",method="` + method + `",code="` + strconv.Itoa(status) + `"}`)
+}
+
+// Handle mounts h at pattern, a path pattern with no method, behind the
+// server's handler chain: its requests are counted, timed and traced under
+// label, and h answers every method.
+func (s *Server) Handle(label, pattern string, h http.Handler) {
+	s.mux.Handle(pattern, s.route(label, pattern, traced).serve(h.ServeHTTP))
+}
 
 // AddHealth adds a named component to this server's /healthz report. fn
 // must be safe for concurrent use and cheap; add components before serving.
@@ -146,11 +239,11 @@ func (s *Server) AddHealth(name string, fn func() any) { s.health[name] = fn }
 // and /debug/traces, as every Server has, plus net/http/pprof.
 func NewDebugServer() *Server {
 	s := NewServer(nil, nil)
-	s.Handle("/debug/pprof/", http.HandlerFunc(pprof.Index))
-	s.Handle("/debug/pprof/cmdline", http.HandlerFunc(pprof.Cmdline))
-	s.Handle("/debug/pprof/profile", http.HandlerFunc(pprof.Profile))
-	s.Handle("/debug/pprof/symbol", http.HandlerFunc(pprof.Symbol))
-	s.Handle("/debug/pprof/trace", http.HandlerFunc(pprof.Trace))
+	s.mount("pprof", "/debug/pprof/", untraced, methods{http.MethodGet: pprof.Index})
+	s.mount("pprof", "/debug/pprof/cmdline", untraced, methods{http.MethodGet: pprof.Cmdline})
+	s.mount("pprof", "/debug/pprof/profile", untraced, methods{http.MethodGet: pprof.Profile})
+	s.mount("pprof", "/debug/pprof/symbol", untraced, methods{http.MethodGet: pprof.Symbol, http.MethodPost: pprof.Symbol})
+	s.mount("pprof", "/debug/pprof/trace", untraced, methods{http.MethodGet: pprof.Trace})
 	return s
 }
 
@@ -184,12 +277,17 @@ func (s *Server) EndLongPolls() { s.endLongPolls() }
 // statusRecorder captures the response status and size for telemetry. The
 // first status committed — by WriteHeader, or an implicit 200 by Write or
 // Flush — is the request's: a later WriteHeader does not relabel it, and
-// recovery writes nothing into a committed response.
+// recovery writes nothing into a committed response. It carries the
+// request's id, and the route that serves it (at first the catch-all, for
+// a redirect the mux answers itself) and that route's span.
 type statusRecorder struct {
 	http.ResponseWriter
 	status    int
 	bytes     int64
 	committed bool
+	id        string
+	route     *route
+	span      *trace.Span
 }
 
 func (r *statusRecorder) WriteHeader(status int) {
@@ -219,49 +317,9 @@ func (r *statusRecorder) Flush() {
 // per-request deadline control on streaming routes.
 func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
-// routeLabel maps a request path to a bounded metrics label.
-func routeLabel(path string) string {
-	switch {
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	case path == "/debug/traces":
-		return "traces"
-	case strings.HasPrefix(path, "/debug/pprof/"):
-		return "pprof"
-	case path == "/score":
-		return "score"
-	case path == "/darr/records":
-		return "darr-records"
-	case path == "/darr/claims":
-		return "darr-claims"
-	case path == "/darr/batch/lookup":
-		return "darr-batch-lookup"
-	case path == "/darr/batch/claims":
-		return "darr-batch-claims"
-	case path == "/darr/batch/records":
-		return "darr-batch-records"
-	case path == "/darr/batch/wait":
-		return "darr-batch-wait"
-	case strings.HasPrefix(path, "/store/objects/"):
-		return "store-objects"
-	case path == "/leases":
-		return "leases"
-	case strings.HasPrefix(path, "/leases/"):
-		if strings.HasSuffix(path, "/stream") {
-			return "lease-stream"
-		}
-		return "lease-ops"
-	default:
-		return "other"
-	}
-}
-
 // ServeHTTP implements http.Handler, wrapping the mux in the telemetry
-// middleware: request-id adoption, trace-context adoption (the caller's
-// span, carried in X-Coda-Traceparent, becomes this request span's
-// parent), panic recovery, per-route metrics, and request logs.
+// middleware: request-id adoption, panic recovery, per-route metrics and
+// request logs; the route's own wrapper (route.serve) adds the server span.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := r.Header.Get(obs.RequestIDHeader)
@@ -269,20 +327,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		id = obs.NewRequestID()
 	}
 	w.Header().Set(obs.RequestIDHeader, id)
-	route := routeLabel(r.URL.Path)
-	ctx := obs.WithRequestID(r.Context(), id)
-	// Scrape, introspection and profiling routes are excluded from tracing
-	// so the ring holds real work, not the observers observing it; so are
-	// the lease subscription streams, whose spans would span the whole
-	// connection lifetime rather than a unit of work.
-	var sp *trace.Span
-	if route != "metrics" && route != "healthz" && route != "traces" && route != "pprof" &&
-		route != "lease-stream" {
-		ctx = trace.Extract(ctx, r.Header)
-		ctx, sp = trace.Start(ctx, "server."+route,
-			trace.String("method", r.Method), trace.String("request_id", id))
-	}
-	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK, id: id, route: s.other}
 	defer func() {
 		if p := recover(); p != nil {
 			// net/http's sanctioned way to abort a connection must keep
@@ -297,25 +342,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.Default().Error("handler panic",
 				"request_id", id, "method", r.Method, "path", r.URL.Path,
 				"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
-			sp.SetAttr(trace.String("panic", fmt.Sprint(p)))
+			rec.span.SetAttr(trace.String("panic", fmt.Sprint(p)))
 			if !rec.committed {
 				writeJSON(rec, http.StatusInternalServerError,
 					errorReply{Error: "internal server error", Status: http.StatusInternalServerError, RequestID: id})
 			}
 		}
 		elapsed := time.Since(start)
-		sp.SetAttr(trace.Int("status", rec.status))
-		sp.End()
-		obs.GetCounter(fmt.Sprintf(`coda_http_requests_total{route=%q,method=%q,code="%d"}`,
-			route, r.Method, rec.status)).Inc()
-		obs.GetHistogram(fmt.Sprintf(`coda_http_request_seconds{route=%q}`, route), nil).
-			Observe(elapsed.Seconds())
+		rec.span.SetAttr(trace.Int("status", rec.status))
+		rec.span.End()
+		rec.route.requests(r.Method, rec.status).Inc()
+		rec.route.seconds().Observe(elapsed.Seconds())
 		slog.Default().Debug("http request",
 			"request_id", id, "method", r.Method, "path", r.URL.Path,
 			"code", rec.status, "bytes", rec.bytes, "elapsed", elapsed)
 	}()
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	s.mux.ServeHTTP(rec, r.WithContext(ctx))
+	s.mux.ServeHTTP(rec, r)
 }
 
 // body is a request body read whole into a pooled buffer.
@@ -374,7 +417,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([
 	if tooLarge := new(http.MaxBytesError); errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	obs.GetCounter(fmt.Sprintf(`coda_http_request_body_rejected_total{route=%q}`, routeLabel(r.URL.Path))).Inc()
+	w.(*statusRecorder).route.rejected().Inc()
 	s.writeError(w, r, status, fmt.Errorf("reading body: %w", err))
 	return buf, false
 }
@@ -391,14 +434,19 @@ func (s *Server) readPooled(w http.ResponseWriter, r *http.Request) *body {
 	return b
 }
 
-// decodeBody reads a JSON request body into v; false means the error reply
-// has been written.
+// decodeBody reads a JSON request body into v; an empty body leaves v at
+// its zero value, so a request of defaults (a renew with no TTL) needs
+// none, and the handler's own checks refuse what that leaves missing.
+// false means the error reply has been written.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	b := s.readPooled(w, r)
 	if b == nil {
 		return false
 	}
 	defer b.release()
+	if len(b.b) == 0 {
+		return true
+	}
 	if err := json.Unmarshal(b.b, v); err != nil {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding %s: %w", what, err))
 		return false
@@ -433,21 +481,8 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, 
 	writeJSON(w, status, errorReply{Error: err.Error(), Status: status, RequestID: id})
 }
 
-// allowMethod answers 405 unless r uses method; it reports whether the
-// request may proceed.
-func (s *Server) allowMethod(w http.ResponseWriter, r *http.Request, method string) bool {
-	if r.Method != method {
-		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-		return false
-	}
-	return true
-}
-
 // handleRecords lists a dataset's records (GET ?dataset=fp).
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	if !s.allowMethod(w, r, http.MethodGet) {
-		return
-	}
 	fp := r.URL.Query().Get("dataset")
 	if fp == "" {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("need dataset query parameter"))
@@ -464,7 +499,7 @@ type claimRequest struct {
 
 func (s *Server) handleClaims(w http.ResponseWriter, r *http.Request) {
 	var req claimRequest
-	if !s.allowMethod(w, r, http.MethodDelete) || !s.decodeBody(w, r, "claim", &req) {
+	if !s.decodeBody(w, r, "claim", &req) {
 		return
 	}
 	if req.Key == "" || req.ClientID == "" {
@@ -510,9 +545,6 @@ func (s *Server) checkBatch(w http.ResponseWriter, r *http.Request, n int, what 
 // readDigests reads a lookup, claim or wait body; false means the error
 // reply has been written.
 func (s *Server) readDigests(w http.ResponseWriter, r *http.Request) ([]darr.Digest, bool) {
-	if !s.allowMethod(w, r, http.MethodPost) {
-		return nil, false
-	}
 	if ct := r.Header.Get("Content-Type"); ct != octetStream {
 		s.writeError(w, r, http.StatusUnsupportedMediaType, fmt.Errorf(
 			"body of type %q, want %s: %s (upgrade servers and clients together)", ct, octetStream, digestsShape))
@@ -578,8 +610,7 @@ func (s *Server) handleBatchClaims(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatchRecords(w http.ResponseWriter, r *http.Request) {
 	var req batchRecordsRequest
-	if !s.allowMethod(w, r, http.MethodPost) || !s.decodeBody(w, r, "batch records", &req) ||
-		!s.checkBatch(w, r, len(req.Records), "record") {
+	if !s.decodeBody(w, r, "batch records", &req) || !s.checkBatch(w, r, len(req.Records), "record") {
 		return
 	}
 	_, sp := trace.Start(r.Context(), "darr.put_batch", trace.Int("records", len(req.Records)))
@@ -660,69 +691,82 @@ const (
 	baseVersionHeader = "X-Coda-Base-Version" // on a delta only
 )
 
-func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
+// objectKey is the object a /store/objects/{key} request names; false: the
+// 400 is written.
+func (s *Server) objectKey(w http.ResponseWriter, r *http.Request) (string, bool) {
 	key := strings.TrimPrefix(r.URL.Path, "/store/objects/")
 	if key == "" {
 		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("missing object key"))
+		return "", false
+	}
+	return key, true
+}
+
+// handlePut stores a new version of an object (PUT /store/objects/{key}).
+func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
+	key, ok := s.objectKey(w, r)
+	if !ok {
 		return
 	}
-	switch r.Method {
-	case http.MethodPut:
-		// A buffer of its own, exactly the body's length: the store keeps it
-		// as the new version.
-		data, ok := s.readBody(w, r, nil)
-		if !ok {
-			return
-		}
-		var err error
-		ctx, sp := trace.Start(r.Context(), "store.put",
-			trace.String("key", key), trace.Int("bytes", len(data)))
-		var version uint64
-		if s.Leases != nil {
-			// Route writes through the lease manager so every active
-			// subscription sees this version; the fanout happens off the
-			// request path.
-			version, err = s.Leases.PublishCtx(ctx, key, data)
-		} else {
-			version, err = s.Store.Put(key, data)
-		}
-		sp.End()
-		if err != nil {
-			s.writeError(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set(versionHeader, strconv.FormatUint(version, 10))
-		w.WriteHeader(http.StatusOK)
-	case http.MethodGet:
-		var have uint64
-		if hs := r.URL.Query().Get("have"); hs != "" {
-			v, err := strconv.ParseUint(hs, 10, 64)
-			if err != nil {
-				s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad have parameter: %w", err))
-				return
-			}
-			have = v
-		}
-		_, sp := trace.Start(r.Context(), "store.get",
-			trace.String("key", key), trace.Int64("have", int64(have)))
-		reply, err := s.Store.Get(key, have)
-		if err != nil {
-			sp.End()
-			if errors.Is(err, store.ErrNotFound) {
-				s.writeError(w, r, http.StatusNotFound, err)
-				return
-			}
-			s.writeError(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		// Whether this pull went out as a delta or a full copy is the
-		// bandwidth question the paper's data tier exists to answer.
-		sp.SetAttr(trace.String("kind", reply.Kind()), trace.Int("wire_bytes", reply.WireBytes()))
-		sp.End()
-		writeReply(w, reply)
-	default:
-		s.writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+	// A buffer of its own, exactly the body's length: the store keeps it as
+	// the new version.
+	data, ok := s.readBody(w, r, nil)
+	if !ok {
+		return
 	}
+	var err error
+	ctx, sp := trace.Start(r.Context(), "store.put",
+		trace.String("key", key), trace.Int("bytes", len(data)))
+	var version uint64
+	if s.Leases != nil {
+		// Route writes through the lease manager so every active
+		// subscription sees this version; the fanout happens off the
+		// request path.
+		version, err = s.Leases.PublishCtx(ctx, key, data)
+	} else {
+		version, err = s.Store.Put(key, data)
+	}
+	sp.End()
+	if err != nil {
+		s.writeError(w, r, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set(versionHeader, strconv.FormatUint(version, 10))
+	w.WriteHeader(http.StatusOK)
+}
+
+// handleGet pulls an object (GET /store/objects/{key}?have=N).
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	key, ok := s.objectKey(w, r)
+	if !ok {
+		return
+	}
+	var have uint64
+	if hs := r.URL.Query().Get("have"); hs != "" {
+		v, err := strconv.ParseUint(hs, 10, 64)
+		if err != nil {
+			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad have parameter: %w", err))
+			return
+		}
+		have = v
+	}
+	_, sp := trace.Start(r.Context(), "store.get",
+		trace.String("key", key), trace.Int64("have", int64(have)))
+	reply, err := s.Store.Get(key, have)
+	if err != nil {
+		sp.End()
+		if errors.Is(err, store.ErrNotFound) {
+			s.writeError(w, r, http.StatusNotFound, err)
+			return
+		}
+		s.writeError(w, r, http.StatusInternalServerError, err)
+		return
+	}
+	// Whether this pull went out as a delta or a full copy is the
+	// bandwidth question the paper's data tier exists to answer.
+	sp.SetAttr(trace.String("kind", reply.Kind()), trace.Int("wire_bytes", reply.WireBytes()))
+	sp.End()
+	writeReply(w, reply)
 }
 
 // writeReply answers a pull with reply in the object routes' wire form.

@@ -197,6 +197,34 @@ func (m *Mat[T]) ColStds() []T {
 	return stds
 }
 
+// ColLag1Autocorr returns column j's lag-1 autocorrelation: the sum of
+// products of consecutive deviations from the column mean over the sum of
+// squared deviations, each product rounded before it is summed. It is 0
+// for fewer than two rows or a constant column.
+func (m *Mat[T]) ColLag1Autocorr(j int) T {
+	n := m.rows
+	if n < 2 {
+		return 0
+	}
+	var mean T
+	for i := 0; i < n; i++ {
+		mean += m.At(i, j)
+	}
+	mean /= T(n)
+	var num, den T
+	for i := 0; i < n-1; i++ {
+		num += T((m.At(i, j) - mean) * (m.At(i+1, j) - mean))
+	}
+	for i := 0; i < n; i++ {
+		d := m.At(i, j) - mean
+		den += T(d * d)
+	}
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
 // ColMins returns the per-column minimum. For an empty matrix all zeros.
 func (m *Mat[T]) ColMins() []T {
 	mins := make([]T, m.cols)

@@ -100,6 +100,14 @@ func TestColStats(t *testing.T) {
 	if maxs := a.ColMaxs(); maxs[0] != 3 || maxs[1] != 30 {
 		t.Fatalf("ColMaxs = %v", maxs)
 	}
+	// Column 0 is 1..4 (mean 2.5: 1.25 over 5), column 1 is constant.
+	b := mustFromRows(t, [][]float64{{1, 7}, {2, 7}, {3, 7}, {4, 7}})
+	if r0, r1 := b.ColLag1Autocorr(0), b.ColLag1Autocorr(1); r0 != 0.25 || r1 != 0 {
+		t.Fatalf("ColLag1Autocorr = %v, %v; want 0.25, 0", r0, r1)
+	}
+	if r := mustFromRows(t, [][]float64{{5}}).ColLag1Autocorr(0); r != 0 {
+		t.Fatalf("ColLag1Autocorr of one row = %v, want 0", r)
+	}
 }
 
 func TestCovariance(t *testing.T) {

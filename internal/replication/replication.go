@@ -364,6 +364,10 @@ func (m *Manager) Cancel(l *Lease) {
 	m.unregister(l)
 }
 
+// Expired reports whether l has lapsed on the manager's clock: cancelled,
+// or past its expiry and not yet swept.
+func (m *Manager) Expired(l *Lease) bool { return l.Expired(m.now()) }
+
 // LeaseByID resolves a lease id, reporting false for unknown (or already
 // released) ids.
 func (m *Manager) LeaseByID(id string) (*Lease, bool) {

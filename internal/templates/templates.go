@@ -41,7 +41,6 @@ type FPAConfig struct {
 type FPAResult struct {
 	Precision, Recall, F1, AUC float64
 	TestPositives              int
-	Predictions                []float64 // hard labels on the test range
 }
 
 // FailurePrediction builds machine-learning models that predict imminent
@@ -132,7 +131,6 @@ func FailurePrediction(series *dataset.Dataset, labels []float64, cfg FPAConfig)
 		return nil, fmt.Errorf("templates: unknown FPA model %d", cfg.Model)
 	}
 
-	res.Predictions = preds
 	res.Precision, res.Recall, res.F1, err = metrics.PrecisionRecallF1(testS.Y, preds)
 	if err != nil {
 		return nil, err
@@ -296,8 +294,7 @@ type CohortConfig struct {
 
 // CohortResult groups assets by modelled behaviour.
 type CohortResult struct {
-	Assignment []int       // cohort index per asset
-	Summaries  [][]float64 // per-asset behaviour feature vector used for clustering
+	Assignment []int // cohort index per asset
 }
 
 // CohortAnalysis summarizes each asset's historical sensor behaviour (per
@@ -328,7 +325,7 @@ func CohortAnalysis(assets []*dataset.Dataset, cfg CohortConfig) (*CohortResult,
 		means := s.X.ColMeans()
 		stds := s.X.ColStds()
 		for j := 0; j < vars; j++ {
-			feats = append(feats, means[j], stds[j], lag1Autocorr(s.X.ColCopy(j)))
+			feats = append(feats, means[j], stds[j], s.X.ColLag1Autocorr(j))
 			noise[3*j] += stds[j] / sqrtT / float64(len(assets))
 			noise[3*j+1] += stds[j] / (math.Sqrt2 * sqrtT) / float64(len(assets))
 			noise[3*j+2] += 1 / sqrtT / float64(len(assets))
@@ -381,34 +378,11 @@ func CohortAnalysis(assets []*dataset.Dataset, cfg CohortConfig) (*CohortResult,
 	if err != nil {
 		return nil, err
 	}
-	out := &CohortResult{Assignment: make([]int, len(assets)), Summaries: rows}
+	out := &CohortResult{Assignment: make([]int, len(assets))}
 	for i, a := range assign {
 		out.Assignment[i] = int(a)
 	}
 	return out, nil
-}
-
-func lag1Autocorr(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range xs {
-		mean += v
-	}
-	mean /= float64(n)
-	var num, den float64
-	for i := 0; i < n-1; i++ {
-		num += (xs[i] - mean) * (xs[i+1] - mean)
-	}
-	for _, v := range xs {
-		den += (v - mean) * (v - mean)
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }
 
 // CohortPurity scores an assignment against ground truth by majority-class

@@ -152,9 +152,6 @@ func TestCohortAnalysisRecoversFleetStructure(t *testing.T) {
 	if purity < 0.9 {
 		t.Fatalf("cohort purity %v", purity)
 	}
-	if len(res.Summaries) != 18 || len(res.Summaries[0]) != 6 {
-		t.Fatalf("summary shape %dx%d", len(res.Summaries), len(res.Summaries[0]))
-	}
 }
 
 func TestCohortAnalysisValidation(t *testing.T) {

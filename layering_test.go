@@ -72,13 +72,15 @@ func checkCoreComponentSeam(t *testing.T, fset *token.FileSet, file *ast.File) {
 	})
 }
 
-// TestLayeringSeams holds three seams in the shipped code (non-test files
+// TestLayeringSeams holds four seams in the shipped code (non-test files
 // under cmd, internal and examples): outside internal/store nothing names
 // the concrete store.HomeStore — consumers program against ObjectStore,
 // and constructor calls such as store.NewHomeStore do not count — outside
-// internal/persist nothing names a persist identifier beyond the SPI, and
+// internal/persist nothing names a persist identifier beyond the SPI,
 // internal/core touches components only through their three contracts
-// (checkCoreComponentSeam).
+// (checkCoreComponentSeam), and no binary or example imports a coda
+// package blank: a binary links only what it calls, so its /metrics shows
+// only series it can move.
 func TestLayeringSeams(t *testing.T) {
 	fset := token.NewFileSet()
 	for _, root := range []string{"cmd", "internal", "examples"} {
@@ -101,6 +103,9 @@ func TestLayeringSeams(t *testing.T) {
 				name := p[strings.LastIndex(p, "/")+1:]
 				if imp.Name != nil {
 					name = imp.Name.Name
+				}
+				if name == "_" && strings.HasPrefix(p, "coda/internal/") && root != "internal" {
+					t.Errorf("%s: blank import of %s", fset.Position(imp.Pos()), p)
 				}
 				switch {
 				case p == "coda/internal/store" && dir != "internal/store":
