@@ -269,7 +269,7 @@ func (a *seriesAnalytics) observe(ctx context.Context, n httpapi.Notification) e
 // series, /healthz carries its "analytics" component.
 func scoreServer(est webservice.Predictor, series *seriesAnalytics) *http.Server {
 	api := httpapi.NewServer(nil, nil)
-	api.Handle("score", "/score", webservice.Handler(est))
+	api.Handle("score", "/score", webservice.Handler(est), http.MethodPost)
 	if series != nil {
 		api.AddHealth("analytics", func() any { return series.status.Load() })
 	}

@@ -31,6 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("anomaly analysis over %d steps:\n", ad.Series.NumSamples())
+	fmt.Printf("  normal behaviour: %s\n", res.Search.Best.Spec)
 	fmt.Printf("  injected at %v\n", ad.AnomalyTimes)
 	fmt.Printf("  flagged  at %v\n\n", res.AnomalousAt)
 

@@ -1,6 +1,6 @@
 // Failure Prediction Analysis: the Section IV-E solution template for
 // heavy industry. Historical sensor data with failure logs goes in; a
-// trained early-warning model with held-out quality numbers comes out —
+// searched early-warning model with held-out quality numbers comes out —
 // one call, no ML expertise required.
 package main
 
@@ -24,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 	positives := 0
-	for _, l := range fd.Labels {
+	for _, l := range fd.Series.Y {
 		if l == 1 {
 			positives++
 		}
@@ -32,18 +32,17 @@ func main() {
 	fmt.Printf("history: %d steps, %d sensors, %d failures (%d labelled lead-window steps)\n",
 		fd.Series.NumSamples(), fd.Series.NumFeatures(), len(fd.FailureTimes), positives)
 
-	for name, model := range map[string]templates.FPAModel{
-		"logistic regression": templates.FPALogistic,
-		"random forest":       templates.FPAForest,
-	} {
-		res, err := templates.FailurePrediction(fd.Series, fd.Labels, templates.FPAConfig{
-			History: 6, Model: model, TrainFrac: 0.7, Seed: 2,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\n%s (trained on first 70%% of time, tested on the rest):\n", name)
-		fmt.Printf("  precision %.3f  recall %.3f  F1 %.3f  AUC %.3f  (%d failure steps in test)\n",
-			res.Precision, res.Recall, res.F1, res.AUC, res.TestPositives)
+	res, err := templates.FailurePrediction(fd.Series, templates.FPAConfig{
+		History: 6, TrainFrac: 0.7, Seed: 2,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("\npipelines searched on the first 70%% of time (F1 over 3 sliding folds):\n")
+	for _, u := range res.Search.Units {
+		fmt.Printf("  %.3f  %s\n", u.Mean, u.Spec)
+	}
+	fmt.Printf("\nwinner, refitted there and tested on the rest: %s\n", res.Search.Best.Spec)
+	fmt.Printf("  precision %.3f  recall %.3f  F1 %.3f  AUC %.3f  (%d failure steps in test)\n",
+		res.Precision, res.Recall, res.F1, res.AUC, res.TestPositives)
 }

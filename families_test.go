@@ -87,8 +87,8 @@ func TestEveryFamilyMoves(t *testing.T) {
 	defer leases.Close()
 	api := httpapi.NewServer(repo, hs)
 	api.EnableLeases(leases)
-	api.Handle("score", "/score", webservice.Handler(constPredictor{}))
-	api.Handle("other", "/panic", http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") }))
+	api.Handle("score", "/score", webservice.Handler(constPredictor{}), http.MethodPost)
+	api.Handle("other", "/panic", http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") }), http.MethodPost)
 	ts := httptest.NewServer(api)
 	defer ts.Close()
 

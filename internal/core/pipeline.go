@@ -122,19 +122,30 @@ func (p *Pipeline) Fit(ds *dataset.Dataset) error {
 	return nil
 }
 
+// Transform runs the fitted pipeline's internal nodes over ds, transform
+// only: the data its estimator predicts from, for a caller that asks the
+// estimator for more than Predict does, such as a classifier's
+// probabilities.
+func (p *Pipeline) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
+	if !p.fitted {
+		return nil, fmt.Errorf("core: pipeline %s not fitted", p.Spec())
+	}
+	for _, n := range p.transformerNodes() {
+		var err error
+		if ds, err = n.transform(ds); err != nil {
+			return nil, err
+		}
+	}
+	return ds, nil
+}
+
 // predict runs Figure 5's prediction operation: transform-only through the
 // internal nodes, then the trained model generates predictions. It returns
 // the transformed dataset with the predictions mapped back to original
 // units.
 func (p *Pipeline) predict(ds *dataset.Dataset) (cur *dataset.Dataset, yhat []float64, err error) {
-	if !p.fitted {
-		return nil, nil, fmt.Errorf("core: pipeline %s not fitted", p.Spec())
-	}
-	cur = ds
-	for _, n := range p.transformerNodes() {
-		if cur, err = n.transform(cur); err != nil {
-			return nil, nil, err
-		}
+	if cur, err = p.Transform(ds); err != nil {
+		return nil, nil, err
 	}
 	yhat, err = p.Estimator().Predict(cur)
 	if err != nil {

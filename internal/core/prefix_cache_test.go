@@ -378,8 +378,15 @@ func TestPassThroughEntryOwnsItsHeader(t *testing.T) {
 	}
 }
 
-// foldToken is what memoProbe makes in a fold's shared memo.
-type foldToken struct{ id int64 }
+// foldToken is what memoProbe makes in a fold's shared memo. Its pointer
+// field keeps it off Go's tiny allocator, which packs pointer-free objects
+// under 16 bytes into shared 16-byte blocks: a finalizer on such an object
+// does not run while another object of its block lives, so an 8-byte token
+// could stay unfinalized long after the search dropped it.
+type foldToken struct {
+	id int64
+	_  *int64
+}
 
 // memoProbe is an estimator that makes or reads a foldToken in the memo
 // its train set shares, and records the token's id. A token counts itself

@@ -27,9 +27,7 @@ func RunS4(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	fpa, err := templates.FailurePrediction(fd.Series, fd.Labels, templates.FPAConfig{
-		History: 6, Model: templates.FPALogistic, Seed: cfg.Seed,
-	})
+	fpa, err := templates.FailurePrediction(fd.Series, templates.FPAConfig{History: 6, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

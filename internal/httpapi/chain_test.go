@@ -26,13 +26,13 @@ import (
 // /score, the -debug-addr listeners — checked on routes mounted with
 // Handle, the way serve mounts /score.
 
-// chainServer is a Server with no DARR and no store that serves h at
-// /score, labelled as serve mounts it; the test's log is discarded, so
+// chainServer is a Server with no DARR and no store that serves h for GET
+// at /score, labelled as serve mounts it; the test's log is discarded, so
 // intended panics print no stacks.
 func chainServer(t *testing.T, h http.HandlerFunc) *Server {
 	logTo(t, io.Discard)
 	srv := NewServer(nil, nil)
-	srv.Handle("score", "/score", h)
+	srv.Handle("score", "/score", h, http.MethodGet)
 	return srv
 }
 
@@ -51,7 +51,7 @@ func TestRouteLabel(t *testing.T) {
 	t.Cleanup(m.Close)
 	api := NewServer(darr.NewRepo(nil, time.Minute), hs)
 	api.EnableLeases(m)
-	api.Handle("score", "/score", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	api.Handle("score", "/score", http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}), http.MethodGet)
 	debug := NewDebugServer()
 	for _, c := range []struct {
 		srv        *Server
@@ -309,7 +309,7 @@ func TestScoreBodyOverTheCapIs413(t *testing.T) {
 	logTo(t, io.Discard)
 	srv := NewServer(nil, nil)
 	srv.maxBody = limit
-	srv.Handle("score", "/score", webservice.Handler(model))
+	srv.Handle("score", "/score", webservice.Handler(model), http.MethodPost)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

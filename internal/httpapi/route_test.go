@@ -16,6 +16,7 @@ import (
 	"coda/internal/obs/trace"
 	"coda/internal/replication"
 	"coda/internal/store"
+	"coda/internal/webservice"
 )
 
 // rewindBody is a request body the allocation pin rewinds between runs; a
@@ -80,7 +81,8 @@ func TestServeHTTPLookupAllocs(t *testing.T) {
 }
 
 // TestEveryRouteAnswersJSON walks the route table of coda-server's API
-// (with leases) and of the debug listener: a method a route does not serve
+// (with leases, and serve's /score mounted as serve mounts it) and of the
+// debug listener: a method a route does not serve
 // gets a JSON errorReply 405 whose Allow header lists the route's methods,
 // counted under the route's label, and a path no route serves gets a JSON
 // 404 naming the path, counted under route="other".
@@ -91,6 +93,7 @@ func TestEveryRouteAnswersJSON(t *testing.T) {
 	t.Cleanup(m.Close)
 	api := NewServer(darr.NewRepo(nil, time.Minute), hs)
 	api.EnableLeases(m)
+	api.Handle("score", "/score", webservice.Handler(nil), http.MethodPost) // no request here reaches the model
 	// answer sends one request and returns its errorReply, failing on a
 	// status other than want or a body that is not one.
 	answer := func(srv *Server, method, path string, want int) (*httptest.ResponseRecorder, errorReply) {
@@ -108,9 +111,6 @@ func TestEveryRouteAnswersJSON(t *testing.T) {
 	routes := 0
 	for _, srv := range []*Server{api, NewDebugServer()} {
 		for _, rt := range srv.routes {
-			if rt.methods == nil { // a Handle route: its handler takes every method
-				continue
-			}
 			routes++
 			path := strings.ReplaceAll(rt.pattern, "{id}", "l1")
 			if strings.HasSuffix(path, "/") {
@@ -132,8 +132,8 @@ func TestEveryRouteAnswersJSON(t *testing.T) {
 			}
 		}
 	}
-	if routes != 23 {
-		t.Fatalf("walked %d routes with declared methods, want the 15 of the API with leases and the 8 of the debug listener", routes)
+	if routes != 24 {
+		t.Fatalf("walked %d routes, want the 15 of the API with leases, /score and the 8 of the debug listener", routes)
 	}
 	for _, path := range []string{"/no/such/route", "/leases/l1/poll", "/darr/batch"} {
 		ctr := requests("other", http.MethodGet, http.StatusNotFound)

@@ -152,8 +152,9 @@ const traced, untraced = true, false
 type methods map[string]http.HandlerFunc
 
 // route is one row of the route table: the label its requests are counted
-// and traced under, its path pattern, the methods it serves (none: its
-// handler takes every method) and whether it is traced. Its histogram and
+// and traced under, its path pattern, the methods it serves and whether it
+// is traced. The catch-all "other" is a route outside the table, with no
+// methods: it answers every request with a 404. Its histogram and
 // body-refusal counter are resolved on first use, so a route shows in the
 // scrape once it has served a request.
 type route struct {
@@ -164,7 +165,7 @@ type route struct {
 	rejected       func() *obs.Counter
 }
 
-// route adds a row to the route table.
+// route makes a route; mount enters it in the route table.
 func (s *Server) route(label, pattern string, traced bool) *route {
 	rt := &route{
 		label: label, pattern: pattern, traced: traced,
@@ -175,7 +176,6 @@ func (s *Server) route(label, pattern string, traced bool) *route {
 			return obs.GetCounter(`coda_http_request_body_rejected_total{route="` + label + `"}`)
 		}),
 	}
-	s.routes = append(s.routes, rt)
 	return rt
 }
 
@@ -184,6 +184,7 @@ func (s *Server) route(label, pattern string, traced bool) *route {
 // route's methods.
 func (s *Server) mount(label, pattern string, traced bool, hs methods) {
 	rt := s.route(label, pattern, traced)
+	s.routes = append(s.routes, rt)
 	if h := hs[http.MethodGet]; h != nil {
 		hs[http.MethodHead] = h
 	}
@@ -226,9 +227,14 @@ func (rt *route) requests(method string, status int) *obs.Counter {
 
 // Handle mounts h at pattern, a path pattern with no method, behind the
 // server's handler chain: its requests are counted, timed and traced under
-// label, and h answers every method.
-func (s *Server) Handle(label, pattern string, h http.Handler) {
-	s.mux.Handle(pattern, s.route(label, pattern, traced).serve(h.ServeHTTP))
+// label, h answers the methods given (a GET serves HEAD too), and any other
+// method gets the table's JSON 405 with Allow.
+func (s *Server) Handle(label, pattern string, h http.Handler, serves ...string) {
+	hs := methods{}
+	for _, m := range serves {
+		hs[m] = h.ServeHTTP
+	}
+	s.mount(label, pattern, traced, hs)
 }
 
 // AddHealth adds a named component to this server's /healthz report. fn

@@ -192,12 +192,11 @@ type FailureSpec struct {
 const failureNoise = 0.2
 
 // FailureData is labelled sensor history for failure-prediction analysis:
-// Series rows are sensor readings; Labels[t] == 1 when a failure occurs
-// within LeadTime steps after t (the standard FPA target encoding);
+// Series rows are sensor readings, and Series.Y[t] == 1 when a failure
+// occurs within LeadTime steps after t (the standard FPA target encoding);
 // FailureTimes lists the injected failure timestamps.
 type FailureData struct {
 	Series       *dataset.Dataset
-	Labels       []float64
 	FailureTimes []int
 }
 
@@ -246,8 +245,8 @@ func GenerateFailureData(spec FailureSpec, rng *rand.Rand) (*FailureData, error)
 	for j := range names {
 		names[j] = fmt.Sprintf("sensor%d", j)
 	}
-	series := &dataset.Dataset{X: x, ColNames: names}
-	return &FailureData{Series: series, Labels: labels, FailureTimes: failures}, nil
+	series := &dataset.Dataset{X: x, Y: labels, ColNames: names}
+	return &FailureData{Series: series, FailureTimes: failures}, nil
 }
 
 // AnomalySpec configures GenerateAnomalyData.

@@ -121,12 +121,12 @@ func TestGenerateFailureData(t *testing.T) {
 	if len(fd.FailureTimes) != 5 {
 		t.Fatalf("failures %d", len(fd.FailureTimes))
 	}
-	if len(fd.Labels) != 600 || fd.Series.NumSamples() != 600 {
+	if len(fd.Series.Y) != 600 || fd.Series.NumSamples() != 600 {
 		t.Fatal("label/series length mismatch")
 	}
 	// Labels are 1 exactly in the lead windows.
 	pos := 0
-	for _, l := range fd.Labels {
+	for _, l := range fd.Series.Y {
 		if l == 1 {
 			pos++
 		}
@@ -138,7 +138,7 @@ func TestGenerateFailureData(t *testing.T) {
 	var leadSum, quietSum float64
 	var leadN, quietN int
 	for tt := 0; tt < 600; tt++ {
-		if fd.Labels[tt] == 1 {
+		if fd.Series.Y[tt] == 1 {
 			leadSum += fd.Series.X.At(tt, 0)
 			leadN++
 		} else {

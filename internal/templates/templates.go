@@ -1,16 +1,20 @@
 // Package templates packages the paper's AI solution templates (Section
 // IV-E): Failure Prediction Analysis, Root Cause Analysis, Anomaly
-// Analysis, and Cohort Analysis. Each is a one-call workflow that calls the
-// preprocess, mlmodels and tswindow components directly, with no TEG
-// search (ROADMAP item 31), trading generality for consumability by
-// non-expert users — the paper's stated design point for heavy industry.
+// Analysis, and Cohort Analysis. Each is a one-call workflow with its
+// choices fixed, trading generality for consumability by non-expert
+// users — the paper's stated design point for heavy industry. Failure
+// Prediction and Anomaly Analysis search a small TEG with core.Search; Root
+// Cause and Cohort Analysis are not predictive searches (DESIGN.md §3).
 package templates
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
+	"coda/internal/core"
+	"coda/internal/crossval"
 	"coda/internal/dataset"
 	"coda/internal/matrix"
 	"coda/internal/metrics"
@@ -19,131 +23,111 @@ import (
 	"coda/internal/tswindow"
 )
 
-// FPAModel selects the classifier behind Failure Prediction Analysis.
-type FPAModel int
-
-// Supported FPA classifiers.
-const (
-	FPALogistic FPAModel = iota + 1
-	FPAForest
-)
-
 // FPAConfig configures FailurePrediction.
 type FPAConfig struct {
-	History   int      // sensor history window per sample (default 8)
-	Model     FPAModel // classifier (default FPALogistic)
-	TrainFrac float64  // leading fraction of time used for training (default 0.7)
-	Seed      int64
+	History   int     // sensor history window per sample (default 8)
+	TrainFrac float64 // leading fraction of time used for training (default 0.7)
+	Seed      int64   // the forest's seed
 }
 
-// FPAResult reports a trained failure-prediction model and its quality on
-// the held-out (later) time range.
+// FPAResult reports the searched failure-prediction pipelines and the
+// winner's quality on the held-out (later) time range.
 type FPAResult struct {
 	Precision, Recall, F1, AUC float64
 	TestPositives              int
+	Search                     *core.SearchResult // every pipeline's F1 on the train range, and the winner
 }
 
-// FailurePrediction builds machine-learning models that predict imminent
-// failures from historical sensor data and failure logs: sensor windows are
-// flattened into feature vectors labelled with the failure flag at the
-// window's end, trained on the early portion of history and evaluated on
-// the later portion (no temporal leakage).
-func FailurePrediction(series *dataset.Dataset, labels []float64, cfg FPAConfig) (*FPAResult, error) {
-	if series.NumSamples() != len(labels) {
-		return nil, fmt.Errorf("templates: %d sensor rows vs %d labels", series.NumSamples(), len(labels))
-	}
+// FailurePrediction builds models that predict imminent failures from
+// sensor history and its failure log, series.Y: sensor windows, labelled
+// at their last timestamp, go through a TEG search of scalers and
+// classifiers on the early portion of history, and the winner, refitted
+// there, is evaluated on the later portion (no temporal leakage).
+func FailurePrediction(series *dataset.Dataset, cfg FPAConfig) (*FPAResult, error) {
+	return failurePrediction(series, cfg, fpaGraph(cfg.Seed))
+}
+
+// fpaGraph is FPA's TEG: the four feature scalers, each ahead of logistic
+// regression and a random forest classifier.
+func fpaGraph(seed int64) *core.Graph {
+	logistic := mlmodels.NewLogisticRegression()
+	logistic.Epochs = 400
+	forest := mlmodels.NewRandomForest(mlmodels.TreeClassification, 40)
+	forest.Seed = seed
+	return core.NewGraph().
+		AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(), preprocess.NewNoOp()).
+		AddEstimatorStage("classifier", logistic, forest)
+}
+
+// failurePrediction is FailurePrediction searching g.
+func failurePrediction(series *dataset.Dataset, cfg FPAConfig, g *core.Graph) (*FPAResult, error) {
 	if cfg.History <= 0 {
 		cfg.History = 8
 	}
 	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
 		cfg.TrainFrac = 0.7
 	}
-	if cfg.Model == 0 {
-		cfg.Model = FPALogistic
-	}
-	t := series.NumSamples()
-	if t < cfg.History*4 {
+	if t := series.NumSamples(); t < cfg.History*4 {
 		return nil, fmt.Errorf("templates: series of %d too short for history %d", t, cfg.History)
 	}
-
-	// Build flat windows; the label for a window ending at time e is
-	// labels[e] (is a failure imminent now?).
-	n := t - cfg.History + 1
-	x := matrix.New(n, cfg.History*series.NumFeatures())
-	y := make([]float64, n)
-	v := series.NumFeatures()
-	for i := 0; i < n; i++ {
-		dst := x.Row(i)
-		for k := 0; k < cfg.History; k++ {
-			copy(dst[k*v:(k+1)*v], series.X.Row(i+k))
-		}
-		y[i] = labels[i+cfg.History-1]
-	}
-	all, err := dataset.New(x, y)
+	all, err := tswindow.NewFlatWindowing(cfg.History, 0, 0).Transform(series)
 	if err != nil {
-		return nil, fmt.Errorf("templates: building FPA dataset: %w", err)
+		return nil, fmt.Errorf("templates: FPA needs a failure label per timestamp in the series' Y: %w", err)
 	}
-	cut := int(float64(n) * cfg.TrainFrac)
-	if cut <= 0 || cut >= n {
-		return nil, fmt.Errorf("templates: train fraction %v leaves an empty split", cfg.TrainFrac)
-	}
-	train, test := all.SliceRange(0, cut), all.SliceRange(cut, n)
+	cut := int(float64(all.NumSamples()) * cfg.TrainFrac)
+	train, test := all.SliceRange(0, cut), all.SliceRange(cut, all.NumSamples())
 
-	scaler := preprocess.NewStandardScaler()
-	if err := scaler.Fit(train); err != nil {
-		return nil, fmt.Errorf("templates: FPA scaler: %w", err)
+	// Folds slide forward in time, a buffer of History windows apart, so no
+	// fold trains on a window that overlaps its test.
+	span := cut - cfg.History
+	fitted, search, err := searchAndFit(g, train, core.SearchOptions{
+		Splitter: crossval.SlidingSplit{K: 3, TrainSize: span / 2, TestSize: span / 4, Buffer: cfg.History},
+		Scorer:   metrics.Scorer{Name: "f1", Fn: metrics.F1},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("templates: FPA: %w", err)
 	}
-	trainS, err := scaler.Transform(train)
+	preds, err := fitted.Predict(test)
 	if err != nil {
 		return nil, err
 	}
-	testS, err := scaler.Transform(test)
+	scores := preds // ranked by P(y=1) when the winner gives it
+	if clf, ok := fitted.Estimator().(interface {
+		PredictProba(*dataset.Dataset) ([]float64, error)
+	}); ok {
+		features, err := fitted.Transform(test)
+		if err == nil {
+			scores, err = clf.PredictProba(features)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	res := &FPAResult{Search: search}
+	res.Precision, res.Recall, res.F1, err = metrics.PrecisionRecallF1(test.Y, preds)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &FPAResult{}
-	var preds, scores []float64
-	switch cfg.Model {
-	case FPALogistic:
-		clf := mlmodels.NewLogisticRegression()
-		clf.Epochs = 400
-		if err := clf.Fit(trainS); err != nil {
-			return nil, fmt.Errorf("templates: FPA logistic fit: %w", err)
-		}
-		if preds, err = clf.Predict(testS); err != nil {
-			return nil, err
-		}
-		if scores, err = clf.PredictProba(testS); err != nil {
-			return nil, err
-		}
-	case FPAForest:
-		clf := mlmodels.NewRandomForest(mlmodels.TreeClassification, 40)
-		clf.Seed = cfg.Seed
-		if err := clf.Fit(trainS); err != nil {
-			return nil, fmt.Errorf("templates: FPA forest fit: %w", err)
-		}
-		if preds, err = clf.Predict(testS); err != nil {
-			return nil, err
-		}
-		scores = preds
-	default:
-		return nil, fmt.Errorf("templates: unknown FPA model %d", cfg.Model)
-	}
-
-	res.Precision, res.Recall, res.F1, err = metrics.PrecisionRecallF1(testS.Y, preds)
-	if err != nil {
-		return nil, err
-	}
-	for _, l := range testS.Y {
+	for _, l := range test.Y {
 		if l == 1 {
 			res.TestPositives++
 		}
 	}
-	if auc, err := metrics.AUC(testS.Y, scores); err == nil {
+	if auc, err := metrics.AUC(test.Y, scores); err == nil {
 		res.AUC = auc
 	}
 	return res, nil
+}
+
+// searchAndFit searches g on ds and fits the winner there.
+func searchAndFit(g *core.Graph, ds *dataset.Dataset, opts core.SearchOptions) (*core.Pipeline, *core.SearchResult, error) {
+	search, err := core.Search(context.Background(), g, ds, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	fitted, err := search.FitBest(context.Background())
+	return fitted, search, err
 }
 
 // Factor is one ranked driver from Root Cause Analysis.
@@ -215,59 +199,66 @@ func RootCauseAnalysis(ds *dataset.Dataset) (*RCAResult, error) {
 
 // AnomalyConfig configures AnomalyAnalysis.
 type AnomalyConfig struct {
-	// Threshold is the robust z-score above which a point is flagged
-	// (default 5).
-	Threshold float64
+	Threshold float64 // robust z-score above which a point is flagged (default 5)
 }
-
-// anomalyOrder is the AR order of AnomalyAnalysis's normal-behaviour
-// model, which predicts the series' first column, the monitored variable.
-const anomalyOrder = 4
 
 // AnomalyResult flags timestamps operating in an anomalous mode.
 type AnomalyResult struct {
-	Scores      []float64 // robust z-score per timestamp
-	AnomalousAt []int     // flagged timestamps, ascending
+	Scores      []float64          // robust z-score per timestamp
+	AnomalousAt []int              // flagged timestamps, ascending
+	Search      *core.SearchResult // every normal-behaviour model's RMSE, and the winner
 }
 
-// AnomalyAnalysis models normal operation with an AR predictor of the
-// monitored variable and flags timestamps whose prediction residual exceeds
-// Threshold robust standard deviations (median absolute deviation scaled),
-// separating normal from anomalous operating modes.
+// AnomalyAnalysis models normal operation of the series' first column
+// with the one-step predictor a TEG search picks, and flags timestamps
+// whose residual exceeds Threshold robust standard deviations (median
+// absolute deviation scaled), separating normal from anomalous modes.
 func AnomalyAnalysis(series *dataset.Dataset, cfg AnomalyConfig) (*AnomalyResult, error) {
+	return anomalyAnalysis(series, cfg, anomalyGraph())
+}
+
+// anomalyGraph is Anomaly's TEG: the series as is, one step ahead, into
+// persistence or AR(p) for p in {2, 4, 8}.
+func anomalyGraph() *core.Graph {
+	return core.NewGraph().
+		AddTransformerStage("view", tswindow.NewTSAsIs(1, 0)).
+		AddEstimatorStage("normal behaviour", mlmodels.NewZeroModel(0),
+			mlmodels.NewARModel(2, 0), mlmodels.NewARModel(4, 0), mlmodels.NewARModel(8, 0))
+}
+
+// anomalyAnalysis is AnomalyAnalysis searching g.
+func anomalyAnalysis(series *dataset.Dataset, cfg AnomalyConfig, g *core.Graph) (*AnomalyResult, error) {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 5
 	}
 	if series.NumFeatures() == 0 {
 		return nil, fmt.Errorf("templates: anomaly series has no columns to monitor")
 	}
-	view, err := tswindow.NewTSAsIs(1, 0).Transform(series)
+	n := series.NumSamples()
+	fitted, search, err := searchAndFit(g, series, core.SearchOptions{
+		Splitter: crossval.SlidingSplit{K: 3, TrainSize: n / 2, TestSize: n / 4, Buffer: 1},
+		Scorer:   metrics.Scorer{Name: "rmse", Fn: metrics.RMSE, Lower: true},
+	})
 	if err != nil {
-		return nil, fmt.Errorf("templates: anomaly view: %w", err)
+		return nil, fmt.Errorf("templates: anomaly: %w", err)
 	}
-	ar := mlmodels.NewARModel(anomalyOrder, 0)
-	if err := ar.Fit(view); err != nil {
-		return nil, fmt.Errorf("templates: anomaly AR model: %w", err)
-	}
-	preds, err := ar.Predict(view)
+	resid, truth, err := fitted.PredictWithTruth(series)
 	if err != nil {
 		return nil, err
 	}
-	resid := make([]float64, len(preds))
-	for i := range preds {
-		resid[i] = view.Y[i] - preds[i]
+	for i, p := range resid {
+		resid[i] = truth[i] - p
 	}
 	med, mad := medianMAD(resid)
 	scale := 1.4826 * mad // MAD -> sigma for normal data
 	if scale == 0 {
 		scale = 1e-12
 	}
-	res := &AnomalyResult{Scores: make([]float64, len(resid))}
+	res := &AnomalyResult{Scores: make([]float64, len(resid)), Search: search}
 	for i, r := range resid {
 		res.Scores[i] = math.Abs(r-med) / scale
 		if res.Scores[i] > cfg.Threshold {
-			// Residual at view index i concerns the series value at
-			// time i+1 (horizon 1).
+			// Residual i concerns the value at time i+1 (horizon 1).
 			res.AnomalousAt = append(res.AnomalousAt, i+1)
 		}
 	}

@@ -1,46 +1,174 @@
 package templates
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
+	"coda/internal/core"
 	"coda/internal/dataset"
 	"coda/internal/matrix"
+	"coda/internal/mlmodels"
+	"coda/internal/preprocess"
 	"coda/internal/sim"
+	"coda/internal/tswindow"
 )
 
-func TestFailurePredictionDetectsInjectedFailures(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	fd, err := sim.GenerateFailureData(sim.FailureSpec{Steps: 1200, Sensors: 4, Failures: 12, LeadTime: 12}, rng)
+// failureData is the labelled sensor history the FPA tests search.
+func failureData(t *testing.T) *sim.FailureData {
+	t.Helper()
+	fd, err := sim.GenerateFailureData(sim.FailureSpec{Steps: 1200, Sensors: 4, Failures: 12, LeadTime: 12}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, model := range map[string]FPAModel{"logistic": FPALogistic, "forest": FPAForest} {
-		model := model
-		t.Run(name, func(t *testing.T) {
-			res, err := FailurePrediction(fd.Series, fd.Labels, FPAConfig{History: 6, Model: model, Seed: 2})
+	return fd
+}
+
+// scalersInto is FPA's graph narrowed to the given classifiers.
+func scalersInto(classifiers ...core.Estimator) *core.Graph {
+	return core.NewGraph().
+		AddFeatureScalers(preprocess.NewStandardScaler(), preprocess.NewMinMaxScaler(), preprocess.NewRobustScaler(), preprocess.NewNoOp()).
+		AddEstimatorStage("classifier", classifiers...)
+}
+
+func TestFailurePredictionDetectsInjectedFailures(t *testing.T) {
+	fd := failureData(t)
+	cfg := FPAConfig{History: 6, Seed: 2}
+	logistic := mlmodels.NewLogisticRegression()
+	logistic.Epochs = 400
+	forest := mlmodels.NewRandomForest(mlmodels.TreeClassification, 40)
+	forest.Seed = cfg.Seed
+	// Each classifier behind the searched scalers, and the template's
+	// whole graph, which searches both.
+	for _, c := range []struct {
+		name  string
+		g     *core.Graph
+		units int
+	}{
+		{"logistic", scalersInto(logistic), 4},
+		{"forest", scalersInto(forest), 4},
+		{"searched", fpaGraph(cfg.Seed), 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := failurePrediction(fd.Series, cfg, c.g)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if len(res.Search.Units) != c.units || res.Search.Best == nil {
+				t.Fatalf("searched %d pipelines (winner %v), want %d and a winner", len(res.Search.Units), res.Search.Best, c.units)
 			}
 			if res.TestPositives == 0 {
 				t.Skip("no failures landed in the test range")
 			}
 			if res.F1 < 0.5 {
-				t.Fatalf("%s F1 = %v on learnable precursor signature", name, res.F1)
+				t.Fatalf("%s F1 = %v on learnable precursor signature", res.Search.Best.Spec, res.F1)
 			}
 		})
 	}
 }
 
 func TestFailurePredictionValidation(t *testing.T) {
-	x := matrix.New(10, 2)
-	series, _ := dataset.New(x, nil)
-	if _, err := FailurePrediction(series, []float64{1}, FPAConfig{}); err == nil {
-		t.Fatal("want length mismatch error")
+	series, _ := dataset.New(matrix.New(40, 2), nil)
+	if _, err := FailurePrediction(series, FPAConfig{}); err == nil {
+		t.Fatal("want an error for a series with no labels")
 	}
-	if _, err := FailurePrediction(series, make([]float64, 10), FPAConfig{History: 8}); err == nil {
+	series.Y = make([]float64, 40)
+	if _, err := FailurePrediction(series.SliceRange(0, 10), FPAConfig{History: 8}); err == nil {
 		t.Fatal("want too-short error")
 	}
+}
+
+// TestOnePathGraphsReproduceHandBuiltTemplates pins the one-path graphs
+// of both searched templates to what the hand-built pipelines they
+// replaced computed: StandardScaler into logistic regression (400 epochs)
+// for FPA, AR(4) for Anomaly. The search picks its one unit, FitBest fits
+// it where the hand-built code fitted, so every bit holds.
+func TestOnePathGraphsReproduceHandBuiltTemplates(t *testing.T) {
+	logistic := mlmodels.NewLogisticRegression()
+	logistic.Epochs = 400
+	g := core.NewGraph().AddFeatureScalers(preprocess.NewStandardScaler()).AddEstimatorStage("classifier", logistic)
+	fpa, err := failurePrediction(failureData(t).Series, FPAConfig{History: 6, Seed: 2}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"precision", fpa.Precision, math.Float64frombits(0x3fecb08d3dcb08d4)},
+		{"recall", fpa.Recall, math.Float64frombits(0x3fe71c71c71c71c7)},
+		{"F1", fpa.F1, math.Float64frombits(0x3fe9999999999999)},
+		{"AUC", fpa.AUC, math.Float64frombits(0x3feee6328c5f75eb)},
+	} {
+		if math.Float64bits(c.got) != math.Float64bits(c.want) {
+			t.Errorf("FPA %s = %v, want %v", c.name, c.got, c.want)
+		}
+	}
+	if fpa.TestPositives != 36 {
+		t.Errorf("FPA TestPositives = %d, want 36", fpa.TestPositives)
+	}
+
+	g = core.NewGraph().AddTransformerStage("view", tswindow.NewTSAsIs(1, 0)).AddEstimatorStage("model", mlmodels.NewARModel(4, 0))
+	an, err := anomalyAnalysis(anomalyData(t).Series, AnomalyConfig{Threshold: 6}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, s := range an.Scores {
+		_ = binary.Write(h, binary.LittleEndian, math.Float64bits(s))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); len(an.Scores) != 599 || got != "dc1e8cedb3150ad93ea400802abf92663079cbc55120869d78749b60a5003a37" {
+		t.Errorf("Anomaly scores: %d of them hashing to %s, want 599 hashing to dc1e8ced...", len(an.Scores), got)
+	}
+	if want := []int{109, 116, 117, 241, 242, 298, 299, 458, 459}; !slices.Equal(an.AnomalousAt, want) {
+		t.Errorf("Anomaly flags %v, want %v", an.AnomalousAt, want)
+	}
+}
+
+// TestTemplatesIdenticalAtParallelism1And2: a template's search runs one
+// worker per CPU, and neither it nor the template's result depends on how
+// many that is.
+func TestTemplatesIdenticalAtParallelism1And2(t *testing.T) {
+	fd, ad := failureData(t), anomalyData(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var fpas []*FPAResult
+	var anomalies []*AnomalyResult
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		fpa, err := FailurePrediction(fd.Series, FPAConfig{History: 6, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := AnomalyAnalysis(ad.Series, AnomalyConfig{Threshold: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fpas, anomalies = append(fpas, fpa), append(anomalies, an)
+	}
+	for _, r := range fpas {
+		r.Search = stripped(r.Search)
+	}
+	for _, r := range anomalies {
+		r.Search = stripped(r.Search)
+	}
+	if !reflect.DeepEqual(fpas[0], fpas[1]) {
+		t.Errorf("FPA at parallelism 1 and 2:\n%+v\n%+v", fpas[0], fpas[1])
+	}
+	if !reflect.DeepEqual(anomalies[0], anomalies[1]) {
+		t.Errorf("Anomaly at parallelism 1 and 2:\n%+v\n%+v", anomalies[0], anomalies[1])
+	}
+}
+
+// stripped keeps what a search decided, its units and its winner, without
+// the timings and the plan it keeps for FitBest.
+func stripped(r *core.SearchResult) *core.SearchResult {
+	return &core.SearchResult{Units: r.Units, Best: r.Best, Computed: r.Computed}
 }
 
 func TestRootCauseAnalysisRanksTrueDrivers(t *testing.T) {
@@ -94,12 +222,18 @@ func TestRootCauseAnalysisValidation(t *testing.T) {
 	}
 }
 
-func TestAnomalyAnalysisFindsInjectedSpikes(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ad, err := sim.GenerateAnomalyData(sim.AnomalySpec{Steps: 600, Vars: 2, Anomalies: 5, Magnitude: 20}, rng)
+// anomalyData is the spiked series the Anomaly tests search.
+func anomalyData(t *testing.T) *sim.AnomalyData {
+	t.Helper()
+	ad, err := sim.GenerateAnomalyData(sim.AnomalySpec{Steps: 600, Vars: 2, Anomalies: 5, Magnitude: 20}, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ad
+}
+
+func TestAnomalyAnalysisFindsInjectedSpikes(t *testing.T) {
+	ad := anomalyData(t)
 	res, err := AnomalyAnalysis(ad.Series, AnomalyConfig{Threshold: 6})
 	if err != nil {
 		t.Fatal(err)

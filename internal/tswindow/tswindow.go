@@ -16,7 +16,9 @@
 //
 // Every transformer also derives the prediction target: the value of the
 // target variable Horizon steps after the window, so Y never overlaps the
-// inputs it is predicted from.
+// inputs it is predicted from. Windows at Horizon 0 take it from the
+// series' own Y instead: labels recorded beside the readings, such as a
+// failure log, at each window's last timestamp.
 package tswindow
 
 import (
@@ -40,14 +42,16 @@ func validateSeries(ds *dataset.Dataset, target int) error {
 // Windows converts a T x v series into L = T - History - Horizon + 1
 // windows; window i holds rows i .. i+History-1 flattened time-major into a
 // single row of length History*v, and Y[i] is the target variable at time
-// i + History + Horizon - 1. Cascaded windows (Fig 7) carry WindowLen =
-// History and NumVars = v so temporal estimators can reinterpret rows as
-// 2-D windows without copying; flat windows (Fig 8) leave both unset, so
-// downstream estimators treat rows as flat vectors: temporal history is
-// present in the features, ordering semantics are not.
+// i + History + Horizon - 1 — at Horizon 0, the series' Y there, since the
+// target variable at the window's own last row is one of its inputs.
+// Cascaded windows (Fig 7) carry WindowLen = History and NumVars = v so
+// temporal estimators can reinterpret rows as 2-D windows without
+// copying; flat windows (Fig 8) leave both unset, so downstream
+// estimators treat rows as flat vectors: temporal history is present in
+// the features, ordering semantics are not.
 type Windows struct {
 	History int // window length p (>= 1)
-	Horizon int // steps ahead to predict (>= 1)
+	Horizon int // steps ahead to predict (>= 1), or 0 for the series' Y
 	Target  int // target variable column
 
 	name     string
@@ -112,7 +116,11 @@ func (w *Windows) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	if w.cascaded {
 		out.WindowLen, out.NumVars = w.History, v
 	}
-	out.YScale, out.YOffset = ds.ColAffine(w.Target)
+	if w.Horizon == 0 {
+		out.YScale, out.YOffset = ds.YScale, ds.YOffset
+	} else {
+		out.YScale, out.YOffset = ds.ColAffine(w.Target)
+	}
 	return out, nil
 }
 
@@ -203,8 +211,8 @@ func buildWindows(ds *dataset.Dataset, history, horizon, target int) (*matrix.Ma
 	if history < 1 {
 		return nil, nil, 0, fmt.Errorf("history %d < 1", history)
 	}
-	if horizon < 1 {
-		return nil, nil, 0, fmt.Errorf("horizon %d < 1", horizon)
+	if horizon < 0 || horizon == 0 && len(ds.Y) != ds.X.Rows() {
+		return nil, nil, 0, fmt.Errorf("horizon %d: want >= 1, or 0 on a series with a Y per row", horizon)
 	}
 	if err := validateSeries(ds, target); err != nil {
 		return nil, nil, 0, err
@@ -222,7 +230,11 @@ func buildWindows(ds *dataset.Dataset, history, horizon, target int) (*matrix.Ma
 		for tIdx := 0; tIdx < history; tIdx++ {
 			copy(dst[tIdx*v:(tIdx+1)*v], ds.X.Row(i+tIdx))
 		}
-		y[i] = ds.X.At(i+history+horizon-1, target)
+		if horizon == 0 {
+			y[i] = ds.Y[i+history-1]
+		} else {
+			y[i] = ds.X.At(i+history+horizon-1, target)
+		}
 	}
 	return x, y, v, nil
 }

@@ -116,6 +116,37 @@ func TestFlatWindowingMatchesCascadedValues(t *testing.T) {
 	}
 }
 
+// TestWindowsHorizonZeroTakesY: at Horizon 0 a window's target is the
+// series' own Y at its last row (a label logged beside the readings), its
+// inputs are the windows of any other horizon, and Y's affine map carries
+// over; a series without a Y per row is refused.
+func TestWindowsHorizonZeroTakesY(t *testing.T) {
+	d := series(t, 8)
+	d.Y = []float64{0, 0, 1, 0, 1, 1, 0, 1}
+	d.YScale, d.YOffset = 2, 5
+	out, err := NewFlatWindowing(3, 0, 0).Transform(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumSamples() != 6 || !slices.Equal(out.Y, d.Y[2:]) {
+		t.Fatalf("%d windows with Y %v, want 6 with %v", out.NumSamples(), out.Y, d.Y[2:])
+	}
+	ahead, err := NewFlatWindowing(3, 1, 0).Transform(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(out.X.Data()[:ahead.X.Rows()*ahead.X.Cols()], ahead.X.Data()) {
+		t.Fatal("horizon-0 windows hold other inputs than horizon-1 windows")
+	}
+	if out.YScale != 2 || out.YOffset != 5 {
+		t.Fatalf("YScale/YOffset = %v/%v, want the series' 2/5", out.YScale, out.YOffset)
+	}
+	d.Y = d.Y[1:]
+	if _, err := NewFlatWindowing(3, 0, 0).Transform(d); err == nil {
+		t.Fatal("want an error for a Y shorter than the series")
+	}
+}
+
 func TestTSAsIID(t *testing.T) {
 	d := series(t, 8)
 	tr := NewTSAsIID(2, 0)

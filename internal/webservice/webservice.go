@@ -20,13 +20,15 @@ import (
 // traced by the chain Handler is mounted on, under route="score".
 var mScoredRowCount = obs.GetCounter("coda_webservice_rows_scored_total")
 
-// scoreRequest/scoreResponse are the HTTP wire format.
+// scoreRequest/scoreResponse are the HTTP wire format. A reply carries
+// predictions or an error, never both: an error reply has the fields of
+// httpapi's JSON errors.
 type scoreRequest struct {
 	Rows [][]float64 `json:"rows"`
 }
 
 type scoreResponse struct {
-	Predictions []float64 `json:"predictions"`
+	Predictions []float64 `json:"predictions,omitempty"`
 	Error       string    `json:"error,omitempty"`
 	Status      int       `json:"status,omitempty"`
 	RequestID   string    `json:"request_id,omitempty"`
@@ -40,9 +42,10 @@ type Predictor interface {
 
 // Handler serves a fitted model as an AI web service: POST a JSON
 // feature matrix, receive predictions — the role the paper's cloud vendors
-// play in Figure 1. Mounted on an httpapi.Server (coda-client serve's
-// /score), the request has an id, a capped body, a span, per-route metrics
-// and panic recovery; a body over the cap is a 413. Errors come back as
+// play in Figure 1. Mounted on an httpapi.Server for POST (coda-client
+// serve's /score), the request has an id, a capped body, a span,
+// per-route metrics and panic recovery, and the route table answers any
+// other method; a body over the cap is a 413. Errors come back as
 // structured JSON carrying the status and the request id, and are logged
 // through slog.
 func Handler(est Predictor) http.Handler {
@@ -56,10 +59,6 @@ func Handler(est Predictor) http.Handler {
 			slog.Default().Log(r.Context(), level, "score request failed",
 				"request_id", id, "status", status, "err", msg)
 			writeJSON(w, status, scoreResponse{Error: msg, Status: status, RequestID: id})
-		}
-		if r.Method != http.MethodPost {
-			fail(http.StatusMethodNotAllowed, "POST only")
-			return
 		}
 		var req scoreRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
