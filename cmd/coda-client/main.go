@@ -220,7 +220,7 @@ func runSearch(ctx context.Context, args []string) error {
 		return err
 	}
 	logCooperation(ctx, opts, res)
-	fmt.Printf("dataset fingerprint: %s\n", ds.Fingerprint())
+	fmt.Printf("dataset fingerprint: %s\n", res.Fingerprint)
 	fmt.Printf("units: %d computed, %d from DARR, %d skipped (claimed elsewhere)\n",
 		res.Computed, res.CacheHits, res.Skipped)
 	p := res.Prefix

@@ -188,6 +188,9 @@ type SearchResult struct {
 	// Profile is the critical-path breakdown of the search's wall time
 	// (zero-valued when tracing is disabled).
 	Profile SearchProfile
+	// Fingerprint is the dataset's fingerprint the unit keys were made
+	// from: what a DARR query for the search's results names.
+	Fingerprint string
 
 	// plan and ds are what FitBest rebuilds and fits the winner from.
 	plan *plan
@@ -334,7 +337,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 		return nil, fmt.Errorf("core: search cancelled: %w", err)
 	}
 
-	res := &SearchResult{Units: results, plan: pl, ds: ds}
+	res := &SearchResult{Units: results, Fingerprint: fp, plan: pl, ds: ds}
 	if cache != nil {
 		res.Prefix = cache.stats(len(folds))
 	}

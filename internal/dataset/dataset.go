@@ -4,6 +4,7 @@
 package dataset
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"coda/internal/matrix"
@@ -52,6 +54,10 @@ type Dataset struct {
 	// carries it (SharedMemoized). Both are nil on every dataset but a
 	// WithMemo copy.
 	memo, shared *Memo
+
+	// fp is what Fingerprint last hashed. A copy of the dataset starts
+	// without it, so WithMemo and WithX build their copies field by field.
+	fp atomic.Pointer[fingerprinted]
 }
 
 // Memo is a table of per-key onces: each key's value is made by the first
@@ -74,9 +80,12 @@ type memoCell struct {
 // the copy does. No dataset derived from it (WithX, Subset, a
 // transformer's output) carries either memo on.
 func (d *Dataset) WithMemo(shared *Memo) *Dataset {
-	out := *d
-	out.memo, out.shared = new(Memo), shared
-	return &out
+	return &Dataset{
+		X: d.X, Y: d.Y, ColNames: d.ColNames, TargetName: d.TargetName,
+		WindowLen: d.WindowLen, NumVars: d.NumVars,
+		ColScale: d.ColScale, ColOffset: d.ColOffset, YScale: d.YScale, YOffset: d.YOffset,
+		memo: new(Memo), shared: shared,
+	}
 }
 
 // Memoized returns mk()'s value. On a dataset that carries a memo
@@ -142,13 +151,10 @@ func (d *Dataset) NumFeatures() int { return d.X.Cols() }
 // preserves column identity — and so is d's memo, whose values were
 // derived from d's matrix.
 func (d *Dataset) WithX(x *matrix.Matrix) *Dataset {
-	out := *d
-	out.X = x
-	out.ColNames = nil
-	out.ColScale = nil
-	out.ColOffset = nil
-	out.memo, out.shared = nil, nil
-	return &out
+	return &Dataset{
+		X: x, Y: d.Y, TargetName: d.TargetName, WindowLen: d.WindowLen, NumVars: d.NumVars,
+		YScale: d.YScale, YOffset: d.YOffset,
+	}
 }
 
 // ColAffine returns the affine map of column j back to original units
@@ -243,28 +249,76 @@ func cloneFloats(s []float64) []float64 {
 //
 // The hashed bytes are the row and column counts, then every element of X
 // and Y, each as a little-endian uint64. On a little-endian host those are
-// the elements' own bytes, so X's and Y's backing arrays are hashed where
-// they are; elsewhere they are encoded a 4 KiB block at a time.
+// the elements' own bytes, so they are hashed where they are; elsewhere
+// they are encoded a 4 KiB block at a time.
+//
+// A dataset searched again is fingerprinted again, so it keeps its last
+// fingerprint with the shape it hashed. When a call hashes the same bytes
+// as the one before, it also keeps a private copy of the elements; from
+// then on a call whose shape and element bits equal the copy's returns the
+// kept fingerprint without hashing, and any other call hashes and replaces
+// what is kept. A dataset fingerprinted once keeps no copy. Bits, not
+// values, are compared: +0 and -0, or two NaN payloads, are different
+// data, as they hash differently. So the result is always the digest of
+// the dataset's bytes at the call, even if X or Y changed in place since
+// the last one.
 func (d *Dataset) Fingerprint() string {
-	return d.fingerprint(nativeLittleEndian)
+	rows, cols, x, y := d.X.Rows(), d.X.Cols(), d.X.Data(), d.Y
+	last := d.fp.Load()
+	if last != nil && last.copied && last.holds(rows, cols, x, y) {
+		return last.fp
+	}
+	m := &fingerprinted{rows: rows, cols: cols, fp: fingerprint(rows, cols, x, y, nativeLittleEndian)}
+	if last != nil && last.fp == m.fp {
+		vals := append(append(make([]float64, 0, len(x)+len(y)), x...), y...)
+		m.x, m.y, m.copied = vals[:len(x):len(x)], vals[len(x):], true
+	}
+	d.fp.Store(m)
+	return m.fp
+}
+
+// fingerprinted is one Fingerprint result: the shape it hashed and, once
+// copied is set, a private copy of the elements. It is not changed once
+// stored, so any number of calls may read it at once.
+type fingerprinted struct {
+	rows, cols int
+	x, y       []float64
+	copied     bool
+	fp         string
+}
+
+// holds reports whether a dataset of this shape and these elements has the
+// fingerprint m.fp: its shape and element bits are m's copy's.
+func (m *fingerprinted) holds(rows, cols int, x, y []float64) bool {
+	return m.rows == rows && m.cols == cols && sameBits(m.x, x) && sameBits(m.y, y)
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return len(a) == len(b) && bytes.Equal(bytesOf(a), bytesOf(b))
+}
+
+// bytesOf is vs's memory as bytes.
+func bytesOf(vs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
 }
 
 // nativeLittleEndian reports whether a float64's bytes in memory are its
 // bits as a little-endian uint64.
 var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// fingerprint is Fingerprint, hashing the elements in place when inPlace
-// is set and encoding them otherwise: the same bytes either way on a
-// little-endian host.
-func (d *Dataset) fingerprint(inPlace bool) string {
+// fingerprint is the digest of a rows x cols dataset with elements x and y,
+// hashing the elements in place when inPlace is set and encoding them
+// otherwise: the same bytes either way on a little-endian host.
+func fingerprint(rows, cols int, x, y []float64, inPlace bool) string {
 	h := sha256.New()
 	var head [16]byte
-	binary.LittleEndian.PutUint64(head[:8], uint64(d.X.Rows()))
-	binary.LittleEndian.PutUint64(head[8:], uint64(d.X.Cols()))
+	binary.LittleEndian.PutUint64(head[:8], uint64(rows))
+	binary.LittleEndian.PutUint64(head[8:], uint64(cols))
 	h.Write(head[:])
-	for _, vs := range [2][]float64{d.X.Data(), d.Y} {
+	for _, vs := range [2][]float64{x, y} {
 		if inPlace {
-			h.Write(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs)))
+			h.Write(bytesOf(vs))
 		} else {
 			writeLittleEndian(h, vs)
 		}

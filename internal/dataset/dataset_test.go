@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -151,8 +152,160 @@ func TestFingerprintHashesEncodedBytes(t *testing.T) {
 		cases[fmt.Sprintf("random%d", n)] = &Dataset{X: x, Y: x.Data()[:n/2]}
 	}
 	for name, ds := range cases {
-		if inPlace, encoded := ds.fingerprint(true), ds.fingerprint(false); inPlace != encoded {
+		if inPlace, encoded := fingerprint(ds.X.Rows(), ds.X.Cols(), ds.X.Data(), ds.Y, true), fingerprint(ds.X.Rows(), ds.X.Cols(), ds.X.Data(), ds.Y, false); inPlace != encoded {
 			t.Errorf("%s: in place %s, encoded %s", name, inPlace, encoded)
+		}
+	}
+}
+
+// TestFingerprintFollowsInPlaceChanges: once a dataset has hashed the
+// same bytes twice it keeps a copy of them and returns the kept digest
+// while its shape and element bits are the copy's, so after each change
+// made in place here it must equal the fingerprint of a fresh copy, which
+// has nothing kept, and differ from the one before. Bits count, not
+// values: +0 against -0 and one NaN payload against another are changes.
+func TestFingerprintFollowsInPlaceChanges(t *testing.T) {
+	grid := fingerprintCases(t)["400x6"]
+	ds := &Dataset{X: grid.X.Clone(), Y: slices.Clone(grid.Y)}
+	ds.X.Data()[0] = 0
+	fresh := func() string { return (&Dataset{X: ds.X.Clone(), Y: slices.Clone(ds.Y)}).Fingerprint() }
+	last := ds.Fingerprint()
+	if want := fresh(); last != want {
+		t.Fatalf("first call %s, a fresh copy %s", last, want)
+	}
+	for _, step := range []struct {
+		name   string
+		change func()
+	}{
+		{"nothing", func() {}},
+		{"one X element", func() { ds.X.Data()[1234]++ }},
+		{"+0 to -0", func() { ds.X.Data()[0] = math.Copysign(0, -1) }},
+		{"a NaN", func() { ds.X.Data()[1] = math.Float64frombits(0x7ff8000000000001) }},
+		{"NaN payload", func() { ds.X.Data()[1] = math.Float64frombits(0x7ff8000000000002) }},
+		{"Y", func() { ds.Y[399] = -ds.Y[399] }},
+		{"X of another shape, same elements", func() {
+			x := matrix.New(ds.X.Cols(), ds.X.Rows())
+			copy(x.Data(), ds.X.Data())
+			ds.X = x
+		}},
+		{"Y dropped", func() { ds.Y = nil }},
+	} {
+		if ds.Fingerprint() != last {
+			t.Fatalf("before %s: the fingerprint moved with nothing changed", step.name)
+		}
+		if m := ds.fp.Load(); !m.copied {
+			t.Fatalf("before %s: the same bytes hashed twice, but no copy kept", step.name)
+		}
+		step.change()
+		got := ds.Fingerprint()
+		if want := fresh(); got != want {
+			t.Errorf("%s: Fingerprint() = %s, a fresh copy's %s", step.name, got, want)
+		}
+		if changed := got != last; changed != (step.name != "nothing") {
+			t.Errorf("%s: fingerprint %s after %s", step.name, got, last)
+		}
+		last = got
+	}
+}
+
+// TestFingerprintCopiesOnlyWhenRepeated: a dataset fingerprinted once, as
+// every search of a freshly read dataset is, keeps no copy of its
+// elements; one fingerprinted twice over the same bytes keeps one, and one
+// whose bytes changed between the calls drops it.
+func TestFingerprintCopiesOnlyWhenRepeated(t *testing.T) {
+	ds := makeDS(t)
+	ds.Fingerprint()
+	if m := ds.fp.Load(); m.copied || m.x != nil || m.y != nil {
+		t.Fatalf("after one call: copied %v, %d+%d elements kept", m.copied, len(m.x), len(m.y))
+	}
+	ds.Fingerprint()
+	if m := ds.fp.Load(); !m.copied || len(m.x) != len(ds.X.Data()) || len(m.y) != len(ds.Y) {
+		t.Fatalf("after a repeat: copied %v, %d+%d elements kept", m.copied, len(m.x), len(m.y))
+	}
+	ds.Y[0]++
+	ds.Fingerprint()
+	if m := ds.fp.Load(); m.copied || m.x != nil {
+		t.Fatalf("after a change: copied %v, %d elements kept", m.copied, len(m.x))
+	}
+}
+
+// TestFingerprintConcurrentCalls: calls on one dataset from several
+// goroutines, beside copies made of it and changes to a second dataset
+// sharing none of its memory, all return the right fingerprint. Run it
+// under -race: the kept digest is stored while others read it and copy
+// the dataset.
+func TestFingerprintConcurrentCalls(t *testing.T) {
+	a := makeDS(t)
+	b := fingerprintCases(t)["400x6"]
+	wantA, wantB := a.Fingerprint(), b.Fingerprint()
+	a = makeDS(t) // nothing kept yet, so the goroutines race to store it
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := a.Fingerprint(); got != wantA {
+					t.Errorf("Fingerprint() = %s, want %s", got, wantA)
+					return
+				}
+				if got := a.WithMemo(nil).Fingerprint(); got != wantA {
+					t.Errorf("WithMemo copy: Fingerprint() = %s, want %s", got, wantA)
+					return
+				}
+				if got := a.WithX(b.X).WithMemo(nil).NumFeatures(); got != b.X.Cols() {
+					t.Errorf("WithX copy has %d features, want %d", got, b.X.Cols())
+					return
+				}
+				if got := b.Fingerprint(); got != wantB {
+					t.Errorf("second dataset: Fingerprint() = %s, want %s", got, wantB)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCopiesCarryEveryField: WithMemo and WithX build their copies field
+// by field, leaving out the kept fingerprint, so a field added to Dataset
+// must be added to them too. Every exported field is set here by
+// reflection; WithMemo must carry each, and WithX each but X and the
+// column metadata it clears.
+func TestCopiesCarryEveryField(t *testing.T) {
+	var d Dataset
+	v := reflect.ValueOf(&d).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !v.Type().Field(i).IsExported() {
+			continue
+		}
+		switch f.Kind() {
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.String:
+			f.SetString("set")
+		case reflect.Int:
+			f.SetInt(3)
+		case reflect.Float64:
+			f.SetFloat(2)
+		default:
+			t.Fatalf("field %s: kind %s not set by this test", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	cleared := map[string]bool{"X": true, "ColNames": true, "ColScale": true, "ColOffset": true}
+	for name, c := range map[string]*Dataset{"WithMemo": d.WithMemo(nil), "WithX": d.WithX(nil)} {
+		cv := reflect.ValueOf(c).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			field := v.Type().Field(i)
+			if !field.IsExported() || name == "WithX" && cleared[field.Name] {
+				continue
+			}
+			if !reflect.DeepEqual(cv.Field(i).Interface(), v.Field(i).Interface()) {
+				t.Errorf("%s does not carry %s", name, field.Name)
+			}
 		}
 	}
 }

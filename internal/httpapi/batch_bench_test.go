@@ -2,7 +2,11 @@ package httpapi
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +23,7 @@ import (
 	"coda/internal/dataset"
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
+	"coda/internal/obs/trace"
 	"coda/internal/preprocess"
 )
 
@@ -180,4 +185,56 @@ func BenchmarkCooperativeSearch(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
+}
+
+// BenchmarkBatchLookupFloor times one LookupBatch of 132 unit keys, the
+// coop grid's warm lookup, repeated over loopback through the client's
+// own exec and transport, with tracing off. Its fixed-reply case answers
+// from a handler that writes a fixed reply of the real one's size (every
+// key a hit: a 17-byte bitmap and 132 scores): the floor under a warm
+// search's round trip, which the server's handler and the search's own
+// work come on top of. Its server case answers from a Server whose repo
+// holds every key.
+func BenchmarkBatchLookupFloor(b *testing.B) {
+	defer trace.SetEnabled(true)
+	trace.SetEnabled(false)
+	keys := make([]string, 132)
+	recs := make([]darr.Record, len(keys))
+	reply := make([]byte, (len(keys)+7)/8, (len(keys)+7)/8+8*len(keys))
+	for i := range keys {
+		keys[i] = core.UnitKey("4f1c9a0be27d3c55", fmt.Sprintf("input -> minmaxscaler -> selectkbest(k=3) -> knn(k=%d)", i), "kfold(k=5,shuffle=true)|rmse|seed=1|numerics=3")
+		recs[i] = darr.Record{Key: keys[i], DatasetFP: "4f1c9a0be27d3c55", Score: float64(i)}
+		reply[i/8] |= 1 << (i % 8)
+		reply = binary.LittleEndian.AppendUint64(reply, math.Float64bits(float64(i)))
+	}
+	repo := darr.NewRepo(nil, time.Minute)
+	if err := repo.PutBatch(recs); err != nil {
+		b.Fatal(err)
+	}
+	fixed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", octetStream)
+		w.Write(reply)
+	})
+	for _, h := range []struct {
+		name string
+		h    http.Handler
+	}{{"fixed-reply", fixed}, {"server", NewServer(repo, nil)}} {
+		b.Run(h.name, func(b *testing.B) {
+			ts := httptest.NewServer(h.h)
+			defer ts.Close()
+			c := NewClient(ts.URL, "floor")
+			lookup := func() {
+				scores, err := c.LookupBatch(context.Background(), keys)
+				if err != nil || len(scores) != len(keys) || scores[keys[131]] != 131 {
+					b.Fatalf("lookup: %d scores, err %v", len(scores), err)
+				}
+			}
+			lookup()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lookup()
+			}
+		})
+	}
 }

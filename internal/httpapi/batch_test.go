@@ -15,6 +15,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -449,6 +450,100 @@ func TestLookupBodyAllocatesNothingPerKey(t *testing.T) {
 	if len(body) != 32*len(keys) || darr.Digest(body[32*131:]) != darr.KeyDigest(keys[131]) {
 		t.Fatalf("body of %d bytes does not end with the last key's digest", len(body))
 	}
+}
+
+// TestLookupBodyIsEveryKeysDigest: LookupBatch resends the last lookup's
+// body when its keys are the same, so its body must still be
+// appendDigests' of the keys, byte for byte, whatever changed between
+// lookups: a repeat, one key changed, a shorter and a longer batch, the
+// same keys one position on, and a caller that rewrote its own slice in
+// place after sending it.
+func TestLookupBodyIsEveryKeysDigest(t *testing.T) {
+	var mu sync.Mutex
+	var sent []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		sent = b
+		mu.Unlock()
+		w.Header().Set("Content-Type", octetStream)
+		w.Write(make([]byte, (len(b)/digestSize+7)/8)) // no key has a score
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL, "memo")
+	keys := make([]string, 20)
+	for i := range keys {
+		keys[i] = core.UnitKey("4f1c9a0be27d3c55", fmt.Sprintf("input -> noop -> knn(k=%d)", i), "kfold(k=5)|rmse|seed=1|numerics=3")
+	}
+	lookup := func(step string, keys []string) {
+		t.Helper()
+		if _, err := c.LookupBatch(context.Background(), keys); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if want := appendDigests(nil, keys); !bytes.Equal(sent, want) {
+			t.Errorf("%s: sent %d bytes that are not the %d keys' digests", step, len(sent), len(keys))
+		}
+	}
+	lookup("first", keys)
+	lookup("repeat", keys)
+	changed := slices.Clone(keys)
+	changed[7] = "fp|another pipeline|kfold(k=5)"
+	lookup("one key changed", changed)
+	lookup("shorter", changed[:12])
+	lookup("longer", append(slices.Clone(keys), "fp|extra 1|e", "fp|extra 2|e"))
+	lookup("shifted", append([]string{"fp|new first|e"}, keys...))
+	mine := slices.Clone(keys)
+	lookup("mine", mine)
+	mine[3] = "fp|rewritten in place|e"
+	lookup("mutated in place", mine)
+}
+
+// TestConcurrentLookupsGetTheirOwnScores: two goroutines look up different
+// key sets on one client at once, so each replaces the body the other
+// would resend. Every reply must still be its own keys' scores. Run it
+// under -race: the kept digests are stored while the other call reads
+// them.
+func TestConcurrentLookupsGetTheirOwnScores(t *testing.T) {
+	c, repo, _, _ := newTestServer(t)
+	sets := [2][]string{make([]string, 40), make([]string, 40)}
+	var recs []darr.Record
+	for s := range sets {
+		for i := range sets[s] {
+			sets[s][i] = fmt.Sprintf("fp|set%d unit %d|e", s, i)
+			recs = append(recs, darr.Record{Key: sets[s][i], DatasetFP: "fp", Score: float64(1000*s + i)})
+		}
+	}
+	if err := repo.PutBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for s, keys := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				// Every other round looks up a prefix, so the lengths differ too.
+				ks := keys[:len(keys)-n%2*7]
+				scores, err := c.LookupBatch(context.Background(), ks)
+				if err != nil || len(scores) != len(ks) {
+					t.Errorf("set %d: %d scores for %d keys, err %v", s, len(scores), len(ks), err)
+					return
+				}
+				for i, k := range ks {
+					if scores[k] != float64(1000*s+i) {
+						t.Errorf("set %d key %d: score %v, want %d", s, i, scores[k], 1000*s+i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // raceDetector reports whether this test binary was built with -race, under

@@ -10,6 +10,7 @@ import (
 	"maps"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -48,6 +49,8 @@ type Client struct {
 
 	// queue, when enabled, coalesces Publishes into batched uploads.
 	queue atomic.Pointer[publishQueue]
+	// lastLookup is what the last LookupBatch sent (lookupDigests).
+	lastLookup atomic.Pointer[sentDigests]
 }
 
 // Default client fault-tolerance settings, chosen for wide-area links:
@@ -343,11 +346,35 @@ func appendDigests(dst []byte, keys []string) []byte {
 	return dst
 }
 
-// postDigests posts keys' digests to path with header, DefaultMaxBatchKeys
-// to a request, and hands each 200 reply's body to read with the bounds of
-// the run it answers. what names the call in an error, and shape the reply.
-func (c *Client) postDigests(ctx context.Context, path string, header http.Header, what, shape string, keys []string, read func(reply []byte, lo, hi int) error) error {
+// sentDigests is one LookupBatch's keys, in a slice of its own, and the
+// digests it sent for them. It is not changed once stored, so any number
+// of calls may read it at once.
+type sentDigests struct {
+	keys    []string
+	digests []byte
+}
+
+// lookupDigests is appendDigests for a LookupBatch body. A warm search
+// repeats its lookup key for key, so when keys equal the last
+// LookupBatch's keys the last body is sent again and nothing is hashed;
+// any other batch is hashed whole and kept for the next call. The kept
+// keys are the client's own copy, so the body is appendDigests' byte for
+// byte whatever the caller did to its slice since. ClaimBatch and Wait
+// send other windows of the keys and hash their own.
+func (c *Client) lookupDigests(keys []string) []byte {
+	if last := c.lastLookup.Load(); last != nil && slices.Equal(last.keys, keys) {
+		return last.digests
+	}
 	body := appendDigests(make([]byte, 0, digestSize*len(keys)), keys)
+	c.lastLookup.Store(&sentDigests{keys: slices.Clone(keys), digests: body})
+	return body
+}
+
+// postDigests posts body, keys' digests, to path with header,
+// DefaultMaxBatchKeys to a request, and hands each 200 reply's body to
+// read with the bounds of the run it answers. what names the call in an
+// error, and shape the reply.
+func (c *Client) postDigests(ctx context.Context, path string, header http.Header, what, shape string, keys []string, body []byte, read func(reply []byte, lo, hi int) error) error {
 	return batches(len(keys), func(lo, hi int) error {
 		status, err := c.do(ctx, http.MethodPost, path, body[lo*digestSize:hi*digestSize], header, func(resp *http.Response) error {
 			if ct := resp.Header.Get("Content-Type"); ct != octetStream {
@@ -398,7 +425,7 @@ func (c *Client) Wait(ctx context.Context, keys []string) error {
 // DefaultMaxBatchKeys keys resolves the published scores for every key.
 func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]float64, error) {
 	scores := make(map[string]float64, len(keys))
-	err := c.postDigests(ctx, "/darr/batch/lookup", octetBody, "lookup", lookupReplyShape, keys, func(reply []byte, lo, hi int) error {
+	err := c.postDigests(ctx, "/darr/batch/lookup", octetBody, "lookup", lookupReplyShape, keys, c.lookupDigests(keys), func(reply []byte, lo, hi int) error {
 		return readScores(reply, hi-lo, func(i int, score float64) { scores[keys[lo+i]] = score })
 	})
 	if err != nil {
@@ -414,7 +441,8 @@ func (c *Client) LookupBatch(ctx context.Context, keys []string) (map[string]flo
 func (c *Client) ClaimBatch(ctx context.Context, keys []string) (map[string]bool, error) {
 	granted := make(map[string]bool, len(keys))
 	header := http.Header{"Content-Type": {octetStream}, clientIDHeader: {c.ClientID}}
-	err := c.postDigests(ctx, "/darr/batch/claims", header, "claim", claimReplyShape, keys, func(reply []byte, lo, hi int) error {
+	body := appendDigests(make([]byte, 0, digestSize*len(keys)), keys)
+	err := c.postDigests(ctx, "/darr/batch/claims", header, "claim", claimReplyShape, keys, body, func(reply []byte, lo, hi int) error {
 		return readGrants(reply, hi-lo, func(i int, g bool) { granted[keys[lo+i]] = g })
 	})
 	if err != nil {

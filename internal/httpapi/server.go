@@ -355,13 +355,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		elapsed := time.Since(start)
-		rec.span.SetAttr(trace.Int("status", rec.status))
-		rec.span.End()
+		// The span attribute and the log arguments are built only when
+		// they are kept: each would allocate on every request otherwise.
+		if rec.span != nil {
+			rec.span.SetAttr(trace.Int("status", rec.status))
+			rec.span.End()
+		}
 		rec.route.requests(r.Method, rec.status).Inc()
 		rec.route.seconds().Observe(elapsed.Seconds())
-		slog.Default().Debug("http request",
-			"request_id", id, "method", r.Method, "path", r.URL.Path,
-			"code", rec.status, "bytes", rec.bytes, "elapsed", elapsed)
+		if l := slog.Default(); l.Enabled(r.Context(), slog.LevelDebug) {
+			l.Debug("http request",
+				"request_id", id, "method", r.Method, "path", r.URL.Path,
+				"code", rec.status, "bytes", rec.bytes, "elapsed", elapsed)
+		}
 	}()
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 	s.mux.ServeHTTP(rec, r)

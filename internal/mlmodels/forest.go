@@ -15,7 +15,7 @@ import (
 
 // RandomForest is a bagged ensemble of feature-subsampled CART trees.
 // Regression forests average tree outputs; classification forests take a
-// majority vote.
+// majority vote, and PredictProba gives the share of trees that vote 1.
 type RandomForest struct {
 	Task     TreeTask
 	NTrees   int   // number of trees (default 50)
@@ -259,6 +259,33 @@ func (c *copies) first(n int) []*DecisionTree {
 		return fallback.first(n)
 	}
 	return trees[:n:n]
+}
+
+// PredictProba returns, per row, the share of a classification forest's
+// trees that vote 1: a score to rank, P(y=1) as the forest estimates it.
+// Predict's majority vote is 1 where the share is over 1/2 and 0 where it
+// is under, when the labels are 0 and 1.
+func (f *RandomForest) PredictProba(ds *dataset.Dataset) ([]float64, error) {
+	if f.Task != TreeClassification {
+		return nil, fmt.Errorf("mlmodels: %s gives no class probabilities", f.Name())
+	}
+	if f.trees == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotFitted, f.Name())
+	}
+	if err := checkWidth(f.Name(), f.trees[0].width, ds); err != nil {
+		return nil, err
+	}
+	out := make([]float64, ds.NumSamples())
+	for i := range out {
+		ones := 0
+		for _, tree := range f.trees {
+			if tree.leaf(ds.X.Row(i)) == 1 {
+				ones++
+			}
+		}
+		out[i] = float64(ones) / float64(len(f.trees))
+	}
+	return out, nil
 }
 
 // Predict aggregates the member trees.

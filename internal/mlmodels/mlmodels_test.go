@@ -240,6 +240,50 @@ func TestRandomForestClassification(t *testing.T) {
 	}
 }
 
+// TestRandomForestPredictProba: a classification forest's score is the
+// share of its trees that vote 1, so it ranks rows, and Predict's majority
+// vote agrees with it: 1 where the share is over 1/2, 0 where it is under.
+// A regression forest has no class probabilities.
+func TestRandomForestPredictProba(t *testing.T) {
+	ds := clfData(t, 6, 200, 2)
+	rng := rand.New(rand.NewSource(6))
+	tr, te := trainTestSplit(ds, 0.7, rng)
+	f := NewRandomForest(TreeClassification, 31)
+	if err := f.Fit(tr); err != nil {
+		t.Fatal(err)
+	}
+	probs, err := f.PredictProba(te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds, err := f.Predict(te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	between := 0
+	for i, p := range probs {
+		if p < 0 || p > 1 || p*31 != math.Round(p*31) {
+			t.Fatalf("row %d: share %v is not a count of 31 trees", i, p)
+		}
+		if p > 0 && p < 1 {
+			between++
+		}
+		if p > 0.5 && preds[i] != 1 || p < 0.5 && preds[i] != 0 {
+			t.Errorf("row %d: share %v voting 1, Predict gives %v", i, p, preds[i])
+		}
+	}
+	if between == 0 {
+		t.Error("every row's trees voted as one: the shares rank nothing the labels do not")
+	}
+	reg := NewRandomForest(TreeRegression, 5)
+	if err := reg.Fit(tr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.PredictProba(te); err == nil {
+		t.Error("a regression forest gave class probabilities")
+	}
+}
+
 func TestRandomForestDeterministicForSeed(t *testing.T) {
 	ds, _ := regData(t, 7, 100)
 	p1 := fitPredict(t, func() core.Estimator { f := NewRandomForest(TreeRegression, 10); f.Seed = 42; return f }, ds)
