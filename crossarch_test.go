@@ -1,4 +1,4 @@
-package matrix
+package coda_test
 
 import (
 	"go/ast"
@@ -69,7 +69,7 @@ var fusedScans = []struct {
 	dir, pkg string
 	must     []string
 }{
-	{".", "coda/internal/matrix", []string{
+	{"internal/matrix", "coda/internal/matrix", []string{
 		"sigmoidGeneric", "tanhGeneric", "expCore",
 		"SolveLeastSquares", "reflect",
 		"lstmCellGeneric", "lstmGateGradsGeneric",
@@ -77,18 +77,18 @@ var fusedScans = []struct {
 		"mulRowsGeneric[go.shape.float64]",
 		"(*Mat[go.shape.float64]).ColMeansStds", "(*Mat[go.shape.float64]).Covariance", "SymEig",
 	}},
-	{"../nn", "coda/internal/nn", []string{
+	{"internal/nn", "coda/internal/nn", []string{
 		"(*Adam).Step", "(*GatedResidualBlock).Forward", "(*GatedResidualBlock).Backward", "powInt", "signedUniform",
 		"NewConv1D", "NewDense", "NewLSTM",
 	}},
-	{"../dataset", "coda/internal/dataset", []string{"(*Dataset).DenormY", "MakeRegression"}},
-	{"../metrics", "coda/internal/metrics", []string{"MSE", "MSLE", "R2", "AUC"}},
-	{"../core", "coda/internal/core", []string{"scoreFold", "(*Pipeline).PredictWithTruth", "(*Pipeline).predict"}},
-	{"../sim", "coda/internal/sim", []string{"GenerateSeries", "GenerateFailureData", "GenerateAnomalyData", "GenerateFleet"}},
-	{"../mlmodels", "coda/internal/mlmodels", []string{
+	{"internal/dataset", "coda/internal/dataset", []string{"(*Dataset).DenormY", "MakeRegression"}},
+	{"internal/metrics", "coda/internal/metrics", []string{"MSE", "MSLE", "R2", "AUC"}},
+	{"internal/core", "coda/internal/core", []string{"scoreFold", "(*Pipeline).PredictWithTruth", "(*Pipeline).predict"}},
+	{"internal/sim", "coda/internal/sim", []string{"GenerateSeries", "GenerateFailureData", "GenerateAnomalyData", "GenerateFleet"}},
+	{"internal/mlmodels", "coda/internal/mlmodels", []string{
 		"(*grower).varianceScan", "(*grower).giniScan", "gini", "newColumns", "(*LogisticRegression).Fit", "(*KMeans).runOnce", "(*KNN).Predict", "(*ARModel).Predict",
 	}},
-	{"../preprocess", "coda/internal/preprocess", []string{
+	{"internal/preprocess", "coda/internal/preprocess", []string{
 		"pearson", "quantiles", "interpolate", "(*Scaler).Transform", "(*Covariance).Transform",
 	}},
 }
@@ -101,7 +101,7 @@ var fusedScans = []struct {
 // FMADDD, or the scan could not fail.
 func TestActivationTwinNotFusedOnArm64(t *testing.T) {
 	for _, scan := range fusedScans {
-		listing := arm64Asm(t, scan.dir)
+		listing := arm64Asm(t, scan.pkg)
 		prefix := scan.pkg + "."
 		for _, fn := range scan.must {
 			if _, ok := listing[prefix+fn]; !ok {
@@ -118,7 +118,7 @@ func TestActivationTwinNotFusedOnArm64(t *testing.T) {
 		}
 	}
 	control := arm64Asm(t, "./testdata/fmafixture")
-	if !fusedOp.MatchString(control["coda/internal/matrix/testdata/fmafixture.HornerStep"]) {
+	if !fusedOp.MatchString(control["coda/testdata/fmafixture.HornerStep"]) {
 		t.Error("the plain p*r + c fixture compiled to no FMADDD on arm64: the scan cannot tell fused code from unfused")
 	}
 }
@@ -134,7 +134,7 @@ var amd64FusedOp = regexp.MustCompile(`\tVFN?M(ADD|SUB)(ADD|SUB)?[0-9]+[PS][DS]\
 // moves on the machines that build with v3.
 func TestAmd64DoesNotFuse(t *testing.T) {
 	listing := asmListing(t, "./testdata/fmafixture", "GOARCH=amd64", "GOAMD64=v3")
-	body, ok := listing["coda/internal/matrix/testdata/fmafixture.HornerStep"]
+	body, ok := listing["coda/testdata/fmafixture.HornerStep"]
 	if !ok {
 		t.Fatal("no amd64 listing for the fixture's HornerStep")
 	}

@@ -31,6 +31,8 @@ var testOnlyAPI = map[string]string{
 	"obs.SetEnabled":                   "the core benchmarks turn metric collection off with it",
 	"obs.WritePrometheus":              "the core tests read the default registry's exposition with it",
 	"obs.Histogram.Count":              "the replication fanout tests count fanout_seconds observations with it",
+	"matrix.KernelPaths":               "the matrix, nn, core and tsgraph tests name every kernel path this CPU runs with it",
+	"matrix.WithKernelPath":            "the matrix, nn, core and tsgraph tests run their checks and goldens on each kernel path with it",
 }
 
 // program is shipped code (no _test.go files) type-checked with go/types:

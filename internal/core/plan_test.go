@@ -24,6 +24,7 @@ import (
 	"coda/internal/crossval"
 	"coda/internal/darr"
 	"coda/internal/dataset"
+	"coda/internal/matrix"
 	"coda/internal/metrics"
 	"coda/internal/mlmodels"
 	"coda/internal/nnmodels"
@@ -184,20 +185,30 @@ func TestUnitKeysPinned(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/coop_grid_scores.golden from this build")
+var update = flag.Bool("update", false, "rewrite testdata/coop_grid_scores.golden from this build's portable kernel path")
 
 // TestCoopGridScoresPinned holds every fold score of keyCases' coop-grid
 // search to the bits in testdata, in TestFig11ScoresPinned's format: each
 // unit's spec and the hex bits of each fold score, one unit per line in
 // unit order. A scaler, selector or model change that moves any score bit
-// fails here, naming the unit.
+// fails here, naming the unit. The search runs once per kernel path this
+// CPU has, a subtest each, so every path is held to the same bits.
 //
-// amd64 only: arm64 still fuses products on some score paths (ROADMAP 7a),
-// so its bits differ in the last place.
+// amd64 only: the data it trains on is not the same bits on arm64.
+// dataset.MakeRegression draws it with rand.NormFloat64, whose math.Log is
+// pure Go with fusible products there (ROADMAP 7(a')).
 func TestCoopGridScoresPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skip("fold scores are pinned on amd64 only until every score path is FMA-free on arm64")
+		t.Skip("fold scores are pinned on amd64 only until the regression data, through rand.NormFloat64's math.Log, is the same bits on arm64")
 	}
+	for _, path := range matrix.KernelPaths() {
+		if err := matrix.WithKernelPath(path, func() { t.Run(path, coopGridScoresPinned) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func coopGridScoresPinned(t *testing.T) {
 	c := keyCases()[0]
 	opts := c.opts
 	opts.ParamGrid, opts.Parallelism = c.grid, 1
@@ -221,11 +232,10 @@ func TestCoopGridScoresPinned(t *testing.T) {
 		got[i] = b.String()
 	}
 	path := filepath.Join("testdata", "coop_grid_scores.golden")
-	if *update {
+	if *update && t.Name() == "TestCoopGridScoresPinned/portable" {
 		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {

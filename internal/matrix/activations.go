@@ -16,8 +16,8 @@ import (
 // rounded once, in the same order on every path: no FMA, no libm call, no
 // table. The twin writes every product as float64(a*b), which the Go spec requires to
 // be rounded, so no compiler may fuse it into the add that follows (a plain
-// p*r + c compiles to FMADDD on arm64; crossarch_test.go checks the twin's
-// arm64 code for fused instructions).
+// p*r + c compiles to FMADDD on arm64; the root package's crossarch_test.go
+// checks the twin's arm64 code for fused instructions).
 //
 // Both share one exp core for x <= 0, expCore:
 //   - Cody–Waite reduction, x = k·ln2 + r with |r| <= ln2/2: adding

@@ -148,8 +148,8 @@ func TestActivationsSpecialValues(t *testing.T) {
 // sweep's and raw random bit patterns (subnormals, huge values and NaNs
 // among them), and in place.
 func TestActivationsPathsAgree(t *testing.T) {
-	levels := asmLevels(t)
-	if len(levels) == 0 {
+	paths := KernelPaths()[1:]
+	if len(paths) == 0 {
 		t.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	xs := sweep(2, 1<<20)
@@ -160,12 +160,17 @@ func TestActivationsPathsAgree(t *testing.T) {
 	want, got := make([]float64, len(xs)), make([]float64, len(xs))
 	for _, a := range activations {
 		a.generic(want, xs)
-		for _, l := range levels {
-			onLevel(l, func() { a.fn(got, xs) })
-			sameActivationBits(t, a.name+" on "+l.String(), got, want)
-			copy(got, xs)
-			onLevel(l, func() { a.fn(got, got) })
-			sameActivationBits(t, a.name+" in place on "+l.String(), got, want)
+		for _, path := range paths {
+			err := WithKernelPath(path, func() {
+				a.fn(got, xs)
+				sameActivationBits(t, a.name+" on "+path, got, want)
+				copy(got, xs)
+				a.fn(got, got)
+				sameActivationBits(t, a.name+" in place on "+path, got, want)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -205,8 +210,8 @@ func TestActivationsPanicOnShortDst(t *testing.T) {
 // through untouched. Plain `go test` replays the seed corpus in
 // testdata/fuzz/FuzzActivations.
 func FuzzActivations(f *testing.F) {
-	levels := asmLevels(f)
-	if len(levels) == 0 {
+	paths := KernelPaths()[1:]
+	if len(paths) == 0 {
 		f.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	f.Add(uint8(13), uint8(1), false, []byte{0, 0, 0, 0, 0, 0xf0, 0x3f})
@@ -228,7 +233,7 @@ func FuzzActivations(f *testing.F) {
 			}
 			got := make([]float64, len(want))
 			a.generic(want[guard:guard+len(src)], src)
-			for _, l := range levels {
+			for _, path := range paths {
 				for i := range got {
 					got[i] = float64(i) + 0.5
 				}
@@ -237,8 +242,10 @@ func FuzzActivations(f *testing.F) {
 					copy(got[guard:], src)
 					in = got[guard : guard+len(src)]
 				}
-				onLevel(l, func() { a.fn(got[guard:guard+len(src)], in) })
-				sameActivationBits(t, a.name+" on "+l.String(), got, want)
+				if err := WithKernelPath(path, func() { a.fn(got[guard:guard+len(src)], in) }); err != nil {
+					t.Fatal(err)
+				}
+				sameActivationBits(t, a.name+" on "+path, got, want)
 			}
 		}
 	})

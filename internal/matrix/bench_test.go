@@ -126,9 +126,6 @@ func BenchmarkKernelColStds(b *testing.B) {
 	}
 }
 
-// kernelPaths are the paths this CPU runs, the portable one first.
-func kernelPaths(b *testing.B) []level { return append([]level{portable}, asmLevels(b)...) }
-
 // fig11Shapes are the m x k x n products that carried three quarters of
 // the multiply-adds of one counted search-cold-ts run (the Fig 11 search):
 // an LSTM's gate, input-gradient and weight-gradient products (12 units,
@@ -144,16 +141,18 @@ var fig11Shapes = [][3]int{
 // each of fig11Shapes, as MulInto calls it (zero a elements skipped, c
 // overwritten), in ns per multiply-add.
 func BenchmarkRowKernelFig11Shapes(b *testing.B) {
-	for _, l := range kernelPaths(b) {
+	for _, path := range KernelPaths() {
 		for _, s := range fig11Shapes {
 			m, k, n := s[0], s[1], s[2]
 			a, w, c := benchMat(m, k, 11), benchMat(k, n, 12), New(m, n)
-			b.Run(fmt.Sprintf("%v/%dx%dx%d", l, m, k, n), func(b *testing.B) {
-				onLevel(l, func() {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", path, m, k, n), func(b *testing.B) {
+				if err := WithKernelPath(path, func() {
 					for i := 0; i < b.N; i++ {
 						mulRows(c.data, a.data, k, 1, w.data, m, k, n, true, true)
 					}
-				})
+				}); err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m*k*n), "ns/madd")
 			})
 		}
@@ -175,7 +174,7 @@ var zeroShapes = [][3]int{{256, 8, 8}, {256, 16, 8}, {32, 16, 16}, {32, 48, 12},
 // are, which a fold fit never lets it do.
 func BenchmarkRowKernelZeros(b *testing.B) {
 	const operands = 256
-	for _, l := range kernelPaths(b) {
+	for _, path := range KernelPaths() {
 		for _, s := range zeroShapes {
 			m, k, n := s[0], s[1], s[2]
 			w, c := benchMat(k, n, 12), New(m, n)
@@ -190,12 +189,14 @@ func BenchmarkRowKernelZeros(b *testing.B) {
 						}
 					}
 				}
-				b.Run(fmt.Sprintf("%v/%dx%dx%d/zeros=%v", l, m, k, n, frac), func(b *testing.B) {
-					onLevel(l, func() {
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/zeros=%v", path, m, k, n, frac), func(b *testing.B) {
+					if err := WithKernelPath(path, func() {
 						for i := 0; i < b.N; i++ {
 							mulRows(c.data, as[i%operands], k, 1, w.data, m, k, n, true, true)
 						}
-					})
+					}); err != nil {
+						b.Fatal(err)
+					}
 					b.ReportMetric(2*float64(b.N*m*k*n)/float64(b.Elapsed().Nanoseconds()), "GF/s")
 				})
 			}
@@ -212,7 +213,6 @@ func BenchmarkKernelActivations(b *testing.B) {
 		src[i] *= 2
 	}
 	dst := make([]float64, len(src))
-	paths := kernelPaths(b)
 	for _, a := range activations {
 		run := func(name string, fn func(dst, src []float64)) {
 			b.Run(a.name+"/"+name, func(b *testing.B) {
@@ -227,8 +227,10 @@ func BenchmarkKernelActivations(b *testing.B) {
 				dst[i] = a.libm(x)
 			}
 		})
-		for _, l := range paths {
-			run(l.String(), func(dst, src []float64) { onLevel(l, func() { a.fn(dst, src) }) })
+		for _, path := range KernelPaths() {
+			if err := WithKernelPath(path, func() { run(path, a.fn) }); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -243,27 +245,29 @@ func BenchmarkElementwiseKernels(b *testing.B) {
 	sel, w := benchMat(1, 2048, 14).Row(0), benchMat(1, 2048, 15).Row(0)
 	dst, m, v := make([]float64, 2048), make([]float64, 2048), make([]float64, 2048)
 	k := &AdamCoeffs{0.9, 0.1, 0.999, 0.001, 1e-3, 0.1, 0.001, 1e-8}
-	run := func(l level, name string, elems int, fn func()) {
-		b.Run(l.String()+"/"+name, func(b *testing.B) {
-			onLevel(l, func() {
+	run := func(path, name string, elems int, fn func()) {
+		b.Run(path+"/"+name, func(b *testing.B) {
+			if err := WithKernelPath(path, func() {
 				for i := 0; i < b.N; i++ {
 					fn()
 				}
-			})
+			}); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*elems), "ns/elem")
 		})
 	}
-	for _, l := range kernelPaths(b) {
+	for _, path := range KernelPaths() {
 		for _, ch := range []int{2, 8} {
-			run(l, fmt.Sprintf("CopyBlock/8x%d", ch), 8*ch, func() { copyBlock(dst, 3*ch, src, ch, 8, ch) })
-			run(l, fmt.Sprintf("AddBlock/8x%d", ch), 8*ch, func() { addBlock(dst, ch, src, 3*ch, 8, ch) })
+			run(path, fmt.Sprintf("CopyBlock/8x%d", ch), 8*ch, func() { copyBlock(dst, 3*ch, src, ch, 8, ch) })
+			run(path, fmt.Sprintf("AddBlock/8x%d", ch), 8*ch, func() { addBlock(dst, ch, src, 3*ch, 8, ch) })
 		}
 		for _, n := range []int{2048, 24} {
 			d, s, e := dst[:n], src[:n], sel[:n]
-			run(l, fmt.Sprintf("MulElems/%d", n), n, func() { mulElems(d, s, e) })
-			run(l, fmt.Sprintf("KeepPositive/%d", n), n, func() { keepPositive(d, s, e) })
-			run(l, fmt.Sprintf("DropoutApply/%d", n), n, func() { copy(m, e); dropoutApply(m[:n], d, s, 0.8, 1.25) })
-			run(l, fmt.Sprintf("AdamUpdate/%d", n), n, func() { adamUpdate(w[:n], s, m[:n], v[:n], k) })
+			run(path, fmt.Sprintf("MulElems/%d", n), n, func() { mulElems(d, s, e) })
+			run(path, fmt.Sprintf("KeepPositive/%d", n), n, func() { keepPositive(d, s, e) })
+			run(path, fmt.Sprintf("DropoutApply/%d", n), n, func() { copy(m, e); dropoutApply(m[:n], d, s, 0.8, 1.25) })
+			run(path, fmt.Sprintf("AdamUpdate/%d", n), n, func() { adamUpdate(w[:n], s, m[:n], v[:n], k) })
 		}
 	}
 }

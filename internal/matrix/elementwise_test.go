@@ -113,16 +113,22 @@ func blockSpan(rows, s, cols int) int {
 	return (rows-1)*s + cols
 }
 
-// pathsAgree holds each output on every assembly level to the portable
-// level's, bit for bit with any two NaNs equal.
-func pathsAgree(t *testing.T, levels []level, names []string, run func() [][]float64) {
+// pathsAgree holds each output of run on every assembly path this CPU runs
+// to the portable path's, bit for bit with any two NaNs equal.
+func pathsAgree(t *testing.T, names []string, run func() [][]float64) {
 	t.Helper()
-	var want, got [][]float64
-	onLevel(portable, func() { want = run() })
-	for _, l := range levels {
-		onLevel(l, func() { got = run() })
+	var want [][]float64
+	for _, path := range KernelPaths() {
+		var got [][]float64
+		if err := WithKernelPath(path, func() { got = run() }); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got // KernelPaths names the portable path first
+			continue
+		}
 		for k, name := range names {
-			sameActivationBits(t, name+" on "+l.String(), got[k], want[k])
+			sameActivationBits(t, name+" on "+path, got[k], want[k])
 		}
 	}
 }
@@ -153,14 +159,13 @@ func specialStream(seed int64) func() float64 {
 // shape up to 4 rows by 17 columns, with dst rows packed or apart and src
 // rows packed, one apart or a row apart.
 func TestElementwiseKernelsPathsAgree(t *testing.T) {
-	levels := asmLevels(t)
-	if len(levels) == 0 {
+	if len(KernelPaths()) == 1 {
 		t.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	next := specialStream(6)
 	for _, n := range elemLengths {
 		s := newElemStreams(n, next)
-		pathsAgree(t, levels, elemOutputs, func() [][]float64 { return elemKernelsOn(t, s) })
+		pathsAgree(t, elemOutputs, func() [][]float64 { return elemKernelsOn(t, s) })
 	}
 	for rows := 0; rows <= 4; rows++ {
 		for cols := 0; cols <= 17; cols++ {
@@ -173,7 +178,7 @@ func TestElementwiseKernelsPathsAgree(t *testing.T) {
 							v[i] = next()
 						}
 					}
-					pathsAgree(t, levels, blockOutputs, func() [][]float64 {
+					pathsAgree(t, blockOutputs, func() [][]float64 {
 						return blockKernelsOn(rows, cols, ds, ss, src, init)
 					})
 				}
@@ -273,7 +278,9 @@ func TestElementwiseSpecialValues(t *testing.T) {
 func TestElementwiseTwinsMatchPerElementForm(t *testing.T) {
 	s := newElemStreams(37, specialStream(7))
 	var out [][]float64
-	onLevel(portable, func() { out = elemKernelsOn(t, s) })
+	if err := WithKernelPath("portable", func() { out = elemKernelsOn(t, s) }); err != nil {
+		t.Fatal(err)
+	}
 	const guard = 5
 	k := s.adam
 	for i := range s.a {
@@ -332,8 +339,7 @@ func TestElementwiseKernelsPanicOnShortSlices(t *testing.T) {
 // guard elements either side of every output must come through untouched.
 // Plain `go test` replays the seed corpus in testdata/fuzz/FuzzElementwise.
 func FuzzElementwise(f *testing.F) {
-	levels := asmLevels(f)
-	if len(levels) == 0 {
+	if len(KernelPaths()) == 1 {
 		f.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	f.Add(uint8(13), uint8(2), uint8(3), []byte{0, 0, 0, 0, 0, 0, 0xe0, 0x3f})
@@ -348,7 +354,7 @@ func FuzzElementwise(f *testing.F) {
 			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 		}
 		s := newElemStreams(int(n%68), next)
-		pathsAgree(t, levels, elemOutputs, func() [][]float64 { return elemKernelsOn(t, s) })
+		pathsAgree(t, elemOutputs, func() [][]float64 { return elemKernelsOn(t, s) })
 		r, c := int(rows%4)+1, int(cols%18)
 		ds, ss := c+int(rows/4%3), []int{c, c + 1, 2*c + 1}[int(cols/18)%3]
 		src := make([]float64, blockSpan(r, ss, c))
@@ -358,6 +364,6 @@ func FuzzElementwise(f *testing.F) {
 				v[j] = next()
 			}
 		}
-		pathsAgree(t, levels, blockOutputs, func() [][]float64 { return blockKernelsOn(r, c, ds, ss, src, init) })
+		pathsAgree(t, blockOutputs, func() [][]float64 { return blockKernelsOn(r, c, ds, ss, src, init) })
 	})
 }

@@ -15,8 +15,8 @@ import "fmt"
 // every input, NaNs aside (which of two NaNs an operation returns is the
 // CPU's operand-order rule). Each twin is a fixed sequence of IEEE
 // operations in a fixed order, every product written float64(a*b) so that
-// no compiler fuses it into the add that follows (crossarch_test.go checks
-// the twins' arm64 code for fused instructions).
+// no compiler fuses it into the add that follows (the root package's
+// crossarch_test.go checks the twins' arm64 code for fused instructions).
 
 // LSTMGather writes one step's pre-activations gate-major into g: for
 // sample i < rows, gate q < 4 and unit j < hidden,

@@ -57,7 +57,7 @@ var lstmOutputs = []string{"LSTMGather", "LSTMCell c", "LSTMCell tc", "hidden (M
 
 // lstmKernelsOn runs the four kernels over s on the current path and
 // returns every output with its guards.
-func lstmKernelsOn(s *lstmStreams) [6][]float64 {
+func lstmKernelsOn(s *lstmStreams) [][]float64 {
 	n := s.rows * s.hidden
 	var out, inner [6][]float64
 	for k, size := range []int{4 * n, n, n, n, 4 * n, n} {
@@ -68,21 +68,7 @@ func lstmKernelsOn(s *lstmStreams) [6][]float64 {
 	LSTMCell(inner[1], inner[2], s.cPrev, s.gates[:n], s.gates[n:2*n], s.gates[2*n:3*n])
 	MulElems(inner[3], s.gates[3*n:], s.tc)
 	LSTMGateGrads(inner[4], s.gates, s.tc, s.cPrev, s.dh, inner[5], s.rows, s.hidden)
-	return out
-}
-
-// lstmPathsAgree holds the assembly kernels at each of levels to their
-// twins on s.
-func lstmPathsAgree(t *testing.T, levels []level, s *lstmStreams) {
-	t.Helper()
-	var want, got [6][]float64
-	onLevel(portable, func() { want = lstmKernelsOn(s) })
-	for _, l := range levels {
-		onLevel(l, func() { got = lstmKernelsOn(s) })
-		for k, name := range lstmOutputs {
-			sameActivationBits(t, name+" on "+l.String(), got[k], want[k])
-		}
-	}
+	return out[:]
 }
 
 // TestLSTMKernelsPathsAgree holds the AVX2 LSTM kernels, which both
@@ -90,8 +76,7 @@ func lstmPathsAgree(t *testing.T, levels []level, s *lstmStreams) {
 // 13 (each full-vector count and every masked tail), on gate-like values
 // and on raw bit patterns.
 func TestLSTMKernelsPathsAgree(t *testing.T) {
-	levels := asmLevels(t)
-	if len(levels) == 0 {
+	if len(KernelPaths()) == 1 {
 		t.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	rng := rand.New(rand.NewSource(4))
@@ -105,11 +90,13 @@ func TestLSTMKernelsPathsAgree(t *testing.T) {
 	for _, next := range []func() float64{values, raw} {
 		for rows := 1; rows <= 5; rows++ {
 			for hidden := 1; hidden <= 13; hidden++ {
-				lstmPathsAgree(t, levels, newLSTMStreams(rows, hidden, rows%2 == 0, next))
+				s := newLSTMStreams(rows, hidden, rows%2 == 0, next)
+				pathsAgree(t, lstmOutputs, func() [][]float64 { return lstmKernelsOn(s) })
 			}
 		}
 	}
-	lstmPathsAgree(t, levels, newLSTMStreams(32, 12, false, values))
+	s := newLSTMStreams(32, 12, false, values)
+	pathsAgree(t, lstmOutputs, func() [][]float64 { return lstmKernelsOn(s) })
 }
 
 // TestLSTMTwinMatchesPerElementForm pins the kernels to the plain
@@ -183,8 +170,7 @@ func TestLSTMKernelsPanicOnShortSlices(t *testing.T) {
 // elements either side of every output must come through untouched. Plain
 // `go test` replays the seed corpus in testdata/fuzz/FuzzLSTMCell.
 func FuzzLSTMCell(f *testing.F) {
-	levels := asmLevels(f)
-	if len(levels) == 0 {
+	if len(KernelPaths()) == 1 {
 		f.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	f.Add(uint8(2), uint8(12), []byte{0, 0, 0, 0, 0, 0, 0xe0, 0x3f})
@@ -199,6 +185,7 @@ func FuzzLSTMCell(f *testing.F) {
 			i++
 			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 		}
-		lstmPathsAgree(t, levels, newLSTMStreams(r, h, h%2 == 1, next))
+		s := newLSTMStreams(r, h, h%2 == 1, next)
+		pathsAgree(t, lstmOutputs, func() [][]float64 { return lstmKernelsOn(s) })
 	})
 }

@@ -11,42 +11,67 @@ import (
 	"testing"
 )
 
-// asmLevels are the assembly levels this CPU runs, narrowest first. Each
-// one it lacks is logged, so a run that skipped a path says so.
-func asmLevels(t testing.TB) []level {
-	t.Helper()
-	var run []level
-	for l := avx2; l <= avx512; l++ {
-		if l > cpuLevel() {
-			t.Logf("%v path not run: this CPU lacks it", l)
-			continue
-		}
-		run = append(run, l)
-	}
-	return run
-}
-
-// onLevel runs fn with the kernels on l, then puts them back.
-func onLevel(l level, fn func()) {
-	defer func(was level) { kernelLevel = was }(kernelLevel)
-	kernelLevel = l
-	fn()
-}
-
-// onEveryPath runs fn with the kernels on their portable paths, then under
-// "asm" once per assembly level this CPU runs.
+// onEveryPath runs fn as a subtest on each kernel path this CPU runs, with
+// the kernels on that path (WithKernelPath): "portable", then "asm/<path>"
+// for each assembly one. Each path the CPU lacks is logged, so a run that
+// skipped one says so.
 func onEveryPath(t *testing.T, fn func(t *testing.T)) {
 	t.Helper()
-	onLevel(portable, func() { t.Run("portable", fn) })
-	levels := asmLevels(t)
-	if len(levels) == 0 {
-		return
+	paths := KernelPaths()
+	for _, name := range levelNames[len(paths):] {
+		t.Logf("%s path not run: this CPU lacks it", name)
 	}
-	t.Run("asm", func(t *testing.T) {
-		for _, l := range levels {
-			onLevel(l, func() { t.Run(l.String(), fn) })
+	run := func(t *testing.T, path string) {
+		t.Helper()
+		if err := WithKernelPath(path, func() { t.Run(path, fn) }); err != nil {
+			t.Fatal(err)
 		}
+	}
+	run(t, paths[0])
+	if len(paths) > 1 {
+		t.Run("asm", func(t *testing.T) {
+			for _, path := range paths[1:] {
+				run(t, path)
+			}
+		})
+	}
+}
+
+// TestWithKernelPath holds the hook every path test switches through: fn
+// runs on the named path; the path found before is back after fn returns,
+// and after fn leaves a subtest by runtime.Goexit; and a name that is no
+// path, or a path this CPU lacks, is refused without running fn.
+func TestWithKernelPath(t *testing.T) {
+	was := kernelLevel
+	if paths := KernelPaths(); paths[0] != "portable" || len(paths) != int(cpuLevel())+1 {
+		t.Fatalf("KernelPaths() = %v on a CPU whose widest path is %v", paths, cpuLevel())
+	}
+	for l, name := range append(levelNames[:], "sse2") {
+		ran := false
+		err := WithKernelPath(name, func() {
+			ran = true
+			if kernelLevel != level(l) {
+				t.Errorf("inside WithKernelPath(%q): kernels on %v", name, kernelLevel)
+			}
+		})
+		if runs := l < len(levelNames) && level(l) <= cpuLevel(); runs != (err == nil) || ran != (err == nil) {
+			t.Errorf("WithKernelPath(%q) on a %v CPU: fn ran %v, error %v", name, cpuLevel(), ran, err)
+		}
+		if kernelLevel != was {
+			t.Fatalf("after WithKernelPath(%q): kernels on %v, want %v", name, kernelLevel, was)
+		}
+	}
+	// t.SkipNow leaves fn by runtime.Goexit, as t.Fatal does, without
+	// failing the run.
+	t.Run("goexit", func(t *testing.T) {
+		if err := WithKernelPath("portable", t.SkipNow); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatal("WithKernelPath returned after fn's runtime.Goexit")
 	})
+	if kernelLevel != was {
+		t.Fatalf("after fn's runtime.Goexit: kernels on %v, want %v", kernelLevel, was)
+	}
 }
 
 // TestCPULevelMatchesCPUInfo holds the CPUID and XCR0 decision to what
@@ -253,9 +278,9 @@ func TestFormsMatchOraclesBitwise(t *testing.T) {
 
 // fuzzRowKernel decodes one mulRows call from data — shape, both a strides,
 // the skip and zero switches, then element bits (NaNs folded onto hardNaN) —
-// and holds the assembly kernel at each of levels to the portable one on
+// and holds the assembly kernel on each of paths to the portable one on
 // it, bit for bit, guard elements either side of c included.
-func fuzzRowKernel[T Float](t *testing.T, levels []level, data []byte, fromBits func(uint32) T) {
+func fuzzRowKernel[T Float](t *testing.T, paths []string, data []byte, fromBits func(uint32) T) {
 	if len(data) < 6 {
 		return
 	}
@@ -296,10 +321,12 @@ func fuzzRowKernel[T Float](t *testing.T, levels []level, data []byte, fromBits 
 	}
 	want := append([]T(nil), c...)
 	mulRowsGeneric(want[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero, zeroC)
-	for _, l := range levels {
+	for _, path := range paths {
 		got := append([]T(nil), c...)
-		onLevel(l, func() { mulRows(got[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero, zeroC) })
-		sameBits(t, "mulRows on "+l.String(), got, want)
+		if err := WithKernelPath(path, func() { mulRows(got[guard:guard+m*n], a, ars, aks, b, m, k, n, skipZero, zeroC) }); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, "mulRows on "+path, got, want)
 	}
 }
 
@@ -315,14 +342,14 @@ func f64FromBits(u uint32) float64 {
 // corpus in testdata/fuzz/FuzzRowKernel; the portable loop's own agreement
 // with the naive oracles is TestFormsMatchOraclesBitwise's job.
 func FuzzRowKernel(f *testing.F) {
-	levels := asmLevels(f)
-	if len(levels) == 0 {
+	paths := KernelPaths()[1:]
+	if len(paths) == 0 {
 		f.Skip("no assembly kernel on this CPU: there is one path")
 	}
 	f.Add([]byte{4, 11, 48, 0, 0x80, 1, 0, 0, 0x80, 0x3f, 0, 0, 0, 0, 0, 0, 0, 0x80}) // an LSTM gate product: 4x12x48, 1.0 / +0 / -0
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRowKernel(t, levels, data, f64FromBits)
-		fuzzRowKernel(t, levels, data, math.Float32frombits)
+		fuzzRowKernel(t, paths, data, f64FromBits)
+		fuzzRowKernel(t, paths, data, math.Float32frombits)
 	})
 }
 

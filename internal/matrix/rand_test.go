@@ -88,19 +88,23 @@ func TestRandMatchesMathRand(t *testing.T) {
 	for i := range ops {
 		ops[i] = byte(pick.Intn(256))
 	}
-	for _, path := range matrix.KernelPaths(t) {
-		t.Run(path, func(t *testing.T) {
-			matrix.UseKernelPath(t, path)
-			drawn := 0
-			r := matrix.NewRand(3)
-			for _, seed := range randSeeds {
-				r.Seed(seed)
-				drawn += drawAgainstMathRand(t, r, seed, ops)
-			}
-			if drawn < 1_000_000 {
-				t.Fatalf("compared %d values, want at least 10⁶", drawn)
-			}
+	for _, path := range matrix.KernelPaths() {
+		err := matrix.WithKernelPath(path, func() {
+			t.Run(path, func(t *testing.T) {
+				drawn := 0
+				r := matrix.NewRand(3)
+				for _, seed := range randSeeds {
+					r.Seed(seed)
+					drawn += drawAgainstMathRand(t, r, seed, ops)
+				}
+				if drawn < 1_000_000 {
+					t.Fatalf("compared %d values, want at least 10⁶", drawn)
+				}
+			})
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -133,15 +137,19 @@ func BenchmarkDropoutDraw(b *testing.B) {
 		}
 		perUniform(b)
 	})
-	for _, path := range matrix.KernelPaths(b) {
-		b.Run(path, func(b *testing.B) {
-			matrix.UseKernelPath(b, path)
-			rng := matrix.NewRand(1)
-			for i := 0; i < b.N; i++ {
-				rng.Float64s(mask)
-			}
-			perUniform(b)
+	for _, path := range matrix.KernelPaths() {
+		err := matrix.WithKernelPath(path, func() {
+			b.Run(path, func(b *testing.B) {
+				rng := matrix.NewRand(1)
+				for i := 0; i < b.N; i++ {
+					rng.Float64s(mask)
+				}
+				perUniform(b)
+			})
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -15,12 +15,13 @@ import (
 
 	"coda/internal/core"
 	"coda/internal/crossval"
+	"coda/internal/matrix"
 	"coda/internal/metrics"
 	"coda/internal/sim"
 	"coda/internal/tsgraph"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/fig11_scores.golden from this build")
+var update = flag.Bool("update", false, "rewrite testdata/fig11_scores.golden from this build's portable kernel path")
 
 // TestFig11ScoresPinned holds every fold score of a full Figure 11 search
 // to the bits in testdata: each unit's spec and the hex bits of each fold
@@ -30,24 +31,30 @@ var update = flag.Bool("update", false, "rewrite testdata/fig11_scores.golden fr
 // before the LSTM step, the layer-0 gradient skip and blocked Predict, so
 // they hold those changes to the scores of the code they replaced; only the
 // specs were rewritten since, when the precision hyperparameter left them.
+// The search runs once per kernel path this CPU has, a subtest each, so
+// every path is held to the same bits.
 //
-// amd64 only: arm64 still fuses products on some score paths (ROADMAP 7a),
-// so its bits differ in the last place.
+// amd64 only: the series it trains on is not the same bits on arm64.
+// sim.GenerateSeries calls math.Sin, and its rand.NormFloat64 noise calls
+// math.Log, both pure Go with fusible products there (ROADMAP 7(a')).
 func TestFig11ScoresPinned(t *testing.T) {
-	t.Run("f64", fig11ScoresPinned)
+	if runtime.GOARCH != "amd64" {
+		t.Skip("fold scores are pinned on amd64 only until sim's series, through math.Sin and rand.NormFloat64's math.Log, is the same bits on arm64")
+	}
+	for _, path := range matrix.KernelPaths() {
+		if err := matrix.WithKernelPath(path, func() { t.Run(path, fig11ScoresPinned) }); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func fig11ScoresPinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("fold scores are pinned on amd64 only until every score path is FMA-free on arm64")
-	}
 	got := fig11Scores(t)
 	path := filepath.Join("testdata", "fig11_scores.golden")
-	if *update {
+	if *update && t.Name() == "TestFig11ScoresPinned/portable" {
 		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
 	}
 	want := readLines(t, path)
 	if len(got) != len(want) {
@@ -60,8 +67,8 @@ func fig11ScoresPinned(t *testing.T) {
 	}
 }
 
-// fig11Scores runs a store-free, single-worker search of the full graph on
-// a short series and renders each unit as "spec bits bits ...".
+// fig11Scores runs a store-free, two-worker search of the full graph on a
+// short series and renders each unit as "spec bits bits ...".
 func fig11Scores(t *testing.T) []string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
@@ -81,7 +88,7 @@ func fig11Scores(t *testing.T) []string {
 	res, err := core.Search(context.Background(), g, series, core.SearchOptions{
 		Splitter:    crossval.SlidingSplit{K: 3, TrainSize: n / 2, TestSize: n / 6, Buffer: 8},
 		Scorer:      scorer,
-		Parallelism: 1,
+		Parallelism: 2,
 		Seed:        1,
 	})
 	if err != nil {
