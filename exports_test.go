@@ -19,8 +19,8 @@ import (
 // tests use, which a _test.go file cannot share. An allowed type's methods
 // are allowed with it.
 var testOnlyAPI = map[string]string{
-	"faultinject.Transport":            "the httpapi and replication fault tests wrap their clients in it",
-	"faultinject.NewTransport":         "the httpapi and replication fault tests wrap their clients in it",
+	"faultinject.Transport":            "the httpapi, replication and core claim-window tests wrap their clients in it",
+	"faultinject.NewTransport":         "the httpapi, replication and core claim-window tests wrap their clients in it",
 	"faultinject.Config":               "NewTransport's argument",
 	"faultinject.Counts":               "Transport.Counts' result",
 	"obs/trace.SetDefaultRecorder":     "the core and httpapi tests swap in a ring of their own",

@@ -15,11 +15,19 @@ var (
 	mClaimsHeld   = obs.GetGauge("coda_search_claims_held")
 )
 
-// claimAhead is how many granted-but-unstarted units the claim window
-// holds per worker. It is refilled when half is left, so a client holds at
-// most (claimAhead + 1) x Parallelism claims, running units included —
-// also the most a peer that finishes first can be left waiting on.
+// claimAhead is the claim window's floor: the granted-but-unstarted units
+// it holds per worker while its store answers faster than workers take
+// units. It is refilled when half is left, so such a client holds at most
+// (claimAhead + 1) x Parallelism claims, running units included — also the
+// most a peer that finishes first can be left waiting on. Against a slower
+// store the window grows until it covers two claim round trips at the rate
+// workers take units (resize), up to claimCap per worker: a client then
+// holds at most (claimCap + 1) x Parallelism claims.
 const claimAhead = 2
+
+// claimCap is the most granted-but-unstarted units the claim window holds
+// per worker, however slow its store.
+const claimCap = 8
 
 // recheckInterval is how long a search waits on the keys a peer holds when
 // its store cannot say when they change: a store that is no Waiter (a
@@ -58,37 +66,78 @@ type handoff struct {
 // the first one starts: a peer that joins finds unclaimed work, and a
 // claim lives for one window's drain, not for the search. What a peer
 // holds it waits for, so every unit ends settled. Without a store every
-// unit is handed out in order.
+// unit is settled at once, to be computed locally.
+//
+// Units are claimed and handed out in dispatch order (dispatchOrder),
+// built when the first unit needs a claim or a worker, so a search the
+// lookup settles builds none. The cursor and the runs of misses it seeks
+// are positions in that order; plan, keys and results are by unit.
 type claimWindow struct {
 	opts  SearchOptions
-	keys  []string // by unit
-	size  int      // most granted-but-unstarted units held
-	drain func()   // blocks until the workers have finished every unit handed out
+	pl    *plan  // its keys are by unit
+	in    Shape  // the search dataset's, for the dispatch order
+	size  int    // most granted-but-unstarted units held (resize)
+	drain func() // blocks until the workers have finished every unit handed out
+
+	order  []int // by position: the unit there; nil is plan order
+	sorted bool  // order is built
 
 	plan  []unitPlan // by unit
 	out   []handoff  // settled units no worker has taken yet, oldest first
 	ready int        // the planGranted ones among them
 
 	nOpen, nDeferred int
-	pos, dir         int  // next unit to ask for, and which way the cursor walks
+	pos, dir         int  // next position to ask for, and which way the cursor walks
 	denials          int  // windows whose far edge was denied
 	sinceLookup      int  // claims granted since the last lookup
 	gaveUp           bool // ctx ended while waiting on a peer, after every worker had finished
+
+	rtt       [2]time.Duration // the last two ClaimBatch round trips, latest first
+	claimedAt time.Time        // when the last claim returned
+	handed    int              // granted units handed out since
 }
 
-func newClaimWindow(ctx context.Context, opts SearchOptions, keys []string, drain func()) *claimWindow {
-	// Every unit is settled once, so out never outgrows len(keys).
-	w := &claimWindow{opts: opts, keys: keys, size: claimAhead * opts.Parallelism, drain: drain,
-		plan: make([]unitPlan, len(keys)), out: make([]handoff, 0, len(keys)), dir: 1}
-	if opts.Store != nil && len(keys) > 0 {
-		w.nOpen = len(keys)
+func newClaimWindow(ctx context.Context, opts SearchOptions, pl *plan, in Shape, drain func()) *claimWindow {
+	// Every unit is settled once, so out never outgrows the plan.
+	n := len(pl.keys)
+	w := &claimWindow{opts: opts, pl: pl, in: in, size: claimAhead * opts.Parallelism, drain: drain,
+		plan: make([]unitPlan, n), out: make([]handoff, 0, n), dir: 1}
+	if opts.Store != nil && n > 0 {
+		w.nOpen = n
 		w.look(ctx, false)
 		return w
 	}
-	for u := range keys {
-		w.settle(u, planLocal, 0)
+	w.sortUnits(ctx)
+	for pos := range n {
+		w.settle(w.unit(pos), planLocal, 0)
 	}
 	return w
+}
+
+// sortUnits builds the dispatch order, once.
+func (w *claimWindow) sortUnits(ctx context.Context) {
+	if w.sorted {
+		return
+	}
+	w.sorted = true
+	w.order = w.pl.dispatchOrder(w.in)
+	if p, ok := ctx.Value(permuteKey{}).(*permutation); ok {
+		if w.order == nil {
+			w.order = make([]int, len(w.plan))
+			for i := range w.order {
+				w.order[i] = i
+			}
+		}
+		p.apply(w.order)
+	}
+}
+
+// unit is the unit at position pos of the dispatch order.
+func (w *claimWindow) unit(pos int) int {
+	if w.order == nil {
+		return pos
+	}
+	return w.order[pos]
 }
 
 // next returns the next unit for a worker; false when all are handed
@@ -105,6 +154,7 @@ func (w *claimWindow) next(ctx context.Context) (handoff, bool) {
 			w.out = w.out[1:]
 			if h.plan == planGranted {
 				w.ready--
+				w.handed++
 			}
 			return h, true
 		}
@@ -124,18 +174,18 @@ func (w *claimWindow) settle(unit int, plan unitPlan, score float64) {
 
 // undecided lists the units still open or deferred, and their keys. While
 // every unit is — at a search's first lookup — units is nil and keys is
-// w.keys itself: the i-th key is unit i's.
+// w.pl.keys itself: the i-th key is unit i's.
 func (w *claimWindow) undecided() (units []int, keys []string) {
-	if n := w.nOpen + w.nDeferred; n < len(w.keys) {
+	if n := w.nOpen + w.nDeferred; n < len(w.pl.keys) {
 		units, keys = make([]int, 0, n), make([]string, 0, n)
 		for u, p := range w.plan {
 			if p == planOpen || p == planDeferred {
-				units, keys = append(units, u), append(keys, w.keys[u])
+				units, keys = append(units, u), append(keys, w.pl.keys[u])
 			}
 		}
 		return units, keys
 	}
-	return nil, w.keys
+	return nil, w.pl.keys
 }
 
 // look settles every undecided unit that has a published score as a
@@ -154,7 +204,7 @@ func (w *claimWindow) look(ctx context.Context, deferred bool) {
 	if err != nil {
 		sp.SetAttr(trace.String("error", err.Error()))
 		sp.End()
-		w.settleRest(planDegraded)
+		w.settleRest(ctx, planDegraded)
 		return
 	}
 	if sp != nil {
@@ -181,27 +231,34 @@ func (w *claimWindow) look(ctx context.Context, deferred bool) {
 // claim asks for enough open units, from the cursor on, to fill the
 // window. This is the only place a search calls ClaimBatch.
 func (w *claimWindow) claim(ctx context.Context) {
+	w.sortUnits(ctx)
+	w.resize(time.Now())
 	var units []int
 	var keys []string
 	for n := w.size - w.ready; len(units) < n && w.nOpen > 0; w.pos += w.dir {
 		if w.pos < 0 || w.pos >= len(w.plan) {
 			w.pos, w.dir = 0, 1 // ran off an end with misses behind it: sweep them up from the start
 		}
-		if w.plan[w.pos] == planOpen {
-			units, keys = append(units, w.pos), append(keys, w.keys[w.pos])
-			w.plan[w.pos] = planDeferred // until granted
+		if u := w.unit(w.pos); w.plan[u] == planOpen {
+			units, keys = append(units, u), append(keys, w.pl.keys[u])
+			w.plan[u] = planDeferred // until granted
 			w.nOpen--
 			w.nDeferred++
 		}
 	}
+	if len(units) == 0 {
+		return // the window shrank below what it holds
+	}
 	cctx, sp := trace.Start(ctx, "search.bulk_claim", trace.Int("keys", len(keys)))
 	sp.SetComponent(trace.CompDARRWait)
 	mClaimWindows.Inc()
+	start := time.Now()
 	granted, err := w.opts.Store.ClaimBatch(cctx, keys)
+	w.rtt[0], w.rtt[1] = time.Since(start), w.rtt[0]
 	if err != nil {
 		sp.SetAttr(trace.String("error", err.Error()))
 		sp.End()
-		w.settleRest(planDegraded)
+		w.settleRest(ctx, planDegraded)
 		return
 	}
 	n := len(w.out)
@@ -222,6 +279,25 @@ func (w *claimWindow) claim(ctx context.Context) {
 	if !granted[keys[len(keys)-1]] {
 		w.moveAway(ctx)
 	}
+	w.claimedAt, w.handed = time.Now(), 0
+}
+
+// resize sizes the window for the claim about to be made: claimAhead per
+// worker, grown until it covers two claim round trips at the rate workers
+// took granted units since the last claim, up to claimCap per worker. The
+// round trip is the shorter of the last two, so one stalled call does not
+// grow the window, and none is known at the first refill, whose rate is
+// that of workers that all stood idle.
+func (w *claimWindow) resize(now time.Time) {
+	floor := claimAhead * w.opts.Parallelism
+	w.size = floor
+	rtt := min(w.rtt[0], w.rtt[1])
+	if rtt <= 0 || w.handed == 0 {
+		return
+	}
+	took := max(now.Sub(w.claimedAt), 1)
+	need := int((2*rtt*time.Duration(w.handed) + took - 1) / took) // rounded up
+	w.size = min(max(need, floor), claimCap*w.opts.Parallelism)
 }
 
 // moveAway takes the cursor away from the peer that denied the window's
@@ -240,11 +316,11 @@ func (w *claimWindow) moveAway(ctx context.Context) {
 		w.look(ctx, false)
 	}
 	end, longest, run := 0, 0, 0
-	for u, p := range w.plan {
-		if p != planOpen {
+	for pos := range w.plan {
+		if w.plan[w.unit(pos)] != planOpen {
 			run = 0
 		} else if run++; run > longest {
-			end, longest = u, run
+			end, longest = pos, run
 		}
 	}
 	w.pos, w.dir = end-longest/2, 1
@@ -278,7 +354,7 @@ func (w *claimWindow) settleDeferred(ctx context.Context) {
 		}
 		w.gaveUp = true
 	}
-	w.settleRest(planSkipped)
+	w.settleRest(ctx, planSkipped)
 }
 
 // wait blocks until a peer may have settled one of keys: through the
@@ -305,12 +381,13 @@ func (w *claimWindow) wait(ctx context.Context, keys []string) bool {
 	}
 }
 
-// settleRest settles every undecided unit. After one failed bulk call
-// that is as planDegraded: the search stops asking the store about them
-// instead of failing once per window.
-func (w *claimWindow) settleRest(plan unitPlan) {
-	for u, p := range w.plan {
-		if p == planOpen || p == planDeferred {
+// settleRest settles every undecided unit, in dispatch order. After one
+// failed bulk call that is as planDegraded: the search stops asking the
+// store about them instead of failing once per window.
+func (w *claimWindow) settleRest(ctx context.Context, plan unitPlan) {
+	w.sortUnits(ctx)
+	for pos := range w.plan {
+		if u := w.unit(pos); w.plan[u] == planOpen || w.plan[u] == planDeferred {
 			w.settle(u, plan, 0)
 		}
 	}
@@ -326,7 +403,7 @@ func (w *claimWindow) abandon(ctx context.Context) {
 	flushPublishes(ctx, w.opts)
 	for _, h := range w.out {
 		if h.plan == planGranted {
-			releaseClaim(ctx, w.opts, w.keys[h.unit], true)
+			releaseClaim(ctx, w.opts, w.pl.keys[h.unit], true)
 			mClaimsHeld.Add(-1)
 		}
 	}

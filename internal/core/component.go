@@ -41,6 +41,9 @@ type Transformer interface {
 	// Clone returns an unfitted copy carrying the same hyperparameters,
 	// so concurrent folds and paths never share mutable state.
 	Clone() Transformer
+	// OutShape is the shape Transform gives a dataset of shape in, stated
+	// from the hyperparameters alone: nothing is fitted or transformed.
+	OutShape(in Shape) Shape
 }
 
 // Estimator is a Component that learns a predictive model from a dataset
@@ -54,6 +57,25 @@ type Estimator interface {
 	Predict(ds *dataset.Dataset) ([]float64, error)
 	// Clone returns an unfitted copy carrying the same hyperparameters.
 	Clone() Estimator
+	// FitCost is a static estimate of one Fit's work on a dataset of shape
+	// in, from the hyperparameters and the shape alone, never measured; 0
+	// states no cost. Search hands out the costliest units first
+	// (dispatchOrder); no score depends on it.
+	FitCost(in Shape) float64
+}
+
+// Shape is what a fit-cost estimate knows of a dataset: Rows samples of
+// Cols columns, read as windows of WindowLen time steps when WindowLen is
+// set (dataset.Dataset's cascaded-window metadata). Search states the
+// search dataset's shape and walks it through a unit's transformers
+// (Transformer.OutShape) to the shape its estimator is fitted on.
+type Shape struct {
+	Rows, Cols, WindowLen int
+}
+
+// shapeOf is ds's shape.
+func shapeOf(ds *dataset.Dataset) Shape {
+	return Shape{Rows: ds.NumSamples(), Cols: ds.NumFeatures(), WindowLen: ds.WindowLen}
 }
 
 // ComponentSpec renders a component with its parameters as a canonical,

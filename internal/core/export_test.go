@@ -1,6 +1,10 @@
 package core
 
-import "coda/internal/dataset"
+import (
+	"context"
+
+	"coda/internal/dataset"
+)
 
 // DatasetBytes is the size the prefix cache charges an entry's dataset.
 func DatasetBytes(ds *dataset.Dataset) int64 { return datasetBytes(ds) }
@@ -42,4 +46,28 @@ func PlanUnits(g *Graph, grid map[string][]float64, fp, evalSpec string) ([]Plan
 		out[i] = PlannedUnit{Key: key, Spec: pl.spec(i), BuiltSpec: p.Spec()}
 	}
 	return out, nil
+}
+
+// ClaimCap lets the external test package state the claim window's cap.
+const ClaimCap = claimCap
+
+// WithDispatchPermutation returns ctx under which Search applies perm to
+// every dispatch order it builds — plan order when it builds none — before
+// it claims or hands out a unit.
+func WithDispatchPermutation(ctx context.Context, perm func(order []int)) context.Context {
+	return context.WithValue(ctx, permuteKey{}, &permutation{apply: perm})
+}
+
+// DispatchOrder is the order Search hands out g's units in under grid,
+// over a dataset of shape in: nil is plan order.
+func DispatchOrder(g *Graph, grid map[string][]float64, in Shape) ([]int, error) {
+	paths, err := g.finalPaths()
+	if err != nil {
+		return nil, err
+	}
+	pl, err := planUnits(g, paths, grid, "fp", "eval")
+	if err != nil {
+		return nil, err
+	}
+	return pl.dispatchOrder(in), nil
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"coda/internal/core"
@@ -97,7 +98,8 @@ func fuzzSearchData(data []byte) *dataset.Dataset {
 // scaler and selector chain, with the prefix cache, its memos and the
 // trees shared across rank classes, scores every unit as a serial search
 // without the cache does, bit for bit, failures included, on any data,
-// split and parallelism.
+// split, parallelism and dispatch order — a nonzero perm shuffles the
+// order Search hands units out in with that seed.
 func FuzzSearchMatchesReference(f *testing.F) {
 	// Column 0 holds a = 1+3*2^-52 and the next float, whose midpoint
 	// rounds up to it; the targets split there. Every scaler but noop
@@ -106,14 +108,15 @@ func FuzzSearchMatchesReference(f *testing.F) {
 	for i := range 24 {
 		adjacent = append(adjacent, 0x23+byte(i%2), byte(i%5), byte(i%2)*40)
 	}
-	f.Add(adjacent, false, uint8(0), int64(1))
-	f.Add(adjacent, true, uint8(1), int64(2))
+	f.Add(adjacent, false, uint8(0), int64(1), int64(0))
+	f.Add(adjacent, true, uint8(1), int64(2), int64(0))
+	f.Add(adjacent, true, uint8(2), int64(2), int64(5))
 	f.Fuzz(searchMatchesReference)
 }
 
 // searchMatchesReference is FuzzSearchMatchesReference's property on one
 // input.
-func searchMatchesReference(t *testing.T, data []byte, shuffle bool, par uint8, seed int64) {
+func searchMatchesReference(t *testing.T, data []byte, shuffle bool, par uint8, seed, perm int64) {
 	ds := fuzzSearchData(data)
 	if ds == nil {
 		return
@@ -133,7 +136,13 @@ func searchMatchesReference(t *testing.T, data []byte, shuffle bool, par uint8, 
 	ref.Parallelism, ref.DisablePrefixCache = 1, true
 	want, wantErr := core.Search(context.Background(), fuzzSearchGraph(), ds, ref)
 	opts.Parallelism = []int{1, 2, 4}[par%3]
-	got, err := core.Search(context.Background(), fuzzSearchGraph(), ds, opts)
+	ctx := context.Background()
+	if perm != 0 {
+		ctx = core.WithDispatchPermutation(ctx, func(order []int) {
+			rand.New(rand.NewSource(perm)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		})
+	}
+	got, err := core.Search(ctx, fuzzSearchGraph(), ds, opts)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("search error %v, reference %v", err, wantErr)
 	}

@@ -312,11 +312,12 @@ type headerSpy struct {
 	seen map[*dataset.Dataset]bool
 }
 
-func (s headerSpy) Name() string                   { return "spy" }
-func (s headerSpy) SetParam(string, float64) error { return nil }
-func (s headerSpy) Params() map[string]float64     { return nil }
-func (s headerSpy) Clone() core.Transformer        { return s }
-func (s headerSpy) Fit(*dataset.Dataset) error     { return nil }
+func (s headerSpy) Name() string                      { return "spy" }
+func (s headerSpy) SetParam(string, float64) error    { return nil }
+func (s headerSpy) Params() map[string]float64        { return nil }
+func (s headerSpy) Clone() core.Transformer           { return s }
+func (s headerSpy) Fit(*dataset.Dataset) error        { return nil }
+func (s headerSpy) OutShape(in core.Shape) core.Shape { return in }
 func (s headerSpy) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -326,8 +327,9 @@ func (s headerSpy) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 
 type headerSink struct{ headerSpy }
 
-func (s headerSink) Name() string          { return "sink" }
-func (s headerSink) Clone() core.Estimator { return s }
+func (s headerSink) Name() string               { return "sink" }
+func (s headerSink) Clone() core.Estimator      { return s }
+func (s headerSink) FitCost(core.Shape) float64 { return 0 }
 func (s headerSink) Predict(ds *dataset.Dataset) ([]float64, error) {
 	return make([]float64, ds.NumSamples()), nil
 }

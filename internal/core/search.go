@@ -272,7 +272,7 @@ func Search(ctx context.Context, g *Graph, ds *dataset.Dataset, opts SearchOptio
 	defer func() { cache.release() }()
 
 	var wg sync.WaitGroup
-	win := newClaimWindow(ctx, opts, pl.keys, wg.Wait)
+	win := newClaimWindow(ctx, opts, pl, shapeOf(ds), wg.Wait)
 
 	if searchSpan != nil {
 		searchSpan.SetAttr(trace.Int("units", n), trace.Int("parallelism", opts.Parallelism))

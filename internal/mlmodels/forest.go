@@ -71,6 +71,10 @@ func (f *RandomForest) Clone() core.Estimator {
 	return &RandomForest{Task: f.Task, NTrees: f.NTrees, MaxDepth: f.MaxDepth, MinLeaf: f.MinLeaf, Seed: f.Seed}
 }
 
+// FitCost implements core.Estimator: it states no cost, so units of it keep
+// plan order among themselves.
+func (f *RandomForest) FitCost(core.Shape) float64 { return 0 }
+
 // Fit grows NTrees trees on bootstrap resamples with sqrt(p) feature
 // subsampling. The trees come in order from one seeded sequence, so the
 // forest of n trees is the first n of any longer forest of its seed and

@@ -59,6 +59,10 @@ func (m *KMeans) Clone() core.Estimator {
 	return &KMeans{K: m.K, MaxIters: m.MaxIters, NInit: m.NInit, Seed: m.Seed}
 }
 
+// FitCost implements core.Estimator: it states no cost, so units of it keep
+// plan order among themselves.
+func (m *KMeans) FitCost(core.Shape) float64 { return 0 }
+
 // Fit runs NInit independent k-means++/Lloyd restarts and keeps the
 // clustering with the lowest inertia (within-cluster sum of squares).
 // Y is ignored.

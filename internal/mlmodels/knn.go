@@ -53,6 +53,10 @@ func (m *KNN) Params() map[string]float64 { return map[string]float64{"k": float
 // Clone implements core.Estimator.
 func (m *KNN) Clone() core.Estimator { return &KNN{Task: m.Task, K: m.K} }
 
+// FitCost implements core.Estimator: it states no cost, so units of it keep
+// plan order among themselves.
+func (m *KNN) FitCost(core.Shape) float64 { return 0 }
+
 // Fit stores the training data.
 func (m *KNN) Fit(ds *dataset.Dataset) error {
 	if ds.Y == nil {

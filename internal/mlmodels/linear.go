@@ -90,6 +90,10 @@ func (l *LinearRegression) Params() map[string]float64 {
 // Clone implements core.Estimator.
 func (l *LinearRegression) Clone() core.Estimator { return &LinearRegression{Alpha: l.Alpha} }
 
+// FitCost implements core.Estimator: it states no cost, so units of it keep
+// plan order among themselves.
+func (l *LinearRegression) FitCost(core.Shape) float64 { return 0 }
+
 // Fit solves min ||[1 X] b - y||^2 (+ alpha ||b_features||^2).
 func (l *LinearRegression) Fit(ds *dataset.Dataset) error {
 	if ds.Y == nil {

@@ -55,6 +55,10 @@ func (l *LogisticRegression) Clone() core.Estimator {
 	return &LogisticRegression{LearningRate: l.LearningRate, Epochs: l.Epochs, Alpha: l.Alpha}
 }
 
+// FitCost implements core.Estimator: it states no cost, so units of it keep
+// plan order among themselves.
+func (l *LogisticRegression) FitCost(core.Shape) float64 { return 0 }
+
 // Fit runs gradient descent on the logistic loss.
 func (l *LogisticRegression) Fit(ds *dataset.Dataset) error {
 	if ds.Y == nil {

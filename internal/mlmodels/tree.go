@@ -90,6 +90,10 @@ func (t *DecisionTree) Clone() core.Estimator {
 	return &DecisionTree{Task: t.Task, MaxDepth: t.MaxDepth, MinLeaf: t.MinLeaf, MaxFeatures: t.MaxFeatures}
 }
 
+// FitCost implements core.Estimator: it states no cost, so units of it keep
+// plan order among themselves.
+func (t *DecisionTree) FitCost(core.Shape) float64 { return 0 }
+
 // Fit grows the tree.
 func (t *DecisionTree) Fit(ds *dataset.Dataset) error {
 	if ds.Y == nil {

@@ -42,6 +42,10 @@ func (z *ZeroModel) Params() map[string]float64 {
 // Clone implements core.Estimator.
 func (z *ZeroModel) Clone() core.Estimator { return &ZeroModel{Target: z.Target} }
 
+// FitCost implements core.Estimator: it states no cost, so units of it keep
+// plan order among themselves.
+func (z *ZeroModel) FitCost(core.Shape) float64 { return 0 }
+
 // Fit validates the target column; the model has no learned state.
 func (z *ZeroModel) Fit(ds *dataset.Dataset) error {
 	if z.Target < 0 || z.Target >= ds.NumFeatures() {
@@ -107,6 +111,10 @@ func (a *ARModel) Params() map[string]float64 {
 
 // Clone implements core.Estimator.
 func (a *ARModel) Clone() core.Estimator { return &ARModel{P: a.P, Target: a.Target} }
+
+// FitCost implements core.Estimator: it states no cost, so units of it keep
+// plan order among themselves.
+func (a *ARModel) FitCost(core.Shape) float64 { return 0 }
 
 // Fit regresses Y on the last P values of the target variable. Because the
 // TS-as-is view provides Y[i] = target at time i+h, this learns the h-step

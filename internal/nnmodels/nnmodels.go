@@ -105,8 +105,9 @@ type windowShape struct{ seqLen, channels int }
 
 // Regressor is one network of the zoo. Its constructor fixes its name, its
 // default hyperparameters, whether it reads cascaded windows, the shortest
-// window it can convolve and the function that builds its layers, drawing
-// their weights and dropout masks from the generator it is given.
+// window it can convolve, the function that builds its layers, drawing
+// their weights and dropout masks from the generator it is given, and the
+// one that counts a forward pass's multiply-adds per row (FitCost).
 //
 // A Regressor builds its network at its first Fit and keeps it: a later Fit
 // on rows of the same window shape, with the same hyperparameters,
@@ -119,6 +120,7 @@ type Regressor struct {
 	windowed bool // reads cascaded windows (WindowLen/NumVars metadata)
 	minSteps int  // shortest window history the network accepts
 	build    func(windowShape, netConfig, *matrix.Rand) *nn.Network
+	macs     func(windowShape, netConfig) int
 
 	net    *nn.Network
 	win    windowShape
@@ -126,10 +128,10 @@ type Regressor struct {
 	rng    *matrix.Rand // net's generator: its weights' and dropout masks'
 }
 
-func newRegressor(name string, hidden int, build func(windowShape, netConfig, *matrix.Rand) *nn.Network) *Regressor {
+func newRegressor(name string, hidden int, build func(windowShape, netConfig, *matrix.Rand) *nn.Network, macs func(windowShape, netConfig) int) *Regressor {
 	cfg := defaultConfig()
 	cfg.Hidden = hidden
-	return &Regressor{name: name, cfg: cfg, windowed: true, build: build}
+	return &Regressor{name: name, cfg: cfg, windowed: true, build: build, macs: macs}
 }
 
 // variant names a model with a simple and a deep form.
@@ -146,6 +148,8 @@ func variant(deep bool, name string) string {
 func NewDNNRegressor(deep bool) *Regressor {
 	r := newRegressor(variant(deep, "dnn"), 16, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildDNN(deep, w.channels, cfg, rng)
+	}, func(w windowShape, cfg netConfig) int {
+		return dnnMACs(deep, w.channels, cfg)
 	})
 	r.windowed = false
 	return r
@@ -157,6 +161,8 @@ func NewDNNRegressor(deep bool) *Regressor {
 func NewLSTMRegressor(deep bool) *Regressor {
 	return newRegressor(variant(deep, "lstm"), 12, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildLSTM(deep, w.seqLen, w.channels, cfg, rng)
+	}, func(w windowShape, cfg netConfig) int {
+		return lstmMACs(deep, w, cfg)
 	})
 }
 
@@ -166,6 +172,8 @@ func NewLSTMRegressor(deep bool) *Regressor {
 func NewCNNRegressor(deep bool) *Regressor {
 	r := newRegressor(variant(deep, "cnn"), 8, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildCNN(deep, w.seqLen, w.channels, cfg, rng)
+	}, func(w windowShape, cfg netConfig) int {
+		return cnnMACs(deep, w, cfg)
 	})
 	r.minSteps = 4 // the first convolution's kernel of 3, plus one step to pool
 	return r
@@ -178,6 +186,10 @@ func NewCNNRegressor(deep bool) *Regressor {
 func NewWaveNetRegressor() *Regressor {
 	return newRegressor("wavenet", 8, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildWaveNet(w.seqLen, w.channels, cfg, rng)
+	}, func(w windowShape, cfg netConfig) int {
+		// Per computed step: the filter and gate convolutions and the 1x1
+		// projection.
+		return residualStackMACs(w, cfg.Hidden, waveNetDilations, 5*cfg.Hidden*cfg.Hidden)
 	})
 }
 
@@ -190,6 +202,9 @@ func NewWaveNetRegressor() *Regressor {
 func NewSeriesNetRegressor() *Regressor {
 	return newRegressor("seriesnet", 8, func(w windowShape, cfg netConfig, rng *matrix.Rand) *nn.Network {
 		return buildSeriesNet(w.seqLen, w.channels, cfg, rng)
+	}, func(w windowShape, cfg netConfig) int {
+		// Per computed step: the dilated convolution and the 1x1 projection.
+		return residualStackMACs(w, cfg.Hidden, seriesNetDilations, 3*cfg.Hidden*cfg.Hidden)
 	})
 }
 
@@ -206,7 +221,22 @@ func (r *Regressor) Params() map[string]float64 { return r.cfg.params() }
 
 // Clone implements core.Estimator.
 func (r *Regressor) Clone() core.Estimator {
-	return &Regressor{name: r.name, cfg: r.cfg, windowed: r.windowed, minSteps: r.minSteps, build: r.build}
+	return &Regressor{name: r.name, cfg: r.cfg, windowed: r.windowed, minSteps: r.minSteps, build: r.build, macs: r.macs}
+}
+
+// FitCost implements core.Estimator: epochs x rows x the multiply-adds of
+// one forward pass over a row of the shape in gives the network, counted
+// from the layer shapes as the network is built. A shape Fit refuses
+// costs 0.
+func (r *Regressor) FitCost(in core.Shape) float64 {
+	shape := windowShape{1, in.Cols}
+	if r.windowed {
+		if in.WindowLen < max(r.minSteps, 1) || in.Cols%in.WindowLen != 0 {
+			return 0
+		}
+		shape = windowShape{in.WindowLen, in.Cols / in.WindowLen}
+	}
+	return float64(r.cfg.Epochs) * float64(in.Rows) * float64(r.macs(shape, r.cfg))
 }
 
 // Fit trains a network from its starting weights on ds, discarding any
@@ -275,6 +305,15 @@ func (r *Regressor) Predict(ds *dataset.Dataset) ([]float64, error) {
 	return r.net.Predict(ds.X)
 }
 
+// dnnMACs counts buildDNN's multiply-adds per row.
+func dnnMACs(deep bool, in int, cfg netConfig) int {
+	h, hiddenLayers := cfg.Hidden, 2
+	if deep {
+		hiddenLayers = 4
+	}
+	return in*h + (hiddenLayers-1)*h*h + h
+}
+
 func buildDNN(deep bool, in int, cfg netConfig, rng *matrix.Rand) *nn.Network {
 	h := cfg.Hidden
 	hiddenLayers := 2
@@ -289,6 +328,19 @@ func buildDNN(deep bool, in int, cfg netConfig, rng *matrix.Rand) *nn.Network {
 	}
 	layers = append(layers, nn.NewDense(width, 1, rng))
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
+}
+
+// lstmMACs counts buildLSTM's multiply-adds per row: each layer projects
+// every step's input into four gates and, from the second step on (the
+// first starts from the zero state), the previous hidden state too.
+func lstmMACs(deep bool, w windowShape, cfg netConfig) int {
+	h := cfg.Hidden
+	layer := func(in int) int { return w.seqLen*in*4*h + (w.seqLen-1)*h*4*h }
+	n := layer(w.channels)
+	if deep {
+		n += 3 * layer(h)
+	}
+	return n + h
 }
 
 func buildLSTM(deep bool, seqLen, channels int, cfg netConfig, rng *matrix.Rand) *nn.Network {
@@ -308,6 +360,26 @@ func buildLSTM(deep bool, seqLen, channels int, cfg netConfig, rng *matrix.Rand)
 	}
 	layers = append(layers, nn.NewDense(h, 1, rng))
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
+}
+
+// cnnMACs counts buildCNN's multiply-adds per row, stage by stage as it
+// builds them.
+func cnnMACs(deep bool, w windowShape, cfg netConfig) int {
+	const kernel = 3
+	f := cfg.Hidden
+	length := w.seqLen - kernel + 1
+	n := length * f * kernel * w.channels
+	if length >= 2 {
+		length /= 2
+	}
+	if deep && length >= kernel+1 {
+		length -= kernel - 1
+		n += length * f * kernel * f
+		if length >= 2 {
+			length /= 2
+		}
+	}
+	return n + length*f*cfg.Hidden + cfg.Hidden
 }
 
 func buildCNN(deep bool, seqLen, channels int, cfg netConfig, rng *matrix.Rand) *nn.Network {
@@ -340,13 +412,50 @@ func buildCNN(deep bool, seqLen, channels int, cfg netConfig, rng *matrix.Rand) 
 	return nn.NewNetwork(nn.NewAdam(cfg.LR), layers...)
 }
 
+// The dilations of WaveNet's and SeriesNet's residual blocks, first to last.
+var (
+	waveNetDilations   = []int{1, 2, 4}
+	seriesNetDilations = []int{1, 2, 4, 8}
+)
+
+// residualStackMACs counts the multiply-adds per row of a 1x1 input
+// convolution, kernel-2 dilated causal blocks at dilations of perStep each
+// per step they compute, and a dense head on the last step. A network
+// computes only the steps the layers after it read (nn's narrowing): the
+// last block the last step, and each block before it the steps the next
+// reads, each one and the step a dilation earlier.
+func residualStackMACs(w windowShape, f int, dilations []int, perStep int) int {
+	read, next := make([]bool, w.seqLen), make([]bool, w.seqLen)
+	read[w.seqLen-1] = true
+	n := f // the head
+	for i := len(dilations) - 1; i >= 0; i-- {
+		clear(next)
+		for t, r := range read {
+			if r {
+				n += perStep
+				next[t] = true
+				if t >= dilations[i] {
+					next[t-dilations[i]] = true
+				}
+			}
+		}
+		read, next = next, read
+	}
+	for _, r := range read {
+		if r {
+			n += w.channels * f
+		}
+	}
+	return n
+}
+
 func buildWaveNet(seqLen, channels int, cfg netConfig, rng *matrix.Rand) *nn.Network {
 	f := cfg.Hidden
 	layers := []nn.Layer{
 		// 1x1 causal conv lifts the input channels to the block width.
 		nn.NewConv1D(seqLen, channels, f, 1, 1, true, rng),
 	}
-	for _, dilation := range []int{1, 2, 4} {
+	for _, dilation := range waveNetDilations {
 		layers = append(layers, nn.NewGatedResidualBlock(seqLen, f, 2, dilation, rng))
 	}
 	layers = append(layers, nn.NewLastTimestep(seqLen, f), nn.NewDense(f, 1, rng))
@@ -358,7 +467,7 @@ func buildSeriesNet(seqLen, channels int, cfg netConfig, rng *matrix.Rand) *nn.N
 	layers := []nn.Layer{
 		nn.NewConv1D(seqLen, channels, f, 1, 1, true, rng),
 	}
-	for _, dilation := range []int{1, 2, 4, 8} {
+	for _, dilation := range seriesNetDilations {
 		layers = append(layers, nn.NewResidualConvBlock(seqLen, f, 2, dilation, rng))
 	}
 	layers = append(layers, nn.NewLastTimestep(seqLen, f), nn.NewDense(f, 1, rng))

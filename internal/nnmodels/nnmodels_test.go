@@ -364,3 +364,33 @@ func TestPredictMatchesOneRowForward(t *testing.T) {
 		})
 	}
 }
+
+// TestFitCostCountsTheNetwork: FitCost is epochs x rows x a forward pass's
+// multiply-adds per row. WaveNet over 8-step windows of 2 variables at
+// width 8 counts only the steps nn's narrowing computes: the blocks at
+// dilations 4, 2 and 1 compute 1, 2 and 4 steps at 5 x 8 x 8 each, the
+// input convolution all 8 steps at 2 x 8, and the head 8 — 2,376. A shape
+// Fit refuses costs nothing.
+func TestFitCostCountsTheNetwork(t *testing.T) {
+	windows := core.Shape{Rows: 100, Cols: 16, WindowLen: 8}
+	w := NewWaveNetRegressor()
+	if err := w.SetParam("epochs", 3); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.FitCost(windows), 3.0*100*2376; got != want {
+		t.Errorf("wavenet FitCost %v, want %v", got, want)
+	}
+	if got := w.FitCost(core.Shape{Rows: 100, Cols: 16}); got != 0 {
+		t.Errorf("wavenet on flat rows costs %v, want 0", got)
+	}
+	if got := NewCNNRegressor(false).FitCost(core.Shape{Rows: 100, Cols: 6, WindowLen: 3}); got != 0 {
+		t.Errorf("cnn on 3-step windows costs %v, want 0", got)
+	}
+	deep, simple := NewLSTMRegressor(true).FitCost(windows), NewLSTMRegressor(false).FitCost(windows)
+	if !(deep > simple && simple > 0) {
+		t.Errorf("deeplstm costs %v, lstm %v: want deeplstm > lstm > 0", deep, simple)
+	}
+	if flat := NewDNNRegressor(false).FitCost(core.Shape{Rows: 100, Cols: 16}); flat <= 0 || flat != NewDNNRegressor(false).FitCost(windows) {
+		t.Errorf("dnn costs %v on flat rows: want the same positive cost on the same columns windowed", flat)
+	}
+}

@@ -115,6 +115,9 @@ func (s *Scaler) Clone() core.Transformer {
 	return &Scaler{name: s.name, fit: s.fit, zeroFlat: s.zeroFlat}
 }
 
+// OutShape implements core.Transformer: scaling keeps the shape.
+func (s *Scaler) OutShape(in core.Shape) core.Shape { return in }
+
 // Fit learns each column's centre and spread.
 func (s *Scaler) Fit(ds *dataset.Dataset) error {
 	s.centre, s.spread = s.fit(ds)
@@ -172,6 +175,9 @@ func (n *NoOp) Params() map[string]float64 { return nil }
 
 // Clone implements core.Transformer.
 func (n *NoOp) Clone() core.Transformer { return NewNoOp() }
+
+// OutShape implements core.Transformer: the shape passes through.
+func (n *NoOp) OutShape(in core.Shape) core.Shape { return in }
 
 // Fit is a no-op.
 func (n *NoOp) Fit(*dataset.Dataset) error { return nil }

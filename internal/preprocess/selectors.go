@@ -33,6 +33,9 @@ func (c *Covariance) Params() map[string]float64 { return nil }
 // Clone implements core.Transformer.
 func (c *Covariance) Clone() core.Transformer { return NewCovariance() }
 
+// OutShape implements core.Transformer: centring keeps the shape.
+func (c *Covariance) OutShape(in core.Shape) core.Shape { return in }
+
 // Fit learns column means.
 func (c *Covariance) Fit(ds *dataset.Dataset) error {
 	c.means = ds.X.ColMeans()
@@ -97,6 +100,15 @@ func (p *PCA) Params() map[string]float64 {
 
 // Clone implements core.Transformer.
 func (p *PCA) Clone() core.Transformer { return NewPCA(p.NComponents) }
+
+// OutShape implements core.Transformer: NComponents columns, or every
+// column when it is 0 or more than there are.
+func (p *PCA) OutShape(in core.Shape) core.Shape {
+	if p.NComponents > 0 && p.NComponents < in.Cols {
+		in.Cols = p.NComponents
+	}
+	return in
+}
 
 // Fit computes the principal directions of the training data.
 func (p *PCA) Fit(ds *dataset.Dataset) error {
@@ -173,6 +185,15 @@ func (s *SelectKBest) Params() map[string]float64 {
 
 // Clone implements core.Transformer.
 func (s *SelectKBest) Clone() core.Transformer { return NewSelectKBest(s.K) }
+
+// OutShape implements core.Transformer: K columns, or every column when K
+// is 0 or more than there are.
+func (s *SelectKBest) OutShape(in core.Shape) core.Shape {
+	if s.K > 0 && s.K < in.Cols {
+		in.Cols = s.K
+	}
+	return in
+}
 
 // Fit ranks features by |corr(x_j, y)| and remembers the top K column
 // indices (in ascending index order so output column order is stable).

@@ -103,6 +103,16 @@ func (w *Windows) Clone() core.Transformer {
 	return &cp
 }
 
+// OutShape implements core.Transformer: Rows - History - Horizon + 1
+// windows of History rows each, cascaded (WindowLen History) or flat.
+func (w *Windows) OutShape(in core.Shape) core.Shape {
+	out := core.Shape{Rows: max(in.Rows-w.History-w.Horizon+1, 0), Cols: w.History * in.Cols}
+	if w.cascaded {
+		out.WindowLen = w.History
+	}
+	return out
+}
+
 // Fit is stateless; windowing depends only on configuration.
 func (w *Windows) Fit(*dataset.Dataset) error { return nil }
 
@@ -173,6 +183,12 @@ func (t *View) Params() map[string]float64 {
 func (t *View) Clone() core.Transformer {
 	cp := *t
 	return &cp
+}
+
+// OutShape implements core.Transformer: the series' rows but the last
+// Horizon, one step each.
+func (t *View) OutShape(in core.Shape) core.Shape {
+	return core.Shape{Rows: max(in.Rows-t.Horizon, 0), Cols: in.Cols}
 }
 
 // Fit is stateless.
